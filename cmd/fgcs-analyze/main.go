@@ -5,26 +5,24 @@
 //
 // Usage:
 //
-//	fgcs-analyze -trace trace.json
+//	fgcs-analyze -trace trace.fgcb
 //	fgcs-analyze -report fig6
 //	fgcs-analyze                     # simulate the default testbed inline
-//	fgcs-analyze -shards shards/     # stream binary shard files
+//	fgcs-analyze -shards shards/     # scan a directory of shard files
 //
-// -trace accepts JSON or binary codec files, row (v1) or columnar block
-// (v2), detected by content. -shards streams a directory of shard files
-// written by fgcs-testbed -shard-dir through the one-pass analyzer: memory
-// stays bounded however large the fleet is, so the table2/fig6/fig7 reports
-// scale to fleets that could never be loaded whole. With -parallel N and v2
-// block shards the files are split at block-summary machine boundaries and
-// scanned by N workers whose partial analyzers merge into a result
-// bit-identical to the serial stream (N=0 uses every core). The summary and
-// acf reports need the full trace in memory and are not available in
-// streaming mode.
+// -trace accepts a binary codec (FGCB) file of either version, as written
+// by fgcs-testbed -out. -shards scans a directory of v2 block shard files
+// written by fgcs-testbed -shard-dir: the files are split at block-summary
+// machine boundaries and scanned by -parallel workers whose partial
+// analyzers merge into a result bit-identical to one worker's (1 is serial,
+// 0 uses every core). Memory stays bounded however large the fleet is, so
+// the table2/fig6/fig7 reports scale to fleets that could never be loaded
+// whole; a shard cut short is refused by name rather than analyzed as far
+// as it goes. The summary and acf reports need the full trace in memory and
+// are not available with -shards.
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"flag"
 	"fmt"
 	"log"
@@ -44,9 +42,9 @@ func main() {
 	log.SetPrefix("fgcs-analyze: ")
 
 	var (
-		traceFile = flag.String("trace", "", "trace file, JSON or binary (empty = simulate the default testbed)")
-		shardDir  = flag.String("shards", "", "directory of binary shard files to stream (bounded memory)")
-		parallel  = flag.Int("parallel", 1, "analyzer workers for v2 block shards (0 = all cores, 1 = serial)")
+		traceFile = flag.String("trace", "", "binary trace file (empty = simulate the default testbed)")
+		shardDir  = flag.String("shards", "", "directory of v2 block shard files to scan (bounded memory)")
+		parallel  = flag.Int("parallel", 1, "analyzer workers for -shards (0 = all cores, 1 = serial)")
 		report    = flag.String("report", "all", "report: table2, fig6, fig7, summary, acf, all")
 	)
 	flag.Parse()
@@ -106,10 +104,8 @@ func main() {
 	}
 }
 
-// analyzeShards analyzes a directory of shard files: the parallel
-// block-scan engine when workers != 1 and every shard is a v2 block file,
-// the merged serial stream otherwise. Both paths produce bit-identical
-// results over the same shards.
+// analyzeShards scans a directory of v2 block shard files with the given
+// number of workers.
 func analyzeShards(dir string, workers int) (*trace.StreamAnalyzer, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.fgcb"))
 	if err != nil {
@@ -119,46 +115,11 @@ func analyzeShards(dir string, workers int) (*trace.StreamAnalyzer, error) {
 		return nil, fmt.Errorf("no *.fgcb shard files in %s", dir)
 	}
 	sort.Strings(paths)
-	if workers != 1 {
-		a, err := trace.AnalyzeBlockPaths(paths, workers)
-		if err != nil {
-			// v1 shards (or mixed directories) cannot be block-chunked;
-			// fall back to the serial merge rather than failing the run.
-			fmt.Fprintf(os.Stderr, "parallel scan unavailable (%v); streaming serially\n", err)
-			return streamShards(paths)
-		}
-		fmt.Fprintf(os.Stderr, "scanned %d events from %d block shards in parallel (%.0f machine-days)\n",
-			a.Events(), len(paths), a.MachineDays())
-		return a, nil
-	}
-	return streamShards(paths)
-}
-
-// streamShards merges shard files — row or block format — and drains them
-// through the one-pass analyzer without materializing a trace.
-func streamShards(paths []string) (*trace.StreamAnalyzer, error) {
-	decs := make([]trace.EventReader, 0, len(paths))
-	for _, p := range paths {
-		f, err := os.Open(p)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		dec, err := trace.NewReader(bufio.NewReader(f))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p, err)
-		}
-		decs = append(decs, dec)
-	}
-	mr, err := trace.NewMergeReader(decs...)
+	a, err := trace.AnalyzeBlockPaths(paths, workers)
 	if err != nil {
 		return nil, err
 	}
-	a := trace.NewStreamAnalyzerFor(mr.Header())
-	if err := a.Drain(mr.Next); err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(os.Stderr, "streamed %d events from %d shards (%.0f machine-days)\n",
+	fmt.Fprintf(os.Stderr, "scanned %d events from %d block shards (%.0f machine-days)\n",
 		a.Events(), len(paths), a.MachineDays())
 	return a, nil
 }
@@ -168,23 +129,7 @@ func loadTrace(path string) (*trace.Trace, error) {
 		fmt.Fprintln(os.Stderr, "no -trace given; simulating the default 20x92 testbed")
 		return testbed.Run(testbed.DefaultConfig())
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	// The binary codec opens with its magic; anything else is JSON.
-	// NewReader dispatches on the version byte, so both the row (v1) and
-	// columnar block (v2) formats load here.
-	if head, err := br.Peek(4); err == nil && bytes.Equal(head, []byte("FGCB")) {
-		rd, err := trace.NewReader(br)
-		if err != nil {
-			return nil, err
-		}
-		return trace.CollectEvents(rd)
-	}
-	return trace.ReadJSON(br)
+	return trace.ReadFile(path)
 }
 
 func printTable2(tb trace.Table2) {

@@ -9,7 +9,7 @@
 //	fgcs-predict -curve                  # accuracy vs history length
 //	fgcs-predict -sched -jobs 300        # placement-policy comparison
 //	fgcs-predict -sched -migrate         # add proactive mid-job migration
-//	fgcs-predict -trace trace.json
+//	fgcs-predict -trace trace.fgcb
 package main
 
 import (
@@ -31,7 +31,7 @@ func main() {
 	log.SetPrefix("fgcs-predict: ")
 
 	var (
-		traceFile = flag.String("trace", "", "trace JSON file (empty = simulate a testbed)")
+		traceFile = flag.String("trace", "", "binary trace file written by fgcs-testbed (empty = simulate a testbed)")
 		trainDays = flag.Int("train", 28, "training prefix in days")
 		window    = flag.Duration("window", 3*time.Hour, "prediction window")
 		sched     = flag.Bool("sched", false, "also run the proactive-scheduling comparison")
@@ -119,10 +119,5 @@ func loadTrace(path string, spread float64, seed int64) (*trace.Trace, error) {
 		cfg.Workload.MachineRateSpread = spread
 		return testbed.Run(cfg)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return trace.ReadJSON(f)
+	return trace.ReadFile(path)
 }

@@ -1,14 +1,14 @@
 // Command fgcs-testbed simulates the paper's production testbed — 20
 // student-lab machines traced for three months — and writes the resulting
-// unavailability trace to disk (JSON with full metadata, CSV events, or the
-// compact binary codec).
+// unavailability trace to disk: the columnar binary codec (FGCB v2, full
+// metadata) or CSV events.
 //
 // Usage:
 //
-//	fgcs-testbed -out trace.json
+//	fgcs-testbed -out trace.fgcb
 //	fgcs-testbed -machines 10 -days 30 -format csv -out trace.csv
 //	fgcs-testbed -machines 1000 -days 365 -shard-dir shards/ -shard-size 100
-//	fgcs-testbed -scenario spot -machines 200 -days 30 -out spot.json
+//	fgcs-testbed -scenario spot -machines 200 -days 30 -out spot.fgcb
 //
 // With -scenario the trace comes from the semi-Markov generative fleet
 // models (internal/markov) instead of the process-level simulator:
@@ -17,12 +17,12 @@
 // pilot run of this testbed).
 //
 // With -shard-dir the fleet is simulated in bounded-memory shards, each
-// written as one binary codec file (shard-0000.fgcb, shard-0001.fgcb, ...);
-// fgcs-analyze -shards reads them back as a merged stream. Peak memory then
-// scales with -shard-size, not the fleet, so arbitrarily large testbeds fit.
-// -shard-codec v2 (and -format binary2 for single files) selects the
-// columnar block format instead of the row codec: smaller files whose block
-// summaries let fgcs-analyze -parallel scan them with a worker pool.
+// written as one v2 block file (shard-0000.fgcb, shard-0001.fgcb, ...) that
+// fgcs-analyze -shards scans with a worker pool. Peak memory then scales
+// with -shard-size, not the fleet, so arbitrarily large testbeds fit.
+//
+// Flags are validated, and the fleet simulated, before any file is created,
+// so a mistyped flag never clobbers an existing trace.
 package main
 
 import (
@@ -49,11 +49,10 @@ func main() {
 		spread      = flag.Float64("spread", 0, "machine heterogeneity (0 = paper-like homogeneous lab)")
 		profile     = flag.String("profile", "lab", "workload profile: lab (paper) or enterprise (paper's future work)")
 		scenario    = flag.String("scenario", "", "generate a markov scenario fleet instead of simulating (enterprise, spot, multicore, container-dense, lab-fitted)")
-		format      = flag.String("format", "json", "output format: json, csv, binary (row codec) or binary2 (columnar blocks)")
+		format      = flag.String("format", "binary2", "output format: binary2 (columnar block codec, full metadata) or csv (events only)")
 		out         = flag.String("out", "-", "output file (- = stdout)")
-		shardDir    = flag.String("shard-dir", "", "write binary shard files into this directory instead of a single trace")
+		shardDir    = flag.String("shard-dir", "", "write v2 block shard files into this directory instead of a single trace")
 		shardSize   = flag.Int("shard-size", 100, "machines per shard with -shard-dir")
-		shardCodec  = flag.String("shard-codec", "v1", "shard file codec with -shard-dir: v1 (row) or v2 (columnar blocks)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz and pprof on this address while simulating (e.g. 127.0.0.1:9090)")
 	)
 	flag.Parse()
@@ -70,6 +69,12 @@ func main() {
 		log.Fatalf("unknown profile %q (want lab or enterprise)", *profile)
 	}
 	cfg.Workload.MachineRateSpread = *spread
+	if *format != "binary2" && *format != "csv" {
+		log.Fatalf("unknown format %q (want binary2 or csv)", *format)
+	}
+	if *scenario != "" && *shardDir != "" {
+		log.Fatal("-scenario and -shard-dir are mutually exclusive")
+	}
 
 	if *metricsAddr != "" {
 		reg := obs.NewRegistry()
@@ -83,10 +88,7 @@ func main() {
 	}
 
 	if *shardDir != "" {
-		if *scenario != "" {
-			log.Fatal("-scenario and -shard-dir are mutually exclusive")
-		}
-		if err := runSharded(cfg, *shardDir, *shardSize, *shardCodec); err != nil {
+		if err := runSharded(cfg, *shardDir, *shardSize); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -117,17 +119,10 @@ func main() {
 		w = f
 	}
 
-	switch *format {
-	case "json":
-		err = tr.WriteJSON(w)
-	case "csv":
+	if *format == "csv" {
 		err = tr.WriteCSV(w)
-	case "binary":
-		err = tr.WriteBinary(w)
-	case "binary2":
+	} else {
 		err = tr.WriteBlocks(w, nil)
-	default:
-		log.Fatalf("unknown format %q (want json, csv, binary or binary2)", *format)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -137,30 +132,21 @@ func main() {
 }
 
 // runSharded streams the fleet through the bounded-memory runner into one
-// binary codec file per shard, in the row (v1) or columnar block (v2)
-// format.
-func runSharded(cfg testbed.Config, dir string, shardSize int, codec string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
+// v2 block file per shard. The directory is made when the first shard
+// opens — after RunSharded has validated the configuration.
+func runSharded(cfg testbed.Config, dir string, shardSize int) error {
 	shards := 0
-	open := func(shard int) (io.WriteCloser, error) {
+	sink := testbed.NewEncoderSinkV2(cfg, nil, func(shard int) (io.WriteCloser, error) {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, err
+		}
 		shards++
 		return os.Create(filepath.Join(dir, fmt.Sprintf("shard-%04d.fgcb", shard)))
-	}
-	var sink testbed.EventSink
-	switch codec {
-	case "v1":
-		sink = testbed.NewEncoderSink(cfg, open)
-	case "v2":
-		sink = testbed.NewEncoderSinkV2(cfg, nil, open)
-	default:
-		return fmt.Errorf("unknown -shard-codec %q (want v1 or v2)", codec)
-	}
+	})
 	if err := testbed.RunSharded(cfg, shardSize, sink); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wrote %d %s shard files to %s (%d machines x %d days, %d per shard)\n",
-		shards, codec, dir, cfg.Machines, cfg.Days, shardSize)
+	fmt.Fprintf(os.Stderr, "wrote %d shard files to %s (%d machines x %d days, %d per shard)\n",
+		shards, dir, cfg.Machines, cfg.Days, shardSize)
 	return nil
 }

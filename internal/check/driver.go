@@ -421,7 +421,7 @@ func checkTraceSurfaces(events []trace.Event, end sim.Time, res *Result) error {
 	}
 	sort.Slice(pts, func(i, j int) bool { return pts[i] < pts[j] })
 	for _, ts := range pts {
-		le, lok := tr.NextEventAfter(0, ts)
+		le, lok := LinearNextEventAfter(tr, 0, ts)
 		ie, iok := ix.NextEventAfter(0, ts)
 		if lok != iok || (lok && le != ie) {
 			return fmt.Errorf("NextEventAfter(%v): linear (%+v, %v) != indexed (%+v, %v)", ts, le, lok, ie, iok)
@@ -429,10 +429,10 @@ func checkTraceSurfaces(events []trace.Event, end sim.Time, res *Result) error {
 	}
 	for i := 0; i+1 < len(pts); i++ {
 		w := sim.Window{Start: pts[i], End: pts[i+1]}
-		if lo, io := tr.AnyOverlap(0, w), ix.AnyOverlap(0, w); lo != io {
+		if lo, io := LinearAnyOverlap(tr, 0, w), ix.AnyOverlap(0, w); lo != io {
 			return fmt.Errorf("AnyOverlap(%v): linear %v != indexed %v", w, lo, io)
 		}
-		if lc, ic := tr.OccurrencesInWindow(0, w), ix.CountInWindow(0, w); lc != ic {
+		if lc, ic := LinearOccurrencesInWindow(tr, 0, w), ix.CountInWindow(0, w); lc != ic {
 			return fmt.Errorf("CountInWindow(%v): linear %d != indexed %d", w, lc, ic)
 		}
 	}
@@ -516,10 +516,11 @@ func sameEvents(what string, want, got []trace.Event) error {
 	return nil
 }
 
-// checkTestbedSeed runs a small testbed four ways — fast in-memory, sharded
-// streaming, naive per-period, and a Reference replay over the exported
-// observation stream — and requires identical events and occupancy, then
-// round-trips the trace through the codecs.
+// checkTestbedSeed runs a small testbed four ways — fast in-memory (one
+// shard, collected), sharded streaming at a random shard size, the naive
+// per-period RunNaive oracle of this package, and a Reference replay over
+// the exported observation stream — and requires identical events and
+// occupancy, then round-trips the trace through the codecs.
 func checkTestbedSeed(seed int64, res *Result) error {
 	rng := sim.NewSource(seed).Stream("check/testbed")
 	cfg := testbed.DefaultConfig()
@@ -532,7 +533,7 @@ func checkTestbedSeed(seed int64, res *Result) error {
 	if err != nil {
 		return fmt.Errorf("fast run: %w", err)
 	}
-	naive, naiveOcc, err := testbed.RunNaive(cfg)
+	naive, naiveOcc, err := RunNaive(cfg)
 	if err != nil {
 		return fmt.Errorf("naive run: %w", err)
 	}

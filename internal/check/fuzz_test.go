@@ -228,7 +228,7 @@ func FuzzIndexQueries(f *testing.F) {
 
 		for m := trace.MachineID(0); m < 4; m++ {
 			for _, ts := range pts {
-				le, lok := tr.NextEventAfter(m, ts)
+				le, lok := LinearNextEventAfter(tr, m, ts)
 				ie, iok := ix.NextEventAfter(m, ts)
 				if lok != iok || (lok && le != ie) {
 					t.Fatalf("NextEventAfter(%d, %v): linear (%+v, %v), indexed (%+v, %v)", m, ts, le, lok, ie, iok)
@@ -252,10 +252,10 @@ func FuzzIndexQueries(f *testing.F) {
 				if w.End < w.Start {
 					w.Start, w.End = w.End, w.Start
 				}
-				if lo, io := tr.AnyOverlap(m, w), ix.AnyOverlap(m, w); lo != io {
+				if lo, io := LinearAnyOverlap(tr, m, w), ix.AnyOverlap(m, w); lo != io {
 					t.Fatalf("AnyOverlap(%d, %v): linear %v, indexed %v", m, w, lo, io)
 				}
-				if lc, ic := tr.OccurrencesInWindow(m, w), ix.CountInWindow(m, w); lc != ic {
+				if lc, ic := LinearOccurrencesInWindow(tr, m, w), ix.CountInWindow(m, w); lc != ic {
 					t.Fatalf("CountInWindow(%d, %v): linear %d, indexed %d", m, w, lc, ic)
 				}
 

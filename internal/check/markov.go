@@ -16,11 +16,11 @@ import (
 // checkMarkovSeed is the generative-model leg of the differential: one
 // scenario fleet per seed, generated twice (determinism), validated for
 // legal Figure 5 content (only failure states, events inside the span),
-// and analyzed four ways — in-memory Trace analyzers, a serial
-// StreamAnalyzer, two machine-range partials merged with MergeFrom, and
-// the parallel block-file scanner over a multi-block v2 encoding — all of
-// which must agree bit-for-bit on Table 2, the Figure 6 interval samples
-// and the Figure 7 hourly bins. The same trace then routes the
+// and analyzed four ways — the naive oracles of this package, a serial
+// StreamAnalyzer (which the Trace methods wrap), two machine-range partials
+// merged with MergeFrom, and the parallel block-file scanner over a
+// multi-block v2 encoding — all of which must agree bit-for-bit on Table 2,
+// the Figure 6 interval samples and the Figure 7 hourly bins. The same trace then routes the
 // SemiMarkov age/survival boundary semantics through an independent
 // linear-scan reference.
 func checkMarkovSeed(seed int64, res *Result) error {
@@ -68,8 +68,8 @@ func checkMarkovSeed(seed int64, res *Result) error {
 	}
 	serial.Finish()
 
-	// In-memory Trace analyzers must match the stream exactly.
-	if err := analyzerMatchesTrace(name+" serial", serial, tr); err != nil {
+	// The stream must match the naive whole-slice oracles exactly.
+	if err := analyzerMatchesOracle(name+" serial", serial, tr); err != nil {
 		return err
 	}
 
@@ -121,20 +121,20 @@ func checkMarkovSeed(seed int64, res *Result) error {
 	return nil
 }
 
-// analyzerMatchesTrace requires a finished StreamAnalyzer to reproduce the
-// in-memory Trace analyses exactly.
-func analyzerMatchesTrace(what string, a *trace.StreamAnalyzer, tr *trace.Trace) error {
-	if got, want := a.Table2(), tr.MakeTable2(); got != want {
-		return fmt.Errorf("%s: Table2 %+v, trace %+v", what, got, want)
+// analyzerMatchesOracle requires a finished StreamAnalyzer to reproduce the
+// naive whole-slice analyses of tr exactly.
+func analyzerMatchesOracle(what string, a *trace.StreamAnalyzer, tr *trace.Trace) error {
+	if got, want := a.Table2(), NaiveTable2(tr); got != want {
+		return fmt.Errorf("%s: Table2 %+v, oracle %+v", what, got, want)
 	}
-	if got, want := a.CountByCause(), tr.CountByCause(); !reflect.DeepEqual(got, want) {
-		return fmt.Errorf("%s: CountByCause %v, trace %v", what, got, want)
+	if got, want := a.CountByCause(), NaiveCountByCause(tr); !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("%s: CountByCause %v, oracle %v", what, got, want)
 	}
 	for _, dt := range []sim.DayType{sim.Weekday, sim.Weekend} {
-		if got, want := a.IntervalLengths(dt), tr.IntervalLengths(dt); !sameFloats(got, want) {
+		if got, want := a.IntervalLengths(dt), NaiveIntervalLengths(tr, dt); !sameFloats(got, want) {
 			return fmt.Errorf("%s %v: interval lengths diverge (%d vs %d)", what, dt, len(got), len(want))
 		}
-		if got, want := a.HourlyOccurrences(dt), tr.HourlyOccurrences(dt); !reflect.DeepEqual(got, want) {
+		if got, want := a.HourlyOccurrences(dt), NaiveHourlyOccurrences(tr, dt); !reflect.DeepEqual(got, want) {
 			return fmt.Errorf("%s %v: hourly occurrences diverge", what, dt)
 		}
 	}
@@ -189,8 +189,8 @@ func checkSemiMarkovBoundaries(name string, tr *trace.Trace, res *Result) error 
 	s := &predict.SemiMarkov{}
 	s.Train(tr)
 	ecdfs := map[sim.DayType]*stats.ECDF{
-		sim.Weekday: tr.IntervalECDF(sim.Weekday),
-		sim.Weekend: tr.IntervalECDF(sim.Weekend),
+		sim.Weekday: stats.NewECDF(NaiveIntervalLengths(tr, sim.Weekday)),
+		sim.Weekend: stats.NewECDF(NaiveIntervalLengths(tr, sim.Weekend)),
 	}
 
 	machines := []trace.MachineID{0, trace.MachineID(tr.Machines - 1), trace.MachineID(tr.Machines), -1}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/availability"
 	"repro/internal/sim"
 	"repro/internal/simos"
-	"repro/internal/trace"
 )
 
 // TestScenarioTracesAreLegal generates every scenario at two fixed seeds
@@ -43,41 +42,6 @@ func TestScenarioTracesAreLegal(t *testing.T) {
 			}
 			if !reflect.DeepEqual(tr.Events, again.Events) {
 				t.Fatalf("%s seed %d: regeneration differs", s.Name, seed)
-			}
-		}
-	}
-}
-
-// TestScenarioStreamDifferential pins the package-local leg of the check
-// harness differential: for each scenario, a serial StreamAnalyzer over
-// the sorted events must reproduce the in-memory Trace analyzers exactly.
-// (The cross-path serial/sharded/parallel-block differential runs in
-// internal/check.)
-func TestScenarioStreamDifferential(t *testing.T) {
-	for _, s := range Scenarios() {
-		tr, err := GenerateScenario(s.Name, GenConfig{Machines: 5, Days: 5, Seed: 8})
-		if err != nil {
-			t.Fatalf("%s: %v", s.Name, err)
-		}
-		an := trace.NewStreamAnalyzer(tr.Span, tr.Calendar, tr.Machines)
-		for _, e := range tr.Events {
-			if err := an.Observe(e); err != nil {
-				t.Fatalf("%s: observe: %v", s.Name, err)
-			}
-		}
-		an.Finish()
-		if got, want := an.Table2(), tr.MakeTable2(); got != want {
-			t.Errorf("%s: Table2 stream %+v != trace %+v", s.Name, got, want)
-		}
-		if got, want := an.CountByCause(), tr.CountByCause(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: CountByCause diverges", s.Name)
-		}
-		for _, dt := range []sim.DayType{sim.Weekday, sim.Weekend} {
-			if got, want := an.IntervalLengths(dt), tr.IntervalLengths(dt); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s %v: interval lengths diverge (%d vs %d samples)", s.Name, dt, len(got), len(want))
-			}
-			if got, want := an.HourlyOccurrences(dt), tr.HourlyOccurrences(dt); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s %v: hourly occurrences diverge", s.Name, dt)
 			}
 		}
 	}

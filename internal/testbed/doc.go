@@ -23,6 +23,11 @@
 // The synthetic load series feeds the same monitor and detector used
 // everywhere else in this repository; the published statistics are then
 // recomputed from the detected events, not from the generator's bookkeeping,
-// so the whole detection pipeline is exercised end to end. Machines are
-// simulated in parallel, one goroutine per machine.
+// so the whole detection pipeline is exercised end to end.
+//
+// There is one runner: RunSharded simulates the fleet a shard of machines
+// at a time on a bounded worker pool and streams each shard to an
+// EventSink; Run is that runner with the whole fleet as one shard,
+// collected in memory. The per-period reference runner it is compared
+// against lives in internal/check, built on ObservationStream.
 package testbed

@@ -1,10 +1,12 @@
-package testbed
+package testbed_test
 
 import (
 	"testing"
 
 	"repro/internal/availability"
+	"repro/internal/check"
 	"repro/internal/sim"
+	. "repro/internal/testbed"
 	"repro/internal/trace"
 )
 
@@ -17,16 +19,16 @@ func naiveConfig(seed int64) Config {
 	return cfg
 }
 
-// TestRunNaiveMatchesRun pins the refactor of the naive loop into
-// forEachObservation: the exported RunNaive must reproduce Run exactly —
-// same events, same occupancy fractions — at a fixed seed.
+// TestRunNaiveMatchesRun holds the one runner to the per-period oracle:
+// check.RunNaive, built on the exported ObservationStream, must reproduce
+// Run exactly — same events, same occupancy fractions — at a fixed seed.
 func TestRunNaiveMatchesRun(t *testing.T) {
 	cfg := naiveConfig(42)
 	fast, fastOcc, err := RunWithOccupancy(cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	naive, naiveOcc, err := RunNaive(cfg)
+	naive, naiveOcc, err := check.RunNaive(cfg)
 	if err != nil {
 		t.Fatalf("RunNaive: %v", err)
 	}
@@ -54,7 +56,7 @@ func TestRunNaiveMatchesRun(t *testing.T) {
 // trace.
 func TestObservationStreamDrivesDetector(t *testing.T) {
 	cfg := naiveConfig(7)
-	naive, _, err := RunNaive(cfg)
+	naive, _, err := check.RunNaive(cfg)
 	if err != nil {
 		t.Fatalf("RunNaive: %v", err)
 	}
@@ -65,7 +67,7 @@ func TestObservationStreamDrivesDetector(t *testing.T) {
 		}
 	}
 
-	det, err := availability.NewDetector(cfg.withDefaults().Detector)
+	det, err := availability.NewDetector(cfg.Detector)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -9,6 +10,37 @@ import (
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
+
+// perPeriod runs the plain detector/timing/builder pipeline over the
+// per-period loop for a hand-built plan. internal/check's RunNaive does the
+// same over the exported ObservationStream for whole configurations; plans
+// are private to this package, so the plan-level oracle is spelled out here.
+func perPeriod(cfg Config, contribs []contribution, outages []outage, ambientRNG *rand.Rand) ([]trace.Event, *availability.TimeInState, error) {
+	det, err := availability.NewDetector(cfg.Detector)
+	if err != nil {
+		return nil, nil, err
+	}
+	builder := trace.NewBuilder(0)
+	timing := availability.NewTimeInState(availability.S1)
+	var events []trace.Event
+	err = forEachObservation(cfg, contribs, outages, ambientRNG, func(obs availability.Observation) error {
+		state, transition := det.Observe(obs)
+		timing.Advance(obs.At, state)
+		if transition != nil {
+			if ev := builder.OnTransition(*transition); ev != nil {
+				events = append(events, *ev)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	if ev := builder.Flush(sim.Time(cfg.Days) * sim.Day); ev != nil {
+		events = append(events, *ev)
+	}
+	return events, timing, nil
+}
 
 // runBothPaths drives the span-skipping runner and the naive per-period
 // oracle over the same synthetic plan, with identically seeded ambient
@@ -25,7 +57,7 @@ func runBothPaths(t *testing.T, tag string, cfg Config, contribs []contribution,
 		t.Fatal(err)
 	}
 	src = sim.NewSource(cfg.Seed)
-	naiveEv, naiveTiming, err := simulateMachineNaive(cfg, 0, contribs, outages, src.Stream("oracle/ambient"))
+	naiveEv, naiveTiming, err := perPeriod(cfg, contribs, outages, src.Stream("oracle/ambient"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,6 @@ package testbed
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"repro/internal/availability"
 	"repro/internal/monitor"
@@ -21,8 +19,7 @@ type Occupancy struct {
 }
 
 // Run simulates the whole testbed and returns the collected unavailability
-// trace. Machines are simulated concurrently, one goroutine each, bounded
-// by Config.Parallelism.
+// trace. Machines are simulated concurrently, bounded by Config.Parallelism.
 func Run(cfg Config) (*trace.Trace, error) {
 	tr, _, err := RunWithOccupancy(cfg)
 	return tr, err
@@ -39,67 +36,24 @@ func calendarOf(cfg Config) sim.Calendar {
 }
 
 // RunWithOccupancy is Run, additionally returning each machine's
-// state-occupancy fractions.
-//
-// Each worker writes its machine's events into a per-machine buffer (no
-// shared lock on the hot path); buffers are merged in machine order and
-// sorted once at the end, so the trace is identical regardless of
-// parallelism or goroutine completion order.
+// state-occupancy fractions. It is the sharded runner with the whole fleet
+// as one shard, collected in memory — so the trace is, by construction, the
+// (machine, start, end)-ordered stream RunSharded delivers at any shard
+// size or parallelism.
 func RunWithOccupancy(cfg Config) (*trace.Trace, []Occupancy, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
-	tr := trace.New(spanOf(cfg), calendarOf(cfg), cfg.Machines)
+	sink := NewCollectSink(cfg)
 	occ := make([]Occupancy, cfg.Machines)
-	events := make([][]trace.Event, cfg.Machines)
-	errs := make([]error, cfg.Machines)
-
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.NumCPU()
+	if err := runShards(cfg, cfg.Machines, sink, occ); err != nil {
+		return nil, nil, err
 	}
-	if workers > cfg.Machines {
-		workers = cfg.Machines
-	}
-
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for id := range work {
-				evs, timing, err := runMachine(cfg, trace.MachineID(id))
-				if err != nil {
-					errs[id] = err
-					continue
-				}
-				events[id] = evs
-				occ[id] = machineOccupancy(trace.MachineID(id), timing)
-			}
-		}()
-	}
-	for id := 0; id < cfg.Machines; id++ {
-		work <- id
-	}
-	close(work)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	for _, evs := range events {
-		for _, e := range evs {
-			tr.Add(e)
-		}
-	}
-	tr.Sort()
-	if err := tr.Validate(); err != nil {
+	if err := sink.Trace.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("testbed: generated invalid trace: %w", err)
 	}
-	return tr, occ, nil
+	return sink.Trace, occ, nil
 }
 
 // machineOccupancy converts a time-in-state accumulator to fractions.
@@ -149,9 +103,10 @@ func runMachine(cfg Config, id trace.MachineID) ([]trace.Event, *availability.Ti
 //     does not cover): every sample runs the full pipeline, exactly like
 //     the naive loop.
 //
-// Random-draw parity with simulateMachineNaive is strict: one NormFloat64
-// per alive sample, none when dead. The equivalence tests compare the two
-// paths event-for-event.
+// Random-draw parity with the per-period loop (forEachObservation) is
+// strict: one NormFloat64 per alive sample, none when dead. The oracle
+// tests and the internal/check differential compare the two paths
+// event-for-event.
 func simulateMachine(cfg Config, id trace.MachineID, contribs []contribution, outages []outage, ambientRNG *rand.Rand, met *simMetrics) ([]trace.Event, *availability.TimeInState, error) {
 	amb := newAmbient(cfg, ambientRNG)
 	mon, err := monitor.New(cfg.Monitor)
@@ -392,8 +347,9 @@ func simulateMachine(cfg Config, id trace.MachineID, contribs []contribution, ou
 // forEachObservation is the seed implementation's per-period loop, kept
 // verbatim: every monitor period it re-applies the boundary automaton,
 // composes the sample, and hands the smoothed monitor observation to fn.
-// It is the one source of the naive observation stream, shared by the
-// simulateMachineNaive oracle and the exported ObservationStream.
+// It is the one source of the naive observation stream: the exported
+// ObservationStream serves it, and the reference runner in internal/check
+// is built on that.
 func forEachObservation(cfg Config, contribs []contribution, outages []outage, ambientRNG *rand.Rand, fn func(availability.Observation) error) error {
 	amb := newAmbient(cfg, ambientRNG)
 	mon, err := monitor.New(cfg.Monitor)
@@ -460,36 +416,6 @@ func forEachObservation(cfg Config, contribs []contribution, outages []outage, a
 	return nil
 }
 
-// simulateMachineNaive runs the full detector/timing/builder pipeline over
-// the naive observation stream — the test oracle for simulateMachine.
-func simulateMachineNaive(cfg Config, id trace.MachineID, contribs []contribution, outages []outage, ambientRNG *rand.Rand) ([]trace.Event, *availability.TimeInState, error) {
-	det, err := availability.NewDetector(cfg.Detector)
-	if err != nil {
-		return nil, nil, err
-	}
-	builder := trace.NewBuilder(id)
-	timing := availability.NewTimeInState(availability.S1)
-
-	var events []trace.Event
-	err = forEachObservation(cfg, contribs, outages, ambientRNG, func(obs availability.Observation) error {
-		state, transition := det.Observe(obs)
-		timing.Advance(obs.At, state)
-		if transition != nil {
-			if ev := builder.OnTransition(*transition); ev != nil {
-				events = append(events, *ev)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if ev := builder.Flush(sim.Time(cfg.Days) * sim.Day); ev != nil {
-		events = append(events, *ev)
-	}
-	return events, timing, nil
-}
-
 // ObservationStream replays the smoothed monitor observations machine id
 // would feed the detector in a run of cfg, in sample order. The stream is
 // reproducible — the same (cfg, id) pair always yields the same
@@ -506,37 +432,4 @@ func ObservationStream(cfg Config, id trace.MachineID, fn func(availability.Obse
 	ambientRNG := src.Stream(fmt.Sprintf("machine/%d/ambient", id))
 	contribs, outages := planMachine(cfg, planRNG)
 	return forEachObservation(cfg, contribs, outages, ambientRNG, fn)
-}
-
-// RunNaive is the reference form of Run: the per-period loop with no span
-// skipping, no smoothing shortcuts and no parallelism. It exists for
-// differential testing — the check harness asserts Run, RunSharded and
-// RunNaive agree event-for-event — and is orders of magnitude slower than
-// Run at realistic spans; keep it to small configurations.
-func RunNaive(cfg Config) (*trace.Trace, []Occupancy, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	tr := trace.New(spanOf(cfg), calendarOf(cfg), cfg.Machines)
-	occ := make([]Occupancy, cfg.Machines)
-	src := sim.NewSource(cfg.Seed)
-	for id := 0; id < cfg.Machines; id++ {
-		planRNG := src.Stream(fmt.Sprintf("machine/%d/plan", id))
-		ambientRNG := src.Stream(fmt.Sprintf("machine/%d/ambient", id))
-		contribs, outages := planMachine(cfg, planRNG)
-		evs, timing, err := simulateMachineNaive(cfg, trace.MachineID(id), contribs, outages, ambientRNG)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, e := range evs {
-			tr.Add(e)
-		}
-		occ[id] = machineOccupancy(trace.MachineID(id), timing)
-	}
-	tr.Sort()
-	if err := tr.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("testbed: generated invalid trace: %w", err)
-	}
-	return tr, occ, nil
 }

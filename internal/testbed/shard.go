@@ -37,7 +37,17 @@ func RunSharded(cfg Config, shardSize int, sink EventSink) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if shardSize <= 0 {
+	return runShards(cfg, shardSize, sink, nil)
+}
+
+// runShards is the one runner behind Run, RunWithOccupancy and RunSharded.
+// cfg must be defaulted and valid. occ, when non-nil, has one slot per
+// machine and receives that machine's state-occupancy fractions.
+func runShards(cfg Config, shardSize int, sink EventSink, occ []Occupancy) error {
+	// A shard never holds more than the fleet, so an oversized (or unset)
+	// shard size means one shard — and sizes the buffers by the fleet, not
+	// by whatever the caller asked for.
+	if shardSize <= 0 || shardSize > cfg.Machines {
 		shardSize = cfg.Machines
 	}
 	workers := cfg.Parallelism
@@ -62,8 +72,12 @@ func RunSharded(cfg Config, shardSize int, sink EventSink) error {
 			go func() {
 				defer wg.Done()
 				for i := range work {
-					evs, _, err := runMachine(cfg, trace.MachineID(first+i))
+					id := trace.MachineID(first + i)
+					evs, timing, err := runMachine(cfg, id)
 					events[i], errs[i] = evs, err
+					if err == nil && occ != nil {
+						occ[id] = machineOccupancy(id, timing)
+					}
 				}
 			}()
 		}
@@ -101,9 +115,9 @@ func SinkHeader(cfg Config) trace.Header {
 	}
 }
 
-// CollectSink gathers a sharded run back into one in-memory Trace — the
-// oracle the equivalence tests compare against Run, and a convenience for
-// fleet sizes that still fit in memory.
+// CollectSink gathers a sharded run back into one in-memory Trace: it is
+// how Run materializes its result, and a convenience for fleet sizes that
+// still fit in memory.
 type CollectSink struct {
 	Trace *trace.Trace
 }
@@ -152,72 +166,6 @@ func (s *AnalyzerSink) ShardDone(trace.MachineID, int) error { return nil }
 func (s *AnalyzerSink) Finish() *trace.StreamAnalyzer {
 	s.Analyzer.Finish()
 	return s.Analyzer
-}
-
-// EncoderSink streams a sharded run into binary codec writers, one per
-// shard, via a caller-supplied opener (typically one file per shard). Each
-// shard file carries the full fleet header, so a MergeReader over the
-// files reconstructs the fleet stream.
-type EncoderSink struct {
-	header trace.Header
-	open   func(shard int) (io.WriteCloser, error)
-	enc    *trace.Encoder
-	cur    io.WriteCloser
-	shard  int
-}
-
-// NewEncoderSink builds a sink writing one codec stream per shard. The
-// opener receives the zero-based shard number.
-func NewEncoderSink(cfg Config, open func(shard int) (io.WriteCloser, error)) *EncoderSink {
-	return &EncoderSink{header: SinkHeader(cfg), open: open}
-}
-
-// openShard starts the codec stream for the current shard.
-func (s *EncoderSink) openShard() error {
-	w, err := s.open(s.shard)
-	if err != nil {
-		return err
-	}
-	enc, err := trace.NewEncoder(w, s.header)
-	if err != nil {
-		w.Close()
-		return err
-	}
-	s.cur, s.enc = w, enc
-	return nil
-}
-
-// Machine implements EventSink.
-func (s *EncoderSink) Machine(_ trace.MachineID, events []trace.Event) error {
-	if s.enc == nil {
-		if err := s.openShard(); err != nil {
-			return err
-		}
-	}
-	for _, e := range events {
-		if err := s.enc.Write(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ShardDone implements EventSink: it closes the shard's codec stream. A
-// shard with machines but no events still gets a valid (empty) stream so
-// readers see every shard file.
-func (s *EncoderSink) ShardDone(trace.MachineID, int) error {
-	if s.enc == nil {
-		if err := s.openShard(); err != nil {
-			return err
-		}
-	}
-	err := s.enc.Close()
-	if cerr := s.cur.Close(); err == nil {
-		err = cerr
-	}
-	s.enc, s.cur = nil, nil
-	s.shard++
-	return err
 }
 
 // EncoderSinkV2 streams a sharded run into v2 columnar block files, one per

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"testing"
 
@@ -22,14 +23,15 @@ func smallConfig() Config {
 
 // TestRunShardedMatchesRun pins the central sharding guarantee: for a fixed
 // seed, the streamed event sequence is byte-identical to the in-memory Run
-// path, whatever the shard size.
+// path (one shard, collected), whatever the shard size — including sizes
+// beyond the fleet, which must mean one shard rather than size a buffer.
 func TestRunShardedMatchesRun(t *testing.T) {
 	cfg := smallConfig()
 	want, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shardSize := range []int{1, 2, 4, 7, 9, 100, 0} {
+	for _, shardSize := range []int{1, 2, 4, 7, 9, 100, 0, math.MaxInt} {
 		sink := NewCollectSink(cfg)
 		if err := RunSharded(cfg, shardSize, sink); err != nil {
 			t.Fatalf("shard size %d: %v", shardSize, err)
@@ -136,62 +138,6 @@ func (m *memShard) Close() error {
 	return nil
 }
 
-// TestEncoderSinkRoundTrip writes a sharded run through the binary codec
-// and merges the shards back, expecting the exact Run event stream.
-func TestEncoderSinkRoundTrip(t *testing.T) {
-	cfg := smallConfig()
-	want, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var shards []*memShard
-	sink := NewEncoderSink(cfg, func(int) (io.WriteCloser, error) {
-		s := &memShard{}
-		shards = append(shards, s)
-		return s, nil
-	})
-	if err := RunSharded(cfg, 4, sink); err != nil {
-		t.Fatal(err)
-	}
-	if wantShards := (cfg.Machines + 3) / 4; len(shards) != wantShards {
-		t.Fatalf("wrote %d shards, want %d", len(shards), wantShards)
-	}
-	var decs []trace.EventReader
-	for i, s := range shards {
-		if !s.closed {
-			t.Fatalf("shard %d left open", i)
-		}
-		dec, err := trace.NewDecoder(bytes.NewReader(s.Bytes()))
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		decs = append(decs, dec)
-	}
-	mr, err := trace.NewMergeReader(decs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []trace.Event
-	for {
-		e, err := mr.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, e)
-	}
-	if len(got) != len(want.Events) {
-		t.Fatalf("merged %d events, want %d", len(got), len(want.Events))
-	}
-	for i := range got {
-		if got[i] != want.Events[i] {
-			t.Fatalf("event %d = %+v, want %+v", i, got[i], want.Events[i])
-		}
-	}
-}
-
 // errSink fails on a chosen call, checking error propagation out of
 // RunSharded.
 type errSink struct {
@@ -228,7 +174,7 @@ func TestRunShardedRejectsBadConfig(t *testing.T) {
 }
 
 // TestEncoderSinkV2RoundTrip writes a sharded run as v2 block files and
-// expects (a) the merged stream to reproduce Run exactly, (b) each shard's
+// expects (a) the shards read back in order to reproduce Run exactly, (b) each shard's
 // directory to carry its machine coverage, and (c) the parallel block
 // analyzer over the shards to match the in-memory analysis bit for bit.
 func TestEncoderSinkV2RoundTrip(t *testing.T) {
@@ -251,7 +197,7 @@ func TestEncoderSinkV2RoundTrip(t *testing.T) {
 	}
 
 	var files []*trace.BlockFile
-	var decs []trace.EventReader
+	var got []trace.Event
 	for i, s := range shards {
 		if !s.closed {
 			t.Fatalf("shard %d left open", i)
@@ -265,27 +211,20 @@ func TestEncoderSinkV2RoundTrip(t *testing.T) {
 			t.Errorf("shard %d coverage [%d, %d), want [%d, %d)", i, lo, hi, i*4, min(cfg.Machines, (i+1)*4))
 		}
 		files = append(files, bf)
-		rd, err := trace.NewReader(bytes.NewReader(s.Bytes()))
+		// Shards cover consecutive machine ranges, so their streams
+		// concatenate into the fleet stream.
+		part, err := trace.ReadBlocks(bytes.NewReader(s.Bytes()))
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
-		decs = append(decs, rd)
+		got = append(got, part.Events...)
 	}
-
-	mr, err := trace.NewMergeReader(decs...)
-	if err != nil {
-		t.Fatal(err)
+	if len(got) != len(want.Events) {
+		t.Fatalf("read back %d events, want %d", len(got), len(want.Events))
 	}
-	got, err := trace.CollectEvents(mr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Events) != len(want.Events) {
-		t.Fatalf("merged %d events, want %d", len(got.Events), len(want.Events))
-	}
-	for i := range got.Events {
-		if got.Events[i] != want.Events[i] {
-			t.Fatalf("event %d = %+v, want %+v", i, got.Events[i], want.Events[i])
+	for i := range got {
+		if got[i] != want.Events[i] {
+			t.Fatalf("event %d = %+v, want %+v", i, got[i], want.Events[i])
 		}
 	}
 

@@ -1,9 +1,9 @@
 package trace
 
 import (
+	"fmt"
 	"time"
 
-	"repro/internal/availability"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -15,25 +15,6 @@ type CauseCounts struct {
 	CPU    int
 	Memory int
 	URR    int
-}
-
-// CountByCause tallies events per machine and cause.
-func (t *Trace) CountByCause() map[MachineID]CauseCounts {
-	out := make(map[MachineID]CauseCounts)
-	for _, e := range t.Events {
-		c := out[e.Machine]
-		c.Total++
-		switch e.Cause() {
-		case availability.CauseCPU:
-			c.CPU++
-		case availability.CauseMemory:
-			c.Memory++
-		case availability.CauseRevocation:
-			c.URR++
-		}
-		out[e.Machine] = c
-	}
-	return out
 }
 
 // Range is a min..max band over the machines of a testbed, the form in
@@ -65,52 +46,34 @@ type Table2 struct {
 // than one minute" are reboots).
 const DefaultRebootCutoff = time.Minute
 
-// MakeTable2 computes Table 2 over all machines in the trace.
-func (t *Trace) MakeTable2() Table2 {
-	byMachine := t.CountByCause()
-	tb := Table2{RebootCutoff: DefaultRebootCutoff}
-	first := true
-	for m := 0; m < t.Machines; m++ {
-		c := byMachine[MachineID(m)]
-		if first {
-			tb.Total = Range{c.Total, c.Total}
-			tb.CPU = Range{c.CPU, c.CPU}
-			tb.Memory = Range{c.Memory, c.Memory}
-			tb.URR = Range{c.URR, c.URR}
-			if c.Total > 0 {
-				tb.CPUPct = [2]float64{pct(c.CPU, c.Total), pct(c.CPU, c.Total)}
-				tb.MemoryPct = [2]float64{pct(c.Memory, c.Total), pct(c.Memory, c.Total)}
-				tb.URRPct = [2]float64{pct(c.URR, c.Total), pct(c.URR, c.Total)}
-			}
-			first = false
-			continue
-		}
-		tb.Total = widen(tb.Total, c.Total)
-		tb.CPU = widen(tb.CPU, c.CPU)
-		tb.Memory = widen(tb.Memory, c.Memory)
-		tb.URR = widen(tb.URR, c.URR)
-		if c.Total > 0 {
-			tb.CPUPct = widenPct(tb.CPUPct, pct(c.CPU, c.Total))
-			tb.MemoryPct = widenPct(tb.MemoryPct, pct(c.Memory, c.Total))
-			tb.URRPct = widenPct(tb.URRPct, pct(c.URR, c.Total))
+// analyze feeds the trace's events, in (machine, start, end) order, through
+// the StreamAnalyzer — the one accumulator behind every Table 2, Figure 6
+// and Figure 7 method on Trace, so the in-memory and streaming analyses
+// cannot drift apart. The accumulator accepts exactly the events Validate
+// accepts; analyzing a trace Validate would reject is a caller bug and
+// panics with the offending event.
+func (t *Trace) analyze() *StreamAnalyzer {
+	events := t.Events
+	if !eventsSorted(events) {
+		c := t.Clone()
+		c.Sort()
+		events = c.Events
+	}
+	a := NewStreamAnalyzer(t.Span, t.Calendar, t.Machines)
+	for _, e := range events {
+		if err := a.Observe(e); err != nil {
+			panic(fmt.Sprintf("trace: analyzing an invalid trace (see Validate): %v", err))
 		}
 	}
-
-	// Reboot share among URR events.
-	urrTotal, reboots := 0, 0
-	for _, e := range t.Events {
-		if e.State == availability.S5 {
-			urrTotal++
-			if e.Duration() < tb.RebootCutoff {
-				reboots++
-			}
-		}
-	}
-	if urrTotal > 0 {
-		tb.RebootShare = float64(reboots) / float64(urrTotal)
-	}
-	return tb
+	a.Finish()
+	return a
 }
+
+// CountByCause tallies events per machine and cause.
+func (t *Trace) CountByCause() map[MachineID]CauseCounts { return t.analyze().CountByCause() }
+
+// MakeTable2 computes Table 2 over all machines in the trace.
+func (t *Trace) MakeTable2() Table2 { return t.analyze().Table2() }
 
 // pct is the share of part in total, with an empty total reading as 0%
 // rather than NaN so zero-event machines produce clean Table 2 rows.
@@ -144,28 +107,11 @@ func widenPct(r [2]float64, v float64) [2]float64 {
 // IntervalECDF builds the Figure 6 curve: the empirical CDF of
 // availability-interval lengths (in hours) for intervals that begin on a
 // day of the given type.
-func (t *Trace) IntervalECDF(dt sim.DayType) *stats.ECDF {
-	var hours []float64
-	for _, iv := range t.AllIntervals() {
-		if t.Calendar.DayType(iv.Start) != dt {
-			continue
-		}
-		hours = append(hours, iv.Duration().Hours())
-	}
-	return stats.NewECDF(hours)
-}
+func (t *Trace) IntervalECDF(dt sim.DayType) *stats.ECDF { return t.analyze().IntervalECDF(dt) }
 
 // IntervalLengths returns the interval durations (hours) for a day type,
 // for callers that want raw samples rather than the ECDF.
-func (t *Trace) IntervalLengths(dt sim.DayType) []float64 {
-	var hours []float64
-	for _, iv := range t.AllIntervals() {
-		if t.Calendar.DayType(iv.Start) == dt {
-			hours = append(hours, iv.Duration().Hours())
-		}
-	}
-	return hours
-}
+func (t *Trace) IntervalLengths(dt sim.DayType) []float64 { return t.analyze().IntervalLengths(dt) }
 
 // HourlyOccurrences reproduces Figure 7 for one day type: for each hour of
 // day, the mean and min..max range (across the days of that type in the
@@ -173,77 +119,7 @@ func (t *Trace) IntervalLengths(dt sim.DayType) []float64 {
 // over all machines. An event spanning multiple hours is counted once in
 // every hour interval it touches, exactly as the paper specifies.
 func (t *Trace) HourlyOccurrences(dt sim.DayType) []stats.Summary {
-	g := stats.NewGroupedBins(24)
-	// Make every day of this type present so quiet days count as zeros.
-	startDay := t.Calendar.DayIndex(t.Span.Start)
-	endDay := t.Calendar.DayIndex(t.Span.End - 1)
-	for d := startDay; d <= endDay; d++ {
-		dayStart := sim.Time(d) * sim.Day
-		if t.Calendar.DayType(dayStart) == dt {
-			g.Touch(d)
-		}
-	}
-	for _, e := range t.Events {
-		// Walk the hour bins the event overlaps.
-		hStart := e.Start / time.Hour
-		hEnd := (e.End - 1) / time.Hour
-		if e.End <= e.Start {
-			hEnd = hStart
-		}
-		for h := hStart; h <= hEnd; h++ {
-			at := sim.Time(h) * time.Hour
-			if t.Calendar.DayType(at) != dt {
-				continue
-			}
-			day := t.Calendar.DayIndex(at)
-			hour := t.Calendar.HourOfDay(at)
-			g.Add(day, hour, 1)
-		}
-	}
-	return g.Summarize()
-}
-
-// OccurrencesInWindow counts the unavailability events of machine m that
-// start within [w.Start, w.End) — the ground truth the predictors are
-// evaluated against.
-func (t *Trace) OccurrencesInWindow(m MachineID, w sim.Window) int {
-	n := 0
-	for _, e := range t.Events {
-		if e.Machine == m && e.Start >= w.Start && e.Start < w.End {
-			n++
-		}
-	}
-	return n
-}
-
-// AnyOverlap reports whether machine m has an unavailability event
-// overlapping window w (i.e. whether a guest running through w would fail).
-func (t *Trace) AnyOverlap(m MachineID, w sim.Window) bool {
-	for _, e := range t.Events {
-		if e.Machine == m && e.Start < w.End && e.End > w.Start {
-			return true
-		}
-	}
-	return false
-}
-
-// NextEventAfter returns the first event of machine m starting at or after
-// ts, and whether one exists. Ties on start time resolve to the earliest
-// end — the (start, end) order Sort and Index use — so the answer does not
-// depend on the order events happen to be stored in.
-func (t *Trace) NextEventAfter(m MachineID, ts sim.Time) (Event, bool) {
-	best := Event{}
-	found := false
-	for _, e := range t.Events {
-		if e.Machine != m || e.Start < ts {
-			continue
-		}
-		if !found || e.Start < best.Start || (e.Start == best.Start && e.End < best.End) {
-			best = e
-			found = true
-		}
-	}
-	return best, found
+	return t.analyze().HourlyOccurrences(dt)
 }
 
 // HourlyCountSeries returns the fleet-wide unavailability counts per hour

@@ -66,34 +66,6 @@ func BenchmarkHourlyOccurrences(b *testing.B) {
 	}
 }
 
-func BenchmarkWriteJSON(b *testing.B) {
-	tr := randomTrace(7, 9000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := tr.WriteJSON(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkReadJSON(b *testing.B) {
-	tr := randomTrace(8, 9000)
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReadJSON(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkWriteCSV(b *testing.B) {
 	tr := randomTrace(9, 9000)
 	b.ReportAllocs()

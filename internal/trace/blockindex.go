@@ -224,7 +224,7 @@ func (ix *BlockIndex) OverlapExists(m MachineID, w sim.Window) bool {
 	return mi.maxEnd[k-1] > w.Start
 }
 
-// AnyOverlap is OverlapExists under the Trace-compatible name.
+// AnyOverlap is OverlapExists under the name Index uses.
 func (ix *BlockIndex) AnyOverlap(m MachineID, w sim.Window) bool {
 	return ix.OverlapExists(m, w)
 }

@@ -1,10 +1,13 @@
-package trace
+package trace_test
 
 import (
 	"testing"
 	"time"
 
+	"repro/internal/availability"
+	"repro/internal/check"
 	"repro/internal/sim"
+	. "repro/internal/trace"
 )
 
 // boundaryTrace has one machine with three events chosen so every query
@@ -12,9 +15,9 @@ import (
 // two touch), and a zero-length event at 5h.
 func boundaryTrace() *Trace {
 	tr := New(sim.Window{End: sim.Day}, sim.Calendar{}, 1)
-	tr.Add(mkEvent(0, 1*time.Hour, 2*time.Hour, 3))
-	tr.Add(mkEvent(0, 2*time.Hour, 3*time.Hour, 4))
-	tr.Add(mkEvent(0, 5*time.Hour, 5*time.Hour, 5))
+	tr.Add(MkEvent(0, 1*time.Hour, 2*time.Hour, 3))
+	tr.Add(MkEvent(0, 2*time.Hour, 3*time.Hour, 4))
+	tr.Add(MkEvent(0, 5*time.Hour, 5*time.Hour, 5))
 	return tr
 }
 
@@ -39,7 +42,7 @@ func TestNextEventAfterBoundaries(t *testing.T) {
 		{5*time.Hour + 1, 0, false},
 	}
 	for _, c := range cases {
-		le, lok := tr.NextEventAfter(0, c.ts)
+		le, lok := check.LinearNextEventAfter(tr, 0, c.ts)
 		ie, iok := ix.NextEventAfter(0, c.ts)
 		if lok != c.found || iok != c.found {
 			t.Fatalf("NextEventAfter(%v): found linear=%v index=%v, want %v", c.ts, lok, iok, c.found)
@@ -63,10 +66,10 @@ func TestNextEventAfterBoundaries(t *testing.T) {
 func TestNextEventAfterTieBreak(t *testing.T) {
 	tr := New(sim.Window{End: sim.Day}, sim.Calendar{}, 1)
 	// Deliberately stored longest-first and never sorted.
-	tr.Add(mkEvent(0, 1*time.Hour, 4*time.Hour, 3))
-	tr.Add(mkEvent(0, 1*time.Hour, 2*time.Hour, 4))
+	tr.Add(MkEvent(0, 1*time.Hour, 4*time.Hour, 3))
+	tr.Add(MkEvent(0, 1*time.Hour, 2*time.Hour, 4))
 	ix := tr.BuildIndex()
-	le, _ := tr.NextEventAfter(0, 0)
+	le, _ := check.LinearNextEventAfter(tr, 0, 0)
 	ie, _ := ix.NextEventAfter(0, 0)
 	if le != ie {
 		t.Fatalf("tie on Start: linear %+v != index %+v", le, ie)
@@ -101,7 +104,7 @@ func TestAnyOverlapBoundaries(t *testing.T) {
 		{sim.Window{Start: 4 * time.Hour, End: 5*time.Hour + 1}, true},     // zero-length event strictly inside
 	}
 	for _, c := range cases {
-		if got := tr.AnyOverlap(0, c.w); got != c.want {
+		if got := check.LinearAnyOverlap(tr, 0, c.w); got != c.want {
 			t.Errorf("linear AnyOverlap(%v) = %v, want %v", c.w, got, c.want)
 		}
 		if got := ix.AnyOverlap(0, c.w); got != c.want {
@@ -127,7 +130,7 @@ func TestCountInWindowBoundaries(t *testing.T) {
 		{sim.Window{Start: 5 * time.Hour, End: 5 * time.Hour}, 0},   // empty window
 	}
 	for _, c := range cases {
-		if got := tr.OccurrencesInWindow(0, c.w); got != c.want {
+		if got := check.LinearOccurrencesInWindow(tr, 0, c.w); got != c.want {
 			t.Errorf("linear OccurrencesInWindow(%v) = %d, want %d", c.w, got, c.want)
 		}
 		if got := ix.CountInWindow(0, c.w); got != c.want {
@@ -169,8 +172,8 @@ func TestFirstOverlapBoundaries(t *testing.T) {
 // shadow a genuine overlap later in the window.
 func TestFirstOverlapZeroLengthShadow(t *testing.T) {
 	tr := New(sim.Window{End: sim.Day}, sim.Calendar{}, 1)
-	tr.Add(mkEvent(0, 2*time.Hour, 2*time.Hour, 5)) // instant event at w.Start
-	tr.Add(mkEvent(0, 3*time.Hour, 4*time.Hour, 3))
+	tr.Add(MkEvent(0, 2*time.Hour, 2*time.Hour, 5)) // instant event at w.Start
+	tr.Add(MkEvent(0, 3*time.Hour, 4*time.Hour, 3))
 	ix := tr.BuildIndex()
 	if e, ok := ix.FirstOverlap(0, sim.Window{Start: 2 * time.Hour, End: sim.Day}); !ok || e.Start != 3*time.Hour {
 		t.Fatalf("FirstOverlap = %+v, %v, want the [3h,4h) event", e, ok)
@@ -194,5 +197,31 @@ func TestLastEndBeforeBoundaries(t *testing.T) {
 		if ok {
 			t.Errorf("LastEndBefore(2h-1) = %v, want none", end)
 		}
+	}
+}
+
+func TestWindowQueries(t *testing.T) {
+	tr := New(Span(sim.Day), sim.Calendar{}, 2)
+	tr.Add(MkEvent(0, 2*time.Hour, 3*time.Hour, availability.S3))
+	tr.Add(MkEvent(0, 10*time.Hour, 11*time.Hour, availability.S4))
+	w := sim.Window{Start: time.Hour, End: 4 * time.Hour}
+	if got := check.LinearOccurrencesInWindow(tr, 0, w); got != 1 {
+		t.Errorf("OccurrencesInWindow = %d, want 1", got)
+	}
+	if got := check.LinearOccurrencesInWindow(tr, 1, w); got != 0 {
+		t.Errorf("other machine occurrences = %d, want 0", got)
+	}
+	if !check.LinearAnyOverlap(tr, 0, sim.Window{Start: 2*time.Hour + 30*time.Minute, End: 5 * time.Hour}) {
+		t.Error("AnyOverlap should see the 2-3h event")
+	}
+	if check.LinearAnyOverlap(tr, 0, sim.Window{Start: 4 * time.Hour, End: 9 * time.Hour}) {
+		t.Error("AnyOverlap false positive")
+	}
+	ev, ok := check.LinearNextEventAfter(tr, 0, 3*time.Hour)
+	if !ok || ev.Start != 10*time.Hour {
+		t.Errorf("NextEventAfter = %+v, %v", ev, ok)
+	}
+	if _, ok := check.LinearNextEventAfter(tr, 0, 12*time.Hour); ok {
+		t.Error("NextEventAfter past last event should report none")
 	}
 }

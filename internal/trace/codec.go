@@ -281,67 +281,13 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 }
 
 // EventReader is the common face of every sorted event source: the v1
-// Decoder, the v2 BlockDecoder, a BlockFile reader and the MergeReader
-// itself all serve it, so analyzers and mergers are codec-agnostic.
+// Decoder, the v2 BlockDecoder and a BlockFile reader all serve it, so
+// loaders are codec-agnostic.
 type EventReader interface {
 	// Header returns the stream's trace metadata.
 	Header() Header
 	// Next returns the next event, or io.EOF at a clean end of stream.
 	Next() (Event, error)
-}
-
-// MergeReader yields the union of several binary trace streams — typically
-// one per testbed shard, of either codec version — in (machine, start, end)
-// order, in constant memory. Every input must already be sorted that way
-// (shard files written by the sharded runner are) and all headers must
-// agree.
-type MergeReader struct {
-	decs   []EventReader
-	heads  []Event
-	live   []bool
-	header Header
-	lastOK bool
-	last   Event
-}
-
-// NewMergeReader validates header agreement and primes one event per input.
-func NewMergeReader(decs ...EventReader) (*MergeReader, error) {
-	if len(decs) == 0 {
-		return nil, fmt.Errorf("trace: nothing to merge")
-	}
-	mr := &MergeReader{
-		decs:   decs,
-		heads:  make([]Event, len(decs)),
-		live:   make([]bool, len(decs)),
-		header: decs[0].Header(),
-	}
-	for i, d := range decs {
-		if h := d.Header(); h != mr.header {
-			return nil, fmt.Errorf("trace: shard %d header %+v disagrees with shard 0 %+v", i, h, mr.header)
-		}
-		if err := mr.advance(i); err != nil {
-			return nil, err
-		}
-	}
-	return mr, nil
-}
-
-// Header returns the shared trace metadata.
-func (mr *MergeReader) Header() Header { return mr.header }
-
-// advance pulls the next event from input i.
-func (mr *MergeReader) advance(i int) error {
-	ev, err := mr.decs[i].Next()
-	if err == io.EOF {
-		mr.live[i] = false
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	mr.heads[i] = ev
-	mr.live[i] = true
-	return nil
 }
 
 // eventLess orders events by (machine, start, end) — the Trace.Sort order.
@@ -353,31 +299,4 @@ func eventLess(a, b Event) bool {
 		return a.Start < b.Start
 	}
 	return a.End < b.End
-}
-
-// Next returns the globally next event, or io.EOF when all inputs are
-// drained. It verifies the inputs really are sorted and returns an error on
-// the first out-of-order event.
-func (mr *MergeReader) Next() (Event, error) {
-	best := -1
-	for i, ok := range mr.live {
-		if !ok {
-			continue
-		}
-		if best < 0 || eventLess(mr.heads[i], mr.heads[best]) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return Event{}, io.EOF
-	}
-	ev := mr.heads[best]
-	if mr.lastOK && eventLess(ev, mr.last) {
-		return Event{}, fmt.Errorf("trace: merge input %d out of order: event %+v after %+v", best, ev, mr.last)
-	}
-	mr.last, mr.lastOK = ev, true
-	if err := mr.advance(best); err != nil {
-		return Event{}, err
-	}
-	return ev, nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"io"
 	"testing"
-	"time"
 
 	"repro/internal/availability"
 	"repro/internal/sim"
@@ -145,119 +144,5 @@ func TestEncoderClosed(t *testing.T) {
 	}
 	if err := enc.Write(Event{Machine: 0, Start: 1, End: 2, State: availability.S3}); err == nil {
 		t.Error("write after Close accepted")
-	}
-}
-
-// shardTraces splits a sorted trace into per-machine-range shards, each a
-// full-header binary stream — the layout the sharded testbed runner writes.
-func shardTraces(t *testing.T, tr *Trace, shards int) []EventReader {
-	t.Helper()
-	per := (tr.Machines + shards - 1) / shards
-	var decs []EventReader
-	for s := 0; s < shards; s++ {
-		lo := MachineID(s * per)
-		hi := MachineID((s + 1) * per)
-		var buf bytes.Buffer
-		enc, err := NewEncoder(&buf, Header{Span: tr.Span, Calendar: tr.Calendar, Machines: tr.Machines})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range tr.Events {
-			if e.Machine >= lo && e.Machine < hi {
-				if err := enc.Write(e); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := enc.Close(); err != nil {
-			t.Fatal(err)
-		}
-		dec, err := NewDecoder(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		decs = append(decs, dec)
-	}
-	return decs
-}
-
-func TestMergeReaderReassemblesShards(t *testing.T) {
-	tr := randomTrace(14, 900)
-	tr.Sort()
-	mr, err := NewMergeReader(shardTraces(t, tr, 4)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mr.Header().Machines != tr.Machines {
-		t.Fatalf("merged header machines = %d, want %d", mr.Header().Machines, tr.Machines)
-	}
-	var got []Event
-	for {
-		e, err := mr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, e)
-	}
-	if len(got) != len(tr.Events) {
-		t.Fatalf("merge yielded %d events, want %d", len(got), len(tr.Events))
-	}
-	for i := range got {
-		if got[i] != tr.Events[i] {
-			t.Fatalf("merge event %d = %+v, want %+v", i, got[i], tr.Events[i])
-		}
-	}
-}
-
-func TestMergeReaderRejectsHeaderMismatch(t *testing.T) {
-	a := randomTrace(15, 10)
-	b := randomTrace(15, 10)
-	b.Machines = 7 // disagreeing fleet size
-	var ab, bb bytes.Buffer
-	if err := a.WriteBinary(&ab); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.WriteBinary(&bb); err != nil {
-		t.Fatal(err)
-	}
-	da, err := NewDecoder(&ab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := NewDecoder(&bb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewMergeReader(da, db); err == nil {
-		t.Error("header mismatch accepted")
-	}
-}
-
-func TestMergeReaderRejectsUnsortedInput(t *testing.T) {
-	tr := New(sim.Window{Start: 0, End: sim.Day}, sim.Calendar{}, 3)
-	tr.Add(Event{Machine: 2, Start: 5 * time.Hour, End: 6 * time.Hour, State: availability.S3})
-	tr.Add(Event{Machine: 0, Start: time.Hour, End: 2 * time.Hour, State: availability.S5})
-	var buf bytes.Buffer
-	if err := tr.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	dec, err := NewDecoder(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mr, err := NewMergeReader(dec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, err = mr.Next(); err != nil {
-			break
-		}
-	}
-	if err == io.EOF {
-		t.Error("unsorted input merged without error")
 	}
 }

@@ -475,68 +475,6 @@ func TestMergeFromRejectsMisuse(t *testing.T) {
 	}
 }
 
-// TestMergeReaderUnorderedOverlappingShards pins the k-way merge over shard
-// files handed over in arbitrary order, with one machine's events split
-// across two files — the stream must still come out (machine, start, end)
-// sorted and complete.
-func TestMergeReaderUnorderedOverlappingShards(t *testing.T) {
-	tr := randomTrace(111, 1200)
-	tr.Sort()
-	h := Header{Span: tr.Span, Calendar: tr.Calendar, Machines: tr.Machines}
-	// Shard A: machines 10..19 plus the even-indexed events of machine 5.
-	// Shard B: machines 0..9 minus those events. Handing A before B gives
-	// the reader unordered inputs with interleaved machine-5 events.
-	var bufA, bufB bytes.Buffer
-	encA, err := NewEncoder(&bufA, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encB, err := NewEncoder(&bufB, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fives := 0
-	for _, e := range tr.Events {
-		enc := encB
-		if e.Machine >= 10 {
-			enc = encA
-		} else if e.Machine == 5 {
-			if fives%2 == 0 {
-				enc = encA
-			}
-			fives++
-		}
-		if err := enc.Write(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := encA.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := encB.Close(); err != nil {
-		t.Fatal(err)
-	}
-	decA, err := NewReader(&bufA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decB, err := NewReader(&bufB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mr, err := NewMergeReader(decA, decB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := CollectEvents(mr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tracesEqual(tr, got) {
-		t.Error("merge over unordered, overlapping shards lost or reordered events")
-	}
-}
-
 // TestWriteBlocksRejectsUnsorted pins the writer's ordering contract.
 func TestWriteBlocksRejectsUnsorted(t *testing.T) {
 	var buf bytes.Buffer

@@ -6,16 +6,16 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 
 	"repro/internal/sim"
 )
 
 // BlockDecoder reads a v2 columnar stream event by event from a plain
 // io.Reader — no seeking, no directory required — so it slots in wherever
-// the v1 Decoder does (MergeReader inputs, StreamAnalyzer.Drain). Memory is
-// bounded by one block. A stream cut mid-block yields every event of the
-// complete blocks before surfacing ErrTruncated, matching the v1 salvage
-// semantics.
+// the v1 Decoder does (NewReader, CollectEvents). Memory is bounded by one
+// block. A stream cut mid-block yields every event of the complete blocks
+// before surfacing ErrTruncated, matching the v1 salvage semantics.
 type BlockDecoder struct {
 	r      *bufio.Reader
 	header Header
@@ -240,6 +240,26 @@ func NewReader(r io.Reader) (EventReader, error) {
 	}
 }
 
+// ReadFile loads a binary trace file of either codec version into a
+// validated in-memory Trace — the one loader the command-line tools share.
+// Errors name the file; one cut short mid-record wraps ErrTruncated.
+func ReadFile(path string) (*Trace, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	rd, err := NewReader(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	t, err := CollectEvents(rd)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return t, nil
+}
+
 // WriteBlocks writes the whole trace in the v2 columnar codec (nil opts =
 // defaults). Events are encoded in (machine, start, end) order regardless
 // of their order in t; t itself is not mutated.
@@ -282,8 +302,8 @@ func ReadBlocks(r io.Reader) (*Trace, error) {
 	return CollectEvents(dec)
 }
 
-// CollectEvents drains an EventReader — either codec version, or a
-// MergeReader over many — into an in-memory, validated Trace.
+// CollectEvents drains an EventReader of either codec version into an
+// in-memory, validated Trace.
 func CollectEvents(rd EventReader) (*Trace, error) {
 	h := rd.Header()
 	t := &Trace{Span: h.Span, Calendar: h.Calendar, Machines: h.Machines}

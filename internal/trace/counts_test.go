@@ -1,15 +1,17 @@
-package trace
+package trace_test
 
 import (
 	"testing"
 	"time"
 
 	"repro/internal/availability"
+	"repro/internal/check"
 	"repro/internal/sim"
+	. "repro/internal/trace"
 )
 
 func TestHourlyCountsMatchesLinearScan(t *testing.T) {
-	tr := randomTrace(30, 1500)
+	tr := RandomTrace(30, 1500)
 	tr.Sort()
 	hc := tr.BuildHourlyCounts()
 	ix := tr.BuildIndex()
@@ -21,7 +23,7 @@ func TestHourlyCountsMatchesLinearScan(t *testing.T) {
 			if !ok {
 				t.Fatalf("aligned window %v reported unanswerable", w)
 			}
-			if want := tr.OccurrencesInWindow(id, w); n != want {
+			if want := check.LinearOccurrencesInWindow(tr, id, w); n != want {
 				t.Fatalf("machine %d window %v: matrix %d, linear %d", m, w, n, want)
 			}
 			if want := ix.CountInWindow(id, w); n != want {
@@ -32,7 +34,7 @@ func TestHourlyCountsMatchesLinearScan(t *testing.T) {
 }
 
 func TestHourlyCountsRejectsMisaligned(t *testing.T) {
-	tr := randomTrace(31, 100)
+	tr := RandomTrace(31, 100)
 	tr.Sort()
 	hc := tr.BuildHourlyCounts()
 	cases := []sim.Window{
@@ -48,7 +50,7 @@ func TestHourlyCountsRejectsMisaligned(t *testing.T) {
 }
 
 func TestHourlyCountsOutOfRange(t *testing.T) {
-	tr := randomTrace(32, 100)
+	tr := RandomTrace(32, 100)
 	tr.Sort()
 	hc := tr.BuildHourlyCounts()
 	w := sim.Window{Start: time.Hour, End: 2 * time.Hour}
@@ -86,20 +88,20 @@ func TestHourlyCountsNegativeTimes(t *testing.T) {
 		n, ok := hc.CountInWindow(tc.m, tc.w)
 		if !ok || n != tc.want {
 			t.Errorf("machine %d window %v: got (%d, %v), want (%d, true); linear says %d",
-				tc.m, tc.w, n, ok, tc.want, tr.OccurrencesInWindow(tc.m, tc.w))
+				tc.m, tc.w, n, ok, tc.want, check.LinearOccurrencesInWindow(tr, tc.m, tc.w))
 		}
 	}
 }
 
 func TestIndexNextEventAfterMatchesLinear(t *testing.T) {
-	tr := randomTrace(33, 400)
+	tr := RandomTrace(33, 400)
 	tr.Sort()
 	ix := tr.BuildIndex()
 	for m := 0; m < tr.Machines; m++ {
 		id := MachineID(m)
 		for ts := sim.Time(0); ts < tr.Span.End; ts += 13 * time.Hour {
 			ge, gok := ix.NextEventAfter(id, ts)
-			we, wok := tr.NextEventAfter(id, ts)
+			we, wok := check.LinearNextEventAfter(tr, id, ts)
 			if gok != wok || (gok && ge != we) {
 				t.Fatalf("NextEventAfter(%d, %v): index (%+v, %v), linear (%+v, %v)",
 					m, ts, ge, gok, we, wok)
@@ -109,14 +111,14 @@ func TestIndexNextEventAfterMatchesLinear(t *testing.T) {
 }
 
 func TestIndexAnyOverlapMatchesLinear(t *testing.T) {
-	tr := randomTrace(34, 400)
+	tr := RandomTrace(34, 400)
 	tr.Sort()
 	ix := tr.BuildIndex()
 	for m := 0; m < tr.Machines; m++ {
 		id := MachineID(m)
 		for start := sim.Time(0); start+2*time.Hour <= tr.Span.End; start += 11 * time.Hour {
 			w := sim.Window{Start: start, End: start + 2*time.Hour}
-			if got, want := ix.AnyOverlap(id, w), tr.AnyOverlap(id, w); got != want {
+			if got, want := ix.AnyOverlap(id, w), check.LinearAnyOverlap(tr, id, w); got != want {
 				t.Fatalf("AnyOverlap(%d, %v): index %v, linear %v", m, w, got, want)
 			}
 		}

@@ -8,6 +8,12 @@
 // A trace holds, per machine, the start and end time of each occurrence of
 // resource unavailability, the failure state (S3, S4 or S5), and the CPU
 // and memory that remained available for guest jobs — exactly the fields
-// the paper's monitor recorded. Traces serialize to CSV (one event per
-// line, human-inspectable) and JSON.
+// the paper's monitor recorded. Traces serialize to the FGCB binary codec
+// (header plus events; the columnar v2 is what the tools write, and ReadFile
+// loads either version) and to CSV (one event per line, human-inspectable,
+// no metadata).
+//
+// The three analyses have one implementation, StreamAnalyzer: the Trace
+// methods feed it their events, and AnalyzeBlockFiles merges partial
+// instances of it over block files, serial being one worker.
 package trace

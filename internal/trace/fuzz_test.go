@@ -84,38 +84,3 @@ func FuzzReadBinary(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadJSON checks the JSON trace reader never panics and that accepted
-// traces validate and round-trip.
-func FuzzReadJSON(f *testing.F) {
-	var buf bytes.Buffer
-	if err := randomTrace(2, 10).WriteJSON(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"span_start_ns":0,"span_end_ns":1,"machines":1,"events":[]}`))
-	f.Add([]byte(`not json at all`))
-	f.Add([]byte(`{"span_start_ns":5,"span_end_ns":1}`))
-
-	f.Fuzz(func(t *testing.T, input []byte) {
-		tr, err := ReadJSON(bytes.NewReader(input))
-		if err != nil {
-			return
-		}
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("ReadJSON accepted an invalid trace: %v", err)
-		}
-		var out bytes.Buffer
-		if err := tr.WriteJSON(&out); err != nil {
-			t.Fatalf("re-encoding failed: %v", err)
-		}
-		tr2, err := ReadJSON(&out)
-		if err != nil {
-			t.Fatalf("re-parsing own output failed: %v", err)
-		}
-		if !tracesEqual(tr, tr2) {
-			t.Fatal("round trip changed the trace")
-		}
-	})
-}

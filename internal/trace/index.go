@@ -116,14 +116,14 @@ func (ix *Index) OverlapExists(m MachineID, w sim.Window) bool {
 	return ix.maxEnd[m][k-1] > w.Start
 }
 
-// AnyOverlap is OverlapExists under the name Trace uses, so indexed and
-// linear ground-truth call sites read the same.
+// AnyOverlap is OverlapExists under the name the predictors' ground-truth
+// interface uses.
 func (ix *Index) AnyOverlap(m MachineID, w sim.Window) bool {
 	return ix.OverlapExists(m, w)
 }
 
 // NextEventAfter returns the first event of machine m starting at or after
-// ts, and whether one exists — the O(log n) form of Trace.NextEventAfter.
+// ts, and whether one exists; ties on start resolve to the earliest end.
 func (ix *Index) NextEventAfter(m MachineID, ts sim.Time) (Event, bool) {
 	evs := ix.byStart[m]
 	k := sort.Search(len(evs), func(i int) bool { return evs[i].Start >= ts })

@@ -1,25 +1,27 @@
-package trace
+package trace_test
 
 import (
 	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/sim"
+	. "repro/internal/trace"
 )
 
 func TestIndexMatchesLinearQueries(t *testing.T) {
-	tr := randomTrace(11, 800)
+	tr := RandomTrace(11, 800)
 	ix := tr.BuildIndex()
 	rng := rand.New(rand.NewSource(12))
 	for i := 0; i < 2000; i++ {
 		m := MachineID(rng.Intn(tr.Machines))
 		start := time.Duration(rng.Int63n(int64(tr.Span.End)))
 		w := sim.Window{Start: start, End: start + time.Duration(rng.Int63n(int64(6*time.Hour)))}
-		if got, want := ix.CountInWindow(m, w), tr.OccurrencesInWindow(m, w); got != want {
+		if got, want := ix.CountInWindow(m, w), check.LinearOccurrencesInWindow(tr, m, w); got != want {
 			t.Fatalf("CountInWindow(%d, %v) = %d, want %d", m, w, got, want)
 		}
-		if got, want := ix.OverlapExists(m, w), tr.AnyOverlap(m, w); got != want {
+		if got, want := ix.OverlapExists(m, w), check.LinearAnyOverlap(tr, m, w); got != want {
 			t.Fatalf("OverlapExists(%d, %v) = %v, want %v", m, w, got, want)
 		}
 	}
@@ -27,8 +29,8 @@ func TestIndexMatchesLinearQueries(t *testing.T) {
 
 func TestIndexLastEndBefore(t *testing.T) {
 	tr := New(sim.Window{End: sim.Day}, sim.Calendar{}, 1)
-	tr.Add(mkEvent(0, 1*time.Hour, 2*time.Hour, 3))
-	tr.Add(mkEvent(0, 5*time.Hour, 6*time.Hour, 3))
+	tr.Add(MkEvent(0, 1*time.Hour, 2*time.Hour, 3))
+	tr.Add(MkEvent(0, 5*time.Hour, 6*time.Hour, 3))
 	ix := tr.BuildIndex()
 	if _, ok := ix.LastEndBefore(0, 90*time.Minute); ok {
 		t.Error("no event ends before 1.5h")

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -18,8 +17,8 @@ import (
 var csvHeader = []string{"machine", "start_ns", "end_ns", "state", "avail_cpu", "avail_mem"}
 
 // WriteCSV writes the trace events as CSV with a metadata-free header line.
-// Span/calendar/machine-count metadata travel in the JSON encoding; CSV is
-// the light-weight interchange format for the event list itself.
+// Span/calendar/machine-count metadata travel in the binary codec's header;
+// CSV is the light-weight interchange format for the event list itself.
 func (t *Trace) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(csvHeader); err != nil {
@@ -130,72 +129,4 @@ func parseCSVRow(row []string) (Event, error) {
 		AvailMem: mem,
 	}
 	return e, e.Validate()
-}
-
-// jsonTrace is the JSON wire format, carrying full metadata.
-type jsonTrace struct {
-	SpanStartNS  int64       `json:"span_start_ns"`
-	SpanEndNS    int64       `json:"span_end_ns"`
-	StartWeekday int         `json:"start_weekday"`
-	Machines     int         `json:"machines"`
-	Events       []jsonEvent `json:"events"`
-}
-
-type jsonEvent struct {
-	Machine  int     `json:"machine"`
-	StartNS  int64   `json:"start_ns"`
-	EndNS    int64   `json:"end_ns"`
-	State    int     `json:"state"`
-	AvailCPU float64 `json:"avail_cpu"`
-	AvailMem int64   `json:"avail_mem"`
-}
-
-// WriteJSON writes the full trace, including span and calendar metadata.
-func (t *Trace) WriteJSON(w io.Writer) error {
-	jt := jsonTrace{
-		SpanStartNS:  int64(t.Span.Start),
-		SpanEndNS:    int64(t.Span.End),
-		StartWeekday: t.Calendar.StartWeekday,
-		Machines:     t.Machines,
-		Events:       make([]jsonEvent, len(t.Events)),
-	}
-	for i, e := range t.Events {
-		jt.Events[i] = jsonEvent{
-			Machine:  int(e.Machine),
-			StartNS:  int64(e.Start),
-			EndNS:    int64(e.End),
-			State:    int(e.State),
-			AvailCPU: e.AvailCPU,
-			AvailMem: e.AvailMem,
-		}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(jt)
-}
-
-// ReadJSON parses a trace written by WriteJSON and validates it.
-func ReadJSON(r io.Reader) (*Trace, error) {
-	var jt jsonTrace
-	if err := json.NewDecoder(r).Decode(&jt); err != nil {
-		return nil, fmt.Errorf("trace: decoding JSON: %w", err)
-	}
-	t := &Trace{
-		Span:     sim.Window{Start: sim.Time(jt.SpanStartNS), End: sim.Time(jt.SpanEndNS)},
-		Calendar: sim.Calendar{StartWeekday: jt.StartWeekday},
-		Machines: jt.Machines,
-	}
-	for _, je := range jt.Events {
-		t.Events = append(t.Events, Event{
-			Machine:  MachineID(je.Machine),
-			Start:    sim.Time(je.StartNS),
-			End:      sim.Time(je.EndNS),
-			State:    availability.State(je.State),
-			AvailCPU: je.AvailCPU,
-			AvailMem: je.AvailMem,
-		})
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
 }

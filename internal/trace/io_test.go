@@ -46,33 +46,6 @@ func tracesEqual(a, b *Trace) bool {
 	return true
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	tr := randomTrace(1, 500)
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatalf("ReadJSON: %v", err)
-	}
-	if !tracesEqual(tr, got) {
-		t.Error("JSON round trip lost data")
-	}
-}
-
-func TestJSONRejectsCorruptTrace(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("{not json")); err == nil {
-		t.Error("garbage JSON accepted")
-	}
-	// A structurally valid JSON with an invalid event state.
-	bad := `{"span_start_ns":0,"span_end_ns":100,"machines":1,` +
-		`"events":[{"machine":0,"start_ns":1,"end_ns":2,"state":1}]}`
-	if _, err := ReadJSON(strings.NewReader(bad)); err == nil {
-		t.Error("event in available state should be rejected")
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	tr := randomTrace(2, 300)
 	var buf bytes.Buffer

@@ -108,10 +108,17 @@ func analyzeChunk(h Header, c blockChunk) (*StreamAnalyzer, error) {
 // testbed, or a single file for the whole fleet). With workers > 1 the
 // chunks are scanned by a worker pool and the partial analyzers merged in
 // machine order; the result is bit-identical to workers == 1. workers <= 0
-// means runtime.NumCPU().
+// means runtime.NumCPU(). A file salvaged without its directory (see
+// BlockFile.Truncated) is refused with an error wrapping ErrTruncated: its
+// visible prefix would otherwise be reported as the whole trace.
 func AnalyzeBlockFiles(files []*BlockFile, workers int) (*StreamAnalyzer, error) {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
+	}
+	for i, f := range files {
+		if f.Truncated() {
+			return nil, fmt.Errorf("trace: block file %d of %d has no directory (cut short or never closed): %w", i+1, len(files), ErrTruncated)
+		}
 	}
 	// Very small chunks would pay more in analyzer setup and merge than
 	// they win back in overlap, so aim for a few chunks per worker rather
@@ -190,7 +197,8 @@ func AnalyzeBlockFiles(files []*BlockFile, workers int) (*StreamAnalyzer, error)
 }
 
 // AnalyzeBlockPaths opens each path as a block file and analyzes them with
-// AnalyzeBlockFiles, closing the files before returning.
+// AnalyzeBlockFiles, closing the files before returning. Errors opening a
+// file, and the refusal of a truncated one, name its path.
 func AnalyzeBlockPaths(paths []string, workers int) (*StreamAnalyzer, error) {
 	files := make([]*BlockFile, 0, len(paths))
 	defer func() {
@@ -204,6 +212,9 @@ func AnalyzeBlockPaths(paths []string, workers int) (*StreamAnalyzer, error) {
 			return nil, err
 		}
 		files = append(files, f)
+		if f.Truncated() {
+			return nil, fmt.Errorf("%s: no block directory (file cut short or never closed): %w", p, ErrTruncated)
+		}
 	}
 	return AnalyzeBlockFiles(files, workers)
 }

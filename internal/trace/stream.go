@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/availability"
@@ -14,10 +12,11 @@ import (
 // StreamAnalyzer computes the paper's trace analyses — Table 2 cause
 // counts, the Figure 6 interval-length samples and the Figure 7 hourly
 // occurrence bins — in a single pass over an event stream sorted by
-// (machine, start, end), without materializing a *Trace. Feeding it the
-// events of a trace reproduces MakeTable2, IntervalECDF/IntervalLengths
-// and HourlyOccurrences exactly; the equivalence tests in the testbed
-// package pin this against the in-memory implementations.
+// (machine, start, end), without materializing a *Trace. It is the one
+// implementation of those analyses: the Trace methods (MakeTable2,
+// IntervalECDF/IntervalLengths, HourlyOccurrences) feed their events
+// through it, the parallel block scan merges partial instances of it, and
+// the naive reference bodies it is held to live in internal/check.
 //
 // Memory use is O(machines + days + intervals): per-machine cause counts,
 // one grouped-bin cell per (day, hour) with events, and the interval-length
@@ -86,7 +85,7 @@ func NewStreamAnalyzerRange(span sim.Window, cal sim.Calendar, machines int, lo,
 		rebootsCut: DefaultRebootCutoff,
 	}
 	// Make every day of the span present in its day type's bins, so quiet
-	// days count as zeros — mirroring HourlyOccurrences.
+	// days count as zeros.
 	if span.End > span.Start {
 		startDay := cal.DayIndex(span.Start)
 		endDay := cal.DayIndex(span.End - 1)
@@ -272,7 +271,7 @@ func (a *StreamAnalyzer) MachineDays() float64 {
 	return float64(a.machines) * float64(a.span.Duration()) / float64(sim.Day)
 }
 
-// Table2 reproduces Trace.MakeTable2 from the accumulated counts. On a
+// Table2 builds the paper's Table 2 from the accumulated counts. On a
 // partial analyzer the ranges cover only the machines in [lo, hi).
 func (a *StreamAnalyzer) Table2() Table2 {
 	a.mustBeFinished()
@@ -363,7 +362,7 @@ func (a *StreamAnalyzer) MergeFrom(b *StreamAnalyzer) error {
 }
 
 // IntervalLengths returns the accumulated interval durations (hours) for a
-// day type, matching Trace.IntervalLengths as a multiset.
+// day type, in the machine-then-time order of Trace.AllIntervals.
 func (a *StreamAnalyzer) IntervalLengths(dt sim.DayType) []float64 {
 	a.mustBeFinished()
 	return a.ivLens[dt]
@@ -375,7 +374,8 @@ func (a *StreamAnalyzer) IntervalECDF(dt sim.DayType) *stats.ECDF {
 	return stats.NewECDF(a.ivLens[dt])
 }
 
-// HourlyOccurrences reproduces Trace.HourlyOccurrences for one day type.
+// HourlyOccurrences returns the Figure 7 per-hour summaries for one day
+// type.
 func (a *StreamAnalyzer) HourlyOccurrences(dt sim.DayType) []stats.Summary {
 	a.mustBeFinished()
 	return a.hourly[dt].Summarize()
@@ -384,23 +384,5 @@ func (a *StreamAnalyzer) HourlyOccurrences(dt sim.DayType) []stats.Summary {
 func (a *StreamAnalyzer) mustBeFinished() {
 	if !a.finished {
 		panic("trace: StreamAnalyzer queried before Finish")
-	}
-}
-
-// Drain consumes an event source — a Decoder or MergeReader — until io.EOF
-// and finishes the analyzer.
-func (a *StreamAnalyzer) Drain(next func() (Event, error)) error {
-	for {
-		e, err := next()
-		if errors.Is(err, io.EOF) {
-			a.Finish()
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := a.Observe(e); err != nil {
-			return err
-		}
 	}
 }

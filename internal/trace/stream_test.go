@@ -1,14 +1,15 @@
-package trace
+package trace_test
 
 import (
-	"bytes"
-	"io"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/availability"
+	"repro/internal/check"
 	"repro/internal/sim"
+	"repro/internal/stats"
+	. "repro/internal/trace"
 )
 
 // feed runs a sorted trace through a fresh StreamAnalyzer.
@@ -24,25 +25,26 @@ func feed(t *testing.T, tr *Trace) *StreamAnalyzer {
 	return a
 }
 
-// assertAnalyzerMatches checks every streaming aggregate against the
-// in-memory oracle on the same trace.
+// assertAnalyzerMatches checks every streaming aggregate against the naive
+// whole-slice oracle (internal/check) on the same trace — not against the
+// Trace methods, which wrap the analyzer under test.
 func assertAnalyzerMatches(t *testing.T, tr *Trace, a *StreamAnalyzer) {
 	t.Helper()
-	if got, want := a.Table2(), tr.MakeTable2(); !reflect.DeepEqual(got, want) {
+	if got, want := a.Table2(), check.NaiveTable2(tr); !reflect.DeepEqual(got, want) {
 		t.Errorf("Table2 mismatch:\n got %+v\nwant %+v", got, want)
 	}
-	if got, want := a.CountByCause(), tr.CountByCause(); !reflect.DeepEqual(got, want) {
+	if got, want := a.CountByCause(), check.NaiveCountByCause(tr); !reflect.DeepEqual(got, want) {
 		t.Errorf("CountByCause mismatch:\n got %+v\nwant %+v", got, want)
 	}
 	for _, dt := range []sim.DayType{sim.Weekday, sim.Weekend} {
-		if got, want := a.IntervalLengths(dt), tr.IntervalLengths(dt); !reflect.DeepEqual(got, want) {
+		if got, want := a.IntervalLengths(dt), check.NaiveIntervalLengths(tr, dt); !reflect.DeepEqual(got, want) {
 			t.Errorf("IntervalLengths(%v) mismatch: got %d lengths, want %d", dt, len(got), len(want))
 		}
-		ge, we := a.IntervalECDF(dt), tr.IntervalECDF(dt)
+		ge, we := a.IntervalECDF(dt), stats.NewECDF(check.NaiveIntervalLengths(tr, dt))
 		if !reflect.DeepEqual(ge, we) {
 			t.Errorf("IntervalECDF(%v) mismatch", dt)
 		}
-		if got, want := a.HourlyOccurrences(dt), tr.HourlyOccurrences(dt); !reflect.DeepEqual(got, want) {
+		if got, want := a.HourlyOccurrences(dt), check.NaiveHourlyOccurrences(tr, dt); !reflect.DeepEqual(got, want) {
 			t.Errorf("HourlyOccurrences(%v) mismatch:\n got %+v\nwant %+v", dt, got, want)
 		}
 	}
@@ -50,7 +52,7 @@ func assertAnalyzerMatches(t *testing.T, tr *Trace, a *StreamAnalyzer) {
 
 func TestStreamAnalyzerMatchesOracle(t *testing.T) {
 	for _, n := range []int{0, 1, 50, 2000} {
-		tr := randomTrace(int64(20+n), n)
+		tr := RandomTrace(int64(20+n), n)
 		tr.Sort()
 		assertAnalyzerMatches(t, tr, feed(t, tr))
 	}
@@ -109,38 +111,4 @@ func TestStreamAnalyzerPanicsBeforeFinish(t *testing.T) {
 		}
 	}()
 	a.Table2()
-}
-
-// TestStreamAnalyzerDrain runs the full streaming pipeline: binary shards
-// merged back together and drained straight into the analyzer.
-func TestStreamAnalyzerDrain(t *testing.T) {
-	tr := randomTrace(21, 1200)
-	tr.Sort()
-	mr, err := NewMergeReader(shardTraces(t, tr, 3)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := NewStreamAnalyzerFor(mr.Header())
-	if err := a.Drain(mr.Next); err != nil {
-		t.Fatal(err)
-	}
-	assertAnalyzerMatches(t, tr, a)
-}
-
-func TestStreamAnalyzerDrainPropagatesError(t *testing.T) {
-	tr := randomTrace(22, 40)
-	tr.Sort()
-	var buf bytes.Buffer
-	if err := tr.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	cut := bytes.NewReader(buf.Bytes()[:buf.Len()-2])
-	dec, err := NewDecoder(cut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := NewStreamAnalyzerFor(dec.Header())
-	if err := a.Drain(dec.Next); err == nil || err == io.EOF {
-		t.Errorf("Drain over a truncated stream returned %v", err)
-	}
 }

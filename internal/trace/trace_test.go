@@ -258,32 +258,6 @@ func TestIntervalECDFByDayType(t *testing.T) {
 	}
 }
 
-func TestWindowQueries(t *testing.T) {
-	tr := New(span(sim.Day), sim.Calendar{}, 2)
-	tr.Add(mkEvent(0, 2*time.Hour, 3*time.Hour, availability.S3))
-	tr.Add(mkEvent(0, 10*time.Hour, 11*time.Hour, availability.S4))
-	w := sim.Window{Start: time.Hour, End: 4 * time.Hour}
-	if got := tr.OccurrencesInWindow(0, w); got != 1 {
-		t.Errorf("OccurrencesInWindow = %d, want 1", got)
-	}
-	if got := tr.OccurrencesInWindow(1, w); got != 0 {
-		t.Errorf("other machine occurrences = %d, want 0", got)
-	}
-	if !tr.AnyOverlap(0, sim.Window{Start: 2*time.Hour + 30*time.Minute, End: 5 * time.Hour}) {
-		t.Error("AnyOverlap should see the 2-3h event")
-	}
-	if tr.AnyOverlap(0, sim.Window{Start: 4 * time.Hour, End: 9 * time.Hour}) {
-		t.Error("AnyOverlap false positive")
-	}
-	ev, ok := tr.NextEventAfter(0, 3*time.Hour)
-	if !ok || ev.Start != 10*time.Hour {
-		t.Errorf("NextEventAfter = %+v, %v", ev, ok)
-	}
-	if _, ok := tr.NextEventAfter(0, 12*time.Hour); ok {
-		t.Error("NextEventAfter past last event should report none")
-	}
-}
-
 func TestCloneFilterBefore(t *testing.T) {
 	tr := New(span(sim.Day), sim.Calendar{}, 1)
 	tr.Add(mkEvent(0, 1*time.Hour, 2*time.Hour, availability.S3))
