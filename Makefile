@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build bench-build test race check fuzz-smoke chaos-smoke chaos-crash-soak loadtest-smoke forecast-smoke markov-smoke bench-smoke bench-parallel metrics-smoke bench bench-gates ci
+.PHONY: all vet build bench-build test race check fuzz-smoke chaos-smoke chaos-crash-soak loadtest-smoke forecast-smoke markov-smoke bench-smoke bench-parallel metrics-smoke bench bench-gates loc ci
 
 all: ci
 
@@ -68,9 +68,9 @@ loadtest-smoke:
 # Forecast-driven scheduling smoke: the fixed-seed replay evaluation
 # (proactive checkpoint/migrate must waste >= 10% less guest CPU than the
 # reactive baseline at equal-or-better throughput; exits nonzero on a
-# gate miss) plus the online-vs-offline forecast differential, which
-# pins the incremental forecaster bit-equal (1e-9) to the batch-trained
-# predictors on every seed.
+# gate miss) plus the forecast differential, which pins the incremental
+# forecaster's ring, the batch-trained predictors and the naive reference
+# equal (1e-9) on every seed.
 forecast-smoke:
 	$(GO) run ./cmd/fgcs-loadtest -forecast
 	$(GO) test -run 'TestRunSmoke' -count 1 ./internal/check/
@@ -113,4 +113,11 @@ metrics-smoke:
 bench:
 	$(GO) run ./cmd/fgcs-bench -out BENCH_core.json
 
-ci: vet build bench-build test race check fuzz-smoke chaos-smoke chaos-crash-soak loadtest-smoke forecast-smoke markov-smoke bench-smoke bench-parallel bench-gates metrics-smoke
+# Non-test Go lines per package directory and in total, excluding the
+# frozen bench/ module: the before/after figure simplicity PRs report.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -exec wc -l {} + \
+		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
+
+ci: vet build bench-build test race check fuzz-smoke chaos-smoke chaos-crash-soak loadtest-smoke forecast-smoke markov-smoke bench-smoke bench-parallel bench-gates metrics-smoke loc

@@ -55,8 +55,9 @@ type Result struct {
 	Transitions   int64
 	TestbedRuns   int
 	TestbedEvents int64
-	// ForecastChecks counts online-vs-offline forecast comparisons that
-	// agreed within tolerance across all testbed differentials.
+	// ForecastChecks counts forecast comparisons (online ring vs trained
+	// trace vs naive reference, pairwise) that agreed within tolerance
+	// across all testbed differentials.
 	ForecastChecks int64
 	// MarkovRuns counts generative-model differentials (checkMarkovSeed)
 	// and MarkovEvents the scenario events they analyzed.

@@ -13,20 +13,22 @@ import (
 	"repro/internal/trace"
 )
 
-// forecastTolerance bounds the online-vs-offline forecast differential.
-// The implementations share predict.ForEachHistoryWindow and accumulate in
-// the same order, so in practice they agree bit-for-bit; the tolerance
+// forecastTolerance bounds the forecast differential. The two stores run
+// the same estimator (internal/predict) and the reference accumulates in
+// the same order, so in practice all three agree bit-for-bit; the tolerance
 // exists so the check states its contract (1e-9) rather than an accident
 // of today's code layout.
 const forecastTolerance = 1e-9
 
-// checkOnlineForecastSeed is the online-vs-offline forecasting leg of the
-// testbed differential: it replays the seed's raw observation streams
-// through the incremental forecaster and requires its forecasts to match
-// offline predictors batch-trained on the recorded trace of the same
-// streams — plain and trimmed history windows plus the EWMA daily model,
-// over aligned and misaligned windows, for every machine in the fleet and
-// for absent machine IDs.
+// checkOnlineForecastSeed is the forecasting leg of the testbed
+// differential. The estimator maths exists once, so what it compares is
+// the two stores that feed it and an independent reference: the seed's raw
+// observation streams replayed through forecast.Online's detectors into
+// its rings, predictors batch-trained on the recorded trace of the same
+// streams (hourly matrix + index), and the naive oracle (linear scans, its
+// own day walk). All three must agree — plain and trimmed history windows
+// plus the EWMA daily model, over aligned and misaligned windows, for
+// every machine in the fleet and for absent machine IDs.
 func checkOnlineForecastSeed(cfg testbed.Config, tr *trace.Trace, res *Result) error {
 	on, err := forecast.New(forecast.Config{
 		Calendar: tr.Calendar,
@@ -89,23 +91,27 @@ func checkOnlineForecastSeed(cfg testbed.Config, tr *trace.Trace, res *Result) e
 
 	for _, m := range machines {
 		for _, w := range windows {
-			pairs := []struct {
-				what      string
-				got, want float64
+			refCount, refSurv := NaiveHistoryWindow(tr, m, w, 0, 0)
+			refTrimCount, refTrimSurv := NaiveHistoryWindow(tr, m, w, 0.1, 0)
+			refEWMACount, refEWMASurv := NaiveEWMADaily(tr, m, w, 0)
+			for _, c := range []struct {
+				what                  string
+				online, offline, want float64
 			}{
-				{"PredictCount", on.PredictCount(m, w), hw.PredictCount(m, w)},
-				{"PredictSurvival", on.PredictSurvival(m, w), hw.PredictSurvival(m, w)},
-				{"trimmed PredictCount", onTrim.PredictCount(m, w), hwTrim.PredictCount(m, w)},
-				{"trimmed PredictSurvival", onTrim.PredictSurvival(m, w), hwTrim.PredictSurvival(m, w)},
-				{"EWMACount", on.EWMACount(m, w), ewma.PredictCount(m, w)},
-				{"EWMASurvival", on.EWMASurvival(m, w), ewma.PredictSurvival(m, w)},
-			}
-			for _, p := range pairs {
-				if math.Abs(p.got-p.want) > forecastTolerance {
-					return fmt.Errorf("forecast %s(m=%d, %v): online %v, offline %v",
-						p.what, m, w, p.got, p.want)
+				{"PredictCount", on.PredictCount(m, w), hw.PredictCount(m, w), refCount},
+				{"PredictSurvival", on.PredictSurvival(m, w), hw.PredictSurvival(m, w), refSurv},
+				{"trimmed PredictCount", onTrim.PredictCount(m, w), hwTrim.PredictCount(m, w), refTrimCount},
+				{"trimmed PredictSurvival", onTrim.PredictSurvival(m, w), hwTrim.PredictSurvival(m, w), refTrimSurv},
+				{"EWMACount", on.EWMACount(m, w), ewma.PredictCount(m, w), refEWMACount},
+				{"EWMASurvival", on.EWMASurvival(m, w), ewma.PredictSurvival(m, w), refEWMASurv},
+			} {
+				if math.Abs(c.online-c.offline) > forecastTolerance ||
+					math.Abs(c.online-c.want) > forecastTolerance ||
+					math.Abs(c.offline-c.want) > forecastTolerance {
+					return fmt.Errorf("forecast %s(m=%d, %v): online %v, offline %v, reference %v",
+						c.what, m, w, c.online, c.offline, c.want)
 				}
-				res.ForecastChecks++
+				res.ForecastChecks += 3 // store vs store, and each store vs the reference
 			}
 		}
 	}

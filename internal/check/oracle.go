@@ -2,6 +2,8 @@ package check
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"repro/internal/availability"
@@ -11,14 +13,15 @@ import (
 	"repro/internal/trace"
 )
 
-// This file holds the reference oracles the optimized trace and testbed
-// paths are compared against: the naive whole-slice bodies of the Table 2 /
-// Figure 6 / Figure 7 analyses, the linear-scan window queries, and the
-// per-period testbed runner. They were the production implementations
-// once; they live here, one copy each, so that every differential leg has
-// something independent to agree with — production code has exactly one
-// analyzer (trace.StreamAnalyzer), one query layer (trace.Index and
-// trace.BlockIndex) and one runner (testbed.RunSharded). Nothing here
+// This file holds the reference oracles the optimized trace, testbed and
+// forecast paths are compared against: the naive whole-slice bodies of the
+// Table 2 / Figure 6 / Figure 7 analyses, the linear-scan window queries,
+// the same-window forecast estimators, and the per-period testbed runner.
+// They were the production implementations once; they live here, one copy
+// each, so that every differential leg has something independent to agree
+// with — production code has exactly one analyzer (trace.StreamAnalyzer),
+// one query layer (trace.Index and trace.BlockIndex), one estimator
+// (internal/predict) and one runner (testbed.RunSharded). Nothing here
 // shares logic with those: the oracles re-derive every answer from the raw
 // event slice or the raw observation stream.
 
@@ -184,6 +187,76 @@ func LinearNextEventAfter(t *trace.Trace, m trace.MachineID, ts sim.Time) (trace
 		}
 	}
 	return best, found
+}
+
+// naiveSameWindowHistory returns machine m's event count in w's clock
+// window on each fully observed prior day, oldest first: w shifted back a
+// day at a time for as long as it stays inside the span, each count a
+// linear scan. With sameDayType only days of w's day type contribute.
+func naiveSameWindowHistory(t *trace.Trace, m trace.MachineID, w sim.Window, sameDayType bool) []float64 {
+	var counts []float64
+	for back := sim.Day; w.Start-back >= t.Span.Start; back += sim.Day {
+		hw := sim.Window{Start: w.Start - back, End: w.End - back}
+		if hw.End > w.Start || hw.End > t.Span.End {
+			continue
+		}
+		if sameDayType && t.Calendar.DayType(hw.Start) != t.Calendar.DayType(w.Start) {
+			continue
+		}
+		counts = append(counts, float64(LinearOccurrencesInWindow(t, m, hw)))
+	}
+	slices.Reverse(counts)
+	return counts
+}
+
+// NaiveHistoryWindow is the reference form of the paper's predictor — the
+// oracle for predict.HistoryWindow and forecast.Online.PredictCount /
+// PredictSurvival: the (trimmed) mean of the same-day-type history counts
+// and the Laplace-smoothed share of failure-free history windows, or the
+// no-information answers (0, 0.5) for a machine outside the fleet or fewer
+// than max(1, minDays) history windows.
+func NaiveHistoryWindow(t *trace.Trace, m trace.MachineID, w sim.Window, trim float64, minDays int) (count, survival float64) {
+	if m < 0 || int(m) >= t.Machines {
+		return 0, 0.5
+	}
+	counts := naiveSameWindowHistory(t, m, w, true)
+	if len(counts) == 0 || len(counts) < minDays {
+		return 0, 0.5
+	}
+	free := 0
+	for _, c := range counts {
+		if c == 0 {
+			free++
+		}
+	}
+	survival = stats.Clamp01(float64(free+1) / float64(len(counts)+2))
+	if trim > 0 {
+		return stats.TrimmedMean(counts, trim), survival
+	}
+	return stats.Mean(counts), survival
+}
+
+// NaiveEWMADaily is the reference form of the exponentially weighted daily
+// model — the oracle for predict.EWMADaily and forecast.Online.EWMACount /
+// EWMASurvival: every fully observed prior day's same-window count smoothed
+// oldest to newest (alpha outside (0, 1] means 0.3) and exp(-count) as the
+// survival, or (0, 0.5) when no prior day contributed.
+func NaiveEWMADaily(t *trace.Trace, m trace.MachineID, w sim.Window, alpha float64) (count, survival float64) {
+	if m < 0 || int(m) >= t.Machines {
+		return 0, 0.5
+	}
+	counts := naiveSameWindowHistory(t, m, w, false)
+	if len(counts) == 0 {
+		return 0, 0.5
+	}
+	if alpha <= 0 || alpha > 1 {
+		alpha = 0.3
+	}
+	count = counts[0]
+	for _, c := range counts[1:] {
+		count = alpha*c + (1-alpha)*count
+	}
+	return count, stats.Clamp01(math.Exp(-count))
 }
 
 // RunNaive is the reference form of testbed.Run: per machine, every

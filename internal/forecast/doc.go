@@ -7,14 +7,16 @@
 // forecasts the offline predictors would produce had they been retrained
 // on the full prefix at that instant.
 //
-// Equality with the offline predictors is not approximate: the online
-// history-window and EWMA forecasts iterate the identical contributing
-// windows in the identical order (predict.ForEachHistoryWindow is the one
-// definition both sides call), so on identical history the results are
-// bit-equal. The differential harness (internal/check) replays every
+// Equality with the offline predictors is not approximate: the estimator
+// maths exists once, in internal/predict, written against predict.History,
+// and Online is one of the two stores that implement it (the trained
+// trace is the other) — PredictCount, PredictSurvival, EWMACount and
+// EWMASurvival are predict.HistoryWindow.Estimate and
+// predict.EWMADaily.Estimate over the ring. What can still differ is the
+// store, so the differential harness (internal/check) replays every
 // testbed seed's observation stream through an Online forecaster and
-// asserts exactly that against batch-trained predict.HistoryWindow and
-// predict.EWMADaily.
+// compares it with predictors batch-trained on the recorded trace and with
+// an independent naive reference.
 //
 // Service wraps an Online forecaster for the control plane: it keys
 // machines by node name, maps wall-clock digest stamps onto virtual time,

@@ -63,9 +63,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("forecast: negative event capacity %d", c.EventCapacity)
 	}
 	if c.Trim < 0 || c.Trim >= 0.5 {
-		if c.Trim != 0 {
-			return fmt.Errorf("forecast: trim fraction %v outside [0, 0.5)", c.Trim)
-		}
+		return fmt.Errorf("forecast: trim fraction %v outside [0, 0.5)", c.Trim)
 	}
 	if c.MinHistoryDays < 0 {
 		return fmt.Errorf("forecast: negative min history days %d", c.MinHistoryDays)
@@ -97,10 +95,6 @@ type machineState struct {
 	// horizon is the oldest retained start when dropped > 0.
 	dropped int64
 
-	// lastEnd is the end of the last closed event (0 if none): the renewal
-	// age anchor.
-	lastEnd sim.Time
-	haveEnd bool
 	// how counts event starts per hour-of-week slot — the O(1) aggregate
 	// behind the rate forecasts. Eviction does not decrement it: it is a
 	// lifetime aggregate, normalized by lifetime slot exposure.
@@ -113,7 +107,7 @@ func (ms *machineState) at(i int) sim.Time {
 }
 
 // countStarts returns how many retained event starts fall in [w.Start,
-// w.End) — the online equivalent of Index.CountInWindow.
+// w.End) — the ring's equivalent of Index.CountInWindow.
 func (ms *machineState) countStarts(w sim.Window) int {
 	lo := sort.Search(ms.n, func(i int) bool { return ms.at(i) >= w.Start })
 	hi := sort.Search(ms.n, func(i int) bool { return ms.at(i) >= w.End })
@@ -162,7 +156,10 @@ type Online struct {
 	events int64 // total ingested event starts
 	oor    int64 // events dropped for out-of-range machine ids
 
-	scratch []float64 // reused history-count buffer
+	// The forecast maths lives in internal/predict; these run it over the
+	// ring (Online is their predict.History).
+	hw   predict.HistoryWindow
+	ewma predict.EWMADaily
 }
 
 // New creates an Online forecaster.
@@ -171,7 +168,12 @@ func New(cfg Config) (*Online, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	o := &Online{cfg: cfg, end: cfg.Start}
+	o := &Online{
+		cfg:  cfg,
+		end:  cfg.Start,
+		hw:   predict.HistoryWindow{Trim: cfg.Trim, MinHistoryDays: cfg.MinHistoryDays},
+		ewma: predict.EWMADaily{Alpha: cfg.Alpha},
+	}
 	for i := 0; i < cfg.Machines; i++ {
 		if _, err := o.addMachine(); err != nil {
 			return nil, err
@@ -249,15 +251,9 @@ func (o *Online) ObserveStart(m trace.MachineID, at sim.Time) {
 
 // ObserveEnd ingests one event end (availability returned). O(1).
 func (o *Online) ObserveEnd(m trace.MachineID, at sim.Time) {
-	ms := o.state(m)
-	if ms == nil {
-		return
+	if o.state(m) != nil {
+		o.AdvanceTo(at)
 	}
-	if at > ms.lastEnd {
-		ms.lastEnd = at
-	}
-	ms.haveEnd = true
-	o.AdvanceTo(at)
 }
 
 // ObserveEvent ingests one closed unavailability event from a recorded
@@ -287,10 +283,6 @@ func (o *Online) Observe(m trace.MachineID, obs availability.Observation) error 
 		// open event; a transition into an unavailable state opens one.
 		if ms.down && tr.From.Unavailable() && (tr.To.Available() || tr.To.Unavailable()) {
 			ms.down = false
-			if tr.At > ms.lastEnd {
-				ms.lastEnd = tr.At
-			}
-			ms.haveEnd = true
 		}
 		if tr.To.Unavailable() {
 			ms.down = true
@@ -310,100 +302,49 @@ func (o *Online) Down(m trace.MachineID) bool {
 	return ms != nil && ms.down
 }
 
-// historyCounts mirrors predict.HistoryWindow.historyCounts over the
-// retained ring: one count per fully observed same-day-type prior clock
-// window, in day order.
-func (o *Online) historyCounts(ms *machineState, w sim.Window) []float64 {
-	counts := o.scratch[:0]
-	predict.ForEachHistoryWindow(o.cfg.Calendar, o.Span(), w, true, func(hw sim.Window) {
-		counts = append(counts, float64(ms.countStarts(hw)))
-	})
-	o.scratch = counts
-	return counts
+// Calendar implements predict.History.
+func (o *Online) Calendar() sim.Calendar { return o.cfg.Calendar }
+
+// CountInWindow implements predict.History over the retained ring: how
+// many event starts of machine m fall in [w.Start, w.End), 0 for a machine
+// outside the fleet.
+func (o *Online) CountInWindow(m trace.MachineID, w sim.Window) int {
+	ms := o.state(m)
+	if ms == nil {
+		return 0
+	}
+	return ms.countStarts(w)
 }
 
 // PredictCount forecasts the expected number of unavailability events in w
-// on machine m — bit-equal to predict.HistoryWindow{Trim: cfg.Trim,
-// MinHistoryDays: cfg.MinHistoryDays} trained on the observed prefix.
-// Machines outside the fleet forecast 0 (no history), as offline.
+// on machine m: predict.HistoryWindow{Trim: cfg.Trim, MinHistoryDays:
+// cfg.MinHistoryDays} over the observed prefix. Machines outside the fleet
+// forecast 0 (no history).
 func (o *Online) PredictCount(m trace.MachineID, w sim.Window) float64 {
-	ms := o.state(m)
-	if ms == nil {
-		return 0
-	}
-	counts := o.historyCounts(ms, w)
-	if len(counts) < o.cfg.MinHistoryDays || len(counts) == 0 {
-		return 0
-	}
-	if o.cfg.Trim > 0 {
-		return stats.TrimmedMean(counts, o.cfg.Trim)
-	}
-	return stats.Mean(counts)
+	count, _, _ := o.hw.Estimate(o, m, w)
+	return count
 }
 
-// PredictSurvival forecasts P(no event overlaps w starts in w's clock
-// window) as the Laplace-smoothed fraction of failure-free history
-// windows — bit-equal to the offline HistoryWindow. The no-information
-// answer (unknown machine, no history) is 0.5.
+// PredictSurvival forecasts P(no event starts in w's clock window) as the
+// Laplace-smoothed fraction of failure-free history windows. The
+// no-information answer (unknown machine, no history) is 0.5.
 func (o *Online) PredictSurvival(m trace.MachineID, w sim.Window) float64 {
-	ms := o.state(m)
-	if ms == nil {
-		return 0.5
-	}
-	counts := o.historyCounts(ms, w)
-	if len(counts) < o.cfg.MinHistoryDays || len(counts) == 0 {
-		return 0.5
-	}
-	free := 0
-	for _, c := range counts {
-		if c == 0 {
-			free++
-		}
-	}
-	return stats.Clamp01((float64(free) + 1) / (float64(len(counts)) + 2))
+	_, survival, _ := o.hw.Estimate(o, m, w)
+	return survival
 }
 
-// ewmaCount mirrors predict.EWMADaily.predictCount.
-func (o *Online) ewmaCount(ms *machineState, w sim.Window) (float64, bool) {
-	alpha := o.cfg.Alpha
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.3
-	}
-	acc := stats.NewEWMA(alpha)
-	predict.ForEachHistoryWindow(o.cfg.Calendar, o.Span(), w, false, func(hw sim.Window) {
-		acc.Add(float64(ms.countStarts(hw)))
-	})
-	if !acc.Initialized() {
-		return 0, false
-	}
-	return acc.Value(), true
-}
-
-// EWMACount forecasts the exponentially weighted same-window daily count —
-// bit-equal to predict.EWMADaily{Alpha: cfg.Alpha} trained on the observed
-// prefix.
+// EWMACount forecasts the exponentially weighted same-window daily count:
+// predict.EWMADaily{Alpha: cfg.Alpha} over the observed prefix.
 func (o *Online) EWMACount(m trace.MachineID, w sim.Window) float64 {
-	ms := o.state(m)
-	if ms == nil {
-		return 0
-	}
-	v, _ := o.ewmaCount(ms, w)
-	return v
+	count, _ := o.ewma.Estimate(o, m, w)
+	return count
 }
 
-// EWMASurvival is the EWMA survival forecast, with the same cold-start
-// prior (0.5 before the first full day of history) as the offline
-// EWMADaily.
+// EWMASurvival is the EWMA survival forecast, 0.5 before the first full
+// day of history.
 func (o *Online) EWMASurvival(m trace.MachineID, w sim.Window) float64 {
-	ms := o.state(m)
-	if ms == nil {
-		return 0.5
-	}
-	v, ok := o.ewmaCount(ms, w)
-	if !ok {
-		return 0.5
-	}
-	return stats.Clamp01(math.Exp(-v))
+	_, survival := o.ewma.Estimate(o, m, w)
+	return survival
 }
 
 // RateAt returns the machine's lifetime event rate (events per hour) for
@@ -434,10 +375,7 @@ func (o *Online) RateSurvival(m trace.MachineID, w sim.Window) float64 {
 	expected := 0.0
 	informative := false
 	for t := w.Start; t < w.End; {
-		hourEnd := t - (t % time.Hour) + time.Hour
-		if t < 0 && t%time.Hour != 0 {
-			hourEnd = t - (t%time.Hour + time.Hour) + time.Hour
-		}
+		hourEnd := sim.Time(sim.FloorHour(t)+1) * time.Hour
 		if hourEnd > w.End {
 			hourEnd = w.End
 		}
@@ -476,13 +414,11 @@ type Forecast struct {
 // ForecastWindow computes the composite forecast for machine m over w.
 func (o *Online) ForecastWindow(m trace.MachineID, w sim.Window) Forecast {
 	f := Forecast{
-		Survival:       o.PredictSurvival(m, w),
-		ExpectedEvents: o.PredictCount(m, w),
-		EWMASurvival:   o.EWMASurvival(m, w),
-		RateSurvival:   o.RateSurvival(m, w),
+		EWMASurvival: o.EWMASurvival(m, w),
+		RateSurvival: o.RateSurvival(m, w),
 	}
+	f.ExpectedEvents, f.Survival, f.Samples = o.hw.Estimate(o, m, w)
 	if ms := o.state(m); ms != nil {
-		f.Samples = len(o.historyCounts(ms, w))
 		f.Events = int64(ms.n) + ms.dropped
 	}
 	return f

@@ -279,14 +279,31 @@ type Result struct {
 
 // Simulate replays the job stream against the trace under one policy.
 // The same (trace, cfg) pair presents an identical job stream to every
-// policy, so results are directly comparable.
+// policy — and to SimulateMigrating and SimulateProactive — so results are
+// directly comparable.
 func Simulate(tr *trace.Trace, policy Policy, cfg Config) (Result, error) {
-	return simulateIndexed(tr, tr.BuildIndex(), policy, cfg)
+	return simulate(tr, tr.BuildIndex(), policy, cfg, nil)
 }
 
-// simulateIndexed is Simulate against a prebuilt index, so Compare can
-// amortize one index build across every policy.
-func simulateIndexed(tr *trace.Trace, ix *trace.Index, policy Policy, cfg Config) (Result, error) {
+// review is the optional step a running job takes after every `every` of
+// surviving progress — the only thing the three simulations vary. decide
+// looks at the job's remaining work on machine m and answers whether to
+// pin its progress with a checkpoint first, and which machine to continue
+// on (m itself to stay).
+type review struct {
+	suffix         string // appended to the policy name in Result.Policy
+	every          time.Duration
+	checkpointCost time.Duration
+	migrateDelay   time.Duration
+	decide         func(now sim.Time, remaining time.Duration, m trace.MachineID) (checkpoint bool, next trace.MachineID)
+}
+
+// simulate is the one replay loop: validate, pre-draw the job stream in
+// arrival order (so every policy and every review variant sees the same
+// jobs, and stateful policies observe failures in time order), run each
+// job against the ground-truth index, aggregate. Compare passes one index
+// to amortize its build across policies.
+func simulate(tr *trace.Trace, ix *trace.Index, policy Policy, cfg Config, rv *review) (Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -296,26 +313,22 @@ func simulateIndexed(tr *trace.Trace, ix *trace.Index, policy Policy, cfg Config
 		return Result{}, fmt.Errorf("gsched: training period consumes the trace span")
 	}
 	jobRNG := sim.NewSource(cfg.Seed).Stream("gsched/jobs")
-
-	// Pre-draw the job stream so every policy sees the same jobs.
-	type job struct {
-		arrival sim.Time
-		work    time.Duration
-	}
-	jobs := make([]job, cfg.Jobs)
+	jobs := make([]JobStat, cfg.Jobs)
 	for i := range jobs {
-		jobs[i] = job{
-			arrival: testStart + sim.Uniform(jobRNG, 0, tr.Span.End-testStart),
-			work:    sim.Uniform(jobRNG, cfg.JobWork[0], cfg.JobWork[1]),
+		jobs[i] = JobStat{
+			Arrival: testStart + sim.Uniform(jobRNG, 0, tr.Span.End-testStart),
+			Work:    sim.Uniform(jobRNG, cfg.JobWork[0], cfg.JobWork[1]),
 		}
 	}
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i].arrival < jobs[j].arrival })
+	sort.Slice(jobs, func(i, j int) bool { return jobs[i].Arrival < jobs[j].Arrival })
 
 	res := Result{Policy: policy.Name()}
-	var responses []float64
-	var slowdowns []float64
+	if rv != nil {
+		res.Policy += rv.suffix
+	}
+	var responses, slowdowns []float64
 	for _, jb := range jobs {
-		stat := runJob(ix, policy, cfg, tr.Machines, tr.Span.End, jb.arrival, jb.work, &res)
+		stat := runJob(ix, policy, cfg, rv, tr.Machines, tr.Span.End, jb, &res)
 		if !stat.Done {
 			res.Unfinished++
 			continue
@@ -333,39 +346,62 @@ func simulateIndexed(tr *trace.Trace, ix *trace.Index, policy Policy, cfg Config
 	return res, nil
 }
 
-// runJob executes one job to completion or span end.
-func runJob(ix *trace.Index, policy Policy, cfg Config, machines int, spanEnd sim.Time, arrival sim.Time, work time.Duration, res *Result) JobStat {
-	stat := JobStat{Arrival: arrival, Work: work}
-	remaining := work
-	now := arrival
-	for {
-		if now >= spanEnd {
-			return stat
+// runJob executes one job (stat carries its arrival and work) to
+// completion or span end. The job runs in chunks — its whole remaining
+// work, or rv.every when reviews are on — and each chunk either survives
+// (progress, then a review if work remains) or meets an unavailability
+// event. Progress survives reviews, checkpoints and migrations but is lost
+// to failures: back to the furthest of the periodic checkpoint cadence and
+// the last review-triggered checkpoint, or to zero with neither — a
+// surviving chunk is NOT an implicit checkpoint.
+func runJob(ix *trace.Index, policy Policy, cfg Config, rv *review, machines int, spanEnd sim.Time, stat JobStat, res *Result) JobStat {
+	var done time.Duration // work completed and not lost
+	var ckpt time.Duration // progress pinned by the last review checkpoint
+	var m trace.MachineID
+	placed := false
+	for now := stat.Arrival; now < spanEnd; {
+		if !placed {
+			m, placed = policy.Pick(now, stat.Work-done, machines), true
 		}
-		m := policy.Pick(now, remaining, machines)
-		ev, overlaps := ix.FirstOverlap(m, sim.Window{Start: now, End: now + remaining})
+		chunk := stat.Work - done
+		if rv != nil && rv.every < chunk {
+			chunk = rv.every
+		}
+		ev, overlaps := ix.FirstOverlap(m, sim.Window{Start: now, End: now + chunk})
 		if !overlaps {
-			if now+remaining > spanEnd {
+			now += chunk
+			done += chunk
+			if done >= stat.Work {
+				if now <= spanEnd {
+					stat.Completion, stat.Done = now, true
+				}
 				return stat
 			}
-			stat.Completion = now + remaining
-			stat.Done = true
-			return stat
+			checkpoint, next := rv.decide(now, stat.Work-done, m)
+			if checkpoint && done > ckpt {
+				ckpt = done
+				res.Checkpoints++
+				now += rv.checkpointCost
+			}
+			if next != m {
+				m = next
+				res.Migrations++
+				now += rv.migrateDelay
+			}
+			continue
 		}
 		// The job dies when the event begins (or immediately, if the
 		// machine is already unavailable).
-		failAt := ev.Start
-		if failAt < now {
-			failAt = now
-		}
-		done := failAt - now
+		failAt := max(ev.Start, now)
+		done += failAt - now
+		var periodic time.Duration
 		if cfg.Checkpoint > 0 {
-			kept := (done / cfg.Checkpoint) * cfg.Checkpoint
-			remaining -= kept
-			res.WastedWork += done - kept
-		} else {
-			res.WastedWork += done
+			periodic = done / cfg.Checkpoint * cfg.Checkpoint
 		}
+		kept := max(periodic, ckpt)
+		res.WastedWork += done - kept
+		res.SavedWork += kept - periodic
+		done = kept
 		stat.Failures++
 		policy.ObserveFailure(m, failAt)
 		// Restart after the outage clears plus the retry delay. Other
@@ -378,7 +414,9 @@ func runJob(ix *trace.Index, policy Policy, cfg Config, machines int, spanEnd si
 			// fair for the oblivious policies too.
 			now = ev.End + cfg.RetryDelay
 		}
+		placed = false
 	}
+	return stat
 }
 
 // Compare runs every policy against the same trace and job stream. The
@@ -387,7 +425,7 @@ func Compare(tr *trace.Trace, policies []Policy, cfg Config) ([]Result, error) {
 	ix := tr.BuildIndex()
 	var out []Result
 	for _, p := range policies {
-		r, err := simulateIndexed(tr, ix, p, cfg)
+		r, err := simulate(tr, ix, p, cfg, nil)
 		if err != nil {
 			return nil, err
 		}

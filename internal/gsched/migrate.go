@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -64,129 +63,32 @@ func (m MigrationConfig) Validate() error {
 }
 
 // SimulateMigrating replays the job stream with proactive migration on top
-// of the given policy (which must also estimate survival). Jobs keep their
-// progress across migrations but lose it to failures exactly as in
-// Simulate.
+// of the given policy (which must also estimate survival): after every
+// CheckEvery of progress the job moves, keeping its progress, when another
+// machine is clearly safer for the rest of it. Failures cost exactly what
+// they cost in Simulate.
 func SimulateMigrating(tr *trace.Trace, policy Policy, est SurvivalEstimator, cfg Config, mig MigrationConfig) (Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
 	if err := mig.Validate(); err != nil {
 		return Result{}, err
 	}
-	testStart := tr.Span.Start + sim.Time(cfg.TrainDays)*sim.Day
-	if testStart >= tr.Span.End {
-		return Result{}, fmt.Errorf("gsched: training period consumes the trace span")
-	}
-	ix := tr.BuildIndex()
-	jobRNG := sim.NewSource(cfg.Seed).Stream("gsched/jobs")
-
-	type job struct {
-		arrival sim.Time
-		work    time.Duration
-	}
-	jobs := make([]job, cfg.Jobs)
-	for i := range jobs {
-		jobs[i] = job{
-			arrival: testStart + sim.Uniform(jobRNG, 0, tr.Span.End-testStart),
-			work:    sim.Uniform(jobRNG, cfg.JobWork[0], cfg.JobWork[1]),
-		}
-	}
-
-	res := Result{Policy: policy.Name() + "+migration"}
-	var responses, slowdowns []float64
-	for _, jb := range jobs {
-		stat, migrations := runJobMigrating(ix, policy, est, cfg, mig, tr.Machines, tr.Span.End, jb.arrival, jb.work, &res)
-		res.Migrations += migrations
-		if !stat.Done {
-			res.Unfinished++
-			continue
-		}
-		res.Completed++
-		res.TotalFailures += stat.Failures
-		responses = append(responses, float64(stat.ResponseTime()))
-		slowdowns = append(slowdowns, stat.Slowdown())
-	}
-	if len(responses) > 0 {
-		res.MeanResponse = time.Duration(stats.Mean(responses))
-		res.MedianResponse = time.Duration(stats.Median(responses))
-		res.MeanSlowdown = stats.Mean(slowdowns)
-	}
-	return res, nil
-}
-
-// runJobMigrating executes one job with periodic placement reviews.
-// Progress survives migrations (live migration moves process state) but is
-// lost to failures under exactly the same rules as the plain runner: back
-// to the last checkpoint, or to zero without checkpointing — a surviving
-// chunk is NOT an implicit checkpoint.
-func runJobMigrating(ix *trace.Index, policy Policy, est SurvivalEstimator, cfg Config, mig MigrationConfig, machines int, spanEnd sim.Time, arrival sim.Time, work time.Duration, res *Result) (JobStat, int) {
-	stat := JobStat{Arrival: arrival, Work: work}
-	var done time.Duration // work completed since the job's last restart
-	now := arrival
-	migrations := 0
-	m := policy.Pick(now, work, machines)
-	for {
-		if now >= spanEnd {
-			return stat, migrations
-		}
-		remaining := work - done
-		// Run one review chunk (or to completion, whichever is sooner).
-		chunk := mig.CheckEvery
-		if remaining < chunk {
-			chunk = remaining
-		}
-		ev, overlaps := ix.FirstOverlap(m, sim.Window{Start: now, End: now + chunk})
-		if !overlaps {
-			// Chunk survives.
-			now += chunk
-			done += chunk
-			if done >= work {
-				if now > spanEnd {
-					return stat, migrations
-				}
-				stat.Completion = now
-				stat.Done = true
-				return stat, migrations
-			}
-			// Placement review: is another machine clearly safer for the
-			// rest of the job? An undefined (NaN) survival for the current
-			// machine must not pin the job here forever — NaN poisons
-			// every comparison, so it is handled explicitly: any machine
-			// with a defined estimate beats an undefined current one.
-			remaining = work - done
+	rv := &review{
+		suffix:       "+migration",
+		every:        mig.CheckEvery,
+		migrateDelay: mig.Delay,
+		decide: func(now sim.Time, remaining time.Duration, m trace.MachineID) (bool, trace.MachineID) {
+			// An undefined (NaN) survival for the current machine must not
+			// pin the job here forever — NaN poisons every comparison, so
+			// it is handled explicitly: any machine with a defined
+			// estimate beats an undefined current one.
 			cur := est.Survival(now, remaining, m)
-			best, bestS := pickBest(machines, func(id trace.MachineID) float64 {
+			best, bestS := pickBest(tr.Machines, func(id trace.MachineID) float64 {
 				return est.Survival(now, remaining, id)
 			})
-			if best != m && !math.IsNaN(bestS) &&
-				(math.IsNaN(cur) || (bestS > cur && bestS-cur >= mig.Margin)) {
-				m = best
-				migrations++
-				now += mig.Delay
+			if !math.IsNaN(bestS) && (math.IsNaN(cur) || (bestS > cur && bestS-cur >= mig.Margin)) {
+				return false, best
 			}
-			continue
-		}
-		// Failure inside the chunk: lose progress back to the last
-		// checkpoint (or entirely), as in the plain runner.
-		failAt := ev.Start
-		if failAt < now {
-			failAt = now
-		}
-		done += failAt - now
-		var kept time.Duration
-		if cfg.Checkpoint > 0 {
-			kept = (done / cfg.Checkpoint) * cfg.Checkpoint
-		}
-		res.WastedWork += done - kept
-		done = kept
-		stat.Failures++
-		policy.ObserveFailure(m, failAt)
-		now = failAt + cfg.RetryDelay
-		if ev.End > now {
-			now = ev.End + cfg.RetryDelay
-		}
-		m = policy.Pick(now, work-done, machines)
+			return false, m
+		},
 	}
+	return simulate(tr, tr.BuildIndex(), policy, cfg, rv)
 }

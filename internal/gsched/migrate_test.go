@@ -99,3 +99,38 @@ type pinZero struct{}
 func (pinZero) Name() string                                      { return "pin-0" }
 func (pinZero) Pick(sim.Time, time.Duration, int) trace.MachineID { return 0 }
 func (pinZero) ObserveFailure(trace.MachineID, sim.Time)          {}
+
+// TestMigratingWithoutReviewsMatchesSimulate pins "an identical job stream"
+// for a stateful policy: when CheckEvery exceeds every job's work no review
+// ever fires, so the migrating run must be Simulate exactly — which it was
+// not while SimulateMigrating alone replayed the jobs in draw order rather
+// than arrival order (LeastRecentlyFailed then saw failures out of time
+// order and picked differently).
+func TestMigratingWithoutReviewsMatchesSimulate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("testbed simulation")
+	}
+	tr := heterogeneousTrace(t)
+	for _, cfg := range []Config{
+		{Jobs: 200, TrainDays: 28, Seed: 11},
+		{Jobs: 200, TrainDays: 28, Seed: 11, Checkpoint: 45 * time.Minute},
+	} {
+		want, err := Simulate(tr, &LeastRecentlyFailed{}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.TotalFailures == 0 {
+			t.Fatal("no failures: the policy's state never mattered")
+		}
+		mig := DefaultMigrationConfig()
+		mig.CheckEvery = DefaultConfig().JobWork[1] + time.Hour
+		got, err := SimulateMigrating(tr, &LeastRecentlyFailed{}, ForecastEstimator{F: &predict.GlobalRate{}}, cfg, mig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Policy = got.Policy
+		if got != want {
+			t.Errorf("checkpoint %v:\nmigrating %+v\n   plain %+v", cfg.Checkpoint, got, want)
+		}
+	}
+}

@@ -3,12 +3,10 @@ package gsched
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -38,7 +36,7 @@ type ProactiveConfig struct {
 	// MigrateMargin is how much better the best alternative's forecast
 	// must be before migrating beats checkpointing in place.
 	MigrateMargin float64
-	// Metrics, when set, receives live counters (checkpoints, migrations,
+	// Metrics, when set, receives the run's totals (checkpoints, migrations,
 	// saved/wasted CPU seconds) and a per-review forecast latency
 	// histogram. Instrumentation never touches the simulation's random
 	// streams, so results are identical with or without it.
@@ -126,171 +124,56 @@ func newProactiveMetrics(r *obs.Registry) *proactiveMetrics {
 }
 
 // SimulateProactive replays the job stream with forecast-driven
-// checkpoint/migrate reviews on top of the given policy. Placement and
-// failure rules match Simulate exactly (same pre-drawn job stream, same
+// checkpoint/migrate reviews on top of the given policy: after every
+// CheckEvery of progress the job forecasts its machine's survival over the
+// next Horizon, and when that falls below SurvivalFloor it first pins its
+// progress with a checkpoint — cheap, and it bounds the loss no matter
+// where the job runs next or how wrong the forecast turns out to be — and
+// then additionally moves when a clearly safer machine exists. Placement
+// and failure rules match Simulate exactly (same job stream, same
 // ground-truth index), so its Result is directly comparable against the
 // reactive baseline's: the difference is only what the reviews save.
 func SimulateProactive(tr *trace.Trace, policy Policy, est SurvivalEstimator, cfg Config, pro ProactiveConfig) (Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
 	if err := pro.Validate(); err != nil {
 		return Result{}, err
 	}
-	testStart := tr.Span.Start + sim.Time(cfg.TrainDays)*sim.Day
-	if testStart >= tr.Span.End {
-		return Result{}, fmt.Errorf("gsched: training period consumes the trace span")
-	}
-	ix := tr.BuildIndex()
-	jobRNG := sim.NewSource(cfg.Seed).Stream("gsched/jobs")
-
-	type job struct {
-		arrival sim.Time
-		work    time.Duration
-	}
-	jobs := make([]job, cfg.Jobs)
-	for i := range jobs {
-		jobs[i] = job{
-			arrival: testStart + sim.Uniform(jobRNG, 0, tr.Span.End-testStart),
-			work:    sim.Uniform(jobRNG, cfg.JobWork[0], cfg.JobWork[1]),
-		}
-	}
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i].arrival < jobs[j].arrival })
-
 	met := newProactiveMetrics(pro.Metrics)
-	res := Result{Policy: policy.Name() + "+proactive"}
-	var responses, slowdowns []float64
-	for _, jb := range jobs {
-		stat := runJobProactive(ix, policy, est, cfg, pro, met, tr.Machines, tr.Span.End, jb.arrival, jb.work, &res)
-		if !stat.Done {
-			res.Unfinished++
-			continue
-		}
-		res.Completed++
-		res.TotalFailures += stat.Failures
-		responses = append(responses, float64(stat.ResponseTime()))
-		slowdowns = append(slowdowns, stat.Slowdown())
-	}
-	if len(responses) > 0 {
-		res.MeanResponse = time.Duration(stats.Mean(responses))
-		res.MedianResponse = time.Duration(stats.Median(responses))
-		res.MeanSlowdown = stats.Mean(slowdowns)
-	}
-	if met != nil {
-		met.saved.Set(res.SavedWork.Seconds())
-		met.wasted.Set(res.WastedWork.Seconds())
-	}
-	return res, nil
-}
-
-// runJobProactive executes one job with forecast reviews. Progress
-// bookkeeping extends the migrating runner's: a forecast-triggered
-// checkpoint pins the job's progress at that instant, so a later failure
-// rolls back only to max(proactive checkpoint, periodic checkpoint)
-// instead of the periodic cadence alone.
-func runJobProactive(ix *trace.Index, policy Policy, est SurvivalEstimator, cfg Config, pro ProactiveConfig, met *proactiveMetrics, machines int, spanEnd sim.Time, arrival sim.Time, work time.Duration, res *Result) JobStat {
-	stat := JobStat{Arrival: arrival, Work: work}
-	var done time.Duration // work completed since the job's last restart
-	var ckpt time.Duration // progress pinned by the last proactive checkpoint
-	now := arrival
-	m := policy.Pick(now, work, machines)
-	for {
-		if now >= spanEnd {
-			return stat
-		}
-		remaining := work - done
-		chunk := pro.CheckEvery
-		if remaining < chunk {
-			chunk = remaining
-		}
-		ev, overlaps := ix.FirstOverlap(m, sim.Window{Start: now, End: now + chunk})
-		if !overlaps {
-			now += chunk
-			done += chunk
-			if done >= work {
-				if now > spanEnd {
-					return stat
-				}
-				stat.Completion = now
-				stat.Done = true
-				return stat
-			}
-			// Review: forecast the next horizon on the current machine.
-			remaining = work - done
-			horizon := pro.Horizon
-			if remaining < horizon {
-				horizon = remaining
-			}
+	rv := &review{
+		suffix:         "+proactive",
+		every:          pro.CheckEvery,
+		checkpointCost: pro.CheckpointCost,
+		migrateDelay:   pro.MigrateDelay,
+		decide: func(now sim.Time, remaining time.Duration, m trace.MachineID) (bool, trace.MachineID) {
+			horizon := min(pro.Horizon, remaining)
 			var t0 time.Time
 			if met != nil {
 				t0 = time.Now()
 			}
 			cur := est.Survival(now, horizon, m)
+			// An undefined (NaN) forecast also triggers: no forecast is no
+			// reassurance.
 			danger := math.IsNaN(cur) || cur < pro.SurvivalFloor
-			var best trace.MachineID
-			bestS := math.NaN()
+			best, bestS := m, math.NaN()
 			if danger {
-				best, bestS = pickBest(machines, func(id trace.MachineID) float64 {
+				best, bestS = pickBest(tr.Machines, func(id trace.MachineID) float64 {
 					return est.Survival(now, horizon, id)
 				})
 			}
 			if met != nil {
 				met.latency.Observe(time.Since(t0).Seconds())
 			}
-			if !danger {
-				continue
+			if !math.IsNaN(bestS) && (math.IsNaN(cur) || bestS-cur >= pro.MigrateMargin) {
+				return true, best
 			}
-			// Unavailability is forecast within the horizon. First pin the
-			// job's progress with a checkpoint — it is cheap, and it bounds
-			// the loss no matter where the job runs next or how wrong the
-			// forecast turns out to be. Then additionally move the job when
-			// a clearly safer machine exists; forecasts are imperfect, and
-			// the checkpoint is what keeps a mistaken migration from
-			// costing more than MigrateDelay.
-			if done > ckpt {
-				ckpt = done
-				res.Checkpoints++
-				now += pro.CheckpointCost
-				if met != nil {
-					met.checkpoints.Inc()
-				}
-			}
-			if best != m && !math.IsNaN(bestS) &&
-				(math.IsNaN(cur) || bestS-cur >= pro.MigrateMargin) {
-				m = best
-				res.Migrations++
-				now += pro.MigrateDelay
-				if met != nil {
-					met.migrations.Inc()
-				}
-			}
-			continue
-		}
-		// Failure inside the chunk: roll back to the furthest checkpoint —
-		// proactive or periodic, whichever preserved more.
-		failAt := ev.Start
-		if failAt < now {
-			failAt = now
-		}
-		done += failAt - now
-		var periodic time.Duration
-		if cfg.Checkpoint > 0 {
-			periodic = (done / cfg.Checkpoint) * cfg.Checkpoint
-		}
-		kept := periodic
-		if ckpt > kept {
-			kept = ckpt
-		}
-		res.WastedWork += done - kept
-		res.SavedWork += kept - periodic
-		done = kept
-		stat.Failures++
-		policy.ObserveFailure(m, failAt)
-		now = failAt + cfg.RetryDelay
-		if ev.End > now {
-			now = ev.End + cfg.RetryDelay
-		}
-		m = policy.Pick(now, work-done, machines)
+			return danger, m
+		},
 	}
+	res, err := simulate(tr, tr.BuildIndex(), policy, cfg, rv)
+	if err == nil && met != nil {
+		met.checkpoints.Add(uint64(res.Checkpoints))
+		met.migrations.Add(uint64(res.Migrations))
+		met.saved.Set(res.SavedWork.Seconds())
+		met.wasted.Set(res.WastedWork.Seconds())
+	}
+	return res, err
 }

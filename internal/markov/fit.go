@@ -33,10 +33,7 @@ func (a *fitAccum) addExposure(cal sim.Calendar, iv trace.Interval) {
 	t := iv.Start
 	for t < iv.End {
 		// The start of the next hour after t (strictly later than t).
-		next := t - t%time.Hour + time.Hour
-		if t < 0 && t%time.Hour != 0 {
-			next -= time.Hour
-		}
+		next := sim.Time(sim.FloorHour(t)+1) * time.Hour
 		if next > iv.End {
 			next = iv.End
 		}

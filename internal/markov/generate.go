@@ -115,10 +115,7 @@ func generateMachine(tr *trace.Trace, id trace.MachineID, mm *MachineModel, cal 
 func nextFailure(mm *MachineModel, cal sim.Calendar, t, end sim.Time, r *rand.Rand) (sim.Time, bool) {
 	u := r.ExpFloat64() // hazard mass to consume
 	for t < end {
-		next := t - t%time.Hour + time.Hour
-		if t < 0 && t%time.Hour != 0 {
-			next -= time.Hour
-		}
+		next := sim.Time(sim.FloorHour(t)+1) * time.Hour
 		if next > end {
 			next = end
 		}

@@ -53,30 +53,13 @@ func BenchmarkSemiMarkovPredictSurvival(b *testing.B) {
 }
 
 // BenchmarkEvaluateHistoryWindow measures the full evaluation loop for the
-// paper's main predictor pair; the Linear variant disables the hourly count
-// matrix and is the pre-optimization baseline the speedup is claimed
-// against.
+// paper's main predictor pair.
 func BenchmarkEvaluateHistoryWindow(b *testing.B) {
 	tr := benchHistory(b)
 	cfg := EvalConfig{TrainDays: 28, Window: 3 * time.Hour}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Evaluate(tr, []Predictor{&HistoryWindow{}, &HistoryWindow{Trim: 0.1}}, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEvaluateHistoryWindowLinear(b *testing.B) {
-	tr := benchHistory(b)
-	cfg := EvalConfig{TrainDays: 28, Window: 3 * time.Hour}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		preds := []Predictor{
-			&HistoryWindow{DisableHourlyMatrix: true},
-			&HistoryWindow{Trim: 0.1, DisableHourlyMatrix: true},
-		}
-		if _, err := Evaluate(tr, preds, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -62,41 +61,28 @@ type CalibrationBin struct {
 // predicted-probability bin, a calibrated predictor's observed failure
 // frequency matches the bin's mean prediction.
 func Calibration(tr *trace.Trace, p Predictor, cfg EvalConfig, bins int) ([]CalibrationBin, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	ts, err := newTestSet(tr.Span, tr.Machines, newTraceHistory(tr), cfg)
+	if err != nil {
 		return nil, err
 	}
 	if bins <= 0 {
 		bins = 10
 	}
-	cut := tr.Span.Start + sim.Time(cfg.TrainDays)*sim.Day
-	if cut >= tr.Span.End {
-		return nil, fmt.Errorf("predict: training period consumes the trace")
-	}
-	p.Train(tr.Before(cut))
-	ix := tr.BuildIndex()
+	p.Train(tr.Before(ts.cut))
 
-	machines := tr.Machines
-	if cfg.MaxMachines > 0 && cfg.MaxMachines < machines {
-		machines = cfg.MaxMachines
-	}
 	sums := make([]float64, bins)
 	hits := make([]int, bins)
 	counts := make([]int, bins)
-	for m := 0; m < machines; m++ {
-		id := trace.MachineID(m)
-		for start := cut; start+cfg.Window <= tr.Span.End; start += cfg.Stride {
-			w := sim.Window{Start: start, End: start + cfg.Window}
-			prob := stats.Clamp01(1 - p.PredictSurvival(id, w))
-			bin := int(prob * float64(bins))
-			if bin == bins {
-				bin--
-			}
-			sums[bin] += prob
-			counts[bin]++
-			if ix.AnyOverlap(id, w) {
-				hits[bin]++
-			}
+	for i, w := range ts.windows {
+		prob := stats.Clamp01(1 - p.PredictSurvival(ts.machines[i], w))
+		bin := int(prob * float64(bins))
+		if bin == bins {
+			bin--
+		}
+		sums[bin] += prob
+		counts[bin]++
+		if ts.fail[i] {
+			hits[bin]++
 		}
 	}
 	out := make([]CalibrationBin, bins)

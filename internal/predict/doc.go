@@ -15,6 +15,11 @@
 // renewal model over availability-interval lengths — calibrate how much of
 // the predictability actually comes from the daily pattern.
 //
+// The same-window predictors (HistoryWindow, EWMADaily, LastDay) are
+// written against the History interface; Train binds them to a recorded
+// trace, and forecast.Online runs the same Estimate methods over its live
+// ring, so the maths exists once.
+//
 // The evaluation harness replays a trace: predictors train on a prefix and
 // are scored on count error (MAE/RMSE) and survival-probability quality
 // (Brier score) over sliding windows of the test period.

@@ -75,34 +75,94 @@ type Evaluation struct {
 	Scores []Score
 }
 
-// truthSource answers the two ground-truth queries the evaluation needs.
-// *trace.Index and *trace.BlockIndex both qualify; Evaluate layers the
-// hourly count matrix on top for hour-aligned windows.
+// truthSource answers the two ground-truth queries the evaluation needs;
+// *traceHistory and *trace.BlockIndex both qualify.
 type truthSource interface {
 	CountInWindow(m trace.MachineID, w sim.Window) int
 	AnyOverlap(m trace.MachineID, w sim.Window) bool
 }
 
-// Evaluate trains each predictor on the trace prefix and scores it over
-// sliding windows of the remaining test period.
-func Evaluate(tr *trace.Trace, preds []Predictor, cfg EvalConfig) (*Evaluation, error) {
+// testSet is the shared test period of an evaluation: every (machine,
+// window) sample after the training cut with its ground truth. Evaluate,
+// EvaluateBlocks, LearningCurve and Calibration all build theirs through
+// newTestSet, so config validation, the window walk and the truth queries
+// exist once.
+type testSet struct {
+	cfg      EvalConfig // with defaults applied
+	cut      sim.Time   // end of training history, start of the test period
+	machines []trace.MachineID
+	windows  []sim.Window
+	counts   []float64 // events starting in the window
+	fail     []bool    // any unavailability overlapping the window
+}
+
+// newTestSet validates cfg and enumerates the sliding test windows of the
+// first cfg.MaxMachines machines between the end of the cfg.TrainDays
+// training prefix and the span end, asking truth for each one's outcome.
+func newTestSet(span sim.Window, machines int, truth truthSource, cfg EvalConfig) (*testSet, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cut := tr.Span.Start + sim.Time(cfg.TrainDays)*sim.Day
-	if cut >= tr.Span.End {
+	ts := &testSet{cfg: cfg, cut: span.Start + sim.Time(cfg.TrainDays)*sim.Day}
+	if ts.cut >= span.End {
 		return nil, fmt.Errorf("predict: training period (%d days) consumes the whole trace", cfg.TrainDays)
 	}
-	history := tr.Before(cut)
+	if cfg.MaxMachines > 0 && cfg.MaxMachines < machines {
+		machines = cfg.MaxMachines
+	}
+	for m := 0; m < machines; m++ {
+		id := trace.MachineID(m)
+		for start := ts.cut; start+cfg.Window <= span.End; start += cfg.Stride {
+			w := sim.Window{Start: start, End: start + cfg.Window}
+			ts.machines = append(ts.machines, id)
+			ts.windows = append(ts.windows, w)
+			ts.counts = append(ts.counts, float64(truth.CountInWindow(id, w)))
+			ts.fail = append(ts.fail, truth.AnyOverlap(id, w))
+		}
+	}
+	if len(ts.windows) == 0 {
+		return nil, fmt.Errorf("predict: no test windows (window %v, span %v)", cfg.Window, span)
+	}
+	return ts, nil
+}
+
+// score evaluates one trained predictor over the test set.
+func (ts *testSet) score(p Predictor) Score {
+	predCounts := make([]float64, len(ts.windows))
+	failProb := make([]float64, len(ts.windows))
+	for i, w := range ts.windows {
+		predCounts[i] = p.PredictCount(ts.machines[i], w)
+		// Brier scores the probability of failure occurring.
+		failProb[i] = 1 - p.PredictSurvival(ts.machines[i], w)
+	}
+	return Score{
+		Name:    p.Name(),
+		MAE:     stats.MAE(predCounts, ts.counts),
+		RMSE:    stats.RMSE(predCounts, ts.counts),
+		Brier:   stats.Brier(failProb, ts.fail),
+		Windows: len(ts.windows),
+	}
+}
+
+// evaluate trains every predictor on history and scores it over ts.
+func (ts *testSet) evaluate(history *trace.Trace, preds []Predictor) *Evaluation {
+	ev := &Evaluation{Config: ts.cfg}
 	for _, p := range preds {
 		p.Train(history)
+		ev.Scores = append(ev.Scores, ts.score(p))
 	}
-	// Ground truth goes through the indexed query layer: the hourly count
-	// matrix for hour-aligned windows, the O(log n) index otherwise and
-	// for overlap tests.
-	truth := hourlyFirstTruth{hc: tr.BuildHourlyCounts(), ix: tr.BuildIndex()}
-	return evaluateWindows(tr.Span, tr.Machines, cut, truth, preds, cfg)
+	return ev
+}
+
+// Evaluate trains each predictor on the trace prefix and scores it over
+// sliding windows of the remaining test period.
+func Evaluate(tr *trace.Trace, preds []Predictor, cfg EvalConfig) (*Evaluation, error) {
+	ts, err := newTestSet(tr.Span, tr.Machines, newTraceHistory(tr), cfg)
+	if err != nil {
+		return nil, err
+	}
+	return ts.evaluate(tr.Before(ts.cut), preds), nil
 }
 
 // EvaluateBlocks is Evaluate over a v2 block file: training history is read
@@ -111,23 +171,18 @@ func Evaluate(tr *trace.Trace, preds []Predictor, cfg EvalConfig) (*Evaluation, 
 // decodes only each queried machine's blocks. Scores are identical to
 // Evaluate over the decoded trace.
 func EvaluateBlocks(bf *trace.BlockFile, preds []Predictor, cfg EvalConfig) (*Evaluation, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	h := bf.Header()
+	// The ground-truth queries and the history scan go through one shared
+	// BlockIndex, so any block both need is inflated only once.
+	ix := trace.NewBlockIndex(bf)
+	ts, err := newTestSet(h.Span, h.Machines, ix, cfg)
+	if err != nil {
 		return nil, err
 	}
-	h := bf.Header()
-	cut := h.Span.Start + sim.Time(cfg.TrainDays)*sim.Day
-	if cut >= h.Span.End {
-		return nil, fmt.Errorf("predict: training period (%d days) consumes the whole trace", cfg.TrainDays)
-	}
-	// The history scan and the ground-truth queries go through one shared
-	// BlockIndex: the scan prunes blocks entirely past the training cut,
-	// and any block both paths need is inflated only once.
-	ix := trace.NewBlockIndex(bf)
-	history := trace.New(sim.Window{Start: h.Span.Start, End: cut}, h.Calendar, h.Machines)
+	history := trace.New(sim.Window{Start: h.Span.Start, End: ts.cut}, h.Calendar, h.Machines)
 	filter := trace.ScanFilter{
 		HasWindow: true,
-		Window:    sim.Window{Start: math.MinInt64, End: cut},
+		Window:    sim.Window{Start: math.MinInt64, End: ts.cut},
 	}
 	if _, _, err := ix.Scan(filter, func(e trace.Event) error {
 		history.Add(e)
@@ -135,81 +190,10 @@ func EvaluateBlocks(bf *trace.BlockFile, preds []Predictor, cfg EvalConfig) (*Ev
 	}); err != nil {
 		return nil, err
 	}
-	for _, p := range preds {
-		p.Train(history)
-	}
-	ev, err := evaluateWindows(h.Span, h.Machines, cut, ix, preds, cfg)
-	if err != nil {
-		return nil, err
-	}
 	if err := ix.Err(); err != nil {
 		return nil, err
 	}
-	return ev, nil
-}
-
-// evaluateWindows scores already-trained predictors over the sliding test
-// windows, with ground truth answered by truth.
-func evaluateWindows(span sim.Window, machines int, cut sim.Time, truth truthSource, preds []Predictor, cfg EvalConfig) (*Evaluation, error) {
-	if cfg.MaxMachines > 0 && cfg.MaxMachines < machines {
-		machines = cfg.MaxMachines
-	}
-	type sample struct {
-		m trace.MachineID
-		w sim.Window
-	}
-	var samples []sample
-	var truthCounts []float64
-	var truthFail []bool
-	for m := 0; m < machines; m++ {
-		id := trace.MachineID(m)
-		for start := cut; start+cfg.Window <= span.End; start += cfg.Stride {
-			w := sim.Window{Start: start, End: start + cfg.Window}
-			samples = append(samples, sample{id, w})
-			truthCounts = append(truthCounts, float64(truth.CountInWindow(id, w)))
-			truthFail = append(truthFail, truth.AnyOverlap(id, w))
-		}
-	}
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("predict: no test windows (window %v, span %v)", cfg.Window, span)
-	}
-
-	ev := &Evaluation{Config: cfg}
-	for _, p := range preds {
-		predCounts := make([]float64, len(samples))
-		survive := make([]float64, len(samples))
-		for i, s := range samples {
-			predCounts[i] = p.PredictCount(s.m, s.w)
-			// Brier scores the probability of failure occurring.
-			survive[i] = 1 - p.PredictSurvival(s.m, s.w)
-		}
-		ev.Scores = append(ev.Scores, Score{
-			Name:    p.Name(),
-			MAE:     stats.MAE(predCounts, truthCounts),
-			RMSE:    stats.RMSE(predCounts, truthCounts),
-			Brier:   stats.Brier(survive, truthFail),
-			Windows: len(samples),
-		})
-	}
-	return ev, nil
-}
-
-// hourlyFirstTruth answers window counts from the hourly matrix when it
-// can, falling back to the index binary search; both count the same events.
-type hourlyFirstTruth struct {
-	hc *trace.HourlyCounts
-	ix *trace.Index
-}
-
-func (t hourlyFirstTruth) CountInWindow(m trace.MachineID, w sim.Window) int {
-	if n, ok := t.hc.CountInWindow(m, w); ok {
-		return n
-	}
-	return t.ix.CountInWindow(m, w)
-}
-
-func (t hourlyFirstTruth) AnyOverlap(m trace.MachineID, w sim.Window) bool {
-	return t.ix.AnyOverlap(m, w)
+	return ts.evaluate(history, preds), nil
 }
 
 // Format renders the comparison table.

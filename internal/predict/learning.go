@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -24,48 +23,19 @@ type LearningPoint struct {
 // All points are evaluated on the same test period (the trace after the
 // largest training prefix) so the scores are directly comparable.
 func LearningCurve(tr *trace.Trace, mk func() Predictor, trainDays []int, cfg EvalConfig) ([]LearningPoint, error) {
-	cfg = cfg.withDefaults()
 	if len(trainDays) == 0 {
 		return nil, fmt.Errorf("predict: learning curve needs at least one training length")
 	}
-	maxTrain := trainDays[0]
+	cfg.TrainDays = 0 // the shared test period starts after the longest prefix
 	for _, d := range trainDays {
 		if d <= 0 {
 			return nil, fmt.Errorf("predict: non-positive training length %d", d)
 		}
-		if d > maxTrain {
-			maxTrain = d
-		}
+		cfg.TrainDays = max(cfg.TrainDays, d)
 	}
-	testStart := tr.Span.Start + sim.Time(maxTrain)*sim.Day
-	if testStart >= tr.Span.End {
-		return nil, fmt.Errorf("predict: longest training prefix (%d days) consumes the trace", maxTrain)
-	}
-
-	// Shared test windows and truths, through the indexed query layer.
-	truth := hourlyFirstTruth{hc: tr.BuildHourlyCounts(), ix: tr.BuildIndex()}
-	type sample struct {
-		m trace.MachineID
-		w sim.Window
-	}
-	var samples []sample
-	var truthCounts []float64
-	var truthFail []bool
-	machines := tr.Machines
-	if cfg.MaxMachines > 0 && cfg.MaxMachines < machines {
-		machines = cfg.MaxMachines
-	}
-	for m := 0; m < machines; m++ {
-		id := trace.MachineID(m)
-		for start := testStart; start+cfg.Window <= tr.Span.End; start += cfg.Stride {
-			w := sim.Window{Start: start, End: start + cfg.Window}
-			samples = append(samples, sample{id, w})
-			truthCounts = append(truthCounts, float64(truth.CountInWindow(id, w)))
-			truthFail = append(truthFail, truth.AnyOverlap(id, w))
-		}
-	}
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("predict: no test windows beyond %d training days", maxTrain)
+	ts, err := newTestSet(tr.Span, tr.Machines, newTraceHistory(tr), cfg)
+	if err != nil {
+		return nil, err
 	}
 
 	var out []LearningPoint
@@ -74,29 +44,13 @@ func LearningCurve(tr *trace.Trace, mk func() Predictor, trainDays []int, cfg Ev
 		// Train only on the last `days` days before the shared test start,
 		// so every point predicts the same future from a window of the
 		// recent past (the paper's "recent history").
-		histStart := testStart - sim.Time(days)*sim.Day
+		histStart := ts.cut - sim.Time(days)*sim.Day
 		hist := tr.Filter(func(e trace.Event) bool {
-			return e.Start >= histStart && e.Start < testStart
+			return e.Start >= histStart && e.Start < ts.cut
 		})
-		hist.Span = sim.Window{Start: histStart, End: testStart}
+		hist.Span = sim.Window{Start: histStart, End: ts.cut}
 		p.Train(hist)
-
-		predCounts := make([]float64, len(samples))
-		failProb := make([]float64, len(samples))
-		for i, s := range samples {
-			predCounts[i] = p.PredictCount(s.m, s.w)
-			failProb[i] = 1 - p.PredictSurvival(s.m, s.w)
-		}
-		out = append(out, LearningPoint{
-			TrainDays: days,
-			Score: Score{
-				Name:    p.Name(),
-				MAE:     stats.MAE(predCounts, truthCounts),
-				RMSE:    stats.RMSE(predCounts, truthCounts),
-				Brier:   stats.Brier(failProb, truthFail),
-				Windows: len(samples),
-			},
-		})
+		out = append(out, LearningPoint{TrainDays: days, Score: ts.score(p)})
 	}
 	return out, nil
 }

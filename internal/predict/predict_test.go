@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"bytes"
 	"strings"
 	"sync"
 	"testing"
@@ -110,17 +111,6 @@ func TestHistoryWindowTrimmedAbsorbsIrregularDay(t *testing.T) {
 	}
 }
 
-func TestHistoryWindowPooling(t *testing.T) {
-	tr := periodicTrace(14, 4)
-	pooled := &HistoryWindow{PoolMachines: true}
-	pooled.Train(tr)
-	day := sim.Time(14) * sim.Day
-	w := sim.Window{Start: day + 10*time.Hour, End: day + 11*time.Hour}
-	if got := pooled.PredictCount(0, w); got < 0.99 || got > 1.01 {
-		t.Errorf("pooled count = %v, want ~1 (all machines identical)", got)
-	}
-}
-
 func TestGlobalRate(t *testing.T) {
 	tr := periodicTrace(10, 1) // 10 events over 240 hours
 	g := &GlobalRate{}
@@ -193,13 +183,58 @@ func TestSemiMarkov(t *testing.T) {
 	}
 }
 
+// TestEvalConfigValidation covers all four evaluation entry points: they
+// share one validating helper, so each must reject the same bad configs
+// with the same error. (LearningCurve takes its training lengths as an
+// argument and ignores TrainDays, so only its own cases apply there.)
 func TestEvalConfigValidation(t *testing.T) {
 	tr := periodicTrace(7, 1)
-	if _, err := Evaluate(tr, DefaultPredictors(), EvalConfig{TrainDays: -1, Window: time.Hour}); err == nil {
-		t.Error("negative train days accepted")
+	var buf bytes.Buffer
+	if err := tr.WriteBlocks(&buf, nil); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Evaluate(tr, DefaultPredictors(), EvalConfig{TrainDays: 30, Window: time.Hour}); err == nil {
-		t.Error("training longer than the trace accepted")
+	bf, err := trace.NewBlockFileBytes(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func() Predictor { return &HistoryWindow{} }
+	entry := map[string]func(EvalConfig) error{
+		"Evaluate": func(c EvalConfig) error { _, err := Evaluate(tr, DefaultPredictors(), c); return err },
+		"EvaluateBlocks": func(c EvalConfig) error {
+			_, err := EvaluateBlocks(bf, DefaultPredictors(), c)
+			return err
+		},
+		"Calibration": func(c EvalConfig) error { _, err := Calibration(tr, mk(), c, 10); return err },
+		"LearningCurve": func(c EvalConfig) error {
+			_, err := LearningCurve(tr, mk, []int{max(c.TrainDays, 3)}, c)
+			return err
+		},
+	}
+	for _, tc := range []struct {
+		what           string
+		cfg            EvalConfig
+		skipLearnCurve bool
+	}{
+		{"negative train days", EvalConfig{TrainDays: -1, Window: time.Hour}, true},
+		{"training longer than the trace", EvalConfig{TrainDays: 30, Window: time.Hour}, false},
+		{"negative window", EvalConfig{TrainDays: 3, Window: -time.Hour}, false},
+		// A negative stride used to send LearningCurve walking ~2.56 M
+		// windows backwards until int64 wrapped, and return a score.
+		{"negative stride", EvalConfig{TrainDays: 3, Window: time.Hour, Stride: -time.Hour}, false},
+	} {
+		want := entry["Evaluate"](tc.cfg)
+		if want == nil {
+			t.Errorf("%s: Evaluate accepted %+v", tc.what, tc.cfg)
+			continue
+		}
+		for name, run := range entry {
+			if name == "LearningCurve" && tc.skipLearnCurve {
+				continue
+			}
+			if err := run(tc.cfg); err == nil || err.Error() != want.Error() {
+				t.Errorf("%s: %s = %v, want %v", tc.what, name, err, want)
+			}
+		}
 	}
 }
 

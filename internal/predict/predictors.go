@@ -33,29 +33,19 @@ type HistoryWindow struct {
 	// Trim is the trimmed-mean fraction (0 = plain mean). The paper
 	// suggests robust statistics to absorb irregular days.
 	Trim float64
-	// PoolMachines, when set, aggregates history across machines (useful
-	// when a single machine's history is short); predictions are then
-	// per-machine averages of the pool.
-	PoolMachines bool
 	// MinHistoryDays guards against predicting from almost no data.
 	MinHistoryDays int
-	// DisableHourlyMatrix forces every history count through the O(log n)
-	// index search instead of the hourly count matrix. The matrix and the
-	// search agree exactly (the equivalence tests pin this); the switch
-	// exists so benchmarks can measure the unaccelerated path.
-	DisableHourlyMatrix bool
 
-	tr *trace.Trace
-	ix *trace.Index
-	hc *trace.HourlyCounts
+	src History // the trained trace; nil until Train
 
-	// Last historyCounts query, memoized: evaluation asks PredictCount and
+	// counts is the reused history buffer, and for the trained (immutable)
+	// store also a one-entry memo: evaluation asks PredictCount and
 	// PredictSurvival for the same (machine, window) back to back, and the
-	// history scan is the expensive part of both. Not goroutine-safe.
-	memoM      trace.MachineID
-	memoW      sim.Window
-	memoCounts []float64
-	memoValid  bool
+	// history walk is the expensive part of both. Not goroutine-safe.
+	counts    []float64
+	memoM     trace.MachineID
+	memoW     sim.Window
+	memoValid bool
 }
 
 // Name implements Predictor.
@@ -68,87 +58,58 @@ func (h *HistoryWindow) Name() string {
 
 // Train implements Predictor.
 func (h *HistoryWindow) Train(tr *trace.Trace) {
-	h.tr = tr
-	h.ix = tr.BuildIndex()
-	h.hc = tr.BuildHourlyCounts()
+	h.src = newTraceHistory(tr)
 	h.memoValid = false
 }
 
-// count answers one history-window count, through the hourly matrix when
-// the window is hour-aligned and through the index otherwise. Both paths
-// count exactly the same events.
-func (h *HistoryWindow) count(m trace.MachineID, w sim.Window) int {
-	if !h.DisableHourlyMatrix && h.hc != nil {
-		if n, ok := h.hc.CountInWindow(m, w); ok {
-			return n
-		}
+// history walks src once and returns machine m's event count in the clock
+// window matching w on every prior same-day-type day, in day order. A nil
+// src or a machine outside src's fleet has no history at all.
+func (h *HistoryWindow) history(src History, m trace.MachineID, w sim.Window) []float64 {
+	counts := h.counts[:0]
+	h.memoValid = false
+	if known(src, m) {
+		ForEachHistoryWindow(src.Calendar(), src.Span(), w, true, func(hw sim.Window) {
+			counts = append(counts, float64(src.CountInWindow(m, hw)))
+		})
 	}
-	return h.ix.CountInWindow(m, w)
-}
-
-// historyCounts returns the event counts in the clock window matching w on
-// every prior same-day-type day, per contributing machine-day.
-func (h *HistoryWindow) historyCounts(m trace.MachineID, w sim.Window) []float64 {
-	if h.tr == nil {
-		return nil
-	}
-	if h.memoValid && h.memoM == m && h.memoW == w {
-		return h.memoCounts
-	}
-	counts := h.memoCounts[:0]
-	ForEachHistoryWindow(h.tr.Calendar, h.tr.Span, w, true, func(hw sim.Window) {
-		if h.PoolMachines {
-			for mm := 0; mm < h.tr.Machines; mm++ {
-				counts = append(counts, float64(h.count(trace.MachineID(mm), hw)))
-			}
-		} else {
-			counts = append(counts, float64(h.count(m, hw)))
-		}
-	})
-	h.memoM, h.memoW, h.memoCounts, h.memoValid = m, w, counts, true
+	h.counts = counts
 	return counts
 }
 
-// known reports whether machine m is part of the trained fleet. A machine
-// the predictor never observed has no history at all — distinct from a
-// machine observed to be failure-free — so predictions for it fall back to
-// the no-information values (count 0, survival 0.5) unless PoolMachines
-// aggregates fleet-wide history that applies to any machine.
-func (h *HistoryWindow) known(m trace.MachineID) bool {
-	if h.PoolMachines {
-		return true
+// trained is history over the trained trace, memoized.
+func (h *HistoryWindow) trained(m trace.MachineID, w sim.Window) []float64 {
+	if !h.memoValid || h.memoM != m || h.memoW != w {
+		h.history(h.src, m, w)
+		h.memoM, h.memoW, h.memoValid = m, w, true
 	}
-	return m >= 0 && int(m) < h.tr.Machines
+	return h.counts
 }
 
-// PredictCount implements Predictor. An untrained predictor or a machine
-// outside the trained fleet predicts 0 occurrences (no history to count).
-func (h *HistoryWindow) PredictCount(m trace.MachineID, w sim.Window) float64 {
-	if h.tr == nil || !h.known(m) {
+// informed reports whether counts is enough history to predict from.
+func (h *HistoryWindow) informed(counts []float64) bool {
+	return len(counts) > 0 && len(counts) >= h.MinHistoryDays
+}
+
+// count is the expected event count: the (trimmed) mean of the history,
+// 0 when there is too little of it.
+func (h *HistoryWindow) count(counts []float64) float64 {
+	switch {
+	case !h.informed(counts):
 		return 0
-	}
-	counts := h.historyCounts(m, w)
-	if len(counts) < h.MinHistoryDays || len(counts) == 0 {
-		return 0
-	}
-	if h.Trim > 0 {
+	case h.Trim > 0:
 		return stats.TrimmedMean(counts, h.Trim)
 	}
 	return stats.Mean(counts)
 }
 
-// PredictSurvival implements Predictor. An untrained predictor, a machine
-// outside the trained fleet, or a history shorter than MinHistoryDays all
-// answer 0.5 — the documented no-information prior, never NaN.
-func (h *HistoryWindow) PredictSurvival(m trace.MachineID, w sim.Window) float64 {
-	if h.tr == nil || !h.known(m) {
-		return 0.5 // no information
+// survival is the Laplace-smoothed fraction of failure-free history
+// windows, and the 0.5 no-information prior — never NaN — when there is too
+// little history.
+func (h *HistoryWindow) survival(counts []float64) float64 {
+	if !h.informed(counts) {
+		return 0.5
 	}
-	counts := h.historyCounts(m, w)
-	if len(counts) < h.MinHistoryDays || len(counts) == 0 {
-		return 0.5 // no information
-	}
-	// Laplace-smoothed fraction of failure-free history windows.
 	free := 0
 	for _, c := range counts {
 		if c == 0 {
@@ -156,6 +117,29 @@ func (h *HistoryWindow) PredictSurvival(m trace.MachineID, w sim.Window) float64
 		}
 	}
 	return stats.Clamp01((float64(free) + 1) / (float64(len(counts)) + 2))
+}
+
+// Estimate is the estimator over any History: one walk of src answers the
+// expected event count of machine m in w, the survival probability, and
+// the number of history windows behind them (0 = the no-information
+// answers 0 and 0.5). forecast.Online serves its ring through it; the
+// Predictor methods below are the same maths over the trained trace.
+func (h *HistoryWindow) Estimate(src History, m trace.MachineID, w sim.Window) (count, survival float64, samples int) {
+	counts := h.history(src, m, w)
+	return h.count(counts), h.survival(counts), len(counts)
+}
+
+// PredictCount implements Predictor. An untrained predictor or a machine
+// outside the trained fleet predicts 0 occurrences (no history to count).
+func (h *HistoryWindow) PredictCount(m trace.MachineID, w sim.Window) float64 {
+	return h.count(h.trained(m, w))
+}
+
+// PredictSurvival implements Predictor. An untrained predictor, a machine
+// outside the trained fleet, or a history shorter than MinHistoryDays all
+// answer 0.5.
+func (h *HistoryWindow) PredictSurvival(m trace.MachineID, w sim.Window) float64 {
+	return h.survival(h.trained(m, w))
 }
 
 // GlobalRate is the uninformed baseline: a single Poisson rate per machine
@@ -192,34 +176,25 @@ func (g *GlobalRate) PredictSurvival(m trace.MachineID, w sim.Window) float64 {
 // LastDay copies the count observed in the same clock window one day
 // earlier (a naive persistence baseline).
 type LastDay struct {
-	tr *trace.Trace
-	ix *trace.Index
-	hc *trace.HourlyCounts
+	src History
 }
 
 // Name implements Predictor.
 func (l *LastDay) Name() string { return "last-day" }
 
 // Train implements Predictor.
-func (l *LastDay) Train(tr *trace.Trace) {
-	l.tr = tr
-	l.ix = tr.BuildIndex()
-	l.hc = tr.BuildHourlyCounts()
-}
+func (l *LastDay) Train(tr *trace.Trace) { l.src = newTraceHistory(tr) }
 
 // PredictCount implements Predictor.
 func (l *LastDay) PredictCount(m trace.MachineID, w sim.Window) float64 {
-	if l.tr == nil {
+	if l.src == nil {
 		return 0
 	}
 	prev := sim.Window{Start: w.Start - sim.Day, End: w.End - sim.Day}
-	if prev.Start < l.tr.Span.Start {
+	if prev.Start < l.src.Span().Start {
 		return 0
 	}
-	if n, ok := l.hc.CountInWindow(m, prev); ok {
-		return float64(n)
-	}
-	return float64(l.ix.CountInWindow(m, prev))
+	return float64(l.src.CountInWindow(m, prev))
 }
 
 // PredictSurvival implements Predictor.
@@ -236,71 +211,49 @@ type EWMADaily struct {
 	// Alpha is the smoothing factor (default 0.3).
 	Alpha float64
 
-	tr *trace.Trace
-	ix *trace.Index
-	hc *trace.HourlyCounts
+	src History
 }
 
 // Name implements Predictor.
 func (e *EWMADaily) Name() string { return "ewma-daily" }
 
 // Train implements Predictor.
-func (e *EWMADaily) Train(tr *trace.Trace) {
-	e.tr = tr
-	e.ix = tr.BuildIndex()
-	e.hc = tr.BuildHourlyCounts()
-}
+func (e *EWMADaily) Train(tr *trace.Trace) { e.src = newTraceHistory(tr) }
 
-// known reports whether machine m is part of the trained fleet; an
-// unobserved machine has no history, which is distinct from a machine
-// observed to be failure-free (see HistoryWindow.known).
-func (e *EWMADaily) known(m trace.MachineID) bool {
-	return m >= 0 && int(m) < e.tr.Machines
-}
-
-// predictCount is PredictCount plus an information flag: ok is false when
-// no fully observed prior day contributed (an untrained predictor, a
-// machine outside the trained fleet, or a window on the first day of the
-// span — the cold-start cases).
-func (e *EWMADaily) predictCount(m trace.MachineID, w sim.Window) (float64, bool) {
-	if e.tr == nil || !e.known(m) {
-		return 0, false
+// Estimate is the estimator over any History (see HistoryWindow.Estimate):
+// the smoothed same-window daily count of machine m and exp(-count) as its
+// survival. When no fully observed prior day contributed — a nil src, a
+// machine outside its fleet, or a window on the first day of the span, the
+// cold-start cases — the count is a defined 0 and the survival the 0.5
+// no-information prior rather than a spurious certainty (exp(-0) = 1).
+func (e *EWMADaily) Estimate(src History, m trace.MachineID, w sim.Window) (count, survival float64) {
+	if !known(src, m) {
+		return 0, 0.5
 	}
 	alpha := e.Alpha
 	if alpha <= 0 || alpha > 1 {
 		alpha = 0.3
 	}
 	acc := stats.NewEWMA(alpha)
-	ForEachHistoryWindow(e.tr.Calendar, e.tr.Span, w, false, func(hw sim.Window) {
-		if n, ok := e.hc.CountInWindow(m, hw); ok {
-			acc.Add(float64(n))
-		} else {
-			acc.Add(float64(e.ix.CountInWindow(m, hw)))
-		}
+	ForEachHistoryWindow(src.Calendar(), src.Span(), w, false, func(hw sim.Window) {
+		acc.Add(float64(src.CountInWindow(m, hw)))
 	})
 	if !acc.Initialized() {
-		return 0, false
+		return 0, 0.5
 	}
-	return acc.Value(), true
+	return acc.Value(), stats.Clamp01(math.Exp(-acc.Value()))
 }
 
-// PredictCount implements Predictor. Before the first full day of history
-// there is nothing to smooth and the prediction is a defined 0.
+// PredictCount implements Predictor.
 func (e *EWMADaily) PredictCount(m trace.MachineID, w sim.Window) float64 {
-	v, _ := e.predictCount(m, w)
-	return v
+	count, _ := e.Estimate(e.src, m, w)
+	return count
 }
 
-// PredictSurvival implements Predictor. With at least one full day of
-// history it is exp(-expected count); before that — the cold-start case —
-// it answers the 0.5 no-information prior rather than a spurious certainty
-// of survival (exp(-0) = 1).
+// PredictSurvival implements Predictor.
 func (e *EWMADaily) PredictSurvival(m trace.MachineID, w sim.Window) float64 {
-	v, ok := e.predictCount(m, w)
-	if !ok {
-		return 0.5 // no information
-	}
-	return stats.Clamp01(math.Exp(-v))
+	_, survival := e.Estimate(e.src, m, w)
+	return survival
 }
 
 // SemiMarkov models availability as a renewal process: it fits the

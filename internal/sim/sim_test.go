@@ -59,6 +59,14 @@ func TestCalendarNegativeTime(t *testing.T) {
 	if got := c.Weekday(-1 * time.Hour); got != 6 {
 		t.Errorf("Weekday(-1h) = %d, want 6 (Sunday)", got)
 	}
+	for at, want := range map[Time]int64{
+		0: 0, time.Hour - 1: 0, time.Hour: 1, 90 * time.Minute: 1,
+		-1: -1, -time.Hour: -1, -time.Hour - 1: -2, -90 * time.Minute: -2,
+	} {
+		if got := FloorHour(at); got != want {
+			t.Errorf("FloorHour(%v) = %d, want %d", at, got, want)
+		}
+	}
 }
 
 func TestDayTypeString(t *testing.T) {

@@ -54,6 +54,18 @@ func (c Calendar) DayIndex(t Time) int {
 	return int(d)
 }
 
+// FloorHour returns the absolute index of the hour containing t, flooring
+// toward minus infinity so hour boundaries stay aligned across t = 0: hour
+// h covers [h, h+1) * time.Hour, and the first boundary strictly after t is
+// Time(FloorHour(t)+1) * time.Hour.
+func FloorHour(t Time) int64 {
+	h := int64(t / time.Hour)
+	if t < 0 && t%time.Hour != 0 {
+		h--
+	}
+	return h
+}
+
 // Weekday returns the day of week (0 = Monday .. 6 = Sunday) containing t.
 func (c Calendar) Weekday(t Time) int {
 	w := (c.StartWeekday + c.DayIndex(t)) % 7

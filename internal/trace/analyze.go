@@ -123,8 +123,9 @@ func (t *Trace) HourlyOccurrences(dt sim.DayType) []stats.Summary {
 }
 
 // HourlyCountSeries returns the fleet-wide unavailability counts per hour
-// over the whole span, one entry per hour of observation (events spanning
-// several hours count once per hour, as in Figure 7). A partial final hour
+// over the whole span, one entry per hour of observation counted from
+// Span.Start (events spanning several hours count once per hour, as in
+// Figure 7). A partial final hour
 // gets its own entry — the span length rounds up to whole hours — so
 // events in the span tail are never silently dropped from the daily and
 // weekly autocorrelation series. Feeding this series to
@@ -137,15 +138,13 @@ func (t *Trace) HourlyCountSeries() []float64 {
 	}
 	out := make([]float64, hours)
 	for _, e := range t.Events {
-		hStart := int(e.Start / time.Hour)
-		hEnd := int((e.End - 1) / time.Hour)
+		hStart := sim.FloorHour(e.Start - t.Span.Start)
+		hEnd := sim.FloorHour(e.End - 1 - t.Span.Start)
 		if e.End <= e.Start {
 			hEnd = hStart
 		}
-		for h := hStart; h <= hEnd; h++ {
-			if h >= 0 && h < hours {
-				out[h]++
-			}
+		for h := max(hStart, 0); h <= hEnd && h < int64(hours); h++ {
+			out[h]++
 		}
 	}
 	return out

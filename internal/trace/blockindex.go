@@ -152,13 +152,13 @@ func (ix *BlockIndex) machine(m MachineID) *machinePointIndex {
 	// Hourly prefix row, covering the span and every event start (the same
 	// hour range BuildHourlyCounts would give this machine).
 	span := ix.bf.Header().Span
-	lo := floorHour(span.Start)
-	hi := floorHour(span.End-1) + 1
+	lo := sim.FloorHour(span.Start)
+	hi := sim.FloorHour(span.End-1) + 1
 	if span.End <= span.Start {
 		hi = lo
 	}
 	for _, e := range mi.byStart {
-		if h := floorHour(e.Start); h < lo {
+		if h := sim.FloorHour(e.Start); h < lo {
 			lo = h
 		} else if h >= hi {
 			hi = h + 1
@@ -167,7 +167,7 @@ func (ix *BlockIndex) machine(m MachineID) *machinePointIndex {
 	mi.loHour = lo
 	mi.hours = make([]int32, int(hi-lo)+1)
 	for _, e := range mi.byStart {
-		mi.hours[floorHour(e.Start)-lo+1]++
+		mi.hours[sim.FloorHour(e.Start)-lo+1]++
 	}
 	for h := 1; h < len(mi.hours); h++ {
 		mi.hours[h] += mi.hours[h-1]
@@ -201,8 +201,8 @@ func (ix *BlockIndex) FirstOverlap(m MachineID, w sim.Window) (Event, bool) {
 func (ix *BlockIndex) CountInWindow(m MachineID, w sim.Window) int {
 	mi := ix.machine(m)
 	if w.Start%time.Hour == 0 && w.End%time.Hour == 0 {
-		a := floorHour(w.Start) - mi.loHour
-		b := floorHour(w.End) - mi.loHour
+		a := sim.FloorHour(w.Start) - mi.loHour
+		b := sim.FloorHour(w.End) - mi.loHour
 		n := int64(len(mi.hours) - 1)
 		a = min(max(a, 0), n)
 		b = min(max(b, a), n)

@@ -20,28 +20,18 @@ type HourlyCounts struct {
 	prefix [][]int32
 }
 
-// floorHour returns the absolute hour index containing t, flooring toward
-// minus infinity so negative times keep hour boundaries aligned.
-func floorHour(t sim.Time) int64 {
-	h := int64(t / time.Hour)
-	if t < 0 && t%time.Hour != 0 {
-		h--
-	}
-	return h
-}
-
 // BuildHourlyCounts scans the trace once and builds the matrix. The hour
 // range covers the span and every event start, so any hour-aligned window
 // is answered exactly.
 func (t *Trace) BuildHourlyCounts() *HourlyCounts {
-	lo := floorHour(t.Span.Start)
-	hi := floorHour(t.Span.End-1) + 1
+	lo := sim.FloorHour(t.Span.Start)
+	hi := sim.FloorHour(t.Span.End-1) + 1
 	if t.Span.End <= t.Span.Start {
 		hi = lo
 	}
 	machines := t.Machines
 	for _, e := range t.Events {
-		if h := floorHour(e.Start); h < lo {
+		if h := sim.FloorHour(e.Start); h < lo {
 			lo = h
 		} else if h >= hi {
 			hi = h + 1
@@ -60,7 +50,7 @@ func (t *Trace) BuildHourlyCounts() *HourlyCounts {
 		if e.Machine < 0 {
 			continue
 		}
-		hc.prefix[e.Machine][floorHour(e.Start)-lo+1]++
+		hc.prefix[e.Machine][sim.FloorHour(e.Start)-lo+1]++
 	}
 	for _, row := range hc.prefix {
 		for h := 1; h < len(row); h++ {
@@ -93,8 +83,8 @@ func (hc *HourlyCounts) CountInWindow(m MachineID, w sim.Window) (int, bool) {
 		}
 		return 0, false
 	}
-	a := floorHour(w.Start) - hc.loHour
-	b := floorHour(w.End) - hc.loHour
+	a := sim.FloorHour(w.Start) - hc.loHour
+	b := sim.FloorHour(w.End) - hc.loHour
 	if a < 0 {
 		a = 0
 	}

@@ -358,6 +358,31 @@ func TestHourlyCountSeries(t *testing.T) {
 	}
 }
 
+// TestHourlyCountSeriesSpanStart pins that the series is indexed from the
+// span start, not from t = 0: a span that starts anywhere else — later, or
+// at a negative instant off the hour grid — still counts every event once
+// per hour of observation it touches.
+func TestHourlyCountSeriesSpanStart(t *testing.T) {
+	for _, start := range []sim.Time{0, 10 * sim.Day, -3*sim.Day - 20*time.Minute} {
+		tr := New(sim.Window{Start: start, End: start + 2*sim.Day}, sim.Calendar{}, 1)
+		tr.Add(mkEvent(0, start+90*time.Minute, start+3*time.Hour+30*time.Minute, availability.S3))
+		tr.Add(mkEvent(0, start+47*time.Hour+10*time.Minute, start+47*time.Hour+10*time.Minute, availability.S5))
+		s := tr.HourlyCountSeries()
+		if len(s) != 48 {
+			t.Fatalf("span start %v: series length = %d, want 48", start, len(s))
+		}
+		for h, got := range s {
+			want := 0.0
+			if (h >= 1 && h <= 3) || h == 47 {
+				want = 1
+			}
+			if got != want {
+				t.Errorf("span start %v: hour %d = %v, want %v", start, h, got, want)
+			}
+		}
+	}
+}
+
 // TestHourlyCountSeriesPartialHour pins the partial-final-hour semantics:
 // a span that is not a whole number of hours still gets an entry for its
 // tail hour, so events there are counted rather than silently dropped.
