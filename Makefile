@@ -22,10 +22,12 @@ test:
 # Race-check the packages with concurrent hot paths: the iShare network
 # layer, the parallel testbed runner, the contention harness (whose
 # calibration cache is shared across worker goroutines), the streaming
-# trace codec, the chaos fault injector, and the availability detector and
-# differential harness (which exercise the parallel runner under -race).
+# trace codec, the chaos fault injector, the availability detector and
+# differential harness (which exercise the parallel runner under -race),
+# and the predictor evaluation (one goroutine per predictor over a shared
+# read-only history and test set, reading stats.ECDF concurrently).
 race:
-	$(GO) test -race ./internal/ishare/ ./internal/testbed/ ./internal/contention/ ./internal/trace/ ./internal/chaos/ ./internal/availability/ ./internal/check/ ./internal/forecast/ ./internal/loadgen/ ./internal/markov/
+	$(GO) test -race ./internal/ishare/ ./internal/testbed/ ./internal/contention/ ./internal/trace/ ./internal/chaos/ ./internal/availability/ ./internal/check/ ./internal/forecast/ ./internal/loadgen/ ./internal/markov/ ./internal/predict/ ./internal/stats/
 
 # Differential correctness harness: 200 randomized seeds replayed through
 # the naive reference model and the optimized detector/controller/testbed
@@ -86,7 +88,7 @@ markov-smoke:
 # without producing stable numbers; full runs go through cmd/fgcs-bench.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunMachineWeek|BenchmarkTickSixProcesses|BenchmarkDetectorObserve' -benchtime 10x ./internal/testbed/ ./internal/simos/ ./internal/availability/
-	$(GO) test -run '^$$' -bench 'BenchmarkRunShardedFleet|BenchmarkWriteBinary|BenchmarkReadBinary|BenchmarkStreamAnalyzer|BenchmarkEvaluateHistoryWindow' -benchtime 1x ./internal/testbed/ ./internal/trace/ ./internal/predict/
+	$(GO) test -run '^$$' -bench 'BenchmarkRunShardedFleet|BenchmarkWriteBinary|BenchmarkReadBinary|BenchmarkStreamAnalyzer|BenchmarkEvaluateHistoryWindow|BenchmarkScore' -benchtime 1x ./internal/testbed/ ./internal/trace/ ./internal/predict/
 
 # Parallel-analyzer smoke under the race detector: the worker-pool block
 # scanner (and its refusal of truncated shards), its merge associativity,

@@ -90,7 +90,7 @@ func main() {
 		printTable2(tr.MakeTable2())
 	}
 	if want("fig6") {
-		printFigure6(tr.IntervalECDF(sim.Weekday), tr.IntervalECDF(sim.Weekend))
+		printFigure6(tr.IntervalECDFs())
 	}
 	if want("fig7") {
 		printFigure7(tr.HourlyOccurrences(sim.Weekday), tr.HourlyOccurrences(sim.Weekend))

@@ -634,6 +634,10 @@ func main() {
 		return []predict.Predictor{&predict.HistoryWindow{}, &predict.HistoryWindow{Trim: 0.1}}
 	}
 
+	// The evaluation scores its predictors on one goroutine each, up to
+	// GOMAXPROCS; the entries record how many that was.
+	evalWorkers := min(runtime.GOMAXPROCS(0), len(evalPreds()))
+
 	var evalNs, evalBlocksNs float64
 	if sel("predict/eval") {
 		// Predictor evaluation on the paper-scale trace: the HistoryWindow
@@ -654,6 +658,7 @@ func main() {
 			}
 		})
 		eval.WindowsPerS = evalWindows / eres.T.Seconds()
+		eval.Parallelism = evalWorkers
 		evalNs = eval.NsPerOp
 		rep.Benchmarks = append(rep.Benchmarks, eval)
 	}
@@ -685,6 +690,7 @@ func main() {
 			}
 		})
 		eval.WindowsPerS = evalWindows / eres.T.Seconds()
+		eval.Parallelism = evalWorkers
 		evalBlocksNs = eval.NsPerOp
 		rep.Benchmarks = append(rep.Benchmarks, eval)
 	}

@@ -34,8 +34,7 @@ func main() {
 		tb.Memory.Min, tb.Memory.Max, tb.URR.Min, tb.URR.Max)
 	fmt.Printf("  reboot share of URR: %.0f%%\n\n", tb.RebootShare*100)
 
-	wd := tr.IntervalECDF(sim.Weekday)
-	we := tr.IntervalECDF(sim.Weekend)
+	wd, we := tr.IntervalECDFs()
 	fmt.Println("availability intervals (the paper's Figure 6):")
 	fmt.Printf("  weekday: n=%d mean=%.1fh  <5min=%.1f%%  2-4h=%.0f%%\n",
 		wd.N(), wd.Mean(), wd.At(1.0/12)*100, wd.MassBetween(2, 4)*100)

@@ -75,3 +75,30 @@ func BenchmarkEvaluateAllPredictors(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkScore prices each predictor of the evaluation lineup on its own:
+// one op scores every test window of the benchmark trace with a trained
+// predictor, the windows/s metric is what bench/'s predict.<p>.windows_s
+// probes report at full size. A predictor that costs O(history) per window
+// where its neighbours cost O(1) shows here as a row an order of magnitude
+// below the rest.
+func BenchmarkScore(b *testing.B) {
+	tr := benchHistory(b)
+	ts, err := newTestSet(tr.Span, tr.Machines, newTraceHistory(tr), EvalConfig{TrainDays: 28, Window: 3 * time.Hour})
+	if err != nil {
+		b.Fatal(err)
+	}
+	history := tr.Before(ts.cut)
+	scratch := ts.scratch()
+	for _, p := range DefaultPredictors() {
+		b.Run(p.Name(), func(b *testing.B) {
+			p.Train(history)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ts.score(p, scratch)
+			}
+			b.ReportMetric(float64(b.N*len(ts.windows))/b.Elapsed().Seconds(), "windows/s")
+		})
+	}
+}

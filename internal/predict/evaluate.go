@@ -3,7 +3,9 @@ package predict
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/sim"
@@ -127,10 +129,13 @@ func newTestSet(span sim.Window, machines int, truth truthSource, cfg EvalConfig
 	return ts, nil
 }
 
+// scratch returns the prediction buffer score fills: one per scoring
+// goroutine, reused for every predictor that goroutine scores.
+func (ts *testSet) scratch() []float64 { return make([]float64, 2*len(ts.windows)) }
+
 // score evaluates one trained predictor over the test set.
-func (ts *testSet) score(p Predictor) Score {
-	predCounts := make([]float64, len(ts.windows))
-	failProb := make([]float64, len(ts.windows))
+func (ts *testSet) score(p Predictor, scratch []float64) Score {
+	predCounts, failProb := scratch[:len(ts.windows)], scratch[len(ts.windows):]
 	for i, w := range ts.windows {
 		predCounts[i] = p.PredictCount(ts.machines[i], w)
 		// Brier scores the probability of failure occurring.
@@ -145,13 +150,32 @@ func (ts *testSet) score(p Predictor) Score {
 	}
 }
 
-// evaluate trains every predictor on history and scores it over ts.
+// evaluate trains every predictor on history and scores it over ts. The
+// predictors are independent of one another, so min(GOMAXPROCS, len(preds))
+// workers each claim the next untrained one: a predictor is only ever
+// touched by the worker that claimed it, history and ts are only read, and
+// each score lands in its predictor's slot, so the result does not depend
+// on how many workers ran or which finished first.
 func (ts *testSet) evaluate(history *trace.Trace, preds []Predictor) *Evaluation {
-	ev := &Evaluation{Config: ts.cfg}
-	for _, p := range preds {
-		p.Train(history)
-		ev.Scores = append(ev.Scores, ts.score(p))
+	ev := &Evaluation{Config: ts.cfg, Scores: make([]Score, len(preds))}
+	next := make(chan int, len(preds)) // every index is queued before a worker starts
+	for i := range preds {
+		next <- i
 	}
+	close(next)
+	var wg sync.WaitGroup
+	for n := min(runtime.GOMAXPROCS(0), len(preds)); n > 0; n-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			scratch := ts.scratch()
+			for i := range next {
+				preds[i].Train(history)
+				ev.Scores[i] = ts.score(preds[i], scratch)
+			}
+		}()
+	}
+	wg.Wait()
 	return ev
 }
 

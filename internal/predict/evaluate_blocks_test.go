@@ -3,18 +3,20 @@ package predict
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/testbed"
 	"repro/internal/trace"
 )
 
-// TestEvaluateBlocksMatchesEvaluate pins the block-routed evaluation:
-// reading training history through the pruned scan and ground truth through
-// the lazy BlockIndex must score every predictor identically to the
-// in-memory path.
-func TestEvaluateBlocksMatchesEvaluate(t *testing.T) {
+// blocksFixture is a small fixed-seed testbed trace and the same events as a
+// v2 block file.
+func blocksFixture(t *testing.T) (*trace.Trace, *trace.BlockFile) {
+	t.Helper()
 	cfg := testbed.DefaultConfig()
 	cfg.Machines = 6
 	cfg.Days = 40
@@ -23,18 +25,26 @@ func TestEvaluateBlocksMatchesEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ecfg := EvalConfig{TrainDays: 21, Window: 3 * time.Hour}
-
-	want, err := Evaluate(tr, DefaultPredictors(), ecfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	var buf bytes.Buffer
 	if err := tr.WriteBlocks(&buf, &trace.BlockWriterOptions{BlockSize: 64}); err != nil {
 		t.Fatal(err)
 	}
 	bf, err := trace.NewBlockFileBytes(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr, bf
+}
+
+// TestEvaluateBlocksMatchesEvaluate pins the block-routed evaluation:
+// reading training history through the pruned scan and ground truth through
+// the lazy BlockIndex must score every predictor identically to the
+// in-memory path.
+func TestEvaluateBlocksMatchesEvaluate(t *testing.T) {
+	tr, bf := blocksFixture(t)
+	ecfg := EvalConfig{TrainDays: 21, Window: 3 * time.Hour}
+
+	want, err := Evaluate(tr, DefaultPredictors(), ecfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,5 +54,77 @@ func TestEvaluateBlocksMatchesEvaluate(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want.Scores, got.Scores) {
 		t.Errorf("EvaluateBlocks scores differ:\n got %+v\nwant %+v", got.Scores, want.Scores)
+	}
+}
+
+// serialScores is the oracle for the evaluation's worker pool: it trains
+// and scores one predictor at a time in a plain loop on the calling
+// goroutine. It asks every count before any survival, so the one-entry
+// memos of HistoryWindow and EWMADaily never hit and each answer is
+// computed from scratch.
+func serialScores(tr *trace.Trace, cfg EvalConfig) []Score {
+	cfg = cfg.withDefaults()
+	cut := tr.Span.Start + sim.Time(cfg.TrainDays)*sim.Day
+	truth := newTraceHistory(tr)
+	var machines []trace.MachineID
+	var windows []sim.Window
+	var counts []float64
+	var fail []bool
+	for m := 0; m < tr.Machines; m++ {
+		for start := cut; start+cfg.Window <= tr.Span.End; start += cfg.Stride {
+			w := sim.Window{Start: start, End: start + cfg.Window}
+			machines = append(machines, trace.MachineID(m))
+			windows = append(windows, w)
+			counts = append(counts, float64(truth.CountInWindow(trace.MachineID(m), w)))
+			fail = append(fail, truth.AnyOverlap(trace.MachineID(m), w))
+		}
+	}
+	history := tr.Before(cut)
+	var scores []Score
+	for _, p := range DefaultPredictors() {
+		p.Train(history)
+		predCounts := make([]float64, len(windows))
+		failProb := make([]float64, len(windows))
+		for i, w := range windows {
+			predCounts[i] = p.PredictCount(machines[i], w)
+		}
+		for i, w := range windows {
+			failProb[i] = 1 - p.PredictSurvival(machines[i], w)
+		}
+		scores = append(scores, Score{
+			Name:    p.Name(),
+			MAE:     stats.MAE(predCounts, counts),
+			RMSE:    stats.RMSE(predCounts, counts),
+			Brier:   stats.Brier(failProb, fail),
+			Windows: len(windows),
+		})
+	}
+	return scores
+}
+
+// TestEvaluateMatchesSerialOracle holds the concurrent evaluation to the
+// plain loop: with one worker and with four, over the in-memory trace and
+// over the block file, Scores come back in predictor order and every
+// float is the one the oracle computes. Run under -race (make race) it is
+// also the check that the workers share nothing they write.
+func TestEvaluateMatchesSerialOracle(t *testing.T) {
+	tr, bf := blocksFixture(t)
+	ecfg := EvalConfig{TrainDays: 21, Window: 3 * time.Hour}
+	want := serialScores(tr, ecfg)
+
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		got, err := Evaluate(tr, DefaultPredictors(), ecfg)
+		gotBlocks, errBlocks := EvaluateBlocks(bf, DefaultPredictors(), ecfg)
+		runtime.GOMAXPROCS(prev)
+		if err != nil || errBlocks != nil {
+			t.Fatal(err, errBlocks)
+		}
+		if !reflect.DeepEqual(got.Scores, want) {
+			t.Errorf("GOMAXPROCS %d: Evaluate scores differ from the serial oracle:\n got %+v\nwant %+v", procs, got.Scores, want)
+		}
+		if !reflect.DeepEqual(gotBlocks.Scores, want) {
+			t.Errorf("GOMAXPROCS %d: EvaluateBlocks scores differ from the serial oracle:\n got %+v\nwant %+v", procs, gotBlocks.Scores, want)
+		}
 	}
 }

@@ -39,6 +39,7 @@ func LearningCurve(tr *trace.Trace, mk func() Predictor, trainDays []int, cfg Ev
 	}
 
 	var out []LearningPoint
+	scratch := ts.scratch()
 	for _, days := range trainDays {
 		p := mk()
 		// Train only on the last `days` days before the shared test start,
@@ -50,7 +51,7 @@ func LearningCurve(tr *trace.Trace, mk func() Predictor, trainDays []int, cfg Ev
 		})
 		hist.Span = sim.Window{Start: histStart, End: ts.cut}
 		p.Train(hist)
-		out = append(out, LearningPoint{TrainDays: days, Score: ts.score(p)})
+		out = append(out, LearningPoint{TrainDays: days, Score: ts.score(p, scratch)})
 	}
 	return out, nil
 }

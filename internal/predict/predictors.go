@@ -10,11 +10,18 @@ import (
 )
 
 // Predictor estimates future unavailability from a trained history.
+//
+// Evaluate and EvaluateBlocks train and score the predictors of one call
+// on a pool of goroutines that all read the same history trace, and rely
+// on two things: Train does not mutate the trace it is given (it may keep
+// a reference), and an instance is used by one goroutine at a time — its
+// methods need no locking, but the same instance must not appear twice in
+// one call's predictor list.
 type Predictor interface {
 	// Name identifies the predictor in evaluation reports.
 	Name() string
-	// Train fits the predictor to a history trace. It may be called again
-	// to refit on a longer history.
+	// Train fits the predictor to a history trace, which it must treat as
+	// read-only. It may be called again to refit on a longer history.
 	Train(tr *trace.Trace)
 	// PredictCount estimates the number of unavailability occurrences for
 	// machine m in the window w.
@@ -212,13 +219,27 @@ type EWMADaily struct {
 	Alpha float64
 
 	src History
+
+	// memo is the last estimate over the trained (immutable) store, kept
+	// for the reason HistoryWindow keeps its history: PredictCount and
+	// PredictSurvival of one (machine, window) share one walk.
+	memo struct {
+		m               trace.MachineID
+		w               sim.Window
+		alpha           float64
+		count, survival float64
+		valid           bool
+	}
 }
 
 // Name implements Predictor.
 func (e *EWMADaily) Name() string { return "ewma-daily" }
 
 // Train implements Predictor.
-func (e *EWMADaily) Train(tr *trace.Trace) { e.src = newTraceHistory(tr) }
+func (e *EWMADaily) Train(tr *trace.Trace) {
+	e.src = newTraceHistory(tr)
+	e.memo.valid = false
+}
 
 // Estimate is the estimator over any History (see HistoryWindow.Estimate):
 // the smoothed same-window daily count of machine m and exp(-count) as its
@@ -244,15 +265,24 @@ func (e *EWMADaily) Estimate(src History, m trace.MachineID, w sim.Window) (coun
 	return acc.Value(), stats.Clamp01(math.Exp(-acc.Value()))
 }
 
+// trained is Estimate over the trained trace, memoized.
+func (e *EWMADaily) trained(m trace.MachineID, w sim.Window) (count, survival float64) {
+	if k := &e.memo; !k.valid || k.m != m || k.w != w || k.alpha != e.Alpha {
+		k.count, k.survival = e.Estimate(e.src, m, w)
+		k.m, k.w, k.alpha, k.valid = m, w, e.Alpha, true
+	}
+	return e.memo.count, e.memo.survival
+}
+
 // PredictCount implements Predictor.
 func (e *EWMADaily) PredictCount(m trace.MachineID, w sim.Window) float64 {
-	count, _ := e.Estimate(e.src, m, w)
+	count, _ := e.trained(m, w)
 	return count
 }
 
 // PredictSurvival implements Predictor.
 func (e *EWMADaily) PredictSurvival(m trace.MachineID, w sim.Window) float64 {
-	_, survival := e.Estimate(e.src, m, w)
+	_, survival := e.trained(m, w)
 	return survival
 }
 
@@ -275,10 +305,8 @@ func (s *SemiMarkov) Name() string { return "semi-markov" }
 func (s *SemiMarkov) Train(tr *trace.Trace) {
 	s.tr = tr
 	s.ix = tr.BuildIndex()
-	s.ecdfs = map[sim.DayType]*stats.ECDF{
-		sim.Weekday: tr.IntervalECDF(sim.Weekday),
-		sim.Weekend: tr.IntervalECDF(sim.Weekend),
-	}
+	weekday, weekend := tr.IntervalECDFs()
+	s.ecdfs = map[sim.DayType]*stats.ECDF{sim.Weekday: weekday, sim.Weekend: weekend}
 }
 
 // age returns how long machine m has been failure-free before t. With no

@@ -5,6 +5,8 @@
 //
 // The Go standard library has no statistics support, and this project is
 // offline-only, so everything here is implemented from scratch. All
-// functions are deterministic and allocate predictably; the hot paths
-// (ECDF evaluation, online moments) are O(log n) and O(1) respectively.
+// functions are deterministic and allocate predictably; on the hot paths
+// ECDF evaluation (At, Survival) is one binary search, O(log n) however
+// many sample values tie, and the ECDF mean and the online moments are
+// O(1) reads.
 package stats

@@ -13,6 +13,7 @@ import (
 // predictor.
 type ECDF struct {
 	sorted []float64
+	mean   float64 // Mean(sorted), summed once at construction
 }
 
 // NewECDF builds an ECDF from the sample. The input slice is copied; it may
@@ -21,7 +22,7 @@ func NewECDF(sample []float64) *ECDF {
 	s := make([]float64, len(sample))
 	copy(s, sample)
 	sort.Float64s(s)
-	return &ECDF{sorted: s}
+	return &ECDF{sorted: s, mean: Mean(s)}
 }
 
 // N returns the sample size.
@@ -33,11 +34,9 @@ func (e *ECDF) At(x float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	// Index of the first element strictly greater than x.
-	i := sort.SearchFloat64s(e.sorted, x)
-	for i < n && e.sorted[i] == x {
-		i++
-	}
+	// Index of the first element strictly greater than x: one binary
+	// search however many sample values tie with x.
+	i := sort.Search(n, func(i int) bool { return e.sorted[i] > x })
 	return float64(i) / float64(n)
 }
 
@@ -78,8 +77,8 @@ func (e *ECDF) Quantile(q float64) float64 {
 	return e.sorted[i]
 }
 
-// Mean returns the sample mean.
-func (e *ECDF) Mean() float64 { return Mean(e.sorted) }
+// Mean returns the sample mean (0 for an empty sample), in O(1).
+func (e *ECDF) Mean() float64 { return e.mean }
 
 // Points evaluates the ECDF at each of xs, returning the matching
 // cumulative fractions. Convenient for printing a curve such as Figure 6.

@@ -119,3 +119,48 @@ func TestECDFProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestECDFTiedSamples pins At on heavily tied samples — interval lengths
+// quantised to the sampling period look like this — against the linear
+// definition (the fraction of the sample <= x), and Mean against the sum
+// over the sorted sample.
+func TestECDFTiedSamples(t *testing.T) {
+	allEqual := make([]float64, 1000)
+	halfTied := make([]float64, 1000)
+	for i := range allEqual {
+		allEqual[i] = 0.25
+		halfTied[i] = 0.25
+		if i%2 == 1 {
+			halfTied[i] = float64(i) / 100
+		}
+	}
+	tests := []struct {
+		name   string
+		sample []float64
+		xs     []float64
+	}{
+		{"all-equal", allEqual, []float64{-1, 0, 0.25, 0.2500001, 1}},
+		{"half-tied", halfTied, []float64{-1, 0.01, 0.24, 0.25, 0.26, 4.99, 5, 9.99, 20}},
+	}
+	for _, tt := range tests {
+		e := NewECDF(tt.sample)
+		for _, x := range tt.xs {
+			atOrBelow := 0
+			for _, v := range tt.sample {
+				if v <= x {
+					atOrBelow++
+				}
+			}
+			want := float64(atOrBelow) / float64(len(tt.sample))
+			if got := e.At(x); got != want {
+				t.Errorf("%s: At(%v) = %v, want %v", tt.name, x, got, want)
+			}
+			if got := e.Survival(x); got != 1-want {
+				t.Errorf("%s: Survival(%v) = %v, want %v", tt.name, x, got, 1-want)
+			}
+		}
+		if got, want := e.Mean(), Mean(e.sorted); got != want {
+			t.Errorf("%s: Mean() = %v, want %v (sum over the sorted sample)", tt.name, got, want)
+		}
+	}
+}

@@ -109,6 +109,13 @@ func widenPct(r [2]float64, v float64) [2]float64 {
 // day of the given type.
 func (t *Trace) IntervalECDF(dt sim.DayType) *stats.ECDF { return t.analyze().IntervalECDF(dt) }
 
+// IntervalECDFs is IntervalECDF for both day types from one pass over the
+// trace, for callers that want the pair (Figure 6 plots both curves).
+func (t *Trace) IntervalECDFs() (weekday, weekend *stats.ECDF) {
+	a := t.analyze()
+	return a.IntervalECDF(sim.Weekday), a.IntervalECDF(sim.Weekend)
+}
+
 // IntervalLengths returns the interval durations (hours) for a day type,
 // for callers that want raw samples rather than the ECDF.
 func (t *Trace) IntervalLengths(dt sim.DayType) []float64 { return t.analyze().IntervalLengths(dt) }

@@ -25,6 +25,12 @@ type BlockIndex struct {
 	blocks  map[int][]Event
 	decoded int
 	err     error
+
+	// The previous query's machine and its sub-index: queries arrive in
+	// long same-machine runs (an evaluation walks one machine's windows
+	// before the next), and a repeat skips the map lookup.
+	lastM MachineID
+	last  *machinePointIndex
 }
 
 // machinePointIndex mirrors Index's per-machine state, plus the machine's
@@ -107,9 +113,19 @@ func (ix *BlockIndex) Scan(f ScanFilter, visit func(Event) error) (decoded, skip
 
 // machine returns m's sub-index, building it on first use.
 func (ix *BlockIndex) machine(m MachineID) *machinePointIndex {
-	if mi, ok := ix.cache[m]; ok {
-		return mi
+	if ix.last != nil && ix.lastM == m {
+		return ix.last
 	}
+	mi, ok := ix.cache[m]
+	if !ok {
+		mi = ix.buildMachine(m)
+	}
+	ix.lastM, ix.last = m, mi
+	return mi
+}
+
+// buildMachine decodes m's blocks into a new cached sub-index.
+func (ix *BlockIndex) buildMachine(m MachineID) *machinePointIndex {
 	mi := &machinePointIndex{}
 	ix.cache[m] = mi
 	// Block MaxMachine is nondecreasing in file order (the event stream is
