@@ -43,6 +43,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzIndexQueries' -fuzztime 5s ./internal/check/
 	$(GO) test -run '^$$' -fuzz 'FuzzColBlockRoundTrip' -fuzztime 5s ./internal/check/
 	$(GO) test -run '^$$' -fuzz 'FuzzProtocolDecode' -fuzztime 5s ./internal/ishare/
+	$(GO) test -run '^$$' -fuzz 'FuzzWireCodec' -fuzztime 5s ./internal/ishare/
 	$(GO) test -run '^$$' -fuzz 'FuzzWALReplay' -fuzztime 5s ./internal/ishare/
 
 # Deterministic-seed chaos smoke: scripted partition + refusal burst over a
@@ -89,6 +90,7 @@ markov-smoke:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunMachineWeek|BenchmarkTickSixProcesses|BenchmarkDetectorObserve' -benchtime 10x ./internal/testbed/ ./internal/simos/ ./internal/availability/
 	$(GO) test -run '^$$' -bench 'BenchmarkRunShardedFleet|BenchmarkWriteBinary|BenchmarkReadBinary|BenchmarkStreamAnalyzer|BenchmarkEvaluateHistoryWindow|BenchmarkScore' -benchtime 1x ./internal/testbed/ ./internal/trace/ ./internal/predict/
+	$(GO) test -run '^$$' -bench 'BenchmarkWireHeartbeatBatch' -benchtime 10x -benchmem ./internal/ishare/
 
 # Parallel-analyzer smoke under the race detector: the worker-pool block
 # scanner (and its refusal of truncated shards), its merge associativity,

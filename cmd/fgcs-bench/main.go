@@ -220,11 +220,15 @@ type report struct {
 	ObsOverhead float64 `json:"obs_overhead"`
 	// WALRegisterOverhead / WALHeartbeatOverhead are the fractional
 	// slowdowns of the durable (WAL-logging, batched fsync) registry over
-	// the volatile one on the two no-fault hot paths, comparing the
-	// lowest per-batch median latency across interleaved repeated runs
-	// on each side.
-	WALRegisterOverhead  float64 `json:"wal_register_overhead,omitempty"`
-	WALHeartbeatOverhead float64 `json:"wal_heartbeat_overhead,omitempty"`
+	// the volatile one on the two no-fault hot paths: the median of
+	// per-batch latency ratios over interleaved pairs. The ...US fields are
+	// the median paired difference in microseconds per 1000-digest batch —
+	// the figure the gate judges, because it is the WAL's own cost and does
+	// not grow when the rest of the batch gets cheaper.
+	WALRegisterOverhead    float64 `json:"wal_register_overhead,omitempty"`
+	WALHeartbeatOverhead   float64 `json:"wal_heartbeat_overhead,omitempty"`
+	WALRegisterOverheadUS  float64 `json:"wal_register_overhead_us,omitempty"`
+	WALHeartbeatOverheadUS float64 `json:"wal_heartbeat_overhead_us,omitempty"`
 }
 
 // fleetSink counts streamed events and samples the live heap at shard
@@ -255,7 +259,7 @@ func main() {
 	out := flag.String("out", "BENCH_core.json", "output JSON file (empty = stdout only)")
 	maxRegress := flag.Float64("max-regress", 0.20, "fail when a benchmark runs this fraction slower than its recorded expectation (0 disables)")
 	maxObsOverhead := flag.Float64("max-obs-overhead", 0.02, "fail when the instrumented testbed runs this fraction slower than the uninstrumented one (0 disables)")
-	maxWALOverhead := flag.Float64("max-wal-overhead", 0.02, "fail when the durable registry's register/heartbeat paths run this fraction slower than the volatile ones (0 disables)")
+	maxWALOverhead := flag.Float64("max-wal-overhead", 60, "fail when a 1000-digest register/heartbeat batch costs the durable registry this many microseconds more than the volatile one, by the paired median (0 disables)")
 	only := flag.String("only", "", "regexp selecting which benchmarks to run (empty = all; gates apply to whatever ran)")
 	parallel := flag.Int("parallel", 0, "worker count for analyze/parallel (0 = all cores)")
 	checkMode := flag.Bool("check", false, "run the differential correctness harness instead of the benchmarks")
@@ -867,8 +871,9 @@ func main() {
 		// — on one core the kernel's writeback work steals cycles from
 		// whatever batch runs next, and with a deterministic order that
 		// steal lands on one side systematically. The overhead is the
-		// median of per-batch latency ratios; the median drops the pairs
-		// a GC pause or scheduler hiccup still polluted.
+		// median of per-batch latency differences (gated, in µs) and
+		// ratios (reported); the median drops the pairs a GC pause or
+		// scheduler hiccup still polluted.
 		if sel("ishare/register-batch-wal") || sel("ishare/heartbeat-batch-wal") {
 			fmt.Fprintf(os.Stderr, "running ishare WAL-overhead paired batches (%d nodes)...\n", ishareNodes)
 			openArm := func(dir string) (*ishare.ShardedRegistry, *ishare.Client) {
@@ -921,9 +926,7 @@ func main() {
 			// assists, goroutine wakeups), and the minimum is the classic
 			// rejector for that one-sided noise — the repeat that dodged
 			// every hiccup is the one that reflects the code's cost.
-			pairedPhase := func(send func(cl *ishare.Client, addr string, batch []ishare.NodeDigest) error) ([]float64, []time.Duration) {
-				var ratios []float64
-				var durSamples []time.Duration
+			pairedPhase := func(send func(cl *ishare.Client, addr string, batch []ishare.NodeDigest) error) (ratios, diffsUS []float64, durSamples []time.Duration) {
 				one := func(cl *ishare.Client, addr string, batch []ishare.NodeDigest) time.Duration {
 					best := time.Duration(math.MaxInt64)
 					for rep := 0; rep < 3; rep++ {
@@ -952,9 +955,10 @@ func main() {
 						tPlain = one(plainCl, plainReg.Addrs()[0], batch)
 					}
 					ratios = append(ratios, float64(tDur)/float64(tPlain))
+					diffsUS = append(diffsUS, float64(tDur-tPlain)/1e3*walBatch/float64(len(batch)))
 					durSamples = append(durSamples, tDur)
 				}
-				return ratios, durSamples
+				return ratios, diffsUS, durSamples
 			}
 			stats := func(samples []time.Duration) loadgen.LatencyStats {
 				sorted := append([]time.Duration(nil), samples...)
@@ -986,7 +990,7 @@ func main() {
 				debug.SetGCPercent(-1)
 			}
 			gcOff()
-			regRatios, regDur := pairedPhase(func(cl *ishare.Client, addr string, batch []ishare.NodeDigest) error {
+			regRatios, regDiffs, regDur := pairedPhase(func(cl *ishare.Client, addr string, batch []ishare.NodeDigest) error {
 				now := time.Now().UnixMilli()
 				ds := make([]ishare.NodeDigest, len(batch))
 				for j, d := range batch {
@@ -995,13 +999,13 @@ func main() {
 				}
 				return cl.RegisterBatch(ctx, addr, ds)
 			})
-			var hbRatios []float64
+			var hbRatios, hbDiffs []float64
 			var hbDur []time.Duration
 			const hbRounds = 2
 			for round := 0; round < hbRounds; round++ {
 				churn()
 				gcOff()
-				r, d := pairedPhase(func(cl *ishare.Client, addr string, batch []ishare.NodeDigest) error {
+				r, us, d := pairedPhase(func(cl *ishare.Client, addr string, batch []ishare.NodeDigest) error {
 					now := time.Now().UnixMilli()
 					ds := make([]ishare.NodeDigest, len(batch))
 					for j, dg := range batch {
@@ -1016,6 +1020,7 @@ func main() {
 					return err
 				})
 				hbRatios = append(hbRatios, r...)
+				hbDiffs = append(hbDiffs, us...)
 				hbDur = append(hbDur, d...)
 			}
 			debug.SetGCPercent(100)
@@ -1028,6 +1033,8 @@ func main() {
 				fromStats("ishare/heartbeat-batch-wal", stats(hbDur)))
 			rep.WALRegisterOverhead = medianFloat(regRatios) - 1
 			rep.WALHeartbeatOverhead = medianFloat(hbRatios) - 1
+			rep.WALRegisterOverheadUS = medianFloat(regDiffs)
+			rep.WALHeartbeatOverheadUS = medianFloat(hbDiffs)
 			quart := func(vs []float64) (float64, float64) {
 				s := append([]float64(nil), vs...)
 				sort.Float64s(s)
@@ -1035,9 +1042,9 @@ func main() {
 			}
 			rq1, rq3 := quart(regRatios)
 			hq1, hq3 := quart(hbRatios)
-			fmt.Fprintf(os.Stderr, "wal overhead: register %+.2f%% (IQR %+.2f%%..%+.2f%%), heartbeat %+.2f%% (IQR %+.2f%%..%+.2f%%)\n",
-				100*rep.WALRegisterOverhead, 100*(rq1-1), 100*(rq3-1),
-				100*rep.WALHeartbeatOverhead, 100*(hq1-1), 100*(hq3-1))
+			fmt.Fprintf(os.Stderr, "wal overhead: register %+.0f us a batch, %+.2f%% (IQR %+.2f%%..%+.2f%%), heartbeat %+.0f us a batch, %+.2f%% (IQR %+.2f%%..%+.2f%%)\n",
+				rep.WALRegisterOverheadUS, 100*rep.WALRegisterOverhead, 100*(rq1-1), 100*(rq3-1),
+				rep.WALHeartbeatOverheadUS, 100*rep.WALHeartbeatOverhead, 100*(hq1-1), 100*(hq3-1))
 		}
 	}
 
@@ -1238,31 +1245,33 @@ func main() {
 		}
 	}
 	if *maxWALOverhead > 0 {
-		// The budget triples on a single core, like the scaling gates
-		// above disarm there: every logged byte eventually costs the
-		// kernel ~2µs/KB of writeback CPU, and with one core that work
-		// steals from the serving path itself (measured +3-4% on
-		// register, whose batches log ~48KB, and +1-2% on heartbeat,
-		// whose compact refresh records log a third of that; a no-fsync
-		// control changes nothing, so it is writeback, not journal
-		// stalls). On >= 2 cores writeback runs beside serving and the
-		// 2% budget applies as written — that 2% is also the honest
-		// single-core handler cost of the worst path (encode + CRC +
-		// buffered write ~50µs on a 2.5ms register batch). The measured
-		// values land in the JSON and on stderr either way.
+		// The budget is the WAL's own cost in microseconds per 1000-digest
+		// batch (encode + CRC + buffered write, ~50µs in the handler), not
+		// a fraction of the batch: 60µs is what the former 2% was of the
+		// 3.0ms register batch recorded when the gate was set, and a
+		// fraction would read a cheaper wire codec as a dearer WAL (halve
+		// the batch and the same WAL reads twice the overhead). It triples
+		// on a single core, like the scaling gates above disarm there:
+		// every logged byte eventually costs the kernel ~2µs/KB of
+		// writeback CPU, and with one core that work steals from the
+		// serving path itself (a no-fsync control changes nothing, so it
+		// is writeback, not journal stalls). On >= 2 cores writeback runs
+		// beside serving and the budget applies as written. The measured
+		// values, absolute and relative, land in the JSON and on stderr
+		// either way.
 		budget := *maxWALOverhead
 		if runtime.NumCPU() < 2 {
 			budget = 3 * *maxWALOverhead
-			fmt.Fprintf(os.Stderr, "note: WAL overhead budget %.1f%% at num_cpu=1 (log writeback shares the serving core); %.1f%% gate needs >= 2 cores\n",
-				100*budget, 100**maxWALOverhead)
+			fmt.Fprintf(os.Stderr, "note: WAL overhead budget %.0f us at num_cpu=1 (log writeback shares the serving core); %.0f us gate needs >= 2 cores\n",
+				budget, *maxWALOverhead)
 		}
-		if rep.WALRegisterOverhead > budget {
-			log.Fatalf("WAL register overhead %.1f%% exceeds the %.1f%% budget (ishare/register-batch-wal vs volatile; rerun with -max-wal-overhead 0 to bypass)",
-				100*rep.WALRegisterOverhead, 100*budget)
+		if rep.WALRegisterOverheadUS > budget {
+			log.Fatalf("WAL register overhead %.0f us a batch (%.1f%%) exceeds the %.0f us budget (ishare/register-batch-wal vs volatile; rerun with -max-wal-overhead 0 to bypass)",
+				rep.WALRegisterOverheadUS, 100*rep.WALRegisterOverhead, budget)
 		}
-		if rep.WALHeartbeatOverhead > budget {
-			log.Fatalf("WAL heartbeat overhead %.1f%% exceeds the %.1f%% budget (ishare/heartbeat-batch-wal vs volatile; rerun with -max-wal-overhead 0 to bypass)",
-				100*rep.WALHeartbeatOverhead, 100*budget)
+		if rep.WALHeartbeatOverheadUS > budget {
+			log.Fatalf("WAL heartbeat overhead %.0f us a batch (%.1f%%) exceeds the %.0f us budget (ishare/heartbeat-batch-wal vs volatile; rerun with -max-wal-overhead 0 to bypass)",
+				rep.WALHeartbeatOverheadUS, 100*rep.WALHeartbeatOverhead, budget)
 		}
 	}
 }

@@ -12,11 +12,24 @@
 //
 // The wire protocol is one newline-delimited JSON request and response per
 // TCP connection — deliberately simple, debuggable with netcat.
+//
+// Requests have one codec in two halves. The shapes moved in bulk — the
+// Request envelope with its digests and names: register_batch,
+// heartbeat_batch, gossip, list, forecast — are written and parsed by hand
+// (wire.go), without reflection: roundTrip sends the bytes json.Encoder
+// would, in one Write; serveConn parses the message as it arrives, in one
+// pass. That half takes a strict subset: known keys in exact case, no array
+// twice; strings without escapes, control bytes or non-ASCII; strict-grammar
+// numbers that fit their field; no null, job or host_* member. All else —
+// submit, sethost, malformed or oversized input — goes to encoding/json as
+// the bytes already read plus the rest of the connection, and gets its
+// result and error text: not a codec a caller can select, but where the
+// subset ends and the oracle FuzzWireCodec holds it to. Responses are
+// encoding/json's alone.
 package ishare
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -224,41 +237,12 @@ type Response struct {
 	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
 }
 
-// decodeRequest parses one bounded wire request from raw bytes. It is the
-// exact decode path serveConn runs (same reader stack, same size limit),
-// factored out so the fuzz targets exercise what production executes:
-// malformed or truncated input must return an error, never panic, and
-// the LimitedReader bounds allocation by maxBytes regardless of input.
-func decodeRequest(data []byte, maxBytes int64) (Request, error) {
-	if maxBytes <= 0 {
-		maxBytes = Limits{}.withDefaults().MaxMessageBytes
-	}
-	lr := &io.LimitedReader{R: bytes.NewReader(data), N: maxBytes}
-	var req Request
-	if err := json.NewDecoder(bufio.NewReader(lr)).Decode(&req); err != nil {
-		if lr.N <= 0 {
-			return Request{}, fmt.Errorf("ishare: request exceeds %d bytes", maxBytes)
-		}
-		return Request{}, err
-	}
-	return req, nil
-}
-
-// decodeResponse parses one bounded wire response, mirroring roundTrip's
-// read path for the fuzz targets.
-func decodeResponse(data []byte, maxBytes int64) (Response, error) {
-	if maxBytes <= 0 {
-		maxBytes = Limits{}.withDefaults().MaxMessageBytes
-	}
-	lr := &io.LimitedReader{R: bytes.NewReader(data), N: maxBytes}
-	var resp Response
-	if err := json.NewDecoder(bufio.NewReader(lr)).Decode(&resp); err != nil {
-		if lr.N <= 0 {
-			return Response{}, fmt.Errorf("ishare: response exceeds %d bytes", maxBytes)
-		}
-		return Response{}, err
-	}
-	return resp, nil
+// decodeBounded decodes one JSON value of at most maxBytes from r into v
+// with encoding/json; exceeded reports that the error is the limit's.
+func decodeBounded(r io.Reader, maxBytes int64, v any) (exceeded bool, err error) {
+	lr := &io.LimitedReader{R: r, N: maxBytes}
+	err = json.NewDecoder(bufio.NewReader(lr)).Decode(v)
+	return err != nil && lr.N <= 0, err
 }
 
 // roundTrip dials addr through d, sends one request and reads one bounded
@@ -287,16 +271,24 @@ func roundTrip(ctx context.Context, d Dialer, addr string, req Request, timeout 
 	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
 		return nil, err
 	}
-	enc := json.NewEncoder(conn)
-	if err := enc.Encode(req); err != nil {
+	bp := wireBufs.Get().(*[]byte)
+	buf, fast := appendRequest((*bp)[:0], &req)
+	if fast {
+		_, err = conn.Write(buf)
+	} else {
+		err = json.NewEncoder(conn).Encode(req)
+	}
+	if int64(cap(buf)) <= maxBytes {
+		*bp = buf[:0]
+		wireBufs.Put(bp)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("ishare: sending %q: %w", req.Op, err)
 	}
-	lr := &io.LimitedReader{R: conn, N: maxBytes}
 	var resp Response
-	if err := json.NewDecoder(bufio.NewReader(lr)).Decode(&resp); err != nil {
-		if lr.N <= 0 {
-			return nil, fmt.Errorf("ishare: %q response to %s exceeds %d bytes", req.Op, addr, maxBytes)
-		}
+	if exceeded, err := decodeBounded(conn, maxBytes, &resp); exceeded {
+		return nil, fmt.Errorf("ishare: %q response to %s exceeds %d bytes", req.Op, addr, maxBytes)
+	} else if err != nil {
 		return nil, fmt.Errorf("ishare: reading %q response: %w", req.Op, err)
 	}
 	return &resp, nil
@@ -310,11 +302,10 @@ func serveConn(conn net.Conn, lim Limits, handle func(Request) *Response) {
 	defer conn.Close()
 	lim = lim.withDefaults()
 	_ = conn.SetDeadline(time.Now().Add(lim.IODeadline))
-	lr := &io.LimitedReader{R: conn, N: lim.MaxMessageBytes}
-	var req Request
-	if err := json.NewDecoder(bufio.NewReader(lr)).Decode(&req); err != nil {
+	req, exceeded, err := readRequest(conn, lim.MaxMessageBytes)
+	if err != nil {
 		msg := "bad request: " + err.Error()
-		if lr.N <= 0 {
+		if exceeded {
 			msg = fmt.Sprintf("request exceeds %d bytes", lim.MaxMessageBytes)
 		}
 		_ = json.NewEncoder(conn).Encode(Response{OK: false, Error: msg})

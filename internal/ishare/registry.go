@@ -1,8 +1,11 @@
 package ishare
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"sync"
@@ -236,7 +239,7 @@ func (r *Registry) applyWALRecord(rec walRecord) {
 	switch rec.kind {
 	case walKindUpsert:
 		for _, e := range rec.entries {
-			r.upsertLocked(e.d, time.UnixMilli(e.lastSeenMS))
+			r.upsertLocked(r.nodes[e.d.Name], e.d, time.UnixMilli(e.lastSeenMS))
 		}
 	case walKindRemove:
 		r.removeLocked(rec.name)
@@ -480,9 +483,8 @@ func (r *Registry) acceptLoop() {
 
 // admit applies admission control to one accepted connection: take an
 // inflight slot immediately, or wait for one in the bounded queue up to
-// QueueWait, or shed with a retry-after hint. Shedding still reads the
-// request (cheaply) so the peer receives a structured response instead
-// of a reset. Returns true when the caller holds an inflight slot.
+// QueueWait, or shed with a retry-after hint. Returns true when the caller
+// holds an inflight slot.
 func (r *Registry) admit(conn net.Conn) bool {
 	if r.inflight == nil {
 		return true
@@ -514,7 +516,10 @@ func (r *Registry) admit(conn net.Conn) bool {
 }
 
 // shed answers one connection with an overload response carrying the
-// retry-after hint, without executing its request.
+// retry-after hint, without executing or even decoding its request: the
+// decode is the dearest part of a batch and the answer does not depend on
+// it. The message is still read off the socket, up to its newline, so the
+// close that follows is not a reset that could cost the peer the response.
 func (r *Registry) shed(conn net.Conn) {
 	r.sheds.Add(1)
 	r.mu.RLock()
@@ -523,21 +528,29 @@ func (r *Registry) shed(conn net.Conn) {
 	if met != nil {
 		met.sheds.Inc()
 	}
-	retryMS := r.opt.RetryAfter.Milliseconds()
-	serveConn(conn, r.lim, func(req Request) *Response {
-		return &Response{OK: false, Error: "registry overloaded, retry later", RetryAfterMS: retryMS}
-	})
+	defer conn.Close()
+	lim := r.lim.withDefaults()
+	_ = conn.SetReadDeadline(time.Now().Add(lim.IODeadline))
+	br := bufio.NewReader(io.LimitReader(conn, lim.MaxMessageBytes))
+	for _, err := br.ReadSlice('\n'); err == bufio.ErrBufferFull; _, err = br.ReadSlice('\n') {
+	}
+	// Its own deadline: a peer that sent no newline is answered all the same.
+	_ = conn.SetWriteDeadline(time.Now().Add(lim.IODeadline))
+	_ = json.NewEncoder(conn).Encode(Response{OK: false, Error: "registry overloaded, retry later",
+		RetryAfterMS: r.opt.RetryAfter.Milliseconds()})
 }
 
 // upsertLocked creates or refreshes the entry for d, keeping the score
-// bucket index consistent. A digest only replaces the stored one when it
-// is newer (higher Gen, later stamp); a bare heartbeat (empty digest)
-// refreshes liveness without touching the stored state. It reports
+// bucket index consistent. e is r.nodes[d.Name] — the heartbeat paths have
+// already looked it up to test membership, so the digest costs one map
+// access, not two — and nil creates it. A digest only replaces the stored
+// one when it is newer (higher Gen, later stamp); a bare heartbeat (empty
+// digest) refreshes liveness without touching the stored state. It reports
 // whether anything beyond the liveness stamp changed — a false return is
 // a pure refresh, which the WAL logs in compact form.
-func (r *Registry) upsertLocked(d NodeDigest, now time.Time) bool {
-	e, ok := r.nodes[d.Name]
-	if !ok {
+func (r *Registry) upsertLocked(e *registryEntry, d NodeDigest, now time.Time) bool {
+	created := e == nil
+	if created {
 		e = &registryEntry{info: NodeInfo{Name: d.Name}, bucket: -1}
 		r.nodes[d.Name] = e
 	}
@@ -574,7 +587,7 @@ func (r *Registry) upsertLocked(d NodeDigest, now time.Time) bool {
 		r.buckets[want][e.info.Name] = e
 		e.bucket = want
 	}
-	return !ok || e.info != before
+	return created || e.info != before
 }
 
 func (r *Registry) removeLocked(name string) {
@@ -606,7 +619,7 @@ func (r *Registry) handle(req Request) *Response {
 		now := r.now()
 		d := NodeDigest{Name: req.Name, Addr: req.Addr, State: req.State, Load: req.Load, Gen: req.Gen}
 		r.mu.Lock()
-		r.upsertLocked(d, now)
+		r.upsertLocked(r.nodes[d.Name], d, now)
 		err := r.walUpsertLocked([]NodeDigest{d}, now)
 		n := len(r.nodes)
 		r.mu.Unlock()
@@ -629,7 +642,7 @@ func (r *Registry) handle(req Request) *Response {
 		now := r.now()
 		r.mu.Lock()
 		for _, d := range req.Digests {
-			r.upsertLocked(d, now)
+			r.upsertLocked(r.nodes[d.Name], d, now)
 		}
 		err := r.walUpsertLocked(req.Digests, now)
 		n := len(r.nodes)
@@ -662,10 +675,10 @@ func (r *Registry) handle(req Request) *Response {
 		now := r.now()
 		d := NodeDigest{Name: req.Name, State: req.State, Load: req.Load, Gen: req.Gen}
 		r.mu.Lock()
-		_, ok := r.nodes[req.Name]
+		e, ok := r.nodes[req.Name]
 		var err error
 		if ok {
-			if r.upsertLocked(d, now) {
+			if r.upsertLocked(e, d, now) {
 				err = r.walUpsertLocked([]NodeDigest{d}, now)
 			} else {
 				err = r.walRefreshLocked([]string{d.Name}, now)
@@ -693,12 +706,13 @@ func (r *Registry) handle(req Request) *Response {
 		changed := r.walChanged[:0]     // digests that advanced stored state
 		refreshed := r.walRefreshed[:0] // pure liveness refreshes
 		for _, d := range req.Digests {
-			if _, ok := r.nodes[d.Name]; !ok {
+			e, ok := r.nodes[d.Name]
+			if !ok {
 				missing = append(missing, d.Name)
 				continue
 			}
 			d.Addr = "" // liveness refresh, not re-registration
-			advanced := r.upsertLocked(d, now)
+			advanced := r.upsertLocked(e, d, now)
 			if !durable {
 				continue
 			}
