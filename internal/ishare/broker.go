@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -347,7 +348,9 @@ func (b *Broker) discover(ctx context.Context) ([]NodeInfo, bool, error) {
 	for i, addr := range addrs {
 		res := results[i]
 		if res.err == nil {
-			b.cache[addr] = shardCache{nodes: append([]NodeInfo(nil), res.nodes...), at: now}
+			// No copy: the reply's slice is this call's alone, and merged
+			// copies out of it.
+			b.cache[addr] = shardCache{nodes: res.nodes, at: now}
 			merged = append(merged, res.nodes...)
 			continue
 		}
@@ -410,7 +413,7 @@ func (b *Broker) Candidates(ctx context.Context) ([]Candidate, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []Candidate
+	out := make([]Candidate, 0, len(nodes))
 	for _, n := range nodes {
 		// Ranked discovery carries digest states; trust them and skip the
 		// per-node Info round trip — the scaling win that makes fan-out
@@ -437,29 +440,11 @@ func (b *Broker) Candidates(ctx context.Context) ([]Candidate, error) {
 		}
 		out = append(out, Candidate{Node: n, State: st.State, Score: score, Stale: stale})
 	}
-	// Stable selection sort by (score, load, name); candidate lists are
-	// bounded by shards x DiscoverLimit. Load is zero throughout legacy
-	// discovery, so the legacy order (score, name) is unchanged.
-	for i := 0; i < len(out); i++ {
-		best := i
-		for j := i + 1; j < len(out); j++ {
-			if candidateLess(out[j], out[best]) {
-				best = j
-			}
-		}
-		out[i], out[best] = out[best], out[i]
-	}
+	// (score, load, name), rankCmp's total order; the sort is stable besides,
+	// should a name ever arrive twice. Load is zero throughout legacy
+	// discovery, so the legacy order is (score, name).
+	slices.SortStableFunc(out, func(a, b Candidate) int { return rankCmp(a.Score, b.Score, &a.Node, &b.Node) })
 	return out, nil
-}
-
-func candidateLess(a, b Candidate) bool {
-	if a.Score != b.Score {
-		return a.Score < b.Score
-	}
-	if a.Node.Load != b.Node.Load {
-		return a.Node.Load < b.Node.Load
-	}
-	return a.Node.Name < b.Node.Name
 }
 
 // submitOnce sends one submission, with a single dedup-safe retry on the

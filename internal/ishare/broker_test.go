@@ -1,6 +1,8 @@
 package ishare
 
 import (
+	"net"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -77,6 +79,117 @@ func TestRankState(t *testing.T) {
 	for _, tt := range tests {
 		if got := rankState(tt.state); got != tt.want {
 			t.Errorf("rankState(%q) = %d, want %d", tt.state, got, tt.want)
+		}
+	}
+}
+
+// infoStub listens as a node whose info always reports state.
+func infoStub(t *testing.T, state string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go serveConn(conn, Limits{}, func(Request) *Response {
+				return &Response{OK: true, Info: &NodeStatus{State: state}}
+			})
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestRankingOrderUnchanged: the ranked list a shard serves and the
+// candidates a broker returns, legacy and ranked, come in the order the
+// sorts they replaced gave — an insertion sort and a selection sort, kept
+// here as the oracle — on a fleet with ties on score and on score and load.
+func TestRankingOrderUnchanged(t *testing.T) {
+	s1, s2, s3 := infoStub(t, "S1(full)"), infoStub(t, "S2(lowest-priority)"), infoStub(t, "S3(cpu-unavail)")
+	reg := startRegistry(t, time.Minute)
+	if err := (&Client{}).RegisterBatch(ctx, reg.Addr(), []NodeDigest{
+		{Name: "a", Addr: s1, State: "S1(full)", Load: 0.10},
+		{Name: "b", Addr: s1, State: "S1(full)", Load: 0.10},
+		{Name: "c", Addr: s1, State: "S1(full)", Load: 0.05},
+		{Name: "d", Addr: s2, State: "S2(lowest-priority)", Load: 0.10},
+		{Name: "e", Addr: s2, State: "S2(lowest-priority)"},
+		{Name: "f", Addr: s2, State: "S2(lowest-priority)", Load: 0.10},
+		{Name: "g", Addr: s1, State: "S1(full)", Load: 0.30},
+		{Name: "h", Addr: s3, State: "S3(cpu-unavail)", Load: 0.01},
+		{Name: "i", Addr: s1}, // a legacy agent: no digest, asked for its state in either mode
+	}); err != nil {
+		t.Fatal(err)
+	}
+	names := func(n int, name func(int) string) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = name(i)
+		}
+		return out
+	}
+
+	listed, err := (&Client{}).ListShard(ctx, reg.Addr(), 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := make([]NodeInfo, len(listed))
+	for i, n := range listed {
+		oracle[len(listed)-1-i] = n
+	}
+	less := func(a, b NodeInfo) bool {
+		if sa, sb := digestScore(a.State), digestScore(b.State); sa != sb {
+			return sa < sb
+		}
+		if a.Load != b.Load {
+			return a.Load < b.Load
+		}
+		return a.Name < b.Name
+	}
+	for i := 1; i < len(oracle); i++ {
+		for j := i; j > 0 && less(oracle[j], oracle[j-1]); j-- {
+			oracle[j], oracle[j-1] = oracle[j-1], oracle[j]
+		}
+	}
+	got := names(len(listed), func(i int) string { return listed[i].Name })
+	if want := []string{"c", "a", "b", "g", "e", "d", "f", "i"}; !reflect.DeepEqual(got, want) || !reflect.DeepEqual(listed, oracle) {
+		t.Errorf("ranked list order %v, want %v", got, want)
+	}
+
+	for _, limit := range []int{0, 32} {
+		cands, err := (&Broker{Client: &Client{RegistryAddr: reg.Addr()}, DiscoverLimit: limit}).Candidates(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := make([]Candidate, len(cands))
+		for i, c := range cands {
+			oracle[len(cands)-1-i] = c
+		}
+		less := func(a, b Candidate) bool {
+			if a.Score != b.Score {
+				return a.Score < b.Score
+			}
+			if a.Node.Load != b.Node.Load {
+				return a.Node.Load < b.Node.Load
+			}
+			return a.Node.Name < b.Node.Name
+		}
+		for i := range oracle {
+			best := i
+			for j := i + 1; j < len(oracle); j++ {
+				if less(oracle[j], oracle[best]) {
+					best = j
+				}
+			}
+			oracle[i], oracle[best] = oracle[best], oracle[i]
+		}
+		got := names(len(cands), func(i int) string { return cands[i].Node.Name })
+		if want := []string{"i", "c", "a", "b", "g", "e", "d", "f"}; !reflect.DeepEqual(got, want) || !reflect.DeepEqual(cands, oracle) {
+			t.Errorf("DiscoverLimit %d: candidate order %v, want %v", limit, got, want)
 		}
 	}
 }

@@ -7,8 +7,8 @@ import (
 
 // FuzzProtocolDecode drives arbitrary bytes through the wire decoders for
 // both directions of the protocol — every v1/v2 message (register_batch,
-// heartbeat_batch, discover, shardmap, gossip, submit) rides the same two
-// decode stacks. The invariants: no panic, no unbounded allocation past
+// heartbeat_batch, discover, shardmap, gossip, submit) rides the one
+// readMessage. The invariants: no panic, no unbounded allocation past
 // the message limit, and anything that decodes cleanly re-encodes to a
 // value that decodes to the same thing (round-trip stability).
 func FuzzProtocolDecode(f *testing.F) {

@@ -13,19 +13,23 @@
 // The wire protocol is one newline-delimited JSON request and response per
 // TCP connection — deliberately simple, debuggable with netcat.
 //
-// Requests have one codec in two halves. The shapes moved in bulk — the
-// Request envelope with its digests and names: register_batch,
-// heartbeat_batch, gossip, list, forecast — are written and parsed by hand
-// (wire.go), without reflection: roundTrip sends the bytes json.Encoder
-// would, in one Write; serveConn parses the message as it arrives, in one
-// pass. That half takes a strict subset: known keys in exact case, no array
-// twice; strings without escapes, control bytes or non-ASCII; strict-grammar
-// numbers that fit their field; no null, job or host_* member. All else —
-// submit, sethost, malformed or oversized input — goes to encoding/json as
-// the bytes already read plus the rest of the connection, and gets its
-// result and error text: not a codec a caller can select, but where the
-// subset ends and the oracle FuzzWireCodec holds it to. Responses are
-// encoding/json's alone.
+// Both message types have one codec in two halves. The shapes moved in bulk
+// — an envelope of scalars, arrays of flat objects (digests, nodes,
+// forecasts) and arrays of strings (names, missing): register_batch,
+// heartbeat_batch, gossip, list, forecast and their replies — are written
+// and parsed by hand (wire.go), without reflection: roundTrip and serveConn
+// each send the bytes json.Encoder would, in one Write, and parse the
+// message as it arrives, in one pass, with one state machine to which a
+// Request and a Response are two key → field tables. That half takes a
+// strict subset: known keys in exact case, no array twice; strings without
+// escapes, control bytes or non-ASCII (nor, written, <, > or &);
+// strict-grammar numbers that fit their field, no NaN or Inf; no null; no
+// job, host_*, info or shard_map member. All else — submit, sethost, info,
+// shardmap and their replies, malformed or oversized input — goes to
+// encoding/json (decodeBounded, json.Encoder below) as the bytes already
+// read plus the rest of the connection, and gets its result and error text:
+// not a codec a caller can select, but where the subset ends and the oracle
+// FuzzWireCodec holds it to.
 package ishare
 
 import (
@@ -245,6 +249,31 @@ func decodeBounded(r io.Reader, maxBytes int64, v any) (exceeded bool, err error
 	return err != nil && lr.N <= 0, err
 }
 
+// writeMessage sends msg, a *Request or a *Response, on w: appended into a
+// pooled buffer and written in one Write, or through json.Encoder when the
+// codec declines it. maxBytes is the exchange's limit, which no pooled
+// buffer outgrows.
+func writeMessage(w io.Writer, msg any, maxBytes int64) (err error) {
+	bp := wireBufs.Get().(*[]byte)
+	buf, fast := (*bp)[:0], false
+	switch m := msg.(type) {
+	case *Request:
+		buf, fast = appendRequest(buf, m)
+	case *Response:
+		buf, fast = appendResponse(buf, m)
+	}
+	if fast {
+		_, err = w.Write(buf)
+	} else {
+		err = json.NewEncoder(w).Encode(msg)
+	}
+	if int64(cap(buf)) <= maxBytes {
+		*bp = buf[:0]
+		wireBufs.Put(bp)
+	}
+	return err
+}
+
 // roundTrip dials addr through d, sends one request and reads one bounded
 // response. The per-attempt timeout is clamped to the context deadline, so
 // a caller-imposed budget bounds the whole exchange.
@@ -271,22 +300,11 @@ func roundTrip(ctx context.Context, d Dialer, addr string, req Request, timeout 
 	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
 		return nil, err
 	}
-	bp := wireBufs.Get().(*[]byte)
-	buf, fast := appendRequest((*bp)[:0], &req)
-	if fast {
-		_, err = conn.Write(buf)
-	} else {
-		err = json.NewEncoder(conn).Encode(req)
-	}
-	if int64(cap(buf)) <= maxBytes {
-		*bp = buf[:0]
-		wireBufs.Put(bp)
-	}
-	if err != nil {
+	if err := writeMessage(conn, &req, maxBytes); err != nil {
 		return nil, fmt.Errorf("ishare: sending %q: %w", req.Op, err)
 	}
 	var resp Response
-	if exceeded, err := decodeBounded(conn, maxBytes, &resp); exceeded {
+	if exceeded, err := readMessage(conn, maxBytes, &resp); exceeded {
 		return nil, fmt.Errorf("ishare: %q response to %s exceeds %d bytes", req.Op, addr, maxBytes)
 	} else if err != nil {
 		return nil, fmt.Errorf("ishare: reading %q response: %w", req.Op, err)
@@ -302,13 +320,13 @@ func serveConn(conn net.Conn, lim Limits, handle func(Request) *Response) {
 	defer conn.Close()
 	lim = lim.withDefaults()
 	_ = conn.SetDeadline(time.Now().Add(lim.IODeadline))
-	req, exceeded, err := readRequest(conn, lim.MaxMessageBytes)
-	if err != nil {
+	var req Request
+	if exceeded, err := readMessage(conn, lim.MaxMessageBytes, &req); err != nil {
 		msg := "bad request: " + err.Error()
 		if exceeded {
 			msg = fmt.Sprintf("request exceeds %d bytes", lim.MaxMessageBytes)
 		}
-		_ = json.NewEncoder(conn).Encode(Response{OK: false, Error: msg})
+		_ = writeMessage(conn, &Response{OK: false, Error: msg}, lim.MaxMessageBytes)
 		return
 	}
 	resp := handle(req)
@@ -318,5 +336,5 @@ func serveConn(conn net.Conn, lim Limits, handle func(Request) *Response) {
 	// Handlers may run for a while (a submission simulates a whole job);
 	// give the write its own fresh deadline rather than the leftovers.
 	_ = conn.SetDeadline(time.Now().Add(lim.IODeadline))
-	_ = json.NewEncoder(conn).Encode(resp)
+	_ = writeMessage(conn, resp, lim.MaxMessageBytes)
 }

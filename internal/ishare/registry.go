@@ -3,11 +3,12 @@ package ishare
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
 	"net"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -536,8 +537,8 @@ func (r *Registry) shed(conn net.Conn) {
 	}
 	// Its own deadline: a peer that sent no newline is answered all the same.
 	_ = conn.SetWriteDeadline(time.Now().Add(lim.IODeadline))
-	_ = json.NewEncoder(conn).Encode(Response{OK: false, Error: "registry overloaded, retry later",
-		RetryAfterMS: r.opt.RetryAfter.Milliseconds()})
+	_ = writeMessage(conn, &Response{OK: false, Error: "registry overloaded, retry later",
+		RetryAfterMS: r.opt.RetryAfter.Milliseconds()}, lim.MaxMessageBytes)
 }
 
 // upsertLocked creates or refreshes the entry for d, keeping the score
@@ -828,8 +829,9 @@ func (r *Registry) handle(req Request) *Response {
 // callers merge deterministically ranked lists.
 func (r *Registry) listRanked(limit int) *Response {
 	now := r.now()
-	nodes := make([]NodeInfo, 0, limit)
 	r.mu.RLock()
+	// The limit is the caller's number: what it sizes is bounded by the shard.
+	nodes := make([]NodeInfo, 0, min(limit, len(r.nodes)))
 	for score := 0; score <= 2 && len(nodes) < limit; score++ {
 		for _, e := range r.buckets[score] {
 			if now.Sub(e.lastSeen) > r.ttl {
@@ -845,27 +847,23 @@ func (r *Registry) listRanked(limit int) *Response {
 		}
 	}
 	r.mu.RUnlock()
-	sortCandidateInfos(nodes)
+	slices.SortStableFunc(nodes, func(a, b NodeInfo) int {
+		return rankCmp(digestScore(a.State), digestScore(b.State), &a, &b)
+	})
 	return &Response{OK: true, Nodes: nodes}
 }
 
-// sortCandidateInfos orders a ranked discovery response best-first:
-// digest score, then load, then name.
-func sortCandidateInfos(nodes []NodeInfo) {
-	for i := 1; i < len(nodes); i++ {
-		for j := i; j > 0 && candidateInfoLess(nodes[j], nodes[j-1]); j-- {
-			nodes[j], nodes[j-1] = nodes[j-1], nodes[j]
-		}
+// rankCmp orders placement options best-first: score, then load, then name.
+// Names are unique in a shard and across a ring's shards, so this is a total
+// order and the sorted list does not depend on the order it arrived in.
+func rankCmp(scoreA, scoreB int, a, b *NodeInfo) int {
+	switch {
+	case scoreA != scoreB:
+		return scoreA - scoreB
+	case a.Load < b.Load:
+		return -1
+	case a.Load > b.Load:
+		return 1
 	}
-}
-
-func candidateInfoLess(a, b NodeInfo) bool {
-	sa, sb := digestScore(a.State), digestScore(b.State)
-	if sa != sb {
-		return sa < sb
-	}
-	if a.Load != b.Load {
-		return a.Load < b.Load
-	}
-	return a.Name < b.Name
+	return strings.Compare(a.Name, b.Name)
 }

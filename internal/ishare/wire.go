@@ -10,7 +10,7 @@ import (
 	"repro/internal/availability"
 )
 
-// The hand-written half of the request codec; the package comment has the
+// The hand-written half of the message codec; the package comment has the
 // subset it takes and the rule that the rest is encoding/json's.
 
 // wireBufs pools message buffers, none larger than its exchange's limit.
@@ -19,8 +19,8 @@ var wireBufs = sync.Pool{New: func() any {
 	return &b
 }}
 
-// wireStates interns the state strings digests carry: a decoded batch
-// allocates one string per digest (its name), not two.
+// wireStates interns the state strings digests, nodes and forecasts carry:
+// a decoded batch allocates one string per digest (its name), not two.
 var wireStates = func() map[string]string {
 	m := make(map[string]string)
 	for s := availability.S1; s <= availability.S5; s++ {
@@ -29,14 +29,15 @@ var wireStates = func() map[string]string {
 	return m
 }()
 
-// wireEnc appends a Request as json.Encoder writes it. ok turns false when
+// wireEnc appends a message as json.Encoder writes it. ok turns false when
 // a value needs encoding/json (escaping, the NaN/Inf error).
 type wireEnc struct {
 	b  []byte
 	ok bool
 }
 
-// str, num and float write one `,"key":value` member, omitempty unless keep.
+// str, num, float and flag write one `,"key":value` member; the first three
+// leave an empty value out (omitempty) unless keep.
 func (e *wireEnc) str(key, s string, keep bool) {
 	if s == "" && !keep {
 		return
@@ -50,20 +51,20 @@ func (e *wireEnc) str(key, s string, keep bool) {
 	e.b = append(append(append(append(e.b, key...), '"'), s...), '"')
 }
 
-func (e *wireEnc) num(key string, v int64) {
-	if v != 0 {
+func (e *wireEnc) num(key string, v int64, keep bool) {
+	if v != 0 || keep {
 		e.b = strconv.AppendInt(append(e.b, key...), v, 10)
 	}
 }
 
-func (e *wireEnc) float(key string, f float64) {
-	if f == 0 {
+func (e *wireEnc) float(key string, f float64, keep bool) {
+	if f == 0 && !keep {
 		return
 	}
-	// As encoding/json: 'e' outside [1e-6, 1e21), exponent unpadded; NaN
-	// and the infinities are its error to report.
+	// As encoding/json: 'e' outside [1e-6, 1e21) except for a zero (0 or
+	// -0), exponent unpadded; NaN and the infinities are its error to report.
 	abs, format := math.Abs(f), byte('f')
-	if abs < 1e-6 || abs >= 1e21 {
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
 	e.ok = e.ok && abs <= math.MaxFloat64
@@ -72,6 +73,43 @@ func (e *wireEnc) float(key string, f float64) {
 		e.b[n-2] = e.b[n-1]
 		e.b = e.b[:n-1]
 	}
+}
+
+func (e *wireEnc) flag(key string, v bool) {
+	e.b = strconv.AppendBool(append(e.b, key...), v)
+}
+
+// endArray closes an array member of n elements, each written after an open
+// of its own: nothing of an empty one (omitempty) has been written.
+func (e *wireEnc) endArray(n int) {
+	if n > 0 {
+		e.b = append(e.b, ']')
+	}
+}
+
+// digests and strs write the array members both message types carry.
+func (e *wireEnc) digests(ds []NodeDigest) {
+	open := `,"digests":[{"name":`
+	for i := range ds {
+		d := &ds[i]
+		e.str(open, d.Name, true)
+		e.str(`,"addr":`, d.Addr, false)
+		e.str(`,"state":`, d.State, false)
+		e.float(`,"load":`, d.Load, false)
+		e.num(`,"gen":`, d.Gen, false)
+		e.num(`,"unix_ms":`, d.UnixMS, false)
+		e.b = append(e.b, '}')
+		open = `,{"name":`
+	}
+	e.endArray(len(ds))
+}
+
+func (e *wireEnc) strs(open string, ss []string) {
+	for _, s := range ss {
+		e.str(open, s, true)
+		open = ","
+	}
+	e.endArray(len(ss))
 }
 
 // appendRequest appends req and its newline to b byte-for-byte as
@@ -86,34 +124,59 @@ func appendRequest(b []byte, req *Request) ([]byte, bool) {
 	e.str(`,"name":`, req.Name, false)
 	e.str(`,"addr":`, req.Addr, false)
 	e.str(`,"state":`, req.State, false)
-	e.float(`,"load":`, req.Load)
-	e.num(`,"gen":`, req.Gen)
-	open := `,"digests":[{"name":`
-	for i := range req.Digests {
-		d := &req.Digests[i]
-		e.str(open, d.Name, true)
-		e.str(`,"addr":`, d.Addr, false)
-		e.str(`,"state":`, d.State, false)
-		e.float(`,"load":`, d.Load)
-		e.num(`,"gen":`, d.Gen)
-		e.num(`,"unix_ms":`, d.UnixMS)
+	e.float(`,"load":`, req.Load, false)
+	e.num(`,"gen":`, req.Gen, false)
+	e.digests(req.Digests)
+	e.strs(`,"names":[`, req.Names)
+	e.num(`,"horizon_ms":`, req.HorizonMS, false)
+	e.num(`,"limit":`, int64(req.Limit), false)
+	e.str(`,"trace":`, req.Trace, false)
+	return append(e.b, '}', '\n'), e.ok
+}
+
+// appendResponse is appendRequest for a Response; info, job and shard_map
+// are outside the subset.
+func appendResponse(b []byte, resp *Response) ([]byte, bool) {
+	if resp.Info != nil || resp.Job != nil || resp.ShardMap != nil {
+		return b, false
+	}
+	e := wireEnc{b: b, ok: true}
+	e.flag(`{"ok":`, resp.OK)
+	e.str(`,"error":`, resp.Error, false)
+	open := `,"nodes":[{"name":`
+	for i := range resp.Nodes {
+		n := &resp.Nodes[i]
+		e.str(open, n.Name, true)
+		e.str(`,"addr":`, n.Addr, true)
+		e.flag(`,"alive":`, n.Alive)
+		e.num(`,"last_seen_ms":`, n.LastSeenMS, true)
+		e.str(`,"state":`, n.State, false)
+		e.float(`,"load":`, n.Load, false)
+		e.num(`,"gen":`, n.Gen, false)
 		e.b = append(e.b, '}')
 		open = `,{"name":`
 	}
-	if len(req.Digests) > 0 {
-		e.b = append(e.b, ']')
+	e.endArray(len(resp.Nodes))
+	e.digests(resp.Digests)
+	e.strs(`,"missing":[`, resp.Missing)
+	open = `,"forecasts":[{"name":`
+	for i := range resp.Forecasts {
+		f := &resp.Forecasts[i]
+		e.str(open, f.Name, true)
+		e.flag(`,"known":`, f.Known)
+		e.float(`,"survival":`, f.Survival, true)
+		e.float(`,"ewma_survival":`, f.EWMASurvival, false)
+		e.float(`,"rate_survival":`, f.RateSurvival, false)
+		e.float(`,"expected_events":`, f.ExpectedEvents, false)
+		e.num(`,"samples":`, int64(f.Samples), false)
+		e.str(`,"state":`, f.State, false)
+		e.num(`,"gen":`, f.Gen, false)
+		e.num(`,"unix_ms":`, f.UnixMS, false)
+		e.b = append(e.b, '}')
+		open = `,{"name":`
 	}
-	open = `,"names":[`
-	for _, name := range req.Names {
-		e.str(open, name, true)
-		open = ","
-	}
-	if len(req.Names) > 0 {
-		e.b = append(e.b, ']')
-	}
-	e.num(`,"horizon_ms":`, req.HorizonMS)
-	e.num(`,"limit":`, int64(req.Limit))
-	e.str(`,"trace":`, req.Trace, false)
+	e.endArray(len(resp.Forecasts))
+	e.num(`,"retry_after_ms":`, resp.RetryAfterMS, false)
 	return append(e.b, '}', '\n'), e.ok
 }
 
@@ -126,35 +189,39 @@ const (
 	wireDecline                   // outside the subset: encoding/json decides
 )
 
-// wireMaxPending bounds what readRequest lets a parse leave unconsumed:
+// wireMaxPending bounds what readMessage lets a parse leave unconsumed:
 // restart points are a scalar apart, so more than this pending is a string
-// no request carries, and handing it over keeps a peer that trickles bytes
+// no message carries, and handing it over keeps a peer that trickles bytes
 // from buying a rescan of it with each one.
 const wireMaxPending = 4096
 
-// Where a requestParser is: what it expects next.
+// Where a messageParser is: what it expects next.
 const (
-	atOpen    uint8 = iota // the request's '{'
-	atRequest              // a request member, or '}'
-	atDigests              // a "digests" element, or ']'
-	atDigest               // a member of the digest in cur, or '}'
-	atNames                // a "names" element, or ']'
+	atOpen     uint8 = iota // the message's '{'
+	atEnvelope              // a member of the message, or '}'
+	atObjects               // an element of the open array of objects, or ']'
+	atObject                // a member of the element in obj, or '}'
+	atStrings               // an element of the open array of strings, or ']'
 )
 
-// requestParser parses one Request in a single pass over a buffer that may
-// still be filling: parse consumes what is complete, stops before a member
-// or an array element and resumes there when called with the same bytes
-// and more. It declines no later than encoding/json would report an error
-// and is done where encoding/json would be, at the closing '}'.
-type requestParser struct {
-	req   Request
-	cur   NodeDigest // the digest being parsed
-	pos   int        // b[:pos] is consumed
+// messageParser parses one Request or Response in a single pass over a
+// buffer that may still be filling: parse consumes what is complete, stops
+// before a member or an array element and resumes there when called with
+// the same bytes and more. It declines no later than encoding/json would
+// report an error and is done where encoding/json would be, at the closing
+// '}'. All it knows of either message type is its wireObject: envelope
+// scalars, arrays of flat objects, arrays of strings.
+type messageParser struct {
+	msg   wireObject        // the *Request or *Response being filled
+	obj   wireObject        // whose members come next: msg, or the element of the open array being parsed
+	elem  func() wireObject // appends an element to the open array of objects
+	strs  *[]string         // the open array of strings
+	pos   int               // b[:pos] is consumed
 	at    uint8
 	first bool // nothing of the current object or array consumed: no comma due
 }
 
-func (p *requestParser) parse(b []byte) wireStatus {
+func (p *messageParser) parse(b []byte) wireStatus {
 	for {
 		i := skipSpace(b, p.pos)
 		if i == len(b) {
@@ -162,18 +229,17 @@ func (p *requestParser) parse(b []byte) wireStatus {
 		}
 		switch c := b[i]; {
 		case p.at == atOpen && c == '{':
-			p.pos, p.at, p.first = i+1, atRequest, true
+			p.pos, p.at, p.obj, p.first = i+1, atEnvelope, p.msg, true
 			continue
 		case p.at == atOpen:
 			return wireDecline
-		case p.at == atRequest && c == '}':
+		case p.at == atEnvelope && c == '}':
 			return wireDone
-		case p.at == atDigest && c == '}':
-			p.req.Digests = append(p.req.Digests, p.cur)
-			p.pos, p.at, p.first = i+1, atDigests, false
+		case p.at == atObject && c == '}':
+			p.pos, p.at, p.first = i+1, atObjects, false
 			continue
-		case (p.at == atDigests || p.at == atNames) && c == ']':
-			p.pos, p.at, p.first = i+1, atRequest, false
+		case (p.at == atObjects || p.at == atStrings) && c == ']':
+			p.pos, p.at, p.obj, p.first = i+1, atEnvelope, p.msg, false
 			continue
 		}
 		if !p.first {
@@ -184,87 +250,199 @@ func (p *requestParser) parse(b []byte) wireStatus {
 				return wireShort
 			}
 		}
-		st, opened := wireDone, false
-		switch p.at {
-		case atRequest, atDigest:
-			i, opened, st = p.member(b, i)
-		case atDigests:
+		st, at := wireDone, p.at
+		switch at {
+		case atEnvelope, atObject:
+			i, st = p.member(b, i)
+		case atObjects:
 			if b[i] != '{' {
 				return wireDecline
 			}
-			i, opened, p.at, p.cur = i+1, true, atDigest, NodeDigest{}
-		case atNames:
+			i, p.at, p.obj = i+1, atObject, p.elem()
+		case atStrings:
 			var s string
-			if s, i, st = stringValue(b, i); st == wireDone {
-				p.req.Names = append(p.req.Names, s)
+			if i, st = stringValue(&s, b, i); st == wireDone {
+				*p.strs = append(*p.strs, s)
 			}
 		}
 		if st != wireDone {
 			return st
 		}
-		p.pos, p.first = i, opened
+		p.pos, p.first = i, p.at != at // moved into an array or an element: nothing of it consumed yet
 	}
 }
 
-// member parses one `"key":value` of the request or of the current digest
-// at b[i]. An array value is only opened (p.at moves into it): its elements
-// are parse's.
-func (p *requestParser) member(b []byte, i int) (_ int, opened bool, st wireStatus) {
+// member parses one `"key":value` of p.obj at b[i] into the field its table
+// names. An array value is only opened (p.at moves into it): its elements
+// are parse's. A repeated scalar takes its last value, as in encoding/json.
+func (p *messageParser) member(b []byte, i int) (int, wireStatus) {
 	key, i, st := rawString(b, i)
 	if st == wireDone {
 		if i = skipSpace(b, i); i < len(b) && b[i] != ':' {
-			return i, false, wireDecline
+			return i, wireDecline
 		}
 		if i = skipSpace(b, min(i+1, len(b))); i == len(b) {
 			st = wireShort
 		}
 	}
 	if st != wireDone {
-		return i, false, st
+		return i, st
 	}
-	// The five members a digest shares with the envelope, then each one's
-	// own. A repeated scalar takes its last value, as in encoding/json.
-	name, addr, state, load, gen := &p.req.Name, &p.req.Addr, &p.req.State, &p.req.Load, &p.req.Gen
-	if p.at == atDigest {
-		name, addr, state, load, gen = &p.cur.Name, &p.cur.Addr, &p.cur.State, &p.cur.Load, &p.cur.Gen
+	return p.obj.wireMember(p, key, b, i)
+}
+
+// wireObject is what the parser fills: a message, or a flat object of one
+// of its arrays. wireMember is its key → field table, all that tells a
+// Request from a Response: it parses the value at b[i] into the field key
+// names, and declines what encoding/json must decide (an unknown or
+// other-case key; job, host_*, info, shard_map).
+type wireObject interface {
+	wireMember(p *messageParser, key, b []byte, i int) (int, wireStatus)
+}
+
+// wirePtr is *T for a T the parser can fill.
+type wirePtr[T any] interface {
+	*T
+	wireObject
+}
+
+func (o *Request) wireMember(p *messageParser, key, b []byte, i int) (int, wireStatus) {
+	switch string(key) { // no copy of the key: a switch tag, not a value
+	case "op":
+		return stringValue(&o.Op, b, i)
+	case "name":
+		return stringValue(&o.Name, b, i)
+	case "addr":
+		return stringValue(&o.Addr, b, i)
+	case "state":
+		return stringValue(&o.State, b, i)
+	case "load":
+		return floatValue(&o.Load, b, i)
+	case "gen":
+		return intValue(&o.Gen, b, i)
+	case "digests":
+		return openObjects(p, &o.Digests, b, i)
+	case "names":
+		return p.openStrings(&o.Names, b, i)
+	case "horizon_ms":
+		return intValue(&o.HorizonMS, b, i)
+	case "limit":
+		return intSizeValue(&o.Limit, b, i)
+	case "trace":
+		return stringValue(&o.Trace, b, i)
 	}
-	switch { // string(key) in a comparison does not copy the key
-	case string(key) == "name":
-		*name, i, st = stringValue(b, i)
-	case string(key) == "addr":
-		*addr, i, st = stringValue(b, i)
-	case string(key) == "state":
-		*state, i, st = stringValue(b, i)
-	case string(key) == "load":
-		*load, i, st = floatValue(b, i)
-	case string(key) == "gen":
-		*gen, i, st = intValue(b, i, 64)
-	case string(key) == "unix_ms" && p.at == atDigest:
-		p.cur.UnixMS, i, st = intValue(b, i, 64)
-	case p.at == atDigest:
-		return i, false, wireDecline
-	case string(key) == "op":
-		p.req.Op, i, st = stringValue(b, i)
-	case string(key) == "horizon_ms":
-		p.req.HorizonMS, i, st = intValue(b, i, 64)
-	case string(key) == "limit":
-		var v int64
-		v, i, st = intValue(b, i, strconv.IntSize)
-		p.req.Limit = int(v)
-	case string(key) == "trace":
-		p.req.Trace, i, st = stringValue(b, i)
-	case string(key) == "digests" && b[i] == '[' && p.req.Digests == nil:
-		// Pre-sized from the braces in sight, but never beyond what the
-		// bytes could hold (`{"name":""},` is 12).
-		rest := b[i+1:]
-		p.req.Digests = make([]NodeDigest, 0, min(bytes.Count(rest, []byte{'{'}), len(rest)/12+1))
-		i, opened, p.at = i+1, true, atDigests
-	case string(key) == "names" && b[i] == '[' && p.req.Names == nil:
-		i, opened, p.at, p.req.Names = i+1, true, atNames, []string{}
-	default: // unknown, other-case, job, host_*, null, a repeated array: encoding/json's rules apply
-		return i, false, wireDecline
+	return i, wireDecline
+}
+
+func (o *Response) wireMember(p *messageParser, key, b []byte, i int) (int, wireStatus) {
+	switch string(key) {
+	case "ok":
+		return boolValue(&o.OK, b, i)
+	case "error":
+		return stringValue(&o.Error, b, i)
+	case "nodes":
+		return openObjects(p, &o.Nodes, b, i)
+	case "digests":
+		return openObjects(p, &o.Digests, b, i)
+	case "missing":
+		return p.openStrings(&o.Missing, b, i)
+	case "forecasts":
+		return openObjects(p, &o.Forecasts, b, i)
+	case "retry_after_ms":
+		return intValue(&o.RetryAfterMS, b, i)
 	}
-	return i, opened, st
+	return i, wireDecline
+}
+
+func (o *NodeDigest) wireMember(_ *messageParser, key, b []byte, i int) (int, wireStatus) {
+	switch string(key) {
+	case "name":
+		return stringValue(&o.Name, b, i)
+	case "addr":
+		return stringValue(&o.Addr, b, i)
+	case "state":
+		return stringValue(&o.State, b, i)
+	case "load":
+		return floatValue(&o.Load, b, i)
+	case "gen":
+		return intValue(&o.Gen, b, i)
+	case "unix_ms":
+		return intValue(&o.UnixMS, b, i)
+	}
+	return i, wireDecline
+}
+
+func (o *NodeInfo) wireMember(_ *messageParser, key, b []byte, i int) (int, wireStatus) {
+	switch string(key) {
+	case "name":
+		return stringValue(&o.Name, b, i)
+	case "addr":
+		return stringValue(&o.Addr, b, i)
+	case "alive":
+		return boolValue(&o.Alive, b, i)
+	case "last_seen_ms":
+		return intValue(&o.LastSeenMS, b, i)
+	case "state":
+		return stringValue(&o.State, b, i)
+	case "load":
+		return floatValue(&o.Load, b, i)
+	case "gen":
+		return intValue(&o.Gen, b, i)
+	}
+	return i, wireDecline
+}
+
+func (o *ForecastInfo) wireMember(_ *messageParser, key, b []byte, i int) (int, wireStatus) {
+	switch string(key) {
+	case "name":
+		return stringValue(&o.Name, b, i)
+	case "known":
+		return boolValue(&o.Known, b, i)
+	case "survival":
+		return floatValue(&o.Survival, b, i)
+	case "ewma_survival":
+		return floatValue(&o.EWMASurvival, b, i)
+	case "rate_survival":
+		return floatValue(&o.RateSurvival, b, i)
+	case "expected_events":
+		return floatValue(&o.ExpectedEvents, b, i)
+	case "samples":
+		return intSizeValue(&o.Samples, b, i)
+	case "state":
+		return stringValue(&o.State, b, i)
+	case "gen":
+		return intValue(&o.Gen, b, i)
+	case "unix_ms":
+		return intValue(&o.UnixMS, b, i)
+	}
+	return i, wireDecline
+}
+
+// openObjects opens the array of flat objects at b[i] into *dst, unless
+// b[i] starts something else (null included) or the array a second time:
+// encoding/json's rules apply to those. The slice is pre-sized from the
+// braces in sight, but never beyond what the bytes could hold
+// (`{"name":""},` is 12).
+func openObjects[T any, P wirePtr[T]](p *messageParser, dst *[]T, b []byte, i int) (int, wireStatus) {
+	if b[i] != '[' || *dst != nil {
+		return i, wireDecline
+	}
+	rest := b[i+1:]
+	*dst = make([]T, 0, min(bytes.Count(rest, []byte{'{'}), len(rest)/12+1))
+	p.at, p.elem = atObjects, func() wireObject {
+		*dst = append(*dst, *new(T))
+		return P(&(*dst)[len(*dst)-1])
+	}
+	return i + 1, wireDone
+}
+
+// openStrings is openObjects for an array of strings.
+func (p *messageParser) openStrings(dst *[]string, b []byte, i int) (int, wireStatus) {
+	if b[i] != '[' || *dst != nil {
+		return i, wireDecline
+	}
+	*dst, p.strs, p.at = []string{}, dst, atStrings
+	return i + 1, wireDone
 }
 
 func skipSpace(b []byte, i int) int {
@@ -292,14 +470,17 @@ func rawString(b []byte, i int) ([]byte, int, wireStatus) {
 	return nil, i, wireShort
 }
 
-func stringValue(b []byte, i int) (string, int, wireStatus) {
+// stringValue stores the string at b[i] in *dst, a state string interned.
+func stringValue(dst *string, b []byte, i int) (int, wireStatus) {
 	s, i, st := rawString(b, i)
 	if len(s) > 1 && s[0] == 'S' { // only a state starts so: no lookup for the names
 		if v, ok := wireStates[string(s)]; ok {
-			return v, i, st
+			*dst = v
+			return i, st
 		}
 	}
-	return string(s), i, st
+	*dst = string(s)
+	return i, st
 }
 
 // numberToken delimits the number at b[i] under JSON's strict grammar and
@@ -336,37 +517,71 @@ func numberToken(b []byte, i int) (tok []byte, integer bool, st wireStatus) {
 
 // floatValue and intValue convert with the calls encoding/json makes, and
 // decline where it reports an error (overflow, a fraction for an integer).
-func floatValue(b []byte, i int) (float64, int, wireStatus) {
+func floatValue(dst *float64, b []byte, i int) (int, wireStatus) {
 	tok, _, st := numberToken(b, i)
 	f, err := strconv.ParseFloat(string(tok), 64)
 	if st == wireDone && err != nil {
 		st = wireDecline
 	}
-	return f, i + len(tok), st
+	*dst = f
+	return i + len(tok), st
 }
 
-func intValue(b []byte, i, bits int) (int64, int, wireStatus) {
+func intValue(dst *int64, b []byte, i int) (int, wireStatus) {
 	tok, integer, st := numberToken(b, i)
-	v, err := strconv.ParseInt(string(tok), 10, bits)
+	v, err := strconv.ParseInt(string(tok), 10, 64)
 	if st == wireDone && (!integer || err != nil) {
 		st = wireDecline
 	}
-	return v, i + len(tok), st
+	*dst = v
+	return i + len(tok), st
 }
 
-// readRequest reads one request of at most maxBytes from r into a pooled
-// buffer and parses it as it fills. What the parser declines, or is still
-// incomplete when r ends or the limit is reached, goes to encoding/json as
-// the bytes already read plus the rest of r under the same limit, and gets
-// its result and error text. exceeded reports that the error is the limit's.
-func readRequest(r io.Reader, maxBytes int64) (req Request, exceeded bool, err error) {
+// intSizeValue is intValue for an int field.
+func intSizeValue(dst *int, b []byte, i int) (int, wireStatus) {
+	var v int64
+	i, st := intValue(&v, b, i)
+	if *dst = int(v); int64(*dst) != v {
+		st = wireDecline
+	}
+	return i, st
+}
+
+// boolValue takes the literal true or false at b[i]; anything that is not
+// the start of one declines.
+func boolValue(dst *bool, b []byte, i int) (int, wireStatus) {
+	for _, lit := range [...]string{"true", "false"} {
+		if n := min(len(lit), len(b)-i); string(b[i:i+n]) == lit[:n] {
+			if n < len(lit) {
+				return i, wireShort
+			}
+			*dst = lit == "true"
+			return i + n, wireDone
+		}
+	}
+	return i, wireDecline
+}
+
+// errReader fails every Read with err.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
+// readMessage reads one message of at most maxBytes from r into a pooled
+// buffer and parses it into msg as it fills. What the parser declines, or
+// is still incomplete when r ends or the limit is reached, goes to
+// encoding/json as the bytes already read plus the rest of r under the same
+// limit, and gets its result and error text. A reader that has failed is
+// not read again: the fallback is handed the error it returned. exceeded
+// reports that the error is the limit's.
+func readMessage[M Request | Response, P wirePtr[M]](r io.Reader, maxBytes int64, msg P) (exceeded bool, err error) {
 	bp := wireBufs.Get().(*[]byte)
 	buf := (*bp)[:0]
 	defer func() {
 		*bp = buf[:0]
 		wireBufs.Put(bp)
 	}()
-	var p requestParser
+	p := messageParser{msg: msg}
 	for st := wireShort; st == wireShort && int64(len(buf)) < maxBytes; {
 		if len(buf) == cap(buf) {
 			buf = append(make([]byte, 0, min(2*int64(cap(buf)), maxBytes)), buf...)
@@ -375,17 +590,16 @@ func readRequest(r io.Reader, maxBytes int64) (req Request, exceeded bool, err e
 		buf = buf[:len(buf)+n]
 		if n > 0 {
 			if st = p.parse(buf); st == wireDone {
-				return p.req, false, nil
+				return false, nil
 			} else if len(buf)-p.pos > wireMaxPending {
 				st = wireDecline
 			}
 		}
 		if rerr != nil {
+			r = errReader{rerr}
 			break
 		}
 	}
-	if exceeded, err = decodeBounded(io.MultiReader(bytes.NewReader(buf), r), maxBytes, &req); err != nil {
-		return Request{}, exceeded, err
-	}
-	return req, false, nil
+	*msg = *new(M) // the parser filled part of it
+	return decodeBounded(io.MultiReader(bytes.NewReader(buf), r), maxBytes, msg)
 }

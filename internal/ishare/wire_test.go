@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -14,60 +15,83 @@ import (
 	"time"
 )
 
-// decodeRequest is the fuzz targets' entry to the request decode: raw bytes
-// through readRequest, the read-and-decode function serveConn runs (same
-// parser, same fallback, same size limit), so they exercise what production
-// executes: malformed or truncated input must return an error, never panic,
-// and allocation is bounded by maxBytes regardless of input.
-func decodeRequest(data []byte, maxBytes int64) (Request, error) {
+// decodeMessage is the fuzz targets' entry to the decode of either message
+// type: raw bytes through readMessage, the read-and-decode function
+// serveConn and roundTrip run (same parser, same fallback, same size limit),
+// so they exercise what production executes: malformed or truncated input
+// must return an error, never panic, and allocation is bounded by maxBytes
+// regardless of input.
+func decodeMessage[M Request | Response, P wirePtr[M]](data []byte, maxBytes int64) (msg M, err error) {
 	if maxBytes <= 0 {
 		maxBytes = Limits{}.withDefaults().MaxMessageBytes
 	}
-	req, exceeded, err := readRequest(bytes.NewReader(data), maxBytes)
-	if exceeded {
-		return Request{}, fmt.Errorf("ishare: request exceeds %d bytes", maxBytes)
-	}
-	return req, err
-}
-
-// decodeResponse is the same for responses: decodeBounded, the read path of
-// roundTrip.
-func decodeResponse(data []byte, maxBytes int64) (Response, error) {
-	if maxBytes <= 0 {
-		maxBytes = Limits{}.withDefaults().MaxMessageBytes
-	}
-	var resp Response
-	if exceeded, err := decodeBounded(bytes.NewReader(data), maxBytes, &resp); exceeded {
-		return Response{}, fmt.Errorf("ishare: response exceeds %d bytes", maxBytes)
+	if exceeded, err := readMessage(bytes.NewReader(data), maxBytes, P(&msg)); exceeded {
+		return *new(M), fmt.Errorf("ishare: message exceeds %d bytes", maxBytes)
 	} else if err != nil {
-		return Response{}, err
+		return *new(M), err
 	}
-	return resp, nil
+	return msg, nil
 }
 
-// jsonDecodeRequest is the request decode as it was before the wire codec
-// — encoding/json alone behind the size limit — kept as the oracle the
-// codec is compared against.
-func jsonDecodeRequest(r io.Reader, maxBytes int64) (Request, error) {
+func decodeRequest(data []byte, maxBytes int64) (Request, error) {
+	return decodeMessage[Request](data, maxBytes)
+}
+
+func decodeResponse(data []byte, maxBytes int64) (Response, error) {
+	return decodeMessage[Response](data, maxBytes)
+}
+
+// jsonDecode is the decode as it was before the wire codec — encoding/json
+// alone behind the size limit — kept as the oracle the codec is compared
+// against.
+func jsonDecode[M Request | Response](r io.Reader, maxBytes int64) (msg M, err error) {
 	lr := &io.LimitedReader{R: r, N: maxBytes}
-	var req Request
-	if err := json.NewDecoder(bufio.NewReader(lr)).Decode(&req); err != nil {
+	if err := json.NewDecoder(bufio.NewReader(lr)).Decode(&msg); err != nil {
 		if lr.N <= 0 {
-			return Request{}, fmt.Errorf("ishare: request exceeds %d bytes", maxBytes)
+			return *new(M), fmt.Errorf("ishare: message exceeds %d bytes", maxBytes)
 		}
-		return Request{}, err
+		return *new(M), err
 	}
-	return req, nil
+	return msg, nil
 }
 
-// jsonEncodeRequest is what json.Encoder writes for req.
-func jsonEncodeRequest(t testing.TB, req Request) []byte {
+// jsonEncode is what json.Encoder writes for msg.
+func jsonEncode(t testing.TB, msg any) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(req); err != nil {
+	if err := json.NewEncoder(&buf).Encode(msg); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// wireEncode is the codec's half of writeMessage.
+func wireEncode(msg any) ([]byte, bool) {
+	if req, ok := msg.(*Request); ok {
+		return appendRequest(nil, req)
+	}
+	return appendResponse(nil, msg.(*Response))
+}
+
+// listReply and forecastReply are the replies a place op waits for: n
+// ranked nodes, n forecasts.
+func listReply(n int) *Response {
+	resp := &Response{OK: true}
+	for _, d := range benchDigests(n) {
+		resp.Nodes = append(resp.Nodes, NodeInfo{Name: d.Name, Addr: d.Addr, Alive: true,
+			LastSeenMS: d.UnixMS, State: d.State, Load: float64(len(resp.Nodes)) / 997, Gen: d.Gen})
+	}
+	return resp
+}
+
+func forecastReply(n int) *Response {
+	resp := &Response{OK: true}
+	for i, d := range benchDigests(n) {
+		resp.Forecasts = append(resp.Forecasts, ForecastInfo{Name: d.Name, Known: true,
+			Survival: 1 - float64(i)/13, EWMASurvival: 0.75, RateSurvival: 0.9375, ExpectedEvents: float64(i) / 7,
+			Samples: 12 + i, State: d.State, Gen: d.Gen, UnixMS: d.UnixMS})
+	}
+	return resp
 }
 
 // chunkReader hands data out at most chunk bytes a Read, like a message
@@ -94,17 +118,21 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// checkAgainstJSON holds readRequest (parser plus fallback) to the oracle
-// on one input: same Request, same error text, whole or in segments, and
-// never a byte taken past the limit.
-func checkAgainstJSON(t *testing.T, data []byte, lim int64, chunk int) {
+// checkAgainstJSON holds readMessage (parser plus fallback) to the oracle
+// on one input read as an M: same message, same error text, whole or in
+// segments, and never a byte taken past the limit.
+func checkAgainstJSON[M Request | Response, P wirePtr[M]](t *testing.T, data []byte, lim int64, chunk int) {
 	t.Helper()
-	want, wantErr := jsonDecodeRequest(bytes.NewReader(data), lim)
+	want, wantErr := jsonDecode[M](bytes.NewReader(data), lim)
 	for _, c := range []int{len(data) + 1, chunk} {
 		src := &chunkReader{data: data, chunk: max(c, 1)}
-		got, exceeded, err := readRequest(src, lim)
+		var got M
+		exceeded, err := readMessage(src, lim, P(&got))
 		if exceeded {
-			err = fmt.Errorf("ishare: request exceeds %d bytes", lim)
+			err = fmt.Errorf("ishare: message exceeds %d bytes", lim)
+		}
+		if err != nil {
+			got = *new(M)
 		}
 		// Which of two errors a message both over the limit and malformed
 		// gets depends on read sizes, over TCP as well; the oracle's is
@@ -120,31 +148,33 @@ func checkAgainstJSON(t *testing.T, data []byte, lim int64, chunk int) {
 		}
 	}
 	// The parser alone: whatever it accepts is encoding/json's value.
-	var p requestParser
-	if p.parse(data) == wireDone {
-		var j Request
-		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&j); err != nil || !reflect.DeepEqual(p.req, j) {
-			t.Fatalf("parser accepted %q as %+v; encoding/json: %+v, %v", data, p.req, j, err)
+	var got, j M
+	if p := (messageParser{msg: P(&got)}); p.parse(data) == wireDone {
+		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&j); err != nil || !reflect.DeepEqual(got, j) {
+			t.Fatalf("parser accepted %q as %+v; encoding/json: %+v, %v", data, got, j, err)
 		}
 	}
 }
 
-// checkEncode holds appendRequest to json.Encoder on one Request.
-func checkEncode(t *testing.T, req Request) {
+// checkEncode holds the codec's encoder to json.Encoder on one message: the
+// same bytes or declined, and what it writes the parser reads back.
+func checkEncode[M Request | Response, P wirePtr[M]](t *testing.T, msg P, chunk int) {
 	t.Helper()
-	got, ok := appendRequest(nil, &req)
+	got, ok := wireEncode(msg)
 	if !ok {
 		return
 	}
-	if want := jsonEncodeRequest(t, req); !bytes.Equal(got, want) {
+	if want := jsonEncode(t, msg); !bytes.Equal(got, want) {
 		t.Fatalf("encoder wrote\n%s\njson.Encoder writes\n%s", got, want)
 	}
+	checkAgainstJSON[M, P](t, got, 1<<16, chunk)
 }
 
 // FuzzWireCodec pins the hand-written codec to encoding/json in both
-// directions: arbitrary bytes decode to exactly the oracle's Request or
-// error, whole or segmented, within the size limit; an arbitrary Request
-// encodes to exactly json.Encoder's bytes or is declined.
+// directions and for both message types: arbitrary bytes decode to exactly
+// the oracle's Request and Response or error, whole or segmented, within
+// the size limit; an arbitrary Request or Response encodes to exactly
+// json.Encoder's bytes or is declined.
 func FuzzWireCodec(f *testing.F) {
 	for _, s := range []string{
 		`{"op":"register_batch","digests":[{"name":"m001","addr":"10.0.0.1:70","state":"S1(full)","load":0.1,"gen":1,"unix_ms":1700000000000},{"name":"m002","state":"S2(lowest-priority)"}]}` + "\n",
@@ -154,6 +184,12 @@ func FuzzWireCodec(f *testing.F) {
 		`{"op":"submit","job":{"id":"j-1","cpu_seconds":2.5}}`, `{"OP":"list"}`, `{"op":"a","op":"b"}`,
 		`{"op":"x","load":1e309}`, `{"op":"x","gen":1.5}`, `{"op":"n\u00e9"}`, `{"op":null}`, ` { "digests" : [ ] } x`,
 		`{"digests":[{"name":"a"},]}`, `{"names":["a",]}`, `{"op":"x",}`, `{"gen":01}`, `{"load":-}`, `{`, `[]`, "",
+		`{"ok":true,"nodes":[{"name":"m001","addr":"10.0.0.1:70","alive":true,"last_seen_ms":1700000000000,"state":"S1(full)","load":0.1,"gen":1},{"name":"m002","addr":"","alive":false,"last_seen_ms":0}]}` + "\n",
+		`{"ok":true,"forecasts":[{"name":"m001","known":true,"survival":0.75,"ewma_survival":0.5,"rate_survival":1e-7,"expected_events":0.3,"samples":12,"state":"S1(full)","gen":4,"unix_ms":1700000000000},{"name":"m9","known":false,"survival":-0}]}` + "\n",
+		`{"ok":true,"missing":["m003","m009"]}` + "\n",
+		`{"ok":false,"error":"registry overloaded, retry later","retry_after_ms":200}` + "\n",
+		`{"ok":false,"error":"unknown op x"}`, `{"ok":tru`, `{"ok":1}`, `{"ok":true,"nodes":null}`,
+		`{"ok":true,"info":{"state":"S1(full)"}}`, `{"ok":true,"nodes":[{"alive":"true"}]}`,
 	} {
 		f.Add([]byte(s), "m001", "S1(full)", 0.25, int64(3), uint8(7))
 	}
@@ -161,74 +197,116 @@ func FuzzWireCodec(f *testing.F) {
 	f.Add([]byte(`{}`), `q"\`, "", 1e-7, int64(0), uint8(200))
 	f.Fuzz(func(t *testing.T, data []byte, name, state string, load float64, gen int64, n uint8) {
 		const lim = 1 << 12
-		checkAgainstJSON(t, data, lim, int(n))
+		checkAgainstJSON[Request](t, data, lim, int(n))
+		checkAgainstJSON[Response](t, data, lim, int(n))
 
 		req := Request{Op: state, Name: name, State: state, Load: load, Gen: gen, HorizonMS: gen, Limit: int(n), Trace: name}
+		resp := Response{OK: n%2 == 0, RetryAfterMS: gen}
+		if n%3 == 0 {
+			resp.Error = name
+		}
 		for i := 0; i < int(n%5); i++ {
-			req.Digests = append(req.Digests, NodeDigest{Name: name, Addr: state, State: state, Load: load * float64(i), Gen: gen, UnixMS: int64(i)})
-			req.Names = append(req.Names, name)
+			d := NodeDigest{Name: name, Addr: state, State: state, Load: load * float64(i), Gen: gen, UnixMS: int64(i)}
+			req.Digests, resp.Digests = append(req.Digests, d), append(resp.Digests, d)
+			req.Names, resp.Missing = append(req.Names, name), append(resp.Missing, name)
+			resp.Nodes = append(resp.Nodes, NodeInfo{Name: name, Addr: state, Alive: i%2 == 0, LastSeenMS: gen * int64(i), State: state, Load: d.Load, Gen: gen})
+			resp.Forecasts = append(resp.Forecasts, ForecastInfo{Name: name, Known: i%2 == 1, Survival: d.Load, EWMASurvival: load,
+				RateSurvival: -load, ExpectedEvents: float64(gen), Samples: int(n) * i, State: state, Gen: gen, UnixMS: int64(i)})
 		}
-		checkEncode(t, req)
-		// What the encoder writes, the parser reads back.
-		if enc, ok := appendRequest(nil, &req); ok {
-			checkAgainstJSON(t, enc, 1<<16, int(n))
-		}
+		checkEncode(t, &req, int(n))
+		checkEncode(t, &resp, int(n))
 	})
 }
 
 // TestWireEdgeCases: each input on or outside the codec's subset gets
-// exactly the result or the error text encoding/json alone gave.
+// exactly the result or the error text encoding/json alone gave, read as a
+// request or (reply) as a response.
 func TestWireEdgeCases(t *testing.T) {
-	big := jsonEncodeRequest(t, Request{Op: "heartbeat_batch", Digests: benchDigests(40)})
+	big := jsonEncode(t, Request{Op: "heartbeat_batch", Digests: benchDigests(40)})
+	list := jsonEncode(t, listReply(32))
 	cases := []struct {
 		name, in string
 		lim      int64
 		fast     bool // the parser, not the fallback, must have taken it
+		reply    bool
 	}{
-		{"plain batch", string(big), 0, true},
-		{"whitespace", " {\t\"op\" : \"list\" ,\r\n \"limit\" : 4 } \n", 0, true},
-		{"empty arrays", `{"op":"gossip","digests":[],"names":[]}`, 0, true},
-		{"empty object", `{}`, 0, true},
-		{"trailing garbage", `{"op":"list"} trailing`, 0, true},
-		{"second value", `{"op":"list"}{"op":"other"}`, 0, true},
-		{"minus zero", `{"op":"x","gen":-0,"load":-0}`, 0, true},
-		{"large exponent", `{"op":"x","load":1e21}`, 0, true},
-		{"small exponent", `{"op":"x","load":1e-7}`, 0, true},
-		{"capital exponent", `{"op":"x","load":2.5E+3}`, 0, true},
-		{"float overflow", `{"op":"x","load":1e309}`, 0, false},
-		{"int overflow", `{"op":"x","gen":9223372036854775808}`, 0, false},
-		{"fraction for int", `{"op":"x","gen":1.0}`, 0, false},
-		{"leading zero", `{"op":"x","gen":01}`, 0, false},
-		{"bare minus", `{"op":"x","load":-}`, 0, false},
-		{"escaped name", `{"op":"register","name":"a\"b","addr":"x"}`, 0, false},
-		{"unicode escape", `{"op":"register","name":"caf\u00e9"}`, 0, false},
-		{"non-ascii name", `{"op":"register","name":"café"}`, 0, false},
-		{"invalid utf-8", "{\"op\":\"register\",\"name\":\"a\xffb\"}", 0, false},
-		{"control byte", "{\"op\":\"a\x01b\"}", 0, false},
-		{"upper-case key", `{"OP":"list","Limit":3}`, 0, false},
-		{"repeated scalar", `{"op":"a","gen":4,"op":"b","gen":5}`, 0, true},
-		{"repeated digest scalar", `{"digests":[{"name":"a","gen":5,"name":"b"}]}`, 0, true},
-		{"repeated scalar, then null", `{"op":"a","op":null}`, 0, false},
-		{"repeated array", `{"digests":[{"name":"a","gen":5}],"digests":[{"name":"b"}]}`, 0, false},
-		{"repeated empty array", `{"names":[],"names":["a"]}`, 0, false},
-		{"unknown key", `{"op":"list","extra":{"a":[1,2]}}`, 0, false},
-		{"unknown digest key", `{"digests":[{"name":"a","zone":"z"}]}`, 0, false},
-		{"null string", `{"op":null}`, 0, false},
-		{"null array", `{"op":"x","digests":null}`, 0, false},
-		{"null digest", `{"digests":[null]}`, 0, false},
-		{"wrong type", `{"op":7}`, 0, false},
-		{"submit", `{"op":"submit","job":{"name":"j","cpu_seconds":2.5,"rss_mb":64}}`, 0, false},
-		{"sethost", `{"op":"sethost","host_load":0.5,"host_mem_mb":128}`, 0, false},
-		{"trailing comma", `{"op":"list",}`, 0, false},
-		{"trailing comma in array", `{"names":["a",]}`, 0, false},
-		{"missing colon", `{"op" "list"}`, 0, false},
-		{"not an object", `["op"]`, 0, false},
-		{"not json", `this is not json`, 0, false},
-		{"truncated", `{"op":"heartbeat_batch","digests":[{"name":"a"`, 0, false},
-		{"empty", ``, 0, false},
-		{"at the limit", string(big), int64(len(big)) - 1, true},
-		{"one byte over the limit", string(big), int64(len(big)) - 2, false},
-		{"long string", `{"op":"` + strings.Repeat("a", 2*wireMaxPending) + `"}`, 0, true},
+		{"plain batch", string(big), 0, true, false},
+		{"whitespace", " {\t\"op\" : \"list\" ,\r\n \"limit\" : 4 } \n", 0, true, false},
+		{"empty arrays", `{"op":"gossip","digests":[],"names":[]}`, 0, true, false},
+		{"empty object", `{}`, 0, true, false},
+		{"trailing garbage", `{"op":"list"} trailing`, 0, true, false},
+		{"second value", `{"op":"list"}{"op":"other"}`, 0, true, false},
+		{"minus zero", `{"op":"x","gen":-0,"load":-0}`, 0, true, false},
+		{"large exponent", `{"op":"x","load":1e21}`, 0, true, false},
+		{"small exponent", `{"op":"x","load":1e-7}`, 0, true, false},
+		{"capital exponent", `{"op":"x","load":2.5E+3}`, 0, true, false},
+		{"float overflow", `{"op":"x","load":1e309}`, 0, false, false},
+		{"int overflow", `{"op":"x","gen":9223372036854775808}`, 0, false, false},
+		{"fraction for int", `{"op":"x","gen":1.0}`, 0, false, false},
+		{"leading zero", `{"op":"x","gen":01}`, 0, false, false},
+		{"bare minus", `{"op":"x","load":-}`, 0, false, false},
+		{"escaped name", `{"op":"register","name":"a\"b","addr":"x"}`, 0, false, false},
+		{"unicode escape", `{"op":"register","name":"caf\u00e9"}`, 0, false, false},
+		{"non-ascii name", `{"op":"register","name":"café"}`, 0, false, false},
+		{"invalid utf-8", "{\"op\":\"register\",\"name\":\"a\xffb\"}", 0, false, false},
+		{"control byte", "{\"op\":\"a\x01b\"}", 0, false, false},
+		{"upper-case key", `{"OP":"list","Limit":3}`, 0, false, false},
+		{"repeated scalar", `{"op":"a","gen":4,"op":"b","gen":5}`, 0, true, false},
+		{"repeated digest scalar", `{"digests":[{"name":"a","gen":5,"name":"b"}]}`, 0, true, false},
+		{"repeated scalar, then null", `{"op":"a","op":null}`, 0, false, false},
+		{"repeated array", `{"digests":[{"name":"a","gen":5}],"digests":[{"name":"b"}]}`, 0, false, false},
+		{"repeated empty array", `{"names":[],"names":["a"]}`, 0, false, false},
+		{"unknown key", `{"op":"list","extra":{"a":[1,2]}}`, 0, false, false},
+		{"unknown digest key", `{"digests":[{"name":"a","zone":"z"}]}`, 0, false, false},
+		{"a reply's key", `{"op":"list","ok":true}`, 0, false, false},
+		{"null string", `{"op":null}`, 0, false, false},
+		{"null array", `{"op":"x","digests":null}`, 0, false, false},
+		{"null digest", `{"digests":[null]}`, 0, false, false},
+		{"wrong type", `{"op":7}`, 0, false, false},
+		{"submit", `{"op":"submit","job":{"name":"j","cpu_seconds":2.5,"rss_mb":64}}`, 0, false, false},
+		{"sethost", `{"op":"sethost","host_load":0.5,"host_mem_mb":128}`, 0, false, false},
+		{"trailing comma", `{"op":"list",}`, 0, false, false},
+		{"trailing comma in array", `{"names":["a",]}`, 0, false, false},
+		{"missing colon", `{"op" "list"}`, 0, false, false},
+		{"not an object", `["op"]`, 0, false, false},
+		{"not json", `this is not json`, 0, false, false},
+		{"truncated", `{"op":"heartbeat_batch","digests":[{"name":"a"`, 0, false, false},
+		{"empty", ``, 0, false, false},
+		{"at the limit", string(big), int64(len(big)) - 1, true, false},
+		{"one byte over the limit", string(big), int64(len(big)) - 2, false, false},
+		{"long string", `{"op":"` + strings.Repeat("a", 2*wireMaxPending) + `"}`, 0, true, false},
+
+		{"list reply", string(list), 0, true, true},
+		{"forecast reply", string(jsonEncode(t, forecastReply(8))), 0, true, true},
+		{"missing reply", `{"ok":true,"missing":["m003","m009"]}`, 0, true, true},
+		{"gossip reply", `{"ok":true,"digests":[{"name":"p1","unix_ms":1}]}`, 0, true, true},
+		{"shed reply", `{"ok":false,"error":"registry overloaded, retry later","retry_after_ms":200}`, 0, true, true},
+		{"reply whitespace", "{ \"ok\" : true , \"nodes\" : [ { \"alive\" : false } , { } ] }", 0, true, true},
+		{"ok as number", `{"ok":1}`, 0, false, true},
+		{"ok in upper case", `{"OK":true}`, 0, false, true},
+		{"ok misspelt", `{"ok":truth}`, 0, false, true},
+		{"ok cut short", `{"ok":tru`, 0, false, true},
+		{"ok run on", `{"ok":truefalse}`, 0, false, true},
+		{"alive as string", `{"ok":true,"nodes":[{"name":"a","alive":"true"}]}`, 0, false, true},
+		{"null nodes", `{"ok":true,"nodes":null}`, 0, false, true},
+		{"null ok", `{"ok":null}`, 0, false, true},
+		{"nodes twice", `{"ok":true,"nodes":[{"name":"a"}],"nodes":[{"name":"b"}]}`, 0, false, true},
+		{"zero survival", `{"ok":true,"forecasts":[{"name":"a","known":false,"survival":0}]}`, 0, true, true},
+		{"minus zero survival", `{"ok":true,"forecasts":[{"name":"a","known":true,"survival":-0}]}`, 0, true, true},
+		{"small survival", `{"ok":true,"forecasts":[{"name":"a","known":true,"survival":1e-7}]}`, 0, true, true},
+		{"fractional samples", `{"ok":true,"forecasts":[{"name":"a","samples":1.5}]}`, 0, false, true},
+		{"escaped node name", `{"ok":true,"nodes":[{"name":"a\"b"}]}`, 0, false, true},
+		{"non-ascii node name", `{"ok":true,"nodes":[{"name":"café"}]}`, 0, false, true},
+		{"escaped error", `{"ok":false,"error":"unknown op \"x\""}`, 0, false, true},
+		{"info member", `{"ok":true,"info":{"state":"S1(full)","host_cpu":0.25,"free_mem_mb":512,"virtual_now_ms":9}}`, 0, false, true},
+		{"job member", `{"ok":true,"job":{"completed":true,"outcome":"completed"}}`, 0, false, true},
+		{"shard_map member", `{"ok":true,"shard_map":{"gen":4,"shards":["a:1","b:2"]}}`, 0, false, true},
+		{"a request's key", `{"ok":true,"op":"list"}`, 0, false, true},
+		{"a node's key in a forecast", `{"ok":true,"forecasts":[{"name":"a","alive":true}]}`, 0, false, true},
+		{"reply trailing garbage", `{"ok":true} trailing`, 0, true, true},
+		{"reply truncated", `{"ok":true,"nodes":[{"name":"a"`, 0, false, true},
+		{"reply at the limit", string(list), int64(len(list)) - 1, true, true},
+		{"reply one byte over the limit", string(list), int64(len(list)) - 2, false, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -236,23 +314,30 @@ func TestWireEdgeCases(t *testing.T) {
 			if lim == 0 {
 				lim = 1 << 16
 			}
-			for chunk := 1; chunk <= 64; chunk *= 4 {
-				checkAgainstJSON(t, []byte(tc.in), lim, chunk)
+			var p messageParser // sees what readMessage would show it
+			if p.msg = new(Request); tc.reply {
+				p.msg = new(Response)
 			}
-			var p requestParser // sees what readRequest would show it
+			for chunk := 1; chunk <= 64; chunk *= 4 {
+				if tc.reply {
+					checkAgainstJSON[Response](t, []byte(tc.in), lim, chunk)
+				} else {
+					checkAgainstJSON[Request](t, []byte(tc.in), lim, chunk)
+				}
+			}
 			if got := p.parse([]byte(tc.in)[:min(int64(len(tc.in)), lim)]) == wireDone; got != tc.fast {
 				t.Errorf("parser accepted = %v, want %v", got, tc.fast)
 			}
 		})
 	}
-	if _, err := decodeRequest(big, int64(len(big))-2); err == nil || err.Error() != fmt.Sprintf("ishare: request exceeds %d bytes", len(big)-2) {
+	if _, err := decodeRequest(big, int64(len(big))-2); err == nil || err.Error() != fmt.Sprintf("ishare: message exceeds %d bytes", len(big)-2) {
 		t.Errorf("over the limit: %v", err)
 	}
 }
 
-// TestWireEncodeGolden: the requests the control plane sends leave the
-// client byte-for-byte as json.Encoder wrote them, and what it cannot
-// write that way it declines.
+// TestWireEncodeGolden: the requests the control plane sends and the
+// replies it gets leave the sender byte-for-byte as json.Encoder wrote
+// them, and what the codec cannot write that way it declines.
 func TestWireEncodeGolden(t *testing.T) {
 	batch := benchDigests(1000)
 	for i := range batch {
@@ -261,52 +346,71 @@ func TestWireEncodeGolden(t *testing.T) {
 	}
 	batch[1].Load, batch[2].Load, batch[3].Load, batch[4].Load = 1e-7, 1e21, 123456789e-17, -2.5e-9
 	batch[5] = NodeDigest{} // name is not omitempty
-	for _, req := range []Request{
-		{Op: "heartbeat_batch", Digests: batch},
-		{Op: "register_batch", Digests: batch[:1], Trace: "job-1"},
-		{Op: "register", Name: "n", Addr: "127.0.0.1:9", State: "S1(full)", Load: 0.5, Gen: 7},
-		{Op: "gossip", Digests: []NodeDigest{}},
-		{Op: "forecast", Names: []string{"a", "", "c"}, HorizonMS: 3600000},
-		{Op: "list", Limit: 32},
-		{Op: "list", Limit: -1, Gen: math.MinInt64, Load: math.SmallestNonzeroFloat64},
-		{},
+	list, forecasts := listReply(32), forecastReply(8)
+	list.Nodes[3].State, list.Nodes[4] = "", NodeInfo{} // a legacy agent; name, addr, alive and last_seen_ms are not omitempty
+	forecasts.Forecasts[2] = ForecastInfo{Name: "never-seen", Survival: 0.5, RateSurvival: 0.5}
+	forecasts.Forecasts[3].Survival, forecasts.Forecasts[4].Survival = 0, math.Copysign(0, -1) // survival is not omitempty
+	for _, msg := range []any{
+		&Request{Op: "heartbeat_batch", Digests: batch},
+		&Request{Op: "register_batch", Digests: batch[:1], Trace: "job-1"},
+		&Request{Op: "register", Name: "n", Addr: "127.0.0.1:9", State: "S1(full)", Load: 0.5, Gen: 7},
+		&Request{Op: "gossip", Digests: []NodeDigest{}},
+		&Request{Op: "forecast", Names: []string{"a", "", "c"}, HorizonMS: 3600000},
+		&Request{Op: "list", Limit: 32},
+		&Request{Op: "list", Limit: -1, Gen: math.MinInt64, Load: math.SmallestNonzeroFloat64},
+		&Request{},
+		list, forecasts,
+		&Response{OK: false, Error: "registry overloaded, retry later", RetryAfterMS: 200},
+		&Response{OK: true, Missing: []string{"m003", ""}, Digests: batch[:7]},
+		&Response{OK: true, Nodes: []NodeInfo{}, Forecasts: []ForecastInfo{}, Missing: []string{}},
+		&Response{Error: "unknown op x"},
+		&Response{},
 	} {
-		got, ok := appendRequest(nil, &req)
+		got, ok := wireEncode(msg)
 		if !ok {
-			t.Fatalf("encoder declined %q", req.Op)
+			t.Fatalf("encoder declined %+v", msg)
 		}
-		if want := jsonEncodeRequest(t, req); !bytes.Equal(got, want) {
-			t.Fatalf("%q: encoder wrote\n%.300s\njson.Encoder writes\n%.300s", req.Op, got, want)
+		if want := jsonEncode(t, msg); !bytes.Equal(got, want) {
+			t.Fatalf("encoder wrote\n%.300s\njson.Encoder writes\n%.300s", got, want)
 		}
 	}
-	for _, req := range []Request{
-		{Op: "submit", Job: &JobSpec{Name: "j"}},
-		{Op: "sethost", HostLoad: 0.5},
-		{Op: "sethost", HostMemMB: 64},
-		{Op: "register", Name: `a"b`},
-		{Op: "register", Name: "a<b"},
-		{Op: "register", Name: "café"},
-		{Op: "register", Name: "tab\t"},
-		{Op: "heartbeat", Load: math.NaN()},
-		{Op: "heartbeat_batch", Digests: []NodeDigest{{Name: "a", Load: math.Inf(-1)}}},
-		{Op: "forecast", Names: []string{"a&b"}},
+	for _, msg := range []any{
+		&Request{Op: "submit", Job: &JobSpec{Name: "j"}},
+		&Request{Op: "sethost", HostLoad: 0.5},
+		&Request{Op: "sethost", HostMemMB: 64},
+		&Request{Op: "register", Name: `a"b`},
+		&Request{Op: "register", Name: "a<b"},
+		&Request{Op: "register", Name: "café"},
+		&Request{Op: "register", Name: "tab\t"},
+		&Request{Op: "heartbeat", Load: math.NaN()},
+		&Request{Op: "heartbeat_batch", Digests: []NodeDigest{{Name: "a", Load: math.Inf(-1)}}},
+		&Request{Op: "forecast", Names: []string{"a&b"}},
+		&Response{OK: true, Info: &NodeStatus{}},
+		&Response{OK: true, Job: &JobResult{}},
+		&Response{OK: true, ShardMap: &ShardMap{}},
+		&Response{Error: `unknown op "x"`},
+		&Response{OK: true, Nodes: []NodeInfo{{Name: "a", Addr: "b>c"}}},
+		&Response{OK: true, Missing: []string{"é"}},
+		&Response{OK: true, Forecasts: []ForecastInfo{{Name: "a", Survival: math.NaN()}}},
 	} {
-		if _, ok := appendRequest(nil, &req); ok {
-			t.Errorf("encoder took %+v", req)
+		if _, ok := wireEncode(msg); ok {
+			t.Errorf("encoder took %+v", msg)
 		}
 	}
 }
 
 // TestWireDecodeAllocs: decoding a 1000-digest heartbeat batch allocates
 // one string per digest (its name) plus a constant — the states are
-// interned and the slice is sized once. (The constant leaves room for the
-// pooled buffer being regrown: the race detector makes sync.Pool drop it.)
+// interned and the slice is sized once; a ranked list two per node (name
+// and addr), a forecast reply one per name. (The constant leaves room for
+// the pooled buffer being regrown: the race detector makes sync.Pool drop
+// it.)
 func TestWireDecodeAllocs(t *testing.T) {
 	ds := benchDigests(1000)
 	for i := range ds {
 		ds[i].Addr = ""
 	}
-	data := jsonEncodeRequest(t, Request{Op: "heartbeat_batch", Digests: ds})
+	data := jsonEncode(t, Request{Op: "heartbeat_batch", Digests: ds})
 	allocs := testing.AllocsPerRun(20, func() {
 		req, err := decodeRequest(data, 0)
 		if err != nil || len(req.Digests) != len(ds) {
@@ -315,6 +419,22 @@ func TestWireDecodeAllocs(t *testing.T) {
 	})
 	if limit := float64(len(ds) + 16); allocs > limit {
 		t.Errorf("%.0f allocs for %d digests, want <= %.0f", allocs, len(ds), limit)
+	}
+	for _, tc := range []struct {
+		name    string
+		reply   *Response
+		n, each int
+	}{{"list", listReply(32), 32, 2}, {"forecast", forecastReply(8), 8, 1}} {
+		data := jsonEncode(t, tc.reply)
+		allocs := testing.AllocsPerRun(20, func() {
+			resp, err := decodeResponse(data, 0)
+			if err != nil || len(resp.Nodes)+len(resp.Forecasts) != tc.n {
+				t.Fatalf("decode: %+v, %v", resp, err)
+			}
+		})
+		if limit := float64(tc.each*tc.n + 16); allocs > limit {
+			t.Errorf("%s reply: %.0f allocs for %d entries, want <= %.0f", tc.name, allocs, tc.n, limit)
+		}
 	}
 }
 
@@ -351,7 +471,7 @@ func TestServeConnWireBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg2.Close()
-	batch := string(jsonEncodeRequest(t, Request{Op: "register_batch", Digests: benchDigests(50)}))
+	batch := string(jsonEncode(t, Request{Op: "register_batch", Digests: benchDigests(50)}))
 
 	// A complete value with no newline is answered when it completes, not
 	// when the 10 s read deadline expires — by the parser and by the
@@ -386,6 +506,130 @@ func TestServeConnWireBoundaries(t *testing.T) {
 	if resp, _ := wireExchange(t, reg2.Addr(), "not json\n"); resp.OK || !strings.HasPrefix(resp.Error, "bad request: invalid character") {
 		t.Errorf("malformed: %+v", resp)
 	}
+
+	// The client side of the same boundaries. A reply that is complete with
+	// no newline, from a peer that then keeps the connection open, is
+	// returned when it completes, not when the 5 s timeout expires — by the
+	// parser and by the fallback alike.
+	list := string(bytes.TrimSuffix(jsonEncode(t, listReply(32)), []byte("\n")))
+	exchange := func(maxBytes int64, segments ...string) (*Response, error) {
+		return roundTrip(ctx, nil, replyPeer(t, segments...), Request{Op: "list"}, 5*time.Second, maxBytes)
+	}
+	for _, reply := range []string{list, `{"ok":true,"info":{"state":"S1(full)"}}`, `{"ok":true} junk`} {
+		start := time.Now()
+		if resp, err := exchange(0, reply); err != nil || !resp.OK || time.Since(start) > 2*time.Second {
+			t.Errorf("%.40q returned %+v, %v after %v", reply, resp, err, time.Since(start))
+		}
+	}
+	// A reply in several segments, cut inside a key, a literal, a number and
+	// a string.
+	cut := strings.Index(list, `"alive":true`)
+	resp, err := exchange(0, list[:cut+3], list[cut+3:cut+10], list[cut+10:cut+30], list[cut+30:len(list)-40], list[len(list)-40:])
+	if err != nil || !reflect.DeepEqual(resp, listReply(32)) {
+		t.Errorf("segmented reply: %+v, %v", resp, err)
+	}
+	// Over the limit, whole and segmented: the text it always had.
+	for _, segs := range [][]string{{list}, {list[:100], list[100:]}} {
+		if _, err := exchange(256, segs...); err == nil || !strings.HasPrefix(err.Error(), `ishare: "list" response to 127.0.0.1:`) || !strings.HasSuffix(err.Error(), " exceeds 256 bytes") {
+			t.Errorf("reply over the limit: %v", err)
+		}
+	}
+	// A read error after part of a reply, in the subset or already handed to
+	// the fallback, surfaces as that error, and the connection that returned
+	// it is not read again.
+	for _, partial := range []string{`{"ok":true,"nodes":[{"name":"a"`, `{"ok":true,"info":{"state":`} {
+		d := &dropDialer{partial: partial}
+		_, err := roundTrip(ctx, d, reg.Addr(), Request{Op: "list"}, time.Second, 0)
+		if !errors.Is(err, errDropped) || !strings.HasPrefix(err.Error(), `ishare: reading "list" response: `) || d.conn.failed != 1 {
+			t.Errorf("dropped after %q: %v, %d reads after the error", partial, err, d.conn.failed)
+		}
+	}
+}
+
+// replyPeer listens as a peer that answers each request with the segments,
+// each in a TCP segment of its own, and then keeps the connection open
+// until the test ends.
+func replyPeer(t *testing.T, segments ...string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	t.Cleanup(func() {
+		close(done)
+		ln.Close()
+	})
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				if _, err := bufio.NewReader(conn).ReadString('\n'); err != nil {
+					return
+				}
+				for _, s := range segments {
+					_, _ = conn.Write([]byte(s)) // a client that has its answer, or its error, may be gone
+					time.Sleep(5 * time.Millisecond)
+				}
+				<-done
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+var errDropped = errors.New("dropped mid-reply")
+
+// dropDialer dials connections that read as partial and then fail with
+// errDropped, counting the reads made after the failure.
+type dropDialer struct {
+	partial string
+	conn    *dropConn
+}
+
+type dropConn struct {
+	net.Conn
+	rest   []byte
+	failed int
+}
+
+func (d *dropDialer) Dial(addr string, timeout time.Duration) (net.Conn, error) {
+	c, err := net.DialTimeout("tcp", addr, timeout)
+	d.conn = &dropConn{Conn: c, rest: []byte(d.partial)}
+	return d.conn, err
+}
+
+func (c *dropConn) Read(p []byte) (int, error) {
+	if len(c.rest) == 0 {
+		c.failed++
+		return 0, errDropped
+	}
+	n := copy(p, c.rest)
+	c.rest = c.rest[n:]
+	return n, nil
+}
+
+// TestListLimitIsTheCallersNumber: a list limit no shard could hold neither
+// kills the registry nor sizes an allocation; it is answered with what the
+// shard has, and so is the request after it.
+func TestListLimitIsTheCallersNumber(t *testing.T) {
+	reg := startRegistry(t, time.Minute)
+	if err := (&Client{}).RegisterBatch(ctx, reg.Addr(), benchDigests(5)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		limit string
+		want  int
+	}{{"1152921504606846976", 5}, {"1000000000", 5}, {"3", 3}} {
+		resp, _ := wireExchange(t, reg.Addr(), `{"op":"list","limit":`+tc.limit+"}\n")
+		if !resp.OK || len(resp.Nodes) != tc.want {
+			t.Fatalf("limit %s: %d nodes, want %d (%+v)", tc.limit, len(resp.Nodes), tc.want, resp)
+		}
+	}
 }
 
 // TestShedDoesNotDecode: an overloaded shard answers a 1000-digest batch
@@ -402,7 +646,7 @@ func TestShedDoesNotDecode(t *testing.T) {
 	defer r.Close()
 	r.inflight <- struct{}{}
 	r.queue <- struct{}{}
-	batch := jsonEncodeRequest(t, Request{Op: "register_batch", Digests: benchDigests(1000)})
+	batch := jsonEncode(t, Request{Op: "register_batch", Digests: benchDigests(1000)})
 	garbage := bytes.Repeat([]byte("x"), len(batch)-1)
 	for _, in := range [][]byte{batch, append(garbage, '\n')} {
 		resp, _ := wireExchange(t, r.Addr(), string(in))
@@ -431,7 +675,7 @@ func BenchmarkWireHeartbeatBatch(b *testing.B) {
 		ds[i].Addr, ds[i].Load = "", float64(i)/997
 	}
 	req := Request{Op: "heartbeat_batch", Digests: ds}
-	data := jsonEncodeRequest(b, req)
+	data := jsonEncode(b, req)
 	run := func(name string, op func() int) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -458,7 +702,7 @@ func BenchmarkWireHeartbeatBatch(b *testing.B) {
 		return len(out)
 	})
 	run("decode/json", func() int {
-		got, err := jsonDecodeRequest(bytes.NewReader(data), 1<<20)
+		got, err := jsonDecode[Request](bytes.NewReader(data), 1<<20)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -471,4 +715,54 @@ func BenchmarkWireHeartbeatBatch(b *testing.B) {
 		}
 		return len(got.Digests)
 	})
+}
+
+// BenchmarkWireReply is the same for the replies a place op waits for: a
+// 32-node ranked list and an 8-name forecast.
+func BenchmarkWireReply(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		reply *Response
+	}{{"list32", listReply(32)}, {"forecast8", forecastReply(8)}} {
+		data := jsonEncode(b, tc.reply)
+		run := func(name string, op func() int) {
+			b.Run(tc.name+"/"+name, func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(len(data)))
+				for i := 0; i < b.N; i++ {
+					wireSink += op()
+				}
+			})
+		}
+		var buf bytes.Buffer
+		run("encode/json", func() int {
+			buf.Reset()
+			if err := json.NewEncoder(&buf).Encode(tc.reply); err != nil {
+				b.Fatal(err)
+			}
+			return buf.Len()
+		})
+		var out []byte
+		run("encode/wire", func() int {
+			var ok bool
+			if out, ok = appendResponse(out[:0], tc.reply); !ok {
+				b.Fatal("declined")
+			}
+			return len(out)
+		})
+		run("decode/json", func() int {
+			got, err := jsonDecode[Response](bytes.NewReader(data), 1<<20)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return len(got.Nodes) + len(got.Forecasts)
+		})
+		run("decode/wire", func() int {
+			got, err := decodeResponse(data, 1<<20)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return len(got.Nodes) + len(got.Forecasts)
+		})
+	}
 }
