@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build bench-build test race check fuzz-smoke chaos-smoke chaos-crash-soak loadtest-smoke forecast-smoke markov-smoke bench-smoke bench-parallel metrics-smoke bench bench-gates loc ci
+.PHONY: all vet build bench-build test race check fuzz-smoke chaos-smoke chaos-crash-soak loadtest-smoke forecast-smoke markov-smoke bench-smoke bench-parallel metrics-smoke loc ci
 
 all: ci
 
@@ -33,7 +33,7 @@ race:
 # the naive reference model and the optimized detector/controller/testbed
 # paths, which must agree exactly (see internal/check).
 check:
-	$(GO) run ./cmd/fgcs-bench -check -check-seeds 200
+	$(GO) run ./cmd/fgcs-check
 
 # Short native-fuzz smokes over the committed corpus plus a few seconds of
 # newly generated input; longer sessions just raise -fuzztime.
@@ -86,10 +86,10 @@ markov-smoke:
 	$(GO) test -count 1 -run 'TestFitGenerateRefitRoundTrip|TestScenarioTracesAreLegal|TestScenarioStreamDifferential' ./internal/markov/
 
 # A short benchmark pass that exercises the performance-critical paths
-# without producing stable numbers; full runs go through cmd/fgcs-bench.
+# without producing stable numbers; full runs go through bash bench/run.sh.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunMachineWeek|BenchmarkTickSixProcesses|BenchmarkDetectorObserve' -benchtime 10x ./internal/testbed/ ./internal/simos/ ./internal/availability/
-	$(GO) test -run '^$$' -bench 'BenchmarkRunShardedFleet|BenchmarkWriteBinary|BenchmarkReadBinary|BenchmarkStreamAnalyzer|BenchmarkEvaluateHistoryWindow|BenchmarkScore' -benchtime 1x ./internal/testbed/ ./internal/trace/ ./internal/predict/
+	$(GO) test -run '^$$' -bench 'BenchmarkRunFullTestbed|BenchmarkRunShardedFleet|BenchmarkWriteBinary|BenchmarkReadBinary|BenchmarkStreamAnalyzer|BenchmarkEvaluateHistoryWindow|BenchmarkScore' -benchtime 1x ./internal/testbed/ ./internal/trace/ ./internal/predict/
 	$(GO) test -run '^$$' -bench 'BenchmarkWireHeartbeatBatch|BenchmarkWireReply' -benchtime 10x -benchmem ./internal/ishare/
 
 # Parallel-analyzer smoke under the race detector: the worker-pool block
@@ -99,23 +99,10 @@ bench-parallel:
 	$(GO) test -race -count 1 -run 'TestAnalyzeBlock|TestMergeFrom|TestBlockIndexMatchesIndex' ./internal/trace/
 	$(GO) test -race -count 1 -run 'TestEncoderSinkV2RoundTrip' ./internal/testbed/
 
-# Regression-gated subset of the core benchmarks: the v2 codec, the block
-# scanner, point queries, the serial/parallel analyze engines, predictor
-# evaluation and the sharded control plane, checked against their recorded
-# expectations (and the v2-size, speedup, point-query, shard-scaling and
-# discovery-p99 gates) without rewriting BENCH_core.json.
-bench-gates:
-	$(GO) run ./cmd/fgcs-bench -only 'trace/|analyze/|predict/|ishare/|forecast/|markov/' -out ''
-
 # Metrics-endpoint smoke: start ishared with an ephemeral metrics port,
 # scrape /healthz and /metrics, assert the expected families are served.
 metrics-smoke:
 	sh scripts/metrics_smoke.sh
-
-# Full core benchmarks, written to BENCH_core.json. Includes the
-# observability gates: instrumented-run overhead and byte-identical output.
-bench:
-	$(GO) run ./cmd/fgcs-bench -out BENCH_core.json
 
 # Non-test Go lines per package directory and in total, excluding the
 # frozen bench/ module: the before/after figure simplicity PRs report.
@@ -124,4 +111,4 @@ loc:
 		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
-ci: vet build bench-build test race check fuzz-smoke chaos-smoke chaos-crash-soak loadtest-smoke forecast-smoke markov-smoke bench-smoke bench-parallel bench-gates metrics-smoke loc
+ci: vet build bench-build test race check fuzz-smoke chaos-smoke chaos-crash-soak loadtest-smoke forecast-smoke markov-smoke bench-smoke bench-parallel metrics-smoke loc

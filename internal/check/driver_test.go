@@ -5,7 +5,7 @@ import (
 )
 
 // TestRunSmoke runs a slice of the CI differential in-process. The full
-// 200-seed sweep runs from fgcs-bench -check; tests keep it short.
+// 200-seed sweep runs from fgcs-check; tests keep it short.
 func TestRunSmoke(t *testing.T) {
 	n := 12
 	if testing.Short() {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -22,28 +23,37 @@ func BenchmarkRunMachineWeek(b *testing.B) {
 }
 
 // BenchmarkRunFullTestbed is the whole paper-scale simulation: 20 machines
-// for 92 days (1840 machine-days), parallel across cores. The metric
-// machine-days/s indicates throughput, computed once from the totals after
-// the loop (per-iteration reporting would scale the rate by a partial
+// for 92 days (1840 machine-days), parallel across cores, without and with
+// a live obs registry attached — the pair is the observability tax. The
+// metric machine-days/s indicates throughput, computed once from the totals
+// after the loop (per-iteration reporting would scale the rate by a partial
 // elapsed time and overwrite itself every iteration).
 func BenchmarkRunFullTestbed(b *testing.B) {
-	cfg := DefaultConfig()
-	b.ReportAllocs()
-	var machineDays float64
-	for i := 0; i < b.N; i++ {
-		tr, err := Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		machineDays += tr.MachineDays()
+	for _, metrics := range []string{"off", "on"} {
+		b.Run("metrics="+metrics, func(b *testing.B) {
+			cfg := DefaultConfig()
+			if metrics == "on" {
+				cfg.Metrics = obs.NewRegistry()
+			}
+			b.ReportAllocs()
+			var machineDays float64
+			for i := 0; i < b.N; i++ {
+				tr, err := Run(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				machineDays += tr.MachineDays()
+			}
+			b.ReportMetric(machineDays/b.Elapsed().Seconds(), "machine-days/s")
+		})
 	}
-	b.ReportMetric(machineDays/b.Elapsed().Seconds(), "machine-days/s")
 }
 
 // BenchmarkRunShardedFleet exercises the bounded-memory fleet pipeline on a
 // CI-sized fleet: sharded simulation streamed straight into the one-pass
-// analyzer. The full 500x365 fleet benchmark lives in cmd/fgcs-bench; this
-// one is small enough for -benchtime 1x smoke runs.
+// analyzer. A year-long fleet (50x365 into v2 shards) is timed by bench/'s
+// trace-generate workload; this one is small enough for -benchtime 1x smoke
+// runs.
 func BenchmarkRunShardedFleet(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Machines = 50

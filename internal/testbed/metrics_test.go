@@ -11,51 +11,59 @@ import (
 	"repro/internal/trace"
 )
 
-// encodeTrace serializes a trace with the binary codec so runs can be
-// compared byte-for-byte.
-func encodeTrace(t *testing.T, cfg Config, tr *trace.Trace) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	enc, err := trace.NewEncoder(&buf, trace.Header{Span: spanOf(cfg), Calendar: calendarOf(cfg), Machines: cfg.Machines})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range tr.Events {
-		if err := enc.Write(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := enc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // TestMetricsDoNotPerturbOutputs is the determinism gate for the simulator
 // instrumentation: a fixed-seed run with Config.Metrics attached must
 // produce byte-identical encoded traces and identical occupancy to an
 // uninstrumented run. Instrumentation observes — it must never draw from
-// the random streams or reorder anything.
+// the random streams or reorder anything. The second case is the paper
+// corpus (the default 20 x 92 configuration), on which the v2 encoding must
+// also be no larger than the v1 encoding: per-block flate with a raw
+// fallback, the directory and footer amortized at paper scale.
 func TestMetricsDoNotPerturbOutputs(t *testing.T) {
-	base := Config{Machines: 4, Days: 7, Seed: 424242}
-	plainCfg := base.withDefaults()
-	plainTr, plainOcc, err := RunWithOccupancy(plainCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, c := range []struct {
+		name  string
+		base  Config
+		paper bool
+	}{
+		{"4x7", Config{Machines: 4, Days: 7, Seed: 424242}, false},
+		{"paper-20x92", Config{}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.base.withDefaults()
+			plainTr, plainOcc, err := RunWithOccupancy(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Metrics = obs.NewRegistry()
+			instTr, instOcc, err := RunWithOccupancy(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	instCfg := base.withDefaults()
-	instCfg.Metrics = obs.NewRegistry()
-	instTr, instOcc, err := RunWithOccupancy(instCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !bytes.Equal(encodeTrace(t, plainCfg, plainTr), encodeTrace(t, instCfg, instTr)) {
-		t.Error("instrumented run's encoded trace differs from the uninstrumented run")
-	}
-	if !reflect.DeepEqual(plainOcc, instOcc) {
-		t.Error("instrumented run's occupancy differs from the uninstrumented run")
+			var plainV1, instV1 bytes.Buffer
+			if err := plainTr.WriteBinary(&plainV1); err != nil {
+				t.Fatal(err)
+			}
+			if err := instTr.WriteBinary(&instV1); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(plainV1.Bytes(), instV1.Bytes()) {
+				t.Error("instrumented run's encoded trace differs from the uninstrumented run")
+			}
+			if !reflect.DeepEqual(plainOcc, instOcc) {
+				t.Error("instrumented run's occupancy differs from the uninstrumented run")
+			}
+			if !c.paper {
+				return
+			}
+			var v2 bytes.Buffer
+			if err := plainTr.WriteBlocks(&v2, nil); err != nil {
+				t.Fatal(err)
+			}
+			if v2.Len() > plainV1.Len() {
+				t.Errorf("v2 encoding is %d bytes, larger than the %d-byte v1 encoding", v2.Len(), plainV1.Len())
+			}
+		})
 	}
 }
 

@@ -2,19 +2,17 @@ package trace
 
 import (
 	"sort"
-	"time"
 
 	"repro/internal/sim"
 )
 
 // BlockIndex serves the Index point-query API — FirstOverlap, CountInWindow,
-// OverlapExists/AnyOverlap, NextEventAfter, LastEndBefore — straight off a
-// v2 block file, without materializing a *Trace. Per-machine sub-indexes are
-// built lazily on first touch: the block summaries prune the decode to the
-// contiguous run of blocks that contain the machine (events are sorted by
-// machine, so each machine's blocks are adjacent), which is what makes point
-// queries over a large file cheap. Answers are identical to BuildIndex over
-// the same events.
+// AnyOverlap, NextEventAfter, LastEndBefore — straight off a v2 block file,
+// without materializing a *Trace. Per-machine sub-indexes are built lazily
+// on first touch: the block summaries prune the decode to the contiguous run
+// of blocks that contain the machine (events are sorted by machine, so each
+// machine's blocks are adjacent), which is what makes point queries over a
+// large file cheap. Answers are identical to BuildIndex over the same events.
 //
 // BlockIndex is not safe for concurrent use; build one per goroutine (they
 // can share the BlockFile, which is).
@@ -31,18 +29,6 @@ type BlockIndex struct {
 	// before the next), and a repeat skips the map lookup.
 	lastM MachineID
 	last  *machinePointIndex
-}
-
-// machinePointIndex mirrors Index's per-machine state, plus the machine's
-// row of the hourly-count prefix matrix so hour-aligned window counts are
-// O(1) — the same fast path Evaluate gets from Trace.BuildHourlyCounts.
-type machinePointIndex struct {
-	byStart []Event    // sorted by (Start, End) — file order
-	maxEnd  []sim.Time // prefix maxima of End over byStart
-	byEnd   []sim.Time // event End times, sorted
-	maxDur  sim.Time
-	loHour  int64
-	hours   []int32 // hours[h] counts starts before hour loHour+h
 }
 
 // NewBlockIndex creates a lazy point-query index over bf.
@@ -124,13 +110,13 @@ func (ix *BlockIndex) machine(m MachineID) *machinePointIndex {
 	return mi
 }
 
-// buildMachine decodes m's blocks into a new cached sub-index.
+// buildMachine decodes m's blocks into a new cached sub-index, with the
+// hourly row.
 func (ix *BlockIndex) buildMachine(m MachineID) *machinePointIndex {
-	mi := &machinePointIndex{}
-	ix.cache[m] = mi
 	// Block MaxMachine is nondecreasing in file order (the event stream is
 	// machine-sorted), so m's blocks are the run starting at the first
 	// block whose MaxMachine reaches m.
+	var evs []Event
 	n := ix.bf.NumBlocks()
 	first := sort.Search(n, func(i int) bool { return ix.bf.Block(i).MaxMachine >= m })
 	for i := first; i < n && ix.bf.Block(i).MinMachine <= m; i++ {
@@ -146,121 +132,39 @@ func (ix *BlockIndex) buildMachine(m MachineID) *machinePointIndex {
 		}
 		for _, e := range events {
 			if e.Machine == m {
-				mi.byStart = append(mi.byStart, e)
+				evs = append(evs, e)
 			}
 		}
 	}
-	mi.maxEnd = make([]sim.Time, len(mi.byStart))
-	mi.byEnd = make([]sim.Time, len(mi.byStart))
-	var max sim.Time
-	for i, e := range mi.byStart {
-		if i == 0 || e.End > max {
-			max = e.End
-		}
-		mi.maxEnd[i] = max
-		mi.byEnd[i] = e.End
-		if d := e.End - e.Start; d > mi.maxDur {
-			mi.maxDur = d
-		}
-	}
-	sort.Slice(mi.byEnd, func(i, j int) bool { return mi.byEnd[i] < mi.byEnd[j] })
-
-	// Hourly prefix row, covering the span and every event start (the same
-	// hour range BuildHourlyCounts would give this machine).
-	span := ix.bf.Header().Span
-	lo := sim.FloorHour(span.Start)
-	hi := sim.FloorHour(span.End-1) + 1
-	if span.End <= span.Start {
-		hi = lo
-	}
-	for _, e := range mi.byStart {
-		if h := sim.FloorHour(e.Start); h < lo {
-			lo = h
-		} else if h >= hi {
-			hi = h + 1
-		}
-	}
-	mi.loHour = lo
-	mi.hours = make([]int32, int(hi-lo)+1)
-	for _, e := range mi.byStart {
-		mi.hours[sim.FloorHour(e.Start)-lo+1]++
-	}
-	for h := 1; h < len(mi.hours); h++ {
-		mi.hours[h] += mi.hours[h-1]
-	}
+	// File order within a machine is (Start, End), the layout's order.
+	mi := newMachinePointIndex(evs)
+	mi.buildHours(ix.bf.Header().Span)
+	ix.cache[m] = mi
 	return mi
 }
 
-// FirstOverlap matches Index.FirstOverlap: the event of machine m whose
-// overlap with w begins earliest, preferring one already open at w.Start.
+// FirstOverlap matches Index.FirstOverlap.
 func (ix *BlockIndex) FirstOverlap(m MachineID, w sim.Window) (Event, bool) {
-	mi := ix.machine(m)
-	evs := mi.byStart
-	first := sort.Search(len(evs), func(i int) bool { return evs[i].Start >= w.Start })
-	horizon := w.Start - mi.maxDur
-	for j := first - 1; j >= 0 && evs[j].Start >= horizon; j-- {
-		if evs[j].End > w.Start {
-			return evs[j], true
-		}
-	}
-	for j := first; j < len(evs) && evs[j].Start < w.End; j++ {
-		if evs[j].End > w.Start {
-			return evs[j], true
-		}
-	}
-	return Event{}, false
+	return ix.machine(m).firstOverlap(w)
 }
 
-// CountInWindow matches Index.CountInWindow: events of m starting in
-// [w.Start, w.End). Hour-aligned windows are answered from the prefix row
-// in O(1); others fall back to the binary searches.
+// CountInWindow matches Index.CountInWindow; hour-aligned windows are
+// answered from the hourly row in O(1).
 func (ix *BlockIndex) CountInWindow(m MachineID, w sim.Window) int {
-	mi := ix.machine(m)
-	if w.Start%time.Hour == 0 && w.End%time.Hour == 0 {
-		a := sim.FloorHour(w.Start) - mi.loHour
-		b := sim.FloorHour(w.End) - mi.loHour
-		n := int64(len(mi.hours) - 1)
-		a = min(max(a, 0), n)
-		b = min(max(b, a), n)
-		return int(mi.hours[b] - mi.hours[a])
-	}
-	evs := mi.byStart
-	lo := sort.Search(len(evs), func(i int) bool { return evs[i].Start >= w.Start })
-	hi := sort.Search(len(evs), func(i int) bool { return evs[i].Start >= w.End })
-	return hi - lo
+	return ix.machine(m).countInWindow(w)
 }
 
-// OverlapExists matches Index.OverlapExists.
-func (ix *BlockIndex) OverlapExists(m MachineID, w sim.Window) bool {
-	mi := ix.machine(m)
-	k := sort.Search(len(mi.byStart), func(i int) bool { return mi.byStart[i].Start >= w.End })
-	if k == 0 {
-		return false
-	}
-	return mi.maxEnd[k-1] > w.Start
-}
-
-// AnyOverlap is OverlapExists under the name Index uses.
+// AnyOverlap matches Index.AnyOverlap.
 func (ix *BlockIndex) AnyOverlap(m MachineID, w sim.Window) bool {
-	return ix.OverlapExists(m, w)
+	return ix.machine(m).anyOverlap(w)
 }
 
 // NextEventAfter matches Index.NextEventAfter.
 func (ix *BlockIndex) NextEventAfter(m MachineID, ts sim.Time) (Event, bool) {
-	evs := ix.machine(m).byStart
-	k := sort.Search(len(evs), func(i int) bool { return evs[i].Start >= ts })
-	if k == len(evs) {
-		return Event{}, false
-	}
-	return evs[k], true
+	return ix.machine(m).nextEventAfter(ts)
 }
 
 // LastEndBefore matches Index.LastEndBefore.
 func (ix *BlockIndex) LastEndBefore(m MachineID, t sim.Time) (sim.Time, bool) {
-	ends := ix.machine(m).byEnd
-	k := sort.Search(len(ends), func(i int) bool { return ends[i] > t })
-	if k == 0 {
-		return 0, false
-	}
-	return ends[k-1], true
+	return ix.machine(m).lastEndBefore(t)
 }

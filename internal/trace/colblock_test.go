@@ -117,7 +117,8 @@ func TestNewReaderSniffsVersion(t *testing.T) {
 func TestBlockFileSizeNotLargerThanV1(t *testing.T) {
 	// Even on incompressible random payloads the per-file overhead stays
 	// bounded; from a few thousand events up, flate's wins cover it. (The
-	// check harness pins the strict bound on realistic testbed corpora.)
+	// strict bound on the paper corpus is pinned by testbed's
+	// TestMetricsDoNotPerturbOutputs.)
 	const fixedOverhead = 128 // header delta + block/directory summaries + footer
 	for _, n := range []int{0, 1, 50, 1000, 5000} {
 		tr := randomTrace(int64(100+n), n)

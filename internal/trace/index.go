@@ -2,6 +2,7 @@ package trace
 
 import (
 	"sort"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -10,77 +11,91 @@ import (
 // to O(log events). Build it once per trace; it is immutable afterwards and
 // safe for concurrent readers.
 type Index struct {
-	byStart map[MachineID][]Event    // sorted by Start
-	maxEnd  map[MachineID][]sim.Time // prefix maxima of End over byStart
-	byEnd   map[MachineID][]sim.Time // event End times, sorted
-	maxDur  map[MachineID]sim.Time   // longest event duration
+	machines map[MachineID]*machinePointIndex
 }
 
-// BuildIndex indexes the trace's events per machine.
-func (t *Trace) BuildIndex() *Index {
-	ix := &Index{
-		byStart: make(map[MachineID][]Event),
-		maxEnd:  make(map[MachineID][]sim.Time),
-		byEnd:   make(map[MachineID][]sim.Time),
-		maxDur:  make(map[MachineID]sim.Time),
+// machinePointIndex is one machine's events laid out for point queries. It
+// owns the layout, its construction and the query bodies; Index builds one
+// per machine eagerly and BlockIndex lazily, and both answer from it.
+type machinePointIndex struct {
+	byStart []Event    // sorted by (Start, End)
+	maxEnd  []sim.Time // prefix maxima of End over byStart
+	byEnd   []sim.Time // event End times, sorted
+	maxDur  sim.Time   // longest event duration
+	// The machine's row of the hourly-count prefix matrix (the fast path
+	// Evaluate gets from Trace.BuildHourlyCounts); nil until buildHours.
+	loHour int64
+	hours  []int32 // hours[h] counts starts before hour loHour+h
+}
+
+// noEvents answers for machines the trace never mentions.
+var noEvents = &machinePointIndex{}
+
+// newMachinePointIndex lays out one machine's events, already sorted by
+// (Start, End); it keeps evs.
+func newMachinePointIndex(evs []Event) *machinePointIndex {
+	mi := &machinePointIndex{
+		byStart: evs,
+		maxEnd:  make([]sim.Time, len(evs)),
+		byEnd:   make([]sim.Time, len(evs)),
 	}
-	for _, e := range t.Events {
-		ix.byStart[e.Machine] = append(ix.byStart[e.Machine], e)
-	}
-	for m, evs := range ix.byStart {
-		sort.Slice(evs, func(i, j int) bool {
-			if evs[i].Start != evs[j].Start {
-				return evs[i].Start < evs[j].Start
-			}
-			return evs[i].End < evs[j].End
-		})
-		prefix := make([]sim.Time, len(evs))
-		ends := make([]sim.Time, len(evs))
-		var max sim.Time
-		var maxDur sim.Time
-		for i, e := range evs {
-			if i == 0 || e.End > max {
-				max = e.End
-			}
-			prefix[i] = max
-			ends[i] = e.End
-			if d := e.End - e.Start; d > maxDur {
-				maxDur = d
-			}
+	var max sim.Time
+	for i, e := range evs {
+		if i == 0 || e.End > max {
+			max = e.End
 		}
-		sort.Slice(ends, func(i, j int) bool { return ends[i] < ends[j] })
-		ix.byStart[m] = evs
-		ix.maxEnd[m] = prefix
-		ix.byEnd[m] = ends
-		ix.maxDur[m] = maxDur
+		mi.maxEnd[i] = max
+		mi.byEnd[i] = e.End
+		if d := e.End - e.Start; d > mi.maxDur {
+			mi.maxDur = d
+		}
 	}
-	return ix
+	sort.Slice(mi.byEnd, func(i, j int) bool { return mi.byEnd[i] < mi.byEnd[j] })
+	return mi
 }
 
-// FirstOverlap returns the event of machine m whose overlap with w begins
-// earliest, and whether any event overlaps at all. An event already open at
-// w.Start wins over one that starts later inside the window.
-func (ix *Index) FirstOverlap(m MachineID, w sim.Window) (Event, bool) {
-	evs := ix.byStart[m]
-	first := sort.Search(len(evs), func(i int) bool { return evs[i].Start >= w.Start })
+// buildHours adds the hourly prefix row, covering span and every event
+// start (the same hour range BuildHourlyCounts would give this machine).
+func (mi *machinePointIndex) buildHours(span sim.Window) {
+	lo := sim.FloorHour(span.Start)
+	hi := sim.FloorHour(span.End-1) + 1
+	if span.End <= span.Start {
+		hi = lo
+	}
+	for _, e := range mi.byStart {
+		if h := sim.FloorHour(e.Start); h < lo {
+			lo = h
+		} else if h >= hi {
+			hi = h + 1
+		}
+	}
+	mi.loHour = lo
+	mi.hours = make([]int32, int(hi-lo)+1)
+	for _, e := range mi.byStart {
+		mi.hours[sim.FloorHour(e.Start)-lo+1]++
+	}
+	for h := 1; h < len(mi.hours); h++ {
+		mi.hours[h] += mi.hours[h-1]
+	}
+}
+
+// startsBefore returns how many events start before t.
+func (mi *machinePointIndex) startsBefore(t sim.Time) int {
+	evs := mi.byStart
+	return sort.Search(len(evs), func(i int) bool { return evs[i].Start >= t })
+}
+
+func (mi *machinePointIndex) firstOverlap(w sim.Window) (Event, bool) {
+	evs := mi.byStart
+	first := mi.startsBefore(w.Start)
 	// Events starting before w.Start may still be open at w.Start; only
-	// events within maxDur of w.Start can qualify, which bounds the
-	// backward scan.
-	horizon := w.Start - ix.maxDur[m]
-	var best Event
-	found := false
+	// those within maxDur of it can be, which bounds the backward scan. Any
+	// open event overlaps from w.Start on, so the first hit wins.
+	horizon := w.Start - mi.maxDur
 	for j := first - 1; j >= 0 && evs[j].Start >= horizon; j-- {
 		if evs[j].End > w.Start {
-			best = evs[j]
-			found = true
-			// Keep scanning: an even earlier event could still be open,
-			// but any open event overlaps at w.Start, so one hit is
-			// enough — overlap start is w.Start either way.
-			break
+			return evs[j], true
 		}
-	}
-	if found {
-		return best, true
 	}
 	// An event starting inside [w.Start, w.End) genuinely overlaps unless
 	// it is zero-length and sits exactly on w.Start (End == w.Start, since
@@ -95,51 +110,94 @@ func (ix *Index) FirstOverlap(m MachineID, w sim.Window) (Event, bool) {
 	return Event{}, false
 }
 
-// CountInWindow returns how many events of machine m start in
-// [w.Start, w.End).
-func (ix *Index) CountInWindow(m MachineID, w sim.Window) int {
-	evs := ix.byStart[m]
-	lo := sort.Search(len(evs), func(i int) bool { return evs[i].Start >= w.Start })
-	hi := sort.Search(len(evs), func(i int) bool { return evs[i].Start >= w.End })
-	return hi - lo
-}
-
-// OverlapExists reports whether any event of machine m overlaps w.
-func (ix *Index) OverlapExists(m MachineID, w sim.Window) bool {
-	evs := ix.byStart[m]
-	// Candidate events start before w.End.
-	k := sort.Search(len(evs), func(i int) bool { return evs[i].Start >= w.End })
-	if k == 0 {
-		return false
+func (mi *machinePointIndex) countInWindow(w sim.Window) int {
+	if mi.hours != nil && w.Start%time.Hour == 0 && w.End%time.Hour == 0 {
+		a := sim.FloorHour(w.Start) - mi.loHour
+		b := sim.FloorHour(w.End) - mi.loHour
+		n := int64(len(mi.hours) - 1)
+		a = min(max(a, 0), n)
+		b = min(max(b, a), n)
+		return int(mi.hours[b] - mi.hours[a])
 	}
-	// Among them, some event overlaps iff the largest End exceeds w.Start.
-	return ix.maxEnd[m][k-1] > w.Start
+	return mi.startsBefore(w.End) - mi.startsBefore(w.Start)
 }
 
-// AnyOverlap is OverlapExists under the name the predictors' ground-truth
-// interface uses.
-func (ix *Index) AnyOverlap(m MachineID, w sim.Window) bool {
-	return ix.OverlapExists(m, w)
+func (mi *machinePointIndex) anyOverlap(w sim.Window) bool {
+	// Candidate events start before w.End; among them, some event overlaps
+	// iff the largest End exceeds w.Start.
+	k := mi.startsBefore(w.End)
+	return k > 0 && mi.maxEnd[k-1] > w.Start
 }
 
-// NextEventAfter returns the first event of machine m starting at or after
-// ts, and whether one exists; ties on start resolve to the earliest end.
-func (ix *Index) NextEventAfter(m MachineID, ts sim.Time) (Event, bool) {
-	evs := ix.byStart[m]
-	k := sort.Search(len(evs), func(i int) bool { return evs[i].Start >= ts })
-	if k == len(evs) {
+func (mi *machinePointIndex) nextEventAfter(ts sim.Time) (Event, bool) {
+	k := mi.startsBefore(ts)
+	if k == len(mi.byStart) {
 		return Event{}, false
 	}
-	return evs[k], true
+	return mi.byStart[k], true
 }
 
-// LastEndBefore returns the latest event end time of machine m at or
-// before t, and whether one exists.
-func (ix *Index) LastEndBefore(m MachineID, t sim.Time) (sim.Time, bool) {
-	ends := ix.byEnd[m]
+func (mi *machinePointIndex) lastEndBefore(t sim.Time) (sim.Time, bool) {
+	ends := mi.byEnd
 	k := sort.Search(len(ends), func(i int) bool { return ends[i] > t })
 	if k == 0 {
 		return 0, false
 	}
 	return ends[k-1], true
+}
+
+// BuildIndex indexes the trace's events per machine.
+func (t *Trace) BuildIndex() *Index {
+	byMachine := make(map[MachineID][]Event)
+	for _, e := range t.Events {
+		byMachine[e.Machine] = append(byMachine[e.Machine], e)
+	}
+	ix := &Index{machines: make(map[MachineID]*machinePointIndex, len(byMachine))}
+	for m, evs := range byMachine {
+		sort.Slice(evs, func(i, j int) bool {
+			if evs[i].Start != evs[j].Start {
+				return evs[i].Start < evs[j].Start
+			}
+			return evs[i].End < evs[j].End
+		})
+		ix.machines[m] = newMachinePointIndex(evs)
+	}
+	return ix
+}
+
+func (ix *Index) machine(m MachineID) *machinePointIndex {
+	if mi := ix.machines[m]; mi != nil {
+		return mi
+	}
+	return noEvents
+}
+
+// FirstOverlap returns the event of machine m whose overlap with w begins
+// earliest, and whether any event overlaps at all. An event already open at
+// w.Start wins over one that starts later inside the window.
+func (ix *Index) FirstOverlap(m MachineID, w sim.Window) (Event, bool) {
+	return ix.machine(m).firstOverlap(w)
+}
+
+// CountInWindow returns how many events of machine m start in
+// [w.Start, w.End).
+func (ix *Index) CountInWindow(m MachineID, w sim.Window) int {
+	return ix.machine(m).countInWindow(w)
+}
+
+// AnyOverlap reports whether any event of machine m overlaps w.
+func (ix *Index) AnyOverlap(m MachineID, w sim.Window) bool {
+	return ix.machine(m).anyOverlap(w)
+}
+
+// NextEventAfter returns the first event of machine m starting at or after
+// ts, and whether one exists; ties on start resolve to the earliest end.
+func (ix *Index) NextEventAfter(m MachineID, ts sim.Time) (Event, bool) {
+	return ix.machine(m).nextEventAfter(ts)
+}
+
+// LastEndBefore returns the latest event end time of machine m at or
+// before t, and whether one exists.
+func (ix *Index) LastEndBefore(m MachineID, t sim.Time) (sim.Time, bool) {
+	return ix.machine(m).lastEndBefore(t)
 }

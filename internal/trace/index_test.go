@@ -21,8 +21,8 @@ func TestIndexMatchesLinearQueries(t *testing.T) {
 		if got, want := ix.CountInWindow(m, w), check.LinearOccurrencesInWindow(tr, m, w); got != want {
 			t.Fatalf("CountInWindow(%d, %v) = %d, want %d", m, w, got, want)
 		}
-		if got, want := ix.OverlapExists(m, w), check.LinearAnyOverlap(tr, m, w); got != want {
-			t.Fatalf("OverlapExists(%d, %v) = %v, want %v", m, w, got, want)
+		if got, want := ix.AnyOverlap(m, w), check.LinearAnyOverlap(tr, m, w); got != want {
+			t.Fatalf("AnyOverlap(%d, %v) = %v, want %v", m, w, got, want)
 		}
 	}
 }
@@ -50,7 +50,7 @@ func TestIndexEmptyTrace(t *testing.T) {
 	tr := New(sim.Window{End: sim.Day}, sim.Calendar{}, 2)
 	ix := tr.BuildIndex()
 	w := sim.Window{Start: 0, End: sim.Day}
-	if ix.CountInWindow(0, w) != 0 || ix.OverlapExists(0, w) {
+	if ix.CountInWindow(0, w) != 0 || ix.AnyOverlap(0, w) {
 		t.Error("empty index should report nothing")
 	}
 }
