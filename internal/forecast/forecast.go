@@ -2,14 +2,11 @@ package forecast
 
 import (
 	"fmt"
-	"math"
 	"sort"
-	"time"
 
 	"repro/internal/availability"
 	"repro/internal/predict"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -71,15 +68,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// weekHours is the number of hour-of-week slots.
-const weekHours = 7 * 24
-
 // machineState is one machine's incrementally maintained history.
 type machineState struct {
 	// det and down implement the observation-ingest path: det classifies
 	// observations and down mirrors trace.Builder's open-event flag, so
 	// the derived event starts are exactly the ones a recorded trace of
-	// the same stream would contain.
+	// the same stream would contain. det is built on the machine's first
+	// Observe: machines fed by event ingest never pay for one.
 	det  *availability.Detector
 	down bool
 
@@ -94,11 +89,6 @@ type machineState struct {
 	// dropped counts starts evicted by the capacity bound; the retention
 	// horizon is the oldest retained start when dropped > 0.
 	dropped int64
-
-	// how counts event starts per hour-of-week slot — the O(1) aggregate
-	// behind the rate forecasts. Eviction does not decrement it: it is a
-	// lifetime aggregate, normalized by lifetime slot exposure.
-	how [weekHours]int64
 }
 
 // at returns the i-th oldest retained start.
@@ -167,6 +157,9 @@ func New(cfg Config) (*Online, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if _, err := availability.NewDetector(cfg.Detector); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	o := &Online{
 		cfg:  cfg,
@@ -175,27 +168,16 @@ func New(cfg Config) (*Online, error) {
 		ewma: predict.EWMADaily{Alpha: cfg.Alpha},
 	}
 	for i := 0; i < cfg.Machines; i++ {
-		if _, err := o.addMachine(); err != nil {
-			return nil, err
-		}
+		o.AddMachine()
 	}
 	return o, nil
 }
 
-func (o *Online) addMachine() (trace.MachineID, error) {
-	det, err := availability.NewDetector(o.cfg.Detector)
-	if err != nil {
-		return 0, err
-	}
-	o.ms = append(o.ms, &machineState{
-		det: det,
-		cap: o.cfg.EventCapacity,
-	})
-	return trace.MachineID(len(o.ms) - 1), nil
-}
-
 // AddMachine grows the fleet by one and returns the new machine id.
-func (o *Online) AddMachine() (trace.MachineID, error) { return o.addMachine() }
+func (o *Online) AddMachine() trace.MachineID {
+	o.ms = append(o.ms, &machineState{cap: o.cfg.EventCapacity})
+	return trace.MachineID(len(o.ms) - 1)
+}
 
 // Machines returns the current fleet size.
 func (o *Online) Machines() int { return len(o.ms) }
@@ -244,7 +226,6 @@ func (o *Online) ObserveStart(m trace.MachineID, at sim.Time) {
 		return
 	}
 	ms.push(at)
-	ms.how[weekHour(o.cfg.Calendar, at)]++
 	o.events++
 	o.AdvanceTo(at)
 }
@@ -276,6 +257,13 @@ func (o *Online) Observe(m trace.MachineID, obs availability.Observation) error 
 	if ms == nil {
 		return fmt.Errorf("forecast: machine %d outside fleet of %d", m, len(o.ms))
 	}
+	if ms.det == nil {
+		det, err := availability.NewDetector(o.cfg.Detector)
+		if err != nil {
+			return err
+		}
+		ms.det = det
+	}
 	_, tr := ms.det.Observe(obs)
 	if tr != nil {
 		// Mirror trace.Builder: a transition out of an unavailable state
@@ -287,19 +275,11 @@ func (o *Online) Observe(m trace.MachineID, obs availability.Observation) error 
 		if tr.To.Unavailable() {
 			ms.down = true
 			ms.push(tr.At)
-			ms.how[weekHour(o.cfg.Calendar, tr.At)]++
 			o.events++
 		}
 	}
 	o.AdvanceTo(obs.At)
 	return nil
-}
-
-// Down reports whether machine m is currently inside an unavailability
-// event according to the observation-ingest path.
-func (o *Online) Down(m trace.MachineID) bool {
-	ms := o.state(m)
-	return ms != nil && ms.down
 }
 
 // Calendar implements predict.History.
@@ -347,130 +327,18 @@ func (o *Online) EWMASurvival(m trace.MachineID, w sim.Window) float64 {
 	return survival
 }
 
-// RateAt returns the machine's lifetime event rate (events per hour) for
-// the hour-of-week slot containing t, from the incremental hour-of-week
-// aggregates. O(1).
-func (o *Online) RateAt(m trace.MachineID, t sim.Time) float64 {
-	ms := o.state(m)
-	if ms == nil {
-		return 0
-	}
-	exp := slotExposureHours(o.cfg.Calendar, o.Span(), weekHour(o.cfg.Calendar, t))
-	if exp <= 0 {
-		return 0
-	}
-	return float64(ms.how[weekHour(o.cfg.Calendar, t)]) / exp
-}
-
-// RateSurvival forecasts survival of w from the hour-of-week rate model:
-// exp(-Σ slot-rate × overlap-hours). O(hours in w) with O(1) per hour —
-// the cheap always-available forecast the control-plane service serves
-// when a horizon is too short or history too thin for the history-window
-// forecast to bite.
-func (o *Online) RateSurvival(m trace.MachineID, w sim.Window) float64 {
-	ms := o.state(m)
-	if ms == nil || w.End <= w.Start {
-		return 0.5
-	}
-	expected := 0.0
-	informative := false
-	for t := w.Start; t < w.End; {
-		hourEnd := sim.Time(sim.FloorHour(t)+1) * time.Hour
-		if hourEnd > w.End {
-			hourEnd = w.End
-		}
-		slot := weekHour(o.cfg.Calendar, t)
-		exp := slotExposureHours(o.cfg.Calendar, o.Span(), slot)
-		if exp > 0 {
-			informative = true
-			expected += float64(ms.how[slot]) / exp * (hourEnd - t).Hours()
-		}
-		t = hourEnd
-	}
-	if !informative {
-		return 0.5
-	}
-	return stats.Clamp01(math.Exp(-expected))
-}
-
-// Forecast is one machine's composite forecast for a window.
+// Forecast is what one machine's history says about a window.
 type Forecast struct {
 	// Survival is the history-window survival forecast (the paper's
 	// predictor), 0.5 when uninformed.
 	Survival float64
-	// ExpectedEvents is the history-window expected event count.
-	ExpectedEvents float64
-	// EWMASurvival is the exponentially weighted daily survival forecast.
-	EWMASurvival float64
-	// RateSurvival is the hour-of-week rate-model survival forecast.
-	RateSurvival float64
 	// Samples is the number of history windows that informed Survival; 0
 	// means the forecast is the cold-start prior.
 	Samples int
-	// Events is the machine's total retained+evicted event-start count.
-	Events int64
 }
 
-// ForecastWindow computes the composite forecast for machine m over w.
+// ForecastWindow forecasts machine m over w: one history-window walk.
 func (o *Online) ForecastWindow(m trace.MachineID, w sim.Window) Forecast {
-	f := Forecast{
-		EWMASurvival: o.EWMASurvival(m, w),
-		RateSurvival: o.RateSurvival(m, w),
-	}
-	f.ExpectedEvents, f.Survival, f.Samples = o.hw.Estimate(o, m, w)
-	if ms := o.state(m); ms != nil {
-		f.Events = int64(ms.n) + ms.dropped
-	}
-	return f
-}
-
-// weekHour returns t's hour-of-week slot (0 = Monday 00:00 under the zero
-// calendar).
-func weekHour(cal sim.Calendar, t sim.Time) int {
-	return cal.Weekday(t)*24 + cal.HourOfDay(t)
-}
-
-// slotExposureHours returns how many hours of span fall inside the weekly
-// hour slot — the normalizer that turns hour-of-week counts into rates.
-// O(1): whole weeks contribute one hour each; the partial week at each end
-// contributes its overlap.
-func slotExposureHours(cal sim.Calendar, span sim.Window, slot int) float64 {
-	if span.End <= span.Start {
-		return 0
-	}
-	slotStart := sim.Time(slot) * time.Hour
-	// Shift the span into week-phase coordinates relative to the calendar
-	// epoch (the calendar's StartWeekday already rotated slot numbering in
-	// weekHour; here we need the phase of virtual time itself, which for
-	// slot s of this calendar begins at (s - startOffset) hours mod week).
-	offset := sim.Time(cal.StartWeekday) * sim.Day
-	phase := func(t sim.Time) sim.Time {
-		p := (t + offset) % sim.Week
-		if p < 0 {
-			p += sim.Week
-		}
-		return p
-	}
-	total := 0.0
-	// Full weeks between the first and last week boundaries inside span.
-	dur := span.End - span.Start
-	fullWeeks := dur / sim.Week
-	total += float64(fullWeeks) // one hour per full week, in hours
-	rem := dur % sim.Week
-	if rem == 0 {
-		return total
-	}
-	// The remaining partial week is [phase(start), phase(start)+rem) in
-	// week-phase; intersect it (possibly wrapping) with the slot hour.
-	p0 := phase(span.Start)
-	slotWin := sim.Window{Start: slotStart, End: slotStart + time.Hour}
-	for _, w := range []sim.Window{
-		{Start: p0, End: p0 + rem},
-		{Start: p0 - sim.Week, End: p0 - sim.Week + rem},
-	} {
-		if iv, ok := w.Intersect(slotWin); ok {
-			total += iv.Duration().Hours()
-		}
-	}
-	return total
+	_, survival, samples := o.hw.Estimate(o, m, w)
+	return Forecast{Survival: survival, Samples: samples}
 }

@@ -1,7 +1,9 @@
 package forecast
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -73,9 +75,9 @@ func TestOnlineBitEqualToOffline(t *testing.T) {
 	for day := 1; day <= cfg.Days; day++ { // includes one day past the span
 		base := sim.Time(day) * sim.Day
 		windows = append(windows,
-			sim.Window{Start: base + 9*time.Hour, End: base + 10*time.Hour},             // aligned 1h
-			sim.Window{Start: base + 13*time.Hour, End: base + 16*time.Hour},            // aligned 3h
-			sim.Window{Start: base + 90*time.Minute, End: base + 3*time.Hour},           // misaligned 90m
+			sim.Window{Start: base + 9*time.Hour, End: base + 10*time.Hour},              // aligned 1h
+			sim.Window{Start: base + 13*time.Hour, End: base + 16*time.Hour},             // aligned 3h
+			sim.Window{Start: base + 90*time.Minute, End: base + 3*time.Hour},            // misaligned 90m
 			sim.Window{Start: base + 23*time.Hour + 30*time.Minute, End: base + sim.Day}, // tail 30m
 		)
 	}
@@ -206,74 +208,6 @@ func TestBackdatedStartsStaySorted(t *testing.T) {
 	}
 }
 
-// TestRateSurvival sanity-checks the hour-of-week rate forecast: an
-// event-free machine forecasts certain survival, a machine with events in
-// the slot forecasts strictly less, and an unobserved span yields the
-// no-information prior.
-func TestRateSurvival(t *testing.T) {
-	on, err := New(Config{Machines: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two weeks of observation; machine 0 fails every day at 09:10.
-	for d := 0; d < 14; d++ {
-		at := sim.Time(d)*sim.Day + 9*time.Hour + 10*time.Minute
-		on.ObserveStart(0, at)
-		on.ObserveEnd(0, at+10*time.Minute)
-	}
-	on.AdvanceTo(14 * sim.Day)
-
-	w := sim.Window{Start: 14*sim.Day + 9*time.Hour, End: 14*sim.Day + 10*time.Hour}
-	risky := on.RateSurvival(0, w)
-	if risky >= 1 || risky <= 0 || math.IsNaN(risky) {
-		t.Fatalf("failing machine survival = %v, want in (0, 1)", risky)
-	}
-	if clean := on.RateSurvival(1, w); clean != 1 {
-		t.Fatalf("event-free machine survival = %v, want 1", clean)
-	}
-	empty, err := New(Config{Machines: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := empty.RateSurvival(0, w); got != 0.5 {
-		t.Fatalf("unobserved span survival = %v, want 0.5", got)
-	}
-	if got := on.RateSurvival(trace.MachineID(5), w); got != 0.5 {
-		t.Fatalf("unknown machine survival = %v, want 0.5", got)
-	}
-}
-
-// TestSlotExposure pins the O(1) exposure arithmetic against a direct
-// hour-by-hour count.
-func TestSlotExposure(t *testing.T) {
-	cal := sim.Calendar{StartWeekday: 3}
-	spans := []sim.Window{
-		{Start: 0, End: 14 * sim.Day},
-		{Start: 5 * time.Hour, End: 3*sim.Day + 7*time.Hour},
-		{Start: 2*sim.Day + 30*time.Minute, End: 16*sim.Day + 90*time.Minute},
-		{Start: time.Hour, End: time.Hour}, // empty
-	}
-	for _, span := range spans {
-		for slot := 0; slot < weekHours; slot += 13 {
-			want := 0.0
-			for t0 := span.Start; t0 < span.End; {
-				hourEnd := t0 - (t0 % time.Hour) + time.Hour
-				if hourEnd > span.End {
-					hourEnd = span.End
-				}
-				if weekHour(cal, t0) == slot {
-					want += (hourEnd - t0).Hours()
-				}
-				t0 = hourEnd
-			}
-			got := slotExposureHours(cal, span, slot)
-			if math.Abs(got-want) > 1e-9 {
-				t.Errorf("span %v slot %d: exposure %v, want %v", span, slot, got, want)
-			}
-		}
-	}
-}
-
 // TestServiceDerivesEvents drives the control-plane wrapper with digest
 // state strings and checks the derived event stream and forecasts.
 func TestServiceDerivesEvents(t *testing.T) {
@@ -328,9 +262,6 @@ func TestServiceDerivesEvents(t *testing.T) {
 	if f.Survival < 0 || f.Survival > 1 || math.IsNaN(f.Survival) {
 		t.Fatalf("survival out of range: %v", f.Survival)
 	}
-	if f.Events != 2 {
-		t.Fatalf("node-a Events = %d, want 2", f.Events)
-	}
 	if _, known := svc.Forecast("node-z", time.Hour, base+300_000); known {
 		t.Fatal("node-z should be unknown")
 	}
@@ -366,5 +297,38 @@ func TestOnlineAdvanceAdmitsHistory(t *testing.T) {
 	on.AdvanceTo(7 * sim.Day)
 	if got, want := on.PredictSurvival(0, w), 5.0/7.0; got != want {
 		t.Fatalf("five history days: survival %v, want %v", got, want)
+	}
+}
+
+// TestServiceBytesPerNode holds the bound doc.go states: a node the
+// control plane has seen and that has had no event costs the forecaster
+// its name, an id-map slot and a machineState with an empty ring — no
+// detector, no per-node table. 141 heap bytes measured; the bound is a
+// quarter over.
+func TestServiceBytesPerNode(t *testing.T) {
+	const nodes, bound = 50_000, 176
+	heap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := heap()
+	svc, err := NewService(ServiceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < nodes; i++ {
+		if err := svc.ObserveState(fmt.Sprintf("node-%06d", i), "S1(full)", 1_000_000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perNode := (heap() - before) / nodes
+	if svc.Nodes() != nodes {
+		t.Fatalf("Nodes = %d, want %d", svc.Nodes(), nodes)
+	}
+	t.Logf("%d heap bytes per node (bound %d)", perNode, bound)
+	if perNode > bound {
+		t.Errorf("%d heap bytes per node, want <= %d", perNode, bound)
 	}
 }

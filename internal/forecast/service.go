@@ -81,17 +81,14 @@ func stateDown(state string) (down, ok bool) {
 	}
 }
 
-func (s *Service) idLocked(name string) (trace.MachineID, error) {
+func (s *Service) idLocked(name string) trace.MachineID {
 	if m, ok := s.ids[name]; ok {
-		return m, nil
+		return m
 	}
-	m, err := s.on.AddMachine()
-	if err != nil {
-		return 0, err
-	}
+	m := s.on.AddMachine()
 	s.ids[name] = m
 	s.down = append(s.down, false)
-	return m, nil
+	return m
 }
 
 // ObserveState ingests one node's reported availability state stamped at
@@ -109,10 +106,7 @@ func (s *Service) ObserveState(name, state string, unixMS int64) error {
 		s.epoch = unixMS
 		s.fixed = true
 	}
-	m, err := s.idLocked(name)
-	if err != nil {
-		return err
-	}
+	m := s.idLocked(name)
 	at := s.virtual(unixMS)
 	if down && !s.down[m] {
 		s.on.ObserveStart(m, at)
@@ -153,7 +147,7 @@ func (s *Service) Forecast(name string, horizon time.Duration, nowMS int64) (f F
 	defer s.mu.Unlock()
 	m, ok := s.ids[name]
 	if !ok {
-		return Forecast{Survival: 0.5, EWMASurvival: 0.5, RateSurvival: 0.5}, false
+		return Forecast{Survival: 0.5}, false
 	}
 	start := s.virtual(nowMS)
 	w := sim.Window{Start: start, End: start + sim.Time(float64(horizon)*s.cfg.Scale)}

@@ -23,8 +23,8 @@ func (s scoreTable) PredictSurvival(m trace.MachineID, _ sim.Window) float64 {
 }
 
 func (s scoreTable) PredictCount(trace.MachineID, sim.Window) float64 { return 0 }
-func (s scoreTable) Name() string                                    { return "score-table" }
-func (s scoreTable) Train(*trace.Trace)                              {}
+func (s scoreTable) Name() string                                     { return "score-table" }
+func (s scoreTable) Train(*trace.Trace)                               {}
 
 func TestPickBest(t *testing.T) {
 	nan := math.NaN()
@@ -87,9 +87,9 @@ func TestPredictiveNaNPredictor(t *testing.T) {
 // review's own decision-making.
 type pinPolicy struct{ m trace.MachineID }
 
-func (p pinPolicy) Name() string                                         { return "pin" }
-func (p pinPolicy) Pick(sim.Time, time.Duration, int) trace.MachineID    { return p.m }
-func (p pinPolicy) ObserveFailure(trace.MachineID, sim.Time)             {}
+func (p pinPolicy) Name() string                                      { return "pin" }
+func (p pinPolicy) Pick(sim.Time, time.Duration, int) trace.MachineID { return p.m }
+func (p pinPolicy) ObserveFailure(trace.MachineID, sim.Time)          {}
 
 // TestMigratingNaNDoesNotPin is the regression for the latent migrate
 // bug: when the current machine's survival estimate is NaN, every

@@ -131,19 +131,6 @@ func NewBroker(registryAddr string) *Broker {
 	return &Broker{Client: &Client{RegistryAddr: registryAddr}}
 }
 
-// NewShardedBroker builds a shard-aware broker over the given registry
-// shards, using their ranked discovery form with the given per-shard
-// candidate limit (<= 0 uses 32).
-func NewShardedBroker(shards []string, limit int) *Broker {
-	if limit <= 0 {
-		limit = 32
-	}
-	return &Broker{
-		Client:        &Client{Shards: append([]string(nil), shards...)},
-		DiscoverLimit: limit,
-	}
-}
-
 // metrics returns the broker's counter set, creating it (and, if needed, a
 // private registry) on first use. The client shares the broker's registry
 // unless it already has its own. If a caller installs its own Obs registry

@@ -2,6 +2,7 @@ package ishare
 
 import (
 	"context"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -169,5 +170,40 @@ func TestForecastSurvivesRecovery(t *testing.T) {
 	}
 	if a.Survival != b.Survival || a.Samples != b.Samples {
 		t.Errorf("forecast changed across recovery:\n before %+v\n after  %+v", b, a)
+	}
+}
+
+// TestRegistryBytesPerNode holds the per-node bound forecast/doc.go states
+// for a forecasting shard: the entry, its slots in the name and score-bucket
+// maps, its name and address, and the forecaster's share
+// (forecast.TestServiceBytesPerNode). 364 heap bytes measured; the bound is
+// a quarter over.
+func TestRegistryBytesPerNode(t *testing.T) {
+	const nodes, batch, bound = 20_000, 1000, 455
+	heap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := heap()
+	r, err := NewRegistryWithOptions("127.0.0.1:0", RegistryOptions{TTL: time.Minute, Forecast: &ForecastOptions{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ds := benchDigests(nodes)
+	for lo := 0; lo < nodes; lo += batch {
+		if resp := r.handle(Request{Op: "register_batch", Digests: ds[lo : lo+batch]}); !resp.OK {
+			t.Fatalf("register_batch: %s", resp.Error)
+		}
+	}
+	perNode := (heap() - before) / nodes
+	if got := r.fc.Nodes(); got != nodes {
+		t.Fatalf("forecaster knows %d nodes, want %d", got, nodes)
+	}
+	t.Logf("%d heap bytes per node (bound %d)", perNode, bound)
+	if perNode > bound {
+		t.Errorf("%d heap bytes per node, want <= %d", perNode, bound)
 	}
 }

@@ -190,27 +190,20 @@ type JobResult struct {
 	Deduped bool `json:"deduped,omitempty"`
 }
 
-// ForecastInfo is one node's availability forecast, digest-stamped
-// (State/Gen/UnixMS echo the node's last heartbeat digest) so consumers
-// can bound the staleness of the history behind it, exactly as they do
+// ForecastInfo is one node's availability forecast: the one estimate
+// consumers read (Survival), what tells it from a guess (Known, Samples)
+// and the digest stamp (State/Gen/UnixMS echo the node's last heartbeat
+// digest) that bounds the staleness of the history behind it, exactly as
 // for discovery results.
 type ForecastInfo struct {
 	Name string `json:"name"`
 	// Known is false when the registry has never observed this node;
-	// every forecast field then carries the documented cold-start prior.
+	// Survival is then the cold-start prior 0.5.
 	Known bool `json:"known"`
 	// Survival is the history-window survival forecast over the horizon:
 	// P(no unavailability event starts in the matching clock window),
 	// from the same-clock-window history the paper's predictor uses.
 	Survival float64 `json:"survival"`
-	// EWMASurvival is the exponentially weighted daily-count forecast.
-	EWMASurvival float64 `json:"ewma_survival,omitempty"`
-	// RateSurvival is the hour-of-week rate-model forecast — the cheap
-	// fallback that stays informative when the horizon is misaligned or
-	// history is thin.
-	RateSurvival float64 `json:"rate_survival,omitempty"`
-	// ExpectedEvents is the forecast unavailability-event count.
-	ExpectedEvents float64 `json:"expected_events,omitempty"`
 	// Samples counts the history windows behind Survival (0 = prior).
 	Samples int `json:"samples,omitempty"`
 	// State, Gen and UnixMS echo the node's stored digest.

@@ -570,9 +570,8 @@ func (r *Registry) upsertLocked(e *registryEntry, d NodeDigest, now time.Time) b
 				if stamp == 0 {
 					stamp = now.UnixMilli()
 				}
-				// The service ignores unparseable states and cannot fail
-				// on ones it accepts (the detector config is its zero
-				// value, which always constructs).
+				// The service ignores unparseable states and has no way to
+				// fail on the ones it accepts.
 				_ = r.fc.ObserveState(d.Name, d.State, stamp)
 			}
 		}
@@ -782,13 +781,10 @@ func (r *Registry) handle(req Request) *Response {
 		for _, name := range req.Names {
 			f, known := r.fc.Forecast(name, horizon, nowMS)
 			fi := ForecastInfo{
-				Name:           name,
-				Known:          known,
-				Survival:       f.Survival,
-				EWMASurvival:   f.EWMASurvival,
-				RateSurvival:   f.RateSurvival,
-				ExpectedEvents: f.ExpectedEvents,
-				Samples:        f.Samples,
+				Name:     name,
+				Known:    known,
+				Survival: f.Survival,
+				Samples:  f.Samples,
 			}
 			if e, ok := r.nodes[name]; ok {
 				fi.State = e.info.State

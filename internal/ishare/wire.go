@@ -165,9 +165,6 @@ func appendResponse(b []byte, resp *Response) ([]byte, bool) {
 		e.str(open, f.Name, true)
 		e.flag(`,"known":`, f.Known)
 		e.float(`,"survival":`, f.Survival, true)
-		e.float(`,"ewma_survival":`, f.EWMASurvival, false)
-		e.float(`,"rate_survival":`, f.RateSurvival, false)
-		e.float(`,"expected_events":`, f.ExpectedEvents, false)
 		e.num(`,"samples":`, int64(f.Samples), false)
 		e.str(`,"state":`, f.State, false)
 		e.num(`,"gen":`, f.Gen, false)
@@ -400,12 +397,6 @@ func (o *ForecastInfo) wireMember(_ *messageParser, key, b []byte, i int) (int, 
 		return boolValue(&o.Known, b, i)
 	case "survival":
 		return floatValue(&o.Survival, b, i)
-	case "ewma_survival":
-		return floatValue(&o.EWMASurvival, b, i)
-	case "rate_survival":
-		return floatValue(&o.RateSurvival, b, i)
-	case "expected_events":
-		return floatValue(&o.ExpectedEvents, b, i)
 	case "samples":
 		return intSizeValue(&o.Samples, b, i)
 	case "state":

@@ -88,8 +88,7 @@ func forecastReply(n int) *Response {
 	resp := &Response{OK: true}
 	for i, d := range benchDigests(n) {
 		resp.Forecasts = append(resp.Forecasts, ForecastInfo{Name: d.Name, Known: true,
-			Survival: 1 - float64(i)/13, EWMASurvival: 0.75, RateSurvival: 0.9375, ExpectedEvents: float64(i) / 7,
-			Samples: 12 + i, State: d.State, Gen: d.Gen, UnixMS: d.UnixMS})
+			Survival: 1 - float64(i)/13, Samples: 12 + i, State: d.State, Gen: d.Gen, UnixMS: d.UnixMS})
 	}
 	return resp
 }
@@ -170,6 +169,11 @@ func checkEncode[M Request | Response, P wirePtr[M]](t *testing.T, msg P, chunk 
 	checkAgainstJSON[M, P](t, got, 1<<16, chunk)
 }
 
+// oldPeerForecastReply is a forecast reply as a peer built before the
+// three estimates nothing read were dropped writes it: the parser declines
+// their keys and the fallback ignores them.
+const oldPeerForecastReply = `{"ok":true,"forecasts":[{"name":"m001","known":true,"survival":0.75,"ewma_survival":0.5,"rate_survival":1e-7,"expected_events":0.3,"samples":12,"state":"S1(full)","gen":4,"unix_ms":1700000000000}]}` + "\n"
+
 // FuzzWireCodec pins the hand-written codec to encoding/json in both
 // directions and for both message types: arbitrary bytes decode to exactly
 // the oracle's Request and Response or error, whole or segmented, within
@@ -185,7 +189,8 @@ func FuzzWireCodec(f *testing.F) {
 		`{"op":"x","load":1e309}`, `{"op":"x","gen":1.5}`, `{"op":"n\u00e9"}`, `{"op":null}`, ` { "digests" : [ ] } x`,
 		`{"digests":[{"name":"a"},]}`, `{"names":["a",]}`, `{"op":"x",}`, `{"gen":01}`, `{"load":-}`, `{`, `[]`, "",
 		`{"ok":true,"nodes":[{"name":"m001","addr":"10.0.0.1:70","alive":true,"last_seen_ms":1700000000000,"state":"S1(full)","load":0.1,"gen":1},{"name":"m002","addr":"","alive":false,"last_seen_ms":0}]}` + "\n",
-		`{"ok":true,"forecasts":[{"name":"m001","known":true,"survival":0.75,"ewma_survival":0.5,"rate_survival":1e-7,"expected_events":0.3,"samples":12,"state":"S1(full)","gen":4,"unix_ms":1700000000000},{"name":"m9","known":false,"survival":-0}]}` + "\n",
+		`{"ok":true,"forecasts":[{"name":"m001","known":true,"survival":0.75,"samples":12,"state":"S1(full)","gen":4,"unix_ms":1700000000000},{"name":"m9","known":false,"survival":-0}]}` + "\n",
+		oldPeerForecastReply,
 		`{"ok":true,"missing":["m003","m009"]}` + "\n",
 		`{"ok":false,"error":"registry overloaded, retry later","retry_after_ms":200}` + "\n",
 		`{"ok":false,"error":"unknown op x"}`, `{"ok":tru`, `{"ok":1}`, `{"ok":true,"nodes":null}`,
@@ -210,8 +215,8 @@ func FuzzWireCodec(f *testing.F) {
 			req.Digests, resp.Digests = append(req.Digests, d), append(resp.Digests, d)
 			req.Names, resp.Missing = append(req.Names, name), append(resp.Missing, name)
 			resp.Nodes = append(resp.Nodes, NodeInfo{Name: name, Addr: state, Alive: i%2 == 0, LastSeenMS: gen * int64(i), State: state, Load: d.Load, Gen: gen})
-			resp.Forecasts = append(resp.Forecasts, ForecastInfo{Name: name, Known: i%2 == 1, Survival: d.Load, EWMASurvival: load,
-				RateSurvival: -load, ExpectedEvents: float64(gen), Samples: int(n) * i, State: state, Gen: gen, UnixMS: int64(i)})
+			resp.Forecasts = append(resp.Forecasts, ForecastInfo{Name: name, Known: i%2 == 1, Survival: d.Load,
+				Samples: int(n) * i, State: state, Gen: gen, UnixMS: int64(i)})
 		}
 		checkEncode(t, &req, int(n))
 		checkEncode(t, &resp, int(n))
@@ -303,6 +308,7 @@ func TestWireEdgeCases(t *testing.T) {
 		{"shard_map member", `{"ok":true,"shard_map":{"gen":4,"shards":["a:1","b:2"]}}`, 0, false, true},
 		{"a request's key", `{"ok":true,"op":"list"}`, 0, false, true},
 		{"a node's key in a forecast", `{"ok":true,"forecasts":[{"name":"a","alive":true}]}`, 0, false, true},
+		{"an older peer's forecast reply", oldPeerForecastReply, 0, false, true},
 		{"reply trailing garbage", `{"ok":true} trailing`, 0, true, true},
 		{"reply truncated", `{"ok":true,"nodes":[{"name":"a"`, 0, false, true},
 		{"reply at the limit", string(list), int64(len(list)) - 1, true, true},
@@ -333,6 +339,11 @@ func TestWireEdgeCases(t *testing.T) {
 	if _, err := decodeRequest(big, int64(len(big))-2); err == nil || err.Error() != fmt.Sprintf("ishare: message exceeds %d bytes", len(big)-2) {
 		t.Errorf("over the limit: %v", err)
 	}
+	old, err := decodeResponse([]byte(oldPeerForecastReply), 1<<16)
+	want := Response{OK: true, Forecasts: []ForecastInfo{{Name: "m001", Known: true, Survival: 0.75, Samples: 12, State: "S1(full)", Gen: 4, UnixMS: 1700000000000}}}
+	if err != nil || !reflect.DeepEqual(old, want) {
+		t.Errorf("an older peer's forecast reply decoded to %+v, %v; want %+v", old, err, want)
+	}
 }
 
 // TestWireEncodeGolden: the requests the control plane sends and the
@@ -348,7 +359,7 @@ func TestWireEncodeGolden(t *testing.T) {
 	batch[5] = NodeDigest{} // name is not omitempty
 	list, forecasts := listReply(32), forecastReply(8)
 	list.Nodes[3].State, list.Nodes[4] = "", NodeInfo{} // a legacy agent; name, addr, alive and last_seen_ms are not omitempty
-	forecasts.Forecasts[2] = ForecastInfo{Name: "never-seen", Survival: 0.5, RateSurvival: 0.5}
+	forecasts.Forecasts[2] = ForecastInfo{Name: "never-seen", Survival: 0.5}
 	forecasts.Forecasts[3].Survival, forecasts.Forecasts[4].Survival = 0, math.Copysign(0, -1) // survival is not omitempty
 	for _, msg := range []any{
 		&Request{Op: "heartbeat_batch", Digests: batch},

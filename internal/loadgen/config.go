@@ -114,11 +114,6 @@ type SLO struct {
 	// Recovery bounds how long a crashed shard may take from restart to
 	// serving its recovered state again (crash phase only).
 	Recovery time.Duration
-	// CrashDiscoverFactor bounds the during-crash discovery p99 to this
-	// multiple of the healthy-phase p99 (crash phase only; 0 = ungated).
-	// The breaker is what keeps this small: after it opens, the dead
-	// shard costs the fan-out nothing.
-	CrashDiscoverFactor float64
 	// ForecastP99 bounds one batched forecast query (forecast phase only).
 	ForecastP99 time.Duration
 }

@@ -42,94 +42,94 @@ func TestPredictorColdStartEdges(t *testing.T) {
 		wantSurvival float64
 	}{
 		{
-			name: "history-window untrained",
-			p:    &HistoryWindow{},
-			m:    0,
-			w:    sim.Window{Start: 15 * sim.Day, End: 15*sim.Day + time.Hour},
+			name:      "history-window untrained",
+			p:         &HistoryWindow{},
+			m:         0,
+			w:         sim.Window{Start: 15 * sim.Day, End: 15*sim.Day + time.Hour},
 			wantCount: 0, wantSurvival: 0.5,
 		},
 		{
-			name: "history-window machine absent from training",
-			p:    newTrained(&HistoryWindow{}),
-			m:    trace.MachineID(tr.Machines), // one past the fleet
-			w:    sim.Window{Start: 14*sim.Day + 9*time.Hour, End: 14*sim.Day + 12*time.Hour},
+			name:      "history-window machine absent from training",
+			p:         newTrained(&HistoryWindow{}),
+			m:         trace.MachineID(tr.Machines), // one past the fleet
+			w:         sim.Window{Start: 14*sim.Day + 9*time.Hour, End: 14*sim.Day + 12*time.Hour},
 			wantCount: 0, wantSurvival: 0.5,
 		},
 		{
-			name: "history-window negative machine id",
-			p:    newTrained(&HistoryWindow{}),
-			m:    -1,
-			w:    sim.Window{Start: 14*sim.Day + 9*time.Hour, End: 14*sim.Day + 12*time.Hour},
+			name:      "history-window negative machine id",
+			p:         newTrained(&HistoryWindow{}),
+			m:         -1,
+			w:         sim.Window{Start: 14*sim.Day + 9*time.Hour, End: 14*sim.Day + 12*time.Hour},
 			wantCount: 0, wantSurvival: 0.5,
 		},
 		{
-			name: "history-window window before any history",
-			p:    newTrained(&HistoryWindow{}),
-			m:    0,
-			w:    sim.Window{Start: 0, End: time.Hour}, // first day: no prior same-type day
+			name:      "history-window window before any history",
+			p:         newTrained(&HistoryWindow{}),
+			m:         0,
+			w:         sim.Window{Start: 0, End: time.Hour}, // first day: no prior same-type day
 			wantCount: 0, wantSurvival: 0.5,
 		},
 		{
-			name: "history-window min-history-days unmet",
-			p:    newTrained(&HistoryWindow{MinHistoryDays: 1000}),
-			m:    0,
-			w:    sim.Window{Start: 14*sim.Day + 9*time.Hour, End: 14*sim.Day + 10*time.Hour},
+			name:      "history-window min-history-days unmet",
+			p:         newTrained(&HistoryWindow{MinHistoryDays: 1000}),
+			m:         0,
+			w:         sim.Window{Start: 14*sim.Day + 9*time.Hour, End: 14*sim.Day + 10*time.Hour},
 			wantCount: 0, wantSurvival: 0.5,
 		},
 		{
-			name: "ewma-daily untrained",
-			p:    &EWMADaily{},
-			m:    0,
-			w:    sim.Window{Start: 15 * sim.Day, End: 15*sim.Day + time.Hour},
+			name:      "ewma-daily untrained",
+			p:         &EWMADaily{},
+			m:         0,
+			w:         sim.Window{Start: 15 * sim.Day, End: 15*sim.Day + time.Hour},
 			wantCount: 0, wantSurvival: 0.5,
 		},
 		{
-			name: "ewma-daily before the first full day",
-			p:    newTrained(&EWMADaily{}),
-			m:    0,
-			w:    sim.Window{Start: 6 * time.Hour, End: 9 * time.Hour}, // day 0: no prior day exists
+			name:      "ewma-daily before the first full day",
+			p:         newTrained(&EWMADaily{}),
+			m:         0,
+			w:         sim.Window{Start: 6 * time.Hour, End: 9 * time.Hour}, // day 0: no prior day exists
 			wantCount: 0, wantSurvival: 0.5,
 		},
 		{
-			name: "ewma-daily machine absent from training",
-			p:    newTrained(&EWMADaily{}),
-			m:    trace.MachineID(tr.Machines),
-			w:    sim.Window{Start: 10*sim.Day + 9*time.Hour, End: 10*sim.Day + 10*time.Hour},
+			name:      "ewma-daily machine absent from training",
+			p:         newTrained(&EWMADaily{}),
+			m:         trace.MachineID(tr.Machines),
+			w:         sim.Window{Start: 10*sim.Day + 9*time.Hour, End: 10*sim.Day + 10*time.Hour},
 			wantCount: 0, wantSurvival: 0.5,
 		},
 		{
-			name: "ewma-daily negative machine id",
-			p:    newTrained(&EWMADaily{}),
-			m:    -1,
-			w:    sim.Window{Start: 10*sim.Day + 9*time.Hour, End: 10*sim.Day + 10*time.Hour},
+			name:      "ewma-daily negative machine id",
+			p:         newTrained(&EWMADaily{}),
+			m:         -1,
+			w:         sim.Window{Start: 10*sim.Day + 9*time.Hour, End: 10*sim.Day + 10*time.Hour},
 			wantCount: 0, wantSurvival: 0.5,
 		},
 		{
-			name: "ewma-daily machine with no events",
-			p:    newTrained(&EWMADaily{}),
-			m:    1,
-			w:    sim.Window{Start: 10*sim.Day + 9*time.Hour, End: 10*sim.Day + 10*time.Hour},
+			name:      "ewma-daily machine with no events",
+			p:         newTrained(&EWMADaily{}),
+			m:         1,
+			w:         sim.Window{Start: 10*sim.Day + 9*time.Hour, End: 10*sim.Day + 10*time.Hour},
 			wantCount: 0, wantSurvival: 1, // ten failure-free history days: certain survival
 		},
 		{
-			name: "semi-markov untrained",
-			p:    &SemiMarkov{},
-			m:    0,
-			w:    sim.Window{Start: 15 * sim.Day, End: 15*sim.Day + time.Hour},
+			name:      "semi-markov untrained",
+			p:         &SemiMarkov{},
+			m:         0,
+			w:         sim.Window{Start: 15 * sim.Day, End: 15*sim.Day + time.Hour},
 			wantCount: 0, wantSurvival: 0.5,
 		},
 		{
-			name: "semi-markov no prior event and query before span start",
-			p:    newTrained(&SemiMarkov{}),
-			m:    1,
-			w:    sim.Window{Start: -2 * sim.Day, End: -2*sim.Day + time.Hour},
+			name:      "semi-markov no prior event and query before span start",
+			p:         newTrained(&SemiMarkov{}),
+			m:         1,
+			w:         sim.Window{Start: -2 * sim.Day, End: -2*sim.Day + time.Hour},
 			wantCount: math.NaN(), wantSurvival: math.NaN(), // any defined in-range value
 		},
 		{
-			name: "last-day untrained",
-			p:    &LastDay{},
-			m:    0,
-			w:    sim.Window{Start: 15 * sim.Day, End: 15*sim.Day + time.Hour},
+			name:      "last-day untrained",
+			p:         &LastDay{},
+			m:         0,
+			w:         sim.Window{Start: 15 * sim.Day, End: 15*sim.Day + time.Hour},
 			wantCount: 0, wantSurvival: 0.75,
 		},
 		{
@@ -139,8 +139,8 @@ func TestPredictorColdStartEdges(t *testing.T) {
 				g.Train(trace.New(sim.Window{}, sim.Calendar{}, 1))
 				return g
 			}(),
-			m: 0,
-			w: sim.Window{Start: 0, End: time.Hour},
+			m:         0,
+			w:         sim.Window{Start: 0, End: time.Hour},
 			wantCount: 0, wantSurvival: 1,
 		},
 	}

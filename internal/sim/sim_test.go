@@ -90,16 +90,9 @@ func TestWindow(t *testing.T) {
 	if !w.Overlaps(o) || !o.Overlaps(w) {
 		t.Error("windows should overlap")
 	}
-	x, ok := w.Intersect(o)
-	if !ok || x.Start != 15*time.Minute || x.End != 20*time.Minute {
-		t.Errorf("Intersect = %v, %v", x, ok)
-	}
 	disjoint := Window{Start: 20 * time.Minute, End: 30 * time.Minute}
 	if w.Overlaps(disjoint) {
 		t.Error("touching windows must not overlap (half-open)")
-	}
-	if _, ok := w.Intersect(disjoint); ok {
-		t.Error("touching windows must not intersect")
 	}
 }
 
@@ -185,78 +178,5 @@ func TestDistributions(t *testing.T) {
 	}
 	if v := LogNormal(r, 10, 0); v != 10 {
 		t.Errorf("LogNormal sigma=0 should return median, got %v", v)
-	}
-}
-
-func TestLoopOrdering(t *testing.T) {
-	var l Loop
-	var order []int
-	l.At(3*time.Second, func(Time) { order = append(order, 3) })
-	l.At(1*time.Second, func(Time) { order = append(order, 1) })
-	l.At(2*time.Second, func(Time) { order = append(order, 2) })
-	// Same-time events run FIFO.
-	l.At(2*time.Second, func(Time) { order = append(order, 20) })
-	l.Run()
-	want := []int{1, 2, 20, 3}
-	if len(order) != len(want) {
-		t.Fatalf("ran %d events, want %d", len(order), len(want))
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-	if l.Now() != 3*time.Second {
-		t.Errorf("clock = %v, want 3s", l.Now())
-	}
-}
-
-func TestLoopCascade(t *testing.T) {
-	var l Loop
-	count := 0
-	var tick EventFunc
-	tick = func(now Time) {
-		count++
-		if count < 5 {
-			l.After(time.Second, tick)
-		}
-	}
-	l.At(0, tick)
-	l.Run()
-	if count != 5 {
-		t.Errorf("cascade ran %d times, want 5", count)
-	}
-	if l.Now() != 4*time.Second {
-		t.Errorf("clock = %v, want 4s", l.Now())
-	}
-}
-
-func TestLoopRunUntil(t *testing.T) {
-	var l Loop
-	ran := 0
-	for i := 1; i <= 10; i++ {
-		l.At(Time(i)*time.Second, func(Time) { ran++ })
-	}
-	l.RunUntil(5 * time.Second)
-	if ran != 4 { // events at 1..4s; the one at 5s is not < end
-		t.Errorf("ran %d events, want 4", ran)
-	}
-	if l.Now() != 5*time.Second {
-		t.Errorf("clock = %v, want 5s", l.Now())
-	}
-	if l.Pending() != 6 {
-		t.Errorf("pending = %d, want 6", l.Pending())
-	}
-}
-
-func TestLoopPastEventClamped(t *testing.T) {
-	var l Loop
-	l.At(10*time.Second, func(Time) {})
-	l.Step()
-	fired := Time(-1)
-	l.At(time.Second, func(now Time) { fired = now }) // in the past
-	l.Step()
-	if fired != 10*time.Second {
-		t.Errorf("past event fired at %v, want clamped to 10s", fired)
 	}
 }

@@ -112,11 +112,6 @@ func (c Calendar) TimeOfDay(t Time) time.Duration {
 	return rem
 }
 
-// StartOfDay returns the instant at which the day containing t began.
-func (c Calendar) StartOfDay(t Time) Time {
-	return Time(c.DayIndex(t)) * Day
-}
-
 // Window is a half-open virtual-time interval [Start, End).
 type Window struct {
 	Start Time
@@ -132,21 +127,6 @@ func (w Window) Contains(t Time) bool { return t >= w.Start && t < w.End }
 // Overlaps reports whether two half-open windows intersect.
 func (w Window) Overlaps(o Window) bool {
 	return w.Start < o.End && o.Start < w.End
-}
-
-// Intersect returns the overlap of two windows and whether it is non-empty.
-func (w Window) Intersect(o Window) (Window, bool) {
-	lo, hi := w.Start, w.End
-	if o.Start > lo {
-		lo = o.Start
-	}
-	if o.End < hi {
-		hi = o.End
-	}
-	if lo >= hi {
-		return Window{}, false
-	}
-	return Window{lo, hi}, true
 }
 
 // String renders the window using hours for readability.

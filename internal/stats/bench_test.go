@@ -38,14 +38,6 @@ func BenchmarkQuantile(b *testing.B) {
 	}
 }
 
-func BenchmarkOnlineAdd(b *testing.B) {
-	var o Online
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		o.Add(float64(i))
-	}
-}
-
 func BenchmarkTrimmedMean(b *testing.B) {
 	xs := benchSample(1000)
 	b.ReportAllocs()
@@ -64,13 +56,5 @@ func BenchmarkGroupedBins(b *testing.B) {
 			}
 		}
 		g.Summarize()
-	}
-}
-
-func BenchmarkHistogramAdd(b *testing.B) {
-	h := NewHistogram(0, 100, 50)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Add(float64(i % 120))
 	}
 }

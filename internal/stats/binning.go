@@ -44,9 +44,6 @@ func NewGroupedBins(bins int) *GroupedBins {
 	}
 }
 
-// Bins returns the configured number of bins.
-func (g *GroupedBins) Bins() int { return g.bins }
-
 // Add accumulates v into the given (group, bin) cell. Multiple Adds to the
 // same cell sum, so event counts can be streamed one at a time.
 func (g *GroupedBins) Add(group, bin int, v float64) {

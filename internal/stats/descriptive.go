@@ -99,21 +99,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return quantileSorted(sorted, q)
 }
 
-// QuantileSorted is Quantile for an already ascending-sorted sample, avoiding
-// the copy and sort. The caller must guarantee ordering.
-func QuantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	return quantileSorted(sorted, q)
-}
-
 func quantileSorted(sorted []float64, q float64) float64 {
 	n := len(sorted)
 	if n == 1 {

@@ -80,16 +80,6 @@ func (e *ECDF) Quantile(q float64) float64 {
 // Mean returns the sample mean (0 for an empty sample), in O(1).
 func (e *ECDF) Mean() float64 { return e.mean }
 
-// Points evaluates the ECDF at each of xs, returning the matching
-// cumulative fractions. Convenient for printing a curve such as Figure 6.
-func (e *ECDF) Points(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = e.At(x)
-	}
-	return out
-}
-
 // MassBetween returns P(lo < X <= hi).
 func (e *ECDF) MassBetween(lo, hi float64) float64 {
 	if hi < lo {

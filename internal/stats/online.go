@@ -1,99 +1,5 @@
 package stats
 
-import "math"
-
-// Online accumulates a stream of observations and exposes their moments and
-// extrema in O(1) memory using Welford's algorithm. The zero value is an
-// empty accumulator ready to use.
-type Online struct {
-	n    int64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add incorporates one observation.
-func (o *Online) Add(x float64) {
-	o.n++
-	if o.n == 1 {
-		o.min, o.max = x, x
-	} else {
-		if x < o.min {
-			o.min = x
-		}
-		if x > o.max {
-			o.max = x
-		}
-	}
-	delta := x - o.mean
-	o.mean += delta / float64(o.n)
-	o.m2 += delta * (x - o.mean)
-}
-
-// AddN incorporates every value of xs.
-func (o *Online) AddN(xs ...float64) {
-	for _, x := range xs {
-		o.Add(x)
-	}
-}
-
-// N returns the number of observations seen.
-func (o *Online) N() int64 { return o.n }
-
-// Mean returns the running mean, 0 if empty.
-func (o *Online) Mean() float64 { return o.mean }
-
-// Variance returns the running unbiased sample variance, 0 when N < 2.
-func (o *Online) Variance() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n-1)
-}
-
-// StdDev returns the running unbiased sample standard deviation.
-func (o *Online) StdDev() float64 { return math.Sqrt(o.Variance()) }
-
-// Min returns the smallest observation, 0 if empty.
-func (o *Online) Min() float64 {
-	if o.n == 0 {
-		return 0
-	}
-	return o.min
-}
-
-// Max returns the largest observation, 0 if empty.
-func (o *Online) Max() float64 {
-	if o.n == 0 {
-		return 0
-	}
-	return o.max
-}
-
-// Merge combines another accumulator into o (parallel reduction), using the
-// Chan et al. pairwise update. Merging an empty accumulator is a no-op.
-func (o *Online) Merge(other *Online) {
-	if other.n == 0 {
-		return
-	}
-	if o.n == 0 {
-		*o = *other
-		return
-	}
-	n := o.n + other.n
-	delta := other.mean - o.mean
-	o.m2 += other.m2 + delta*delta*float64(o.n)*float64(other.n)/float64(n)
-	o.mean += delta * float64(other.n) / float64(n)
-	if other.min < o.min {
-		o.min = other.min
-	}
-	if other.max > o.max {
-		o.max = other.max
-	}
-	o.n = n
-}
-
 // EWMA is an exponentially weighted moving average with smoothing factor
 // alpha in (0,1]: higher alpha weights recent observations more. The zero
 // value is unusable; construct with NewEWMA.

@@ -1,87 +1,6 @@
 package stats
 
-import (
-	"math/rand"
-	"testing"
-)
-
-func TestOnlineMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	xs := make([]float64, 1000)
-	var o Online
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*3 + 10
-		o.Add(xs[i])
-	}
-	if o.N() != 1000 {
-		t.Fatalf("N = %d, want 1000", o.N())
-	}
-	if !almostEqual(o.Mean(), Mean(xs), 1e-9) {
-		t.Errorf("Mean: online %v vs batch %v", o.Mean(), Mean(xs))
-	}
-	if !almostEqual(o.Variance(), Variance(xs), 1e-9) {
-		t.Errorf("Variance: online %v vs batch %v", o.Variance(), Variance(xs))
-	}
-	if o.Min() != Min(xs) || o.Max() != Max(xs) {
-		t.Errorf("extrema: online (%v,%v) vs batch (%v,%v)", o.Min(), o.Max(), Min(xs), Max(xs))
-	}
-}
-
-func TestOnlineZeroValue(t *testing.T) {
-	var o Online
-	if o.N() != 0 || o.Mean() != 0 || o.Variance() != 0 || o.Min() != 0 || o.Max() != 0 {
-		t.Error("zero-value Online should report zeros everywhere")
-	}
-	o.Add(5)
-	if o.Variance() != 0 {
-		t.Error("variance of a single observation should be 0")
-	}
-	if o.Min() != 5 || o.Max() != 5 {
-		t.Error("extrema of a single observation should equal it")
-	}
-}
-
-func TestOnlineMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var all, a, b Online
-	for i := 0; i < 500; i++ {
-		x := rng.ExpFloat64() * 40
-		all.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(&b)
-	if a.N() != all.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), all.N())
-	}
-	if !almostEqual(a.Mean(), all.Mean(), 1e-9) {
-		t.Errorf("merged mean %v, want %v", a.Mean(), all.Mean())
-	}
-	if !almostEqual(a.Variance(), all.Variance(), 1e-6) {
-		t.Errorf("merged variance %v, want %v", a.Variance(), all.Variance())
-	}
-	if a.Min() != all.Min() || a.Max() != all.Max() {
-		t.Errorf("merged extrema (%v,%v), want (%v,%v)", a.Min(), a.Max(), all.Min(), all.Max())
-	}
-}
-
-func TestOnlineMergeEmpty(t *testing.T) {
-	var a, empty Online
-	a.AddN(1, 2, 3)
-	before := a
-	a.Merge(&empty)
-	if a != before {
-		t.Error("merging an empty accumulator changed state")
-	}
-	var c Online
-	c.Merge(&a)
-	if c.N() != 3 || !almostEqual(c.Mean(), 2, 1e-12) {
-		t.Error("merging into an empty accumulator should copy")
-	}
-}
+import "testing"
 
 func TestEWMA(t *testing.T) {
 	e := NewEWMA(0.5)

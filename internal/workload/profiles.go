@@ -20,9 +20,6 @@ type AppProfile struct {
 // RSS returns the resident set size in bytes.
 func (a AppProfile) RSS() int64 { return a.ResidentMB * simos.MB }
 
-// VSZ returns the virtual size in bytes.
-func (a AppProfile) VSZ() int64 { return a.VirtualMB * simos.MB }
-
 // Behavior builds the duty-cycle behavior realizing the profile's CPU
 // usage. Guests at ~100% become effectively CPU-bound.
 func (a AppProfile) Behavior() simos.Behavior {
