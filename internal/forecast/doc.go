@@ -19,18 +19,19 @@
 // an independent naive reference.
 //
 // Service wraps an Online forecaster for the control plane: it keys
-// machines by node name, maps wall-clock digest stamps onto virtual time,
-// and derives the event stream from availability-state transitions carried
-// by heartbeat digests — which is how a registry shard serves `forecast`
-// requests without ever seeing a recorded trace. What it serves is the one
-// estimate its consumers read: the history-window Survival, with the
-// Samples count that tells a forecast from the 0.5 prior.
+// machines by the dense ID its caller assigns (a registry shard's node ID;
+// a caller with only names goes through a name map in front), maps
+// wall-clock digest stamps onto virtual time, and derives the event stream
+// from the availability-state transitions heartbeat digests carry — how a
+// shard serves `forecast` requests without ever seeing a recorded trace.
+// It serves the one estimate its consumers read: the history-window
+// Survival, with the Samples count that tells a forecast from the 0.5
+// prior. Unregistering a node forgets its history: the ID's next holder
+// starts cold.
 //
-// Memory per node, stated and held by test: a node the Service has seen
-// costs at most 176 heap bytes until its first event (141 measured over
-// 50 000 names: the name, an id-map slot, a machineState with an empty ring
-// and no detector — TestServiceBytesPerNode), and a forecasting registry
-// shard at most 455 in all (364 measured over 20 000 batched digests —
-// ishare.TestRegistryBytesPerNode). Only events grow a node: 8 bytes a
-// start, to the ring's worst case of EventCapacity x 8 B = 32 KiB.
+// Memory per node, held by test: by name, at most 176 heap bytes until the
+// first event (125 measured over 50 000 names — TestServiceBytesPerNode); a
+// forecasting registry shard, whose forecaster holds no names, at most 335
+// in all (268 over 20 000 digests — ishare.TestRegistryBytesPerNode). Only
+// events grow a node: 8 B a start, to the ring's EventCapacity x 8 B = 32 KiB.
 package forecast

@@ -80,10 +80,9 @@ type machineState struct {
 
 	// starts is a bounded chronological ring of event start times; head
 	// indexes the oldest retained entry, n is the live count. The backing
-	// array grows on demand up to cap, so idle machines in a large fleet
-	// cost nothing.
+	// array grows on demand up to Config.EventCapacity, so idle machines in
+	// a large fleet cost nothing.
 	starts []sim.Time
-	cap    int
 	head   int
 	n      int
 	// dropped counts starts evicted by the capacity bound; the retention
@@ -106,13 +105,13 @@ func (ms *machineState) countStarts(w sim.Window) int {
 
 // push appends a start, keeping the ring sorted (backdated S3 transitions
 // can arrive up to a transient window out of order) and evicting the
-// oldest entry when full.
-func (ms *machineState) push(at sim.Time) {
-	if ms.cap <= 0 {
+// oldest entry when the ring is full at capacity.
+func (ms *machineState) push(at sim.Time, capacity int) {
+	if capacity <= 0 {
 		return
 	}
-	if ms.n == len(ms.starts) && len(ms.starts) < ms.cap {
-		// Grow lazily. head stays 0 until the ring first fills to cap, so
+	if ms.n == len(ms.starts) && len(ms.starts) < capacity {
+		// Grow lazily. head stays 0 until the ring first fills to capacity, so
 		// appending extends the chronological order in place.
 		ms.starts = append(ms.starts, 0)
 	}
@@ -175,8 +174,15 @@ func New(cfg Config) (*Online, error) {
 
 // AddMachine grows the fleet by one and returns the new machine id.
 func (o *Online) AddMachine() trace.MachineID {
-	o.ms = append(o.ms, &machineState{cap: o.cfg.EventCapacity})
+	o.ms = append(o.ms, &machineState{})
 	return trace.MachineID(len(o.ms) - 1)
+}
+
+// Forget drops machine m's history: it is as AddMachine left it.
+func (o *Online) Forget(m trace.MachineID) {
+	if ms := o.state(m); ms != nil {
+		*ms = machineState{}
+	}
 }
 
 // Machines returns the current fleet size.
@@ -225,7 +231,7 @@ func (o *Online) ObserveStart(m trace.MachineID, at sim.Time) {
 		o.oor++
 		return
 	}
-	ms.push(at)
+	ms.push(at, o.cfg.EventCapacity)
 	o.events++
 	o.AdvanceTo(at)
 }
@@ -274,7 +280,7 @@ func (o *Online) Observe(m trace.MachineID, obs availability.Observation) error 
 		}
 		if tr.To.Unavailable() {
 			ms.down = true
-			ms.push(tr.At)
+			ms.push(tr.At, o.cfg.EventCapacity)
 			o.events++
 		}
 	}

@@ -230,29 +230,18 @@ func TestServiceDerivesEvents(t *testing.T) {
 	must(svc.ObserveState("node-b", "garbage", base+60_000)) // ignored
 	must(svc.ObserveState("", "S3(UEC-CPU)", base+60_000))   // ignored
 
-	if got := svc.Nodes(); got != 2 {
-		t.Fatalf("Nodes = %d, want 2", got)
+	if got, names := svc.Nodes(); got != 2 || names != 2 {
+		t.Fatalf("Nodes = %d machines, %d names, want 2 and 2", got, names)
 	}
-	if got := svc.Events(); got != 1 {
+	if got := svc.on.Events(); got != 1 {
 		t.Fatalf("Events = %d, want 1 (node-a's S3 episode)", got)
 	}
 
 	// A repeated down-state report must not open a second event.
 	must(svc.ObserveState("node-a", "S4(UEC-mem)", base+180_000))
 	must(svc.ObserveState("node-a", "S4(UEC-mem)", base+200_000))
-	if got := svc.Events(); got != 2 {
+	if got := svc.on.Events(); got != 2 {
 		t.Fatalf("Events after S4 episode = %d, want 2", got)
-	}
-
-	// MarkDead opens an event only when the node is up.
-	must(svc.MarkDead("node-b", base+240_000))
-	must(svc.MarkDead("node-b", base+250_000))
-	if got := svc.Events(); got != 3 {
-		t.Fatalf("Events after death = %d, want 3", got)
-	}
-	must(svc.MarkDead("node-unknown", base+240_000)) // unknown: ignored
-	if got := svc.Nodes(); got != 2 {
-		t.Fatalf("MarkDead must not grow the fleet: Nodes = %d", got)
 	}
 
 	f, known := svc.Forecast("node-a", time.Hour, base+300_000)
@@ -300,11 +289,10 @@ func TestOnlineAdvanceAdmitsHistory(t *testing.T) {
 	}
 }
 
-// TestServiceBytesPerNode holds the bound doc.go states: a node the
-// control plane has seen and that has had no event costs the forecaster
-// its name, an id-map slot and a machineState with an empty ring — no
-// detector, no per-node table. 141 heap bytes measured; the bound is a
-// quarter over.
+// TestServiceBytesPerNode holds the bound doc.go states for the name-keyed
+// path: a node that has had no event costs its name, a name-map slot, a
+// view byte and a machineState with an empty ring — no detector, no
+// per-node table. 125 heap bytes measured.
 func TestServiceBytesPerNode(t *testing.T) {
 	const nodes, bound = 50_000, 176
 	heap := func() int64 {
@@ -324,8 +312,8 @@ func TestServiceBytesPerNode(t *testing.T) {
 		}
 	}
 	perNode := (heap() - before) / nodes
-	if svc.Nodes() != nodes {
-		t.Fatalf("Nodes = %d, want %d", svc.Nodes(), nodes)
+	if got, _ := svc.Nodes(); got != nodes {
+		t.Fatalf("Nodes = %d, want %d", got, nodes)
 	}
 	t.Logf("%d heap bytes per node (bound %d)", perNode, bound)
 	if perNode > bound {

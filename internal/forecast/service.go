@@ -1,6 +1,7 @@
 package forecast
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"time"
@@ -23,23 +24,27 @@ type ServiceConfig struct {
 	Scale float64
 }
 
-// Service is the thread-safe, name-keyed forecaster a registry shard
-// embeds to answer `forecast` requests. It derives each node's
-// unavailability-event stream from the availability states its heartbeat
-// digests report: a digest transition from an available (or unknown) state
-// into S3/S4/S5 opens an event, the transition back closes it — the same
-// reduction trace.Builder applies to detector transitions, performed on
-// the control plane's eventually consistent view instead of the node's
-// local one.
+// Service is the thread-safe forecaster a registry shard embeds to answer
+// `forecast` requests. Machines are keyed by the dense ID the caller assigns
+// (a registry resolves a name once and hands over the ID, so its Service
+// holds no name); ObserveState and Forecast put a name map in front of the
+// same bodies, and one Service is driven through one of the two. It derives
+// each node's unavailability-event stream from the availability states its
+// heartbeat digests report: a transition from an available (or unknown)
+// state into S3/S4/S5 opens an event, the transition back closes it — the
+// reduction trace.Builder applies to detector transitions, performed on the
+// control plane's eventually consistent view instead of the node's own.
 type Service struct {
 	mu    sync.Mutex
 	cfg   ServiceConfig
 	on    *Online
-	ids   map[string]trace.MachineID
-	down  []bool // current down-ness per machine, from the digest view
-	epoch int64  // resolved EpochMS (0 until the first observation)
-	fixed bool   // epoch came from config, not from the first stamp
+	ids   map[string]uint32 // name-keyed callers only: IDs in order of first sight
+	view  []uint8           // per machine: unseen until its first parseable state (and once forgotten), then up or down
+	epoch int64             // resolved EpochMS (0 until the first observation)
+	fixed bool              // epoch came from config, not from the first stamp
 }
+
+const unseen, up, down uint8 = 0, 1, 2
 
 // NewService creates a Service.
 func NewService(cfg ServiceConfig) (*Service, error) {
@@ -55,7 +60,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	return &Service{
 		cfg:   cfg,
 		on:    on,
-		ids:   make(map[string]trace.MachineID),
+		ids:   make(map[string]uint32),
 		epoch: cfg.EpochMS,
 		fixed: cfg.EpochMS != 0,
 	}, nil
@@ -66,105 +71,119 @@ func (s *Service) virtual(unixMS int64) sim.Time {
 	return s.cfg.Online.Start + sim.Time(float64(unixMS-s.epoch)*s.cfg.Scale*float64(time.Millisecond))
 }
 
-// stateDown classifies a digest availability state string: true for the
-// unavailable states S3/S4/S5, false for S1/S2, and no information
-// (second result false) for anything else — an empty or unparseable state
-// must not fabricate an event.
-func stateDown(state string) (down, ok bool) {
+// stateView classifies a digest availability state string: down for the
+// unavailable states S3/S4/S5, up for S1/S2, and unseen — no information —
+// for anything else: an empty or unparseable state must not fabricate an
+// event.
+func stateView(state string) uint8 {
 	switch {
 	case strings.HasPrefix(state, "S1"), strings.HasPrefix(state, "S2"):
-		return false, true
+		return up
 	case strings.HasPrefix(state, "S3"), strings.HasPrefix(state, "S4"), strings.HasPrefix(state, "S5"):
-		return true, true
+		return down
 	default:
-		return false, false
+		return unseen
 	}
 }
 
-func (s *Service) idLocked(name string) trace.MachineID {
-	if m, ok := s.ids[name]; ok {
-		return m
-	}
-	m := s.on.AddMachine()
-	s.ids[name] = m
-	s.down = append(s.down, false)
-	return m
-}
-
-// ObserveState ingests one node's reported availability state stamped at
-// unixMS wall milliseconds (a heartbeat digest, a WAL replay entry, or a
-// gossip exchange — all three flow through here). Unknown names join the
-// fleet; states that do not parse are ignored.
+// ObserveState is ObserveStateID for a caller that knows nodes by name:
+// unknown names join the fleet. The error is always nil.
 func (s *Service) ObserveState(name, state string, unixMS int64) error {
-	down, ok := stateDown(state)
-	if !ok || name == "" {
-		return nil
+	if v := stateView(state); v != unseen && name != "" {
+		s.mu.Lock()
+		id, ok := s.ids[name]
+		if !ok {
+			id = uint32(len(s.ids))
+			s.ids[name] = id
+		}
+		s.observeLocked(id, v, unixMS)
+		s.mu.Unlock()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	return nil
+}
+
+// ObserveStateID ingests the availability state machine id reported,
+// stamped at unixMS wall milliseconds (a heartbeat digest, a WAL replay
+// entry, or a gossip exchange — all three flow through here). The fleet
+// grows to the ID it is handed; states that do not parse are ignored.
+func (s *Service) ObserveStateID(id uint32, state string, unixMS int64) {
+	if v := stateView(state); v != unseen {
+		s.mu.Lock()
+		s.observeLocked(id, v, unixMS)
+		s.mu.Unlock()
+	}
+}
+
+func (s *Service) observeLocked(id uint32, v uint8, unixMS int64) {
 	if s.epoch == 0 && !s.fixed {
 		s.epoch = unixMS
 		s.fixed = true
 	}
-	m := s.idLocked(name)
-	at := s.virtual(unixMS)
-	if down && !s.down[m] {
+	for int(id) >= len(s.view) {
+		s.on.AddMachine()
+		s.view = append(s.view, unseen)
+	}
+	m, at := trace.MachineID(id), s.virtual(unixMS)
+	if was := s.view[id]; v == down && was != down {
 		s.on.ObserveStart(m, at)
-	} else if !down && s.down[m] {
+	} else if v == up && was == down {
 		s.on.ObserveEnd(m, at)
 	}
-	s.down[m] = down
+	s.view[id] = v
 	s.on.AdvanceTo(at)
-	return nil
 }
 
-// MarkDead records a liveness expiry (the registry's URR signal: the
-// node's heartbeats stopped) as an event start, if the node is not already
-// inside one.
-func (s *Service) MarkDead(name string, unixMS int64) error {
+// Forget drops machine id's history and view — a registry's unregister —
+// so the ID can be handed to another node, which then starts cold.
+func (s *Service) Forget(id uint32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m, ok := s.ids[name]
-	if !ok {
-		return nil
+	if int(id) < len(s.view) {
+		s.view[id] = unseen
+		s.on.Forget(trace.MachineID(id))
 	}
-	if s.epoch == 0 && !s.fixed {
-		s.epoch = unixMS
-		s.fixed = true
-	}
-	if !s.down[m] {
-		s.on.ObserveStart(m, s.virtual(unixMS))
-		s.down[m] = true
-	}
-	return nil
 }
 
-// Forecast answers one node's survival forecast for the horizon starting
-// at the wall instant nowMS. Known reports whether the node has ever been
-// observed — an unknown node gets the cold-start prior.
+// Forecast is ForecastID by name.
 func (s *Service) Forecast(name string, horizon time.Duration, nowMS int64) (f Forecast, known bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m, ok := s.ids[name]
+	id, ok := s.ids[name]
 	if !ok {
+		id = math.MaxUint32 // no such machine
+	}
+	return s.forecastLocked(id, horizon, nowMS)
+}
+
+// ForecastID answers machine id's survival forecast for the horizon
+// starting at the wall instant nowMS. Known reports whether the machine
+// has been observed since it was added or forgotten — an unknown one gets
+// the cold-start prior.
+func (s *Service) ForecastID(id uint32, horizon time.Duration, nowMS int64) (f Forecast, known bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.forecastLocked(id, horizon, nowMS)
+}
+
+func (s *Service) forecastLocked(id uint32, horizon time.Duration, nowMS int64) (Forecast, bool) {
+	if int64(id) >= int64(len(s.view)) || s.view[id] == unseen {
 		return Forecast{Survival: 0.5}, false
 	}
 	start := s.virtual(nowMS)
 	w := sim.Window{Start: start, End: start + sim.Time(float64(horizon)*s.cfg.Scale)}
 	s.on.AdvanceTo(start)
-	return s.on.ForecastWindow(m, w), true
+	return s.on.ForecastWindow(trace.MachineID(id), w), true
 }
 
-// Nodes returns the number of nodes the service has observed.
-func (s *Service) Nodes() int {
+// Nodes returns the number of machines observed and not forgotten, and how
+// many the Service itself knows by name: none of a registry's.
+func (s *Service) Nodes() (machines, names int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.ids)
-}
-
-// Events returns the total ingested event starts.
-func (s *Service) Events() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.on.Events()
+	for _, v := range s.view {
+		if v != unseen {
+			machines++
+		}
+	}
+	return machines, len(s.ids)
 }

@@ -174,12 +174,11 @@ func TestForecastSurvivesRecovery(t *testing.T) {
 }
 
 // TestRegistryBytesPerNode holds the per-node bound forecast/doc.go states
-// for a forecasting shard: the entry, its slots in the name and score-bucket
-// maps, its name and address, and the forecaster's share
-// (forecast.TestServiceBytesPerNode). 364 heap bytes measured; the bound is
-// a quarter over.
+// for a forecasting shard: the entry, its one slot in the name map, its
+// bucket and forecaster slots by ID, its name and address — and no name in
+// the forecaster. 268 heap bytes measured; the bound is a quarter over.
 func TestRegistryBytesPerNode(t *testing.T) {
-	const nodes, batch, bound = 20_000, 1000, 455
+	const nodes, batch, bound = 20_000, 1000, 335
 	heap := func() int64 {
 		runtime.GC()
 		var m runtime.MemStats
@@ -199,8 +198,8 @@ func TestRegistryBytesPerNode(t *testing.T) {
 		}
 	}
 	perNode := (heap() - before) / nodes
-	if got := r.fc.Nodes(); got != nodes {
-		t.Fatalf("forecaster knows %d nodes, want %d", got, nodes)
+	if got, names := r.fc.Nodes(); got != nodes || names != 0 {
+		t.Fatalf("forecaster knows %d nodes and %d names, want %d and none", got, names, nodes)
 	}
 	t.Logf("%d heap bytes per node (bound %d)", perNode, bound)
 	if perNode > bound {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"slices"
 	"strings"
@@ -42,12 +43,20 @@ type Registry struct {
 	lim Limits
 	opt RegistryOptions
 
-	mu    sync.RWMutex
-	nodes map[string]*registryEntry
+	mu sync.RWMutex
+	// ids is the shard's one string-keyed table: a name is resolved once
+	// per digest to a dense ID, and entries, buckets and the forecaster are
+	// indexed by it. An unregistered node's ID goes to free and is reused
+	// before entries grows, so all three stay bounded by the live nodes.
+	ids     map[string]uint32
+	entries []registryEntry
+	free    []uint32
 	// buckets index alive-or-not entries by digest score (see digestScore):
 	// 0 = S1, 1 = S2, 2 = no digest, 3 = unavailable (S3–S5). Ranked
-	// discovery walks buckets 0..2 and stops at Limit.
-	buckets  [4]map[string]*registryEntry
+	// discovery walks buckets 0..2 and stops at Limit, starting where
+	// cursor points so successive walks spread over a bucket.
+	buckets  [4][]uint32
+	cursor   atomic.Uint32
 	shardMap *ShardMap
 	met      *registryMetrics // nil until Instrument
 	log      *slog.Logger     // nil until Instrument
@@ -58,7 +67,7 @@ type Registry struct {
 	// need no lock; it carries its own mutex, always acquired after r.mu.
 	fc *forecast.Service
 
-	wal       *wal // nil without durability
+	wal       *wal // nil without durability: its appends and Close do nothing
 	recovered int  // records replayed at startup
 	// Scratch for splitting a heartbeat batch into changed digests and
 	// pure refreshes before logging; guarded by mu, reused across batches
@@ -80,7 +89,8 @@ type Registry struct {
 type registryEntry struct {
 	info     NodeInfo
 	lastSeen time.Time
-	bucket   int
+	bucket   uint8
+	pos      uint32 // buckets[bucket][pos] is this entry's ID
 }
 
 // RegistryOptions is the full configuration of one registry shard.
@@ -185,18 +195,12 @@ func NewRegistryWithOptions(addr string, opt RegistryOptions) (*Registry, error)
 		ttl:    opt.TTL,
 		lim:    opt.Limits,
 		opt:    opt,
-		nodes:  make(map[string]*registryEntry),
+		ids:    make(map[string]uint32),
 		closed: make(chan struct{}),
-	}
-	for i := range r.buckets {
-		r.buckets[i] = make(map[string]*registryEntry)
 	}
 	if opt.Forecast != nil {
 		// Created before WAL recovery so replayed digests feed it too.
-		svc, err := forecast.NewService(forecast.ServiceConfig{
-			Scale:   opt.Forecast.Scale,
-			EpochMS: opt.Forecast.EpochMS,
-		})
+		svc, err := forecast.NewService(forecast.ServiceConfig{Scale: opt.Forecast.Scale, EpochMS: opt.Forecast.EpochMS})
 		if err != nil {
 			return nil, fmt.Errorf("ishare: forecast service: %w", err)
 		}
@@ -212,9 +216,7 @@ func NewRegistryWithOptions(addr string, opt RegistryOptions) (*Registry, error)
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		if r.wal != nil {
-			r.wal.Close(true)
-		}
+		r.wal.Close(true)
 		return nil, fmt.Errorf("ishare: registry listen: %w", err)
 	}
 	r.ln = ln
@@ -240,7 +242,7 @@ func (r *Registry) applyWALRecord(rec walRecord) {
 	switch rec.kind {
 	case walKindUpsert:
 		for _, e := range rec.entries {
-			r.upsertLocked(r.nodes[e.d.Name], e.d, time.UnixMilli(e.lastSeenMS))
+			r.registerLocked(e.d, time.UnixMilli(e.lastSeenMS))
 		}
 	case walKindRemove:
 		r.removeLocked(rec.name)
@@ -253,48 +255,20 @@ func (r *Registry) applyWALRecord(rec walRecord) {
 	case walKindRefresh:
 		t := time.UnixMilli(rec.stampMS)
 		for _, name := range rec.names {
-			if e, ok := r.nodes[name]; ok && t.After(e.lastSeen) {
-				e.lastSeen = t
+			if id, ok := r.ids[name]; ok && t.After(r.entries[id].lastSeen) {
+				r.entries[id].lastSeen = t
 			}
 		}
 	}
 }
 
-// walAppendLocked logs one mutation before it is acked; the caller holds
-// r.mu. A nil error is the precondition for acking. When the append
-// brings the log to its compaction threshold, the full state is
-// snapshotted (consistently — we hold the state lock) and the log
-// truncated.
-func (r *Registry) walAppendLocked(rec walRecord) error {
-	if r.wal == nil {
-		return nil
-	}
-	due, err := r.wal.append(rec)
-	return r.walAppendedLocked(due, err)
-}
-
-// walUpsertLocked logs a digest batch observed at now — the serving hot
-// path, which skips the intermediate walRecord entirely.
-func (r *Registry) walUpsertLocked(ds []NodeDigest, now time.Time) error {
-	if r.wal == nil {
-		return nil
-	}
-	due, err := r.wal.appendUpsert(ds, now.UnixMilli())
-	return r.walAppendedLocked(due, err)
-}
-
-// walRefreshLocked logs a batch of pure liveness refreshes — one shared
-// stamp, many names — instead of full entries.
-func (r *Registry) walRefreshLocked(names []string, now time.Time) error {
-	if r.wal == nil {
-		return nil
-	}
-	due, err := r.wal.appendRefresh(names, now.UnixMilli())
-	return r.walAppendedLocked(due, err)
-}
-
-func (r *Registry) walAppendedLocked(due bool, err error) error {
-	if err != nil {
+// walLocked finishes the append its arguments come from — every mutation
+// is logged before it is acked, under r.mu, and a nil error is the
+// precondition for acking; without durability nothing was appended. When
+// the append brought the log to its compaction threshold, the full state is
+// snapshotted (consistently — we hold the state lock) and the log truncated.
+func (r *Registry) walLocked(due bool, err error) error {
+	if err != nil || r.wal == nil {
 		return err
 	}
 	if r.met != nil {
@@ -321,25 +295,20 @@ func (r *Registry) snapshotRecordsLocked() []walRecord {
 	if r.shardMap != nil {
 		recs = append(recs, walRecord{kind: walKindShardMap, shardMap: *r.shardMap})
 	}
-	const batch = 512
-	entries := make([]walEntry, 0, batch)
-	flush := func() {
-		if len(entries) > 0 {
-			recs = append(recs, walRecord{kind: walKindUpsert, entries: entries})
-			entries = make([]walEntry, 0, batch)
-		}
-	}
-	for _, e := range r.nodes {
+	entries := make([]walEntry, 0, len(r.ids))
+	for _, id := range r.ids {
+		e := &r.entries[id]
 		entries = append(entries, walEntry{
 			d: NodeDigest{Name: e.info.Name, Addr: e.info.Addr, State: e.info.State,
 				Load: e.info.Load, Gen: e.info.Gen, UnixMS: e.lastSeen.UnixMilli()},
 			lastSeenMS: e.lastSeen.UnixMilli(),
 		})
-		if len(entries) >= batch {
-			flush()
-		}
 	}
-	flush()
+	for len(entries) > 0 { // records of at most 512 entries
+		n := min(512, len(entries))
+		recs = append(recs, walRecord{kind: walKindUpsert, entries: entries[:n]})
+		entries = entries[n:]
+	}
 	return recs
 }
 
@@ -367,7 +336,7 @@ func (r *Registry) SetShardMap(m ShardMap) {
 	}
 	cp := ShardMap{Gen: m.Gen, Shards: append([]string(nil), m.Shards...)}
 	r.shardMap = &cp
-	if err := r.walAppendLocked(walRecord{kind: walKindShardMap, shardMap: cp}); err != nil && r.log != nil {
+	if err := r.walLocked(r.wal.append(walRecord{kind: walKindShardMap, shardMap: cp})); err != nil && r.log != nil {
 		r.log.Warn("WAL append for shard map failed", "err", err.Error())
 	}
 }
@@ -394,10 +363,8 @@ func (r *Registry) Instrument(reg *obs.Registry, logger *slog.Logger) {
 func (r *Registry) Close() error {
 	err := r.stop()
 	r.wg.Wait()
-	if r.wal != nil {
-		if werr := r.wal.Close(true); err == nil {
-			err = werr
-		}
+	if werr := r.wal.Close(true); err == nil {
+		err = werr
 	}
 	return err
 }
@@ -411,10 +378,8 @@ func (r *Registry) Crash() error {
 	r.crashed.Store(true)
 	err := r.stop()
 	r.wg.Wait()
-	if r.wal != nil {
-		if werr := r.wal.Close(false); err == nil {
-			err = werr
-		}
+	if werr := r.wal.Close(false); err == nil {
+		err = werr
 	}
 	return err
 }
@@ -435,10 +400,8 @@ func (r *Registry) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		drainErr = fmt.Errorf("ishare: registry drain deadline expired")
 	}
-	if r.wal != nil {
-		if werr := r.wal.Close(true); err == nil {
-			err = werr
-		}
+	if werr := r.wal.Close(true); err == nil {
+		err = werr
 	}
 	if drainErr != nil {
 		return drainErr
@@ -541,20 +504,33 @@ func (r *Registry) shed(conn net.Conn) {
 		RetryAfterMS: r.opt.RetryAfter.Milliseconds()}, lim.MaxMessageBytes)
 }
 
-// upsertLocked creates or refreshes the entry for d, keeping the score
-// bucket index consistent. e is r.nodes[d.Name] — the heartbeat paths have
-// already looked it up to test membership, so the digest costs one map
-// access, not two — and nil creates it. A digest only replaces the stored
-// one when it is newer (higher Gen, later stamp); a bare heartbeat (empty
-// digest) refreshes liveness without touching the stored state. It reports
-// whether anything beyond the liveness stamp changed — a false return is
-// a pure refresh, which the WAL logs in compact form.
-func (r *Registry) upsertLocked(e *registryEntry, d NodeDigest, now time.Time) bool {
-	created := e == nil
-	if created {
-		e = &registryEntry{info: NodeInfo{Name: d.Name}, bucket: -1}
-		r.nodes[d.Name] = e
+// registerLocked resolves d's name to its ID — assigning one, a freed ID
+// before a new one, when the shard does not know the name — and applies d.
+func (r *Registry) registerLocked(d NodeDigest, now time.Time) {
+	id, ok := r.ids[d.Name]
+	if !ok {
+		if n := len(r.free); n > 0 {
+			id, r.free = r.free[n-1], r.free[:n-1]
+		} else {
+			id = uint32(len(r.entries))
+			r.entries = append(r.entries, registryEntry{})
+		}
+		r.ids[d.Name] = id
+		// Until upsert says otherwise it is a node with no digest: bucket 2.
+		r.entries[id] = registryEntry{info: NodeInfo{Name: d.Name}, bucket: 2, pos: uint32(len(r.buckets[2]))}
+		r.buckets[2] = append(r.buckets[2], id)
 	}
+	r.upsertLocked(id, d, now)
+}
+
+// upsertLocked refreshes the entry with the given ID from d, keeping the
+// score bucket index consistent. A digest only replaces the stored one when
+// it is newer (higher Gen, later stamp); a bare heartbeat (empty digest)
+// refreshes liveness without touching the stored state. It reports whether
+// anything beyond the liveness stamp changed — a false return is a pure
+// refresh, which the WAL logs in compact form.
+func (r *Registry) upsertLocked(id uint32, d NodeDigest, now time.Time) bool {
+	e := &r.entries[id]
 	before := e.info
 	if d.Addr != "" {
 		e.info.Addr = d.Addr
@@ -570,32 +546,41 @@ func (r *Registry) upsertLocked(e *registryEntry, d NodeDigest, now time.Time) b
 				if stamp == 0 {
 					stamp = now.UnixMilli()
 				}
-				// The service ignores unparseable states and has no way to
-				// fail on the ones it accepts.
-				_ = r.fc.ObserveState(d.Name, d.State, stamp)
+				r.fc.ObserveStateID(id, d.State, stamp)
 			}
 		}
 	}
 	if now.After(e.lastSeen) {
 		e.lastSeen = now
 	}
-	want := digestScore(e.info.State)
-	if want != e.bucket {
-		if e.bucket >= 0 {
-			delete(r.buckets[e.bucket], e.info.Name)
-		}
-		r.buckets[want][e.info.Name] = e
-		e.bucket = want
+	if want := uint8(digestScore(e.info.State)); want != e.bucket {
+		r.unbucketLocked(e)
+		e.bucket, e.pos = want, uint32(len(r.buckets[want]))
+		r.buckets[want] = append(r.buckets[want], id)
 	}
-	return created || e.info != before
+	return e.info != before
 }
 
+// unbucketLocked takes e out of its bucket by moving the bucket's last ID
+// into its place.
+func (r *Registry) unbucketLocked(e *registryEntry) {
+	b := r.buckets[e.bucket]
+	last := b[len(b)-1]
+	b[e.pos], r.entries[last].pos = last, e.pos
+	r.buckets[e.bucket] = b[:len(b)-1]
+}
+
+// removeLocked forgets a node everywhere — name, entry, bucket and its
+// history in the forecaster — and frees its ID for the next registration.
 func (r *Registry) removeLocked(name string) {
-	if e, ok := r.nodes[name]; ok {
-		if e.bucket >= 0 {
-			delete(r.buckets[e.bucket], name)
+	if id, ok := r.ids[name]; ok {
+		r.unbucketLocked(&r.entries[id])
+		r.entries[id] = registryEntry{}
+		delete(r.ids, name)
+		r.free = append(r.free, id)
+		if r.fc != nil {
+			r.fc.Forget(id)
 		}
-		delete(r.nodes, name)
 	}
 }
 
@@ -612,54 +597,45 @@ func (r *Registry) handle(req Request) *Response {
 		met.request(req.Op)
 	}
 	switch req.Op {
-	case "register":
-		if req.Name == "" || req.Addr == "" {
-			return &Response{OK: false, Error: "register requires name and addr"}
+	case "register", "register_batch":
+		one := req.Op == "register"
+		if one {
+			req.Digests = []NodeDigest{{Name: req.Name, Addr: req.Addr, State: req.State, Load: req.Load, Gen: req.Gen}}
 		}
-		now := r.now()
-		d := NodeDigest{Name: req.Name, Addr: req.Addr, State: req.State, Load: req.Load, Gen: req.Gen}
-		r.mu.Lock()
-		r.upsertLocked(r.nodes[d.Name], d, now)
-		err := r.walUpsertLocked([]NodeDigest{d}, now)
-		n := len(r.nodes)
-		r.mu.Unlock()
-		if err != nil {
-			return errWALAppend
-		}
-		if met != nil {
-			met.nodes.Set(float64(n))
-		}
-		if log != nil {
-			log.Info("node registered", "trace", req.Trace, "name", req.Name, "addr", req.Addr)
-		}
-		return &Response{OK: true}
-	case "register_batch":
 		for _, d := range req.Digests {
 			if d.Name == "" || d.Addr == "" {
+				if one {
+					return &Response{OK: false, Error: "register requires name and addr"}
+				}
 				return &Response{OK: false, Error: "register_batch requires name and addr on every digest"}
 			}
 		}
 		now := r.now()
 		r.mu.Lock()
 		for _, d := range req.Digests {
-			r.upsertLocked(r.nodes[d.Name], d, now)
+			r.registerLocked(d, now)
 		}
-		err := r.walUpsertLocked(req.Digests, now)
-		n := len(r.nodes)
+		err := r.walLocked(r.wal.appendUpsert(req.Digests, now.UnixMilli()))
+		n := len(r.ids)
 		r.mu.Unlock()
 		if err != nil {
 			return errWALAppend
 		}
 		if met != nil {
 			met.nodes.Set(float64(n))
-			met.batched.Add(uint64(len(req.Digests)))
+			if !one {
+				met.batched.Add(uint64(len(req.Digests)))
+			}
+		}
+		if log != nil && one {
+			log.Info("node registered", "trace", req.Trace, "name", req.Name, "addr", req.Addr)
 		}
 		return &Response{OK: true}
 	case "unregister":
 		r.mu.Lock()
 		r.removeLocked(req.Name)
-		err := r.walAppendLocked(walRecord{kind: walKindRemove, name: req.Name})
-		n := len(r.nodes)
+		err := r.walLocked(r.wal.append(walRecord{kind: walKindRemove, name: req.Name}))
+		n := len(r.ids)
 		r.mu.Unlock()
 		if err != nil {
 			return errWALAppend
@@ -671,34 +647,11 @@ func (r *Registry) handle(req Request) *Response {
 			log.Info("node unregistered", "trace", req.Trace, "name", req.Name)
 		}
 		return &Response{OK: true}
-	case "heartbeat":
-		now := r.now()
-		d := NodeDigest{Name: req.Name, State: req.State, Load: req.Load, Gen: req.Gen}
-		r.mu.Lock()
-		e, ok := r.nodes[req.Name]
-		var err error
-		if ok {
-			if r.upsertLocked(e, d, now) {
-				err = r.walUpsertLocked([]NodeDigest{d}, now)
-			} else {
-				err = r.walRefreshLocked([]string{d.Name}, now)
-			}
+	case "heartbeat", "heartbeat_batch":
+		one := req.Op == "heartbeat"
+		if one {
+			req.Digests = []NodeDigest{{Name: req.Name, State: req.State, Load: req.Load, Gen: req.Gen}}
 		}
-		r.mu.Unlock()
-		if !ok {
-			if met != nil {
-				met.unknownHB.Inc()
-			}
-			if log != nil {
-				log.Warn("heartbeat from unknown node", "name", req.Name)
-			}
-			return &Response{OK: false, Error: "unknown node " + req.Name}
-		}
-		if err != nil {
-			return errWALAppend
-		}
-		return &Response{OK: true}
-	case "heartbeat_batch":
 		now := r.now()
 		var missing []string
 		r.mu.Lock()
@@ -706,13 +659,13 @@ func (r *Registry) handle(req Request) *Response {
 		changed := r.walChanged[:0]     // digests that advanced stored state
 		refreshed := r.walRefreshed[:0] // pure liveness refreshes
 		for _, d := range req.Digests {
-			e, ok := r.nodes[d.Name]
+			id, ok := r.ids[d.Name]
 			if !ok {
 				missing = append(missing, d.Name)
 				continue
 			}
 			d.Addr = "" // liveness refresh, not re-registration
-			advanced := r.upsertLocked(e, d, now)
+			advanced := r.upsertLocked(id, d, now)
 			if !durable {
 				continue
 			}
@@ -724,10 +677,10 @@ func (r *Registry) handle(req Request) *Response {
 		}
 		var err error
 		if len(changed) > 0 {
-			err = r.walUpsertLocked(changed, now)
+			err = r.walLocked(r.wal.appendUpsert(changed, now.UnixMilli()))
 		}
 		if err == nil && len(refreshed) > 0 {
-			err = r.walRefreshLocked(refreshed, now)
+			err = r.walLocked(r.wal.appendRefresh(refreshed, now.UnixMilli()))
 		}
 		r.walChanged, r.walRefreshed = changed[:0], refreshed[:0]
 		r.mu.Unlock()
@@ -735,10 +688,16 @@ func (r *Registry) handle(req Request) *Response {
 			return errWALAppend
 		}
 		if met != nil {
-			met.batched.Add(uint64(len(req.Digests)))
-			if len(missing) > 0 {
-				met.unknownHB.Add(uint64(len(missing)))
+			met.unknownHB.Add(uint64(len(missing)))
+			if !one {
+				met.batched.Add(uint64(len(req.Digests)))
 			}
+		}
+		if one && len(missing) > 0 {
+			if log != nil {
+				log.Warn("heartbeat from unknown node", "name", req.Name)
+			}
+			return &Response{OK: false, Error: "unknown node " + req.Name}
 		}
 		return &Response{OK: true, Missing: missing}
 	case "list":
@@ -747,9 +706,10 @@ func (r *Registry) handle(req Request) *Response {
 		}
 		now := r.now()
 		r.mu.RLock()
-		nodes := make([]NodeInfo, 0, len(r.nodes))
+		nodes := make([]NodeInfo, 0, len(r.ids))
 		alive := 0
-		for _, e := range r.nodes {
+		for _, id := range r.ids {
+			e := &r.entries[id]
 			info := e.info
 			info.Alive = now.Sub(e.lastSeen) <= r.ttl
 			if info.Alive {
@@ -779,17 +739,15 @@ func (r *Registry) handle(req Request) *Response {
 		out := make([]ForecastInfo, 0, len(req.Names))
 		r.mu.RLock()
 		for _, name := range req.Names {
-			f, known := r.fc.Forecast(name, horizon, nowMS)
-			fi := ForecastInfo{
-				Name:     name,
-				Known:    known,
-				Survival: f.Survival,
-				Samples:  f.Samples,
+			id, ok := r.ids[name]
+			if !ok {
+				id = math.MaxUint32 // no such machine: the forecaster's cold prior
 			}
-			if e, ok := r.nodes[name]; ok {
-				fi.State = e.info.State
-				fi.Gen = e.info.Gen
-				fi.UnixMS = e.lastSeen.UnixMilli()
+			f, known := r.fc.ForecastID(id, horizon, nowMS)
+			fi := ForecastInfo{Name: name, Known: known, Survival: f.Survival, Samples: f.Samples}
+			if ok {
+				e := &r.entries[id]
+				fi.State, fi.Gen, fi.UnixMS = e.info.State, e.info.Gen, e.lastSeen.UnixMilli()
 			}
 			out = append(out, fi)
 		}
@@ -818,18 +776,24 @@ func (r *Registry) handle(req Request) *Response {
 // and stops as soon as limit candidates are found, so its cost is bounded
 // by the limit (plus dead entries skipped along the way), not by the
 // shard's total population — the property that keeps discovery flat as a
-// shard grows to hundreds of thousands of nodes. Within one bucket the
-// choice among alive nodes is map-order arbitrary: every returned S1 node
-// is as good as any other under the paper's placement rule, which ranks
-// by state class. The response itself is ordered (state, load, name) so
-// callers merge deterministically ranked lists.
+// shard grows to hundreds of thousands of nodes. Within one bucket every
+// alive node is as good as any other under the paper's placement rule,
+// which ranks by state class, so each walk starts where a per-registry
+// cursor points and the cursor moves on by the limit: successive calls
+// hand out successive stretches of a bucket instead of sending every
+// broker to the same few nodes. The response itself is ordered (state,
+// load, name) so callers merge deterministically ranked lists.
 func (r *Registry) listRanked(limit int) *Response {
 	now := r.now()
 	r.mu.RLock()
 	// The limit is the caller's number: what it sizes is bounded by the shard.
-	nodes := make([]NodeInfo, 0, min(limit, len(r.nodes)))
+	limit = min(limit, len(r.ids))
+	nodes := make([]NodeInfo, 0, limit)
+	start := int(r.cursor.Add(uint32(limit)))
 	for score := 0; score <= 2 && len(nodes) < limit; score++ {
-		for _, e := range r.buckets[score] {
+		b := r.buckets[score]
+		for i := range b {
+			e := &r.entries[b[(start+i)%len(b)]]
 			if now.Sub(e.lastSeen) > r.ttl {
 				continue
 			}

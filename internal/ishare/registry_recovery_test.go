@@ -15,8 +15,9 @@ import (
 func registryStateSnapshot(r *Registry) map[string]string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make(map[string]string, len(r.nodes)+1)
-	for name, e := range r.nodes {
+	out := make(map[string]string, len(r.ids)+1)
+	for name, id := range r.ids {
+		e := &r.entries[id]
 		out[name] = fmt.Sprintf("%s|%s|%.6f|%d|%d|%d",
 			e.info.Addr, e.info.State, e.info.Load, e.info.Gen, e.lastSeen.UnixMilli(), e.bucket)
 	}

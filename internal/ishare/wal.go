@@ -287,6 +287,9 @@ func (w *wal) appendRefresh(names []string, lastSeenMS int64) (compactDue bool, 
 // threshold the background loop is kicked; only a WAL running without
 // that loop (tests) syncs inline.
 func (w *wal) appendPayload(enc func([]byte) []byte) (compactDue bool, err error) {
+	if w == nil {
+		return false, nil
+	}
 	w.lock()
 	defer w.unlock()
 	if w.f == nil {
@@ -430,8 +433,12 @@ func (w *wal) syncLoop() {
 
 // Close stops the sync loop and closes the log. With sync true the tail
 // is fsynced first (graceful shutdown); false models a crash, leaving
-// whatever write() already delivered.
+// whatever write() already delivered. Like the appends, it is a no-op on
+// the nil *wal of a registry without durability.
 func (w *wal) Close(sync bool) error {
+	if w == nil {
+		return nil
+	}
 	select {
 	case <-w.closed:
 	default:
