@@ -41,12 +41,16 @@ check:
 	$(GO) run ./cmd/fgcs-check
 
 # Short native-fuzz smokes over the committed corpus plus a few seconds of
-# newly generated input; longer sessions just raise -fuzztime.
+# newly generated input; longer sessions just raise -fuzztime. The target
+# fed whole files caps minimization at 10 runs a find: at the default 60 s
+# the engine spends the smoke shrinking its first 2 KB find (9 runs in 20 s,
+# against 10 000 a second mutating).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDetectorObserve' -fuzztime 5s ./internal/check/
 	$(GO) test -run '^$$' -fuzz 'FuzzCodecRoundTrip' -fuzztime 5s ./internal/check/
 	$(GO) test -run '^$$' -fuzz 'FuzzIndexQueries' -fuzztime 5s ./internal/check/
 	$(GO) test -run '^$$' -fuzz 'FuzzColBlockRoundTrip' -fuzztime 5s ./internal/check/
+	$(GO) test -run '^$$' -fuzz 'FuzzBlockFileBytes' -fuzztime 5s -fuzzminimizetime 10x ./internal/trace/
 	$(GO) test -run '^$$' -fuzz 'FuzzProtocolDecode' -fuzztime 5s ./internal/ishare/
 	$(GO) test -run '^$$' -fuzz 'FuzzWireCodec' -fuzztime 5s ./internal/ishare/
 	$(GO) test -run '^$$' -fuzz 'FuzzWALReplay' -fuzztime 5s ./internal/ishare/
@@ -96,6 +100,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunMachineWeek|BenchmarkTickSixProcesses|BenchmarkDetectorObserve' -benchtime 10x ./internal/testbed/ ./internal/simos/ ./internal/availability/
 	$(GO) test -run '^$$' -bench 'BenchmarkRunFullTestbed|BenchmarkRunShardedFleet|BenchmarkWriteBinary|BenchmarkReadBinary|BenchmarkStreamAnalyzer|BenchmarkEvaluateHistoryWindow|BenchmarkScore' -benchtime 1x ./internal/testbed/ ./internal/trace/ ./internal/predict/
 	$(GO) test -run '^$$' -bench 'BenchmarkWireHeartbeatBatch|BenchmarkWireReply|BenchmarkRegistryHeartbeatBatch' -benchtime 10x -benchmem ./internal/ishare/
+	$(GO) test -run '^$$' -bench 'BenchmarkDecodeBlock|BenchmarkAnalyzeBlockFiles|BenchmarkBlockIndexFirstTouch|BenchmarkFit' -benchtime 10x -benchmem ./internal/trace/ ./internal/markov/
 
 # Parallel-analyzer smoke under the race detector: the worker-pool block
 # scanner (and its refusal of truncated shards), its merge associativity,

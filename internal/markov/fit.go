@@ -1,7 +1,9 @@
 package markov
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/sim"
@@ -102,17 +104,31 @@ func Fit(tr *trace.Trace, opts FitOptions) (*Model, error) {
 	if tr.Span.End <= tr.Span.Start {
 		return nil, fmt.Errorf("markov: cannot fit a zero-length span %v", tr.Span)
 	}
+	// Group the events by machine once — a stable sort of a copy, trace order
+	// kept within a machine, next to free on the machine-sorted traces the
+	// store and the generators hand over — so a machine's fit reads its own
+	// events instead of filtering the whole trace twice. The result does not
+	// depend on the order events are tallied in: counts are integers, NewECDF
+	// sorts its samples, and exposure comes from the coalesced runs.
+	byMachine := func(e trace.Event, m trace.MachineID) int { return cmp.Compare(e.Machine, m) }
+	grouped := slices.Clone(tr.Events)
+	slices.SortStableFunc(grouped, func(a, b trace.Event) int { return byMachine(a, b.Machine) })
+
 	fleet := &fitAccum{}
 	var per []*MachineModel
 	if opts.PerMachine {
 		per = make([]*MachineModel, tr.Machines)
 	}
+	one := *tr
 	for id := 0; id < tr.Machines; id++ {
+		lo, _ := slices.BinarySearchFunc(grouped, trace.MachineID(id), byMachine)
+		hi, _ := slices.BinarySearchFunc(grouped, trace.MachineID(id+1), byMachine)
+		one.Events = grouped[lo:hi]
 		acc := &fitAccum{}
-		for _, iv := range tr.Intervals(trace.MachineID(id)) {
+		for _, iv := range one.Intervals(trace.MachineID(id)) {
 			acc.addExposure(tr.Calendar, iv)
 		}
-		acc.addEvents(tr.Calendar, tr.MachineEvents(trace.MachineID(id)))
+		acc.addEvents(tr.Calendar, one.Events)
 		if opts.PerMachine {
 			per[id] = acc.model()
 		}

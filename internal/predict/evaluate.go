@@ -208,10 +208,7 @@ func EvaluateBlocks(bf *trace.BlockFile, preds []Predictor, cfg EvalConfig) (*Ev
 		HasWindow: true,
 		Window:    sim.Window{Start: math.MinInt64, End: ts.cut},
 	}
-	if _, _, err := ix.Scan(filter, func(e trace.Event) error {
-		history.Add(e)
-		return nil
-	}); err != nil {
+	if history.Events, err = ix.AppendEvents(nil, filter); err != nil {
 		return nil, err
 	}
 	if err := ix.Err(); err != nil {

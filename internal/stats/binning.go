@@ -18,17 +18,17 @@ type Summary struct {
 
 // GroupedBins accumulates values keyed by (group, bin) — in the trace
 // analysis, group is a calendar day and bin is an hour of day — and then
-// summarizes each bin across groups. The zero value is unusable; construct
-// with NewGroupedBins.
+// summarizes each bin across groups. It holds one row of bins per group that
+// was ever added to or touched, and remembers the row it used last: a
+// machine's events arrive in time order, so consecutive adds mostly share a
+// day and skip the map. The zero value is unusable; construct with
+// NewGroupedBins.
 type GroupedBins struct {
 	bins int
-	data map[int][]float64 // bin -> one value per group (after fold)
-	acc  map[groupBin]float64
-}
+	rows map[int][]float64 // group -> accumulated value per bin
 
-type groupBin struct {
-	group int
-	bin   int
+	lastGroup int
+	last      []float64 // rows[lastGroup]; nil before the first row
 }
 
 // NewGroupedBins creates an accumulator with the given number of bins
@@ -37,62 +37,66 @@ func NewGroupedBins(bins int) *GroupedBins {
 	if bins <= 0 {
 		panic("stats: NewGroupedBins requires bins > 0")
 	}
-	return &GroupedBins{
-		bins: bins,
-		data: make(map[int][]float64),
-		acc:  make(map[groupBin]float64),
+	return &GroupedBins{bins: bins, rows: make(map[int][]float64)}
+}
+
+// row returns group's row, creating it (all zeros) on first use.
+func (g *GroupedBins) row(group int) []float64 {
+	if g.last != nil && g.lastGroup == group {
+		return g.last
 	}
+	r, ok := g.rows[group]
+	if !ok {
+		r = make([]float64, g.bins)
+		g.rows[group] = r
+	}
+	g.lastGroup, g.last = group, r
+	return r
 }
 
 // Add accumulates v into the given (group, bin) cell. Multiple Adds to the
-// same cell sum, so event counts can be streamed one at a time.
+// same cell sum, so event counts can be streamed one at a time. An
+// out-of-range bin is dropped and does not make its group present.
 func (g *GroupedBins) Add(group, bin int, v float64) {
 	if bin < 0 || bin >= g.bins {
 		return
 	}
-	g.acc[groupBin{group, bin}] += v
+	g.row(group)[bin] += v
 }
 
 // Touch ensures a group exists even if no events were recorded for it, so
 // that zero-event days drag the per-bin mean (and min) down, as they should.
-func (g *GroupedBins) Touch(group int) {
-	g.Add(group, 0, 0)
-	// Adding zero to bin 0 marks the group as present without changing sums.
-	if _, ok := g.acc[groupBin{group, 0}]; !ok {
-		g.acc[groupBin{group, 0}] = 0
-	}
-}
+func (g *GroupedBins) Touch(group int) { g.row(group) }
 
 // MergeFrom folds o's accumulated cells into g. Cell sums add, so two
 // accumulators fed disjoint partitions of an event stream merge into
-// exactly the accumulator a single pass would have built — Touch marks
-// (zero-valued cells) in both inputs stay zero. The bin counts must match.
+// exactly the accumulator a single pass would have built — groups only
+// touched in both inputs stay zero. The bin counts must match.
 func (g *GroupedBins) MergeFrom(o *GroupedBins) error {
 	if g.bins != o.bins {
 		return fmt.Errorf("stats: merging GroupedBins with %d bins into %d bins", o.bins, g.bins)
 	}
-	for k, v := range o.acc {
-		g.acc[k] += v
+	for group, from := range o.rows {
+		to := g.row(group)
+		for b, v := range from {
+			to[b] += v
+		}
 	}
 	return nil
 }
 
 // groups returns the sorted distinct group keys.
 func (g *GroupedBins) groups() []int {
-	seen := make(map[int]bool)
-	for k := range g.acc {
-		seen[k.group] = true
-	}
-	out := make([]int, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
+	out := make([]int, 0, len(g.rows))
+	for group := range g.rows {
+		out = append(out, group)
 	}
 	sort.Ints(out)
 	return out
 }
 
 // NumGroups returns how many distinct groups contributed.
-func (g *GroupedBins) NumGroups() int { return len(g.groups()) }
+func (g *GroupedBins) NumGroups() int { return len(g.rows) }
 
 // Summarize returns one Summary per bin, aggregating each bin's per-group
 // totals. Groups that recorded nothing for a bin contribute a 0 to that
@@ -101,13 +105,13 @@ func (g *GroupedBins) NumGroups() int { return len(g.groups()) }
 func (g *GroupedBins) Summarize() []Summary {
 	groups := g.groups()
 	out := make([]Summary, g.bins)
-	for b := 0; b < g.bins; b++ {
-		var vals []float64
-		for _, gr := range groups {
-			vals = append(vals, g.acc[groupBin{gr, b}])
-		}
-		if len(vals) == 0 {
-			continue
+	if len(groups) == 0 {
+		return out
+	}
+	vals := make([]float64, len(groups))
+	for b := range out {
+		for i, gr := range groups {
+			vals[i] = g.rows[gr][b]
 		}
 		out[b] = Summary{
 			Mean:  Mean(vals),
@@ -120,12 +124,16 @@ func (g *GroupedBins) Summarize() []Summary {
 }
 
 // BinValues returns the per-group totals for one bin (sorted by group key),
-// which the predictor evaluation uses as its history sample.
+// which the predictor evaluation uses as its history sample. A bin out of
+// range holds nothing: every group reads 0.
 func (g *GroupedBins) BinValues(bin int) []float64 {
 	groups := g.groups()
-	vals := make([]float64, 0, len(groups))
-	for _, gr := range groups {
-		vals = append(vals, g.acc[groupBin{gr, bin}])
+	vals := make([]float64, len(groups))
+	if bin < 0 || bin >= g.bins {
+		return vals
+	}
+	for i, gr := range groups {
+		vals[i] = g.rows[gr][bin]
 	}
 	return vals
 }

@@ -2,9 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/availability"
 	"repro/internal/sim"
 )
 
@@ -127,5 +131,98 @@ func BenchmarkStreamAnalyzer(b *testing.B) {
 			}
 		}
 		a.Finish()
+	}
+}
+
+// benchShard is the input of the read-path layer benchmarks below: 10
+// machines over 365 days, fixed seed, shaped like the testbed's output (five
+// events a machine-day on the monitor's 15 s grid, minutes to half an hour
+// long, free memory mostly the machine's constant) and encoded once in the
+// default codec — five split blocks at ≈ 17 bytes an event.
+var benchShard = sync.OnceValue(func() []byte {
+	const tick = 15 * time.Second
+	rng := rand.New(rand.NewSource(20))
+	tr := New(sim.Window{Start: 0, End: 365 * sim.Day}, sim.Calendar{StartWeekday: 2}, 10)
+	states := []availability.State{availability.S3, availability.S3, availability.S3, availability.S3, availability.S4, availability.S5}
+	for m := 0; m < tr.Machines; m++ {
+		mem := rng.Int63n(4 << 30)
+		for at := sim.Time(0); ; {
+			at += time.Duration(rng.ExpFloat64()*float64(4*time.Hour+30*time.Minute)) / tick * tick
+			dur := 3*time.Minute + time.Duration(rng.Int63n(int64(30*time.Minute)))/tick*tick
+			if at+dur >= tr.Span.End {
+				break
+			}
+			e := Event{Machine: MachineID(m), Start: at, End: at + dur, State: states[rng.Intn(len(states))], AvailCPU: rng.Float64(), AvailMem: mem}
+			if e.State == availability.S4 {
+				e.AvailMem = rng.Int63n(64 << 20)
+			}
+			tr.Add(e)
+			at += dur
+		}
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteBlocks(&buf, nil); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+})
+
+func openBenchShard(b *testing.B) *BlockFile {
+	b.Helper()
+	bf, err := NewBlockFileBytes(benchShard())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return bf
+}
+
+// BenchmarkDecodeBlock is one inflate plus one column decode of a full
+// block into a warm BlockBuf: the unit every reader of the store pays.
+func BenchmarkDecodeBlock(b *testing.B) {
+	bf := openBenchShard(b)
+	var buf BlockBuf
+	for i := 0; i < bf.NumBlocks(); i++ { // warm: the buffer at its largest
+		if _, err := bf.DecodeBlock(i, &buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := bf.DecodeBlock(i%bf.NumBlocks(), &buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAnalyzeBlockFiles is Table 2 / Fig 6 / Fig 7 off the stored
+// shard: decode, accumulate, merge.
+func BenchmarkAnalyzeBlockFiles(b *testing.B) {
+	files := []*BlockFile{openBenchShard(b)}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := AnalyzeBlockFiles(files, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkBlockIndexFirstTouch is what the first point query on a machine
+// costs a fresh BlockIndex: decode its blocks, lay out its sub-index.
+func BenchmarkBlockIndexFirstTouch(b *testing.B) {
+	bf := openBenchShard(b)
+	w := sim.Window{Start: 100 * sim.Day, End: 100*sim.Day + 3*time.Hour}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix := NewBlockIndex(bf)
+		ix.CountInWindow(MachineID(i%10), w)
+		if err := ix.Err(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -36,13 +36,23 @@ type BlockFile struct {
 	closers []io.Closer
 }
 
-// BlockBuf holds the reusable scratch of one decoding goroutine. The zero
-// value is ready to use; do not share one across goroutines.
+// BlockBuf holds what one decoding goroutine reuses from block to block:
+// the bytes read off a file that is not in memory, the inflater (its flate
+// reader and the raw columns it fills) and the decoded events. Once each
+// has grown to the largest block, DecodeBlock allocates nothing of its own
+// (compress/flate still makes tables for Huffman codes past 9 bits). The
+// zero value is ready to use; do not share one across goroutines.
 type BlockBuf struct {
 	payload []byte
-	raw     []byte
+	z       inflater
 	events  []Event
 }
+
+// maxEventsHint caps every capacity taken from the directory's event counts.
+// The directory is outside input, and only DecodeBlock holds a count to its
+// payload: a forged one may cost an allocation of this many events and no
+// more, and append grows past it for an honest file that large.
+const maxEventsHint = 1 << 20
 
 // NewBlockFileBytes opens a v2 file held in memory (a mapping or a test
 // buffer). The returned BlockFile decodes blocks without copying payloads.
@@ -161,7 +171,7 @@ func (bf *BlockFile) slice(off, n int64, scratch *[]byte) ([]byte, error) {
 // footer is intact and by walking otherwise.
 func (bf *BlockFile) init() error {
 	var scratch []byte
-	head, err := bf.slice(0, min64(bf.size, 64), &scratch)
+	head, err := bf.slice(0, min(bf.size, 64), &scratch)
 	if err != nil {
 		return err
 	}
@@ -181,13 +191,6 @@ func (bf *BlockFile) init() error {
 		return nil
 	}
 	return bf.walkBlocks(headerLen)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // loadDirectory parses the footer and directory of a cleanly closed file.
@@ -299,7 +302,7 @@ func (bf *BlockFile) walkBlocks(headerLen int64) error {
 	var scratch []byte
 	off := headerLen
 	for off < bf.size {
-		hdr, err := bf.slice(off, min64(64, bf.size-off), &scratch)
+		hdr, err := bf.slice(off, min(64, bf.size-off), &scratch)
 		if err != nil {
 			return err
 		}
@@ -351,11 +354,10 @@ func (bf *BlockFile) DecodeBlock(i int, buf *BlockBuf) ([]Event, error) {
 		return nil, fmt.Errorf("trace: block %d count disagrees with directory", i)
 	}
 	payload := b[1+n : 1+n+int(payloadLen)]
-	raw, scratch, err := decodePayload(codec, payload, int(rawLen), meta.Count, buf.raw)
+	raw, err := buf.z.decodePayload(codec, payload, int(rawLen), meta.Count)
 	if err != nil {
 		return nil, err
 	}
-	buf.raw = scratch
 	buf.events, err = decodeColumns(raw, meta, bf.header, buf.events)
 	if err != nil {
 		return nil, err
@@ -485,4 +487,20 @@ func (r *blockFileReader) Next() (Event, error) {
 	ev := r.cur[r.pos]
 	r.pos++
 	return ev, nil
+}
+
+// rest drains what Next has not returned yet, a block at a time, into a
+// slice sized from the directory — how CollectEvents reads a block file.
+func (r *blockFileReader) rest() ([]Event, error) {
+	out := make([]Event, 0, min(r.bf.Events(), maxEventsHint))
+	out = append(out, r.cur[r.pos:]...)
+	r.pos = len(r.cur)
+	for ; r.block < r.bf.NumBlocks(); r.block++ {
+		events, err := r.bf.DecodeBlock(r.block, &r.buf)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, events...)
+	}
+	return out, nil
 }

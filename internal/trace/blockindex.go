@@ -49,52 +49,47 @@ func (ix *BlockIndex) BlocksDecoded() int { return ix.decoded }
 // before the failure.
 func (ix *BlockIndex) Err() error { return ix.err }
 
-// block returns block i's decoded events, decoding (and caching a copy) on
-// first touch. Neighboring machines share blocks, so without the cache a
-// sweep over the fleet would inflate every block once per machine in it;
-// with it each block pays its decode exactly once per index lifetime. The
-// copy is required because DecodeBlock reuses the scratch buffer.
+// block returns block i's decoded events, decoding on first touch and
+// keeping the slice it decoded into: the buffer's event slice is handed to
+// the cache and the next decode makes its own, so a block is inflated,
+// decoded and stored once, with no second copy. Neighboring machines share
+// blocks, so without the cache a sweep over the fleet would inflate every
+// block once per machine in it. Cached blocks are only ever read — sub-
+// indexes alias them.
 func (ix *BlockIndex) block(i int) ([]Event, error) {
 	if evs, ok := ix.blocks[i]; ok {
 		return evs, nil
 	}
 	ix.decoded++
+	ix.buf.events = nil
 	events, err := ix.bf.DecodeBlock(i, &ix.buf)
 	if err != nil {
 		return nil, err
 	}
-	cp := make([]Event, len(events))
-	copy(cp, events)
-	ix.blocks[i] = cp
-	return cp, nil
+	ix.blocks[i] = events
+	return events, nil
 }
 
-// Scan streams every event matching f through visit in file order, exactly
-// like BlockFile.Scan, but reads through the index's block cache — a block
-// the scan decodes is free for later point queries and vice versa. decoded
-// counts the admitted blocks (cache hits included), skipped the pruned ones.
-func (ix *BlockIndex) Scan(f ScanFilter, visit func(Event) error) (decoded, skipped int, err error) {
-	n := ix.bf.NumBlocks()
-	for i := 0; i < n; i++ {
+// AppendEvents appends to dst every event matching f, in file order,
+// decoding only the blocks the summaries cannot rule out. It reads through
+// the index's block cache — a block it decodes is free for later point
+// queries and vice versa.
+func (ix *BlockIndex) AppendEvents(dst []Event, f ScanFilter) ([]Event, error) {
+	for i, n := 0, ix.bf.NumBlocks(); i < n; i++ {
 		if !f.AdmitBlock(ix.bf.Block(i)) {
-			skipped++
 			continue
 		}
-		decoded++
 		events, err := ix.block(i)
 		if err != nil {
-			return decoded, skipped, err
+			return nil, err
 		}
-		for _, e := range events {
-			if !f.AdmitEvent(e) {
-				continue
-			}
-			if err := visit(e); err != nil {
-				return decoded, skipped, err
+		for j := range events {
+			if f.AdmitEvent(events[j]) {
+				dst = append(dst, events[j])
 			}
 		}
 	}
-	return decoded, skipped, nil
+	return dst, nil
 }
 
 // machine returns m's sub-index, building it on first use.
@@ -115,7 +110,10 @@ func (ix *BlockIndex) machine(m MachineID) *machinePointIndex {
 func (ix *BlockIndex) buildMachine(m MachineID) *machinePointIndex {
 	// Block MaxMachine is nondecreasing in file order (the event stream is
 	// machine-sorted), so m's blocks are the run starting at the first
-	// block whose MaxMachine reaches m.
+	// block whose MaxMachine reaches m; inside a block m's rows are one run
+	// too, found by binary search. A machine that sits in one block is
+	// indexed in place, as a capped read-only sub-slice of the cached block;
+	// only one that straddles blocks is copied together.
 	var evs []Event
 	n := ix.bf.NumBlocks()
 	first := sort.Search(n, func(i int) bool { return ix.bf.Block(i).MaxMachine >= m })
@@ -130,10 +128,12 @@ func (ix *BlockIndex) buildMachine(m MachineID) *machinePointIndex {
 			}
 			break
 		}
-		for _, e := range events {
-			if e.Machine == m {
-				evs = append(evs, e)
-			}
+		lo := sort.Search(len(events), func(j int) bool { return events[j].Machine >= m })
+		hi := lo + sort.Search(len(events)-lo, func(j int) bool { return events[lo+j].Machine > m })
+		if evs == nil {
+			evs = events[lo:hi:hi]
+		} else {
+			evs = append(evs, events[lo:hi]...)
 		}
 	}
 	// File order within a machine is (Start, End), the layout's order.

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -540,54 +541,37 @@ func decodeBlockHeader(b []byte) (meta BlockMeta, codec byte, rawLen, payloadLen
 // out, mirroring packColumns. header bounds are validated like the v1
 // decoder: machine ids in range, finite floats, no time overflow.
 func decodeColumns(raw []byte, meta BlockMeta, h Header, out []Event) ([]Event, error) {
-	n := 0
-	count := meta.Count
-	readU := func() (uint64, error) {
-		v, k := binary.Uvarint(raw[n:])
-		if k <= 0 {
-			return 0, fmt.Errorf("trace: truncated column varint")
-		}
-		n += k
-		return v, nil
-	}
-	readS := func() (int64, error) {
-		v, k := binary.Varint(raw[n:])
-		if k <= 0 {
-			return 0, fmt.Errorf("trace: truncated column varint")
-		}
-		n += k
-		return v, nil
-	}
-	out = out[:0]
+	n, count := 0, meta.Count
 	if cap(out) < count {
-		out = make([]Event, 0, count)
+		out = make([]Event, count)
 	}
 	out = out[:count]
 	// Machine column.
-	cur := meta.MinMachine
-	for i := 0; i < count; i++ {
-		d, err := readU()
-		if err != nil {
-			return nil, err
+	cur := int64(meta.MinMachine)
+	for i := range out {
+		d, k := binary.Uvarint(raw[n:])
+		if k <= 0 {
+			return nil, errColumnVarint
 		}
-		id := int64(cur) + int64(d)
-		if id > math.MaxInt32 || id > int64(meta.MaxMachine) {
-			return nil, fmt.Errorf("trace: block machine id %d outside summary", id)
+		n += k
+		if d > math.MaxInt32 || cur+int64(d) > int64(meta.MaxMachine) {
+			return nil, fmt.Errorf("trace: block machine id %d outside summary", uint64(cur)+d)
 		}
-		cur = MachineID(id)
-		if h.Machines > 0 && int(cur) >= h.Machines {
+		cur += int64(d)
+		if h.Machines > 0 && cur >= int64(h.Machines) {
 			return nil, fmt.Errorf("trace: event machine %d outside 0..%d", cur, h.Machines-1)
 		}
-		out[i].Machine = cur
+		out[i].Machine = MachineID(cur)
 	}
 	// Start column. Machine deltas are unsigned, so the ids just decoded are
 	// nondecreasing: each machine's events are one contiguous run, and the
 	// previous start of the same machine is the previous event's start.
-	for i := 0; i < count; i++ {
-		d, err := readS()
-		if err != nil {
-			return nil, err
+	for i := range out {
+		d, k := binary.Varint(raw[n:])
+		if k <= 0 {
+			return nil, errColumnVarint
 		}
+		n += k
 		p := meta.MinStart
 		if i > 0 && out[i-1].Machine == out[i].Machine {
 			p = out[i-1].Start
@@ -595,11 +579,12 @@ func decodeColumns(raw []byte, meta BlockMeta, h Header, out []Event) ([]Event, 
 		out[i].Start = p + sim.Time(d)
 	}
 	// Duration column.
-	for i := 0; i < count; i++ {
-		d, err := readU()
-		if err != nil {
-			return nil, err
+	for i := range out {
+		d, k := binary.Uvarint(raw[n:])
+		if k <= 0 {
+			return nil, errColumnVarint
 		}
+		n += k
 		if d > math.MaxInt64 {
 			return nil, fmt.Errorf("trace: implausible event duration %d", d)
 		}
@@ -613,23 +598,24 @@ func decodeColumns(raw []byte, meta BlockMeta, h Header, out []Event) ([]Event, 
 	if n+count > len(raw) {
 		return nil, fmt.Errorf("trace: truncated state column")
 	}
-	for i := 0; i < count; i++ {
+	for i := range out {
 		out[i].State = availability.State(raw[n+i])
 	}
 	n += count
 	// AvailMem column.
-	for i := 0; i < count; i++ {
-		v, err := readS()
-		if err != nil {
-			return nil, err
+	for i := range out {
+		v, k := binary.Varint(raw[n:])
+		if k <= 0 {
+			return nil, errColumnVarint
 		}
+		n += k
 		out[i].AvailMem = v
 	}
 	// AvailCPU column (last — raw tail under the split codec).
 	if n+8*count > len(raw) {
 		return nil, fmt.Errorf("trace: truncated avail-cpu column")
 	}
-	for i := 0; i < count; i++ {
+	for i := range out {
 		f := math.Float64frombits(binary.LittleEndian.Uint64(raw[n+8*i:]))
 		if math.IsNaN(f) || math.IsInf(f, 0) {
 			return nil, fmt.Errorf("trace: non-finite avail cpu on machine %d", out[i].Machine)
@@ -641,75 +627,81 @@ func decodeColumns(raw []byte, meta BlockMeta, h Header, out []Event) ([]Event, 
 		return nil, fmt.Errorf("trace: %d trailing bytes after block columns", len(raw)-n)
 	}
 	// Validate and re-check sortedness: summaries and chunk planning assume
-	// it, so a file violating it is corrupt, not merely unsorted.
+	// it, so a file violating it is corrupt, not merely unsorted. The pass
+	// reads through pointers — Event.Validate and eventLess take their
+	// 48-byte events by value — and calls Validate only for its error.
 	for i := range out {
-		if err := out[i].Validate(); err != nil {
-			return nil, err
+		e, p := &out[i], &out[max(i-1, 0)] // the first event is its own predecessor: never out of order
+		if !e.valid() {
+			return nil, e.Validate()
 		}
-		if i > 0 && eventLess(out[i], out[i-1]) {
+		if e.Machine < p.Machine || e.Machine == p.Machine && (e.Start < p.Start || e.Start == p.Start && e.End < p.End) {
 			return nil, fmt.Errorf("trace: block events out of order at %d", i)
 		}
 	}
 	return out, nil
 }
 
-// inflateBlock decompresses a flate payload into dst (reused when large
-// enough), checking the decompressed size matches rawLen exactly.
-func inflateBlock(payload []byte, rawLen int, dst []byte) ([]byte, error) {
-	if cap(dst) < rawLen {
-		dst = make([]byte, rawLen)
-	}
-	dst = dst[:rawLen]
-	if err := inflateInto(payload, dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
+// errColumnVarint reports a varint column that ends, or overflows, early.
+var errColumnVarint = errors.New("trace: truncated column varint")
+
+// inflater turns block payloads into their raw column bytes, reusing from
+// block to block what that takes: the scratch the columns inflate into, and
+// one flate reader (≈ 40 KB of window and tables) built on the first
+// compressed block and Reset onto each later one. The zero value is ready
+// to use; an inflater belongs to one goroutine.
+type inflater struct {
+	raw   []byte
+	src   bytes.Reader
+	fr    io.ReadCloser // over src; nil until the first compressed block
+	probe [1]byte       // where into looks for one byte too many
 }
 
-// inflateInto decompresses payload into dst, which must be exactly the
-// declared raw length — shorter or longer streams are corruption.
-func inflateInto(payload, dst []byte) error {
-	fr := flate.NewReader(bytes.NewReader(payload))
-	if _, err := io.ReadFull(fr, dst); err != nil {
+// into decompresses payload into dst, which must be exactly the declared
+// raw length — shorter or longer streams are corruption.
+func (z *inflater) into(payload, dst []byte) error {
+	z.src.Reset(payload)
+	if z.fr == nil {
+		z.fr = flate.NewReader(&z.src)
+	} else if err := z.fr.(flate.Resetter).Reset(&z.src, nil); err != nil {
 		return fmt.Errorf("trace: inflating block: %w", err)
 	}
-	var extra [1]byte
-	if k, _ := fr.Read(extra[:]); k != 0 {
+	if _, err := io.ReadFull(z.fr, dst); err != nil {
+		return fmt.Errorf("trace: inflating block: %w", err)
+	}
+	if k, _ := z.fr.Read(z.probe[:]); k != 0 {
 		return fmt.Errorf("trace: block inflates past its declared size")
 	}
-	if err := fr.Close(); err != nil {
+	if err := z.fr.Close(); err != nil {
 		return fmt.Errorf("trace: inflating block: %w", err)
 	}
 	return nil
 }
 
 // decodePayload turns a block payload into the contiguous raw column bytes
-// per its codec, reusing scratch (returned as the new scratch). For raw
-// blocks the payload itself is returned.
-func decodePayload(codec byte, payload []byte, rawLen, count int, scratch []byte) (raw, newScratch []byte, err error) {
+// per its codec: the payload itself for a raw block, z's scratch (valid
+// until the next call) otherwise.
+func (z *inflater) decodePayload(codec byte, payload []byte, rawLen, count int) ([]byte, error) {
+	// cpuN is the float column stored raw at the payload's tail: all of it
+	// under the split codec (the header decoder guarantees both lengths
+	// cover 8*count), none of it when the whole payload is flated.
+	cpuN := 0
 	switch codec {
 	case colCodecRaw:
-		return payload, scratch, nil
+		return payload, nil
 	case colCodecFlate:
-		raw, err = inflateBlock(payload, rawLen, scratch)
-		if err != nil {
-			return nil, scratch, err
-		}
-		return raw, raw, nil
 	case colCodecSplit:
-		// Flated head columns plus the float column raw at the tail; the
-		// header decoder guarantees both lengths cover the 8*count tail.
-		cpuN := 8 * count
-		if cap(scratch) < rawLen {
-			scratch = make([]byte, rawLen)
-		}
-		dst := scratch[:rawLen]
-		if err := inflateInto(payload[:len(payload)-cpuN], dst[:rawLen-cpuN]); err != nil {
-			return nil, scratch, err
-		}
-		copy(dst[rawLen-cpuN:], payload[len(payload)-cpuN:])
-		return dst, dst, nil
+		cpuN = 8 * count
 	default:
-		return nil, scratch, fmt.Errorf("trace: unknown block codec %d", codec)
+		return nil, fmt.Errorf("trace: unknown block codec %d", codec)
 	}
+	if cap(z.raw) < rawLen {
+		z.raw = make([]byte, rawLen)
+	}
+	dst := z.raw[:rawLen]
+	if err := z.into(payload[:len(payload)-cpuN], dst[:rawLen-cpuN]); err != nil {
+		return nil, err
+	}
+	copy(dst[rawLen-cpuN:], payload[len(payload)-cpuN:])
+	return dst, nil
 }

@@ -24,7 +24,7 @@ type BlockDecoder struct {
 	pos int
 
 	payload []byte
-	raw     []byte
+	z       inflater
 
 	done bool
 	err  error
@@ -124,11 +124,10 @@ func (d *BlockDecoder) readBlock() error {
 	if _, err := io.ReadFull(d.r, d.payload); err != nil {
 		return fmt.Errorf("trace: reading block payload: %w", truncatedEOF(err))
 	}
-	raw, scratch, err := decodePayload(codec, d.payload, int(rawLen), meta.Count, d.raw)
+	raw, err := d.z.decodePayload(codec, d.payload, int(rawLen), meta.Count)
 	if err != nil {
 		return err
 	}
-	d.raw = scratch
 	d.buf, err = decodeColumns(raw, meta, d.header, d.buf)
 	if err != nil {
 		return err
@@ -307,6 +306,12 @@ func ReadBlocks(r io.Reader) (*Trace, error) {
 func CollectEvents(rd EventReader) (*Trace, error) {
 	h := rd.Header()
 	t := &Trace{Span: h.Span, Calendar: h.Calendar, Machines: h.Machines}
+	if bfr, ok := rd.(*blockFileReader); ok { // whole blocks; the loop then meets io.EOF at once
+		var err error
+		if t.Events, err = bfr.rest(); err != nil {
+			return nil, err
+		}
+	}
 	for {
 		e, err := rd.Next()
 		if err == io.EOF {

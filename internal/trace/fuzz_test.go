@@ -2,8 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/availability"
+	"repro/internal/sim"
 )
 
 // FuzzReadCSVEvents checks the CSV parser never panics and that whatever
@@ -81,6 +86,70 @@ func FuzzReadBinary(f *testing.F) {
 		}
 		if !tracesEqual(tr, tr2) {
 			t.Fatal("round trip changed the trace")
+		}
+	})
+}
+
+// FuzzBlockFileBytes feeds raw bytes to the one read path no other target
+// reaches with them — the directory and the random-access block decode
+// (FuzzColBlockRoundTrip encodes valid events; FuzzReadBinary stops at the
+// stream decoders): NewBlockFileBytes, then every consumer of a BlockFile.
+// Each must return an error or a result that validates; none may panic or
+// size an allocation from a count nothing has checked. The seeds are a good
+// file in each codec, one whose directory lies about every block's count,
+// and a cut one — small ones, or the engine spends a short run minimizing
+// its first find instead of mutating.
+func FuzzBlockFileBytes(f *testing.F) {
+	// Forty scattered events, which the default codec stores raw at this
+	// size, then forty on the hour on the last machine, which it splits.
+	tr := randomTrace(7, 40)
+	for h := 0; h < 40; h++ {
+		at := time.Duration(h) * time.Hour
+		tr.Add(mkEvent(19, at, at+10*time.Minute, availability.S4))
+	}
+	tr.Sort()
+	var good []byte
+	for _, c := range []Compression{CompressionFlate, CompressionNone, CompressionAuto} {
+		var buf bytes.Buffer
+		if err := tr.WriteBlocks(&buf, &BlockWriterOptions{BlockSize: 40, Compression: c}); err != nil {
+			f.Fatal(err)
+		}
+		good = buf.Bytes()
+		f.Add(good)
+	}
+	f.Add(ForgeDirectoryCounts(good, math.MaxInt32))
+	f.Add(good[:len(good)*2/3])
+
+	f.Fuzz(func(t *testing.T, input []byte) {
+		bf, err := NewBlockFileBytes(input)
+		if err != nil {
+			return
+		}
+		if got, err := CollectEvents(bf.Reader()); err == nil {
+			if err := got.Validate(); err != nil {
+				t.Fatalf("CollectEvents accepted an invalid trace: %v", err)
+			}
+		}
+		// The analyzer and the index keep state per machine, per day and per
+		// hour of what the header claims, by design; a caller sizes those
+		// with the header in hand, so the target does too and leaves fleets
+		// and spans no few-KB input describes honestly to that caller.
+		h := bf.Header()
+		if h.Machines < 1 || h.Machines > 32 || h.Span.Start < -400*sim.Day || h.Span.End > 400*sim.Day {
+			return
+		}
+		if a, err := AnalyzeBlockFiles([]*BlockFile{bf}, 1); err == nil {
+			a.Table2()
+			a.HourlyOccurrences(sim.Weekday)
+			a.IntervalECDF(sim.Weekend)
+		}
+		ix := NewBlockIndex(bf)
+		for m := 0; m < h.Machines; m++ {
+			if e, ok := ix.FirstOverlap(MachineID(m), h.Span); ok {
+				if err := e.Validate(); err != nil || e.Machine != MachineID(m) {
+					t.Fatalf("BlockIndex answered machine %d with %+v (%v)", m, e, err)
+				}
+			}
 		}
 	})
 }

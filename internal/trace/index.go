@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -50,7 +51,7 @@ func newMachinePointIndex(evs []Event) *machinePointIndex {
 			mi.maxDur = d
 		}
 	}
-	sort.Slice(mi.byEnd, func(i, j int) bool { return mi.byEnd[i] < mi.byEnd[j] })
+	slices.Sort(mi.byEnd)
 	return mi
 }
 

@@ -53,7 +53,7 @@ func (a *StreamAnalyzer) Instrument(reg *obs.Registry) {
 
 // noteEvent feeds one observed event into the metrics (no-op when not
 // instrumented).
-func (a *StreamAnalyzer) noteEvent(e Event) {
+func (a *StreamAnalyzer) noteEvent(e *Event) {
 	if a.met == nil {
 		return
 	}

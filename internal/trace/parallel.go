@@ -3,7 +3,10 @@ package trace
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+
+	"repro/internal/sim"
 )
 
 // This file is the parallel analyze engine over v2 block files. The unit of
@@ -50,22 +53,27 @@ func chunkBlockFiles(files []*BlockFile, minBlocks int) (Header, []blockChunk, e
 		// fold them into this file's first chunk so they are idle-credited
 		// exactly as a serial pass over the same inputs would credit them.
 		cur := blockChunk{file: f, lo: next}
+		// floor is the lowest machine the next block may hold: the coverage's
+		// first, then the last machine of the block before. The summaries are
+		// outside input, and the chunk ranges cut from them must nest.
+		floor := lo
 		for i := 0; i < f.NumBlocks(); i++ {
 			m := f.Block(i)
-			if m.Count > 0 && (m.MinMachine < lo || m.MaxMachine >= hi) {
-				return Header{}, nil, fmt.Errorf("trace: block %d machines [%d, %d] outside file coverage [%d, %d)", i, m.MinMachine, m.MaxMachine, lo, hi)
+			if m.Count == 0 {
+				continue // holds no machine, so its summary says nothing
+			}
+			if m.MinMachine < floor || m.MaxMachine < m.MinMachine || m.MaxMachine >= hi {
+				return Header{}, nil, fmt.Errorf("trace: block %d machines [%d, %d] out of order or outside file coverage [%d, %d)", i, m.MinMachine, m.MaxMachine, lo, hi)
 			}
 			// Split before block i when every machine of the preceding
 			// blocks is strictly below block i's first machine.
-			if i > cur.blockLo && i-cur.blockLo >= minBlocks {
-				prev := f.Block(i - 1)
-				if prev.MaxMachine < m.MinMachine {
-					cur.blockHi = i
-					cur.hi = m.MinMachine
-					chunks = append(chunks, cur)
-					cur = blockChunk{file: f, blockLo: i, lo: m.MinMachine}
-				}
+			if i > cur.blockLo && i-cur.blockLo >= minBlocks && floor < m.MinMachine {
+				cur.blockHi = i
+				cur.hi = m.MinMachine
+				chunks = append(chunks, cur)
+				cur = blockChunk{file: f, blockLo: i, lo: m.MinMachine}
 			}
+			floor = m.MaxMachine
 		}
 		cur.blockHi = f.NumBlocks()
 		cur.hi = hi
@@ -83,17 +91,27 @@ func chunkBlockFiles(files []*BlockFile, minBlocks int) (Header, []blockChunk, e
 	return h, chunks, nil
 }
 
-// analyzeChunk runs one partial analyzer over a chunk's blocks.
-func analyzeChunk(h Header, c blockChunk) (*StreamAnalyzer, error) {
+// analyzeChunk runs one partial analyzer over a chunk's blocks, decoding
+// through buf — its worker's, warm from the chunks before.
+func analyzeChunk(h Header, c blockChunk, buf *BlockBuf) (*StreamAnalyzer, error) {
 	a := NewStreamAnalyzerRange(h.Span, h.Calendar, h.Machines, c.lo, c.hi)
-	var buf BlockBuf
+	// An availability interval ends where a run of events begins or its
+	// machine's span does, so the directory's counts bound the Figure 6
+	// samples: n holds them all, and the weekend's calendar share holds the
+	// weekend's unless weekends fail more than weekdays (append absorbs it).
+	n := min(int(c.hi-c.lo), maxEventsHint)
 	for i := c.blockLo; i < c.blockHi; i++ {
-		events, err := c.file.DecodeBlock(i, &buf)
+		n = min(n+c.file.Block(i).Count, maxEventsHint)
+	}
+	a.ivLens = [2][]float64{sim.Weekday: make([]float64, 0, n), sim.Weekend: make([]float64, 0, n*2/7)}
+	for i := c.blockLo; i < c.blockHi; i++ {
+		events, err := c.file.DecodeBlock(i, buf)
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range events {
-			if err := a.Observe(e); err != nil {
+		// DecodeBlock has just held every event to Event.Validate.
+		for j := range events {
+			if err := a.observe(&events[j]); err != nil {
 				return nil, err
 			}
 		}
@@ -138,8 +156,9 @@ func AnalyzeBlockFiles(files []*BlockFile, workers int) (*StreamAnalyzer, error)
 
 	partials := make([]*StreamAnalyzer, len(chunks))
 	if workers == 1 || len(chunks) == 1 {
+		var buf BlockBuf
 		for i, c := range chunks {
-			if partials[i], err = analyzeChunk(h, c); err != nil {
+			if partials[i], err = analyzeChunk(h, c, &buf); err != nil {
 				return nil, err
 			}
 		}
@@ -157,8 +176,9 @@ func AnalyzeBlockFiles(files []*BlockFile, workers int) (*StreamAnalyzer, error)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				var buf BlockBuf
 				for i := range work {
-					a, err := analyzeChunk(h, chunks[i])
+					a, err := analyzeChunk(h, chunks[i], &buf)
 					if err != nil {
 						mu.Lock()
 						if firstErr == nil {
@@ -188,6 +208,13 @@ func AnalyzeBlockFiles(files []*BlockFile, workers int) (*StreamAnalyzer, error)
 	}
 
 	out := partials[0]
+	for dt := range out.ivLens { // grown to the merged size once, not once a merge
+		n := 0
+		for _, p := range partials[1:] {
+			n += len(p.ivLens[dt])
+		}
+		out.ivLens[dt] = slices.Grow(out.ivLens[dt], n)
+	}
 	for _, p := range partials[1:] {
 		if err := out.MergeFrom(p); err != nil {
 			return nil, err

@@ -37,8 +37,9 @@ type StreamAnalyzer struct {
 	urrReboots int
 	events     int
 
-	hourly map[sim.DayType]*stats.GroupedBins
-	ivLens map[sim.DayType][]float64
+	// Figure 7 bins and Figure 6 samples, indexed by sim.DayType.
+	hourly [2]*stats.GroupedBins
+	ivLens [2][]float64
 
 	// Streaming interval extraction state for the machine currently being
 	// consumed: the availability cursor and the open coalesce run.
@@ -80,8 +81,7 @@ func NewStreamAnalyzerRange(span sim.Window, cal sim.Calendar, machines int, lo,
 		lo:         lo,
 		hi:         hi,
 		counts:     make([]CauseCounts, hi-lo),
-		hourly:     map[sim.DayType]*stats.GroupedBins{sim.Weekday: stats.NewGroupedBins(24), sim.Weekend: stats.NewGroupedBins(24)},
-		ivLens:     make(map[sim.DayType][]float64),
+		hourly:     [2]*stats.GroupedBins{stats.NewGroupedBins(24), stats.NewGroupedBins(24)},
 		rebootsCut: DefaultRebootCutoff,
 	}
 	// Make every day of the span present in its day type's bins, so quiet
@@ -111,6 +111,13 @@ func (a *StreamAnalyzer) Observe(e Event) error {
 	if err := e.Validate(); err != nil {
 		return err
 	}
+	return a.observe(&e)
+}
+
+// observe is Observe for an event that already passed Event.Validate, on an
+// analyzer known not to be finished: what the block scan calls on the events
+// decodeColumns has just validated. It reads e and keeps nothing of it.
+func (a *StreamAnalyzer) observe(e *Event) error {
 	if e.Machine < 0 || (a.machines > 0 && int(e.Machine) >= a.machines) {
 		return fmt.Errorf("trace: event machine %d outside 0..%d", e.Machine, a.machines-1)
 	}
