@@ -56,9 +56,13 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzWALReplay' -fuzztime 5s ./internal/ishare/
 
 # Deterministic-seed chaos smoke: scripted partition + refusal burst over a
-# live registry and nodes, asserting exactly-once completion.
+# live registry and nodes, asserting exactly-once completion; plus the two
+# submit-failover paths: a dropped response retried on the same node, and a
+# dead node still listed within the registry TTL (discovery never dials
+# nodes, so submit failover is what moves past it).
 chaos-smoke:
-	$(GO) test -race -run 'TestChaosSmoke' -count 1 ./internal/chaos/
+	$(GO) test -race -run 'TestChaosSmoke|TestMidStreamDropTriggersDedupSafeRetry' -count 1 ./internal/chaos/
+	$(GO) test -race -run 'TestSubmitBestFailsOverFromDeadListedNode' -count 1 ./internal/ishare/
 
 # Crash-recovery soak: 50 fixed-seed randomized schedules of shard and
 # broker kills at virtual times (with fsync latency and clock skew on some

@@ -34,40 +34,39 @@ import (
 
 func main() {
 	var (
-		nodes         = flag.Int("nodes", 100000, "simulated fleet size")
-		shards        = flag.Int("shards", 4, "registry shard count")
-		batch         = flag.Int("batch", 1000, "nodes per register/heartbeat batch")
-		rounds        = flag.Int("rounds", 1, "full-fleet heartbeat sweeps")
-		churn         = flag.Float64("churn", 0.2, "fleet fraction re-drawing availability state per sweep")
-		discoverOps   = flag.Int("discover-ops", 200, "fan-out discoveries to measure")
-		discoverLimit = flag.Int("discover-limit", 32, "ranked candidates requested per shard")
-		concurrency   = flag.Int("concurrency", 8, "parallel driver workers")
-		partition     = flag.Int("partition-shard", -1, "shard index to chaos-partition for a degraded discovery phase (-1 = off)")
-		crash         = flag.Int("crash-shard", -1, "shard index to SIGKILL-crash and WAL-restart for a recovery phase (-1 = off; needs -wal-dir)")
-		walDir        = flag.String("wal-dir", "", "durability root: shards WAL-log acked registrations under it (empty = volatile; a temp dir is used when -crash-shard or -smoke needs one)")
-		maxInflight   = flag.Int("max-inflight", 0, "per-shard admission bound on concurrently served exchanges (0 = unbounded)")
-		seed          = flag.Int64("seed", 1, "fleet/churn seed")
-		scenario      = flag.String("scenario", "", "draw fleet states from this markov scenario model's stationary distribution (enterprise, spot, multicore, container-dense; empty = paper occupancy)")
-		scaling       = flag.String("scaling", "", "comma-separated shard counts: run the scaling sweep instead of one load run")
-		forecastEval  = flag.Bool("forecast", false, "run the proactive-vs-reactive forecast evaluation instead of a load run")
-		forecastSvc   = flag.Bool("forecast-service", false, "add the batched forecast-query phase to the load run")
-		forecastOps   = flag.Int("forecast-ops", 100, "batched forecast queries to measure (with -forecast-service)")
-		minWasteRed   = flag.Float64("min-waste-reduction", 0.10, "forecast evaluation gate: minimum fractional waste reduction vs the reactive baseline")
-		sloForecast   = flag.Duration("slo-forecast-p99", 0, "forecast query p99 objective (0 = ungated)")
-		out           = flag.String("out", "", "write the full result JSON here")
-		smoke         = flag.Bool("smoke", false, "CI preset: 10k nodes, 2 shards, partitioned phase, SLO gates on")
-		sloRegP99     = flag.Duration("slo-register-p99", 0, "register batch p99 objective (0 = ungated)")
-		sloHBP99      = flag.Duration("slo-heartbeat-p99", 0, "heartbeat batch p99 objective (0 = ungated)")
-		sloDiscP50    = flag.Duration("slo-discover-p50", 0, "discovery p50 objective (0 = ungated)")
-		sloDiscP99    = flag.Duration("slo-discover-p99", 0, "discovery p99 objective (0 = ungated)")
-		sloRecovery   = flag.Duration("slo-recovery", 0, "crash phase: restart-to-serving objective (0 = ungated)")
+		nodes        = flag.Int("nodes", 100000, "simulated fleet size")
+		shards       = flag.Int("shards", 4, "registry shard count")
+		batch        = flag.Int("batch", 1000, "nodes per register/heartbeat batch")
+		rounds       = flag.Int("rounds", 1, "full-fleet heartbeat sweeps")
+		churn        = flag.Float64("churn", 0.2, "fleet fraction re-drawing availability state per sweep")
+		discoverOps  = flag.Int("discover-ops", 200, "fan-out discoveries to measure")
+		concurrency  = flag.Int("concurrency", 8, "parallel driver workers")
+		partition    = flag.Int("partition-shard", -1, "shard index to chaos-partition for a degraded discovery phase (-1 = off)")
+		crash        = flag.Int("crash-shard", -1, "shard index to SIGKILL-crash and WAL-restart for a recovery phase (-1 = off; needs -wal-dir)")
+		walDir       = flag.String("wal-dir", "", "durability root: shards WAL-log acked registrations under it (empty = volatile; a temp dir is used when -crash-shard or -smoke needs one)")
+		maxInflight  = flag.Int("max-inflight", 0, "per-shard admission bound on concurrently served exchanges (0 = unbounded)")
+		seed         = flag.Int64("seed", 1, "fleet/churn seed")
+		scenario     = flag.String("scenario", "", "draw fleet states from this markov scenario model's stationary distribution (enterprise, spot, multicore, container-dense; empty = paper occupancy)")
+		scaling      = flag.String("scaling", "", "comma-separated shard counts: run the scaling sweep instead of one load run")
+		forecastEval = flag.Bool("forecast", false, "run the proactive-vs-reactive forecast evaluation instead of a load run")
+		forecastSvc  = flag.Bool("forecast-service", false, "add the batched forecast-query phase to the load run")
+		forecastOps  = flag.Int("forecast-ops", 100, "batched forecast queries to measure (with -forecast-service)")
+		minWasteRed  = flag.Float64("min-waste-reduction", 0.10, "forecast evaluation gate: minimum fractional waste reduction vs the reactive baseline")
+		sloForecast  = flag.Duration("slo-forecast-p99", 0, "forecast query p99 objective (0 = ungated)")
+		out          = flag.String("out", "", "write the full result JSON here")
+		smoke        = flag.Bool("smoke", false, "CI preset: 10k nodes, 2 shards, partitioned phase, SLO gates on")
+		sloRegP99    = flag.Duration("slo-register-p99", 0, "register batch p99 objective (0 = ungated)")
+		sloHBP99     = flag.Duration("slo-heartbeat-p99", 0, "heartbeat batch p99 objective (0 = ungated)")
+		sloDiscP50   = flag.Duration("slo-discover-p50", 0, "discovery p50 objective (0 = ungated)")
+		sloDiscP99   = flag.Duration("slo-discover-p99", 0, "discovery p99 objective (0 = ungated)")
+		sloRecovery  = flag.Duration("slo-recovery", 0, "crash phase: restart-to-serving objective (0 = ungated)")
 	)
 	flag.Parse()
 
 	cfg := loadgen.Config{
 		Nodes: *nodes, Shards: *shards, BatchSize: *batch,
 		HeartbeatRounds: *rounds, ChurnFraction: *churn,
-		DiscoverOps: *discoverOps, DiscoverLimit: *discoverLimit,
+		DiscoverOps: *discoverOps,
 		Concurrency: *concurrency, Seed: *seed, Scenario: *scenario,
 		WALDir: *walDir, MaxInflight: *maxInflight,
 		SLO: loadgen.SLO{RegisterP99: *sloRegP99, HeartbeatP99: *sloHBP99,
@@ -144,7 +143,7 @@ func smokeConfig() loadgen.Config {
 	return loadgen.Config{
 		Nodes: 10000, Shards: 2, BatchSize: 1000,
 		HeartbeatRounds: 2, ChurnFraction: 0.2,
-		DiscoverOps: 100, DiscoverLimit: 32,
+		DiscoverOps: 100,
 		Concurrency: 4, Seed: 1,
 		Partition: true, PartitionShard: 0,
 		CrashRestart: true, CrashShard: 0,
@@ -214,8 +213,7 @@ func runScaling(ctx context.Context, cfg loadgen.Config, spec, out string) error
 	if err != nil {
 		return err
 	}
-	fmt.Printf("scaling sweep: %d nodes, %d discoveries/row, limit %d\n",
-		cfg.Nodes, cfg.DiscoverOps, cfg.DiscoverLimit)
+	fmt.Printf("scaling sweep: %d nodes, %d discoveries/row\n", cfg.Nodes, cfg.DiscoverOps)
 	for _, r := range rows {
 		fmt.Printf("  %d shard(s): discover p50 %-10v p99 %-10v %8.1f ops/s  speedup %.2fx\n",
 			r.Shards, r.Discover.P50, r.Discover.P99, r.Discover.OpsPerSec, r.SpeedupVs)

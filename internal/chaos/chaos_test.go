@@ -134,9 +134,9 @@ func TestMidStreamDropTriggersDedupSafeRetry(t *testing.T) {
 	node := startNode(t, ishare.NodeConfig{Name: "n1", RegistryAddr: reg.Addr(), HostLoad: 0.05})
 
 	inj := New(1)
-	// Skip the broker's Info exchange with the node; drop the response to
-	// the next connection — the submission itself.
-	inj.Add(Fault{Name: "drop-submit", Addr: node.Addr(), DropAfterBytes: 8, Times: 1, Skip: 1})
+	// Drop the response to the first connection to the node — the
+	// submission itself: discovery never dials the node.
+	inj.Add(Fault{Name: "drop-submit", Addr: node.Addr(), DropAfterBytes: 8, Times: 1})
 	b := &ishare.Broker{Client: fastClient(reg.Addr(), inj)}
 
 	res, onNode, err := b.SubmitBest(ctx, ishare.JobSpec{Name: "dropped", ID: "drop-1", CPUSeconds: 90, RSSMB: 32})

@@ -137,7 +137,13 @@ func TestChaosSoak(t *testing.T) {
 	// (a-crash stays dead), and placement works registry-fresh again.
 	waitAlive := time.Now().Add(3 * time.Second)
 	for {
-		alive, err := broker.Client.AliveNodes(ctx)
+		nodes, err := broker.Client.List(ctx)
+		var alive []string
+		for _, n := range nodes {
+			if n.Alive {
+				alive = append(alive, n.Name)
+			}
+		}
 		if err == nil && len(alive) >= 3 {
 			break
 		}

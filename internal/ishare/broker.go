@@ -14,14 +14,14 @@ import (
 )
 
 // Broker is the client-side placement component: it discovers published
-// resources, queries their availability states, and submits guest jobs to
-// the most available one (S1 before S2; failure states and dead nodes are
-// never used). It realizes, at the systems level, the same decision the
-// gsched policies make over traces — and, because FGCS resources fail by
-// design, it also owns recovery: failover to the next candidate when a
-// submission dies, resubmission of killed jobs from their last virtual
-// checkpoint, and placement from last-known-good node lists when
-// registries are unreachable.
+// resources, ranks them by the availability digests their shards hold, and
+// submits guest jobs to the most available one (S1 before S2; failure
+// states and dead nodes are never used). It realizes, at the systems
+// level, the same decision the gsched policies make over traces — and,
+// because FGCS resources fail by design, it also owns recovery: failover
+// to the next candidate when a submission dies, resubmission of killed
+// jobs from their last virtual checkpoint, and placement from
+// last-known-good node lists when registries are unreachable.
 //
 // Against a sharded control plane the broker fans discovery out to every
 // shard (bounded by DiscoverConcurrency), keeps one stale-fallback cache
@@ -39,12 +39,8 @@ type Broker struct {
 	MaxRounds int
 	// RoundDelay paces consecutive rounds (default 50 ms).
 	RoundDelay time.Duration
-	// DiscoverLimit, when positive, requests each shard's ranked
-	// discovery form (up to that many alive nodes per shard, best
-	// availability classes first) and ranks candidates from the digest
-	// states those lists carry, querying Info only for nodes that never
-	// reported a digest. Zero keeps the legacy single-registry behavior:
-	// full listings and one Info round trip per alive node.
+	// DiscoverLimit is how many alive nodes each shard's ranked list may
+	// return, best availability classes first (default 32).
 	DiscoverLimit int
 	// DiscoverConcurrency bounds how many shards are listed in parallel
 	// during one discovery (default 4).
@@ -104,8 +100,6 @@ type BrokerMetrics struct {
 	// GossipServes counts candidate lists served from the gossip store
 	// with every registry shard unreachable.
 	GossipServes int
-	// InfoFailures counts alive-listed nodes whose Info query failed.
-	InfoFailures int
 	// Failovers counts submissions moved to the next candidate after a
 	// transport failure.
 	Failovers int
@@ -168,7 +162,6 @@ func (b *Broker) Metrics() BrokerMetrics {
 		RegistryErrors:  int(m.registryErrors.Value()),
 		ShardErrors:     int(m.shardErrors.Value()),
 		GossipServes:    int(m.gossipServes.Value()),
-		InfoFailures:    int(m.infoFailures.Value()),
 		Failovers:       int(m.failovers.Value()),
 		SameNodeRetries: int(m.sameNodeRetries.Value()),
 		Resubmissions:   int(m.resubmissions.Value()),
@@ -226,6 +219,13 @@ func (b *Broker) roundDelay() time.Duration {
 	return b.RoundDelay
 }
 
+func (b *Broker) discoverLimit() int {
+	if b.DiscoverLimit <= 0 {
+		return 32
+	}
+	return b.DiscoverLimit
+}
+
 func (b *Broker) discoverConcurrency() int {
 	if b.DiscoverConcurrency <= 0 {
 		return 4
@@ -262,26 +262,6 @@ func rankState(state string) int {
 	}
 }
 
-// listOneShard fetches one shard's node list in the configured discovery
-// form (ranked when DiscoverLimit > 0, full legacy listing otherwise),
-// already filtered to alive nodes.
-func (b *Broker) listOneShard(ctx context.Context, addr string) ([]NodeInfo, error) {
-	nodes, err := b.Client.ListShard(ctx, addr, b.DiscoverLimit)
-	if err != nil {
-		return nil, err
-	}
-	if b.DiscoverLimit > 0 {
-		return nodes, nil // ranked form is alive-only already
-	}
-	alive := nodes[:0]
-	for _, n := range nodes {
-		if n.Alive {
-			alive = append(alive, n)
-		}
-	}
-	return alive, nil
-}
-
 // discover fans discovery out across every shard, degrading per shard to
 // that shard's cached last-known-good list (within CacheTTL) and, when no
 // shard yields anything, to the gossip store. The stale return is true
@@ -312,7 +292,7 @@ func (b *Broker) discover(ctx context.Context) ([]NodeInfo, bool, error) {
 				results[i] = shardResult{err: errBreakerOpen}
 				return
 			}
-			nodes, err := b.listOneShard(ctx, addr)
+			nodes, err := b.Client.ListShard(ctx, addr, b.discoverLimit())
 			if br != nil && br.result(err == nil) {
 				m.breakerOpens.Inc()
 				b.logger().Log(ctx, slog.LevelWarn, "shard circuit breaker opened",
@@ -378,7 +358,7 @@ func candidatesFromGossip(digests []NodeDigest, now time.Time, ttl time.Duration
 		if d.Addr == "" || rankState(d.State) < 0 {
 			continue
 		}
-		if d.UnixMS > 0 && now.UnixMilli()-d.UnixMS > ttl.Milliseconds() {
+		if d.UnixMS <= 0 || now.UnixMilli()-d.UnixMS > ttl.Milliseconds() {
 			continue
 		}
 		out = append(out, NodeInfo{Name: d.Name, Addr: d.Addr, Alive: true,
@@ -388,10 +368,13 @@ func candidatesFromGossip(digests []NodeDigest, now time.Time, ttl time.Duration
 }
 
 // Candidates returns the usable nodes across every shard, ordered
-// best-first. During registry partitions it falls back per shard to the
-// last-known-good node list (within CacheTTL), and with every shard down
-// to gossip-learned digests, so a broker keeps placing jobs on previously
-// discovered resources through a full control-plane outage.
+// best-first. Each listed node is ranked by the digest state its shard
+// holds; no node is dialed, so a node that died within the registry TTL can
+// still be listed, and SubmitBest's failover is what moves past it. During
+// registry partitions discovery falls back per shard to the last-known-good
+// node list (within CacheTTL), and with every shard down to gossip-learned
+// digests, so a broker keeps placing jobs on previously discovered
+// resources through a full control-plane outage.
 func (b *Broker) Candidates(ctx context.Context) ([]Candidate, error) {
 	m := b.metrics()
 	start := time.Now()
@@ -402,34 +385,15 @@ func (b *Broker) Candidates(ctx context.Context) ([]Candidate, error) {
 	}
 	out := make([]Candidate, 0, len(nodes))
 	for _, n := range nodes {
-		// Ranked discovery carries digest states; trust them and skip the
-		// per-node Info round trip — the scaling win that makes fan-out
-		// discovery over 100k-node shards affordable. Legacy mode (and
-		// digest-less nodes in ranked mode) keeps the live Info query.
-		if b.DiscoverLimit > 0 && n.State != "" {
-			score := rankState(n.State)
-			if score < 0 {
-				continue
-			}
-			out = append(out, Candidate{Node: n, State: n.State, Score: score, Stale: stale})
-			continue
-		}
-		st, err := b.Client.Info(ctx, n.Addr)
-		if err != nil {
-			// Unreachable despite a fresh heartbeat (or a stale cache
-			// entry that died during the partition): skip.
-			m.infoFailures.Inc()
-			continue
-		}
-		score := rankState(st.State)
+		// A shard's reply is outside input: drop what cannot host a guest.
+		score := rankState(n.State)
 		if score < 0 {
 			continue
 		}
-		out = append(out, Candidate{Node: n, State: st.State, Score: score, Stale: stale})
+		out = append(out, Candidate{Node: n, State: n.State, Score: score, Stale: stale})
 	}
 	// (score, load, name), rankCmp's total order; the sort is stable besides,
-	// should a name ever arrive twice. Load is zero throughout legacy
-	// discovery, so the legacy order is (score, name).
+	// should a name ever arrive twice.
 	slices.SortStableFunc(out, func(a, b Candidate) int { return rankCmp(a.Score, b.Score, &a.Node, &b.Node) })
 	return out, nil
 }
@@ -463,8 +427,8 @@ func (b *Broker) SubmitBest(ctx context.Context, job JobSpec) (*JobResult, NodeI
 		job.ID = fmt.Sprintf("%s#%d", job.Name, b.jobSeq.Add(1))
 	}
 	// The job ID doubles as its trace ID: every exchange of this placement
-	// (discovery, info queries, submissions, retries) is stamped with it on
-	// the wire, so logs on the broker, registry and nodes correlate.
+	// (discovery, submissions, retries) is stamped with it on the wire, so
+	// logs on the broker, registry and nodes correlate.
 	if TraceIDFrom(ctx) == "" {
 		ctx = WithTraceID(ctx, job.ID)
 	}

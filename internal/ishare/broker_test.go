@@ -1,7 +1,6 @@
 package ishare
 
 import (
-	"net"
 	"reflect"
 	"testing"
 	"time"
@@ -11,9 +10,7 @@ func TestBrokerPicksLeastLoadedNode(t *testing.T) {
 	reg := startRegistry(t, time.Second)
 	idle := startNode(t, NodeConfig{Name: "idle", RegistryAddr: reg.Addr(), HostLoad: 0.05})
 	busy := startNode(t, NodeConfig{Name: "busy", RegistryAddr: reg.Addr(), HostLoad: 0.45})
-	_ = busy
 	over := startNode(t, NodeConfig{Name: "over", RegistryAddr: reg.Addr(), HostLoad: 0.95})
-	_ = over
 
 	b := NewBroker(reg.Addr())
 	// Let the overloaded node's detector see a few samples so its state
@@ -26,6 +23,7 @@ func TestBrokerPicksLeastLoadedNode(t *testing.T) {
 		c.Info(ctx, busy.Addr())
 		c.Info(ctx, idle.Addr())
 	}
+	waitListed(t, reg, idle, busy, over)
 
 	cands, err := b.Candidates(ctx)
 	if err != nil {
@@ -56,6 +54,36 @@ func TestBrokerPicksLeastLoadedNode(t *testing.T) {
 	}
 }
 
+// waitListed waits until the registry lists each node's current digest: a
+// node's state reaches discovery on its next heartbeat.
+func waitListed(t *testing.T, reg *Registry, nodes ...*Node) {
+	t.Helper()
+	c := &Client{RegistryAddr: reg.Addr()}
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		listed, err := c.List(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byName := make(map[string]NodeInfo, len(listed))
+		for _, n := range listed {
+			byName[n.Name] = n
+		}
+		current := true
+		for _, n := range nodes {
+			d, got := n.selfDigest(), byName[n.cfg.Name]
+			current = current && got.State == d.State && got.Load == d.Load && got.Gen == d.Gen
+		}
+		if current {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("registry never listed the nodes' current digests: %+v", listed)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 func TestBrokerNoResources(t *testing.T) {
 	reg := startRegistry(t, time.Second)
 	b := NewBroker(reg.Addr())
@@ -83,45 +111,21 @@ func TestRankState(t *testing.T) {
 	}
 }
 
-// infoStub listens as a node whose info always reports state.
-func infoStub(t *testing.T, state string) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go serveConn(conn, Limits{}, func(Request) *Response {
-				return &Response{OK: true, Info: &NodeStatus{State: state}}
-			})
-		}
-	}()
-	return ln.Addr().String()
-}
-
 // TestRankingOrderUnchanged: the ranked list a shard serves and the
-// candidates a broker returns, legacy and ranked, come in the order the
-// sorts they replaced gave — an insertion sort and a selection sort, kept
-// here as the oracle — on a fleet with ties on score and on score and load.
+// candidates a broker returns come in the order the sorts they replaced
+// gave — an insertion sort and a selection sort, kept here as the oracle —
+// on a fleet with ties on score and on score and load.
 func TestRankingOrderUnchanged(t *testing.T) {
-	s1, s2, s3 := infoStub(t, "S1(full)"), infoStub(t, "S2(lowest-priority)"), infoStub(t, "S3(cpu-unavail)")
 	reg := startRegistry(t, time.Minute)
 	if err := (&Client{}).RegisterBatch(ctx, reg.Addr(), []NodeDigest{
-		{Name: "a", Addr: s1, State: "S1(full)", Load: 0.10},
-		{Name: "b", Addr: s1, State: "S1(full)", Load: 0.10},
-		{Name: "c", Addr: s1, State: "S1(full)", Load: 0.05},
-		{Name: "d", Addr: s2, State: "S2(lowest-priority)", Load: 0.10},
-		{Name: "e", Addr: s2, State: "S2(lowest-priority)"},
-		{Name: "f", Addr: s2, State: "S2(lowest-priority)", Load: 0.10},
-		{Name: "g", Addr: s1, State: "S1(full)", Load: 0.30},
-		{Name: "h", Addr: s3, State: "S3(cpu-unavail)", Load: 0.01},
-		{Name: "i", Addr: s1}, // a legacy agent: no digest, asked for its state in either mode
+		{Name: "a", Addr: "10.0.0.1:1", State: "S1(full)", Load: 0.10},
+		{Name: "b", Addr: "10.0.0.2:1", State: "S1(full)", Load: 0.10},
+		{Name: "c", Addr: "10.0.0.3:1", State: "S1(full)", Load: 0.05},
+		{Name: "d", Addr: "10.0.0.4:1", State: "S2(lowest-priority)", Load: 0.10},
+		{Name: "e", Addr: "10.0.0.5:1", State: "S2(lowest-priority)"},
+		{Name: "f", Addr: "10.0.0.6:1", State: "S2(lowest-priority)", Load: 0.10},
+		{Name: "g", Addr: "10.0.0.7:1", State: "S1(full)", Load: 0.30},
+		{Name: "h", Addr: "10.0.0.8:1", State: "S3(cpu-unavail)", Load: 0.01},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -132,6 +136,7 @@ func TestRankingOrderUnchanged(t *testing.T) {
 		}
 		return out
 	}
+	want := []string{"c", "a", "b", "g", "e", "d", "f"}
 
 	listed, err := (&Client{}).ListShard(ctx, reg.Addr(), 32)
 	if err != nil {
@@ -156,40 +161,38 @@ func TestRankingOrderUnchanged(t *testing.T) {
 		}
 	}
 	got := names(len(listed), func(i int) string { return listed[i].Name })
-	if want := []string{"c", "a", "b", "g", "e", "d", "f", "i"}; !reflect.DeepEqual(got, want) || !reflect.DeepEqual(listed, oracle) {
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(listed, oracle) {
 		t.Errorf("ranked list order %v, want %v", got, want)
 	}
 
-	for _, limit := range []int{0, 32} {
-		cands, err := (&Broker{Client: &Client{RegistryAddr: reg.Addr()}, DiscoverLimit: limit}).Candidates(ctx)
-		if err != nil {
-			t.Fatal(err)
+	cands, err := NewBroker(reg.Addr()).Candidates(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	candOracle := make([]Candidate, len(cands))
+	for i, c := range cands {
+		candOracle[len(cands)-1-i] = c
+	}
+	candLess := func(a, b Candidate) bool {
+		if a.Score != b.Score {
+			return a.Score < b.Score
 		}
-		oracle := make([]Candidate, len(cands))
-		for i, c := range cands {
-			oracle[len(cands)-1-i] = c
+		if a.Node.Load != b.Node.Load {
+			return a.Node.Load < b.Node.Load
 		}
-		less := func(a, b Candidate) bool {
-			if a.Score != b.Score {
-				return a.Score < b.Score
+		return a.Node.Name < b.Node.Name
+	}
+	for i := range candOracle {
+		best := i
+		for j := i + 1; j < len(candOracle); j++ {
+			if candLess(candOracle[j], candOracle[best]) {
+				best = j
 			}
-			if a.Node.Load != b.Node.Load {
-				return a.Node.Load < b.Node.Load
-			}
-			return a.Node.Name < b.Node.Name
 		}
-		for i := range oracle {
-			best := i
-			for j := i + 1; j < len(oracle); j++ {
-				if less(oracle[j], oracle[best]) {
-					best = j
-				}
-			}
-			oracle[i], oracle[best] = oracle[best], oracle[i]
-		}
-		got := names(len(cands), func(i int) string { return cands[i].Node.Name })
-		if want := []string{"i", "c", "a", "b", "g", "e", "d", "f"}; !reflect.DeepEqual(got, want) || !reflect.DeepEqual(cands, oracle) {
-			t.Errorf("DiscoverLimit %d: candidate order %v, want %v", limit, got, want)
-		}
+		candOracle[i], candOracle[best] = candOracle[best], candOracle[i]
+	}
+	got = names(len(cands), func(i int) string { return cands[i].Node.Name })
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(cands, candOracle) {
+		t.Errorf("candidate order %v, want %v", got, want)
 	}
 }

@@ -173,9 +173,10 @@ func (c *Client) List(ctx context.Context) ([]NodeInfo, error) {
 }
 
 // ListShard lists one registry shard. A positive limit requests the
-// shard's ranked discovery form: up to limit alive nodes from the best
-// availability classes, digest states included; zero returns every
-// registered node, dead ones included (the legacy full listing).
+// shard's ranked list, the broker's discovery form: up to limit alive S1
+// and S2 nodes, best class first, digest states included. Zero returns
+// every registered node, dead ones included: the full listing for
+// operators and checks, not for placement.
 func (c *Client) ListShard(ctx context.Context, addr string, limit int) ([]NodeInfo, error) {
 	resp, err := c.do(ctx, addr, Request{Op: "list", Limit: limit}, c.timeout(), true)
 	if err != nil {
@@ -253,22 +254,8 @@ func (c *Client) HeartbeatBatch(ctx context.Context, addr string, batch []NodeDi
 	return resp.Missing, nil
 }
 
-// AliveNodes returns only the nodes whose FGCS service is responding.
-func (c *Client) AliveNodes(ctx context.Context) ([]NodeInfo, error) {
-	all, err := c.List(ctx)
-	if err != nil {
-		return nil, err
-	}
-	var out []NodeInfo
-	for _, n := range all {
-		if n.Alive {
-			out = append(out, n)
-		}
-	}
-	return out, nil
-}
-
-// Info queries one node's availability status.
+// Info queries one node's availability status. Placement never calls it
+// (the broker ranks digests); it is a debugging call.
 func (c *Client) Info(ctx context.Context, nodeAddr string) (*NodeStatus, error) {
 	resp, err := c.do(ctx, nodeAddr, Request{Op: "info"}, c.timeout(), true)
 	if err != nil {

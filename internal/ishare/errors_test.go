@@ -67,9 +67,6 @@ func TestClientErrorsPropagate(t *testing.T) {
 	if _, err := c.List(ctx); err == nil {
 		t.Error("list against dead registry succeeded")
 	}
-	if _, err := c.AliveNodes(ctx); err == nil {
-		t.Error("alive-nodes against dead registry succeeded")
-	}
 	if _, err := c.Info(ctx, "127.0.0.1:1"); err == nil {
 		t.Error("info against dead node succeeded")
 	}

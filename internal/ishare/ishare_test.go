@@ -45,11 +45,6 @@ func TestRegistryLifecycle(t *testing.T) {
 	if len(nodes) != 1 || nodes[0].Name != "alpha" || !nodes[0].Alive {
 		t.Fatalf("nodes = %+v", nodes)
 	}
-
-	alive, err := c.AliveNodes(ctx)
-	if err != nil || len(alive) != 1 {
-		t.Fatalf("alive = %+v, %v", alive, err)
-	}
 }
 
 func TestRegistryDetectsURR(t *testing.T) {

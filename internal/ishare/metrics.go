@@ -56,7 +56,6 @@ type brokerMetrics struct {
 	registryErrors  *obs.Counter
 	shardErrors     *obs.Counter
 	gossipServes    *obs.Counter
-	infoFailures    *obs.Counter
 	failovers       *obs.Counter
 	sameNodeRetries *obs.Counter
 	resubmissions   *obs.Counter
@@ -75,7 +74,6 @@ func newBrokerMetrics(r *obs.Registry) *brokerMetrics {
 		registryErrors:  r.Counter("fgcs_broker_registry_errors_total", "discovery attempts that failed with no usable cache on any shard"),
 		shardErrors:     r.Counter("fgcs_broker_shard_errors_total", "individual shard list calls that failed during fan-out discovery"),
 		gossipServes:    r.Counter("fgcs_broker_gossip_serves_total", "candidate lists served from the gossip store with every registry shard unreachable"),
-		infoFailures:    r.Counter("fgcs_broker_info_failures_total", "alive-listed nodes whose Info query failed"),
 		failovers:       r.Counter("fgcs_broker_failovers_total", "submissions moved to the next candidate after a transport failure"),
 		sameNodeRetries: r.Counter("fgcs_broker_same_node_retries_total", "dedup-safe immediate retries on the same node after a dropped response"),
 		resubmissions:   r.Counter("fgcs_broker_resubmissions_total", "jobs resubmitted from a checkpoint after being killed or timing out"),

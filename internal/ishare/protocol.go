@@ -59,10 +59,9 @@ type Request struct {
 	// HostMemMB sets the node's synthetic host memory (sethost).
 	HostMemMB int64 `json:"host_mem_mb,omitempty"`
 	// State, Load and Gen are the availability digest a register or
-	// heartbeat may carry (see NodeDigest); a registry that receives them
-	// serves state-ranked discovery without per-node Info round trips.
-	// Absent fields leave the stored digest untouched, so old nodes keep
-	// working against new registries.
+	// heartbeat may carry (see NodeDigest); the registry ranks discovery by
+	// them. Absent fields leave the stored digest untouched: a bare
+	// heartbeat only refreshes liveness.
 	State string  `json:"state,omitempty"`
 	Load  float64 `json:"load,omitempty"`
 	Gen   int64   `json:"gen,omitempty"`
@@ -74,9 +73,9 @@ type Request struct {
 	// HorizonMS is how far ahead, in wall milliseconds, a forecast
 	// request looks (forecast).
 	HorizonMS int64 `json:"horizon_ms,omitempty"`
-	// Limit bounds a list response to the best Limit available nodes,
-	// ranked by digest state (S1 before S2 before unknown). Zero keeps the
-	// legacy behavior: every registered node, dead ones included.
+	// Limit, when positive, asks for the ranked list discovery uses: at
+	// most Limit alive S1 and S2 nodes, S1 first. Zero asks for the full
+	// listing: every registered node, dead ones included.
 	Limit int `json:"limit,omitempty"`
 	// Trace correlates this exchange with the logical operation (usually a
 	// job placement) it belongs to: the client stamps the context's trace
@@ -148,8 +147,8 @@ type NodeInfo struct {
 	// LastSeenMS is the wall-clock time of the last heartbeat.
 	LastSeenMS int64 `json:"last_seen_ms"`
 	// State, Load and Gen echo the node's last reported availability
-	// digest. State is empty for nodes that never reported one (legacy
-	// agents); a broker falls back to a per-node Info query for those.
+	// digest. State is empty for a node that never reported one; the
+	// ranked list leaves such nodes out, so placement never sees them.
 	State string  `json:"state,omitempty"`
 	Load  float64 `json:"load,omitempty"`
 	Gen   int64   `json:"gen,omitempty"`

@@ -25,10 +25,10 @@ import (
 // At fleet scale a registry is one shard of the control plane: node IDs
 // are assigned to shards by a ShardRing, every shard serves the same
 // versioned ShardMap for bootstrap, and registrations and heartbeats may
-// arrive in batches carrying availability digests. Discovery with a
-// Limit is served from per-score buckets — S1 nodes, then S2, then nodes
-// with no digest — so a ranked candidate list costs O(limit), not a scan
-// of every registered node.
+// arrive in batches carrying availability digests. Discovery, a list with
+// a Limit, is served from per-score buckets — S1 nodes, then S2 — so a
+// ranked candidate list costs O(limit), not a scan of every registered
+// node. A node that never reported a digest is never listed for placement.
 //
 // A registry configured with a WAL is crash-recoverable: every mutating
 // request is logged before it is acked, so a shard killed at any instant
@@ -53,7 +53,7 @@ type Registry struct {
 	free    []uint32
 	// buckets index alive-or-not entries by digest score (see digestScore):
 	// 0 = S1, 1 = S2, 2 = no digest, 3 = unavailable (S3–S5). Ranked
-	// discovery walks buckets 0..2 and stops at Limit, starting where
+	// discovery walks buckets 0 and 1 and stops at Limit, starting where
 	// cursor points so successive walks spread over a bucket.
 	buckets  [4][]uint32
 	cursor   atomic.Uint32
@@ -156,7 +156,7 @@ func (o RegistryOptions) withDefaults() RegistryOptions {
 
 // digestScore buckets a reported state for ranked discovery: S1 hosts
 // guests at full speed, S2 at lowest priority, an empty state means the
-// node never reported a digest (a legacy agent the broker must Info-query)
+// node never reported a digest (it has told no one it can host a guest)
 // and anything else cannot host a guest at all.
 func digestScore(state string) int {
 	switch s := rankState(state); {
@@ -525,8 +525,9 @@ func (r *Registry) registerLocked(d NodeDigest, now time.Time) {
 
 // upsertLocked refreshes the entry with the given ID from d, keeping the
 // score bucket index consistent. A digest only replaces the stored one when
-// it is newer (higher Gen, later stamp); a bare heartbeat (empty digest)
-// refreshes liveness without touching the stored state. It reports whether
+// it is newer (higher Gen, later stamp; an unstamped digest counts as
+// stamped at receipt, now); a bare heartbeat (empty digest) refreshes
+// liveness without touching the stored state. It reports whether
 // anything beyond the liveness stamp changed — a false return is a pure
 // refresh, which the WAL logs in compact form.
 func (r *Registry) upsertLocked(id uint32, d NodeDigest, now time.Time) bool {
@@ -536,17 +537,17 @@ func (r *Registry) upsertLocked(id uint32, d NodeDigest, now time.Time) bool {
 		e.info.Addr = d.Addr
 	}
 	if d.State != "" {
+		stamped := d
+		if stamped.UnixMS == 0 {
+			stamped.UnixMS = now.UnixMilli()
+		}
 		stored := NodeDigest{Gen: e.info.Gen, UnixMS: e.lastSeen.UnixMilli()}
-		if e.info.State == "" || d.Newer(stored) {
+		if e.info.State == "" || stamped.Newer(stored) {
 			e.info.State = d.State
 			e.info.Load = d.Load
 			e.info.Gen = d.Gen
 			if r.fc != nil {
-				stamp := d.UnixMS
-				if stamp == 0 {
-					stamp = now.UnixMilli()
-				}
-				r.fc.ObserveStateID(id, d.State, stamp)
+				r.fc.ObserveStateID(id, d.State, stamped.UnixMS)
 			}
 		}
 	}
@@ -772,17 +773,18 @@ func (r *Registry) handle(req Request) *Response {
 }
 
 // listRanked serves discovery: up to limit alive nodes from the best
-// available score buckets. It walks S1, then S2, then digest-less entries
-// and stops as soon as limit candidates are found, so its cost is bounded
-// by the limit (plus dead entries skipped along the way), not by the
-// shard's total population — the property that keeps discovery flat as a
-// shard grows to hundreds of thousands of nodes. Within one bucket every
-// alive node is as good as any other under the paper's placement rule,
-// which ranks by state class, so each walk starts where a per-registry
-// cursor points and the cursor moves on by the limit: successive calls
-// hand out successive stretches of a bucket instead of sending every
-// broker to the same few nodes. The response itself is ordered (state,
-// load, name) so callers merge deterministically ranked lists.
+// available score buckets. It walks S1, then S2 (a digest-less node has
+// told no one it can host a guest) and stops as soon as limit candidates
+// are found, so its cost is bounded by the limit (plus dead entries
+// skipped along the way), not by the shard's total population — the
+// property that keeps discovery flat as a shard grows to hundreds of
+// thousands of nodes. Within one bucket every alive node is as good as any
+// other under the paper's placement rule, which ranks by state class, so
+// each walk starts where a per-registry cursor points and the cursor moves
+// on by the limit: successive calls hand out successive stretches of a
+// bucket instead of sending every broker to the same few nodes. The
+// response itself is ordered (state, load, name) so callers merge
+// deterministically ranked lists.
 func (r *Registry) listRanked(limit int) *Response {
 	now := r.now()
 	r.mu.RLock()
@@ -790,7 +792,7 @@ func (r *Registry) listRanked(limit int) *Response {
 	limit = min(limit, len(r.ids))
 	nodes := make([]NodeInfo, 0, limit)
 	start := int(r.cursor.Add(uint32(limit)))
-	for score := 0; score <= 2 && len(nodes) < limit; score++ {
+	for score := 0; score <= 1 && len(nodes) < limit; score++ {
 		b := r.buckets[score]
 		for i := range b {
 			e := &r.entries[b[(start+i)%len(b)]]

@@ -391,6 +391,31 @@ func TestListRankedSpreadsOverBucket(t *testing.T) {
 	}
 }
 
+// TestUnstampedSameGenHeartbeatUpdatesLoad: a node's register and heartbeat
+// carry its digest without a stamp, and its Gen moves only when its state
+// class does. Such a digest counts as stamped when it arrives, so the load
+// of a same-Gen heartbeat reaches the list, live and after a replay; a
+// stamped digest older than the stored one still loses.
+func TestUnstampedSameGenHeartbeatUpdatesLoad(t *testing.T) {
+	dir := t.TempDir()
+	f := newDurableFixture(t, dir)
+	f.do(t, 1000, Request{Op: "register", Name: "n", Addr: "10.0.0.1:70", State: "S1(full)", Load: 0.1, Gen: 1})
+	f.do(t, 1010, Request{Op: "heartbeat", Name: "n", State: "S1(full)", Load: 0.7, Gen: 1})
+	f.do(t, 1020, Request{Op: "heartbeat_batch", Digests: []NodeDigest{{Name: "n", State: "S1(full)", Load: 0.9, Gen: 1, UnixMS: 1005}}})
+	check := func(step string) {
+		t.Helper()
+		for _, limit := range []int{0, 32} {
+			resp := f.do(t, 1030, Request{Op: "list", Limit: limit})
+			if len(resp.Nodes) != 1 || resp.Nodes[0].Load != 0.7 {
+				t.Errorf("%s, list limit %d: %+v, want load 0.7", step, limit, resp.Nodes)
+			}
+		}
+	}
+	check("live")
+	f.crashAndReplay(t, dir)
+	check("replayed")
+}
+
 // TestConcurrentIngestListForecastChurn drives one shard from every side at
 // once; under -race it is the check that IDs, buckets and the forecaster
 // only move under the shard lock.

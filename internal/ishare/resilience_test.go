@@ -18,28 +18,39 @@ func fastClient(registryAddr string) *Client {
 	}
 }
 
-func TestCandidatesSkipsNodesWithFailingInfo(t *testing.T) {
-	// Long TTL: the closed node stays "alive" in the registry, so the
-	// broker must discover its death from the failing Info call.
+// TestSubmitBestFailsOverFromDeadListedNode: a node that dies stays listed
+// until its registry TTL runs out, and discovery does not dial it. The
+// submission to it fails, and SubmitBest fails over to the next candidate.
+func TestSubmitBestFailsOverFromDeadListedNode(t *testing.T) {
 	reg := startRegistry(t, time.Minute)
-	live := startNode(t, NodeConfig{Name: "live", RegistryAddr: reg.Addr(), HostLoad: 0.05})
-	_ = live
-	dead, err := NewNode("127.0.0.1:0", NodeConfig{Name: "dead", RegistryAddr: reg.Addr(), HostLoad: 0.05})
+	// Both report S1 at load 0 until observed, so the name ranks a-dead first.
+	dead, err := NewNode("127.0.0.1:0", NodeConfig{Name: "a-dead", RegistryAddr: reg.Addr(), HostLoad: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dead.Close()
+	live := startNode(t, NodeConfig{Name: "b-live", RegistryAddr: reg.Addr(), HostLoad: 0.05})
 
 	b := &Broker{Client: fastClient(reg.Addr())}
 	cands, err := b.Candidates(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cands) != 1 || cands[0].Node.Name != "live" {
-		t.Fatalf("candidates = %+v, want only live", cands)
+	if len(cands) != 2 || cands[0].Node.Name != "a-dead" {
+		t.Fatalf("candidates = %+v, want a-dead listed first", cands)
 	}
-	if m := b.Metrics(); m.InfoFailures == 0 {
-		t.Errorf("metrics = %+v, want InfoFailures > 0", m)
+	res, onNode, err := b.SubmitBest(ctx, JobSpec{Name: "failover", ID: "fo-1", CPUSeconds: 60, RSSMB: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed || onNode.Name != "b-live" {
+		t.Fatalf("res=%+v node=%+v, want completed on b-live", res, onNode)
+	}
+	if got := live.ExecutionCounts()["fo-1"]; got != 1 {
+		t.Errorf("job executed %d times on b-live, want exactly once", got)
+	}
+	if m := b.Metrics(); m.Failovers < 1 {
+		t.Errorf("metrics = %+v, want Failovers >= 1", m)
 	}
 }
 
@@ -65,6 +76,7 @@ func TestCandidatesExcludesFailureStateNodes(t *testing.T) {
 	if !latched {
 		t.Fatal("hot node never latched S3")
 	}
+	waitListed(t, reg, idle, hot)
 	b := &Broker{Client: fastClient(reg.Addr())}
 	cands, err := b.Candidates(ctx)
 	if err != nil {

@@ -3,7 +3,10 @@ package ishare
 import (
 	"fmt"
 	"math/rand"
+	"net"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -36,13 +39,14 @@ func TestRegisterBatchAndRankedList(t *testing.T) {
 		{Name: "idle", Addr: "10.0.0.1:1", State: "S1(full)", Load: 0.1, Gen: 1, UnixMS: nowMS()},
 		{Name: "gone", Addr: "10.0.0.4:1", State: "S5(machine-unavail)", Gen: 1, UnixMS: nowMS()},
 		{Name: "warm", Addr: "10.0.0.2:1", State: "S1(full)", Load: 0.3, Gen: 1, UnixMS: nowMS()},
+		{Name: "mute", Addr: "10.0.0.5:1"}, // never reported a digest
 	}
 	if err := c.RegisterBatch(ctx, reg.Addr(), batch); err != nil {
 		t.Fatal(err)
 	}
 
 	// The ranked form: alive S1/S2 nodes only, best class first, load as
-	// the tiebreak, and the unavailable node excluded.
+	// the tiebreak; the unavailable and the digest-less node excluded.
 	ranked, err := c.ListShard(ctx, reg.Addr(), 10)
 	if err != nil {
 		t.Fatal(err)
@@ -63,9 +67,9 @@ func TestRegisterBatchAndRankedList(t *testing.T) {
 		t.Fatalf("limit=1 list = %+v, %v", top, err)
 	}
 
-	// The legacy full listing still returns everything, S5 included.
+	// The full listing still returns everything, S5 and no digest included.
 	all, err := c.ListShard(ctx, reg.Addr(), 0)
-	if err != nil || len(all) != 4 {
+	if err != nil || len(all) != 5 {
 		t.Fatalf("full list = %+v, %v", all, err)
 	}
 }
@@ -184,8 +188,8 @@ func TestShardedBrokerMergesRankedCandidates(t *testing.T) {
 	if len(cands) != 12 {
 		t.Fatalf("got %d candidates, want 12", len(cands))
 	}
-	// Digest ranking: no Info round trips were possible (the addresses are
-	// fake), and the order is S1 before S2, ascending load within a class.
+	// Digest ranking across both shards' lists: S1 before S2, ascending
+	// load within a class.
 	for i := 1; i < len(cands); i++ {
 		if cands[i-1].Score > cands[i].Score {
 			t.Fatalf("candidates unsorted by score at %d: %+v", i, cands)
@@ -194,8 +198,44 @@ func TestShardedBrokerMergesRankedCandidates(t *testing.T) {
 			t.Fatalf("candidates unsorted by load at %d: %+v", i, cands)
 		}
 	}
-	if m := b.Metrics(); m.InfoFailures != 0 {
-		t.Fatalf("digest-ranked discovery dialed nodes: %+v", m)
+}
+
+// recordingDialer dials plain TCP and remembers every address it dialed.
+type recordingDialer struct {
+	mu    sync.Mutex
+	addrs []string
+}
+
+func (d *recordingDialer) Dial(addr string, timeout time.Duration) (net.Conn, error) {
+	d.mu.Lock()
+	d.addrs = append(d.addrs, addr)
+	d.mu.Unlock()
+	return net.DialTimeout("tcp", addr, timeout)
+}
+
+// TestCandidatesDialsOnlyShards: discovery over a fleet of real, dialable
+// nodes talks to the registry shards and to nothing else, even for a
+// zero-value Broker: placement ranks the digests the shards hold.
+func TestCandidatesDialsOnlyShards(t *testing.T) {
+	s := startSharded(t, 2, time.Minute)
+	for _, name := range []string{"n1", "n2", "n3", "n4"} {
+		startNode(t, NodeConfig{Name: name, RegistryAddrs: s.Addrs(), HostLoad: 0.05})
+	}
+	rec := &recordingDialer{}
+	b := &Broker{Client: &Client{Shards: s.Addrs(), Dialer: rec}}
+	cands, err := b.Candidates(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cands) != 4 {
+		t.Fatalf("got %d candidates, want the 4 nodes: %+v", len(cands), cands)
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	for _, addr := range rec.addrs {
+		if !slices.Contains(s.Addrs(), addr) {
+			t.Errorf("discovery dialed %s, which is not a shard (dialed %v)", addr, rec.addrs)
+		}
 	}
 }
 
@@ -341,6 +381,7 @@ func TestBrokerPlacesViaGossipWithAllShardsDown(t *testing.T) {
 	g.Update(NodeDigest{Name: "ghost", Addr: "10.3.0.1:1", State: "S1(full)", Gen: 1, UnixMS: nowMS()})
 	g.Update(NodeDigest{Name: "downed", Addr: "10.3.0.2:1", State: "S5(machine-unavail)", Gen: 1, UnixMS: nowMS()})
 	g.Update(NodeDigest{Name: "ancient", Addr: "10.3.0.3:1", State: "S1(full)", Gen: 1, UnixMS: 1}) // long past GossipTTL
+	g.Update(NodeDigest{Name: "unstamped", Addr: "10.3.0.4:1", State: "S1(full)", Gen: 1})          // age unknown
 
 	reg := startRegistry(t, time.Minute)
 	addr := reg.Addr()
@@ -356,7 +397,7 @@ func TestBrokerPlacesViaGossipWithAllShardsDown(t *testing.T) {
 		t.Fatalf("gossip-backed discovery failed: %v", err)
 	}
 	if len(cands) != 1 || cands[0].Node.Name != "ghost" || !cands[0].Stale {
-		t.Fatalf("candidates = %+v, want exactly stale ghost (S5 and expired digests excluded)", cands)
+		t.Fatalf("candidates = %+v, want exactly stale ghost (S5, expired and unstamped digests excluded)", cands)
 	}
 	if m := b.Metrics(); m.GossipServes == 0 {
 		t.Fatalf("metrics = %+v, want GossipServes > 0", m)

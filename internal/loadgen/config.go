@@ -37,8 +37,6 @@ type Config struct {
 	// DiscoverOps is how many ranked fan-out discoveries to measure
 	// (default 200).
 	DiscoverOps int
-	// DiscoverLimit is the per-shard ranked candidate limit (default 32).
-	DiscoverLimit int
 	// Concurrency bounds the parallel workers driving batches and
 	// discoveries (default 8).
 	Concurrency int
@@ -211,9 +209,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DiscoverOps == 0 {
 		c.DiscoverOps = 200
-	}
-	if c.DiscoverLimit == 0 {
-		c.DiscoverLimit = 32
 	}
 	if c.Concurrency == 0 {
 		c.Concurrency = 8

@@ -100,7 +100,7 @@ func TestConfigValidate(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	c := Config{Nodes: 10}.withDefaults()
 	if c.Shards != 1 || c.BatchSize != 1000 || c.HeartbeatRounds != 1 ||
-		c.ChurnFraction != 0.2 || c.DiscoverOps != 200 || c.DiscoverLimit != 32 ||
+		c.ChurnFraction != 0.2 || c.DiscoverOps != 200 ||
 		c.Concurrency != 8 || c.Seed != 1 || c.TTL <= 0 {
 		t.Fatalf("withDefaults() = %+v", c)
 	}

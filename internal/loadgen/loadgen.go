@@ -350,10 +350,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// Phase 3: ranked fan-out discovery, the latency that bounds every
 	// placement decision.
 	broker := &ishare.Broker{
-		Client:        client,
-		DiscoverLimit: cfg.DiscoverLimit,
-		CacheTTL:      time.Minute,
-		Obs:           reg,
+		Client:   client,
+		CacheTTL: time.Minute,
+		Obs:      reg,
 	}
 	discSamples := make([]time.Duration, cfg.DiscoverOps)
 	discStart := time.Now()
@@ -441,10 +440,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		partClient := &ishare.Client{Shards: addrs, Dialer: inj, Timeout: 2 * time.Second,
 			Retry: ishare.RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, Seed: cfg.Seed}}
 		partBroker := &ishare.Broker{
-			Client:        partClient,
-			DiscoverLimit: cfg.DiscoverLimit,
-			CacheTTL:      time.Minute,
-			Obs:           reg,
+			Client:   partClient,
+			CacheTTL: time.Minute,
+			Obs:      reg,
 		}
 		// Warm every shard's cache, then cut one off.
 		if _, err := partBroker.Candidates(ctx); err != nil {
@@ -498,7 +496,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			Retry: ishare.RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, Seed: cfg.Seed}}
 		crashBroker := &ishare.Broker{
 			Client:           crashClient,
-			DiscoverLimit:    cfg.DiscoverLimit,
 			CacheTTL:         time.Minute,
 			BreakerThreshold: breakerThreshold,
 			BreakerCooldown:  30 * time.Second, // stays open for the whole outage
