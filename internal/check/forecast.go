@@ -25,10 +25,10 @@ const forecastTolerance = 1e-9
 // the two stores that feed it and an independent reference: the seed's raw
 // observation streams replayed through forecast.Online's detectors into
 // its rings, predictors batch-trained on the recorded trace of the same
-// streams (hourly matrix + index), and the naive oracle (linear scans, its
-// own day walk). All three must agree — plain and trimmed history windows
-// plus the EWMA daily model, over aligned and misaligned windows, for
-// every machine in the fleet and for absent machine IDs.
+// streams (index + memos), and the naive oracle (linear scans, its own day
+// walk). All three must agree — plain and trimmed history windows plus the
+// EWMA daily model, over aligned and misaligned windows, for every machine
+// in the fleet and for absent machine IDs.
 func checkOnlineForecastSeed(cfg testbed.Config, tr *trace.Trace, res *Result) error {
 	on, err := forecast.New(forecast.Config{
 		Calendar: tr.Calendar,
@@ -71,10 +71,11 @@ func checkOnlineForecastSeed(cfg testbed.Config, tr *trace.Trace, res *Result) e
 	ewma := &predict.EWMADaily{}
 	ewma.Train(tr)
 
-	// Aligned, misaligned and tail windows on every day of the span plus
-	// one day past its end.
+	// Aligned, misaligned and tail windows on every day of the span and the
+	// seven after it: past the span the trained predictors answer a window
+	// from the memo its shape filled on an earlier day of the same type.
 	var windows []sim.Window
-	for day := 1; day <= cfg.Days; day++ {
+	for day := 1; day < cfg.Days+7; day++ {
 		base := sim.Time(day) * sim.Day
 		windows = append(windows,
 			sim.Window{Start: base + 9*time.Hour, End: base + 10*time.Hour},

@@ -113,10 +113,18 @@ func newTestSet(span sim.Window, machines int, truth truthSource, cfg EvalConfig
 	if cfg.MaxMachines > 0 && cfg.MaxMachines < machines {
 		machines = cfg.MaxMachines
 	}
+	var windows []sim.Window
+	for start := ts.cut; start+cfg.Window <= span.End; start += cfg.Stride {
+		windows = append(windows, sim.Window{Start: start, End: start + cfg.Window})
+	}
+	n := machines * len(windows)
+	ts.machines = make([]trace.MachineID, 0, n)
+	ts.windows = make([]sim.Window, 0, n)
+	ts.counts = make([]float64, 0, n)
+	ts.fail = make([]bool, 0, n)
 	for m := 0; m < machines; m++ {
 		id := trace.MachineID(m)
-		for start := ts.cut; start+cfg.Window <= span.End; start += cfg.Stride {
-			w := sim.Window{Start: start, End: start + cfg.Window}
+		for _, w := range windows {
 			ts.machines = append(ts.machines, id)
 			ts.windows = append(ts.windows, w)
 			ts.counts = append(ts.counts, float64(truth.CountInWindow(id, w)))

@@ -57,11 +57,11 @@ func TestEvaluateBlocksMatchesEvaluate(t *testing.T) {
 	}
 }
 
-// serialScores is the oracle for the evaluation's worker pool: it trains
-// and scores one predictor at a time in a plain loop on the calling
-// goroutine. It asks every count before any survival, so the one-entry
-// memos of HistoryWindow and EWMADaily never hit and each answer is
-// computed from scratch.
+// serialScores is the oracle for the evaluation's worker pool: it scores
+// one predictor at a time in a plain loop on the calling goroutine, and
+// asks every answer of a fresh instance trained for it alone, so no memo
+// of HistoryWindow or EWMADaily ever hits and each answer is computed from
+// scratch.
 func serialScores(tr *trace.Trace, cfg EvalConfig) []Score {
 	cfg = cfg.withDefaults()
 	cut := tr.Span.Start + sim.Time(cfg.TrainDays)*sim.Day
@@ -80,19 +80,21 @@ func serialScores(tr *trace.Trace, cfg EvalConfig) []Score {
 		}
 	}
 	history := tr.Before(cut)
-	var scores []Score
-	for _, p := range DefaultPredictors() {
+	fresh := func(j int) Predictor {
+		p := DefaultPredictors()[j]
 		p.Train(history)
+		return p
+	}
+	var scores []Score
+	for j := range DefaultPredictors() {
 		predCounts := make([]float64, len(windows))
 		failProb := make([]float64, len(windows))
 		for i, w := range windows {
-			predCounts[i] = p.PredictCount(machines[i], w)
-		}
-		for i, w := range windows {
-			failProb[i] = 1 - p.PredictSurvival(machines[i], w)
+			predCounts[i] = fresh(j).PredictCount(machines[i], w)
+			failProb[i] = 1 - fresh(j).PredictSurvival(machines[i], w)
 		}
 		scores = append(scores, Score{
-			Name:    p.Name(),
+			Name:    DefaultPredictors()[j].Name(),
 			MAE:     stats.MAE(predCounts, counts),
 			RMSE:    stats.RMSE(predCounts, counts),
 			Brier:   stats.Brier(failProb, fail),

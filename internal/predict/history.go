@@ -8,10 +8,9 @@ import (
 // History is the store of past unavailability the same-window estimators
 // (HistoryWindow, EWMADaily, LastDay) read. The estimator maths exists once
 // and runs over either of its two implementations: the trace-backed store
-// Train builds (hourly count matrix + index, ≤ 40 ns per count — what keeps
-// evaluation fast) and forecast.Online's bounded per-machine ring (O(1)
-// ingest, ≈ 170 ns per count — what the control plane can afford to keep
-// per node).
+// Train builds (the index, ≤ 40 ns per count — what keeps evaluation fast)
+// and forecast.Online's bounded per-machine ring (O(1) ingest, ≈ 170 ns per
+// count — what the control plane can afford to keep per node).
 type History interface {
 	// Calendar anchors virtual time to weekdays and weekends.
 	Calendar() sim.Calendar
@@ -32,32 +31,104 @@ func known(h History, m trace.MachineID) bool {
 }
 
 // traceHistory is the History over a recorded trace, and the ground truth
-// of the evaluation: window counts come from the hourly matrix when the
-// window is hour-aligned and from the index binary search otherwise (both
-// count exactly the same events), overlap tests from the index.
+// of the evaluation: counts and overlap tests come from the trace's index.
 type traceHistory struct {
 	tr *trace.Trace
-	hc *trace.HourlyCounts
-	ix *trace.Index
+	*trace.Index
 }
 
 func newTraceHistory(tr *trace.Trace) *traceHistory {
-	return &traceHistory{tr: tr, hc: tr.BuildHourlyCounts(), ix: tr.BuildIndex()}
+	return &traceHistory{tr: tr, Index: tr.BuildIndex()}
 }
 
 func (t *traceHistory) Calendar() sim.Calendar { return t.tr.Calendar }
 func (t *traceHistory) Span() sim.Window       { return t.tr.Span }
 func (t *traceHistory) Machines() int          { return t.tr.Machines }
 
-func (t *traceHistory) CountInWindow(m trace.MachineID, w sim.Window) int {
-	if n, ok := t.hc.CountInWindow(m, w); ok {
-		return n
-	}
-	return t.ix.CountInWindow(m, w)
+// maxPastMemo caps a windowMemo's past-window entries at 2¹⁰ (≈ 100 B
+// each, ≈ 100 KiB a predictor). Evaluation walks one machine's windows
+// before the next and needs 16 shapes a machine on the default 3-hour grid;
+// a caller asking at arbitrary times (gsched's Predictive) makes a new shape
+// of nearly every window, so at the cap the memo is emptied and refilled.
+const maxPastMemo = 1 << 10
+
+// memoKey names one same-window estimate: machine, window, and the exported
+// fields the answer reads (Trim and MinHistoryDays, or Alpha), as bits. The
+// past-window memo files an answer under its window's shape instead (see
+// pastShape).
+type memoKey struct {
+	m       trace.MachineID
+	w       sim.Window
+	dayType sim.DayType
+	param   uint64
+	minDays int
 }
 
-func (t *traceHistory) AnyOverlap(m trace.MachineID, w sim.Window) bool {
-	return t.ix.AnyOverlap(m, w)
+// pastShape reports whether k's window is a past window over src and
+// returns its shape: k with the window moved to day 0 and its day type.
+// A window of positive length that starts at or after the end of src's
+// span is one, and its answer depends on the window only through its shape.
+// Every history window ForEachHistoryWindow yields ends inside the span, so
+// its "ends by w.Start" cut never fires. HistoryWindow walks the span's
+// days whatever w's; EWMADaily walks to the day before w's, so two past
+// windows of one shape differ only by days from the span's last day on.
+// Past that day the shape's clock window ends past the span and yields
+// nothing; on it, the clock window either does the same or lies inside the
+// span, and then no past window of the shape falls on that day, so all walk
+// it. A window of no length is not a past window: days past the span can
+// yield empty or inverted history windows for it, and whether there are any
+// decides whether EWMADaily has history at all.
+func pastShape(src History, k memoKey) (memoKey, bool) {
+	w := k.w
+	if src == nil || w.End <= w.Start || w.Start < src.Span().End {
+		return k, false
+	}
+	cal := src.Calendar()
+	tod := cal.TimeOfDay(w.Start)
+	k.w = sim.Window{Start: tod, End: tod + w.Duration()}
+	k.dayType = cal.DayType(w.Start)
+	return k, true
+}
+
+// windowMemo holds a same-window estimator's (count, survival) answers over
+// the store Train fixed; Train resets it. The last answer is kept whatever
+// the window — evaluation asks PredictCount and PredictSurvival of one
+// (machine, window) back to back — and past windows' answers are kept by
+// shape, at most maxPastMemo of them. Not goroutine-safe.
+type windowMemo struct {
+	last  memoKey
+	value [2]float64
+	valid bool
+	past  map[memoKey][2]float64
+}
+
+func (mm *windowMemo) reset() {
+	mm.valid = false
+	clear(mm.past)
+}
+
+// get returns the answer for k over src, computing and keeping it on a miss.
+func (mm *windowMemo) get(src History, k memoKey, compute func() (count, survival float64)) (count, survival float64) {
+	if mm.valid && mm.last == k {
+		return mm.value[0], mm.value[1]
+	}
+	shape, past := pastShape(src, k)
+	var v [2]float64
+	ok := false
+	if past {
+		v, ok = mm.past[shape]
+	}
+	if !ok {
+		v[0], v[1] = compute()
+		if past {
+			if mm.past == nil || len(mm.past) >= maxPastMemo {
+				mm.past = make(map[memoKey][2]float64)
+			}
+			mm.past[shape] = v
+		}
+	}
+	mm.last, mm.value, mm.valid = k, v, true
+	return v[0], v[1]
 }
 
 // ForEachHistoryWindow walks, in calendar-day order, the clock windows

@@ -43,16 +43,9 @@ type HistoryWindow struct {
 	// MinHistoryDays guards against predicting from almost no data.
 	MinHistoryDays int
 
-	src History // the trained trace; nil until Train
-
-	// counts is the reused history buffer, and for the trained (immutable)
-	// store also a one-entry memo: evaluation asks PredictCount and
-	// PredictSurvival for the same (machine, window) back to back, and the
-	// history walk is the expensive part of both. Not goroutine-safe.
-	counts    []float64
-	memoM     trace.MachineID
-	memoW     sim.Window
-	memoValid bool
+	src    History   // the trained trace; nil until Train
+	counts []float64 // the reused history buffer
+	memo   windowMemo
 }
 
 // Name implements Predictor.
@@ -66,7 +59,7 @@ func (h *HistoryWindow) Name() string {
 // Train implements Predictor.
 func (h *HistoryWindow) Train(tr *trace.Trace) {
 	h.src = newTraceHistory(tr)
-	h.memoValid = false
+	h.memo.reset()
 }
 
 // history walks src once and returns machine m's event count in the clock
@@ -74,7 +67,6 @@ func (h *HistoryWindow) Train(tr *trace.Trace) {
 // src or a machine outside src's fleet has no history at all.
 func (h *HistoryWindow) history(src History, m trace.MachineID, w sim.Window) []float64 {
 	counts := h.counts[:0]
-	h.memoValid = false
 	if known(src, m) {
 		ForEachHistoryWindow(src.Calendar(), src.Span(), w, true, func(hw sim.Window) {
 			counts = append(counts, float64(src.CountInWindow(m, hw)))
@@ -84,13 +76,13 @@ func (h *HistoryWindow) history(src History, m trace.MachineID, w sim.Window) []
 	return counts
 }
 
-// trained is history over the trained trace, memoized.
-func (h *HistoryWindow) trained(m trace.MachineID, w sim.Window) []float64 {
-	if !h.memoValid || h.memoM != m || h.memoW != w {
-		h.history(h.src, m, w)
-		h.memoM, h.memoW, h.memoValid = m, w, true
-	}
-	return h.counts
+// trained is Estimate over the trained trace, memoized.
+func (h *HistoryWindow) trained(m trace.MachineID, w sim.Window) (count, survival float64) {
+	k := memoKey{m: m, w: w, param: math.Float64bits(h.Trim), minDays: h.MinHistoryDays}
+	return h.memo.get(h.src, k, func() (float64, float64) {
+		count, survival, _ := h.Estimate(h.src, m, w)
+		return count, survival
+	})
 }
 
 // informed reports whether counts is enough history to predict from.
@@ -139,14 +131,16 @@ func (h *HistoryWindow) Estimate(src History, m trace.MachineID, w sim.Window) (
 // PredictCount implements Predictor. An untrained predictor or a machine
 // outside the trained fleet predicts 0 occurrences (no history to count).
 func (h *HistoryWindow) PredictCount(m trace.MachineID, w sim.Window) float64 {
-	return h.count(h.trained(m, w))
+	count, _ := h.trained(m, w)
+	return count
 }
 
 // PredictSurvival implements Predictor. An untrained predictor, a machine
 // outside the trained fleet, or a history shorter than MinHistoryDays all
 // answer 0.5.
 func (h *HistoryWindow) PredictSurvival(m trace.MachineID, w sim.Window) float64 {
-	return h.survival(h.trained(m, w))
+	_, survival := h.trained(m, w)
+	return survival
 }
 
 // GlobalRate is the uninformed baseline: a single Poisson rate per machine
@@ -218,18 +212,8 @@ type EWMADaily struct {
 	// Alpha is the smoothing factor (default 0.3).
 	Alpha float64
 
-	src History
-
-	// memo is the last estimate over the trained (immutable) store, kept
-	// for the reason HistoryWindow keeps its history: PredictCount and
-	// PredictSurvival of one (machine, window) share one walk.
-	memo struct {
-		m               trace.MachineID
-		w               sim.Window
-		alpha           float64
-		count, survival float64
-		valid           bool
-	}
+	src  History
+	memo windowMemo
 }
 
 // Name implements Predictor.
@@ -238,7 +222,7 @@ func (e *EWMADaily) Name() string { return "ewma-daily" }
 // Train implements Predictor.
 func (e *EWMADaily) Train(tr *trace.Trace) {
 	e.src = newTraceHistory(tr)
-	e.memo.valid = false
+	e.memo.reset()
 }
 
 // Estimate is the estimator over any History (see HistoryWindow.Estimate):
@@ -267,11 +251,8 @@ func (e *EWMADaily) Estimate(src History, m trace.MachineID, w sim.Window) (coun
 
 // trained is Estimate over the trained trace, memoized.
 func (e *EWMADaily) trained(m trace.MachineID, w sim.Window) (count, survival float64) {
-	if k := &e.memo; !k.valid || k.m != m || k.w != w || k.alpha != e.Alpha {
-		k.count, k.survival = e.Estimate(e.src, m, w)
-		k.m, k.w, k.alpha, k.valid = m, w, e.Alpha, true
-	}
-	return e.memo.count, e.memo.survival
+	k := memoKey{m: m, w: w, param: math.Float64bits(e.Alpha)}
+	return e.memo.get(e.src, k, func() (float64, float64) { return e.Estimate(e.src, m, w) })
 }
 
 // PredictCount implements Predictor.

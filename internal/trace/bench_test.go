@@ -208,3 +208,41 @@ func BenchmarkBlockIndexFirstTouch(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBlockIndexQueryMix is one window's five point queries on a warm
+// BlockIndex — every block decoded, every sub-index laid out — over 3-hour
+// windows at a 2-hour stride, one machine's windows before the next: the
+// query bodies alone.
+func BenchmarkBlockIndexQueryMix(b *testing.B) {
+	bf := openBenchShard(b)
+	ix := NewBlockIndex(bf)
+	span := bf.Header().Span
+	for m := range bf.Header().Machines {
+		ix.CountInWindow(MachineID(m), span)
+	}
+	windows := int((span.Duration()-3*time.Hour)/(2*time.Hour)) + 1
+	var sum int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := MachineID(i / windows % bf.Header().Machines)
+		start := span.Start + sim.Time(i%windows)*2*time.Hour
+		w := sim.Window{Start: start, End: start + 3*time.Hour}
+		if e, ok := ix.FirstOverlap(m, w); ok {
+			sum += int64(e.Start)
+		}
+		sum += int64(ix.CountInWindow(m, w))
+		if ix.AnyOverlap(m, w) {
+			sum++
+		}
+		if e, ok := ix.NextEventAfter(m, w.Start); ok {
+			sum += int64(e.End)
+		}
+		if t, ok := ix.LastEndBefore(m, w.End); ok {
+			sum += int64(t)
+		}
+	}
+	if err := ix.Err(); err != nil || sum == 0 {
+		b.Fatal(err, sum)
+	}
+}

@@ -148,8 +148,7 @@ func (ix *BlockIndex) FirstOverlap(m MachineID, w sim.Window) (Event, bool) {
 	return ix.machine(m).firstOverlap(w)
 }
 
-// CountInWindow matches Index.CountInWindow; hour-aligned windows are
-// answered from the hourly row in O(1).
+// CountInWindow matches Index.CountInWindow.
 func (ix *BlockIndex) CountInWindow(m MachineID, w sim.Window) int {
 	return ix.machine(m).countInWindow(w)
 }

@@ -3,8 +3,10 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -423,6 +425,68 @@ func queryBlockIndex(t *testing.T, tr *Trace, ref *Index, bf *BlockFile, seed in
 		}
 		if !slices.Equal(cached, fresh) {
 			t.Errorf("cached block %d no longer reads as a fresh decode of it", b)
+		}
+	}
+}
+
+// TestForgedSpanRowsAreCapped: a header's span is outside input, and every
+// machine's hourly row is sized from it. A file claiming [-2⁶³, 2⁶³) ns must
+// build no row past maxRowHours, in BlockIndex or in BuildIndex over the
+// trace it holds, must answer every query as the honest trace's Index (which
+// has rows) does, and must not cost more than a row at the cap a machine.
+func TestForgedSpanRowsAreCapped(t *testing.T) {
+	all := randomTrace(56, 2000)
+	honest := New(all.Span, all.Calendar, 3)
+	for _, e := range all.Events {
+		if e.Machine < 3 {
+			honest.Add(e)
+		}
+	}
+	honest.Sort()
+	ref := honest.BuildIndex()
+	forged := honest.Clone()
+	forged.Span = sim.Window{Start: math.MinInt64, End: math.MaxInt64}
+	bf, err := NewBlockFileBytes(v2Bytes(t, forged, &BlockWriterOptions{BlockSize: 60}))
+	if err != nil || bf.Header().Span != forged.Span {
+		t.Fatalf("the forgery did not open on its span: %v", err)
+	}
+
+	// The cap's bound, plus 1 MiB for what the same calls cost over the ≈ 300
+	// honest events.
+	limit := uint64(honest.Machines)*4*maxRowHours + 1<<20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fix := forged.BuildIndex()
+	bix := NewBlockIndex(bf)
+	for m := range honest.Machines {
+		bix.CountInWindow(MachineID(m), honest.Span)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("indexing the forged span allocated %d bytes, more than the %d the cap allows", got, limit)
+	}
+	for m := range honest.Machines {
+		if fix.machine(MachineID(m)).hours != nil || bix.machine(MachineID(m)).hours != nil {
+			t.Fatalf("machine %d has an hourly row over the forged span", m)
+		}
+		if ref.machine(MachineID(m)).hours == nil {
+			t.Fatalf("machine %d has no hourly row over the honest span", m)
+		}
+	}
+
+	queryBlockIndex(t, honest, ref, bf, 57)
+	rng := rand.New(rand.NewSource(58))
+	for i := 0; i < 2000; i++ {
+		m := MachineID(rng.Intn(honest.Machines))
+		start := sim.Time(rng.Int63n(int64(93 * sim.Day)))
+		w := sim.Window{Start: start, End: start + sim.Time(rng.Int63n(int64(6*time.Hour)))}
+		gotE, gotOK := fix.FirstOverlap(m, w)
+		wantE, wantOK := ref.FirstOverlap(m, w)
+		gotN, _ := fix.NextEventAfter(m, start)
+		wantN, _ := ref.NextEventAfter(m, start)
+		if gotE != wantE || gotOK != wantOK || gotN != wantN ||
+			fix.CountInWindow(m, w) != ref.CountInWindow(m, w) || fix.AnyOverlap(m, w) != ref.AnyOverlap(m, w) {
+			t.Fatalf("machine %d window %v: the forged span's Index answers differently", m, w)
 		}
 	}
 }

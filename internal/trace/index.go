@@ -3,7 +3,6 @@ package trace
 import (
 	"slices"
 	"sort"
-	"time"
 
 	"repro/internal/sim"
 )
@@ -23,11 +22,19 @@ type machinePointIndex struct {
 	maxEnd  []sim.Time // prefix maxima of End over byStart
 	byEnd   []sim.Time // event End times, sorted
 	maxDur  sim.Time   // longest event duration
-	// The machine's row of the hourly-count prefix matrix (the fast path
-	// Evaluate gets from Trace.BuildHourlyCounts); nil until buildHours.
+	// The machine's hourly prefix row, which startsBefore answers from; nil
+	// until buildHours, and past maxRowHours.
 	loHour int64
 	hours  []int32 // hours[h] counts starts before hour loHour+h
 }
+
+// maxRowHours caps a machine's hourly row at 2¹⁶ hours (≈ 7.5 years), so a
+// row costs at most 256 KiB. The row covers the span and every event
+// start, and a block file's span comes from its header, outside input: a
+// forged ±2⁶³ ns would cost 20 MB a machine. Legal traces sit far inside
+// the cap (spans ≤ 365 days); past it no row is built and queries
+// binary-search.
+const maxRowHours = 1 << 16
 
 // noEvents answers for machines the trace never mentions.
 var noEvents = &machinePointIndex{}
@@ -56,19 +63,19 @@ func newMachinePointIndex(evs []Event) *machinePointIndex {
 }
 
 // buildHours adds the hourly prefix row, covering span and every event
-// start (the same hour range BuildHourlyCounts would give this machine).
+// start, unless that is more than maxRowHours hours.
 func (mi *machinePointIndex) buildHours(span sim.Window) {
 	lo := sim.FloorHour(span.Start)
 	hi := sim.FloorHour(span.End-1) + 1
 	if span.End <= span.Start {
 		hi = lo
 	}
-	for _, e := range mi.byStart {
-		if h := sim.FloorHour(e.Start); h < lo {
-			lo = h
-		} else if h >= hi {
-			hi = h + 1
-		}
+	if n := len(mi.byStart); n > 0 {
+		lo = min(lo, sim.FloorHour(mi.byStart[0].Start))
+		hi = max(hi, sim.FloorHour(mi.byStart[n-1].Start)+1)
+	}
+	if hi-lo > maxRowHours {
+		return
 	}
 	mi.loHour = lo
 	mi.hours = make([]int32, int(hi-lo)+1)
@@ -80,10 +87,23 @@ func (mi *machinePointIndex) buildHours(span sim.Window) {
 	}
 }
 
-// startsBefore returns how many events start before t.
+// startsBefore returns how many events start before t. The hourly row
+// counts those before t's hour, which leaves a search of the few inside it;
+// a machine without a row searches all its events.
 func (mi *machinePointIndex) startsBefore(t sim.Time) int {
-	evs := mi.byStart
-	return sort.Search(len(evs), func(i int) bool { return evs[i].Start >= t })
+	lo, hi := 0, len(mi.byStart)
+	if mi.hours != nil {
+		h := sim.FloorHour(t) - mi.loHour
+		if h < 0 {
+			return 0
+		}
+		if h >= int64(len(mi.hours)-1) {
+			return hi
+		}
+		lo, hi = int(mi.hours[h]), int(mi.hours[h+1])
+	}
+	evs := mi.byStart[lo:hi]
+	return lo + sort.Search(len(evs), func(i int) bool { return evs[i].Start >= t })
 }
 
 func (mi *machinePointIndex) firstOverlap(w sim.Window) (Event, bool) {
@@ -112,13 +132,8 @@ func (mi *machinePointIndex) firstOverlap(w sim.Window) (Event, bool) {
 }
 
 func (mi *machinePointIndex) countInWindow(w sim.Window) int {
-	if mi.hours != nil && w.Start%time.Hour == 0 && w.End%time.Hour == 0 {
-		a := sim.FloorHour(w.Start) - mi.loHour
-		b := sim.FloorHour(w.End) - mi.loHour
-		n := int64(len(mi.hours) - 1)
-		a = min(max(a, 0), n)
-		b = min(max(b, a), n)
-		return int(mi.hours[b] - mi.hours[a])
+	if w.End <= w.Start {
+		return 0
 	}
 	return mi.startsBefore(w.End) - mi.startsBefore(w.Start)
 }
@@ -161,7 +176,9 @@ func (t *Trace) BuildIndex() *Index {
 			}
 			return evs[i].End < evs[j].End
 		})
-		ix.machines[m] = newMachinePointIndex(evs)
+		mi := newMachinePointIndex(evs)
+		mi.buildHours(t.Span)
+		ix.machines[m] = mi
 	}
 	return ix
 }
