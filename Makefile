@@ -104,7 +104,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunMachineWeek|BenchmarkTickSixProcesses|BenchmarkDetectorObserve' -benchtime 10x ./internal/testbed/ ./internal/simos/ ./internal/availability/
 	$(GO) test -run '^$$' -bench 'BenchmarkRunFullTestbed|BenchmarkRunShardedFleet|BenchmarkWriteBinary|BenchmarkStreamAnalyzer|BenchmarkEvaluateHistoryWindow|BenchmarkScore' -benchtime 1x ./internal/testbed/ ./internal/trace/ ./internal/predict/
 	$(GO) test -run '^$$' -bench 'BenchmarkWireHeartbeatBatch|BenchmarkWireReply|BenchmarkRegistryHeartbeatBatch' -benchtime 10x -benchmem ./internal/ishare/
-	$(GO) test -run '^$$' -bench 'BenchmarkDecodeBlock|BenchmarkAnalyzeBlockFiles|BenchmarkBlockIndexFirstTouch|BenchmarkBlockIndexQueryMix|BenchmarkFit' -benchtime 10x -benchmem ./internal/trace/ ./internal/markov/
+	$(GO) test -run '^$$' -bench 'BenchmarkWriteBlocks|BenchmarkDecodeBlock|BenchmarkAnalyzeBlockFiles|BenchmarkBlockIndexFirstTouch|BenchmarkBlockIndexQueryMix|BenchmarkFit' -benchtime 10x -benchmem ./internal/trace/ ./internal/markov/
 
 # Parallel-analyzer smoke under the race detector: the worker-pool block
 # scanner (and its refusal of truncated shards), its merge associativity,

@@ -116,12 +116,11 @@ func BenchmarkStreamAnalyzer(b *testing.B) {
 	}
 }
 
-// benchShard is the input of the read-path layer benchmarks below: 10
+// benchTrace is the trace behind the store's layer benchmarks below: 10
 // machines over 365 days, fixed seed, shaped like the testbed's output (five
 // events a machine-day on the monitor's 15 s grid, minutes to half an hour
-// long, free memory mostly the machine's constant) and encoded once in the
-// default codec — five split blocks at ≈ 17 bytes an event.
-var benchShard = sync.OnceValue(func() []byte {
+// long, free memory mostly the machine's constant).
+var benchTrace = sync.OnceValue(func() *Trace {
 	const tick = 15 * time.Second
 	rng := rand.New(rand.NewSource(20))
 	tr := New(sim.Window{Start: 0, End: 365 * sim.Day}, sim.Calendar{StartWeekday: 2}, 10)
@@ -142,12 +141,36 @@ var benchShard = sync.OnceValue(func() []byte {
 			at += dur
 		}
 	}
+	return tr
+})
+
+// benchShard is benchTrace encoded once in the default codec, the input of
+// the read-path benchmarks — ten split blocks, one a machine, at ≈ 16.5
+// bytes an event.
+var benchShard = sync.OnceValue(func() []byte {
 	var buf bytes.Buffer
-	if err := tr.WriteBlocks(&buf, nil); err != nil {
+	if err := benchTrace().WriteBlocks(&buf, nil); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()
 })
+
+// BenchmarkWriteBlocks is the v2 encode of benchTrace in the default codec —
+// summaries, column packing, flate, directory — with the bytes it stores an
+// event.
+func BenchmarkWriteBlocks(b *testing.B) {
+	tr := benchTrace()
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := tr.WriteBlocks(&buf, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(buf.Len())/float64(len(tr.Events)), "bytes/event")
+}
 
 func openBenchShard(b *testing.B) *BlockFile {
 	b.Helper()
@@ -158,8 +181,9 @@ func openBenchShard(b *testing.B) *BlockFile {
 	return bf
 }
 
-// BenchmarkDecodeBlock is one inflate plus one column decode of a full
-// block into a warm BlockBuf: the unit every reader of the store pays.
+// BenchmarkDecodeBlock is one inflate plus one column decode of a block —
+// one machine-year — into a warm BlockBuf: the unit every reader of the
+// store pays.
 func BenchmarkDecodeBlock(b *testing.B) {
 	bf := openBenchShard(b)
 	var buf BlockBuf

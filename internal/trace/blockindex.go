@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"cmp"
+	"fmt"
 	"sort"
 
 	"repro/internal/sim"
@@ -52,10 +54,10 @@ func (ix *BlockIndex) Err() error { return ix.err }
 // block returns block i's decoded events, decoding on first touch and
 // keeping the slice it decoded into: the buffer's event slice is handed to
 // the cache and the next decode makes its own, so a block is inflated,
-// decoded and stored once, with no second copy. Neighboring machines share
-// blocks, so without the cache a sweep over the fleet would inflate every
-// block once per machine in it. Cached blocks are only ever read — sub-
-// indexes alias them.
+// decoded and stored once, with no second copy. Small machines share
+// blocks and a big machine's tail can share the next one's, so without the
+// cache a sweep over the fleet would inflate those once per machine in them.
+// Cached blocks are only ever read — sub-indexes alias them.
 func (ix *BlockIndex) block(i int) ([]Event, error) {
 	if evs, ok := ix.blocks[i]; ok {
 		return evs, nil
@@ -113,7 +115,7 @@ func (ix *BlockIndex) buildMachine(m MachineID) *machinePointIndex {
 	// block whose MaxMachine reaches m; inside a block m's rows are one run
 	// too, found by binary search. A machine that sits in one block is
 	// indexed in place, as a capped read-only sub-slice of the cached block;
-	// only one that straddles blocks is copied together.
+	// one straddling blocks (as the writer cuts, > ¾ BlockSize events) is copied.
 	var evs []Event
 	n := ix.bf.NumBlocks()
 	first := sort.Search(n, func(i int) bool { return ix.bf.Block(i).MaxMachine >= m })
@@ -123,20 +125,22 @@ func (ix *BlockIndex) buildMachine(m MachineID) *machinePointIndex {
 		}
 		events, err := ix.block(i)
 		if err != nil {
-			if ix.err == nil {
-				ix.err = err
-			}
+			ix.err = cmp.Or(ix.err, err)
 			break
 		}
 		lo := sort.Search(len(events), func(j int) bool { return events[j].Machine >= m })
 		hi := lo + sort.Search(len(events)-lo, func(j int) bool { return events[lo+j].Machine > m })
 		if evs == nil {
 			evs = events[lo:hi:hi]
+		} else if lo < hi && len(evs) > 0 && eventLess(events[lo], evs[len(evs)-1]) {
+			ix.err = cmp.Or(ix.err, fmt.Errorf("trace: block %d: machine %d's events out of order with the block before", i, m))
+			break
 		} else {
 			evs = append(evs, events[lo:hi]...)
 		}
 	}
-	// File order within a machine is (Start, End), the layout's order.
+	// File order within a machine is (Start, End), the layout's order: the
+	// decoder holds each block to it, the seam check above each join.
 	mi := newMachinePointIndex(evs)
 	mi.buildHours(ix.bf.Header().Span)
 	ix.cache[m] = mi

@@ -309,18 +309,100 @@ func TestBlockFileSalvagesTruncation(t *testing.T) {
 	}
 }
 
-// TestBlockIndexMatchesIndex holds the lazy block index to the in-memory one
-// on all five queries, asked in interleaved machine order, at two layouts: 60
-// events a block, where every machine spans three or four blocks and
-// neighbours share the one between them, and 400, where some machines sit
-// whole inside a block — and are indexed in place, as a sub-slice of the
-// cached block — while others straddle two. At each layout two indexes run
-// at once over one BlockFile, the sharing BlockIndex's comment promises
-// (make race, make bench-parallel); each must decode every block it touched
-// exactly once and leave every cached block as a fresh decode reads it.
-func TestBlockIndexMatchesIndex(t *testing.T) {
-	tr := randomTrace(55, 3000)
+// TestBlockWriterCutsAtMachineBoundaries pins where the writer cuts: at
+// BlockSize events, and before a new machine once the block holds a quarter
+// of that. So a block starts inside a machine's run only after a full one, a
+// machine change inside a block comes before the quarter mark, no block but
+// the last is cut short of it, a machine of a quarter block or more on the
+// default layout is one block's decode of its own, and no layout has more
+// blocks than events/(BlockSize/4) plus one per machine.
+func TestBlockWriterCutsAtMachineBoundaries(t *testing.T) {
+	traces := map[string]*Trace{"mixed": mixedTrace(57), "shard": benchTrace()}
+	for name, tr := range traces {
+		for _, blockSize := range []int{1, 7, 60, 400, DefaultBlockSize} {
+			bf, err := NewBlockFileBytes(v2Bytes(t, tr, &BlockWriterOptions{BlockSize: blockSize}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			quarter := blockSize / 4
+			var prev Event
+			var buf BlockBuf
+			for i := 0; i < bf.NumBlocks(); i++ {
+				evs, err := bf.DecodeBlock(i, &buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i > 0 && evs[0].Machine == prev.Machine && bf.Block(i-1).Count != blockSize {
+					t.Errorf("%s, block size %d: block %d starts inside machine %d's run after a block of %d events, not a full one",
+						name, blockSize, i, prev.Machine, bf.Block(i-1).Count)
+				}
+				for j := 1; j < len(evs); j++ {
+					if evs[j].Machine != evs[j-1].Machine && j >= quarter {
+						t.Errorf("%s, block size %d: block %d changes machine at event %d, past the quarter mark %d", name, blockSize, i, j, quarter)
+					}
+				}
+				if i < bf.NumBlocks()-1 && len(evs) < quarter {
+					t.Errorf("%s, block size %d: block %d was cut at %d events, before the quarter mark %d", name, blockSize, i, len(evs), quarter)
+				}
+				prev = evs[len(evs)-1]
+			}
+			if limit := len(tr.Events)/max(quarter, 1) + tr.Machines; bf.NumBlocks() > limit {
+				t.Errorf("%s, block size %d: %d blocks for %d events, more than %d", name, blockSize, bf.NumBlocks(), len(tr.Events), limit)
+			}
+		}
+	}
+	// A machine of a quarter block or more is one block's decode, its own.
+	bf, err := NewBlockFileBytes(benchShard())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m := range bf.Header().Machines {
+		ix := NewBlockIndex(bf)
+		if n := ix.CountInWindow(MachineID(m), bf.Header().Span); n < DefaultBlockSize/4 {
+			t.Fatalf("machine %d has %d events, fewer than the quarter block this check needs", m, n)
+		}
+		if ix.BlocksDecoded() != 1 || len(ix.blocks) != 1 {
+			t.Errorf("machine %d: first touch decoded %d blocks, want its one", m, ix.BlocksDecoded())
+		}
+		for i := range ix.blocks {
+			if b := bf.Block(i); b.MinMachine != MachineID(m) || b.MaxMachine != MachineID(m) {
+				t.Errorf("machine %d: its block %d holds machines %d..%d", m, i, b.MinMachine, b.MaxMachine)
+			}
+		}
+	}
+}
+
+// mixedTrace is randomTrace cut down to machines of very different sizes —
+// 3 to about 500 events — so that at the block sizes the tests use, some
+// machines share a block, some fill one alone and some straddle several.
+func mixedTrace(seed int64) *Trace {
+	tr := randomTrace(seed, 10000)
 	tr.Sort()
+	keep := []int{1 << 30, 8, 5, 150, 12, 40, 3, 250}
+	seen := make([]int, tr.Machines)
+	events := tr.Events[:0]
+	for _, e := range tr.Events {
+		if seen[e.Machine] < keep[int(e.Machine)%len(keep)] {
+			seen[e.Machine]++
+			events = append(events, e)
+		}
+	}
+	tr.Events = events
+	return tr
+}
+
+// TestBlockIndexMatchesIndex holds the lazy block index to the in-memory one
+// on all five queries, asked in interleaved machine order, at two layouts, 60
+// and 400 events a block, over a trace whose machines run from a few events
+// to more than a block. At each layout small machines share blocks, some
+// machines sit whole inside a block — and are indexed in place, as a
+// sub-slice of the cached block — and others straddle blocks. At each layout
+// two indexes run at once over one BlockFile, the sharing BlockIndex's
+// comment promises (make race, make bench-parallel); each must decode every
+// block it touched exactly once and leave every cached block as a fresh
+// decode reads it.
+func TestBlockIndexMatchesIndex(t *testing.T) {
+	tr := mixedTrace(55)
 	ref := tr.BuildIndex()
 	for _, blockSize := range []int{60, 400} {
 		bf, err := NewBlockFileBytes(v2Bytes(t, tr, &BlockWriterOptions{BlockSize: blockSize}))
@@ -328,7 +410,7 @@ func TestBlockIndexMatchesIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The layout is what the comment says it is.
-		most, whole, shared := 0, 0, 0
+		whole, straddling, shared := 0, 0, 0
 		for m := 0; m < tr.Machines; m++ {
 			n := 0
 			for i := 0; i < bf.NumBlocks(); i++ {
@@ -336,9 +418,10 @@ func TestBlockIndexMatchesIndex(t *testing.T) {
 					n++
 				}
 			}
-			most = max(most, n)
 			if n == 1 {
 				whole++
+			} else if n > 1 {
+				straddling++
 			}
 		}
 		for i := 0; i < bf.NumBlocks(); i++ {
@@ -346,8 +429,8 @@ func TestBlockIndexMatchesIndex(t *testing.T) {
 				shared++
 			}
 		}
-		if shared == 0 || (blockSize == 60 && most < 3) || (blockSize == 400 && (whole == 0 || whole == tr.Machines)) {
-			t.Fatalf("block size %d: a machine spans at most %d blocks, %d sit in one, %d blocks are shared", blockSize, most, whole, shared)
+		if shared == 0 || whole == 0 || straddling == 0 {
+			t.Fatalf("block size %d: %d machines sit in one block, %d straddle blocks, %d blocks are shared", blockSize, whole, straddling, shared)
 		}
 		var wg sync.WaitGroup
 		for _, seed := range []int64{99, 100} {
