@@ -104,14 +104,18 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunMachineWeek|BenchmarkTickSixProcesses|BenchmarkDetectorObserve' -benchtime 10x ./internal/testbed/ ./internal/simos/ ./internal/availability/
 	$(GO) test -run '^$$' -bench 'BenchmarkRunFullTestbed|BenchmarkRunShardedFleet|BenchmarkWriteBinary|BenchmarkStreamAnalyzer|BenchmarkEvaluateHistoryWindow|BenchmarkScore' -benchtime 1x ./internal/testbed/ ./internal/trace/ ./internal/predict/
 	$(GO) test -run '^$$' -bench 'BenchmarkWireHeartbeatBatch|BenchmarkWireReply|BenchmarkRegistryHeartbeatBatch' -benchtime 10x -benchmem ./internal/ishare/
-	$(GO) test -run '^$$' -bench 'BenchmarkWriteBlocks|BenchmarkDecodeBlock|BenchmarkAnalyzeBlockFiles|BenchmarkBlockIndexFirstTouch|BenchmarkBlockIndexQueryMix|BenchmarkFit' -benchtime 10x -benchmem ./internal/trace/ ./internal/markov/
+	$(GO) test -run '^$$' -bench 'BenchmarkWriteBlocks|BenchmarkDecodeBlock|BenchmarkCollectEvents|BenchmarkAnalyzeBlockFiles|BenchmarkBlockIndexFirstTouch|BenchmarkBlockIndexQueryMix|BenchmarkFit|BenchmarkGenerate' -benchtime 10x -benchmem ./internal/trace/ ./internal/markov/
 
 # Parallel-analyzer smoke under the race detector: the worker-pool block
 # scanner (and its refusal of truncated shards), its merge associativity,
-# and the sharded v2 encoder round-trip, all on small fixed-seed corpora.
+# whole-file decode on workers (every cut of a salvaged file, two broken
+# blocks), the sharded v2 encoder round-trip, and the model fit and
+# generate split across workers, all on small fixed-seed corpora and each
+# equal to its serial run.
 bench-parallel:
-	$(GO) test -race -count 1 -run 'TestAnalyzeBlock|TestMergeFrom|TestBlockIndexMatchesIndex' ./internal/trace/
+	$(GO) test -race -count 1 -run 'TestAnalyzeBlock|TestMergeFrom|TestBlockIndexMatchesIndex|TestBlockFileSalvagesTruncation' ./internal/trace/
 	$(GO) test -race -count 1 -run 'TestEncoderSinkV2RoundTrip' ./internal/testbed/
+	$(GO) test -race -count 1 -run 'TestGenerateDeterministic|TestFitMatchesPerMachineScans' ./internal/markov/
 
 # Metrics-endpoint smoke: start ishared with an ephemeral metrics port,
 # scrape /healthz and /metrics, assert the expected families are served.

@@ -421,23 +421,7 @@ func checkTraceSurfaces(events []trace.Event, end sim.Time, res *Result) error {
 		pts = append(pts, e.Start, e.Start+1, e.End, e.End-1)
 	}
 	sort.Slice(pts, func(i, j int) bool { return pts[i] < pts[j] })
-	for _, ts := range pts {
-		le, lok := LinearNextEventAfter(tr, 0, ts)
-		ie, iok := ix.NextEventAfter(0, ts)
-		if lok != iok || (lok && le != ie) {
-			return fmt.Errorf("NextEventAfter(%v): linear (%+v, %v) != indexed (%+v, %v)", ts, le, lok, ie, iok)
-		}
-	}
-	for i := 0; i+1 < len(pts); i++ {
-		w := sim.Window{Start: pts[i], End: pts[i+1]}
-		if lo, io := LinearAnyOverlap(tr, 0, w), ix.AnyOverlap(0, w); lo != io {
-			return fmt.Errorf("AnyOverlap(%v): linear %v != indexed %v", w, lo, io)
-		}
-		if lc, ic := LinearOccurrencesInWindow(tr, 0, w), ix.CountInWindow(0, w); lc != ic {
-			return fmt.Errorf("CountInWindow(%v): linear %d != indexed %d", w, lc, ic)
-		}
-	}
-	return nil
+	return checkIndexQueries(tr, ix, 0, pts)
 }
 
 // roundTripTrace asserts the v2 codec and the CSV export reproduce the

@@ -202,72 +202,8 @@ func FuzzIndexQueries(f *testing.F) {
 		}
 
 		for m := trace.MachineID(0); m < 4; m++ {
-			for _, ts := range pts {
-				le, lok := LinearNextEventAfter(tr, m, ts)
-				ie, iok := ix.NextEventAfter(m, ts)
-				if lok != iok || (lok && le != ie) {
-					t.Fatalf("NextEventAfter(%d, %v): linear (%+v, %v), indexed (%+v, %v)", m, ts, le, lok, ie, iok)
-				}
-
-				// LastEndBefore vs a linear scan: the latest End <= ts.
-				var wantEnd sim.Time
-				wantOK := false
-				for _, e := range tr.Events {
-					if e.Machine == m && e.End <= ts && (!wantOK || e.End > wantEnd) {
-						wantEnd, wantOK = e.End, true
-					}
-				}
-				gotEnd, gotOK := ix.LastEndBefore(m, ts)
-				if wantOK != gotOK || (wantOK && wantEnd != gotEnd) {
-					t.Fatalf("LastEndBefore(%d, %v): linear (%v, %v), indexed (%v, %v)", m, ts, wantEnd, wantOK, gotEnd, gotOK)
-				}
-			}
-			for i := 0; i+1 < len(pts); i++ {
-				w := sim.Window{Start: pts[i], End: pts[i+1]}
-				if w.End < w.Start {
-					w.Start, w.End = w.End, w.Start
-				}
-				if lo, io := LinearAnyOverlap(tr, m, w), ix.AnyOverlap(m, w); lo != io {
-					t.Fatalf("AnyOverlap(%d, %v): linear %v, indexed %v", m, w, lo, io)
-				}
-				if lc, ic := LinearOccurrencesInWindow(tr, m, w), ix.CountInWindow(m, w); lc != ic {
-					t.Fatalf("CountInWindow(%d, %v): linear %d, indexed %d", m, w, lc, ic)
-				}
-
-				// FirstOverlap's contract: some overlapping event iff one
-				// exists, and its overlap must begin at the earliest possible
-				// instant. Several events open at w.Start tie on that begin,
-				// so the check compares overlap begins, not identities.
-				var wantBegin sim.Time
-				wantOK := false
-				for _, e := range tr.Events {
-					if e.Machine != m || !(e.Start < w.End && e.End > w.Start) {
-						continue
-					}
-					begin := e.Start
-					if begin < w.Start {
-						begin = w.Start
-					}
-					if !wantOK || begin < wantBegin {
-						wantBegin, wantOK = begin, true
-					}
-				}
-				got, gotOK := ix.FirstOverlap(m, w)
-				if wantOK != gotOK {
-					t.Fatalf("FirstOverlap(%d, %v): linear found=%v, indexed found=%v (%+v)", m, w, wantOK, gotOK, got)
-				}
-				if gotOK {
-					if got.Machine != m || !(got.Start < w.End && got.End > w.Start) {
-						t.Fatalf("FirstOverlap(%d, %v) returned a non-overlapping event %+v", m, w, got)
-					}
-					begin := got.Start
-					if begin < w.Start {
-						begin = w.Start
-					}
-					if begin != wantBegin {
-						t.Fatalf("FirstOverlap(%d, %v): overlap begins at %v, earliest is %v (%+v)", m, w, begin, wantBegin, got)
-					}
-				}
+			if err := checkIndexQueries(tr, ix, m, pts); err != nil {
+				t.Fatal(err)
 			}
 		}
 	})

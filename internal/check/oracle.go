@@ -189,6 +189,47 @@ func LinearNextEventAfter(t *trace.Trace, m trace.MachineID, ts sim.Time) (trace
 	return best, found
 }
 
+// checkIndexQueries holds ix's point queries on machine m to linear scans of
+// t at every point of pts and over the window between each point and the
+// next. The 200-seed harness and FuzzIndexQueries both run it.
+func checkIndexQueries(t *trace.Trace, ix *trace.Index, m trace.MachineID, pts []sim.Time) error {
+	for _, ts := range pts {
+		wantEnd, wantOK := sim.Time(0), false // the latest End <= ts
+		for _, e := range t.Events {
+			if e.Machine == m && e.End <= ts && (!wantOK || e.End > wantEnd) {
+				wantEnd, wantOK = e.End, true
+			}
+		}
+		le, lok := LinearNextEventAfter(t, m, ts)
+		ie, iok := ix.NextEventAfter(m, ts)
+		if gotEnd, gotOK := ix.LastEndBefore(m, ts); le != ie || lok != iok || wantEnd != gotEnd || wantOK != gotOK {
+			return fmt.Errorf("machine %d at %v: NextEventAfter linear (%+v, %v), indexed (%+v, %v); LastEndBefore linear (%v, %v), indexed (%v, %v)",
+				m, ts, le, lok, ie, iok, wantEnd, wantOK, gotEnd, gotOK)
+		}
+	}
+	for i := 0; i+1 < len(pts); i++ {
+		w := sim.Window{Start: min(pts[i], pts[i+1]), End: max(pts[i], pts[i+1])}
+		lo, io := LinearAnyOverlap(t, m, w), ix.AnyOverlap(m, w)
+		if lc, ic := LinearOccurrencesInWindow(t, m, w), ix.CountInWindow(m, w); lo != io || lc != ic {
+			return fmt.Errorf("machine %d window %v: AnyOverlap linear %v, indexed %v; CountInWindow linear %d, indexed %d", m, w, lo, io, lc, ic)
+		}
+		// FirstOverlap's contract: an overlapping event iff one exists, whose
+		// overlap begins at the earliest instant any does. Events open at
+		// w.Start tie on that begin, so the check compares begins, not events.
+		wantBegin, wantOK := sim.Time(0), false
+		for _, e := range t.Events {
+			if e.Machine == m && e.Start < w.End && e.End > w.Start && (!wantOK || max(e.Start, w.Start) < wantBegin) {
+				wantBegin, wantOK = max(e.Start, w.Start), true
+			}
+		}
+		got, gotOK := ix.FirstOverlap(m, w)
+		if gotOK != wantOK || gotOK && (got.Machine != m || got.Start >= w.End || got.End <= w.Start || max(got.Start, w.Start) != wantBegin) {
+			return fmt.Errorf("machine %d window %v: FirstOverlap (%+v, %v), want an overlap from %v (%v)", m, w, got, gotOK, wantBegin, wantOK)
+		}
+	}
+	return nil
+}
+
 // naiveSameWindowHistory returns machine m's event count in w's clock
 // window on each fully observed prior day, oldest first: w shifted back a
 // day at a time for as long as it stays inside the span, each count a

@@ -17,3 +17,15 @@ func BenchmarkFit(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkGenerate runs the enterprise model forward over a trace-analyze
+// pass's fit shape, 20 machines × 182 days.
+func BenchmarkGenerate(b *testing.B) {
+	m := EnterpriseModel()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(m, GenConfig{Machines: 20, Days: 182, Seed: 20}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -114,15 +114,16 @@ func Fit(tr *trace.Trace, opts FitOptions) (*Model, error) {
 	grouped := slices.Clone(tr.Events)
 	slices.SortStableFunc(grouped, func(a, b trace.Event) int { return byMachine(a, b.Machine) })
 
-	fleet := &fitAccum{}
+	// Built on workers, folded in machine order: every sum adds as serially.
+	accs := make([]*fitAccum, tr.Machines)
 	var per []*MachineModel
 	if opts.PerMachine {
 		per = make([]*MachineModel, tr.Machines)
 	}
-	one := *tr
-	for id := 0; id < tr.Machines; id++ {
+	fanOut(tr.Machines, func(id int) {
 		lo, _ := slices.BinarySearchFunc(grouped, trace.MachineID(id), byMachine)
 		hi, _ := slices.BinarySearchFunc(grouped, trace.MachineID(id+1), byMachine)
+		one := *tr
 		one.Events = grouped[lo:hi]
 		acc := &fitAccum{}
 		for _, iv := range one.Intervals(trace.MachineID(id)) {
@@ -132,6 +133,10 @@ func Fit(tr *trace.Trace, opts FitOptions) (*Model, error) {
 		if opts.PerMachine {
 			per[id] = acc.model()
 		}
+		accs[id] = acc
+	})
+	fleet := &fitAccum{}
+	for _, acc := range accs {
 		fleet.merge(acc)
 	}
 	m := &Model{

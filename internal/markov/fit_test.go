@@ -3,6 +3,7 @@ package markov
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -35,7 +36,8 @@ func naiveFit(tr *trace.Trace, opts FitOptions) *Model {
 
 // TestFitMatchesPerMachineScans holds the grouped Fit to the per-machine
 // scans it replaced, exactly (DeepEqual on the whole Model, per-machine
-// models included): on the round-trip seeds as generated and shuffled, and
+// models included), serially and with the machines split across four
+// workers: on the round-trip seeds as generated and shuffled, and
 // on a hand-made trace where events of one machine start together, overlap,
 // sit outside the span, and belong to machines outside the fleet.
 func TestFitMatchesPerMachineScans(t *testing.T) {
@@ -72,13 +74,25 @@ func TestFitMatchesPerMachineScans(t *testing.T) {
 
 	for i, tr := range traces {
 		for _, opts := range []FitOptions{{}, {PerMachine: true}} {
-			got, err := Fit(tr, opts)
-			if err != nil {
-				t.Fatalf("trace %d: %v", i, err)
-			}
-			if want := naiveFit(tr, opts); !reflect.DeepEqual(got, want) {
-				t.Errorf("trace %d, %+v: grouped fit differs from the per-machine scans", i, opts)
+			want := naiveFit(tr, opts)
+			for _, procs := range []int{1, 4} {
+				atProcs(procs, func() {
+					got, err := Fit(tr, opts)
+					if err != nil {
+						t.Fatalf("trace %d: %v", i, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("trace %d, %+v, GOMAXPROCS %d: grouped fit differs from the per-machine scans", i, opts, procs)
+					}
+				})
 			}
 		}
 	}
+}
+
+// atProcs runs fn with GOMAXPROCS at procs: 1 is the serial path, more
+// splits the machines across workers.
+func atProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
 }

@@ -3,7 +3,11 @@ package markov
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/sim"
@@ -42,7 +46,8 @@ func (c GenConfig) Validate() error {
 // drawn categorically from the slot's per-cause rates, and the repair
 // time comes from the cause's duration ECDF by inverse transform. Each
 // machine draws from its own named streams, so the output is independent
-// of generation order and byte-identical for a fixed seed.
+// of generation order and byte-identical for a fixed seed: machines are
+// generated on workers and joined in machine order.
 func Generate(m *Model, cfg GenConfig) (*trace.Trace, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -52,18 +57,50 @@ func Generate(m *Model, cfg GenConfig) (*trace.Trace, error) {
 	}
 	cal := sim.Calendar{StartWeekday: cfg.StartWeekday}
 	span := sim.Window{Start: 0, End: sim.Time(cfg.Days) * sim.Day}
-	tr := trace.New(span, cal, cfg.Machines)
 	src := sim.NewSource(cfg.Seed)
-	for id := 0; id < cfg.Machines; id++ {
-		mm := m.machineModel(id)
-		r := src.Stream("markov/" + strconv.Itoa(id) + "/events")
-		generateMachine(tr, trace.MachineID(id), mm, cal, span, r)
-	}
+	parts := make([][]trace.Event, cfg.Machines)
+	fanOut(cfg.Machines, func(id int) {
+		part := &trace.Trace{Events: make([]trace.Event, 0, expectedEvents(m.machineModel(id), cfg.Days))}
+		generateMachine(part, trace.MachineID(id), m.machineModel(id), cal, span, src.Stream("markov/"+strconv.Itoa(id)+"/events"))
+		parts[id] = part.Events
+	})
+	tr := &trace.Trace{Span: span, Calendar: cal, Machines: cfg.Machines, Events: slices.Concat(parts...)}
 	tr.Sort()
 	if err := tr.Validate(); err != nil {
 		return nil, fmt.Errorf("markov: generated trace invalid: %w", err)
 	}
 	return tr, nil
+}
+
+// fanOut calls do for every index of [0, n) on min(GOMAXPROCS, n)
+// goroutines, each claiming the lowest index not yet claimed, and returns
+// once all are done; one worker is the serial loop.
+func fanOut(n int, do func(i int)) {
+	var claimed atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(claimed.Add(1) - 1); i < n; i = int(claimed.Add(1) - 1) {
+				do(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// expectedEvents sizes a machine's slice: its hazard's mean over days,
+// above what it draws (none while down), and at most 2²⁰.
+func expectedEvents(mm *MachineModel, days int) int {
+	perHour := 0.0
+	for c := range NumCauses {
+		perHour += mm.WeeklyRate(c)
+	}
+	if n := perHour * float64(days) * 24; n < 1<<20 {
+		return max(int(n), 0)
+	}
+	return 1 << 20
 }
 
 // generateMachine appends one machine's events to the trace.

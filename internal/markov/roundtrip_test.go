@@ -2,6 +2,7 @@ package markov
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -122,29 +123,30 @@ func TestFitGenerateRefitRoundTrip(t *testing.T) {
 }
 
 // TestGenerateDeterministic pins the seeded-generator contract: the same
-// (model, config) yields byte-identical events, and machine streams are
-// independent of fleet size (machine 0 draws the same life in a 1-machine
-// and a 5-machine fleet).
+// (model, config) yields byte-identical events, serially and with the
+// machines split across four workers, and machine streams are independent
+// of fleet size (machine 0 draws the same life in a 1-machine and a
+// 5-machine fleet).
 func TestGenerateDeterministic(t *testing.T) {
 	m := EnterpriseModel()
 	cfg := GenConfig{Machines: 5, Days: 10, Seed: 42}
-	a, err := Generate(m, cfg)
-	if err != nil {
-		t.Fatal(err)
+	var runs []*trace.Trace
+	for _, procs := range []int{1, 4, 4} {
+		atProcs(procs, func() {
+			tr, err := Generate(m, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs = append(runs, tr)
+		})
 	}
-	b, err := Generate(m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runs[0]
 	if len(a.Events) == 0 {
 		t.Fatal("generated no events")
 	}
-	if len(a.Events) != len(b.Events) {
-		t.Fatalf("re-generation changed event count: %d vs %d", len(a.Events), len(b.Events))
-	}
-	for i := range a.Events {
-		if a.Events[i] != b.Events[i] {
-			t.Fatalf("event %d differs between identical runs: %+v vs %+v", i, a.Events[i], b.Events[i])
+	for i, b := range runs[1:] {
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("run %d at GOMAXPROCS 4 differs from the serial one", i+1)
 		}
 	}
 

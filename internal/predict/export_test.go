@@ -4,16 +4,20 @@ package predict
 // internal/check for the naive estimators, and check imports this package.
 var TestbedTrace = testbedTrace
 
-// MaxPastMemo is the cap on a same-window predictor's past-window memo.
-const MaxPastMemo = maxPastMemo
+// MaxPastMemo and MaxMachineMemo are the caps on a same-window predictor's
+// past-window memo: in all, and for one machine.
+const (
+	MaxPastMemo    = maxPastMemo
+	MaxMachineMemo = maxMachineMemo
+)
 
 // PastMemoLen is how many past-window answers p's memo holds.
 func PastMemoLen(p Predictor) int {
 	switch p := p.(type) {
 	case *HistoryWindow:
-		return len(p.memo.past)
+		return p.memo.n
 	case *EWMADaily:
-		return len(p.memo.past)
+		return p.memo.n
 	}
 	return 0
 }

@@ -45,29 +45,38 @@ func (t *traceHistory) Calendar() sim.Calendar { return t.tr.Calendar }
 func (t *traceHistory) Span() sim.Window       { return t.tr.Span }
 func (t *traceHistory) Machines() int          { return t.tr.Machines }
 
-// maxPastMemo caps a windowMemo's past-window entries at 2¹⁰ (≈ 100 B
-// each, ≈ 100 KiB a predictor). Evaluation walks one machine's windows
-// before the next and needs 16 shapes a machine on the default 3-hour grid;
-// a caller asking at arbitrary times (gsched's Predictive) makes a new shape
-// of nearly every window, so at the cap the memo is emptied and refilled.
-const maxPastMemo = 1 << 10
+// maxPastMemo caps a windowMemo's past-window answers at 2¹⁰ (40 B each),
+// emptied at the cap, and maxMachineMemo one machine's list at 32, past
+// which its last slot is recycled. Evaluation needs 16 shapes a machine on
+// the default 3-hour grid; a caller asking at arbitrary times (gsched's
+// Predictive) makes a new shape of nearly every window, and scans ≤ 32.
+const (
+	maxPastMemo    = 1 << 10
+	maxMachineMemo = 32
+)
 
 // memoKey names one same-window estimate: machine, window, and the exported
-// fields the answer reads (Trim and MinHistoryDays, or Alpha), as bits. The
-// past-window memo files an answer under its window's shape instead (see
-// pastShape).
+// fields the answer reads (Trim and MinHistoryDays, or Alpha), as bits.
 type memoKey struct {
 	m       trace.MachineID
 	w       sim.Window
-	dayType sim.DayType
 	param   uint64
 	minDays int
 }
 
-// pastShape reports whether k's window is a past window over src and
-// returns its shape: k with the window moved to day 0 and its day type.
-// A window of positive length that starts at or after the end of src's
-// span is one, and its answer depends on the window only through its shape.
+// pastAnswer is a past window's answer, filed under the window's shape: the
+// window moved to day 0, and its day type (see pastShape).
+type pastAnswer struct {
+	shape   sim.Window
+	dayType sim.DayType
+	value   [2]float64
+}
+
+// pastShape reports whether w is a past window of machine m over src and
+// returns its shape: w moved to day 0, and its day type. A window of
+// positive length that starts at or after the end of src's span is one, and
+// its answer depends on the window only through its shape (a machine
+// outside src's fleet answers without history, so it has no past windows).
 // Every history window ForEachHistoryWindow yields ends inside the span, so
 // its "ends by w.Start" cut never fires. HistoryWindow walks the span's
 // days whatever w's; EWMADaily walks to the day before w's, so two past
@@ -78,33 +87,37 @@ type memoKey struct {
 // it. A window of no length is not a past window: days past the span can
 // yield empty or inverted history windows for it, and whether there are any
 // decides whether EWMADaily has history at all.
-func pastShape(src History, k memoKey) (memoKey, bool) {
-	w := k.w
-	if src == nil || w.End <= w.Start || w.Start < src.Span().End {
-		return k, false
+func pastShape(src History, m trace.MachineID, w sim.Window) (shape sim.Window, dayType sim.DayType, ok bool) {
+	if !known(src, m) || w.End <= w.Start || w.Start < src.Span().End {
+		return w, 0, false
 	}
 	cal := src.Calendar()
 	tod := cal.TimeOfDay(w.Start)
-	k.w = sim.Window{Start: tod, End: tod + w.Duration()}
-	k.dayType = cal.DayType(w.Start)
-	return k, true
+	return sim.Window{Start: tod, End: tod + w.Duration()}, cal.DayType(w.Start), true
 }
 
 // windowMemo holds a same-window estimator's (count, survival) answers over
 // the store Train fixed; Train resets it. The last answer is kept whatever
 // the window — evaluation asks PredictCount and PredictSurvival of one
-// (machine, window) back to back — and past windows' answers are kept by
-// shape, at most maxPastMemo of them. Not goroutine-safe.
+// (machine, window) back to back — and past windows' answers in a short
+// list per machine of src's fleet, for the fields the answer reads as of
+// the last lookup. Not goroutine-safe.
 type windowMemo struct {
-	last  memoKey
-	value [2]float64
-	valid bool
-	past  map[memoKey][2]float64
+	last    memoKey
+	value   [2]float64
+	valid   bool
+	param   uint64
+	minDays int
+	past    [][]pastAnswer // by machine; emptied, never dropped
+	n       int            // answers in past
 }
 
 func (mm *windowMemo) reset() {
 	mm.valid = false
-	clear(mm.past)
+	for i := range mm.past {
+		mm.past[i] = mm.past[i][:0]
+	}
+	mm.n = 0
 }
 
 // get returns the answer for k over src, computing and keeping it on a miss.
@@ -112,20 +125,31 @@ func (mm *windowMemo) get(src History, k memoKey, compute func() (count, surviva
 	if mm.valid && mm.last == k {
 		return mm.value[0], mm.value[1]
 	}
-	shape, past := pastShape(src, k)
-	var v [2]float64
-	ok := false
+	var list []pastAnswer
+	shape, dayType, past := pastShape(src, k.m, k.w)
 	if past {
-		v, ok = mm.past[shape]
-	}
-	if !ok {
-		v[0], v[1] = compute()
-		if past {
-			if mm.past == nil || len(mm.past) >= maxPastMemo {
-				mm.past = make(map[memoKey][2]float64)
-			}
-			mm.past[shape] = v
+		if k.param != mm.param || k.minDays != mm.minDays || mm.n >= maxPastMemo {
+			mm.reset()
+			mm.param, mm.minDays = k.param, k.minDays
 		}
+		if int(k.m) >= len(mm.past) {
+			mm.past = append(mm.past, make([][]pastAnswer, int(k.m)+1-len(mm.past))...)
+		}
+		list = mm.past[k.m]
+	}
+	i := 0
+	for i < len(list) && (list[i].shape != shape || list[i].dayType != dayType) {
+		i++
+	}
+	var v [2]float64
+	if i < len(list) {
+		v = list[i].value
+	} else if v[0], v[1] = compute(); past {
+		if i == maxMachineMemo { // a full list gives up its last slot
+			list, mm.n = list[:i-1], mm.n-1
+		}
+		mm.past[k.m] = append(list, pastAnswer{shape, dayType, v})
+		mm.n++
 	}
 	mm.last, mm.value, mm.valid = k, v, true
 	return v[0], v[1]

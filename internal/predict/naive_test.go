@@ -222,15 +222,71 @@ func TestPastWindowMemo(t *testing.T) {
 		t.Fatalf("the no-length fixture answers %v on both days; it no longer tells them apart", answers[0])
 	}
 
-	// Arbitrary shapes — a scheduler asking at any time for any length —
-	// never grow the memo past its cap.
+	// The fields the answer reads, changed between predictions of one shape
+	// without a Train: every answer is a fresh instance's, never one the
+	// memo kept under the fields before.
+	hist := tr.Before(17 * sim.Day)
 	h := &HistoryWindow{}
-	h.Train(tr.Before(17 * sim.Day))
-	for i := 0; i < 100_000; i++ {
-		start := 20*sim.Day + sim.Time(i)*time.Millisecond
-		h.PredictCount(0, sim.Window{Start: start, End: start + time.Hour})
-		if n := PastMemoLen(h); n > MaxPastMemo {
-			t.Fatalf("after %d shapes the memo holds %d answers, cap %d", i+1, n, MaxPastMemo)
+	h.Train(hist)
+	ewma = &EWMADaily{}
+	ewma.Train(hist)
+	seen := map[[4]float64]bool{}
+	for _, p := range []struct {
+		trim    float64
+		minDays int
+		alpha   float64
+	}{{0, 0, 0}, {0.25, 0, 0.9}, {0.25, 1000, 0.5}, {0, 0, 0}} {
+		h.Trim, h.MinHistoryDays, ewma.Alpha = p.trim, p.minDays, p.alpha
+		freshH := &HistoryWindow{Trim: p.trim, MinHistoryDays: p.minDays}
+		freshH.Train(hist)
+		freshE := &EWMADaily{Alpha: p.alpha}
+		freshE.Train(hist)
+		for _, day := range []sim.Time{20, 27} {
+			w := sim.Window{Start: day*sim.Day + 9*time.Hour, End: day*sim.Day + 15*time.Hour}
+			got := [4]float64{h.PredictCount(0, w), h.PredictSurvival(0, w), ewma.PredictCount(0, w), ewma.PredictSurvival(0, w)}
+			want := [4]float64{freshH.PredictCount(0, w), freshH.PredictSurvival(0, w), freshE.PredictCount(0, w), freshE.PredictSurvival(0, w)}
+			if got != want {
+				t.Fatalf("trim %v, min days %d, alpha %v, window %v: answers %v, a fresh instance's %v", p.trim, p.minDays, p.alpha, w, got, want)
+			}
+			seen[want] = true
+		}
+	}
+	if len(seen) < 3 {
+		t.Fatalf("the fields' three settings answer %d ways; the fixture no longer tells them apart", len(seen))
+	}
+
+	// One machine asked more shapes than its list holds, each on every day
+	// of a week: the list stays at its cap, and every answer is the
+	// reference's, the recycled slot's included.
+	h = &HistoryWindow{}
+	h.Train(hist)
+	for i := 0; i < 2*MaxMachineMemo; i++ {
+		for day := sim.Time(20); day < 27; day++ {
+			w := sim.Window{Start: day*sim.Day + sim.Time(i)*7*time.Minute, End: day*sim.Day + sim.Time(i)*7*time.Minute + 2*time.Hour}
+			wantCount, wantSurv := check.NaiveHistoryWindow(hist, 0, w, 0, 0)
+			if c, s := h.PredictCount(0, w), h.PredictSurvival(0, w); c != wantCount || s != wantSurv {
+				t.Fatalf("shape %d window %v: (%v, %v), reference (%v, %v)", i, w, c, s, wantCount, wantSurv)
+			}
+			if n := PastMemoLen(h); n > MaxMachineMemo {
+				t.Fatalf("after shape %d one machine's list holds %d answers, cap %d", i, n, MaxMachineMemo)
+			}
+		}
+	}
+	if n := PastMemoLen(h); n != MaxMachineMemo {
+		t.Fatalf("after %d shapes one machine's list holds %d answers, want the cap %d", 2*MaxMachineMemo, n, MaxMachineMemo)
+	}
+
+	// A fleet asked its lists full never holds more than the memo's cap.
+	fleet := trace.New(hist.Span, hist.Calendar, 2*MaxPastMemo/MaxMachineMemo)
+	h = &HistoryWindow{}
+	h.Train(fleet)
+	for m := range fleet.Machines {
+		for i := 0; i < MaxMachineMemo; i++ {
+			start := 20*sim.Day + sim.Time(i)*time.Minute
+			h.PredictCount(trace.MachineID(m), sim.Window{Start: start, End: start + time.Hour})
+			if n := PastMemoLen(h); n > MaxPastMemo {
+				t.Fatalf("machine %d shape %d: the memo holds %d answers, cap %d", m, i, n, MaxPastMemo)
+			}
 		}
 	}
 }

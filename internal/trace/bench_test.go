@@ -201,6 +201,19 @@ func BenchmarkDecodeBlock(b *testing.B) {
 	}
 }
 
+// BenchmarkCollectEvents loads the stored shard whole — every block decoded
+// into its place in one slice, then validated — as the fit stage's reader does.
+func BenchmarkCollectEvents(b *testing.B) {
+	bf := openBenchShard(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := CollectEvents(bf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAnalyzeBlockFiles is Table 2 / Fig 6 / Fig 7 off the stored
 // shard: decode, accumulate, merge.
 func BenchmarkAnalyzeBlockFiles(b *testing.B) {

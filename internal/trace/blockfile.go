@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
 
 	"repro/internal/availability"
 	"repro/internal/sim"
@@ -475,15 +476,28 @@ func (bf *BlockFile) Scan(f ScanFilter, visit func(Event) error) (decoded, skipp
 // frozen benchmark compiles against, so the method stays while it does.
 func (bf *BlockFile) Reader() *BlockFile { return bf }
 
-// CollectEvents decodes every block of bf, a block at a time into a slice
-// sized from the directory, into an in-memory, validated Trace. A Truncated
-// file yields the events of its complete blocks.
+// CollectEvents decodes every block of bf into an in-memory, validated
+// Trace: those the directory places within maxEventsHint events on workers
+// (fanOut), each straight into its place in one slice, any after them one
+// by one. A Truncated file yields the events of its complete blocks.
 func CollectEvents(bf *BlockFile) (*Trace, error) {
 	h := bf.Header()
 	t := &Trace{Span: h.Span, Calendar: h.Calendar, Machines: h.Machines}
-	t.Events = make([]Event, 0, min(bf.Events(), maxEventsHint))
+	at := []int{0} // at[i]: where block i's events go
+	for i := 0; i < len(bf.blocks) && at[i]+bf.blocks[i].Count <= maxEventsHint; i++ {
+		at = append(at, at[i]+bf.blocks[i].Count)
+	}
+	placed := len(at) - 1
+	t.Events = make([]Event, at[placed])
+	if err := fanOut(placed, runtime.GOMAXPROCS(0), func(buf *BlockBuf, i int) error {
+		buf.events = t.Events[at[i]:at[i+1]:at[i+1]]
+		_, err := bf.DecodeBlock(i, buf)
+		return err
+	}); err != nil {
+		return nil, err
+	}
 	var buf BlockBuf
-	for i := range bf.blocks {
+	for i := placed; i < len(bf.blocks); i++ {
 		events, err := bf.DecodeBlock(i, &buf)
 		if err != nil {
 			return nil, err

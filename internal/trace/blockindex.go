@@ -132,7 +132,7 @@ func (ix *BlockIndex) buildMachine(m MachineID) *machinePointIndex {
 		hi := lo + sort.Search(len(events)-lo, func(j int) bool { return events[lo+j].Machine > m })
 		if evs == nil {
 			evs = events[lo:hi:hi]
-		} else if lo < hi && len(evs) > 0 && eventLess(events[lo], evs[len(evs)-1]) {
+		} else if lo < hi && len(evs) > 0 && eventCmp(events[lo], evs[len(evs)-1]) < 0 {
 			ix.err = cmp.Or(ix.err, fmt.Errorf("trace: block %d: machine %d's events out of order with the block before", i, m))
 			break
 		} else {

@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"compress/flate"
 	"encoding/binary"
 	"errors"
@@ -279,7 +280,7 @@ func (bw *BlockWriter) Write(ev Event) error {
 		bw.err = fmt.Errorf("trace: negative machine id %d", ev.Machine)
 		return bw.err
 	}
-	if bw.lastOK && eventLess(ev, bw.last) {
+	if bw.lastOK && eventCmp(ev, bw.last) < 0 {
 		bw.err = fmt.Errorf("trace: v2 writer needs (machine, start, end)-sorted input; got %+v after %+v", ev, bw.last)
 		return bw.err
 	}
@@ -512,22 +513,22 @@ func (t *Trace) WriteBlocks(w io.Writer, opts *BlockWriterOptions) error {
 // ordered.
 func eventsSorted(events []Event) bool {
 	for i := 1; i < len(events); i++ {
-		if eventLess(events[i], events[i-1]) {
+		if eventCmp(events[i], events[i-1]) < 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// eventLess orders events by (machine, start, end) — the Trace.Sort order.
-func eventLess(a, b Event) bool {
+// eventCmp orders events by (machine, start, end) — the Trace.Sort order.
+func eventCmp(a, b Event) int {
 	if a.Machine != b.Machine {
-		return a.Machine < b.Machine
+		return cmp.Compare(a.Machine, b.Machine)
 	}
 	if a.Start != b.Start {
-		return a.Start < b.Start
+		return cmp.Compare(a.Start, b.Start)
 	}
-	return a.End < b.End
+	return cmp.Compare(a.End, b.End)
 }
 
 // decodeBlockHeader parses a block record header from b (positioned just
@@ -695,7 +696,7 @@ func decodeColumns(raw []byte, meta BlockMeta, h Header, out []Event) ([]Event, 
 	}
 	// Validate and re-check sortedness: summaries and chunk planning assume
 	// it, so a file violating it is corrupt, not merely unsorted. The pass
-	// reads through pointers — Event.Validate and eventLess take their
+	// reads through pointers — Event.Validate and eventCmp take their
 	// 48-byte events by value — and calls Validate only for its error.
 	for i := range out {
 		e, p := &out[i], &out[max(i-1, 0)] // the first event is its own predecessor: never out of order

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -260,11 +261,13 @@ func TestBlockFileScanPrunes(t *testing.T) {
 // file does not open, with ErrTruncated; past it the file opens Truncated
 // and CollectEvents yields exactly the events of the blocks complete before
 // the cut; and ReadBlocks refuses every cut but the whole file with
-// ErrTruncated.
+// ErrTruncated. The whole file with two blocks broken fails with the
+// earlier one's error. All of it holds serially and with the blocks split
+// across four workers.
 func TestBlockFileSalvagesTruncation(t *testing.T) {
-	tr := randomTrace(44, 600)
+	tr := randomTrace(44, 300)
 	tr.Sort()
-	full := v2Bytes(t, tr, &BlockWriterOptions{BlockSize: 64})
+	full := v2Bytes(t, tr, &BlockWriterOptions{BlockSize: 32})
 	whole, err := NewBlockFileBytes(full)
 	if err != nil {
 		t.Fatal(err)
@@ -272,6 +275,36 @@ func TestBlockFileSalvagesTruncation(t *testing.T) {
 	if whole.NumBlocks() < 5 {
 		t.Fatalf("want a multi-block file, got %d blocks", whole.NumBlocks())
 	}
+	broken := bytes.Clone(full)
+	first := whole.NumBlocks() / 3
+	for _, i := range []int{whole.NumBlocks() - 1, first} {
+		broken[whole.Block(i).Offset] ^= 0xff // the block's tag
+	}
+	for _, procs := range []int{1, 4} {
+		atProcs(procs, func() { salvageEveryCut(t, tr, full, whole) })
+		bf, err := NewBlockFileBytes(broken)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("trace: block %d tag mismatch", first)
+		atProcs(procs, func() { _, err = CollectEvents(bf) })
+		if err == nil || err.Error() != want {
+			t.Errorf("GOMAXPROCS %d: two broken blocks fail with %v, want %q", procs, err, want)
+		}
+	}
+}
+
+// atProcs runs fn with GOMAXPROCS at procs: 1 is the serial path, more
+// splits the work across workers.
+func atProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
+}
+
+// salvageEveryCut is TestBlockFileSalvagesTruncation's walk over the cuts
+// of full, tr's file, which opens as whole.
+func salvageEveryCut(t *testing.T, tr *Trace, full []byte, whole *BlockFile) {
+	t.Helper()
 	headerLen := int(whole.Block(0).Offset)
 	for cut := 0; cut < len(full); cut++ {
 		if _, err := ReadBlocks(bytes.NewReader(full[:cut])); !errors.Is(err, ErrTruncated) {
@@ -516,7 +549,7 @@ func queryBlockIndex(t *testing.T, tr *Trace, ref *Index, bf *BlockFile, seed in
 // machine's hourly row is sized from it. A file claiming [-2⁶³, 2⁶³) ns must
 // build no row past maxRowHours, in BlockIndex or in BuildIndex over the
 // trace it holds, must answer every query as the honest trace's Index (which
-// has rows) does, and must not cost more than a row at the cap a machine.
+// has rows) does, and must not cost more than its rows at the cap a machine.
 func TestForgedSpanRowsAreCapped(t *testing.T) {
 	all := randomTrace(56, 2000)
 	honest := New(all.Span, all.Calendar, 3)
@@ -534,9 +567,9 @@ func TestForgedSpanRowsAreCapped(t *testing.T) {
 		t.Fatalf("the forgery did not open on its span: %v", err)
 	}
 
-	// The cap's bound, plus 1 MiB for what the same calls cost over the ≈ 300
-	// honest events.
-	limit := uint64(honest.Machines)*4*maxRowHours + 1<<20
+	// The cap's bound — two int32 rows a machine — plus 1 MiB for what the
+	// same calls cost over the ≈ 300 honest events.
+	limit := uint64(honest.Machines)*2*4*maxRowHours + 1<<20
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	fix := forged.BuildIndex()
@@ -567,7 +600,9 @@ func TestForgedSpanRowsAreCapped(t *testing.T) {
 		wantE, wantOK := ref.FirstOverlap(m, w)
 		gotN, _ := fix.NextEventAfter(m, start)
 		wantN, _ := ref.NextEventAfter(m, start)
-		if gotE != wantE || gotOK != wantOK || gotN != wantN ||
+		gotL, _ := fix.LastEndBefore(m, start)
+		wantL, _ := ref.LastEndBefore(m, start)
+		if gotE != wantE || gotOK != wantOK || gotN != wantN || gotL != wantL ||
 			fix.CountInWindow(m, w) != ref.CountInWindow(m, w) || fix.AnyOverlap(m, w) != ref.AnyOverlap(m, w) {
 			t.Fatalf("machine %d window %v: the forged span's Index answers differently", m, w)
 		}

@@ -17,6 +17,9 @@ var (
 // MaxEventsHint is the cap on capacities taken from a block directory.
 const MaxEventsHint = maxEventsHint
 
+// MaxRowHours is the longest hourly row an index builds for a machine.
+const MaxRowHours = maxRowHours
+
 // ForgeDirectoryCounts returns a copy of the cleanly closed v2 file b whose
 // directory claims count events for every block. Blocks, offsets, summaries,
 // coverage and footer are as written, so the file opens on its directory —

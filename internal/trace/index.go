@@ -22,17 +22,18 @@ type machinePointIndex struct {
 	maxEnd  []sim.Time // prefix maxima of End over byStart
 	byEnd   []sim.Time // event End times, sorted
 	maxDur  sim.Time   // longest event duration
-	// The machine's hourly prefix row, which startsBefore answers from; nil
-	// until buildHours, and past maxRowHours.
+	// The machine's hourly prefix rows, which startsBefore and lastEndBefore
+	// answer from; nil until buildHours, and past maxRowHours.
 	loHour int64
 	hours  []int32 // hours[h] counts starts before hour loHour+h
+	ends   []int32 // ends[h] counts ends before hour loHour+h
 }
 
-// maxRowHours caps a machine's hourly row at 2¹⁶ hours (≈ 7.5 years), so a
-// row costs at most 256 KiB. The row covers the span and every event
-// start, and a block file's span comes from its header, outside input: a
-// forged ±2⁶³ ns would cost 20 MB a machine. Legal traces sit far inside
-// the cap (spans ≤ 365 days); past it no row is built and queries
+// maxRowHours caps a machine's hourly rows at 2¹⁶ hours (≈ 7.5 years), so
+// its two rows cost at most 512 KiB. The rows cover the span and every
+// event start, and a block file's span comes from its header, outside
+// input: a forged ±2⁶³ ns would cost 40 MB a machine. Legal traces sit far
+// inside the cap (spans ≤ 365 days); past it no row is built and queries
 // binary-search.
 const maxRowHours = 1 << 16
 
@@ -62,8 +63,9 @@ func newMachinePointIndex(evs []Event) *machinePointIndex {
 	return mi
 }
 
-// buildHours adds the hourly prefix row, covering span and every event
-// start, unless that is more than maxRowHours hours.
+// buildHours adds the hourly prefix rows, covering span and every event
+// start, unless that is more than maxRowHours hours. Ends past the last
+// hour are left out of the ends row: they are all at its tail in byEnd.
 func (mi *machinePointIndex) buildHours(span sim.Window) {
 	lo := sim.FloorHour(span.Start)
 	hi := sim.FloorHour(span.End-1) + 1
@@ -77,31 +79,40 @@ func (mi *machinePointIndex) buildHours(span sim.Window) {
 	if hi-lo > maxRowHours {
 		return
 	}
-	mi.loHour = lo
-	mi.hours = make([]int32, int(hi-lo)+1)
-	for _, e := range mi.byStart {
+	n := int(hi-lo) + 1
+	rows := make([]int32, 2*n)
+	mi.loHour, mi.hours, mi.ends = lo, rows[:n:n], rows[n:]
+	for i, e := range mi.byStart {
 		mi.hours[sim.FloorHour(e.Start)-lo+1]++
+		if h := max(sim.FloorHour(mi.byEnd[i])-lo+1, 0); h < int64(n) {
+			mi.ends[h]++
+		}
 	}
-	for h := 1; h < len(mi.hours); h++ {
+	for h := 1; h < n; h++ {
 		mi.hours[h] += mi.hours[h-1]
+		mi.ends[h] += mi.ends[h-1]
 	}
 }
 
-// startsBefore returns how many events start before t. The hourly row
-// counts those before t's hour, which leaves a search of the few inside it;
-// a machine without a row searches all its events.
-func (mi *machinePointIndex) startsBefore(t sim.Time) int {
-	lo, hi := 0, len(mi.byStart)
-	if mi.hours != nil {
-		h := sim.FloorHour(t) - mi.loHour
-		if h < 0 {
-			return 0
-		}
-		if h >= int64(len(mi.hours)-1) {
-			return hi
-		}
-		lo, hi = int(mi.hours[h]), int(mi.hours[h+1])
+// rowRange narrows a search for t among n sorted times by their hourly row
+// to [lo, hi), those in t's hour (all n without a row).
+func (mi *machinePointIndex) rowRange(row []int32, n int, t sim.Time) (lo, hi int) {
+	h := sim.FloorHour(t) - mi.loHour
+	switch {
+	case row == nil:
+		return 0, n
+	case h < 0:
+		return 0, int(row[0])
+	case h >= int64(len(row)-1):
+		return int(row[len(row)-1]), n
 	}
+	return int(row[h]), int(row[h+1])
+}
+
+// startsBefore returns how many events start before t, searching only
+// those that start in t's hour.
+func (mi *machinePointIndex) startsBefore(t sim.Time) int {
+	lo, hi := mi.rowRange(mi.hours, len(mi.byStart), t)
 	evs := mi.byStart[lo:hi]
 	return lo + sort.Search(len(evs), func(i int) bool { return evs[i].Start >= t })
 }
@@ -153,32 +164,29 @@ func (mi *machinePointIndex) nextEventAfter(ts sim.Time) (Event, bool) {
 	return mi.byStart[k], true
 }
 
+// lastEndBefore searches only the ends in t's hour, as startsBefore does.
 func (mi *machinePointIndex) lastEndBefore(t sim.Time) (sim.Time, bool) {
-	ends := mi.byEnd
-	k := sort.Search(len(ends), func(i int) bool { return ends[i] > t })
+	lo, hi := mi.rowRange(mi.ends, len(mi.byEnd), t)
+	ends := mi.byEnd[lo:hi]
+	k := lo + sort.Search(len(ends), func(i int) bool { return ends[i] > t })
 	if k == 0 {
 		return 0, false
 	}
-	return ends[k-1], true
+	return mi.byEnd[k-1], true
 }
 
-// BuildIndex indexes the trace's events per machine.
+// BuildIndex indexes the trace's events per machine, over one copy of them
+// sorted by (machine, start, end): each machine's run is its layout.
 func (t *Trace) BuildIndex() *Index {
-	byMachine := make(map[MachineID][]Event)
-	for _, e := range t.Events {
-		byMachine[e.Machine] = append(byMachine[e.Machine], e)
-	}
-	ix := &Index{machines: make(map[MachineID]*machinePointIndex, len(byMachine))}
-	for m, evs := range byMachine {
-		sort.Slice(evs, func(i, j int) bool {
-			if evs[i].Start != evs[j].Start {
-				return evs[i].Start < evs[j].Start
-			}
-			return evs[i].End < evs[j].End
-		})
-		mi := newMachinePointIndex(evs)
+	evs := slices.Clone(t.Events)
+	slices.SortFunc(evs, eventCmp)
+	ix := &Index{machines: make(map[MachineID]*machinePointIndex)}
+	for lo, hi := 0, 0; lo < len(evs); lo = hi {
+		for hi = lo + 1; hi < len(evs) && evs[hi].Machine == evs[lo].Machine; hi++ {
+		}
+		mi := newMachinePointIndex(evs[lo:hi:hi])
 		mi.buildHours(t.Span)
-		ix.machines[m] = mi
+		ix.machines[evs[lo].Machine] = mi
 	}
 	return ix
 }

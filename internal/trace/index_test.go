@@ -170,22 +170,39 @@ func TestIndexAnyOverlapMatchesLinear(t *testing.T) {
 	}
 }
 
+// TestIndexLastEndBefore answers from each machine's hourly row of ends over
+// a day's span — inside an hour, on an hour, and past the row, where the
+// last event ends after the span — and from a whole-slice search over a span
+// longer than the longest row the index builds.
 func TestIndexLastEndBefore(t *testing.T) {
-	tr := New(sim.Window{End: sim.Day}, sim.Calendar{}, 1)
-	tr.Add(MkEvent(0, 1*time.Hour, 2*time.Hour, 3))
-	tr.Add(MkEvent(0, 5*time.Hour, 6*time.Hour, 3))
-	ix := tr.BuildIndex()
-	if _, ok := ix.LastEndBefore(0, 90*time.Minute); ok {
-		t.Error("no event ends before 1.5h")
-	}
-	if end, ok := ix.LastEndBefore(0, 3*time.Hour); !ok || end != 2*time.Hour {
-		t.Errorf("LastEndBefore(3h) = %v, %v", end, ok)
-	}
-	if end, ok := ix.LastEndBefore(0, 6*time.Hour); !ok || end != 6*time.Hour {
-		t.Errorf("LastEndBefore(6h) = %v, %v; boundary should count", end, ok)
-	}
-	if _, ok := ix.LastEndBefore(9, time.Hour); ok {
-		t.Error("unknown machine should report none")
+	for _, span := range []sim.Window{{End: sim.Day}, {End: (MaxRowHours + 1) * time.Hour}} {
+		tr := New(span, sim.Calendar{}, 1)
+		tr.Add(MkEvent(0, 1*time.Hour, 2*time.Hour, 3))
+		tr.Add(MkEvent(0, 5*time.Hour, 6*time.Hour, 3))
+		tr.Add(MkEvent(0, 23*time.Hour, 26*time.Hour, 3))
+		ix := tr.BuildIndex()
+		for _, tc := range []struct {
+			at   sim.Time
+			want sim.Time // 0: none
+		}{
+			{-time.Hour, 0},
+			{90 * time.Minute, 0},
+			{2*time.Hour - 1, 0},
+			{2 * time.Hour, 2 * time.Hour}, // an end on the boundary counts
+			{3 * time.Hour, 2 * time.Hour},
+			{5*time.Hour + 30*time.Minute, 2 * time.Hour},
+			{6 * time.Hour, 6 * time.Hour},
+			{25 * time.Hour, 6 * time.Hour},
+			{30 * time.Hour, 26 * time.Hour},
+		} {
+			end, ok := ix.LastEndBefore(0, tc.at)
+			if ok != (tc.want != 0) || end != tc.want {
+				t.Errorf("span %v: LastEndBefore(%v) = %v, %v; want %v", span, tc.at, end, ok, tc.want)
+			}
+		}
+		if _, ok := ix.LastEndBefore(9, time.Hour); ok {
+			t.Error("unknown machine should report none")
+		}
 	}
 }
 

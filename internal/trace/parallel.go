@@ -1,10 +1,12 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/sim"
 )
@@ -124,8 +126,9 @@ func analyzeChunk(h Header, c blockChunk, buf *BlockBuf) (*StreamAnalyzer, error
 // Figure 7 — over one or more v2 block files whose coverages partition the
 // fleet contiguously from machine 0 (the natural output of the sharded
 // testbed, or a single file for the whole fleet). With workers > 1 the
-// chunks are scanned by a worker pool and the partial analyzers merged in
-// machine order; the result is bit-identical to workers == 1. workers <= 0
+// chunks are scanned on workers (see fanOut) and the partial analyzers
+// merged in machine order; the result, and the error, which is the first
+// failing chunk's, are those of workers == 1. workers <= 0
 // means runtime.NumCPU(). A file salvaged without its directory (see
 // BlockFile.Truncated) is refused with an error wrapping ErrTruncated: its
 // visible prefix would otherwise be reported as the whole trace.
@@ -145,66 +148,19 @@ func AnalyzeBlockFiles(files []*BlockFile, workers int) (*StreamAnalyzer, error)
 	for _, f := range files {
 		total += f.NumBlocks()
 	}
-	minBlocks := total / (4 * workers)
-	if minBlocks < 1 {
-		minBlocks = 1
-	}
+	minBlocks := max(total/(4*workers), 1)
 	h, chunks, err := chunkBlockFiles(files, minBlocks)
 	if err != nil {
 		return nil, err
 	}
 
 	partials := make([]*StreamAnalyzer, len(chunks))
-	if workers == 1 || len(chunks) == 1 {
-		var buf BlockBuf
-		for i, c := range chunks {
-			if partials[i], err = analyzeChunk(h, c, &buf); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		if workers > len(chunks) {
-			workers = len(chunks)
-		}
-		var (
-			wg       sync.WaitGroup
-			mu       sync.Mutex
-			firstErr error
-		)
-		work := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var buf BlockBuf
-				for i := range work {
-					a, err := analyzeChunk(h, chunks[i], &buf)
-					if err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						continue
-					}
-					partials[i] = a
-				}
-			}()
-		}
-		for i := range chunks {
-			mu.Lock()
-			stop := firstErr != nil
-			mu.Unlock()
-			if stop {
-				break
-			}
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
-		}
+	err = fanOut(len(chunks), workers, func(buf *BlockBuf, i int) (err error) {
+		partials[i], err = analyzeChunk(h, chunks[i], buf)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	out := partials[0]
@@ -221,6 +177,36 @@ func AnalyzeBlockFiles(files []*BlockFile, workers int) (*StreamAnalyzer, error)
 		}
 	}
 	return out, nil
+}
+
+// fanOut calls do for every index of [0, n) on min(workers, n) goroutines,
+// each with its own S and claiming the lowest index not yet claimed (one
+// worker is the serial loop). After an error none is claimed; every lower
+// index was claimed before and finishes, so the error returned, the first
+// in index order, is the one a serial loop meets.
+func fanOut[S any](n, workers int, do func(s *S, i int) error) error {
+	var claimed atomic.Int64
+	var failed atomic.Bool
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for range min(workers, n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var s S
+			for !failed.Load() {
+				i := int(claimed.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				if errs[i] = do(&s, i); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return cmp.Or(errs...)
 }
 
 // AnalyzeBlockPaths opens each path as a block file and analyzes them with

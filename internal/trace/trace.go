@@ -82,7 +82,7 @@ func New(span sim.Window, cal sim.Calendar, n int) *Trace {
 // Add appends an event.
 func (t *Trace) Add(e Event) { t.Events = append(t.Events, e) }
 
-// Sort orders events by (machine, start time).
+// Sort orders events by (machine, start, end).
 func (t *Trace) Sort() {
 	sort.Slice(t.Events, func(i, j int) bool {
 		if t.Events[i].Machine != t.Events[j].Machine {
