@@ -25,14 +25,14 @@ test:
 	$(GO) test ./...
 
 # Race-check the packages with concurrent hot paths: the iShare network
-# layer, the parallel testbed runner, the contention harness (whose
-# calibration cache is shared across worker goroutines), the streaming
-# trace codec, the chaos fault injector, the availability detector and
-# differential harness (which exercise the parallel runner under -race),
-# and the predictor evaluation (one goroutine per predictor over a shared
-# read-only history and test set, reading stats.ECDF concurrently).
+# layer and its servers, the chaos fault injector, and par, the one worker
+# pool, with every package that runs a stage on it — the block scan
+# (trace), the testbed runner, the contention sweeps (whose calibration
+# cache is shared across workers), fit and generate (markov), predictor
+# scoring (reading stats.ECDF concurrently), the load driver, and the
+# detector and differential harness that drive the runner in parallel.
 race:
-	$(GO) test -race ./internal/ishare/ ./internal/testbed/ ./internal/contention/ ./internal/trace/ ./internal/chaos/ ./internal/availability/ ./internal/check/ ./internal/forecast/ ./internal/loadgen/ ./internal/markov/ ./internal/predict/ ./internal/stats/
+	$(GO) test -race ./internal/par/ ./internal/ishare/ ./internal/testbed/ ./internal/contention/ ./internal/trace/ ./internal/chaos/ ./internal/availability/ ./internal/check/ ./internal/forecast/ ./internal/loadgen/ ./internal/markov/ ./internal/predict/ ./internal/stats/
 
 # Differential correctness harness: 200 randomized seeds replayed through
 # the naive reference model and the optimized detector/controller/testbed
@@ -106,16 +106,19 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkWireHeartbeatBatch|BenchmarkWireReply|BenchmarkRegistryHeartbeatBatch' -benchtime 10x -benchmem ./internal/ishare/
 	$(GO) test -run '^$$' -bench 'BenchmarkWriteBlocks|BenchmarkDecodeBlock|BenchmarkCollectEvents|BenchmarkAnalyzeBlockFiles|BenchmarkBlockIndexFirstTouch|BenchmarkBlockIndexQueryMix|BenchmarkFit|BenchmarkGenerate' -benchtime 10x -benchmem ./internal/trace/ ./internal/markov/
 
-# Parallel-analyzer smoke under the race detector: the worker-pool block
-# scanner (and its refusal of truncated shards), its merge associativity,
-# whole-file decode on workers (every cut of a salvaged file, two broken
-# blocks), the sharded v2 encoder round-trip, and the model fit and
-# generate split across workers, all on small fixed-seed corpora and each
-# equal to its serial run.
+# Serial == parallel under the race detector: par.For's contract, then each
+# stage on it — the block scanner (and its refusal of truncated shards), its
+# merge associativity, whole-file decode (every cut of a salvaged file, two
+# broken blocks), the testbed at 1 and 4 workers and the sharded v2 encoder
+# round-trip, the model fit and generate, and contention Figures 1(a) and 4
+# at GOMAXPROCS 1 and 4 — all on small fixed-seed inputs, each equal to its
+# serial run.
 bench-parallel:
+	$(GO) test -race -count 1 ./internal/par/
 	$(GO) test -race -count 1 -run 'TestAnalyzeBlock|TestMergeFrom|TestBlockIndexMatchesIndex|TestBlockFileSalvagesTruncation' ./internal/trace/
-	$(GO) test -race -count 1 -run 'TestEncoderSinkV2RoundTrip' ./internal/testbed/
+	$(GO) test -race -count 1 -run 'TestRunDeterminism|TestEncoderSinkV2RoundTrip' ./internal/testbed/
 	$(GO) test -race -count 1 -run 'TestGenerateDeterministic|TestFitMatchesPerMachineScans' ./internal/markov/
+	$(GO) test -race -count 1 -run 'TestFiguresSerialEqualsParallel' ./internal/contention/
 
 # Metrics-endpoint smoke: start ishared with an ephemeral metrics port,
 # scrape /healthz and /metrics, assert the expected families are served.

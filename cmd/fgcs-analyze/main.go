@@ -13,10 +13,10 @@
 // -trace accepts an FGCB v2 file, as written by fgcs-testbed -out, read
 // whole (so -trace /dev/stdin works). -shards scans a directory of v2 block shard files
 // written by fgcs-testbed -shard-dir: the files are split at block-summary
-// machine boundaries and scanned by -parallel workers whose partial
-// analyzers merge into a result bit-identical to one worker's (1 is serial,
-// 0 uses every core). Memory stays bounded however large the fleet is, so
-// the table2/fig6/fig7 reports scale to fleets that could never be loaded
+// machine boundaries and scanned by GOMAXPROCS workers whose partial
+// analyzers merge into a result bit-identical to one worker's (GOMAXPROCS=1
+// is serial). Memory stays bounded however large the fleet is, so the
+// table2/fig6/fig7 reports scale to fleets that could never be loaded
 // whole; a shard cut short is refused by name rather than analyzed as far
 // as it goes. The summary and acf reports need the full trace in memory and
 // are not available with -shards.
@@ -44,7 +44,6 @@ func main() {
 	var (
 		traceFile = flag.String("trace", "", "binary trace file (empty = simulate the default testbed)")
 		shardDir  = flag.String("shards", "", "directory of v2 block shard files to scan (bounded memory)")
-		parallel  = flag.Int("parallel", 1, "analyzer workers for -shards (0 = all cores, 1 = serial)")
 		report    = flag.String("report", "all", "report: table2, fig6, fig7, summary, acf, all")
 	)
 	flag.Parse()
@@ -65,7 +64,7 @@ func main() {
 		if *report == "summary" || *report == "acf" {
 			log.Fatalf("report %q needs the full trace in memory; not available with -shards", *report)
 		}
-		a, err := analyzeShards(*shardDir, *parallel)
+		a, err := analyzeShards(*shardDir)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -104,9 +103,9 @@ func main() {
 	}
 }
 
-// analyzeShards scans a directory of v2 block shard files with the given
-// number of workers.
-func analyzeShards(dir string, workers int) (*trace.StreamAnalyzer, error) {
+// analyzeShards scans a directory of v2 block shard files on GOMAXPROCS
+// workers.
+func analyzeShards(dir string) (*trace.StreamAnalyzer, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.fgcb"))
 	if err != nil {
 		return nil, err
@@ -115,7 +114,7 @@ func analyzeShards(dir string, workers int) (*trace.StreamAnalyzer, error) {
 		return nil, fmt.Errorf("no *.fgcb shard files in %s", dir)
 	}
 	sort.Strings(paths)
-	a, err := trace.AnalyzeBlockPaths(paths, workers)
+	a, err := trace.AnalyzeBlockPaths(paths, 0)
 	if err != nil {
 		return nil, err
 	}

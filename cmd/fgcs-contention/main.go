@@ -30,7 +30,6 @@ func main() {
 		measure = flag.Duration("measure", 240*time.Second, "virtual measurement window per run")
 		combos  = flag.Int("combos", 3, "random host-group compositions per point")
 		seed    = flag.Int64("seed", 1, "experiment seed")
-		par     = flag.Int("parallelism", 0, "concurrent experiment points (0 = NumCPU)")
 	)
 	flag.Parse()
 
@@ -38,7 +37,6 @@ func main() {
 	opt.Measure = *measure
 	opt.Combos = *combos
 	opt.Seed = *seed
-	opt.Parallelism = *par
 
 	run := func(name string, f func() error) {
 		if *exp != "all" && *exp != name {

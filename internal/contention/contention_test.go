@@ -2,6 +2,7 @@ package contention
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -339,29 +340,59 @@ func TestTable1Format(t *testing.T) {
 	}
 }
 
-func TestParallelFor(t *testing.T) {
-	n := 100
-	seen := make([]bool, n)
-	var countGuard = make(chan struct{}, 1)
-	countGuard <- struct{}{}
-	parallelFor(n, 4, func(i int) {
-		<-countGuard
-		seen[i] = true
-		countGuard <- struct{}{}
-	})
-	for i, s := range seen {
-		if !s {
-			t.Fatalf("index %d not executed", i)
+// TestFiguresSerialEqualsParallel runs Figures 1(a) and 4 at GOMAXPROCS 1
+// and 4, each from an empty calibration cache so the cache cannot make the
+// runs agree, and requires the results equal bit for bit: how many workers
+// sweep the points must not reach a figure. Infeasible Figure 1 cells are
+// NaN on both sides.
+func TestFiguresSerialEqualsParallel(t *testing.T) {
+	defer ResetAloneCache()
+	opt := DefaultOptions()
+	opt.Measure = 20 * time.Second
+	opt.Combos = 2
+	run := func(procs int) (*Figure1Result, *Figure4Result) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		ResetAloneCache()
+		f1, err := RunFigure1(opt, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ResetAloneCache()
+		f4, err := RunFigure4(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f1, f4
+	}
+	s1, s4 := run(1)
+	p1, p4 := run(4)
+
+	nans := 0
+	for s := range s1.Sizes {
+		for l := range s1.LHGrid {
+			for _, v := range [][2]float64{{s1.MeasuredLH[s][l], p1.MeasuredLH[s][l]}, {s1.Reduction[s][l], p1.Reduction[s][l]}} {
+				if math.Float64bits(v[0]) != math.Float64bits(v[1]) {
+					t.Errorf("Figure 1 M=%d LH=%v: %v at GOMAXPROCS 1, %v at 4", s1.Sizes[s], s1.LHGrid[l], v[0], v[1])
+				}
+			}
+			if math.IsNaN(s1.Reduction[s][l]) {
+				nans++
+			}
 		}
 	}
-	// Serial path.
-	ran := 0
-	parallelFor(3, 1, func(i int) { ran++ })
-	if ran != 3 {
-		t.Errorf("serial parallelFor ran %d", ran)
+	if nans == 0 {
+		t.Error("no infeasible Figure 1 cell: the NaN case went unchecked")
 	}
-	// Zero items.
-	parallelFor(0, 4, func(i int) { t.Error("should not run") })
+	for k := range s4.Cells {
+		for g := range s4.Cells[k] {
+			for h, a := range s4.Cells[k][g] {
+				b := p4.Cells[k][g][h]
+				if math.Float64bits(a.Reduction) != math.Float64bits(b.Reduction) || a.Thrashed != b.Thrashed {
+					t.Errorf("Figure 4 %s/%s nice %d: %+v at GOMAXPROCS 1, %+v at 4", a.Guest, a.Host, a.Nice, a, b)
+				}
+			}
+		}
+	}
 }
 
 func TestComboSeedDistinct(t *testing.T) {

@@ -16,5 +16,6 @@
 //     host processes".
 //
 // Every experiment point is an independent simulation, so the harness
-// fans points out across a worker pool (one goroutine per CPU by default).
+// fans points out on par.For (GOMAXPROCS workers); the figures are the same
+// at any worker count.
 package contention

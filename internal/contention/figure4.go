@@ -3,9 +3,9 @@ package contention
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/availability"
+	"repro/internal/par"
 	"repro/internal/simos"
 	"repro/internal/workload"
 )
@@ -70,16 +70,13 @@ func RunFigure4(opt Options) (*Figure4Result, error) {
 
 	// Calibrate each host workload alone once.
 	aloneUsage := make([]float64, len(hosts))
-	var mu sync.Mutex
-	parallelFor(len(hosts), opt.Parallelism, func(h int) {
+	par.For(len(hosts), 0, func(_ *struct{}, h int) error {
 		host := hosts[h]
 		spawn := func(m *simos.Machine) { host.Spawn(m, simos.Host, 0) }
-		out, err := opt.measure(comboSeed(opt.Seed, 4, h), spawn, nil)
-		mu.Lock()
-		defer mu.Unlock()
-		if err == nil {
+		if out, err := opt.measure(comboSeed(opt.Seed, 4, h), spawn, nil); err == nil {
 			aloneUsage[h] = out.HostUsage
 		}
+		return nil
 	})
 
 	type point struct{ k, g, h int }
@@ -91,7 +88,7 @@ func RunFigure4(opt Options) (*Figure4Result, error) {
 			}
 		}
 	}
-	parallelFor(len(pts), opt.Parallelism, func(i int) {
+	par.For(len(pts), 0, func(_ *struct{}, i int) error {
 		p := pts[i]
 		guest := guests[p.g]
 		host := hosts[p.h]
@@ -107,15 +104,11 @@ func RunFigure4(opt Options) (*Figure4Result, error) {
 		out, err := opt.measure(comboSeed(opt.Seed, 4, p.k, p.g, p.h), spawn, gs)
 		cell := Figure4Cell{Guest: guest.Name, Host: host.Name, Nice: nices[p.k]}
 		if err == nil {
-			mu.Lock()
-			alone := aloneUsage[p.h]
-			mu.Unlock()
-			cell.Reduction = Reduction(alone, out.HostUsage)
+			cell.Reduction = Reduction(aloneUsage[p.h], out.HostUsage)
 			cell.Thrashed = out.Thrashed
 		}
-		mu.Lock()
 		res.Cells[p.k][p.g][p.h] = cell
-		mu.Unlock()
+		return nil
 	})
 	return res, nil
 }

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"repro/internal/availability"
+	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/simos"
 	"repro/internal/workload"
@@ -67,19 +67,15 @@ func RunFigure1(opt Options, guestNice int) (*Figure1Result, error) {
 			pts = append(pts, point{s, l})
 		}
 	}
-	var mu sync.Mutex
-	parallelFor(len(pts), opt.Parallelism, func(i int) {
+	par.For(len(pts), 0, func(_ *struct{}, i int) error {
 		p := pts[i]
 		lh, red, n := opt.averagePoint(grid[p.l], sizes[p.s], guestNice)
-		mu.Lock()
-		defer mu.Unlock()
 		if n == 0 {
-			res.MeasuredLH[p.s][p.l] = math.NaN()
-			res.Reduction[p.s][p.l] = math.NaN()
-			return
+			lh, red = math.NaN(), math.NaN()
 		}
 		res.MeasuredLH[p.s][p.l] = lh
 		res.Reduction[p.s][p.l] = red
+		return nil
 	})
 	return res, nil
 }
@@ -229,19 +225,16 @@ func RunFigure2(opt Options) (*Figure2Result, error) {
 			pts = append(pts, point{n, l})
 		}
 	}
-	var mu sync.Mutex
-	parallelFor(len(pts), opt.Parallelism, func(i int) {
+	par.For(len(pts), 0, func(_ *struct{}, i int) error {
 		p := pts[i]
 		group := workload.HostGroup{Usages: []float64{grid[p.l]}}
 		seed := comboSeed(opt.Seed, 2, p.n, p.l)
 		_, red, err := opt.MeasureGroupReduction(seed, group, nices[p.n])
-		mu.Lock()
-		defer mu.Unlock()
 		if err != nil {
-			res.Reduction[p.n][p.l] = math.NaN()
-			return
+			red = math.NaN()
 		}
 		res.Reduction[p.n][p.l] = red
+		return nil
 	})
 	return res, nil
 }
@@ -297,8 +290,7 @@ func RunFigure3(opt Options) (*Figure3Result, error) {
 	// repetitions per combo and decorrelate the guest's duty cycle from
 	// the host's (different period plus jitter) to avoid phase locking.
 	reps := opt.Combos * 3
-	var mu sync.Mutex
-	parallelFor(len(combos), opt.Parallelism, func(i int) {
+	par.For(len(combos), 0, func(_ *struct{}, i int) error {
 		c := combos[i]
 		row := Figure3Row{HostUsage: c.host, GuestIsolated: c.guest}
 		spawn := func(m *simos.Machine) {
@@ -334,9 +326,8 @@ func RunFigure3(opt Options) (*Figure3Result, error) {
 				row.GuestLowestPrio = avg
 			}
 		}
-		mu.Lock()
 		res.Rows[i] = row
-		mu.Unlock()
+		return nil
 	})
 	return res, nil
 }

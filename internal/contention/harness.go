@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -33,21 +32,18 @@ type Options struct {
 	Slowdown float64
 	// Seed roots all randomness.
 	Seed int64
-	// Parallelism bounds concurrent experiment points (default: NumCPU).
-	Parallelism int
 }
 
 // DefaultOptions returns the paper-equivalent configuration.
 func DefaultOptions() Options {
 	return Options{
-		Machine:     simos.LinuxLabMachine(0).WithDefaults(),
-		Period:      workload.DefaultPeriod,
-		Warmup:      10 * time.Second,
-		Measure:     90 * time.Second,
-		Combos:      3,
-		Slowdown:    0.05,
-		Seed:        1,
-		Parallelism: runtime.NumCPU(),
+		Machine:  simos.LinuxLabMachine(0).WithDefaults(),
+		Period:   workload.DefaultPeriod,
+		Warmup:   10 * time.Second,
+		Measure:  90 * time.Second,
+		Combos:   3,
+		Slowdown: 0.05,
+		Seed:     1,
 	}
 }
 
@@ -74,9 +70,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = d.Seed
-	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = d.Parallelism
 	}
 	return o
 }
@@ -266,38 +259,6 @@ func (o Options) MeasureGroupReduction(seed int64, group workload.HostGroup, gue
 		return 0, 0, err
 	}
 	return alone.HostUsage, Reduction(alone.HostUsage, with.HostUsage), nil
-}
-
-// parallelFor runs fn(i) for i in [0, n) over a bounded worker pool.
-func parallelFor(n, workers int, fn func(i int)) {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
 }
 
 // comboSeed derives a per-run seed from the experiment coordinates so runs

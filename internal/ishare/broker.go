@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // Broker is the client-side placement component: it discovers published
@@ -24,7 +25,7 @@ import (
 // last-known-good node lists when registries are unreachable.
 //
 // Against a sharded control plane the broker fans discovery out to every
-// shard (bounded by DiscoverConcurrency), keeps one stale-fallback cache
+// shard (discoverConcurrency at a time), keeps one stale-fallback cache
 // per shard so losing a shard degrades only that shard's slice of the
 // fleet, and merges the per-shard lists into one ranked candidate list.
 // With a Gossiper attached, placement survives losing every shard:
@@ -42,9 +43,6 @@ type Broker struct {
 	// DiscoverLimit is how many alive nodes each shard's ranked list may
 	// return, best availability classes first (default 32).
 	DiscoverLimit int
-	// DiscoverConcurrency bounds how many shards are listed in parallel
-	// during one discovery (default 4).
-	DiscoverConcurrency int
 	// BreakerThreshold, when positive, arms a circuit breaker per registry
 	// shard: after that many consecutive list failures the shard is
 	// skipped (short-circuited to its stale cache) until BreakerCooldown
@@ -226,13 +224,6 @@ func (b *Broker) discoverLimit() int {
 	return b.DiscoverLimit
 }
 
-func (b *Broker) discoverConcurrency() int {
-	if b.DiscoverConcurrency <= 0 {
-		return 4
-	}
-	return b.DiscoverConcurrency
-}
-
 // Candidate is a scored placement option.
 type Candidate struct {
 	Node  NodeInfo
@@ -244,6 +235,9 @@ type Candidate struct {
 	// discovery was unavailable.
 	Stale bool
 }
+
+// discoverConcurrency is how many shards one discovery lists at a time.
+const discoverConcurrency = 4
 
 // errBreakerOpen marks a shard skipped by its open circuit breaker
 // during fan-out discovery.
@@ -274,34 +268,27 @@ func (b *Broker) discover(ctx context.Context) ([]NodeInfo, bool, error) {
 		err   error
 	}
 	results := make([]shardResult, len(addrs))
-	sem := make(chan struct{}, b.discoverConcurrency())
-	var wg sync.WaitGroup
-	for i, addr := range addrs {
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			br := b.breakerFor(addr)
-			if br != nil && !br.allow() {
-				// Open breaker: skip the call entirely. The shard still
-				// counts as failed, so its stale cache (and, with every
-				// shard down, gossip) serves exactly as for a live error —
-				// the fan-out just stops paying a dial timeout for it.
-				m.breakerShorts.Inc()
-				results[i] = shardResult{err: errBreakerOpen}
-				return
-			}
-			nodes, err := b.Client.ListShard(ctx, addr, b.discoverLimit())
-			if br != nil && br.result(err == nil) {
-				m.breakerOpens.Inc()
-				b.logger().Log(ctx, slog.LevelWarn, "shard circuit breaker opened",
-					"trace", TraceIDFrom(ctx), "shard", addr)
-			}
-			results[i] = shardResult{nodes: nodes, err: err}
-		}(i, addr)
-	}
-	wg.Wait()
+	par.For(len(addrs), discoverConcurrency, func(_ *struct{}, i int) error {
+		addr := addrs[i]
+		br := b.breakerFor(addr)
+		if br != nil && !br.allow() {
+			// Open breaker: skip the call entirely. The shard still counts
+			// as failed, so its stale cache (and, with every shard down,
+			// gossip) serves exactly as for a live error — the fan-out just
+			// stops paying a dial timeout for it.
+			m.breakerShorts.Inc()
+			results[i] = shardResult{err: errBreakerOpen}
+			return nil
+		}
+		nodes, err := b.Client.ListShard(ctx, addr, b.discoverLimit())
+		if br != nil && br.result(err == nil) {
+			m.breakerOpens.Inc()
+			b.logger().Log(ctx, slog.LevelWarn, "shard circuit breaker opened",
+				"trace", TraceIDFrom(ctx), "shard", addr)
+		}
+		results[i] = shardResult{nodes: nodes, err: err}
+		return nil
+	})
 
 	var merged []NodeInfo
 	stale := false

@@ -12,6 +12,7 @@ import (
 	"repro/internal/ishare"
 	"repro/internal/markov"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // paperStates is the stationary availability-state distribution the fleet
@@ -173,35 +174,6 @@ type simNode struct {
 	shard int
 }
 
-// forEach runs fn(i) for i in [0, n) across the given number of workers.
-func forEach(workers, n int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-}
-
 // Run executes one load run against a freshly started in-process sharded
 // registry: register the fleet in batches, sweep heartbeats with state
 // churn, measure ranked fan-out discovery, and (optionally) repeat
@@ -276,16 +248,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// Phase 1: register the fleet.
 	regSamples := make([]time.Duration, len(batches))
 	regStart := time.Now()
-	var firstErr error
-	var errMu sync.Mutex
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	forEach(cfg.Concurrency, len(batches), func(i int) {
+	err = par.For(len(batches), cfg.Concurrency, func(_ *struct{}, i int) error {
 		batch := batches[i]
 		ds := make([]ishare.NodeDigest, len(batch))
 		now := time.Now().UnixMilli()
@@ -294,14 +257,14 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		t0 := time.Now()
 		if err := client.RegisterBatch(ctx, addrs[batch[0].shard], ds); err != nil {
-			fail(fmt.Errorf("loadgen: register batch %d: %w", i, err))
-			return
+			return fmt.Errorf("loadgen: register batch %d: %w", i, err)
 		}
 		regSamples[i] = time.Since(t0)
 		met.register.Observe(regSamples[i].Seconds())
+		return nil
 	})
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
 	}
 	met.fleet.Set(float64(cfg.Nodes))
 	result.Register = summarize(regSamples, time.Since(regStart))
@@ -320,7 +283,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			}
 		}
 		roundSamples := make([]time.Duration, len(batches))
-		forEach(cfg.Concurrency, len(batches), func(i int) {
+		err := par.For(len(batches), cfg.Concurrency, func(_ *struct{}, i int) error {
 			batch := batches[i]
 			ds := make([]ishare.NodeDigest, len(batch))
 			now := time.Now().UnixMilli()
@@ -330,18 +293,17 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			t0 := time.Now()
 			missing, err := client.HeartbeatBatch(ctx, addrs[batch[0].shard], ds)
 			if err != nil {
-				fail(fmt.Errorf("loadgen: heartbeat batch %d: %w", i, err))
-				return
+				return fmt.Errorf("loadgen: heartbeat batch %d: %w", i, err)
 			}
 			if len(missing) > 0 {
-				fail(fmt.Errorf("loadgen: heartbeat batch %d: %d registered nodes unknown to their shard", i, len(missing)))
-				return
+				return fmt.Errorf("loadgen: heartbeat batch %d: %d registered nodes unknown to their shard", i, len(missing))
 			}
 			roundSamples[i] = time.Since(t0)
 			met.heartbeat.Observe(roundSamples[i].Seconds())
+			return nil
 		})
-		if firstErr != nil {
-			return nil, firstErr
+		if err != nil {
+			return nil, err
 		}
 		hbSamples = append(hbSamples, roundSamples...)
 	}
@@ -358,21 +320,21 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	discStart := time.Now()
 	var lastCands int
 	var candMu sync.Mutex
-	forEach(cfg.Concurrency, cfg.DiscoverOps, func(i int) {
+	err = par.For(cfg.DiscoverOps, cfg.Concurrency, func(_ *struct{}, i int) error {
 		t0 := time.Now()
 		cands, err := broker.Candidates(ctx)
 		if err != nil {
-			fail(fmt.Errorf("loadgen: discovery %d: %w", i, err))
-			return
+			return fmt.Errorf("loadgen: discovery %d: %w", i, err)
 		}
 		discSamples[i] = time.Since(t0)
 		met.discover.Observe(discSamples[i].Seconds())
 		candMu.Lock()
 		lastCands = len(cands)
 		candMu.Unlock()
+		return nil
 	})
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
 	}
 	result.Discover = summarize(discSamples, time.Since(discStart))
 	result.Candidates = lastCands
@@ -389,11 +351,11 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		fcStart := time.Now()
 		var fcKnown int
 		var fcMu sync.Mutex
-		forEach(cfg.Concurrency, cfg.ForecastOps, func(i int) {
+		err := par.For(cfg.ForecastOps, cfg.Concurrency, func(_ *struct{}, i int) error {
 			shard := i % cfg.Shards
 			nodes := perShard[shard]
 			if len(nodes) == 0 {
-				return
+				return nil
 			}
 			off := (i * cfg.ForecastNames) % len(nodes)
 			end := off + cfg.ForecastNames
@@ -407,8 +369,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			t0 := time.Now()
 			infos, err := client.Forecast(ctx, addrs[shard], names, cfg.ForecastHorizon)
 			if err != nil {
-				fail(fmt.Errorf("loadgen: forecast query %d: %w", i, err))
-				return
+				return fmt.Errorf("loadgen: forecast query %d: %w", i, err)
 			}
 			fcSamples[i] = time.Since(t0)
 			met.forecast.Observe(fcSamples[i].Seconds())
@@ -421,9 +382,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			fcMu.Lock()
 			fcKnown = known
 			fcMu.Unlock()
+			return nil
 		})
-		if firstErr != nil {
-			return nil, firstErr
+		if err != nil {
+			return nil, err
 		}
 		result.Forecast = summarize(fcSamples, time.Since(fcStart))
 		result.ForecastKnown = fcKnown
@@ -452,22 +414,22 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		partSamples := make([]time.Duration, cfg.DiscoverOps)
 		partStart := time.Now()
 		var partCands int
-		forEach(cfg.Concurrency, cfg.DiscoverOps, func(i int) {
+		err := par.For(cfg.DiscoverOps, cfg.Concurrency, func(_ *struct{}, i int) error {
 			t0 := time.Now()
 			cands, err := partBroker.Candidates(ctx)
 			if err != nil {
-				fail(fmt.Errorf("loadgen: partitioned discovery %d: %w", i, err))
-				return
+				return fmt.Errorf("loadgen: partitioned discovery %d: %w", i, err)
 			}
 			partSamples[i] = time.Since(t0)
 			met.discover.Observe(partSamples[i].Seconds())
 			candMu.Lock()
 			partCands = len(cands)
 			candMu.Unlock()
+			return nil
 		})
 		inj.Heal(addrs[cfg.PartitionShard])
-		if firstErr != nil {
-			return nil, firstErr
+		if err != nil {
+			return nil, err
 		}
 		ps := summarize(partSamples, time.Since(partStart))
 		result.PartitionDiscover = &ps
@@ -510,21 +472,21 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		crashSamples := make([]time.Duration, cfg.DiscoverOps)
 		crashStart := time.Now()
 		var crashCands int
-		forEach(cfg.Concurrency, cfg.DiscoverOps, func(i int) {
+		err := par.For(cfg.DiscoverOps, cfg.Concurrency, func(_ *struct{}, i int) error {
 			t0 := time.Now()
 			cands, err := crashBroker.Candidates(ctx)
 			if err != nil {
-				fail(fmt.Errorf("loadgen: during-crash discovery %d: %w", i, err))
-				return
+				return fmt.Errorf("loadgen: during-crash discovery %d: %w", i, err)
 			}
 			crashSamples[i] = time.Since(t0)
 			met.discover.Observe(crashSamples[i].Seconds())
 			candMu.Lock()
 			crashCands = len(cands)
 			candMu.Unlock()
+			return nil
 		})
-		if firstErr != nil {
-			return nil, firstErr
+		if err != nil {
+			return nil, err
 		}
 		cs := summarize(crashSamples, time.Since(crashStart))
 		result.CrashDiscover = &cs
@@ -569,7 +531,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 		// The re-register herd that isn't: a full heartbeat sweep right
 		// after recovery must find zero acked registrations missing.
-		forEach(cfg.Concurrency, len(batches), func(i int) {
+		err = par.For(len(batches), cfg.Concurrency, func(_ *struct{}, i int) error {
 			batch := batches[i]
 			ds := make([]ishare.NodeDigest, len(batch))
 			now := time.Now().UnixMilli()
@@ -578,15 +540,15 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			}
 			missing, err := client.HeartbeatBatch(ctx, addrs[batch[0].shard], ds)
 			if err != nil {
-				fail(fmt.Errorf("loadgen: post-recovery heartbeat batch %d: %w", i, err))
-				return
+				return fmt.Errorf("loadgen: post-recovery heartbeat batch %d: %w", i, err)
 			}
 			if len(missing) > 0 {
-				fail(fmt.Errorf("loadgen: post-recovery heartbeat batch %d: shard lost %d acked registrations", i, len(missing)))
+				return fmt.Errorf("loadgen: post-recovery heartbeat batch %d: shard lost %d acked registrations", i, len(missing))
 			}
+			return nil
 		})
-		if firstErr != nil {
-			return nil, firstErr
+		if err != nil {
+			return nil, err
 		}
 	}
 

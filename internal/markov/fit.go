@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -120,7 +121,7 @@ func Fit(tr *trace.Trace, opts FitOptions) (*Model, error) {
 	if opts.PerMachine {
 		per = make([]*MachineModel, tr.Machines)
 	}
-	fanOut(tr.Machines, func(id int) {
+	par.For(tr.Machines, 0, func(_ *struct{}, id int) error {
 		lo, _ := slices.BinarySearchFunc(grouped, trace.MachineID(id), byMachine)
 		hi, _ := slices.BinarySearchFunc(grouped, trace.MachineID(id+1), byMachine)
 		one := *tr
@@ -134,6 +135,7 @@ func Fit(tr *trace.Trace, opts FitOptions) (*Model, error) {
 			per[id] = acc.model()
 		}
 		accs[id] = acc
+		return nil
 	})
 	fleet := &fitAccum{}
 	for _, acc := range accs {

@@ -3,13 +3,11 @@ package markov
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -59,10 +57,11 @@ func Generate(m *Model, cfg GenConfig) (*trace.Trace, error) {
 	span := sim.Window{Start: 0, End: sim.Time(cfg.Days) * sim.Day}
 	src := sim.NewSource(cfg.Seed)
 	parts := make([][]trace.Event, cfg.Machines)
-	fanOut(cfg.Machines, func(id int) {
+	par.For(cfg.Machines, 0, func(_ *struct{}, id int) error {
 		part := &trace.Trace{Events: make([]trace.Event, 0, expectedEvents(m.machineModel(id), cfg.Days))}
 		generateMachine(part, trace.MachineID(id), m.machineModel(id), cal, span, src.Stream("markov/"+strconv.Itoa(id)+"/events"))
 		parts[id] = part.Events
+		return nil
 	})
 	tr := &trace.Trace{Span: span, Calendar: cal, Machines: cfg.Machines, Events: slices.Concat(parts...)}
 	tr.Sort()
@@ -70,24 +69,6 @@ func Generate(m *Model, cfg GenConfig) (*trace.Trace, error) {
 		return nil, fmt.Errorf("markov: generated trace invalid: %w", err)
 	}
 	return tr, nil
-}
-
-// fanOut calls do for every index of [0, n) on min(GOMAXPROCS, n)
-// goroutines, each claiming the lowest index not yet claimed, and returns
-// once all are done; one worker is the serial loop.
-func fanOut(n int, do func(i int)) {
-	var claimed atomic.Int64
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), n) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(claimed.Add(1) - 1); i < n; i = int(claimed.Add(1) - 1) {
-				do(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // expectedEvents sizes a machine's slice: its hazard's mean over days,

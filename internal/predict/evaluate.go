@@ -3,11 +3,10 @@ package predict
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
-	"sync"
 	"time"
 
+	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -159,31 +158,21 @@ func (ts *testSet) score(p Predictor, scratch []float64) Score {
 }
 
 // evaluate trains every predictor on history and scores it over ts. The
-// predictors are independent of one another, so min(GOMAXPROCS, len(preds))
-// workers each claim the next untrained one: a predictor is only ever
+// predictors are independent of one another, so they run on par.For's
+// workers, each with its own scratch buffer: a predictor is only ever
 // touched by the worker that claimed it, history and ts are only read, and
 // each score lands in its predictor's slot, so the result does not depend
 // on how many workers ran or which finished first.
 func (ts *testSet) evaluate(history *trace.Trace, preds []Predictor) *Evaluation {
 	ev := &Evaluation{Config: ts.cfg, Scores: make([]Score, len(preds))}
-	next := make(chan int, len(preds)) // every index is queued before a worker starts
-	for i := range preds {
-		next <- i
-	}
-	close(next)
-	var wg sync.WaitGroup
-	for n := min(runtime.GOMAXPROCS(0), len(preds)); n > 0; n-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := ts.scratch()
-			for i := range next {
-				preds[i].Train(history)
-				ev.Scores[i] = ts.score(preds[i], scratch)
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(len(preds), 0, func(scratch *[]float64, i int) error {
+		if *scratch == nil {
+			*scratch = ts.scratch()
+		}
+		preds[i].Train(history)
+		ev.Scores[i] = ts.score(preds[i], *scratch)
+		return nil
+	})
 	return ev
 }
 

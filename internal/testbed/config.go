@@ -153,7 +153,7 @@ type Config struct {
 	Detector availability.Config
 	// Workload tunes the synthetic lab load.
 	Workload Params
-	// Parallelism bounds concurrent machine simulations (default NumCPU).
+	// Parallelism bounds concurrent machine simulations (default GOMAXPROCS).
 	Parallelism int
 	// Metrics, when set, receives live fleet-wide instrumentation:
 	// per-state residence-time histograms and transition-rate counters,

@@ -26,8 +26,8 @@
 // so the whole detection pipeline is exercised end to end.
 //
 // There is one runner: RunSharded simulates the fleet a shard of machines
-// at a time on a bounded worker pool and streams each shard to an
-// EventSink; Run is that runner with the whole fleet as one shard,
+// at a time on Config.Parallelism workers (par.For) and streams each shard
+// to an EventSink; Run is that runner with the whole fleet as one shard,
 // collected in memory. The per-period reference runner it is compared
 // against lives in internal/check, built on ObservationStream.
 package testbed

@@ -3,9 +3,8 @@ package testbed
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 
+	"repro/internal/par"
 	"repro/internal/trace"
 )
 
@@ -25,7 +24,7 @@ type EventSink interface {
 
 // RunSharded simulates the testbed in machine chunks of shardSize,
 // streaming each shard's events to sink as the shard completes. Within a
-// shard, machines are simulated concurrently (bounded by cfg.Parallelism),
+// shard, machines are simulated on cfg.Parallelism workers (par.For),
 // but only one shard is resident at a time, so peak memory is O(shard),
 // not O(fleet) — the property that turns "1,000 machines x 1 year" from an
 // OOM into a routine run. Per-machine simulations depend only on (cfg, id),
@@ -50,46 +49,23 @@ func runShards(cfg Config, shardSize int, sink EventSink, occ []Occupancy) error
 	if shardSize <= 0 || shardSize > cfg.Machines {
 		shardSize = cfg.Machines
 	}
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > shardSize {
-		workers = shardSize
-	}
-
 	events := make([][]trace.Event, shardSize)
-	errs := make([]error, shardSize)
 	for first := 0; first < cfg.Machines; first += shardSize {
-		n := shardSize
-		if first+n > cfg.Machines {
-			n = cfg.Machines - first
-		}
-		var wg sync.WaitGroup
-		work := make(chan int)
-		for w := 0; w < workers && w < n; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					id := trace.MachineID(first + i)
-					evs, timing, err := runMachine(cfg, id)
-					events[i], errs[i] = evs, err
-					if err == nil && occ != nil {
-						occ[id] = machineOccupancy(id, timing)
-					}
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-		for i := 0; i < n; i++ {
-			if errs[i] != nil {
-				return fmt.Errorf("testbed: machine %d: %w", first+i, errs[i])
+		n := min(shardSize, cfg.Machines-first)
+		err := par.For(n, cfg.Parallelism, func(_ *struct{}, i int) error {
+			id := trace.MachineID(first + i)
+			evs, timing, err := runMachine(cfg, id)
+			if err != nil {
+				return fmt.Errorf("testbed: machine %d: %w", first+i, err)
 			}
+			events[i] = evs
+			if occ != nil {
+				occ[id] = machineOccupancy(id, timing)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 		for i := 0; i < n; i++ {
 			if err := sink.Machine(trace.MachineID(first+i), events[i]); err != nil {

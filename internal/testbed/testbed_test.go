@@ -182,30 +182,6 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-func TestRunParallelismInvariance(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Machines = 4
-	cfg.Days = 3
-	cfg.Parallelism = 1
-	serial, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Parallelism = 4
-	parallel, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial.Events) != len(parallel.Events) {
-		t.Fatalf("parallelism changed results: %d vs %d events", len(serial.Events), len(parallel.Events))
-	}
-	for i := range serial.Events {
-		if serial.Events[i] != parallel.Events[i] {
-			t.Fatal("parallelism changed event content")
-		}
-	}
-}
-
 // fullTrace memoizes the full 20x92 run shared by the calibration tests.
 var (
 	fullOnce sync.Once

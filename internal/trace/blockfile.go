@@ -9,9 +9,9 @@ import (
 	"io"
 	"math"
 	"os"
-	"runtime"
 
 	"repro/internal/availability"
+	"repro/internal/par"
 	"repro/internal/sim"
 )
 
@@ -478,7 +478,7 @@ func (bf *BlockFile) Reader() *BlockFile { return bf }
 
 // CollectEvents decodes every block of bf into an in-memory, validated
 // Trace: those the directory places within maxEventsHint events on workers
-// (fanOut), each straight into its place in one slice, any after them one
+// (par.For), each straight into its place in one slice, any after them one
 // by one. A Truncated file yields the events of its complete blocks.
 func CollectEvents(bf *BlockFile) (*Trace, error) {
 	h := bf.Header()
@@ -489,7 +489,7 @@ func CollectEvents(bf *BlockFile) (*Trace, error) {
 	}
 	placed := len(at) - 1
 	t.Events = make([]Event, at[placed])
-	if err := fanOut(placed, runtime.GOMAXPROCS(0), func(buf *BlockBuf, i int) error {
+	if err := par.For(placed, 0, func(buf *BlockBuf, i int) error {
 		buf.events = t.Events[at[i]:at[i+1]:at[i+1]]
 		_, err := bf.DecodeBlock(i, buf)
 		return err

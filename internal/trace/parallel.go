@@ -1,13 +1,11 @@
 package trace
 
 import (
-	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/par"
 	"repro/internal/sim"
 )
 
@@ -125,16 +123,16 @@ func analyzeChunk(h Header, c blockChunk, buf *BlockBuf) (*StreamAnalyzer, error
 // AnalyzeBlockFiles computes the full trace analysis — Table 2, Figure 6,
 // Figure 7 — over one or more v2 block files whose coverages partition the
 // fleet contiguously from machine 0 (the natural output of the sharded
-// testbed, or a single file for the whole fleet). With workers > 1 the
-// chunks are scanned on workers (see fanOut) and the partial analyzers
-// merged in machine order; the result, and the error, which is the first
-// failing chunk's, are those of workers == 1. workers <= 0
-// means runtime.NumCPU(). A file salvaged without its directory (see
+// testbed, or a single file for the whole fleet). The chunks are scanned
+// on workers (par.For) and the partial analyzers merged in machine order;
+// the result, and the error, which is the first failing chunk's, are those
+// of workers == 1. workers <= 0 means runtime.GOMAXPROCS(0). A file
+// salvaged without its directory (see
 // BlockFile.Truncated) is refused with an error wrapping ErrTruncated: its
 // visible prefix would otherwise be reported as the whole trace.
 func AnalyzeBlockFiles(files []*BlockFile, workers int) (*StreamAnalyzer, error) {
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	for i, f := range files {
 		if f.Truncated() {
@@ -155,7 +153,7 @@ func AnalyzeBlockFiles(files []*BlockFile, workers int) (*StreamAnalyzer, error)
 	}
 
 	partials := make([]*StreamAnalyzer, len(chunks))
-	err = fanOut(len(chunks), workers, func(buf *BlockBuf, i int) (err error) {
+	err = par.For(len(chunks), workers, func(buf *BlockBuf, i int) (err error) {
 		partials[i], err = analyzeChunk(h, chunks[i], buf)
 		return err
 	})
@@ -177,36 +175,6 @@ func AnalyzeBlockFiles(files []*BlockFile, workers int) (*StreamAnalyzer, error)
 		}
 	}
 	return out, nil
-}
-
-// fanOut calls do for every index of [0, n) on min(workers, n) goroutines,
-// each with its own S and claiming the lowest index not yet claimed (one
-// worker is the serial loop). After an error none is claimed; every lower
-// index was claimed before and finishes, so the error returned, the first
-// in index order, is the one a serial loop meets.
-func fanOut[S any](n, workers int, do func(s *S, i int) error) error {
-	var claimed atomic.Int64
-	var failed atomic.Bool
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for range min(workers, n) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var s S
-			for !failed.Load() {
-				i := int(claimed.Add(1) - 1)
-				if i >= n {
-					return
-				}
-				if errs[i] = do(&s, i); errs[i] != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return cmp.Or(errs...)
 }
 
 // AnalyzeBlockPaths opens each path as a block file and analyzes them with
