@@ -29,10 +29,11 @@ test:
 # pool, with every package that runs a stage on it — the block scan
 # (trace), the testbed runner, the contention sweeps (whose calibration
 # cache is shared across workers), fit and generate (markov), predictor
-# scoring (reading stats.ECDF concurrently), the load driver, and the
-# detector and differential harness that drive the runner in parallel.
+# scoring (reading stats.ECDF concurrently), the load driver, the
+# detector and differential harness that drive the runner in parallel, and
+# the monitor's detection engine, which a node's handler goroutines drive.
 race:
-	$(GO) test -race ./internal/par/ ./internal/ishare/ ./internal/testbed/ ./internal/contention/ ./internal/trace/ ./internal/chaos/ ./internal/availability/ ./internal/check/ ./internal/forecast/ ./internal/loadgen/ ./internal/markov/ ./internal/predict/ ./internal/stats/
+	$(GO) test -race ./internal/par/ ./internal/ishare/ ./internal/monitor/ ./internal/testbed/ ./internal/contention/ ./internal/trace/ ./internal/chaos/ ./internal/availability/ ./internal/check/ ./internal/forecast/ ./internal/loadgen/ ./internal/markov/ ./internal/predict/ ./internal/stats/
 
 # Differential correctness harness: 200 randomized seeds replayed through
 # the naive reference model and the optimized detector/controller/testbed

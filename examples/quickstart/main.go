@@ -11,9 +11,9 @@ import (
 	"time"
 
 	"repro/internal/availability"
-	"repro/internal/core"
 	"repro/internal/monitor"
 	"repro/internal/simos"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -22,7 +22,7 @@ func main() {
 
 	// A machine like the paper's testbed boxes: 1.5 GB RAM, Linux
 	// thresholds Th1=20%, Th2=60%, 1-minute transient window.
-	engine, err := core.New(core.Config{
+	engine, err := monitor.NewEngine(monitor.EngineConfig{
 		Machine: simos.LinuxLabMachine(42),
 		Monitor: monitor.Config{Period: 10 * time.Second, SmoothWindow: 1},
 	})
@@ -30,6 +30,10 @@ func main() {
 		log.Fatal(err)
 	}
 	machine := engine.Machine()
+	// The engine records nothing; its transitions become unavailability
+	// events here.
+	recorder := trace.NewBuilder(0)
+	var events []trace.Event
 
 	// The guest: a CPU-bound batch job needing 20 minutes of CPU.
 	guest := machine.Spawn("guest-job", simos.Guest, 0, 96*simos.MB,
@@ -66,7 +70,12 @@ func main() {
 				})
 			spawned++
 		}
-		state, action := engine.Step()
+		_, state, action, tr := engine.Step()
+		if tr != nil {
+			if ev := recorder.OnTransition(*tr); ev != nil {
+				events = append(events, *ev)
+			}
+		}
 		if state != last || action > availability.ActionRunDefault {
 			fmt.Printf("t=%-6s state=%v action=%v guest: alive=%v nice=%d cpu=%v\n",
 				machine.Now().Round(time.Second), state, action,
@@ -89,7 +98,10 @@ func main() {
 	default:
 		fmt.Println("guest still running at the end of the scenario")
 	}
-	for _, ev := range engine.Flush() {
+	if ev := recorder.Flush(machine.Now()); ev != nil {
+		events = append(events, *ev)
+	}
+	for _, ev := range events {
 		fmt.Printf("unavailability: %v from %v to %v (%v)\n",
 			ev.State, ev.Start.Round(time.Second), ev.End.Round(time.Second),
 			ev.Duration().Round(time.Second))

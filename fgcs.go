@@ -25,8 +25,8 @@ package fgcs
 import (
 	"repro/internal/availability"
 	"repro/internal/contention"
-	"repro/internal/core"
 	"repro/internal/gsched"
+	"repro/internal/monitor"
 	"repro/internal/predict"
 	"repro/internal/sim"
 	"repro/internal/testbed"
@@ -75,15 +75,17 @@ func LinuxThresholds() Thresholds { return availability.LinuxThresholds() }
 
 // Detection engine ---------------------------------------------------------
 
-// Engine wires machine, monitor, detector, guest controller and trace
-// recorder into the deployable detection module.
-type Engine = core.Engine
+// Engine is the deployable detection module on one simulated machine:
+// sample → monitor → five-state detector → guest controller. It records
+// nothing: a caller that wants events feeds the transitions Step returns
+// to a trace.Builder, as examples/quickstart does.
+type Engine = monitor.Engine
 
 // EngineConfig configures an Engine.
-type EngineConfig = core.Config
+type EngineConfig = monitor.EngineConfig
 
 // NewEngine builds a detection engine on a simulated machine.
-func NewEngine(cfg EngineConfig) (*Engine, error) { return core.New(cfg) }
+func NewEngine(cfg EngineConfig) (*Engine, error) { return monitor.NewEngine(cfg) }
 
 // Contention experiments ----------------------------------------------------
 

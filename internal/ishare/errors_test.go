@@ -111,3 +111,45 @@ func TestNodeConfigErrors(t *testing.T) {
 		t.Error("bad detector config accepted")
 	}
 }
+
+// TestNodeRejectsOutOfRangeSizes: sizes in MiB from the wire are checked
+// before they are scaled to bytes. 0 keeps its "use the default" meaning;
+// a negative size, or one above the machine's RAM (1536 MiB here), is
+// refused by name and value instead of wrapping or silently defaulting.
+func TestNodeRejectsOutOfRangeSizes(t *testing.T) {
+	node := startNode(t, NodeConfig{Name: "sizes"})
+	submit := func(rssMB int64) Request {
+		return Request{Op: "submit", Job: &JobSpec{Name: "j", CPUSeconds: 1, RSSMB: rssMB}}
+	}
+	sethost := func(memMB int64) Request {
+		return Request{Op: "sethost", HostLoad: 0.1, HostMemMB: memMB}
+	}
+	cases := []struct {
+		name string
+		req  Request
+		want string // "" = accepted
+	}{
+		{"rss default", submit(0), ""},
+		{"rss all of RAM", submit(1536), ""},
+		{"rss negative", submit(-1), "rss_mb -1 outside [0, 1536]"},
+		{"rss above RAM", submit(1537), "rss_mb 1537 outside [0, 1536]"},
+		{"rss wraps to zero", submit(1 << 44), "rss_mb 17592186044416 outside [0, 1536]"},
+		{"rss 4 EiB", submit(1 << 42), "rss_mb 4398046511104 outside [0, 1536]"},
+		{"host mem default", sethost(0), ""},
+		{"host mem all of RAM", sethost(1536), ""},
+		{"host mem negative", sethost(-300), "host_mem_mb -300 outside [0, 1536]"},
+		{"host mem wraps to zero", sethost(1 << 44), "host_mem_mb 17592186044416 outside [0, 1536]"},
+	}
+	for _, tc := range cases {
+		resp := node.handle(tc.req)
+		if tc.want == "" {
+			if !resp.OK {
+				t.Errorf("%s: rejected: %s", tc.name, resp.Error)
+			}
+			continue
+		}
+		if resp.OK || resp.Error != tc.want {
+			t.Errorf("%s: ok=%v error=%q, want error %q", tc.name, resp.OK, resp.Error, tc.want)
+		}
+	}
+}

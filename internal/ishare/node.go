@@ -121,10 +121,8 @@ type Node struct {
 	hbRand *rand.Rand // heartbeat jitter source, seeded by the node name
 
 	mu        sync.Mutex
-	machine   *simos.Machine
-	sampler   *monitor.MachineSampler
-	mon       *monitor.Monitor
-	det       *availability.Detector
+	eng       *monitor.Engine
+	machine   *simos.Machine // eng's machine
 	host      *simos.Process
 	crashed   bool
 	done      map[string]JobResult
@@ -142,15 +140,11 @@ type Node struct {
 // with the registry and begins heartbeating.
 func NewNode(addr string, cfg NodeConfig) (*Node, error) {
 	cfg = cfg.withDefaults()
-	machine, err := simos.NewMachine(cfg.Machine)
-	if err != nil {
-		return nil, err
-	}
-	det, err := availability.NewDetector(cfg.Detector)
-	if err != nil {
-		return nil, err
-	}
-	mon, err := monitor.New(monitor.Config{Period: cfg.MonitorPeriod, SmoothWindow: 1})
+	eng, err := monitor.NewEngine(monitor.EngineConfig{
+		Machine:  cfg.Machine,
+		Monitor:  monitor.Config{Period: cfg.MonitorPeriod, SmoothWindow: 1},
+		Detector: cfg.Detector,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -162,13 +156,12 @@ func NewNode(addr string, cfg NodeConfig) (*Node, error) {
 		cfg:       cfg,
 		log:       loggerOrDiscard(cfg.Logger).With("node", cfg.Name),
 		hbRand:    rand.New(rand.NewSource(int64(fnv64a(cfg.Name)))),
-		machine:   machine,
-		mon:       mon,
-		det:       det,
+		eng:       eng,
+		machine:   eng.Machine(),
 		ln:        ln,
 		done:      make(map[string]JobResult),
 		execs:     make(map[string]int),
-		lastState: det.State().String(),
+		lastState: eng.State().String(),
 		gen:       1,
 		closed:    make(chan struct{}),
 	}
@@ -182,7 +175,6 @@ func NewNode(addr string, cfg NodeConfig) (*Node, error) {
 	if cfg.Metrics != nil {
 		n.met = newNodeMetrics(cfg.Metrics, cfg.Name)
 	}
-	n.sampler = monitor.NewMachineSampler(machine)
 	n.setHostLocked(cfg.HostLoad, 300*simos.MB)
 
 	if cfg.Gossip != nil {
@@ -437,7 +429,10 @@ func (n *Node) setHostLocked(load float64, mem int64) {
 
 // crashNowLocked implements the CrashAtVirtual fault: once the virtual
 // clock passes the crash point the node's service is gone — the current
-// exchange is dropped mid-stream and the whole node shuts down.
+// exchange is dropped mid-stream and the whole node shuts down. Callers
+// check it right after the engine's step and before publishing anything
+// from that step's observation (reply, digest, metrics), so the detector's
+// view of the crossing step never leaves the node.
 func (n *Node) crashNowLocked() bool {
 	if n.crashed {
 		return true
@@ -465,6 +460,9 @@ func (n *Node) handle(req Request) *Response {
 	case "info":
 		return n.info()
 	case "sethost":
+		if err := n.checkMB("host_mem_mb", req.HostMemMB); err != nil {
+			return &Response{OK: false, Error: err.Error()}
+		}
 		n.mu.Lock()
 		n.setHostLocked(req.HostLoad, req.HostMemMB*simos.MB)
 		n.mu.Unlock()
@@ -484,16 +482,24 @@ func (n *Node) handle(req Request) *Response {
 	}
 }
 
+// checkMB validates a size in MiB from the wire before it is scaled to
+// bytes, where a large value could wrap: 0 means "use the default", and
+// nothing may be negative or exceed the machine's RAM.
+func (n *Node) checkMB(field string, mb int64) error {
+	if ram := n.machine.Config().RAM / simos.MB; mb < 0 || mb > ram {
+		return fmt.Errorf("%s %d outside [0, %d]", field, mb, ram)
+	}
+	return nil
+}
+
 // info advances the machine one monitor period and reports the state.
 func (n *Node) info() *Response {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.machine.Run(n.cfg.MonitorPeriod)
+	obs, state, _, _ := n.eng.Step()
 	if n.crashNowLocked() {
 		return nil
 	}
-	obs := n.mon.Observe(n.sampler.Sample())
-	state, _ := n.det.Observe(obs)
 	n.noteStateLocked(state, obs.HostCPU)
 	if n.met != nil {
 		n.met.state.Set(float64(state))
@@ -519,8 +525,11 @@ func (n *Node) submit(spec JobSpec, trace string) *Response {
 		return &Response{OK: false, Error: fmt.Sprintf(
 			"resume offset %.1f outside [0, %.1f)", spec.ResumeCPUSeconds, spec.CPUSeconds)}
 	}
+	if err := n.checkMB("rss_mb", spec.RSSMB); err != nil {
+		return &Response{OK: false, Error: err.Error()}
+	}
 	rss := spec.RSSMB * simos.MB
-	if rss <= 0 {
+	if rss == 0 {
 		rss = 64 * simos.MB
 	}
 	n.mu.Lock()
@@ -542,24 +551,24 @@ func (n *Node) submit(spec JobSpec, trace string) *Response {
 	remaining := time.Duration((spec.CPUSeconds - spec.ResumeCPUSeconds) * float64(time.Second))
 	work := &workload.FiniteWork{Total: remaining, Usage: 1}
 	guest := n.machine.Spawn(spec.Name, simos.Guest, 0, rss, work)
-	ctrl := availability.NewController(n.det, guest)
+	ctrl := n.eng.AttachGuest(guest)
+	defer n.eng.DetachGuest()
 
 	start := n.machine.Now()
 	deadline := start + n.cfg.MaxJobVirtual
 	result := JobResult{ResumedFrom: spec.ResumeCPUSeconds}
-	var state availability.State = n.det.State()
+	state := n.eng.State()
 
 	for n.machine.Now() < deadline {
-		n.machine.Run(n.cfg.MonitorPeriod)
+		var obs availability.Observation
+		var action availability.Action
+		obs, state, action, _ = n.eng.Step()
 		if n.crashNowLocked() {
 			// The machine is revoked mid-job: the guest dies with the
 			// service and the client sees a dropped connection.
 			guest.Kill()
 			return nil
 		}
-		obs := n.mon.Observe(n.sampler.Sample())
-		var action availability.Action
-		state, action, _ = ctrl.Observe(obs)
 		n.noteStateLocked(state, obs.HostCPU)
 		if action == availability.ActionSuspend {
 			result.Suspensions++

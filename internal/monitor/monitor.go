@@ -2,6 +2,7 @@
 // a periodic sampler of host CPU usage, free memory and FGCS-service
 // liveness (the vmstat/prstat equivalent of Section 5), with optional
 // smoothing, feeding availability.Observation streams to the detector.
+// Engine wires it into the paper's per-machine detection module.
 package monitor
 
 import (

@@ -100,18 +100,27 @@ func (m *Machine) Spawn(name string, class Class, nice int, rss int64, b Behavio
 	return p
 }
 
-// Processes returns all processes ever spawned (including dead ones).
+// Processes returns the processes the machine tracks, in spawn order: the
+// live ones plus those that died since the last Run began (Run drops the
+// dead on entry). So the list, and the scans over it on every tick with a
+// sleeper, grow with the live processes and one Run's deaths, not with
+// every process the machine ever spawned. The slice is the machine's own
+// and changes at the next Spawn or Run.
 func (m *Machine) Processes() []*Process { return m.procs }
 
-// LiveProcesses returns the processes that have not terminated.
-func (m *Machine) LiveProcesses() []*Process {
-	out := make([]*Process, 0, m.LiveCount())
+// dropDead removes dead processes from the list, keeping the live ones in
+// spawn order. Dead processes never draw from the RNG, so the random
+// stream is unchanged.
+func (m *Machine) dropDead() {
+	live := m.procs[:0]
 	for _, p := range m.procs {
-		if p.Alive() {
-			out = append(out, p)
+		if p.state != Dead {
+			live = append(live, p)
 		}
 	}
-	return out
+	clear(m.procs[len(live):])
+	m.procs = live
+	m.stateCount[Dead] = 0
 }
 
 // LiveCount returns the number of live processes in O(1).
@@ -158,6 +167,9 @@ func (m *Machine) ThrashTime() time.Duration { return m.thrashTime }
 // a single runnable process with no sleeper due to wake — are advanced in
 // closed form by fastForward; the remaining ticks step individually.
 func (m *Machine) Run(d time.Duration) {
+	if m.stateCount[Dead] > 0 {
+		m.dropDead()
+	}
 	tick := m.cfg.Sched.Tick
 	steps := int64(d / tick)
 	for steps > 0 {

@@ -252,8 +252,8 @@ func TestProcessTermination(t *testing.T) {
 	if got := p.CPUTime(); got != 100*time.Millisecond {
 		t.Errorf("one-shot CPU time = %v, want 100ms", got)
 	}
-	if len(m.LiveProcesses()) != 0 {
-		t.Error("LiveProcesses should be empty")
+	if m.LiveCount() != 0 {
+		t.Error("LiveCount should be zero")
 	}
 }
 
@@ -363,4 +363,35 @@ func TestNiceWeightClamping(t *testing.T) {
 	if niceWeight(24, 19) != 5 {
 		t.Error("raised base should lift the floor")
 	}
+}
+
+// TestRunDropsDeadProcesses: Run drops processes that died before it began
+// and keeps the survivors in spawn order; one that dies during the Run is
+// dropped by the next.
+func TestRunDropsDeadProcesses(t *testing.T) {
+	m := testMachine(t, 14)
+	a := m.Spawn("a", Host, 0, MB, hog{})
+	b := m.Spawn("b", Host, 0, MB, hog{})
+	c := m.Spawn("c", Host, 0, MB, &oneBurst{d: 100 * time.Millisecond})
+	d := m.Spawn("d", Guest, 0, MB, hog{})
+	b.Kill()
+	m.Run(time.Second)
+	if got := m.Processes(); len(got) != 3 || got[0] != a || got[1] != c || got[2] != d {
+		t.Fatalf("after the first Run: %v, want a c d", names(got))
+	}
+	m.Run(time.Second)
+	if got := m.Processes(); len(got) != 2 || got[0] != a || got[1] != d {
+		t.Fatalf("after the second Run: %v, want a d", names(got))
+	}
+	if msg := m.CheckAggregates(); msg != "" {
+		t.Error(msg)
+	}
+}
+
+func names(ps []*Process) []string {
+	out := make([]string, len(ps))
+	for i, p := range ps {
+		out[i] = p.Name()
+	}
+	return out
 }
