@@ -19,17 +19,20 @@
 // heartbeat_batch, gossip, list, forecast and their replies — are written
 // and parsed by hand (wire.go), without reflection: roundTrip and serveConn
 // each send the bytes json.Encoder would, in one Write, and parse the
-// message as it arrives, in one pass, with one state machine to which a
-// Request and a Response are two key → field tables. That half takes a
-// strict subset: known keys in exact case, no array twice; strings without
-// escapes, control bytes or non-ASCII (nor, written, <, > or &);
-// strict-grammar numbers that fit their field, no NaN or Inf; no null; no
-// job, host_*, info or shard_map member. All else — submit, sethost, info,
-// shardmap and their replies, malformed or oversized input — goes to
-// encoding/json (decodeBounded, json.Encoder below) as the bytes already
-// read plus the rest of the connection, and gets its result and error text:
-// not a codec a caller can select, but where the subset ends and the oracle
-// FuzzWireCodec holds it to.
+// message as it arrives, in one pass, with one state machine that knows the
+// types only by their key → field tables. A flat object's table is ordered:
+// it fixes the order in which the encoder writes the object's members and
+// the parser first reads them, taking an element so written whole and any
+// other member by member. That half takes a strict subset: known keys in
+// exact case, no array twice; strings without escapes, control bytes or
+// non-ASCII (nor, written, <, > or &); strict-grammar numbers that fit
+// their field, no NaN or Inf; no null; no job, host_*, info or shard_map
+// member. All else — submit, sethost, info, shardmap and their replies,
+// malformed or oversized input — goes to encoding/json (decodeBounded,
+// json.Encoder below) as the bytes already read plus the rest of the
+// connection, and gets its result and error text: not a codec a caller can
+// select, but where the subset ends and the oracle FuzzWireCodec holds it
+// to.
 package ishare
 
 import (

@@ -19,14 +19,23 @@ var wireBufs = sync.Pool{New: func() any {
 	return &b
 }}
 
-// wireStates interns the state strings digests, nodes and forecasts carry:
-// a decoded batch allocates one string per digest (its name), not two.
-var wireStates = func() map[string]string {
-	m := make(map[string]string)
+// wireStates interns the state strings digests, nodes and forecasts carry,
+// short and long form, indexed by the state's digit: a decoded batch
+// allocates one string per digest (its name), not two.
+var wireStates = func() (t [5][2]string) {
 	for s := availability.S1; s <= availability.S5; s++ {
-		m[s.String()], m[s.Short()] = s.String(), s.Short()
+		t[s-availability.S1] = [2]string{s.Short(), s.String()}
 	}
-	return m
+	return t
+}()
+
+// wireEscapes marks the bytes json.Encoder does not copy through
+// unescaped.
+var wireEscapes = func() (t [256]bool) {
+	for c := range t {
+		t[c] = c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&'
+	}
+	return t
 }()
 
 // wireEnc appends a message as json.Encoder writes it. ok turns false when
@@ -43,9 +52,9 @@ func (e *wireEnc) str(key, s string, keep bool) {
 		return
 	}
 	for i := 0; i < len(s); i++ {
-		// Outside these, json.Encoder copies a byte through unescaped.
-		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+		if wireEscapes[s[i]] {
 			e.ok = false
+			break
 		}
 	}
 	e.b = append(append(append(append(e.b, key...), '"'), s...), '"')
@@ -197,7 +206,7 @@ const (
 	atOpen     uint8 = iota // the message's '{'
 	atEnvelope              // a member of the message, or '}'
 	atObjects               // an element of the open array of objects, or ']'
-	atObject                // a member of the element in obj, or '}'
+	atObject                // a member of the open array's last element, or '}'
 	atStrings               // an element of the open array of strings, or ']'
 )
 
@@ -206,14 +215,14 @@ const (
 // before a member or an array element and resumes there when called with
 // the same bytes and more. It declines no later than encoding/json would
 // report an error and is done where encoding/json would be, at the closing
-// '}'. All it knows of either message type is its wireObject: envelope
-// scalars, arrays of flat objects, arrays of strings.
+// '}'. All it knows of either message type is its tables: the message's
+// wireObject for envelope scalars, arrays of strings and which arrays of
+// flat objects it carries, and each flat object's wireField list.
 type messageParser struct {
-	msg   wireObject        // the *Request or *Response being filled
-	obj   wireObject        // whose members come next: msg, or the element of the open array being parsed
-	elem  func() wireObject // appends an element to the open array of objects
-	strs  *[]string         // the open array of strings
-	pos   int               // b[:pos] is consumed
+	msg   wireObject // the *Request or *Response being filled
+	objs  wireArray  // the open array of objects
+	strs  *[]string  // the open array of strings
+	pos   int        // b[:pos] is consumed
 	at    uint8
 	first bool // nothing of the current object or array consumed: no comma due
 }
@@ -226,7 +235,7 @@ func (p *messageParser) parse(b []byte) wireStatus {
 		}
 		switch c := b[i]; {
 		case p.at == atOpen && c == '{':
-			p.pos, p.at, p.obj, p.first = i+1, atEnvelope, p.msg, true
+			p.pos, p.at, p.first = i+1, atEnvelope, true
 			continue
 		case p.at == atOpen:
 			return wireDecline
@@ -236,7 +245,7 @@ func (p *messageParser) parse(b []byte) wireStatus {
 			p.pos, p.at, p.first = i+1, atObjects, false
 			continue
 		case (p.at == atObjects || p.at == atStrings) && c == ']':
-			p.pos, p.at, p.obj, p.first = i+1, atEnvelope, p.msg, false
+			p.pos, p.at, p.first = i+1, atEnvelope, false
 			continue
 		}
 		if !p.first {
@@ -255,7 +264,13 @@ func (p *messageParser) parse(b []byte) wireStatus {
 			if b[i] != '{' {
 				return wireDecline
 			}
-			i, p.at, p.obj = i+1, atObject, p.elem()
+			// An element as the encoder writes it is taken whole; any
+			// other goes member by member.
+			if j, walked := p.objs.element(b, i); walked {
+				i = j
+			} else {
+				i, p.at = i+1, atObject
+			}
 		case atStrings:
 			var s string
 			if i, st = stringValue(&s, b, i); st == wireDone {
@@ -269,9 +284,10 @@ func (p *messageParser) parse(b []byte) wireStatus {
 	}
 }
 
-// member parses one `"key":value` of p.obj at b[i] into the field its table
-// names. An array value is only opened (p.at moves into it): its elements
-// are parse's. A repeated scalar takes its last value, as in encoding/json.
+// member parses one `"key":value` of the message or of the open array's
+// last element at b[i] into the field its table names. An array value is
+// only opened (p.at moves into it): its elements are parse's. A repeated
+// scalar takes its last value, as in encoding/json.
 func (p *messageParser) member(b []byte, i int) (int, wireStatus) {
 	key, i, st := rawString(b, i)
 	if st == wireDone {
@@ -285,14 +301,17 @@ func (p *messageParser) member(b []byte, i int) (int, wireStatus) {
 	if st != wireDone {
 		return i, st
 	}
-	return p.obj.wireMember(p, key, b, i)
+	if p.at == atObject {
+		return p.objs.member(key, b, i)
+	}
+	return p.msg.wireMember(p, key, b, i)
 }
 
-// wireObject is what the parser fills: a message, or a flat object of one
-// of its arrays. wireMember is its key → field table, all that tells a
-// Request from a Response: it parses the value at b[i] into the field key
-// names, and declines what encoding/json must decide (an unknown or
-// other-case key; job, host_*, info, shard_map).
+// wireObject is the message the parser fills. wireMember is its key →
+// field table, all that tells a Request from a Response: it parses the
+// value at b[i] into the field key names, and declines what encoding/json
+// must decide (an unknown or other-case key; job, host_*, info,
+// shard_map).
 type wireObject interface {
 	wireMember(p *messageParser, key, b []byte, i int) (int, wireStatus)
 }
@@ -318,7 +337,7 @@ func (o *Request) wireMember(p *messageParser, key, b []byte, i int) (int, wireS
 	case "gen":
 		return intValue(&o.Gen, b, i)
 	case "digests":
-		return openObjects(p, &o.Digests, b, i)
+		return openObjects(p, &o.Digests, digestFields, b, i)
 	case "names":
 		return p.openStrings(&o.Names, b, i)
 	case "horizon_ms":
@@ -338,73 +357,108 @@ func (o *Response) wireMember(p *messageParser, key, b []byte, i int) (int, wire
 	case "error":
 		return stringValue(&o.Error, b, i)
 	case "nodes":
-		return openObjects(p, &o.Nodes, b, i)
+		return openObjects(p, &o.Nodes, nodeFields, b, i)
 	case "digests":
-		return openObjects(p, &o.Digests, b, i)
+		return openObjects(p, &o.Digests, digestFields, b, i)
 	case "missing":
 		return p.openStrings(&o.Missing, b, i)
 	case "forecasts":
-		return openObjects(p, &o.Forecasts, b, i)
+		return openObjects(p, &o.Forecasts, forecastFields, b, i)
 	case "retry_after_ms":
 		return intValue(&o.RetryAfterMS, b, i)
 	}
 	return i, wireDecline
 }
 
-func (o *NodeDigest) wireMember(_ *messageParser, key, b []byte, i int) (int, wireStatus) {
-	switch string(key) {
-	case "name":
-		return stringValue(&o.Name, b, i)
-	case "addr":
-		return stringValue(&o.Addr, b, i)
-	case "state":
-		return stringValue(&o.State, b, i)
-	case "load":
-		return floatValue(&o.Load, b, i)
-	case "gen":
-		return intValue(&o.Gen, b, i)
-	case "unix_ms":
-		return intValue(&o.UnixMS, b, i)
-	}
-	return i, wireDecline
+// wireField is one member of a flat object: its key as the encoder writes
+// it, quoted and with its colon, and what parses its value. A flat object's
+// table lists its members in the order appendRequest and appendResponse
+// write them, and is all the parser knows of the type.
+type wireField[T any] struct {
+	key   string
+	value func(o *T, b []byte, i int) (int, wireStatus)
 }
 
-func (o *NodeInfo) wireMember(_ *messageParser, key, b []byte, i int) (int, wireStatus) {
-	switch string(key) {
-	case "name":
-		return stringValue(&o.Name, b, i)
-	case "addr":
-		return stringValue(&o.Addr, b, i)
-	case "alive":
-		return boolValue(&o.Alive, b, i)
-	case "last_seen_ms":
-		return intValue(&o.LastSeenMS, b, i)
-	case "state":
-		return stringValue(&o.State, b, i)
-	case "load":
-		return floatValue(&o.Load, b, i)
-	case "gen":
-		return intValue(&o.Gen, b, i)
-	}
-	return i, wireDecline
+var digestFields = []wireField[NodeDigest]{
+	{`"name":`, func(o *NodeDigest, b []byte, i int) (int, wireStatus) { return stringValue(&o.Name, b, i) }},
+	{`"addr":`, func(o *NodeDigest, b []byte, i int) (int, wireStatus) { return stringValue(&o.Addr, b, i) }},
+	{`"state":`, func(o *NodeDigest, b []byte, i int) (int, wireStatus) { return stringValue(&o.State, b, i) }},
+	{`"load":`, func(o *NodeDigest, b []byte, i int) (int, wireStatus) { return floatValue(&o.Load, b, i) }},
+	{`"gen":`, func(o *NodeDigest, b []byte, i int) (int, wireStatus) { return intValue(&o.Gen, b, i) }},
+	{`"unix_ms":`, func(o *NodeDigest, b []byte, i int) (int, wireStatus) { return intValue(&o.UnixMS, b, i) }},
 }
 
-func (o *ForecastInfo) wireMember(_ *messageParser, key, b []byte, i int) (int, wireStatus) {
-	switch string(key) {
-	case "name":
-		return stringValue(&o.Name, b, i)
-	case "known":
-		return boolValue(&o.Known, b, i)
-	case "survival":
-		return floatValue(&o.Survival, b, i)
-	case "samples":
-		return intSizeValue(&o.Samples, b, i)
-	case "state":
-		return stringValue(&o.State, b, i)
-	case "gen":
-		return intValue(&o.Gen, b, i)
-	case "unix_ms":
-		return intValue(&o.UnixMS, b, i)
+var nodeFields = []wireField[NodeInfo]{
+	{`"name":`, func(o *NodeInfo, b []byte, i int) (int, wireStatus) { return stringValue(&o.Name, b, i) }},
+	{`"addr":`, func(o *NodeInfo, b []byte, i int) (int, wireStatus) { return stringValue(&o.Addr, b, i) }},
+	{`"alive":`, func(o *NodeInfo, b []byte, i int) (int, wireStatus) { return boolValue(&o.Alive, b, i) }},
+	{`"last_seen_ms":`, func(o *NodeInfo, b []byte, i int) (int, wireStatus) { return intValue(&o.LastSeenMS, b, i) }},
+	{`"state":`, func(o *NodeInfo, b []byte, i int) (int, wireStatus) { return stringValue(&o.State, b, i) }},
+	{`"load":`, func(o *NodeInfo, b []byte, i int) (int, wireStatus) { return floatValue(&o.Load, b, i) }},
+	{`"gen":`, func(o *NodeInfo, b []byte, i int) (int, wireStatus) { return intValue(&o.Gen, b, i) }},
+}
+
+var forecastFields = []wireField[ForecastInfo]{
+	{`"name":`, func(o *ForecastInfo, b []byte, i int) (int, wireStatus) { return stringValue(&o.Name, b, i) }},
+	{`"known":`, func(o *ForecastInfo, b []byte, i int) (int, wireStatus) { return boolValue(&o.Known, b, i) }},
+	{`"survival":`, func(o *ForecastInfo, b []byte, i int) (int, wireStatus) { return floatValue(&o.Survival, b, i) }},
+	{`"samples":`, func(o *ForecastInfo, b []byte, i int) (int, wireStatus) { return intSizeValue(&o.Samples, b, i) }},
+	{`"state":`, func(o *ForecastInfo, b []byte, i int) (int, wireStatus) { return stringValue(&o.State, b, i) }},
+	{`"gen":`, func(o *ForecastInfo, b []byte, i int) (int, wireStatus) { return intValue(&o.Gen, b, i) }},
+	{`"unix_ms":`, func(o *ForecastInfo, b []byte, i int) (int, wireStatus) { return intValue(&o.UnixMS, b, i) }},
+}
+
+// walkFields parses the object at b[i] ('{') into o if it is exactly what
+// the encoder writes: members in the table's order, each at most once,
+// nothing between tokens, then '}'. It returns the index after the '}', or
+// false on any other input, one that ends first included, having filled
+// some of o.
+func walkFields[T any](fields []wireField[T], o *T, b []byte, i int) (int, bool) {
+	i, comma := i+1, 0 // no comma before the first member
+	for _, f := range fields {
+		k := i + comma
+		if v := k + len(f.key); v < len(b) && (comma == 0 || b[i] == ',') && string(b[k:v]) == f.key {
+			var st wireStatus
+			if i, st = f.value(o, b, v); st != wireDone {
+				return 0, false
+			}
+			comma = 1
+		}
+	}
+	if i < len(b) && b[i] == '}' {
+		return i + 1, true
+	}
+	return 0, false
+}
+
+// wireArray is the open array of flat objects. element appends a slot for
+// the element at b[i] ('{') and walks its table into it; when the walk
+// fails the slot is left zero, for member to fill key by key.
+type wireArray interface {
+	element(b []byte, i int) (int, bool)
+	member(key, b []byte, i int) (int, wireStatus)
+}
+
+type wireObjects[T any] struct {
+	dst    *[]T
+	fields []wireField[T]
+}
+
+func (a *wireObjects[T]) element(b []byte, i int) (int, bool) {
+	*a.dst = append(*a.dst, *new(T))
+	o := &(*a.dst)[len(*a.dst)-1]
+	j, ok := walkFields(a.fields, o, b, i)
+	if !ok {
+		*o = *new(T)
+	}
+	return j, ok
+}
+
+func (a *wireObjects[T]) member(key, b []byte, i int) (int, wireStatus) {
+	for _, f := range a.fields {
+		if string(key) == f.key[1:len(f.key)-2] {
+			return f.value(&(*a.dst)[len(*a.dst)-1], b, i)
+		}
 	}
 	return i, wireDecline
 }
@@ -414,16 +468,13 @@ func (o *ForecastInfo) wireMember(_ *messageParser, key, b []byte, i int) (int, 
 // encoding/json's rules apply to those. The slice is pre-sized from the
 // braces in sight, but never beyond what the bytes could hold
 // (`{"name":""},` is 12).
-func openObjects[T any, P wirePtr[T]](p *messageParser, dst *[]T, b []byte, i int) (int, wireStatus) {
+func openObjects[T any](p *messageParser, dst *[]T, fields []wireField[T], b []byte, i int) (int, wireStatus) {
 	if b[i] != '[' || *dst != nil {
 		return i, wireDecline
 	}
 	rest := b[i+1:]
 	*dst = make([]T, 0, min(bytes.Count(rest, []byte{'{'}), len(rest)/12+1))
-	p.at, p.elem = atObjects, func() wireObject {
-		*dst = append(*dst, *new(T))
-		return P(&(*dst)[len(*dst)-1])
-	}
+	p.at, p.objs = atObjects, &wireObjects[T]{dst, fields}
 	return i + 1, wireDone
 }
 
@@ -464,9 +515,9 @@ func rawString(b []byte, i int) ([]byte, int, wireStatus) {
 // stringValue stores the string at b[i] in *dst, a state string interned.
 func stringValue(dst *string, b []byte, i int) (int, wireStatus) {
 	s, i, st := rawString(b, i)
-	if len(s) > 1 && s[0] == 'S' { // only a state starts so: no lookup for the names
-		if v, ok := wireStates[string(s)]; ok {
-			*dst = v
+	if len(s) > 1 && s[0] == 'S' && s[1]-'1' < 5 { // only a state starts so: no compare for the names
+		if form := wireStates[s[1]-'1'][min(len(s)-2, 1)]; string(s) == form {
+			*dst = form
 			return i, st
 		}
 	}
@@ -507,7 +558,9 @@ func numberToken(b []byte, i int) (tok []byte, integer bool, st wireStatus) {
 }
 
 // floatValue and intValue convert with the calls encoding/json makes, and
-// decline where it reports an error (overflow, a fraction for an integer).
+// decline where it reports an error (overflow, a fraction for an integer);
+// intValue builds a plain integer of up to 18 digits itself, which cannot
+// overflow, and leaves anything longer or malformed to those calls.
 func floatValue(dst *float64, b []byte, i int) (int, wireStatus) {
 	tok, _, st := numberToken(b, i)
 	f, err := strconv.ParseFloat(string(tok), 64)
@@ -519,6 +572,22 @@ func floatValue(dst *float64, b []byte, i int) (int, wireStatus) {
 }
 
 func intValue(dst *int64, b []byte, i int) (int, wireStatus) {
+	j := i
+	if b[j] == '-' {
+		j++
+	}
+	var v int64
+	k := j
+	for ; j < len(b) && j-k < 18 && '0' <= b[j] && b[j] <= '9'; j++ {
+		v = 10*v + int64(b[j]-'0')
+	}
+	if j > k && (j == k+1 || b[k] != '0') && j < len(b) && !numberByte(b[j]) {
+		if b[i] == '-' {
+			v = -v
+		}
+		*dst = v
+		return j, wireDone
+	}
 	tok, integer, st := numberToken(b, i)
 	v, err := strconv.ParseInt(string(tok), 10, 64)
 	if st == wireDone && (!integer || err != nil) {
@@ -526,6 +595,11 @@ func intValue(dst *int64, b []byte, i int) (int, wireStatus) {
 	}
 	*dst = v
 	return i + len(tok), st
+}
+
+// numberByte reports whether c would continue a number's digits.
+func numberByte(c byte) bool {
+	return '0' <= c && c <= '9' || c == '.' || c|0x20 == 'e'
 }
 
 // intSizeValue is intValue for an int field.

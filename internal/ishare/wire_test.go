@@ -200,6 +200,18 @@ func FuzzWireCodec(f *testing.F) {
 	}
 	f.Add([]byte(`{}`), "a<b", "é", math.Inf(1), int64(-1), uint8(1))
 	f.Add([]byte(`{}`), `q"\`, "", 1e-7, int64(0), uint8(200))
+	// At the edges of the walk over an element as the encoder writes it.
+	for _, s := range []string{
+		`{"op":"gossip","digests":[{"name":"m001","addr":"a:1","zone":"z"}]}`,
+		`{"ok":true,"nodes":[{"name":"a","addr":"b","alive":true,"last_seen_ms":5,"name":"c"}]}`,
+		`{"ok":true,"forecasts":[{"name":"a\"b","known":true,"survival":0.5}]}`,
+		`{"digests":[{"name":"a","gen":123456789012345678,"unix_ms":-123456789012345678}]}`,
+		`{"digests":[{"name":"a","gen":1234567890123456789,"unix_ms":-9223372036854775808}]}`,
+		`{"digests":[{"name":"a","gen":-0}]}`, `{"digests":[{"name":"a","gen":01}]}`, `{"digests":[{"name":"a","gen":-}]}`,
+		`{"digests":[{"name":"a", "gen":1}]}`, `{"digests":[{},{"name":"a"},{}]}`,
+	} {
+		f.Add([]byte(s), "m001", "S1(full)", 0.25, int64(3), uint8(7))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, name, state string, load float64, gen int64, n uint8) {
 		const lim = 1 << 12
 		checkAgainstJSON[Request](t, data, lim, int(n))
@@ -447,6 +459,121 @@ func TestWireDecodeAllocs(t *testing.T) {
 			t.Errorf("%s reply: %.0f allocs for %d entries, want <= %.0f", tc.name, allocs, tc.n, limit)
 		}
 	}
+}
+
+// TestWireEncodeAllocs: into a warm buffer the encoder allocates nothing,
+// for a 1000-digest batch or a place op's replies.
+func TestWireEncodeAllocs(t *testing.T) {
+	batch := &Request{Op: "heartbeat_batch", Digests: benchDigests(1000)}
+	list, forecasts := listReply(32), forecastReply(8)
+	for _, tc := range []struct {
+		name string
+		enc  func(b []byte) ([]byte, bool)
+	}{
+		{"heartbeat batch", func(b []byte) ([]byte, bool) { return appendRequest(b, batch) }},
+		{"list reply", func(b []byte) ([]byte, bool) { return appendResponse(b, list) }},
+		{"forecast reply", func(b []byte) ([]byte, bool) { return appendResponse(b, forecasts) }},
+	} {
+		buf, ok := tc.enc(nil)
+		if !ok {
+			t.Fatalf("%s: encoder declined", tc.name)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { buf, _ = tc.enc(buf[:0]) }); allocs != 0 {
+			t.Errorf("%s: %.0f allocs into a warm buffer, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// combos returns every T the setters can make: element m has setter k
+// applied if bit k of m is set.
+func combos[T any](setters ...func(*T)) []T {
+	out := make([]T, 1<<len(setters))
+	for m := range out {
+		for k, set := range setters {
+			if m>>k&1 == 1 {
+				set(&out[m])
+			}
+		}
+	}
+	return out
+}
+
+// walkArray walks each element of the array the encoder wrote after open
+// in enc with walkFields, as the parser does at each '{', and requires every
+// one to be taken whole and read back as written.
+func walkArray[T any](t *testing.T, enc []byte, open string, fields []wireField[T], want []T) {
+	t.Helper()
+	i := bytes.Index(enc, []byte(open))
+	if i < 0 {
+		t.Fatalf("no %s in %s", open, enc)
+	}
+	i += len(open)
+	for k := range want {
+		if k > 0 {
+			if enc[i] != ',' {
+				t.Fatalf("%s: %.40q after element %d", open, enc[i:], k-1)
+			}
+			i++
+		}
+		if enc[i] != '{' {
+			t.Fatalf("%s element %d starts %.40q", open, k, enc[i:])
+		}
+		var got T
+		j, ok := walkFields(fields, &got, enc, i)
+		if !ok || !reflect.DeepEqual(got, want[k]) {
+			t.Fatalf("%s element %d %.120q: walked %v, read %+v, wrote %+v", open, k, enc[i:], ok, got, want[k])
+		}
+		i = j
+	}
+	if enc[i] != ']' {
+		t.Fatalf("%s: %.40q after the last element", open, enc[i:])
+	}
+}
+
+// TestWireTablesFollowEncoder: each flat object the encoder writes, with
+// every combination of its fields zero and non-zero, through appendRequest
+// and appendResponse, is taken whole by its table's walk. A member the
+// encoder writes out of table order, or that its table lacks, fails here
+// rather than only parsing slower.
+func TestWireTablesFollowEncoder(t *testing.T) {
+	digests := combos(
+		func(d *NodeDigest) { d.Name = "m001" },
+		func(d *NodeDigest) { d.Addr = "10.0.0.1:70" },
+		func(d *NodeDigest) { d.State = "S2(lowest-priority)" },
+		func(d *NodeDigest) { d.Load = 0.25 },
+		func(d *NodeDigest) { d.Gen = 7 },
+		func(d *NodeDigest) { d.UnixMS = 1700000000000 },
+	)
+	nodes := combos(
+		func(n *NodeInfo) { n.Name = "m001" },
+		func(n *NodeInfo) { n.Addr = "10.0.0.1:70" },
+		func(n *NodeInfo) { n.Alive = true },
+		func(n *NodeInfo) { n.LastSeenMS = 1700000000000 },
+		func(n *NodeInfo) { n.State = "S1" },
+		func(n *NodeInfo) { n.Load = 1e-7 },
+		func(n *NodeInfo) { n.Gen = -3 },
+	)
+	forecasts := combos(
+		func(f *ForecastInfo) { f.Name = "m001" },
+		func(f *ForecastInfo) { f.Known = true },
+		func(f *ForecastInfo) { f.Survival = 0.75 },
+		func(f *ForecastInfo) { f.Samples = 12 },
+		func(f *ForecastInfo) { f.State = "S5(machine-unavail)" },
+		func(f *ForecastInfo) { f.Gen = 4 },
+		func(f *ForecastInfo) { f.UnixMS = 1700000000000 },
+	)
+	req, ok := appendRequest(nil, &Request{Op: "gossip", Digests: digests})
+	if !ok {
+		t.Fatal("encoder declined the request")
+	}
+	walkArray(t, req, `"digests":[`, digestFields, digests)
+	resp, ok := appendResponse(nil, &Response{OK: true, Nodes: nodes, Digests: digests, Forecasts: forecasts})
+	if !ok {
+		t.Fatal("encoder declined the response")
+	}
+	walkArray(t, resp, `"nodes":[`, nodeFields, nodes)
+	walkArray(t, resp, `"digests":[`, digestFields, digests)
+	walkArray(t, resp, `"forecasts":[`, forecastFields, forecasts)
 }
 
 // wireExchange writes the segments of one request to a registry, pausing
