@@ -113,13 +113,16 @@ bench-smoke:
 # broken blocks), the testbed at 1 and 4 workers and the sharded v2 encoder
 # round-trip, the model fit and generate, and contention Figures 1(a) and 4
 # at GOMAXPROCS 1 and 4 — all on small fixed-seed inputs, each equal to its
-# serial run.
+# serial run; then the paper's artefact goldens at one and four workers
+# (no -race: the legs above race-check the same stages).
 bench-parallel:
 	$(GO) test -race -count 1 ./internal/par/
 	$(GO) test -race -count 1 -run 'TestAnalyzeBlock|TestMergeFrom|TestBlockIndexMatchesIndex|TestBlockFileSalvagesTruncation' ./internal/trace/
 	$(GO) test -race -count 1 -run 'TestRunDeterminism|TestEncoderSinkV2RoundTrip' ./internal/testbed/
 	$(GO) test -race -count 1 -run 'TestGenerateDeterministic|TestFitMatchesPerMachineScans' ./internal/markov/
 	$(GO) test -race -count 1 -run 'TestFiguresSerialEqualsParallel' ./internal/contention/
+	GOMAXPROCS=1 $(GO) test -count 1 -run TestArtefacts .
+	GOMAXPROCS=4 $(GO) test -count 1 -run TestArtefacts .
 
 # Metrics-endpoint smoke: start ishared with an ephemeral metrics port,
 # scrape /healthz and /metrics, assert the expected families are served.

@@ -29,10 +29,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/testbed"
 	"repro/internal/trace"
 )
@@ -69,13 +67,13 @@ func main() {
 			log.Fatal(err)
 		}
 		if want("table2") {
-			printTable2(a.Table2())
+			fmt.Println(a.Table2().Format())
 		}
 		if want("fig6") {
-			printFigure6(a.IntervalECDF(sim.Weekday), a.IntervalECDF(sim.Weekend))
+			fmt.Println(trace.FormatFigure6(a.IntervalECDF(sim.Weekday), a.IntervalECDF(sim.Weekend)))
 		}
 		if want("fig7") {
-			printFigure7(a.HourlyOccurrences(sim.Weekday), a.HourlyOccurrences(sim.Weekend))
+			fmt.Println(trace.FormatFigure7(a.HourlyOccurrences(sim.Weekday), a.HourlyOccurrences(sim.Weekend)))
 		}
 		return
 	}
@@ -86,20 +84,20 @@ func main() {
 	}
 
 	if want("table2") {
-		printTable2(tr.MakeTable2())
+		fmt.Println(tr.MakeTable2().Format())
 	}
 	if want("fig6") {
-		printFigure6(tr.IntervalECDFs())
+		fmt.Println(trace.FormatFigure6(tr.IntervalECDFs()))
 	}
 	if want("fig7") {
-		printFigure7(tr.HourlyOccurrences(sim.Weekday), tr.HourlyOccurrences(sim.Weekend))
+		fmt.Println(trace.FormatFigure7(tr.HourlyOccurrences(sim.Weekday), tr.HourlyOccurrences(sim.Weekend)))
 	}
 	if want("summary") {
 		fmt.Println("Dependability summary (extension; not in the paper)")
 		fmt.Print(tr.FormatSummary())
 	}
 	if want("acf") {
-		printPeriodicity(tr)
+		fmt.Println(tr.FormatPeriodicity())
 	}
 }
 
@@ -129,55 +127,4 @@ func loadTrace(path string) (*trace.Trace, error) {
 		return testbed.Run(testbed.DefaultConfig())
 	}
 	return trace.ReadFile(path)
-}
-
-func printTable2(tb trace.Table2) {
-	fmt.Println("Table 2 — resource unavailability due to different causes (per machine)")
-	fmt.Printf("%-12s %-12s %-18s %-18s %-10s\n", "", "total", "cpu contention", "mem contention", "URR")
-	fmt.Printf("%-12s %4d-%-7d %6d-%-11d %6d-%-11d %3d-%-6d\n", "frequency",
-		tb.Total.Min, tb.Total.Max, tb.CPU.Min, tb.CPU.Max,
-		tb.Memory.Min, tb.Memory.Max, tb.URR.Min, tb.URR.Max)
-	pct := func(lo, hi float64) string { return fmt.Sprintf("%.0f%%-%.0f%%", lo*100, hi*100) }
-	fmt.Printf("%-12s %-12s %-18s %-18s %-10s\n", "percentage", "100%",
-		pct(tb.CPUPct[0], tb.CPUPct[1]),
-		pct(tb.MemoryPct[0], tb.MemoryPct[1]),
-		pct(tb.URRPct[0], tb.URRPct[1]))
-	fmt.Printf("URR from reboots (outage < %v): %.0f%%  (paper: ~90%%)\n\n", tb.RebootCutoff, tb.RebootShare*100)
-}
-
-func printFigure6(wd, we *stats.ECDF) {
-	fmt.Println("Figure 6 — cumulative distribution of availability-interval lengths")
-	fmt.Printf("%-8s %10s %10s\n", "hours", "weekday", "weekend")
-	grid := []float64{1.0 / 12, 0.5, 1, 2, 3, 4, 5, 6, 8, 10, 12}
-	for _, h := range grid {
-		fmt.Printf("%-8.2f %9.1f%% %9.1f%%\n", h, wd.At(h)*100, we.At(h)*100)
-	}
-	fmt.Printf("mean interval: weekday %.2f h, weekend %.2f h (paper: ~3 h / >5 h)\n",
-		wd.Mean(), we.Mean())
-	fmt.Printf("intervals < 5 min: weekday %.1f%% (paper: ~5%%)\n\n", wd.At(1.0/12)*100)
-}
-
-func printPeriodicity(tr *trace.Trace) {
-	series := tr.HourlyCountSeries()
-	fmt.Println("Failure-series autocorrelation (the predictability claim, quantified)")
-	for _, lag := range []int{6, 11, 24, 48, 24 * 7} {
-		fmt.Printf("  lag %4dh: %+.3f\n", lag, stats.AutoCorrelation(series, lag))
-	}
-	fmt.Println()
-}
-
-func printFigure7(weekday, weekend []stats.Summary) {
-	for _, day := range []struct {
-		dt   sim.DayType
-		sums []stats.Summary
-	}{{sim.Weekday, weekday}, {sim.Weekend, weekend}} {
-		fmt.Printf("Figure 7 — unavailability occurrences per hour (%ss)\n", day.dt)
-		fmt.Printf("%-6s %8s %8s %8s  %s\n", "hour", "mean", "min", "max", "")
-		for h, s := range day.sums {
-			bar := strings.Repeat("#", int(s.Mean+0.5))
-			// The paper labels hours 1..24 where hour i covers (i-1, i).
-			fmt.Printf("%-6d %8.1f %8.0f %8.0f  %s\n", h+1, s.Mean, s.Min, s.Max, bar)
-		}
-		fmt.Println()
-	}
 }

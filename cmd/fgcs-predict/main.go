@@ -44,6 +44,10 @@ func main() {
 		seed      = flag.Int64("seed", 2005, "simulation seed")
 	)
 	flag.Parse()
+	if *migrate && !*sched {
+		fmt.Fprintln(os.Stderr, "fgcs-predict: -migrate adds a variant to the -sched comparison; give -sched too")
+		os.Exit(2)
+	}
 
 	tr, err := loadTrace(*traceFile, *spread, *seed)
 	if err != nil {

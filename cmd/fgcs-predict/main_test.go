@@ -13,8 +13,8 @@ import (
 
 // TestReportFromTraceFile builds the binary, hands it a small v2 trace and
 // asks for every report section: all five must print, the same flags must
-// print the same bytes twice, and a missing -trace file must fail naming
-// the file.
+// print the same bytes twice, a missing -trace file must fail naming the
+// file, and -migrate without -sched must be refused before anything runs.
 func TestReportFromTraceFile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the fgcs-predict binary")
@@ -79,5 +79,19 @@ func TestReportFromTraceFile(t *testing.T) {
 	}
 	if !strings.Contains(string(msg), missing) {
 		t.Errorf("error %q does not name %s", msg, missing)
+	}
+
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(bin, "-trace", path, "-migrate")
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err = cmd.Run()
+	if code := cmd.ProcessState.ExitCode(); code != 2 {
+		t.Errorf("-migrate without -sched: exit %d (%v), want 2", code, err)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("-migrate without -sched printed a report:\n%s", stdout.Bytes())
+	}
+	if msg := stderr.String(); !strings.Contains(msg, "-migrate") || !strings.Contains(msg, "-sched") {
+		t.Errorf("refusal %q does not name -migrate and -sched", msg)
 	}
 }

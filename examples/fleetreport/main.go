@@ -1,8 +1,7 @@
-// Fleetreport: use the public fgcs package (the repo root) end to end —
-// simulate the paper's lab testbed and its proposed enterprise follow-up
-// side by side, then print a dependability report for each: availability,
-// MTBF/MTTR, state occupancy, and how strongly the failure series repeats
-// day over day.
+// Fleetreport: simulate the paper's lab testbed and its proposed
+// enterprise follow-up side by side, then print a dependability report for
+// each: availability, MTBF/MTTR, state occupancy, how strongly the failure
+// series repeats day over day, and what that buys the paper's predictor.
 //
 //	go run ./examples/fleetreport
 package main
@@ -12,8 +11,10 @@ import (
 	"log"
 	"time"
 
-	fgcs "repro"
+	"repro/internal/availability"
+	"repro/internal/predict"
 	"repro/internal/stats"
+	"repro/internal/testbed"
 )
 
 func main() {
@@ -21,26 +22,26 @@ func main() {
 
 	profiles := []struct {
 		name string
-		cfg  func() fgcs.TestbedConfig
+		cfg  func() testbed.Config
 	}{
-		{"student lab (the paper's testbed)", func() fgcs.TestbedConfig {
-			cfg := fgcs.DefaultTestbedConfig()
+		{"student lab (the paper's testbed)", func() testbed.Config {
+			cfg := testbed.DefaultConfig()
 			cfg.Machines = 8
 			cfg.Days = 28
 			return cfg
 		}},
-		{"enterprise desktops (the paper's future work)", func() fgcs.TestbedConfig {
-			cfg := fgcs.DefaultTestbedConfig()
+		{"enterprise desktops (the paper's future work)", func() testbed.Config {
+			cfg := testbed.DefaultConfig()
 			cfg.Machines = 8
 			cfg.Days = 28
-			cfg.Workload = fgcs.EnterpriseTestbedParams()
+			cfg.Workload = testbed.EnterpriseParams()
 			return cfg
 		}},
 	}
 
 	for _, p := range profiles {
 		fmt.Printf("=== %s ===\n", p.name)
-		tr, occ, err := fgcs.SimulateTestbedWithOccupancy(p.cfg())
+		tr, occ, err := testbed.RunWithOccupancy(p.cfg())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -51,15 +52,15 @@ func main() {
 			fleet.MTBF.Round(time.Minute), fleet.MTTR.Round(time.Second))
 
 		// Mean state occupancy across machines.
-		mean := map[fgcs.State]float64{}
+		mean := map[availability.State]float64{}
 		for _, o := range occ {
 			for st, f := range o.Fraction {
 				mean[st] += f / float64(len(occ))
 			}
 		}
 		fmt.Printf("state occupancy: S1 %.1f%%  S2 %.1f%%  S3 %.2f%%  S4 %.2f%%  S5 %.2f%%\n",
-			mean[fgcs.S1]*100, mean[fgcs.S2]*100, mean[fgcs.S3]*100,
-			mean[fgcs.S4]*100, mean[fgcs.S5]*100)
+			mean[availability.S1]*100, mean[availability.S2]*100, mean[availability.S3]*100,
+			mean[availability.S4]*100, mean[availability.S5]*100)
 
 		// How repeatable is the failure rhythm?
 		series := tr.HourlyCountSeries()
@@ -68,8 +69,8 @@ func main() {
 
 		// And what that predictability buys: the paper's predictor vs the
 		// time-blind baseline.
-		ev, err := fgcs.EvaluatePredictors(tr, fgcs.DefaultPredictors(),
-			fgcs.EvalConfig{TrainDays: 14, Window: 3 * time.Hour})
+		ev, err := predict.Evaluate(tr, predict.DefaultPredictors(),
+			predict.EvalConfig{TrainDays: 14, Window: 3 * time.Hour})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -29,7 +29,8 @@ func TestDetectorConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("default config rejected: %v", err)
 	}
-	if d.Config().Thresholds != LinuxThresholds() {
+	// The paper's Linux values (Section 4), not merely LinuxThresholds().
+	if d.Config().Thresholds != (Thresholds{Th1: 0.20, Th2: 0.60, Slowdown: 0.05}) {
 		t.Errorf("defaults not applied: %+v", d.Config().Thresholds)
 	}
 	if d.Config().TransientWindow != time.Minute {

@@ -175,8 +175,14 @@ func TestProactiveBeatsOblivious(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(results) != 4 {
+		t.Fatalf("%d policy results, want 4", len(results))
+	}
 	byName := map[string]Result{}
 	for _, r := range results {
+		if r.Completed+r.Unfinished != cfg.Jobs {
+			t.Errorf("%s: jobs unaccounted: %+v", r.Policy, r)
+		}
 		byName[r.Policy] = r
 	}
 	pred := byName["predictive(history-window(trimmed))"]
