@@ -123,9 +123,7 @@ var artefacts = []artefact{
 	}},
 	{name: "e13-migration", input: mixedTrace, gen: func(tr *trace.Trace) (string, error) {
 		cfg := artefactJobs()
-		hw := trimmedHistoryWindow()
-		hw.Train(tr.Before(tr.Span.Start + sim.Time(cfg.TrainDays)*sim.Day))
-		pol := &gsched.Predictive{P: hw}
+		pol := gsched.TrainedPredictive(tr, cfg)
 		plain, err := gsched.Simulate(tr, pol, cfg)
 		if err != nil {
 			return "", err

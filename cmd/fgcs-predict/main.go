@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/gsched"
 	"repro/internal/predict"
-	"repro/internal/sim"
 	"repro/internal/testbed"
 	"repro/internal/trace"
 )
@@ -102,9 +101,7 @@ func main() {
 			log.Fatal(err)
 		}
 		if *migrate {
-			hw := &predict.HistoryWindow{Trim: 0.1}
-			hw.Train(tr.Before(tr.Span.Start + sim.Time(cfg.TrainDays)*sim.Day))
-			pol := &gsched.Predictive{P: hw}
+			pol := gsched.TrainedPredictive(tr, cfg)
 			mig, err := gsched.SimulateMigrating(tr, pol, pol, cfg, gsched.DefaultMigrationConfig())
 			if err != nil {
 				log.Fatal(err)

@@ -64,12 +64,13 @@ func checkOnlineForecastSeed(cfg testbed.Config, tr *trace.Trace, res *Result) e
 	on.AdvanceTo(tr.Span.End)
 	onTrim.AdvanceTo(tr.Span.End)
 
+	trained := predict.NewTraceHistory(tr)
 	hw := &predict.HistoryWindow{}
-	hw.Train(tr)
+	hw.Train(trained)
 	hwTrim := &predict.HistoryWindow{Trim: 0.1}
-	hwTrim.Train(tr)
+	hwTrim.Train(trained)
 	ewma := &predict.EWMADaily{}
-	ewma.Train(tr)
+	ewma.Train(trained)
 
 	// Aligned, misaligned and tail windows on every day of the span and the
 	// seven after it: past the span the trained predictors answer a window

@@ -187,7 +187,7 @@ func sameFloats(a, b []float64) bool {
 // edges and every event end, the exact boundary the audit fixed.
 func checkSemiMarkovBoundaries(name string, tr *trace.Trace, res *Result) error {
 	s := &predict.SemiMarkov{}
-	s.Train(tr)
+	s.Train(predict.NewTraceHistory(tr))
 	ecdfs := map[sim.DayType]*stats.ECDF{
 		sim.Weekday: stats.NewECDF(NaiveIntervalLengths(tr, sim.Weekday)),
 		sim.Weekend: stats.NewECDF(NaiveIntervalLengths(tr, sim.Weekend)),

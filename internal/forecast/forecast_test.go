@@ -64,12 +64,13 @@ func TestOnlineBitEqualToOffline(t *testing.T) {
 		t.Fatal("testbed produced no events; the differential is vacuous")
 	}
 
+	trained := predict.NewTraceHistory(tr)
 	hw := &predict.HistoryWindow{}
-	hw.Train(tr)
+	hw.Train(trained)
 	hwTrim := &predict.HistoryWindow{Trim: 0.1}
-	hwTrim.Train(tr)
+	hwTrim.Train(trained)
 	ewma := &predict.EWMADaily{}
-	ewma.Train(tr)
+	ewma.Train(trained)
 
 	windows := []sim.Window{}
 	for day := 1; day <= cfg.Days; day++ { // includes one day past the span

@@ -434,18 +434,23 @@ func Compare(tr *trace.Trace, policies []Policy, cfg Config) ([]Result, error) {
 	return out, nil
 }
 
-// DefaultPolicies builds the standard comparison lineup: oblivious
-// baselines plus the predictive policy driven by the paper's
-// history-window predictor trained on the trace prefix.
-func DefaultPolicies(tr *trace.Trace, cfg Config, seed int64) []Policy {
+// TrainedPredictive places with the paper's history-window predictor, 10%
+// trimmed, trained on the cfg.TrainDays prefix of tr.
+func TrainedPredictive(tr *trace.Trace, cfg Config) *Predictive {
 	cfg = cfg.withDefaults()
 	hw := &predict.HistoryWindow{Trim: 0.1}
-	hw.Train(tr.Before(tr.Span.Start + sim.Time(cfg.TrainDays)*sim.Day))
+	hw.Train(predict.NewTraceHistory(tr.Before(tr.Span.Start + sim.Time(cfg.TrainDays)*sim.Day)))
+	return &Predictive{P: hw}
+}
+
+// DefaultPolicies builds the standard comparison lineup: oblivious
+// baselines plus TrainedPredictive.
+func DefaultPolicies(tr *trace.Trace, cfg Config, seed int64) []Policy {
 	return []Policy{
 		&Random{R: sim.NewSource(seed).Stream("policy/random")},
 		&RoundRobin{},
 		&LeastRecentlyFailed{},
-		&Predictive{P: hw},
+		TrainedPredictive(tr, cfg),
 	}
 }
 

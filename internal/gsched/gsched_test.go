@@ -73,7 +73,7 @@ func TestPredictiveAvoidsHostileMachine(t *testing.T) {
 	tr := hostileTrace()
 	cfg := Config{Jobs: 60, JobWork: [2]time.Duration{3 * time.Hour, 4 * time.Hour}, TrainDays: 14, Seed: 5}
 	hw := &predict.HistoryWindow{}
-	hw.Train(tr.Before(tr.Span.Start + 14*sim.Day))
+	hw.Train(predict.NewTraceHistory(tr.Before(tr.Span.Start + 14*sim.Day)))
 	pred, err := Simulate(tr, &Predictive{P: hw}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +205,7 @@ func TestMinResponsePolicyAvoidsHostileMachine(t *testing.T) {
 	tr := hostileTrace()
 	cfg := Config{Jobs: 40, JobWork: [2]time.Duration{3 * time.Hour, 4 * time.Hour}, TrainDays: 14, Seed: 6}
 	hw := &predict.HistoryWindow{}
-	hw.Train(tr.Before(tr.Span.Start + 14*sim.Day))
+	hw.Train(predict.NewTraceHistory(tr.Before(tr.Span.Start + 14*sim.Day)))
 	pol := &MinResponse{E: &predict.ResponseEstimator{P: hw, Seed: 5, Samples: 60}}
 	res, err := Simulate(tr, pol, cfg)
 	if err != nil {

@@ -30,7 +30,7 @@ func TestMigratingOnCleanTraceMatchesPlain(t *testing.T) {
 	tr := trace.New(sim.Window{End: 40 * sim.Day}, sim.Calendar{}, 4)
 	cfg := Config{Jobs: 40, JobWork: [2]time.Duration{time.Hour, 2 * time.Hour}, TrainDays: 7, Seed: 3}
 	hw := &predict.HistoryWindow{}
-	hw.Train(tr.Before(7 * sim.Day))
+	hw.Train(predict.NewTraceHistory(tr.Before(7 * sim.Day)))
 	pol := &Predictive{P: hw}
 	res, err := SimulateMigrating(tr, pol, pol, cfg, DefaultMigrationConfig())
 	if err != nil {
@@ -66,7 +66,7 @@ func TestMigrationEscapesHostileMachine(t *testing.T) {
 	tr.Sort()
 	cfg := Config{Jobs: 80, JobWork: [2]time.Duration{5 * time.Hour, 8 * time.Hour}, TrainDays: 14, Seed: 9}
 	hw := &predict.HistoryWindow{}
-	hw.Train(tr.Before(14 * sim.Day))
+	hw.Train(predict.NewTraceHistory(tr.Before(14 * sim.Day)))
 	pol := &Predictive{P: hw}
 
 	plain, err := Simulate(tr, &pinZero{}, cfg)

@@ -24,7 +24,7 @@ func (s scoreTable) PredictSurvival(m trace.MachineID, _ sim.Window) float64 {
 
 func (s scoreTable) PredictCount(trace.MachineID, sim.Window) float64 { return 0 }
 func (s scoreTable) Name() string                                     { return "score-table" }
-func (s scoreTable) Train(*trace.Trace)                               {}
+func (s scoreTable) Train(*predict.TraceHistory)                      {}
 
 func TestPickBest(t *testing.T) {
 	nan := math.NaN()
@@ -143,7 +143,7 @@ func proactiveSetup(t *testing.T) (*trace.Trace, Config, *Predictive) {
 		Seed:      9,
 	}
 	hw := &predict.HistoryWindow{}
-	hw.Train(tr.Before(tr.Span.Start + 14*sim.Day))
+	hw.Train(predict.NewTraceHistory(tr.Before(tr.Span.Start + 14*sim.Day)))
 	return tr, cfg, &Predictive{P: hw}
 }
 

@@ -7,7 +7,6 @@ import (
 	"repro/internal/forecast"
 	"repro/internal/gsched"
 	"repro/internal/obs"
-	"repro/internal/predict"
 	"repro/internal/sim"
 	"repro/internal/testbed"
 )
@@ -183,10 +182,6 @@ func RunForecast(cfg ForecastConfig) (*ForecastResult, error) {
 	// Both runs place with the same offline-trained predictive policy; the
 	// proactive run's reviews consume the *online* forecasts, so the
 	// comparison isolates what the forecast-driven loop adds.
-	hw := &predict.HistoryWindow{Trim: 0.1}
-	hw.Train(tr.Before(trainEnd))
-	pol := &gsched.Predictive{P: hw}
-
 	gcfg := gsched.Config{
 		Jobs:       cfg.Jobs,
 		JobWork:    cfg.JobWork,
@@ -194,6 +189,7 @@ func RunForecast(cfg ForecastConfig) (*ForecastResult, error) {
 		Checkpoint: cfg.Checkpoint,
 		Seed:       cfg.Seed,
 	}
+	pol := gsched.TrainedPredictive(tr, gcfg)
 	reactive, err := gsched.Simulate(tr, pol, gcfg)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: reactive baseline: %w", err)

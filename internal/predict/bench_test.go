@@ -15,7 +15,7 @@ func benchHistory(b *testing.B) *trace.Trace {
 
 func BenchmarkHistoryWindowPredictCount(b *testing.B) {
 	h := &HistoryWindow{}
-	h.Train(benchHistory(b))
+	h.Train(NewTraceHistory(benchHistory(b)))
 	day := sim.Time(70) * sim.Day
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -30,7 +30,7 @@ func BenchmarkHistoryWindowPredictCount(b *testing.B) {
 
 func BenchmarkHistoryWindowPredictSurvival(b *testing.B) {
 	h := &HistoryWindow{Trim: 0.1}
-	h.Train(benchHistory(b))
+	h.Train(NewTraceHistory(benchHistory(b)))
 	day := sim.Time(70) * sim.Day
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -42,7 +42,7 @@ func BenchmarkHistoryWindowPredictSurvival(b *testing.B) {
 
 func BenchmarkSemiMarkovPredictSurvival(b *testing.B) {
 	s := &SemiMarkov{}
-	s.Train(benchHistory(b))
+	s.Train(NewTraceHistory(benchHistory(b)))
 	day := sim.Time(70) * sim.Day
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -84,11 +84,11 @@ func BenchmarkEvaluateAllPredictors(b *testing.B) {
 // below the rest.
 func BenchmarkScore(b *testing.B) {
 	tr := benchHistory(b)
-	ts, err := newTestSet(tr.Span, tr.Machines, newTraceHistory(tr), EvalConfig{TrainDays: 28, Window: 3 * time.Hour})
+	ts, err := newTestSet(tr.Span, tr.Machines, NewTraceHistory(tr), EvalConfig{TrainDays: 28, Window: 3 * time.Hour})
 	if err != nil {
 		b.Fatal(err)
 	}
-	history := tr.Before(ts.cut)
+	history := NewTraceHistory(tr.Before(ts.cut))
 	scratch := ts.scratch()
 	for _, p := range DefaultPredictors() {
 		b.Run(p.Name(), func(b *testing.B) {

@@ -2,6 +2,7 @@ package predict
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -17,16 +18,22 @@ func WindowSensitivity(tr *trace.Trace, mk func() Predictor, windows []time.Dura
 	if len(windows) == 0 {
 		return nil, fmt.Errorf("predict: window sensitivity needs at least one window")
 	}
+	// Every window has the same cut: one truth and one history serve all.
+	truth := NewTraceHistory(tr)
+	var history *TraceHistory
 	var out []Score
 	for _, w := range windows {
 		c := cfg
 		c.Window = w
 		c.Stride = 0 // re-derive from the window
-		ev, err := Evaluate(tr, []Predictor{mk()}, c)
+		ts, err := newTestSet(tr.Span, tr.Machines, truth, c)
 		if err != nil {
 			return nil, err
 		}
-		s := ev.Scores[0]
+		if history == nil {
+			history = NewTraceHistory(tr.Before(ts.cut))
+		}
+		s := ts.evaluate(history, []Predictor{mk()}).Scores[0]
 		s.Name = fmt.Sprintf("%s@%s", s.Name, w)
 		out = append(out, s)
 	}
@@ -61,24 +68,24 @@ type CalibrationBin struct {
 // predicted-probability bin, a calibrated predictor's observed failure
 // frequency matches the bin's mean prediction.
 func Calibration(tr *trace.Trace, p Predictor, cfg EvalConfig, bins int) ([]CalibrationBin, error) {
-	ts, err := newTestSet(tr.Span, tr.Machines, newTraceHistory(tr), cfg)
+	ts, err := newTestSet(tr.Span, tr.Machines, NewTraceHistory(tr), cfg)
 	if err != nil {
 		return nil, err
 	}
 	if bins <= 0 {
 		bins = 10
 	}
-	p.Train(tr.Before(ts.cut))
+	p.Train(NewTraceHistory(tr.Before(ts.cut)))
 
 	sums := make([]float64, bins)
 	hits := make([]int, bins)
 	counts := make([]int, bins)
 	for i, w := range ts.windows {
 		prob := stats.Clamp01(1 - p.PredictSurvival(ts.machines[i], w))
-		bin := int(prob * float64(bins))
-		if bin == bins {
-			bin--
+		if math.IsNaN(prob) {
+			return nil, fmt.Errorf("predict: %s predicts a NaN survival for machine %d in window %v", p.Name(), ts.machines[i], w)
 		}
+		bin := min(int(prob*float64(bins)), bins-1)
 		sums[bin] += prob
 		counts[bin]++
 		if ts.fail[i] {
@@ -108,19 +115,12 @@ func CalibrationError(bins []CalibrationBin) float64 {
 	sum := 0.0
 	for _, b := range bins {
 		total += b.Count
-		sum += float64(b.Count) * abs(b.Predicted-b.Observed)
+		sum += float64(b.Count) * math.Abs(b.Predicted-b.Observed)
 	}
 	if total == 0 {
 		return 0
 	}
 	return sum / float64(total)
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // FormatCalibration renders the reliability diagram.

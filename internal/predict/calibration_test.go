@@ -1,9 +1,14 @@
 package predict
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func TestWindowSensitivity(t *testing.T) {
@@ -11,15 +16,27 @@ func TestWindowSensitivity(t *testing.T) {
 		t.Skip("testbed simulation")
 	}
 	tr := testbedTrace(t)
-	scores, err := WindowSensitivity(tr,
-		func() Predictor { return &HistoryWindow{Trim: 0.1} },
-		[]time.Duration{time.Hour, 3 * time.Hour, 6 * time.Hour, 12 * time.Hour},
-		EvalConfig{TrainDays: 28})
+	mk := func() Predictor { return &HistoryWindow{Trim: 0.1} }
+	windows := []time.Duration{time.Hour, 3 * time.Hour, 6 * time.Hour, 12 * time.Hour}
+	scores, err := WindowSensitivity(tr, mk, windows, EvalConfig{TrainDays: 28})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(scores) != 4 {
 		t.Fatalf("got %d scores", len(scores))
+	}
+	// The sweep shares one truth and one training history; each score is
+	// still the one a separate Evaluate of that window gives.
+	for i, w := range windows {
+		ev, err := Evaluate(tr, []Predictor{mk()}, EvalConfig{TrainDays: 28, Window: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ev.Scores[0]
+		want.Name += "@" + w.String()
+		if !reflect.DeepEqual(scores[i], want) {
+			t.Errorf("window %v: sweep scores %+v, Evaluate %+v", w, scores[i], want)
+		}
 	}
 	// Longer windows contain more events, so the absolute count error
 	// grows with the window — monotonically within tolerance.
@@ -93,7 +110,18 @@ func TestCalibrationValidation(t *testing.T) {
 	if len(bins) != 10 {
 		t.Errorf("default bins = %d, want 10", len(bins))
 	}
+	// A NaN survival is an error naming where it came from, not a bin.
+	_, err = Calibration(tr, &nanPredictor{}, EvalConfig{TrainDays: 5, Window: time.Hour}, 10)
+	if err == nil || !strings.Contains(err.Error(), "nan predicts a NaN survival for machine 0 in window") {
+		t.Errorf("NaN survival: err %v", err)
+	}
 }
+
+// nanPredictor answers every survival with NaN, the undefined prediction.
+type nanPredictor struct{ flatRatePredictor }
+
+func (*nanPredictor) Name() string                                        { return "nan" }
+func (*nanPredictor) PredictSurvival(trace.MachineID, sim.Window) float64 { return math.NaN() }
 
 func TestCalibrationErrorEmpty(t *testing.T) {
 	if CalibrationError(nil) != 0 {

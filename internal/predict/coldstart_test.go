@@ -28,7 +28,7 @@ func coldStartTrace() *trace.Trace {
 func TestPredictorColdStartEdges(t *testing.T) {
 	tr := coldStartTrace()
 
-	newTrained := func(p Predictor) Predictor { p.Train(tr); return p }
+	newTrained := func(p Predictor) Predictor { p.Train(NewTraceHistory(tr)); return p }
 
 	tests := []struct {
 		name string
@@ -136,7 +136,7 @@ func TestPredictorColdStartEdges(t *testing.T) {
 			name: "global-rate empty span",
 			p: func() Predictor {
 				g := &GlobalRate{}
-				g.Train(trace.New(sim.Window{}, sim.Calendar{}, 1))
+				g.Train(NewTraceHistory(trace.New(sim.Window{}, sim.Calendar{}, 1)))
 				return g
 			}(),
 			m:         0,
@@ -170,7 +170,7 @@ func TestPredictorColdStartEdges(t *testing.T) {
 func TestSemiMarkovAgeClamp(t *testing.T) {
 	tr := coldStartTrace()
 	s := &SemiMarkov{}
-	s.Train(tr)
+	s.Train(NewTraceHistory(tr))
 
 	if got := s.age(1, 3*sim.Day); got != 3*sim.Day {
 		t.Errorf("age with no prior event = %v, want %v (measured from span start)", got, 3*sim.Day)
@@ -197,7 +197,7 @@ func TestSemiMarkovAgeSpanStartBoundary(t *testing.T) {
 	// Machine 1: no events at all.
 	tr.Sort()
 	s := &SemiMarkov{}
-	s.Train(tr)
+	s.Train(NewTraceHistory(tr))
 
 	at := span.Start + 5*time.Hour
 	withEvent := s.age(0, at)
@@ -222,7 +222,7 @@ func TestSemiMarkovAgeSpanStartBoundary(t *testing.T) {
 func TestSemiMarkovSurvivalSingleEvaluation(t *testing.T) {
 	tr := coldStartTrace()
 	s := &SemiMarkov{}
-	s.Train(tr)
+	s.Train(NewTraceHistory(tr))
 
 	ecdf := tr.IntervalECDF(sim.Weekday)
 	if ecdf.N() == 0 {
@@ -259,7 +259,7 @@ func TestSemiMarkovSurvivalSingleEvaluation(t *testing.T) {
 func TestEWMAColdStartTransitionsToInformed(t *testing.T) {
 	tr := coldStartTrace()
 	e := &EWMADaily{}
-	e.Train(tr)
+	e.Train(NewTraceHistory(tr))
 	// Day 1, same clock window as the daily event: one prior day of
 	// history with one event -> survival strictly informed (< 1, != 0.5 prior).
 	w := sim.Window{Start: sim.Day + 9*time.Hour, End: sim.Day + 10*time.Hour}

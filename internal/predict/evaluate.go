@@ -77,17 +77,16 @@ type Evaluation struct {
 }
 
 // truthSource answers the two ground-truth queries the evaluation needs;
-// *traceHistory and *trace.BlockIndex both qualify.
+// *TraceHistory and *trace.BlockIndex both qualify.
 type truthSource interface {
 	CountInWindow(m trace.MachineID, w sim.Window) int
 	AnyOverlap(m trace.MachineID, w sim.Window) bool
 }
 
 // testSet is the shared test period of an evaluation: every (machine,
-// window) sample after the training cut with its ground truth. Evaluate,
-// EvaluateBlocks, LearningCurve and Calibration all build theirs through
-// newTestSet, so config validation, the window walk and the truth queries
-// exist once.
+// window) sample after the training cut with its ground truth. Every
+// evaluation entry point builds its test sets through newTestSet, so config
+// validation, the window walk and the truth queries exist once.
 type testSet struct {
 	cfg      EvalConfig // with defaults applied
 	cut      sim.Time   // end of training history, start of the test period
@@ -157,13 +156,13 @@ func (ts *testSet) score(p Predictor, scratch []float64) Score {
 	}
 }
 
-// evaluate trains every predictor on history and scores it over ts. The
-// predictors are independent of one another, so they run on par.For's
-// workers, each with its own scratch buffer: a predictor is only ever
-// touched by the worker that claimed it, history and ts are only read, and
-// each score lands in its predictor's slot, so the result does not depend
-// on how many workers ran or which finished first.
-func (ts *testSet) evaluate(history *trace.Trace, preds []Predictor) *Evaluation {
+// evaluate trains every predictor on the one history and scores it over
+// ts. The predictors are independent of one another, so they run on
+// par.For's workers, each with its own scratch buffer: a predictor is only
+// ever touched by the worker that claimed it, history and ts are only read,
+// and each score lands in its predictor's slot, so the result does not
+// depend on how many workers ran or which finished first.
+func (ts *testSet) evaluate(history *TraceHistory, preds []Predictor) *Evaluation {
 	ev := &Evaluation{Config: ts.cfg, Scores: make([]Score, len(preds))}
 	par.For(len(preds), 0, func(scratch *[]float64, i int) error {
 		if *scratch == nil {
@@ -179,11 +178,11 @@ func (ts *testSet) evaluate(history *trace.Trace, preds []Predictor) *Evaluation
 // Evaluate trains each predictor on the trace prefix and scores it over
 // sliding windows of the remaining test period.
 func Evaluate(tr *trace.Trace, preds []Predictor, cfg EvalConfig) (*Evaluation, error) {
-	ts, err := newTestSet(tr.Span, tr.Machines, newTraceHistory(tr), cfg)
+	ts, err := newTestSet(tr.Span, tr.Machines, NewTraceHistory(tr), cfg)
 	if err != nil {
 		return nil, err
 	}
-	return ts.evaluate(tr.Before(ts.cut), preds), nil
+	return ts.evaluate(NewTraceHistory(tr.Before(ts.cut)), preds), nil
 }
 
 // EvaluateBlocks is Evaluate over a v2 block file: training history is read
@@ -201,17 +200,14 @@ func EvaluateBlocks(bf *trace.BlockFile, preds []Predictor, cfg EvalConfig) (*Ev
 		return nil, err
 	}
 	history := trace.New(sim.Window{Start: h.Span.Start, End: ts.cut}, h.Calendar, h.Machines)
-	filter := trace.ScanFilter{
-		HasWindow: true,
-		Window:    sim.Window{Start: math.MinInt64, End: ts.cut},
-	}
+	filter := trace.ScanFilter{HasWindow: true, Window: sim.Window{Start: math.MinInt64, End: ts.cut}}
 	if history.Events, err = ix.AppendEvents(nil, filter); err != nil {
 		return nil, err
 	}
 	if err := ix.Err(); err != nil {
 		return nil, err
 	}
-	return ts.evaluate(history, preds), nil
+	return ts.evaluate(NewTraceHistory(history), preds), nil
 }
 
 // Format renders the comparison table.

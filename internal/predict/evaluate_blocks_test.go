@@ -65,7 +65,7 @@ func TestEvaluateBlocksMatchesEvaluate(t *testing.T) {
 func serialScores(tr *trace.Trace, cfg EvalConfig) []Score {
 	cfg = cfg.withDefaults()
 	cut := tr.Span.Start + sim.Time(cfg.TrainDays)*sim.Day
-	truth := newTraceHistory(tr)
+	truth := NewTraceHistory(tr)
 	var machines []trace.MachineID
 	var windows []sim.Window
 	var counts []float64
@@ -82,7 +82,7 @@ func serialScores(tr *trace.Trace, cfg EvalConfig) []Score {
 	history := tr.Before(cut)
 	fresh := func(j int) Predictor {
 		p := DefaultPredictors()[j]
-		p.Train(history)
+		p.Train(NewTraceHistory(history))
 		return p
 	}
 	var scores []Score
@@ -104,23 +104,67 @@ func serialScores(tr *trace.Trace, cfg EvalConfig) []Score {
 	return scores
 }
 
+// recorder is a predictor that remembers the history it was trained on.
+type recorder struct {
+	Predictor
+	h *TraceHistory
+}
+
+func (r *recorder) Train(h *TraceHistory) {
+	r.h = h
+	r.Predictor.Train(h)
+}
+
+// recorded wraps every predictor of DefaultPredictors in a recorder.
+func recorded() []Predictor {
+	var preds []Predictor
+	for _, p := range DefaultPredictors() {
+		preds = append(preds, &recorder{Predictor: p})
+	}
+	return preds
+}
+
+// sharedHistory returns the one history every recorder of preds was
+// trained on, failing if they were handed more than one.
+func sharedHistory(t *testing.T, preds []Predictor) *TraceHistory {
+	t.Helper()
+	h := preds[0].(*recorder).h
+	for _, p := range preds[1:] {
+		if p.(*recorder).h != h {
+			t.Fatal("the predictors of one call were trained on different histories")
+		}
+	}
+	return h
+}
+
 // TestEvaluateMatchesSerialOracle holds the concurrent evaluation to the
 // plain loop: with one worker and with four, over the in-memory trace and
 // over the block file, Scores come back in predictor order and every
-// float is the one the oracle computes. Run under -race (make race) it is
-// also the check that the workers share nothing they write.
+// float is the one the oracle computes, which trains a fresh instance on
+// its own history for every answer. Every predictor of a call shares one
+// history, and its events are the training prefix's after the call. Run
+// under -race (make race) it is also the check that the workers share
+// nothing they write.
 func TestEvaluateMatchesSerialOracle(t *testing.T) {
 	tr, bf := blocksFixture(t)
 	ecfg := EvalConfig{TrainDays: 21, Window: 3 * time.Hour}
 	want := serialScores(tr, ecfg)
+	prefix := tr.Before(tr.Span.Start + sim.Time(ecfg.TrainDays)*sim.Day).Events
 
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
-		got, err := Evaluate(tr, DefaultPredictors(), ecfg)
-		gotBlocks, errBlocks := EvaluateBlocks(bf, DefaultPredictors(), ecfg)
+		preds, predsBlocks := recorded(), recorded()
+		got, err := Evaluate(tr, preds, ecfg)
+		gotBlocks, errBlocks := EvaluateBlocks(bf, predsBlocks, ecfg)
 		runtime.GOMAXPROCS(prev)
 		if err != nil || errBlocks != nil {
 			t.Fatal(err, errBlocks)
+		}
+		if !reflect.DeepEqual(sharedHistory(t, preds).Trace().Events, prefix) {
+			t.Errorf("GOMAXPROCS %d: Evaluate's shared history no longer holds the training prefix's %d events", procs, len(prefix))
+		}
+		if !reflect.DeepEqual(sharedHistory(t, predsBlocks).Trace().Events, prefix) {
+			t.Errorf("GOMAXPROCS %d: EvaluateBlocks' shared history no longer holds the training prefix's %d events", procs, len(prefix))
 		}
 		if !reflect.DeepEqual(got.Scores, want) {
 			t.Errorf("GOMAXPROCS %d: Evaluate scores differ from the serial oracle:\n got %+v\nwant %+v", procs, got.Scores, want)

@@ -7,8 +7,8 @@ import (
 
 // History is the store of past unavailability the same-window estimators
 // (HistoryWindow, EWMADaily, LastDay) read. The estimator maths exists once
-// and runs over either of its two implementations: the trace-backed store
-// Train builds (the index, ≤ 40 ns per count — what keeps evaluation fast)
+// and runs over either of its two implementations: the TraceHistory Train
+// is handed (the index, ≤ 40 ns per count — what keeps evaluation fast)
 // and forecast.Online's bounded per-machine ring (O(1) ingest, ≈ 170 ns per
 // count — what the control plane can afford to keep per node).
 type History interface {
@@ -30,20 +30,25 @@ func known(h History, m trace.MachineID) bool {
 	return h != nil && m >= 0 && int(m) < h.Machines()
 }
 
-// traceHistory is the History over a recorded trace, and the ground truth
-// of the evaluation: counts and overlap tests come from the trace's index.
-type traceHistory struct {
+// TraceHistory is the History over a recorded trace, and the evaluation's
+// ground truth: the trace and its index, built once by NewTraceHistory and
+// only read after, so predictors on any number of goroutines share one.
+type TraceHistory struct {
 	tr *trace.Trace
 	*trace.Index
 }
 
-func newTraceHistory(tr *trace.Trace) *traceHistory {
-	return &traceHistory{tr: tr, Index: tr.BuildIndex()}
+// NewTraceHistory indexes tr. Neither tr nor the index may change after.
+func NewTraceHistory(tr *trace.Trace) *TraceHistory {
+	return &TraceHistory{tr: tr, Index: tr.BuildIndex()}
 }
 
-func (t *traceHistory) Calendar() sim.Calendar { return t.tr.Calendar }
-func (t *traceHistory) Span() sim.Window       { return t.tr.Span }
-func (t *traceHistory) Machines() int          { return t.tr.Machines }
+// Trace is the indexed trace, for predictors that read its events whole.
+func (t *TraceHistory) Trace() *trace.Trace { return t.tr }
+
+func (t *TraceHistory) Calendar() sim.Calendar { return t.tr.Calendar }
+func (t *TraceHistory) Span() sim.Window       { return t.tr.Span }
+func (t *TraceHistory) Machines() int          { return t.tr.Machines }
 
 // maxPastMemo caps a windowMemo's past-window answers at 2¹⁰ (40 B each),
 // emptied at the cap, and maxMachineMemo one machine's list at 32, past

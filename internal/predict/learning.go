@@ -33,7 +33,7 @@ func LearningCurve(tr *trace.Trace, mk func() Predictor, trainDays []int, cfg Ev
 		}
 		cfg.TrainDays = max(cfg.TrainDays, d)
 	}
-	ts, err := newTestSet(tr.Span, tr.Machines, newTraceHistory(tr), cfg)
+	ts, err := newTestSet(tr.Span, tr.Machines, NewTraceHistory(tr), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -50,7 +50,7 @@ func LearningCurve(tr *trace.Trace, mk func() Predictor, trainDays []int, cfg Ev
 			return e.Start >= histStart && e.Start < ts.cut
 		})
 		hist.Span = sim.Window{Start: histStart, End: ts.cut}
-		p.Train(hist)
+		p.Train(NewTraceHistory(hist))
 		out = append(out, LearningPoint{TrainDays: days, Score: ts.score(p, scratch)})
 	}
 	return out, nil

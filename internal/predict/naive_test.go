@@ -21,7 +21,7 @@ type naivePredictor struct {
 }
 
 func (n *naivePredictor) Name() string          { return n.name }
-func (n *naivePredictor) Train(tr *trace.Trace) { n.tr = tr }
+func (n *naivePredictor) Train(h *TraceHistory) { n.tr = h.Trace() }
 func (n *naivePredictor) PredictCount(m trace.MachineID, w sim.Window) float64 {
 	count, _ := n.predict(n.tr, m, w)
 	return count
@@ -89,12 +89,13 @@ func TestIndexHistoryPredictionsIdentical(t *testing.T) {
 
 	fast := []Predictor{&HistoryWindow{}, &HistoryWindow{Trim: 0.1}, &EWMADaily{}}
 	slow := naivePredictors()
+	trained := NewTraceHistory(hist)
 	for i := range fast {
-		fast[i].Train(hist)
-		slow[i].Train(hist)
+		fast[i].Train(trained)
+		slow[i].Train(trained)
 	}
 	lastDay := &LastDay{}
-	lastDay.Train(hist)
+	lastDay.Train(trained)
 
 	windows := []sim.Window{
 		{Start: cut, End: cut + 3*time.Hour},                                  // hour-aligned
@@ -155,10 +156,11 @@ func TestPastWindowMemo(t *testing.T) {
 	}
 	for _, cut := range []sim.Time{17 * sim.Day, 17*sim.Day + 5*time.Hour, 24 * sim.Day} {
 		hist := tr.Before(cut)
+		trained := NewTraceHistory(hist)
 		for _, h := range hws {
-			h.Train(hist)
+			h.Train(trained)
 		}
-		ewma.Train(hist)
+		ewma.Train(trained)
 		if PastMemoLen(hws[0]) != 0 || PastMemoLen(ewma) != 0 {
 			t.Fatalf("cut %v: Train left the memo holding answers", cut)
 		}
@@ -204,7 +206,7 @@ func TestPastWindowMemo(t *testing.T) {
 	// A window of no length is not a past window. Over an hour's span at
 	// noon, one reaching back two days from 11:00 finds no history on the
 	// first day after the span and one window of it the day after.
-	noon := trace.New(sim.Window{Start: 12 * time.Hour, End: 13 * time.Hour}, tr.Calendar, 1)
+	noon := NewTraceHistory(trace.New(sim.Window{Start: 12 * time.Hour, End: 13 * time.Hour}, tr.Calendar, 1))
 	ewma = &EWMADaily{}
 	ewma.Train(noon)
 	var answers []float64
@@ -226,10 +228,11 @@ func TestPastWindowMemo(t *testing.T) {
 	// without a Train: every answer is a fresh instance's, never one the
 	// memo kept under the fields before.
 	hist := tr.Before(17 * sim.Day)
+	trained := NewTraceHistory(hist)
 	h := &HistoryWindow{}
-	h.Train(hist)
+	h.Train(trained)
 	ewma = &EWMADaily{}
-	ewma.Train(hist)
+	ewma.Train(trained)
 	seen := map[[4]float64]bool{}
 	for _, p := range []struct {
 		trim    float64
@@ -238,9 +241,9 @@ func TestPastWindowMemo(t *testing.T) {
 	}{{0, 0, 0}, {0.25, 0, 0.9}, {0.25, 1000, 0.5}, {0, 0, 0}} {
 		h.Trim, h.MinHistoryDays, ewma.Alpha = p.trim, p.minDays, p.alpha
 		freshH := &HistoryWindow{Trim: p.trim, MinHistoryDays: p.minDays}
-		freshH.Train(hist)
+		freshH.Train(trained)
 		freshE := &EWMADaily{Alpha: p.alpha}
-		freshE.Train(hist)
+		freshE.Train(trained)
 		for _, day := range []sim.Time{20, 27} {
 			w := sim.Window{Start: day*sim.Day + 9*time.Hour, End: day*sim.Day + 15*time.Hour}
 			got := [4]float64{h.PredictCount(0, w), h.PredictSurvival(0, w), ewma.PredictCount(0, w), ewma.PredictSurvival(0, w)}
@@ -259,7 +262,7 @@ func TestPastWindowMemo(t *testing.T) {
 	// of a week: the list stays at its cap, and every answer is the
 	// reference's, the recycled slot's included.
 	h = &HistoryWindow{}
-	h.Train(hist)
+	h.Train(trained)
 	for i := 0; i < 2*MaxMachineMemo; i++ {
 		for day := sim.Time(20); day < 27; day++ {
 			w := sim.Window{Start: day*sim.Day + sim.Time(i)*7*time.Minute, End: day*sim.Day + sim.Time(i)*7*time.Minute + 2*time.Hour}
@@ -279,7 +282,7 @@ func TestPastWindowMemo(t *testing.T) {
 	// A fleet asked its lists full never holds more than the memo's cap.
 	fleet := trace.New(hist.Span, hist.Calendar, 2*MaxPastMemo/MaxMachineMemo)
 	h = &HistoryWindow{}
-	h.Train(fleet)
+	h.Train(NewTraceHistory(fleet))
 	for m := range fleet.Machines {
 		for i := 0; i < MaxMachineMemo; i++ {
 			start := 20*sim.Day + sim.Time(i)*time.Minute

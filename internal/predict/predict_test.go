@@ -40,7 +40,7 @@ func periodicTrace(days, machines int) *trace.Trace {
 func TestHistoryWindowLearnsDailyPattern(t *testing.T) {
 	tr := periodicTrace(28, 2)
 	h := &HistoryWindow{}
-	h.Train(tr)
+	h.Train(NewTraceHistory(tr))
 	// Predicting the 10-11 window on a future weekday (day 28 = Monday of
 	// week 5): every history weekday had exactly one event there.
 	day := sim.Time(28) * sim.Day
@@ -96,10 +96,11 @@ func TestHistoryWindowTrimmedAbsorbsIrregularDay(t *testing.T) {
 		})
 	}
 	tr.Sort()
+	trained := NewTraceHistory(tr)
 	plain := &HistoryWindow{}
-	plain.Train(tr)
+	plain.Train(trained)
 	trimmed := &HistoryWindow{Trim: 0.15}
-	trimmed.Train(tr)
+	trimmed.Train(trained)
 	day := sim.Time(42) * sim.Day // future Monday
 	w := sim.Window{Start: day + 10*time.Hour, End: day + 11*time.Hour}
 	p, tm := plain.PredictCount(0, w), trimmed.PredictCount(0, w)
@@ -114,7 +115,7 @@ func TestHistoryWindowTrimmedAbsorbsIrregularDay(t *testing.T) {
 func TestGlobalRate(t *testing.T) {
 	tr := periodicTrace(10, 1) // 10 events over 240 hours
 	g := &GlobalRate{}
-	g.Train(tr)
+	g.Train(NewTraceHistory(tr))
 	w := sim.Window{Start: 0, End: 24 * time.Hour}
 	if got := g.PredictCount(0, w); got < 0.99 || got > 1.01 {
 		t.Errorf("global rate daily count = %v, want ~1", got)
@@ -132,7 +133,7 @@ func TestGlobalRate(t *testing.T) {
 func TestLastDay(t *testing.T) {
 	tr := periodicTrace(7, 1)
 	l := &LastDay{}
-	l.Train(tr)
+	l.Train(NewTraceHistory(tr))
 	// Tuesday 10-11 copies Monday 10-11 (one event).
 	day := sim.Time(1) * sim.Day
 	w := sim.Window{Start: day + 10*time.Hour, End: day + 11*time.Hour}
@@ -149,7 +150,7 @@ func TestLastDay(t *testing.T) {
 func TestEWMADaily(t *testing.T) {
 	tr := periodicTrace(21, 1)
 	e := &EWMADaily{Alpha: 0.5}
-	e.Train(tr)
+	e.Train(NewTraceHistory(tr))
 	day := sim.Time(21) * sim.Day // Monday after 3 weeks
 	w := sim.Window{Start: day + 10*time.Hour, End: day + 11*time.Hour}
 	got := e.PredictCount(0, w)
@@ -166,7 +167,7 @@ func TestEWMADaily(t *testing.T) {
 func TestSemiMarkov(t *testing.T) {
 	tr := periodicTrace(28, 1)
 	s := &SemiMarkov{}
-	s.Train(tr)
+	s.Train(NewTraceHistory(tr))
 	day := sim.Time(28) * sim.Day
 	w := sim.Window{Start: day + time.Hour, End: day + 2*time.Hour}
 	surv := s.PredictSurvival(0, w)
@@ -301,7 +302,7 @@ func TestSurvivalProbabilitiesInRange(t *testing.T) {
 	}
 	tr := testbedTrace(t)
 	cut := tr.Span.Start + 28*sim.Day
-	hist := tr.Before(cut)
+	hist := NewTraceHistory(tr.Before(cut))
 	for _, p := range DefaultPredictors() {
 		p.Train(hist)
 		for d := 0; d < 10; d++ {

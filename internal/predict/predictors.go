@@ -11,18 +11,18 @@ import (
 
 // Predictor estimates future unavailability from a trained history.
 //
-// Evaluate and EvaluateBlocks train and score the predictors of one call
-// on a pool of goroutines that all read the same history trace, and rely
-// on two things: Train does not mutate the trace it is given (it may keep
-// a reference), and an instance is used by one goroutine at a time — its
-// methods need no locking, but the same instance must not appear twice in
-// one call's predictor list.
+// A training prefix is indexed once, as one TraceHistory, and shared:
+// Evaluate and EvaluateBlocks train and score their predictors on a pool of
+// goroutines that all read it. They rely on two things: Train only reads
+// the history (it may keep a reference), and an instance is used by one
+// goroutine at a time — its methods need no locking, but the same instance
+// must not appear twice in one call's predictor list.
 type Predictor interface {
 	// Name identifies the predictor in evaluation reports.
 	Name() string
-	// Train fits the predictor to a history trace, which it must treat as
-	// read-only. It may be called again to refit on a longer history.
-	Train(tr *trace.Trace)
+	// Train fits the predictor to a shared, read-only history. It may be
+	// called again to refit on a longer history.
+	Train(h *TraceHistory)
 	// PredictCount estimates the number of unavailability occurrences for
 	// machine m in the window w.
 	PredictCount(m trace.MachineID, w sim.Window) float64
@@ -57,8 +57,8 @@ func (h *HistoryWindow) Name() string {
 }
 
 // Train implements Predictor.
-func (h *HistoryWindow) Train(tr *trace.Trace) {
-	h.src = newTraceHistory(tr)
+func (h *HistoryWindow) Train(th *TraceHistory) {
+	h.src = th
 	h.memo.reset()
 }
 
@@ -153,13 +153,13 @@ type GlobalRate struct {
 func (g *GlobalRate) Name() string { return "global-rate" }
 
 // Train implements Predictor.
-func (g *GlobalRate) Train(tr *trace.Trace) {
+func (g *GlobalRate) Train(h *TraceHistory) {
 	g.rates = make(map[trace.MachineID]float64)
-	hours := tr.Span.Duration().Hours()
+	hours := h.Span().Duration().Hours()
 	if hours <= 0 {
 		return
 	}
-	for _, e := range tr.Events {
+	for _, e := range h.Trace().Events {
 		g.rates[e.Machine] += 1 / hours
 	}
 }
@@ -175,7 +175,9 @@ func (g *GlobalRate) PredictSurvival(m trace.MachineID, w sim.Window) float64 {
 }
 
 // LastDay copies the count observed in the same clock window one day
-// earlier (a naive persistence baseline).
+// earlier (a naive persistence baseline). It reads only the training
+// history: past the first test day the day before lies after the cut, so it
+// answers count 0, survival 0.75.
 type LastDay struct {
 	src History
 }
@@ -184,7 +186,7 @@ type LastDay struct {
 func (l *LastDay) Name() string { return "last-day" }
 
 // Train implements Predictor.
-func (l *LastDay) Train(tr *trace.Trace) { l.src = newTraceHistory(tr) }
+func (l *LastDay) Train(h *TraceHistory) { l.src = h }
 
 // PredictCount implements Predictor.
 func (l *LastDay) PredictCount(m trace.MachineID, w sim.Window) float64 {
@@ -220,8 +222,8 @@ type EWMADaily struct {
 func (e *EWMADaily) Name() string { return "ewma-daily" }
 
 // Train implements Predictor.
-func (e *EWMADaily) Train(tr *trace.Trace) {
-	e.src = newTraceHistory(tr)
+func (e *EWMADaily) Train(h *TraceHistory) {
+	e.src = h
 	e.memo.reset()
 }
 
@@ -274,8 +276,7 @@ func (e *EWMADaily) PredictSurvival(m trace.MachineID, w sim.Window) float64 {
 // availability model from the cluster literature the paper cites, included
 // as a structurally different baseline.
 type SemiMarkov struct {
-	tr    *trace.Trace
-	ix    *trace.Index
+	h     *TraceHistory
 	ecdfs map[sim.DayType]*stats.ECDF
 }
 
@@ -283,10 +284,9 @@ type SemiMarkov struct {
 func (s *SemiMarkov) Name() string { return "semi-markov" }
 
 // Train implements Predictor.
-func (s *SemiMarkov) Train(tr *trace.Trace) {
-	s.tr = tr
-	s.ix = tr.BuildIndex()
-	weekday, weekend := tr.IntervalECDFs()
+func (s *SemiMarkov) Train(h *TraceHistory) {
+	s.h = h
+	weekday, weekend := h.Trace().IntervalECDFs()
 	s.ecdfs = map[sim.DayType]*stats.ECDF{sim.Weekday: weekday, sim.Weekend: weekend}
 }
 
@@ -301,8 +301,8 @@ func (s *SemiMarkov) Train(tr *trace.Trace) {
 // resulting age is the same either way; the >= keeps the semantics
 // explicit rather than an accident of the subtraction).
 func (s *SemiMarkov) age(m trace.MachineID, t sim.Time) time.Duration {
-	age := t - s.tr.Span.Start
-	if end, ok := s.ix.LastEndBefore(m, t); ok && end >= s.tr.Span.Start {
+	age := t - s.h.Span().Start
+	if end, ok := s.h.LastEndBefore(m, t); ok && end >= s.h.Span().Start {
 		age = t - end
 	}
 	if age < 0 {
@@ -313,10 +313,10 @@ func (s *SemiMarkov) age(m trace.MachineID, t sim.Time) time.Duration {
 
 // PredictSurvival implements Predictor.
 func (s *SemiMarkov) PredictSurvival(m trace.MachineID, w sim.Window) float64 {
-	if s.tr == nil {
+	if s.h == nil {
 		return 0.5
 	}
-	ecdf := s.ecdfs[s.tr.Calendar.DayType(w.Start)]
+	ecdf := s.ecdfs[s.h.Calendar().DayType(w.Start)]
 	if ecdf == nil || ecdf.N() == 0 {
 		return 0.5
 	}
@@ -335,10 +335,10 @@ func (s *SemiMarkov) PredictSurvival(m trace.MachineID, w sim.Window) float64 {
 
 // PredictCount implements Predictor.
 func (s *SemiMarkov) PredictCount(m trace.MachineID, w sim.Window) float64 {
-	if s.tr == nil {
+	if s.h == nil {
 		return 0
 	}
-	ecdf := s.ecdfs[s.tr.Calendar.DayType(w.Start)]
+	ecdf := s.ecdfs[s.h.Calendar().DayType(w.Start)]
 	if ecdf == nil || ecdf.N() == 0 || ecdf.Mean() <= 0 {
 		return 0
 	}

@@ -14,8 +14,8 @@ type flatRatePredictor struct {
 	rates map[trace.MachineID]float64
 }
 
-func (f *flatRatePredictor) Name() string          { return "flat" }
-func (f *flatRatePredictor) Train(tr *trace.Trace) {}
+func (f *flatRatePredictor) Name() string        { return "flat" }
+func (f *flatRatePredictor) Train(*TraceHistory) {}
 func (f *flatRatePredictor) PredictCount(m trace.MachineID, w sim.Window) float64 {
 	return f.rates[m] * w.Duration().Hours()
 }
@@ -88,7 +88,7 @@ func TestResponseEstimatorWithHistoryWindow(t *testing.T) {
 	}
 	tr.Sort()
 	hw := &HistoryWindow{}
-	hw.Train(tr)
+	hw.Train(NewTraceHistory(tr))
 	e := &ResponseEstimator{P: hw, Seed: 4, Samples: 300}
 	day := sim.Time(28) * sim.Day // a Monday
 	risky := e.Expected(0, day+8*time.Hour, 4*time.Hour)
