@@ -299,7 +299,7 @@ func roundTrip(ctx context.Context, d Dialer, addr string, req Request, timeout 
 		return nil, fmt.Errorf("ishare: sending %q: %w", req.Op, err)
 	}
 	var resp Response
-	if exceeded, err := readMessage(conn, maxBytes, &resp); exceeded {
+	if exceeded, err := readMessage(conn, maxBytes, &resp, nil); exceeded {
 		return nil, fmt.Errorf("ishare: %q response to %s exceeds %d bytes", req.Op, addr, maxBytes)
 	} else if err != nil {
 		return nil, fmt.Errorf("ishare: reading %q response: %w", req.Op, err)
@@ -310,13 +310,18 @@ func roundTrip(ctx context.Context, d Dialer, addr string, req Request, timeout 
 // serveConn handles one request/response exchange with the given handler.
 // The request read and response write are each bounded by lim. A nil
 // response from the handler drops the connection without replying — the
-// observable signature of a service that died mid-exchange.
+// observable signature of a service that died mid-exchange. The request's
+// arrays are valid until the handler returns: its digests are decoded into
+// a pooled array that the next request reuses, so a handler copies what it
+// keeps.
 func serveConn(conn net.Conn, lim Limits, handle func(Request) *Response) {
 	defer conn.Close()
 	lim = lim.withDefaults()
 	_ = conn.SetDeadline(time.Now().Add(lim.IODeadline))
 	var req Request
-	if exceeded, err := readMessage(conn, lim.MaxMessageBytes, &req); err != nil {
+	spare := wireDigests.Get().(*[]NodeDigest)
+	defer func() { releaseDigests(spare, req.Digests) }()
+	if exceeded, err := readMessage(conn, lim.MaxMessageBytes, &req, *spare); err != nil {
 		msg := "bad request: " + err.Error()
 		if exceeded {
 			msg = fmt.Sprintf("request exceeds %d bytes", lim.MaxMessageBytes)

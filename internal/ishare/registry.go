@@ -69,9 +69,11 @@ type Registry struct {
 
 	wal       *wal // nil without durability: its appends and Close do nothing
 	recovered int  // records replayed at startup
-	// Scratch for splitting a heartbeat batch into changed digests and
-	// pure refreshes before logging; guarded by mu, reused across batches
-	// so the durable hot path stays allocation-free.
+	// Scratch for a heartbeat batch: its names resolved to IDs, then its
+	// digests split into changed ones and pure refreshes before logging;
+	// guarded by mu, reused across batches so the durable hot path stays
+	// allocation-free.
+	batchIDs     []uint32
 	walChanged   []NodeDigest
 	walRefreshed []string
 
@@ -657,11 +659,19 @@ func (r *Registry) handle(req Request) *Response {
 		var missing []string
 		r.mu.Lock()
 		durable := r.wal != nil
+		ids := r.batchIDs[:0] // every name looked up in one tight loop, then applied in order
+		for i := range req.Digests {
+			id, ok := r.ids[req.Digests[i].Name]
+			if !ok {
+				id = math.MaxUint32
+			}
+			ids = append(ids, id)
+		}
 		changed := r.walChanged[:0]     // digests that advanced stored state
 		refreshed := r.walRefreshed[:0] // pure liveness refreshes
-		for _, d := range req.Digests {
-			id, ok := r.ids[d.Name]
-			if !ok {
+		for k, d := range req.Digests {
+			id := ids[k]
+			if id == math.MaxUint32 {
 				missing = append(missing, d.Name)
 				continue
 			}
@@ -683,7 +693,7 @@ func (r *Registry) handle(req Request) *Response {
 		if err == nil && len(refreshed) > 0 {
 			err = r.walLocked(r.wal.appendRefresh(refreshed, now.UnixMilli()))
 		}
-		r.walChanged, r.walRefreshed = changed[:0], refreshed[:0]
+		r.batchIDs, r.walChanged, r.walRefreshed = ids[:0], changed[:0], refreshed[:0]
 		r.mu.Unlock()
 		if err != nil {
 			return errWALAppend

@@ -19,6 +19,23 @@ var wireBufs = sync.Pool{New: func() any {
 	return &b
 }}
 
+// wireDigests pools the arrays serveConn decodes requests' digests into.
+var wireDigests = sync.Pool{New: func() any { return new([]NodeDigest) }}
+
+const wireMaxPooledDigests = 4096 // entries; a larger array is dropped
+
+// releaseDigests pools, zeroed, a served request's digest array, or the
+// spare it was offered if it has none.
+func releaseDigests(spare *[]NodeDigest, ds []NodeDigest) {
+	if ds != nil {
+		clear(ds)
+		*spare = ds[:0]
+	}
+	if cap(*spare) <= wireMaxPooledDigests {
+		wireDigests.Put(spare)
+	}
+}
+
 // wireStates interns the state strings digests, nodes and forecasts carry,
 // short and long form, indexed by the state's digit: a decoded batch
 // allocates one string per digest (its name), not two.
@@ -219,10 +236,11 @@ const (
 // wireObject for envelope scalars, arrays of strings and which arrays of
 // flat objects it carries, and each flat object's wireField list.
 type messageParser struct {
-	msg   wireObject // the *Request or *Response being filled
-	objs  wireArray  // the open array of objects
-	strs  *[]string  // the open array of strings
-	pos   int        // b[:pos] is consumed
+	msg   wireObject   // the *Request or *Response being filled
+	objs  wireArray    // the open array of objects
+	strs  *[]string    // the open array of strings
+	spare []NodeDigest // an array a request's digests may be decoded into
+	pos   int          // b[:pos] is consumed
 	at    uint8
 	first bool // nothing of the current object or array consumed: no comma due
 }
@@ -337,7 +355,7 @@ func (o *Request) wireMember(p *messageParser, key, b []byte, i int) (int, wireS
 	case "gen":
 		return intValue(&o.Gen, b, i)
 	case "digests":
-		return openObjects(p, &o.Digests, digestFields, b, i)
+		return openObjects(p, &o.Digests, p.spare, digestFields, b, i)
 	case "names":
 		return p.openStrings(&o.Names, b, i)
 	case "horizon_ms":
@@ -357,13 +375,13 @@ func (o *Response) wireMember(p *messageParser, key, b []byte, i int) (int, wire
 	case "error":
 		return stringValue(&o.Error, b, i)
 	case "nodes":
-		return openObjects(p, &o.Nodes, nodeFields, b, i)
+		return openObjects(p, &o.Nodes, nil, nodeFields, b, i)
 	case "digests":
-		return openObjects(p, &o.Digests, digestFields, b, i)
+		return openObjects(p, &o.Digests, nil, digestFields, b, i)
 	case "missing":
 		return p.openStrings(&o.Missing, b, i)
 	case "forecasts":
-		return openObjects(p, &o.Forecasts, forecastFields, b, i)
+		return openObjects(p, &o.Forecasts, nil, forecastFields, b, i)
 	case "retry_after_ms":
 		return intValue(&o.RetryAfterMS, b, i)
 	}
@@ -465,15 +483,19 @@ func (a *wireObjects[T]) member(key, b []byte, i int) (int, wireStatus) {
 
 // openObjects opens the array of flat objects at b[i] into *dst, unless
 // b[i] starts something else (null included) or the array a second time:
-// encoding/json's rules apply to those. The slice is pre-sized from the
-// braces in sight, but never beyond what the bytes could hold
-// (`{"name":""},` is 12).
-func openObjects[T any](p *messageParser, dst *[]T, fields []wireField[T], b []byte, i int) (int, wireStatus) {
+// encoding/json's rules apply to those. The slice is the spare array when
+// that holds what is in sight, else pre-sized from the braces in sight, but
+// never beyond what the bytes could hold (`{"name":""},` is 12).
+func openObjects[T any](p *messageParser, dst *[]T, spare []T, fields []wireField[T], b []byte, i int) (int, wireStatus) {
 	if b[i] != '[' || *dst != nil {
 		return i, wireDecline
 	}
 	rest := b[i+1:]
-	*dst = make([]T, 0, min(bytes.Count(rest, []byte{'{'}), len(rest)/12+1))
+	if n := min(bytes.Count(rest, []byte{'{'}), len(rest)/12+1); cap(spare) >= max(n, 1) {
+		*dst = spare[:0]
+	} else {
+		*dst = make([]T, 0, n)
+	}
 	p.at, p.objs = atObjects, &wireObjects[T]{dst, fields}
 	return i + 1, wireDone
 }
@@ -558,10 +580,40 @@ func numberToken(b []byte, i int) (tok []byte, integer bool, st wireStatus) {
 }
 
 // floatValue and intValue convert with the calls encoding/json makes, and
-// decline where it reports an error (overflow, a fraction for an integer);
-// intValue builds a plain integer of up to 18 digits itself, which cannot
-// overflow, and leaves anything longer or malformed to those calls.
+// decline where it reports an error (overflow, a fraction for an integer).
+// Each builds the common case as it scans and leaves the rest to those
+// calls: intValue a plain integer of up to 18 digits, which cannot
+// overflow; floatValue a [-]int[.frac] of at most 19 significant digits,
+// a mantissa below 2^53 and at most 22 fraction digits, all exact as
+// float64s, so m/10^k rounds once, as in strconv's own exact path.
 func floatValue(dst *float64, b []byte, i int) (int, wireStatus) {
+	j, sign := i, 1.0
+	if b[j] == '-' {
+		j, sign = j+1, -1.0
+	}
+	var m uint64
+	k, dot, sig := j, -1, 0 // sig counts digits from the first non-zero one
+	for ; j < len(b); j++ {
+		if c := b[j]; '0' <= c && c <= '9' {
+			if sig > 0 || c != '0' { // apart from m, which 20 digits can wrap to 0
+				sig++
+			}
+			m = 10*m + uint64(c-'0')
+		} else if c != '.' || dot >= 0 {
+			break
+		} else {
+			dot = j
+		}
+	}
+	whole, frac := j-k, 0
+	if dot >= 0 {
+		whole, frac = dot-k, j-dot-1
+	}
+	if whole > 0 && (whole == 1 || b[k] != '0') && (dot < 0 || frac > 0) && sig <= 19 && frac <= 22 &&
+		m < 1<<53 && j < len(b) && !numberByte(b[j]) {
+		*dst = sign * float64(m) / math.Pow10(frac)
+		return j, wireDone
+	}
 	tok, _, st := numberToken(b, i)
 	f, err := strconv.ParseFloat(string(tok), 64)
 	if st == wireDone && err != nil {
@@ -633,20 +685,30 @@ type errReader struct{ err error }
 func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // readMessage reads one message of at most maxBytes from r into a pooled
-// buffer and parses it into msg as it fills. What the parser declines, or
-// is still incomplete when r ends or the limit is reached, goes to
-// encoding/json as the bytes already read plus the rest of r under the same
-// limit, and gets its result and error text. A reader that has failed is
-// not read again: the fallback is handed the error it returned. exceeded
-// reports that the error is the limit's.
-func readMessage[M Request | Response, P wirePtr[M]](r io.Reader, maxBytes int64, msg P) (exceeded bool, err error) {
+// buffer and parses it into msg as it fills, a request's digests into spare
+// when it holds them. What the parser declines, or is still incomplete when
+// r ends or the limit is reached, goes to encoding/json as the bytes
+// already read plus the rest of r under the same limit, and gets its result
+// and error text. A reader that has failed is not read again: the fallback
+// is handed the error it returned. exceeded reports that the error is the
+// limit's.
+//
+// Past its pooled buffer, what the parser allocates for a message of n
+// bytes is its strings and its arrays. An array of objects opens presized
+// from the bytes in sight to at most n/12+1 entries, or in spare when that
+// holds them, and grows by append for elements past that: ones still to
+// arrive, or averaging under 12 bytes. The spares serveConn offers come
+// from wireDigests, which keeps none over wireMaxPooledDigests entries: at
+// most one per request served at once, each at most wireMaxPooledDigests ×
+// 72 bytes.
+func readMessage[M Request | Response, P wirePtr[M]](r io.Reader, maxBytes int64, msg P, spare []NodeDigest) (exceeded bool, err error) {
 	bp := wireBufs.Get().(*[]byte)
 	buf := (*bp)[:0]
 	defer func() {
 		*bp = buf[:0]
 		wireBufs.Put(bp)
 	}()
-	p := messageParser{msg: msg}
+	p := messageParser{msg: msg, spare: spare}
 	for st := wireShort; st == wireShort && int64(len(buf)) < maxBytes; {
 		if len(buf) == cap(buf) {
 			buf = append(make([]byte, 0, min(2*int64(cap(buf)), maxBytes)), buf...)
@@ -665,6 +727,7 @@ func readMessage[M Request | Response, P wirePtr[M]](r io.Reader, maxBytes int64
 			break
 		}
 	}
-	*msg = *new(M) // the parser filled part of it
+	*msg = *new(M)            // the parser filled part of it,
+	clear(spare[:cap(spare)]) // and perhaps of spare, which goes back to the pool zeroed
 	return decodeBounded(io.MultiReader(bytes.NewReader(buf), r), maxBytes, msg)
 }

@@ -8,9 +8,14 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net"
 	"reflect"
+	"runtime"
+	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -25,7 +30,7 @@ func decodeMessage[M Request | Response, P wirePtr[M]](data []byte, maxBytes int
 	if maxBytes <= 0 {
 		maxBytes = Limits{}.withDefaults().MaxMessageBytes
 	}
-	if exceeded, err := readMessage(bytes.NewReader(data), maxBytes, P(&msg)); exceeded {
+	if exceeded, err := readMessage(bytes.NewReader(data), maxBytes, P(&msg), nil); exceeded {
 		return *new(M), fmt.Errorf("ishare: message exceeds %d bytes", maxBytes)
 	} else if err != nil {
 		return *new(M), err
@@ -117,16 +122,37 @@ func errText(err error) string {
 	return err.Error()
 }
 
+// dirtyDigests is a spare array as a served request would leave it if
+// nothing zeroed it: every slot holds another batch's digest.
+var dirtyDigests = func() []NodeDigest {
+	ds := benchDigests(64)
+	for i := range ds {
+		ds[i].State, ds[i].Load, ds[i].Gen = "S5(URR)", 0.75, 1<<40
+	}
+	return ds
+}()
+
+// sameMessage reports whether two decoded messages are equal bit for bit:
+// reflect.DeepEqual takes -0 for 0, encoding/json does not.
+func sameMessage(t *testing.T, a, b any) bool {
+	return reflect.DeepEqual(a, b) && bytes.Equal(jsonEncode(t, a), jsonEncode(t, b))
+}
+
 // checkAgainstJSON holds readMessage (parser plus fallback) to the oracle
 // on one input read as an M: same message, same error text, whole or in
-// segments, and never a byte taken past the limit.
+// segments, the segmented read into a spare array another batch left
+// dirty, and never a byte taken past the limit.
 func checkAgainstJSON[M Request | Response, P wirePtr[M]](t *testing.T, data []byte, lim int64, chunk int) {
 	t.Helper()
 	want, wantErr := jsonDecode[M](bytes.NewReader(data), lim)
 	for _, c := range []int{len(data) + 1, chunk} {
 		src := &chunkReader{data: data, chunk: max(c, 1)}
 		var got M
-		exceeded, err := readMessage(src, lim, P(&got))
+		var spare []NodeDigest
+		if c == chunk {
+			spare = append([]NodeDigest(nil), dirtyDigests...)[:0]
+		}
+		exceeded, err := readMessage(src, lim, P(&got), spare)
 		if exceeded {
 			err = fmt.Errorf("ishare: message exceeds %d bytes", lim)
 		}
@@ -139,7 +165,7 @@ func checkAgainstJSON[M Request | Response, P wirePtr[M]](t *testing.T, data []b
 		if c == chunk && wantErr != nil && err != nil && int64(len(data)) >= lim {
 			continue
 		}
-		if errText(err) != errText(wantErr) || !reflect.DeepEqual(got, want) {
+		if errText(err) != errText(wantErr) || !sameMessage(t, got, want) {
 			t.Fatalf("chunk %d of %q:\n got %+v, %v\nwant %+v, %v", c, data, got, err, want, wantErr)
 		}
 		if int64(src.read) > lim {
@@ -149,7 +175,7 @@ func checkAgainstJSON[M Request | Response, P wirePtr[M]](t *testing.T, data []b
 	// The parser alone: whatever it accepts is encoding/json's value.
 	var got, j M
 	if p := (messageParser{msg: P(&got)}); p.parse(data) == wireDone {
-		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&j); err != nil || !reflect.DeepEqual(got, j) {
+		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&j); err != nil || !sameMessage(t, got, j) {
 			t.Fatalf("parser accepted %q as %+v; encoding/json: %+v, %v", data, got, j, err)
 		}
 	}
@@ -173,6 +199,101 @@ func checkEncode[M Request | Response, P wirePtr[M]](t *testing.T, msg P, chunk 
 // three estimates nothing read were dropped writes it: the parser declines
 // their keys and the fallback ignores them.
 const oldPeerForecastReply = `{"ok":true,"forecasts":[{"name":"m001","known":true,"survival":0.75,"ewma_survival":0.5,"rate_survival":1e-7,"expected_events":0.3,"samples":12,"state":"S1(full)","gen":4,"unix_ms":1700000000000}]}` + "\n"
+
+// loadEdges are loads on both sides of each border of floatValue's
+// one-scan path: 16, 17, 19 and 20 significant digits (and 16 at or over
+// 2^53), 2^53-1, 2^53 and 2^53+1 whole and as fractions, 22 and 23
+// fraction digits, minus zero, a half beside its invalid 00.5, and a
+// 17-digit load as a fleet's uniform draws give, and 20-digit mantissas of
+// 2^64, which a 64-bit accumulator reads as 0. TestWireEdgeCases decodes
+// each bit for bit as encoding/json does; FuzzWireCodec starts from each.
+var loadEdges = []string{
+	"0.1234567890123456", "0.12345678901234567", "0.1234567890123456789", "0.12345678901234567891", "0.9999999999999999",
+	"9007199254740991", "9007199254740992", "9007199254740993", "0.9007199254740991", "0.9007199254740992", "0.9007199254740993",
+	"0.0000000000000000000123", "0.00000000000000000001234", "-0.0", "0.5", "00.5", "0.30000000000000004",
+	"18446744073709551616", "0.18446744073709551616", "-18446744073709551616.0",
+}
+
+// parseAllocBound is what readMessage's doc comment bounds the parser's
+// allocations by for the n bytes it took whole as msg: each array of
+// objects presized to at most n/12+1 entries, each array of strings opened
+// empty, and append growth for the entries past that, which for Go's
+// growth factors (2, then 1.25) is under ten times the final length (16
+// leaves room for size classes); its strings and numbers, at most four
+// bytes a byte of input (size classes, 16 at the least); a kilobyte of
+// parser state.
+func parseAllocBound(n int, msg any) uint64 {
+	pre, b := n/12+1, 4*n+1024
+	switch m := msg.(type) {
+	case *Request:
+		b += arrayBound(m.Digests, pre) + arrayBound(m.Names, 0)
+	case *Response:
+		b += arrayBound(m.Nodes, pre) + arrayBound(m.Digests, pre) + arrayBound(m.Forecasts, pre) + arrayBound(m.Missing, 0)
+	}
+	return uint64(b)
+}
+
+func arrayBound[T any](s []T, pre int) int {
+	if s == nil {
+		return 0
+	}
+	return int(reflect.TypeFor[T]().Size()) * (pre + 16*len(s))
+}
+
+// TestWireParseAllocBound holds what the parser allocates taking a message
+// whole to parseAllocBound, on the inputs nearest it: arrays of elements
+// too short for the presize to hold them, and a batch, with and without a
+// spare that holds it (then only its strings are new). A try during which
+// another goroutine allocated may read over the bound, so a case fails
+// only when three do.
+func TestWireParseAllocBound(t *testing.T) {
+	const n = 4096
+	batch := jsonEncode(t, Request{Op: "heartbeat_batch", Digests: benchDigests(n)})
+	empties := "[" + strings.Repeat("{},", n-1) + "{}]"
+	for _, tc := range []struct {
+		name, in     string
+		reply, spare bool
+	}{
+		{"empty digests", `{"digests":` + empties + `}`, false, false},
+		{"empty names", `{"names":[` + strings.Repeat(`"",`, n-1) + `""]}`, false, false},
+		{"empty nodes, digests and forecasts", `{"nodes":` + empties + `,"digests":` + empties + `,"forecasts":` + empties + `}`, true, false},
+		{"batch", string(batch), false, false},
+		{"batch into a spare", string(batch), false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ms runtime.MemStats
+			var used, bound uint64
+			for try := 0; try < 3; try++ {
+				var req Request
+				var resp Response
+				p := messageParser{msg: &req}
+				if tc.reply {
+					p.msg = &resp
+				}
+				if tc.spare {
+					p.spare = make([]NodeDigest, 0, n)
+				}
+				runtime.ReadMemStats(&ms)
+				before := ms.TotalAlloc
+				st := p.parse([]byte(tc.in))
+				runtime.ReadMemStats(&ms)
+				if st != wireDone {
+					t.Fatalf("parser declined %.60q", tc.in)
+				}
+				if tc.spare && &req.Digests[0] != &p.spare[:1][0] {
+					t.Fatal("the batch was not decoded into the spare")
+				}
+				if bound = parseAllocBound(len(tc.in), p.msg); tc.spare {
+					bound = parseAllocBound(len(tc.in), nil)
+				}
+				if used = ms.TotalAlloc - before; used <= bound {
+					return
+				}
+			}
+			t.Fatalf("parsing %d bytes allocated %d, over the bound %d", len(tc.in), used, bound)
+		})
+	}
+}
 
 // FuzzWireCodec pins the hand-written codec to encoding/json in both
 // directions and for both message types: arbitrary bytes decode to exactly
@@ -212,6 +333,10 @@ func FuzzWireCodec(f *testing.F) {
 	} {
 		f.Add([]byte(s), "m001", "S1(full)", 0.25, int64(3), uint8(7))
 	}
+	for _, s := range loadEdges {
+		load, _ := strconv.ParseFloat(s, 64)
+		f.Add([]byte(`{"digests":[{"name":"a","load":`+s+`}]}`), "m001", "S1(full)", load, int64(3), uint8(7))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, name, state string, load float64, gen int64, n uint8) {
 		const lim = 1 << 12
 		checkAgainstJSON[Request](t, data, lim, int(n))
@@ -240,14 +365,21 @@ func FuzzWireCodec(f *testing.F) {
 // request or (reply) as a response.
 func TestWireEdgeCases(t *testing.T) {
 	big := jsonEncode(t, Request{Op: "heartbeat_batch", Digests: benchDigests(40)})
+	uniform := benchDigests(40) // loads of up to 17 digits, like a fleet's
+	rng := rand.New(rand.NewSource(1))
+	for i := range uniform {
+		uniform[i].Load = rng.Float64()
+	}
 	list := jsonEncode(t, listReply(32))
-	cases := []struct {
+	type edgeCase struct {
 		name, in string
 		lim      int64
 		fast     bool // the parser, not the fallback, must have taken it
 		reply    bool
-	}{
+	}
+	cases := []edgeCase{
 		{"plain batch", string(big), 0, true, false},
+		{"batch of uniform loads", string(jsonEncode(t, Request{Op: "heartbeat_batch", Digests: uniform})), 0, true, false},
 		{"whitespace", " {\t\"op\" : \"list\" ,\r\n \"limit\" : 4 } \n", 0, true, false},
 		{"empty arrays", `{"op":"gossip","digests":[],"names":[]}`, 0, true, false},
 		{"empty object", `{}`, 0, true, false},
@@ -257,6 +389,8 @@ func TestWireEdgeCases(t *testing.T) {
 		{"large exponent", `{"op":"x","load":1e21}`, 0, true, false},
 		{"small exponent", `{"op":"x","load":1e-7}`, 0, true, false},
 		{"capital exponent", `{"op":"x","load":2.5E+3}`, 0, true, false},
+		{"no fraction digits", `{"op":"x","load":1.}`, 0, false, false},
+		{"second point", `{"op":"x","load":1.5.5}`, 0, false, false},
 		{"float overflow", `{"op":"x","load":1e309}`, 0, false, false},
 		{"int overflow", `{"op":"x","gen":9223372036854775808}`, 0, false, false},
 		{"fraction for int", `{"op":"x","gen":1.0}`, 0, false, false},
@@ -325,6 +459,9 @@ func TestWireEdgeCases(t *testing.T) {
 		{"reply truncated", `{"ok":true,"nodes":[{"name":"a"`, 0, false, true},
 		{"reply at the limit", string(list), int64(len(list)) - 1, true, true},
 		{"reply one byte over the limit", string(list), int64(len(list)) - 2, false, true},
+	}
+	for _, load := range loadEdges {
+		cases = append(cases, edgeCase{"load " + load, `{"op":"x","load":` + load + `}`, 0, load != "00.5", false})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -620,9 +757,10 @@ func TestServeConnWireBoundaries(t *testing.T) {
 		}
 	}
 
-	// A batch arriving in several segments, cut inside a digest, a key and
-	// a number.
-	cuts := []int{len(batch) / 3, len(batch)/3 + 7, len(batch) / 2, len(batch) - 1}
+	// A batch arriving in several segments, cut inside a digest, a key, a
+	// number and a load's fraction digits.
+	frac := len(batch)/2 + strings.Index(batch[len(batch)/2:], `"load":0.2`) + len(`"load":0.2`)
+	cuts := []int{len(batch) / 3, len(batch)/3 + 7, len(batch) / 2, frac, len(batch) - 1}
 	segs, prev := []string{}, 0
 	for _, c := range cuts {
 		segs, prev = append(segs, batch[prev:c]), c
@@ -681,6 +819,138 @@ func TestServeConnWireBoundaries(t *testing.T) {
 		if !errors.Is(err, errDropped) || !strings.HasPrefix(err.Error(), `ishare: reading "list" response: `) || d.conn.failed != 1 {
 			t.Errorf("dropped after %q: %v, %d reads after the error", partial, err, d.conn.failed)
 		}
+	}
+}
+
+// storedState is what a shard holds of each node, liveness left out: a
+// heartbeat moves that and nothing else.
+func storedState(t *testing.T, addr string) []NodeInfo {
+	t.Helper()
+	nodes, err := (&Client{}).ListShard(ctx, addr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range nodes {
+		nodes[i].Alive, nodes[i].LastSeenMS = false, 0
+	}
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Name < nodes[j].Name })
+	return nodes
+}
+
+// TestServeConnReusedSlotsReadZero: a heartbeat batch of bare names decoded
+// into an array a batch of newer digests for other nodes was just served
+// from changes no stored state, so every slot it reuses reads as zero.
+func TestServeConnReusedSlotsReadZero(t *testing.T) {
+	reg := startRegistry(t, time.Minute)
+	c := &Client{}
+	ds := benchDigests(400)
+	nodes, newer := ds[:200], ds[200:]
+	for i := range newer {
+		newer[i].State, newer[i].Gen, newer[i].Load, newer[i].UnixMS = "S2(lowest-priority)", 1<<40, 0.75, 1<<50
+	}
+	bare := make([]NodeDigest, len(nodes))
+	for i := range bare {
+		bare[i].Name = nodes[i].Name
+	}
+	if err := c.RegisterBatch(ctx, reg.Addr(), nodes); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 8; round++ {
+		if err := c.RegisterBatch(ctx, reg.Addr(), newer); err != nil {
+			t.Fatal(err)
+		}
+		want := storedState(t, reg.Addr())
+		if missing, err := c.HeartbeatBatch(ctx, reg.Addr(), bare); err != nil || len(missing) != 0 {
+			t.Fatalf("heartbeat_batch: missing %v, %v", missing, err)
+		}
+		if got := storedState(t, reg.Addr()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: a bare heartbeat changed stored state:\n got %+v\nwant %+v", round, got[:2], want[:2])
+		}
+	}
+}
+
+// TestReadMessageZeroesDeclinedSpare: a request whose digests the parser
+// starts in the spare, then leaves to encoding/json, which rejects it,
+// leaves the spare zeroed, so the pool keeps none of its names.
+func TestReadMessageZeroesDeclinedSpare(t *testing.T) {
+	spare := make([]NodeDigest, 0, 8)
+	var req Request
+	if _, err := readMessage(strings.NewReader(`{"digests":[{"name":"a"},{"name":"b"},}`), 1<<10, &req, spare); err == nil || req.Digests != nil {
+		t.Fatalf("decoded %+v, %v; want a syntax error", req, err)
+	}
+	for i, d := range spare[:cap(spare)] {
+		if d != (NodeDigest{}) {
+			t.Fatalf("spare slot %d holds %+v", i, d)
+		}
+	}
+}
+
+// TestServeConnKeepsNoRequestArray: once register_batch, heartbeat_batch and
+// gossip requests, served at once, are answered, overwriting every array
+// the pool holds changes neither a shard's listing nor a gossiper's store:
+// no handler kept a request's digests.
+func TestServeConnKeepsNoRequestArray(t *testing.T) {
+	reg := startRegistry(t, time.Minute)
+	node := startNode(t, NodeConfig{Name: "gossip-peer", Gossip: &GossipConfig{}})
+	c := &Client{}
+	ds := benchDigests(300)
+	beat := append([]NodeDigest(nil), ds...)
+	for i := range beat {
+		beat[i].State, beat[i].Gen = "S3(UEC-CPU)", 4
+	}
+	var wg sync.WaitGroup
+	for _, send := range []func() error{
+		func() error { return c.RegisterBatch(ctx, reg.Addr(), ds) },
+		func() error { _, err := c.HeartbeatBatch(ctx, reg.Addr(), beat); return err },
+		func() error {
+			_, err := roundTrip(ctx, nil, node.Addr(), Request{Op: "gossip", Digests: beat}, time.Second, 0)
+			return err
+		},
+	} {
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := send(); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	if _, err := c.HeartbeatBatch(ctx, reg.Addr(), beat); err != nil { // the batches may have raced registration
+		t.Fatal(err)
+	}
+	peers := func() []NodeDigest {
+		var out []NodeDigest
+		for _, d := range node.Gossiper().Snapshot() {
+			if d.Name != "gossip-peer" {
+				out = append(out, d)
+			}
+		}
+		return out
+	}
+	listing, store := storedState(t, reg.Addr()), peers()
+	if len(listing) != len(ds) || len(store) != len(ds) || listing[0].State != "S3(UEC-CPU)" {
+		t.Fatalf("served %d digests: shard lists %d (%+v), gossiper stores %d", len(ds), len(listing), listing[0], len(store))
+	}
+	var taken []*[]NodeDigest
+	for i := 0; i < 16; i++ {
+		spare := wireDigests.Get().(*[]NodeDigest)
+		arr := (*spare)[:cap(*spare)]
+		for j := range arr {
+			arr[j] = NodeDigest{Name: "overwritten", Addr: "0:0", State: "S5(URR)", Load: 1, Gen: 1 << 50, UnixMS: 1}
+		}
+		taken = append(taken, spare)
+	}
+	for _, spare := range taken {
+		wireDigests.Put(spare)
+	}
+	if got := storedState(t, reg.Addr()); !reflect.DeepEqual(got, listing) {
+		t.Errorf("overwriting pooled arrays changed the shard's listing")
+	}
+	if got := peers(); !reflect.DeepEqual(got, store) {
+		t.Errorf("overwriting pooled arrays changed the gossiper's store")
 	}
 }
 
@@ -851,6 +1121,15 @@ func BenchmarkWireHeartbeatBatch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		return len(got.Digests)
+	})
+	run("decode/reused", func() int { // as serveConn decodes: into a pooled array, released after
+		spare := wireDigests.Get().(*[]NodeDigest)
+		var got Request
+		if _, err := readMessage(bytes.NewReader(data), 1<<20, &got, *spare); err != nil {
+			b.Fatal(err)
+		}
+		releaseDigests(spare, got.Digests)
 		return len(got.Digests)
 	})
 }
