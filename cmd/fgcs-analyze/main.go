@@ -30,6 +30,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"repro/internal/cli"
 	"repro/internal/sim"
 	"repro/internal/testbed"
 	"repro/internal/trace"
@@ -44,7 +45,7 @@ func main() {
 		shardDir  = flag.String("shards", "", "directory of v2 block shard files to scan (bounded memory)")
 		report    = flag.String("report", "all", "report: table2, fig6, fig7, summary, acf, all")
 	)
-	flag.Parse()
+	cli.Parse()
 
 	switch *report {
 	case "all", "table2", "fig6", "fig7", "summary", "acf":

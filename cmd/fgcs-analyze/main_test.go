@@ -11,7 +11,8 @@ import (
 // TestTruncatedShardFailsByName runs the fgcs-testbed -shard-dir ->
 // fgcs-analyze -shards pipeline through the built binaries, then cuts one
 // shard in half: at every GOMAXPROCS the analyzer must exit non-zero naming
-// the shard, not print a Table 2 from what is left of it.
+// the shard, not print a Table 2 from what is left of it. A stray word
+// before a flag exits 2 naming the word, not a report that ignored the flag.
 func TestTruncatedShardFailsByName(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the fgcs-testbed and fgcs-analyze binaries")
@@ -42,6 +43,11 @@ func TestTruncatedShardFailsByName(t *testing.T) {
 	whole, err := analyze("1")
 	if err != nil || report(whole) == "" {
 		t.Fatalf("intact shards: %v\n%s", err, whole)
+	}
+	stray := exec.Command(analyzeBin, "-shards", shards, "fig6", "-report", "table2")
+	if out, _ := stray.CombinedOutput(); stray.ProcessState.ExitCode() != 2 ||
+		!strings.Contains(string(out), `unexpected argument "fig6"`) || strings.Contains(string(out), "Table 2") {
+		t.Errorf("stray word: exit %d, output %q; want exit 2 naming it", stray.ProcessState.ExitCode(), out)
 	}
 	for _, p := range []string{"2", "4"} {
 		if out, err := analyze(p); err != nil || report(out) != report(whole) {

@@ -17,13 +17,14 @@ import (
 	"time"
 
 	"repro/internal/check"
+	"repro/internal/cli"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fgcs-check: ")
 	seeds := flag.Int("seeds", 200, "number of randomized seeds")
-	flag.Parse()
+	cli.Parse()
 	if *seeds < 1 {
 		log.Fatalf("-seeds %d: need at least one seed", *seeds)
 	}

@@ -8,9 +8,9 @@ import (
 )
 
 // TestSeedsFlag builds the binary and runs it: a short sweep must exit 0
-// and print the zero-divergence summary, and a seed count below one must be
+// and print the zero-divergence summary, a seed count below one must be
 // refused by an error naming the flag and the value rather than silently
-// becoming the 200-seed default.
+// becoming the 200-seed default, and a stray word must exit 2 naming it.
 func TestSeedsFlag(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the fgcs-check binary")
@@ -20,21 +20,23 @@ func TestSeedsFlag(t *testing.T) {
 		t.Fatalf("building fgcs-check: %v\n%s", err, out)
 	}
 	cases := []struct {
-		seeds string
-		ok    bool
-		msg   string
+		args []string
+		code int
+		msg  string
 	}{
-		{"2", true, "check passed: 2 seeds"},
-		{"0", false, "-seeds 0"},
-		{"-3", false, "-seeds -3"},
+		{[]string{"-seeds", "2"}, 0, "check passed: 2 seeds"},
+		{[]string{"-seeds", "0"}, 1, "-seeds 0"},
+		{[]string{"-seeds", "-3"}, 1, "-seeds -3"},
+		{[]string{"-seeds", "2", "extra"}, 2, `unexpected argument "extra"`},
 	}
 	for _, c := range cases {
-		out, err := exec.Command(bin, "-seeds", c.seeds).CombinedOutput()
-		if (err == nil) != c.ok {
-			t.Errorf("-seeds %s: err = %v, want success %v\n%s", c.seeds, err, c.ok, out)
+		cmd := exec.Command(bin, c.args...)
+		out, err := cmd.CombinedOutput()
+		if code := cmd.ProcessState.ExitCode(); code != c.code {
+			t.Errorf("%v: exit %d (%v), want %d\n%s", c.args, code, err, c.code, out)
 		}
-		if !strings.Contains(string(out), c.msg) || c.ok != strings.Contains(string(out), "zero divergence") {
-			t.Errorf("-seeds %s: want %q and zero divergence = %v in:\n%s", c.seeds, c.msg, c.ok, out)
+		if ok := c.code == 0; !strings.Contains(string(out), c.msg) || ok != strings.Contains(string(out), "zero divergence") {
+			t.Errorf("%v: want %q and zero divergence = %v in:\n%s", c.args, c.msg, ok, out)
 		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/availability"
+	"repro/internal/cli"
 	"repro/internal/contention"
 	"repro/internal/simos"
 )
@@ -31,7 +32,7 @@ func main() {
 		combos  = flag.Int("combos", 3, "random host-group compositions per point")
 		seed    = flag.Int64("seed", 1, "experiment seed")
 	)
-	flag.Parse()
+	cli.Parse()
 
 	opt := contention.DefaultOptions()
 	opt.Measure = *measure

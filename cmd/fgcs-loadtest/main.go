@@ -29,6 +29,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/loadgen"
 )
 
@@ -61,7 +62,7 @@ func main() {
 		sloDiscP99   = flag.Duration("slo-discover-p99", 0, "discovery p99 objective (0 = ungated)")
 		sloRecovery  = flag.Duration("slo-recovery", 0, "crash phase: restart-to-serving objective (0 = ungated)")
 	)
-	flag.Parse()
+	cli.Parse()
 
 	cfg := loadgen.Config{
 		Nodes: *nodes, Shards: *shards, BatchSize: *batch,

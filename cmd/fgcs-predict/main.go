@@ -19,6 +19,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/gsched"
 	"repro/internal/predict"
 	"repro/internal/testbed"
@@ -42,7 +43,7 @@ func main() {
 		spread    = flag.Float64("spread", 0.8, "machine heterogeneity for the simulated testbed")
 		seed      = flag.Int64("seed", 2005, "simulation seed")
 	)
-	flag.Parse()
+	cli.Parse()
 	if *migrate && !*sched {
 		fmt.Fprintln(os.Stderr, "fgcs-predict: -migrate adds a variant to the -sched comparison; give -sched too")
 		os.Exit(2)

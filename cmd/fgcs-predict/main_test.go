@@ -14,7 +14,8 @@ import (
 // TestReportFromTraceFile builds the binary, hands it a small v2 trace and
 // asks for every report section: all five must print, the same flags must
 // print the same bytes twice, a missing -trace file must fail naming the
-// file, and -migrate without -sched must be refused before anything runs.
+// file, and -migrate without -sched, or a stray word before a flag, must be
+// refused with exit 2 before anything runs.
 func TestReportFromTraceFile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the fgcs-predict binary")
@@ -81,17 +82,27 @@ func TestReportFromTraceFile(t *testing.T) {
 		t.Errorf("error %q does not name %s", msg, missing)
 	}
 
-	var stdout, stderr bytes.Buffer
-	cmd := exec.Command(bin, "-trace", path, "-migrate")
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err = cmd.Run()
-	if code := cmd.ProcessState.ExitCode(); code != 2 {
-		t.Errorf("-migrate without -sched: exit %d (%v), want 2", code, err)
-	}
-	if stdout.Len() != 0 {
-		t.Errorf("-migrate without -sched printed a report:\n%s", stdout.Bytes())
-	}
-	if msg := stderr.String(); !strings.Contains(msg, "-migrate") || !strings.Contains(msg, "-sched") {
-		t.Errorf("refusal %q does not name -migrate and -sched", msg)
+	for _, c := range []struct {
+		args  []string
+		names []string
+	}{
+		{[]string{"-trace", path, "-migrate"}, []string{"-migrate", "-sched"}},
+		{[]string{"-trace", path, "sched", "-sched"}, []string{`unexpected argument "sched"`}},
+	} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, c.args...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err = cmd.Run()
+		if code := cmd.ProcessState.ExitCode(); code != 2 {
+			t.Errorf("%v: exit %d (%v), want 2", c.args, code, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v printed a report:\n%s", c.args, stdout.Bytes())
+		}
+		for _, name := range c.names {
+			if msg := stderr.String(); !strings.Contains(msg, name) {
+				t.Errorf("%v: refusal %q does not name %s", c.args, msg, name)
+			}
+		}
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/cli"
 	"repro/internal/obs"
 	"repro/internal/testbed"
 	"repro/internal/trace"
@@ -55,7 +56,7 @@ func main() {
 		shardSize   = flag.Int("shard-size", 100, "machines per shard with -shard-dir")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz and pprof on this address while simulating (e.g. 127.0.0.1:9090)")
 	)
-	flag.Parse()
+	cli.Parse()
 
 	cfg := testbed.DefaultConfig()
 	cfg.Machines = *machines

@@ -13,8 +13,9 @@ import (
 
 // TestBadFlagLeavesExistingTraceUntouched builds the binary, writes a small
 // trace, and then reruns it over the same -out with flags it must refuse:
-// formats that no longer exist, a removed option, an unknown profile and an
-// invalid fleet. Each run must fail without touching the file. A rerun with
+// formats that no longer exist, a removed option, an unknown profile, an
+// invalid fleet and a stray word, which must not end flag parsing quietly.
+// Each run must fail without touching the file. A rerun with
 // the original flags must reproduce it byte for byte.
 func TestBadFlagLeavesExistingTraceUntouched(t *testing.T) {
 	if testing.Short() {
@@ -52,6 +53,7 @@ func TestBadFlagLeavesExistingTraceUntouched(t *testing.T) {
 		{[]string{"-shard-codec", "v1"}, "flag provided but not defined"},
 		{[]string{"-profile", "office"}, `unknown profile "office"`},
 		{[]string{"-machines", "-4"}, "need at least one machine"},
+		{[]string{"oops", "-machines", "1", "-days", "1"}, `unexpected argument "oops"`},
 	}
 	for _, c := range bad {
 		msg, err := exec.Command(bin, append(append([]string{}, good...), c.args...)...).CombinedOutput()

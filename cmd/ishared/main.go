@@ -21,6 +21,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/ishare"
 	"repro/internal/obs"
 )
@@ -89,7 +90,7 @@ func main() {
 		drain       = flag.Duration("drain", 5*time.Second, "registry mode: how long a SIGTERM/interrupt shutdown waits for in-flight exchanges before closing")
 		maxInflight = flag.Int("max-inflight", 0, "registry mode: admission bound on concurrently served exchanges; excess connections queue briefly, then are shed with a retry-after hint (0 = unbounded)")
 	)
-	flag.Parse()
+	cli.Parse()
 	lim := ishare.Limits{MaxMessageBytes: *maxMsg, IODeadline: *deadline}
 	o := startObs(*metricsAddr, *mode, *verbose)
 	defer o.close()

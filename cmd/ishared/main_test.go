@@ -83,7 +83,8 @@ func (p *registryProc) terminate(t *testing.T) string {
 // TestRegistrySIGTERMDrainRestart is the end-to-end graceful-shutdown
 // contract of the daemon: a SIGTERM'd durable registry exits cleanly
 // after draining, and a fresh process over the same -wal-dir serves an
-// identical node set.
+// identical node set. An address given without -addr is refused with exit
+// 2 before anything listens, not served with the flags after it dropped.
 func TestRegistrySIGTERMDrainRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the ishared binary")
@@ -93,6 +94,11 @@ func TestRegistrySIGTERMDrainRestart(t *testing.T) {
 		t.Fatalf("building ishared: %v\n%s", err, out)
 	}
 	walDir := t.TempDir()
+
+	stray := exec.Command(bin, "-mode", "registry", "127.0.0.1:0", "-wal-dir", walDir)
+	if out, _ := stray.CombinedOutput(); stray.ProcessState.ExitCode() != 2 || !strings.Contains(string(out), `unexpected argument "127.0.0.1:0"`) {
+		t.Fatalf("stray address: exit %d, output %q; want exit 2 naming it", stray.ProcessState.ExitCode(), out)
+	}
 
 	p1 := startRegistryProc(t, bin, "-wal-dir", walDir, "-ttl", "1m")
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)

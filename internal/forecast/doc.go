@@ -29,9 +29,9 @@
 // prior. Unregistering a node forgets its history: the ID's next holder
 // starts cold.
 //
-// Memory per node, held by test: by name, at most 176 heap bytes until the
-// first event (125 measured over 50 000 names — TestServiceBytesPerNode); a
-// forecasting registry shard, whose forecaster holds no names, at most 335
-// in all (268 over 20 000 digests — ishare.TestRegistryBytesPerNode). Only
-// events grow a node: 8 B a start, to the ring's EventCapacity x 8 B = 32 KiB.
+// Memory per node, held by test (history is built on the first event): by
+// name ≤ 76 heap bytes before it, ≤ 176 after one (61, 141 measured over
+// 50 000 names — TestServiceBytesPerNode); a forecasting shard, whose
+// forecaster holds no names, ≤ 225 and ≤ 317 in all (180, 254 over 20 000
+// digests — ishare.TestRegistryBytesPerNode). A start adds 8 B, to 32 KiB a ring.
 package forecast

@@ -80,8 +80,7 @@ type machineState struct {
 
 	// starts is a bounded chronological ring of event start times; head
 	// indexes the oldest retained entry, n is the live count. The backing
-	// array grows on demand up to Config.EventCapacity, so idle machines in
-	// a large fleet cost nothing.
+	// array grows on demand up to Config.EventCapacity.
 	starts []sim.Time
 	head   int
 	n      int
@@ -139,8 +138,8 @@ func (ms *machineState) push(at sim.Time, capacity int) {
 // control plane needs.
 type Online struct {
 	cfg Config
-	ms  []*machineState
-	end sim.Time // observation high-water: the span end at query time
+	ms  []*machineState // nil until the first event or observation, and once forgotten
+	end sim.Time        // observation high-water: the span end at query time
 
 	events int64 // total ingested event starts
 	oor    int64 // events dropped for out-of-range machine ids
@@ -174,14 +173,14 @@ func New(cfg Config) (*Online, error) {
 
 // AddMachine grows the fleet by one and returns the new machine id.
 func (o *Online) AddMachine() trace.MachineID {
-	o.ms = append(o.ms, &machineState{})
+	o.ms = append(o.ms, nil)
 	return trace.MachineID(len(o.ms) - 1)
 }
 
 // Forget drops machine m's history: it is as AddMachine left it.
 func (o *Online) Forget(m trace.MachineID) {
-	if ms := o.state(m); ms != nil {
-		*ms = machineState{}
+	if o.inFleet(m) {
+		o.ms[m] = nil
 	}
 }
 
@@ -196,7 +195,9 @@ func (o *Online) Events() int64 { return o.events }
 func (o *Online) Dropped() int64 {
 	var n int64
 	for _, ms := range o.ms {
-		n += ms.dropped
+		if ms != nil {
+			n += ms.dropped
+		}
 	}
 	return n + o.oor
 }
@@ -216,9 +217,15 @@ func (o *Online) AdvanceTo(t sim.Time) {
 	}
 }
 
-func (o *Online) state(m trace.MachineID) *machineState {
-	if m < 0 || int(m) >= len(o.ms) {
+func (o *Online) inFleet(m trace.MachineID) bool { return m >= 0 && int(m) < len(o.ms) }
+
+// build returns machine m's history, built on first use; nil outside the fleet.
+func (o *Online) build(m trace.MachineID) *machineState {
+	if !o.inFleet(m) {
 		return nil
+	}
+	if o.ms[m] == nil {
+		o.ms[m] = &machineState{}
 	}
 	return o.ms[m]
 }
@@ -226,7 +233,7 @@ func (o *Online) state(m trace.MachineID) *machineState {
 // ObserveStart ingests one event start (the machine left the available
 // states at that instant). O(1) amortized.
 func (o *Online) ObserveStart(m trace.MachineID, at sim.Time) {
-	ms := o.state(m)
+	ms := o.build(m)
 	if ms == nil {
 		o.oor++
 		return
@@ -238,7 +245,7 @@ func (o *Online) ObserveStart(m trace.MachineID, at sim.Time) {
 
 // ObserveEnd ingests one event end (availability returned). O(1).
 func (o *Online) ObserveEnd(m trace.MachineID, at sim.Time) {
-	if o.state(m) != nil {
+	if o.inFleet(m) {
 		o.AdvanceTo(at)
 	}
 }
@@ -259,7 +266,7 @@ func (o *Online) ObserveEvent(e trace.Event) {
 // stream therefore yields exactly the event starts of the recorded trace
 // of that stream, which is what the online-offline differential pins.
 func (o *Online) Observe(m trace.MachineID, obs availability.Observation) error {
-	ms := o.state(m)
+	ms := o.build(m)
 	if ms == nil {
 		return fmt.Errorf("forecast: machine %d outside fleet of %d", m, len(o.ms))
 	}
@@ -293,13 +300,12 @@ func (o *Online) Calendar() sim.Calendar { return o.cfg.Calendar }
 
 // CountInWindow implements predict.History over the retained ring: how
 // many event starts of machine m fall in [w.Start, w.End), 0 for a machine
-// outside the fleet.
+// outside the fleet or with no history yet.
 func (o *Online) CountInWindow(m trace.MachineID, w sim.Window) int {
-	ms := o.state(m)
-	if ms == nil {
+	if !o.inFleet(m) || o.ms[m] == nil {
 		return 0
 	}
-	return ms.countStarts(w)
+	return o.ms[m].countStarts(w)
 }
 
 // PredictCount forecasts the expected number of unavailability events in w

@@ -181,6 +181,51 @@ func TestRingEviction(t *testing.T) {
 	}
 }
 
+// TestNilSlotAnswersAsEmptyRing: a machine's history is built by its first
+// event and dropped by Forget. Machine 0 never had one, machine 1 had
+// three (one evicted) before Forget, machine 2 keeps its three; 0 and 1
+// must answer every query alike and as a fresh forecaster does, queries and
+// event ends must build no history, and Dropped must count machine 2's
+// eviction alone.
+func TestNilSlotAnswersAsEmptyRing(t *testing.T) {
+	on, err := New(Config{Machines: 3, EventCapacity: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []trace.MachineID{1, 2} {
+		for d := sim.Time(0); d < 3; d++ {
+			on.ObserveStart(m, d*sim.Day+9*time.Hour)
+			on.ObserveEnd(m, d*sim.Day+10*time.Hour)
+		}
+	}
+	on.ObserveEnd(0, 11*time.Hour)
+	on.AdvanceTo(8 * sim.Day)
+	on.Forget(1)
+	fresh, err := New(Config{Machines: 1, EventCapacity: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh.AdvanceTo(8 * sim.Day)
+	for _, w := range []sim.Window{
+		{Start: 8*sim.Day + 9*time.Hour, End: 8*sim.Day + 10*time.Hour},
+		{Start: 8 * sim.Day, End: 9 * sim.Day},
+		{Start: 0, End: 8 * sim.Day}, // the span itself: counts, not forecasts
+	} {
+		want := fmt.Sprint(fresh.CountInWindow(0, w), fresh.ForecastWindow(0, w), fresh.PredictCount(0, w), fresh.EWMACount(0, w), fresh.EWMASurvival(0, w))
+		for _, m := range []trace.MachineID{0, 1} {
+			if got := fmt.Sprint(on.CountInWindow(m, w), on.ForecastWindow(m, w), on.PredictCount(m, w), on.EWMACount(m, w), on.EWMASurvival(m, w)); got != want {
+				t.Errorf("machine %d over %v: %s, want the fresh machine's %s", m, w, got, want)
+			}
+		}
+	}
+	if on.ms[0] != nil || on.ms[1] != nil {
+		t.Errorf("history slots after queries: never-built %p, forgotten %p; want both nil", on.ms[0], on.ms[1])
+	}
+	if got := on.Dropped(); got != 1 {
+		t.Errorf("Dropped = %d, want machine 2's one eviction", got)
+	}
+}
+
 // TestBackdatedStartsStaySorted feeds starts slightly out of order (the
 // transient-window backdating a detector applies to S3 transitions) and
 // checks the ring stays sorted so binary-searched counts stay exact.
@@ -290,34 +335,43 @@ func TestOnlineAdvanceAdmitsHistory(t *testing.T) {
 	}
 }
 
-// TestServiceBytesPerNode holds the bound doc.go states for the name-keyed
+// TestServiceBytesPerNode holds the bounds doc.go states for the name-keyed
 // path: a node that has had no event costs its name, a name-map slot, a
-// view byte and a machineState with an empty ring — no detector, no
-// per-node table. 125 heap bytes measured.
+// view byte and a nil history slot — no history, no detector, no per-node
+// table (61 heap bytes measured); one event adds the history and its
+// one-start ring (141 measured). Each bound is a quarter over.
 func TestServiceBytesPerNode(t *testing.T) {
-	const nodes, bound = 50_000, 176
+	const nodes = 50_000
 	heap := func() int64 {
 		runtime.GC()
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
 		return int64(m.HeapAlloc)
 	}
-	before := heap()
-	svc, err := NewService(ServiceConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < nodes; i++ {
-		if err := svc.ObserveState(fmt.Sprintf("node-%06d", i), "S1(full)", 1_000_000); err != nil {
+	for _, c := range []struct {
+		state string
+		bound int64
+	}{
+		{"S1(full)", 76},         // no event: the forecaster's slot is nil
+		{"S3(cpu-unavail)", 176}, // one event each
+	} {
+		before := heap()
+		svc, err := NewService(ServiceConfig{})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	perNode := (heap() - before) / nodes
-	if got, _ := svc.Nodes(); got != nodes {
-		t.Fatalf("Nodes = %d, want %d", got, nodes)
-	}
-	t.Logf("%d heap bytes per node (bound %d)", perNode, bound)
-	if perNode > bound {
-		t.Errorf("%d heap bytes per node, want <= %d", perNode, bound)
+		for i := 0; i < nodes; i++ {
+			if err := svc.ObserveState(fmt.Sprintf("node-%06d", i), c.state, 1_000_000); err != nil {
+				t.Fatal(err)
+			}
+		}
+		perNode := (heap() - before) / nodes
+		if got, _ := svc.Nodes(); got != nodes {
+			t.Fatalf("%s: Nodes = %d, want %d", c.state, got, nodes)
+		}
+		t.Logf("%s: %d heap bytes per node (bound %d)", c.state, perNode, c.bound)
+		if perNode > c.bound {
+			t.Errorf("%s: %d heap bytes per node, want <= %d", c.state, perNode, c.bound)
+		}
 	}
 }

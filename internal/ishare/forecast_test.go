@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // forecastFixture drives a forecast-enabled registry with an injected
@@ -173,36 +174,53 @@ func TestForecastSurvivesRecovery(t *testing.T) {
 	}
 }
 
-// TestRegistryBytesPerNode holds the per-node bound forecast/doc.go states
-// for a forecasting shard: the entry, its one slot in the name map, its
-// bucket and forecaster slots by ID, its name and address — and no name in
-// the forecaster. 268 heap bytes measured; the bound is a quarter over.
+// TestRegistryBytesPerNode holds the per-node bounds forecast/doc.go
+// states for a forecasting shard: the 80-byte entry, its one slot in the
+// name map, its bucket and forecaster slots by ID, its name and address —
+// and no name in the forecaster. A node with no event yet holds a nil
+// forecaster slot (180 heap bytes measured); one event builds its history
+// and a one-start ring (254 measured). Each bound is a quarter over.
 func TestRegistryBytesPerNode(t *testing.T) {
-	const nodes, batch, bound = 20_000, 1000, 335
+	const nodes, batch = 20_000, 1000
+	if size := unsafe.Sizeof(registryEntry{}); size != 80 {
+		t.Errorf("a registry entry is %d bytes, want 80", size)
+	}
 	heap := func() int64 {
 		runtime.GC()
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
 		return int64(m.HeapAlloc)
 	}
-	before := heap()
-	r, err := NewRegistryWithOptions("127.0.0.1:0", RegistryOptions{TTL: time.Minute, Forecast: &ForecastOptions{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	ds := benchDigests(nodes)
-	for lo := 0; lo < nodes; lo += batch {
-		if resp := r.handle(Request{Op: "register_batch", Digests: ds[lo : lo+batch]}); !resp.OK {
-			t.Fatalf("register_batch: %s", resp.Error)
+	for _, c := range []struct {
+		state string
+		bound int64
+	}{
+		{"S1(full)", 225},        // no event
+		{"S3(cpu-unavail)", 317}, // one event each
+	} {
+		before := heap()
+		r, err := NewRegistryWithOptions("127.0.0.1:0", RegistryOptions{TTL: time.Minute, Forecast: &ForecastOptions{}})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	perNode := (heap() - before) / nodes
-	if got, names := r.fc.Nodes(); got != nodes || names != 0 {
-		t.Fatalf("forecaster knows %d nodes and %d names, want %d and none", got, names, nodes)
-	}
-	t.Logf("%d heap bytes per node (bound %d)", perNode, bound)
-	if perNode > bound {
-		t.Errorf("%d heap bytes per node, want <= %d", perNode, bound)
+		ds := benchDigests(nodes)
+		for i := range ds {
+			ds[i].State = c.state
+		}
+		for lo := 0; lo < nodes; lo += batch {
+			if resp := r.handle(Request{Op: "register_batch", Digests: ds[lo : lo+batch]}); !resp.OK {
+				t.Fatalf("register_batch: %s", resp.Error)
+			}
+		}
+		ds = nil
+		perNode := (heap() - before) / nodes
+		if got, names := r.fc.Nodes(); got != nodes || names != 0 {
+			t.Fatalf("%s: forecaster knows %d nodes and %d names, want %d and none", c.state, got, names, nodes)
+		}
+		t.Logf("%s: %d heap bytes per node (bound %d)", c.state, perNode, c.bound)
+		if perNode > c.bound {
+			t.Errorf("%s: %d heap bytes per node, want <= %d", c.state, perNode, c.bound)
+		}
+		r.Close()
 	}
 }

@@ -1,6 +1,7 @@
 package ishare
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 )
@@ -68,6 +69,8 @@ func FuzzProtocolDecode(f *testing.F) {
 // no panic, no allocation driven by a corrupt length header, the reported
 // good-offset never exceeds the input, and truncating to that offset
 // replays the same record count cleanly (replay is a prefix function).
+// Replayed into a shard, no record moves a live node's liveness stamp back,
+// and the shard's snapshot replays to a shard with the same snapshot bytes.
 func FuzzWALReplay(f *testing.F) {
 	var log []byte
 	for _, rec := range []walRecord{
@@ -85,6 +88,17 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0})
 	f.Add(appendWALFrame(nil, []byte{99}))
+	// A refresh stamped before, at and after the entry's stamp, on both
+	// sides of the Unix epoch.
+	for _, stamp := range []int64{1700000000000, -5000} {
+		up := encodeWALRecord(walRecord{kind: walKindUpsert, entries: []walEntry{
+			{d: NodeDigest{Name: "m001", Addr: "127.0.0.1:9001", State: "S1(full)", Gen: 2, UnixMS: stamp}, lastSeenMS: stamp},
+		}})
+		for _, dt := range []int64{-1000, 0, 1000} {
+			f.Add(appendWALFrame(appendWALFrame(nil, up),
+				encodeWALRecord(walRecord{kind: walKindRefresh, stampMS: stamp + dt, names: []string{"m001"}})))
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, off, _ := replayWALBytes(data, nil)
@@ -94,6 +108,35 @@ func FuzzWALReplay(f *testing.F) {
 		n2, off2, err2 := replayWALBytes(data[:off], nil)
 		if n2 != n || off2 != off || err2 != nil {
 			t.Fatalf("truncation to good offset not clean: n=%d->%d off=%d->%d err=%v", n, n2, off, off2, err2)
+		}
+
+		r := &Registry{ids: map[string]uint32{}}
+		replayWALBytes(data[:off], func(rec walRecord) {
+			before := make(map[string]int64, len(r.ids))
+			for name, id := range r.ids {
+				before[name] = r.entries[id].seen
+			}
+			r.applyWALRecord(rec)
+			for name, id := range r.ids {
+				if was, ok := before[name]; ok && r.entries[id].seen < was {
+					t.Fatalf("record kind %d moved %q's stamp back from %d to %d", rec.kind, name, was, r.entries[id].seen)
+				}
+			}
+		})
+		snapshot := func(r *Registry) []byte {
+			var b []byte
+			for _, rec := range r.snapshotRecordsLocked() {
+				b = appendWALFrame(b, encodeWALRecord(rec))
+			}
+			return b
+		}
+		first := snapshot(r)
+		again := &Registry{ids: map[string]uint32{}}
+		if _, _, err := replayWALBytes(first, again.applyWALRecord); err != nil {
+			t.Fatalf("snapshot does not replay: %v", err)
+		}
+		if second := snapshot(again); !bytes.Equal(first, second) {
+			t.Fatalf("snapshot is not a fixed point of replay: %d bytes, then %d", len(first), len(second))
 		}
 	})
 }

@@ -88,11 +88,31 @@ type Registry struct {
 	closed    chan struct{}
 }
 
+// registryEntry is one node's record, 80 B: its last digest as list echoes
+// it, and seen, the last-seen stamp in Unix nanoseconds (math.MinInt64 until
+// the first): a wall reading without the monotonic one a replayed stamp never had.
 type registryEntry struct {
-	info     NodeInfo
-	lastSeen time.Time
-	bucket   uint8
-	pos      uint32 // buckets[bucket][pos] is this entry's ID
+	name, addr, state string
+	load              float64
+	gen               int64
+	seen              int64
+	bucket            uint8
+	pos               uint32 // buckets[bucket][pos] is this entry's ID
+}
+
+// stampMS is a logged Unix-millisecond stamp as an entry's stamp, held to
+// the years 1678–2262 that Unix nanoseconds span.
+func stampMS(ms int64) int64 { return min(max(ms, -maxStampMS), maxStampMS) * 1e6 }
+
+const maxStampMS = math.MaxInt64 / 1_000_000
+
+// unixMS is a stamp in Unix milliseconds, as time.Time.UnixMilli rounds it.
+func unixMS(seen int64) int64 { return time.Unix(0, seen).UnixMilli() }
+
+// info is the entry as list answers it at now, alive up to the TTL after seen.
+func (r *Registry) info(e *registryEntry, now int64) NodeInfo {
+	return NodeInfo{Name: e.name, Addr: e.addr, Alive: time.Unix(0, now).Sub(time.Unix(0, e.seen)) <= r.ttl,
+		LastSeenMS: unixMS(e.seen), State: e.state, Load: e.load, Gen: e.gen}
 }
 
 // RegistryOptions is the full configuration of one registry shard.
@@ -244,7 +264,7 @@ func (r *Registry) applyWALRecord(rec walRecord) {
 	switch rec.kind {
 	case walKindUpsert:
 		for _, e := range rec.entries {
-			r.registerLocked(e.d, time.UnixMilli(e.lastSeenMS))
+			r.registerLocked(e.d, stampMS(e.lastSeenMS))
 		}
 	case walKindRemove:
 		r.removeLocked(rec.name)
@@ -255,10 +275,10 @@ func (r *Registry) applyWALRecord(rec walRecord) {
 			r.shardMap = &cp
 		}
 	case walKindRefresh:
-		t := time.UnixMilli(rec.stampMS)
+		t := stampMS(rec.stampMS)
 		for _, name := range rec.names {
-			if id, ok := r.ids[name]; ok && t.After(r.entries[id].lastSeen) {
-				r.entries[id].lastSeen = t
+			if id, ok := r.ids[name]; ok && t > r.entries[id].seen {
+				r.entries[id].seen = t
 			}
 		}
 	}
@@ -290,21 +310,22 @@ func (r *Registry) walLocked(due bool, err error) error {
 	return nil
 }
 
-// snapshotRecordsLocked serializes the full registry state as WAL
-// records; the caller holds r.mu.
+// snapshotRecordsLocked serializes the full registry state as WAL records in
+// ID order: one state, one byte string, and IDs kept if none was freed. Holds r.mu.
 func (r *Registry) snapshotRecordsLocked() []walRecord {
 	var recs []walRecord
 	if r.shardMap != nil {
 		recs = append(recs, walRecord{kind: walKindShardMap, shardMap: *r.shardMap})
 	}
 	entries := make([]walEntry, 0, len(r.ids))
-	for _, id := range r.ids {
+	for id := range r.entries {
 		e := &r.entries[id]
-		entries = append(entries, walEntry{
-			d: NodeDigest{Name: e.info.Name, Addr: e.info.Addr, State: e.info.State,
-				Load: e.info.Load, Gen: e.info.Gen, UnixMS: e.lastSeen.UnixMilli()},
-			lastSeenMS: e.lastSeen.UnixMilli(),
-		})
+		if b := r.buckets[e.bucket]; int(e.pos) >= len(b) || b[e.pos] != uint32(id) {
+			continue // a free slot: every live ID is where its entry says in its bucket
+		}
+		ms := unixMS(e.seen)
+		d := NodeDigest{Name: e.name, Addr: e.addr, State: e.state, Load: e.load, Gen: e.gen, UnixMS: ms}
+		entries = append(entries, walEntry{d: d, lastSeenMS: ms})
 	}
 	for len(entries) > 0 { // records of at most 512 entries
 		n := min(512, len(entries))
@@ -508,7 +529,7 @@ func (r *Registry) shed(conn net.Conn) {
 
 // registerLocked resolves d's name to its ID — assigning one, a freed ID
 // before a new one, when the shard does not know the name — and applies d.
-func (r *Registry) registerLocked(d NodeDigest, now time.Time) {
+func (r *Registry) registerLocked(d NodeDigest, now int64) {
 	id, ok := r.ids[d.Name]
 	if !ok {
 		if n := len(r.free); n > 0 {
@@ -519,7 +540,7 @@ func (r *Registry) registerLocked(d NodeDigest, now time.Time) {
 		}
 		r.ids[d.Name] = id
 		// Until upsert says otherwise it is a node with no digest: bucket 2.
-		r.entries[id] = registryEntry{info: NodeInfo{Name: d.Name}, bucket: 2, pos: uint32(len(r.buckets[2]))}
+		r.entries[id] = registryEntry{name: d.Name, seen: math.MinInt64, bucket: 2, pos: uint32(len(r.buckets[2]))}
 		r.buckets[2] = append(r.buckets[2], id)
 	}
 	r.upsertLocked(id, d, now)
@@ -532,36 +553,32 @@ func (r *Registry) registerLocked(d NodeDigest, now time.Time) {
 // liveness without touching the stored state. It reports whether
 // anything beyond the liveness stamp changed — a false return is a pure
 // refresh, which the WAL logs in compact form.
-func (r *Registry) upsertLocked(id uint32, d NodeDigest, now time.Time) bool {
+func (r *Registry) upsertLocked(id uint32, d NodeDigest, now int64) bool {
 	e := &r.entries[id]
-	before := e.info
+	addr, state, load, gen := e.addr, e.state, e.load, e.gen
 	if d.Addr != "" {
-		e.info.Addr = d.Addr
+		e.addr = d.Addr
 	}
 	if d.State != "" {
 		stamped := d
 		if stamped.UnixMS == 0 {
-			stamped.UnixMS = now.UnixMilli()
+			stamped.UnixMS = unixMS(now)
 		}
-		stored := NodeDigest{Gen: e.info.Gen, UnixMS: e.lastSeen.UnixMilli()}
-		if e.info.State == "" || stamped.Newer(stored) {
-			e.info.State = d.State
-			e.info.Load = d.Load
-			e.info.Gen = d.Gen
+		stored := NodeDigest{Gen: e.gen, UnixMS: unixMS(e.seen)}
+		if e.state == "" || stamped.Newer(stored) {
+			e.state, e.load, e.gen = d.State, d.Load, d.Gen
 			if r.fc != nil {
 				r.fc.ObserveStateID(id, d.State, stamped.UnixMS)
 			}
 		}
 	}
-	if now.After(e.lastSeen) {
-		e.lastSeen = now
-	}
-	if want := uint8(digestScore(e.info.State)); want != e.bucket {
+	e.seen = max(e.seen, now)
+	if want := uint8(digestScore(e.state)); want != e.bucket {
 		r.unbucketLocked(e)
 		e.bucket, e.pos = want, uint32(len(r.buckets[want]))
 		r.buckets[want] = append(r.buckets[want], id)
 	}
-	return e.info != before
+	return e.addr != addr || e.state != state || e.load != load || e.gen != gen
 }
 
 // unbucketLocked takes e out of its bucket by moving the bucket's last ID
@@ -613,12 +630,12 @@ func (r *Registry) handle(req Request) *Response {
 				return &Response{OK: false, Error: "register_batch requires name and addr on every digest"}
 			}
 		}
-		now := r.now()
+		now := r.now().UnixNano()
 		r.mu.Lock()
 		for _, d := range req.Digests {
 			r.registerLocked(d, now)
 		}
-		err := r.walLocked(r.wal.appendUpsert(req.Digests, now.UnixMilli()))
+		err := r.walLocked(r.wal.appendUpsert(req.Digests, unixMS(now)))
 		n := len(r.ids)
 		r.mu.Unlock()
 		if err != nil {
@@ -655,7 +672,7 @@ func (r *Registry) handle(req Request) *Response {
 		if one {
 			req.Digests = []NodeDigest{{Name: req.Name, State: req.State, Load: req.Load, Gen: req.Gen}}
 		}
-		now := r.now()
+		now := r.now().UnixNano()
 		var missing []string
 		r.mu.Lock()
 		durable := r.wal != nil
@@ -688,10 +705,10 @@ func (r *Registry) handle(req Request) *Response {
 		}
 		var err error
 		if len(changed) > 0 {
-			err = r.walLocked(r.wal.appendUpsert(changed, now.UnixMilli()))
+			err = r.walLocked(r.wal.appendUpsert(changed, unixMS(now)))
 		}
 		if err == nil && len(refreshed) > 0 {
-			err = r.walLocked(r.wal.appendRefresh(refreshed, now.UnixMilli()))
+			err = r.walLocked(r.wal.appendRefresh(refreshed, unixMS(now)))
 		}
 		r.batchIDs, r.walChanged, r.walRefreshed = ids[:0], changed[:0], refreshed[:0]
 		r.mu.Unlock()
@@ -715,18 +732,15 @@ func (r *Registry) handle(req Request) *Response {
 		if req.Limit > 0 {
 			return r.listRanked(req.Limit)
 		}
-		now := r.now()
+		now := r.now().UnixNano()
 		r.mu.RLock()
 		nodes := make([]NodeInfo, 0, len(r.ids))
 		alive := 0
 		for _, id := range r.ids {
-			e := &r.entries[id]
-			info := e.info
-			info.Alive = now.Sub(e.lastSeen) <= r.ttl
+			info := r.info(&r.entries[id], now)
 			if info.Alive {
 				alive++
 			}
-			info.LastSeenMS = e.lastSeen.UnixMilli()
 			nodes = append(nodes, info)
 		}
 		r.mu.RUnlock()
@@ -758,7 +772,7 @@ func (r *Registry) handle(req Request) *Response {
 			fi := ForecastInfo{Name: name, Known: known, Survival: f.Survival, Samples: f.Samples}
 			if ok {
 				e := &r.entries[id]
-				fi.State, fi.Gen, fi.UnixMS = e.info.State, e.info.Gen, e.lastSeen.UnixMilli()
+				fi.State, fi.Gen, fi.UnixMS = e.state, e.gen, unixMS(e.seen)
 			}
 			out = append(out, fi)
 		}
@@ -796,7 +810,7 @@ func (r *Registry) handle(req Request) *Response {
 // response itself is ordered (state, load, name) so callers merge
 // deterministically ranked lists.
 func (r *Registry) listRanked(limit int) *Response {
-	now := r.now()
+	now := r.now().UnixNano()
 	r.mu.RLock()
 	// The limit is the caller's number: what it sizes is bounded by the shard.
 	limit = min(limit, len(r.ids))
@@ -805,14 +819,9 @@ func (r *Registry) listRanked(limit int) *Response {
 	for score := 0; score <= 1 && len(nodes) < limit; score++ {
 		b := r.buckets[score]
 		for i := range b {
-			e := &r.entries[b[(start+i)%len(b)]]
-			if now.Sub(e.lastSeen) > r.ttl {
-				continue
+			if info := r.info(&r.entries[b[(start+i)%len(b)]], now); info.Alive {
+				nodes = append(nodes, info)
 			}
-			info := e.info
-			info.Alive = true
-			info.LastSeenMS = e.lastSeen.UnixMilli()
-			nodes = append(nodes, info)
 			if len(nodes) >= limit {
 				break
 			}

@@ -76,11 +76,11 @@ func checkIDInvariants(t *testing.T, r *Registry, step string) {
 			if int(e.bucket) != score || int(e.pos) != pos {
 				t.Fatalf("%s: ID %d sits at bucket %d pos %d, its entry says (%d, %d)", step, id, score, pos, e.bucket, e.pos)
 			}
-			if want := digestScore(e.info.State); want != score {
-				t.Fatalf("%s: %s in state %q is in bucket %d, want %d", step, e.info.Name, e.info.State, score, want)
+			if want := digestScore(e.state); want != score {
+				t.Fatalf("%s: %s in state %q is in bucket %d, want %d", step, e.name, e.state, score, want)
 			}
-			if got, ok := r.ids[e.info.Name]; !ok || got != id {
-				t.Fatalf("%s: bucket %d holds ID %d (%s), the name map says %d, %v", step, score, id, e.info.Name, got, ok)
+			if got, ok := r.ids[e.name]; !ok || got != id {
+				t.Fatalf("%s: bucket %d holds ID %d (%s), the name map says %d, %v", step, score, id, e.name, got, ok)
 			}
 		}
 	}

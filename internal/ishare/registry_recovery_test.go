@@ -1,8 +1,10 @@
 package ishare
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,7 +21,7 @@ func registryStateSnapshot(r *Registry) map[string]string {
 	for name, id := range r.ids {
 		e := &r.entries[id]
 		out[name] = fmt.Sprintf("%s|%s|%.6f|%d|%d|%d",
-			e.info.Addr, e.info.State, e.info.Load, e.info.Gen, e.lastSeen.UnixMilli(), e.bucket)
+			e.addr, e.state, e.load, e.gen, unixMS(e.seen), e.bucket)
 	}
 	if r.shardMap != nil {
 		out["__shardmap__"] = fmt.Sprintf("%d|%s", r.shardMap.Gen, strings.Join(r.shardMap.Shards, ","))
@@ -384,5 +386,113 @@ func TestShardedRestartVolatile(t *testing.T) {
 	}
 	if len(missing) != len(shard0) {
 		t.Fatalf("volatile restart: %d missing, want all %d", len(missing), len(shard0))
+	}
+}
+
+// TestStampExpiresAtTTL pins the liveness stamp at the TTL boundary: a
+// node is alive at exactly the TTL after its stamp and dead a nanosecond
+// later, in the full list and in ranked discovery alike. It holds for a
+// stamp read from the wall clock (carrying a monotonic reading), one from
+// RegistryOptions.Now, and one replayed from the WAL, before and after the
+// Unix epoch. Each node is then refreshed by bare heartbeats stamped at and
+// then before its stamp; neither may move the stamp back, live or replayed.
+func TestStampExpiresAtTTL(t *testing.T) {
+	const ttl = time.Minute
+	for _, c := range []struct {
+		name   string
+		at     time.Time
+		replay bool
+	}{
+		{"wall", time.Now(), false},
+		{"options-now", time.UnixMilli(1_700_000_000_123), false},
+		{"replayed", time.UnixMilli(1_700_000_000_123), true},
+		{"replayed-pre-epoch", time.UnixMilli(-86_400_123), true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			clock := c.at
+			opt := RegistryOptions{TTL: ttl, Now: func() time.Time { return clock },
+				WAL: &WALOptions{Dir: t.TempDir(), SyncInterval: -1, CompactEvery: 1 << 30}}
+			r, err := NewRegistryWithOptions("127.0.0.1:0", opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp := r.handle(Request{Op: "register", Name: "n", Addr: "10.0.0.1:70", State: "S1(full)", Gen: 1}); !resp.OK {
+				t.Fatalf("register: %s", resp.Error)
+			}
+			for _, back := range []time.Duration{0, 10 * time.Second} {
+				clock = c.at.Add(-back)
+				if resp := r.handle(Request{Op: "heartbeat", Name: "n"}); !resp.OK {
+					t.Fatalf("heartbeat: %s", resp.Error)
+				}
+			}
+			if c.replay {
+				if err := r.Crash(); err != nil {
+					t.Fatal(err)
+				}
+				if r, err = NewRegistryWithOptions("127.0.0.1:0", opt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			defer r.Close()
+			for _, tc := range []struct {
+				after time.Duration
+				alive bool
+			}{{ttl, true}, {ttl + time.Nanosecond, false}} {
+				clock = c.at.Add(tc.after)
+				all := r.handle(Request{Op: "list"})
+				if len(all.Nodes) != 1 || all.Nodes[0].Alive != tc.alive || all.Nodes[0].LastSeenMS != c.at.UnixMilli() {
+					t.Errorf("%v after the stamp: list %+v, want alive=%v last_seen_ms=%d", tc.after, all.Nodes, tc.alive, c.at.UnixMilli())
+				}
+				if ranked := r.handle(Request{Op: "list", Limit: 1}); (len(ranked.Nodes) == 1) != tc.alive {
+					t.Errorf("%v after the stamp: ranked list %+v, want the node listed = %v", tc.after, ranked.Nodes, tc.alive)
+				}
+			}
+		})
+	}
+}
+
+// TestSnapshotInIDOrder: a compaction writes the nodes in ID order, so two
+// compactions of one state write the same bytes, and a restart with no
+// removals hands every node the ID it had.
+func TestSnapshotInIDOrder(t *testing.T) {
+	dir := t.TempDir()
+	opt := RegistryOptions{TTL: time.Minute, WAL: &WALOptions{Dir: dir, SyncInterval: -1, CompactEvery: 1 << 30}}
+	r, err := NewRegistryWithOptions("127.0.0.1:0", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := testFleetDigests(300, 4000)
+	for lo := 0; lo < len(ds); lo += 64 {
+		if resp := r.handle(Request{Op: "register_batch", Digests: ds[lo:min(lo+64, len(ds))]}); !resp.OK {
+			t.Fatalf("register_batch: %s", resp.Error)
+		}
+	}
+	compact := func() []byte {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if err := r.wal.compact(r.snapshotRecordsLocked()); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dir, snapFileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if first, second := compact(), compact(); !bytes.Equal(first, second) {
+		t.Fatalf("two compactions of one state wrote different snapshots (%d and %d bytes)", len(first), len(second))
+	}
+	want := maps.Clone(r.ids)
+	if err := r.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := NewRegistryWithOptions("127.0.0.1:0", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	if !maps.Equal(r2.ids, want) {
+		t.Fatalf("restart from the snapshot renumbered nodes: %d of %d names, e.g. m000 %d -> %d",
+			len(r2.ids), len(want), want["m000"], r2.ids["m000"])
 	}
 }
