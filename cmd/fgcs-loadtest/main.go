@@ -1,19 +1,21 @@
 // Command fgcs-loadtest drives the sharded control plane with a synthetic
 // fleet: batched registration, churned digest heartbeats, ranked fan-out
-// discovery, and optionally the same discovery load with one shard
-// chaos-partitioned. It prints a latency summary, optionally writes the
-// full result as JSON, and exits nonzero when an SLO is missed — the CI
-// smoke gate runs it via `make loadtest-smoke`.
+// discovery, and optionally batched forecast queries (-forecast-ops N),
+// the same discovery with shard 0 chaos-partitioned (-partition), and
+// shard 0 crashed and WAL-restarted (-crash). It prints a latency summary,
+// optionally writes the full result as JSON, and exits nonzero when an
+// SLO is missed — the CI smoke gate runs it via `make loadtest-smoke`.
 //
 // With -forecast it instead replays a fixed-seed fleet trace through the
 // online forecaster and gates forecast-driven proactive checkpoint/migrate
 // scheduling against the reactive baseline (the CI gate behind
-// `make forecast-smoke`); -forecast-service adds a batched forecast-query
-// phase to the load run itself.
+// `make forecast-smoke`). -smoke and -forecast are fixed presets: any
+// flag they would ignore, other than -out (and -seed and
+// -min-waste-reduction for -forecast), exits 2 naming it.
 //
 // Usage:
 //
-//	fgcs-loadtest -nodes 100000 -shards 4
+//	fgcs-loadtest -nodes 100000 -shards 4 -partition -crash
 //	fgcs-loadtest -smoke
 //	fgcs-loadtest -nodes 20000 -scaling 1,4
 //	fgcs-loadtest -forecast
@@ -25,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -42,20 +45,19 @@ func main() {
 		churn        = flag.Float64("churn", 0.2, "fleet fraction re-drawing availability state per sweep")
 		discoverOps  = flag.Int("discover-ops", 200, "fan-out discoveries to measure")
 		concurrency  = flag.Int("concurrency", 8, "parallel driver workers")
-		partition    = flag.Int("partition-shard", -1, "shard index to chaos-partition for a degraded discovery phase (-1 = off)")
-		crash        = flag.Int("crash-shard", -1, "shard index to SIGKILL-crash and WAL-restart for a recovery phase (-1 = off; needs -wal-dir)")
-		walDir       = flag.String("wal-dir", "", "durability root: shards WAL-log acked registrations under it (empty = volatile; a temp dir is used when -crash-shard or -smoke needs one)")
+		partition    = flag.Bool("partition", false, "add a discovery phase with shard 0 chaos-partitioned")
+		crash        = flag.Bool("crash", false, "add a recovery phase: shard 0 SIGKILL-crashed and WAL-restarted")
+		walDir       = flag.String("wal-dir", "", "durability root: shards WAL-log acked registrations under it (empty = volatile; -crash then uses a temp dir)")
 		maxInflight  = flag.Int("max-inflight", 0, "per-shard admission bound on concurrently served exchanges (0 = unbounded)")
 		seed         = flag.Int64("seed", 1, "fleet/churn seed")
 		scenario     = flag.String("scenario", "", "draw fleet states from this markov scenario model's stationary distribution (enterprise, spot, multicore, container-dense; empty = paper occupancy)")
 		scaling      = flag.String("scaling", "", "comma-separated shard counts: run the scaling sweep instead of one load run")
 		forecastEval = flag.Bool("forecast", false, "run the proactive-vs-reactive forecast evaluation instead of a load run")
-		forecastSvc  = flag.Bool("forecast-service", false, "add the batched forecast-query phase to the load run")
-		forecastOps  = flag.Int("forecast-ops", 100, "batched forecast queries to measure (with -forecast-service)")
+		forecastOps  = flag.Int("forecast-ops", 0, "add a phase measuring this many batched forecast queries (0 = off)")
 		minWasteRed  = flag.Float64("min-waste-reduction", 0.10, "forecast evaluation gate: minimum fractional waste reduction vs the reactive baseline")
 		sloForecast  = flag.Duration("slo-forecast-p99", 0, "forecast query p99 objective (0 = ungated)")
 		out          = flag.String("out", "", "write the full result JSON here")
-		smoke        = flag.Bool("smoke", false, "CI preset: 10k nodes, 2 shards, partitioned phase, SLO gates on")
+		smoke        = flag.Bool("smoke", false, "CI preset: 10k nodes, 2 shards, every phase, SLO gates on")
 		sloRegP99    = flag.Duration("slo-register-p99", 0, "register batch p99 objective (0 = ungated)")
 		sloHBP99     = flag.Duration("slo-heartbeat-p99", 0, "heartbeat batch p99 objective (0 = ungated)")
 		sloDiscP50   = flag.Duration("slo-discover-p50", 0, "discovery p50 objective (0 = ungated)")
@@ -67,73 +69,46 @@ func main() {
 	cfg := loadgen.Config{
 		Nodes: *nodes, Shards: *shards, BatchSize: *batch,
 		HeartbeatRounds: *rounds, ChurnFraction: *churn,
-		DiscoverOps: *discoverOps,
-		Concurrency: *concurrency, Seed: *seed, Scenario: *scenario,
+		DiscoverOps: *discoverOps, Concurrency: *concurrency,
+		Partition: *partition, CrashRestart: *crash, ForecastOps: *forecastOps,
+		Seed: *seed, Scenario: *scenario,
 		WALDir: *walDir, MaxInflight: *maxInflight,
 		SLO: loadgen.SLO{RegisterP99: *sloRegP99, HeartbeatP99: *sloHBP99,
 			DiscoverP50: *sloDiscP50, DiscoverP99: *sloDiscP99,
 			Recovery: *sloRecovery, ForecastP99: *sloForecast},
 	}
-	if *forecastSvc {
-		cfg.Forecast = true
-		cfg.ForecastOps = *forecastOps
-	}
-	if *partition >= 0 {
-		cfg.Partition = true
-		cfg.PartitionShard = *partition
-	}
-	if *crash >= 0 {
-		cfg.CrashRestart = true
-		cfg.CrashShard = *crash
-	}
-	if *smoke {
-		cfg = smokeConfig()
-	}
-	if cfg.CrashRestart && cfg.WALDir == "" {
-		dir, err := os.MkdirTemp("", "fgcs-loadtest-wal-*")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fgcs-loadtest:", err)
-			os.Exit(1)
-		}
-		defer os.RemoveAll(dir)
-		cfg.WALDir = dir
-	}
-
-	if *forecastEval {
-		if err := runForecastEval(*seed, *minWasteRed, *out); err != nil {
-			fmt.Fprintln(os.Stderr, "fgcs-loadtest:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	ctx := context.Background()
-	if *scaling != "" {
-		if err := runScaling(ctx, cfg, *scaling, *out); err != nil {
-			fmt.Fprintln(os.Stderr, "fgcs-loadtest:", err)
-			os.Exit(1)
-		}
-		return
+	var err error
+	switch {
+	case *forecastEval:
+		refuseIgnored("forecast", "seed", "min-waste-reduction", "out")
+		err = runForecastEval(*seed, *minWasteRed, *out)
+	case *smoke:
+		refuseIgnored("smoke", "out")
+		err = runLoad(ctx, smokeConfig(), *out)
+	case *scaling != "":
+		err = runScaling(ctx, cfg, *scaling, *out)
+	default:
+		err = runLoad(ctx, cfg, *out)
 	}
-
-	start := time.Now()
-	res, err := loadgen.Run(ctx, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fgcs-loadtest:", err)
 		os.Exit(1)
 	}
-	printResult(res, time.Since(start))
-	if *out != "" {
-		if err := writeJSON(*out, res); err != nil {
-			fmt.Fprintln(os.Stderr, "fgcs-loadtest:", err)
-			os.Exit(1)
+}
+
+// refuseIgnored exits 2 naming the first flag set on the command line
+// that the preset mode does not read, rather than silently dropping it.
+func refuseIgnored(mode string, reads ...string) {
+	var ignored string
+	flag.Visit(func(f *flag.Flag) {
+		if ignored == "" && f.Name != mode && !slices.Contains(reads, f.Name) {
+			ignored = f.Name
 		}
-	}
-	if len(res.Violations) > 0 {
-		for _, v := range res.Violations {
-			fmt.Fprintln(os.Stderr, "SLO VIOLATION:", v)
-		}
-		os.Exit(1)
+	})
+	if ignored != "" {
+		fmt.Fprintf(os.Stderr, "fgcs-loadtest: -%s is a preset and ignores -%s\n", mode, ignored)
+		os.Exit(2)
 	}
 }
 
@@ -146,9 +121,7 @@ func smokeConfig() loadgen.Config {
 		HeartbeatRounds: 2, ChurnFraction: 0.2,
 		DiscoverOps: 100,
 		Concurrency: 4, Seed: 1,
-		Partition: true, PartitionShard: 0,
-		CrashRestart: true, CrashShard: 0,
-		Forecast: true, ForecastOps: 50,
+		Partition: true, CrashRestart: true, ForecastOps: 50,
 		SLO: loadgen.SLO{
 			RegisterP99:  2 * time.Second,
 			HeartbeatP99: 2 * time.Second,
@@ -201,6 +174,28 @@ func runForecastEval(seed int64, minReduction float64, out string) error {
 	return nil
 }
 
+// runLoad runs one load and prints its summary; a missed SLO is an error.
+func runLoad(ctx context.Context, cfg loadgen.Config, out string) error {
+	start := time.Now()
+	res, err := loadgen.Run(ctx, cfg)
+	if err != nil {
+		return err
+	}
+	printResult(res, time.Since(start))
+	if out != "" {
+		if err := writeJSON(out, res); err != nil {
+			return err
+		}
+	}
+	for _, v := range res.Violations {
+		fmt.Fprintln(os.Stderr, "SLO VIOLATION:", v)
+	}
+	if len(res.Violations) > 0 {
+		return fmt.Errorf("load run missed %d SLO(s)", len(res.Violations))
+	}
+	return nil
+}
+
 func runScaling(ctx context.Context, cfg loadgen.Config, spec, out string) error {
 	var counts []int
 	for _, f := range strings.Split(spec, ",") {
@@ -235,9 +230,9 @@ func printResult(res *loadgen.Result, wall time.Duration) {
 	row("register (per batch)", res.Register)
 	row("heartbeat (per batch)", res.Heartbeat)
 	row("discover (fan-out)", res.Discover)
-	if res.Forecast.Ops > 0 {
-		row("forecast (batched)", res.Forecast)
-		fmt.Printf("  forecast phase: %d known nodes in the last query\n", res.ForecastKnown)
+	if res.Forecast != nil {
+		row("forecast (batched)", *res.Forecast)
+		fmt.Printf("  forecast phase: at least %d known nodes a query\n", res.ForecastKnown)
 	}
 	if res.PartitionDiscover != nil {
 		row("discover (partitioned)", *res.PartitionDiscover)

@@ -18,7 +18,7 @@ func TestConfigValidate(t *testing.T) {
 		{
 			name: "FullValid",
 			config: Config{Nodes: 100000, Shards: 4, BatchSize: 500, HeartbeatRounds: 3,
-				ChurnFraction: 0.5, DiscoverOps: 100, Concurrency: 4, Partition: true, PartitionShard: 3},
+				ChurnFraction: 0.5, DiscoverOps: 100, Concurrency: 4, Partition: true, CrashRestart: true, ForecastOps: 10},
 		},
 		{
 			name:        "ZeroNodes",
@@ -66,19 +66,14 @@ func TestConfigValidate(t *testing.T) {
 			errContains: "concurrency must not be negative",
 		},
 		{
-			name:        "NegativePartitionShard",
-			config:      Config{Nodes: 10, PartitionShard: -1},
-			errContains: "partition shard must not be negative",
-		},
-		{
 			name:        "PartitionSingleShard",
 			config:      Config{Nodes: 10, Partition: true},
 			errContains: "partitioning needs at least 2 shards",
 		},
 		{
-			name:        "PartitionShardOutOfRange",
-			config:      Config{Nodes: 10, Shards: 2, Partition: true, PartitionShard: 2},
-			errContains: "out of range",
+			name:        "CrashSingleShard",
+			config:      Config{Nodes: 10, Shards: 1, CrashRestart: true},
+			errContains: "crash-restart needs at least 2 shards",
 		},
 	}
 	for _, c := range cases {
@@ -101,7 +96,7 @@ func TestConfigDefaults(t *testing.T) {
 	c := Config{Nodes: 10}.withDefaults()
 	if c.Shards != 1 || c.BatchSize != 1000 || c.HeartbeatRounds != 1 ||
 		c.ChurnFraction != 0.2 || c.DiscoverOps != 200 ||
-		c.Concurrency != 8 || c.Seed != 1 || c.TTL <= 0 {
+		c.Concurrency != 8 || c.Seed != 1 {
 		t.Fatalf("withDefaults() = %+v", c)
 	}
 }

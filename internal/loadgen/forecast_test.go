@@ -47,35 +47,11 @@ func TestRunForecastEvaluation(t *testing.T) {
 	}
 }
 
-// TestRunForecastPhase drives the networked forecast phase: a small fleet
-// registers and heartbeats against forecast-enabled shards, then batched
-// forecast queries are measured and answer with known nodes.
-func TestRunForecastPhase(t *testing.T) {
-	res, err := Run(ctx, Config{
-		Nodes: 500, Shards: 2, BatchSize: 100,
-		HeartbeatRounds: 2, DiscoverOps: 5, Concurrency: 4,
-		Forecast: true, ForecastOps: 10, ForecastNames: 16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Forecast.Ops != 10 {
-		t.Fatalf("forecast phase ran %d ops, want 10", res.Forecast.Ops)
-	}
-	if res.ForecastKnown == 0 {
-		t.Fatal("forecast phase returned no known nodes")
-	}
-	if len(res.Violations) != 0 {
-		t.Fatalf("ungated run reported violations: %v", res.Violations)
-	}
-}
-
 // TestRunForecastPhaseSLO pins that the forecast p99 objective is wired
 // into the violation check.
 func TestRunForecastPhaseSLO(t *testing.T) {
 	res, err := Run(ctx, Config{
-		Nodes: 100, Shards: 1, DiscoverOps: 2, Concurrency: 2,
-		Forecast: true, ForecastOps: 3, ForecastNames: 8,
+		Nodes: 100, Shards: 1, DiscoverOps: 2, Concurrency: 2, ForecastOps: 3,
 		SLO: SLO{ForecastP99: time.Nanosecond}, // impossible on purpose
 	})
 	if err != nil {

@@ -4,8 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/chaos"
@@ -28,6 +29,18 @@ var paperStates = []stateProb{
 	{"S4(mem-thrash)", 0.05},
 	{"S5(machine-unavail)", 0.10},
 }
+
+const (
+	// registryTTL is large, so the fleet stays alive across slow CI phases.
+	registryTTL = 30 * time.Second
+	// A forecast query asks one shard for forecastNames of its nodes over
+	// forecastHorizon of wall time. forecastScale maps one wall millisecond
+	// to one virtual minute, so a multi-second run spans virtual days of
+	// fleet history and the horizon is one virtual hour.
+	forecastNames   = 64
+	forecastScale   = 60_000
+	forecastHorizon = 60 * time.Millisecond
+)
 
 // stateProb pairs an availability state label with its stationary
 // probability.
@@ -109,16 +122,16 @@ type Result struct {
 	// PartitionDiscover is the discovery phase repeated with one shard
 	// partitioned (nil when the phase is disabled).
 	PartitionDiscover *LatencyStats `json:"partition_discover,omitempty"`
-	// Candidates is the candidate count of the last healthy discovery.
+	// Candidates is the fewest candidates a healthy discovery returned.
 	Candidates int `json:"candidates"`
-	// PartitionCandidates is the candidate count with the shard cut off —
-	// nonzero proves the stale-cache path kept the lost shard's slice.
+	// PartitionCandidates is the fewest with the shard cut off — nonzero
+	// proves the stale-cache path kept the lost shard's slice every time.
 	PartitionCandidates int `json:"partition_candidates,omitempty"`
-	// Forecast is the per-query latency of the forecast phase (zero when
-	// the phase is disabled); ForecastKnown counts nodes the last query
+	// Forecast is the per-query latency of the forecast phase (nil when
+	// the phase is disabled); ForecastKnown is the fewest nodes a query
 	// returned known forecasts for.
-	Forecast      LatencyStats `json:"forecast,omitempty"`
-	ForecastKnown int          `json:"forecast_known,omitempty"`
+	Forecast      *LatencyStats `json:"forecast,omitempty"`
+	ForecastKnown int           `json:"forecast_known,omitempty"`
 	// StaleServes/ShardErrors/GossipServes snapshot the broker's recovery
 	// counters after the partition phase.
 	StaleServes  int `json:"stale_serves"`
@@ -127,7 +140,7 @@ type Result struct {
 	// CrashDiscover is the discovery phase repeated with one shard
 	// SIGKILL-crashed and a breaker-armed broker (nil when disabled).
 	CrashDiscover *LatencyStats `json:"crash_discover,omitempty"`
-	// CrashCandidates is the candidate count during the outage — the
+	// CrashCandidates is the fewest candidates during the outage — the
 	// dead shard's slice comes from the stale cache.
 	CrashCandidates int `json:"crash_candidates,omitempty"`
 	// RecoverySeconds is how long the crashed shard took from restart to
@@ -174,386 +187,337 @@ type simNode struct {
 	shard int
 }
 
+// run is one load run's registry, fleet and clients, shared by its phases.
+type run struct {
+	ctx      context.Context
+	cfg      Config
+	obs      *obs.Registry
+	met      *runMetrics
+	sharded  *ishare.ShardedRegistry
+	addrs    []string
+	inj      *chaos.Injector
+	client   *ishare.Client
+	rng      *rand.Rand
+	dist     []stateProb
+	fleet    []*simNode
+	perShard [][]*simNode // each shard's members
+	batches  [][]*simNode // shard-routed register/heartbeat batches
+}
+
 // Run executes one load run against a freshly started in-process sharded
 // registry: register the fleet in batches, sweep heartbeats with state
-// churn, measure ranked fan-out discovery, and (optionally) repeat
-// discovery with one shard partitioned. It returns the measured result;
-// SLO violations are reported in Result.Violations, not as an error.
+// churn and measure ranked fan-out discovery, then run each enabled phase
+// — batched forecast queries, discovery with shard 0 partitioned, and
+// shard 0 crashed and restarted from its WAL. It returns the measured
+// result; SLO violations are reported in Result.Violations, not as an
+// error.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	reg := cfg.Obs
-	if reg == nil {
-		reg = obs.NewRegistry()
+	dist, err := stateDistribution(cfg.Scenario)
+	if err != nil {
+		return nil, err
 	}
-	met := newRunMetrics(reg)
-
-	regOpt := ishare.RegistryOptions{TTL: cfg.TTL, MaxInflight: cfg.MaxInflight}
+	if cfg.CrashRestart && cfg.WALDir == "" {
+		dir, err := os.MkdirTemp("", "loadgen-wal-*")
+		if err != nil {
+			return nil, err
+		}
+		defer os.RemoveAll(dir)
+		cfg.WALDir = dir
+	}
+	regOpt := ishare.RegistryOptions{TTL: registryTTL, MaxInflight: cfg.MaxInflight}
 	if cfg.WALDir != "" {
 		regOpt.WAL = &ishare.WALOptions{Dir: cfg.WALDir}
 	}
-	if cfg.Forecast {
-		regOpt.Forecast = &ishare.ForecastOptions{Scale: cfg.ForecastScale}
+	if cfg.ForecastOps > 0 {
+		regOpt.Forecast = &ishare.ForecastOptions{Scale: forecastScale}
 	}
 	sharded, err := ishare.NewShardedRegistryWithOptions(cfg.Shards, regOpt)
 	if err != nil {
 		return nil, err
 	}
 	defer sharded.Close()
-	addrs := sharded.Addrs()
-	inj := chaos.New(cfg.Seed)
+	r := &run{ctx: ctx, cfg: cfg, obs: cfg.Obs, sharded: sharded, addrs: sharded.Addrs(),
+		inj: chaos.New(cfg.Seed), rng: rand.New(rand.NewSource(cfg.Seed)), dist: dist,
+		fleet: make([]*simNode, cfg.Nodes), perShard: make([][]*simNode, cfg.Shards)}
+	if r.obs == nil {
+		r.obs = obs.NewRegistry()
+	}
+	r.met = newRunMetrics(r.obs)
+	r.client = &ishare.Client{Shards: r.addrs, Dialer: r.inj, Timeout: 10 * time.Second}
 
 	// Build the fleet: names, fake addresses (these nodes are never
 	// dialed — digest ranking is the whole point), states drawn from the
-	// paper's occupancy or the configured scenario model.
-	dist, err := stateDistribution(cfg.Scenario)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	fleet := make([]*simNode, cfg.Nodes)
-	for i := range fleet {
-		fleet[i] = &simNode{
+	// paper's occupancy or the configured scenario model. Group it into
+	// shard-routed batches once; every sweep reuses the grouping.
+	for i := range r.fleet {
+		n := &simNode{
 			name:  fmt.Sprintf("sim-%07d", i),
 			addr:  fmt.Sprintf("10.%d.%d.%d:7", i>>16&0xff, i>>8&0xff, i&0xff),
-			state: drawState(rng, dist),
-			load:  rng.Float64(),
+			state: drawState(r.rng, dist),
+			load:  r.rng.Float64(),
 			gen:   1,
 		}
-		fleet[i].shard = sharded.Owner(fleet[i].name)
+		n.shard = sharded.Owner(n.name)
+		r.fleet[i] = n
+		r.perShard[n.shard] = append(r.perShard[n.shard], n)
 	}
-
-	// Group into shard-routed batches once; register and heartbeat reuse
-	// the grouping.
-	var batches [][]*simNode
-	perShard := make([][]*simNode, cfg.Shards)
-	for _, n := range fleet {
-		perShard[n.shard] = append(perShard[n.shard], n)
-	}
-	for _, nodes := range perShard {
+	for _, nodes := range r.perShard {
 		for off := 0; off < len(nodes); off += cfg.BatchSize {
-			end := off + cfg.BatchSize
-			if end > len(nodes) {
-				end = len(nodes)
-			}
-			batches = append(batches, nodes[off:end])
+			r.batches = append(r.batches, nodes[off:min(off+cfg.BatchSize, len(nodes))])
 		}
 	}
 
-	client := &ishare.Client{Shards: addrs, Dialer: inj, Timeout: 10 * time.Second}
-	result := &Result{Nodes: cfg.Nodes, Shards: cfg.Shards}
+	res := &Result{Nodes: cfg.Nodes, Shards: cfg.Shards}
+	for _, p := range []struct {
+		on  bool
+		run func(*Result) error
+	}{
+		{true, r.register}, {true, r.heartbeat}, {true, r.discover},
+		{cfg.ForecastOps > 0, r.forecast}, {cfg.Partition, r.partition}, {cfg.CrashRestart, r.crash},
+	} {
+		if !p.on {
+			continue
+		}
+		if err := p.run(res); err != nil {
+			return nil, err
+		}
+	}
+	res.Violations = cfg.SLO.check(res)
+	return res, nil
+}
 
-	// Phase 1: register the fleet.
-	regSamples := make([]time.Duration, len(batches))
-	regStart := time.Now()
-	err = par.For(len(batches), cfg.Concurrency, func(_ *struct{}, i int) error {
-		batch := batches[i]
+// timed runs len(samples) ops on the run's workers, times each into its
+// slot and h, and summarizes the samples over the call's wall time. The
+// first op error stops the phase.
+func (r *run) timed(samples []time.Duration, h *obs.Histogram, op func(i int) error) (LatencyStats, error) {
+	start := time.Now()
+	err := par.For(len(samples), r.cfg.Concurrency, func(_ *struct{}, i int) error {
+		t0 := time.Now()
+		if err := op(i); err != nil {
+			return err
+		}
+		samples[i] = time.Since(t0)
+		h.Observe(samples[i].Seconds())
+		return nil
+	})
+	return summarize(samples, time.Since(start)), err
+}
+
+// sweep sends every batch's current digests to the batch's shard: as
+// registrations, addresses included, when register is set, else as
+// heartbeats, which must find every node known to its shard.
+func (r *run) sweep(samples []time.Duration, register bool) (LatencyStats, error) {
+	h := r.met.heartbeat
+	if register {
+		h = r.met.register
+	}
+	return r.timed(samples, h, func(i int) error {
+		batch := r.batches[i]
 		ds := make([]ishare.NodeDigest, len(batch))
 		now := time.Now().UnixMilli()
 		for j, n := range batch {
-			ds[j] = ishare.NodeDigest{Name: n.name, Addr: n.addr, State: n.state, Load: n.load, Gen: n.gen, UnixMS: now}
+			ds[j] = ishare.NodeDigest{Name: n.name, State: n.state, Load: n.load, Gen: n.gen, UnixMS: now}
+			if register {
+				ds[j].Addr = n.addr
+			}
 		}
-		t0 := time.Now()
-		if err := client.RegisterBatch(ctx, addrs[batch[0].shard], ds); err != nil {
-			return fmt.Errorf("loadgen: register batch %d: %w", i, err)
+		addr, what := r.addrs[batch[0].shard], "heartbeat"
+		var missing []string
+		var err error
+		if register {
+			what, err = "register", r.client.RegisterBatch(r.ctx, addr, ds)
+		} else if missing, err = r.client.HeartbeatBatch(r.ctx, addr, ds); err == nil && len(missing) > 0 {
+			err = fmt.Errorf("%d registered nodes unknown to their shard", len(missing))
 		}
-		regSamples[i] = time.Since(t0)
-		met.register.Observe(regSamples[i].Seconds())
+		if err != nil {
+			return fmt.Errorf("loadgen: %s batch %d: %w", what, i, err)
+		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	met.fleet.Set(float64(cfg.Nodes))
-	result.Register = summarize(regSamples, time.Since(regStart))
+}
 
-	// Phase 2: heartbeat sweeps with availability churn.
-	var hbSamples []time.Duration
-	hbStart := time.Now()
-	for round := 0; round < cfg.HeartbeatRounds; round++ {
-		churn := int(cfg.ChurnFraction * float64(cfg.Nodes))
-		for k := 0; k < churn; k++ {
-			n := fleet[rng.Intn(len(fleet))]
-			if s := drawState(rng, dist); s != n.state {
+// register registers the whole fleet.
+func (r *run) register(res *Result) (err error) {
+	res.Register, err = r.sweep(make([]time.Duration, len(r.batches)), true)
+	r.met.fleet.Set(float64(r.cfg.Nodes))
+	return err
+}
+
+// heartbeat runs HeartbeatRounds sweeps, each after re-drawing the states
+// of a churn fraction of the fleet.
+func (r *run) heartbeat(res *Result) error {
+	nb := len(r.batches)
+	samples := make([]time.Duration, r.cfg.HeartbeatRounds*nb)
+	start := time.Now()
+	for k := 0; k < r.cfg.HeartbeatRounds; k++ {
+		for c := int(r.cfg.ChurnFraction * float64(r.cfg.Nodes)); c > 0; c-- {
+			n := r.fleet[r.rng.Intn(len(r.fleet))]
+			if s := drawState(r.rng, r.dist); s != n.state {
 				n.state = s
-				n.load = rng.Float64()
+				n.load = r.rng.Float64()
 				n.gen++
 			}
 		}
-		roundSamples := make([]time.Duration, len(batches))
-		err := par.For(len(batches), cfg.Concurrency, func(_ *struct{}, i int) error {
-			batch := batches[i]
-			ds := make([]ishare.NodeDigest, len(batch))
-			now := time.Now().UnixMilli()
-			for j, n := range batch {
-				ds[j] = ishare.NodeDigest{Name: n.name, State: n.state, Load: n.load, Gen: n.gen, UnixMS: now}
-			}
-			t0 := time.Now()
-			missing, err := client.HeartbeatBatch(ctx, addrs[batch[0].shard], ds)
-			if err != nil {
-				return fmt.Errorf("loadgen: heartbeat batch %d: %w", i, err)
-			}
-			if len(missing) > 0 {
-				return fmt.Errorf("loadgen: heartbeat batch %d: %d registered nodes unknown to their shard", i, len(missing))
-			}
-			roundSamples[i] = time.Since(t0)
-			met.heartbeat.Observe(roundSamples[i].Seconds())
-			return nil
-		})
-		if err != nil {
-			return nil, err
+		if _, err := r.sweep(samples[k*nb:(k+1)*nb], false); err != nil {
+			return err
 		}
-		hbSamples = append(hbSamples, roundSamples...)
 	}
-	result.Heartbeat = summarize(hbSamples, time.Since(hbStart))
+	res.Heartbeat = summarize(samples, time.Since(start))
+	return nil
+}
 
-	// Phase 3: ranked fan-out discovery, the latency that bounds every
-	// placement decision.
-	broker := &ishare.Broker{
-		Client:   client,
-		CacheTTL: time.Minute,
-		Obs:      reg,
-	}
-	discSamples := make([]time.Duration, cfg.DiscoverOps)
-	discStart := time.Now()
-	var lastCands int
-	var candMu sync.Mutex
-	err = par.For(cfg.DiscoverOps, cfg.Concurrency, func(_ *struct{}, i int) error {
-		t0 := time.Now()
-		cands, err := broker.Candidates(ctx)
+// measureDiscovery times DiscoverOps fan-out discoveries through b and
+// returns the fewest candidates any of them saw, failing if that is none.
+func (r *run) measureDiscovery(what string, b *ishare.Broker) (LatencyStats, int, error) {
+	cands := make([]int, r.cfg.DiscoverOps)
+	stats, err := r.timed(make([]time.Duration, r.cfg.DiscoverOps), r.met.discover, func(i int) error {
+		cs, err := b.Candidates(r.ctx)
 		if err != nil {
-			return fmt.Errorf("loadgen: discovery %d: %w", i, err)
+			return fmt.Errorf("loadgen: %s %d: %w", what, i, err)
 		}
-		discSamples[i] = time.Since(t0)
-		met.discover.Observe(discSamples[i].Seconds())
-		candMu.Lock()
-		lastCands = len(cands)
-		candMu.Unlock()
+		cands[i] = len(cs)
+		return nil
+	})
+	least := slices.Min(cands)
+	if err == nil && least == 0 {
+		err = fmt.Errorf("loadgen: %s returned no candidates from a %d-node fleet", what, r.cfg.Nodes)
+	}
+	return stats, least, err
+}
+
+// discover measures ranked fan-out discovery, the latency that bounds
+// every placement decision.
+func (r *run) discover(res *Result) (err error) {
+	b := &ishare.Broker{Client: r.client, CacheTTL: time.Minute, Obs: r.obs}
+	res.Discover, res.Candidates, err = r.measureDiscovery("discovery", b)
+	return err
+}
+
+// forecast measures batched forecast queries. Every shard's online
+// forecaster has been fed the fleet's digest transitions by the register
+// and heartbeat phases; each query asks one shard for horizon survival
+// forecasts of forecastNames of its own nodes, walking round the shard.
+func (r *run) forecast(res *Result) error {
+	known := make([]int, r.cfg.ForecastOps)
+	stats, err := r.timed(make([]time.Duration, r.cfg.ForecastOps), r.met.forecast, func(i int) error {
+		nodes := r.perShard[r.batches[i%len(r.batches)][0].shard] // a batch's shard owns nodes
+		names := make([]string, min(forecastNames, len(nodes)))
+		for k := range names {
+			names[k] = nodes[(i*forecastNames+k)%len(nodes)].name
+		}
+		infos, err := r.client.Forecast(r.ctx, r.addrs[nodes[0].shard], names, forecastHorizon)
+		if err != nil {
+			return fmt.Errorf("loadgen: forecast query %d: %w", i, err)
+		}
+		for _, fi := range infos {
+			if fi.Known {
+				known[i]++
+			}
+		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	result.Discover = summarize(discSamples, time.Since(discStart))
-	result.Candidates = lastCands
-	if lastCands == 0 {
-		return nil, fmt.Errorf("loadgen: healthy discovery returned no candidates from a %d-node fleet", cfg.Nodes)
+	res.Forecast, res.ForecastKnown = &stats, slices.Min(known)
+	if res.ForecastKnown == 0 {
+		return fmt.Errorf("loadgen: a forecast query saw no known nodes — digest transitions never reached the forecaster")
 	}
+	return nil
+}
 
-	// Phase 3b (optional): batched forecast queries. Every shard's online
-	// forecaster has been fed the fleet's digest transitions by the
-	// register and heartbeat phases; each query asks one shard for horizon
-	// survival forecasts of a slice of its own nodes.
-	if cfg.Forecast {
-		fcSamples := make([]time.Duration, cfg.ForecastOps)
-		fcStart := time.Now()
-		var fcKnown int
-		var fcMu sync.Mutex
-		err := par.For(cfg.ForecastOps, cfg.Concurrency, func(_ *struct{}, i int) error {
-			shard := i % cfg.Shards
-			nodes := perShard[shard]
-			if len(nodes) == 0 {
-				return nil
-			}
-			off := (i * cfg.ForecastNames) % len(nodes)
-			end := off + cfg.ForecastNames
-			if end > len(nodes) {
-				end = len(nodes)
-			}
-			names := make([]string, 0, end-off)
-			for _, n := range nodes[off:end] {
-				names = append(names, n.name)
-			}
-			t0 := time.Now()
-			infos, err := client.Forecast(ctx, addrs[shard], names, cfg.ForecastHorizon)
-			if err != nil {
-				return fmt.Errorf("loadgen: forecast query %d: %w", i, err)
-			}
-			fcSamples[i] = time.Since(t0)
-			met.forecast.Observe(fcSamples[i].Seconds())
-			known := 0
-			for _, fi := range infos {
-				if fi.Known {
-					known++
-				}
-			}
-			fcMu.Lock()
-			fcKnown = known
-			fcMu.Unlock()
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		result.Forecast = summarize(fcSamples, time.Since(fcStart))
-		result.ForecastKnown = fcKnown
-		if fcKnown == 0 {
-			return nil, fmt.Errorf("loadgen: forecast phase saw no known nodes — digest transitions never reached the forecaster")
-		}
+// degraded measures discovery with shard 0 cut off by cut. Its broker's
+// client does not retry (retrying into a lost shard buys nothing, and
+// latency must stay bounded) and warms every shard's cache first, so the
+// lost shard's slice comes from the stale cache. breaker arms the broker's
+// circuit breaker (0 = off), which once open stays open for the whole
+// outage.
+func (r *run) degraded(what string, breaker int, cut func() error) (*ishare.Broker, *LatencyStats, int, error) {
+	b := &ishare.Broker{
+		Client: &ishare.Client{Shards: r.addrs, Dialer: r.inj, Timeout: 2 * time.Second,
+			Retry: ishare.RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, Seed: r.cfg.Seed}},
+		CacheTTL:         time.Minute,
+		BreakerThreshold: breaker,
+		BreakerCooldown:  30 * time.Second,
+		Obs:              r.obs,
 	}
+	if _, err := b.Candidates(r.ctx); err != nil {
+		return nil, nil, 0, fmt.Errorf("loadgen: warming %s broker: %w", what, err)
+	}
+	if err := cut(); err != nil {
+		return nil, nil, 0, fmt.Errorf("loadgen: cutting shard 0 off: %w", err)
+	}
+	stats, cands, err := r.measureDiscovery(what+" discovery", b)
+	return b, &stats, cands, err
+}
 
-	// Phase 4 (optional): the same discovery load with one shard cut off.
-	// The broker must keep answering — the lost shard's slice comes from
-	// its stale cache — and latency must stay bounded, which requires a
-	// no-retry client (retrying into a partition buys nothing).
-	if cfg.Partition {
-		partClient := &ishare.Client{Shards: addrs, Dialer: inj, Timeout: 2 * time.Second,
-			Retry: ishare.RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, Seed: cfg.Seed}}
-		partBroker := &ishare.Broker{
-			Client:   partClient,
-			CacheTTL: time.Minute,
-			Obs:      reg,
-		}
-		// Warm every shard's cache, then cut one off.
-		if _, err := partBroker.Candidates(ctx); err != nil {
-			return nil, fmt.Errorf("loadgen: warming partition broker: %w", err)
-		}
-		inj.Partition(addrs[cfg.PartitionShard])
-		partSamples := make([]time.Duration, cfg.DiscoverOps)
-		partStart := time.Now()
-		var partCands int
-		err := par.For(cfg.DiscoverOps, cfg.Concurrency, func(_ *struct{}, i int) error {
-			t0 := time.Now()
-			cands, err := partBroker.Candidates(ctx)
-			if err != nil {
-				return fmt.Errorf("loadgen: partitioned discovery %d: %w", i, err)
-			}
-			partSamples[i] = time.Since(t0)
-			met.discover.Observe(partSamples[i].Seconds())
-			candMu.Lock()
-			partCands = len(cands)
-			candMu.Unlock()
-			return nil
-		})
-		inj.Heal(addrs[cfg.PartitionShard])
-		if err != nil {
-			return nil, err
-		}
-		ps := summarize(partSamples, time.Since(partStart))
-		result.PartitionDiscover = &ps
-		result.PartitionCandidates = partCands
-		if partCands == 0 {
-			return nil, fmt.Errorf("loadgen: partitioned discovery returned no candidates (stale cache failed)")
-		}
-		bm := partBroker.Metrics()
-		result.StaleServes = bm.StaleServes
-		result.ShardErrors = bm.ShardErrors
-		result.GossipServes = bm.GossipServes
-		if bm.StaleServes == 0 {
-			return nil, fmt.Errorf("loadgen: partition phase never hit the stale-cache path")
-		}
+// partition repeats discovery with shard 0 chaos-partitioned; the broker
+// must keep answering from its stale cache.
+func (r *run) partition(res *Result) error {
+	defer r.inj.Heal(r.addrs[0])
+	b, stats, cands, err := r.degraded("partitioned", 0, func() error { r.inj.Partition(r.addrs[0]); return nil })
+	if err != nil {
+		return err
+	}
+	bm := b.Metrics()
+	res.PartitionDiscover, res.PartitionCandidates = stats, cands
+	res.StaleServes, res.ShardErrors, res.GossipServes = bm.StaleServes, bm.ShardErrors, bm.GossipServes
+	if bm.StaleServes == 0 {
+		return fmt.Errorf("loadgen: partition phase never hit the stale-cache path")
+	}
+	return nil
+}
+
+// crash kills shard 0 outright — no drain, no final fsync — and measures
+// three things: discovery latency through the outage behind a circuit
+// breaker, the time from restart back to serving the WAL-recovered state,
+// and whether a heartbeat sweep after recovery finds a single acked
+// registration missing (it must not: durability is the phase's whole
+// claim).
+func (r *run) crash(res *Result) error {
+	const breakerThreshold = 3
+	b, stats, cands, err := r.degraded("during-crash", breakerThreshold, func() error { return r.sharded.CrashShard(0) })
+	if err != nil {
+		return err
+	}
+	bm := b.Metrics()
+	res.CrashDiscover, res.CrashCandidates = stats, cands
+	res.BreakerOpens, res.BreakerShortCircuits = bm.BreakerOpens, bm.BreakerShortCircuits
+	// The breaker's counts repeat where tail latencies do not: it opens
+	// once, and past the failures that tripped it and the calls then in
+	// flight every discovery skips the dead shard.
+	if floor := r.cfg.DiscoverOps - breakerThreshold - (r.cfg.Concurrency - 1); floor > 0 &&
+		(bm.BreakerOpens != 1 || bm.BreakerShortCircuits < floor) {
+		return fmt.Errorf("loadgen: crash phase: breaker opened %d times (want 1) and skipped the dead shard in %d of %d discoveries (want >= %d)",
+			bm.BreakerOpens, bm.BreakerShortCircuits, r.cfg.DiscoverOps, floor)
 	}
 
-	// Phase 5 (optional): crash recovery. Kill one shard outright — no
-	// drain, no final fsync — and measure three things: discovery latency
-	// through the outage behind a circuit breaker, the time from restart
-	// back to serving the WAL-recovered state, and whether a full
-	// heartbeat sweep after recovery finds a single acked registration
-	// missing (it must not: durability is the phase's whole claim).
-	if cfg.CrashRestart {
-		const breakerThreshold = 3
-		crashClient := &ishare.Client{Shards: addrs, Dialer: inj, Timeout: 2 * time.Second,
-			Retry: ishare.RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, Seed: cfg.Seed}}
-		crashBroker := &ishare.Broker{
-			Client:           crashClient,
-			CacheTTL:         time.Minute,
-			BreakerThreshold: breakerThreshold,
-			BreakerCooldown:  30 * time.Second, // stays open for the whole outage
-			Obs:              reg,
-		}
-		if _, err := crashBroker.Candidates(ctx); err != nil {
-			return nil, fmt.Errorf("loadgen: warming crash broker: %w", err)
-		}
-		if err := sharded.CrashShard(cfg.CrashShard); err != nil {
-			return nil, fmt.Errorf("loadgen: crashing shard %d: %w", cfg.CrashShard, err)
-		}
-		crashSamples := make([]time.Duration, cfg.DiscoverOps)
-		crashStart := time.Now()
-		var crashCands int
-		err := par.For(cfg.DiscoverOps, cfg.Concurrency, func(_ *struct{}, i int) error {
-			t0 := time.Now()
-			cands, err := crashBroker.Candidates(ctx)
-			if err != nil {
-				return fmt.Errorf("loadgen: during-crash discovery %d: %w", i, err)
-			}
-			crashSamples[i] = time.Since(t0)
-			met.discover.Observe(crashSamples[i].Seconds())
-			candMu.Lock()
-			crashCands = len(cands)
-			candMu.Unlock()
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		cs := summarize(crashSamples, time.Since(crashStart))
-		result.CrashDiscover = &cs
-		result.CrashCandidates = crashCands
-		if crashCands == 0 {
-			return nil, fmt.Errorf("loadgen: during-crash discovery returned no candidates (stale cache failed)")
-		}
-		bm := crashBroker.Metrics()
-		result.BreakerOpens = bm.BreakerOpens
-		result.BreakerShortCircuits = bm.BreakerShortCircuits
-		// The breaker's counts repeat where tail latencies do not: it opens
-		// once, and past the failures that tripped it and the calls then in
-		// flight every discovery skips the dead shard.
-		if floor := cfg.DiscoverOps - breakerThreshold - (cfg.Concurrency - 1); floor > 0 &&
-			(bm.BreakerOpens != 1 || bm.BreakerShortCircuits < floor) {
-			return nil, fmt.Errorf("loadgen: crash phase: breaker opened %d times (want 1) and skipped the dead shard in %d of %d discoveries (want >= %d)",
-				bm.BreakerOpens, bm.BreakerShortCircuits, cfg.DiscoverOps, floor)
-		}
-
-		// Restart and poll until the shard serves again.
-		recoverStart := time.Now()
-		if err := sharded.RestartShard(cfg.CrashShard); err != nil {
-			return nil, fmt.Errorf("loadgen: restarting shard %d: %w", cfg.CrashShard, err)
-		}
-		recovered := -1
-		for time.Since(recoverStart) < 30*time.Second {
-			nodes, err := crashClient.ListShard(ctx, addrs[cfg.CrashShard], 0)
-			if err == nil {
-				recovered = len(nodes)
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		if recovered < 0 {
-			return nil, fmt.Errorf("loadgen: shard %d not serving 30s after restart", cfg.CrashShard)
-		}
-		result.RecoverySeconds = time.Since(recoverStart).Seconds()
-		result.RecoveredNodes = recovered
-		if recovered == 0 {
-			return nil, fmt.Errorf("loadgen: restarted shard %d recovered no state from its WAL", cfg.CrashShard)
-		}
-
-		// The re-register herd that isn't: a full heartbeat sweep right
-		// after recovery must find zero acked registrations missing.
-		err = par.For(len(batches), cfg.Concurrency, func(_ *struct{}, i int) error {
-			batch := batches[i]
-			ds := make([]ishare.NodeDigest, len(batch))
-			now := time.Now().UnixMilli()
-			for j, n := range batch {
-				ds[j] = ishare.NodeDigest{Name: n.name, State: n.state, Load: n.load, Gen: n.gen, UnixMS: now}
-			}
-			missing, err := client.HeartbeatBatch(ctx, addrs[batch[0].shard], ds)
-			if err != nil {
-				return fmt.Errorf("loadgen: post-recovery heartbeat batch %d: %w", i, err)
-			}
-			if len(missing) > 0 {
-				return fmt.Errorf("loadgen: post-recovery heartbeat batch %d: shard lost %d acked registrations", i, len(missing))
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+	start := time.Now()
+	if err := r.sharded.RestartShard(0); err != nil {
+		return fmt.Errorf("loadgen: restarting shard 0: %w", err)
 	}
-
-	result.Violations = cfg.SLO.check(result)
-	return result, nil
+	// Poll until the shard serves again.
+	nodes, err := b.Client.ListShard(r.ctx, r.addrs[0], 0)
+	for ; err != nil && time.Since(start) < 30*time.Second; nodes, err = b.Client.ListShard(r.ctx, r.addrs[0], 0) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err != nil {
+		return fmt.Errorf("loadgen: shard 0 not serving 30s after restart: %w", err)
+	}
+	res.RecoverySeconds, res.RecoveredNodes = time.Since(start).Seconds(), len(nodes)
+	if len(nodes) == 0 {
+		return fmt.Errorf("loadgen: restarted shard 0 recovered no state from its WAL")
+	}
+	// The re-register herd that isn't: one more heartbeat sweep right
+	// after recovery must find no acked registration missing.
+	if _, err := r.sweep(make([]time.Duration, len(r.batches)), false); err != nil {
+		return fmt.Errorf("loadgen: post-recovery sweep: %w", err)
+	}
+	return nil
 }
 
 // check compares a result against the objectives, returning one line per
@@ -569,7 +533,9 @@ func (s SLO) check(r *Result) []string {
 	add("heartbeat p99", r.Heartbeat.P99, s.HeartbeatP99)
 	add("discover p50", r.Discover.P50, s.DiscoverP50)
 	add("discover p99", r.Discover.P99, s.DiscoverP99)
-	add("forecast p99", r.Forecast.P99, s.ForecastP99)
+	if r.Forecast != nil {
+		add("forecast p99", r.Forecast.P99, s.ForecastP99)
+	}
 	if r.PartitionDiscover != nil {
 		// The degraded path answers from cache; holding it to the same p99
 		// keeps "resilient" from meaning "slow".
@@ -613,11 +579,9 @@ func RunScaling(ctx context.Context, cfg Config, shardCounts []int) ([]ScalingRe
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: scaling row %d shards: %w", n, err)
 		}
-		row := ScalingResult{Shards: n, Discover: res.Discover}
+		row := ScalingResult{Shards: n, Discover: res.Discover, SpeedupVs: 1}
 		if len(out) > 0 && out[0].Discover.OpsPerSec > 0 {
 			row.SpeedupVs = res.Discover.OpsPerSec / out[0].Discover.OpsPerSec
-		} else {
-			row.SpeedupVs = 1
 		}
 		out = append(out, row)
 	}

@@ -1,7 +1,9 @@
 package loadgen
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math/rand"
 	"testing"
 	"time"
@@ -49,31 +51,45 @@ func TestSummarizeQuantiles(t *testing.T) {
 	}
 }
 
-// A miniature end-to-end run: the whole pipeline (batched registration,
-// churned heartbeats, fan-out discovery, partition degradation) against a
-// real 2-shard registry, small enough for the race detector.
+// A miniature end-to-end run: every phase (batched registration, churned
+// heartbeats, fan-out discovery, forecast queries, partition degradation,
+// crash and WAL recovery) against a real 2-shard registry, small enough
+// for the race detector.
 func TestRunSmallFleet(t *testing.T) {
 	reg := obs.NewRegistry()
+	const discoverOps = 20
 	res, err := Run(ctx, Config{
 		Nodes: 2000, Shards: 2, BatchSize: 250,
-		HeartbeatRounds: 2, DiscoverOps: 20, Concurrency: 4,
-		Partition: true, PartitionShard: 0,
+		HeartbeatRounds: 2, DiscoverOps: discoverOps, Concurrency: 4,
+		Partition: true, CrashRestart: true, ForecastOps: 10,
 		Obs: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Register.Ops == 0 || res.Heartbeat.Ops == 0 || res.Discover.Ops != 20 {
+	if res.Register.Ops == 0 || res.Heartbeat.Ops == 0 || res.Discover.Ops != discoverOps {
 		t.Fatalf("phase ops = %+v", res)
 	}
 	if res.Candidates == 0 {
 		t.Fatal("healthy discovery returned no candidates")
 	}
+	// Every registered node is known to its shard's forecaster, so every
+	// query answers all the names it asked for.
+	if res.Forecast == nil || res.Forecast.Ops != 10 || res.ForecastKnown != forecastNames {
+		t.Fatalf("forecast phase = %+v, known %d; want 10 ops each answering %d known nodes", res.Forecast, res.ForecastKnown, forecastNames)
+	}
 	if res.PartitionDiscover == nil || res.PartitionCandidates == 0 {
 		t.Fatalf("partition phase missing: %+v", res)
 	}
-	if res.StaleServes == 0 || res.ShardErrors == 0 {
-		t.Fatalf("partition metrics = %+v, want stale serves and shard errors", res)
+	// Every partitioned discovery fails on the cut shard once and answers
+	// its slice from the stale cache once.
+	if res.StaleServes != discoverOps || res.ShardErrors != discoverOps {
+		t.Fatalf("partition metrics: %d stale serves, %d shard errors, want %d each", res.StaleServes, res.ShardErrors, discoverOps)
+	}
+	// Run fails the crash phase if a registration is missing after
+	// recovery, so reaching here means none was.
+	if res.CrashDiscover == nil || res.CrashCandidates == 0 || res.BreakerOpens != 1 || res.RecoveredNodes == 0 {
+		t.Fatalf("crash phase: %+v, want the breaker opened once and WAL-recovered nodes", res)
 	}
 	if len(res.Violations) != 0 {
 		t.Fatalf("ungated run reported violations: %v", res.Violations)
@@ -87,6 +103,24 @@ func TestRunSmallFleet(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("fgcs_loadgen_discover_seconds not in the supplied obs registry")
+	}
+}
+
+// TestResultOmitsDisabledPhases pins that a phase that did not run leaves
+// no key in the result JSON.
+func TestResultOmitsDisabledPhases(t *testing.T) {
+	res, err := Run(ctx, Config{Nodes: 200, Shards: 1, DiscoverOps: 5, Concurrency: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"forecast", "partition_discover", "crash_discover"} {
+		if bytes.Contains(data, []byte(`"`+key+`"`)) {
+			t.Errorf("result JSON carries %q for a disabled phase: %s", key, data)
+		}
 	}
 }
 
