@@ -151,14 +151,11 @@ func runRegistry(addr string, ttl time.Duration, lim ishare.Limits, walDir strin
 }
 
 func runNode(addr, registry, name string, load float64, lim ishare.Limits, o *observability) {
-	node, err := ishare.NewNode(addr, ishare.NodeConfig{
-		Name:         name,
-		RegistryAddr: registry,
-		HostLoad:     load,
-		Limits:       lim,
-		Metrics:      o.reg,
-		Logger:       o.logger,
-	})
+	cfg := ishare.NodeConfig{Name: name, HostLoad: load, Limits: lim, Metrics: o.reg, Logger: o.logger}
+	if registry != "" {
+		cfg.RegistryAddrs = []string{registry}
+	}
+	node, err := ishare.NewNode(addr, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -180,11 +177,11 @@ func runDemo(ttl time.Duration, o *observability) {
 	var nodes []*ishare.Node
 	for i, load := range loads {
 		n, err := ishare.NewNode("127.0.0.1:0", ishare.NodeConfig{
-			Name:         fmt.Sprintf("lab-%d", i+1),
-			RegistryAddr: reg.Addr(),
-			HostLoad:     load,
-			Metrics:      o.reg,
-			Logger:       o.logger,
+			Name:          fmt.Sprintf("lab-%d", i+1),
+			RegistryAddrs: []string{reg.Addr()},
+			HostLoad:      load,
+			Metrics:       o.reg,
+			Logger:        o.logger,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -194,7 +191,7 @@ func runDemo(ttl time.Duration, o *observability) {
 		fmt.Printf("node lab-%d up at %s (host load %.2f)\n", i+1, n.Addr(), load)
 	}
 
-	client := &ishare.Client{RegistryAddr: reg.Addr()}
+	client := &ishare.Client{Shards: []string{reg.Addr()}}
 	published, err := client.List(ctx)
 	if err != nil {
 		log.Fatal(err)

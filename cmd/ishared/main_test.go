@@ -103,7 +103,7 @@ func TestRegistrySIGTERMDrainRestart(t *testing.T) {
 	p1 := startRegistryProc(t, bin, "-wal-dir", walDir, "-ttl", "1m")
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	c := &ishare.Client{RegistryAddr: p1.addr, Timeout: 2 * time.Second}
+	c := &ishare.Client{Shards: []string{p1.addr}, Timeout: 2 * time.Second}
 	var fleet []ishare.NodeDigest
 	for i := 0; i < 20; i++ {
 		fleet = append(fleet, ishare.NodeDigest{
@@ -128,7 +128,7 @@ func TestRegistrySIGTERMDrainRestart(t *testing.T) {
 	if !strings.Contains(p2.out.String(), "recovered") {
 		t.Fatalf("restart did not report WAL recovery:\n%s", p2.out.String())
 	}
-	c2 := &ishare.Client{RegistryAddr: p2.addr, Timeout: 2 * time.Second}
+	c2 := &ishare.Client{Shards: []string{p2.addr}, Timeout: 2 * time.Second}
 	after, err := c2.ListShard(ctx, p2.addr, 0)
 	if err != nil {
 		t.Fatal(err)

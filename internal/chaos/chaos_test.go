@@ -36,9 +36,9 @@ func startNode(t *testing.T, cfg ishare.NodeConfig) *ishare.Node {
 
 func fastClient(registryAddr string, d ishare.Dialer) *ishare.Client {
 	return &ishare.Client{
-		RegistryAddr: registryAddr,
-		Timeout:      time.Second,
-		Dialer:       d,
+		Shards:  []string{registryAddr},
+		Timeout: time.Second,
+		Dialer:  d,
 		Retry: ishare.RetryPolicy{
 			MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond, Seed: 1,
 		},
@@ -47,7 +47,7 @@ func fastClient(registryAddr string, d ishare.Dialer) *ishare.Client {
 
 func TestPartitionAndHeal(t *testing.T) {
 	reg := startRegistry(t, time.Minute)
-	startNode(t, ishare.NodeConfig{Name: "n1", RegistryAddr: reg.Addr(), HostLoad: 0.05})
+	startNode(t, ishare.NodeConfig{Name: "n1", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.05})
 
 	inj := New(1)
 	c := fastClient(reg.Addr(), inj)
@@ -131,7 +131,7 @@ func TestMidStreamDropTriggersDedupSafeRetry(t *testing.T) {
 	// the node already ran the job. The broker's same-node retry must
 	// recover the cached result instead of running the job again.
 	reg := startRegistry(t, time.Minute)
-	node := startNode(t, ishare.NodeConfig{Name: "n1", RegistryAddr: reg.Addr(), HostLoad: 0.05})
+	node := startNode(t, ishare.NodeConfig{Name: "n1", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.05})
 
 	inj := New(1)
 	// Drop the response to the first connection to the node — the

@@ -13,7 +13,7 @@ import (
 // fully deterministic — gossip rounds are driven manually, the partition
 // is scripted, and the broker's caches are never warmed.
 func TestBrokerPlacesThroughFullControlPlanePartition(t *testing.T) {
-	sharded, err := ishare.NewShardedRegistry(2, time.Minute, ishare.Limits{})
+	sharded, err := ishare.NewShardedRegistryWithOptions(2, ishare.RegistryOptions{TTL: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}

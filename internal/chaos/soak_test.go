@@ -37,7 +37,7 @@ func TestChaosSoak(t *testing.T) {
 	nodeCfg := func(name string, load float64) ishare.NodeConfig {
 		return ishare.NodeConfig{
 			Name:                name,
-			RegistryAddr:        reg.Addr(),
+			RegistryAddrs:       []string{reg.Addr()},
 			HostLoad:            load,
 			HeartbeatEvery:      25 * time.Millisecond,
 			HeartbeatMaxBackoff: 100 * time.Millisecond,
@@ -69,10 +69,10 @@ func TestChaosSoak(t *testing.T) {
 
 	broker := &ishare.Broker{
 		Client: &ishare.Client{
-			RegistryAddr: reg.Addr(),
-			Timeout:      2 * time.Second,
-			Dialer:       clientInj,
-			Retry:        ishare.RetryPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, MaxDelay: 25 * time.Millisecond, Seed: 7},
+			Shards:  []string{reg.Addr()},
+			Timeout: 2 * time.Second,
+			Dialer:  clientInj,
+			Retry:   ishare.RetryPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, MaxDelay: 25 * time.Millisecond, Seed: 7},
 		},
 		CacheTTL:   30 * time.Second,
 		MaxRounds:  12,
@@ -223,7 +223,7 @@ func TestChaosSoak(t *testing.T) {
 	// slack per extra attempt. Checkpointed resumption — not restarting
 	// from zero — is what keeps the faulty run's totals equal.
 	refReg := startRegistry(t, time.Minute)
-	startNode(t, ishare.NodeConfig{Name: "ref-idle", RegistryAddr: refReg.Addr(), HostLoad: 0.05})
+	startNode(t, ishare.NodeConfig{Name: "ref-idle", RegistryAddrs: []string{refReg.Addr()}, HostLoad: 0.05})
 	refBroker := ishare.NewBroker(refReg.Addr())
 	const slack = 15.0
 	for _, spec := range specs {
@@ -246,17 +246,17 @@ func TestChaosSoak(t *testing.T) {
 // system, asserting completion and exactly-once in well under a second.
 func TestChaosSmoke(t *testing.T) {
 	reg := startRegistry(t, time.Minute)
-	n1 := startNode(t, ishare.NodeConfig{Name: "s1", RegistryAddr: reg.Addr(), HostLoad: 0.05})
-	n2 := startNode(t, ishare.NodeConfig{Name: "s2", RegistryAddr: reg.Addr(), HostLoad: 0.1})
+	n1 := startNode(t, ishare.NodeConfig{Name: "s1", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.05})
+	n2 := startNode(t, ishare.NodeConfig{Name: "s2", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.1})
 
 	inj := New(7)
 	inj.Add(Fault{Name: "burst", Addr: reg.Addr(), Refuse: true, Times: 2})
 	broker := &ishare.Broker{
 		Client: &ishare.Client{
-			RegistryAddr: reg.Addr(),
-			Timeout:      time.Second,
-			Dialer:       inj,
-			Retry:        ishare.RetryPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond, Seed: 7},
+			Shards:  []string{reg.Addr()},
+			Timeout: time.Second,
+			Dialer:  inj,
+			Retry:   ishare.RetryPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond, Seed: 7},
 		},
 		CacheTTL: 30 * time.Second,
 	}

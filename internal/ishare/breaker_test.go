@@ -76,7 +76,7 @@ func TestBreakerStateMachine(t *testing.T) {
 // after the configured threshold and subsequent discoveries skip the dead
 // shard outright while the healthy shard keeps serving.
 func TestBrokerBreakerShortCircuits(t *testing.T) {
-	s, err := NewShardedRegistry(2, time.Minute, Limits{})
+	s, err := NewShardedRegistryWithOptions(2, RegistryOptions{TTL: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package ishare
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"slices"
@@ -53,11 +54,8 @@ type Broker struct {
 	BreakerCooldown time.Duration
 	// Gossip, when set, is the decentralized fallback discovery path: if
 	// every shard is unreachable and no cache is usable, candidates come
-	// from the gossip store's availability digests (bounded by GossipTTL).
+	// from the gossip store's availability digests (bounded by gossipTTL).
 	Gossip *Gossiper
-	// GossipTTL bounds how old a gossip digest may be and still produce a
-	// placement candidate (default 30 s).
-	GossipTTL time.Duration
 	// Obs receives the broker's counters and latency histograms. Leave nil
 	// to keep the metrics private (a registry is created lazily); set it
 	// before first use to export them on a shared /metrics endpoint.
@@ -120,7 +118,7 @@ type BrokerMetrics struct {
 
 // NewBroker builds a broker over a single registry.
 func NewBroker(registryAddr string) *Broker {
-	return &Broker{Client: &Client{RegistryAddr: registryAddr}}
+	return &Broker{Client: &Client{Shards: []string{registryAddr}}}
 }
 
 // metrics returns the broker's counter set, creating it (and, if needed, a
@@ -196,12 +194,9 @@ func (b *Broker) cacheTTL() time.Duration {
 	return b.CacheTTL
 }
 
-func (b *Broker) gossipTTL() time.Duration {
-	if b.GossipTTL <= 0 {
-		return 30 * time.Second
-	}
-	return b.GossipTTL
-}
+// gossipTTL bounds how old a gossip digest may be and still produce a
+// placement candidate.
+const gossipTTL = 30 * time.Second
 
 func (b *Broker) maxRounds() int {
 	if b.MaxRounds <= 0 {
@@ -262,7 +257,7 @@ func rankState(state string) int {
 // when any candidate came from a fallback path.
 func (b *Broker) discover(ctx context.Context) ([]NodeInfo, bool, error) {
 	m := b.metrics()
-	addrs := b.Client.ShardAddrs()
+	addrs := b.Client.Shards
 	type shardResult struct {
 		nodes []NodeInfo
 		err   error
@@ -293,7 +288,7 @@ func (b *Broker) discover(ctx context.Context) ([]NodeInfo, bool, error) {
 	var merged []NodeInfo
 	stale := false
 	errs := 0
-	var lastErr error
+	lastErr := errNoShards // what a broker with no shards reports
 	now := time.Now()
 	b.mu.Lock()
 	if b.cache == nil {
@@ -326,7 +321,7 @@ func (b *Broker) discover(ctx context.Context) ([]NodeInfo, bool, error) {
 	}
 	// Every shard failed and no cache was usable: the decentralized path.
 	if g := b.Gossip; g != nil {
-		if nodes := candidatesFromGossip(g.Snapshot(), now, b.gossipTTL()); len(nodes) > 0 {
+		if nodes := candidatesFromGossip(g.Snapshot(), now, gossipTTL); len(nodes) > 0 {
 			m.gossipServes.Inc()
 			b.logger().Log(ctx, slog.LevelWarn, "all registry shards unreachable, serving gossip-learned candidates",
 				"trace", TraceIDFrom(ctx), "gossip_nodes", len(nodes), "err", lastErr.Error())
@@ -336,6 +331,8 @@ func (b *Broker) discover(ctx context.Context) ([]NodeInfo, bool, error) {
 	m.registryErrors.Inc()
 	return nil, false, lastErr
 }
+
+var errNoShards = errors.New("ishare: client has no registry shards")
 
 // candidatesFromGossip converts fresh, guest-hostable gossip digests into
 // placement candidates.

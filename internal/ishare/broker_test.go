@@ -8,9 +8,9 @@ import (
 
 func TestBrokerPicksLeastLoadedNode(t *testing.T) {
 	reg := startRegistry(t, time.Second)
-	idle := startNode(t, NodeConfig{Name: "idle", RegistryAddr: reg.Addr(), HostLoad: 0.05})
-	busy := startNode(t, NodeConfig{Name: "busy", RegistryAddr: reg.Addr(), HostLoad: 0.45})
-	over := startNode(t, NodeConfig{Name: "over", RegistryAddr: reg.Addr(), HostLoad: 0.95})
+	idle := startNode(t, NodeConfig{Name: "idle", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.05})
+	busy := startNode(t, NodeConfig{Name: "busy", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.45})
+	over := startNode(t, NodeConfig{Name: "over", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.95})
 
 	b := NewBroker(reg.Addr())
 	// Let the overloaded node's detector see a few samples so its state
@@ -58,7 +58,7 @@ func TestBrokerPicksLeastLoadedNode(t *testing.T) {
 // node's state reaches discovery on its next heartbeat.
 func waitListed(t *testing.T, reg *Registry, nodes ...*Node) {
 	t.Helper()
-	c := &Client{RegistryAddr: reg.Addr()}
+	c := &Client{Shards: []string{reg.Addr()}}
 	deadline := time.Now().Add(3 * time.Second)
 	for {
 		listed, err := c.List(ctx)

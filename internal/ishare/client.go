@@ -16,19 +16,13 @@ import (
 // once per call — failover and resubmission belong to the Broker, which
 // knows how to do them without running a job twice.
 type Client struct {
-	// RegistryAddr is the registry's dial address (single-registry
-	// deployments, or the bootstrap address for FetchShardMap).
-	RegistryAddr string
-	// Shards lists every registry shard of a scaled-out deployment. When
-	// set it takes precedence over RegistryAddr: List fans out over all
-	// shards and merges, and shard-routed operations hash node IDs over
-	// this list. Populate it directly or from FetchShardMap.
+	// Shards lists every registry shard, one entry for a single registry:
+	// List fans out over all shards and merges, and shard-routed operations
+	// hash node IDs over this list. Populate it directly or from
+	// FetchShardMap.
 	Shards []string
 	// Timeout bounds each request attempt (default 3 s).
 	Timeout time.Duration
-	// SubmitTimeout bounds a submission attempt (default 30 s; jobs run
-	// in virtual time, so this is slack, not job length).
-	SubmitTimeout time.Duration
 	// Dialer overrides the TCP dial path (nil = plain TCP). Fault
 	// injectors hook in here.
 	Dialer Dialer
@@ -64,12 +58,9 @@ func (c *Client) timeout() time.Duration {
 	return c.Timeout
 }
 
-func (c *Client) submitTimeout() time.Duration {
-	if c.SubmitTimeout <= 0 {
-		return 30 * time.Second
-	}
-	return c.SubmitTimeout
-}
+// submitTimeout bounds a submission attempt. Jobs run in virtual time, so
+// this is slack, not job length.
+const submitTimeout = 30 * time.Second
 
 func (c *Client) jitter() *jitterRand {
 	c.once.Do(func() { c.jr = newJitterRand(c.Retry.Seed) })
@@ -147,21 +138,12 @@ func (c *Client) do(ctx context.Context, addr string, req Request, timeout time.
 	return nil, lastErr
 }
 
-// ShardAddrs returns the registry addresses this client talks to: the
-// configured Shards, or the single RegistryAddr.
-func (c *Client) ShardAddrs() []string {
-	if len(c.Shards) > 0 {
-		return append([]string(nil), c.Shards...)
-	}
-	return []string{c.RegistryAddr}
-}
-
 // List returns the published nodes across every configured shard, sorted
 // by name. Any shard failing fails the whole call — partial discovery
 // with per-shard stale fallback is the Broker's job.
 func (c *Client) List(ctx context.Context) ([]NodeInfo, error) {
 	var all []NodeInfo
-	for _, addr := range c.ShardAddrs() {
+	for _, addr := range c.Shards {
 		nodes, err := c.ListShard(ctx, addr, 0)
 		if err != nil {
 			return nil, err
@@ -188,14 +170,11 @@ func (c *Client) ListShard(ctx context.Context, addr string, limit int) ([]NodeI
 	return resp.Nodes, nil
 }
 
-// Forecast asks one registry shard (RegistryAddr when addr is empty) for
-// availability forecasts over the given horizon, one ForecastInfo per
-// name in request order. The registry must have been started with
-// RegistryOptions.Forecast; otherwise the call fails.
+// Forecast asks the registry shard at addr for availability forecasts
+// over the given horizon, one ForecastInfo per name in request order. The
+// registry must have been started with RegistryOptions.Forecast; otherwise
+// the call fails.
 func (c *Client) Forecast(ctx context.Context, addr string, names []string, horizon time.Duration) ([]ForecastInfo, error) {
-	if addr == "" {
-		addr = c.RegistryAddr
-	}
 	req := Request{Op: "forecast", Names: names, HorizonMS: horizon.Milliseconds()}
 	resp, err := c.do(ctx, addr, req, c.timeout(), true)
 	if err != nil {
@@ -208,12 +187,9 @@ func (c *Client) Forecast(ctx context.Context, addr string, names []string, hori
 }
 
 // FetchShardMap bootstraps the shard list from any one registry address:
-// it asks addr (RegistryAddr when empty) for the deployment's versioned
-// shard map. The caller decides whether to adopt it into c.Shards.
+// it asks addr for the deployment's versioned shard map. The caller
+// decides whether to adopt it into c.Shards.
 func (c *Client) FetchShardMap(ctx context.Context, addr string) (*ShardMap, error) {
-	if addr == "" {
-		addr = c.RegistryAddr
-	}
 	resp, err := c.do(ctx, addr, Request{Op: "shardmap"}, c.timeout(), true)
 	if err != nil {
 		return nil, err
@@ -273,7 +249,7 @@ func (c *Client) Info(ctx context.Context, nodeAddr string) (*NodeStatus, error)
 // job's fate unknown, and only an ID-carrying resubmission (see Broker)
 // can resolve that safely.
 func (c *Client) Submit(ctx context.Context, nodeAddr string, job JobSpec) (*JobResult, error) {
-	resp, err := c.do(ctx, nodeAddr, Request{Op: "submit", Job: &job}, c.submitTimeout(), false)
+	resp, err := c.do(ctx, nodeAddr, Request{Op: "submit", Job: &job}, submitTimeout, false)
 	if err != nil {
 		return nil, err
 	}

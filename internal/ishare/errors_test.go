@@ -55,15 +55,15 @@ func TestRoundTripFailures(t *testing.T) {
 
 func TestNodeWithUnreachableRegistry(t *testing.T) {
 	if _, err := NewNode("127.0.0.1:0", NodeConfig{
-		Name:         "orphan",
-		RegistryAddr: "127.0.0.1:1",
+		Name:          "orphan",
+		RegistryAddrs: []string{"127.0.0.1:1"},
 	}); err == nil {
 		t.Error("node should fail to start when registration fails")
 	}
 }
 
 func TestClientErrorsPropagate(t *testing.T) {
-	c := &Client{RegistryAddr: "127.0.0.1:1", Timeout: 200 * time.Millisecond}
+	c := &Client{Shards: []string{"127.0.0.1:1"}, Timeout: 200 * time.Millisecond}
 	if _, err := c.List(ctx); err == nil {
 		t.Error("list against dead registry succeeded")
 	}

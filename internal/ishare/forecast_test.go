@@ -46,7 +46,7 @@ func (f *forecastFixture) report(t *testing.T, name, state string, stampMS int64
 	t.Helper()
 	f.clock.Store(stampMS)
 	f.gen++
-	resp := f.r.handle(Request{Op: "heartbeat", Name: name, State: state, Gen: f.gen})
+	resp := f.r.handle(Request{Op: "heartbeat_batch", Digests: []NodeDigest{{Name: name, State: state, Gen: f.gen}}})
 	if !resp.OK {
 		t.Fatalf("heartbeat(%s, %s): %s", name, state, resp.Error)
 	}
@@ -56,8 +56,8 @@ func (f *forecastFixture) report(t *testing.T, name, state string, stampMS int64
 // 11:00, with S1 the rest of the time.
 func (f *forecastFixture) seedDailyOutages(t *testing.T) {
 	t.Helper()
-	if resp := f.r.handle(Request{Op: "register", Name: "n1", Addr: "10.0.0.1:70",
-		State: "S1(full)", Gen: 1}); !resp.OK {
+	if resp := f.r.handle(Request{Op: "register_batch", Digests: []NodeDigest{{Name: "n1", Addr: "10.0.0.1:70",
+		State: "S1(full)", Gen: 1}}}); !resp.OK {
 		t.Fatalf("register: %s", resp.Error)
 	}
 	f.gen = 1
@@ -112,8 +112,7 @@ func TestRegistryForecastOp(t *testing.T) {
 	}
 
 	// Wire path: the client helper round-trips the same exchange.
-	c := &Client{RegistryAddr: f.r.Addr()}
-	infos, err := c.Forecast(context.Background(), "", []string{"n1"}, 60*time.Millisecond)
+	infos, err := (&Client{}).Forecast(context.Background(), f.r.Addr(), []string{"n1"}, 60*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,17 +7,17 @@ import (
 )
 
 // FuzzProtocolDecode drives arbitrary bytes through the wire decoders for
-// both directions of the protocol — every v1/v2 message (register_batch,
-// heartbeat_batch, discover, shardmap, gossip, submit) rides the one
+// both directions of the protocol — every message (register_batch,
+// heartbeat_batch, unregister, list, shardmap, gossip, submit) rides the one
 // readMessage. The invariants: no panic, no unbounded allocation past
 // the message limit, and anything that decodes cleanly re-encodes to a
 // value that decodes to the same thing (round-trip stability).
 func FuzzProtocolDecode(f *testing.F) {
 	seeds := []string{
-		`{"op":"register","name":"m001","addr":"10.0.0.1:70","state":"S1(full)","load":0.25,"gen":3}`,
+		`{"op":"unregister","names":["m001","m002"]}`,
 		`{"op":"register_batch","digests":[{"name":"m001","addr":"10.0.0.1:70","state":"S1(full)","load":0.1,"gen":1,"unix_ms":1700000000000},{"name":"m002","state":"S2(reduced)"}]}`,
 		`{"op":"heartbeat_batch","digests":[{"name":"m001","gen":2,"unix_ms":1700000000555}]}`,
-		`{"op":"heartbeat","name":"m001","state":"S3(none)","gen":7}`,
+		`{"op":"heartbeat_batch","digests":[{"name":"m001","state":"S3(none)","gen":7}]}`,
 		`{"op":"discover","limit":16}`,
 		`{"op":"shardmap"}`,
 		`{"op":"gossip","digests":[{"name":"p1","addr":"10.0.0.2:70","state":"S1(full)","unix_ms":1700000001000}]}`,
@@ -28,7 +28,7 @@ func FuzzProtocolDecode(f *testing.F) {
 		`{"ok":false,"error":"registry overloaded, retry later","retry_after_ms":200}`,
 		`{"ok":true,"missing":["m003","m009"]}`,
 		`{"ok":true,"digests":[{"name":"p1","unix_ms":1}]}`,
-		`{`, `null`, `[]`, `""`, "\x00\x01\x02", `{"op":"register","load":1e309}`,
+		`{`, `null`, `[]`, `""`, "\x00\x01\x02", `{"op":"register_batch","digests":[{"name":"a","load":1e309}]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -44,7 +44,7 @@ func FuzzProtocolDecode(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-encoded request does not decode: %v (%s)", err, enc)
 			}
-			if len(again.Digests) != len(req.Digests) || again.Op != req.Op || again.Name != req.Name {
+			if len(again.Digests) != len(req.Digests) || again.Op != req.Op || len(again.Names) != len(req.Names) {
 				t.Fatalf("request round trip drifted:\n was %+v\n now %+v", req, again)
 			}
 		}

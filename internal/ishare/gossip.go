@@ -32,8 +32,6 @@ type GossipConfig struct {
 	// carry addresses too, so the reachable peer set grows epidemically
 	// beyond the seeds.
 	Peers []string
-	// Fanout is how many peers one Tick exchanges with (default 2).
-	Fanout int
 	// Interval paces the background loop started by Start; zero means no
 	// background loop — callers drive Tick explicitly (tests do).
 	Interval time.Duration
@@ -44,10 +42,6 @@ type GossipConfig struct {
 	Dialer Dialer
 	// Limits bounds exchange message sizes.
 	Limits Limits
-	// MaxDigests caps the digests carried in one exchange (default 1024),
-	// keeping messages within the protocol's size limits. When the store
-	// is larger, the freshest digests win the slots.
-	MaxDigests int
 	// EvictAfter, when positive, bounds the store's memory: a digest whose
 	// observation stamp is older than this is evicted on the next merge or
 	// snapshot. Departed nodes stop refreshing their stamps — peers only
@@ -64,15 +58,18 @@ type GossipConfig struct {
 	Obs *obs.Registry
 }
 
+const (
+	// gossipFanout is how many peers one Tick exchanges with.
+	gossipFanout = 2
+	// gossipMaxDigests caps the digests carried in one exchange, keeping
+	// messages within the protocol's size limits. When the store is larger,
+	// the freshest digests win the slots.
+	gossipMaxDigests = 1024
+)
+
 func (c GossipConfig) withDefaults() GossipConfig {
-	if c.Fanout <= 0 {
-		c.Fanout = 2
-	}
 	if c.Timeout <= 0 {
 		c.Timeout = 2 * time.Second
-	}
-	if c.MaxDigests <= 0 {
-		c.MaxDigests = 1024
 	}
 	return c
 }
@@ -227,7 +224,7 @@ func (g *Gossiper) digests() []NodeDigest {
 		self = g.cfg.Self()
 		hasSelf = self.Name != ""
 	}
-	out := make([]NodeDigest, 0, g.cfg.MaxDigests)
+	out := make([]NodeDigest, 0, gossipMaxDigests)
 	if hasSelf {
 		out = append(out, self)
 	}
@@ -236,7 +233,7 @@ func (g *Gossiper) digests() []NodeDigest {
 	// name order from Snapshot for determinism.
 	sort.SliceStable(rest, func(i, j int) bool { return rest[i].UnixMS > rest[j].UnixMS })
 	for _, d := range rest {
-		if len(out) >= g.cfg.MaxDigests {
+		if len(out) >= gossipMaxDigests {
 			break
 		}
 		if hasSelf && d.Name == self.Name {
@@ -313,8 +310,8 @@ func (g *Gossiper) peerAddrs() []string {
 	return out
 }
 
-// Tick runs one anti-entropy round: exchange with up to Fanout distinct
-// peers chosen from the seeds and every gossip-learned address. It
+// Tick runs one anti-entropy round: exchange with up to gossipFanout
+// distinct peers chosen from the seeds and every gossip-learned address. It
 // returns the number of successful exchanges; unreachable peers are
 // skipped, not retried — the next round redraws.
 func (g *Gossiper) Tick(ctx context.Context) int {
@@ -325,10 +322,7 @@ func (g *Gossiper) Tick(ctx context.Context) int {
 	g.mu.Lock()
 	g.rng.Shuffle(len(peers), func(i, j int) { peers[i], peers[j] = peers[j], peers[i] })
 	g.mu.Unlock()
-	n := g.cfg.Fanout
-	if n > len(peers) {
-		n = len(peers)
-	}
+	n := min(gossipFanout, len(peers))
 	ok := 0
 	for _, addr := range peers[:n] {
 		if err := g.Exchange(ctx, addr); err != nil {

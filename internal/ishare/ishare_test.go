@@ -2,6 +2,7 @@ package ishare
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -33,9 +34,9 @@ func startNode(t *testing.T, cfg NodeConfig) *Node {
 
 func TestRegistryLifecycle(t *testing.T) {
 	reg := startRegistry(t, 200*time.Millisecond)
-	c := &Client{RegistryAddr: reg.Addr()}
+	c := &Client{Shards: []string{reg.Addr()}}
 
-	node := startNode(t, NodeConfig{Name: "alpha", RegistryAddr: reg.Addr()})
+	node := startNode(t, NodeConfig{Name: "alpha", RegistryAddrs: []string{reg.Addr()}})
 	_ = node
 
 	nodes, err := c.List(ctx)
@@ -49,8 +50,8 @@ func TestRegistryLifecycle(t *testing.T) {
 
 func TestRegistryDetectsURR(t *testing.T) {
 	reg := startRegistry(t, 150*time.Millisecond)
-	c := &Client{RegistryAddr: reg.Addr()}
-	node := startNode(t, NodeConfig{Name: "beta", RegistryAddr: reg.Addr(), HeartbeatEvery: 30 * time.Millisecond})
+	c := &Client{Shards: []string{reg.Addr()}}
+	node := startNode(t, NodeConfig{Name: "beta", RegistryAddrs: []string{reg.Addr()}, HeartbeatEvery: 30 * time.Millisecond})
 
 	// Alive while heartbeating.
 	nodes, err := c.List(ctx)
@@ -79,16 +80,18 @@ func TestRegistryDetectsURR(t *testing.T) {
 
 func TestRegistryRejectsBadRequests(t *testing.T) {
 	reg := startRegistry(t, time.Second)
-	if resp := reg.handle(Request{Op: "register"}); resp.OK {
+	if resp := reg.handle(Request{Op: "register_batch", Digests: []NodeDigest{{Addr: "10.0.0.1:70"}}}); resp.OK {
 		t.Error("register without name accepted")
 	}
-	if resp := reg.handle(Request{Op: "heartbeat", Name: "ghost"}); resp.OK {
-		t.Error("heartbeat for unknown node accepted")
+	for _, op := range []string{"register", "heartbeat", "dance"} {
+		if resp := reg.handle(Request{Op: op}); resp.OK || resp.Error != "unknown op "+op {
+			t.Errorf("%s: %+v, want unknown op", op, resp)
+		}
 	}
-	if resp := reg.handle(Request{Op: "dance"}); resp.OK {
-		t.Error("unknown op accepted")
+	if resp := reg.handle(Request{Op: "heartbeat_batch", Digests: []NodeDigest{{Name: "ghost"}}}); !resp.OK || !slices.Equal(resp.Missing, []string{"ghost"}) {
+		t.Errorf("heartbeat for unknown node: %+v, want it named in missing", resp)
 	}
-	if resp := reg.handle(Request{Op: "unregister", Name: "ghost"}); !resp.OK {
+	if resp := reg.handle(Request{Op: "unregister", Names: []string{"ghost"}}); !resp.OK {
 		t.Error("unregister should be idempotent")
 	}
 }

@@ -149,7 +149,7 @@ func newNodeMetrics(r *obs.Registry, name string) *nodeMetrics {
 		dedupHits:         r.Counter("fgcs_node_dedup_hits_total", "submissions answered from the completed-job cache", node),
 		suspensions:       r.Counter("fgcs_node_suspensions_total", "transient-spike suspensions applied to guest jobs", node),
 		crashes:           r.Counter("fgcs_node_crashes_total", "CrashAtVirtual faults fired", node),
-		heartbeatFailures: r.Counter("fgcs_node_heartbeat_failures_total", "heartbeat attempts that failed transport or re-registration", node),
+		heartbeatFailures: r.Counter("fgcs_node_heartbeat_failures_total", "heartbeat attempts that failed transport, were refused or failed re-registration", node),
 		reregisters:       r.Counter("fgcs_node_reregisters_total", "successful re-registrations after the registry forgot the node", node),
 		state:             r.Gauge("fgcs_node_state", "last observed availability state (1=S1 .. 5=S5)", node),
 		jobWallSeconds:    r.Histogram("fgcs_node_job_wall_seconds", "virtual wall time jobs occupied the node", []float64{1, 10, 60, 300, 900, 3600, 4 * 3600, 24 * 3600}, node),
@@ -196,7 +196,7 @@ func newRegistryMetrics(r *obs.Registry) *registryMetrics {
 		forecastLatency: r.Histogram("fgcs_registry_forecast_latency_seconds",
 			"wall-clock latency of one forecast exchange's computation", obs.ExpBuckets(1e-6, 4, 12)),
 	}
-	for _, op := range []string{"register", "register_batch", "unregister", "heartbeat", "heartbeat_batch", "list", "shardmap", "forecast", "unknown"} {
+	for _, op := range []string{"register_batch", "unregister", "heartbeat_batch", "list", "shardmap", "forecast", "unknown"} {
 		m.requests[op] = r.Counter("fgcs_registry_requests_total", "registry exchanges by operation", obs.L("op", op))
 	}
 	return m

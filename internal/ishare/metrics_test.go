@@ -26,9 +26,9 @@ func TestBrokerMetricsRaceSafe(t *testing.T) {
 	var nodes []*Node
 	for i := 0; i < 2; i++ {
 		n, err := NewNode("127.0.0.1:0", NodeConfig{
-			Name:         fmt.Sprintf("rn%d", i),
-			RegistryAddr: reg.Addr(),
-			HostLoad:     0.05,
+			Name:          fmt.Sprintf("rn%d", i),
+			RegistryAddrs: []string{reg.Addr()},
+			HostLoad:      0.05,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -99,7 +99,7 @@ func TestMetricsMatchScrape(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	n, err := NewNode("127.0.0.1:0", NodeConfig{Name: "mn", RegistryAddr: reg.Addr(), HostLoad: 0.05})
+	n, err := NewNode("127.0.0.1:0", NodeConfig{Name: "mn", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -24,20 +25,16 @@ type NodeConfig struct {
 	Machine simos.MachineConfig
 	// Detector configures the availability detector.
 	Detector availability.Config
-	// MonitorPeriod is the virtual sampling period while jobs run.
-	MonitorPeriod time.Duration
 	// HostLoad is the initial synthetic host load.
 	HostLoad float64
 	// InteractiveHost, when set, runs a Musbus-style interactive session
 	// as the host workload instead of a flat duty cycle; HostLoad is then
 	// ignored.
 	InteractiveHost bool
-	// RegistryAddr, when set, makes the node register and heartbeat.
-	RegistryAddr string
-	// RegistryAddrs lists the shards of a scaled-out registry; the node
-	// routes its registration and heartbeats to the shard owning its name
-	// on the consistent-hash ring. When set it takes precedence over
-	// RegistryAddr.
+	// RegistryAddrs, when set, makes the node register and heartbeat: it
+	// lists the registry's shards, one entry for a single registry, and the
+	// node's traffic goes to the shard owning its name on the
+	// consistent-hash ring.
 	RegistryAddrs []string
 	// HeartbeatEvery is the wall-clock heartbeat interval.
 	HeartbeatEvery time.Duration
@@ -79,15 +76,15 @@ type NodeConfig struct {
 	Logger *slog.Logger
 }
 
+// monitorPeriod is the virtual sampling period while jobs run.
+const monitorPeriod = 5 * time.Second
+
 func (c NodeConfig) withDefaults() NodeConfig {
 	if c.Name == "" {
 		c.Name = "node"
 	}
 	if c.Machine.RAM == 0 {
 		c.Machine = simos.LinuxLabMachine(1)
-	}
-	if c.MonitorPeriod == 0 {
-		c.MonitorPeriod = 5 * time.Second
 	}
 	if c.HeartbeatEvery == 0 {
 		c.HeartbeatEvery = 50 * time.Millisecond
@@ -101,9 +98,6 @@ func (c NodeConfig) withDefaults() NodeConfig {
 	if c.HeartbeatJitter < 0 {
 		c.HeartbeatJitter = 0
 	}
-	if len(c.RegistryAddrs) > 0 {
-		c.RegistryAddr = "" // shard routing owns registry traffic
-	}
 	if c.MaxJobVirtual == 0 {
 		c.MaxJobVirtual = 24 * time.Hour
 	}
@@ -113,12 +107,12 @@ func (c NodeConfig) withDefaults() NodeConfig {
 // Node is a published FGCS resource: a machine plus the non-intrusive
 // monitoring stack, reachable over TCP.
 type Node struct {
-	cfg    NodeConfig
-	met    *nodeMetrics // nil when NodeConfig.Metrics is nil
-	log    *slog.Logger
-	ring   *ShardRing // nil for single-registry deployments
-	gossip *Gossiper  // nil unless NodeConfig.Gossip is set
-	hbRand *rand.Rand // heartbeat jitter source, seeded by the node name
+	cfg      NodeConfig
+	met      *nodeMetrics // nil when NodeConfig.Metrics is nil
+	log      *slog.Logger
+	registry string     // the shard owning the node's name; "" when unpublished
+	gossip   *Gossiper  // nil unless NodeConfig.Gossip is set
+	hbRand   *rand.Rand // heartbeat jitter source, seeded by the node name
 
 	mu        sync.Mutex
 	eng       *monitor.Engine
@@ -142,7 +136,7 @@ func NewNode(addr string, cfg NodeConfig) (*Node, error) {
 	cfg = cfg.withDefaults()
 	eng, err := monitor.NewEngine(monitor.EngineConfig{
 		Machine:  cfg.Machine,
-		Monitor:  monitor.Config{Period: cfg.MonitorPeriod, SmoothWindow: 1},
+		Monitor:  monitor.Config{Period: monitorPeriod, SmoothWindow: 1},
 		Detector: cfg.Detector,
 	})
 	if err != nil {
@@ -166,11 +160,12 @@ func NewNode(addr string, cfg NodeConfig) (*Node, error) {
 		closed:    make(chan struct{}),
 	}
 	if len(cfg.RegistryAddrs) > 0 {
-		n.ring, err = NewShardRing(cfg.RegistryAddrs, 0)
+		ring, err := NewShardRing(cfg.RegistryAddrs, 0)
 		if err != nil {
 			ln.Close()
 			return nil, err
 		}
+		n.registry = ring.Addr(cfg.Name)
 	}
 	if cfg.Metrics != nil {
 		n.met = newNodeMetrics(cfg.Metrics, cfg.Name)
@@ -196,7 +191,7 @@ func NewNode(addr string, cfg NodeConfig) (*Node, error) {
 	n.wg.Add(1)
 	go n.acceptLoop()
 
-	if n.hasRegistry() {
+	if n.registry != "" {
 		if err := n.register(); err != nil {
 			n.Close()
 			return nil, err
@@ -205,20 +200,6 @@ func NewNode(addr string, cfg NodeConfig) (*Node, error) {
 		go n.heartbeatLoop()
 	}
 	return n, nil
-}
-
-// hasRegistry reports whether the node was configured to publish itself.
-func (n *Node) hasRegistry() bool {
-	return n.cfg.RegistryAddr != "" || n.ring != nil
-}
-
-// registryAddr resolves where this node's registry traffic goes: the ring
-// shard owning its name, or the single configured registry.
-func (n *Node) registryAddr() string {
-	if n.ring != nil {
-		return n.ring.Addr(n.cfg.Name)
-	}
-	return n.cfg.RegistryAddr
 }
 
 // Gossiper returns the node's gossip store (nil unless enabled).
@@ -281,23 +262,20 @@ func (n *Node) ExecutionCounts() map[string]int {
 	return out
 }
 
-// rpc sends one registry-bound request through the node's dialer to the
-// shard owning this node's name.
-func (n *Node) rpc(req Request, timeout time.Duration) (*Response, error) {
-	lim := n.cfg.Limits.withDefaults()
-	return roundTrip(context.Background(), n.cfg.Dialer, n.registryAddr(), req, timeout, lim.MaxMessageBytes)
-}
-
-// digestFields stamps the node's current availability digest onto a
-// registry-bound request so discovery can rank it without an Info query.
-func (n *Node) digestFields(req Request) Request {
+// rpc sends op to the shard owning this node's name, through the node's
+// dialer, with the node's availability digest as a batch of one, so
+// discovery can rank it without an Info query. The digest goes unstamped:
+// the shard stamps it at receipt.
+func (n *Node) rpc(op string, timeout time.Duration) (*Response, error) {
 	d := n.selfDigest()
-	req.State, req.Load, req.Gen = d.State, d.Load, d.Gen
-	return req
+	d.UnixMS = 0
+	lim := n.cfg.Limits.withDefaults()
+	req := Request{Op: op, Digests: []NodeDigest{d}}
+	return roundTrip(context.Background(), n.cfg.Dialer, n.registry, req, timeout, lim.MaxMessageBytes)
 }
 
 func (n *Node) register() error {
-	resp, err := n.rpc(n.digestFields(Request{Op: "register", Name: n.cfg.Name, Addr: n.Addr()}), 2*time.Second)
+	resp, err := n.rpc("register_batch", 2*time.Second)
 	if err != nil {
 		return err
 	}
@@ -324,10 +302,10 @@ func (n *Node) jitterHB(d time.Duration) time.Duration {
 }
 
 // heartbeatLoop keeps the registry's liveness view fresh. When the
-// registry is unreachable the node degrades gracefully: local jobs keep
-// running, heartbeat attempts back off exponentially (capped), and the
-// node re-registers as soon as the registry answers again — including the
-// case where the registry came back empty and no longer knows the node.
+// registry is unreachable or refuses a heartbeat the node degrades
+// gracefully: local jobs keep running and heartbeat attempts back off
+// exponentially (capped). The node re-registers only when a reply's Missing
+// names it — the registry came back empty and no longer knows the node.
 func (n *Node) heartbeatLoop() {
 	defer n.wg.Done()
 	interval := n.cfg.HeartbeatEvery
@@ -341,23 +319,20 @@ func (n *Node) heartbeatLoop() {
 			return
 		case <-timer.C:
 		}
-		resp, err := n.rpc(n.digestFields(Request{Op: "heartbeat", Name: n.cfg.Name}), time.Second)
+		resp, err := n.rpc("heartbeat_batch", time.Second)
 		switch {
-		case err != nil:
+		case err != nil, !resp.OK:
+			// Unreachable, shed or refused. A shed's hint floors the backoff:
+			// re-registering now would add to the very herd the registry is
+			// trying to absorb.
 			fails++
+			if resp != nil {
+				shedFloor = time.Duration(resp.RetryAfterMS) * time.Millisecond
+			}
 			if n.met != nil {
 				n.met.heartbeatFailures.Inc()
 			}
-		case !resp.OK && resp.RetryAfterMS > 0:
-			// The registry shed us under overload. Re-registering now would
-			// add to the very herd the registry is trying to absorb; back
-			// off at least as long as the hint and heartbeat again.
-			fails++
-			shedFloor = time.Duration(resp.RetryAfterMS) * time.Millisecond
-			if n.met != nil {
-				n.met.heartbeatFailures.Inc()
-			}
-		case !resp.OK:
+		case slices.Contains(resp.Missing, n.cfg.Name):
 			// The registry answered but has forgotten us: re-register.
 			if err := n.register(); err != nil {
 				fails++

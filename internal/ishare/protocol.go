@@ -11,7 +11,10 @@
 // transient spikes, and killed on S3/S4.
 //
 // The wire protocol is one newline-delimited JSON request and response per
-// TCP connection — deliberately simple, debuggable with netcat.
+// TCP connection — deliberately simple, debuggable with netcat. Every
+// registry mutation carries an array — a node registers and heartbeats as a
+// batch of one — and every registry is named by a shard list, a single
+// registry by a list of one.
 //
 // Both message types have one codec in two halves. The shapes moved in bulk
 // — an envelope of scalars, arrays of flat objects (digests, nodes,
@@ -47,31 +50,21 @@ import (
 
 // Request is the single message type clients and nodes send.
 type Request struct {
-	// Op selects the action: "register", "unregister", "heartbeat",
-	// "register_batch", "heartbeat_batch", "list", "shardmap", "forecast"
-	// (registry); "info", "submit", "sethost", "gossip" (node).
+	// Op selects the action: "register_batch", "heartbeat_batch",
+	// "unregister", "list", "shardmap", "forecast" (registry); "info",
+	// "submit", "sethost", "gossip" (node).
 	Op string `json:"op"`
-	// Name identifies a node (register/unregister/heartbeat).
-	Name string `json:"name,omitempty"`
-	// Addr is the node's dial address (register).
-	Addr string `json:"addr,omitempty"`
 	// Job carries a submission (submit).
 	Job *JobSpec `json:"job,omitempty"`
 	// HostLoad sets the node's synthetic host load (sethost).
 	HostLoad float64 `json:"host_load,omitempty"`
 	// HostMemMB sets the node's synthetic host memory (sethost).
 	HostMemMB int64 `json:"host_mem_mb,omitempty"`
-	// State, Load and Gen are the availability digest a register or
-	// heartbeat may carry (see NodeDigest); the registry ranks discovery by
-	// them. Absent fields leave the stored digest untouched: a bare
-	// heartbeat only refreshes liveness.
-	State string  `json:"state,omitempty"`
-	Load  float64 `json:"load,omitempty"`
-	Gen   int64   `json:"gen,omitempty"`
 	// Digests carries a batch of node states: the whole batch for
-	// register_batch and heartbeat_batch, the sender's view for gossip.
+	// register_batch and heartbeat_batch, the sender's view for gossip. A
+	// heartbeat digest without a state only refreshes liveness.
 	Digests []NodeDigest `json:"digests,omitempty"`
-	// Names lists the nodes a forecast request asks about (forecast).
+	// Names lists the nodes a forecast asks about or an unregister removes.
 	Names []string `json:"names,omitempty"`
 	// HorizonMS is how far ahead, in wall milliseconds, a forecast
 	// request looks (forecast).

@@ -24,11 +24,11 @@ import (
 //
 // At fleet scale a registry is one shard of the control plane: node IDs
 // are assigned to shards by a ShardRing, every shard serves the same
-// versioned ShardMap for bootstrap, and registrations and heartbeats may
-// arrive in batches carrying availability digests. Discovery, a list with
-// a Limit, is served from per-score buckets — S1 nodes, then S2 — so a
-// ranked candidate list costs O(limit), not a scan of every registered
-// node. A node that never reported a digest is never listed for placement.
+// versioned ShardMap for bootstrap, and registrations and heartbeats
+// arrive in batches — a node's own of one — carrying availability
+// digests. Discovery, a list with a Limit, is served from per-score
+// buckets — S1 nodes, then S2 — so a ranked candidate list costs
+// O(limit), not a scan of every registered node. A node that never reported a digest is never listed for placement.
 //
 // A registry configured with a WAL is crash-recoverable: every mutating
 // request is logged before it is acked, so a shard killed at any instant
@@ -193,15 +193,9 @@ func digestScore(state string) int {
 
 // NewRegistry starts a registry listening on addr (use "127.0.0.1:0" for
 // an ephemeral test port). ttl is the heartbeat freshness bound. Protocol
-// exchanges use the default Limits; see NewRegistryWithLimits.
+// exchanges use the default Limits; see NewRegistryWithOptions.
 func NewRegistry(addr string, ttl time.Duration) (*Registry, error) {
-	return NewRegistryWithLimits(addr, ttl, Limits{})
-}
-
-// NewRegistryWithLimits is NewRegistry with explicit per-exchange bounds
-// on message size and handler I/O deadlines.
-func NewRegistryWithLimits(addr string, ttl time.Duration, lim Limits) (*Registry, error) {
-	return NewRegistryWithOptions(addr, RegistryOptions{TTL: ttl, Limits: lim})
+	return NewRegistryWithOptions(addr, RegistryOptions{TTL: ttl})
 }
 
 // NewRegistryWithOptions starts a registry shard with the full option
@@ -617,16 +611,9 @@ func (r *Registry) handle(req Request) *Response {
 		met.request(req.Op)
 	}
 	switch req.Op {
-	case "register", "register_batch":
-		one := req.Op == "register"
-		if one {
-			req.Digests = []NodeDigest{{Name: req.Name, Addr: req.Addr, State: req.State, Load: req.Load, Gen: req.Gen}}
-		}
+	case "register_batch":
 		for _, d := range req.Digests {
 			if d.Name == "" || d.Addr == "" {
-				if one {
-					return &Response{OK: false, Error: "register requires name and addr"}
-				}
 				return &Response{OK: false, Error: "register_batch requires name and addr on every digest"}
 			}
 		}
@@ -643,18 +630,18 @@ func (r *Registry) handle(req Request) *Response {
 		}
 		if met != nil {
 			met.nodes.Set(float64(n))
-			if !one {
-				met.batched.Add(uint64(len(req.Digests)))
-			}
-		}
-		if log != nil && one {
-			log.Info("node registered", "trace", req.Trace, "name", req.Name, "addr", req.Addr)
+			met.batched.Add(uint64(len(req.Digests)))
 		}
 		return &Response{OK: true}
 	case "unregister":
+		var err error
 		r.mu.Lock()
-		r.removeLocked(req.Name)
-		err := r.walLocked(r.wal.append(walRecord{kind: walKindRemove, name: req.Name}))
+		for _, name := range req.Names {
+			r.removeLocked(name)
+			if err = r.walLocked(r.wal.append(walRecord{kind: walKindRemove, name: name})); err != nil {
+				break
+			}
+		}
 		n := len(r.ids)
 		r.mu.Unlock()
 		if err != nil {
@@ -664,14 +651,10 @@ func (r *Registry) handle(req Request) *Response {
 			met.nodes.Set(float64(n))
 		}
 		if log != nil {
-			log.Info("node unregistered", "trace", req.Trace, "name", req.Name)
+			log.Info("nodes unregistered", "trace", req.Trace, "names", req.Names)
 		}
 		return &Response{OK: true}
-	case "heartbeat", "heartbeat_batch":
-		one := req.Op == "heartbeat"
-		if one {
-			req.Digests = []NodeDigest{{Name: req.Name, State: req.State, Load: req.Load, Gen: req.Gen}}
-		}
+	case "heartbeat_batch":
 		now := r.now().UnixNano()
 		var missing []string
 		r.mu.Lock()
@@ -717,15 +700,7 @@ func (r *Registry) handle(req Request) *Response {
 		}
 		if met != nil {
 			met.unknownHB.Add(uint64(len(missing)))
-			if !one {
-				met.batched.Add(uint64(len(req.Digests)))
-			}
-		}
-		if one && len(missing) > 0 {
-			if log != nil {
-				log.Warn("heartbeat from unknown node", "name", req.Name)
-			}
-			return &Response{OK: false, Error: "unknown node " + req.Name}
+			met.batched.Add(uint64(len(req.Digests)))
 		}
 		return &Response{OK: true, Missing: missing}
 	case "list":

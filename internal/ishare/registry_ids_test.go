@@ -107,24 +107,26 @@ func TestIDInvariantsAcrossLifecycle(t *testing.T) {
 		live int
 	}{
 		{"register batch", func() { f.do(t, 1000, Request{Op: "register_batch", Digests: names(0, 40)}) }, 40},
-		{"register one, no digest", func() { f.do(t, 1010, Request{Op: "register", Name: "legacy", Addr: "10.9.9.9:70"}) }, 41},
+		{"register one, no digest", func() {
+			f.do(t, 1010, Request{Op: "register_batch", Digests: []NodeDigest{{Name: "legacy", Addr: "10.9.9.9:70"}}})
+		}, 41},
 		{"pure refresh", func() { f.do(t, 1020, Request{Op: "heartbeat_batch", Digests: names(0, 40)}) }, 41},
 		{"state class change", func() {
 			f.do(t, 1030, Request{Op: "heartbeat_batch", Digests: []NodeDigest{
 				{Name: "m000", State: "S3(UEC-CPU)", Gen: 20}, {Name: "m001", State: "S1(full)", Gen: 20},
 				{Name: "m039", State: "S5(URR)", Gen: 20}, {Name: "nobody", State: "S1(full)", Gen: 1}}})
-			f.do(t, 1031, Request{Op: "heartbeat", Name: "legacy", State: "S2(reduced)", Gen: 1})
+			f.do(t, 1031, Request{Op: "heartbeat_batch", Digests: []NodeDigest{{Name: "legacy", State: "S2(reduced)", Gen: 1}}})
 		}, 41},
 		{"unregister first, middle, last, unknown", func() {
 			for _, n := range []string{"m000", "m020", "legacy", "nobody"} {
-				f.do(t, 1040, Request{Op: "unregister", Name: n})
+				f.do(t, 1040, Request{Op: "unregister", Names: []string{n}})
 			}
 		}, 38},
 		{"re-register and grow", func() { f.do(t, 1050, Request{Op: "register_batch", Digests: testFleetDigests(45, 1050)[18:45]}) }, 44},
 		{"crash and replay", func() { f.crashAndReplay(t, dir) }, 44},
 		{"unregister everything", func() {
 			for _, d := range testFleetDigests(45, 0) {
-				f.do(t, 1060, Request{Op: "unregister", Name: d.Name})
+				f.do(t, 1060, Request{Op: "unregister", Names: []string{d.Name}})
 			}
 		}, 0},
 		{"register after empty", func() { f.do(t, 1070, Request{Op: "register_batch", Digests: names(0, 10)}) }, 10},
@@ -183,7 +185,7 @@ func TestReplayWithRemovesMatchesUninterrupted(t *testing.T) {
 		f.do(t, base+660, Request{Op: "heartbeat_batch", Digests: ds})
 		for i, d := range ds {
 			if i%3 != 0 {
-				f.do(t, base+700, Request{Op: "unregister", Name: d.Name})
+				f.do(t, base+700, Request{Op: "unregister", Names: []string{d.Name}})
 			} else if day == 5 {
 				ask = append(ask, d.Name)
 			}
@@ -257,7 +259,7 @@ func TestUnregisterForgetsForecastHistory(t *testing.T) {
 			break
 		}
 		for _, d := range ds {
-			if resp := f.r.handle(Request{Op: "unregister", Name: d.Name}); !resp.OK {
+			if resp := f.r.handle(Request{Op: "unregister", Names: []string{d.Name}}); !resp.OK {
 				t.Fatal(resp.Error)
 			}
 		}
@@ -299,14 +301,14 @@ func TestRecycledIDStartsCold(t *testing.T) {
 		t.Fatalf("n1 before unregister: %+v, want an informed forecast below 0.5", old)
 	}
 	id := f.r.ids["n1"]
-	if resp := f.r.handle(Request{Op: "unregister", Name: "n1"}); !resp.OK {
+	if resp := f.r.handle(Request{Op: "unregister", Names: []string{"n1"}}); !resp.OK {
 		t.Fatal(resp.Error)
 	}
 	if gone := ask("n1"); gone.Known || gone.Samples != 0 || gone.Survival != 0.5 {
 		t.Errorf("n1 after unregister: %+v, want the cold prior", gone)
 	}
 	// A legacy agent (no digest) takes the ID: unknown to the forecaster.
-	if resp := f.r.handle(Request{Op: "register", Name: "n2", Addr: "10.0.0.2:70"}); !resp.OK {
+	if resp := f.r.handle(Request{Op: "register_batch", Digests: []NodeDigest{{Name: "n2", Addr: "10.0.0.2:70"}}}); !resp.OK {
 		t.Fatal(resp.Error)
 	}
 	if got := f.r.ids["n2"]; got != id {
@@ -318,7 +320,7 @@ func TestRecycledIDStartsCold(t *testing.T) {
 	// Once it reports, it must read exactly as a node on a never-used ID.
 	f.clock.Store(risky - 30)
 	for _, n := range []string{"n2", "fresh"} {
-		if resp := f.r.handle(Request{Op: "register", Name: n, Addr: "10.0.0.3:70", State: "S1(full)", Gen: 1}); !resp.OK {
+		if resp := f.r.handle(Request{Op: "register_batch", Digests: []NodeDigest{{Name: n, Addr: "10.0.0.3:70", State: "S1(full)", Gen: 1}}}); !resp.OK {
 			t.Fatal(resp.Error)
 		}
 	}
@@ -399,8 +401,8 @@ func TestListRankedSpreadsOverBucket(t *testing.T) {
 func TestUnstampedSameGenHeartbeatUpdatesLoad(t *testing.T) {
 	dir := t.TempDir()
 	f := newDurableFixture(t, dir)
-	f.do(t, 1000, Request{Op: "register", Name: "n", Addr: "10.0.0.1:70", State: "S1(full)", Load: 0.1, Gen: 1})
-	f.do(t, 1010, Request{Op: "heartbeat", Name: "n", State: "S1(full)", Load: 0.7, Gen: 1})
+	f.do(t, 1000, Request{Op: "register_batch", Digests: []NodeDigest{{Name: "n", Addr: "10.0.0.1:70", State: "S1(full)", Load: 0.1, Gen: 1}}})
+	f.do(t, 1010, Request{Op: "heartbeat_batch", Digests: []NodeDigest{{Name: "n", State: "S1(full)", Load: 0.7, Gen: 1}}})
 	f.do(t, 1020, Request{Op: "heartbeat_batch", Digests: []NodeDigest{{Name: "n", State: "S1(full)", Load: 0.9, Gen: 1, UnixMS: 1005}}})
 	check := func(step string) {
 		t.Helper()
@@ -473,10 +475,10 @@ func TestConcurrentIngestListForecastChurn(t *testing.T) {
 	})
 	run(func(i int) {
 		d := ds[(i*7)%len(ds)]
-		if resp := r.handle(Request{Op: "unregister", Name: d.Name}); !resp.OK {
+		if resp := r.handle(Request{Op: "unregister", Names: []string{d.Name}}); !resp.OK {
 			t.Errorf("unregister: %s", resp.Error)
 		}
-		if resp := r.handle(Request{Op: "register", Name: d.Name, Addr: d.Addr, State: d.State, Gen: 1}); !resp.OK {
+		if resp := r.handle(Request{Op: "register_batch", Digests: []NodeDigest{{Name: d.Name, Addr: d.Addr, State: d.State, Gen: 1}}}); !resp.OK {
 			t.Errorf("register: %s", resp.Error)
 		}
 	})
@@ -489,8 +491,8 @@ func TestConcurrentIngestListForecastChurn(t *testing.T) {
 
 var updateWALGolden = flag.Bool("update-wal-golden", false, "rewrite testdata/wal_golden.bin from this build's WAL encoding")
 
-// TestWALBytesGolden replays a fixed ingest — every mutating op, single and
-// batched, known and unknown names, removes and re-registrations — and
+// TestWALBytesGolden replays a fixed ingest — every mutating op, batches of
+// one and of many, known and unknown names, removes and re-registrations — and
 // compares the log byte for byte with the one the commit before dense IDs
 // wrote (testdata/wal_golden.bin, written there with -update-wal-golden):
 // how a shard indexes its nodes is not allowed to show in what it logs.
@@ -500,8 +502,8 @@ func TestWALBytesGolden(t *testing.T) {
 	f.r.SetShardMap(ShardMap{Gen: 3, Shards: []string{"10.0.0.1:7000", "10.0.0.2:7000"}})
 	fleet := testFleetDigests(30, 1000)
 	f.do(t, 1000, Request{Op: "register_batch", Digests: fleet})
-	f.do(t, 1005, Request{Op: "register", Name: "solo", Addr: "10.1.1.1:70", State: "S1(full)", Load: 0.125, Gen: 1})
-	f.do(t, 1006, Request{Op: "register", Name: "legacy", Addr: "10.1.1.2:70"})
+	f.do(t, 1005, Request{Op: "register_batch", Digests: []NodeDigest{{Name: "solo", Addr: "10.1.1.1:70", State: "S1(full)", Load: 0.125, Gen: 1}}})
+	f.do(t, 1006, Request{Op: "register_batch", Digests: []NodeDigest{{Name: "legacy", Addr: "10.1.1.2:70"}}})
 	f.do(t, 1010, Request{Op: "heartbeat_batch", Digests: fleet}) // all pure refreshes
 	mixed := slices.Clone(fleet[:12])
 	for i := range mixed {
@@ -514,15 +516,13 @@ func TestWALBytesGolden(t *testing.T) {
 	if resp := f.do(t, 1020, Request{Op: "heartbeat_batch", Digests: mixed}); !slices.Equal(resp.Missing, []string{"stranger"}) {
 		t.Fatalf("missing = %v, want [stranger]", resp.Missing)
 	}
-	f.do(t, 1030, Request{Op: "heartbeat", Name: "solo", State: "S2(reduced)", Load: 0.5, Gen: 2})
-	f.do(t, 1031, Request{Op: "heartbeat", Name: "solo"})
-	f.do(t, 1032, Request{Op: "heartbeat", Name: "legacy"})
-	if resp := f.do(t, 1033, Request{Op: "heartbeat", Name: "stranger", State: "S1(full)"}); resp.OK {
-		t.Fatal("heartbeat from an unknown node accepted")
+	f.do(t, 1030, Request{Op: "heartbeat_batch", Digests: []NodeDigest{{Name: "solo", State: "S2(reduced)", Load: 0.5, Gen: 2}}})
+	f.do(t, 1031, Request{Op: "heartbeat_batch", Digests: []NodeDigest{{Name: "solo"}}})
+	f.do(t, 1032, Request{Op: "heartbeat_batch", Digests: []NodeDigest{{Name: "legacy"}}})
+	if resp := f.do(t, 1033, Request{Op: "heartbeat_batch", Digests: []NodeDigest{{Name: "stranger", State: "S1(full)"}}}); !slices.Equal(resp.Missing, []string{"stranger"}) {
+		t.Fatalf("missing = %v, want [stranger]", resp.Missing)
 	}
-	for _, n := range []string{"m005", "m006", "solo", "stranger"} {
-		f.do(t, 1040, Request{Op: "unregister", Name: n})
-	}
+	f.do(t, 1040, Request{Op: "unregister", Names: []string{"m005", "m006", "solo", "stranger"}})
 	f.do(t, 1050, Request{Op: "register_batch", Digests: testFleetDigests(36, 1050)[4:36]})
 	f.do(t, 1060, Request{Op: "heartbeat_batch", Digests: testFleetDigests(36, 1060)})
 	f.r.SetShardMap(ShardMap{Gen: 4, Shards: []string{"10.0.0.1:7000"}})

@@ -57,10 +57,10 @@ func TestRegistryCrashRecovery(t *testing.T) {
 	if resp := r.handle(Request{Op: "register_batch", Digests: testFleetDigests(40, 1000)}); !resp.OK {
 		t.Fatalf("register_batch: %s", resp.Error)
 	}
-	if resp := r.handle(Request{Op: "heartbeat", Name: "m000", State: "S2(reduced)", Gen: 9}); !resp.OK {
+	if resp := r.handle(Request{Op: "heartbeat_batch", Digests: []NodeDigest{{Name: "m000", State: "S2(reduced)", Gen: 9}}}); !resp.OK {
 		t.Fatalf("heartbeat: %s", resp.Error)
 	}
-	if resp := r.handle(Request{Op: "unregister", Name: "m017"}); !resp.OK {
+	if resp := r.handle(Request{Op: "unregister", Names: []string{"m017"}}); !resp.OK {
 		t.Fatalf("unregister: %s", resp.Error)
 	}
 	want := registryStateSnapshot(r)
@@ -196,7 +196,7 @@ func TestRegistryCompactionSurvivesRestart(t *testing.T) {
 	for round := 0; round < 7; round++ {
 		for _, d := range testFleetDigests(8, int64(3000+round)) {
 			d.Gen = int64(round + 1)
-			if resp := r.handle(Request{Op: "register", Name: d.Name, Addr: d.Addr, State: d.State, Load: d.Load, Gen: d.Gen}); !resp.OK {
+			if resp := r.handle(Request{Op: "register_batch", Digests: []NodeDigest{{Name: d.Name, Addr: d.Addr, State: d.State, Load: d.Load, Gen: d.Gen}}}); !resp.OK {
 				t.Fatalf("register: %s", resp.Error)
 			}
 		}
@@ -236,7 +236,7 @@ func TestRegistryShedsWhenSaturated(t *testing.T) {
 	r.queue <- struct{}{}
 	defer func() { <-r.inflight; <-r.queue }()
 
-	c := &Client{RegistryAddr: r.Addr(), Timeout: 2 * time.Second, Retry: RetryPolicy{MaxAttempts: 1}}
+	c := &Client{Shards: []string{r.Addr()}, Timeout: 2 * time.Second, Retry: RetryPolicy{MaxAttempts: 1}}
 	_, err = c.ListShard(context.Background(), r.Addr(), 4)
 	if err == nil || !strings.Contains(err.Error(), "overloaded") {
 		t.Fatalf("saturated registry did not shed: err=%v", err)
@@ -270,7 +270,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	release := time.AfterFunc(15*time.Millisecond, func() { <-r.inflight; <-r.queue })
 	defer release.Stop()
 
-	c := &Client{RegistryAddr: r.Addr(), Timeout: 2 * time.Second,
+	c := &Client{Shards: []string{r.Addr()}, Timeout: 2 * time.Second,
 		Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}}
 	start := time.Now()
 	if _, err := c.ListShard(context.Background(), r.Addr(), 4); err != nil {
@@ -358,7 +358,7 @@ func TestShardedCrashRestartDurable(t *testing.T) {
 // empty, and the heartbeat Missing path reports exactly its nodes for
 // re-registration — the pre-durability contract still holds.
 func TestShardedRestartVolatile(t *testing.T) {
-	s, err := NewShardedRegistry(2, time.Minute, Limits{})
+	s, err := NewShardedRegistryWithOptions(2, RegistryOptions{TTL: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,12 +416,12 @@ func TestStampExpiresAtTTL(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if resp := r.handle(Request{Op: "register", Name: "n", Addr: "10.0.0.1:70", State: "S1(full)", Gen: 1}); !resp.OK {
+			if resp := r.handle(Request{Op: "register_batch", Digests: []NodeDigest{{Name: "n", Addr: "10.0.0.1:70", State: "S1(full)", Gen: 1}}}); !resp.OK {
 				t.Fatalf("register: %s", resp.Error)
 			}
 			for _, back := range []time.Duration{0, 10 * time.Second} {
 				clock = c.at.Add(-back)
-				if resp := r.handle(Request{Op: "heartbeat", Name: "n"}); !resp.OK {
+				if resp := r.handle(Request{Op: "heartbeat_batch", Digests: []NodeDigest{{Name: "n"}}}); !resp.OK {
 					t.Fatalf("heartbeat: %s", resp.Error)
 				}
 			}

@@ -4,17 +4,20 @@ import (
 	"encoding/json"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // fastClient keeps failure-path tests quick: short attempt timeouts and a
 // tight retry budget (refused dials fail instantly anyway).
 func fastClient(registryAddr string) *Client {
 	return &Client{
-		RegistryAddr: registryAddr,
-		Timeout:      500 * time.Millisecond,
-		Retry:        RetryPolicy{MaxAttempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond, Seed: 1},
+		Shards:  []string{registryAddr},
+		Timeout: 500 * time.Millisecond,
+		Retry:   RetryPolicy{MaxAttempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond, Seed: 1},
 	}
 }
 
@@ -24,12 +27,12 @@ func fastClient(registryAddr string) *Client {
 func TestSubmitBestFailsOverFromDeadListedNode(t *testing.T) {
 	reg := startRegistry(t, time.Minute)
 	// Both report S1 at load 0 until observed, so the name ranks a-dead first.
-	dead, err := NewNode("127.0.0.1:0", NodeConfig{Name: "a-dead", RegistryAddr: reg.Addr(), HostLoad: 0.05})
+	dead, err := NewNode("127.0.0.1:0", NodeConfig{Name: "a-dead", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dead.Close()
-	live := startNode(t, NodeConfig{Name: "b-live", RegistryAddr: reg.Addr(), HostLoad: 0.05})
+	live := startNode(t, NodeConfig{Name: "b-live", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.05})
 
 	b := &Broker{Client: fastClient(reg.Addr())}
 	cands, err := b.Candidates(ctx)
@@ -56,9 +59,9 @@ func TestSubmitBestFailsOverFromDeadListedNode(t *testing.T) {
 
 func TestCandidatesExcludesFailureStateNodes(t *testing.T) {
 	reg := startRegistry(t, time.Minute)
-	idle := startNode(t, NodeConfig{Name: "idle", RegistryAddr: reg.Addr(), HostLoad: 0.05})
+	idle := startNode(t, NodeConfig{Name: "idle", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.05})
 	_ = idle
-	hot := startNode(t, NodeConfig{Name: "hot", RegistryAddr: reg.Addr(), HostLoad: 0.95})
+	hot := startNode(t, NodeConfig{Name: "hot", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.95})
 	c := &Client{}
 	// Pump the hot node's detector past the transient window so it
 	// latches S3.
@@ -114,7 +117,7 @@ func TestRankStateEdgeCases(t *testing.T) {
 
 func TestBrokerServesStaleCacheDuringRegistryOutage(t *testing.T) {
 	reg := startRegistry(t, time.Minute)
-	node := startNode(t, NodeConfig{Name: "survivor", RegistryAddr: reg.Addr(), HostLoad: 0.05})
+	node := startNode(t, NodeConfig{Name: "survivor", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.05})
 	_ = node
 
 	b := &Broker{Client: fastClient(reg.Addr()), CacheTTL: time.Minute}
@@ -147,7 +150,7 @@ func TestBrokerServesStaleCacheDuringRegistryOutage(t *testing.T) {
 
 func TestBrokerStaleCacheRespectsBound(t *testing.T) {
 	reg := startRegistry(t, time.Minute)
-	node := startNode(t, NodeConfig{Name: "n", RegistryAddr: reg.Addr(), HostLoad: 0.05})
+	node := startNode(t, NodeConfig{Name: "n", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.05})
 	_ = node
 	b := &Broker{Client: fastClient(reg.Addr()), CacheTTL: time.Millisecond}
 	if _, err := b.Candidates(ctx); err != nil {
@@ -260,13 +263,13 @@ func TestNodeCrashAtVirtualTime(t *testing.T) {
 
 func TestHeartbeatReRegistersAfterRegistryForgets(t *testing.T) {
 	reg := startRegistry(t, 300*time.Millisecond)
-	node := startNode(t, NodeConfig{Name: "phoenix", RegistryAddr: reg.Addr(), HeartbeatEvery: 20 * time.Millisecond})
+	node := startNode(t, NodeConfig{Name: "phoenix", RegistryAddrs: []string{reg.Addr()}, HeartbeatEvery: 20 * time.Millisecond})
 	_ = node
-	c := &Client{RegistryAddr: reg.Addr()}
+	c := &Client{Shards: []string{reg.Addr()}}
 
 	// The registry loses the node (restart, operator error): heartbeats
-	// start failing with "unknown node" and the node must re-register.
-	reg.handle(Request{Op: "unregister", Name: "phoenix"})
+	// name the node in missing and the node must re-register.
+	reg.handle(Request{Op: "unregister", Names: []string{"phoenix"}})
 	deadline := time.Now().Add(3 * time.Second)
 	for {
 		nodes, err := c.List(ctx)
@@ -283,8 +286,79 @@ func TestHeartbeatReRegistersAfterRegistryForgets(t *testing.T) {
 	}
 }
 
+// TestHeartbeatRefusalDoesNotReRegister: a refusal that is not a shed — a
+// WAL append that failed — is a failed heartbeat, backed off like an
+// unreachable registry, and the node re-registers only when a reply's
+// Missing names it.
+func TestHeartbeatRefusalDoesNotReRegister(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	const refusals = 3
+	var mu sync.Mutex
+	registers, heartbeats, registersAtMissing := 0, 0, 0
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go serveConn(conn, Limits{}, func(req Request) *Response {
+				mu.Lock()
+				defer mu.Unlock()
+				switch req.Op {
+				case "register", "register_batch":
+					registers++
+					return &Response{OK: true}
+				case "heartbeat", "heartbeat_batch":
+					heartbeats++
+					switch {
+					case heartbeats <= refusals:
+						return errWALAppend
+					case heartbeats == refusals+1:
+						registersAtMissing = registers
+						return &Response{OK: true, Missing: []string{"stubbed"}}
+					}
+					return &Response{OK: true}
+				}
+				return &Response{OK: false, Error: "unknown op " + req.Op}
+			})
+		}
+	}()
+	node := startNode(t, NodeConfig{Name: "stubbed", RegistryAddrs: []string{ln.Addr().String()},
+		HeartbeatEvery: 5 * time.Millisecond, Metrics: obs.NewRegistry()})
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		mu.Lock()
+		n := heartbeats
+		mu.Unlock()
+		if n >= refusals+3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d heartbeats arrived", n)
+		}
+	}
+	node.Close()
+	mu.Lock()
+	defer mu.Unlock()
+	if registersAtMissing != 1 {
+		t.Errorf("%d registers before the Missing reply, want the first only", registersAtMissing)
+	}
+	if registers != 2 {
+		t.Errorf("%d registers in all, want the first and one after the Missing reply", registers)
+	}
+	if got := node.met.heartbeatFailures.Value(); got != refusals {
+		t.Errorf("heartbeat_failures = %d, want %d", got, refusals)
+	}
+	if got := node.met.reregisters.Value(); got != 1 {
+		t.Errorf("reregisters = %d, want 1", got)
+	}
+}
+
 func TestServeConnRejectsOversizedRequest(t *testing.T) {
-	reg, err := NewRegistryWithLimits("127.0.0.1:0", time.Second, Limits{MaxMessageBytes: 128})
+	reg, err := NewRegistryWithOptions("127.0.0.1:0", RegistryOptions{TTL: time.Second, Limits: Limits{MaxMessageBytes: 128}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +368,7 @@ func TestServeConnRejectsOversizedRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	big := Request{Op: "register", Name: strings.Repeat("x", 4096), Addr: "127.0.0.1:1"}
+	big := Request{Op: "register_batch", Digests: []NodeDigest{{Name: strings.Repeat("x", 4096), Addr: "127.0.0.1:1"}}}
 	if err := json.NewEncoder(conn).Encode(big); err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +384,7 @@ func TestServeConnRejectsOversizedRequest(t *testing.T) {
 func TestServeConnDisconnectsSlowPeer(t *testing.T) {
 	// A peer that connects and never sends a request must not pin the
 	// handler beyond the configured I/O deadline.
-	reg, err := NewRegistryWithLimits("127.0.0.1:0", time.Second, Limits{IODeadline: 100 * time.Millisecond})
+	reg, err := NewRegistryWithOptions("127.0.0.1:0", RegistryOptions{TTL: time.Second, Limits: Limits{IODeadline: 100 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,10 +428,10 @@ func TestClientBoundsResponseSize(t *testing.T) {
 		}
 	}()
 	c := &Client{
-		RegistryAddr: ln.Addr().String(),
-		Timeout:      time.Second,
-		Retry:        RetryPolicy{MaxAttempts: 1},
-		Limits:       Limits{MaxMessageBytes: 1024},
+		Shards:  []string{ln.Addr().String()},
+		Timeout: time.Second,
+		Retry:   RetryPolicy{MaxAttempts: 1},
+		Limits:  Limits{MaxMessageBytes: 1024},
 	}
 	_, err = c.List(ctx)
 	if err == nil || !strings.Contains(err.Error(), "exceeds") {

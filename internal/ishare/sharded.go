@@ -5,7 +5,6 @@ import (
 	"log/slog"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -35,17 +34,12 @@ type ShardedRegistry struct {
 	gen    int64 // shard map generation served by every shard
 }
 
-// NewShardedRegistry starts n registry shards on ephemeral loopback ports
-// with the given heartbeat TTL and per-exchange limits, and installs the
-// generation-1 shard map on every shard.
-func NewShardedRegistry(n int, ttl time.Duration, lim Limits) (*ShardedRegistry, error) {
-	return NewShardedRegistryWithOptions(n, RegistryOptions{TTL: ttl, Limits: lim})
-}
-
-// NewShardedRegistryWithOptions starts n shards sharing one option set.
-// When opt.WAL is set, its Dir is the deployment's durability root: shard
-// i logs under Dir/shard-<i>, and a construction over a root with
-// existing logs recovers every shard's state before serving.
+// NewShardedRegistryWithOptions starts n registry shards on ephemeral
+// loopback ports sharing one option set, and installs the generation-1
+// shard map on every shard. When opt.WAL is set, its Dir is the
+// deployment's durability root: shard i logs under Dir/shard-<i>, and a
+// construction over a root with existing logs recovers every shard's state
+// before serving.
 func NewShardedRegistryWithOptions(n int, opt RegistryOptions) (*ShardedRegistry, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("ishare: sharded registry needs at least one shard, got %d", n)

@@ -20,7 +20,7 @@ func newTestRand(name string) *rand.Rand {
 
 func startSharded(t *testing.T, n int, ttl time.Duration) *ShardedRegistry {
 	t.Helper()
-	s, err := NewShardedRegistry(n, ttl, Limits{})
+	s, err := NewShardedRegistryWithOptions(n, RegistryOptions{TTL: ttl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +120,8 @@ func TestShardMapBootstrap(t *testing.T) {
 		t.Fatalf("shard map = %+v", m)
 	}
 	c.Shards = m.Shards
-	if got := len(c.ShardAddrs()); got != 3 {
-		t.Fatalf("ShardAddrs = %d, want 3", got)
+	if _, err := c.List(ctx); err != nil {
+		t.Fatalf("listing the bootstrapped shards: %v", err)
 	}
 }
 
@@ -380,14 +380,14 @@ func TestBrokerPlacesViaGossipWithAllShardsDown(t *testing.T) {
 	defer g.Close()
 	g.Update(NodeDigest{Name: "ghost", Addr: "10.3.0.1:1", State: "S1(full)", Gen: 1, UnixMS: nowMS()})
 	g.Update(NodeDigest{Name: "downed", Addr: "10.3.0.2:1", State: "S5(machine-unavail)", Gen: 1, UnixMS: nowMS()})
-	g.Update(NodeDigest{Name: "ancient", Addr: "10.3.0.3:1", State: "S1(full)", Gen: 1, UnixMS: 1}) // long past GossipTTL
+	g.Update(NodeDigest{Name: "ancient", Addr: "10.3.0.3:1", State: "S1(full)", Gen: 1, UnixMS: 1}) // long past gossipTTL
 	g.Update(NodeDigest{Name: "unstamped", Addr: "10.3.0.4:1", State: "S1(full)", Gen: 1})          // age unknown
 
 	reg := startRegistry(t, time.Minute)
 	addr := reg.Addr()
 	reg.Close() // every shard down, nothing ever cached
 	b := &Broker{
-		Client: &Client{RegistryAddr: addr, Timeout: 300 * time.Millisecond,
+		Client: &Client{Shards: []string{addr}, Timeout: 300 * time.Millisecond,
 			Retry: RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, Seed: 1}},
 		DiscoverLimit: 8,
 		Gossip:        g,
@@ -401,6 +401,14 @@ func TestBrokerPlacesViaGossipWithAllShardsDown(t *testing.T) {
 	}
 	if m := b.Metrics(); m.GossipServes == 0 {
 		t.Fatalf("metrics = %+v, want GossipServes > 0", m)
+	}
+	// A broker with no shards at all places from gossip the same way, and
+	// without gossip says it has no shards.
+	if cands, err := (&Broker{Client: &Client{}, Gossip: g}).Candidates(ctx); err != nil || len(cands) != 1 {
+		t.Fatalf("no shards: candidates = %+v, %v; want ghost from gossip", cands, err)
+	}
+	if _, err := (&Broker{Client: &Client{}}).Candidates(ctx); err != errNoShards {
+		t.Fatalf("no shards, no gossip: err = %v, want %v", err, errNoShards)
 	}
 }
 

@@ -147,11 +147,6 @@ func appendRequest(b []byte, req *Request) ([]byte, bool) {
 	}
 	e := wireEnc{b: b, ok: true}
 	e.str(`{"op":`, req.Op, true)
-	e.str(`,"name":`, req.Name, false)
-	e.str(`,"addr":`, req.Addr, false)
-	e.str(`,"state":`, req.State, false)
-	e.float(`,"load":`, req.Load, false)
-	e.num(`,"gen":`, req.Gen, false)
 	e.digests(req.Digests)
 	e.strs(`,"names":[`, req.Names)
 	e.num(`,"horizon_ms":`, req.HorizonMS, false)
@@ -344,16 +339,6 @@ func (o *Request) wireMember(p *messageParser, key, b []byte, i int) (int, wireS
 	switch string(key) { // no copy of the key: a switch tag, not a value
 	case "op":
 		return stringValue(&o.Op, b, i)
-	case "name":
-		return stringValue(&o.Name, b, i)
-	case "addr":
-		return stringValue(&o.Addr, b, i)
-	case "state":
-		return stringValue(&o.State, b, i)
-	case "load":
-		return floatValue(&o.Load, b, i)
-	case "gen":
-		return intValue(&o.Gen, b, i)
 	case "digests":
 		return openObjects(p, &o.Digests, p.spare, digestFields, b, i)
 	case "names":

@@ -305,10 +305,10 @@ func FuzzWireCodec(f *testing.F) {
 		`{"op":"register_batch","digests":[{"name":"m001","addr":"10.0.0.1:70","state":"S1(full)","load":0.1,"gen":1,"unix_ms":1700000000000},{"name":"m002","state":"S2(lowest-priority)"}]}` + "\n",
 		`{"op":"heartbeat_batch","digests":[{"name":"m001","gen":2,"unix_ms":1700000000555}]}` + "\n",
 		`{"op":"forecast","names":["m001","m002"],"horizon_ms":3600000,"trace":"t-1"}` + "\n",
-		`{"op":"list","limit":16}`, `{"op":"heartbeat","name":"m1","state":"S3","load":1e-7,"gen":-0}`,
+		`{"op":"list","limit":16}`, `{"op":"heartbeat_batch","digests":[{"name":"m1","state":"S3","load":1e-7,"gen":-0}]}`,
 		`{"op":"submit","job":{"id":"j-1","cpu_seconds":2.5}}`, `{"OP":"list"}`, `{"op":"a","op":"b"}`,
-		`{"op":"x","load":1e309}`, `{"op":"x","gen":1.5}`, `{"op":"n\u00e9"}`, `{"op":null}`, ` { "digests" : [ ] } x`,
-		`{"digests":[{"name":"a"},]}`, `{"names":["a",]}`, `{"op":"x",}`, `{"gen":01}`, `{"load":-}`, `{`, `[]`, "",
+		`{"digests":[{"name":"a","load":1e309}]}`, `{"op":"x","horizon_ms":1.5}`, `{"op":"n\u00e9"}`, `{"op":null}`, ` { "digests" : [ ] } x`,
+		`{"digests":[{"name":"a"},]}`, `{"names":["a",]}`, `{"op":"x",}`, `{"limit":01}`, `{"digests":[{"name":"a","load":-}]}`, `{`, `[]`, "",
 		`{"ok":true,"nodes":[{"name":"m001","addr":"10.0.0.1:70","alive":true,"last_seen_ms":1700000000000,"state":"S1(full)","load":0.1,"gen":1},{"name":"m002","addr":"","alive":false,"last_seen_ms":0}]}` + "\n",
 		`{"ok":true,"forecasts":[{"name":"m001","known":true,"survival":0.75,"samples":12,"state":"S1(full)","gen":4,"unix_ms":1700000000000},{"name":"m9","known":false,"survival":-0}]}` + "\n",
 		oldPeerForecastReply,
@@ -342,7 +342,8 @@ func FuzzWireCodec(f *testing.F) {
 		checkAgainstJSON[Request](t, data, lim, int(n))
 		checkAgainstJSON[Response](t, data, lim, int(n))
 
-		req := Request{Op: state, Name: name, State: state, Load: load, Gen: gen, HorizonMS: gen, Limit: int(n), Trace: name}
+		req := Request{Op: state, Digests: []NodeDigest{{Name: name, State: state, Load: load, Gen: gen}},
+			HorizonMS: gen, Limit: int(n), Trace: name}
 		resp := Response{OK: n%2 == 0, RetryAfterMS: gen}
 		if n%3 == 0 {
 			resp.Error = name
@@ -385,24 +386,24 @@ func TestWireEdgeCases(t *testing.T) {
 		{"empty object", `{}`, 0, true, false},
 		{"trailing garbage", `{"op":"list"} trailing`, 0, true, false},
 		{"second value", `{"op":"list"}{"op":"other"}`, 0, true, false},
-		{"minus zero", `{"op":"x","gen":-0,"load":-0}`, 0, true, false},
-		{"large exponent", `{"op":"x","load":1e21}`, 0, true, false},
-		{"small exponent", `{"op":"x","load":1e-7}`, 0, true, false},
-		{"capital exponent", `{"op":"x","load":2.5E+3}`, 0, true, false},
-		{"no fraction digits", `{"op":"x","load":1.}`, 0, false, false},
-		{"second point", `{"op":"x","load":1.5.5}`, 0, false, false},
-		{"float overflow", `{"op":"x","load":1e309}`, 0, false, false},
-		{"int overflow", `{"op":"x","gen":9223372036854775808}`, 0, false, false},
-		{"fraction for int", `{"op":"x","gen":1.0}`, 0, false, false},
-		{"leading zero", `{"op":"x","gen":01}`, 0, false, false},
-		{"bare minus", `{"op":"x","load":-}`, 0, false, false},
-		{"escaped name", `{"op":"register","name":"a\"b","addr":"x"}`, 0, false, false},
-		{"unicode escape", `{"op":"register","name":"caf\u00e9"}`, 0, false, false},
-		{"non-ascii name", `{"op":"register","name":"café"}`, 0, false, false},
-		{"invalid utf-8", "{\"op\":\"register\",\"name\":\"a\xffb\"}", 0, false, false},
+		{"minus zero", `{"digests":[{"name":"a","load":-0,"gen":-0}]}`, 0, true, false},
+		{"large exponent", `{"digests":[{"name":"a","load":1e21}]}`, 0, true, false},
+		{"small exponent", `{"digests":[{"name":"a","load":1e-7}]}`, 0, true, false},
+		{"capital exponent", `{"digests":[{"name":"a","load":2.5E+3}]}`, 0, true, false},
+		{"no fraction digits", `{"digests":[{"name":"a","load":1.}]}`, 0, false, false},
+		{"second point", `{"digests":[{"name":"a","load":1.5.5}]}`, 0, false, false},
+		{"float overflow", `{"digests":[{"name":"a","load":1e309}]}`, 0, false, false},
+		{"int overflow", `{"op":"x","horizon_ms":9223372036854775808}`, 0, false, false},
+		{"fraction for int", `{"op":"x","horizon_ms":1.0}`, 0, false, false},
+		{"leading zero", `{"op":"x","horizon_ms":01}`, 0, false, false},
+		{"bare minus", `{"digests":[{"name":"a","load":-}]}`, 0, false, false},
+		{"escaped name", `{"digests":[{"name":"a\"b","addr":"x"}]}`, 0, false, false},
+		{"unicode escape", `{"digests":[{"name":"caf\u00e9"}]}`, 0, false, false},
+		{"non-ascii name", `{"digests":[{"name":"café"}]}`, 0, false, false},
+		{"invalid utf-8", "{\"digests\":[{\"name\":\"a\xffb\"}]}", 0, false, false},
 		{"control byte", "{\"op\":\"a\x01b\"}", 0, false, false},
 		{"upper-case key", `{"OP":"list","Limit":3}`, 0, false, false},
-		{"repeated scalar", `{"op":"a","gen":4,"op":"b","gen":5}`, 0, true, false},
+		{"repeated scalar", `{"op":"a","limit":4,"op":"b","limit":5}`, 0, true, false},
 		{"repeated digest scalar", `{"digests":[{"name":"a","gen":5,"name":"b"}]}`, 0, true, false},
 		{"repeated scalar, then null", `{"op":"a","op":null}`, 0, false, false},
 		{"repeated array", `{"digests":[{"name":"a","gen":5}],"digests":[{"name":"b"}]}`, 0, false, false},
@@ -461,7 +462,7 @@ func TestWireEdgeCases(t *testing.T) {
 		{"reply one byte over the limit", string(list), int64(len(list)) - 2, false, true},
 	}
 	for _, load := range loadEdges {
-		cases = append(cases, edgeCase{"load " + load, `{"op":"x","load":` + load + `}`, 0, load != "00.5", false})
+		cases = append(cases, edgeCase{"load " + load, `{"digests":[{"name":"a","load":` + load + `}]}`, 0, load != "00.5", false})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -513,11 +514,12 @@ func TestWireEncodeGolden(t *testing.T) {
 	for _, msg := range []any{
 		&Request{Op: "heartbeat_batch", Digests: batch},
 		&Request{Op: "register_batch", Digests: batch[:1], Trace: "job-1"},
-		&Request{Op: "register", Name: "n", Addr: "127.0.0.1:9", State: "S1(full)", Load: 0.5, Gen: 7},
+		&Request{Op: "register_batch", Digests: []NodeDigest{{Name: "n", Addr: "127.0.0.1:9", State: "S1(full)", Load: 0.5, Gen: 7}}},
 		&Request{Op: "gossip", Digests: []NodeDigest{}},
 		&Request{Op: "forecast", Names: []string{"a", "", "c"}, HorizonMS: 3600000},
 		&Request{Op: "list", Limit: 32},
-		&Request{Op: "list", Limit: -1, Gen: math.MinInt64, Load: math.SmallestNonzeroFloat64},
+		&Request{Op: "list", Limit: -1},
+		&Request{Op: "heartbeat_batch", Digests: []NodeDigest{{Name: "n", Load: math.SmallestNonzeroFloat64, Gen: math.MinInt64}}},
 		&Request{},
 		list, forecasts,
 		&Response{OK: false, Error: "registry overloaded, retry later", RetryAfterMS: 200},
@@ -538,11 +540,11 @@ func TestWireEncodeGolden(t *testing.T) {
 		&Request{Op: "submit", Job: &JobSpec{Name: "j"}},
 		&Request{Op: "sethost", HostLoad: 0.5},
 		&Request{Op: "sethost", HostMemMB: 64},
-		&Request{Op: "register", Name: `a"b`},
-		&Request{Op: "register", Name: "a<b"},
-		&Request{Op: "register", Name: "café"},
-		&Request{Op: "register", Name: "tab\t"},
-		&Request{Op: "heartbeat", Load: math.NaN()},
+		&Request{Op: "register_batch", Digests: []NodeDigest{{Name: `a"b`}}},
+		&Request{Op: "register_batch", Digests: []NodeDigest{{Name: "a<b"}}},
+		&Request{Op: "register_batch", Digests: []NodeDigest{{Name: "café"}}},
+		&Request{Op: "register_batch", Digests: []NodeDigest{{Name: "tab\t"}}},
+		&Request{Op: "heartbeat_batch", Digests: []NodeDigest{{Load: math.NaN()}}},
 		&Request{Op: "heartbeat_batch", Digests: []NodeDigest{{Name: "a", Load: math.Inf(-1)}}},
 		&Request{Op: "forecast", Names: []string{"a&b"}},
 		&Response{OK: true, Info: &NodeStatus{}},
@@ -741,7 +743,7 @@ func wireExchange(t *testing.T, addr string, segments ...string) (Response, time
 
 func TestServeConnWireBoundaries(t *testing.T) {
 	reg := startRegistry(t, time.Minute)
-	reg2, err := NewRegistryWithLimits("127.0.0.1:0", time.Minute, Limits{MaxMessageBytes: 256})
+	reg2, err := NewRegistryWithOptions("127.0.0.1:0", RegistryOptions{TTL: time.Minute, Limits: Limits{MaxMessageBytes: 256}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -768,7 +770,7 @@ func TestServeConnWireBoundaries(t *testing.T) {
 	if resp, _ := wireExchange(t, reg.Addr(), append(segs, batch[prev:])...); !resp.OK {
 		t.Fatalf("segmented batch refused: %+v", resp)
 	}
-	nodes, err := (&Client{RegistryAddr: reg.Addr()}).List(ctx)
+	nodes, err := (&Client{Shards: []string{reg.Addr()}}).List(ctx)
 	if err != nil || len(nodes) != 50 {
 		t.Fatalf("segmented batch registered %d nodes, %v", len(nodes), err)
 	}
