@@ -35,11 +35,13 @@ test:
 race:
 	$(GO) test -race ./internal/par/ ./internal/ishare/ ./internal/monitor/ ./internal/testbed/ ./internal/contention/ ./internal/trace/ ./internal/chaos/ ./internal/availability/ ./internal/check/ ./internal/forecast/ ./internal/loadgen/ ./internal/markov/ ./internal/predict/ ./internal/stats/
 
-# Differential correctness harness: 200 randomized seeds replayed through
-# the naive reference model and the optimized detector/controller/testbed
-# paths, which must agree exactly (see internal/check).
+# Differential correctness gate, a test: TestDifferential replays 200
+# randomized seeds through the naive reference model and the optimized
+# detector/controller/testbed/analyzer/forecast paths, which must agree
+# exactly, and asserts how much ground the sweep covered (its nine counts,
+# printed with -v; see internal/check).
 check:
-	$(GO) run ./cmd/fgcs-check
+	$(GO) test -count 1 -run '^TestDifferential$$' -v ./internal/check/
 
 # Short native-fuzz smokes over the committed corpus plus a few seconds of
 # newly generated input; longer sessions just raise -fuzztime. The target
@@ -86,19 +88,20 @@ loadtest-smoke:
 # Forecast-driven scheduling smoke: the fixed-seed replay evaluation
 # (proactive checkpoint/migrate must waste >= 10% less guest CPU than the
 # reactive baseline at equal-or-better throughput; exits nonzero on a
-# gate miss) plus the forecast differential, which pins the incremental
+# gate miss) plus the differential, whose forecast leg pins the incremental
 # forecaster's ring, the batch-trained predictors and the naive reference
-# equal (1e-9) on every seed.
+# equal (1e-9) on every testbed seed.
 forecast-smoke:
 	$(GO) run ./cmd/fgcs-loadtest -forecast
-	$(GO) test -run 'TestRunSmoke' -count 1 ./internal/check/
+	$(GO) test -run '^TestDifferential$$' -count 1 ./internal/check/
 
 # Generative-model smoke: the fit -> generate -> refit round trip on its
 # three fixed seeds (transition rates and interval ECDFs must be recovered
 # within the E24 tolerances) plus the scenario legality and stream
-# differential on two fixed seeds.
+# differential on two fixed seeds (the stream differential holds the
+# analyzer to the naive oracles, so it lives in internal/check).
 markov-smoke:
-	$(GO) test -count 1 -run 'TestFitGenerateRefitRoundTrip|TestScenarioTracesAreLegal|TestScenarioStreamDifferential' ./internal/markov/
+	$(GO) test -count 1 -run 'TestFitGenerateRefitRoundTrip|TestScenarioTracesAreLegal|TestScenarioStreamDifferential' ./internal/markov/ ./internal/check/
 
 # A short benchmark pass that exercises the performance-critical paths
 # without producing stable numbers; full runs go through bash bench/run.sh.

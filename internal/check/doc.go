@@ -1,9 +1,9 @@
 // Package check is the correctness-verification harness for the five-state
-// availability model: a deliberately naive reference implementation of the
-// paper's semantics (Reference), a randomized differential driver (Run)
-// that holds the production Detector, Controller, the testbed's
-// span-skipping runner and the trace codec to the reference's answers, and
-// fuzz targets covering the same surfaces.
+// availability model, and it is test code only: this is its one non-test
+// file. Its tests hold the optimized paths — detector, controller, testbed
+// runner, trace codecs and indexes, analyzers, forecasters — to a naive
+// reference of the paper's semantics and naive oracles of every analysis:
+// TestDifferential (make check), the fixed-input tests and four fuzz targets.
 //
 // The reference trades every optimization for obviousness — it keeps the
 // whole observation history and re-derives spike windows by scanning it —

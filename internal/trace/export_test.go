@@ -5,20 +5,13 @@ import (
 	"encoding/binary"
 )
 
-// The oracle-backed tests live in package trace_test: they import
-// internal/check for the reference implementations, and check imports this
-// package. These aliases hand them the in-package fixtures.
-var (
-	RandomTrace = randomTrace
-	MkEvent     = mkEvent
-	Span        = span
-)
+// RandomTrace hands the in-package fixture to forged_test.go, which is
+// package trace_test because it imports internal/predict, and predict
+// imports this package.
+var RandomTrace = randomTrace
 
 // MaxEventsHint is the cap on capacities taken from a block directory.
 const MaxEventsHint = maxEventsHint
-
-// MaxRowHours is the longest hourly row an index builds for a machine.
-const MaxRowHours = maxRowHours
 
 // ForgeDirectoryCounts returns a copy of the cleanly closed v2 file b whose
 // directory claims count events for every block. Blocks, offsets, summaries,
