@@ -113,7 +113,7 @@ var artefacts = []artefact{
 	}},
 	{name: "e11-proactive", input: mixedTrace, gen: func(tr *trace.Trace) (string, error) {
 		cfg := artefactJobs()
-		results, err := gsched.Compare(tr, gsched.DefaultPolicies(tr, cfg, 1), cfg)
+		results, err := gsched.Compare(predict.NewTraceHistory(tr), gsched.DefaultPolicies(tr, cfg, 1), cfg)
 		return gsched.FormatResults(results), err
 	}},
 	{name: "e12-curve", input: labTrace, gen: func(tr *trace.Trace) (string, error) {
@@ -123,12 +123,12 @@ var artefacts = []artefact{
 	}},
 	{name: "e13-migration", input: mixedTrace, gen: func(tr *trace.Trace) (string, error) {
 		cfg := artefactJobs()
-		pol := gsched.TrainedPredictive(tr, cfg)
-		plain, err := gsched.Simulate(tr, pol, cfg)
+		pol, truth := gsched.TrainedPredictive(tr, cfg), predict.NewTraceHistory(tr)
+		plain, err := gsched.Simulate(truth, pol, cfg)
 		if err != nil {
 			return "", err
 		}
-		mig, err := gsched.SimulateMigrating(tr, pol, pol, cfg, gsched.DefaultMigrationConfig())
+		mig, err := gsched.SimulateMigrating(truth, pol, pol, cfg, gsched.DefaultMigrationConfig())
 		return gsched.FormatResults([]gsched.Result{plain, mig}), err
 	}},
 	{name: "e14-calibration", input: labTrace, gen: func(tr *trace.Trace) (string, error) {

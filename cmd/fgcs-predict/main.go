@@ -97,13 +97,14 @@ func main() {
 		cfg := gsched.DefaultConfig()
 		cfg.Jobs = *jobs
 		cfg.TrainDays = *trainDays
-		results, err := gsched.Compare(tr, gsched.DefaultPolicies(tr, cfg, *seed), cfg)
+		truth := predict.NewTraceHistory(tr)
+		results, err := gsched.Compare(truth, gsched.DefaultPolicies(tr, cfg, *seed), cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
 		if *migrate {
 			pol := gsched.TrainedPredictive(tr, cfg)
-			mig, err := gsched.SimulateMigrating(tr, pol, pol, cfg, gsched.DefaultMigrationConfig())
+			mig, err := gsched.SimulateMigrating(truth, pol, pol, cfg, gsched.DefaultMigrationConfig())
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -20,9 +20,8 @@ import (
 // They were the production implementations once; they live here, in test
 // code, one copy each, so that every differential leg has something
 // independent to agree with — production code has exactly one analyzer
-// (trace.StreamAnalyzer), one query layer (trace.Index and
-// trace.BlockIndex), one estimator (internal/predict) and one runner
-// (testbed.RunSharded). Nothing here
+// (trace.StreamAnalyzer), one query layer (trace.Index), one estimator
+// (internal/predict) and one runner (testbed.RunSharded). Nothing here
 // shares logic with those: the oracles re-derive every answer from the raw
 // event slice or the raw observation stream.
 

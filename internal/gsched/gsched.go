@@ -277,12 +277,14 @@ type Result struct {
 	SavedWork time.Duration
 }
 
-// Simulate replays the job stream against the trace under one policy.
-// The same (trace, cfg) pair presents an identical job stream to every
-// policy — and to SimulateMigrating and SimulateProactive — so results are
-// directly comparable.
-func Simulate(tr *trace.Trace, policy Policy, cfg Config) (Result, error) {
-	return simulate(tr, tr.BuildIndex(), policy, cfg, nil)
+// Simulate replays the job stream against the trace under one policy; truth
+// is the whole trace's history (predict.NewTraceHistory), built once per
+// trace and shared by every simulation over it. The same (trace, cfg) pair
+// presents an identical job stream to every policy — and to
+// SimulateMigrating and SimulateProactive — so results are directly
+// comparable.
+func Simulate(truth *predict.TraceHistory, policy Policy, cfg Config) (Result, error) {
+	return simulate(truth, policy, cfg, nil)
 }
 
 // review is the optional step a running job takes after every `every` of
@@ -301,22 +303,22 @@ type review struct {
 // simulate is the one replay loop: validate, pre-draw the job stream in
 // arrival order (so every policy and every review variant sees the same
 // jobs, and stateful policies observe failures in time order), run each
-// job against the ground-truth index, aggregate. Compare passes one index
-// to amortize its build across policies.
-func simulate(tr *trace.Trace, ix *trace.Index, policy Policy, cfg Config, rv *review) (Result, error) {
+// job against the ground truth, aggregate.
+func simulate(truth *predict.TraceHistory, policy Policy, cfg Config, rv *review) (Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	testStart := tr.Span.Start + sim.Time(cfg.TrainDays)*sim.Day
-	if testStart >= tr.Span.End {
+	span := truth.Span()
+	testStart := span.Start + sim.Time(cfg.TrainDays)*sim.Day
+	if testStart >= span.End {
 		return Result{}, fmt.Errorf("gsched: training period consumes the trace span")
 	}
 	jobRNG := sim.NewSource(cfg.Seed).Stream("gsched/jobs")
 	jobs := make([]JobStat, cfg.Jobs)
 	for i := range jobs {
 		jobs[i] = JobStat{
-			Arrival: testStart + sim.Uniform(jobRNG, 0, tr.Span.End-testStart),
+			Arrival: testStart + sim.Uniform(jobRNG, 0, span.End-testStart),
 			Work:    sim.Uniform(jobRNG, cfg.JobWork[0], cfg.JobWork[1]),
 		}
 	}
@@ -328,7 +330,7 @@ func simulate(tr *trace.Trace, ix *trace.Index, policy Policy, cfg Config, rv *r
 	}
 	var responses, slowdowns []float64
 	for _, jb := range jobs {
-		stat := runJob(ix, policy, cfg, rv, tr.Machines, tr.Span.End, jb, &res)
+		stat := runJob(truth.Index, policy, cfg, rv, truth.Machines(), span.End, jb, &res)
 		if !stat.Done {
 			res.Unfinished++
 			continue
@@ -419,13 +421,11 @@ func runJob(ix *trace.Index, policy Policy, cfg Config, rv *review, machines int
 	return stat
 }
 
-// Compare runs every policy against the same trace and job stream. The
-// ground-truth index is built once and shared across policies.
-func Compare(tr *trace.Trace, policies []Policy, cfg Config) ([]Result, error) {
-	ix := tr.BuildIndex()
+// Compare runs every policy against the same ground truth and job stream.
+func Compare(truth *predict.TraceHistory, policies []Policy, cfg Config) ([]Result, error) {
 	var out []Result
 	for _, p := range policies {
-		r, err := simulate(tr, ix, p, cfg, nil)
+		r, err := simulate(truth, p, cfg, nil)
 		if err != nil {
 			return nil, err
 		}

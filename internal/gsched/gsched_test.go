@@ -36,7 +36,8 @@ func TestConfigValidation(t *testing.T) {
 func TestSimulateOnCleanTrace(t *testing.T) {
 	tr := trace.New(sim.Window{End: 40 * sim.Day}, sim.Calendar{}, 4)
 	cfg := Config{Jobs: 50, JobWork: [2]time.Duration{time.Hour, 2 * time.Hour}, TrainDays: 7, Seed: 3}
-	res, err := Simulate(tr, &RoundRobin{}, cfg)
+	truth := predict.NewTraceHistory(tr)
+	res, err := Simulate(truth, &RoundRobin{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +75,12 @@ func TestPredictiveAvoidsHostileMachine(t *testing.T) {
 	cfg := Config{Jobs: 60, JobWork: [2]time.Duration{3 * time.Hour, 4 * time.Hour}, TrainDays: 14, Seed: 5}
 	hw := &predict.HistoryWindow{}
 	hw.Train(predict.NewTraceHistory(tr.Before(tr.Span.Start + 14*sim.Day)))
-	pred, err := Simulate(tr, &Predictive{P: hw}, cfg)
+	truth := predict.NewTraceHistory(tr)
+	pred, err := Simulate(truth, &Predictive{P: hw}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := Simulate(tr, &RoundRobin{}, cfg)
+	rr, err := Simulate(truth, &RoundRobin{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,13 +117,14 @@ func TestCheckpointingReducesWaste(t *testing.T) {
 	cfg := Config{Jobs: 30, JobWork: [2]time.Duration{3 * time.Hour, 3 * time.Hour}, TrainDays: 1, Seed: 8}
 
 	cfgNo := cfg
-	noCkpt, err := Simulate(tr, &hostileOnly{}, cfgNo)
+	truth := predict.NewTraceHistory(tr)
+	noCkpt, err := Simulate(truth, &hostileOnly{}, cfgNo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgCk := cfg
 	cfgCk.Checkpoint = 30 * time.Minute
-	withCkpt, err := Simulate(tr, &hostileOnly{}, cfgCk)
+	withCkpt, err := Simulate(truth, &hostileOnly{}, cfgCk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +174,8 @@ func TestProactiveBeatsOblivious(t *testing.T) {
 	tr := heterogeneousTrace(t)
 	cfg := DefaultConfig()
 	cfg.Jobs = 300
-	results, err := Compare(tr, DefaultPolicies(tr, cfg, 1), cfg)
+	truth := predict.NewTraceHistory(tr)
+	results, err := Compare(truth, DefaultPolicies(tr, cfg, 1), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,14 +211,15 @@ func TestMinResponsePolicyAvoidsHostileMachine(t *testing.T) {
 	hw := &predict.HistoryWindow{}
 	hw.Train(predict.NewTraceHistory(tr.Before(tr.Span.Start + 14*sim.Day)))
 	pol := &MinResponse{E: &predict.ResponseEstimator{P: hw, Seed: 5, Samples: 60}}
-	res, err := Simulate(tr, pol, cfg)
+	truth := predict.NewTraceHistory(tr)
+	res, err := Simulate(truth, pol, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.TotalFailures > 0 {
 		t.Errorf("min-expected-response failed %d times; machine 1 is always clean", res.TotalFailures)
 	}
-	rr, err := Simulate(tr, &RoundRobin{}, cfg)
+	rr, err := Simulate(truth, &RoundRobin{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

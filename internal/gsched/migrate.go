@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/predict"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -67,7 +68,7 @@ func (m MigrationConfig) Validate() error {
 // CheckEvery of progress the job moves, keeping its progress, when another
 // machine is clearly safer for the rest of it. Failures cost exactly what
 // they cost in Simulate.
-func SimulateMigrating(tr *trace.Trace, policy Policy, est SurvivalEstimator, cfg Config, mig MigrationConfig) (Result, error) {
+func SimulateMigrating(truth *predict.TraceHistory, policy Policy, est SurvivalEstimator, cfg Config, mig MigrationConfig) (Result, error) {
 	if err := mig.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -81,7 +82,7 @@ func SimulateMigrating(tr *trace.Trace, policy Policy, est SurvivalEstimator, cf
 			// it is handled explicitly: any machine with a defined
 			// estimate beats an undefined current one.
 			cur := est.Survival(now, remaining, m)
-			best, bestS := pickBest(tr.Machines, func(id trace.MachineID) float64 {
+			best, bestS := pickBest(truth.Machines(), func(id trace.MachineID) float64 {
 				return est.Survival(now, remaining, id)
 			})
 			if !math.IsNaN(bestS) && (math.IsNaN(cur) || (bestS > cur && bestS-cur >= mig.Margin)) {
@@ -90,5 +91,5 @@ func SimulateMigrating(tr *trace.Trace, policy Policy, est SurvivalEstimator, cf
 			return false, m
 		},
 	}
-	return simulate(tr, tr.BuildIndex(), policy, cfg, rv)
+	return simulate(truth, policy, cfg, rv)
 }

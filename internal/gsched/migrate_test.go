@@ -32,7 +32,8 @@ func TestMigratingOnCleanTraceMatchesPlain(t *testing.T) {
 	hw := &predict.HistoryWindow{}
 	hw.Train(predict.NewTraceHistory(tr.Before(7 * sim.Day)))
 	pol := &Predictive{P: hw}
-	res, err := SimulateMigrating(tr, pol, pol, cfg, DefaultMigrationConfig())
+	truth := predict.NewTraceHistory(tr)
+	res, err := SimulateMigrating(truth, pol, pol, cfg, DefaultMigrationConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +70,12 @@ func TestMigrationEscapesHostileMachine(t *testing.T) {
 	hw.Train(predict.NewTraceHistory(tr.Before(14 * sim.Day)))
 	pol := &Predictive{P: hw}
 
-	plain, err := Simulate(tr, &pinZero{}, cfg)
+	truth := predict.NewTraceHistory(tr)
+	plain, err := Simulate(truth, &pinZero{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mig, err := SimulateMigrating(tr, &pinZero{}, pol, cfg, MigrationConfig{
+	mig, err := SimulateMigrating(truth, &pinZero{}, pol, cfg, MigrationConfig{
 		CheckEvery: time.Hour, Delay: 2 * time.Minute, Margin: 0.2,
 	})
 	if err != nil {
@@ -110,12 +112,12 @@ func TestMigratingWithoutReviewsMatchesSimulate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("testbed simulation")
 	}
-	tr := heterogeneousTrace(t)
+	truth := predict.NewTraceHistory(heterogeneousTrace(t))
 	for _, cfg := range []Config{
 		{Jobs: 200, TrainDays: 28, Seed: 11},
 		{Jobs: 200, TrainDays: 28, Seed: 11, Checkpoint: 45 * time.Minute},
 	} {
-		want, err := Simulate(tr, &LeastRecentlyFailed{}, cfg)
+		want, err := Simulate(truth, &LeastRecentlyFailed{}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +126,7 @@ func TestMigratingWithoutReviewsMatchesSimulate(t *testing.T) {
 		}
 		mig := DefaultMigrationConfig()
 		mig.CheckEvery = DefaultConfig().JobWork[1] + time.Hour
-		got, err := SimulateMigrating(tr, &LeastRecentlyFailed{}, ForecastEstimator{F: &predict.GlobalRate{}}, cfg, mig)
+		got, err := SimulateMigrating(truth, &LeastRecentlyFailed{}, ForecastEstimator{F: &predict.GlobalRate{}}, cfg, mig)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/predict"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -131,9 +132,9 @@ func newProactiveMetrics(r *obs.Registry) *proactiveMetrics {
 // where the job runs next or how wrong the forecast turns out to be — and
 // then additionally moves when a clearly safer machine exists. Placement
 // and failure rules match Simulate exactly (same job stream, same
-// ground-truth index), so its Result is directly comparable against the
+// ground truth), so its Result is directly comparable against the
 // reactive baseline's: the difference is only what the reviews save.
-func SimulateProactive(tr *trace.Trace, policy Policy, est SurvivalEstimator, cfg Config, pro ProactiveConfig) (Result, error) {
+func SimulateProactive(truth *predict.TraceHistory, policy Policy, est SurvivalEstimator, cfg Config, pro ProactiveConfig) (Result, error) {
 	if err := pro.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -155,7 +156,7 @@ func SimulateProactive(tr *trace.Trace, policy Policy, est SurvivalEstimator, cf
 			danger := math.IsNaN(cur) || cur < pro.SurvivalFloor
 			best, bestS := m, math.NaN()
 			if danger {
-				best, bestS = pickBest(tr.Machines, func(id trace.MachineID) float64 {
+				best, bestS = pickBest(truth.Machines(), func(id trace.MachineID) float64 {
 					return est.Survival(now, horizon, id)
 				})
 			}
@@ -168,7 +169,7 @@ func SimulateProactive(tr *trace.Trace, policy Policy, est SurvivalEstimator, cf
 			return danger, m
 		},
 	}
-	res, err := simulate(tr, tr.BuildIndex(), policy, cfg, rv)
+	res, err := simulate(truth, policy, cfg, rv)
 	if err == nil && met != nil {
 		met.checkpoints.Add(uint64(res.Checkpoints))
 		met.migrations.Add(uint64(res.Migrations))

@@ -99,7 +99,8 @@ func TestMigratingNaNDoesNotPin(t *testing.T) {
 	tr := trace.New(sim.Window{End: 20 * sim.Day}, sim.Calendar{}, 2)
 	cfg := Config{Jobs: 10, JobWork: [2]time.Duration{2 * time.Hour, 3 * time.Hour}, TrainDays: 7, Seed: 11}
 	est := ForecastEstimator{F: scoreTable{math.NaN(), 0.9}}
-	res, err := SimulateMigrating(tr, pinPolicy{m: 0}, est, cfg, DefaultMigrationConfig())
+	truth := predict.NewTraceHistory(tr)
+	res, err := SimulateMigrating(truth, pinPolicy{m: 0}, est, cfg, DefaultMigrationConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +155,12 @@ func proactiveSetup(t *testing.T) (*trace.Trace, Config, *Predictive) {
 func TestProactiveBeatsReactive(t *testing.T) {
 	tr, cfg, pol := proactiveSetup(t)
 
-	reactive, err := Simulate(tr, pol, cfg)
+	truth := predict.NewTraceHistory(tr)
+	reactive, err := Simulate(truth, pol, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	proactive, err := SimulateProactive(tr, pol, pol, cfg, DefaultProactiveConfig())
+	proactive, err := SimulateProactive(truth, pol, pol, cfg, DefaultProactiveConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,14 +188,15 @@ func TestProactiveBeatsReactive(t *testing.T) {
 func TestProactiveMetricsNeutral(t *testing.T) {
 	tr, cfg, pol := proactiveSetup(t)
 
-	plain, err := SimulateProactive(tr, pol, pol, cfg, DefaultProactiveConfig())
+	truth := predict.NewTraceHistory(tr)
+	plain, err := SimulateProactive(truth, pol, pol, cfg, DefaultProactiveConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
 	pro := DefaultProactiveConfig()
 	pro.Metrics = reg
-	metered, err := SimulateProactive(tr, pol, pol, cfg, pro)
+	metered, err := SimulateProactive(truth, pol, pol, cfg, pro)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/forecast"
 	"repro/internal/gsched"
 	"repro/internal/obs"
+	"repro/internal/predict"
 	"repro/internal/sim"
 	"repro/internal/testbed"
 )
@@ -190,13 +191,14 @@ func RunForecast(cfg ForecastConfig) (*ForecastResult, error) {
 		Seed:       cfg.Seed,
 	}
 	pol := gsched.TrainedPredictive(tr, gcfg)
-	reactive, err := gsched.Simulate(tr, pol, gcfg)
+	truth := predict.NewTraceHistory(tr)
+	reactive, err := gsched.Simulate(truth, pol, gcfg)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: reactive baseline: %w", err)
 	}
 	pro := cfg.Proactive
 	pro.Metrics = cfg.Obs
-	proactive, err := gsched.SimulateProactive(tr, pol, gsched.ForecastEstimator{F: on}, gcfg, pro)
+	proactive, err := gsched.SimulateProactive(truth, pol, gsched.ForecastEstimator{F: on}, gcfg, pro)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: proactive run: %w", err)
 	}

@@ -84,7 +84,7 @@ func BenchmarkEvaluateAllPredictors(b *testing.B) {
 // below the rest.
 func BenchmarkScore(b *testing.B) {
 	tr := benchHistory(b)
-	ts, err := newTestSet(tr.Span, tr.Machines, NewTraceHistory(tr), EvalConfig{TrainDays: 28, Window: 3 * time.Hour})
+	ts, err := newTestSet(tr.Span, tr.Machines, tr.BuildIndex(), EvalConfig{TrainDays: 28, Window: 3 * time.Hour})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func WindowSensitivity(tr *trace.Trace, mk func() Predictor, windows []time.Dura
 		return nil, fmt.Errorf("predict: window sensitivity needs at least one window")
 	}
 	// Every window has the same cut: one truth and one history serve all.
-	truth := NewTraceHistory(tr)
+	truth := tr.BuildIndex()
 	var history *TraceHistory
 	var out []Score
 	for _, w := range windows {
@@ -68,7 +68,7 @@ type CalibrationBin struct {
 // predicted-probability bin, a calibrated predictor's observed failure
 // frequency matches the bin's mean prediction.
 func Calibration(tr *trace.Trace, p Predictor, cfg EvalConfig, bins int) ([]CalibrationBin, error) {
-	ts, err := newTestSet(tr.Span, tr.Machines, NewTraceHistory(tr), cfg)
+	ts, err := newTestSet(tr.Span, tr.Machines, tr.BuildIndex(), cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -76,13 +76,6 @@ type Evaluation struct {
 	Scores []Score
 }
 
-// truthSource answers the two ground-truth queries the evaluation needs;
-// *TraceHistory and *trace.BlockIndex both qualify.
-type truthSource interface {
-	CountInWindow(m trace.MachineID, w sim.Window) int
-	AnyOverlap(m trace.MachineID, w sim.Window) bool
-}
-
 // testSet is the shared test period of an evaluation: every (machine,
 // window) sample after the training cut with its ground truth. Every
 // evaluation entry point builds its test sets through newTestSet, so config
@@ -99,7 +92,9 @@ type testSet struct {
 // newTestSet validates cfg and enumerates the sliding test windows of the
 // first cfg.MaxMachines machines between the end of the cfg.TrainDays
 // training prefix and the span end, asking truth for each one's outcome.
-func newTestSet(span sim.Window, machines int, truth truthSource, cfg EvalConfig) (*testSet, error) {
+// The truth pass runs on par.For, one machine a task: the index is safe to
+// share, and each task writes only its machine's run of samples.
+func newTestSet(span sim.Window, machines int, truth *trace.Index, cfg EvalConfig) (*testSet, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -116,22 +111,23 @@ func newTestSet(span sim.Window, machines int, truth truthSource, cfg EvalConfig
 		windows = append(windows, sim.Window{Start: start, End: start + cfg.Window})
 	}
 	n := machines * len(windows)
-	ts.machines = make([]trace.MachineID, 0, n)
-	ts.windows = make([]sim.Window, 0, n)
-	ts.counts = make([]float64, 0, n)
-	ts.fail = make([]bool, 0, n)
-	for m := 0; m < machines; m++ {
-		id := trace.MachineID(m)
-		for _, w := range windows {
-			ts.machines = append(ts.machines, id)
-			ts.windows = append(ts.windows, w)
-			ts.counts = append(ts.counts, float64(truth.CountInWindow(id, w)))
-			ts.fail = append(ts.fail, truth.AnyOverlap(id, w))
-		}
-	}
-	if len(ts.windows) == 0 {
+	if n == 0 {
 		return nil, fmt.Errorf("predict: no test windows (window %v, span %v)", cfg.Window, span)
 	}
+	ts.machines = make([]trace.MachineID, n)
+	ts.windows = make([]sim.Window, n)
+	ts.counts = make([]float64, n)
+	ts.fail = make([]bool, n)
+	par.For(machines, 0, func(_ *struct{}, m int) error {
+		id := trace.MachineID(m)
+		for j, w := range windows {
+			k := m*len(windows) + j
+			ts.machines[k], ts.windows[k] = id, w
+			ts.counts[k] = float64(truth.CountInWindow(id, w))
+			ts.fail[k] = truth.AnyOverlap(id, w)
+		}
+		return nil
+	})
 	return ts, nil
 }
 
@@ -178,7 +174,7 @@ func (ts *testSet) evaluate(history *TraceHistory, preds []Predictor) *Evaluatio
 // Evaluate trains each predictor on the trace prefix and scores it over
 // sliding windows of the remaining test period.
 func Evaluate(tr *trace.Trace, preds []Predictor, cfg EvalConfig) (*Evaluation, error) {
-	ts, err := newTestSet(tr.Span, tr.Machines, NewTraceHistory(tr), cfg)
+	ts, err := newTestSet(tr.Span, tr.Machines, tr.BuildIndex(), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -187,13 +183,13 @@ func Evaluate(tr *trace.Trace, preds []Predictor, cfg EvalConfig) (*Evaluation, 
 
 // EvaluateBlocks is Evaluate over a v2 block file: training history is read
 // through a block-pruned scan (blocks entirely past the training cut are
-// never decoded) and ground truth is answered by the lazy BlockIndex, which
+// never decoded) and ground truth is answered by the file's index, which
 // decodes only each queried machine's blocks. Scores are identical to
 // Evaluate over the decoded trace.
 func EvaluateBlocks(bf *trace.BlockFile, preds []Predictor, cfg EvalConfig) (*Evaluation, error) {
 	h := bf.Header()
-	// The ground-truth queries and the history scan go through one shared
-	// BlockIndex, so any block both need is inflated only once.
+	// The ground-truth queries and the history scan go through one index,
+	// so any block both need is inflated only once.
 	ix := trace.NewBlockIndex(bf)
 	ts, err := newTestSet(h.Span, h.Machines, ix, cfg)
 	if err != nil {

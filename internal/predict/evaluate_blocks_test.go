@@ -38,7 +38,7 @@ func blocksFixture(t *testing.T) (*trace.Trace, *trace.BlockFile) {
 
 // TestEvaluateBlocksMatchesEvaluate pins the block-routed evaluation:
 // reading training history through the pruned scan and ground truth through
-// the lazy BlockIndex must score every predictor identically to the
+// the file's lazy index must score every predictor identically to the
 // in-memory path.
 func TestEvaluateBlocksMatchesEvaluate(t *testing.T) {
 	tr, bf := blocksFixture(t)

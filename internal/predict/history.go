@@ -30,9 +30,10 @@ func known(h History, m trace.MachineID) bool {
 	return h != nil && m >= 0 && int(m) < h.Machines()
 }
 
-// TraceHistory is the History over a recorded trace, and the evaluation's
-// ground truth: the trace and its index, built once by NewTraceHistory and
-// only read after, so predictors on any number of goroutines share one.
+// TraceHistory is the History over a recorded trace, and gsched's ground
+// truth: the trace and its index, made once by NewTraceHistory and shared
+// after — the index is safe for concurrent readers, so predictors and
+// simulations on any number of goroutines share one.
 type TraceHistory struct {
 	tr *trace.Trace
 	*trace.Index

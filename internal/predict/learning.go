@@ -33,7 +33,7 @@ func LearningCurve(tr *trace.Trace, mk func() Predictor, trainDays []int, cfg Ev
 		}
 		cfg.TrainDays = max(cfg.TrainDays, d)
 	}
-	ts, err := newTestSet(tr.Span, tr.Machines, NewTraceHistory(tr), cfg)
+	ts, err := newTestSet(tr.Span, tr.Machines, tr.BuildIndex(), cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -113,13 +113,6 @@ func lowVarCount(r *rand.Rand, m float64) int {
 	return n
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // planMachine generates every load contribution and outage for one machine
 // over the whole traced span.
 func planMachine(cfg Config, r *rand.Rand) (contribs []contribution, outages []outage) {

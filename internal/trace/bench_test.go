@@ -12,12 +12,17 @@ import (
 	"repro/internal/sim"
 )
 
+// BenchmarkBuildIndex is a whole index over a trace: the sorted copy, then
+// every machine's layout, which its first query builds.
 func BenchmarkBuildIndex(b *testing.B) {
 	tr := randomTrace(1, 9000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.BuildIndex()
+		ix := tr.BuildIndex()
+		for m := range tr.Machines {
+			ix.CountInWindow(MachineID(m), tr.Span)
+		}
 	}
 }
 
@@ -231,7 +236,7 @@ func BenchmarkAnalyzeBlockFiles(b *testing.B) {
 }
 
 // BenchmarkBlockIndexFirstTouch is what the first point query on a machine
-// costs a fresh BlockIndex: decode its blocks, lay out its sub-index.
+// costs a fresh block index: decode its blocks, lay out the machine.
 func BenchmarkBlockIndexFirstTouch(b *testing.B) {
 	bf := openBenchShard(b)
 	w := sim.Window{Start: 100 * sim.Day, End: 100*sim.Day + 3*time.Hour}
@@ -247,7 +252,7 @@ func BenchmarkBlockIndexFirstTouch(b *testing.B) {
 }
 
 // BenchmarkBlockIndexQueryMix is one window's five point queries on a warm
-// BlockIndex — every block decoded, every sub-index laid out — over 3-hour
+// block index — every block decoded, every machine laid out — over 3-hour
 // windows at a 2-hour stride, one machine's windows before the next: the
 // query bodies alone.
 func BenchmarkBlockIndexQueryMix(b *testing.B) {

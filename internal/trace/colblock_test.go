@@ -424,19 +424,24 @@ func mixedTrace(seed int64) *Trace {
 	return tr
 }
 
-// TestBlockIndexMatchesIndex holds the lazy block index to the in-memory one
-// on all five queries, asked in interleaved machine order, at two layouts, 60
-// and 400 events a block, over a trace whose machines run from a few events
-// to more than a block. At each layout small machines share blocks, some
-// machines sit whole inside a block — and are indexed in place, as a
-// sub-slice of the cached block — and others straddle blocks. At each layout
-// two indexes run at once over one BlockFile, the sharing BlockIndex's
-// comment promises (make race, make bench-parallel); each must decode every
-// block it touched exactly once and leave every cached block as a fresh
-// decode reads it.
+// TestBlockIndexMatchesIndex holds the index to one answer a query,
+// whatever its source and however many goroutines share it. One index over
+// the trace (BuildIndex) and one over each of two block layouts, 60 and 400
+// events a block (NewBlockIndex), is shared by 1, 4 and 8 goroutines that
+// each ask all 500 random queries from their own offset; every answer must
+// be a serial BuildIndex's. At each layout small machines share blocks, some
+// sit whole inside a block — indexed in place, as a sub-slice of the cached
+// block — and others straddle blocks. A shared block index must decode each
+// block the queries touched exactly once, at any number of readers, and
+// leave every cached block as a fresh decode reads it; a trace index decodes
+// nothing. make race and make bench-parallel run it under -race.
 func TestBlockIndexMatchesIndex(t *testing.T) {
 	tr := mixedTrace(55)
-	ref := tr.BuildIndex()
+	qs := randomPointQueries(tr, 99, 500)
+	want := askAll(tr.BuildIndex(), qs)
+	for _, readers := range []int{1, 4, 8} {
+		checkSharedIndex(t, nil, tr.BuildIndex(), qs, want, readers)
+	}
 	for _, blockSize := range []int{60, 400} {
 		bf, err := NewBlockFileBytes(v2Bytes(t, tr, &BlockWriterOptions{BlockSize: blockSize}))
 		if err != nil {
@@ -465,15 +470,9 @@ func TestBlockIndexMatchesIndex(t *testing.T) {
 		if shared == 0 || whole == 0 || straddling == 0 {
 			t.Fatalf("block size %d: %d machines sit in one block, %d straddle blocks, %d blocks are shared", blockSize, whole, straddling, shared)
 		}
-		var wg sync.WaitGroup
-		for _, seed := range []int64{99, 100} {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				queryBlockIndex(t, tr, ref, bf, seed)
-			}()
+		for _, readers := range []int{1, 4, 8} {
+			checkSharedIndex(t, bf, NewBlockIndex(bf), qs, want, readers)
 		}
-		wg.Wait()
 		one := NewBlockIndex(bf)
 		one.CountInWindow(0, sim.Window{Start: 0, End: sim.Day})
 		if one.BlocksDecoded() >= bf.NumBlocks() {
@@ -482,62 +481,105 @@ func TestBlockIndexMatchesIndex(t *testing.T) {
 	}
 }
 
-// queryBlockIndex asks a fresh BlockIndex over bf 500 random queries of each
-// kind and compares every answer with ref's. It runs beside another of
-// itself, so it reports with Errorf and returns, never Fatal.
-func queryBlockIndex(t *testing.T, tr *Trace, ref *Index, bf *BlockFile, seed int64) {
-	bix := NewBlockIndex(bf)
+// pointQuery is a machine and a window; pointAnswer is what the five point
+// queries say of it, NextEventAfter and LastEndBefore at the window start.
+type pointQuery struct {
+	m MachineID
+	w sim.Window
+}
+
+type pointAnswer struct {
+	first   Event
+	firstOK bool
+	count   int
+	any     bool
+	next    Event
+	nextOK  bool
+	last    sim.Time
+	lastOK  bool
+}
+
+func ask(ix *Index, q pointQuery) (a pointAnswer) {
+	a.first, a.firstOK = ix.FirstOverlap(q.m, q.w)
+	a.count = ix.CountInWindow(q.m, q.w)
+	a.any = ix.AnyOverlap(q.m, q.w)
+	a.next, a.nextOK = ix.NextEventAfter(q.m, q.w.Start)
+	a.last, a.lastOK = ix.LastEndBefore(q.m, q.w.Start)
+	return a
+}
+
+// askAll asks ix every query in order, on the calling goroutine.
+func askAll(ix *Index, qs []pointQuery) []pointAnswer {
+	out := make([]pointAnswer, len(qs))
+	for i, q := range qs {
+		out[i] = ask(ix, q)
+	}
+	return out
+}
+
+// randomPointQueries draws n queries on tr's machines: windows of up to 12
+// hours starting in its first 92 days.
+func randomPointQueries(tr *Trace, seed int64, n int) []pointQuery {
 	rng := rand.New(rand.NewSource(seed))
+	qs := make([]pointQuery, n)
+	for i := range qs {
+		start := sim.Time(rng.Int63n(int64(92 * sim.Day)))
+		qs[i] = pointQuery{
+			m: MachineID(rng.Intn(tr.Machines)),
+			w: sim.Window{Start: start, End: start + sim.Time(rng.Int63n(int64(12*time.Hour)))},
+		}
+	}
+	return qs
+}
+
+// checkSharedIndex has readers goroutines share ix, each asking every query
+// of qs from its own offset, and holds every answer to want. Then, over a
+// block file (bf non-nil), it holds ix to one decode per distinct block the
+// queries touched and each cached block to a fresh decode of it; over a
+// trace, to no decode.
+func checkSharedIndex(t *testing.T, bf *BlockFile, ix *Index, qs []pointQuery, want []pointAnswer, readers int) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for r := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range qs {
+				i := (k + r*len(qs)/readers) % len(qs)
+				if got := ask(ix, qs[i]); got != want[i] {
+					t.Errorf("%d readers: machine %d, window %v: got %+v, want %+v", readers, qs[i].m, qs[i].w, got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := ix.Err(); err != nil {
+		t.Fatal(err)
+	}
 	touched := make(map[int]bool)
-	for i := 0; i < 500; i++ {
-		m := MachineID(rng.Intn(tr.Machines))
-		for b := 0; b < bf.NumBlocks(); b++ {
-			if bf.Block(b).hasMachine(m) {
+	for _, q := range qs {
+		for b := 0; bf != nil && b < bf.NumBlocks(); b++ {
+			if bf.Block(b).hasMachine(q.m) {
 				touched[b] = true
 			}
 		}
-		start := sim.Time(rng.Int63n(int64(92 * sim.Day)))
-		w := sim.Window{Start: start, End: start + sim.Time(rng.Int63n(int64(12*time.Hour)))}
-		gotE, gotOK := bix.FirstOverlap(m, w)
-		if wantE, wantOK := ref.FirstOverlap(m, w); gotOK != wantOK || gotE != wantE {
-			t.Errorf("FirstOverlap(%d, %v): got (%+v, %v), want (%+v, %v)", m, w, gotE, gotOK, wantE, wantOK)
-			return
-		}
-		if got, want := bix.CountInWindow(m, w), ref.CountInWindow(m, w); got != want {
-			t.Errorf("CountInWindow(%d, %v) = %d, want %d", m, w, got, want)
-			return
-		}
-		if got, want := bix.AnyOverlap(m, w), ref.AnyOverlap(m, w); got != want {
-			t.Errorf("AnyOverlap(%d, %v) = %v, want %v", m, w, got, want)
-			return
-		}
-		gotE, gotOK = bix.NextEventAfter(m, start)
-		if wantE, wantOK := ref.NextEventAfter(m, start); gotOK != wantOK || gotE != wantE {
-			t.Errorf("NextEventAfter(%d, %v) mismatch", m, start)
-			return
-		}
-		gotT, gotOK := bix.LastEndBefore(m, start)
-		if wantT, wantOK := ref.LastEndBefore(m, start); gotOK != wantOK || gotT != wantT {
-			t.Errorf("LastEndBefore(%d, %v) mismatch", m, start)
-			return
-		}
 	}
-	if err := bix.Err(); err != nil {
-		t.Error(err)
+	if ix.BlocksDecoded() != len(touched) {
+		t.Errorf("%d readers: decoded %d blocks for %d distinct blocks touched", readers, ix.BlocksDecoded(), len(touched))
+	}
+	if bf == nil {
 		return
 	}
-	// One decode per distinct block touched, however many machines share it
-	// and however the queries interleave.
-	if bix.BlocksDecoded() != len(touched) || len(bix.blocks) != len(touched) {
-		t.Errorf("decoded %d blocks and cached %d for %d distinct blocks touched", bix.BlocksDecoded(), len(bix.blocks), len(touched))
+	if len(ix.blocks) != len(touched) {
+		t.Errorf("%d readers: cached %d blocks for %d distinct blocks touched", readers, len(ix.blocks), len(touched))
 	}
-	// The sub-indexes alias the cached blocks; nothing may have written
+	// The layouts alias the cached blocks; nothing may have written
 	// through them.
-	for b, cached := range bix.blocks {
+	for b, cached := range ix.blocks {
 		fresh, err := bf.DecodeBlock(b, &BlockBuf{})
 		if err != nil {
-			t.Error(err)
-			return
+			t.Fatal(err)
 		}
 		if !slices.Equal(cached, fresh) {
 			t.Errorf("cached block %d no longer reads as a fresh decode of it", b)
@@ -545,9 +587,57 @@ func queryBlockIndex(t *testing.T, tr *Trace, ref *Index, bf *BlockFile, seed in
 	}
 }
 
+// TestIndexSlotsIgnoreHeaderMachines: a header's machine count is outside
+// input, so an index sizes nothing from it. Built and asked about every
+// machine, and about the last one the header names, an index over a file
+// whose header claims 2²⁰ machines — the most a reader opens; 2⁴⁰ is
+// refused at open (TestForgedHeaderMachinesAreRefused) — and one over a
+// trace that claims 2⁴⁰ must allocate no more than over the honest count.
+func TestIndexSlotsIgnoreHeaderMachines(t *testing.T) {
+	honest := mixedTrace(60)
+	allocated := func(claims int, build func() *Index) uint64 {
+		var least uint64 = math.MaxUint64
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			ix := build()
+			for m := range honest.Machines {
+				ix.CountInWindow(MachineID(m), honest.Span)
+			}
+			ix.CountInWindow(MachineID(claims-1), honest.Span)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	for _, claims := range []int{maxMachines, 1 << 40} {
+		forged := honest.Clone()
+		forged.Machines = claims
+		want := allocated(honest.Machines, honest.BuildIndex)
+		if got := allocated(claims, forged.BuildIndex); got > want {
+			t.Errorf("a trace claiming %d machines: its index allocated %d bytes, %d over the honest trace's", claims, got, got-want)
+		}
+		if claims > maxMachines {
+			continue
+		}
+		honestFile, err := NewBlockFileBytes(v2Bytes(t, honest, &BlockWriterOptions{BlockSize: 60}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		forgedFile, err := NewBlockFileBytes(v2Bytes(t, forged, &BlockWriterOptions{BlockSize: 60}))
+		if err != nil || forgedFile.Header().Machines != claims {
+			t.Fatalf("the forgery did not open on its machine count: %v", err)
+		}
+		want = allocated(honest.Machines, func() *Index { return NewBlockIndex(honestFile) })
+		if got := allocated(claims, func() *Index { return NewBlockIndex(forgedFile) }); got > want {
+			t.Errorf("a file claiming %d machines: its index allocated %d bytes, %d over the honest file's", claims, got, got-want)
+		}
+	}
+}
+
 // TestForgedSpanRowsAreCapped: a header's span is outside input, and every
 // machine's hourly row is sized from it. A file claiming [-2⁶³, 2⁶³) ns must
-// build no row past maxRowHours, in BlockIndex or in BuildIndex over the
+// build no row past maxRowHours, in NewBlockIndex or in BuildIndex over the
 // trace it holds, must answer every query as the honest trace's Index (which
 // has rows) does, and must not cost more than its rows at the cap a machine.
 func TestForgedSpanRowsAreCapped(t *testing.T) {
@@ -575,6 +665,7 @@ func TestForgedSpanRowsAreCapped(t *testing.T) {
 	fix := forged.BuildIndex()
 	bix := NewBlockIndex(bf)
 	for m := range honest.Machines {
+		fix.CountInWindow(MachineID(m), honest.Span)
 		bix.CountInWindow(MachineID(m), honest.Span)
 	}
 	runtime.ReadMemStats(&after)
@@ -590,7 +681,8 @@ func TestForgedSpanRowsAreCapped(t *testing.T) {
 		}
 	}
 
-	queryBlockIndex(t, honest, ref, bf, 57)
+	qs := randomPointQueries(honest, 57, 500)
+	checkSharedIndex(t, bf, NewBlockIndex(bf), qs, askAll(ref, qs), 4)
 	rng := rand.New(rand.NewSource(58))
 	for i := 0; i < 2000; i++ {
 		m := MachineID(rng.Intn(honest.Machines))

@@ -10,7 +10,7 @@
 // and memory that remained available for guest jobs — exactly the fields
 // the paper's monitor recorded. Traces are stored in the FGCB v2 columnar
 // block format — written by BlockWriter, read only through BlockFile, which
-// ReadFile, AnalyzeBlockFiles, BlockIndex and predict.EvaluateBlocks all
+// ReadFile, AnalyzeBlockFiles, NewBlockIndex and predict.EvaluateBlocks all
 // open — and export to CSV (one event per line, human-inspectable, no
 // metadata). The v1 row codec keeps only its encoder, for the benchmark.
 //

@@ -147,7 +147,7 @@ func FuzzBlockFileBytes(f *testing.F) {
 		for m := 0; m < h.Machines; m++ {
 			if e, ok := ix.FirstOverlap(MachineID(m), h.Span); ok {
 				if err := e.Validate(); err != nil || e.Machine != MachineID(m) {
-					t.Fatalf("BlockIndex answered machine %d with %+v (%v)", m, e, err)
+					t.Fatalf("the index answered machine %d with %+v (%v)", m, e, err)
 				}
 			}
 		}

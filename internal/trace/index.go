@@ -1,22 +1,50 @@
 package trace
 
 import (
+	"cmp"
+	"fmt"
+	"math"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/sim"
 )
 
-// Index accelerates per-machine window queries over a trace from O(events)
-// to O(log events). Build it once per trace; it is immutable afterwards and
-// safe for concurrent readers.
+// Index answers per-machine point queries — FirstOverlap, CountInWindow,
+// AnyOverlap, NextEventAfter, LastEndBefore — in O(log events), over a trace
+// (BuildIndex, whose sorted copy is its one block, decoded already) or a v2
+// block file (NewBlockIndex), with the same answers for the same events. A
+// machine's layout is built on its first query, once, from the run of blocks
+// whose summaries admit it, each decoded at most once per index; after that
+// its queries take no lock, so any number of goroutines may share one index.
+//
+// An index holds, per machine asked about, its events (in place when they
+// sit in one block, copied when they straddle blocks), two time slices of
+// that length and at most 2¹⁶ hours of rows (maxRowHours); every block it
+// decoded; and an 8-byte slot a machine id, from the lowest id with events
+// to at most twice the highest asked about. Nothing is sized from the
+// header's machine count, which is outside input.
 type Index struct {
-	machines map[MachineID]*machinePointIndex
+	span   sim.Window
+	bf     *BlockFile  // nil over a trace
+	metas  []BlockMeta // block summaries, in file order
+	lo, hi MachineID   // machines outside [lo, hi] have no events
+
+	// slots holds machine lo+i's layout in slot i once built; it grows
+	// under mu, and a reader holding a superseded copy finds its slot
+	// empty and asks again under mu.
+	slots atomic.Pointer[[]atomic.Pointer[machinePointIndex]]
+
+	mu      sync.Mutex // guards what follows, and every build
+	buf     BlockBuf
+	blocks  map[int][]Event
+	decoded int
+	err     error
 }
 
-// machinePointIndex is one machine's events laid out for point queries. It
-// owns the layout, its construction and the query bodies; Index builds one
-// per machine eagerly and BlockIndex lazily, and both answer from it.
+// machinePointIndex is one machine's events laid out for point queries.
 type machinePointIndex struct {
 	byStart []Event    // sorted by (Start, End)
 	maxEnd  []sim.Time // prefix maxima of End over byStart
@@ -37,7 +65,7 @@ type machinePointIndex struct {
 // binary-search.
 const maxRowHours = 1 << 16
 
-// noEvents answers for machines the trace never mentions.
+// noEvents answers for machines the index holds no event of.
 var noEvents = &machinePointIndex{}
 
 // newMachinePointIndex lays out one machine's events, already sorted by
@@ -175,27 +203,169 @@ func (mi *machinePointIndex) lastEndBefore(t sim.Time) (sim.Time, bool) {
 	return mi.byEnd[k-1], true
 }
 
-// BuildIndex indexes the trace's events per machine, over one copy of them
-// sorted by (machine, start, end): each machine's run is its layout.
+// BuildIndex indexes the trace over one copy of its events sorted by
+// (machine, start, end): each machine's run in it is that machine's layout.
 func (t *Trace) BuildIndex() *Index {
 	evs := slices.Clone(t.Events)
 	slices.SortFunc(evs, eventCmp)
-	ix := &Index{machines: make(map[MachineID]*machinePointIndex)}
-	for lo, hi := 0, 0; lo < len(evs); lo = hi {
-		for hi = lo + 1; hi < len(evs) && evs[hi].Machine == evs[lo].Machine; hi++ {
+	return newIndex(t.Span, nil, []BlockMeta{summarize(evs)}, map[int][]Event{0: evs})
+}
+
+// NewBlockIndex indexes a v2 block file, decoding a block when a query
+// first needs it.
+func NewBlockIndex(bf *BlockFile) *Index {
+	return newIndex(bf.Header().Span, bf, bf.blocks, make(map[int][]Event))
+}
+
+func newIndex(span sim.Window, bf *BlockFile, metas []BlockMeta, blocks map[int][]Event) *Index {
+	ix := &Index{span: span, bf: bf, metas: metas, lo: math.MaxInt, hi: math.MinInt, blocks: blocks}
+	for _, b := range metas {
+		if b.Count > 0 {
+			ix.lo, ix.hi = min(ix.lo, b.MinMachine), max(ix.hi, b.MaxMachine)
 		}
-		mi := newMachinePointIndex(evs[lo:hi:hi])
-		mi.buildHours(t.Span)
-		ix.machines[evs[lo].Machine] = mi
 	}
+	ix.slots.Store(new([]atomic.Pointer[machinePointIndex]))
 	return ix
 }
 
-func (ix *Index) machine(m MachineID) *machinePointIndex {
-	if mi := ix.machines[m]; mi != nil {
-		return mi
+// BlocksDecoded returns how many block decodes all queries so far have cost
+// — the quantity the summaries exist to minimize. Over a trace it is 0.
+func (ix *Index) BlocksDecoded() int {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	return ix.decoded
+}
+
+// Err returns the first block decode error encountered, if any. Queries on
+// a machine whose blocks failed to decode answer from the events decoded
+// before the failure.
+func (ix *Index) Err() error {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	return ix.err
+}
+
+// block returns block i's decoded events, decoding on first touch and
+// keeping the slice it decoded into: the buffer's event slice is handed to
+// the cache and the next decode makes its own, so a block is inflated,
+// decoded and stored once, with no second copy. Small machines share
+// blocks and a big machine's tail can share the next one's, so without the
+// cache a sweep over the fleet would inflate those once per machine in them.
+// Cached blocks are only ever read — layouts alias them. ix.mu is held.
+func (ix *Index) block(i int) ([]Event, error) {
+	if evs, ok := ix.blocks[i]; ok {
+		return evs, nil
 	}
-	return noEvents
+	ix.decoded++
+	ix.buf.events = nil
+	events, err := ix.bf.DecodeBlock(i, &ix.buf)
+	if err != nil {
+		return nil, err
+	}
+	ix.blocks[i] = events
+	return events, nil
+}
+
+// AppendEvents appends to dst every event matching f, in file order,
+// decoding only the blocks the summaries cannot rule out. It reads through
+// the index's block cache — a block it decodes is free for later point
+// queries and vice versa.
+func (ix *Index) AppendEvents(dst []Event, f ScanFilter) ([]Event, error) {
+	for i, meta := range ix.metas {
+		if !f.AdmitBlock(meta) {
+			continue
+		}
+		ix.mu.Lock()
+		events, err := ix.block(i)
+		ix.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
+		for j := range events {
+			if f.AdmitEvent(events[j]) {
+				dst = append(dst, events[j])
+			}
+		}
+	}
+	return dst, nil
+}
+
+// machine returns m's layout, building it on m's first query. A machine
+// below lo wraps to a slot index past any slice.
+func (ix *Index) machine(m MachineID) *machinePointIndex {
+	if s, i := *ix.slots.Load(), uint(m-ix.lo); i < uint(len(s)) {
+		if mi := s[i].Load(); mi != nil {
+			return mi
+		}
+	}
+	return ix.build(m)
+}
+
+// build lays out m's events under ix.mu, unless a query that held it first
+// already did, and publishes the layout in m's slot, growing the slots to
+// reach it: at least doubling, and never past the blocks' machine range.
+func (ix *Index) build(m MachineID) *machinePointIndex {
+	if m < ix.lo || m > ix.hi {
+		return noEvents
+	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	i, s := int(m-ix.lo), *ix.slots.Load()
+	if i < len(s) {
+		if mi := s[i].Load(); mi != nil {
+			return mi
+		}
+	} else {
+		grown := make([]atomic.Pointer[machinePointIndex], min(max(i+1, 2*len(s)), int(ix.hi-ix.lo)+1))
+		for j := range s {
+			grown[j].Store(s[j].Load())
+		}
+		ix.slots.Store(&grown)
+		s = grown
+	}
+	mi := ix.buildMachine(m)
+	s[i].Store(mi)
+	return mi
+}
+
+// buildMachine lays out m's events with the hourly rows. ix.mu is held.
+func (ix *Index) buildMachine(m MachineID) *machinePointIndex {
+	// Block MaxMachine is nondecreasing in file order (the event stream is
+	// machine-sorted), so m's blocks are the run starting at the first
+	// block whose MaxMachine reaches m; inside a block m's rows are one run
+	// too, found by binary search. A machine that sits in one block is
+	// indexed in place, as a capped read-only sub-slice of the cached block;
+	// one straddling blocks (as the writer cuts, > ¾ BlockSize events) is copied.
+	var evs []Event
+	first := sort.Search(len(ix.metas), func(i int) bool { return ix.metas[i].MaxMachine >= m })
+	for i := first; i < len(ix.metas) && ix.metas[i].MinMachine <= m; i++ {
+		if ix.metas[i].Count == 0 {
+			continue
+		}
+		events, err := ix.block(i)
+		if err != nil {
+			ix.err = cmp.Or(ix.err, err)
+			break
+		}
+		lo := sort.Search(len(events), func(j int) bool { return events[j].Machine >= m })
+		hi := lo + sort.Search(len(events)-lo, func(j int) bool { return events[lo+j].Machine > m })
+		if evs == nil {
+			evs = events[lo:hi:hi]
+		} else if lo < hi && len(evs) > 0 && eventCmp(events[lo], evs[len(evs)-1]) < 0 {
+			ix.err = cmp.Or(ix.err, fmt.Errorf("trace: block %d: machine %d's events out of order with the block before", i, m))
+			break
+		} else {
+			evs = append(evs, events[lo:hi]...)
+		}
+	}
+	if len(evs) == 0 {
+		return noEvents
+	}
+	// File order within a machine is (Start, End), the layout's order: the
+	// decoder holds each block to it, the seam check above each join.
+	mi := newMachinePointIndex(evs)
+	mi.buildHours(ix.span)
+	return mi
 }
 
 // FirstOverlap returns the event of machine m whose overlap with w begins
