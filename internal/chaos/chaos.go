@@ -27,6 +27,8 @@ import (
 	"time"
 
 	"math/rand"
+
+	"repro/internal/ishare"
 )
 
 // ErrRefused is the root cause of every injected dial refusal.
@@ -201,7 +203,8 @@ func (in *Injector) plan(addr string) connPlan {
 	return p
 }
 
-// Dial implements the ishare Dialer shape with the planned faults applied.
+// Dial implements the ishare Dialer shape with the planned faults applied
+// to a connection opened by ishare.DialTCP, the production dial.
 func (in *Injector) Dial(addr string, timeout time.Duration) (net.Conn, error) {
 	in.dials.Add(1)
 	p := in.plan(addr)
@@ -217,7 +220,7 @@ func (in *Injector) Dial(addr string, timeout time.Duration) (net.Conn, error) {
 		}
 		time.Sleep(p.dialDelay)
 	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	conn, err := ishare.DialTCP(addr, timeout)
 	if err != nil {
 		return nil, err
 	}

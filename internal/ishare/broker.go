@@ -253,9 +253,9 @@ func rankState(state string) int {
 
 // discover fans discovery out across every shard, degrading per shard to
 // that shard's cached last-known-good list (within CacheTTL) and, when no
-// shard yields anything, to the gossip store. The stale return is true
-// when any candidate came from a fallback path.
-func (b *Broker) discover(ctx context.Context) ([]NodeInfo, bool, error) {
+// shard yields anything, to the gossip store. It returns the lists it got,
+// in shard order; stale is true when any of them came from a fallback path.
+func (b *Broker) discover(ctx context.Context) (lists [][]NodeInfo, stale bool, err error) {
 	m := b.metrics()
 	addrs := b.Client.Shards
 	type shardResult struct {
@@ -285,8 +285,8 @@ func (b *Broker) discover(ctx context.Context) ([]NodeInfo, bool, error) {
 		return nil
 	})
 
-	var merged []NodeInfo
-	stale := false
+	lists = make([][]NodeInfo, 0, len(addrs))
+	listed := 0
 	errs := 0
 	lastErr := errNoShards // what a broker with no shards reports
 	now := time.Now()
@@ -297,10 +297,11 @@ func (b *Broker) discover(ctx context.Context) ([]NodeInfo, bool, error) {
 	for i, addr := range addrs {
 		res := results[i]
 		if res.err == nil {
-			// No copy: the reply's slice is this call's alone, and merged
-			// copies out of it.
+			// No copy: the reply's slice is this call's alone, and nothing
+			// writes it after; this call and later stale serves only read it.
 			b.cache[addr] = shardCache{nodes: res.nodes, at: now}
-			merged = append(merged, res.nodes...)
+			lists = append(lists, res.nodes)
+			listed += len(res.nodes)
 			continue
 		}
 		errs++
@@ -309,15 +310,16 @@ func (b *Broker) discover(ctx context.Context) ([]NodeInfo, bool, error) {
 		if c, ok := b.cache[addr]; ok && len(c.nodes) > 0 && now.Sub(c.at) <= b.cacheTTL() {
 			m.staleServes.Inc()
 			stale = true
-			merged = append(merged, c.nodes...)
+			lists = append(lists, c.nodes)
+			listed += len(c.nodes)
 			b.logger().Log(ctx, slog.LevelWarn, "registry shard unreachable, serving cached node list",
 				"trace", TraceIDFrom(ctx), "shard", addr, "cached_nodes", len(c.nodes), "err", res.err.Error())
 		}
 	}
 	b.mu.Unlock()
 
-	if len(merged) > 0 || errs < len(addrs) {
-		return merged, stale, nil
+	if listed > 0 || errs < len(addrs) {
+		return lists, stale, nil
 	}
 	// Every shard failed and no cache was usable: the decentralized path.
 	if g := b.Gossip; g != nil {
@@ -325,7 +327,7 @@ func (b *Broker) discover(ctx context.Context) ([]NodeInfo, bool, error) {
 			m.gossipServes.Inc()
 			b.logger().Log(ctx, slog.LevelWarn, "all registry shards unreachable, serving gossip-learned candidates",
 				"trace", TraceIDFrom(ctx), "gossip_nodes", len(nodes), "err", lastErr.Error())
-			return nodes, true, nil
+			return [][]NodeInfo{nodes}, true, nil
 		}
 	}
 	m.registryErrors.Inc()
@@ -363,23 +365,51 @@ func (b *Broker) Candidates(ctx context.Context) ([]Candidate, error) {
 	m := b.metrics()
 	start := time.Now()
 	defer func() { m.discoverSeconds.Observe(time.Since(start).Seconds()) }()
-	nodes, stale, err := b.discover(ctx)
+	lists, stale, err := b.discover(ctx)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Candidate, 0, len(nodes))
-	for _, n := range nodes {
-		// A shard's reply is outside input: drop what cannot host a guest.
-		score := rankState(n.State)
-		if score < 0 {
-			continue
-		}
-		out = append(out, Candidate{Node: n, State: n.State, Score: score, Stale: stale})
+	return rankCandidates(lists, stale), nil
+}
+
+// rankRef is one hostable node of a discovery, as rankCandidates sorts it:
+// where it is, its score, and its place in the lists' concatenation.
+type rankRef struct {
+	node       *NodeInfo
+	score, seq int
+}
+
+// rankCandidates merges the shards' node lists into one candidate list in
+// rankCmp's order (score, load, name), a name listed twice in list order,
+// as a stable sort of the concatenated lists leaves it. A shard's reply is
+// outside input: what cannot host a guest is dropped, and the order does not
+// rely on a reply being ranked. The sort moves 24-byte references, not
+// 128-byte candidates, and each candidate is built once, in its place.
+func rankCandidates(lists [][]NodeInfo, stale bool) []Candidate {
+	n := 0
+	for _, l := range lists {
+		n += len(l)
 	}
-	// (score, load, name), rankCmp's total order; the sort is stable besides,
-	// should a name ever arrive twice.
-	slices.SortStableFunc(out, func(a, b Candidate) int { return rankCmp(a.Score, b.Score, &a.Node, &b.Node) })
-	return out, nil
+	refs := make([]rankRef, 0, n)
+	for _, l := range lists {
+		for i := range l {
+			if score := rankState(l[i].State); score >= 0 {
+				refs = append(refs, rankRef{node: &l[i], score: score, seq: len(refs)})
+			}
+		}
+	}
+	// seq breaks every tie, so the unstable sort gives the stable order.
+	slices.SortFunc(refs, func(a, b rankRef) int {
+		if c := rankCmp(a.score, b.score, a.node, b.node); c != 0 {
+			return c
+		}
+		return a.seq - b.seq
+	})
+	out := make([]Candidate, len(refs))
+	for i, r := range refs {
+		out[i] = Candidate{Node: *r.node, State: r.node.State, Score: r.score, Stale: stale}
+	}
+	return out
 }
 
 // submitOnce sends one submission, with a single dedup-safe retry on the

@@ -1,7 +1,10 @@
 package ishare
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 )
@@ -194,5 +197,195 @@ func TestRankingOrderUnchanged(t *testing.T) {
 	got = names(len(cands), func(i int) string { return cands[i].Node.Name })
 	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(cands, candOracle) {
 		t.Errorf("candidate order %v, want %v", got, want)
+	}
+}
+
+// cannedShards answers list on n listeners with the reply set for each, as
+// a shard's reply is outside input to a broker: in any order, with any
+// state, a name another shard lists too.
+type cannedShards struct {
+	addrs   []string
+	mu      sync.Mutex
+	replies [][]NodeInfo
+}
+
+func startCannedShards(t *testing.T, n int) *cannedShards {
+	t.Helper()
+	cs := &cannedShards{replies: make([][]NodeInfo, n)}
+	for i := range n {
+		ln, err := listenTCP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		cs.addrs = append(cs.addrs, ln.Addr().String())
+		go func() {
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				go serveConn(conn, Limits{}, func(Request) *Response {
+					cs.mu.Lock()
+					defer cs.mu.Unlock()
+					return &Response{OK: true, Nodes: cs.replies[i]}
+				})
+			}
+		}()
+	}
+	return cs
+}
+
+// rankStates are the states a random fleet draws from: both forms of S1 and
+// S2, states that cannot host a guest, no digest, and a value that is none.
+var rankStates = []string{"S1(full)", "S1", "S2(lowest-priority)", "S2", "S3(cpu-unavail)", "S5(machine-unavail)", "", "garbage"}
+
+// rankLoads has ties, so the names decide.
+var rankLoads = []float64{0, 0.1, 0.1, 0.25, 0.5}
+
+// TestRankingMatchesStableSort: over random shard replies — tied loads,
+// S1/S2 mixed with states that cannot host, unsorted replies and one name
+// on two shards — Candidates returns what a stable sort of the concatenated
+// replies by rankCmp returns; and a shard's ranked list, at any limit, is
+// its best alive nodes in that sort's order.
+func TestRankingMatchesStableSort(t *testing.T) {
+	rng := newTestRand(t.Name())
+	cs := startCannedShards(t, 4)
+	for trial := 0; trial < 40; trial++ {
+		shards := 1 + rng.Intn(len(cs.addrs))
+		replies := make([][]NodeInfo, shards)
+		for s := range replies {
+			for i := rng.Intn(20); i > 0; i-- {
+				replies[s] = append(replies[s], NodeInfo{Name: fmt.Sprintf("s%d-n%02d", s, rng.Intn(100)),
+					Addr: fmt.Sprintf("10.0.%d.%d:1", s, i), Alive: true, LastSeenMS: int64(trial),
+					State: rankStates[rng.Intn(len(rankStates))], Load: rankLoads[rng.Intn(len(rankLoads))], Gen: int64(i)})
+			}
+			if rng.Intn(2) == 0 { // ranked, as a shard sends it
+				slices.SortStableFunc(replies[s], func(a, b NodeInfo) int {
+					return rankCmp(digestScore(a.State), digestScore(b.State), &a, &b)
+				})
+			}
+		}
+		if last := replies[shards-1]; shards > 1 && len(replies[0]) > 0 && len(last) > 0 {
+			// One name on two shards: equal on every rank key, told apart by addr.
+			dup := replies[0][rng.Intn(len(replies[0]))]
+			dup.Addr = "10.9.9.9:1"
+			last[rng.Intn(len(last))] = dup
+		}
+		cs.mu.Lock()
+		copy(cs.replies, replies)
+		cs.mu.Unlock()
+
+		var want []Candidate
+		for _, r := range replies {
+			for _, n := range r {
+				if score := rankState(n.State); score >= 0 {
+					want = append(want, Candidate{Node: n, State: n.State, Score: score})
+				}
+			}
+		}
+		slices.SortStableFunc(want, func(a, b Candidate) int { return rankCmp(a.Score, b.Score, &a.Node, &b.Node) })
+		got, err := (&Broker{Client: &Client{Shards: cs.addrs[:shards]}}).Candidates(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: candidates\n%+v\nwant\n%+v", trial, got, want)
+		}
+	}
+
+	for trial := 0; trial < 10; trial++ {
+		clock := time.Unix(1_700_000_000, 0)
+		reg, err := NewRegistryWithOptions("127.0.0.1:0", RegistryOptions{TTL: time.Minute, Now: func() time.Time { return clock }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A first half registered two TTLs ago, whose entries are dead now.
+		var hostable []NodeInfo // alive S1 and S2 nodes, as list answers them
+		for half := 0; half < 2; half++ {
+			var batch []NodeDigest
+			for i := rng.Intn(60); i > 0; i-- {
+				batch = append(batch, NodeDigest{Name: fmt.Sprintf("h%d-n%03d", half, i), Addr: "10.0.0.1:1",
+					State: rankStates[rng.Intn(len(rankStates))], Load: rankLoads[rng.Intn(len(rankLoads))], Gen: 1})
+			}
+			if resp := reg.handle(Request{Op: "register_batch", Digests: batch}); !resp.OK {
+				t.Fatal(resp.Error)
+			}
+			if half == 1 {
+				for _, d := range batch {
+					if digestScore(d.State) <= 1 {
+						hostable = append(hostable, NodeInfo{Name: d.Name, Addr: d.Addr, Alive: true,
+							LastSeenMS: clock.UnixMilli(), State: d.State, Load: d.Load, Gen: d.Gen})
+					}
+				}
+			}
+			clock = clock.Add(2 * time.Minute)
+		}
+		clock = clock.Add(-2 * time.Minute)
+		byRank := func(a, b NodeInfo) int { return rankCmp(digestScore(a.State), digestScore(b.State), &a, &b) }
+		slices.SortStableFunc(hostable, byRank)
+		for _, limit := range []int{1, 3, 8, 1000} {
+			got := reg.listRanked(limit).Nodes
+			sorted := slices.Clone(got)
+			slices.SortStableFunc(sorted, byRank)
+			if !reflect.DeepEqual(got, sorted) {
+				t.Fatalf("trial %d, limit %d: list not ranked:\n%+v", trial, limit, got)
+			}
+			n := min(limit, len(hostable))
+			s1 := func(l []NodeInfo) int {
+				return len(l) - len(slices.DeleteFunc(slices.Clone(l), func(n NodeInfo) bool { return digestScore(n.State) == 0 }))
+			}
+			if len(got) != n || s1(got) != s1(hostable[:n]) {
+				t.Fatalf("trial %d, limit %d: listed %+v, want the best %d of %+v", trial, limit, got, n, hostable)
+			}
+			if limit >= len(hostable) && n > 0 && !reflect.DeepEqual(got, hostable) {
+				t.Fatalf("trial %d, limit %d: listed\n%+v\nwant\n%+v", trial, limit, got, hostable)
+			}
+		}
+		reg.Close()
+	}
+}
+
+// BenchmarkListRanked is a shard's ranked list in process, no TCP: a
+// 25 000-node shard, S1 and S2 mixed with nodes that cannot host, a limit
+// of 32 (the broker's default).
+func BenchmarkListRanked(b *testing.B) {
+	r := benchRegistry(b, false, false)
+	ds := benchDigests(25_000)
+	for i := range ds {
+		ds[i].State = []string{"S1(full)", "S2(lowest-priority)", "S1(full)", "S3(cpu-unavail)"}[i%4]
+		ds[i].Load = float64(i%97) / 97
+	}
+	if resp := r.handle(Request{Op: "register_batch", Digests: ds}); !resp.OK {
+		b.Fatal(resp.Error)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if resp := r.listRanked(32); len(resp.Nodes) != 32 {
+			b.Fatalf("listed %d", len(resp.Nodes))
+		}
+	}
+}
+
+// BenchmarkCandidates is the broker's merge of two shards' ranked 32-node
+// replies into its candidate list, in process, no TCP.
+func BenchmarkCandidates(b *testing.B) {
+	lists := make([][]NodeInfo, 2)
+	for s := range lists {
+		for i := 0; i < 32; i++ {
+			lists[s] = append(lists[s], NodeInfo{Name: fmt.Sprintf("s%d-n%02d", s, i), Addr: "10.0.0.1:1", Alive: true,
+				State: []string{"S1(full)", "S2(lowest-priority)"}[i%3/2], Load: float64(i%7) / 7, Gen: 1})
+		}
+		slices.SortFunc(lists[s], func(a, b NodeInfo) int {
+			return rankCmp(digestScore(a.State), digestScore(b.State), &a, &b)
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if cands := rankCandidates(lists, false); len(cands) != 64 {
+			b.Fatalf("%d candidates", len(cands))
+		}
 	}
 }

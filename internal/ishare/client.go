@@ -83,9 +83,11 @@ func (c *Client) do(ctx context.Context, addr string, req Request, timeout time.
 		req.Trace = TraceIDFrom(ctx)
 	}
 	m := c.metrics()
+	var om *clientOpMetrics
 	var start time.Time
 	if m != nil {
-		m.request(req.Op).Inc()
+		om = m.op(req.Op)
+		om.requests.Inc()
 		start = time.Now()
 	}
 	p := c.Retry.withDefaults()
@@ -118,7 +120,7 @@ func (c *Client) do(ctx context.Context, addr string, req Request, timeout time.
 				continue
 			}
 			if m != nil {
-				m.latency(req.Op).Observe(time.Since(start).Seconds())
+				om.latency.Observe(time.Since(start).Seconds())
 			}
 			return resp, nil
 		}
@@ -130,7 +132,7 @@ func (c *Client) do(ctx context.Context, addr string, req Request, timeout time.
 	}
 	if m != nil {
 		m.failure(req.Op).Inc()
-		m.latency(req.Op).Observe(time.Since(start).Seconds())
+		om.latency.Observe(time.Since(start).Seconds())
 	}
 	if shedResp != nil {
 		return shedResp, nil

@@ -17,18 +17,35 @@ import (
 // systems level.
 
 // Dialer opens the TCP connection for one request/response exchange.
-// The zero value of client and node configs uses a plain net.DialTimeout;
-// fault injectors substitute an implementation that refuses, delays,
-// drops or corrupts traffic.
+// The zero value of client and node configs uses DialTCP; fault injectors
+// substitute an implementation that refuses, delays, drops or corrupts
+// traffic.
 type Dialer interface {
 	Dial(addr string, timeout time.Duration) (net.Conn, error)
+}
+
+// DialTCP is the production dial: a connection that carries one exchange
+// and is closed, so it never idles long enough for a keepalive probe, and
+// skips the keepalive set-up (four setsockopt calls) Go's default dial
+// makes on every connection. A fault injector dials through it so a chaos
+// run pays the same connection set-up as production.
+func DialTCP(addr string, timeout time.Duration) (net.Conn, error) {
+	d := net.Dialer{Timeout: timeout, KeepAlive: -1}
+	return d.Dial("tcp", addr)
+}
+
+// listenTCP is the registry's and the node's listen: what it accepts
+// carries one exchange, so keepalive is off on that end too.
+func listenTCP(addr string) (net.Listener, error) {
+	lc := net.ListenConfig{KeepAlive: -1}
+	return lc.Listen(context.Background(), "tcp", addr)
 }
 
 // tcpDialer is the production Dialer.
 type tcpDialer struct{}
 
 func (tcpDialer) Dial(addr string, timeout time.Duration) (net.Conn, error) {
-	return net.DialTimeout("tcp", addr, timeout)
+	return DialTCP(addr, timeout)
 }
 
 // dialerOrDefault resolves a possibly-nil configured Dialer.

@@ -3,6 +3,7 @@ package ishare
 import (
 	"context"
 	"log/slog"
+	"sync"
 
 	"repro/internal/obs"
 )
@@ -104,17 +105,36 @@ func newGossipMetrics(r *obs.Registry) *gossipMetrics {
 	}
 }
 
-// clientMetrics count the client's request traffic per operation.
+// clientMetrics count the client's request traffic per operation. An op's
+// request counter and latency histogram are resolved on its first exchange
+// and kept, as registryMetrics keeps its request counters: a registry
+// lookup sorts labels, builds a key and takes a lock, which every exchange
+// would otherwise pay twice. Retries and failures, off the hot path, are
+// looked up when they happen, so their series appear with the first of
+// them.
 type clientMetrics struct {
 	reg *obs.Registry
+	ops sync.Map // op -> *clientOpMetrics
+}
+
+type clientOpMetrics struct {
+	requests *obs.Counter
+	latency  *obs.Histogram
 }
 
 func newClientMetrics(r *obs.Registry) *clientMetrics {
 	return &clientMetrics{reg: r}
 }
 
-func (m *clientMetrics) request(op string) *obs.Counter {
-	return m.reg.Counter("fgcs_client_requests_total", "logical client exchanges by operation", obs.L("op", op))
+func (m *clientMetrics) op(op string) *clientOpMetrics {
+	if v, ok := m.ops.Load(op); ok {
+		return v.(*clientOpMetrics)
+	}
+	v, _ := m.ops.LoadOrStore(op, &clientOpMetrics{
+		requests: m.reg.Counter("fgcs_client_requests_total", "logical client exchanges by operation", obs.L("op", op)),
+		latency:  m.reg.Histogram("fgcs_client_request_seconds", "wall time of one logical exchange including retries", requestSecondsBuckets, obs.L("op", op)),
+	})
+	return v.(*clientOpMetrics)
 }
 
 func (m *clientMetrics) retry(op string) *obs.Counter {
@@ -123,10 +143,6 @@ func (m *clientMetrics) retry(op string) *obs.Counter {
 
 func (m *clientMetrics) failure(op string) *obs.Counter {
 	return m.reg.Counter("fgcs_client_failures_total", "exchanges that exhausted their attempt budget", obs.L("op", op))
-}
-
-func (m *clientMetrics) latency(op string) *obs.Histogram {
-	return m.reg.Histogram("fgcs_client_request_seconds", "wall time of one logical exchange including retries", requestSecondsBuckets, obs.L("op", op))
 }
 
 // nodeMetrics count a node agent's job lifecycle and liveness machinery.

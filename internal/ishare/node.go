@@ -142,7 +142,7 @@ func NewNode(addr string, cfg NodeConfig) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := listenTCP(addr)
 	if err != nil {
 		return nil, fmt.Errorf("ishare: node listen: %w", err)
 	}

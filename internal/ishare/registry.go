@@ -109,10 +109,18 @@ const maxStampMS = math.MaxInt64 / 1_000_000
 // unixMS is a stamp in Unix milliseconds, as time.Time.UnixMilli rounds it.
 func unixMS(seen int64) int64 { return time.Unix(0, seen).UnixMilli() }
 
-// info is the entry as list answers it at now, alive up to the TTL after seen.
+// info is the entry as list answers it at now.
 func (r *Registry) info(e *registryEntry, now int64) NodeInfo {
-	return NodeInfo{Name: e.name, Addr: e.addr, Alive: time.Unix(0, now).Sub(time.Unix(0, e.seen)) <= r.ttl,
+	return NodeInfo{Name: e.name, Addr: e.addr, Alive: r.alive(e, now),
 		LastSeenMS: unixMS(e.seen), State: e.state, Load: e.load, Gen: e.gen}
+}
+
+// alive reports whether e was seen at most the TTL before now: now - seen
+// <= ttl in integer nanoseconds, a difference too large for an int64 (a
+// never-seen entry's) counting as past it, as time.Time.Sub saturates.
+func (r *Registry) alive(e *registryEntry, now int64) bool {
+	d := now - e.seen
+	return e.seen >= now || d >= 0 && d <= int64(r.ttl)
 }
 
 // RegistryOptions is the full configuration of one registry shard.
@@ -230,7 +238,7 @@ func NewRegistryWithOptions(addr string, opt RegistryOptions) (*Registry, error)
 		r.wal = w
 		r.recovered = n
 	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := listenTCP(addr)
 	if err != nil {
 		r.wal.Close(true)
 		return nil, fmt.Errorf("ishare: registry listen: %w", err)
@@ -783,29 +791,35 @@ func (r *Registry) handle(req Request) *Response {
 // on by the limit: successive calls hand out successive stretches of a
 // bucket instead of sending every broker to the same few nodes. The
 // response itself is ordered (state, load, name) so callers merge
-// deterministically ranked lists.
+// deterministically ranked lists: the walk yields the S1 run, then the S2
+// run, so each run is put in (load, name) order by its IDs, and only then
+// are the answers built, each once.
 func (r *Registry) listRanked(limit int) *Response {
 	now := r.now().UnixNano()
 	r.mu.RLock()
 	// The limit is the caller's number: what it sizes is bounded by the shard.
 	limit = min(limit, len(r.ids))
-	nodes := make([]NodeInfo, 0, limit)
+	ids := make([]uint32, 0, limit)
+	byLoadName := func(a, b uint32) int {
+		ea, eb := &r.entries[a], &r.entries[b]
+		return loadNameCmp(ea.load, eb.load, ea.name, eb.name)
+	}
 	start := int(r.cursor.Add(uint32(limit)))
-	for score := 0; score <= 1 && len(nodes) < limit; score++ {
-		b := r.buckets[score]
-		for i := range b {
-			if info := r.info(&r.entries[b[(start+i)%len(b)]], now); info.Alive {
-				nodes = append(nodes, info)
-			}
-			if len(nodes) >= limit {
-				break
+	for score := 0; score <= 1; score++ {
+		b, run := r.buckets[score], len(ids)
+		for i := 0; i < len(b) && len(ids) < limit; i++ {
+			if id := b[(start+i)%len(b)]; r.alive(&r.entries[id], now) {
+				ids = append(ids, id)
 			}
 		}
+		// Names are unique in a shard: a total order, so no stable sort.
+		slices.SortFunc(ids[run:], byLoadName)
+	}
+	nodes := make([]NodeInfo, len(ids))
+	for i, id := range ids {
+		nodes[i] = r.info(&r.entries[id], now)
 	}
 	r.mu.RUnlock()
-	slices.SortStableFunc(nodes, func(a, b NodeInfo) int {
-		return rankCmp(digestScore(a.State), digestScore(b.State), &a, &b)
-	})
 	return &Response{OK: true, Nodes: nodes}
 }
 
@@ -813,13 +827,19 @@ func (r *Registry) listRanked(limit int) *Response {
 // Names are unique in a shard and across a ring's shards, so this is a total
 // order and the sorted list does not depend on the order it arrived in.
 func rankCmp(scoreA, scoreB int, a, b *NodeInfo) int {
-	switch {
-	case scoreA != scoreB:
+	if scoreA != scoreB {
 		return scoreA - scoreB
-	case a.Load < b.Load:
+	}
+	return loadNameCmp(a.Load, b.Load, a.Name, b.Name)
+}
+
+// loadNameCmp is rankCmp within one score: load, then name.
+func loadNameCmp(loadA, loadB float64, nameA, nameB string) int {
+	switch {
+	case loadA < loadB:
 		return -1
-	case a.Load > b.Load:
+	case loadA > loadB:
 		return 1
 	}
-	return strings.Compare(a.Name, b.Name)
+	return strings.Compare(nameA, nameB)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -550,5 +551,29 @@ func TestWALBytesGolden(t *testing.T) {
 			n++
 		}
 		t.Fatalf("WAL is %d bytes, golden %d; first difference at byte %d", len(got), len(want), n)
+	}
+}
+
+// TestAliveMatchesTimeSub: the integer liveness test list answers with is
+// time.Time.Sub's, saturation included, at the edges of the TTL and of
+// int64.
+func TestAliveMatchesTimeSub(t *testing.T) {
+	const ttl = time.Minute
+	r := &Registry{ttl: ttl}
+	stamps := []int64{math.MinInt64, math.MinInt64 + 1, -int64(ttl) - 1, -1, 0, 1, int64(ttl), int64(ttl) + 1,
+		1_700_000_000_000_000_000, math.MaxInt64 - int64(ttl), math.MaxInt64 - 1, math.MaxInt64}
+	for _, now := range stamps {
+		for _, seen := range stamps {
+			for _, dt := range []int64{-int64(ttl) - 1, -int64(ttl), -1, 0, 1} {
+				s := seen + dt
+				if (dt < 0 && s > seen) || (dt > 0 && s < seen) {
+					continue // wrapped
+				}
+				want := time.Unix(0, now).Sub(time.Unix(0, s)) <= ttl
+				if got := r.alive(&registryEntry{seen: s}, now); got != want {
+					t.Errorf("alive(seen %d, now %d) = %v, time.Sub says %v", s, now, got, want)
+				}
+			}
+		}
 	}
 }

@@ -385,7 +385,7 @@ type wireField[T any] struct {
 var digestFields = []wireField[NodeDigest]{
 	{`"name":`, func(o *NodeDigest, b []byte, i int) (int, wireStatus) { return stringValue(&o.Name, b, i) }},
 	{`"addr":`, func(o *NodeDigest, b []byte, i int) (int, wireStatus) { return stringValue(&o.Addr, b, i) }},
-	{`"state":`, func(o *NodeDigest, b []byte, i int) (int, wireStatus) { return stringValue(&o.State, b, i) }},
+	{`"state":`, func(o *NodeDigest, b []byte, i int) (int, wireStatus) { return stateValue(&o.State, b, i) }},
 	{`"load":`, func(o *NodeDigest, b []byte, i int) (int, wireStatus) { return floatValue(&o.Load, b, i) }},
 	{`"gen":`, func(o *NodeDigest, b []byte, i int) (int, wireStatus) { return intValue(&o.Gen, b, i) }},
 	{`"unix_ms":`, func(o *NodeDigest, b []byte, i int) (int, wireStatus) { return intValue(&o.UnixMS, b, i) }},
@@ -396,7 +396,7 @@ var nodeFields = []wireField[NodeInfo]{
 	{`"addr":`, func(o *NodeInfo, b []byte, i int) (int, wireStatus) { return stringValue(&o.Addr, b, i) }},
 	{`"alive":`, func(o *NodeInfo, b []byte, i int) (int, wireStatus) { return boolValue(&o.Alive, b, i) }},
 	{`"last_seen_ms":`, func(o *NodeInfo, b []byte, i int) (int, wireStatus) { return intValue(&o.LastSeenMS, b, i) }},
-	{`"state":`, func(o *NodeInfo, b []byte, i int) (int, wireStatus) { return stringValue(&o.State, b, i) }},
+	{`"state":`, func(o *NodeInfo, b []byte, i int) (int, wireStatus) { return stateValue(&o.State, b, i) }},
 	{`"load":`, func(o *NodeInfo, b []byte, i int) (int, wireStatus) { return floatValue(&o.Load, b, i) }},
 	{`"gen":`, func(o *NodeInfo, b []byte, i int) (int, wireStatus) { return intValue(&o.Gen, b, i) }},
 }
@@ -406,7 +406,7 @@ var forecastFields = []wireField[ForecastInfo]{
 	{`"known":`, func(o *ForecastInfo, b []byte, i int) (int, wireStatus) { return boolValue(&o.Known, b, i) }},
 	{`"survival":`, func(o *ForecastInfo, b []byte, i int) (int, wireStatus) { return floatValue(&o.Survival, b, i) }},
 	{`"samples":`, func(o *ForecastInfo, b []byte, i int) (int, wireStatus) { return intSizeValue(&o.Samples, b, i) }},
-	{`"state":`, func(o *ForecastInfo, b []byte, i int) (int, wireStatus) { return stringValue(&o.State, b, i) }},
+	{`"state":`, func(o *ForecastInfo, b []byte, i int) (int, wireStatus) { return stateValue(&o.State, b, i) }},
 	{`"gen":`, func(o *ForecastInfo, b []byte, i int) (int, wireStatus) { return intValue(&o.Gen, b, i) }},
 	{`"unix_ms":`, func(o *ForecastInfo, b []byte, i int) (int, wireStatus) { return intValue(&o.UnixMS, b, i) }},
 }
@@ -519,10 +519,19 @@ func rawString(b []byte, i int) ([]byte, int, wireStatus) {
 	return nil, i, wireShort
 }
 
-// stringValue stores the string at b[i] in *dst, a state string interned.
+// stringValue stores a copy of the string at b[i] in *dst.
 func stringValue(dst *string, b []byte, i int) (int, wireStatus) {
 	s, i, st := rawString(b, i)
-	if len(s) > 1 && s[0] == 'S' && s[1]-'1' < 5 { // only a state starts so: no compare for the names
+	*dst = string(s)
+	return i, st
+}
+
+// stateValue is stringValue for a "state" member: one of the five state
+// names, in either form, is stored as its interned string, with no
+// allocation; any other value is copied.
+func stateValue(dst *string, b []byte, i int) (int, wireStatus) {
+	s, i, st := rawString(b, i)
+	if len(s) > 1 && s[0] == 'S' && s[1]-'1' < 5 {
 		if form := wireStates[s[1]-'1'][min(len(s)-2, 1)]; string(s) == form {
 			*dst = form
 			return i, st

@@ -600,6 +600,36 @@ func TestWireDecodeAllocs(t *testing.T) {
 	}
 }
 
+// TestWireStatesInterned: parsing a 32-node list reply allocates no state
+// string: a reply carrying the five state names, in both forms, allocates
+// what one carrying none does, while a value that is no state name is
+// still copied, one string a node. (Half a string a node is the margin for
+// the pooled buffer, which the race detector makes sync.Pool drop.)
+func TestWireStatesInterned(t *testing.T) {
+	allocs := func(state func(i int) string) float64 {
+		reply := listReply(32)
+		for i := range reply.Nodes {
+			reply.Nodes[i].State = state(i)
+		}
+		data := jsonEncode(t, reply)
+		return testing.AllocsPerRun(50, func() {
+			resp, err := decodeResponse(data, 0)
+			if err != nil || !reflect.DeepEqual(resp.Nodes, reply.Nodes) {
+				t.Fatalf("decode: %+v, %v", resp, err)
+			}
+		})
+	}
+	none := allocs(func(int) string { return "" })
+	named := allocs(func(i int) string { return wireStates[i%5][i/5%2] })
+	other := allocs(func(i int) string { return wireStates[i%5][1] + "x" })
+	if named > none+16 {
+		t.Errorf("%.0f allocs with state names, %.0f with none: a state string is allocated", named, none)
+	}
+	if other < none+16 {
+		t.Errorf("%.0f allocs with other states, %.0f with none: want one copy a node", other, none)
+	}
+}
+
 // TestWireEncodeAllocs: into a warm buffer the encoder allocates nothing,
 // for a 1000-digest batch or a place op's replies.
 func TestWireEncodeAllocs(t *testing.T) {
