@@ -69,10 +69,10 @@ type Registry struct {
 
 	wal       *wal // nil without durability: its appends and Close do nothing
 	recovered int  // records replayed at startup
-	// Scratch for a heartbeat batch: its names resolved to IDs, then its
-	// digests split into changed ones and pure refreshes before logging;
-	// guarded by mu, reused across batches so the durable hot path stays
-	// allocation-free.
+	// Scratch for a batch: its names resolved to IDs (resolveLocked), then
+	// a heartbeat's digests split into changed ones and pure refreshes
+	// before logging; guarded by mu, reused across batches so the durable
+	// hot path stays allocation-free.
 	batchIDs     []uint32
 	walChanged   []NodeDigest
 	walRefreshed []string
@@ -278,12 +278,41 @@ func (r *Registry) applyWALRecord(rec walRecord) {
 		}
 	case walKindRefresh:
 		t := stampMS(rec.stampMS)
-		for _, name := range rec.names {
-			if id, ok := r.ids[name]; ok && t > r.entries[id].seen {
+		for _, id := range r.resolveLocked(len(rec.names), func(i int) string { return rec.names[i] }) {
+			if id != math.MaxUint32 && t > r.entries[id].seen {
 				r.entries[id].seen = t
 			}
 		}
 	}
+}
+
+// resolveLocked resolves a batch's n names (name(i) is the i-th) to their
+// IDs in r.batchIDs, math.MaxUint32 for a name the shard does not know.
+// A sweep heartbeats the batches it registered, in their order, so a batch
+// walks IDs upward: the name after ID p is guessed to be p+1's, and the
+// guess is taken when that entry holds the name. A freed entry holds "",
+// which is never taken from a guess. Any other name reads the map, and
+// guessing resumes only when the map answers p+1, so an unordered batch
+// pays one integer compare a name over the lookups it made before.
+func (r *Registry) resolveLocked(n int, name func(int) string) []uint32 {
+	ids := r.batchIDs[:0]
+	prev, guessing := uint32(math.MaxUint32), false
+	for i := range n {
+		s, id := name(i), prev+1
+		if !guessing || s == "" || int(id) >= len(r.entries) || r.entries[id].name != s {
+			var ok bool
+			if id, ok = r.ids[s]; !ok {
+				id = math.MaxUint32
+			}
+			guessing = ok && id == prev+1
+		}
+		if id != math.MaxUint32 {
+			prev = id
+		}
+		ids = append(ids, id)
+	}
+	r.batchIDs = ids
+	return ids
 }
 
 // walLocked finishes the append its arguments come from — every mutation
@@ -606,6 +635,41 @@ func (r *Registry) removeLocked(name string) {
 	}
 }
 
+// heartbeatLocked applies a heartbeat batch whose names resolved to ids
+// (math.MaxUint32 for an unknown one, which it returns in missing) and
+// logs it: the digests that advanced stored state as one upsert record,
+// the pure refreshes as one refresh record.
+func (r *Registry) heartbeatLocked(ds []NodeDigest, ids []uint32, now int64) (missing []string, err error) {
+	durable := r.wal != nil
+	changed := r.walChanged[:0]     // digests that advanced stored state
+	refreshed := r.walRefreshed[:0] // pure liveness refreshes
+	for k, d := range ds {
+		id := ids[k]
+		if id == math.MaxUint32 {
+			missing = append(missing, d.Name)
+			continue
+		}
+		d.Addr = "" // liveness refresh, not re-registration
+		advanced := r.upsertLocked(id, d, now)
+		if !durable {
+			continue
+		}
+		if advanced {
+			changed = append(changed, d)
+		} else {
+			refreshed = append(refreshed, d.Name)
+		}
+	}
+	if len(changed) > 0 {
+		err = r.walLocked(r.wal.appendUpsert(changed, unixMS(now)))
+	}
+	if err == nil && len(refreshed) > 0 {
+		err = r.walLocked(r.wal.appendRefresh(refreshed, unixMS(now)))
+	}
+	r.walChanged, r.walRefreshed = changed[:0], refreshed[:0]
+	return missing, err
+}
+
 var errWALAppend = &Response{OK: false, Error: "registry WAL append failed, mutation not durable"}
 
 func (r *Registry) handle(req Request) *Response {
@@ -664,44 +728,10 @@ func (r *Registry) handle(req Request) *Response {
 		return &Response{OK: true}
 	case "heartbeat_batch":
 		now := r.now().UnixNano()
-		var missing []string
 		r.mu.Lock()
-		durable := r.wal != nil
-		ids := r.batchIDs[:0] // every name looked up in one tight loop, then applied in order
-		for i := range req.Digests {
-			id, ok := r.ids[req.Digests[i].Name]
-			if !ok {
-				id = math.MaxUint32
-			}
-			ids = append(ids, id)
-		}
-		changed := r.walChanged[:0]     // digests that advanced stored state
-		refreshed := r.walRefreshed[:0] // pure liveness refreshes
-		for k, d := range req.Digests {
-			id := ids[k]
-			if id == math.MaxUint32 {
-				missing = append(missing, d.Name)
-				continue
-			}
-			d.Addr = "" // liveness refresh, not re-registration
-			advanced := r.upsertLocked(id, d, now)
-			if !durable {
-				continue
-			}
-			if advanced {
-				changed = append(changed, d)
-			} else {
-				refreshed = append(refreshed, d.Name)
-			}
-		}
-		var err error
-		if len(changed) > 0 {
-			err = r.walLocked(r.wal.appendUpsert(changed, unixMS(now)))
-		}
-		if err == nil && len(refreshed) > 0 {
-			err = r.walLocked(r.wal.appendRefresh(refreshed, unixMS(now)))
-		}
-		r.batchIDs, r.walChanged, r.walRefreshed = ids[:0], changed[:0], refreshed[:0]
+		// every name resolved in one tight loop, then applied in order
+		ids := r.resolveLocked(len(req.Digests), func(i int) string { return req.Digests[i].Name })
+		missing, err := r.heartbeatLocked(req.Digests, ids, now)
 		r.mu.Unlock()
 		if err != nil {
 			return errWALAppend

@@ -2,6 +2,7 @@ package ishare
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -53,39 +54,51 @@ func BenchmarkHandleRegisterBatch(b *testing.B) {
 // of those a new state class, so the entry changes bucket and the
 // forecaster opens or closes an event). A batch carries copies of the
 // names the shard was registered with, as a decoded batch does, so each
-// name lookup reads two strings.
+// name lookup reads two strings. With order=registered the batches are
+// the ones registered, in their order, as a sweep sends them, and the
+// shard resolves names by guessing the next ID; with order=shuffled each
+// batch is a random draw from the fleet, and every name reads the map.
 func BenchmarkRegistryHeartbeatBatch(b *testing.B) {
+	for _, wal := range []bool{false, true} {
+		for _, order := range []string{"registered", "shuffled"} {
+			b.Run(fmt.Sprintf("wal=%v/order=%s", wal, order), func(b *testing.B) {
+				benchHeartbeatBatches(b, wal, order == "shuffled")
+			})
+		}
+	}
+}
+
+func benchHeartbeatBatches(b *testing.B, wal, shuffled bool) {
 	const fleet, batch = 25_000, 1000
 	states := []string{"S1(full)", "S3(UEC-CPU)", "S2(reduced)", "S1(full)"}
-	for _, wal := range []bool{false, true} {
-		b.Run(fmt.Sprintf("wal=%v", wal), func(b *testing.B) {
-			r := benchRegistry(b, wal, true)
-			ds := benchDigests(fleet)
-			for lo := 0; lo < fleet; lo += batch {
-				if resp := r.handle(Request{Op: "register_batch", Digests: ds[lo : lo+batch]}); !resp.OK {
-					b.Fatal(resp.Error)
-				}
-			}
-			for i := range ds {
-				ds[i].Name = strings.Clone(ds[i].Name)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lo := i * batch % fleet
-				sweep := i * batch / fleet
-				hb := ds[lo : lo+batch]
-				for j := range hb {
-					if j%5 == 0 { // the churned fifth
-						hb[j].State, hb[j].Gen = states[(sweep+j/5)%len(states)], int64(4+sweep)
-					}
-					hb[j].UnixMS += 1000
-				}
-				if resp := r.handle(Request{Op: "heartbeat_batch", Digests: hb}); !resp.OK || len(resp.Missing) != 0 {
-					b.Fatalf("heartbeat_batch: %+v", resp)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/digest")
-		})
+	r := benchRegistry(b, wal, true)
+	ds := benchDigests(fleet)
+	for lo := 0; lo < fleet; lo += batch {
+		if resp := r.handle(Request{Op: "register_batch", Digests: ds[lo : lo+batch]}); !resp.OK {
+			b.Fatal(resp.Error)
+		}
 	}
+	for i := range ds {
+		ds[i].Name = strings.Clone(ds[i].Name)
+	}
+	if shuffled {
+		rand.New(rand.NewSource(1)).Shuffle(len(ds), func(i, j int) { ds[i], ds[j] = ds[j], ds[i] })
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := i * batch % fleet
+		sweep := i * batch / fleet
+		hb := ds[lo : lo+batch]
+		for j := range hb {
+			if j%5 == 0 { // the churned fifth
+				hb[j].State, hb[j].Gen = states[(sweep+j/5)%len(states)], int64(4+sweep)
+			}
+			hb[j].UnixMS += 1000
+		}
+		if resp := r.handle(Request{Op: "heartbeat_batch", Digests: hb}); !resp.OK || len(resp.Missing) != 0 {
+			b.Fatalf("heartbeat_batch: %+v", resp)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/digest")
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"math/bits"
 	"strconv"
 	"sync"
 
@@ -577,9 +578,12 @@ func numberToken(b []byte, i int) (tok []byte, integer bool, st wireStatus) {
 // decline where it reports an error (overflow, a fraction for an integer).
 // Each builds the common case as it scans and leaves the rest to those
 // calls: intValue a plain integer of up to 18 digits, which cannot
-// overflow; floatValue a [-]int[.frac] of at most 19 significant digits,
-// a mantissa below 2^53 and at most 22 fraction digits, all exact as
-// float64s, so m/10^k rounds once, as in strconv's own exact path.
+// overflow; floatValue a [-]int[.frac] of at most 19 significant digits
+// and at most 22 fraction digits. A mantissa m below 2^53 and 10^k are
+// exact as float64s, so m/10^k rounds once, as in strconv's own exact
+// path; a larger one, as a 17-digit load has, goes through eiselLemire,
+// the step strconv takes next, and only what that cannot decide is
+// rescanned for strconv.
 func floatValue(dst *float64, b []byte, i int) (int, wireStatus) {
 	j, sign := i, 1.0
 	if b[j] == '-' {
@@ -604,9 +608,15 @@ func floatValue(dst *float64, b []byte, i int) (int, wireStatus) {
 		whole, frac = dot-k, j-dot-1
 	}
 	if whole > 0 && (whole == 1 || b[k] != '0') && (dot < 0 || frac > 0) && sig <= 19 && frac <= 22 &&
-		m < 1<<53 && j < len(b) && !numberByte(b[j]) {
-		*dst = sign * float64(m) / math.Pow10(frac)
-		return j, wireDone
+		j < len(b) && !numberByte(b[j]) {
+		if m < 1<<53 {
+			*dst = sign * float64(m) / math.Pow10(frac)
+			return j, wireDone
+		}
+		if f, ok := eiselLemire(m, frac); ok {
+			*dst = sign * f
+			return j, wireDone
+		}
 	}
 	tok, _, st := numberToken(b, i)
 	f, err := strconv.ParseFloat(string(tok), 64)
@@ -615,6 +625,71 @@ func floatValue(dst *float64, b []byte, i int) (int, wireStatus) {
 	}
 	*dst = f
 	return i + len(tok), st
+}
+
+// wirePow10[k] is 10^-k's binary mantissa to 128 bits, rounded down, as
+// {high, low} words: 10^-k lies in [M, M+1)·2^(e-127), M = high·2^64+low
+// and e = ⌊log2 10^-k⌋. TestWirePow10 recomputes each row with math/big.
+var wirePow10 = [23][2]uint64{
+	{0x8000000000000000, 0x0000000000000000},
+	{0xCCCCCCCCCCCCCCCC, 0xCCCCCCCCCCCCCCCC},
+	{0xA3D70A3D70A3D70A, 0x3D70A3D70A3D70A3},
+	{0x83126E978D4FDF3B, 0x645A1CAC083126E9},
+	{0xD1B71758E219652B, 0xD3C36113404EA4A8},
+	{0xA7C5AC471B478423, 0x0FCF80DC33721D53},
+	{0x8637BD05AF6C69B5, 0xA63F9A49C2C1B10F},
+	{0xD6BF94D5E57A42BC, 0x3D32907604691B4C},
+	{0xABCC77118461CEFC, 0xFDC20D2B36BA7C3D},
+	{0x89705F4136B4A597, 0x31680A88F8953030},
+	{0xDBE6FECEBDEDD5BE, 0xB573440E5A884D1B},
+	{0xAFEBFF0BCB24AAFE, 0xF78F69A51539D748},
+	{0x8CBCCC096F5088CB, 0xF93F87B7442E45D3},
+	{0xE12E13424BB40E13, 0x2865A5F206B06FB9},
+	{0xB424DC35095CD80F, 0x538484C19EF38C94},
+	{0x901D7CF73AB0ACD9, 0x0F9D37014BF60A10},
+	{0xE69594BEC44DE15B, 0x4C2EBE687989A9B3},
+	{0xB877AA3236A4B449, 0x09BEFEB9FAD487C2},
+	{0x9392EE8E921D5D07, 0x3AFF322E62439FCF},
+	{0xEC1E4A7DB69561A5, 0x2B31E9E3D06C32E5},
+	{0xBCE5086492111AEA, 0x88F4BB1CA6BCF584},
+	{0x971DA05074DA7BEE, 0xD3F6FC16EBCA5E03},
+	{0xF1C90080BAF72CB1, 0x5324C68B12DD6338},
+}
+
+// eiselLemire is m·10^-k correctly rounded, for 2^53 <= m < 10^19 and
+// k <= 22 (Lemire, "Number Parsing at a Gigabyte per Second", SPE 2021, as
+// strconv runs it): the top bits of m times the 128-bit mantissa of 10^-k
+// fix the result's 54 bits unless the product sits too near a rounding
+// boundary, when ok is false. The result is always a normal float64.
+func eiselLemire(m uint64, k int) (f float64, ok bool) {
+	clz := bits.LeadingZeros64(m)
+	m <<= clz
+	exp := uint64(217706*-k>>16+64+1023) - uint64(clz) // ⌊log2 10^-k⌋ + bias, shifted for m's scale
+	hi, lo := bits.Mul64(m, wirePow10[k][0])
+	if hi&0x1FF == 0x1FF && lo+m < m { // the low word may carry: widen to 192 bits
+		yHi, yLo := bits.Mul64(m, wirePow10[k][1])
+		mergedHi, mergedLo := hi, lo+yHi
+		if mergedLo < lo {
+			mergedHi++
+		}
+		if mergedHi&0x1FF == 0x1FF && mergedLo+1 == 0 && yLo+m < m {
+			return 0, false
+		}
+		hi, lo = mergedHi, mergedLo
+	}
+	msb := hi >> 63
+	mant := hi >> (msb + 9)
+	exp -= 1 ^ msb
+	if lo == 0 && hi&0x1FF == 0 && mant&3 == 1 { // a halfway point, to within the table's rounding: undecided
+		return 0, false
+	}
+	mant += mant & 1 // round the 54 bits to 53
+	mant >>= 1
+	if mant>>53 > 0 {
+		mant >>= 1
+		exp++
+	}
+	return math.Float64frombits(exp<<52 | mant&(1<<52-1)), true
 }
 
 func intValue(dst *int64, b []byte, i int) (int, wireStatus) {

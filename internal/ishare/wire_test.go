@@ -205,13 +205,21 @@ const oldPeerForecastReply = `{"ok":true,"forecasts":[{"name":"m001","known":tru
 // 2^53), 2^53-1, 2^53 and 2^53+1 whole and as fractions, 22 and 23
 // fraction digits, minus zero, a half beside its invalid 00.5, and a
 // 17-digit load as a fleet's uniform draws give, and 20-digit mantissas of
-// 2^64, which a 64-bit accumulator reads as 0. TestWireEdgeCases decodes
-// each bit for bit as encoding/json does; FuzzWireCodec starts from each.
+// 2^64, which a 64-bit accumulator reads as 0. Past 2^53 the mantissa
+// takes the Eisel–Lemire step, so these also hold points exactly halfway
+// between two doubles and a digit either side, shortest forms of random
+// doubles, and 19 significant digits at 22 and 23 fraction digits
+// (TestWireFloatMatchesStrconv has a million of these shapes).
+// TestWireEdgeCases decodes each bit for bit as encoding/json does;
+// FuzzWireCodec starts from each.
 var loadEdges = []string{
 	"0.1234567890123456", "0.12345678901234567", "0.1234567890123456789", "0.12345678901234567891", "0.9999999999999999",
 	"9007199254740991", "9007199254740992", "9007199254740993", "0.9007199254740991", "0.9007199254740992", "0.9007199254740993",
 	"0.0000000000000000000123", "0.00000000000000000001234", "-0.0", "0.5", "00.5", "0.30000000000000004",
 	"18446744073709551616", "0.18446744073709551616", "-18446744073709551616.0",
+	"9007199254740995", "4503599627370496.5", "4503599627370496.4", "4503599627370496.6", "2251799813685248.25", "1125899906842624.125",
+	"0.6046602879796196", "123.45678901234568", "-0.9405090880450124", "1234567890.123456789",
+	"0.0001234567890123456789", "0.00001234567890123456789", "-0", "-0.000",
 }
 
 // parseAllocBound is what readMessage's doc comment bounds the parser's
@@ -1108,11 +1116,34 @@ var wireSink int
 
 // BenchmarkWireHeartbeatBatch measures the wire layer where it lives: one
 // 1000-digest heartbeat batch through encoding/json and through the codec,
-// each way.
+// each way. With loads=ratio the loads are i/997, whose shortest forms run
+// 14 to 17 digits; with loads=17digit every load has 17 significant
+// digits, as a quarter of uniform draws of a fleet's loads do, and each
+// decodes through the Eisel–Lemire step.
 func BenchmarkWireHeartbeatBatch(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, loads := range []struct {
+		name string
+		load func(i int) float64
+	}{
+		{"ratio", func(i int) float64 { return float64(i) / 997 }},
+		{"17digit", func(int) float64 {
+			for {
+				x := rng.Float64()
+				if s := strconv.FormatFloat(x, 'e', -1, 64); strings.IndexByte(s, 'e') == len("1.2345678901234567") {
+					return x
+				}
+			}
+		}},
+	} {
+		b.Run("loads="+loads.name, func(b *testing.B) { benchWireBatch(b, loads.load) })
+	}
+}
+
+func benchWireBatch(b *testing.B, load func(i int) float64) {
 	ds := benchDigests(1000)
 	for i := range ds {
-		ds[i].Addr, ds[i].Load = "", float64(i)/997
+		ds[i].Addr, ds[i].Load = "", load(i)
 	}
 	req := Request{Op: "heartbeat_batch", Digests: ds}
 	data := jsonEncode(b, req)

@@ -16,9 +16,12 @@ import (
 // AnyOverlap, NextEventAfter, LastEndBefore — in O(log events), over a trace
 // (BuildIndex, whose sorted copy is its one block, decoded already) or a v2
 // block file (NewBlockIndex), with the same answers for the same events. A
-// machine's layout is built on its first query, once, from the run of blocks
-// whose summaries admit it, each decoded at most once per index; after that
-// its queries take no lock, so any number of goroutines may share one index.
+// machine's layout is built on its first query from the run of blocks whose
+// summaries admit it, each decoded at most once per index and outside any
+// index-wide lock, so readers first touching different blocks decode them
+// at once; two readers first asking about one machine together may both
+// lay it out, and the first to publish wins. After that its queries take
+// no lock, so any number of goroutines may share one index.
 //
 // An index holds, per machine asked about, its events (in place when they
 // sit in one block, copied when they straddle blocks), two time slices of
@@ -37,12 +40,24 @@ type Index struct {
 	// empty and asks again under mu.
 	slots atomic.Pointer[[]atomic.Pointer[machinePointIndex]]
 
-	mu      sync.Mutex // guards what follows, and every build
-	buf     BlockBuf
-	blocks  map[int][]Event
-	decoded int
-	err     error
+	blocks  []blockCell // block i's events once its first reader decoded them
+	decoded atomic.Int64
+
+	mu  sync.Mutex // guards err and the growth of slots
+	err error
 }
+
+// blockCell is one block's decode, run once by whichever reader needs the
+// block first while any others needing it wait.
+type blockCell struct {
+	once   sync.Once
+	events []Event
+	err    error
+}
+
+// blockBufs holds the decode scratch — payload and inflater — that a
+// block's decode borrows; the events it decodes into stay with the block.
+var blockBufs = sync.Pool{New: func() any { return new(BlockBuf) }}
 
 // machinePointIndex is one machine's events laid out for point queries.
 type machinePointIndex struct {
@@ -208,17 +223,19 @@ func (mi *machinePointIndex) lastEndBefore(t sim.Time) (sim.Time, bool) {
 func (t *Trace) BuildIndex() *Index {
 	evs := slices.Clone(t.Events)
 	slices.SortFunc(evs, eventCmp)
-	return newIndex(t.Span, nil, []BlockMeta{summarize(evs)}, map[int][]Event{0: evs})
+	ix := newIndex(t.Span, nil, []BlockMeta{summarize(evs)})
+	ix.blocks[0].once.Do(func() { ix.blocks[0].events = evs })
+	return ix
 }
 
 // NewBlockIndex indexes a v2 block file, decoding a block when a query
 // first needs it.
 func NewBlockIndex(bf *BlockFile) *Index {
-	return newIndex(bf.Header().Span, bf, bf.blocks, make(map[int][]Event))
+	return newIndex(bf.Header().Span, bf, bf.blocks)
 }
 
-func newIndex(span sim.Window, bf *BlockFile, metas []BlockMeta, blocks map[int][]Event) *Index {
-	ix := &Index{span: span, bf: bf, metas: metas, lo: math.MaxInt, hi: math.MinInt, blocks: blocks}
+func newIndex(span sim.Window, bf *BlockFile, metas []BlockMeta) *Index {
+	ix := &Index{span: span, bf: bf, metas: metas, lo: math.MaxInt, hi: math.MinInt, blocks: make([]blockCell, len(metas))}
 	for _, b := range metas {
 		if b.Count > 0 {
 			ix.lo, ix.hi = min(ix.lo, b.MinMachine), max(ix.hi, b.MaxMachine)
@@ -230,11 +247,7 @@ func newIndex(span sim.Window, bf *BlockFile, metas []BlockMeta, blocks map[int]
 
 // BlocksDecoded returns how many block decodes all queries so far have cost
 // — the quantity the summaries exist to minimize. Over a trace it is 0.
-func (ix *Index) BlocksDecoded() int {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return ix.decoded
-}
+func (ix *Index) BlocksDecoded() int { return int(ix.decoded.Load()) }
 
 // Err returns the first block decode error encountered, if any. Queries on
 // a machine whose blocks failed to decode answer from the events decoded
@@ -245,25 +258,25 @@ func (ix *Index) Err() error {
 	return ix.err
 }
 
-// block returns block i's decoded events, decoding on first touch and
-// keeping the slice it decoded into: the buffer's event slice is handed to
-// the cache and the next decode makes its own, so a block is inflated,
-// decoded and stored once, with no second copy. Small machines share
-// blocks and a big machine's tail can share the next one's, so without the
-// cache a sweep over the fleet would inflate those once per machine in them.
-// Cached blocks are only ever read — layouts alias them. ix.mu is held.
+// block returns block i's decoded events, or its decode error, decoding
+// on first touch and keeping the slice it decoded into: the pooled
+// buffer's event slice is handed to the cache and the next decode makes
+// its own, so a block is inflated, decoded and stored once, with no second
+// copy. Small machines share blocks and a big machine's tail can share the
+// next one's, so without the cache a sweep over the fleet would inflate
+// those once per machine in them. Cached blocks are only ever read —
+// layouts alias them.
 func (ix *Index) block(i int) ([]Event, error) {
-	if evs, ok := ix.blocks[i]; ok {
-		return evs, nil
-	}
-	ix.decoded++
-	ix.buf.events = nil
-	events, err := ix.bf.DecodeBlock(i, &ix.buf)
-	if err != nil {
-		return nil, err
-	}
-	ix.blocks[i] = events
-	return events, nil
+	c := &ix.blocks[i]
+	c.once.Do(func() {
+		ix.decoded.Add(1)
+		buf := blockBufs.Get().(*BlockBuf)
+		buf.events = nil
+		c.events, c.err = ix.bf.DecodeBlock(i, buf)
+		buf.events = nil
+		blockBufs.Put(buf)
+	})
+	return c.events, c.err
 }
 
 // AppendEvents appends to dst every event matching f, in file order,
@@ -275,9 +288,7 @@ func (ix *Index) AppendEvents(dst []Event, f ScanFilter) ([]Event, error) {
 		if !f.AdmitBlock(meta) {
 			continue
 		}
-		ix.mu.Lock()
 		events, err := ix.block(i)
-		ix.mu.Unlock()
 		if err != nil {
 			return nil, err
 		}
@@ -301,19 +312,22 @@ func (ix *Index) machine(m MachineID) *machinePointIndex {
 	return ix.build(m)
 }
 
-// build lays out m's events under ix.mu, unless a query that held it first
-// already did, and publishes the layout in m's slot, growing the slots to
-// reach it: at least doubling, and never past the blocks' machine range.
+// build lays out m's events and publishes the layout in m's slot under
+// ix.mu, unless a query that got there first already did, growing the
+// slots to reach it: at least doubling, and never past the blocks' machine
+// range.
 func (ix *Index) build(m MachineID) *machinePointIndex {
 	if m < ix.lo || m > ix.hi {
 		return noEvents
 	}
+	mi, err := ix.buildMachine(m)
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	ix.err = cmp.Or(ix.err, err)
 	i, s := int(m-ix.lo), *ix.slots.Load()
 	if i < len(s) {
-		if mi := s[i].Load(); mi != nil {
-			return mi
+		if first := s[i].Load(); first != nil {
+			return first
 		}
 	} else {
 		grown := make([]atomic.Pointer[machinePointIndex], min(max(i+1, 2*len(s)), int(ix.hi-ix.lo)+1))
@@ -323,13 +337,13 @@ func (ix *Index) build(m MachineID) *machinePointIndex {
 		ix.slots.Store(&grown)
 		s = grown
 	}
-	mi := ix.buildMachine(m)
 	s[i].Store(mi)
 	return mi
 }
 
-// buildMachine lays out m's events with the hourly rows. ix.mu is held.
-func (ix *Index) buildMachine(m MachineID) *machinePointIndex {
+// buildMachine lays out m's events with the hourly rows, from the events
+// decoded before the first error, which it returns.
+func (ix *Index) buildMachine(m MachineID) (*machinePointIndex, error) {
 	// Block MaxMachine is nondecreasing in file order (the event stream is
 	// machine-sorted), so m's blocks are the run starting at the first
 	// block whose MaxMachine reaches m; inside a block m's rows are one run
@@ -337,14 +351,14 @@ func (ix *Index) buildMachine(m MachineID) *machinePointIndex {
 	// indexed in place, as a capped read-only sub-slice of the cached block;
 	// one straddling blocks (as the writer cuts, > ¾ BlockSize events) is copied.
 	var evs []Event
+	var err error
 	first := sort.Search(len(ix.metas), func(i int) bool { return ix.metas[i].MaxMachine >= m })
 	for i := first; i < len(ix.metas) && ix.metas[i].MinMachine <= m; i++ {
 		if ix.metas[i].Count == 0 {
 			continue
 		}
-		events, err := ix.block(i)
-		if err != nil {
-			ix.err = cmp.Or(ix.err, err)
+		var events []Event
+		if events, err = ix.block(i); err != nil {
 			break
 		}
 		lo := sort.Search(len(events), func(j int) bool { return events[j].Machine >= m })
@@ -352,20 +366,20 @@ func (ix *Index) buildMachine(m MachineID) *machinePointIndex {
 		if evs == nil {
 			evs = events[lo:hi:hi]
 		} else if lo < hi && len(evs) > 0 && eventCmp(events[lo], evs[len(evs)-1]) < 0 {
-			ix.err = cmp.Or(ix.err, fmt.Errorf("trace: block %d: machine %d's events out of order with the block before", i, m))
+			err = fmt.Errorf("trace: block %d: machine %d's events out of order with the block before", i, m)
 			break
 		} else {
 			evs = append(evs, events[lo:hi]...)
 		}
 	}
 	if len(evs) == 0 {
-		return noEvents
+		return noEvents, err
 	}
 	// File order within a machine is (Start, End), the layout's order: the
 	// decoder holds each block to it, the seam check above each join.
 	mi := newMachinePointIndex(evs)
 	mi.buildHours(ix.span)
-	return mi
+	return mi, err
 }
 
 // FirstOverlap returns the event of machine m whose overlap with w begins
