@@ -14,8 +14,10 @@
 // Faults are scripted: each Fault matches an address, optionally fires a
 // bounded number of times, and can be enabled and disabled by name while
 // the system runs, which is how the chaos soak test drives partition
-// windows. Probabilistic faults draw from a single seeded generator, so a
-// fixed seed and a fixed call sequence reproduce the same fault schedule.
+// windows. Faults are planned per exchange: at the dial, then as each later
+// request on the connection is written. Probabilistic faults draw from a
+// single seeded generator, so a fixed seed and a fixed call sequence
+// reproduce the same fault schedule.
 package chaos
 
 import (
@@ -34,7 +36,7 @@ import (
 // ErrRefused is the root cause of every injected dial refusal.
 var ErrRefused = errors.New("chaos: connection refused")
 
-// Fault describes one injected failure behavior for connections to Addr.
+// Fault describes one injected failure behavior for exchanges with Addr.
 type Fault struct {
 	// Name identifies the fault for Enable/Disable; empty names cannot be
 	// toggled.
@@ -42,31 +44,31 @@ type Fault struct {
 	// Addr is the exact target address this fault applies to; empty
 	// matches every address.
 	Addr string
-	// Refuse fails matching dials outright.
+	// Refuse fails matching exchanges outright, dialed or on an open one.
 	Refuse bool
-	// RefuseProb fails matching dials with this probability (ignored when
-	// Refuse is set).
+	// RefuseProb fails matching exchanges with this probability (ignored
+	// when Refuse is set).
 	RefuseProb float64
-	// DialLatency delays the dial before it proceeds; a delay at or above
-	// the dial timeout fails the dial with a timeout error.
+	// DialLatency delays the dial (an open connection's request write); a
+	// delay at or above the dial timeout fails the dial with a timeout error.
 	DialLatency time.Duration
-	// ReadLatency delays the first read on the connection.
+	// ReadLatency delays the first read of the exchange's response.
 	ReadLatency time.Duration
-	// DropAfterBytes closes the connection after that many response bytes
-	// have been read — a mid-stream drop. Zero drops immediately when
-	// DropProb fires.
+	// DropAfterBytes closes the connection after that many bytes of the
+	// exchange's response have been read — a mid-stream drop. Zero drops
+	// immediately when DropProb fires.
 	DropAfterBytes int
 	// DropProb applies the drop with this probability; 0 with
 	// DropAfterBytes > 0 means always.
 	DropProb float64
 	// CorruptProb flips a byte of the response with this probability.
 	CorruptProb float64
-	// Times bounds how many connections this fault fires on (0 =
+	// Times bounds how many exchanges this fault fires on (0 =
 	// unlimited). A fault that matched but did not fire (probability
 	// gates all missed) does not consume a charge.
 	Times int
-	// Skip lets the first Skip matching connections pass unharmed before
-	// the fault arms itself, so a schedule can target e.g. "the second
+	// Skip lets the first Skip matching exchanges pass unharmed before the
+	// fault arms itself, so a schedule can target e.g. "the second
 	// exchange with this node" deterministically.
 	Skip int
 }
@@ -75,7 +77,7 @@ type Fault struct {
 type Counters struct {
 	// Dials counts every dial that went through the injector.
 	Dials int64
-	// Refused counts dials failed with ErrRefused.
+	// Refused counts dials and exchanges failed with ErrRefused.
 	Refused int64
 	// Delayed counts injected dial or read delays.
 	Delayed int64
@@ -126,8 +128,8 @@ func (in *Injector) SetEnabled(name string, on bool) {
 	}
 }
 
-// Partition refuses every dial to addr until Heal is called — the
-// wire-level signature of a network partition or a dead service.
+// Partition refuses every exchange with addr, open connections' too, until
+// Heal is called — the signature of a network partition or a dead service.
 func (in *Injector) Partition(addr string) {
 	in.Add(Fault{Name: "partition:" + addr, Addr: addr, Refuse: true})
 }
@@ -148,8 +150,8 @@ func (in *Injector) Counters() Counters {
 	}
 }
 
-// connPlan is the set of faults one connection will experience, decided at
-// dial time so the rng is consumed in a single critical section.
+// connPlan is the set of faults one exchange will experience, decided
+// when it starts so the rng is consumed in a single critical section.
 type connPlan struct {
 	refuse    bool
 	dialDelay time.Duration
@@ -203,8 +205,8 @@ func (in *Injector) plan(addr string) connPlan {
 	return p
 }
 
-// Dial implements the ishare Dialer shape with the planned faults applied
-// to a connection opened by ishare.DialTCP, the production dial.
+// Dial implements the ishare Dialer shape with each exchange's planned
+// faults applied to a connection opened by ishare.DialTCP, the production dial.
 func (in *Injector) Dial(addr string, timeout time.Duration) (net.Conn, error) {
 	in.dials.Add(1)
 	p := in.plan(addr)
@@ -224,39 +226,59 @@ func (in *Injector) Dial(addr string, timeout time.Duration) (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.readDelay > 0 || p.dropAfter >= 0 || p.corrupt {
-		return &faultConn{Conn: conn, in: in, readDelay: p.readDelay, dropAfter: p.dropAfter, corrupt: p.corrupt}, nil
-	}
-	return conn, nil
+	return &faultConn{Conn: conn, in: in, addr: addr, plan: p}, nil
 }
 
-// faultConn applies read-side faults to one connection.
+// ReusesConns tells a client it may keep a connection for many exchanges:
+// the injector plans each exchange's faults as its request is written.
+func (in *Injector) ReusesConns() bool { return true }
+
+// faultConn applies each exchange's planned faults to one connection; a
+// write after a read, the next request, starts the next exchange.
 type faultConn struct {
 	net.Conn
-	in        *Injector
-	readDelay time.Duration
-	dropAfter int // -1 = never
-	corrupt   bool
-	nread     int
+	in      *Injector
+	addr    string
+	plan    connPlan // the current exchange's
+	reading bool     // the current exchange's response is being read
+	nread   int      // of it
+}
+
+func (c *faultConn) Write(b []byte) (int, error) {
+	if c.reading {
+		c.reading, c.nread, c.plan = false, 0, c.in.plan(c.addr)
+		if c.plan.refuse {
+			c.in.refused.Add(1)
+			_ = c.Conn.Close()
+			return 0, &net.OpError{Op: "write", Net: "tcp", Err: ErrRefused}
+		}
+		if d := c.plan.dialDelay; d > 0 {
+			c.in.delayed.Add(1)
+			time.Sleep(d)
+		}
+	}
+	return c.Conn.Write(b)
 }
 
 func (c *faultConn) Read(b []byte) (int, error) {
-	if d := c.readDelay; d > 0 {
-		c.readDelay = 0
+	c.reading = true
+	p := &c.plan
+	if d := p.readDelay; d > 0 {
+		p.readDelay = 0
 		c.in.delayed.Add(1)
 		time.Sleep(d)
 	}
-	if c.dropAfter >= 0 && c.nread >= c.dropAfter {
+	if p.dropAfter >= 0 && c.nread >= p.dropAfter {
 		c.in.dropped.Add(1)
 		_ = c.Conn.Close()
 		return 0, fmt.Errorf("chaos: connection to %s dropped mid-stream after %d bytes", c.RemoteAddr(), c.nread)
 	}
-	if c.dropAfter >= 0 && len(b) > c.dropAfter-c.nread {
-		b = b[:c.dropAfter-c.nread]
+	if p.dropAfter >= 0 && len(b) > p.dropAfter-c.nread {
+		b = b[:p.dropAfter-c.nread]
 	}
 	n, err := c.Conn.Read(b)
-	if n > 0 && c.corrupt {
-		c.corrupt = false
+	if n > 0 && p.corrupt {
+		p.corrupt = false
 		b[0] ^= 0x55
 		c.in.corrupted.Add(1)
 	}

@@ -2,11 +2,13 @@ package chaos
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/ishare"
+	"repro/internal/obs"
 )
 
 var ctx = context.Background()
@@ -204,5 +206,81 @@ func TestSeededRefusalSequenceIsReproducible(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds produced identical 32-call sequences")
+	}
+}
+
+// A client keeps its connection to the registry open between exchanges, so
+// faults are planned per exchange; these pin that over one pooled
+// connection.
+
+func TestPartitionRefusesPooledConn(t *testing.T) {
+	reg := startRegistry(t, time.Minute)
+	inj := New(1)
+	c := fastClient(reg.Addr(), inj)
+	c.Retry.MaxAttempts = 1
+	if _, err := c.List(ctx); err != nil {
+		t.Fatal(err)
+	}
+	inj.Partition(reg.Addr())
+	if _, err := c.List(ctx); !errors.Is(err, ErrRefused) {
+		t.Fatalf("list over a partitioned pooled connection: %v, want refused", err)
+	}
+	// The pooled exchange is refused, and not sent again past the retry
+	// policy.
+	if got := inj.Counters(); got.Refused != 1 || got.Dials != 1 {
+		t.Errorf("counters %+v, want 1 refused over 1 dial", got)
+	}
+}
+
+func TestRefusalOnPooledConnIsOneRetry(t *testing.T) {
+	reg := startRegistry(t, time.Minute)
+	inj := New(1)
+	c := fastClient(reg.Addr(), inj)
+	c.Obs = obs.NewRegistry()
+	if _, err := c.List(ctx); err != nil {
+		t.Fatal(err)
+	}
+	inj.Add(Fault{Name: "once", Addr: reg.Addr(), Refuse: true, Times: 1})
+	if _, err := c.List(ctx); err != nil {
+		t.Fatalf("list after one refusal: %v", err)
+	}
+	retries := c.Obs.Counter("fgcs_client_retries_total", "", obs.L("op", "list")).Value()
+	if got := inj.Counters(); retries != 1 || got.Refused != 1 || got.Dials != 2 {
+		t.Errorf("%d retries, counters %+v; want 1 retry, 1 refused, 2 dials", retries, got)
+	}
+}
+
+func TestSkipCountsExchangesOverOneConn(t *testing.T) {
+	reg := startRegistry(t, time.Minute)
+	inj := New(1)
+	inj.Add(Fault{Name: "lag", Addr: reg.Addr(), ReadLatency: 30 * time.Millisecond, Skip: 1, Times: 1})
+	c := fastClient(reg.Addr(), inj)
+	for i, wantDelayed := range []int64{0, 1, 1} {
+		start := time.Now()
+		if _, err := c.List(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(start); (took >= 30*time.Millisecond) != (i == 1) {
+			t.Errorf("exchange %d took %v", i, took)
+		}
+		if got := inj.Counters(); got.Delayed != wantDelayed || got.Dials != 1 {
+			t.Errorf("after exchange %d: %+v, want %d delayed over 1 dial", i, got, wantDelayed)
+		}
+	}
+}
+
+func TestDropAfterBytesDropsPlannedExchange(t *testing.T) {
+	reg := startRegistry(t, time.Minute)
+	inj := New(1)
+	inj.Add(Fault{Name: "drop", Addr: reg.Addr(), DropAfterBytes: 8, Skip: 1, Times: 1})
+	c := fastClient(reg.Addr(), inj)
+	c.Retry.MaxAttempts = 1
+	for i, wantErr := range []bool{false, true, false} {
+		if _, err := c.List(ctx); (err != nil) != wantErr {
+			t.Errorf("exchange %d: %v", i, err)
+		}
+	}
+	if got := inj.Counters(); got.Dropped != 1 || got.Dials != 2 {
+		t.Errorf("counters %+v, want 1 drop, and a dial after it", got)
 	}
 }

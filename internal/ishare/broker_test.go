@@ -213,25 +213,11 @@ func startCannedShards(t *testing.T, n int) *cannedShards {
 	t.Helper()
 	cs := &cannedShards{replies: make([][]NodeInfo, n)}
 	for i := range n {
-		ln, err := listenTCP("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ln.Close() })
-		cs.addrs = append(cs.addrs, ln.Addr().String())
-		go func() {
-			for {
-				conn, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				go serveConn(conn, Limits{}, func(Request) *Response {
-					cs.mu.Lock()
-					defer cs.mu.Unlock()
-					return &Response{OK: true, Nodes: cs.replies[i]}
-				})
-			}
-		}()
+		cs.addrs = append(cs.addrs, startServer(t, Limits{}, func(Request) *Response {
+			cs.mu.Lock()
+			defer cs.mu.Unlock()
+			return &Response{OK: true, Nodes: cs.replies[i]}
+		}))
 	}
 	return cs
 }

@@ -14,7 +14,8 @@ import (
 // operations (list, info, sethost) are retried with jittered exponential
 // backoff under the configured RetryPolicy; submissions are sent exactly
 // once per call — failover and resubmission belong to the Broker, which
-// knows how to do them without running a job twice.
+// knows how to do them without running a job twice. It keeps connections
+// open for its next exchanges (roundTrip).
 type Client struct {
 	// Shards lists every registry shard, one entry for a single registry:
 	// List fans out over all shards and merges, and shard-routed operations
@@ -28,7 +29,8 @@ type Client struct {
 	Dialer Dialer
 	// Retry paces idempotent-operation retries.
 	Retry RetryPolicy
-	// Limits bounds response sizes read by this client.
+	// Limits bounds response sizes read by this client; a connection idle
+	// for half its IODeadline is closed, not reused.
 	Limits Limits
 	// Obs receives per-operation request/retry/failure counters and latency
 	// histograms. Leave nil to skip client-side instrumentation entirely.
@@ -39,6 +41,8 @@ type Client struct {
 
 	metOnce sync.Once
 	met     *clientMetrics
+
+	pool connPool
 }
 
 // metrics returns the client's metric set, or nil when no registry was
@@ -47,7 +51,10 @@ func (c *Client) metrics() *clientMetrics {
 	if c.Obs == nil {
 		return nil
 	}
-	c.metOnce.Do(func() { c.met = newClientMetrics(c.Obs) })
+	c.metOnce.Do(func() {
+		c.met = newClientMetrics(c.Obs)
+		c.pool.dials = c.met.dials
+	})
 	return c.met
 }
 
@@ -112,7 +119,7 @@ func (c *Client) do(ctx context.Context, addr string, req Request, timeout time.
 				break
 			}
 		}
-		resp, err := roundTrip(ctx, c.Dialer, addr, req, timeout, c.Limits.withDefaults().MaxMessageBytes)
+		resp, err := roundTrip(ctx, c.Dialer, &c.pool, addr, req, timeout, c.Limits, idempotent)
 		if err == nil {
 			if !resp.OK && resp.RetryAfterMS > 0 && idempotent && a+1 < attempts {
 				shedResp = resp

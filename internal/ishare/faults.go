@@ -16,26 +16,28 @@ import (
 // slow peers, mid-stream service death, URR) reproducible at the
 // systems level.
 
-// Dialer opens the TCP connection for one request/response exchange.
-// The zero value of client and node configs uses DialTCP; fault injectors
-// substitute an implementation that refuses, delays, drops or corrupts
-// traffic.
+// Dialer opens a TCP connection for request/response exchanges. The zero
+// value of client and node configs uses DialTCP; fault injectors substitute
+// one that refuses, delays, drops or corrupts traffic. A connection carries
+// one exchange, unless the Dialer has a ReusesConns method returning true
+// (the default's and chaos's do): a client then keeps it for its next
+// exchange with the address. One that accounts per connection needs none.
 type Dialer interface {
 	Dial(addr string, timeout time.Duration) (net.Conn, error)
 }
 
-// DialTCP is the production dial: a connection that carries one exchange
-// and is closed, so it never idles long enough for a keepalive probe, and
-// skips the keepalive set-up (four setsockopt calls) Go's default dial
-// makes on every connection. A fault injector dials through it so a chaos
-// run pays the same connection set-up as production.
+// DialTCP is the production dial. A connection idles at most IODeadline
+// (10 s by default), under the first keepalive probe (15 s), so it skips
+// the keepalive set-up (four setsockopt calls) Go's default dial makes. A
+// fault injector dials through it so a chaos run pays the same connection
+// set-up as production.
 func DialTCP(addr string, timeout time.Duration) (net.Conn, error) {
 	d := net.Dialer{Timeout: timeout, KeepAlive: -1}
 	return d.Dial("tcp", addr)
 }
 
-// listenTCP is the registry's and the node's listen: what it accepts
-// carries one exchange, so keepalive is off on that end too.
+// listenTCP is the registry's and the node's listen: what it accepts idles
+// at most IODeadline, under the first keepalive probe, so keepalive is off.
 func listenTCP(addr string) (net.Listener, error) {
 	lc := net.ListenConfig{KeepAlive: -1}
 	return lc.Listen(context.Background(), "tcp", addr)
@@ -47,6 +49,8 @@ type tcpDialer struct{}
 func (tcpDialer) Dial(addr string, timeout time.Duration) (net.Conn, error) {
 	return DialTCP(addr, timeout)
 }
+
+func (tcpDialer) ReusesConns() bool { return true }
 
 // dialerOrDefault resolves a possibly-nil configured Dialer.
 func dialerOrDefault(d Dialer) Dialer {
@@ -63,8 +67,8 @@ func dialerOrDefault(d Dialer) Dialer {
 type Limits struct {
 	// MaxMessageBytes caps one JSON request or response (default 1 MiB).
 	MaxMessageBytes int64
-	// IODeadline bounds the server-side read and write of one exchange
-	// (default 10 s; was previously hardcoded).
+	// IODeadline bounds the server-side read and write of one exchange and
+	// the time a connection idles between exchanges (default 10 s).
 	IODeadline time.Duration
 }
 

@@ -254,10 +254,11 @@ func (g *Gossiper) HandleRequest(req Request) *Response {
 	return &Response{OK: true, Digests: g.digests()}
 }
 
-// Exchange performs one push-pull round with the peer at addr.
+// Exchange performs one push-pull round with the peer at addr, over a
+// connection of its own: rounds pick peers at random from the whole fleet,
+// so a kept one would mostly idle out, holding a goroutine on its peer.
 func (g *Gossiper) Exchange(ctx context.Context, addr string) error {
-	lim := g.cfg.Limits.withDefaults()
-	resp, err := roundTrip(ctx, g.cfg.Dialer, addr, Request{Op: "gossip", Digests: g.digests()}, g.cfg.Timeout, lim.MaxMessageBytes)
+	resp, err := roundTrip(ctx, g.cfg.Dialer, nil, addr, Request{Op: "gossip", Digests: g.digests()}, g.cfg.Timeout, g.cfg.Limits, true)
 	if err != nil {
 		if g.met != nil {
 			g.met.failures.Inc()

@@ -29,10 +29,11 @@ func soKeepAlive(t *testing.T, c net.Conn) int {
 	return v
 }
 
-// TestOneShotConnsHaveNoKeepalive: a connection carries one exchange, so
-// neither the default dial nor what the registry's and node's listen
-// accepts sets keepalive up. A plain net.DialTimeout on the same listener
-// shows the probe sees keepalive where Go's defaults turn it on.
+// TestOneShotConnsHaveNoKeepalive: a connection idles at most IODeadline
+// (10 s by default), under the first keepalive probe (15 s), so neither the
+// default dial nor what the registry's and node's listen accepts sets
+// keepalive up. A plain net.DialTimeout on the same listener shows the
+// probe sees keepalive where Go's defaults turn it on.
 func TestOneShotConnsHaveNoKeepalive(t *testing.T) {
 	ln, err := listenTCP("127.0.0.1:0")
 	if err != nil {

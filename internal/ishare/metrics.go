@@ -113,8 +113,9 @@ func newGossipMetrics(r *obs.Registry) *gossipMetrics {
 // looked up when they happen, so their series appear with the first of
 // them.
 type clientMetrics struct {
-	reg *obs.Registry
-	ops sync.Map // op -> *clientOpMetrics
+	reg   *obs.Registry
+	ops   sync.Map // op -> *clientOpMetrics
+	dials *obs.Counter
 }
 
 type clientOpMetrics struct {
@@ -123,7 +124,7 @@ type clientOpMetrics struct {
 }
 
 func newClientMetrics(r *obs.Registry) *clientMetrics {
-	return &clientMetrics{reg: r}
+	return &clientMetrics{reg: r, dials: r.Counter("fgcs_client_dials_total", "connections dialed; an exchange over a reused idle connection dials none")}
 }
 
 func (m *clientMetrics) op(op string) *clientOpMetrics {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand"
-	"net"
 	"slices"
 	"sync"
 	"time"
@@ -125,9 +124,9 @@ type Node struct {
 	lastLoad  float64
 	gen       int64
 
-	ln     net.Listener
-	wg     sync.WaitGroup
-	closed chan struct{}
+	srv  *server
+	wg   sync.WaitGroup // the heartbeat loop
+	pool connPool       // the connection to the registry between heartbeats
 }
 
 // NewNode starts a node listening on addr and, if configured, registers it
@@ -142,7 +141,7 @@ func NewNode(addr string, cfg NodeConfig) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	ln, err := listenTCP(addr)
+	srv, err := listen(addr, cfg.Limits)
 	if err != nil {
 		return nil, fmt.Errorf("ishare: node listen: %w", err)
 	}
@@ -152,17 +151,16 @@ func NewNode(addr string, cfg NodeConfig) (*Node, error) {
 		hbRand:    rand.New(rand.NewSource(int64(fnv64a(cfg.Name)))),
 		eng:       eng,
 		machine:   eng.Machine(),
-		ln:        ln,
+		srv:       srv,
 		done:      make(map[string]JobResult),
 		execs:     make(map[string]int),
 		lastState: eng.State().String(),
 		gen:       1,
-		closed:    make(chan struct{}),
 	}
 	if len(cfg.RegistryAddrs) > 0 {
 		ring, err := NewShardRing(cfg.RegistryAddrs, 0)
 		if err != nil {
-			ln.Close()
+			srv.ln.Close()
 			return nil, err
 		}
 		n.registry = ring.Addr(cfg.Name)
@@ -188,8 +186,7 @@ func NewNode(addr string, cfg NodeConfig) (*Node, error) {
 		n.gossip.Start()
 	}
 
-	n.wg.Add(1)
-	go n.acceptLoop()
+	srv.start(n.handle)
 
 	if n.registry != "" {
 		if err := n.register(); err != nil {
@@ -230,19 +227,16 @@ func (n *Node) noteStateLocked(state availability.State, hostCPU float64) {
 }
 
 // Addr returns the node's dial address.
-func (n *Node) Addr() string { return n.ln.Addr().String() }
+func (n *Node) Addr() string { return n.srv.ln.Addr().String() }
 
 // Close stops the node (its heartbeats cease, which the registry will
-// eventually report as URR).
+// eventually report as URR): the listener and the idle connections close,
+// the registry's included, and in-flight exchanges finish.
 func (n *Node) Close() error {
-	select {
-	case <-n.closed:
-		return nil
-	default:
-	}
-	close(n.closed)
-	err := n.ln.Close()
+	err := n.srv.close()
+	n.srv.wg.Wait()
 	n.wg.Wait()
+	n.pool.put("", nil, -1) // closes the registry connection
 	if n.gossip != nil {
 		n.gossip.Close()
 	}
@@ -263,15 +257,14 @@ func (n *Node) ExecutionCounts() map[string]int {
 }
 
 // rpc sends op to the shard owning this node's name, through the node's
-// dialer, with the node's availability digest as a batch of one, so
-// discovery can rank it without an Info query. The digest goes unstamped:
-// the shard stamps it at receipt.
+// dialer and over the connection the last one used, with the node's
+// availability digest as a batch of one, so discovery can rank it without
+// an Info query. The digest goes unstamped: the shard stamps it at receipt.
 func (n *Node) rpc(op string, timeout time.Duration) (*Response, error) {
 	d := n.selfDigest()
 	d.UnixMS = 0
-	lim := n.cfg.Limits.withDefaults()
 	req := Request{Op: op, Digests: []NodeDigest{d}}
-	return roundTrip(context.Background(), n.cfg.Dialer, n.registry, req, timeout, lim.MaxMessageBytes)
+	return roundTrip(context.Background(), n.cfg.Dialer, &n.pool, n.registry, req, timeout, n.cfg.Limits, true)
 }
 
 func (n *Node) register() error {
@@ -315,7 +308,7 @@ func (n *Node) heartbeatLoop() {
 	defer timer.Stop()
 	for {
 		select {
-		case <-n.closed:
+		case <-n.srv.done:
 			return
 		case <-timer.C:
 		}
@@ -361,26 +354,6 @@ func (n *Node) heartbeatLoop() {
 		}
 		shedFloor = 0
 		timer.Reset(n.jitterHB(next))
-	}
-}
-
-func (n *Node) acceptLoop() {
-	defer n.wg.Done()
-	for {
-		conn, err := n.ln.Accept()
-		if err != nil {
-			select {
-			case <-n.closed:
-				return
-			default:
-				continue
-			}
-		}
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			serveConn(conn, n.cfg.Limits, n.handle)
-		}()
 	}
 }
 

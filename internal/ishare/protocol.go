@@ -10,8 +10,11 @@
 // five-state controller: they are reniced in S2, suspended through
 // transient spikes, and killed on S3/S4.
 //
-// The wire protocol is one newline-delimited JSON request and response per
-// TCP connection — deliberately simple, debuggable with netcat. Every
+// The wire protocol is newline-delimited JSON requests, each answered before
+// the next, on a TCP connection that carries many — debuggable with netcat.
+// A client keeps the connections its exchanges end with idle, per address,
+// for up to half its Limits.IODeadline, when its Dialer's may carry many
+// (the default's do); a server ends one idle for its IODeadline. Every
 // registry mutation carries an array — a node registers and heartbeats as a
 // batch of one — and every registry is named by a shard list, a single
 // registry by a list of one.
@@ -46,10 +49,16 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
+	"sync"
+	"syscall"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Request is the single message type clients and nodes send.
@@ -234,11 +243,18 @@ type Response struct {
 }
 
 // decodeBounded decodes one JSON value of at most maxBytes from r into v
-// with encoding/json; exceeded reports that the error is the limit's.
-func decodeBounded(r io.Reader, maxBytes int64, v any) (exceeded bool, err error) {
+// with encoding/json; exceeded reports that the error is the limit's, and
+// rest holds what the decoder read past the value.
+func decodeBounded(r io.Reader, maxBytes int64, v any) (exceeded bool, rest []byte, err error) {
 	lr := &io.LimitedReader{R: r, N: maxBytes}
-	err = json.NewDecoder(bufio.NewReader(lr)).Decode(v)
-	return err != nil && lr.N <= 0, err
+	br := bufio.NewReader(lr)
+	dec := json.NewDecoder(br)
+	if err = dec.Decode(v); err != nil {
+		return lr.N <= 0, nil, err
+	}
+	rest, _ = io.ReadAll(dec.Buffered())
+	ahead, _ := br.Peek(br.Buffered())
+	return false, append(rest, ahead...), nil
 }
 
 // writeMessage sends msg, a *Request or a *Response, on w: appended into a
@@ -266,10 +282,78 @@ func writeMessage(w io.Writer, msg any, maxBytes int64) (err error) {
 	return err
 }
 
-// roundTrip dials addr through d, sends one request and reads one bounded
-// response. The per-attempt timeout is clamped to the context deadline, so
-// a caller-imposed budget bounds the whole exchange.
-func roundTrip(ctx context.Context, d Dialer, addr string, req Request, timeout time.Duration, maxBytes int64) (*Response, error) {
+// connPool keeps a client's idle connections, a stack per address: an
+// exchange that ends well pushes its connection and the next one pops the
+// most recent, so an address holds at most as many as were once in flight
+// to it together.
+type connPool struct {
+	mu    sync.Mutex
+	idle  map[string][]*poolConn // per address, least recently used first
+	dials *obs.Counter           // nil: not counted
+}
+
+// poolConn is a client connection and the reader of its responses.
+type poolConn struct {
+	net.Conn
+	r    msgReader
+	used time.Time // the end of its last exchange
+}
+
+// get pops addr's most recently used connection, nil when none idled at
+// most maxIdle; put pushes c. Both close the connections idle past maxIdle,
+// get at addr and put at every address, and a negative maxIdle closes all.
+func (p *connPool) get(addr string, maxIdle time.Duration) (c *poolConn) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if s := p.prune(addr, maxIdle); len(s) > 0 {
+		c = s[len(s)-1]
+		p.idle[addr] = slices.Delete(s, len(s)-1, len(s))
+	}
+	return c
+}
+
+func (p *connPool) put(addr string, c *poolConn, maxIdle time.Duration) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for a := range p.idle {
+		p.prune(a, maxIdle)
+	}
+	if c != nil {
+		c.used = time.Now()
+		p.idle[addr] = append(p.prune(addr, maxIdle), c)
+	}
+}
+
+// prune closes the bottom of addr's stack idle past maxIdle and returns the
+// rest.
+func (p *connPool) prune(addr string, maxIdle time.Duration) []*poolConn {
+	if p.idle == nil {
+		p.idle = make(map[string][]*poolConn)
+	}
+	s, n := p.idle[addr], 0
+	for ; n < len(s) && (maxIdle < 0 || time.Since(s[n].used) > maxIdle); n++ {
+		s[n].Close()
+	}
+	p.idle[addr] = slices.Delete(s, 0, n)
+	return p.idle[addr]
+}
+
+// peerClosed reports whether err shows the peer ended the connection, as a
+// server does one that idled past its IODeadline or when it closes.
+func peerClosed(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE)
+}
+
+// roundTrip sends one request to addr and reads its bounded response, over
+// pool's connection to addr that idled at most half lim.IODeadline (a
+// server closes one idle for its IODeadline) if d's connections may carry
+// many exchanges, else (or with a nil pool) over one dialed for it; one
+// that answered OK goes back to pool. The timeout bounds the call and is
+// clamped to the context deadline. A reused connection the peer closed
+// before any response byte likely idled out: an idempotent request is sent
+// again once on a new one, not counted as a retry; a submission's fate is
+// then unknown. Any other failure, an injected one too, is the caller's.
+func roundTrip(ctx context.Context, d Dialer, pool *connPool, addr string, req Request, timeout time.Duration, lim Limits, idempotent bool) (*Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -281,22 +365,50 @@ func roundTrip(ctx context.Context, d Dialer, addr string, req Request, timeout 
 	if timeout <= 0 {
 		return nil, fmt.Errorf("ishare: no time left for %q to %s: %w", req.Op, addr, context.DeadlineExceeded)
 	}
-	if maxBytes <= 0 {
-		maxBytes = Limits{}.withDefaults().MaxMessageBytes
+	lim = lim.withDefaults()
+	deadline := time.Now().Add(timeout)
+	d = dialerOrDefault(d)
+	r, ok := d.(interface{ ReusesConns() bool })
+	reuse := pool != nil && ok && r.ReusesConns()
+	var c *poolConn
+	if reuse {
+		c = pool.get(addr, lim.IODeadline/2)
 	}
-	conn, err := dialerOrDefault(d).Dial(addr, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("ishare: dialing %s: %w", addr, err)
+	for ; ; c = nil {
+		reused := c != nil
+		if !reused {
+			if pool != nil && pool.dials != nil {
+				pool.dials.Inc()
+			}
+			conn, err := d.Dial(addr, time.Until(deadline))
+			if err != nil {
+				return nil, fmt.Errorf("ishare: dialing %s: %w", addr, err)
+			}
+			c = &poolConn{Conn: conn, r: msgReader{r: conn}}
+		}
+		read := c.r.n
+		resp, err := c.exchange(&req, addr, deadline, lim.MaxMessageBytes)
+		if err == nil && resp.OK && reuse {
+			pool.put(addr, c, lim.IODeadline/2)
+			return resp, nil
+		}
+		c.Close()
+		if err == nil || !reused || !idempotent || c.r.n != read || !peerClosed(err) {
+			return resp, err
+		}
 	}
-	defer conn.Close()
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
+}
+
+// exchange writes req on c and reads its response, both before deadline.
+func (c *poolConn) exchange(req *Request, addr string, deadline time.Time, maxBytes int64) (*Response, error) {
+	if err := c.SetDeadline(deadline); err != nil {
 		return nil, err
 	}
-	if err := writeMessage(conn, &req, maxBytes); err != nil {
+	if err := writeMessage(c.Conn, req, maxBytes); err != nil {
 		return nil, fmt.Errorf("ishare: sending %q: %w", req.Op, err)
 	}
 	var resp Response
-	if exceeded, err := readMessage(conn, maxBytes, &resp, nil); exceeded {
+	if exceeded, err := readMessage(&c.r, maxBytes, &resp, nil); exceeded {
 		return nil, fmt.Errorf("ishare: %q response to %s exceeds %d bytes", req.Op, addr, maxBytes)
 	} else if err != nil {
 		return nil, fmt.Errorf("ishare: reading %q response: %w", req.Op, err)
@@ -304,34 +416,137 @@ func roundTrip(ctx context.Context, d Dialer, addr string, req Request, timeout 
 	return &resp, nil
 }
 
-// serveConn handles one request/response exchange with the given handler.
-// The request read and response write are each bounded by lim. A nil
-// response from the handler drops the connection without replying — the
-// observable signature of a service that died mid-exchange. The request's
-// arrays are valid until the handler returns: its digests are decoded into
-// a pooled array that the next request reuses, so a handler copies what it
-// keeps.
-func serveConn(conn net.Conn, lim Limits, handle func(Request) *Response) {
+// server is the accept side of a registry or a node: one goroutine a
+// connection, serving the exchanges it carries.
+type server struct {
+	ln     net.Listener
+	lim    Limits
+	handle func(Request) *Response
+	// admit, if set, takes an inflight slot for the request whose first
+	// bytes r holds, or answers it and reports false; release frees it.
+	admit   func(conn net.Conn, r io.Reader) bool
+	release func()
+	done    chan struct{} // closed by close
+
+	wg   sync.WaitGroup
+	mu   sync.Mutex
+	idle map[net.Conn]bool // connections waiting between exchanges
+}
+
+// listen opens a server on addr that serves nothing until start.
+func listen(addr string, lim Limits) (*server, error) {
+	ln, err := listenTCP(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &server{ln: ln, lim: lim.withDefaults(), done: make(chan struct{}), idle: make(map[net.Conn]bool)}, nil
+}
+
+// start accepts connections and serves each with handle.
+func (s *server) start(handle func(Request) *Response) {
+	s.handle = handle
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		for {
+			conn, err := s.ln.Accept()
+			if errors.Is(err, net.ErrClosed) {
+				return
+			} else if err == nil {
+				s.wg.Add(1)
+				go s.serveConn(conn)
+			}
+		}
+	}()
+}
+
+// close stops accepting and closes the connections idle between exchanges;
+// one in an exchange ends after it. Later calls do nothing.
+func (s *server) close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select {
+	case <-s.done:
+		return nil
+	default:
+	}
+	close(s.done)
+	for c := range s.idle {
+		c.Close()
+	}
+	return s.ln.Close()
+}
+
+// serveConn serves conn's exchanges in order, each read and write bounded
+// by the IODeadline, until the peer sends EOF, an exchange fails, the
+// handler returns nil (a service that died mid-exchange: no reply), the
+// server closes or the connection idles for the IODeadline. The first
+// exchange is in flight from the accept; close ends an idle connection.
+func (s *server) serveConn(conn net.Conn) {
+	defer s.wg.Done()
 	defer conn.Close()
-	lim = lim.withDefaults()
-	_ = conn.SetDeadline(time.Now().Add(lim.IODeadline))
+	r := msgReader{r: conn}
+	for idle := false; s.wait(conn, &r, idle) && s.exchange(conn, &r); idle = true {
+	}
+}
+
+// wait waits up to the IODeadline for the next request's first bytes and
+// reports whether they came and the server is still serving.
+func (s *server) wait(conn net.Conn, r *msgReader, idle bool) bool {
+	_ = conn.SetDeadline(time.Now().Add(s.lim.IODeadline))
+	if idle && !s.setIdle(conn, true) {
+		return false
+	}
+	err := r.fill()
+	return (!idle || s.setIdle(conn, false)) && err == nil
+}
+
+// setIdle marks conn idle, in the set close closes, or busy, reporting
+// whether the server is still serving.
+func (s *server) setIdle(conn net.Conn, idle bool) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.idle, conn)
+	select {
+	case <-s.done:
+		return false
+	default:
+	}
+	if idle {
+		s.idle[conn] = true
+	}
+	return true
+}
+
+// exchange admits and serves the request whose first bytes r holds and
+// reports whether the connection can carry another. Its arrays are valid
+// until the handler returns: digests are decoded into a pooled array the
+// next request reuses, so a handler copies what it keeps.
+func (s *server) exchange(conn net.Conn, r *msgReader) bool {
+	if s.admit != nil {
+		if !s.admit(conn, r) {
+			return false
+		}
+		defer s.release()
+	}
+	_ = conn.SetDeadline(time.Now().Add(s.lim.IODeadline))
 	var req Request
 	spare := wireDigests.Get().(*[]NodeDigest)
 	defer func() { releaseDigests(spare, req.Digests) }()
-	if exceeded, err := readMessage(conn, lim.MaxMessageBytes, &req, *spare); err != nil {
+	if exceeded, err := readMessage(r, s.lim.MaxMessageBytes, &req, *spare); err != nil {
 		msg := "bad request: " + err.Error()
 		if exceeded {
-			msg = fmt.Sprintf("request exceeds %d bytes", lim.MaxMessageBytes)
+			msg = fmt.Sprintf("request exceeds %d bytes", s.lim.MaxMessageBytes)
 		}
-		_ = writeMessage(conn, &Response{OK: false, Error: msg}, lim.MaxMessageBytes)
-		return
+		_ = writeMessage(conn, &Response{OK: false, Error: msg}, s.lim.MaxMessageBytes)
+		return false
 	}
-	resp := handle(req)
+	resp := s.handle(req)
 	if resp == nil {
-		return
+		return false
 	}
 	// Handlers may run for a while (a submission simulates a whole job);
 	// give the write its own fresh deadline rather than the leftovers.
-	_ = conn.SetDeadline(time.Now().Add(lim.IODeadline))
-	_ = writeMessage(conn, resp, lim.MaxMessageBytes)
+	_ = conn.SetDeadline(time.Now().Add(s.lim.IODeadline))
+	return writeMessage(conn, resp, s.lim.MaxMessageBytes) == nil
 }

@@ -34,13 +34,12 @@ import (
 // request is logged before it is acked, so a shard killed at any instant
 // restarts (NewRegistryWithOptions over the same directory) with every
 // acked registration intact. A registry configured with MaxInflight
-// sheds load instead of collapsing: connections beyond the inflight
-// bound wait in a bounded queue, and past that are answered with a
-// retry-after hint — the protection that lets a recovering shard survive
-// the re-register thundering herd.
+// sheds load instead of collapsing: requests beyond the inflight bound
+// wait in a bounded queue, and past that are answered with a retry-after
+// hint — the protection that lets a recovering shard survive the
+// re-register thundering herd.
 type Registry struct {
 	ttl time.Duration
-	lim Limits
 	opt RegistryOptions
 
 	mu sync.RWMutex
@@ -81,11 +80,8 @@ type Registry struct {
 	queue    chan struct{}
 	sheds    atomic.Uint64
 
-	ln        net.Listener
-	wg        sync.WaitGroup
-	crashed   atomic.Bool
-	closeOnce sync.Once
-	closed    chan struct{}
+	srv     *server
+	crashed atomic.Bool
 }
 
 // registryEntry is one node's record, 80 B: its last digest as list echoes
@@ -135,14 +131,14 @@ type RegistryOptions struct {
 	// to WAL.Dir before the ack and replayed on the next construction
 	// over the same directory.
 	WAL *WALOptions
-	// MaxInflight bounds concurrently served connections; zero is
-	// unbounded (no admission control).
+	// MaxInflight bounds requests served at once; zero is unbounded (no
+	// admission control). A connection idle between requests holds no slot.
 	MaxInflight int
-	// MaxQueue bounds connections waiting for an inflight slot (default
-	// 4x MaxInflight). Beyond it, connections are shed immediately.
+	// MaxQueue bounds requests waiting for an inflight slot (default 4x
+	// MaxInflight). Beyond it, requests are shed immediately.
 	MaxQueue int
-	// QueueWait bounds how long a queued connection waits for a slot
-	// before being shed (default 100 ms).
+	// QueueWait bounds how long a queued request waits for a slot before
+	// being shed (default 100 ms).
 	QueueWait time.Duration
 	// RetryAfter is the backoff hint stamped on shed responses
 	// (default 200 ms).
@@ -216,11 +212,9 @@ func NewRegistryWithOptions(addr string, opt RegistryOptions) (*Registry, error)
 	}
 	opt = opt.withDefaults()
 	r := &Registry{
-		ttl:    opt.TTL,
-		lim:    opt.Limits,
-		opt:    opt,
-		ids:    make(map[string]uint32),
-		closed: make(chan struct{}),
+		ttl: opt.TTL,
+		opt: opt,
+		ids: make(map[string]uint32),
 	}
 	if opt.Forecast != nil {
 		// Created before WAL recovery so replayed digests feed it too.
@@ -238,18 +232,18 @@ func NewRegistryWithOptions(addr string, opt RegistryOptions) (*Registry, error)
 		r.wal = w
 		r.recovered = n
 	}
-	ln, err := listenTCP(addr)
+	srv, err := listen(addr, opt.Limits)
 	if err != nil {
 		r.wal.Close(true)
 		return nil, fmt.Errorf("ishare: registry listen: %w", err)
 	}
-	r.ln = ln
+	r.srv = srv
 	if opt.MaxInflight > 0 {
 		r.inflight = make(chan struct{}, opt.MaxInflight)
 		r.queue = make(chan struct{}, opt.MaxQueue)
+		srv.admit, srv.release = r.admit, func() { <-r.inflight }
 	}
-	r.wg.Add(1)
-	go r.acceptLoop()
+	srv.start(r.handle)
 	return r, nil
 }
 
@@ -367,7 +361,7 @@ func (r *Registry) snapshotRecordsLocked() []walRecord {
 }
 
 // Addr returns the registry's dial address.
-func (r *Registry) Addr() string { return r.ln.Addr().String() }
+func (r *Registry) Addr() string { return r.srv.ln.Addr().String() }
 
 // RecoveredRecords reports how many WAL/snapshot records were replayed
 // when this registry started.
@@ -412,40 +406,41 @@ func (r *Registry) Instrument(reg *obs.Registry, logger *slog.Logger) {
 	}
 }
 
-// Close stops the registry gracefully: the listener closes, in-flight
-// handlers finish, and a configured WAL is fsynced before closing.
+// Close stops the registry gracefully: the listener and the idle
+// connections close, in-flight handlers finish, and a configured WAL is
+// fsynced before closing.
 func (r *Registry) Close() error {
-	err := r.stop()
-	r.wg.Wait()
+	err := r.srv.close()
+	r.srv.wg.Wait()
 	if werr := r.wal.Close(true); err == nil {
 		err = werr
 	}
 	return err
 }
 
-// Crash kills the registry the way SIGKILL would: accepting stops,
-// in-flight exchanges are dropped without a response, and the WAL is
-// abandoned without a final fsync — recovery gets exactly what write()
-// already delivered. The listener port is released so a restart can
-// rebind the same address.
+// Crash kills the registry the way SIGKILL would: accepting stops, idle
+// connections close, in-flight exchanges are dropped without a response,
+// and the WAL is abandoned without a final fsync — recovery gets exactly
+// what write() already delivered. The listener port is released so a
+// restart can rebind the same address.
 func (r *Registry) Crash() error {
 	r.crashed.Store(true)
-	err := r.stop()
-	r.wg.Wait()
+	err := r.srv.close()
+	r.srv.wg.Wait()
 	if werr := r.wal.Close(false); err == nil {
 		err = werr
 	}
 	return err
 }
 
-// Shutdown drains the registry: stop accepting, wait for in-flight
-// requests up to the context deadline, then flush and close the WAL.
-// It returns an error when the drain deadline expired first.
+// Shutdown drains the registry: stop accepting, close idle connections,
+// wait for in-flight requests up to the context deadline, then flush and
+// close the WAL. It returns an error when the drain deadline expired first.
 func (r *Registry) Shutdown(ctx context.Context) error {
-	err := r.stop()
+	err := r.srv.close()
 	done := make(chan struct{})
 	go func() {
-		r.wg.Wait()
+		r.srv.wg.Wait()
 		close(done)
 	}()
 	var drainErr error
@@ -463,50 +458,11 @@ func (r *Registry) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// stop closes the listener and the closed channel exactly once.
-func (r *Registry) stop() error {
-	var err error
-	r.closeOnce.Do(func() {
-		close(r.closed)
-		err = r.ln.Close()
-	})
-	return err
-}
-
-func (r *Registry) acceptLoop() {
-	defer r.wg.Done()
-	for {
-		conn, err := r.ln.Accept()
-		if err != nil {
-			select {
-			case <-r.closed:
-				return
-			default:
-				continue
-			}
-		}
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			if !r.admit(conn) {
-				return
-			}
-			if r.inflight != nil {
-				defer func() { <-r.inflight }()
-			}
-			serveConn(conn, r.lim, r.handle)
-		}()
-	}
-}
-
-// admit applies admission control to one accepted connection: take an
-// inflight slot immediately, or wait for one in the bounded queue up to
-// QueueWait, or shed with a retry-after hint. Returns true when the caller
-// holds an inflight slot.
-func (r *Registry) admit(conn net.Conn) bool {
-	if r.inflight == nil {
-		return true
-	}
+// admit applies admission control to one request, whose first bytes req
+// holds: take an inflight slot immediately, or wait for one in the bounded
+// queue up to QueueWait, or shed with a retry-after hint. Returns true when
+// the caller holds an inflight slot; otherwise the connection ends.
+func (r *Registry) admit(conn net.Conn, req io.Reader) bool {
 	select {
 	case r.inflight <- struct{}{}:
 		return true
@@ -515,7 +471,7 @@ func (r *Registry) admit(conn net.Conn) bool {
 	select {
 	case r.queue <- struct{}{}:
 	default: // queue full: shed immediately
-		r.shed(conn)
+		r.shed(conn, req)
 		return false
 	}
 	defer func() { <-r.queue }()
@@ -525,20 +481,19 @@ func (r *Registry) admit(conn net.Conn) bool {
 	case r.inflight <- struct{}{}:
 		return true
 	case <-t.C:
-		r.shed(conn)
+		r.shed(conn, req)
 		return false
-	case <-r.closed:
-		conn.Close()
+	case <-r.srv.done:
 		return false
 	}
 }
 
-// shed answers one connection with an overload response carrying the
-// retry-after hint, without executing or even decoding its request: the
-// decode is the dearest part of a batch and the answer does not depend on
-// it. The message is still read off the socket, up to its newline, so the
-// close that follows is not a reset that could cost the peer the response.
-func (r *Registry) shed(conn net.Conn) {
+// shed answers one request with an overload response carrying the
+// retry-after hint, without executing or even decoding it: the decode is
+// the dearest part of a batch and the answer does not depend on it. The
+// message is still read off the socket, up to its newline, so the close
+// that follows is not a reset that could cost the peer the response.
+func (r *Registry) shed(conn net.Conn, req io.Reader) {
 	r.sheds.Add(1)
 	r.mu.RLock()
 	met := r.met
@@ -546,10 +501,9 @@ func (r *Registry) shed(conn net.Conn) {
 	if met != nil {
 		met.sheds.Inc()
 	}
-	defer conn.Close()
-	lim := r.lim.withDefaults()
+	lim := r.srv.lim
 	_ = conn.SetReadDeadline(time.Now().Add(lim.IODeadline))
-	br := bufio.NewReader(io.LimitReader(conn, lim.MaxMessageBytes))
+	br := bufio.NewReader(io.LimitReader(req, lim.MaxMessageBytes))
 	for _, err := br.ReadSlice('\n'); err == bufio.ErrBufferFull; _, err = br.ReadSlice('\n') {
 	}
 	// Its own deadline: a peer that sent no newline is answered all the same.

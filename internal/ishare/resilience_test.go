@@ -291,43 +291,30 @@ func TestHeartbeatReRegistersAfterRegistryForgets(t *testing.T) {
 // unreachable registry, and the node re-registers only when a reply's
 // Missing names it.
 func TestHeartbeatRefusalDoesNotReRegister(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
 	const refusals = 3
 	var mu sync.Mutex
 	registers, heartbeats, registersAtMissing := 0, 0, 0
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
+	addr := startServer(t, Limits{}, func(req Request) *Response {
+		mu.Lock()
+		defer mu.Unlock()
+		switch req.Op {
+		case "register", "register_batch":
+			registers++
+			return &Response{OK: true}
+		case "heartbeat", "heartbeat_batch":
+			heartbeats++
+			switch {
+			case heartbeats <= refusals:
+				return errWALAppend
+			case heartbeats == refusals+1:
+				registersAtMissing = registers
+				return &Response{OK: true, Missing: []string{"stubbed"}}
 			}
-			go serveConn(conn, Limits{}, func(req Request) *Response {
-				mu.Lock()
-				defer mu.Unlock()
-				switch req.Op {
-				case "register", "register_batch":
-					registers++
-					return &Response{OK: true}
-				case "heartbeat", "heartbeat_batch":
-					heartbeats++
-					switch {
-					case heartbeats <= refusals:
-						return errWALAppend
-					case heartbeats == refusals+1:
-						registersAtMissing = registers
-						return &Response{OK: true, Missing: []string{"stubbed"}}
-					}
-					return &Response{OK: true}
-				}
-				return &Response{OK: false, Error: "unknown op " + req.Op}
-			})
+			return &Response{OK: true}
 		}
-	}()
-	node := startNode(t, NodeConfig{Name: "stubbed", RegistryAddrs: []string{ln.Addr().String()},
+		return &Response{OK: false, Error: "unknown op " + req.Op}
+	})
+	node := startNode(t, NodeConfig{Name: "stubbed", RegistryAddrs: []string{addr},
 		HeartbeatEvery: 5 * time.Millisecond, Metrics: obs.NewRegistry()})
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		mu.Lock()

@@ -20,7 +20,7 @@ var wireBufs = sync.Pool{New: func() any {
 	return &b
 }}
 
-// wireDigests pools the arrays serveConn decodes requests' digests into.
+// wireDigests pools the arrays a server decodes requests' digests into.
 var wireDigests = sync.Pool{New: func() any { return new([]NodeDigest) }}
 
 const wireMaxPooledDigests = 4096 // entries; a larger array is dropped
@@ -254,6 +254,7 @@ func (p *messageParser) parse(b []byte) wireStatus {
 		case p.at == atOpen:
 			return wireDecline
 		case p.at == atEnvelope && c == '}':
+			p.pos = i + 1
 			return wireDone
 		case p.at == atObject && c == '}':
 			p.pos, p.at, p.first = i+1, atObjects, false
@@ -753,24 +754,69 @@ type errReader struct{ err error }
 
 func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
-// readMessage reads one message of at most maxBytes from r into a pooled
+// msgReader reads the messages one stream carries, in order: what a read
+// took past the end of one message is the start of the next.
+type msgReader struct {
+	r    io.Reader
+	rest []byte // read past the last message, leading whitespace dropped
+	buf  []byte // fill's storage
+	n    int64  // bytes read from r
+}
+
+func (m *msgReader) Read(b []byte) (int, error) {
+	if len(m.rest) > 0 {
+		n := copy(b, m.rest)
+		m.rest = m.rest[n:]
+		return n, nil
+	}
+	n, err := m.r.Read(b)
+	m.n += int64(n)
+	return n, err
+}
+
+// fill waits for the next message's first bytes, failing only when r ends
+// or fails before any arrive.
+func (m *msgReader) fill() error {
+	if m.buf == nil {
+		m.buf = make([]byte, 512)
+	}
+	for len(m.rest) == 0 {
+		n, err := m.Read(m.buf)
+		m.rest = m.buf[:n]
+		if n == 0 && err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// keep puts tail, read past a message's end, ahead of what rest still holds.
+func (m *msgReader) keep(tail []byte) {
+	if tail = tail[skipSpace(tail, 0):]; len(tail) > 0 {
+		m.rest = append(append([]byte(nil), tail...), m.rest...)
+	}
+}
+
+// readMessage reads one message of at most maxBytes from mr into a pooled
 // buffer and parses it into msg as it fills, a request's digests into spare
 // when it holds them. What the parser declines, or is still incomplete when
-// r ends or the limit is reached, goes to encoding/json as the bytes
-// already read plus the rest of r under the same limit, and gets its result
-// and error text. A reader that has failed is not read again: the fallback
-// is handed the error it returned. exceeded reports that the error is the
-// limit's.
+// mr ends or the limit is reached, goes to encoding/json as the bytes
+// already read plus the rest of mr under the same limit, and gets its
+// result and error text. A reader that has failed is not read again: the
+// fallback is handed the error it returned. exceeded reports that the error
+// is the limit's. What either read past the message's end stays in mr for
+// the next one.
 //
 // Past its pooled buffer, what the parser allocates for a message of n
 // bytes is its strings and its arrays. An array of objects opens presized
 // from the bytes in sight to at most n/12+1 entries, or in spare when that
 // holds them, and grows by append for elements past that: ones still to
-// arrive, or averaging under 12 bytes. The spares serveConn offers come
+// arrive, or averaging under 12 bytes. The spares a server offers come
 // from wireDigests, which keeps none over wireMaxPooledDigests entries: at
 // most one per request served at once, each at most wireMaxPooledDigests ×
 // 72 bytes.
-func readMessage[M Request | Response, P wirePtr[M]](r io.Reader, maxBytes int64, msg P, spare []NodeDigest) (exceeded bool, err error) {
+func readMessage[M Request | Response, P wirePtr[M]](mr *msgReader, maxBytes int64, msg P, spare []NodeDigest) (exceeded bool, err error) {
+	var r io.Reader = mr
 	bp := wireBufs.Get().(*[]byte)
 	buf := (*bp)[:0]
 	defer func() {
@@ -786,6 +832,7 @@ func readMessage[M Request | Response, P wirePtr[M]](r io.Reader, maxBytes int64
 		buf = buf[:len(buf)+n]
 		if n > 0 {
 			if st = p.parse(buf); st == wireDone {
+				mr.keep(buf[p.pos:])
 				return false, nil
 			} else if len(buf)-p.pos > wireMaxPending {
 				st = wireDecline
@@ -798,5 +845,9 @@ func readMessage[M Request | Response, P wirePtr[M]](r io.Reader, maxBytes int64
 	}
 	*msg = *new(M)            // the parser filled part of it,
 	clear(spare[:cap(spare)]) // and perhaps of spare, which goes back to the pool zeroed
-	return decodeBounded(io.MultiReader(bytes.NewReader(buf), r), maxBytes, msg)
+	exceeded, rest, err := decodeBounded(io.MultiReader(bytes.NewReader(buf), r), maxBytes, msg)
+	if err == nil {
+		mr.keep(rest)
+	}
+	return exceeded, err
 }

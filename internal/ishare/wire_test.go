@@ -30,7 +30,7 @@ func decodeMessage[M Request | Response, P wirePtr[M]](data []byte, maxBytes int
 	if maxBytes <= 0 {
 		maxBytes = Limits{}.withDefaults().MaxMessageBytes
 	}
-	if exceeded, err := readMessage(bytes.NewReader(data), maxBytes, P(&msg), nil); exceeded {
+	if exceeded, err := readMessage(&msgReader{r: bytes.NewReader(data)}, maxBytes, P(&msg), nil); exceeded {
 		return *new(M), fmt.Errorf("ishare: message exceeds %d bytes", maxBytes)
 	} else if err != nil {
 		return *new(M), err
@@ -152,7 +152,7 @@ func checkAgainstJSON[M Request | Response, P wirePtr[M]](t *testing.T, data []b
 		if c == chunk {
 			spare = append([]NodeDigest(nil), dirtyDigests...)[:0]
 		}
-		exceeded, err := readMessage(src, lim, P(&got), spare)
+		exceeded, err := readMessage(&msgReader{r: src}, lim, P(&got), spare)
 		if exceeded {
 			err = fmt.Errorf("ishare: message exceeds %d bytes", lim)
 		}
@@ -829,7 +829,7 @@ func TestServeConnWireBoundaries(t *testing.T) {
 	// parser and by the fallback alike.
 	list := string(bytes.TrimSuffix(jsonEncode(t, listReply(32)), []byte("\n")))
 	exchange := func(maxBytes int64, segments ...string) (*Response, error) {
-		return roundTrip(ctx, nil, replyPeer(t, segments...), Request{Op: "list"}, 5*time.Second, maxBytes)
+		return roundTrip(ctx, nil, nil, replyPeer(t, segments...), Request{Op: "list"}, 5*time.Second, Limits{MaxMessageBytes: maxBytes}, true)
 	}
 	for _, reply := range []string{list, `{"ok":true,"info":{"state":"S1(full)"}}`, `{"ok":true} junk`} {
 		start := time.Now()
@@ -855,7 +855,7 @@ func TestServeConnWireBoundaries(t *testing.T) {
 	// it is not read again.
 	for _, partial := range []string{`{"ok":true,"nodes":[{"name":"a"`, `{"ok":true,"info":{"state":`} {
 		d := &dropDialer{partial: partial}
-		_, err := roundTrip(ctx, d, reg.Addr(), Request{Op: "list"}, time.Second, 0)
+		_, err := roundTrip(ctx, d, nil, reg.Addr(), Request{Op: "list"}, time.Second, Limits{}, true)
 		if !errors.Is(err, errDropped) || !strings.HasPrefix(err.Error(), `ishare: reading "list" response: `) || d.conn.failed != 1 {
 			t.Errorf("dropped after %q: %v, %d reads after the error", partial, err, d.conn.failed)
 		}
@@ -915,7 +915,7 @@ func TestServeConnReusedSlotsReadZero(t *testing.T) {
 func TestReadMessageZeroesDeclinedSpare(t *testing.T) {
 	spare := make([]NodeDigest, 0, 8)
 	var req Request
-	if _, err := readMessage(strings.NewReader(`{"digests":[{"name":"a"},{"name":"b"},}`), 1<<10, &req, spare); err == nil || req.Digests != nil {
+	if _, err := readMessage(&msgReader{r: strings.NewReader(`{"digests":[{"name":"a"},{"name":"b"},}`)}, 1<<10, &req, spare); err == nil || req.Digests != nil {
 		t.Fatalf("decoded %+v, %v; want a syntax error", req, err)
 	}
 	for i, d := range spare[:cap(spare)] {
@@ -943,7 +943,7 @@ func TestServeConnKeepsNoRequestArray(t *testing.T) {
 		func() error { return c.RegisterBatch(ctx, reg.Addr(), ds) },
 		func() error { _, err := c.HeartbeatBatch(ctx, reg.Addr(), beat); return err },
 		func() error {
-			_, err := roundTrip(ctx, nil, node.Addr(), Request{Op: "gossip", Digests: beat}, time.Second, 0)
+			_, err := roundTrip(ctx, nil, nil, node.Addr(), Request{Op: "gossip", Digests: beat}, time.Second, Limits{}, true)
 			return err
 		},
 	} {
@@ -1189,7 +1189,7 @@ func benchWireBatch(b *testing.B, load func(i int) float64) {
 	run("decode/reused", func() int { // as serveConn decodes: into a pooled array, released after
 		spare := wireDigests.Get().(*[]NodeDigest)
 		var got Request
-		if _, err := readMessage(bytes.NewReader(data), 1<<20, &got, *spare); err != nil {
+		if _, err := readMessage(&msgReader{r: bytes.NewReader(data)}, 1<<20, &got, *spare); err != nil {
 			b.Fatal(err)
 		}
 		releaseDigests(spare, got.Digests)
