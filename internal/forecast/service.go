@@ -86,8 +86,8 @@ func stateView(state string) uint8 {
 	}
 }
 
-// ObserveState is ObserveStateID for a caller that knows nodes by name:
-// unknown names join the fleet. The error is always nil.
+// ObserveState is ObserveStatesID for one state, from a caller that knows
+// nodes by name: unknown names join the fleet. The error is always nil.
 func (s *Service) ObserveState(name, state string, unixMS int64) error {
 	if v := stateView(state); v != unseen && name != "" {
 		s.mu.Lock()
@@ -102,15 +102,25 @@ func (s *Service) ObserveState(name, state string, unixMS int64) error {
 	return nil
 }
 
-// ObserveStateID ingests the availability state machine id reported,
-// stamped at unixMS wall milliseconds (a heartbeat digest, a WAL replay
-// entry, or a gossip exchange — all three flow through here). The fleet
-// grows to the ID it is handed; states that do not parse are ignored.
-func (s *Service) ObserveStateID(id uint32, state string, unixMS int64) {
-	if v := stateView(state); v != unseen {
-		s.mu.Lock()
-		s.observeLocked(id, v, unixMS)
-		s.mu.Unlock()
+// StateReport is the availability state machine ID reported, stamped at
+// UnixMS wall milliseconds.
+type StateReport struct {
+	ID     uint32
+	State  string
+	UnixMS int64
+}
+
+// ObserveStatesID ingests a batch's reports (its heartbeat or registration
+// digests, or a WAL replay record's entries) in order, under one lock. The
+// fleet grows to the IDs it is handed; states that do not parse are
+// ignored.
+func (s *Service) ObserveStatesID(rs []StateReport) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, r := range rs {
+		if v := stateView(r.State); v != unseen {
+			s.observeLocked(r.ID, v, r.UnixMS)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package ishare
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -342,6 +343,38 @@ func TestPoolIdleBound(t *testing.T) {
 	}
 	if n := d.n.Load(); n != 3 {
 		t.Errorf("dials = %d, want 3: a connection idle past 20 ms was reused", n)
+	}
+}
+
+// TestPoolForgetsIdleAddresses: connections put back at 1000 addresses and
+// left idle past maxIdle are closed at the next put, and their addresses
+// leave the map with them, so a client that reached a whole fleet once
+// holds, and sweeps on each exchange, only the addresses it still has idle
+// connections to.
+func TestPoolForgetsIdleAddresses(t *testing.T) {
+	var p connPool
+	var ends []net.Conn
+	const maxIdle = time.Millisecond
+	for i := range 1000 {
+		a, b := net.Pipe()
+		ends = append(ends, b)
+		p.put(fmt.Sprintf("10.0.%d.%d:7070", i/256, i%256), &poolConn{Conn: a}, time.Hour)
+	}
+	if n := len(p.idle); n != 1000 {
+		t.Fatalf("%d addresses pooled, want 1000", n)
+	}
+	time.Sleep(5 * maxIdle)
+	p.put("10.1.0.0:7070", nil, maxIdle)
+	if n := len(p.idle); n != 0 {
+		t.Fatalf("%d addresses still in the pool after every connection idled out", n)
+	}
+	for _, b := range ends {
+		if _, err := b.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("a pooled connection idle past maxIdle was not closed: read gave %v", err)
+		}
+	}
+	if c := p.get("10.0.0.1:7070", maxIdle); c != nil || len(p.idle) != 0 {
+		t.Fatalf("get on a forgotten address returned %v and left %d addresses", c, len(p.idle))
 	}
 }
 

@@ -33,11 +33,15 @@
 // exact case, no array twice; strings without escapes, control bytes or
 // non-ASCII (nor, written, <, > or &); strict-grammar numbers that fit
 // their field, no NaN or Inf; no null; no job, host_*, info or shard_map
-// member. A number is converted in the scan that finds it, to the bits
-// strconv gives: a decimal of at most 19 significant and 22 fraction
-// digits as m/10^k when its mantissa is below 2^53, and above that by the
-// Eisel–Lemire step strconv runs; only a number of another form, or one
-// that step cannot decide, is rescanned for strconv. All else — submit,
+// member. A number is converted in the scan that finds it, eight digits a
+// step, to the bits strconv gives: a decimal of at most 19 significant and
+// 22 fraction digits as m/10^k when its mantissa is below 2^53, and above
+// that by the Eisel–Lemire step strconv runs; only a number of another
+// form, or one that step cannot decide, is rescanned for strconv. A number
+// is written as strconv writes it: an integer, and a float's shortest
+// digits, eight at a time from a two-digit table, the float's found by
+// Schubfach in [1e-6, 1e21) and by strconv outside it (the 'e' form, zero);
+// a batch's digests that share a stamp copy its bytes. All else — submit,
 // sethost, info, shardmap and their replies, malformed or oversized input
 // — goes to encoding/json (decodeBounded, json.Encoder below) as the bytes
 // already read plus the rest of the connection, and gets its result and
@@ -285,10 +289,11 @@ func writeMessage(w io.Writer, msg any, maxBytes int64) (err error) {
 // connPool keeps a client's idle connections, a stack per address: an
 // exchange that ends well pushes its connection and the next one pops the
 // most recent, so an address holds at most as many as were once in flight
-// to it together.
+// to it together. An address is a key only while it holds one: the map has
+// at most as many keys as connections idle within maxIdle.
 type connPool struct {
 	mu    sync.Mutex
-	idle  map[string][]*poolConn // per address, least recently used first
+	idle  map[string][]*poolConn // per address, least recently used first; never empty
 	dials *obs.Counter           // nil: not counted
 }
 
@@ -307,7 +312,7 @@ func (p *connPool) get(addr string, maxIdle time.Duration) (c *poolConn) {
 	defer p.mu.Unlock()
 	if s := p.prune(addr, maxIdle); len(s) > 0 {
 		c = s[len(s)-1]
-		p.idle[addr] = slices.Delete(s, len(s)-1, len(s))
+		p.keep(addr, slices.Delete(s, len(s)-1, len(s)))
 	}
 	return c
 }
@@ -320,22 +325,32 @@ func (p *connPool) put(addr string, c *poolConn, maxIdle time.Duration) {
 	}
 	if c != nil {
 		c.used = time.Now()
-		p.idle[addr] = append(p.prune(addr, maxIdle), c)
+		p.keep(addr, append(p.prune(addr, maxIdle), c))
 	}
 }
 
 // prune closes the bottom of addr's stack idle past maxIdle and returns the
 // rest.
 func (p *connPool) prune(addr string, maxIdle time.Duration) []*poolConn {
-	if p.idle == nil {
-		p.idle = make(map[string][]*poolConn)
-	}
 	s, n := p.idle[addr], 0
 	for ; n < len(s) && (maxIdle < 0 || time.Since(s[n].used) > maxIdle); n++ {
 		s[n].Close()
 	}
-	p.idle[addr] = slices.Delete(s, 0, n)
-	return p.idle[addr]
+	s = slices.Delete(s, 0, n)
+	p.keep(addr, s)
+	return s
+}
+
+// keep stores s as addr's stack, or forgets addr when s is empty.
+func (p *connPool) keep(addr string, s []*poolConn) {
+	switch {
+	case len(s) == 0:
+		delete(p.idle, addr)
+	case p.idle == nil:
+		p.idle = map[string][]*poolConn{addr: s}
+	default:
+		p.idle[addr] = s
+	}
 }
 
 // peerClosed reports whether err shows the peer ended the connection, as a

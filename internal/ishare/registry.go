@@ -61,18 +61,21 @@ type Registry struct {
 	log      *slog.Logger     // nil until Instrument
 
 	// fc, when non-nil, is the embedded online forecaster: every digest
-	// state transition (live or WAL-replayed) feeds it, and the
-	// `forecast` op answers from it. Set once at construction, so reads
-	// need no lock; it carries its own mutex, always acquired after r.mu.
+	// state transition (live or WAL-replayed) feeds it, a batch's in one
+	// call (reportLocked), and the `forecast` op answers from it. Set once
+	// at construction, so reads need no lock; it carries its own mutex,
+	// always acquired after r.mu.
 	fc *forecast.Service
 
 	wal       *wal // nil without durability: its appends and Close do nothing
 	recovered int  // records replayed at startup
-	// Scratch for a batch: its names resolved to IDs (resolveLocked), then
-	// a heartbeat's digests split into changed ones and pure refreshes
-	// before logging; guarded by mu, reused across batches so the durable
-	// hot path stays allocation-free.
+	// Scratch for a batch: its names resolved to IDs (resolveLocked), the
+	// states its upserts stored, for the forecaster, then a heartbeat's
+	// digests split into changed ones and pure refreshes before logging;
+	// guarded by mu, reused across batches so the durable hot path stays
+	// allocation-free.
 	batchIDs     []uint32
+	fcReports    []forecast.StateReport
 	walChanged   []NodeDigest
 	walRefreshed []string
 
@@ -262,6 +265,7 @@ func (r *Registry) applyWALRecord(rec walRecord) {
 		for _, e := range rec.entries {
 			r.registerLocked(e.d, stampMS(e.lastSeenMS))
 		}
+		r.reportLocked()
 	case walKindRemove:
 		r.removeLocked(rec.name)
 	case walKindShardMap:
@@ -534,10 +538,11 @@ func (r *Registry) registerLocked(d NodeDigest, now int64) {
 // upsertLocked refreshes the entry with the given ID from d, keeping the
 // score bucket index consistent. A digest only replaces the stored one when
 // it is newer (higher Gen, later stamp; an unstamped digest counts as
-// stamped at receipt, now); a bare heartbeat (empty digest) refreshes
-// liveness without touching the stored state. It reports whether
-// anything beyond the liveness stamp changed — a false return is a pure
-// refresh, which the WAL logs in compact form.
+// stamped at receipt, now), and then queues its state for the forecaster
+// (reportLocked); a bare heartbeat (empty digest) refreshes liveness
+// without touching the stored state. It reports whether anything beyond
+// the liveness stamp changed — a false return is a pure refresh, which the
+// WAL logs in compact form.
 func (r *Registry) upsertLocked(id uint32, d NodeDigest, now int64) bool {
 	e := &r.entries[id]
 	addr, state, load, gen := e.addr, e.state, e.load, e.gen
@@ -553,7 +558,7 @@ func (r *Registry) upsertLocked(id uint32, d NodeDigest, now int64) bool {
 		if e.state == "" || stamped.Newer(stored) {
 			e.state, e.load, e.gen = d.State, d.Load, d.Gen
 			if r.fc != nil {
-				r.fc.ObserveStateID(id, d.State, stamped.UnixMS)
+				r.fcReports = append(r.fcReports, forecast.StateReport{ID: id, State: d.State, UnixMS: stamped.UnixMS})
 			}
 		}
 	}
@@ -564,6 +569,15 @@ func (r *Registry) upsertLocked(id uint32, d NodeDigest, now int64) bool {
 		r.buckets[want] = append(r.buckets[want], id)
 	}
 	return e.addr != addr || e.state != state || e.load != load || e.gen != gen
+}
+
+// reportLocked hands the forecaster the states upsertLocked queued, in
+// order, in one call: a batch's upserts are followed by one.
+func (r *Registry) reportLocked() {
+	if len(r.fcReports) > 0 {
+		r.fc.ObserveStatesID(r.fcReports)
+		r.fcReports = r.fcReports[:0]
+	}
 }
 
 // unbucketLocked takes e out of its bucket by moving the bucket's last ID
@@ -614,6 +628,7 @@ func (r *Registry) heartbeatLocked(ds []NodeDigest, ids []uint32, now int64) (mi
 			refreshed = append(refreshed, d.Name)
 		}
 	}
+	r.reportLocked()
 	if len(changed) > 0 {
 		err = r.walLocked(r.wal.appendUpsert(changed, unixMS(now)))
 	}
@@ -648,6 +663,7 @@ func (r *Registry) handle(req Request) *Response {
 		for _, d := range req.Digests {
 			r.registerLocked(d, now)
 		}
+		r.reportLocked()
 		err := r.walLocked(r.wal.appendUpsert(req.Digests, unixMS(now)))
 		n := len(r.ids)
 		r.mu.Unlock()

@@ -34,12 +34,17 @@ import (
 // logged as a shared-stamp refresh record rather than full entries. A
 // torn final record — short frame, short payload, or CRC mismatch at
 // the tail, the signature of a crash mid-write — is tolerated: recovery
-// replays every intact record and truncates the tail. fsync is batched and fully off the serving path
-// when the background sync loop is running: an append past the byte
-// threshold kicks the loop instead of syncing inline, and the loop
-// fsyncs without holding the append lock, so the hot path pays one
-// buffer-reusing encode and one write() per acked batch — never an
-// fsync and never a wait behind one.
+// replays every intact record and truncates the tail. The log's fsync is
+// batched and off the serving path when the background sync loop is
+// running: an append past the byte threshold kicks the loop instead of
+// syncing inline, and the loop fsyncs without holding the append lock, so
+// an append pays one buffer-reusing encode and one write() per acked batch
+// and no fsync. Compaction is the exception: the append that reaches
+// CompactEvery snapshots the shard (walLocked → compact), encoding,
+// writing and fsyncing every record while its handler holds the shard
+// lock, so that batch and every request queued on the lock wait for it —
+// at 25 000 nodes 6.8 ms alone, and 15.6 ms median, 28.9 ms at most, over
+// the 36 compactions of a 20 s cp-ingest run (2 vCPU).
 
 const (
 	walKindUpsert   byte = 1 // a batch of digests with liveness stamps

@@ -2,6 +2,7 @@ package ishare
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"math/bits"
@@ -80,7 +81,7 @@ func (e *wireEnc) str(key, s string, keep bool) {
 
 func (e *wireEnc) num(key string, v int64, keep bool) {
 	if v != 0 || keep {
-		e.b = strconv.AppendInt(append(e.b, key...), v, 10)
+		e.b = appendInt(append(e.b, key...), v)
 	}
 }
 
@@ -88,14 +89,21 @@ func (e *wireEnc) float(key string, f float64, keep bool) {
 	if f == 0 && !keep {
 		return
 	}
-	// As encoding/json: 'e' outside [1e-6, 1e21) except for a zero (0 or
-	// -0), exponent unpadded; NaN and the infinities are its error to report.
-	abs, format := math.Abs(f), byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+	e.b = append(e.b, key...)
+	// As encoding/json: the shortest digits that round to f, 'f' in [1e-6,
+	// 1e21), else 'e' except for a zero (0 or -0), exponent unpadded; NaN
+	// and the infinities are its error to report.
+	abs := math.Abs(f)
+	if abs >= 1e-6 && abs < 1e21 {
+		e.b = appendShortest(e.b, f)
+		return
+	}
+	format := byte('f')
+	if abs != 0 {
 		format = 'e'
 	}
 	e.ok = e.ok && abs <= math.MaxFloat64
-	e.b = strconv.AppendFloat(append(e.b, key...), f, format, -1, 64)
+	e.b = strconv.AppendFloat(e.b, f, format, -1, 64)
 	if n := len(e.b); format == 'e' && n >= 4 && e.b[n-4] == 'e' && e.b[n-3] == '-' && e.b[n-2] == '0' {
 		e.b[n-2] = e.b[n-1]
 		e.b = e.b[:n-1]
@@ -114,9 +122,13 @@ func (e *wireEnc) endArray(n int) {
 	}
 }
 
-// digests and strs write the array members both message types carry.
+// digests and strs write the array members both message types carry. A
+// batch's digests mostly share one stamp: a digest stamped as the one
+// before copies that one's unix_ms member (none when both are 0).
 func (e *wireEnc) digests(ds []NodeDigest) {
 	open := `,"digests":[{"name":`
+	var stamp int64
+	var at, end int // e.b[at:end] is the unix_ms member written for stamp
 	for i := range ds {
 		d := &ds[i]
 		e.str(open, d.Name, true)
@@ -124,7 +136,13 @@ func (e *wireEnc) digests(ds []NodeDigest) {
 		e.str(`,"state":`, d.State, false)
 		e.float(`,"load":`, d.Load, false)
 		e.num(`,"gen":`, d.Gen, false)
-		e.num(`,"unix_ms":`, d.UnixMS, false)
+		if d.UnixMS == stamp {
+			e.b = append(e.b, e.b[at:end]...)
+		} else {
+			at = len(e.b)
+			e.num(`,"unix_ms":`, d.UnixMS, false)
+			stamp, end = d.UnixMS, len(e.b)
+		}
 		e.b = append(e.b, '}')
 		open = `,{"name":`
 	}
@@ -577,38 +595,35 @@ func numberToken(b []byte, i int) (tok []byte, integer bool, st wireStatus) {
 
 // floatValue and intValue convert with the calls encoding/json makes, and
 // decline where it reports an error (overflow, a fraction for an integer).
-// Each builds the common case as it scans and leaves the rest to those
-// calls: intValue a plain integer of up to 18 digits, which cannot
-// overflow; floatValue a [-]int[.frac] of at most 19 significant digits
-// and at most 22 fraction digits. A mantissa m below 2^53 and 10^k are
-// exact as float64s, so m/10^k rounds once, as in strconv's own exact
-// path; a larger one, as a 17-digit load has, goes through eiselLemire,
-// the step strconv takes next, and only what that cannot decide is
-// rescanned for strconv.
+// Each builds the common case as it scans, eight digits a step where eight
+// are in sight (digitRun), and leaves the rest to those calls: intValue a
+// plain integer of up to 18 digits, which cannot overflow; floatValue a
+// [-]int[.frac] of at most 19 significant digits and at most 22 fraction
+// digits. A mantissa m below 2^53 and 10^k are exact as float64s, so
+// m/10^k rounds once, as in strconv's own exact path; a larger one, as a
+// 17-digit load has, goes through eiselLemire, the step strconv takes next,
+// and only what that cannot decide is rescanned for strconv.
 func floatValue(dst *float64, b []byte, i int) (int, wireStatus) {
 	j, sign := i, 1.0
 	if b[j] == '-' {
 		j, sign = j+1, -1.0
 	}
-	var m uint64
-	k, dot, sig := j, -1, 0 // sig counts digits from the first non-zero one
-	for ; j < len(b); j++ {
-		if c := b[j]; '0' <= c && c <= '9' {
-			if sig > 0 || c != '0' { // apart from m, which 20 digits can wrap to 0
-				sig++
-			}
-			m = 10*m + uint64(c-'0')
-		} else if c != '.' || dot >= 0 {
-			break
-		} else {
-			dot = j
+	k := j
+	m, j := digitRun(0, b, j)
+	whole, frac := j-k, 0
+	point := j < len(b) && b[j] == '.'
+	if point {
+		m, j = digitRun(m, b, j+1)
+		frac = j - k - whole - 1
+	}
+	sig := whole + frac // digits from the first non-zero one: m holds them, exactly when at most 19
+	if whole == 1 && b[k] == '0' {
+		sig--
+		for z := k + 2; z < j && b[z] == '0'; z++ {
+			sig--
 		}
 	}
-	whole, frac := j-k, 0
-	if dot >= 0 {
-		whole, frac = dot-k, j-dot-1
-	}
-	if whole > 0 && (whole == 1 || b[k] != '0') && (dot < 0 || frac > 0) && sig <= 19 && frac <= 22 &&
+	if whole > 0 && (whole == 1 || b[k] != '0') && (!point || frac > 0) && sig <= 19 && frac <= 22 &&
 		j < len(b) && !numberByte(b[j]) {
 		if m < 1<<53 {
 			*dst = sign * float64(m) / math.Pow10(frac)
@@ -626,6 +641,28 @@ func floatValue(dst *float64, b []byte, i int) (int, wireStatus) {
 	}
 	*dst = f
 	return i + len(tok), st
+}
+
+// digitRun takes the digits at b[j:] into m and returns m and the index
+// after them: eight a step while the next eight bytes are all digits (a
+// SWAR test and three multiplies a word, as fast_float's
+// parse_eight_digits), then one a step; a run whose second byte is no digit
+// skips the word test. m wraps past 19 significant digits.
+func digitRun(m uint64, b []byte, j int) (uint64, int) {
+	for ; j+8 <= len(b) && b[j+1]-'0' < 10; j += 8 {
+		x := binary.LittleEndian.Uint64(b[j:])
+		if ((x+0x4646464646464646)|(x-0x3030303030303030))&0x8080808080808080 != 0 {
+			break
+		}
+		x -= 0x3030303030303030
+		x = x*10 + x>>8 // each even byte: the two-digit number it starts
+		x = ((x&0x000000FF000000FF)*(100+1000000<<32) + (x>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32
+		m = m*1e8 + uint64(uint32(x))
+	}
+	for ; j < len(b) && '0' <= b[j] && b[j] <= '9'; j++ {
+		m = 10*m + uint64(b[j]-'0')
+	}
+	return m, j
 }
 
 // wirePow10[k] is 10^-k's binary mantissa to 128 bits, rounded down, as
@@ -655,6 +692,42 @@ var wirePow10 = [23][2]uint64{
 	{0xBCE5086492111AEA, 0x88F4BB1CA6BCF584},
 	{0x971DA05074DA7BEE, 0xD3F6FC16EBCA5E03},
 	{0xF1C90080BAF72CB1, 0x5324C68B12DD6338},
+}
+
+// wirePow10Up[n+5] is 10^n's binary mantissa to 128 bits, rounded down
+// and then one unit up, for -5 <= n <= 22, as {high, low}: 10^n lies in
+// [M-1, M)·2^(e-127), M = high·2^64+low and e = ⌊log2 10^n⌋. These are the
+// powers shortestDecimal scales [1e-6, 1e21) by; TestWirePow10Up
+// recomputes each row with math/big.
+var wirePow10Up = [28][2]uint64{
+	{0xA7C5AC471B478423, 0x0FCF80DC33721D54},
+	{0xD1B71758E219652B, 0xD3C36113404EA4A9},
+	{0x83126E978D4FDF3B, 0x645A1CAC083126EA},
+	{0xA3D70A3D70A3D70A, 0x3D70A3D70A3D70A4},
+	{0xCCCCCCCCCCCCCCCC, 0xCCCCCCCCCCCCCCCD},
+	{0x8000000000000000, 0x0000000000000001},
+	{0xA000000000000000, 0x0000000000000001},
+	{0xC800000000000000, 0x0000000000000001},
+	{0xFA00000000000000, 0x0000000000000001},
+	{0x9C40000000000000, 0x0000000000000001},
+	{0xC350000000000000, 0x0000000000000001},
+	{0xF424000000000000, 0x0000000000000001},
+	{0x9896800000000000, 0x0000000000000001},
+	{0xBEBC200000000000, 0x0000000000000001},
+	{0xEE6B280000000000, 0x0000000000000001},
+	{0x9502F90000000000, 0x0000000000000001},
+	{0xBA43B74000000000, 0x0000000000000001},
+	{0xE8D4A51000000000, 0x0000000000000001},
+	{0x9184E72A00000000, 0x0000000000000001},
+	{0xB5E620F480000000, 0x0000000000000001},
+	{0xE35FA931A0000000, 0x0000000000000001},
+	{0x8E1BC9BF04000000, 0x0000000000000001},
+	{0xB1A2BC2EC5000000, 0x0000000000000001},
+	{0xDE0B6B3A76400000, 0x0000000000000001},
+	{0x8AC7230489E80000, 0x0000000000000001},
+	{0xAD78EBC5AC620000, 0x0000000000000001},
+	{0xD8D726B7177A8000, 0x0000000000000001},
+	{0x878678326EAC9000, 0x0000000000000001},
 }
 
 // eiselLemire is m·10^-k correctly rounded, for 2^53 <= m < 10^19 and
@@ -693,21 +766,146 @@ func eiselLemire(m uint64, k int) (f float64, ok bool) {
 	return math.Float64frombits(exp<<52 | mant&(1<<52-1)), true
 }
 
+// shortestDecimal returns the shortest decimal s·10^k that rounds to f, a
+// float64 in [1e-6, 1e21); of two such, the nearer to f, and of two as
+// near, the even one: the digits strconv writes for precision -1. It is
+// Schubfach (Giulietti, "The Schubfach way to render doubles", 2020): f's
+// rounding interval, in quarter units of 2^q, is scaled by 10^-k to a width
+// of at least one unit with one 128-bit multiply a bound, and a multiple of
+// 10^(k+1) in it is taken over one of 10^k.
+func shortestDecimal(f float64) (s uint64, k int) {
+	fb := math.Float64bits(f)
+	c, q := fb&(1<<52-1)|1<<52, int(fb>>52&0x7FF)-1075 // f = c·2^q
+	// An integer below 2^53 is its own digits.
+	if q <= 0 && q > -53 && c&(1<<-q-1) == 0 {
+		return c >> -q, 0
+	}
+	cbl, cb, cbr := 4*c-2, 4*c, 4*c+2
+	k = q * 1262611 >> 22 // ⌊log10 2^q⌋
+	if c == 1<<52 {       // a power of two: the float below is half as near as the one above
+		cbl++
+		k = (q*1262611 - 524031) >> 22 // ⌊log10 (3/4)·2^q⌋
+	}
+	h := q + (-k*1741647)>>19 + 1 // q + ⌊log2 10^-k⌋ + 1, in [1, 4]
+	g := &wirePow10Up[5-k]
+	vbl, vb, vbr := roundToOdd(g, cbl<<h), roundToOdd(g, cb<<h), roundToOdd(g, cbr<<h)
+	if c&1 != 0 { // an odd f's interval leaves its bounds out
+		vbl++
+		vbr--
+	}
+	s = vb >> 2
+	if s >= 10 {
+		sp := s / 10
+		if lo, hi := vbl <= 40*sp, 40*sp+40 <= vbr; lo != hi {
+			return sp + b2u(hi), k + 1
+		}
+	}
+	if lo, hi := vbl <= 4*s, 4*s+4 <= vbr; lo != hi {
+		return s + b2u(hi), k
+	}
+	if mid := 4*s + 2; vb > mid || vb == mid && s&1 != 0 { // s and s+1 both in: the nearer, a tie to even
+		s++
+	}
+	return s, k
+}
+
+// roundToOdd is g·cp/2^128, with its lowest bit set when what it drops
+// could be non-zero.
+func roundToOdd(g *[2]uint64, cp uint64) uint64 {
+	x1, _ := bits.Mul64(g[1], cp)
+	y1, y0 := bits.Mul64(g[0], cp)
+	y0, carry := bits.Add64(y0, x1, 0)
+	return (y1 + carry) | b2u(y0 > 1)
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// appendShortest appends f, 1e-6 <= |f| < 1e21, as strconv.AppendFloat(b,
+// f, 'f', -1, 64) does.
+func appendShortest(b []byte, f float64) []byte {
+	if f < 0 {
+		b, f = append(b, '-'), -f
+	}
+	s, k := shortestDecimal(f)
+	for s%10 == 0 {
+		s, k = s/10, k+1
+	}
+	var buf [24]byte
+	d := buf[putDigits(buf[:], s):]
+	switch dp := len(d) + k; { // digits before the point
+	case dp <= 0:
+		return append(append(b, "0.00000"[:2-dp]...), d...)
+	case dp < len(d):
+		return append(append(append(b, d[:dp]...), '.'), d[dp:]...)
+	default:
+		return append(append(b, d...), "00000000000000000000"[:dp-len(d)]...)
+	}
+}
+
+// appendInt is strconv.AppendInt(b, v, 10).
+func appendInt(b []byte, v int64) []byte {
+	u := uint64(v)
+	if v < 0 {
+		b, u = append(b, '-'), -u
+	}
+	var buf [20]byte
+	return append(b, buf[putDigits(buf[:], u):]...)
+}
+
+// putDigits writes u's decimal digits to the end of d, eight at a time
+// while more than eight are left, and returns where they start.
+func putDigits(d []byte, u uint64) int {
+	i := len(d)
+	for ; u >= 1e8; i -= 8 {
+		q := u / 1e8
+		v := uint32(u - q*1e8)
+		hi, lo := v/10000, v%10000
+		binary.LittleEndian.PutUint64(d[i-8:], uint64(wireDigitPairs[hi/100])|uint64(wireDigitPairs[hi%100])<<16|
+			uint64(wireDigitPairs[lo/100])<<32|uint64(wireDigitPairs[lo%100])<<48)
+		u = q
+	}
+	v := uint32(u)
+	for ; v >= 100; v /= 100 {
+		i -= 2
+		binary.LittleEndian.PutUint16(d[i:], wireDigitPairs[v%100])
+	}
+	if v >= 10 {
+		i -= 2
+		binary.LittleEndian.PutUint16(d[i:], wireDigitPairs[v])
+		return i
+	}
+	i--
+	d[i] = byte('0' + v)
+	return i
+}
+
+// wireDigitPairs[v] is v's two digits, for v < 100, as the uint16 a
+// little-endian load of them reads.
+var wireDigitPairs = func() (t [100]uint16) {
+	for v := range t {
+		t[v] = uint16('0'+v/10) | uint16('0'+v%10)<<8
+	}
+	return t
+}()
+
 func intValue(dst *int64, b []byte, i int) (int, wireStatus) {
 	j := i
 	if b[j] == '-' {
 		j++
 	}
-	var v int64
 	k := j
-	for ; j < len(b) && j-k < 18 && '0' <= b[j] && b[j] <= '9'; j++ {
-		v = 10*v + int64(b[j]-'0')
-	}
+	u, j := digitRun(0, b[:min(len(b), k+18)], j)
 	if j > k && (j == k+1 || b[k] != '0') && j < len(b) && !numberByte(b[j]) {
-		if b[i] == '-' {
-			v = -v
+		if v := int64(u); b[i] == '-' {
+			*dst = -v
+		} else {
+			*dst = v
 		}
-		*dst = v
 		return j, wireDone
 	}
 	tok, integer, st := numberToken(b, i)

@@ -345,6 +345,22 @@ func FuzzWireCodec(f *testing.F) {
 		load, _ := strconv.ParseFloat(s, 64)
 		f.Add([]byte(`{"digests":[{"name":"a","load":`+s+`}]}`), "m001", "S1(full)", load, int64(3), uint8(7))
 	}
+	// At the shortest-digits writer's edges, every other one negated, as
+	// one digest read back in one chunk: 1e-6 and 1e21 and the floats
+	// beside them, every tenth power of two from 2^-20 to 2^70 and the
+	// floats beside it, loads of one and of 17 digits, 5e-324, MaxFloat64
+	// and minus zero. formatEdges has every power; a seed each would spend
+	// fuzz-smoke's seconds on baseline coverage.
+	edges := []float64{5e-324, math.MaxFloat64, math.Copysign(0, -1), 0.1, 0.5, 9e20, 1e-5, 0.12345678901234568, 0.9405090880450124}
+	for _, f := range []float64{1e-6, 1e21, 0x1p-20, 0x1p-10, 1, 0x1p10, 0x1p20, 0x1p30, 0x1p40, 0x1p50, 0x1p60, 0x1p70} {
+		edges = append(edges, math.Nextafter(f, 0), f, math.Nextafter(f, math.Inf(1)))
+	}
+	for i, load := range edges {
+		if i%2 == 1 {
+			load = -load
+		}
+		f.Add([]byte(`{}`), "m001", "S1(full)", load, int64(3), uint8(255))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, name, state string, load float64, gen int64, n uint8) {
 		const lim = 1 << 12
 		checkAgainstJSON[Request](t, data, lim, int(n))
@@ -1137,6 +1153,34 @@ func BenchmarkWireHeartbeatBatch(b *testing.B) {
 		}},
 	} {
 		b.Run("loads="+loads.name, func(b *testing.B) { benchWireBatch(b, loads.load) })
+	}
+}
+
+// BenchmarkWireFormatLoad is the writer's kernel alone: one 17-digit load
+// (as BenchmarkWireHeartbeatBatch's loads=17digit) written by
+// appendShortest and by strconv, ns a load.
+func BenchmarkWireFormatLoad(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	loads := make([]float64, 0, 1024)
+	for len(loads) < cap(loads) {
+		if x := rng.Float64(); len(strconv.FormatFloat(x, 'e', -1, 64)) == len("1.2345678901234567e-01") {
+			loads = append(loads, x)
+		}
+	}
+	var out []byte
+	for _, w := range []struct {
+		name  string
+		write func([]byte, float64) []byte
+	}{
+		{"wire", appendShortest},
+		{"strconv", func(b []byte, f float64) []byte { return strconv.AppendFloat(b, f, 'f', -1, 64) }},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				out = w.write(out[:0], loads[i%len(loads)])
+			}
+			wireSink += len(out)
+		})
 	}
 }
 

@@ -1,6 +1,8 @@
 package ishare
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"math/big"
 	"math/rand"
@@ -22,6 +24,102 @@ func TestWirePow10(t *testing.T) {
 		if m.BitLen() != 128 || row != want {
 			t.Errorf("wirePow10[%d] = %#x, math/big says %#x (%d bits)", k, row, want, m.BitLen())
 		}
+	}
+}
+
+// TestWirePow10Up recomputes each row of wirePow10Up with math/big: 10^n's
+// mantissa scaled into [2^127, 2^128), rounded down, plus one.
+func TestWirePow10Up(t *testing.T) {
+	for i, row := range wirePow10Up {
+		n := i - 5
+		ten := new(big.Int).Exp(big.NewInt(10), big.NewInt(int64(max(n, -n))), nil)
+		m := new(big.Int)
+		if n >= 0 {
+			m.Lsh(ten, uint(128-ten.BitLen()))
+		} else { // 2^-len < 10^n < 2^(1-len), len the bits of 10^-n
+			m.Quo(m.Lsh(big.NewInt(1), uint(127+ten.BitLen())), ten)
+		}
+		m.Add(m, big.NewInt(1))
+		want := [2]uint64{new(big.Int).Rsh(m, 64).Uint64(), m.Uint64()}
+		if m.BitLen() != 128 || row != want {
+			t.Errorf("wirePow10Up[%d] (10^%d) = %#x, math/big says %#x (%d bits)", i, n, row, want, m.BitLen())
+		}
+	}
+}
+
+// formatEdges are the floats where a shortest-digits writer is likeliest
+// to go wrong: 1e-6 and 1e21, where the 'f' form begins and ends, and a
+// thousand floats either side of each; each power of two from 2^-20 to 2^70, whose
+// float below is half as near as the one above, and the float either side;
+// loads whose shortest form has one digit (d·10^p) and either neighbour;
+// loads with 17; and 5e-324, MaxFloat64 and the zeros.
+func formatEdges() []float64 {
+	var fs []float64
+	near := func(f float64, n int) {
+		fs = append(fs, f)
+		for lo, hi, i := f, f, 0; i < n; i++ {
+			lo, hi = math.Nextafter(lo, 0), math.Nextafter(hi, math.Inf(1))
+			fs = append(fs, lo, hi)
+		}
+	}
+	near(1e-6, 1000)
+	near(1e21, 1000)
+	for e := -20; e <= 70; e++ {
+		near(math.Ldexp(1, e), 1)
+	}
+	for p := -6; p <= 20; p++ {
+		for d := 1; d <= 9; d++ {
+			near(float64(d)*math.Pow10(p), 1)
+		}
+	}
+	return append(fs, 0.12345678901234568, 0.9405090880450124, 0.30000000000000004, 0.6046602879796196,
+		5e-324, math.MaxFloat64, math.SmallestNonzeroFloat64*3, 0, math.Copysign(0, -1))
+}
+
+// TestWireFormatMatchesStrconv holds appendShortest to strconv's 'f'
+// format at precision -1, which encoding/json writes in [1e-6, 1e21), byte
+// for byte on ten million floats: uniform draws (a fleet's loads, a
+// quarter of them 17 digits), random bits with an exponent in range, i/997,
+// loads scaled by 10^-5 to 10^20, integers below 2^53, and formatEdges,
+// each also negated.
+// Among the random bits are halves of a unit in the 17th digit (2^50 to
+// 2^51, a quarter past an integer), which round to even. It also holds
+// wireEnc.float, which writes the rest with strconv, to encoding/json on
+// formatEdges and their negations.
+func TestWireFormatMatchesStrconv(t *testing.T) {
+	var got, want []byte
+	n := 0
+	check := func(f float64) {
+		for _, f := range [2]float64{f, -f} {
+			got, want = appendShortest(got[:0], f), strconv.AppendFloat(want[:0], f, 'f', -1, 64)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("appendShortest(%#x) = %s, strconv says %s", math.Float64bits(f), got, want)
+			}
+		}
+		n += 2
+	}
+	for _, f := range formatEdges() {
+		for _, f := range [2]float64{f, -f} {
+			e := wireEnc{ok: true}
+			e.float("", f, true)
+			want, err := json.Marshal(f)
+			if !e.ok || err != nil || !bytes.Equal(e.b, want) {
+				t.Fatalf("float(%#x) wrote %s (ok %v), encoding/json %s (%v)", math.Float64bits(f), e.b, e.ok, want, err)
+			}
+		}
+		if a := math.Abs(f); a >= 1e-6 && a < 1e21 {
+			check(f)
+		}
+	}
+	lo, hi := math.Float64bits(1e-6), math.Float64bits(1e21)
+	rng := rand.New(rand.NewSource(46))
+	for i := 0; n < 10_000_000; i++ {
+		x := rng.Float64()
+		check(max(x, 1e-6))
+		check(math.Float64frombits(lo + rng.Uint64()%(hi-lo)))
+		check(float64(i%997+1) / 997)
+		check(max(x*math.Pow10(rng.Intn(26)-5), 1e-6))
+		check(float64(1 + rng.Int63n(1<<53)))
 	}
 }
 
