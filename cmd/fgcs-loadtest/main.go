@@ -236,8 +236,8 @@ func printResult(res *loadgen.Result, wall time.Duration) {
 	}
 	if res.PartitionDiscover != nil {
 		row("discover (partitioned)", *res.PartitionDiscover)
-		fmt.Printf("  degraded phase: %d candidates, %d stale serves, %d shard errors, %d gossip serves\n",
-			res.PartitionCandidates, res.StaleServes, res.ShardErrors, res.GossipServes)
+		fmt.Printf("  degraded phase: %d candidates, %d stale serves, %d shard errors\n",
+			res.PartitionCandidates, res.StaleServes, res.ShardErrors)
 	}
 	if res.CrashDiscover != nil {
 		row("discover (shard dead)", *res.CrashDiscover)

@@ -29,8 +29,6 @@ import (
 // shard (discoverConcurrency at a time), keeps one stale-fallback cache
 // per shard so losing a shard degrades only that shard's slice of the
 // fleet, and merges the per-shard lists into one ranked candidate list.
-// With a Gossiper attached, placement survives losing every shard:
-// candidates are then served from gossip-learned availability digests.
 type Broker struct {
 	Client *Client
 	// CacheTTL bounds how stale a shard's last-known-good node list may be
@@ -52,10 +50,6 @@ type Broker struct {
 	// BreakerCooldown is how long an open breaker denies calls before the
 	// half-open probe (default 500 ms).
 	BreakerCooldown time.Duration
-	// Gossip, when set, is the decentralized fallback discovery path: if
-	// every shard is unreachable and no cache is usable, candidates come
-	// from the gossip store's availability digests (bounded by gossipTTL).
-	Gossip *Gossiper
 	// Obs receives the broker's counters and latency histograms. Leave nil
 	// to keep the metrics private (a registry is created lazily); set it
 	// before first use to export them on a shared /metrics endpoint.
@@ -88,14 +82,11 @@ type BrokerMetrics struct {
 	// node list because that shard was unreachable.
 	StaleServes int
 	// RegistryErrors counts discovery attempts that failed outright
-	// (every shard unreachable and no usable cache or gossip).
+	// (every shard unreachable and no usable cache).
 	RegistryErrors int
 	// ShardErrors counts individual shard list calls that failed during
 	// fan-out discovery (the shard may still have been served stale).
 	ShardErrors int
-	// GossipServes counts candidate lists served from the gossip store
-	// with every registry shard unreachable.
-	GossipServes int
 	// Failovers counts submissions moved to the next candidate after a
 	// transport failure.
 	Failovers int
@@ -157,7 +148,6 @@ func (b *Broker) Metrics() BrokerMetrics {
 		StaleServes:     int(m.staleServes.Value()),
 		RegistryErrors:  int(m.registryErrors.Value()),
 		ShardErrors:     int(m.shardErrors.Value()),
-		GossipServes:    int(m.gossipServes.Value()),
 		Failovers:       int(m.failovers.Value()),
 		SameNodeRetries: int(m.sameNodeRetries.Value()),
 		Resubmissions:   int(m.resubmissions.Value()),
@@ -194,10 +184,6 @@ func (b *Broker) cacheTTL() time.Duration {
 	return b.CacheTTL
 }
 
-// gossipTTL bounds how old a gossip digest may be and still produce a
-// placement candidate.
-const gossipTTL = 30 * time.Second
-
 func (b *Broker) maxRounds() int {
 	if b.MaxRounds <= 0 {
 		return 8
@@ -225,9 +211,8 @@ type Candidate struct {
 	State string
 	// Score orders candidates: lower is better (0 = S1, 1 = S2).
 	Score int
-	// Stale is true when this candidate came from a fallback path — a
-	// shard's cached node list, or the gossip store — because live
-	// discovery was unavailable.
+	// Stale is true when this candidate came from a shard's cached node
+	// list because live discovery of that shard was unavailable.
 	Stale bool
 }
 
@@ -252,9 +237,10 @@ func rankState(state string) int {
 }
 
 // discover fans discovery out across every shard, degrading per shard to
-// that shard's cached last-known-good list (within CacheTTL) and, when no
-// shard yields anything, to the gossip store. It returns the lists it got,
-// in shard order; stale is true when any of them came from a fallback path.
+// that shard's cached last-known-good list (within CacheTTL). It returns the
+// lists it got, in shard order; stale is true when any of them came from a
+// cache. With every shard failed and no cache usable it returns the last
+// shard error.
 func (b *Broker) discover(ctx context.Context) (lists [][]NodeInfo, stale bool, err error) {
 	m := b.metrics()
 	addrs := b.Client.Shards
@@ -268,9 +254,8 @@ func (b *Broker) discover(ctx context.Context) (lists [][]NodeInfo, stale bool, 
 		br := b.breakerFor(addr)
 		if br != nil && !br.allow() {
 			// Open breaker: skip the call entirely. The shard still counts
-			// as failed, so its stale cache (and, with every shard down,
-			// gossip) serves exactly as for a live error — the fan-out just
-			// stops paying a dial timeout for it.
+			// as failed, so its stale cache serves exactly as for a live
+			// error — the fan-out just stops paying a dial timeout for it.
 			m.breakerShorts.Inc()
 			results[i] = shardResult{err: errBreakerOpen}
 			return nil
@@ -321,46 +306,20 @@ func (b *Broker) discover(ctx context.Context) (lists [][]NodeInfo, stale bool, 
 	if listed > 0 || errs < len(addrs) {
 		return lists, stale, nil
 	}
-	// Every shard failed and no cache was usable: the decentralized path.
-	if g := b.Gossip; g != nil {
-		if nodes := candidatesFromGossip(g.Snapshot(), now, gossipTTL); len(nodes) > 0 {
-			m.gossipServes.Inc()
-			b.logger().Log(ctx, slog.LevelWarn, "all registry shards unreachable, serving gossip-learned candidates",
-				"trace", TraceIDFrom(ctx), "gossip_nodes", len(nodes), "err", lastErr.Error())
-			return [][]NodeInfo{nodes}, true, nil
-		}
-	}
 	m.registryErrors.Inc()
 	return nil, false, lastErr
 }
 
 var errNoShards = errors.New("ishare: client has no registry shards")
 
-// candidatesFromGossip converts fresh, guest-hostable gossip digests into
-// placement candidates.
-func candidatesFromGossip(digests []NodeDigest, now time.Time, ttl time.Duration) []NodeInfo {
-	var out []NodeInfo
-	for _, d := range digests {
-		if d.Addr == "" || rankState(d.State) < 0 {
-			continue
-		}
-		if d.UnixMS <= 0 || now.UnixMilli()-d.UnixMS > ttl.Milliseconds() {
-			continue
-		}
-		out = append(out, NodeInfo{Name: d.Name, Addr: d.Addr, Alive: true,
-			LastSeenMS: d.UnixMS, State: d.State, Load: d.Load, Gen: d.Gen})
-	}
-	return out
-}
-
 // Candidates returns the usable nodes across every shard, ordered
 // best-first. Each listed node is ranked by the digest state its shard
 // holds; no node is dialed, so a node that died within the registry TTL can
 // still be listed, and SubmitBest's failover is what moves past it. During
 // registry partitions discovery falls back per shard to the last-known-good
-// node list (within CacheTTL), and with every shard down to gossip-learned
-// digests, so a broker keeps placing jobs on previously discovered
-// resources through a full control-plane outage.
+// node list (within CacheTTL), so a broker keeps placing jobs on previously
+// discovered resources through a partition; with every shard down and no
+// usable cache it returns the last shard error.
 func (b *Broker) Candidates(ctx context.Context) ([]Candidate, error) {
 	m := b.metrics()
 	start := time.Now()

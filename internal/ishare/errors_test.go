@@ -30,7 +30,7 @@ func TestServeConnRejectsMalformedJSON(t *testing.T) {
 
 func TestRoundTripFailures(t *testing.T) {
 	// Nothing listening.
-	if _, err := roundTrip(context.Background(), nil, nil, "127.0.0.1:1", Request{Op: "list"}, 200*time.Millisecond, Limits{}, true); err == nil {
+	if _, err := roundTrip(context.Background(), nil, new(connPool), "127.0.0.1:1", Request{Op: "list"}, 200*time.Millisecond, Limits{}, true); err == nil {
 		t.Error("dial to dead address succeeded")
 	}
 	// Server that accepts then closes without responding.
@@ -48,7 +48,7 @@ func TestRoundTripFailures(t *testing.T) {
 			c.Close()
 		}
 	}()
-	if _, err := roundTrip(context.Background(), nil, nil, ln.Addr().String(), Request{Op: "list"}, 300*time.Millisecond, Limits{}, true); err == nil {
+	if _, err := roundTrip(context.Background(), nil, new(connPool), ln.Addr().String(), Request{Op: "list"}, 300*time.Millisecond, Limits{}, true); err == nil {
 		t.Error("silent server should produce an error")
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // FuzzProtocolDecode drives arbitrary bytes through the wire decoders for
 // both directions of the protocol — every message (register_batch,
-// heartbeat_batch, unregister, list, shardmap, gossip, submit) rides the one
+// heartbeat_batch, unregister, list, shardmap, submit) rides the one
 // readMessage. The invariants: no panic, no unbounded allocation past
 // the message limit, and anything that decodes cleanly re-encodes to a
 // value that decodes to the same thing (round-trip stability).
@@ -20,7 +20,7 @@ func FuzzProtocolDecode(f *testing.F) {
 		`{"op":"heartbeat_batch","digests":[{"name":"m001","state":"S3(none)","gen":7}]}`,
 		`{"op":"discover","limit":16}`,
 		`{"op":"shardmap"}`,
-		`{"op":"gossip","digests":[{"name":"p1","addr":"10.0.0.2:70","state":"S1(full)","unix_ms":1700000001000}]}`,
+		`{"op":"register_batch","digests":[{"name":"p1","addr":"10.0.0.2:70","state":"S1(full)","unix_ms":1700000001000}]}`,
 		`{"op":"submit","job":{"id":"j-1","cpu_seconds":2.5}}`,
 		`{"op":"list"}`,
 		`{"ok":true,"nodes":[{"name":"m001","addr":"10.0.0.1:70","alive":true,"state":"S1(full)"}]}`,

@@ -194,8 +194,10 @@ func TestSubmitValidation(t *testing.T) {
 	if resp := node.handle(Request{Op: "submit"}); resp.OK {
 		t.Error("submit without job accepted")
 	}
-	if resp := node.handle(Request{Op: "nope"}); resp.OK {
-		t.Error("unknown op accepted")
+	for _, op := range []string{"nope", "gossip"} {
+		if resp := node.handle(Request{Op: op}); resp.OK || resp.Error != "unknown op "+op {
+			t.Errorf("%s: %+v, want unknown op", op, resp)
+		}
 	}
 }
 

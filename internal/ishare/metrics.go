@@ -56,7 +56,6 @@ type brokerMetrics struct {
 	staleServes     *obs.Counter
 	registryErrors  *obs.Counter
 	shardErrors     *obs.Counter
-	gossipServes    *obs.Counter
 	failovers       *obs.Counter
 	sameNodeRetries *obs.Counter
 	resubmissions   *obs.Counter
@@ -74,7 +73,6 @@ func newBrokerMetrics(r *obs.Registry) *brokerMetrics {
 		staleServes:     r.Counter("fgcs_broker_stale_serves_total", "per-shard candidate lists served from the cached node list during registry partitions"),
 		registryErrors:  r.Counter("fgcs_broker_registry_errors_total", "discovery attempts that failed with no usable cache on any shard"),
 		shardErrors:     r.Counter("fgcs_broker_shard_errors_total", "individual shard list calls that failed during fan-out discovery"),
-		gossipServes:    r.Counter("fgcs_broker_gossip_serves_total", "candidate lists served from the gossip store with every registry shard unreachable"),
 		failovers:       r.Counter("fgcs_broker_failovers_total", "submissions moved to the next candidate after a transport failure"),
 		sameNodeRetries: r.Counter("fgcs_broker_same_node_retries_total", "dedup-safe immediate retries on the same node after a dropped response"),
 		resubmissions:   r.Counter("fgcs_broker_resubmissions_total", "jobs resubmitted from a checkpoint after being killed or timing out"),
@@ -85,23 +83,6 @@ func newBrokerMetrics(r *obs.Registry) *brokerMetrics {
 		completions:     r.Counter("fgcs_broker_completions_total", "SubmitBest calls that returned a completed job"),
 		submitSeconds:   r.Histogram("fgcs_broker_submit_seconds", "wall time of one SubmitBest call", requestSecondsBuckets),
 		discoverSeconds: r.Histogram("fgcs_broker_discover_seconds", "wall time of one fan-out discovery across all shards", requestSecondsBuckets),
-	}
-}
-
-// gossipMetrics count a gossiper's anti-entropy traffic.
-type gossipMetrics struct {
-	exchanges *obs.Counter
-	serves    *obs.Counter
-	failures  *obs.Counter
-	merged    *obs.Counter
-}
-
-func newGossipMetrics(r *obs.Registry) *gossipMetrics {
-	return &gossipMetrics{
-		exchanges: r.Counter("fgcs_gossip_exchanges_total", "successful outgoing push-pull exchanges"),
-		serves:    r.Counter("fgcs_gossip_serves_total", "incoming gossip exchanges answered"),
-		failures:  r.Counter("fgcs_gossip_failures_total", "outgoing exchanges that failed transport or protocol"),
-		merged:    r.Counter("fgcs_gossip_digests_merged_total", "digests accepted as news into the store"),
 	}
 }
 

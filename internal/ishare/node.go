@@ -55,11 +55,6 @@ type NodeConfig struct {
 	Dialer Dialer
 	// Limits bounds each served protocol exchange.
 	Limits Limits
-	// Gossip, when set, enables peer-to-peer availability gossip: the node
-	// answers "gossip" exchanges and (if the config carries an Interval)
-	// runs its own anti-entropy loop. Self, Dialer and Limits default to
-	// the node's own.
-	Gossip *GossipConfig
 	// CrashAtVirtual, when positive, is a fault-injection hook: the node
 	// crashes — drops in-flight connections without replying, stops
 	// heartbeating and closes its listener — the first time its virtual
@@ -110,7 +105,6 @@ type Node struct {
 	met      *nodeMetrics // nil when NodeConfig.Metrics is nil
 	log      *slog.Logger
 	registry string     // the shard owning the node's name; "" when unpublished
-	gossip   *Gossiper  // nil unless NodeConfig.Gossip is set
 	hbRand   *rand.Rand // heartbeat jitter source, seeded by the node name
 
 	mu        sync.Mutex
@@ -170,22 +164,6 @@ func NewNode(addr string, cfg NodeConfig) (*Node, error) {
 	}
 	n.setHostLocked(cfg.HostLoad, 300*simos.MB)
 
-	if cfg.Gossip != nil {
-		gcfg := *cfg.Gossip
-		gcfg.Self = n.selfDigest
-		if gcfg.Dialer == nil {
-			gcfg.Dialer = cfg.Dialer
-		}
-		if gcfg.Limits == (Limits{}) {
-			gcfg.Limits = cfg.Limits
-		}
-		if gcfg.Seed == 0 {
-			gcfg.Seed = int64(fnv64a(cfg.Name))
-		}
-		n.gossip = NewGossiper(gcfg)
-		n.gossip.Start()
-	}
-
 	srv.start(n.handle)
 
 	if n.registry != "" {
@@ -199,24 +177,21 @@ func NewNode(addr string, cfg NodeConfig) (*Node, error) {
 	return n, nil
 }
 
-// Gossiper returns the node's gossip store (nil unless enabled).
-func (n *Node) Gossiper() *Gossiper { return n.gossip }
-
 // selfDigest is the node's own availability digest: its last observed
 // state and host load, with a generation that advances on state changes.
+// It goes unstamped: the shard stamps it at receipt.
 func (n *Node) selfDigest() NodeDigest {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return NodeDigest{
 		Name: n.cfg.Name, Addr: n.Addr(),
 		State: n.lastState, Load: n.lastLoad, Gen: n.gen,
-		UnixMS: time.Now().UnixMilli(),
 	}
 }
 
 // noteStateLocked records the latest availability observation for
-// heartbeat digests and gossip; the generation advances when the state
-// class changes. Caller holds n.mu.
+// heartbeat digests; the generation advances when the state class
+// changes. Caller holds n.mu.
 func (n *Node) noteStateLocked(state availability.State, hostCPU float64) {
 	s := state.String()
 	if s != n.lastState {
@@ -237,9 +212,6 @@ func (n *Node) Close() error {
 	n.srv.wg.Wait()
 	n.wg.Wait()
 	n.pool.put("", nil, -1) // closes the registry connection
-	if n.gossip != nil {
-		n.gossip.Close()
-	}
 	return err
 }
 
@@ -259,11 +231,9 @@ func (n *Node) ExecutionCounts() map[string]int {
 // rpc sends op to the shard owning this node's name, through the node's
 // dialer and over the connection the last one used, with the node's
 // availability digest as a batch of one, so discovery can rank it without
-// an Info query. The digest goes unstamped: the shard stamps it at receipt.
+// an Info query.
 func (n *Node) rpc(op string, timeout time.Duration) (*Response, error) {
-	d := n.selfDigest()
-	d.UnixMS = 0
-	req := Request{Op: op, Digests: []NodeDigest{d}}
+	req := Request{Op: op, Digests: []NodeDigest{n.selfDigest()}}
 	return roundTrip(context.Background(), n.cfg.Dialer, &n.pool, n.registry, req, timeout, n.cfg.Limits, true)
 }
 
@@ -420,11 +390,6 @@ func (n *Node) handle(req Request) *Response {
 			return &Response{OK: false, Error: "submit requires a job"}
 		}
 		return n.submit(*req.Job, req.Trace)
-	case "gossip":
-		if n.gossip == nil {
-			return &Response{OK: false, Error: "gossip not enabled"}
-		}
-		return n.gossip.HandleRequest(req)
 	default:
 		return &Response{OK: false, Error: "unknown op " + req.Op}
 	}

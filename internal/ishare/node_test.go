@@ -87,9 +87,8 @@ func TestNodePipelinePinned(t *testing.T) {
 // TestNodeCrashHidesLastStep: the node checks CrashAtVirtual after the
 // engine's step, so the detector observes the step that crosses the crash
 // point. Nothing from that observation may leave the node: no reply and no
-// change to the digest that heartbeats and gossip carry. Here the crossing
-// step is a job's first, under a fresh 0.95 host load that moves the state
-// to S2.
+// change to the digest that heartbeats carry. Here the crossing step is a
+// job's first, under a fresh 0.95 host load that moves the state to S2.
 func TestNodeCrashHidesLastStep(t *testing.T) {
 	node := startNode(t, NodeConfig{
 		Name: "doomed", Machine: simos.LinuxLabMachine(33), CrashAtVirtual: 20 * time.Second,

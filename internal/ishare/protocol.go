@@ -22,7 +22,7 @@
 // Both message types have one codec in two halves. The shapes moved in bulk
 // — an envelope of scalars, arrays of flat objects (digests, nodes,
 // forecasts) and arrays of strings (names, missing): register_batch,
-// heartbeat_batch, gossip, list, forecast and their replies — are written
+// heartbeat_batch, list, forecast and their replies — are written
 // and parsed by hand (wire.go), without reflection: roundTrip and serveConn
 // each send the bytes json.Encoder would, in one Write, and parse the
 // message as it arrives, in one pass, with one state machine that knows the
@@ -69,7 +69,7 @@ import (
 type Request struct {
 	// Op selects the action: "register_batch", "heartbeat_batch",
 	// "unregister", "list", "shardmap", "forecast" (registry); "info",
-	// "submit", "sethost", "gossip" (node).
+	// "submit", "sethost" (node).
 	Op string `json:"op"`
 	// Job carries a submission (submit).
 	Job *JobSpec `json:"job,omitempty"`
@@ -77,9 +77,9 @@ type Request struct {
 	HostLoad float64 `json:"host_load,omitempty"`
 	// HostMemMB sets the node's synthetic host memory (sethost).
 	HostMemMB int64 `json:"host_mem_mb,omitempty"`
-	// Digests carries a batch of node states: the whole batch for
-	// register_batch and heartbeat_batch, the sender's view for gossip. A
-	// heartbeat digest without a state only refreshes liveness.
+	// Digests carries a batch of node states for register_batch and
+	// heartbeat_batch. A heartbeat digest without a state only refreshes
+	// liveness.
 	Digests []NodeDigest `json:"digests,omitempty"`
 	// Names lists the nodes a forecast asks about or an unregister removes.
 	Names []string `json:"names,omitempty"`
@@ -99,10 +99,9 @@ type Request struct {
 
 // NodeDigest is the compact availability summary the scale-out control
 // plane moves around: batched registrations and heartbeats carry them to
-// registry shards, and the gossip layer anti-entropy-exchanges them
-// between peers so placement survives losing every shard. Gen is the
-// node's own version counter; a digest with a higher Gen (ties broken by
-// the later UnixMS stamp) supersedes any older one for the same name.
+// registry shards. Gen is the node's own version counter; a digest with a
+// higher Gen (ties broken by the later UnixMS stamp) supersedes any older
+// one for the same name.
 type NodeDigest struct {
 	Name  string  `json:"name"`
 	Addr  string  `json:"addr,omitempty"`
@@ -231,8 +230,6 @@ type Response struct {
 	Nodes []NodeInfo  `json:"nodes,omitempty"`
 	Info  *NodeStatus `json:"info,omitempty"`
 	Job   *JobResult  `json:"job,omitempty"`
-	// Digests is the peer's view in a gossip exchange.
-	Digests []NodeDigest `json:"digests,omitempty"`
 	// Missing names the heartbeat_batch entries the registry does not
 	// know, so the sender can re-register exactly those.
 	Missing []string `json:"missing,omitempty"`
@@ -362,9 +359,9 @@ func peerClosed(err error) bool {
 // roundTrip sends one request to addr and reads its bounded response, over
 // pool's connection to addr that idled at most half lim.IODeadline (a
 // server closes one idle for its IODeadline) if d's connections may carry
-// many exchanges, else (or with a nil pool) over one dialed for it; one
-// that answered OK goes back to pool. The timeout bounds the call and is
-// clamped to the context deadline. A reused connection the peer closed
+// many exchanges, else over one dialed for it; one that answered OK goes
+// back to pool. The timeout bounds the call and is clamped to the context
+// deadline. A reused connection the peer closed
 // before any response byte likely idled out: an idempotent request is sent
 // again once on a new one, not counted as a retry; a submission's fate is
 // then unknown. Any other failure, an injected one too, is the caller's.
@@ -384,7 +381,7 @@ func roundTrip(ctx context.Context, d Dialer, pool *connPool, addr string, req R
 	deadline := time.Now().Add(timeout)
 	d = dialerOrDefault(d)
 	r, ok := d.(interface{ ReusesConns() bool })
-	reuse := pool != nil && ok && r.ReusesConns()
+	reuse := ok && r.ReusesConns()
 	var c *poolConn
 	if reuse {
 		c = pool.get(addr, lim.IODeadline/2)
@@ -392,7 +389,7 @@ func roundTrip(ctx context.Context, d Dialer, pool *connPool, addr string, req R
 	for ; ; c = nil {
 		reused := c != nil
 		if !reused {
-			if pool != nil && pool.dials != nil {
+			if pool.dials != nil {
 				pool.dials.Inc()
 			}
 			conn, err := d.Dial(addr, time.Until(deadline))

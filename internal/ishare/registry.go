@@ -150,9 +150,9 @@ type RegistryOptions struct {
 	Now func() time.Time
 	// Forecast, when set, embeds an online availability forecaster: the
 	// shard derives each node's unavailability-event stream from its
-	// digest state transitions (heartbeats, batches, gossip merges and
-	// WAL replay all flow through the same upsert) and serves per-node
-	// survival forecasts to the `forecast` op.
+	// digest state transitions (batches and WAL replay both flow through
+	// the same upsert) and serves per-node survival forecasts to the
+	// `forecast` op.
 	Forecast *ForecastOptions
 }
 

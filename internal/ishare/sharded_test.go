@@ -279,6 +279,21 @@ func TestShardedBrokerServesStaleForLostShardOnly(t *testing.T) {
 	if m.RegistryErrors != 0 {
 		t.Fatalf("partial shard loss counted as full discovery failure: %+v", m)
 	}
+
+	// With every shard down a broker whose cache is cold has nothing to
+	// serve: it returns the last shard error and counts one registry
+	// error. A broker with no shards at all says so.
+	s.Shard(1).Close()
+	cold := &Broker{Client: c, DiscoverLimit: 16, CacheTTL: time.Minute}
+	if cands, err := cold.Candidates(ctx); err == nil || err == errNoShards {
+		t.Fatalf("all shards down, cold cache: %d candidates, err = %v; want a shard error", len(cands), err)
+	}
+	if m := cold.Metrics(); m.RegistryErrors != 1 {
+		t.Fatalf("metrics with every shard down = %+v, want RegistryErrors 1", m)
+	}
+	if _, err := (&Broker{Client: &Client{}}).Candidates(ctx); err != errNoShards {
+		t.Fatalf("no shards: err = %v, want %v", err, errNoShards)
+	}
 }
 
 // A caller-supplied Obs registry must win even when the broker already
@@ -312,103 +327,6 @@ func TestBrokerAdoptsLateObsRegistry(t *testing.T) {
 	}
 	if m := b.Metrics(); m.RegistryErrors != int(errs.Value()) {
 		t.Fatalf("Metrics() = %+v not backed by the caller's registry (%d)", m, errs.Value())
-	}
-}
-
-func TestGossipMergeNewerWins(t *testing.T) {
-	g := NewGossiper(GossipConfig{})
-	defer g.Close()
-	g.Update(NodeDigest{Name: "n", Addr: "a:1", State: "S1(full)", Gen: 2, UnixMS: 100})
-	// Older generation loses.
-	if g.Merge([]NodeDigest{{Name: "n", State: "S5(machine-unavail)", Gen: 1, UnixMS: 999}}) != 0 {
-		t.Fatal("older generation merged as news")
-	}
-	// Same generation, later timestamp wins, and a digest without an
-	// address inherits the stored one.
-	if g.Merge([]NodeDigest{{Name: "n", State: "S2(lowest-priority)", Gen: 2, UnixMS: 200}}) != 1 {
-		t.Fatal("fresher same-generation digest rejected")
-	}
-	snap := g.Snapshot()
-	if len(snap) != 1 || snap[0].State != "S2(lowest-priority)" || snap[0].Addr != "a:1" {
-		t.Fatalf("store = %+v", snap)
-	}
-}
-
-func TestGossipExchangeBetweenNodes(t *testing.T) {
-	// Two nodes, no registry anywhere: availability state must still
-	// spread peer-to-peer.
-	a := startNode(t, NodeConfig{Name: "peer-a", HostLoad: 0.05, Gossip: &GossipConfig{}})
-	bNode := startNode(t, NodeConfig{Name: "peer-b", HostLoad: 0.05, Gossip: &GossipConfig{Peers: []string{a.Addr()}}})
-
-	if n := bNode.Gossiper().Tick(ctx); n != 1 {
-		t.Fatalf("tick exchanged with %d peers, want 1", n)
-	}
-	// Push-pull: b now knows a (from a's reply), and a knows b (from b's
-	// pushed self digest).
-	if got := digestNames(bNode.Gossiper().Snapshot()); !strings.Contains(got, "peer-a") {
-		t.Fatalf("b's store after exchange = %s, want peer-a", got)
-	}
-	if got := digestNames(a.Gossiper().Snapshot()); !strings.Contains(got, "peer-b") {
-		t.Fatalf("a's store after exchange = %s, want peer-b", got)
-	}
-}
-
-func digestNames(ds []NodeDigest) string {
-	var names []string
-	for _, d := range ds {
-		names = append(names, d.Name)
-	}
-	return strings.Join(names, ",")
-}
-
-func TestGossipSpreadsTransitively(t *testing.T) {
-	// a <- b <- c seed chain: after two rounds c's state reaches a only
-	// through b. This is the epidemic property the broker fallback needs.
-	a := startNode(t, NodeConfig{Name: "hop-a", HostLoad: 0.05, Gossip: &GossipConfig{}})
-	bNode := startNode(t, NodeConfig{Name: "hop-b", HostLoad: 0.05, Gossip: &GossipConfig{Peers: []string{a.Addr()}}})
-	cNode := startNode(t, NodeConfig{Name: "hop-c", HostLoad: 0.05, Gossip: &GossipConfig{Peers: []string{bNode.Addr()}}})
-
-	cNode.Gossiper().Tick(ctx) // c -> b: b learns c
-	bNode.Gossiper().Tick(ctx) // b -> a: a learns b and c
-	if got := digestNames(a.Gossiper().Snapshot()); !strings.Contains(got, "hop-c") {
-		t.Fatalf("a's store = %s, want hop-c learned transitively", got)
-	}
-}
-
-func TestBrokerPlacesViaGossipWithAllShardsDown(t *testing.T) {
-	g := NewGossiper(GossipConfig{})
-	defer g.Close()
-	g.Update(NodeDigest{Name: "ghost", Addr: "10.3.0.1:1", State: "S1(full)", Gen: 1, UnixMS: nowMS()})
-	g.Update(NodeDigest{Name: "downed", Addr: "10.3.0.2:1", State: "S5(machine-unavail)", Gen: 1, UnixMS: nowMS()})
-	g.Update(NodeDigest{Name: "ancient", Addr: "10.3.0.3:1", State: "S1(full)", Gen: 1, UnixMS: 1}) // long past gossipTTL
-	g.Update(NodeDigest{Name: "unstamped", Addr: "10.3.0.4:1", State: "S1(full)", Gen: 1})          // age unknown
-
-	reg := startRegistry(t, time.Minute)
-	addr := reg.Addr()
-	reg.Close() // every shard down, nothing ever cached
-	b := &Broker{
-		Client: &Client{Shards: []string{addr}, Timeout: 300 * time.Millisecond,
-			Retry: RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, Seed: 1}},
-		DiscoverLimit: 8,
-		Gossip:        g,
-	}
-	cands, err := b.Candidates(ctx)
-	if err != nil {
-		t.Fatalf("gossip-backed discovery failed: %v", err)
-	}
-	if len(cands) != 1 || cands[0].Node.Name != "ghost" || !cands[0].Stale {
-		t.Fatalf("candidates = %+v, want exactly stale ghost (S5, expired and unstamped digests excluded)", cands)
-	}
-	if m := b.Metrics(); m.GossipServes == 0 {
-		t.Fatalf("metrics = %+v, want GossipServes > 0", m)
-	}
-	// A broker with no shards at all places from gossip the same way, and
-	// without gossip says it has no shards.
-	if cands, err := (&Broker{Client: &Client{}, Gossip: g}).Candidates(ctx); err != nil || len(cands) != 1 {
-		t.Fatalf("no shards: candidates = %+v, %v; want ghost from gossip", cands, err)
-	}
-	if _, err := (&Broker{Client: &Client{}}).Candidates(ctx); err != errNoShards {
-		t.Fatalf("no shards, no gossip: err = %v, want %v", err, errNoShards)
 	}
 }
 

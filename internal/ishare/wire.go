@@ -122,8 +122,8 @@ func (e *wireEnc) endArray(n int) {
 	}
 }
 
-// digests and strs write the array members both message types carry. A
-// batch's digests mostly share one stamp: a digest stamped as the one
+// digests writes a request's batch and strs a string array of either
+// message type. A batch's digests mostly share one stamp: a digest stamped as the one
 // before copies that one's unix_ms member (none when both are 0).
 func (e *wireEnc) digests(ds []NodeDigest) {
 	open := `,"digests":[{"name":`
@@ -197,7 +197,6 @@ func appendResponse(b []byte, resp *Response) ([]byte, bool) {
 		open = `,{"name":`
 	}
 	e.endArray(len(resp.Nodes))
-	e.digests(resp.Digests)
 	e.strs(`,"missing":[`, resp.Missing)
 	open = `,"forecasts":[{"name":`
 	for i := range resp.Forecasts {
@@ -381,8 +380,6 @@ func (o *Response) wireMember(p *messageParser, key, b []byte, i int) (int, wire
 		return stringValue(&o.Error, b, i)
 	case "nodes":
 		return openObjects(p, &o.Nodes, nil, nodeFields, b, i)
-	case "digests":
-		return openObjects(p, &o.Digests, nil, digestFields, b, i)
 	case "missing":
 		return p.openStrings(&o.Missing, b, i)
 	case "forecasts":

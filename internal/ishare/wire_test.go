@@ -236,7 +236,7 @@ func parseAllocBound(n int, msg any) uint64 {
 	case *Request:
 		b += arrayBound(m.Digests, pre) + arrayBound(m.Names, 0)
 	case *Response:
-		b += arrayBound(m.Nodes, pre) + arrayBound(m.Digests, pre) + arrayBound(m.Forecasts, pre) + arrayBound(m.Missing, 0)
+		b += arrayBound(m.Nodes, pre) + arrayBound(m.Forecasts, pre) + arrayBound(m.Missing, 0)
 	}
 	return uint64(b)
 }
@@ -264,7 +264,7 @@ func TestWireParseAllocBound(t *testing.T) {
 	}{
 		{"empty digests", `{"digests":` + empties + `}`, false, false},
 		{"empty names", `{"names":[` + strings.Repeat(`"",`, n-1) + `""]}`, false, false},
-		{"empty nodes, digests and forecasts", `{"nodes":` + empties + `,"digests":` + empties + `,"forecasts":` + empties + `}`, true, false},
+		{"empty nodes and forecasts", `{"nodes":` + empties + `,"forecasts":` + empties + `}`, true, false},
 		{"batch", string(batch), false, false},
 		{"batch into a spare", string(batch), false, true},
 	} {
@@ -331,7 +331,7 @@ func FuzzWireCodec(f *testing.F) {
 	f.Add([]byte(`{}`), `q"\`, "", 1e-7, int64(0), uint8(200))
 	// At the edges of the walk over an element as the encoder writes it.
 	for _, s := range []string{
-		`{"op":"gossip","digests":[{"name":"m001","addr":"a:1","zone":"z"}]}`,
+		`{"op":"heartbeat_batch","digests":[{"name":"m001","addr":"a:1","zone":"z"}]}`,
 		`{"ok":true,"nodes":[{"name":"a","addr":"b","alive":true,"last_seen_ms":5,"name":"c"}]}`,
 		`{"ok":true,"forecasts":[{"name":"a\"b","known":true,"survival":0.5}]}`,
 		`{"digests":[{"name":"a","gen":123456789012345678,"unix_ms":-123456789012345678}]}`,
@@ -374,7 +374,7 @@ func FuzzWireCodec(f *testing.F) {
 		}
 		for i := 0; i < int(n%5); i++ {
 			d := NodeDigest{Name: name, Addr: state, State: state, Load: load * float64(i), Gen: gen, UnixMS: int64(i)}
-			req.Digests, resp.Digests = append(req.Digests, d), append(resp.Digests, d)
+			req.Digests = append(req.Digests, d)
 			req.Names, resp.Missing = append(req.Names, name), append(resp.Missing, name)
 			resp.Nodes = append(resp.Nodes, NodeInfo{Name: name, Addr: state, Alive: i%2 == 0, LastSeenMS: gen * int64(i), State: state, Load: d.Load, Gen: gen})
 			resp.Forecasts = append(resp.Forecasts, ForecastInfo{Name: name, Known: i%2 == 1, Survival: d.Load,
@@ -406,7 +406,7 @@ func TestWireEdgeCases(t *testing.T) {
 		{"plain batch", string(big), 0, true, false},
 		{"batch of uniform loads", string(jsonEncode(t, Request{Op: "heartbeat_batch", Digests: uniform})), 0, true, false},
 		{"whitespace", " {\t\"op\" : \"list\" ,\r\n \"limit\" : 4 } \n", 0, true, false},
-		{"empty arrays", `{"op":"gossip","digests":[],"names":[]}`, 0, true, false},
+		{"empty arrays", `{"op":"heartbeat_batch","digests":[],"names":[]}`, 0, true, false},
 		{"empty object", `{}`, 0, true, false},
 		{"trailing garbage", `{"op":"list"} trailing`, 0, true, false},
 		{"second value", `{"op":"list"}{"op":"other"}`, 0, true, false},
@@ -455,7 +455,9 @@ func TestWireEdgeCases(t *testing.T) {
 		{"list reply", string(list), 0, true, true},
 		{"forecast reply", string(jsonEncode(t, forecastReply(8))), 0, true, true},
 		{"missing reply", `{"ok":true,"missing":["m003","m009"]}`, 0, true, true},
-		{"gossip reply", `{"ok":true,"digests":[{"name":"p1","unix_ms":1}]}`, 0, true, true},
+		// digests is no reply member: the parser declines the key, and
+		// encoding/json ignores it.
+		{"gossip reply", `{"ok":true,"digests":[{"name":"p1","unix_ms":1}]}`, 0, false, true},
 		{"shed reply", `{"ok":false,"error":"registry overloaded, retry later","retry_after_ms":200}`, 0, true, true},
 		{"reply whitespace", "{ \"ok\" : true , \"nodes\" : [ { \"alive\" : false } , { } ] }", 0, true, true},
 		{"ok as number", `{"ok":1}`, 0, false, true},
@@ -539,7 +541,7 @@ func TestWireEncodeGolden(t *testing.T) {
 		&Request{Op: "heartbeat_batch", Digests: batch},
 		&Request{Op: "register_batch", Digests: batch[:1], Trace: "job-1"},
 		&Request{Op: "register_batch", Digests: []NodeDigest{{Name: "n", Addr: "127.0.0.1:9", State: "S1(full)", Load: 0.5, Gen: 7}}},
-		&Request{Op: "gossip", Digests: []NodeDigest{}},
+		&Request{Op: "heartbeat_batch", Digests: []NodeDigest{}},
 		&Request{Op: "forecast", Names: []string{"a", "", "c"}, HorizonMS: 3600000},
 		&Request{Op: "list", Limit: 32},
 		&Request{Op: "list", Limit: -1},
@@ -547,7 +549,7 @@ func TestWireEncodeGolden(t *testing.T) {
 		&Request{},
 		list, forecasts,
 		&Response{OK: false, Error: "registry overloaded, retry later", RetryAfterMS: 200},
-		&Response{OK: true, Missing: []string{"m003", ""}, Digests: batch[:7]},
+		&Response{OK: true, Missing: []string{"m003", ""}},
 		&Response{OK: true, Nodes: []NodeInfo{}, Forecasts: []ForecastInfo{}, Missing: []string{}},
 		&Response{Error: "unknown op x"},
 		&Response{},
@@ -755,17 +757,16 @@ func TestWireTablesFollowEncoder(t *testing.T) {
 		func(f *ForecastInfo) { f.Gen = 4 },
 		func(f *ForecastInfo) { f.UnixMS = 1700000000000 },
 	)
-	req, ok := appendRequest(nil, &Request{Op: "gossip", Digests: digests})
+	req, ok := appendRequest(nil, &Request{Op: "heartbeat_batch", Digests: digests})
 	if !ok {
 		t.Fatal("encoder declined the request")
 	}
 	walkArray(t, req, `"digests":[`, digestFields, digests)
-	resp, ok := appendResponse(nil, &Response{OK: true, Nodes: nodes, Digests: digests, Forecasts: forecasts})
+	resp, ok := appendResponse(nil, &Response{OK: true, Nodes: nodes, Forecasts: forecasts})
 	if !ok {
 		t.Fatal("encoder declined the response")
 	}
 	walkArray(t, resp, `"nodes":[`, nodeFields, nodes)
-	walkArray(t, resp, `"digests":[`, digestFields, digests)
 	walkArray(t, resp, `"forecasts":[`, forecastFields, forecasts)
 }
 
@@ -845,7 +846,7 @@ func TestServeConnWireBoundaries(t *testing.T) {
 	// parser and by the fallback alike.
 	list := string(bytes.TrimSuffix(jsonEncode(t, listReply(32)), []byte("\n")))
 	exchange := func(maxBytes int64, segments ...string) (*Response, error) {
-		return roundTrip(ctx, nil, nil, replyPeer(t, segments...), Request{Op: "list"}, 5*time.Second, Limits{MaxMessageBytes: maxBytes}, true)
+		return roundTrip(ctx, nil, new(connPool), replyPeer(t, segments...), Request{Op: "list"}, 5*time.Second, Limits{MaxMessageBytes: maxBytes}, true)
 	}
 	for _, reply := range []string{list, `{"ok":true,"info":{"state":"S1(full)"}}`, `{"ok":true} junk`} {
 		start := time.Now()
@@ -871,7 +872,7 @@ func TestServeConnWireBoundaries(t *testing.T) {
 	// it is not read again.
 	for _, partial := range []string{`{"ok":true,"nodes":[{"name":"a"`, `{"ok":true,"info":{"state":`} {
 		d := &dropDialer{partial: partial}
-		_, err := roundTrip(ctx, d, nil, reg.Addr(), Request{Op: "list"}, time.Second, Limits{}, true)
+		_, err := roundTrip(ctx, d, new(connPool), reg.Addr(), Request{Op: "list"}, time.Second, Limits{}, true)
 		if !errors.Is(err, errDropped) || !strings.HasPrefix(err.Error(), `ishare: reading "list" response: `) || d.conn.failed != 1 {
 			t.Errorf("dropped after %q: %v, %d reads after the error", partial, err, d.conn.failed)
 		}
@@ -941,13 +942,12 @@ func TestReadMessageZeroesDeclinedSpare(t *testing.T) {
 	}
 }
 
-// TestServeConnKeepsNoRequestArray: once register_batch, heartbeat_batch and
-// gossip requests, served at once, are answered, overwriting every array
-// the pool holds changes neither a shard's listing nor a gossiper's store:
-// no handler kept a request's digests.
+// TestServeConnKeepsNoRequestArray: once register_batch and heartbeat_batch
+// requests, served at once, are answered, overwriting every array the pool
+// holds does not change a shard's listing: no handler kept a request's
+// digests.
 func TestServeConnKeepsNoRequestArray(t *testing.T) {
 	reg := startRegistry(t, time.Minute)
-	node := startNode(t, NodeConfig{Name: "gossip-peer", Gossip: &GossipConfig{}})
 	c := &Client{}
 	ds := benchDigests(300)
 	beat := append([]NodeDigest(nil), ds...)
@@ -958,10 +958,6 @@ func TestServeConnKeepsNoRequestArray(t *testing.T) {
 	for _, send := range []func() error{
 		func() error { return c.RegisterBatch(ctx, reg.Addr(), ds) },
 		func() error { _, err := c.HeartbeatBatch(ctx, reg.Addr(), beat); return err },
-		func() error {
-			_, err := roundTrip(ctx, nil, nil, node.Addr(), Request{Op: "gossip", Digests: beat}, time.Second, Limits{}, true)
-			return err
-		},
 	} {
 		for i := 0; i < 4; i++ {
 			wg.Add(1)
@@ -977,18 +973,9 @@ func TestServeConnKeepsNoRequestArray(t *testing.T) {
 	if _, err := c.HeartbeatBatch(ctx, reg.Addr(), beat); err != nil { // the batches may have raced registration
 		t.Fatal(err)
 	}
-	peers := func() []NodeDigest {
-		var out []NodeDigest
-		for _, d := range node.Gossiper().Snapshot() {
-			if d.Name != "gossip-peer" {
-				out = append(out, d)
-			}
-		}
-		return out
-	}
-	listing, store := storedState(t, reg.Addr()), peers()
-	if len(listing) != len(ds) || len(store) != len(ds) || listing[0].State != "S3(UEC-CPU)" {
-		t.Fatalf("served %d digests: shard lists %d (%+v), gossiper stores %d", len(ds), len(listing), listing[0], len(store))
+	listing := storedState(t, reg.Addr())
+	if len(listing) != len(ds) || listing[0].State != "S3(UEC-CPU)" {
+		t.Fatalf("served %d digests: shard lists %d (%+v)", len(ds), len(listing), listing[0])
 	}
 	var taken []*[]NodeDigest
 	for i := 0; i < 16; i++ {
@@ -1004,9 +991,6 @@ func TestServeConnKeepsNoRequestArray(t *testing.T) {
 	}
 	if got := storedState(t, reg.Addr()); !reflect.DeepEqual(got, listing) {
 		t.Errorf("overwriting pooled arrays changed the shard's listing")
-	}
-	if got := peers(); !reflect.DeepEqual(got, store) {
-		t.Errorf("overwriting pooled arrays changed the gossiper's store")
 	}
 }
 

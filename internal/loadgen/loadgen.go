@@ -132,11 +132,10 @@ type Result struct {
 	// returned known forecasts for.
 	Forecast      *LatencyStats `json:"forecast,omitempty"`
 	ForecastKnown int           `json:"forecast_known,omitempty"`
-	// StaleServes/ShardErrors/GossipServes snapshot the broker's recovery
-	// counters after the partition phase.
-	StaleServes  int `json:"stale_serves"`
-	ShardErrors  int `json:"shard_errors"`
-	GossipServes int `json:"gossip_serves"`
+	// StaleServes/ShardErrors snapshot the broker's recovery counters
+	// after the partition phase.
+	StaleServes int `json:"stale_serves"`
+	ShardErrors int `json:"shard_errors"`
 	// CrashDiscover is the discovery phase repeated with one shard
 	// SIGKILL-crashed and a breaker-armed broker (nil when disabled).
 	CrashDiscover *LatencyStats `json:"crash_discover,omitempty"`
@@ -465,7 +464,7 @@ func (r *run) partition(res *Result) error {
 	}
 	bm := b.Metrics()
 	res.PartitionDiscover, res.PartitionCandidates = stats, cands
-	res.StaleServes, res.ShardErrors, res.GossipServes = bm.StaleServes, bm.ShardErrors, bm.GossipServes
+	res.StaleServes, res.ShardErrors = bm.StaleServes, bm.ShardErrors
 	if bm.StaleServes == 0 {
 		return fmt.Errorf("loadgen: partition phase never hit the stale-cache path")
 	}
