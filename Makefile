@@ -85,14 +85,14 @@ chaos-crash-soak:
 loadtest-smoke:
 	$(GO) run ./cmd/fgcs-loadtest -smoke
 
-# Forecast-driven scheduling smoke: the fixed-seed replay evaluation
-# (proactive checkpoint/migrate must waste >= 10% less guest CPU than the
-# reactive baseline at equal-or-better throughput; exits nonzero on a
-# gate miss) plus the differential, whose forecast leg pins the incremental
-# forecaster's ring, the batch-trained predictors and the naive reference
-# equal (1e-9) on every testbed seed.
+# Forecast-driven scheduling smoke: the fixed-seed replay evaluation, the
+# e23-forecast-replay artefact row (its golden, and proactive
+# checkpoint/migrate must waste >= 10% less guest CPU than the reactive
+# baseline at equal-or-better throughput), plus the differential, whose
+# forecast leg pins the incremental forecaster's ring, the batch-trained
+# predictors and the naive reference equal (1e-9) on every testbed seed.
 forecast-smoke:
-	$(GO) run ./cmd/fgcs-loadtest -forecast
+	$(GO) test -run '^TestArtefacts$$/^e23-forecast-replay$$' -count 1 .
 	$(GO) test -run '^TestDifferential$$' -count 1 ./internal/check/
 
 # Generative-model smoke: the fit -> generate -> refit round trip on its

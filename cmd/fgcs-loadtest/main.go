@@ -5,20 +5,14 @@
 // shard 0 crashed and WAL-restarted (-crash). It prints a latency summary,
 // optionally writes the full result as JSON, and exits nonzero when an
 // SLO is missed — the CI smoke gate runs it via `make loadtest-smoke`.
-//
-// With -forecast it instead replays a fixed-seed fleet trace through the
-// online forecaster and gates forecast-driven proactive checkpoint/migrate
-// scheduling against the reactive baseline (the CI gate behind
-// `make forecast-smoke`). -smoke and -forecast are fixed presets: any
-// flag they would ignore, other than -out (and -seed and
-// -min-waste-reduction for -forecast), exits 2 naming it.
+// -smoke is a fixed preset: any flag it would ignore, other than -out,
+// exits 2 naming it.
 //
 // Usage:
 //
 //	fgcs-loadtest -nodes 100000 -shards 4 -partition -crash
 //	fgcs-loadtest -smoke
 //	fgcs-loadtest -nodes 20000 -scaling 1,4
-//	fgcs-loadtest -forecast
 package main
 
 import (
@@ -27,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -38,31 +31,29 @@ import (
 
 func main() {
 	var (
-		nodes        = flag.Int("nodes", 100000, "simulated fleet size")
-		shards       = flag.Int("shards", 4, "registry shard count")
-		batch        = flag.Int("batch", 1000, "nodes per register/heartbeat batch")
-		rounds       = flag.Int("rounds", 1, "full-fleet heartbeat sweeps")
-		churn        = flag.Float64("churn", 0.2, "fleet fraction re-drawing availability state per sweep")
-		discoverOps  = flag.Int("discover-ops", 200, "fan-out discoveries to measure")
-		concurrency  = flag.Int("concurrency", 8, "parallel driver workers")
-		partition    = flag.Bool("partition", false, "add a discovery phase with shard 0 chaos-partitioned")
-		crash        = flag.Bool("crash", false, "add a recovery phase: shard 0 SIGKILL-crashed and WAL-restarted")
-		walDir       = flag.String("wal-dir", "", "durability root: shards WAL-log acked registrations under it (empty = volatile; -crash then uses a temp dir)")
-		maxInflight  = flag.Int("max-inflight", 0, "per-shard admission bound on concurrently served exchanges (0 = unbounded)")
-		seed         = flag.Int64("seed", 1, "fleet/churn seed")
-		scenario     = flag.String("scenario", "", "draw fleet states from this markov scenario model's stationary distribution (enterprise, spot, multicore, container-dense; empty = paper occupancy)")
-		scaling      = flag.String("scaling", "", "comma-separated shard counts: run the scaling sweep instead of one load run")
-		forecastEval = flag.Bool("forecast", false, "run the proactive-vs-reactive forecast evaluation instead of a load run")
-		forecastOps  = flag.Int("forecast-ops", 0, "add a phase measuring this many batched forecast queries (0 = off)")
-		minWasteRed  = flag.Float64("min-waste-reduction", 0.10, "forecast evaluation gate: minimum fractional waste reduction vs the reactive baseline")
-		sloForecast  = flag.Duration("slo-forecast-p99", 0, "forecast query p99 objective (0 = ungated)")
-		out          = flag.String("out", "", "write the full result JSON here")
-		smoke        = flag.Bool("smoke", false, "CI preset: 10k nodes, 2 shards, every phase, SLO gates on")
-		sloRegP99    = flag.Duration("slo-register-p99", 0, "register batch p99 objective (0 = ungated)")
-		sloHBP99     = flag.Duration("slo-heartbeat-p99", 0, "heartbeat batch p99 objective (0 = ungated)")
-		sloDiscP50   = flag.Duration("slo-discover-p50", 0, "discovery p50 objective (0 = ungated)")
-		sloDiscP99   = flag.Duration("slo-discover-p99", 0, "discovery p99 objective (0 = ungated)")
-		sloRecovery  = flag.Duration("slo-recovery", 0, "crash phase: restart-to-serving objective (0 = ungated)")
+		nodes       = flag.Int("nodes", 100000, "simulated fleet size")
+		shards      = flag.Int("shards", 4, "registry shard count")
+		batch       = flag.Int("batch", 1000, "nodes per register/heartbeat batch")
+		rounds      = flag.Int("rounds", 1, "full-fleet heartbeat sweeps")
+		churn       = flag.Float64("churn", 0.2, "fleet fraction re-drawing availability state per sweep")
+		discoverOps = flag.Int("discover-ops", 200, "fan-out discoveries to measure")
+		concurrency = flag.Int("concurrency", 8, "parallel driver workers")
+		partition   = flag.Bool("partition", false, "add a discovery phase with shard 0 chaos-partitioned")
+		crash       = flag.Bool("crash", false, "add a recovery phase: shard 0 SIGKILL-crashed and WAL-restarted")
+		walDir      = flag.String("wal-dir", "", "durability root: shards WAL-log acked registrations under it (empty = volatile; -crash then uses a temp dir)")
+		maxInflight = flag.Int("max-inflight", 0, "per-shard admission bound on concurrently served exchanges (0 = unbounded)")
+		seed        = flag.Int64("seed", 1, "fleet/churn seed")
+		scenario    = flag.String("scenario", "", "draw fleet states from this markov scenario model's stationary distribution (enterprise, spot, multicore, container-dense; empty = paper occupancy)")
+		scaling     = flag.String("scaling", "", "comma-separated shard counts: run the scaling sweep instead of one load run")
+		forecastOps = flag.Int("forecast-ops", 0, "add a phase measuring this many batched forecast queries (0 = off)")
+		sloForecast = flag.Duration("slo-forecast-p99", 0, "forecast query p99 objective (0 = ungated)")
+		out         = flag.String("out", "", "write the full result JSON here")
+		smoke       = flag.Bool("smoke", false, "CI preset: 10k nodes, 2 shards, every phase, SLO gates on")
+		sloRegP99   = flag.Duration("slo-register-p99", 0, "register batch p99 objective (0 = ungated)")
+		sloHBP99    = flag.Duration("slo-heartbeat-p99", 0, "heartbeat batch p99 objective (0 = ungated)")
+		sloDiscP50  = flag.Duration("slo-discover-p50", 0, "discovery p50 objective (0 = ungated)")
+		sloDiscP99  = flag.Duration("slo-discover-p99", 0, "discovery p99 objective (0 = ungated)")
+		sloRecovery = flag.Duration("slo-recovery", 0, "crash phase: restart-to-serving objective (0 = ungated)")
 	)
 	cli.Parse()
 
@@ -80,11 +71,8 @@ func main() {
 	ctx := context.Background()
 	var err error
 	switch {
-	case *forecastEval:
-		refuseIgnored("forecast", "seed", "min-waste-reduction", "out")
-		err = runForecastEval(*seed, *minWasteRed, *out)
 	case *smoke:
-		refuseIgnored("smoke", "out")
+		refuseIgnored()
 		err = runLoad(ctx, smokeConfig(), *out)
 	case *scaling != "":
 		err = runScaling(ctx, cfg, *scaling, *out)
@@ -98,16 +86,16 @@ func main() {
 }
 
 // refuseIgnored exits 2 naming the first flag set on the command line
-// that the preset mode does not read, rather than silently dropping it.
-func refuseIgnored(mode string, reads ...string) {
+// that the -smoke preset does not read, rather than silently dropping it.
+func refuseIgnored() {
 	var ignored string
 	flag.Visit(func(f *flag.Flag) {
-		if ignored == "" && f.Name != mode && !slices.Contains(reads, f.Name) {
+		if ignored == "" && f.Name != "smoke" && f.Name != "out" {
 			ignored = f.Name
 		}
 	})
 	if ignored != "" {
-		fmt.Fprintf(os.Stderr, "fgcs-loadtest: -%s is a preset and ignores -%s\n", mode, ignored)
+		fmt.Fprintf(os.Stderr, "fgcs-loadtest: -smoke is a preset and ignores -%s\n", ignored)
 		os.Exit(2)
 	}
 }
@@ -137,41 +125,6 @@ func smokeConfig() loadgen.Config {
 			ForecastP99: 1500 * time.Millisecond,
 		},
 	}
-}
-
-// runForecastEval runs the proactive-vs-reactive replay evaluation and
-// exits nonzero (via its error) when a gate is missed.
-func runForecastEval(seed int64, minReduction float64, out string) error {
-	start := time.Now()
-	res, err := loadgen.RunForecast(loadgen.ForecastConfig{
-		Seed:              seed,
-		MinWasteReduction: minReduction,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("forecast evaluation: %d machines x %d days (train %d), %d jobs, %d online events (wall %v)\n",
-		res.Machines, res.Days, res.TrainDays, res.Jobs, res.OnlineEvents, time.Since(start).Round(time.Millisecond))
-	row := func(o loadgen.PolicyOutcome) {
-		fmt.Printf("  %-40s completed %-4d failures %-4d wasted %8.0fs  mean-resp %8.0fs\n",
-			o.Policy, o.Completed, o.Failures, o.WastedCPUSeconds, o.MeanResponseSec)
-	}
-	row(res.Reactive)
-	row(res.Proactive)
-	fmt.Printf("  waste reduction %.1f%% (gate %.1f%%), %d proactive checkpoints, %d migrations, %.0fs saved\n",
-		100*res.WasteReduction, 100*minReduction, res.Checkpoints, res.Migrations, res.SavedCPUSeconds)
-	if out != "" {
-		if err := writeJSON(out, res); err != nil {
-			return err
-		}
-	}
-	if len(res.Violations) > 0 {
-		for _, v := range res.Violations {
-			fmt.Fprintln(os.Stderr, "GATE VIOLATION:", v)
-		}
-		return fmt.Errorf("forecast evaluation missed %d gate(s)", len(res.Violations))
-	}
-	return nil
 }
 
 // runLoad runs one load and prints its summary; a missed SLO is an error.

@@ -24,9 +24,10 @@ func build(t *testing.T) string {
 
 // TestStrayWordRefused gives the binary arguments it would otherwise drop
 // ahead of -out: a word that is not a flag (flag parsing would stop there
-// and run the load without writing the result) and a flag a preset mode
-// does not read. Each must exit 2 naming what it refused, run nothing and
-// write no file.
+// and run the load without writing the result), a flag a preset mode
+// does not read, and -forecast, which names no mode (the replay evaluation
+// is the root package's e23-forecast-replay artefact row). Each must exit
+// 2 naming what it refused, run nothing and write no file.
 func TestStrayWordRefused(t *testing.T) {
 	bin := build(t)
 	for _, c := range []struct {
@@ -36,6 +37,7 @@ func TestStrayWordRefused(t *testing.T) {
 	}{
 		{"StrayWord", []string{"-nodes", "200", "-shards", "1", "-discover-ops", "5", "json"}, `unexpected argument "json"`},
 		{"SmokeIgnoresFlag", []string{"-smoke", "-nodes", "5", "-shards", "3"}, "-smoke is a preset and ignores -nodes"},
+		{"NoForecastMode", []string{"-forecast"}, "flag provided but not defined: -forecast"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			result := filepath.Join(t.TempDir(), "result.json")

@@ -27,7 +27,7 @@ type SchedParams struct {
 	// weighs NiceWeightBase - n (clamped at n = 19). The default 22 gives
 	// a nice-19 hog ~12% against a nice-0 hog, which calibrates Th2 to
 	// the paper's 60%; lowering the base starves reniced guests harder
-	// and pushes Th2 up (see the ablation benchmarks).
+	// and pushes Th2 up (the nice-base sweep of the ablations golden).
 	NiceWeightBase float64
 }
 

@@ -49,11 +49,10 @@ func BenchmarkRunFullTestbed(b *testing.B) {
 	}
 }
 
-// BenchmarkRunShardedFleet exercises the bounded-memory fleet pipeline on a
-// CI-sized fleet: sharded simulation streamed straight into the one-pass
-// analyzer. A year-long fleet (50x365 into v2 shards) is timed by bench/'s
-// trace-generate workload; this one is small enough for -benchtime 1x smoke
-// runs.
+// BenchmarkRunShardedFleet exercises the sharded fleet runner on a
+// CI-sized fleet, collected shard by shard. A year-long fleet (50x365 into
+// v2 shards) is timed by bench/'s trace-generate workload; this one is
+// small enough for -benchtime 1x smoke runs.
 func BenchmarkRunShardedFleet(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Machines = 50
@@ -61,11 +60,11 @@ func BenchmarkRunShardedFleet(b *testing.B) {
 	b.ReportAllocs()
 	var machineDays float64
 	for i := 0; i < b.N; i++ {
-		sink := NewAnalyzerSink(cfg)
+		sink := NewCollectSink(cfg)
 		if err := RunSharded(cfg, 10, sink); err != nil {
 			b.Fatal(err)
 		}
-		machineDays += sink.Finish().MachineDays()
+		machineDays += sink.Trace.MachineDays()
 	}
 	b.ReportMetric(machineDays/b.Elapsed().Seconds(), "machine-days/s")
 }

@@ -43,7 +43,8 @@ type Params struct {
 	// PoissonPlacement disables the stratified (quasi-regular) placement
 	// of busy episodes and scatters them as a pure Poisson process. Only
 	// the stratified default concentrates availability intervals in the
-	// 2-4 hour band of Figure 6; the ablation benchmark quantifies this.
+	// 2-4 hour band of Figure 6; the placement sweep of the ablations
+	// golden quantifies this.
 	PoissonPlacement bool
 	// MachineRateSpread makes machines heterogeneous: each machine's
 	// episode and memory-hog rates are scaled by a per-machine factor

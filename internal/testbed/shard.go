@@ -113,37 +113,6 @@ func (s *CollectSink) Machine(_ trace.MachineID, events []trace.Event) error {
 // ShardDone implements EventSink.
 func (s *CollectSink) ShardDone(trace.MachineID, int) error { return nil }
 
-// AnalyzerSink feeds a sharded run straight into a one-pass StreamAnalyzer,
-// producing Table 2 and the Figure 6/7 inputs without ever materializing
-// the fleet's events.
-type AnalyzerSink struct {
-	Analyzer *trace.StreamAnalyzer
-}
-
-// NewAnalyzerSink prepares an analyzer matching cfg's span and fleet.
-func NewAnalyzerSink(cfg Config) *AnalyzerSink {
-	return &AnalyzerSink{Analyzer: trace.NewStreamAnalyzerFor(SinkHeader(cfg))}
-}
-
-// Machine implements EventSink.
-func (s *AnalyzerSink) Machine(_ trace.MachineID, events []trace.Event) error {
-	for _, e := range events {
-		if err := s.Analyzer.Observe(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ShardDone implements EventSink.
-func (s *AnalyzerSink) ShardDone(trace.MachineID, int) error { return nil }
-
-// Finish closes the analyzer; call after RunSharded returns.
-func (s *AnalyzerSink) Finish() *trace.StreamAnalyzer {
-	s.Analyzer.Finish()
-	return s.Analyzer
-}
-
 // EncoderSinkV2 streams a sharded run into v2 columnar block files, one per
 // shard. Each file carries the full fleet header plus its shard's machine
 // coverage [first, first+n) in the block directory, which is exactly what

@@ -74,59 +74,6 @@ func TestRunShardedMatchesRunFull(t *testing.T) {
 	}
 }
 
-// TestAnalyzerSinkEquivalence checks the one-pass pipeline end to end:
-// RunSharded -> StreamAnalyzer reproduces Table 2 and the Figure 6/7 inputs
-// computed from the in-memory trace.
-func TestAnalyzerSinkEquivalence(t *testing.T) {
-	cfg := smallConfig()
-	tr, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := NewAnalyzerSink(cfg)
-	if err := RunSharded(cfg, 4, sink); err != nil {
-		t.Fatal(err)
-	}
-	a := sink.Finish()
-	if got, want := a.Table2(), tr.MakeTable2(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Table2 mismatch:\n got %+v\nwant %+v", got, want)
-	}
-	for _, dt := range []sim.DayType{sim.Weekday, sim.Weekend} {
-		if !reflect.DeepEqual(a.IntervalECDF(dt), tr.IntervalECDF(dt)) {
-			t.Errorf("IntervalECDF(%v) mismatch", dt)
-		}
-		if got, want := a.HourlyOccurrences(dt), tr.HourlyOccurrences(dt); !reflect.DeepEqual(got, want) {
-			t.Errorf("HourlyOccurrences(%v) mismatch", dt)
-		}
-	}
-}
-
-// TestAnalyzerSinkEquivalenceFull is satellite coverage for the acceptance
-// criterion on the full fixed-seed 20x92 trace.
-func TestAnalyzerSinkEquivalenceFull(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full 1840 machine-day simulation")
-	}
-	tr := fullTestbedTrace(t)
-	cfg := DefaultConfig()
-	sink := NewAnalyzerSink(cfg)
-	if err := RunSharded(cfg, 5, sink); err != nil {
-		t.Fatal(err)
-	}
-	a := sink.Finish()
-	if got, want := a.Table2(), tr.MakeTable2(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Table2 mismatch:\n got %+v\nwant %+v", got, want)
-	}
-	for _, dt := range []sim.DayType{sim.Weekday, sim.Weekend} {
-		if !reflect.DeepEqual(a.IntervalECDF(dt), tr.IntervalECDF(dt)) {
-			t.Errorf("IntervalECDF(%v) mismatch", dt)
-		}
-		if got, want := a.HourlyOccurrences(dt), tr.HourlyOccurrences(dt); !reflect.DeepEqual(got, want) {
-			t.Errorf("HourlyOccurrences(%v) mismatch", dt)
-		}
-	}
-}
-
 // memShard is an in-memory io.WriteCloser standing in for a shard file.
 type memShard struct {
 	bytes.Buffer

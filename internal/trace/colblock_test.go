@@ -719,7 +719,7 @@ func TestForgedSpanRowsAreCapped(t *testing.T) {
 // events.
 func analyzeSerial(t *testing.T, tr *Trace) *StreamAnalyzer {
 	t.Helper()
-	a := NewStreamAnalyzerFor(Header{Span: tr.Span, Calendar: tr.Calendar, Machines: tr.Machines})
+	a := NewStreamAnalyzer(tr.Span, tr.Calendar, tr.Machines)
 	for _, e := range tr.Events {
 		if err := a.Observe(e); err != nil {
 			t.Fatal(err)

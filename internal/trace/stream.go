@@ -97,11 +97,6 @@ func NewStreamAnalyzerRange(span sim.Window, cal sim.Calendar, machines int, lo,
 	return a
 }
 
-// NewStreamAnalyzerFor creates an analyzer matching a decoded codec header.
-func NewStreamAnalyzerFor(h Header) *StreamAnalyzer {
-	return NewStreamAnalyzer(h.Span, h.Calendar, h.Machines)
-}
-
 // Observe consumes one event. Events must arrive sorted by
 // (machine, start); out-of-order input is rejected.
 func (a *StreamAnalyzer) Observe(e Event) error {
