@@ -124,16 +124,32 @@ func (s *Service) ObserveStatesID(rs []StateReport) {
 	}
 }
 
-func (s *Service) observeLocked(id uint32, v uint8, unixMS int64) {
+// AdvanceTo moves the forecaster's clock to the wall stamp unixMS, as a
+// report of a state its machine's view already holds would: a registry
+// hands over a batch's unchanged states as their latest stamp alone.
+func (s *Service) AdvanceTo(unixMS int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.on.AdvanceTo(s.stampLocked(unixMS))
+}
+
+// stampLocked is the virtual time of an observation's stamp; the first
+// fixes the epoch unless the config did.
+func (s *Service) stampLocked(unixMS int64) sim.Time {
 	if s.epoch == 0 && !s.fixed {
 		s.epoch = unixMS
 		s.fixed = true
 	}
+	return s.virtual(unixMS)
+}
+
+func (s *Service) observeLocked(id uint32, v uint8, unixMS int64) {
+	at := s.stampLocked(unixMS)
 	for int(id) >= len(s.view) {
 		s.on.AddMachine()
 		s.view = append(s.view, unseen)
 	}
-	m, at := trace.MachineID(id), s.virtual(unixMS)
+	m := trace.MachineID(id)
 	if was := s.view[id]; v == down && was != down {
 		s.on.ObserveStart(m, at)
 	} else if v == up && was == down {
@@ -183,6 +199,14 @@ func (s *Service) forecastLocked(id uint32, horizon time.Duration, nowMS int64) 
 	w := sim.Window{Start: start, End: start + sim.Time(float64(horizon)*s.cfg.Scale)}
 	s.on.AdvanceTo(start)
 	return s.on.ForecastWindow(trace.MachineID(id), w), true
+}
+
+// Span returns the observed span in virtual time: Online.Span, which a
+// report or an AdvanceTo moves on.
+func (s *Service) Span() sim.Window {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.on.Span()
 }
 
 // Nodes returns the number of machines observed and not forgotten, and how

@@ -83,13 +83,24 @@ func TestBrokerBreakerShortCircuits(t *testing.T) {
 	defer s.Close()
 	ctx := context.Background()
 	c := &Client{Shards: s.Addrs(), Timeout: 500 * time.Millisecond, Retry: RetryPolicy{MaxAttempts: 1}}
+	// The ring hashes the shards' random ports, so ten names may all land
+	// on shard 1, and a shard 0 with nothing cached serves nothing stale:
+	// names are added until shard 0 owns three.
 	var fleet []NodeDigest
-	for i := 0; i < 10; i++ {
+	onCrashed := 0
+	for i := 0; i < 100 && (i < 10 || onCrashed < 3); i++ {
 		d := NodeDigest{Name: nodeName(i), Addr: "10.1.0.1:70", State: "S1(full)", UnixMS: time.Now().UnixMilli()}
-		if err := c.RegisterBatch(ctx, s.Addrs()[s.Owner(d.Name)], []NodeDigest{d}); err != nil {
+		owner := s.Owner(d.Name)
+		if err := c.RegisterBatch(ctx, s.Addrs()[owner], []NodeDigest{d}); err != nil {
 			t.Fatal(err)
 		}
+		if owner == 0 {
+			onCrashed++
+		}
 		fleet = append(fleet, d)
+	}
+	if onCrashed < 3 {
+		t.Fatalf("shard 0 owns %d of %d names, want >= 3", onCrashed, len(fleet))
 	}
 
 	b := &Broker{Client: c, DiscoverLimit: 32, BreakerThreshold: 2, BreakerCooldown: time.Minute}

@@ -1,12 +1,18 @@
 package ishare
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"math"
+	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
+
+	"repro/internal/forecast"
 )
 
 // forecastFixture drives a forecast-enabled registry with an injected
@@ -221,5 +227,207 @@ func TestRegistryBytesPerNode(t *testing.T) {
 			t.Errorf("%s: %d heap bytes per node, want <= %d", c.state, perNode, c.bound)
 		}
 		r.Close()
+	}
+}
+
+// TestRegistryBytesPerDecodedNode: a node first seen in a decoded batch
+// costs the shard what TestRegistryBytesPerNode allows, though every
+// string of a decoded message shares one allocation, which a kept name
+// would pin whole. Each batch is 999 known nodes and one new one, decoded
+// as a server decodes it.
+func TestRegistryBytesPerDecodedNode(t *testing.T) {
+	const known, fresh, bound = 999, 1000, 225 // bound: TestRegistryBytesPerNode's, no event
+	r, err := NewRegistryWithOptions("127.0.0.1:0", RegistryOptions{TTL: time.Minute, Forecast: &ForecastOptions{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ds := benchDigests(known + fresh)
+	register := func(batch []NodeDigest) {
+		var buf []byte
+		buf, _ = appendRequest(buf, &Request{Op: "register_batch", Digests: batch})
+		var req Request
+		if _, err := readMessage(&msgReader{r: bytes.NewReader(buf)}, 1<<20, &req, nil); err != nil {
+			t.Fatal(err)
+		}
+		if resp := r.handle(req); !resp.OK {
+			t.Fatalf("register_batch: %s", resp.Error)
+		}
+	}
+	register(ds[:known])
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC() // and the pooled buffers the first one kept
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	batch := make([]NodeDigest, known+1)
+	copy(batch, ds[:known])
+	before := heap()
+	for i := range fresh {
+		batch[known] = ds[known+i]
+		register(batch)
+	}
+	perNode := (heap() - before) / fresh
+	runtime.KeepAlive(ds) // live through both readings
+	runtime.KeepAlive(batch)
+	if got, _ := r.fc.Nodes(); got != known+fresh {
+		t.Fatalf("forecaster knows %d nodes, want %d", got, known+fresh)
+	}
+	t.Logf("%d heap bytes per decoded node (bound %d)", perNode, bound)
+	if perNode > bound {
+		t.Errorf("%d heap bytes per decoded node, want <= %d", perNode, bound)
+	}
+}
+
+// TestForecastsExactUnderBatchedIngest holds a forecasting shard, which
+// hands its forecaster a batch's new states and only the latest stamp of
+// its unchanged ones, to a forecaster fed every applied digest as its own
+// report (the oracle). The stream is shuffled batches of fresh, repeated,
+// stale and unstamped digests, some bare, some of states the forecaster
+// does not read, over nodes that are unregistered and registered again;
+// the span must match after every request, and every node's forecasts at
+// the end.
+func TestForecastsExactUnderBatchedIngest(t *testing.T) {
+	f := newForecastFixture(t, RegistryOptions{})
+	oracle, err := forecast.NewService(forecast.ServiceConfig{Scale: 60_000, EpochMS: forecastEpochMS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// mirror is what the shard stores of a node, to tell which digests it
+	// applies: upsertLocked's rule.
+	type mirror struct {
+		state string
+		gen   int64
+		seen  int64
+	}
+	nodes := map[string]*mirror{}
+	states := []string{"S1(full)", "S1", "S2(lowest-priority)", "S3(cpu-unavail)", "S3", "S4(mem-thrash)",
+		"S5(machine-unavail)", "S3 (a note)", "lost"}
+	names := make([]string, 40)
+	for i := range names {
+		names[i] = fmt.Sprintf("n%02d", i)
+	}
+	rng := rand.New(rand.NewSource(7))
+	gen := int64(1)
+	apply := func(ds []NodeDigest) {
+		now := f.clock.Load() * 1e6
+		for _, d := range ds {
+			m := nodes[d.Name]
+			if m == nil {
+				continue
+			}
+			if d.State != "" {
+				stamp := d.UnixMS
+				if stamp == 0 {
+					stamp = unixMS(now)
+				}
+				if m.state == "" || (NodeDigest{Gen: d.Gen, UnixMS: stamp}).Newer(NodeDigest{Gen: m.gen, UnixMS: unixMS(m.seen)}) {
+					m.state, m.gen = d.State, d.Gen
+					oracle.ObserveStatesID([]forecast.StateReport{{ID: f.r.ids[d.Name], State: d.State, UnixMS: stamp}})
+				}
+			}
+			m.seen = max(m.seen, now)
+		}
+	}
+	digest := func(name string, clock int64) NodeDigest {
+		d := NodeDigest{Name: name, State: states[rng.Intn(len(states))], Gen: gen}
+		switch rng.Intn(8) {
+		case 0:
+			d.State = "" // a bare refresh
+		case 1:
+			d.Gen -= int64(1 + rng.Intn(40)) // stale
+		case 2:
+			d.Gen = 0 // older than any stored digest but an unstamped one
+		}
+		if rng.Intn(6) > 0 {
+			d.UnixMS = clock - int64(rng.Intn(30))
+		}
+		if st := nodes[name]; st != nil && rng.Intn(3) > 0 {
+			d.State = st.state // most heartbeats repeat the state
+		}
+		gen++
+		return d
+	}
+	check := func(what string) {
+		t.Helper()
+		if got, want := f.r.fc.Span(), oracle.Span(); got != want {
+			t.Fatalf("%s: shard span %v, oracle %v", what, got, want)
+		}
+	}
+	clock := forecastEpochMS
+	for round := 0; round < 900; round++ {
+		clock += int64(20 + rng.Intn(40)) // about 25 virtual days over the run
+		f.clock.Store(clock)
+		switch k := rng.Intn(40); {
+		case k == 0 && len(nodes) > 0: // unregister some nodes
+			var gone []string
+			for name := range nodes {
+				if rng.Intn(4) == 0 {
+					gone = append(gone, name)
+				}
+			}
+			for _, name := range gone {
+				oracle.Forget(f.r.ids[name])
+			}
+			if resp := f.r.handle(Request{Op: "unregister", Names: gone}); !resp.OK {
+				t.Fatalf("unregister: %s", resp.Error)
+			}
+			for _, name := range gone {
+				delete(nodes, name)
+			}
+		case k < 4: // register the nodes not registered, and some that are
+			var ds []NodeDigest
+			for _, name := range names {
+				if nodes[name] == nil || rng.Intn(10) == 0 {
+					d := digest(name, clock)
+					d.Addr = "10.0.0.1:" + name
+					ds = append(ds, d)
+				}
+			}
+			if resp := f.r.handle(Request{Op: "register_batch", Digests: ds}); !resp.OK {
+				t.Fatalf("register_batch: %s", resp.Error)
+			}
+			for _, d := range ds {
+				if nodes[d.Name] == nil {
+					nodes[d.Name] = &mirror{seen: math.MinInt64}
+				}
+			}
+			apply(ds)
+		default: // a shuffled heartbeat batch, a node perhaps twice
+			ds := make([]NodeDigest, 0, 2*len(names))
+			for _, name := range names {
+				for n := rng.Intn(3); n > 0; n-- {
+					ds = append(ds, digest(name, clock))
+				}
+			}
+			rng.Shuffle(len(ds), func(i, j int) { ds[i], ds[j] = ds[j], ds[i] })
+			if resp := f.r.handle(Request{Op: "heartbeat_batch", Digests: ds}); !resp.OK {
+				t.Fatalf("heartbeat_batch: %s", resp.Error)
+			}
+			apply(ds)
+		}
+		check(fmt.Sprintf("round %d", round))
+	}
+	span := oracle.Span()
+	end := forecastEpochMS + int64(span.End-span.Start)/int64(time.Minute) // the span's end on the fixture's wall clock
+	compared := 0
+	for name := range nodes {
+		id := f.r.ids[name]
+		for _, nowMS := range []int64{end - 3*msPerDay, end - msPerDay - 200, end - 90} {
+			for _, horizon := range []time.Duration{60 * time.Millisecond, 300 * time.Millisecond} {
+				got, gotKnown := f.r.fc.ForecastID(id, horizon, nowMS)
+				want, wantKnown := oracle.ForecastID(id, horizon, nowMS)
+				if math.Float64bits(got.Survival) != math.Float64bits(want.Survival) || got.Samples != want.Samples || gotKnown != wantKnown {
+					t.Fatalf("%s at %d +%v: shard %+v known %v, oracle %+v known %v", name, nowMS, horizon, got, gotKnown, want, wantKnown)
+				}
+				compared++
+			}
+		}
+	}
+	check("the forecasts")
+	if compared == 0 {
+		t.Fatal("no node left to compare")
 	}
 }

@@ -33,20 +33,23 @@
 // exact case, no array twice; strings without escapes, control bytes or
 // non-ASCII (nor, written, <, > or &); strict-grammar numbers that fit
 // their field, no NaN or Inf; no null; no job, host_*, info or shard_map
-// member. A number is converted in the scan that finds it, eight digits a
-// step, to the bits strconv gives: a decimal of at most 19 significant and
-// 22 fraction digits as m/10^k when its mantissa is below 2^53, and above
-// that by the Eisel–Lemire step strconv runs; only a number of another
-// form, or one that step cannot decide, is rescanned for strconv. A number
-// is written as strconv writes it: an integer, and a float's shortest
-// digits, eight at a time from a two-digit table, the float's found by
-// Schubfach in [1e-6, 1e21) and by strconv outside it (the 'e' form, zero);
-// a batch's digests that share a stamp copy its bytes. All else — submit,
-// sethost, info, shardmap and their replies, malformed or oversized input
-// — goes to encoding/json (decodeBounded, json.Encoder below) as the bytes
-// already read plus the rest of the connection, and gets its result and
-// error text: not a codec a caller can select, but where the subset ends
-// and the oracle FuzzWireCodec holds it to.
+// member. A string is found eight bytes a step and is a view of the read
+// buffer while the message fills; a complete message's strings are copied
+// into one allocation of their own, so none views a pooled buffer (a state
+// name is its interned form). A number is converted in the scan that finds
+// it, eight digits a step, to the bits strconv gives: a decimal of at most
+// 19 significant and 22 fraction digits as m/10^k when its mantissa is
+// below 2^53, and above that by the Eisel–Lemire step strconv runs; only a
+// number of another form, or one that step cannot decide, is rescanned for
+// strconv. A number is written as strconv writes it: an integer, and a
+// float's shortest digits, eight at a time from a two-digit table, the
+// float's found by Schubfach in [1e-6, 1e21) and by strconv outside it (the
+// 'e' form, zero); a batch's digests that share a stamp copy its bytes. All
+// else — submit, sethost, info, shardmap and their replies, malformed or
+// oversized input — goes to encoding/json (decodeBounded, json.Encoder
+// below) as the bytes already read plus the rest of the connection, and
+// gets its result and error text: not a codec a caller can select, but
+// where the subset ends and the oracle FuzzWireCodec holds it to.
 package ishare
 
 import (

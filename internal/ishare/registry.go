@@ -76,6 +76,8 @@ type Registry struct {
 	// allocation-free.
 	batchIDs     []uint32
 	fcReports    []forecast.StateReport
+	fcClockMS    int64 // the latest stamp of an unchanged state, if fcClocked
+	fcClocked    bool
 	walChanged   []NodeDigest
 	walRefreshed []string
 
@@ -527,9 +529,10 @@ func (r *Registry) registerLocked(d NodeDigest, now int64) {
 			id = uint32(len(r.entries))
 			r.entries = append(r.entries, registryEntry{})
 		}
-		r.ids[d.Name] = id
+		name := strings.Clone(d.Name) // a decoded name shares its message's allocation
+		r.ids[name] = id
 		// Until upsert says otherwise it is a node with no digest: bucket 2.
-		r.entries[id] = registryEntry{name: d.Name, seen: math.MinInt64, bucket: 2, pos: uint32(len(r.buckets[2]))}
+		r.entries[id] = registryEntry{name: name, seen: math.MinInt64, bucket: 2, pos: uint32(len(r.buckets[2]))}
 		r.buckets[2] = append(r.buckets[2], id)
 	}
 	r.upsertLocked(id, d, now)
@@ -538,16 +541,18 @@ func (r *Registry) registerLocked(d NodeDigest, now int64) {
 // upsertLocked refreshes the entry with the given ID from d, keeping the
 // score bucket index consistent. A digest only replaces the stored one when
 // it is newer (higher Gen, later stamp; an unstamped digest counts as
-// stamped at receipt, now), and then queues its state for the forecaster
-// (reportLocked); a bare heartbeat (empty digest) refreshes liveness
+// stamped at receipt, now), and then tells the forecaster (reportLocked): a
+// new state is queued as a report, and a state name the entry already
+// holds only moves the batch's clock stamp, since a report of it would
+// change no view. A bare heartbeat (empty digest) refreshes liveness
 // without touching the stored state. It reports whether anything beyond
 // the liveness stamp changed — a false return is a pure refresh, which the
 // WAL logs in compact form.
 func (r *Registry) upsertLocked(id uint32, d NodeDigest, now int64) bool {
 	e := &r.entries[id]
 	addr, state, load, gen := e.addr, e.state, e.load, e.gen
-	if d.Addr != "" {
-		e.addr = d.Addr
+	if d.Addr != "" && d.Addr != e.addr {
+		e.addr = strings.Clone(d.Addr)
 	}
 	if d.State != "" {
 		stamped := d
@@ -556,9 +561,21 @@ func (r *Registry) upsertLocked(id uint32, d NodeDigest, now int64) bool {
 		}
 		stored := NodeDigest{Gen: e.gen, UnixMS: unixMS(e.seen)}
 		if e.state == "" || stamped.Newer(stored) {
-			e.state, e.load, e.gen = d.State, d.Load, d.Gen
+			changed := d.State != e.state
+			if changed {
+				e.state = keptState(d.State)
+			}
+			e.load, e.gen = d.Load, d.Gen
 			if r.fc != nil {
-				r.fcReports = append(r.fcReports, forecast.StateReport{ID: id, State: d.State, UnixMS: stamped.UnixMS})
+				// An unchanged state name is one the forecaster reads; any
+				// other value is its to judge.
+				if _, named := wireState(e.state); named && !changed {
+					if !r.fcClocked || stamped.UnixMS > r.fcClockMS {
+						r.fcClockMS, r.fcClocked = stamped.UnixMS, true
+					}
+				} else {
+					r.fcReports = append(r.fcReports, forecast.StateReport{ID: id, State: e.state, UnixMS: stamped.UnixMS})
+				}
 			}
 		}
 	}
@@ -571,12 +588,28 @@ func (r *Registry) upsertLocked(id uint32, d NodeDigest, now int64) bool {
 	return e.addr != addr || e.state != state || e.load != load || e.gen != gen
 }
 
+// keptState is a state as an entry keeps it: a state name's interned form,
+// any other value a copy of its own.
+func keptState(s string) string {
+	if form, ok := wireState(s); ok {
+		return form
+	}
+	return strings.Clone(s)
+}
+
 // reportLocked hands the forecaster the states upsertLocked queued, in
-// order, in one call: a batch's upserts are followed by one.
+// order, in one call, then advances its clock to the latest stamp of an
+// unchanged state: a batch's upserts are followed by one. The two commute
+// with the reports upsertLocked left out, which would each have advanced
+// the clock alone.
 func (r *Registry) reportLocked() {
 	if len(r.fcReports) > 0 {
 		r.fc.ObserveStatesID(r.fcReports)
 		r.fcReports = r.fcReports[:0]
+	}
+	if r.fcClocked {
+		r.fc.AdvanceTo(r.fcClockMS)
+		r.fcClocked = false
 	}
 }
 

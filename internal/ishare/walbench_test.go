@@ -70,7 +70,7 @@ func BenchmarkRegistryHeartbeatBatch(b *testing.B) {
 
 func benchHeartbeatBatches(b *testing.B, wal, shuffled bool) {
 	const fleet, batch = 25_000, 1000
-	states := []string{"S1(full)", "S3(UEC-CPU)", "S2(reduced)", "S1(full)"}
+	states := []string{"S1(full)", "S3(cpu-unavail)", "S2(lowest-priority)", "S1(full)"}
 	r := benchRegistry(b, wal, true)
 	ds := benchDigests(fleet)
 	for lo := 0; lo < fleet; lo += batch {

@@ -8,6 +8,7 @@ import (
 	"math/bits"
 	"strconv"
 	"sync"
+	"unsafe"
 
 	"repro/internal/availability"
 )
@@ -39,14 +40,25 @@ func releaseDigests(spare *[]NodeDigest, ds []NodeDigest) {
 }
 
 // wireStates interns the state strings digests, nodes and forecasts carry,
-// short and long form, indexed by the state's digit: a decoded batch
-// allocates one string per digest (its name), not two.
+// short and long form, indexed by the state's digit: a decoded message
+// keeps no copy of one.
 var wireStates = func() (t [5][2]string) {
 	for s := availability.S1; s <= availability.S5; s++ {
 		t[s-availability.S1] = [2]string{s.Short(), s.String()}
 	}
 	return t
 }()
+
+// wireState returns s's interned form when s is one of the five state
+// names, in either form.
+func wireState(s string) (string, bool) {
+	if len(s) > 1 && s[0] == 'S' && s[1]-'1' < 5 {
+		if form := wireStates[s[1]-'1'][min(len(s)-2, 1)]; s == form {
+			return form, true
+		}
+	}
+	return "", false
+}
 
 // wireEscapes marks the bytes json.Encoder does not copy through
 // unescaped.
@@ -252,6 +264,8 @@ type messageParser struct {
 	msg   wireObject   // the *Request or *Response being filled
 	objs  wireArray    // the open array of objects
 	strs  *[]string    // the open array of strings
+	views int          // bytes of the strings that view the input (stringValue)
+	owned wireStrings  // their copy, once the message is complete (own)
 	spare []NodeDigest // an array a request's digests may be decoded into
 	pos   int          // b[:pos] is consumed
 	at    uint8
@@ -272,6 +286,7 @@ func (p *messageParser) parse(b []byte) wireStatus {
 			return wireDecline
 		case p.at == atEnvelope && c == '}':
 			p.pos = i + 1
+			p.own()
 			return wireDone
 		case p.at == atObject && c == '}':
 			p.pos, p.at, p.first = i+1, atObjects, false
@@ -298,14 +313,14 @@ func (p *messageParser) parse(b []byte) wireStatus {
 			}
 			// An element as the encoder writes it is taken whole; any
 			// other goes member by member.
-			if j, walked := p.objs.element(b, i); walked {
+			if j, walked := p.objs.element(p, b, i); walked {
 				i = j
 			} else {
 				i, p.at = i+1, atObject
 			}
 		case atStrings:
 			var s string
-			if i, st = stringValue(&s, b, i); st == wireDone {
+			if i, st = p.stringValue(&s, b, i); st == wireDone {
 				*p.strs = append(*p.strs, s)
 			}
 		}
@@ -334,7 +349,7 @@ func (p *messageParser) member(b []byte, i int) (int, wireStatus) {
 		return i, st
 	}
 	if p.at == atObject {
-		return p.objs.member(key, b, i)
+		return p.objs.member(p, key, b, i)
 	}
 	return p.msg.wireMember(p, key, b, i)
 }
@@ -343,9 +358,10 @@ func (p *messageParser) member(b []byte, i int) (int, wireStatus) {
 // field table, all that tells a Request from a Response: it parses the
 // value at b[i] into the field key names, and declines what encoding/json
 // must decide (an unknown or other-case key; job, host_*, info,
-// shard_map).
+// shard_map). wireStrings hands w every string field the parser fills.
 type wireObject interface {
 	wireMember(p *messageParser, key, b []byte, i int) (int, wireStatus)
+	wireStrings(w *wireStrings)
 }
 
 // wirePtr is *T for a T the parser can fill.
@@ -357,7 +373,7 @@ type wirePtr[T any] interface {
 func (o *Request) wireMember(p *messageParser, key, b []byte, i int) (int, wireStatus) {
 	switch string(key) { // no copy of the key: a switch tag, not a value
 	case "op":
-		return stringValue(&o.Op, b, i)
+		return p.stringValue(&o.Op, b, i)
 	case "digests":
 		return openObjects(p, &o.Digests, p.spare, digestFields, b, i)
 	case "names":
@@ -367,9 +383,23 @@ func (o *Request) wireMember(p *messageParser, key, b []byte, i int) (int, wireS
 	case "limit":
 		return intSizeValue(&o.Limit, b, i)
 	case "trace":
-		return stringValue(&o.Trace, b, i)
+		return p.stringValue(&o.Trace, b, i)
 	}
 	return i, wireDecline
+}
+
+func (o *Request) wireStrings(w *wireStrings) {
+	w.own(&o.Op)
+	for i := range o.Digests {
+		d := &o.Digests[i]
+		w.own(&d.Name)
+		w.own(&d.Addr)
+		w.own(&d.State)
+	}
+	for i := range o.Names {
+		w.own(&o.Names[i])
+	}
+	w.own(&o.Trace)
 }
 
 func (o *Response) wireMember(p *messageParser, key, b []byte, i int) (int, wireStatus) {
@@ -377,7 +407,7 @@ func (o *Response) wireMember(p *messageParser, key, b []byte, i int) (int, wire
 	case "ok":
 		return boolValue(&o.OK, b, i)
 	case "error":
-		return stringValue(&o.Error, b, i)
+		return p.stringValue(&o.Error, b, i)
 	case "nodes":
 		return openObjects(p, &o.Nodes, nil, nodeFields, b, i)
 	case "missing":
@@ -390,42 +420,93 @@ func (o *Response) wireMember(p *messageParser, key, b []byte, i int) (int, wire
 	return i, wireDecline
 }
 
+func (o *Response) wireStrings(w *wireStrings) {
+	w.own(&o.Error)
+	for i := range o.Nodes {
+		n := &o.Nodes[i]
+		w.own(&n.Name)
+		w.own(&n.Addr)
+		w.own(&n.State)
+	}
+	for i := range o.Missing {
+		w.own(&o.Missing[i])
+	}
+	for i := range o.Forecasts {
+		f := &o.Forecasts[i]
+		w.own(&f.Name)
+		w.own(&f.State)
+	}
+}
+
 // wireField is one member of a flat object: its key as the encoder writes
-// it, quoted and with its colon, and what parses its value. A flat object's
-// table lists its members in the order appendRequest and appendResponse
-// write them, and is all the parser knows of the type.
+// it, quoted and with its colon, and its field, for a string member
+// (messageParser.stringValue parses all of those), or what parses its value.
+// A flat object's table lists its members in the order appendRequest and
+// appendResponse write them, and is all the parser knows of the type.
 type wireField[T any] struct {
-	key   string
-	value func(o *T, b []byte, i int) (int, wireStatus)
+	wireKey
+	str   func(o *T) *string                            // a string member's field, or
+	value func(o *T, b []byte, i int) (int, wireStatus) // any other member's parse
+}
+
+// wireKey is a member's key, and its first eight bytes (fewer, masked, of a
+// shorter key) as a little-endian load reads them.
+type wireKey struct {
+	key        string
+	head, mask uint64
+}
+
+func keyOf(key string) wireKey {
+	var w [8]byte
+	n := copy(w[:], key)
+	return wireKey{key, binary.LittleEndian.Uint64(w[:]), ^uint64(0) >> (64 - 8*n)}
+}
+
+// at reports whether the key is at b[k:], which holds more than the key:
+// its first eight bytes in one load where eight are in sight, and the rest
+// as a string.
+func (w *wireKey) at(b []byte, k int) bool {
+	if k+8 > len(b) {
+		return string(b[k:k+len(w.key)]) == w.key
+	}
+	return binary.LittleEndian.Uint64(b[k:])&w.mask == w.head && (len(w.key) <= 8 || string(b[k+8:k+len(w.key)]) == w.key[8:])
+}
+
+// parse parses the member's value at b[i] into o.
+func (f *wireField[T]) parse(p *messageParser, o *T, b []byte, i int) (int, wireStatus) {
+	if f.str != nil {
+		return p.stringValue(f.str(o), b, i)
+	}
+	return f.value(o, b, i)
 }
 
 var digestFields = []wireField[NodeDigest]{
-	{`"name":`, func(o *NodeDigest, b []byte, i int) (int, wireStatus) { return stringValue(&o.Name, b, i) }},
-	{`"addr":`, func(o *NodeDigest, b []byte, i int) (int, wireStatus) { return stringValue(&o.Addr, b, i) }},
-	{`"state":`, func(o *NodeDigest, b []byte, i int) (int, wireStatus) { return stateValue(&o.State, b, i) }},
-	{`"load":`, func(o *NodeDigest, b []byte, i int) (int, wireStatus) { return floatValue(&o.Load, b, i) }},
-	{`"gen":`, func(o *NodeDigest, b []byte, i int) (int, wireStatus) { return intValue(&o.Gen, b, i) }},
-	{`"unix_ms":`, func(o *NodeDigest, b []byte, i int) (int, wireStatus) { return intValue(&o.UnixMS, b, i) }},
+	{keyOf(`"name":`), func(o *NodeDigest) *string { return &o.Name }, nil},
+	{keyOf(`"addr":`), func(o *NodeDigest) *string { return &o.Addr }, nil},
+	{keyOf(`"state":`), func(o *NodeDigest) *string { return &o.State }, nil},
+	{keyOf(`"load":`), nil, func(o *NodeDigest, b []byte, i int) (int, wireStatus) { return floatValue(&o.Load, b, i) }},
+	{keyOf(`"gen":`), nil, func(o *NodeDigest, b []byte, i int) (int, wireStatus) { return intValue(&o.Gen, b, i) }},
+	{keyOf(`"unix_ms":`), nil, func(o *NodeDigest, b []byte, i int) (int, wireStatus) { return intValue(&o.UnixMS, b, i) }},
 }
 
 var nodeFields = []wireField[NodeInfo]{
-	{`"name":`, func(o *NodeInfo, b []byte, i int) (int, wireStatus) { return stringValue(&o.Name, b, i) }},
-	{`"addr":`, func(o *NodeInfo, b []byte, i int) (int, wireStatus) { return stringValue(&o.Addr, b, i) }},
-	{`"alive":`, func(o *NodeInfo, b []byte, i int) (int, wireStatus) { return boolValue(&o.Alive, b, i) }},
-	{`"last_seen_ms":`, func(o *NodeInfo, b []byte, i int) (int, wireStatus) { return intValue(&o.LastSeenMS, b, i) }},
-	{`"state":`, func(o *NodeInfo, b []byte, i int) (int, wireStatus) { return stateValue(&o.State, b, i) }},
-	{`"load":`, func(o *NodeInfo, b []byte, i int) (int, wireStatus) { return floatValue(&o.Load, b, i) }},
-	{`"gen":`, func(o *NodeInfo, b []byte, i int) (int, wireStatus) { return intValue(&o.Gen, b, i) }},
+	{keyOf(`"name":`), func(o *NodeInfo) *string { return &o.Name }, nil},
+	{keyOf(`"addr":`), func(o *NodeInfo) *string { return &o.Addr }, nil},
+	{keyOf(`"alive":`), nil, func(o *NodeInfo, b []byte, i int) (int, wireStatus) { return boolValue(&o.Alive, b, i) }},
+	{keyOf(`"last_seen_ms":`), nil, func(o *NodeInfo, b []byte, i int) (int, wireStatus) { return intValue(&o.LastSeenMS, b, i) }},
+	{keyOf(`"state":`), func(o *NodeInfo) *string { return &o.State }, nil},
+	{keyOf(`"load":`), nil, func(o *NodeInfo, b []byte, i int) (int, wireStatus) { return floatValue(&o.Load, b, i) }},
+	{keyOf(`"gen":`), nil, func(o *NodeInfo, b []byte, i int) (int, wireStatus) { return intValue(&o.Gen, b, i) }},
 }
 
 var forecastFields = []wireField[ForecastInfo]{
-	{`"name":`, func(o *ForecastInfo, b []byte, i int) (int, wireStatus) { return stringValue(&o.Name, b, i) }},
-	{`"known":`, func(o *ForecastInfo, b []byte, i int) (int, wireStatus) { return boolValue(&o.Known, b, i) }},
-	{`"survival":`, func(o *ForecastInfo, b []byte, i int) (int, wireStatus) { return floatValue(&o.Survival, b, i) }},
-	{`"samples":`, func(o *ForecastInfo, b []byte, i int) (int, wireStatus) { return intSizeValue(&o.Samples, b, i) }},
-	{`"state":`, func(o *ForecastInfo, b []byte, i int) (int, wireStatus) { return stateValue(&o.State, b, i) }},
-	{`"gen":`, func(o *ForecastInfo, b []byte, i int) (int, wireStatus) { return intValue(&o.Gen, b, i) }},
-	{`"unix_ms":`, func(o *ForecastInfo, b []byte, i int) (int, wireStatus) { return intValue(&o.UnixMS, b, i) }},
+	{keyOf(`"name":`), func(o *ForecastInfo) *string { return &o.Name }, nil},
+	{keyOf(`"known":`), nil, func(o *ForecastInfo, b []byte, i int) (int, wireStatus) { return boolValue(&o.Known, b, i) }},
+	{keyOf(`"survival":`), nil, func(o *ForecastInfo, b []byte, i int) (int, wireStatus) { return floatValue(&o.Survival, b, i) }},
+	{keyOf(`"samples":`), nil, func(o *ForecastInfo, b []byte, i int) (int, wireStatus) { return intSizeValue(&o.Samples, b, i) }},
+	{keyOf(`"state":`), func(o *ForecastInfo) *string { return &o.State }, nil},
+	{keyOf(`"gen":`), nil, func(o *ForecastInfo, b []byte, i int) (int, wireStatus) { return intValue(&o.Gen, b, i) }},
+	{keyOf(`"unix_ms":`), nil, func(o *ForecastInfo, b []byte, i int) (int, wireStatus) { return intValue(&o.UnixMS, b, i) }},
 }
 
 // walkFields parses the object at b[i] ('{') into o if it is exactly what
@@ -433,13 +514,13 @@ var forecastFields = []wireField[ForecastInfo]{
 // nothing between tokens, then '}'. It returns the index after the '}', or
 // false on any other input, one that ends first included, having filled
 // some of o.
-func walkFields[T any](fields []wireField[T], o *T, b []byte, i int) (int, bool) {
+func walkFields[T any](p *messageParser, fields []wireField[T], o *T, b []byte, i int) (int, bool) {
 	i, comma := i+1, 0 // no comma before the first member
-	for _, f := range fields {
-		k := i + comma
-		if v := k + len(f.key); v < len(b) && (comma == 0 || b[i] == ',') && string(b[k:v]) == f.key {
+	for n := range fields {
+		f, k := &fields[n], i+comma
+		if v := k + len(f.key); v < len(b) && (comma == 0 || b[i] == ',') && f.at(b, k) {
 			var st wireStatus
-			if i, st = f.value(o, b, v); st != wireDone {
+			if i, st = f.parse(p, o, b, v); st != wireDone {
 				return 0, false
 			}
 			comma = 1
@@ -455,8 +536,8 @@ func walkFields[T any](fields []wireField[T], o *T, b []byte, i int) (int, bool)
 // the element at b[i] ('{') and walks its table into it; when the walk
 // fails the slot is left zero, for member to fill key by key.
 type wireArray interface {
-	element(b []byte, i int) (int, bool)
-	member(key, b []byte, i int) (int, wireStatus)
+	element(p *messageParser, b []byte, i int) (int, bool)
+	member(p *messageParser, key, b []byte, i int) (int, wireStatus)
 }
 
 type wireObjects[T any] struct {
@@ -464,20 +545,20 @@ type wireObjects[T any] struct {
 	fields []wireField[T]
 }
 
-func (a *wireObjects[T]) element(b []byte, i int) (int, bool) {
+func (a *wireObjects[T]) element(p *messageParser, b []byte, i int) (int, bool) {
 	*a.dst = append(*a.dst, *new(T))
 	o := &(*a.dst)[len(*a.dst)-1]
-	j, ok := walkFields(a.fields, o, b, i)
+	j, ok := walkFields(p, a.fields, o, b, i)
 	if !ok {
 		*o = *new(T)
 	}
 	return j, ok
 }
 
-func (a *wireObjects[T]) member(key, b []byte, i int) (int, wireStatus) {
-	for _, f := range a.fields {
-		if string(key) == f.key[1:len(f.key)-2] {
-			return f.value(&(*a.dst)[len(*a.dst)-1], b, i)
+func (a *wireObjects[T]) member(p *messageParser, key, b []byte, i int) (int, wireStatus) {
+	for n := range a.fields {
+		if f := &a.fields[n]; string(key) == f.key[1:len(f.key)-2] {
+			return f.parse(p, &(*a.dst)[len(*a.dst)-1], b, i)
 		}
 	}
 	return i, wireDecline
@@ -518,14 +599,35 @@ func skipSpace(b []byte, i int) int {
 	return i
 }
 
+// swarOnes and swarHigh are a 1 and a high bit in each byte of a word. Of
+// a word's bytes, x - 0x20·swarOnes sets the high bit of those below 0x20
+// or from 0xA0, and (x ^ c·swarOnes) - swarOnes, for an ASCII c from 0x20,
+// that of c and of those from 0x80 to 0x9F (as does the same with one bit
+// of c masked, for c and its partner); any other byte sets it in no term
+// and borrows from no byte above it. So of an OR of such terms, masked with
+// swarHigh, the lowest set bit is in the word's first byte that is
+// non-ASCII, a control byte or a c, and a word with none sets no bit.
+const swarOnes, swarHigh = 0x0101010101010101, 0x8080808080808080
+
 // rawString returns the string at b[i] unquoted and the index after it.
 // Escapes, control bytes and non-ASCII decline, at the byte itself; so does
-// anything that is not a string (null included).
+// anything that is not a string (null included). While eight bytes are in
+// sight it skips them a word at a time, to the first that is '"', a
+// backslash, a control byte or non-ASCII (swarHigh's rule), and it goes on
+// a byte a step from there.
 func rawString(b []byte, i int) ([]byte, int, wireStatus) {
 	if b[i] != '"' {
 		return nil, i, wireDecline
 	}
-	for j := i + 1; j < len(b); j++ {
+	j := i + 1
+	for ; j+8 <= len(b); j += 8 {
+		x := binary.LittleEndian.Uint64(b[j:])
+		if t := ((x - 0x20*swarOnes) | ((x ^ 0x22*swarOnes) - swarOnes) | ((x ^ 0x5C*swarOnes) - swarOnes)) & swarHigh; t != 0 {
+			j += bits.TrailingZeros64(t) / 8
+			break
+		}
+	}
+	for ; j < len(b); j++ {
 		switch c := b[j]; {
 		case c == '"':
 			return b[i+1 : j], j + 1, wireDone
@@ -536,26 +638,56 @@ func rawString(b []byte, i int) ([]byte, int, wireStatus) {
 	return nil, i, wireShort
 }
 
-// stringValue stores a copy of the string at b[i] in *dst.
-func stringValue(dst *string, b []byte, i int) (int, wireStatus) {
+// stringValue stores the string at b[i] in *dst: one of the five state
+// names, in either form, as its interned string, any other as a view of b,
+// with no copy, whose bytes it counts for own.
+func (p *messageParser) stringValue(dst *string, b []byte, i int) (int, wireStatus) {
 	s, i, st := rawString(b, i)
-	*dst = string(s)
+	var view string
+	if len(s) > 0 {
+		view = unsafe.String(&s[0], len(s))
+	}
+	if form, ok := wireState(view); ok {
+		view = form
+	} else {
+		p.views += len(s)
+	}
+	*dst = view
 	return i, st
 }
 
-// stateValue is stringValue for a "state" member: one of the five state
-// names, in either form, is stored as its interned string, with no
-// allocation; any other value is copied.
-func stateValue(dst *string, b []byte, i int) (int, wireStatus) {
-	s, i, st := rawString(b, i)
-	if len(s) > 1 && s[0] == 'S' && s[1]-'1' < 5 {
-		if form := wireStates[s[1]-'1'][min(len(s)-2, 1)]; string(s) == form {
-			*dst = form
-			return i, st
-		}
+// own gives a complete message's strings one allocation. While the message
+// fills, each is a view of the buffer it is parsed from, or an interned
+// state name (stringValue); once it is complete, one walk over its strings
+// (wireStrings) copies each view into an allocation of the bytes the views
+// were counted at and makes the string a view of its copy. The buffers,
+// pooled or regrown, are so viewed by nothing once readMessage returns, and
+// readMessage zeroes a message the parser did not complete. The views kept
+// are disjoint bytes of the message, so the allocation is the count capped
+// at the message's bytes; the count is over them only where a value was
+// parsed twice (a repeated key, an element walked again member by member).
+// A string kept past the message keeps all of its strings: the registry
+// clones the names and addresses it keeps.
+func (p *messageParser) own() {
+	if p.views > 0 {
+		p.owned.buf = make([]byte, min(p.views, p.pos))
+		p.msg.wireStrings(&p.owned)
 	}
-	*dst = string(s)
-	return i, st
+}
+
+// wireStrings is own's allocation: buf[:n] is filled.
+type wireStrings struct {
+	buf []byte
+	n   int
+}
+
+// own moves *s, unless it is empty or a state name, to the next bytes of buf.
+func (w *wireStrings) own(s *string) {
+	if _, named := wireState(*s); len(*s) > 0 && !named {
+		copy(w.buf[w.n:], *s)
+		*s = unsafe.String(&w.buf[w.n], len(*s))
+		w.n += len(*s)
+	}
 }
 
 // numberToken delimits the number at b[i] under JSON's strict grammar and
@@ -1002,14 +1134,15 @@ func (m *msgReader) keep(tail []byte) {
 // is the limit's. What either read past the message's end stays in mr for
 // the next one.
 //
-// Past its pooled buffer, what the parser allocates for a message of n
-// bytes is its strings and its arrays. An array of objects opens presized
+// Past its pooled buffer, what the parser allocates for a message of n bytes
+// is its arrays and, once it is complete, its strings: one allocation a
+// message, at most n bytes (wireStrings). An array of objects opens presized
 // from the bytes in sight to at most n/12+1 entries, or in spare when that
 // holds them, and grows by append for elements past that: ones still to
-// arrive, or averaging under 12 bytes. The spares a server offers come
-// from wireDigests, which keeps none over wireMaxPooledDigests entries: at
-// most one per request served at once, each at most wireMaxPooledDigests ×
-// 72 bytes.
+// arrive, or averaging under 12 bytes. The spares a server offers come from
+// wireDigests, which keeps none over wireMaxPooledDigests entries: at most
+// one per request served at once, each at most wireMaxPooledDigests × 72
+// bytes.
 func readMessage[M Request | Response, P wirePtr[M]](mr *msgReader, maxBytes int64, msg P, spare []NodeDigest) (exceeded bool, err error) {
 	var r io.Reader = mr
 	bp := wireBufs.Get().(*[]byte)

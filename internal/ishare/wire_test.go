@@ -18,6 +18,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // decodeMessage is the fuzz targets' entry to the decode of either message
@@ -329,6 +330,15 @@ func FuzzWireCodec(f *testing.F) {
 	}
 	f.Add([]byte(`{}`), "a<b", "é", math.Inf(1), int64(-1), uint8(1))
 	f.Add([]byte(`{}`), `q"\`, "", 1e-7, int64(0), uint8(200))
+	// At the word-at-a-time string scans' edges: a quote, a backslash, a
+	// control byte and a non-ASCII byte at offsets 7, 8 and 9 of a string,
+	// across its first word boundary, decoded and encoded.
+	for _, c := range []string{`"`, `\`, "\x1f", "\x80"} {
+		for _, at := range []int{7, 8, 9} {
+			s := strings.Repeat("n", at) + c + "0123456789"
+			f.Add([]byte(`{"op":"list","digests":[{"name":"`+s+`"}],"trace":"`+s+`"}`), s, s, 0.25, int64(3), uint8(7))
+		}
+	}
 	// At the edges of the walk over an element as the encoder writes it.
 	for _, s := range []string{
 		`{"op":"heartbeat_batch","digests":[{"name":"m001","addr":"a:1","zone":"z"}]}`,
@@ -587,13 +597,14 @@ func TestWireEncodeGolden(t *testing.T) {
 	}
 }
 
-// TestWireDecodeAllocs: decoding a 1000-digest heartbeat batch allocates
-// one string per digest (its name) plus a constant — the states are
-// interned and the slice is sized once; a ranked list two per node (name
-// and addr), a forecast reply one per name. (The constant leaves room for
+// TestWireDecodeAllocs: decoding a 1000-digest heartbeat batch, a 32-node
+// ranked list or an 8-name forecast reply allocates a constant, whatever
+// the number of entries: the states are interned, the other strings share
+// one allocation and the slice is sized once. (The constant leaves room for
 // the pooled buffer being regrown: the race detector makes sync.Pool drop
 // it.)
 func TestWireDecodeAllocs(t *testing.T) {
+	const limit = 16
 	ds := benchDigests(1000)
 	for i := range ds {
 		ds[i].Addr = ""
@@ -605,14 +616,14 @@ func TestWireDecodeAllocs(t *testing.T) {
 			t.Fatalf("decode: %d digests, %v", len(req.Digests), err)
 		}
 	})
-	if limit := float64(len(ds) + 16); allocs > limit {
-		t.Errorf("%.0f allocs for %d digests, want <= %.0f", allocs, len(ds), limit)
+	if allocs > limit {
+		t.Errorf("%.0f allocs for %d digests, want <= %d", allocs, len(ds), limit)
 	}
 	for _, tc := range []struct {
-		name    string
-		reply   *Response
-		n, each int
-	}{{"list", listReply(32), 32, 2}, {"forecast", forecastReply(8), 8, 1}} {
+		name  string
+		reply *Response
+		n     int
+	}{{"list", listReply(32), 32}, {"forecast", forecastReply(8), 8}} {
 		data := jsonEncode(t, tc.reply)
 		allocs := testing.AllocsPerRun(20, func() {
 			resp, err := decodeResponse(data, 0)
@@ -620,39 +631,47 @@ func TestWireDecodeAllocs(t *testing.T) {
 				t.Fatalf("decode: %+v, %v", resp, err)
 			}
 		})
-		if limit := float64(tc.each*tc.n + 16); allocs > limit {
-			t.Errorf("%s reply: %.0f allocs for %d entries, want <= %.0f", tc.name, allocs, tc.n, limit)
+		if allocs > limit {
+			t.Errorf("%s reply: %.0f allocs for %d entries, want <= %d", tc.name, allocs, tc.n, limit)
 		}
 	}
 }
 
-// TestWireStatesInterned: parsing a 32-node list reply allocates no state
-// string: a reply carrying the five state names, in both forms, allocates
-// what one carrying none does, while a value that is no state name is
-// still copied, one string a node. (Half a string a node is the margin for
-// the pooled buffer, which the race detector makes sync.Pool drop.)
+// TestWireStatesInterned: a decoded state that is one of the five state
+// names, in either form, is the interned string itself, and any other value
+// is copied with the message's other strings, into their one allocation:
+// a 32-node list reply allocates as often whatever its states are. (Half a
+// string a node is the margin for the pooled buffer, which the race
+// detector makes sync.Pool drop.)
 func TestWireStatesInterned(t *testing.T) {
-	allocs := func(state func(i int) string) float64 {
+	allocs := func(state func(i int) string) (Response, float64) {
 		reply := listReply(32)
 		for i := range reply.Nodes {
 			reply.Nodes[i].State = state(i)
 		}
 		data := jsonEncode(t, reply)
-		return testing.AllocsPerRun(50, func() {
-			resp, err := decodeResponse(data, 0)
-			if err != nil || !reflect.DeepEqual(resp.Nodes, reply.Nodes) {
+		var resp Response
+		n := testing.AllocsPerRun(50, func() {
+			var err error
+			if resp, err = decodeResponse(data, 0); err != nil || !reflect.DeepEqual(resp.Nodes, reply.Nodes) {
 				t.Fatalf("decode: %+v, %v", resp, err)
 			}
 		})
+		return resp, n
 	}
-	none := allocs(func(int) string { return "" })
-	named := allocs(func(i int) string { return wireStates[i%5][i/5%2] })
-	other := allocs(func(i int) string { return wireStates[i%5][1] + "x" })
+	_, none := allocs(func(int) string { return "" })
+	resp, named := allocs(func(i int) string { return wireStates[i%5][i/5%2] })
+	_, other := allocs(func(i int) string { return wireStates[i%5][1] + "x" })
+	for i, n := range resp.Nodes {
+		if unsafe.StringData(n.State) != unsafe.StringData(wireStates[i%5][i/5%2]) {
+			t.Fatalf("node %d's state %q is not the interned string", i, n.State)
+		}
+	}
 	if named > none+16 {
 		t.Errorf("%.0f allocs with state names, %.0f with none: a state string is allocated", named, none)
 	}
-	if other < none+16 {
-		t.Errorf("%.0f allocs with other states, %.0f with none: want one copy a node", other, none)
+	if other > none+16 {
+		t.Errorf("%.0f allocs with other states, %.0f with none: want them in the message's one string allocation", other, none)
 	}
 }
 
@@ -714,7 +733,7 @@ func walkArray[T any](t *testing.T, enc []byte, open string, fields []wireField[
 			t.Fatalf("%s element %d starts %.40q", open, k, enc[i:])
 		}
 		var got T
-		j, ok := walkFields(fields, &got, enc, i)
+		j, ok := walkFields(&messageParser{}, fields, &got, enc, i)
 		if !ok || !reflect.DeepEqual(got, want[k]) {
 			t.Fatalf("%s element %d %.120q: walked %v, read %+v, wrote %+v", open, k, enc[i:], ok, got, want[k])
 		}
@@ -1271,6 +1290,100 @@ func BenchmarkWireReply(b *testing.B) {
 				b.Fatal(err)
 			}
 			return len(got.Nodes) + len(got.Forecasts)
+		})
+	}
+}
+
+// rawStringByteLoop is rawString a byte a step, as it was before the word
+// test: the oracle TestRawStringMatchesByteLoop holds it to.
+func rawStringByteLoop(b []byte, i int) ([]byte, int, wireStatus) {
+	if b[i] != '"' {
+		return nil, i, wireDecline
+	}
+	for j := i + 1; j < len(b); j++ {
+		switch c := b[j]; {
+		case c == '"':
+			return b[i+1 : j], j + 1, wireDone
+		case c < 0x20 || c >= 0x80 || c == '\\':
+			return nil, i, wireDecline
+		}
+	}
+	return nil, i, wireShort
+}
+
+// TestRawStringMatchesByteLoop puts every byte value at every offset of
+// strings of 0 to 24 plain bytes, quoted, after a prefix of 0 to 8 bytes,
+// and cuts the input at every position: rawString must return what the
+// byte loop does, status, string and index.
+func TestRawStringMatchesByteLoop(t *testing.T) {
+	for n := 0; n <= 24; n++ {
+		for pre := 0; pre <= 8; pre += 3 {
+			in := []byte(strings.Repeat(" ", pre) + `"` + strings.Repeat("a", n) + `"}`)
+			for at := pre + 1; at <= pre+n; at++ {
+				for c := 0; c < 256; c++ {
+					in[at] = byte(c)
+					for cut := pre + 1; cut <= len(in); cut++ {
+						s, j, st := rawString(in[:cut], pre)
+						ws, wj, wst := rawStringByteLoop(in[:cut], pre)
+						if st != wst || j != wj || !bytes.Equal(s, ws) {
+							t.Fatalf("%q cut at %d: (%q, %d, %d), byte loop (%q, %d, %d)", in, cut, s, j, st, ws, wj, wst)
+						}
+					}
+				}
+				in[at] = 'a'
+			}
+		}
+	}
+}
+
+// TestDecodedStringsOutliveBuffer: once readMessage returns, no decoded
+// string is a view of a buffer it read into. A request and a reply with
+// every string field, read in small segments so the buffer is regrown
+// mid-message, and one the parser declines after taking strings (the job),
+// are decoded; the pooled buffers are then overwritten, and every string
+// must still read as sent.
+func TestDecodedStringsOutliveBuffer(t *testing.T) {
+	ds := benchDigests(100)
+	for i := range ds {
+		ds[i].State = []string{"S1(full)", "S3", "S2 (custom)", ""}[i%4]
+	}
+	for _, tc := range []struct {
+		name string
+		msg  any
+	}{
+		{"request", &Request{Op: "heartbeat_batch", Digests: ds, Names: []string{"n1", "a-longer-name-0123456789"}, Trace: "trace-0123456789"}},
+		{"reply", &Response{OK: true, Error: "an error text past a word", Nodes: listReply(40).Nodes,
+			Missing: []string{"gone-0123456789"}, Forecasts: forecastReply(20).Forecasts}},
+		{"declined", &Request{Op: "submit", Digests: ds[:3], Job: &JobSpec{ID: "j-0123456789"}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := jsonEncode(t, tc.msg)
+			got := reflect.New(reflect.TypeOf(tc.msg).Elem()).Interface()
+			var err error
+			switch m := got.(type) {
+			case *Request:
+				_, err = readMessage(&msgReader{r: &chunkReader{data: data, chunk: 97}}, 1<<20, m, nil)
+			case *Response:
+				_, err = readMessage(&msgReader{r: &chunkReader{data: data, chunk: 97}}, 1<<20, m, nil)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var held []*[]byte
+			for range 4 {
+				bp := wireBufs.Get().(*[]byte)
+				b := (*bp)[:cap(*bp)]
+				for i := range b {
+					b[i] = '#'
+				}
+				held = append(held, bp)
+			}
+			for _, bp := range held {
+				wireBufs.Put(bp)
+			}
+			if !reflect.DeepEqual(got, tc.msg) {
+				t.Fatalf("decoded strings changed with the buffer:\n got %+v\nwant %+v", got, tc.msg)
+			}
 		})
 	}
 }
