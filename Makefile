@@ -70,9 +70,8 @@ chaos-smoke:
 
 # Crash-recovery soak: 50 fixed-seed randomized schedules of shard and
 # broker kills at virtual times (with fsync latency and clock skew on some
-# seeds), asserting under -race that no acked registration is lost, the
-# ShardMap version stays monotonic, and exactly-once submission holds
-# through shard death.
+# seeds), asserting under -race that no acked registration is lost and
+# that exactly-once submission holds through shard death.
 chaos-crash-soak:
 	$(GO) test -race -run 'TestCrashSoak' -count 1 ./internal/chaos/
 

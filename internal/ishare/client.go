@@ -19,8 +19,7 @@ import (
 type Client struct {
 	// Shards lists every registry shard, one entry for a single registry:
 	// List fans out over all shards and merges, and shard-routed operations
-	// hash node IDs over this list. Populate it directly or from
-	// FetchShardMap.
+	// hash node IDs over this list.
 	Shards []string
 	// Timeout bounds each request attempt (default 3 s).
 	Timeout time.Duration
@@ -193,20 +192,6 @@ func (c *Client) Forecast(ctx context.Context, addr string, names []string, hori
 		return nil, fmt.Errorf("ishare: forecast failed: %s", resp.Error)
 	}
 	return resp.Forecasts, nil
-}
-
-// FetchShardMap bootstraps the shard list from any one registry address:
-// it asks addr for the deployment's versioned shard map. The caller
-// decides whether to adopt it into c.Shards.
-func (c *Client) FetchShardMap(ctx context.Context, addr string) (*ShardMap, error) {
-	resp, err := c.do(ctx, addr, Request{Op: "shardmap"}, c.timeout(), true)
-	if err != nil {
-		return nil, err
-	}
-	if !resp.OK || resp.ShardMap == nil {
-		return nil, fmt.Errorf("ishare: shardmap failed: %s", resp.Error)
-	}
-	return resp.ShardMap, nil
 }
 
 // RegisterBatch registers a batch of nodes (with optional availability

@@ -8,7 +8,7 @@ import (
 
 // FuzzProtocolDecode drives arbitrary bytes through the wire decoders for
 // both directions of the protocol — every message (register_batch,
-// heartbeat_batch, unregister, list, shardmap, submit) rides the one
+// heartbeat_batch, unregister, list, submit) rides the one
 // readMessage. The invariants: no panic, no unbounded allocation past
 // the message limit, and anything that decodes cleanly re-encodes to a
 // value that decodes to the same thing (round-trip stability).
@@ -78,12 +78,15 @@ func FuzzWALReplay(f *testing.F) {
 			{d: NodeDigest{Name: "m001", Addr: "127.0.0.1:9001", State: "S1(full)", Load: 0.5, Gen: 2, UnixMS: 1700000000000}, lastSeenMS: 1700000000000},
 		}},
 		{kind: walKindRemove, name: "m001"},
-		{kind: walKindShardMap, shardMap: ShardMap{Gen: 3, Shards: []string{"a:1", "b:2"}}},
 		{kind: walKindRefresh, stampMS: 1700000001000, names: []string{"m001", "m002"}},
 	} {
 		log = appendWALFrame(log, encodeWALRecord(rec))
 	}
 	f.Add(log)
+	// A shard-map install as older shards logged it (kind 3, the generation,
+	// the address count, the addresses): replay reads and drops it.
+	shardMap := appendString(appendString(appendUvarint(appendVarint([]byte{walKindShardMap}, 3), 2), "a:1"), "b:2")
+	f.Add(appendWALFrame(log, shardMap))
 	f.Add(log[:len(log)-5])
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0})

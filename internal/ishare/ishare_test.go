@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/simos"
 )
 
@@ -80,13 +81,18 @@ func TestRegistryDetectsURR(t *testing.T) {
 
 func TestRegistryRejectsBadRequests(t *testing.T) {
 	reg := startRegistry(t, time.Second)
+	reg.Instrument(obs.NewRegistry(), nil)
 	if resp := reg.handle(Request{Op: "register_batch", Digests: []NodeDigest{{Addr: "10.0.0.1:70"}}}); resp.OK {
 		t.Error("register without name accepted")
 	}
-	for _, op := range []string{"register", "heartbeat", "dance"} {
+	ops := []string{"register", "heartbeat", "shardmap", "dance"}
+	for _, op := range ops {
 		if resp := reg.handle(Request{Op: op}); resp.OK || resp.Error != "unknown op "+op {
 			t.Errorf("%s: %+v, want unknown op", op, resp)
 		}
+	}
+	if n := reg.met.requests["unknown"].Value(); n != uint64(len(ops)) {
+		t.Errorf("%d requests counted as op unknown, want %d", n, len(ops))
 	}
 	if resp := reg.handle(Request{Op: "heartbeat_batch", Digests: []NodeDigest{{Name: "ghost"}}}); !resp.OK || !slices.Equal(resp.Missing, []string{"ghost"}) {
 		t.Errorf("heartbeat for unknown node: %+v, want it named in missing", resp)

@@ -194,7 +194,7 @@ func newRegistryMetrics(r *obs.Registry) *registryMetrics {
 		forecastLatency: r.Histogram("fgcs_registry_forecast_latency_seconds",
 			"wall-clock latency of one forecast exchange's computation", obs.ExpBuckets(1e-6, 4, 12)),
 	}
-	for _, op := range []string{"register_batch", "unregister", "heartbeat_batch", "list", "shardmap", "forecast", "unknown"} {
+	for _, op := range []string{"register_batch", "unregister", "heartbeat_batch", "list", "forecast", "unknown"} {
 		m.requests[op] = r.Counter("fgcs_registry_requests_total", "registry exchanges by operation", obs.L("op", op))
 	}
 	return m

@@ -28,13 +28,14 @@
 // message as it arrives, in one pass, with one state machine that knows the
 // types only by their key → field tables. A flat object's table is ordered:
 // it fixes the order in which the encoder writes the object's members and
-// the parser first reads them, taking an element so written whole and any
-// other member by member. That half takes a strict subset: known keys in
-// exact case, no array twice; strings without escapes, control bytes or
-// non-ASCII (nor, written, <, > or &); strict-grammar numbers that fit
-// their field, no NaN or Inf; no null; no job, host_*, info or shard_map
-// member. A string is found eight bytes a step and is a view of the read
-// buffer while the message fills; a complete message's strings are copied
+// the only order in which the parser takes them, an element whole, walked
+// again from its '{' when a read cut it. That half takes a strict subset:
+// known keys in exact case, no array twice; elements with their members in
+// table order, each once, and no space inside; strings without escapes,
+// control bytes or non-ASCII (nor, written, <, > or &); strict-grammar
+// numbers that fit their field, no NaN or Inf; no null; no job, host_* or
+// info member. A string is found eight bytes a step and is a view of the
+// read buffer while the message fills; a complete message's strings are copied
 // into one allocation of their own, so none views a pooled buffer (a state
 // name is its interned form). A number is converted in the scan that finds
 // it, eight digits a step, to the bits strconv gives: a decimal of at most
@@ -45,11 +46,11 @@
 // float's shortest digits, eight at a time from a two-digit table, the
 // float's found by Schubfach in [1e-6, 1e21) and by strconv outside it (the
 // 'e' form, zero); a batch's digests that share a stamp copy its bytes. All
-// else — submit, sethost, info, shardmap and their replies, malformed or
-// oversized input — goes to encoding/json (decodeBounded, json.Encoder
-// below) as the bytes already read plus the rest of the connection, and
-// gets its result and error text: not a codec a caller can select, but
-// where the subset ends and the oracle FuzzWireCodec holds it to.
+// else — submit, sethost, info and their replies, malformed or oversized
+// input — goes to encoding/json (decodeBounded, json.Encoder below) as the
+// bytes already read plus the rest of the connection, and gets its result
+// and error text: not a codec a caller can select, but where the subset
+// ends and the oracle FuzzWireCodec holds it to.
 package ishare
 
 import (
@@ -71,7 +72,7 @@ import (
 // Request is the single message type clients and nodes send.
 type Request struct {
 	// Op selects the action: "register_batch", "heartbeat_batch",
-	// "unregister", "list", "shardmap", "forecast" (registry); "info",
+	// "unregister", "list", "forecast" (registry); "info",
 	// "submit", "sethost" (node).
 	Op string `json:"op"`
 	// Job carries a submission (submit).
@@ -122,15 +123,6 @@ func (d NodeDigest) Newer(o NodeDigest) bool {
 		return d.Gen > o.Gen
 	}
 	return d.UnixMS > o.UnixMS
-}
-
-// ShardMap is the versioned registry-shard list. Every shard of one
-// deployment serves the same map, so a client bootstrapped with any one
-// shard address can discover the full control plane; Gen lets a client
-// replace its map when the deployment is resharded.
-type ShardMap struct {
-	Gen    int64    `json:"gen"`
-	Shards []string `json:"shards"`
 }
 
 // JobSpec describes a guest job: a compute-bound batch program.
@@ -236,8 +228,6 @@ type Response struct {
 	// Missing names the heartbeat_batch entries the registry does not
 	// know, so the sender can re-register exactly those.
 	Missing []string `json:"missing,omitempty"`
-	// ShardMap answers a shardmap request.
-	ShardMap *ShardMap `json:"shard_map,omitempty"`
 	// Forecasts answers a forecast request, one entry per requested name
 	// in request order.
 	Forecasts []ForecastInfo `json:"forecasts,omitempty"`

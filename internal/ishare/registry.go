@@ -23,8 +23,7 @@ import (
 // stop for longer than the TTL is reported dead — the URR signal.
 //
 // At fleet scale a registry is one shard of the control plane: node IDs
-// are assigned to shards by a ShardRing, every shard serves the same
-// versioned ShardMap for bootstrap, and registrations and heartbeats
+// are assigned to shards by a ShardRing, and registrations and heartbeats
 // arrive in batches — a node's own of one — carrying availability
 // digests. Discovery, a list with a Limit, is served from per-score
 // buckets — S1 nodes, then S2 — so a ranked candidate list costs
@@ -54,11 +53,10 @@ type Registry struct {
 	// 0 = S1, 1 = S2, 2 = no digest, 3 = unavailable (S3–S5). Ranked
 	// discovery walks buckets 0 and 1 and stops at Limit, starting where
 	// cursor points so successive walks spread over a bucket.
-	buckets  [4][]uint32
-	cursor   atomic.Uint32
-	shardMap *ShardMap
-	met      *registryMetrics // nil until Instrument
-	log      *slog.Logger     // nil until Instrument
+	buckets [4][]uint32
+	cursor  atomic.Uint32
+	met     *registryMetrics // nil until Instrument
+	log     *slog.Logger     // nil until Instrument
 
 	// fc, when non-nil, is the embedded online forecaster: every digest
 	// state transition (live or WAL-replayed) feeds it, a batch's in one
@@ -270,12 +268,6 @@ func (r *Registry) applyWALRecord(rec walRecord) {
 		r.reportLocked()
 	case walKindRemove:
 		r.removeLocked(rec.name)
-	case walKindShardMap:
-		if r.shardMap == nil || rec.shardMap.Gen > r.shardMap.Gen {
-			cp := rec.shardMap
-			cp.Shards = append([]string(nil), rec.shardMap.Shards...)
-			r.shardMap = &cp
-		}
 	case walKindRefresh:
 		t := stampMS(rec.stampMS)
 		for _, id := range r.resolveLocked(len(rec.names), func(i int) string { return rec.names[i] }) {
@@ -345,9 +337,6 @@ func (r *Registry) walLocked(due bool, err error) error {
 // ID order: one state, one byte string, and IDs kept if none was freed. Holds r.mu.
 func (r *Registry) snapshotRecordsLocked() []walRecord {
 	var recs []walRecord
-	if r.shardMap != nil {
-		recs = append(recs, walRecord{kind: walKindShardMap, shardMap: *r.shardMap})
-	}
 	entries := make([]walEntry, 0, len(r.ids))
 	for id := range r.entries {
 		e := &r.entries[id]
@@ -375,25 +364,6 @@ func (r *Registry) RecoveredRecords() int { return r.recovered }
 
 // Sheds reports how many connections admission control has shed.
 func (r *Registry) Sheds() uint64 { return r.sheds.Load() }
-
-// SetShardMap installs the versioned shard list this registry serves to
-// bootstrapping clients. Installs are monotonic in Gen: a map older than
-// (or as old as) the current one is ignored, so replays and out-of-order
-// installs can never roll the served map backward. Every shard of a
-// deployment should carry the same map; a single-registry deployment can
-// leave it unset.
-func (r *Registry) SetShardMap(m ShardMap) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.shardMap != nil && m.Gen <= r.shardMap.Gen {
-		return
-	}
-	cp := ShardMap{Gen: m.Gen, Shards: append([]string(nil), m.Shards...)}
-	r.shardMap = &cp
-	if err := r.walLocked(r.wal.append(walRecord{kind: walKindShardMap, shardMap: cp})); err != nil && r.log != nil {
-		r.log.Warn("WAL append for shard map failed", "err", err.Error())
-	}
-}
 
 // Instrument attaches an obs registry (per-op request counters, node and
 // alive-node gauges) and an optional structured logger. The metric
@@ -798,15 +768,6 @@ func (r *Registry) handle(req Request) *Response {
 			met.forecastLatency.Observe(time.Since(t0).Seconds())
 		}
 		return &Response{OK: true, Forecasts: out}
-	case "shardmap":
-		r.mu.RLock()
-		m := r.shardMap
-		r.mu.RUnlock()
-		if m == nil {
-			return &Response{OK: false, Error: "no shard map configured"}
-		}
-		cp := ShardMap{Gen: m.Gen, Shards: append([]string(nil), m.Shards...)}
-		return &Response{OK: true, ShardMap: &cp}
 	default:
 		return &Response{OK: false, Error: "unknown op " + req.Op}
 	}

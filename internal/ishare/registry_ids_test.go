@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -495,12 +496,12 @@ var updateWALGolden = flag.Bool("update-wal-golden", false, "rewrite testdata/wa
 // TestWALBytesGolden replays a fixed ingest — every mutating op, batches of
 // one and of many, known and unknown names, removes and re-registrations — and
 // compares the log byte for byte with the one the commit before dense IDs
-// wrote (testdata/wal_golden.bin, written there with -update-wal-golden):
-// how a shard indexes its nodes is not allowed to show in what it logs.
+// wrote, less its two shard-map frames (testdata/wal_golden.bin, written with
+// -update-wal-golden): how a shard indexes its nodes is not allowed to show
+// in what it logs.
 func TestWALBytesGolden(t *testing.T) {
 	dir := t.TempDir()
 	f := newDurableFixture(t, dir)
-	f.r.SetShardMap(ShardMap{Gen: 3, Shards: []string{"10.0.0.1:7000", "10.0.0.2:7000"}})
 	fleet := testFleetDigests(30, 1000)
 	f.do(t, 1000, Request{Op: "register_batch", Digests: fleet})
 	f.do(t, 1005, Request{Op: "register_batch", Digests: []NodeDigest{{Name: "solo", Addr: "10.1.1.1:70", State: "S1(full)", Load: 0.125, Gen: 1}}})
@@ -526,7 +527,6 @@ func TestWALBytesGolden(t *testing.T) {
 	f.do(t, 1040, Request{Op: "unregister", Names: []string{"m005", "m006", "solo", "stranger"}})
 	f.do(t, 1050, Request{Op: "register_batch", Digests: testFleetDigests(36, 1050)[4:36]})
 	f.do(t, 1060, Request{Op: "heartbeat_batch", Digests: testFleetDigests(36, 1060)})
-	f.r.SetShardMap(ShardMap{Gen: 4, Shards: []string{"10.0.0.1:7000"}})
 	if err := f.r.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -551,6 +551,41 @@ func TestWALBytesGolden(t *testing.T) {
 			n++
 		}
 		t.Fatalf("WAL is %d bytes, golden %d; first difference at byte %d", len(got), len(want), n)
+	}
+}
+
+// TestOlderLogReplays: a log written while shards still logged shard-map
+// installs (testdata/wal_golden_shardmaps.bin, TestWALBytesGolden's ingest
+// with a kind-3 frame first and last) replays all 17 of its frames and is not
+// truncated, and the shard it rebuilds equals the one wal_golden.bin's 15
+// frames rebuild.
+func TestOlderLogReplays(t *testing.T) {
+	replay := func(golden string, frames int) map[string]string {
+		data, err := os.ReadFile(filepath.Join("testdata", golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		path := filepath.Join(dir, walFileName)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f := newDurableFixture(t, dir)
+		if n := f.r.RecoveredRecords(); n != frames {
+			t.Fatalf("%s: replayed %d frames, want %d", golden, n, frames)
+		}
+		state := registryStateSnapshot(f.r)
+		if err := f.r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+			t.Fatalf("%s: the log was %d bytes, %d after the shard opened it (%v)", golden, len(data), len(after), err)
+		}
+		return state
+	}
+	older, want := replay("wal_golden_shardmaps.bin", 17), replay("wal_golden.bin", 15)
+	if len(want) == 0 || !maps.Equal(older, want) {
+		t.Fatalf("the older log rebuilds %d nodes, wal_golden.bin %d, or they differ", len(older), len(want))
 	}
 }
 

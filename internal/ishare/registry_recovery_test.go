@@ -13,18 +13,15 @@ import (
 )
 
 // registryStateSnapshot captures the comparable durable state of a
-// registry: every entry's info and liveness stamp, plus the shard map.
+// registry: every entry's info and liveness stamp.
 func registryStateSnapshot(r *Registry) map[string]string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make(map[string]string, len(r.ids)+1)
+	out := make(map[string]string, len(r.ids))
 	for name, id := range r.ids {
 		e := &r.entries[id]
 		out[name] = fmt.Sprintf("%s|%s|%.6f|%d|%d|%d",
 			e.addr, e.state, e.load, e.gen, unixMS(e.seen), e.bucket)
-	}
-	if r.shardMap != nil {
-		out["__shardmap__"] = fmt.Sprintf("%d|%s", r.shardMap.Gen, strings.Join(r.shardMap.Shards, ","))
 	}
 	return out
 }
@@ -53,7 +50,6 @@ func TestRegistryCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.SetShardMap(ShardMap{Gen: 2, Shards: []string{"a:1", "b:2"}})
 	if resp := r.handle(Request{Op: "register_batch", Digests: testFleetDigests(40, 1000)}); !resp.OK {
 		t.Fatalf("register_batch: %s", resp.Error)
 	}
@@ -100,7 +96,6 @@ func TestShutdownRestartIdenticalState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.SetShardMap(ShardMap{Gen: 1, Shards: []string{"x:1"}})
 	r.handle(Request{Op: "register_batch", Digests: testFleetDigests(25, 2000)})
 	r.handle(Request{Op: "heartbeat_batch", Digests: []NodeDigest{
 		{Name: "m003", State: "S2(reduced)", Load: 0.5, Gen: 11, UnixMS: 2500},
@@ -281,28 +276,6 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	}
 }
 
-// TestSetShardMapMonotonic: an older (or equal) generation can never
-// replace the served shard map.
-func TestSetShardMapMonotonic(t *testing.T) {
-	r, err := NewRegistry("127.0.0.1:0", time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	r.SetShardMap(ShardMap{Gen: 2, Shards: []string{"a:1", "b:2"}})
-	r.SetShardMap(ShardMap{Gen: 1, Shards: []string{"stale:1"}})
-	r.SetShardMap(ShardMap{Gen: 2, Shards: []string{"replay:1"}})
-	resp := r.handle(Request{Op: "shardmap"})
-	if !resp.OK || resp.ShardMap.Gen != 2 || resp.ShardMap.Shards[0] != "a:1" {
-		t.Fatalf("shard map rolled back: %+v", resp.ShardMap)
-	}
-	r.SetShardMap(ShardMap{Gen: 3, Shards: []string{"c:3"}})
-	resp = r.handle(Request{Op: "shardmap"})
-	if resp.ShardMap.Gen != 3 || resp.ShardMap.Shards[0] != "c:3" {
-		t.Fatalf("newer shard map not adopted: %+v", resp.ShardMap)
-	}
-}
-
 // TestShardedCrashRestartDurable: the deployment-level loop — kill a
 // shard mid-fleet, restart it on the same address, and every acked
 // registration on that shard is served again.
@@ -347,10 +320,6 @@ func TestShardedCrashRestartDurable(t *testing.T) {
 		if len(nodes) != len(batch) {
 			t.Fatalf("shard %d: %d nodes after restart, want %d", i, len(nodes), len(batch))
 		}
-	}
-	m, err := c.FetchShardMap(ctx, s.Addrs()[0])
-	if err != nil || m.Gen != 1 {
-		t.Fatalf("restarted shard serves wrong shard map: %+v err=%v", m, err)
 	}
 }
 

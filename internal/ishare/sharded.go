@@ -11,11 +11,10 @@ import (
 
 // ShardedRegistry runs N registry shards in one process and wires them
 // into a consistent-hash ring: the in-process deployment shape used by
-// tests, the load driver and the demo. Each shard is a full Registry on
-// its own listener serving the shared versioned ShardMap, so a client
-// bootstrapped from any one shard address discovers all of them; nothing
+// tests and the load driver. Each shard is a full Registry on its own
+// listener; a client lists Addrs() in Client.Shards, and nothing
 // distinguishes these shards from N separately deployed processes with
-// the same map.
+// the same address list.
 //
 // Shards are individually killable and restartable: CrashShard models
 // SIGKILL (the paper's reboot-dominated URR events), RestartShard
@@ -31,20 +30,18 @@ type ShardedRegistry struct {
 	shards []*Registry
 	addrs  []string // fixed at construction; restarts rebind the same addr
 	ring   *ShardRing
-	gen    int64 // shard map generation served by every shard
 }
 
 // NewShardedRegistryWithOptions starts n registry shards on ephemeral
-// loopback ports sharing one option set, and installs the generation-1
-// shard map on every shard. When opt.WAL is set, its Dir is the
-// deployment's durability root: shard i logs under Dir/shard-<i>, and a
-// construction over a root with existing logs recovers every shard's state
-// before serving.
+// loopback ports sharing one option set. When opt.WAL is set, its Dir is
+// the deployment's durability root: shard i logs under Dir/shard-<i>, and
+// a construction over a root with existing logs recovers every shard's
+// state before serving.
 func NewShardedRegistryWithOptions(n int, opt RegistryOptions) (*ShardedRegistry, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("ishare: sharded registry needs at least one shard, got %d", n)
 	}
-	s := &ShardedRegistry{opt: opt, gen: 1}
+	s := &ShardedRegistry{opt: opt}
 	if opt.WAL != nil {
 		s.walBase = opt.WAL.Dir
 	}
@@ -66,10 +63,6 @@ func NewShardedRegistryWithOptions(n int, opt RegistryOptions) (*ShardedRegistry
 		return nil, err
 	}
 	s.ring = ring
-	m := ShardMap{Gen: s.gen, Shards: s.addrs}
-	for _, reg := range s.shards {
-		reg.SetShardMap(m)
-	}
 	return s, nil
 }
 
@@ -131,14 +124,12 @@ func (s *ShardedRegistry) CrashShard(i int) error {
 // RestartShard revives shard i on its original address. A durable
 // deployment recovers the shard's acked state from its WAL directory
 // first; a volatile one comes back empty (its nodes re-register via the
-// heartbeat Missing path). The restarted shard serves the deployment's
-// current shard map and inherits its instrumentation.
+// heartbeat Missing path). The restarted shard inherits the deployment's
+// instrumentation.
 func (s *ShardedRegistry) RestartShard(i int) error {
 	s.mu.Lock()
 	addr := s.addrs[i]
 	opt := s.shardOptions(i)
-	gen := s.gen
-	addrs := append([]string(nil), s.addrs...)
 	reg, logger := s.obs, s.logger
 	s.mu.Unlock()
 
@@ -146,7 +137,6 @@ func (s *ShardedRegistry) RestartShard(i int) error {
 	if err != nil {
 		return fmt.Errorf("ishare: restarting shard %d on %s: %w", i, addr, err)
 	}
-	fresh.SetShardMap(ShardMap{Gen: gen, Shards: addrs})
 	if reg != nil || logger != nil {
 		fresh.Instrument(reg, logger)
 	}

@@ -108,23 +108,6 @@ func TestHeartbeatBatchReportsMissing(t *testing.T) {
 	}
 }
 
-func TestShardMapBootstrap(t *testing.T) {
-	s := startSharded(t, 3, time.Minute)
-	c := &Client{Timeout: time.Second}
-	// Any single shard address bootstraps the full map.
-	m, err := c.FetchShardMap(ctx, s.Addrs()[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Gen != 1 || len(m.Shards) != 3 {
-		t.Fatalf("shard map = %+v", m)
-	}
-	c.Shards = m.Shards
-	if _, err := c.List(ctx); err != nil {
-		t.Fatalf("listing the bootstrapped shards: %v", err)
-	}
-}
-
 func TestShardedListMergesAllShards(t *testing.T) {
 	s := startSharded(t, 3, time.Minute)
 	c := &Client{Shards: s.Addrs(), Timeout: time.Second}

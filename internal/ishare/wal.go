@@ -14,13 +14,12 @@ import (
 
 // This file is the durability layer of a registry shard: a write-ahead
 // log of every acked state mutation (registrations, heartbeats,
-// unregistrations, shard-map installs) plus periodic snapshots that
-// compact it. The contract the crash harness checks is exactly the one
-// the paper's URR events demand of a production control plane: a shard
-// killed at any instant — ~90% of the paper's unavailability events are
-// reboots with sub-minute outages — restarts with every acked
-// registration intact, because the ack is only sent after the mutation
-// record reached the log.
+// unregistrations) plus periodic snapshots that compact it. The contract
+// the crash harness checks is exactly the one the paper's URR events
+// demand of a production control plane: a shard killed at any instant —
+// ~90% of the paper's unavailability events are reboots with sub-minute
+// outages — restarts with every acked registration intact, because the
+// ack is only sent after the mutation record reached the log.
 //
 // Record framing is length-prefixed and CRC-checked:
 //
@@ -49,7 +48,7 @@ import (
 const (
 	walKindUpsert   byte = 1 // a batch of digests with liveness stamps
 	walKindRemove   byte = 2 // one unregistration
-	walKindShardMap byte = 3 // a shard-map install
+	walKindShardMap byte = 3 // an older log's shard-map install: read and dropped, never written
 	walKindRefresh  byte = 4 // a batch of pure liveness refreshes: one stamp, many names
 
 	walFrameHeader = 8 // u32 length + u32 crc
@@ -108,12 +107,11 @@ type walEntry struct {
 
 // walRecord is one logged mutation.
 type walRecord struct {
-	kind     byte
-	entries  []walEntry // walKindUpsert
-	name     string     // walKindRemove
-	shardMap ShardMap   // walKindShardMap
-	names    []string   // walKindRefresh
-	stampMS  int64      // walKindRefresh
+	kind    byte
+	entries []walEntry // walKindUpsert
+	name    string     // walKindRemove
+	names   []string   // walKindRefresh
+	stampMS int64      // walKindRefresh
 }
 
 // wal is the open log of one registry shard.
@@ -561,12 +559,6 @@ func encodeWALRecordTo(b []byte, rec walRecord) []byte {
 		}
 	case walKindRemove:
 		b = appendString(b, rec.name)
-	case walKindShardMap:
-		b = appendVarint(b, rec.shardMap.Gen)
-		b = appendUvarint(b, uint64(len(rec.shardMap.Shards)))
-		for _, s := range rec.shardMap.Shards {
-			b = appendString(b, s)
-		}
 	case walKindRefresh:
 		b = appendFixed64(b, rec.stampMS)
 		b = appendUvarint(b, uint64(len(rec.names)))
@@ -690,15 +682,9 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 	case walKindRemove:
 		rec.name = r.string_()
 	case walKindShardMap:
-		rec.shardMap.Gen = r.varint()
-		n := r.uvarint()
-		if r.err == nil && n > uint64(len(r.b)) {
-			return walRecord{}, errors.New("shard count exceeds payload")
-		}
-		rec.shardMap.Shards = make([]string, 0, n)
-		for i := uint64(0); i < n && r.err == nil; i++ {
-			rec.shardMap.Shards = append(rec.shardMap.Shards, r.string_())
-		}
+		// A log an older shard wrote starts with one. Its frame's CRC held,
+		// so the body is what that shard wrote; replay has no use for it.
+		r.b = nil
 	case walKindRefresh:
 		rec.stampMS = r.fixed64()
 		n := r.uvarint()

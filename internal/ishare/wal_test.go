@@ -17,7 +17,6 @@ func walTestRecords() []walRecord {
 			{d: NodeDigest{Name: "m002", Addr: "127.0.0.1:9002", State: "S2(reduced)", Load: 0.87, Gen: 1, UnixMS: 1700000000456}, lastSeenMS: 1700000000456},
 		}},
 		{kind: walKindRemove, name: "m001"},
-		{kind: walKindShardMap, shardMap: ShardMap{Gen: 4, Shards: []string{"127.0.0.1:9001", "127.0.0.1:9002"}}},
 		{kind: walKindUpsert, entries: []walEntry{
 			{d: NodeDigest{Name: "m003", State: "S1(full)", Gen: 9, UnixMS: 1700000001000}, lastSeenMS: 1700000001000},
 		}},

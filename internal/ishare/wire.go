@@ -186,10 +186,10 @@ func appendRequest(b []byte, req *Request) ([]byte, bool) {
 	return append(e.b, '}', '\n'), e.ok
 }
 
-// appendResponse is appendRequest for a Response; info, job and shard_map
-// are outside the subset.
+// appendResponse is appendRequest for a Response; info and job are outside
+// the subset.
 func appendResponse(b []byte, resp *Response) ([]byte, bool) {
-	if resp.Info != nil || resp.Job != nil || resp.ShardMap != nil {
+	if resp.Info != nil || resp.Job != nil {
 		return b, false
 	}
 	e := wireEnc{b: b, ok: true}
@@ -238,9 +238,10 @@ const (
 )
 
 // wireMaxPending bounds what readMessage lets a parse leave unconsumed:
-// restart points are a scalar apart, so more than this pending is a string
-// no message carries, and handing it over keeps a peer that trickles bytes
-// from buying a rescan of it with each one.
+// restart points are a scalar or an array element apart, so more than this
+// pending is a string or an element no message carries, and handing it
+// over keeps a peer that trickles bytes from buying a rescan of it with
+// each one.
 const wireMaxPending = 4096
 
 // Where a messageParser is: what it expects next.
@@ -248,7 +249,6 @@ const (
 	atOpen     uint8 = iota // the message's '{'
 	atEnvelope              // a member of the message, or '}'
 	atObjects               // an element of the open array of objects, or ']'
-	atObject                // a member of the open array's last element, or '}'
 	atStrings               // an element of the open array of strings, or ']'
 )
 
@@ -288,9 +288,6 @@ func (p *messageParser) parse(b []byte) wireStatus {
 			p.pos = i + 1
 			p.own()
 			return wireDone
-		case p.at == atObject && c == '}':
-			p.pos, p.at, p.first = i+1, atObjects, false
-			continue
 		case (p.at == atObjects || p.at == atStrings) && c == ']':
 			p.pos, p.at, p.first = i+1, atEnvelope, false
 			continue
@@ -305,19 +302,13 @@ func (p *messageParser) parse(b []byte) wireStatus {
 		}
 		st, at := wireDone, p.at
 		switch at {
-		case atEnvelope, atObject:
+		case atEnvelope:
 			i, st = p.member(b, i)
 		case atObjects:
 			if b[i] != '{' {
 				return wireDecline
 			}
-			// An element as the encoder writes it is taken whole; any
-			// other goes member by member.
-			if j, walked := p.objs.element(p, b, i); walked {
-				i = j
-			} else {
-				i, p.at = i+1, atObject
-			}
+			i, st = p.objs.element(p, b, i)
 		case atStrings:
 			var s string
 			if i, st = p.stringValue(&s, b, i); st == wireDone {
@@ -331,10 +322,10 @@ func (p *messageParser) parse(b []byte) wireStatus {
 	}
 }
 
-// member parses one `"key":value` of the message or of the open array's
-// last element at b[i] into the field its table names. An array value is
-// only opened (p.at moves into it): its elements are parse's. A repeated
-// scalar takes its last value, as in encoding/json.
+// member parses one `"key":value` of the message at b[i] into the field its
+// table names. An array value is only opened (p.at moves into it): its
+// elements are parse's. A repeated scalar takes its last value, as in
+// encoding/json.
 func (p *messageParser) member(b []byte, i int) (int, wireStatus) {
 	key, i, st := rawString(b, i)
 	if st == wireDone {
@@ -348,17 +339,14 @@ func (p *messageParser) member(b []byte, i int) (int, wireStatus) {
 	if st != wireDone {
 		return i, st
 	}
-	if p.at == atObject {
-		return p.objs.member(p, key, b, i)
-	}
 	return p.msg.wireMember(p, key, b, i)
 }
 
 // wireObject is the message the parser fills. wireMember is its key →
 // field table, all that tells a Request from a Response: it parses the
 // value at b[i] into the field key names, and declines what encoding/json
-// must decide (an unknown or other-case key; job, host_*, info,
-// shard_map). wireStrings hands w every string field the parser fills.
+// must decide (an unknown or other-case key; job, host_*, info).
+// wireStrings hands w every string field the parser fills.
 type wireObject interface {
 	wireMember(p *messageParser, key, b []byte, i int) (int, wireStatus)
 	wireStrings(w *wireStrings)
@@ -511,33 +499,40 @@ var forecastFields = []wireField[ForecastInfo]{
 
 // walkFields parses the object at b[i] ('{') into o if it is exactly what
 // the encoder writes: members in the table's order, each at most once,
-// nothing between tokens, then '}'. It returns the index after the '}', or
-// false on any other input, one that ends first included, having filled
-// some of o.
-func walkFields[T any](p *messageParser, fields []wireField[T], o *T, b []byte, i int) (int, bool) {
-	i, comma := i+1, 0 // no comma before the first member
+// nothing between tokens, then '}'. It returns the index after the '}' and
+// done; short while the input ends where the object's next member or its
+// '}' could still arrive; decline on any other input. Either of those may
+// have filled some of o.
+func walkFields[T any](p *messageParser, fields []wireField[T], o *T, b []byte, i int) (int, wireStatus) {
+	i, comma, short := i+1, 0, false // no comma before the first member
 	for n := range fields {
 		f, k := &fields[n], i+comma
-		if v := k + len(f.key); v < len(b) && (comma == 0 || b[i] == ',') && f.at(b, k) {
+		if v := k + len(f.key); v >= len(b) {
+			rest := b[min(k, len(b)):] // all of the member in sight: short if it begins f's
+			short = short || (comma == 0 || i == len(b) || b[i] == ',') && string(rest) == f.key[:len(rest)]
+		} else if (comma == 0 || b[i] == ',') && f.at(b, k) {
 			var st wireStatus
 			if i, st = f.parse(p, o, b, v); st != wireDone {
-				return 0, false
+				return i, st
 			}
 			comma = 1
 		}
 	}
-	if i < len(b) && b[i] == '}' {
-		return i + 1, true
+	switch {
+	case i < len(b) && b[i] == '}':
+		return i + 1, wireDone
+	case short:
+		return i, wireShort
 	}
-	return 0, false
+	return i, wireDecline
 }
 
 // wireArray is the open array of flat objects. element appends a slot for
-// the element at b[i] ('{') and walks its table into it; when the walk
-// fails the slot is left zero, for member to fill key by key.
+// the element at b[i] ('{') and walks its table into it; a walk not done
+// takes the slot and the string bytes it counted back, so a cut element is
+// walked again from its '{', into the same slot, once more has arrived.
 type wireArray interface {
-	element(p *messageParser, b []byte, i int) (int, bool)
-	member(p *messageParser, key, b []byte, i int) (int, wireStatus)
+	element(p *messageParser, b []byte, i int) (int, wireStatus)
 }
 
 type wireObjects[T any] struct {
@@ -545,23 +540,14 @@ type wireObjects[T any] struct {
 	fields []wireField[T]
 }
 
-func (a *wireObjects[T]) element(p *messageParser, b []byte, i int) (int, bool) {
+func (a *wireObjects[T]) element(p *messageParser, b []byte, i int) (int, wireStatus) {
+	n, views := len(*a.dst), p.views
 	*a.dst = append(*a.dst, *new(T))
-	o := &(*a.dst)[len(*a.dst)-1]
-	j, ok := walkFields(p, a.fields, o, b, i)
-	if !ok {
-		*o = *new(T)
+	j, st := walkFields(p, a.fields, &(*a.dst)[n], b, i)
+	if st != wireDone {
+		*a.dst, p.views = (*a.dst)[:n], views
 	}
-	return j, ok
-}
-
-func (a *wireObjects[T]) member(p *messageParser, key, b []byte, i int) (int, wireStatus) {
-	for n := range a.fields {
-		if f := &a.fields[n]; string(key) == f.key[1:len(f.key)-2] {
-			return f.parse(p, &(*a.dst)[len(*a.dst)-1], b, i)
-		}
-	}
-	return i, wireDecline
+	return j, st
 }
 
 // openObjects opens the array of flat objects at b[i] into *dst, unless
@@ -664,8 +650,8 @@ func (p *messageParser) stringValue(dst *string, b []byte, i int) (int, wireStat
 // pooled or regrown, are so viewed by nothing once readMessage returns, and
 // readMessage zeroes a message the parser did not complete. The views kept
 // are disjoint bytes of the message, so the allocation is the count capped
-// at the message's bytes; the count is over them only where a value was
-// parsed twice (a repeated key, an element walked again member by member).
+// at the message's bytes; the count is over them only where a repeated key
+// parsed a value twice.
 // A string kept past the message keeps all of its strings: the registry
 // clones the names and addresses it keeps.
 func (p *messageParser) own() {
