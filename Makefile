@@ -54,7 +54,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzIndexQueries' -fuzztime 5s ./internal/check/
 	$(GO) test -run '^$$' -fuzz 'FuzzColBlockRoundTrip' -fuzztime 5s ./internal/check/
 	$(GO) test -run '^$$' -fuzz 'FuzzBlockFileBytes' -fuzztime 5s -fuzzminimizetime 10x ./internal/trace/
-	$(GO) test -run '^$$' -fuzz 'FuzzReadCSVEvents' -fuzztime 5s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz 'FuzzProtocolDecode' -fuzztime 5s ./internal/ishare/
 	$(GO) test -run '^$$' -fuzz 'FuzzWireCodec' -fuzztime 5s ./internal/ishare/
 	$(GO) test -run '^$$' -fuzz 'FuzzWALReplay' -fuzztime 5s ./internal/ishare/

@@ -42,7 +42,10 @@ type Config struct {
 	// Thresholds for CPU contention; defaulted to LinuxThresholds.
 	Thresholds Thresholds
 	// TransientWindow is how long LH must stay above Th2 before the spike
-	// counts as S3 rather than a suspension (1 minute in the paper).
+	// counts as S3 rather than a suspension (1 minute in the paper). The
+	// window is only resolved when the sampling period is shorter: at a
+	// period of TransientWindow or more, any spike seen in two consecutive
+	// samples has already lasted the window and counts as S3.
 	TransientWindow time.Duration
 	// GuestWorkingSet is the memory demand (bytes) used for the S4 test
 	// when an observation does not carry an explicit guest demand. The
@@ -149,8 +152,6 @@ type Detector struct {
 	spikeActive bool
 	// preSpike remembers the state to return to if the spike subsides.
 	preSpike  State
-	lastObs   Observation
-	observed  bool
 	suspended bool
 }
 
@@ -162,15 +163,6 @@ func NewDetector(cfg Config) (*Detector, error) {
 		return nil, err
 	}
 	return &Detector{cfg: cfg, state: S1, preSpike: S1}, nil
-}
-
-// MustNewDetector is NewDetector for known-good configurations.
-func MustNewDetector(cfg Config) *Detector {
-	d, err := NewDetector(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return d
 }
 
 // Config returns the detector's effective configuration.
@@ -188,8 +180,6 @@ func (d *Detector) Suspended() bool { return d.suspended }
 // arrive in nondecreasing time order.
 func (d *Detector) Observe(obs Observation) (State, *Transition) {
 	next := d.classify(obs)
-	d.lastObs = obs
-	d.observed = true
 	if next == d.state {
 		return d.state, nil
 	}
@@ -270,23 +260,15 @@ func (d *Detector) classify(obs Observation) State {
 
 // FastForward resynchronizes the detector after a caller advanced the
 // availability computation out of band (the testbed's span-skipping
-// runner): it adopts the given state and observation without running the
-// classifier. The caller must guarantee that state is exactly what
-// Observe would have produced for every skipped observation and that no
-// spike can be in progress over the skipped span (host CPU at or below
-// Th2, or the machine dead throughout).
-func (d *Detector) FastForward(state State, obs Observation) {
+// runner): it adopts the given state without running the classifier. The
+// caller must guarantee that state is exactly what Observe would have
+// produced for every skipped observation and that no spike can be in
+// progress over the skipped span (host CPU at or below Th2, or the machine
+// dead throughout).
+func (d *Detector) FastForward(state State) {
 	d.state = state
-	d.lastObs = obs
-	d.observed = true
 	d.spikeActive = false
 	d.suspended = false
-}
-
-// LastObservation returns the most recent observation and whether any
-// observation has been consumed.
-func (d *Detector) LastObservation() (Observation, bool) {
-	return d.lastObs, d.observed
 }
 
 // Reset returns the detector to its initial S1 state (e.g. after a machine
@@ -296,5 +278,4 @@ func (d *Detector) Reset() {
 	d.preSpike = S1
 	d.spikeActive = false
 	d.suspended = false
-	d.observed = false
 }

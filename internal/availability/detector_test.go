@@ -10,6 +10,15 @@ import (
 
 const gig = int64(1) << 30
 
+// MustNewDetector is NewDetector for known-good configurations.
+func MustNewDetector(cfg Config) *Detector {
+	d, err := NewDetector(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
 // obs builds a healthy observation with the given time and host load.
 func obs(at time.Duration, lh float64) Observation {
 	return Observation{At: at, HostCPU: lh, FreeMem: gig, Alive: true}
@@ -193,21 +202,8 @@ func TestDetectorReset(t *testing.T) {
 	if d.State() != S1 || d.Suspended() {
 		t.Error("Reset should restore S1, unsuspended")
 	}
-	if _, seen := d.LastObservation(); seen {
-		t.Error("Reset should clear observation history")
-	}
-}
-
-func TestDetectorLastObservation(t *testing.T) {
-	d := MustNewDetector(Config{})
-	if _, seen := d.LastObservation(); seen {
-		t.Error("fresh detector should report no observations")
-	}
-	want := obs(5*time.Second, 0.33)
-	d.Observe(want)
-	got, seen := d.LastObservation()
-	if !seen || got != want {
-		t.Errorf("LastObservation = %+v, %v", got, seen)
+	if d.spikeActive {
+		t.Error("Reset should clear spike history")
 	}
 }
 

@@ -10,7 +10,10 @@ import (
 // ExampleDetector walks a machine through the five-state model: light
 // load, heavy load, a transient spike, and a sustained overload.
 func ExampleDetector() {
-	det := availability.MustNewDetector(availability.Config{})
+	det, err := availability.NewDetector(availability.Config{})
+	if err != nil {
+		panic(err)
+	}
 	gig := int64(1) << 30
 
 	observe := func(at time.Duration, lh float64) {

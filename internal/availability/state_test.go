@@ -7,14 +7,13 @@ func TestStatePredicates(t *testing.T) {
 		s           State
 		available   bool
 		unavailable bool
-		uec         bool
 		urr         bool
 	}{
-		{S1, true, false, false, false},
-		{S2, true, false, false, false},
-		{S3, false, true, true, false},
-		{S4, false, true, true, false},
-		{S5, false, true, false, true},
+		{S1, true, false, false},
+		{S2, true, false, false},
+		{S3, false, true, false},
+		{S4, false, true, false},
+		{S5, false, true, true},
 	}
 	for _, tt := range tests {
 		if tt.s.Available() != tt.available {
@@ -22,9 +21,6 @@ func TestStatePredicates(t *testing.T) {
 		}
 		if tt.s.Unavailable() != tt.unavailable {
 			t.Errorf("%v.Unavailable() = %v", tt.s, tt.s.Unavailable())
-		}
-		if tt.s.UEC() != tt.uec {
-			t.Errorf("%v.UEC() = %v", tt.s, tt.s.UEC())
 		}
 		if tt.s.URR() != tt.urr {
 			t.Errorf("%v.URR() = %v", tt.s, tt.s.URR())

@@ -73,20 +73,6 @@ type Fault struct {
 	Skip int
 }
 
-// Counters reports how many faults of each kind were injected.
-type Counters struct {
-	// Dials counts every dial that went through the injector.
-	Dials int64
-	// Refused counts dials and exchanges failed with ErrRefused.
-	Refused int64
-	// Delayed counts injected dial or read delays.
-	Delayed int64
-	// Dropped counts connections closed mid-stream.
-	Dropped int64
-	// Corrupted counts responses with a flipped byte.
-	Corrupted int64
-}
-
 // Injector is a fault-injecting dialer. The zero value is unusable; build
 // one with New.
 type Injector struct {
@@ -137,17 +123,6 @@ func (in *Injector) Partition(addr string) {
 // Heal lifts a Partition on addr.
 func (in *Injector) Heal(addr string) {
 	in.SetEnabled("partition:"+addr, false)
-}
-
-// Counters returns a snapshot of the injected-fault counts.
-func (in *Injector) Counters() Counters {
-	return Counters{
-		Dials:     in.dials.Load(),
-		Refused:   in.refused.Load(),
-		Delayed:   in.delayed.Load(),
-		Dropped:   in.dropped.Load(),
-		Corrupted: in.corrupted.Load(),
-	}
 }
 
 // connPlan is the set of faults one exchange will experience, decided

@@ -11,6 +11,31 @@ import (
 	"repro/internal/obs"
 )
 
+// Counters reports how many faults of each kind were injected.
+type Counters struct {
+	// Dials counts every dial that went through the injector.
+	Dials int64
+	// Refused counts dials and exchanges failed with ErrRefused.
+	Refused int64
+	// Delayed counts injected dial or read delays.
+	Delayed int64
+	// Dropped counts connections closed mid-stream.
+	Dropped int64
+	// Corrupted counts responses with a flipped byte.
+	Corrupted int64
+}
+
+// Counters returns a snapshot of the injected-fault counts.
+func (in *Injector) Counters() Counters {
+	return Counters{
+		Dials:     in.dials.Load(),
+		Refused:   in.refused.Load(),
+		Delayed:   in.delayed.Load(),
+		Dropped:   in.dropped.Load(),
+		Corrupted: in.corrupted.Load(),
+	}
+}
+
 var ctx = context.Background()
 
 // The injector must satisfy the ishare dial seam.

@@ -409,21 +409,9 @@ func checkTraceSurfaces(events []trace.Event, end sim.Time, res *Result) error {
 	return checkIndexQueries(tr, ix, 0, pts)
 }
 
-// roundTripTrace asserts the v2 codec and the CSV export reproduce the
-// trace's events exactly.
+// roundTripTrace asserts the v2 codec reproduces the trace's events
+// exactly.
 func roundTripTrace(tr *trace.Trace) error {
-	var csvBuf bytes.Buffer
-	if err := tr.WriteCSV(&csvBuf); err != nil {
-		return fmt.Errorf("CSV encode: %w", err)
-	}
-	evs, err := trace.ReadCSVEvents(&csvBuf)
-	if err != nil {
-		return fmt.Errorf("CSV decode: %w", err)
-	}
-	if err := sameEvents("CSV round trip", tr.Events, evs); err != nil {
-		return err
-	}
-
 	// The v2 columnar codec always emits (machine, start, end) order, so
 	// the reference is the sorted event list. A tiny block size forces
 	// multi-block files on every non-trivial seed.

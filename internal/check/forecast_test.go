@@ -96,6 +96,7 @@ func checkOnlineForecastSeed(cfg testbed.Config, tr *trace.Trace, res *Result) e
 			refCount, refSurv := NaiveHistoryWindow(tr, m, w, 0, 0)
 			refTrimCount, refTrimSurv := NaiveHistoryWindow(tr, m, w, 0.1, 0)
 			refEWMACount, refEWMASurv := NaiveEWMADaily(tr, m, w, 0)
+			onEWMACount, onEWMASurv := (&predict.EWMADaily{}).Estimate(on, m, w)
 			for _, c := range []struct {
 				what                  string
 				online, offline, want float64
@@ -104,8 +105,8 @@ func checkOnlineForecastSeed(cfg testbed.Config, tr *trace.Trace, res *Result) e
 				{"PredictSurvival", on.PredictSurvival(m, w), hw.PredictSurvival(m, w), refSurv},
 				{"trimmed PredictCount", onTrim.PredictCount(m, w), hwTrim.PredictCount(m, w), refTrimCount},
 				{"trimmed PredictSurvival", onTrim.PredictSurvival(m, w), hwTrim.PredictSurvival(m, w), refTrimSurv},
-				{"EWMACount", on.EWMACount(m, w), ewma.PredictCount(m, w), refEWMACount},
-				{"EWMASurvival", on.EWMASurvival(m, w), ewma.PredictSurvival(m, w), refEWMASurv},
+				{"EWMACount", onEWMACount, ewma.PredictCount(m, w), refEWMACount},
+				{"EWMASurvival", onEWMASurv, ewma.PredictSurvival(m, w), refEWMASurv},
 			} {
 				if math.Abs(c.online-c.offline) > forecastTolerance ||
 					math.Abs(c.online-c.want) > forecastTolerance ||

@@ -134,9 +134,8 @@ func fuzzTrace(events []trace.Event) *trace.Trace {
 }
 
 // FuzzCodecRoundTrip encodes arbitrary valid event lists through the v2
-// codec and the CSV export and demands exact reproduction, then cuts the v2
-// file at an arbitrary offset and demands ReadBlocks refuse the cut with
-// ErrTruncated.
+// codec and demands exact reproduction, then cuts the file at an arbitrary
+// offset and demands ReadBlocks refuse the cut with ErrTruncated.
 func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 1, 30, 0, 8, 200})
 	f.Add([]byte{1, 0, 0, 1, 0, 3, 2, 60, 2, 9, 128})
@@ -158,18 +157,6 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		ref := tr.Clone() // v2 stores (machine, start, end) order
 		ref.Sort()
 		if err := sameEvents("v2", ref.Events, got.Events); err != nil {
-			t.Fatal(err)
-		}
-
-		var csvBuf bytes.Buffer
-		if err := tr.WriteCSV(&csvBuf); err != nil {
-			t.Fatalf("CSV encode: %v", err)
-		}
-		evs, err := trace.ReadCSVEvents(&csvBuf)
-		if err != nil {
-			t.Fatalf("CSV decode: %v", err)
-		}
-		if err := sameEvents("CSV", tr.Events, evs); err != nil {
 			t.Fatal(err)
 		}
 

@@ -103,13 +103,15 @@ func NaiveTable2(t *trace.Trace) trace.Table2 {
 
 // NaiveIntervalLengths returns the Figure 6 samples: the lengths (hours) of
 // the availability intervals that begin on a day of the given type, from
-// the per-machine gap extraction of Trace.AllIntervals — the oracle for the
+// the per-machine gap extraction of Trace.Intervals — the oracle for the
 // analyzer's streaming coalesce-and-clip.
 func NaiveIntervalLengths(t *trace.Trace, dt sim.DayType) []float64 {
 	var hours []float64
-	for _, iv := range t.AllIntervals() {
-		if t.Calendar.DayType(iv.Start) == dt {
-			hours = append(hours, iv.Duration().Hours())
+	for m := 0; m < t.Machines; m++ {
+		for _, iv := range t.Intervals(trace.MachineID(m)) {
+			if t.Calendar.DayType(iv.Start) == dt {
+				hours = append(hours, iv.Duration().Hours())
+			}
 		}
 	}
 	return hours
@@ -278,8 +280,8 @@ func NaiveHistoryWindow(t *trace.Trace, m trace.MachineID, w sim.Window, trim fl
 }
 
 // NaiveEWMADaily is the reference form of the exponentially weighted daily
-// model — the oracle for predict.EWMADaily and forecast.Online.EWMACount /
-// EWMASurvival: every fully observed prior day's same-window count smoothed
+// model — the oracle for predict.EWMADaily, trained or run over a
+// forecast.Online ring: every fully observed prior day's same-window count smoothed
 // oldest to newest (alpha outside (0, 1] means 0.3) and exp(-count) as the
 // survival, or (0, 0.5) when no prior day contributed.
 func NaiveEWMADaily(t *trace.Trace, m trace.MachineID, w sim.Window, alpha float64) (count, survival float64) {

@@ -10,6 +10,22 @@ import (
 	"repro/internal/workload"
 )
 
+// AloneCacheStats returns how many alone-run calibrations were served from
+// the cache versus simulated.
+func AloneCacheStats() (hits, misses uint64) {
+	return aloneCacheHits.Load(), aloneCacheMisses.Load()
+}
+
+// ResetAloneCache empties the calibration cache and its counters.
+func ResetAloneCache() {
+	aloneCache.Range(func(k, _ any) bool {
+		aloneCache.Delete(k)
+		return true
+	})
+	aloneCacheHits.Store(0)
+	aloneCacheMisses.Store(0)
+}
+
 // TestAloneCacheHitsAndParity verifies the calibration cache serves repeat
 // alone runs without resimulating and that a cached result is identical to
 // a direct measurement.

@@ -11,6 +11,21 @@ import (
 	"repro/internal/workload"
 )
 
+// ThrashingPredicted reports whether the paper's working-set rule predicts
+// thrashing for a guest/host pair on the given machine: guest RSS + host
+// RSS + kernel memory exceeding physical memory.
+func ThrashingPredicted(machine simos.MachineConfig, guest, host workload.AppProfile) bool {
+	machine = machineWithDefaults(machine)
+	return guest.RSS()+host.RSS()+machine.KernelMem > machine.RAM
+}
+
+func machineWithDefaults(m simos.MachineConfig) simos.MachineConfig {
+	if m.RAM == 0 {
+		m = simos.SolarisMachine(0)
+	}
+	return m
+}
+
 // fastOptions trades a little precision for test speed.
 func fastOptions() Options {
 	opt := DefaultOptions()

@@ -140,21 +140,6 @@ func (r *Figure4Result) Format() string {
 	return b.String()
 }
 
-// ThrashingPredicted reports whether the paper's working-set rule predicts
-// thrashing for a guest/host pair on the given machine: guest RSS + host
-// RSS + kernel memory exceeding physical memory.
-func ThrashingPredicted(machine simos.MachineConfig, guest, host workload.AppProfile) bool {
-	machine = machineWithDefaults(machine)
-	return guest.RSS()+host.RSS()+machine.KernelMem > machine.RAM
-}
-
-func machineWithDefaults(m simos.MachineConfig) simos.MachineConfig {
-	if m.RAM == 0 {
-		m = simos.SolarisMachine(0)
-	}
-	return m
-}
-
 // Table1 renders the paper's Table 1 from the built-in profiles.
 func Table1() string {
 	var b strings.Builder

@@ -190,22 +190,6 @@ var (
 	aloneCacheMisses atomic.Uint64
 )
 
-// AloneCacheStats returns how many alone-run calibrations were served from
-// the cache versus simulated.
-func AloneCacheStats() (hits, misses uint64) {
-	return aloneCacheHits.Load(), aloneCacheMisses.Load()
-}
-
-// ResetAloneCache empties the calibration cache and its counters.
-func ResetAloneCache() {
-	aloneCache.Range(func(k, _ any) bool {
-		aloneCache.Delete(k)
-		return true
-	})
-	aloneCacheHits.Store(0)
-	aloneCacheMisses.Store(0)
-}
-
 func (o Options) aloneKeyFor(seed int64, group workload.HostGroup) aloneKey {
 	k := aloneKey{
 		machine: o.Machine,

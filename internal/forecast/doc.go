@@ -10,9 +10,10 @@
 // Equality with the offline predictors is not approximate: the estimator
 // maths exists once, in internal/predict, written against predict.History,
 // and Online is one of the two stores that implement it (the trained
-// trace is the other) — PredictCount, PredictSurvival, EWMACount and
-// EWMASurvival are predict.HistoryWindow.Estimate and
-// predict.EWMADaily.Estimate over the ring. What can still differ is the
+// trace is the other) — PredictCount and PredictSurvival are
+// predict.HistoryWindow.Estimate over the ring, and any other estimator
+// written against predict.History (predict.EWMADaily) runs on it the same
+// way. What can still differ is the
 // store, so the differential harness (internal/check) replays every
 // testbed seed's observation stream through an Online forecaster and
 // compares it with predictors batch-trained on the recorded trace and with

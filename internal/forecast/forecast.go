@@ -12,7 +12,7 @@ import (
 
 // Config parameterizes an Online forecaster. The zero value (plus a
 // machine count) mirrors the offline predictor defaults: untrimmed
-// history-window means, EWMA alpha 0.3, no minimum history.
+// history-window means, no minimum history.
 type Config struct {
 	// Calendar anchors virtual time to weekdays/weekends, exactly as the
 	// trace the offline predictors train on would.
@@ -29,9 +29,6 @@ type Config struct {
 	// Trim is the trimmed-mean fraction of the history-window forecast
 	// (predict.HistoryWindow.Trim).
 	Trim float64
-	// Alpha is the EWMA smoothing factor (predict.EWMADaily.Alpha;
-	// default 0.3).
-	Alpha float64
 	// MinHistoryDays guards the history-window forecast against
 	// predicting from almost no data (predict.HistoryWindow.MinHistoryDays).
 	MinHistoryDays int
@@ -144,10 +141,9 @@ type Online struct {
 	events int64 // total ingested event starts
 	oor    int64 // events dropped for out-of-range machine ids
 
-	// The forecast maths lives in internal/predict; these run it over the
-	// ring (Online is their predict.History).
-	hw   predict.HistoryWindow
-	ewma predict.EWMADaily
+	// The forecast maths lives in internal/predict; this runs it over the
+	// ring (Online is its predict.History).
+	hw predict.HistoryWindow
 }
 
 // New creates an Online forecaster.
@@ -160,10 +156,9 @@ func New(cfg Config) (*Online, error) {
 	}
 	cfg = cfg.withDefaults()
 	o := &Online{
-		cfg:  cfg,
-		end:  cfg.Start,
-		hw:   predict.HistoryWindow{Trim: cfg.Trim, MinHistoryDays: cfg.MinHistoryDays},
-		ewma: predict.EWMADaily{Alpha: cfg.Alpha},
+		cfg: cfg,
+		end: cfg.Start,
+		hw:  predict.HistoryWindow{Trim: cfg.Trim, MinHistoryDays: cfg.MinHistoryDays},
 	}
 	for i := 0; i < cfg.Machines; i++ {
 		o.AddMachine()
@@ -189,18 +184,6 @@ func (o *Online) Machines() int { return len(o.ms) }
 
 // Events returns the total number of ingested event starts.
 func (o *Online) Events() int64 { return o.events }
-
-// Dropped returns how many event starts the capacity bound has evicted,
-// summed over machines.
-func (o *Online) Dropped() int64 {
-	var n int64
-	for _, ms := range o.ms {
-		if ms != nil {
-			n += ms.dropped
-		}
-	}
-	return n + o.oor
-}
 
 // Span returns the observed span [Start, high-water) — the span of the
 // offline training trace an equal batch predictor would have been trained
@@ -322,20 +305,6 @@ func (o *Online) PredictCount(m trace.MachineID, w sim.Window) float64 {
 // no-information answer (unknown machine, no history) is 0.5.
 func (o *Online) PredictSurvival(m trace.MachineID, w sim.Window) float64 {
 	_, survival, _ := o.hw.Estimate(o, m, w)
-	return survival
-}
-
-// EWMACount forecasts the exponentially weighted same-window daily count:
-// predict.EWMADaily{Alpha: cfg.Alpha} over the observed prefix.
-func (o *Online) EWMACount(m trace.MachineID, w sim.Window) float64 {
-	count, _ := o.ewma.Estimate(o, m, w)
-	return count
-}
-
-// EWMASurvival is the EWMA survival forecast, 0.5 before the first full
-// day of history.
-func (o *Online) EWMASurvival(m trace.MachineID, w sim.Window) float64 {
-	_, survival := o.ewma.Estimate(o, m, w)
 	return survival
 }
 

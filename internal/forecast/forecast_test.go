@@ -14,6 +14,18 @@ import (
 	"repro/internal/trace"
 )
 
+// Dropped returns how many event starts the capacity bound has evicted,
+// summed over machines.
+func (o *Online) Dropped() int64 {
+	var n int64
+	for _, ms := range o.ms {
+		if ms != nil {
+			n += ms.dropped
+		}
+	}
+	return n + o.oor
+}
+
 // replayTestbed runs a small testbed, returning both the recorded trace
 // and an Online forecaster fed the same machines' raw observation
 // streams.
@@ -92,11 +104,14 @@ func TestOnlineBitEqualToOffline(t *testing.T) {
 			if got, want := on.PredictSurvival(m, w), hw.PredictSurvival(m, w); got != want {
 				t.Errorf("PredictSurvival(m=%d, %v) online %v, offline %v", m, w, got, want)
 			}
-			if got, want := on.EWMACount(m, w), ewma.PredictCount(m, w); got != want {
-				t.Errorf("EWMACount(m=%d, %v) online %v, offline %v", m, w, got, want)
+			// EWMADaily's estimator over the ring against the same
+			// estimator trained on the recorded trace.
+			count, survival := ewma.Estimate(on, m, w)
+			if want := ewma.PredictCount(m, w); count != want {
+				t.Errorf("EWMA count(m=%d, %v) online %v, offline %v", m, w, count, want)
 			}
-			if got, want := on.EWMASurvival(m, w), ewma.PredictSurvival(m, w); got != want {
-				t.Errorf("EWMASurvival(m=%d, %v) online %v, offline %v", m, w, got, want)
+			if want := ewma.PredictSurvival(m, w); survival != want {
+				t.Errorf("EWMA survival(m=%d, %v) online %v, offline %v", m, w, survival, want)
 			}
 		}
 	}
@@ -211,9 +226,12 @@ func TestNilSlotAnswersAsEmptyRing(t *testing.T) {
 		{Start: 8 * sim.Day, End: 9 * sim.Day},
 		{Start: 0, End: 8 * sim.Day}, // the span itself: counts, not forecasts
 	} {
-		want := fmt.Sprint(fresh.CountInWindow(0, w), fresh.ForecastWindow(0, w), fresh.PredictCount(0, w), fresh.EWMACount(0, w), fresh.EWMASurvival(0, w))
+		var ewma predict.EWMADaily
+		c, s := ewma.Estimate(fresh, 0, w)
+		want := fmt.Sprint(fresh.CountInWindow(0, w), fresh.ForecastWindow(0, w), fresh.PredictCount(0, w), c, s)
 		for _, m := range []trace.MachineID{0, 1} {
-			if got := fmt.Sprint(on.CountInWindow(m, w), on.ForecastWindow(m, w), on.PredictCount(m, w), on.EWMACount(m, w), on.EWMASurvival(m, w)); got != want {
+			c, s := ewma.Estimate(on, m, w)
+			if got := fmt.Sprint(on.CountInWindow(m, w), on.ForecastWindow(m, w), on.PredictCount(m, w), c, s); got != want {
 				t.Errorf("machine %d over %v: %s, want the fresh machine's %s", m, w, got, want)
 			}
 		}

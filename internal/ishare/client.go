@@ -11,7 +11,7 @@ import (
 )
 
 // Client talks to a registry and its published nodes. Idempotent
-// operations (list, info, sethost) are retried with jittered exponential
+// operations (list, info) are retried with jittered exponential
 // backoff under the configured RetryPolicy; submissions are sent exactly
 // once per call — failover and resubmission belong to the Broker, which
 // knows how to do them without running a job twice. It keeps connections
@@ -251,17 +251,4 @@ func (c *Client) Submit(ctx context.Context, nodeAddr string, job JobSpec) (*Job
 		return nil, fmt.Errorf("ishare: submit failed: %s", resp.Error)
 	}
 	return resp.Job, nil
-}
-
-// SetHostLoad reconfigures a node's synthetic host workload (experiment
-// control; not part of the production protocol).
-func (c *Client) SetHostLoad(ctx context.Context, nodeAddr string, load float64, memMB int64) error {
-	resp, err := c.do(ctx, nodeAddr, Request{Op: "sethost", HostLoad: load, HostMemMB: memMB}, c.timeout(), true)
-	if err != nil {
-		return err
-	}
-	if !resp.OK {
-		return fmt.Errorf("ishare: sethost failed: %s", resp.Error)
-	}
-	return nil
 }

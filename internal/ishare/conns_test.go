@@ -116,7 +116,7 @@ func TestAdmissionIsPerRequest(t *testing.T) {
 			}
 		}
 	}
-	if n := r.Sheds(); n != 0 {
+	if n := r.sheds.Load(); n != 0 {
 		t.Errorf("%d requests shed", n)
 	}
 	if n := d.n.Load(); n != 3 {

@@ -73,9 +73,6 @@ func TestClientErrorsPropagate(t *testing.T) {
 	if _, err := c.Submit(ctx, "127.0.0.1:1", JobSpec{Name: "j", CPUSeconds: 1}); err == nil {
 		t.Error("submit against dead node succeeded")
 	}
-	if err := c.SetHostLoad(ctx, "127.0.0.1:1", 0.5, 0); err == nil {
-		t.Error("sethost against dead node succeeded")
-	}
 	b := &Broker{Client: c}
 	if _, err := b.Candidates(ctx); err == nil {
 		t.Error("broker against dead registry succeeded")
@@ -121,9 +118,6 @@ func TestNodeRejectsOutOfRangeSizes(t *testing.T) {
 	submit := func(rssMB int64) Request {
 		return Request{Op: "submit", Job: &JobSpec{Name: "j", CPUSeconds: 1, RSSMB: rssMB}}
 	}
-	sethost := func(memMB int64) Request {
-		return Request{Op: "sethost", HostLoad: 0.1, HostMemMB: memMB}
-	}
 	cases := []struct {
 		name string
 		req  Request
@@ -135,10 +129,7 @@ func TestNodeRejectsOutOfRangeSizes(t *testing.T) {
 		{"rss above RAM", submit(1537), "rss_mb 1537 outside [0, 1536]"},
 		{"rss wraps to zero", submit(1 << 44), "rss_mb 17592186044416 outside [0, 1536]"},
 		{"rss 4 EiB", submit(1 << 42), "rss_mb 4398046511104 outside [0, 1536]"},
-		{"host mem default", sethost(0), ""},
-		{"host mem all of RAM", sethost(1536), ""},
-		{"host mem negative", sethost(-300), "host_mem_mb -300 outside [0, 1536]"},
-		{"host mem wraps to zero", sethost(1 << 44), "host_mem_mb 17592186044416 outside [0, 1536]"},
+		{"no sethost op", Request{Op: "sethost"}, "unknown op sethost"},
 	}
 	for _, tc := range cases {
 		resp := node.handle(tc.req)

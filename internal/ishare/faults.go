@@ -82,7 +82,7 @@ func (l Limits) withDefaults() Limits {
 	return l
 }
 
-// RetryPolicy paces retries of idempotent operations (list, info, sethost,
+// RetryPolicy paces retries of idempotent operations (list, info,
 // heartbeat): jittered exponential backoff under a bounded attempt budget.
 // Submissions are never retried blindly at this level — the broker owns
 // failover and checkpointed resubmission.

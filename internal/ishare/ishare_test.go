@@ -33,6 +33,14 @@ func startNode(t *testing.T, cfg NodeConfig) *Node {
 	return n
 }
 
+// setHost replaces a running node's synthetic host workload between two
+// exchanges (memMB 0 keeps the default 300 MiB).
+func setHost(n *Node, load float64, memMB int64) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.setHostLocked(load, memMB*simos.MB)
+}
+
 func TestRegistryLifecycle(t *testing.T) {
 	reg := startRegistry(t, 200*time.Millisecond)
 	c := &Client{Shards: []string{reg.Addr()}}
@@ -113,9 +121,7 @@ func TestNodeInfoReportsStates(t *testing.T) {
 		t.Errorf("light host load should be S1, got %s", st.State)
 	}
 	// Crank the host load into S2 territory.
-	if err := c.SetHostLoad(ctx, node.Addr(), 0.45, 0); err != nil {
-		t.Fatal(err)
-	}
+	setHost(node, 0.45, 0)
 	var sawS2 bool
 	for i := 0; i < 20; i++ {
 		st, err = c.Info(ctx, node.Addr())
@@ -176,9 +182,7 @@ func TestSubmitKilledByMemoryPressure(t *testing.T) {
 	node := startNode(t, cfg)
 	c := &Client{}
 	// Host grows to 350 MB: free = 512-100-350 = 62 MB < guest demand.
-	if err := c.SetHostLoad(ctx, node.Addr(), 0.05, 350); err != nil {
-		t.Fatal(err)
-	}
+	setHost(node, 0.05, 350)
 	res, err := c.Submit(ctx, node.Addr(), JobSpec{Name: "bigmem", CPUSeconds: 300, RSSMB: 150})
 	if err != nil {
 		t.Fatal(err)

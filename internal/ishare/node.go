@@ -377,14 +377,6 @@ func (n *Node) handle(req Request) *Response {
 	switch req.Op {
 	case "info":
 		return n.info()
-	case "sethost":
-		if err := n.checkMB("host_mem_mb", req.HostMemMB); err != nil {
-			return &Response{OK: false, Error: err.Error()}
-		}
-		n.mu.Lock()
-		n.setHostLocked(req.HostLoad, req.HostMemMB*simos.MB)
-		n.mu.Unlock()
-		return &Response{OK: true}
 	case "submit":
 		if req.Job == nil {
 			return &Response{OK: false, Error: "submit requires a job"}

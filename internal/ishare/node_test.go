@@ -27,23 +27,16 @@ func TestNodePipelinePinned(t *testing.T) {
 			got = append(got, *st)
 		}
 	}
-	sethost := func(load float64) {
-		t.Helper()
-		if err := c.SetHostLoad(ctx, node.Addr(), load, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	info(2)
-	sethost(0.4)
+	setHost(node, 0.4, 0)
 	info(3)
-	sethost(0.9)
+	setHost(node, 0.9, 0)
 	res, err := c.Submit(ctx, node.Addr(), JobSpec{Name: "pinned", CPUSeconds: 600, ID: "pin-1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	info(3)
-	sethost(0.1)
+	setHost(node, 0.1, 0)
 	info(2)
 	res2, err := c.Submit(ctx, node.Addr(), JobSpec{Name: "pinned-2", CPUSeconds: 30, RSSMB: 32})
 	if err != nil {
@@ -99,9 +92,7 @@ func TestNodeCrashHidesLastStep(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.SetHostLoad(ctx, node.Addr(), 0.95, 0); err != nil {
-		t.Fatal(err)
-	}
+	setHost(node, 0.95, 0)
 	before := node.selfDigest()
 	if _, err := c.Submit(ctx, node.Addr(), JobSpec{Name: "lost", CPUSeconds: 600}); err == nil {
 		t.Fatal("submission across the crash point should fail")
@@ -114,16 +105,14 @@ func TestNodeCrashHidesLastStep(t *testing.T) {
 }
 
 // TestNodeProcessListBounded: a node spawns a guest per submission and a
-// host per sethost. Its machine drops dead processes at the next step, so
+// host per setHost. Its machine drops dead processes at the next step, so
 // after any submission the list holds the live processes plus at most the
 // guest that just ended — not every process the node ever spawned.
 func TestNodeProcessListBounded(t *testing.T) {
 	node := startNode(t, NodeConfig{Name: "busy", HostLoad: 0.1})
 	c := &Client{}
 	for i := 0; i < 200; i++ {
-		if err := c.SetHostLoad(ctx, node.Addr(), 0.1, 0); err != nil {
-			t.Fatal(err)
-		}
+		setHost(node, 0.1, 0)
 		if _, err := c.Submit(ctx, node.Addr(), JobSpec{Name: "j", CPUSeconds: 5}); err != nil {
 			t.Fatal(err)
 		}

@@ -46,7 +46,7 @@
 // float's shortest digits, eight at a time from a two-digit table, the
 // float's found by Schubfach in [1e-6, 1e21) and by strconv outside it (the
 // 'e' form, zero); a batch's digests that share a stamp copy its bytes. All
-// else — submit, sethost, info and their replies, malformed or oversized
+// else — submit, info and their replies, malformed or oversized
 // input — goes to encoding/json (decodeBounded, json.Encoder below) as the
 // bytes already read plus the rest of the connection, and gets its result
 // and error text: not a codec a caller can select, but where the subset
@@ -73,14 +73,10 @@ import (
 type Request struct {
 	// Op selects the action: "register_batch", "heartbeat_batch",
 	// "unregister", "list", "forecast" (registry); "info",
-	// "submit", "sethost" (node).
+	// "submit" (node).
 	Op string `json:"op"`
 	// Job carries a submission (submit).
 	Job *JobSpec `json:"job,omitempty"`
-	// HostLoad sets the node's synthetic host load (sethost).
-	HostLoad float64 `json:"host_load,omitempty"`
-	// HostMemMB sets the node's synthetic host memory (sethost).
-	HostMemMB int64 `json:"host_mem_mb,omitempty"`
 	// Digests carries a batch of node states for register_batch and
 	// heartbeat_batch. A heartbeat digest without a state only refreshes
 	// liveness.

@@ -362,9 +362,6 @@ func (r *Registry) Addr() string { return r.srv.ln.Addr().String() }
 // when this registry started.
 func (r *Registry) RecoveredRecords() int { return r.recovered }
 
-// Sheds reports how many connections admission control has shed.
-func (r *Registry) Sheds() uint64 { return r.sheds.Load() }
-
 // Instrument attaches an obs registry (per-op request counters, node and
 // alive-node gauges) and an optional structured logger. The metric
 // families are registered eagerly so a scrape shows them before the first

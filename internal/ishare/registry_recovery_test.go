@@ -236,7 +236,7 @@ func TestRegistryShedsWhenSaturated(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "overloaded") {
 		t.Fatalf("saturated registry did not shed: err=%v", err)
 	}
-	if r.Sheds() == 0 {
+	if r.sheds.Load() == 0 {
 		t.Fatal("shed counter not incremented")
 	}
 

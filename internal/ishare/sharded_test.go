@@ -163,7 +163,10 @@ func TestShardedBrokerMergesRankedCandidates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b := &Broker{Client: c, DiscoverLimit: 10}
+	// The ring hashes the shards' ephemeral addresses, so one shard may
+	// own any number of the 12 names: a per-shard limit of 12 lets each
+	// shard's ranked list hold the whole fleet whatever the split.
+	b := &Broker{Client: c, DiscoverLimit: 12}
 	cands, err := b.Candidates(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -222,27 +225,31 @@ func TestCandidatesDialsOnlyShards(t *testing.T) {
 	}
 }
 
+// TestShardedBrokerServesStaleForLostShardOnly: the ring hashes the
+// shards' ephemeral addresses, so which shard owns a name changes from run
+// to run; names are drawn until each shard owns at least three.
 func TestShardedBrokerServesStaleForLostShardOnly(t *testing.T) {
 	s := startSharded(t, 2, time.Minute)
 	c := &Client{Shards: s.Addrs(), Timeout: 300 * time.Millisecond,
 		Retry: RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, Seed: 1}}
 	perShard := make([]int, 2)
-	for i := 0; i < 10; i++ {
-		name := fmt.Sprintf("node-%02d", i)
+	n := 0
+	for ; n < 256 && (perShard[0] < 3 || perShard[1] < 3); n++ {
+		name := fmt.Sprintf("node-%03d", n)
 		own := s.Owner(name)
 		perShard[own]++
-		d := NodeDigest{Name: name, Addr: fmt.Sprintf("10.2.0.%d:1", i),
+		d := NodeDigest{Name: name, Addr: fmt.Sprintf("10.2.0.%d:1", n),
 			State: "S1(full)", Gen: 1, UnixMS: nowMS()}
 		if err := c.RegisterBatch(ctx, s.Addrs()[own], []NodeDigest{d}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if perShard[0] == 0 || perShard[1] == 0 {
-		t.Fatalf("ring did not spread nodes: %v", perShard)
+	if perShard[0] < 3 || perShard[1] < 3 {
+		t.Fatalf("ring did not spread %d names: %v", n, perShard)
 	}
-	b := &Broker{Client: c, DiscoverLimit: 16, CacheTTL: time.Minute}
-	if cands, err := b.Candidates(ctx); err != nil || len(cands) != 10 {
-		t.Fatalf("warm discovery = %d cands, %v", len(cands), err)
+	b := &Broker{Client: c, DiscoverLimit: n, CacheTTL: time.Minute}
+	if cands, err := b.Candidates(ctx); err != nil || len(cands) != n {
+		t.Fatalf("warm discovery = %d cands, %v; want %d", len(cands), err, n)
 	}
 
 	// Losing one shard must not lose the other shard's slice: its nodes
@@ -252,8 +259,8 @@ func TestShardedBrokerServesStaleForLostShardOnly(t *testing.T) {
 	if err != nil {
 		t.Fatalf("discovery with one shard down: %v", err)
 	}
-	if len(cands) != 10 {
-		t.Fatalf("got %d candidates with one shard down, want 10 (live + cached)", len(cands))
+	if len(cands) != n {
+		t.Fatalf("got %d candidates with one shard down, want %d (live + cached)", len(cands), n)
 	}
 	m := b.Metrics()
 	if m.ShardErrors == 0 || m.StaleServes == 0 {
@@ -267,7 +274,7 @@ func TestShardedBrokerServesStaleForLostShardOnly(t *testing.T) {
 	// serve: it returns the last shard error and counts one registry
 	// error. A broker with no shards at all says so.
 	s.Shard(1).Close()
-	cold := &Broker{Client: c, DiscoverLimit: 16, CacheTTL: time.Minute}
+	cold := &Broker{Client: c, DiscoverLimit: n, CacheTTL: time.Minute}
 	if cands, err := cold.Candidates(ctx); err == nil || err == errNoShards {
 		t.Fatalf("all shards down, cold cache: %d candidates, err = %v; want a shard error", len(cands), err)
 	}

@@ -171,9 +171,9 @@ func (e *wireEnc) strs(open string, ss []string) {
 
 // appendRequest appends req and its newline to b byte-for-byte as
 // json.Encoder writes them, or reports false when req is outside the subset
-// (a job, host_* fields, a string needing escapes, NaN or Inf).
+// (a job, a string needing escapes, NaN or Inf).
 func appendRequest(b []byte, req *Request) ([]byte, bool) {
-	if req.Job != nil || req.HostLoad != 0 || req.HostMemMB != 0 {
+	if req.Job != nil {
 		return b, false
 	}
 	e := wireEnc{b: b, ok: true}
@@ -345,7 +345,7 @@ func (p *messageParser) member(b []byte, i int) (int, wireStatus) {
 // wireObject is the message the parser fills. wireMember is its key →
 // field table, all that tells a Request from a Response: it parses the
 // value at b[i] into the field key names, and declines what encoding/json
-// must decide (an unknown or other-case key; job, host_*, info).
+// must decide (an unknown or other-case key; job, info).
 // wireStrings hands w every string field the parser fills.
 type wireObject interface {
 	wireMember(p *messageParser, key, b []byte, i int) (int, wireStatus)

@@ -574,8 +574,6 @@ func TestWireEncodeGolden(t *testing.T) {
 	}
 	for _, msg := range []any{
 		&Request{Op: "submit", Job: &JobSpec{Name: "j"}},
-		&Request{Op: "sethost", HostLoad: 0.5},
-		&Request{Op: "sethost", HostMemMB: 64},
 		&Request{Op: "register_batch", Digests: []NodeDigest{{Name: `a"b`}}},
 		&Request{Op: "register_batch", Digests: []NodeDigest{{Name: "a<b"}}},
 		&Request{Op: "register_batch", Digests: []NodeDigest{{Name: "café"}}},
@@ -1143,7 +1141,7 @@ func TestShedDoesNotDecode(t *testing.T) {
 			t.Fatalf("shed response: %+v", resp)
 		}
 	}
-	if got := r.Sheds(); got != 2 {
+	if got := r.sheds.Load(); got != 2 {
 		t.Errorf("sheds = %d, want 2", got)
 	}
 	<-r.inflight

@@ -1,6 +1,7 @@
 package markov
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -47,6 +48,14 @@ func TestScenarioTracesAreLegal(t *testing.T) {
 	}
 }
 
+// cpuHog is a simos.Behavior that computes forever without ever sleeping:
+// one hog per CPU saturates a multi-CPU machine completely.
+type cpuHog struct{}
+
+func (cpuHog) NextPhase(*rand.Rand) (compute, sleep time.Duration, ok bool) {
+	return time.Second, 0, true
+}
+
 // TestMulticoreScenarioMatchesSimos cross-checks the scenario's premise
 // against the real multi-CPU scheduler: a multicoreCores-CPU simos
 // machine under one CPU hog per core has zero idle time (fully contended,
@@ -57,7 +66,7 @@ func TestMulticoreScenarioMatchesSimos(t *testing.T) {
 	dur := 10 * time.Second
 	full := simos.MustNewMachine(simos.MachineConfig{Name: "mc", CPUs: multicoreCores, Seed: 51})
 	for i := 0; i < multicoreCores; i++ {
-		full.Spawn("hog", simos.Host, 0, simos.MB, simos.CPUHog{})
+		full.Spawn("hog", simos.Host, 0, simos.MB, cpuHog{})
 	}
 	full.Run(dur)
 	if full.IdleTime() != 0 {
@@ -66,7 +75,7 @@ func TestMulticoreScenarioMatchesSimos(t *testing.T) {
 
 	spare := simos.MustNewMachine(simos.MachineConfig{Name: "mc", CPUs: multicoreCores, Seed: 52})
 	for i := 0; i < multicoreCores-1; i++ {
-		spare.Spawn("hog", simos.Host, 0, simos.MB, simos.CPUHog{})
+		spare.Spawn("hog", simos.Host, 0, simos.MB, cpuHog{})
 	}
 	spare.Run(dur)
 	if spare.IdleTime() != dur {

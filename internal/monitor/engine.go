@@ -1,8 +1,6 @@
 package monitor
 
 import (
-	"time"
-
 	"repro/internal/availability"
 	"repro/internal/simos"
 )
@@ -80,12 +78,4 @@ func (e *Engine) Step() (availability.Observation, availability.State, availabil
 	}
 	state, tr := e.det.Observe(obs)
 	return obs, state, availability.ActionNone, tr
-}
-
-// RunFor advances the pipeline for the given virtual duration.
-func (e *Engine) RunFor(d time.Duration) {
-	end := e.machine.Now() + d
-	for e.machine.Now() < end {
-		e.Step()
-	}
 }

@@ -85,15 +85,6 @@ func New(cfg Config) (*Monitor, error) {
 	return &Monitor{cfg: cfg, ring: make([]float64, cfg.SmoothWindow)}, nil
 }
 
-// MustNew is New for known-good configurations.
-func MustNew(cfg Config) *Monitor {
-	m, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // Config returns the effective configuration.
 func (m *Monitor) Config() Config { return m.cfg }
 

@@ -8,6 +8,15 @@ import (
 	"repro/internal/workload"
 )
 
+// MustNew is New for known-good configurations.
+func MustNew(cfg Config) *Monitor {
+	m, err := New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Period: -time.Second}); err == nil {
 		t.Error("negative period accepted")

@@ -188,15 +188,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// LinearBuckets returns n ascending bounds start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // ExpBuckets returns n ascending bounds start, start*factor, ...
 func ExpBuckets(start, factor float64, n int) []float64 {
 	if start <= 0 || factor <= 1 {

@@ -121,10 +121,6 @@ func TestInvalidNamePanics(t *testing.T) {
 }
 
 func TestBucketHelpers(t *testing.T) {
-	lin := LinearBuckets(0, 0.5, 3)
-	if len(lin) != 3 || lin[2] != 1 {
-		t.Errorf("LinearBuckets = %v", lin)
-	}
 	exp := ExpBuckets(1, 2, 4)
 	if exp[3] != 8 {
 		t.Errorf("ExpBuckets = %v", exp)

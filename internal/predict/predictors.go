@@ -328,8 +328,7 @@ func (s *SemiMarkov) PredictSurvival(m trace.MachineID, w sim.Window) float64 {
 		// back to the unconditional survival of a fresh interval.
 		return stats.Clamp01(ecdf.Survival(w.Duration().Hours()))
 	}
-	// P(X > age+d | X > age), evaluating Survival(age) once rather than
-	// again inside ConditionalSurvival.
+	// P(X > age+d | X > age).
 	return stats.Clamp01(ecdf.Survival(age+w.Duration().Hours()) / sa)
 }
 

@@ -86,14 +86,6 @@ func TestWindow(t *testing.T) {
 	if !w.Contains(10*time.Minute) || w.Contains(20*time.Minute) {
 		t.Error("Contains must be half-open [start, end)")
 	}
-	o := Window{Start: 15 * time.Minute, End: 25 * time.Minute}
-	if !w.Overlaps(o) || !o.Overlaps(w) {
-		t.Error("windows should overlap")
-	}
-	disjoint := Window{Start: 20 * time.Minute, End: 30 * time.Minute}
-	if w.Overlaps(disjoint) {
-		t.Error("touching windows must not overlap (half-open)")
-	}
 }
 
 func TestSourceDeterminism(t *testing.T) {

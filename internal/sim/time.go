@@ -10,11 +10,8 @@ import (
 // write literals like 3*time.Hour.
 type Time = time.Duration
 
-// Handy calendar constants in virtual time.
-const (
-	Day  = 24 * time.Hour
-	Week = 7 * Day
-)
+// Day is a calendar day in virtual time.
+const Day = 24 * time.Hour
 
 // DayType classifies a calendar day, the primary grouping of the paper's
 // trace analysis (all of Figures 6 and 7 split weekday vs. weekend).
@@ -123,11 +120,6 @@ func (w Window) Duration() time.Duration { return w.End - w.Start }
 
 // Contains reports whether t lies in [Start, End).
 func (w Window) Contains(t Time) bool { return t >= w.Start && t < w.End }
-
-// Overlaps reports whether two half-open windows intersect.
-func (w Window) Overlaps(o Window) bool {
-	return w.Start < o.End && o.Start < w.End
-}
 
 // String renders the window using hours for readability.
 func (w Window) String() string {

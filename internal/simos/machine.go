@@ -190,13 +190,6 @@ func (m *Machine) Run(d time.Duration) {
 	}
 }
 
-// RunUntil advances the simulation to the absolute virtual time t.
-func (m *Machine) RunUntil(t sim.Time) {
-	if t > m.now {
-		m.Run(t - m.now)
-	}
-}
-
 // fastForward advances up to steps ticks in closed form and returns how
 // many it advanced (0 means the next tick must be stepped naively). It is
 // applicable while no scheduling decision is ambiguous: at most one process

@@ -72,18 +72,6 @@ type Behavior interface {
 	NextPhase(r *rand.Rand) (compute, sleep time.Duration, ok bool)
 }
 
-// CPUHog is a Behavior that computes forever without ever sleeping — the
-// canonical full-load process. Pinning one hog per CPU saturates a
-// multi-CPU machine completely, which is the condition under which a
-// multicore host becomes CPU-unavailable to a guest (see the multicore
-// scenario in internal/markov).
-type CPUHog struct{}
-
-// NextPhase implements Behavior: one second of compute, no sleep, forever.
-func (CPUHog) NextPhase(*rand.Rand) (compute, sleep time.Duration, ok bool) {
-	return time.Second, 0, true
-}
-
 // Process is one simulated process on a Machine. Control methods (Renice,
 // Suspend, Resume, Kill) implement availability.Guest so the controller can
 // manage a guest process directly.

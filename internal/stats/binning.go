@@ -95,9 +95,6 @@ func (g *GroupedBins) groups() []int {
 	return out
 }
 
-// NumGroups returns how many distinct groups contributed.
-func (g *GroupedBins) NumGroups() int { return len(g.rows) }
-
 // Summarize returns one Summary per bin, aggregating each bin's per-group
 // totals. Groups that recorded nothing for a bin contribute a 0 to that
 // bin's statistics (a day with no failures in hour h is a real observation
@@ -121,19 +118,4 @@ func (g *GroupedBins) Summarize() []Summary {
 		}
 	}
 	return out
-}
-
-// BinValues returns the per-group totals for one bin (sorted by group key),
-// which the predictor evaluation uses as its history sample. A bin out of
-// range holds nothing: every group reads 0.
-func (g *GroupedBins) BinValues(bin int) []float64 {
-	groups := g.groups()
-	vals := make([]float64, len(groups))
-	if bin < 0 || bin >= g.bins {
-		return vals
-	}
-	for i, gr := range groups {
-		vals[i] = g.rows[gr][bin]
-	}
-	return vals
 }

@@ -21,20 +21,34 @@ func TestGroupedBins(t *testing.T) {
 	if got := sum[10]; got.Mean != 0.5 {
 		t.Errorf("hour 10 mean = %v, want 0.5", got.Mean)
 	}
-	if g.NumGroups() != 2 {
-		t.Errorf("NumGroups = %d, want 2", g.NumGroups())
+	if len(g.rows) != 2 {
+		t.Errorf("%d groups, want 2", len(g.rows))
 	}
-	vals := g.BinValues(4)
+	vals := binValues(g, 4)
 	if len(vals) != 2 || vals[0] != 2 || vals[1] != 0 {
-		t.Errorf("BinValues(4) = %v, want [2 0]", vals)
+		t.Errorf("hour 4 cells = %v, want [2 0]", vals)
 	}
+}
+
+// binValues returns the per-group totals for one bin, sorted by group key.
+// A bin out of range holds nothing: every group reads 0.
+func binValues(g *GroupedBins, bin int) []float64 {
+	groups := g.groups()
+	vals := make([]float64, len(groups))
+	if bin < 0 || bin >= g.bins {
+		return vals
+	}
+	for i, gr := range groups {
+		vals[i] = g.rows[gr][bin]
+	}
+	return vals
 }
 
 func TestGroupedBinsIgnoresOutOfRange(t *testing.T) {
 	g := NewGroupedBins(24)
 	g.Add(0, -1, 5)
 	g.Add(0, 24, 5)
-	if g.NumGroups() != 0 {
+	if len(g.rows) != 0 {
 		t.Error("out-of-range bins should be dropped entirely")
 	}
 }
@@ -127,15 +141,15 @@ func TestGroupedBinsMatchesNaive(t *testing.T) {
 		}
 		compare := func(stage string, g *GroupedBins, w *naiveGroupedBins) {
 			t.Helper()
-			if g.NumGroups() != len(w.groups()) {
-				t.Fatalf("seed %d %s: NumGroups = %d, want %d", seed, stage, g.NumGroups(), len(w.groups()))
+			if len(g.rows) != len(w.groups()) {
+				t.Fatalf("seed %d %s: %d groups, want %d", seed, stage, len(g.rows), len(w.groups()))
 			}
 			if gs, ws := g.Summarize(), w.summarize(); !reflect.DeepEqual(gs, ws) {
 				t.Fatalf("seed %d %s: Summarize = %v, want %v", seed, stage, gs, ws)
 			}
 			for bin := -1; bin <= bins; bin++ {
-				if gv, wv := g.BinValues(bin), w.binValues(bin); !reflect.DeepEqual(gv, wv) {
-					t.Fatalf("seed %d %s: BinValues(%d) = %v, want %v", seed, stage, bin, gv, wv)
+				if gv, wv := binValues(g, bin), w.binValues(bin); !reflect.DeepEqual(gv, wv) {
+					t.Fatalf("seed %d %s: bin %d cells = %v, want %v", seed, stage, bin, gv, wv)
 				}
 			}
 		}

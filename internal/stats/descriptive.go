@@ -1,14 +1,9 @@
 package stats
 
 import (
-	"errors"
 	"math"
 	"sort"
 )
-
-// ErrEmpty is returned (or panically reported via the *Must variants) when a
-// computation is requested over an empty sample.
-var ErrEmpty = errors.New("stats: empty sample")
 
 // Mean returns the arithmetic mean of xs. It returns 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -29,27 +24,6 @@ func Sum(xs []float64) float64 {
 		sum += x
 	}
 	return sum
-}
-
-// Variance returns the unbiased sample variance (n-1 denominator).
-// It returns 0 when len(xs) < 2.
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(n-1)
-}
-
-// StdDev returns the unbiased sample standard deviation.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
 }
 
 // Min returns the smallest element of xs, or +Inf for an empty slice.

@@ -32,21 +32,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestVarianceAndStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	// Sample variance with n-1 denominator: 32/7.
-	want := 32.0 / 7.0
-	if got := Variance(xs); !almostEqual(got, want, 1e-12) {
-		t.Errorf("Variance = %v, want %v", got, want)
-	}
-	if got := StdDev(xs); !almostEqual(got, math.Sqrt(want), 1e-12) {
-		t.Errorf("StdDev = %v, want %v", got, math.Sqrt(want))
-	}
-	if got := Variance([]float64{42}); got != 0 {
-		t.Errorf("Variance of singleton = %v, want 0", got)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 4, 1, 5, -9, 2, 6}
 	if got := Min(xs); got != -9 {

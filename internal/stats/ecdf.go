@@ -43,20 +43,6 @@ func (e *ECDF) At(x float64) float64 {
 // Survival returns P(X > x) == 1 - At(x).
 func (e *ECDF) Survival(x float64) float64 { return 1 - e.At(x) }
 
-// ConditionalSurvival returns P(X > x+dx | X > x): the probability that a
-// duration already lasted x continues for at least dx more. It returns 0
-// when no sample mass remains beyond x.
-func (e *ECDF) ConditionalSurvival(x, dx float64) float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	sx := e.Survival(x)
-	if sx == 0 {
-		return 0
-	}
-	return e.Survival(x+dx) / sx
-}
-
 // Quantile returns the smallest sample value v with At(v) >= q.
 // q is clamped to [0,1]; an empty ECDF yields 0.
 func (e *ECDF) Quantile(q float64) float64 {

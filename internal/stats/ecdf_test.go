@@ -35,9 +35,6 @@ func TestECDFEmpty(t *testing.T) {
 	if e.At(5) != 0 || e.Survival(5) != 1 || e.Quantile(0.5) != 0 || e.N() != 0 {
 		t.Error("empty ECDF should return zero mass everywhere")
 	}
-	if e.ConditionalSurvival(1, 1) != 0 {
-		t.Error("empty ECDF conditional survival should be 0")
-	}
 }
 
 func TestECDFDoesNotAliasInput(t *testing.T) {
@@ -46,18 +43,6 @@ func TestECDFDoesNotAliasInput(t *testing.T) {
 	in[0] = 100
 	if got := e.At(3); !almostEqual(got, 1, 1e-12) {
 		t.Errorf("ECDF aliased caller slice: At(3) = %v, want 1", got)
-	}
-}
-
-func TestECDFConditionalSurvival(t *testing.T) {
-	// Sample {1, 2, 3, 4}: P(X>2)=0.5, P(X>3)=0.25, so P(X>3 | X>2)=0.5.
-	e := NewECDF([]float64{1, 2, 3, 4})
-	if got := e.ConditionalSurvival(2, 1); !almostEqual(got, 0.5, 1e-12) {
-		t.Errorf("ConditionalSurvival(2,1) = %v, want 0.5", got)
-	}
-	// Beyond the sample there is no mass.
-	if got := e.ConditionalSurvival(10, 1); got != 0 {
-		t.Errorf("ConditionalSurvival beyond support = %v, want 0", got)
 	}
 }
 

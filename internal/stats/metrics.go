@@ -52,27 +52,6 @@ func Brier(prob []float64, occurred []bool) float64 {
 	return sum / float64(n)
 }
 
-// MAPE returns the mean absolute percentage error, skipping entries whose
-// truth is zero (which would be undefined). It returns 0 if nothing remains.
-func MAPE(pred, truth []float64) float64 {
-	n := len(pred)
-	if n == 0 || n != len(truth) {
-		return 0
-	}
-	sum, cnt := 0.0, 0
-	for i := range pred {
-		if truth[i] == 0 {
-			continue
-		}
-		sum += math.Abs(pred[i]-truth[i]) / math.Abs(truth[i])
-		cnt++
-	}
-	if cnt == 0 {
-		return 0
-	}
-	return sum / float64(cnt)
-}
-
 // Clamp01 clamps x into [0, 1]; used by probability-valued predictors.
 func Clamp01(x float64) float64 {
 	if x < 0 {

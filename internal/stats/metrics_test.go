@@ -35,17 +35,6 @@ func TestBrier(t *testing.T) {
 	}
 }
 
-func TestMAPE(t *testing.T) {
-	pred := []float64{110, 90, 5}
-	truth := []float64{100, 100, 0} // zero-truth entry skipped
-	if got := MAPE(pred, truth); !almostEqual(got, 0.1, 1e-12) {
-		t.Errorf("MAPE = %v, want 0.1", got)
-	}
-	if got := MAPE([]float64{1}, []float64{0}); got != 0 {
-		t.Errorf("MAPE all-zero-truth = %v, want 0", got)
-	}
-}
-
 func TestClamp01(t *testing.T) {
 	tests := []struct{ in, want float64 }{
 		{-1, 0}, {0, 0}, {0.5, 0.5}, {1, 1}, {2, 1},

@@ -197,7 +197,7 @@ func simulateMachine(cfg Config, id trace.MachineID, contribs []contribution, ou
 			curState = state
 			rec.note(t, state)
 			if k > 1 {
-				det.FastForward(state, availability.Observation{At: t + sim.Time(k-1)*period, Alive: false})
+				det.FastForward(state)
 			}
 			t += sim.Time(k) * period
 			continue
@@ -319,13 +319,7 @@ func simulateMachine(cfg Config, id trace.MachineID, contribs []contribution, ou
 				}
 			}
 			amb.noise = noise
-			det.FastForward(curState, availability.Observation{
-				At:          t + sim.Time(k-1)*period,
-				HostCPU:     sm,
-				FreeMem:     free,
-				GuestDemand: guestDemand,
-				Alive:       true,
-			})
+			det.FastForward(curState)
 		}
 		t += sim.Time(k) * period
 	}

@@ -10,7 +10,6 @@ import (
 	"math"
 	"os"
 
-	"repro/internal/availability"
 	"repro/internal/par"
 	"repro/internal/sim"
 )
@@ -393,12 +392,9 @@ type ScanFilter struct {
 	HasWindow bool
 	Overlap   bool
 	// States, when nonzero, restricts to events whose state bit is set
-	// (use StateBit to build the mask).
+	// (bit 1 << state, as in BlockMeta.StateMask).
 	States byte
 }
-
-// StateBit returns the ScanFilter/BlockMeta mask bit for a state.
-func StateBit(s availability.State) byte { return stateBit(s) }
 
 // AdmitBlock reports whether a block could contain matching events — the
 // predicate-pushdown test. It is conservative: false means provably no

@@ -12,7 +12,8 @@
 // block format — written by BlockWriter, read only through BlockFile, which
 // ReadFile, AnalyzeBlockFiles, NewBlockIndex and predict.EvaluateBlocks all
 // open — and export to CSV (one event per line, human-inspectable, no
-// metadata). The v1 row codec keeps only its encoder, for the benchmark.
+// metadata, write-only). The v1 row codec keeps only its encoder, for the
+// benchmark.
 //
 // The three analyses have one implementation, StreamAnalyzer: the Trace
 // methods feed it their events, and AnalyzeBlockFiles merges partial

@@ -11,8 +11,8 @@ import (
 	"repro/internal/sim"
 )
 
-// FuzzReadCSVEvents checks the CSV parser never panics and that whatever
-// it accepts round-trips losslessly.
+// FuzzReadCSVEvents checks the CSV oracle never panics and that whatever
+// it accepts, WriteCSV writes back losslessly.
 func FuzzReadCSVEvents(f *testing.F) {
 	var buf bytes.Buffer
 	if err := randomTrace(1, 20).WriteCSV(&buf); err != nil {

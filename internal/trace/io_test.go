@@ -2,8 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"encoding/csv"
 	"errors"
+	"fmt"
+	"io"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -184,4 +188,94 @@ func TestCSVEmptyTrace(t *testing.T) {
 	if len(events) != 0 {
 		t.Errorf("got %d events from empty trace", len(events))
 	}
+}
+
+// ReadCSVEvents is WriteCSV's round-trip oracle: it parses the events a
+// CSV export holds. No binary reads CSV; the tests and FuzzReadCSVEvents
+// hold the export to this reader.
+//
+// Files that went through Windows tooling read cleanly: encoding/csv strips
+// CRLF line endings, and the header check below tolerates a stray trailing
+// \r. A file cut off mid-record (a crashed writer, a partial download)
+// returns the events salvaged before the cut together with an error
+// wrapping ErrTruncated, as a Truncated BlockFile yields its complete
+// blocks; a short row in the middle of the file is corruption, not
+// truncation, and reports a plain error.
+func ReadCSVEvents(r io.Reader) ([]Event, error) {
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = len(csvHeader)
+	cr.ReuseRecord = true
+	hdr, err := cr.Read()
+	if err != nil {
+		if err == io.EOF {
+			return nil, fmt.Errorf("trace: empty CSV (missing header)")
+		}
+		return nil, fmt.Errorf("trace: reading CSV header: %w", err)
+	}
+	for i, name := range csvHeader {
+		if strings.TrimSuffix(hdr[i], "\r") != name {
+			return nil, fmt.Errorf("trace: CSV header field %d is %q, want %q", i+1, hdr[i], name)
+		}
+	}
+	events := make([]Event, 0, 1024)
+	for row := 2; ; row++ {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			return events, nil
+		}
+		var fieldErr *csv.ParseError
+		if errors.As(err, &fieldErr) && fieldErr.Err == csv.ErrFieldCount {
+			// A short row is truncation only if it is the last thing in the
+			// file; anything after it means the file is corrupt instead.
+			if _, next := cr.Read(); next == io.EOF {
+				return events, fmt.Errorf("trace: CSV row %d cut short: %w", row, ErrTruncated)
+			}
+			return nil, fmt.Errorf("trace: CSV row %d: %w", row, err)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("trace: reading CSV: %w", err)
+		}
+		e, err := parseCSVRow(rec)
+		if err != nil {
+			return nil, fmt.Errorf("trace: CSV row %d: %w", row, err)
+		}
+		events = append(events, e)
+	}
+}
+
+func parseCSVRow(row []string) (Event, error) {
+	var e Event
+	m, err := strconv.Atoi(row[0])
+	if err != nil {
+		return e, fmt.Errorf("machine: %w", err)
+	}
+	start, err := strconv.ParseInt(row[1], 10, 64)
+	if err != nil {
+		return e, fmt.Errorf("start: %w", err)
+	}
+	end, err := strconv.ParseInt(row[2], 10, 64)
+	if err != nil {
+		return e, fmt.Errorf("end: %w", err)
+	}
+	st, err := strconv.Atoi(row[3])
+	if err != nil {
+		return e, fmt.Errorf("state: %w", err)
+	}
+	cpu, err := strconv.ParseFloat(row[4], 64)
+	if err != nil {
+		return e, fmt.Errorf("avail_cpu: %w", err)
+	}
+	mem, err := strconv.ParseInt(row[5], 10, 64)
+	if err != nil {
+		return e, fmt.Errorf("avail_mem: %w", err)
+	}
+	e = Event{
+		Machine:  MachineID(m),
+		Start:    sim.Time(start),
+		End:      sim.Time(end),
+		State:    availability.State(st),
+		AvailCPU: cpu,
+		AvailMem: mem,
+	}
+	return e, e.Validate()
 }

@@ -233,7 +233,7 @@ func (a *StreamAnalyzer) addInterval(start, end sim.Time) {
 // creditIdle records one full-span availability interval for each machine
 // in [from, to) — machines the sorted stream skipped over because they have
 // no events. Crediting them in id order keeps the interval sequence
-// identical to Trace.AllIntervals.
+// identical to Trace.Intervals over machines in id order.
 func (a *StreamAnalyzer) creditIdle(from, to MachineID) {
 	if a.span.End <= a.span.Start {
 		return
@@ -364,7 +364,7 @@ func (a *StreamAnalyzer) MergeFrom(b *StreamAnalyzer) error {
 }
 
 // IntervalLengths returns the accumulated interval durations (hours) for a
-// day type, in the machine-then-time order of Trace.AllIntervals.
+// day type, in the machine-then-time order of Trace.Intervals.
 func (a *StreamAnalyzer) IntervalLengths(dt sim.DayType) []float64 {
 	a.mustBeFinished()
 	return a.ivLens[dt]

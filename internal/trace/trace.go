@@ -159,15 +159,6 @@ func (t *Trace) Intervals(m MachineID) []Interval {
 	return out
 }
 
-// AllIntervals concatenates the availability intervals of every machine.
-func (t *Trace) AllIntervals() []Interval {
-	var out []Interval
-	for m := 0; m < t.Machines; m++ {
-		out = append(out, t.Intervals(MachineID(m))...)
-	}
-	return out
-}
-
 // coalesce merges overlapping/touching events (already sorted by start).
 func coalesce(evs []Event) []Event {
 	if len(evs) == 0 {
@@ -222,33 +213,4 @@ func (t *Trace) Before(cut sim.Time) *Trace {
 		c.Span.End = cut
 	}
 	return c
-}
-
-// Merge combines traces collected over the same observation span (e.g.
-// two testbeds monitored side by side) into one, renumbering machines
-// sequentially. All inputs must agree on span and calendar.
-func Merge(traces ...*Trace) (*Trace, error) {
-	if len(traces) == 0 {
-		return nil, fmt.Errorf("trace: nothing to merge")
-	}
-	out := New(traces[0].Span, traces[0].Calendar, 0)
-	for i, t := range traces {
-		if t.Span != out.Span {
-			return nil, fmt.Errorf("trace: span mismatch in input %d: %v vs %v", i, t.Span, out.Span)
-		}
-		if t.Calendar != out.Calendar {
-			return nil, fmt.Errorf("trace: calendar mismatch in input %d", i)
-		}
-		offset := MachineID(out.Machines)
-		for _, e := range t.Events {
-			e.Machine += offset
-			out.Add(e)
-		}
-		out.Machines += t.Machines
-	}
-	out.Sort()
-	if err := out.Validate(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

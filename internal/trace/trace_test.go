@@ -240,7 +240,7 @@ func TestHourlyOccurrences(t *testing.T) {
 func TestIntervalECDFByDayType(t *testing.T) {
 	// Span one week starting Monday; put one event on Saturday so the
 	// weekend has a short and a long interval.
-	tr := New(span(sim.Week), sim.Calendar{}, 1)
+	tr := New(span(7*sim.Day), sim.Calendar{}, 1)
 	sat := 5 * sim.Day
 	tr.Add(mkEvent(0, sat+2*time.Hour, sat+3*time.Hour, availability.S3))
 	wd := tr.IntervalECDF(sim.Weekday)
@@ -253,7 +253,7 @@ func TestIntervalECDFByDayType(t *testing.T) {
 	if we.N() != 1 {
 		t.Errorf("weekend intervals = %d, want 1", we.N())
 	}
-	if got := we.Mean(); got != float64(sim.Week-(sat+3*time.Hour))/float64(time.Hour) {
+	if got := we.Mean(); got != float64(7*sim.Day-(sat+3*time.Hour))/float64(time.Hour) {
 		t.Errorf("weekend interval mean = %v hours", got)
 	}
 }
@@ -298,45 +298,6 @@ func TestSort(t *testing.T) {
 	}
 	if tr.Events[2].Machine != 1 {
 		t.Errorf("sort order wrong: %+v", tr.Events)
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := New(span(sim.Day), sim.Calendar{}, 2)
-	a.Add(mkEvent(1, time.Hour, 2*time.Hour, availability.S3))
-	b := New(span(sim.Day), sim.Calendar{}, 3)
-	b.Add(mkEvent(0, 3*time.Hour, 4*time.Hour, availability.S4))
-
-	m, err := Merge(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Machines != 5 {
-		t.Errorf("merged machines = %d, want 5", m.Machines)
-	}
-	if len(m.Events) != 2 {
-		t.Fatalf("merged events = %d", len(m.Events))
-	}
-	// b's machine 0 becomes machine 2.
-	if got := m.CountByCause()[2]; got.Memory != 1 {
-		t.Errorf("relabeled machine counts = %+v", m.CountByCause())
-	}
-	// Inputs are untouched.
-	if b.Events[0].Machine != 0 {
-		t.Error("Merge mutated its input")
-	}
-
-	// Mismatched spans are rejected.
-	c := New(span(2*sim.Day), sim.Calendar{}, 1)
-	if _, err := Merge(a, c); err == nil {
-		t.Error("span mismatch accepted")
-	}
-	d := New(span(sim.Day), sim.Calendar{StartWeekday: 3}, 1)
-	if _, err := Merge(a, d); err == nil {
-		t.Error("calendar mismatch accepted")
-	}
-	if _, err := Merge(); err == nil {
-		t.Error("empty merge accepted")
 	}
 }
 

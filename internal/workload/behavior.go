@@ -103,28 +103,3 @@ func (f *FiniteWork) NextPhase(r *rand.Rand) (compute, sleep time.Duration, ok b
 	}
 	return compute, sleep, true
 }
-
-// Remaining returns the CPU work left.
-func (f *FiniteWork) Remaining() time.Duration {
-	if f.consumed >= f.Total {
-		return 0
-	}
-	return f.Total - f.consumed
-}
-
-// Burst is a one-shot behavior: compute for Length, then exit. It models
-// transient load spikes such as a compile or a remote X application start
-// (Section 4 notes these cause short excursions of LH above Th2).
-type Burst struct {
-	Length time.Duration
-	done   bool
-}
-
-// NextPhase emits the single burst.
-func (b *Burst) NextPhase(*rand.Rand) (compute, sleep time.Duration, ok bool) {
-	if b.done {
-		return 0, 0, false
-	}
-	b.done = true
-	return b.Length, 0, true
-}

@@ -21,15 +21,6 @@ type HostGroup struct {
 	Usages []float64
 }
 
-// TargetLH returns the sum of the member usages.
-func (g HostGroup) TargetLH() float64 {
-	sum := 0.0
-	for _, u := range g.Usages {
-		sum += u
-	}
-	return sum
-}
-
 // Spawn starts the group's processes on a machine at nice 0, returning
 // them in member order.
 func (g HostGroup) Spawn(m *simos.Machine, period time.Duration) []*simos.Process {

@@ -92,8 +92,8 @@ func TestFiniteWork(t *testing.T) {
 	if consumed != 6*time.Second {
 		t.Errorf("consumed %v, want 6s", consumed)
 	}
-	if f.Remaining() != 0 {
-		t.Errorf("remaining = %v, want 0", f.Remaining())
+	if f.consumed < f.Total {
+		t.Errorf("consumed %v of %v, want all of it", f.consumed, f.Total)
 	}
 }
 
@@ -115,17 +115,6 @@ func TestFiniteWorkPartialUsage(t *testing.T) {
 	ratio := float64(compute) / float64(compute+sleep)
 	if math.Abs(ratio-0.5) > 0.05 {
 		t.Errorf("duty ratio = %v, want ~0.5", ratio)
-	}
-}
-
-func TestBurst(t *testing.T) {
-	b := &Burst{Length: 3 * time.Second}
-	c, s, ok := b.NextPhase(rng(7))
-	if !ok || c != 3*time.Second || s != 0 {
-		t.Fatalf("burst phase = (%v, %v, %v)", c, s, ok)
-	}
-	if _, _, ok = b.NextPhase(rng(7)); ok {
-		t.Error("burst should terminate after one phase")
 	}
 }
 
@@ -205,8 +194,12 @@ func TestComposeGroup(t *testing.T) {
 		if len(g.Usages) != tc.m {
 			t.Fatalf("got %d members, want %d", len(g.Usages), tc.m)
 		}
-		if math.Abs(g.TargetLH()-tc.lh) > 1e-9 {
-			t.Errorf("ComposeGroup(%v, %d) sums to %v", tc.lh, tc.m, g.TargetLH())
+		sum := 0.0
+		for _, u := range g.Usages {
+			sum += u
+		}
+		if math.Abs(sum-tc.lh) > 1e-9 {
+			t.Errorf("ComposeGroup(%v, %d) sums to %v", tc.lh, tc.m, sum)
 		}
 		for _, u := range g.Usages {
 			if u < minMemberUsage-1e-9 || u > 1+1e-9 {
