@@ -310,7 +310,8 @@ var ablations = sync.OnceValues(func() (ablationSet, error) {
 		{knob: "transient window", metrics: []string{"events/machine", "<5 min fraction"}, settings: []any{time.Duration(1), time.Minute, 3 * time.Minute},
 			measure: onTestbed(6, 21, func(c *testbed.Config, w any) { c.Detector.TransientWindow = w.(time.Duration) },
 				func(tr *trace.Trace) []float64 {
-					return []float64{float64(len(tr.Events)) / 6, tr.IntervalECDF(sim.Weekday).At(5.0 / 60)}
+					wd, _ := tr.IntervalECDFs()
+					return []float64{float64(len(tr.Events)) / 6, wd.At(5.0 / 60)}
 				})},
 		// The history-window predictor's trimmed mean, the paper's robust statistic.
 		{knob: "trim", metrics: []string{"Brier", "MAE"}, settings: []any{0.0, 0.1, 0.25},
@@ -330,7 +331,7 @@ var ablations = sync.OnceValues(func() (ablationSet, error) {
 		{knob: "placement", metrics: []string{"mass 2-4 h", "mass 5 min-2 h"}, settings: []any{"stratified", "poisson"},
 			measure: onTestbed(10, 42, func(c *testbed.Config, p any) { c.Workload.PoissonPlacement = p == "poisson" },
 				func(tr *trace.Trace) []float64 {
-					wd := tr.IntervalECDF(sim.Weekday)
+					wd, _ := tr.IntervalECDFs()
 					return []float64{wd.MassBetween(2, 4), wd.MassBetween(1.0/12, 2)}
 				})},
 	}

@@ -1,22 +1,30 @@
 package fgcs
 
-// TestExportsHaveProductCallers holds every exported name in internal/ and
-// cmd/ to a caller outside the test files. It parses each non-test .go file
-// of the tree with go/parser (bench/ and examples/ count as callers;
-// .bench_build/ and testdata/ are skipped), lists every exported top-level
-// func, method, type, var and const declared under internal/ or cmd/, and
-// fails on one whose name no identifier outside its own declaration names,
-// unless exportAllowlist gives the reason it stays. It also fails on a
-// stale allowlist entry: one whose symbol is gone or has gained a caller.
+// TestExportsHaveProductCallers holds every function and method in internal/
+// and cmd/, exported or not, and every exported type, var and const there,
+// to a caller outside the test files. It type-checks each non-test .go file
+// of the tree that go/build would compile on this platform (bench/ and
+// examples/ count as callers; .bench_build/ and testdata/ are skipped) with
+// go/types, the standard library coming from the gc importer, and fails on a
+// declaration that no non-test expression outside its own declaration
+// resolves to, unless exportAllowlist gives the reason it stays. It also
+// fails on a stale allowlist entry: one whose symbol is gone or has gained a
+// caller.
 //
-// Matching is by name alone, so it is conservative: a dead method passes
-// when any live identifier anywhere shares its name (every String, every
-// Run). A method's receiver type does not count as a use of that type.
+// Uses are matched by object, not by name, so a dead Observe is caught
+// however many live ones there are. A method also counts as used when its
+// type satisfies an interface whose same-named method some non-test
+// expression resolves to, since a call through the interface reaches it.
+// String and Error are exempt (fmt and errors call them), as are main and
+// init. A method's receiver type does not count as a use of that type.
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"slices"
@@ -24,30 +32,37 @@ import (
 	"testing"
 )
 
-// exportAllowlist names the exports that stay with no non-test caller,
+// exportAllowlist names the declarations that stay with no non-test caller,
 // keyed "pkg.Name" or "pkg.Recv.Name", each with the reason.
 var exportAllowlist = map[string]string{
 	"ishare.Node.ExecutionCounts":            "the chaos soaks read each node's run counts to assert exactly-once",
 	"availability.SolarisThresholds":         "the paper's §3.2.3 thresholds; contention, check and testbed tests compare against them",
 	"availability.TimeInState.Invalid":       "the check differential compares the detector's invalid time with the oracle's",
+	"availability.TimeInState.Total":         "the check differential and the testbed oracle test compare per-state time with the oracle's",
 	"availability.Controller.GuestSuspended": "the check differential compares the controller's suspension with the oracle's",
 	"simos.MustNewMachine":                   "machine fixtures in the ishare, markov, monitor and workload tests",
 	"simos.Machine.Processes":                "the ishare, monitor and workload tests inspect the process table",
 	"simos.Machine.LiveCount":                "the ishare and workload tests count live processes",
 	"simos.Machine.ResidentMem":              "the monitor and workload tests read resident memory",
 	"simos.Machine.IdleTime":                 "the markov and workload tests read idle CPU time",
+	"simos.Process.Usage":                    "the workload tests read a session's CPU share alone and under contention",
+	"forecast.Service.Nodes":                 "the ishare tests count a shard forecaster's machines and check it holds no names",
+	"forecast.Service.Span":                  "the ishare forecast tests hold a shard forecaster's span to an oracle's",
+	"loadgen.ForecastResult.Format":          "the e23-forecast-replay artefact golden's printer, which artefacts_test.go renders",
 	"stats.ECDF.MassBetween":                 "artefacts_test.go reads interval mass off the Fig 7 ECDFs",
 	"stats.ECDF.KSDistance":                  "the E24 fit-generate-refit round trip compares interval ECDFs by KS distance",
 	"workload.GuestByName":                   "the contention tests pick guests by the paper's names",
 	"workload.HostWorkloadByName":            "the contention tests pick host workloads by the paper's names",
-	"gsched.MinResponse":                     "E19's min-expected-response policy; the experiment runs as TestMinResponsePolicyAvoidsHostileMachine",
 }
 
 func TestExportsHaveProductCallers(t *testing.T) {
-	fset := token.NewFileSet()
-	type export struct{ key, name string }
-	var exports []export
-	refs := map[string]bool{}
+	m := &moduleChecker{
+		fset:  token.NewFileSet(),
+		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		std:   importer.Default(),
+		info:  &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}},
+	}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -58,72 +73,152 @@ func TestExportsHaveProductCallers(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		dir, name := filepath.Split(path)
+		if strings.HasSuffix(name, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if ok, err := build.Default.MatchFile(filepath.Join(".", dir), name); err != nil || !ok {
+			return err
+		}
+		f, err := parser.ParseFile(m.fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		declared := strings.HasPrefix(path, "internal/") || strings.HasPrefix(path, "cmd/")
-		pkg := filepath.Base(filepath.Dir(path))
-		for _, decl := range f.Decls {
-			switch decl := decl.(type) {
-			case *ast.FuncDecl:
-				key := pkg + "." + decl.Name.Name
-				if decl.Recv != nil {
-					key = pkg + "." + recvName(decl.Recv.List[0].Type) + "." + decl.Name.Name
-				}
-				if declared && decl.Name.IsExported() {
-					exports = append(exports, export{key, decl.Name.Name})
-				}
-				// A receiver names its type only to declare a method on it.
-				decl.Recv = nil
-				collectRefs(decl, []string{decl.Name.Name}, refs)
-			case *ast.GenDecl:
-				for _, spec := range decl.Specs {
-					var names []string
-					switch spec := spec.(type) {
-					case *ast.TypeSpec:
-						names = []string{spec.Name.Name}
-					case *ast.ValueSpec:
-						for _, n := range spec.Names {
-							names = append(names, n.Name)
-						}
-					}
-					for _, n := range names {
-						if declared && ast.IsExported(n) {
-							exports = append(exports, export{pkg + "." + n, n})
-						}
-					}
-					collectRefs(spec, names, refs)
-				}
-			}
-		}
+		ip := importPath(filepath.Dir(path))
+		m.files[ip] = append(m.files[ip], f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	for ip := range m.files {
+		if _, err := m.Import(ip); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// What each package declares, with the span of its declaration, and the
+	// receiver identifiers, which name a type without using it.
+	type decl struct {
+		key      string
+		from, to token.Pos
+	}
+	decls := map[types.Object]decl{}
+	recvIdents := map[*ast.Ident]bool{}
+	for ip, files := range m.files {
+		declared := strings.HasPrefix(ip, "repro/internal/") || strings.HasPrefix(ip, "repro/cmd/")
+		pkg := ip[strings.LastIndex(ip, "/")+1:]
+		for _, f := range files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv != nil {
+						ast.Inspect(d.Recv, func(n ast.Node) bool {
+							if id, ok := n.(*ast.Ident); ok {
+								recvIdents[id] = true
+							}
+							return true
+						})
+					}
+					name := d.Name.Name
+					if !declared || name == "main" || name == "init" || name == "_" ||
+						d.Recv != nil && (name == "String" || name == "Error") {
+						continue
+					}
+					key := pkg + "." + name
+					if d.Recv != nil {
+						key = pkg + "." + recvName(d.Recv.List[0].Type) + "." + name
+					}
+					decls[m.info.Defs[d.Name]] = decl{key, d.Pos(), d.End()}
+				case *ast.GenDecl:
+					if !declared {
+						continue
+					}
+					for _, spec := range d.Specs {
+						var names []*ast.Ident
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							names = []*ast.Ident{spec.Name}
+						case *ast.ValueSpec:
+							names = spec.Names
+						}
+						for _, n := range names {
+							if n.IsExported() {
+								decls[m.info.Defs[n]] = decl{pkg + "." + n.Name, spec.Pos(), spec.End()}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// Every object a non-test expression resolves to outside its own
+	// declaration, and the interfaces whose methods are among them, by
+	// method name.
+	used := map[types.Object]bool{}
+	ifaceCalls := map[string]map[*types.Interface]bool{}
+	for id, obj := range m.info.Uses {
+		if recvIdents[id] {
+			continue
+		}
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+			if recv := o.Type().(*types.Signature).Recv(); recv != nil {
+				if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+					if ifaceCalls[o.Name()] == nil {
+						ifaceCalls[o.Name()] = map[*types.Interface]bool{}
+					}
+					ifaceCalls[o.Name()][iface] = true
+				}
+			}
+		case *types.Var:
+			obj = o.Origin()
+		}
+		if d, ok := decls[obj]; ok && d.from <= id.Pos() && id.Pos() < d.to {
+			continue
+		}
+		used[obj] = true
+	}
+	reached := func(obj types.Object) bool {
+		if used[obj] {
+			return true
+		}
+		fn, ok := obj.(*types.Func)
+		if !ok || fn.Type().(*types.Signature).Recv() == nil {
+			return false
+		}
+		recv := fn.Type().(*types.Signature).Recv().Type()
+		if p, ok := recv.(*types.Pointer); ok {
+			recv = p.Elem()
+		}
+		for iface := range ifaceCalls[fn.Name()] {
+			if types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface) {
+				return true
+			}
+		}
+		return false
+	}
 
 	var unused, stale []string
 	seen := map[string]bool{}
 	allowed := 0
-	for _, e := range exports {
-		seen[e.key] = true
-		_, ok := exportAllowlist[e.key]
-		switch {
-		case !refs[e.name] && ok:
+	for obj, d := range decls {
+		seen[d.key] = true
+		_, ok := exportAllowlist[d.key]
+		switch r := reached(obj); {
+		case !r && ok:
 			allowed++
-		case !refs[e.name]:
-			unused = append(unused, e.key)
+		case !r:
+			unused = append(unused, d.key)
 		case ok:
-			stale = append(stale, e.key+" (now has a caller)")
+			stale = append(stale, d.key+" (now has a caller)")
 		}
 	}
 	for key, reason := range exportAllowlist {
 		if !seen[key] {
-			stale = append(stale, key+" (no such export)")
+			stale = append(stale, key+" (no such declaration)")
 		}
 		if strings.TrimSpace(reason) == "" {
 			t.Errorf("allowlist entry %s gives no reason", key)
@@ -131,24 +226,50 @@ func TestExportsHaveProductCallers(t *testing.T) {
 	}
 	slices.Sort(unused)
 	slices.Sort(stale)
-	t.Logf("scanned %d exports in internal/ and cmd/: %d allowed without a non-test caller", len(exports), allowed)
+	t.Logf("checked %d declarations in internal/ and cmd/: %d allowed without a non-test caller", len(decls), allowed)
 	for _, key := range unused {
-		t.Errorf("%s: no non-test file names it; delete it, move it to a test file, or allowlist it with a reason", key)
+		t.Errorf("%s: no non-test expression resolves to it; delete it, move it to a test file, or allowlist it with a reason", key)
 	}
 	for _, key := range stale {
 		t.Errorf("stale allowlist entry %s", key)
 	}
 }
 
-// collectRefs records every identifier under n except those spelling one of
-// self, the names n declares.
-func collectRefs(n ast.Node, self []string, refs map[string]bool) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && !slices.Contains(self, id.Name) {
-			refs[id.Name] = true
-		}
-		return true
-	})
+// moduleChecker type-checks the tree's packages from source, each once, so
+// that every package sees the same objects for what it imports from the
+// repro module (bench/ included); the standard library comes from std.
+type moduleChecker struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File // by import path
+	pkgs  map[string]*types.Package
+	std   types.Importer
+	info  *types.Info
+}
+
+func (m *moduleChecker) Import(path string) (*types.Package, error) {
+	if p, ok := m.pkgs[path]; ok {
+		return p, nil
+	}
+	files, ok := m.files[path]
+	if !ok {
+		return m.std.Import(path)
+	}
+	conf := types.Config{Importer: m}
+	p, err := conf.Check(path, m.fset, files, m.info)
+	if err != nil {
+		return nil, err
+	}
+	m.pkgs[path] = p
+	return p, nil
+}
+
+// importPath maps a directory of the tree to its import path: bench/ is the
+// repro/bench module, which replaces repro with the root.
+func importPath(dir string) string {
+	if dir == "." {
+		return "repro"
+	}
+	return "repro/" + filepath.ToSlash(dir)
 }
 
 // recvName is the type name of a method receiver: T in (T), (*T), (T[K]).

@@ -52,10 +52,6 @@ func (s State) Available() bool { return s == S1 || s == S2 }
 // Unavailable reports whether the state is one of the three failure states.
 func (s State) Unavailable() bool { return s == S3 || s == S4 || s == S5 }
 
-// URR reports whether the state is unavailability due to resource
-// revocation.
-func (s State) URR() bool { return s == S5 }
-
 // Valid reports whether s is one of the five defined states.
 func (s State) Valid() bool { return s >= S1 && s <= S5 }
 

@@ -7,13 +7,12 @@ func TestStatePredicates(t *testing.T) {
 		s           State
 		available   bool
 		unavailable bool
-		urr         bool
 	}{
-		{S1, true, false, false},
-		{S2, true, false, false},
-		{S3, false, true, false},
-		{S4, false, true, false},
-		{S5, false, true, true},
+		{S1, true, false},
+		{S2, true, false},
+		{S3, false, true},
+		{S4, false, true},
+		{S5, false, true},
 	}
 	for _, tt := range tests {
 		if tt.s.Available() != tt.available {
@@ -21,9 +20,6 @@ func TestStatePredicates(t *testing.T) {
 		}
 		if tt.s.Unavailable() != tt.unavailable {
 			t.Errorf("%v.Unavailable() = %v", tt.s, tt.s.Unavailable())
-		}
-		if tt.s.URR() != tt.urr {
-			t.Errorf("%v.URR() = %v", tt.s, tt.s.URR())
 		}
 		if !tt.s.Valid() {
 			t.Errorf("%v.Valid() = false", tt.s)

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"math/rand"
@@ -79,8 +78,6 @@ type Injector struct {
 	mu     sync.Mutex
 	rng    *rand.Rand
 	faults []*faultState
-
-	dials, refused, delayed, dropped, corrupted atomic.Int64
 }
 
 type faultState struct {
@@ -183,14 +180,11 @@ func (in *Injector) plan(addr string) connPlan {
 // Dial implements the ishare Dialer shape with each exchange's planned
 // faults applied to a connection opened by ishare.DialTCP, the production dial.
 func (in *Injector) Dial(addr string, timeout time.Duration) (net.Conn, error) {
-	in.dials.Add(1)
 	p := in.plan(addr)
 	if p.refuse {
-		in.refused.Add(1)
 		return nil, &net.OpError{Op: "dial", Net: "tcp", Err: ErrRefused}
 	}
 	if p.dialDelay > 0 {
-		in.delayed.Add(1)
 		if p.dialDelay >= timeout {
 			time.Sleep(timeout)
 			return nil, fmt.Errorf("chaos: dial to %s timed out after %v", addr, timeout)
@@ -223,12 +217,10 @@ func (c *faultConn) Write(b []byte) (int, error) {
 	if c.reading {
 		c.reading, c.nread, c.plan = false, 0, c.in.plan(c.addr)
 		if c.plan.refuse {
-			c.in.refused.Add(1)
 			_ = c.Conn.Close()
 			return 0, &net.OpError{Op: "write", Net: "tcp", Err: ErrRefused}
 		}
 		if d := c.plan.dialDelay; d > 0 {
-			c.in.delayed.Add(1)
 			time.Sleep(d)
 		}
 	}
@@ -240,11 +232,9 @@ func (c *faultConn) Read(b []byte) (int, error) {
 	p := &c.plan
 	if d := p.readDelay; d > 0 {
 		p.readDelay = 0
-		c.in.delayed.Add(1)
 		time.Sleep(d)
 	}
 	if p.dropAfter >= 0 && c.nread >= p.dropAfter {
-		c.in.dropped.Add(1)
 		_ = c.Conn.Close()
 		return 0, fmt.Errorf("chaos: connection to %s dropped mid-stream after %d bytes", c.RemoteAddr(), c.nread)
 	}
@@ -255,7 +245,6 @@ func (c *faultConn) Read(b []byte) (int, error) {
 	if n > 0 && p.corrupt {
 		p.corrupt = false
 		b[0] ^= 0x55
-		c.in.corrupted.Add(1)
 	}
 	c.nread += n
 	return n, err

@@ -3,7 +3,9 @@ package chaos
 import (
 	"context"
 	"errors"
+	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,9 +13,9 @@ import (
 	"repro/internal/obs"
 )
 
-// Counters reports how many faults of each kind were injected.
+// Counters reports how many faults of each kind a probe saw injected.
 type Counters struct {
-	// Dials counts every dial that went through the injector.
+	// Dials counts every dial that went through the probe.
 	Dials int64
 	// Refused counts dials and exchanges failed with ErrRefused.
 	Refused int64
@@ -25,15 +27,76 @@ type Counters struct {
 	Corrupted int64
 }
 
+// probe is an Injector, used as the Dialer, that counts the faults injected
+// into the dials and exchanges made through it. It reads each one off the
+// error the injector returns or the fault connection's plan for the
+// exchange, so the injector itself keeps no counters.
+type probe struct {
+	*Injector
+	dials, refused, delayed, dropped, corrupted atomic.Int64
+}
+
+func newProbe(seed int64) *probe { return &probe{Injector: New(seed)} }
+
 // Counters returns a snapshot of the injected-fault counts.
-func (in *Injector) Counters() Counters {
+func (p *probe) Counters() Counters {
 	return Counters{
-		Dials:     in.dials.Load(),
-		Refused:   in.refused.Load(),
-		Delayed:   in.delayed.Load(),
-		Dropped:   in.dropped.Load(),
-		Corrupted: in.corrupted.Load(),
+		Dials:     p.dials.Load(),
+		Refused:   p.refused.Load(),
+		Delayed:   p.delayed.Load(),
+		Dropped:   p.dropped.Load(),
+		Corrupted: p.corrupted.Load(),
 	}
+}
+
+func (p *probe) Dial(addr string, timeout time.Duration) (net.Conn, error) {
+	p.dials.Add(1)
+	conn, err := p.Injector.Dial(addr, timeout)
+	switch fc, ok := conn.(*faultConn); {
+	case errors.Is(err, ErrRefused):
+		p.refused.Add(1)
+	case err != nil && strings.HasPrefix(err.Error(), "chaos: dial to"):
+		p.delayed.Add(1) // a delay past the timeout
+	case ok:
+		if fc.plan.dialDelay > 0 {
+			p.delayed.Add(1)
+		}
+		return &probeConn{faultConn: fc, p: p}, nil
+	}
+	return conn, err
+}
+
+// probeConn counts the faults of each exchange over one fault connection.
+type probeConn struct {
+	*faultConn
+	p *probe
+}
+
+func (c *probeConn) Write(b []byte) (int, error) {
+	next := c.reading // a write after a read plans the next exchange
+	n, err := c.faultConn.Write(b)
+	switch {
+	case next && errors.Is(err, ErrRefused):
+		c.p.refused.Add(1)
+	case next && c.plan.dialDelay > 0:
+		c.p.delayed.Add(1)
+	}
+	return n, err
+}
+
+func (c *probeConn) Read(b []byte) (int, error) {
+	delayed, corrupt := c.plan.readDelay > 0, c.plan.corrupt
+	n, err := c.faultConn.Read(b)
+	if delayed {
+		c.p.delayed.Add(1)
+	}
+	if corrupt && !c.plan.corrupt {
+		c.p.corrupted.Add(1)
+	}
+	if err != nil && strings.Contains(err.Error(), "dropped mid-stream") {
+		c.p.dropped.Add(1)
+	}
+	return n, err
 }
 
 var ctx = context.Background()
@@ -76,7 +139,7 @@ func TestPartitionAndHeal(t *testing.T) {
 	reg := startRegistry(t, time.Minute)
 	startNode(t, ishare.NodeConfig{Name: "n1", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.05})
 
-	inj := New(1)
+	inj := newProbe(1)
 	c := fastClient(reg.Addr(), inj)
 	if _, err := c.List(ctx); err != nil {
 		t.Fatalf("list before partition: %v", err)
@@ -98,7 +161,7 @@ func TestPartitionAndHeal(t *testing.T) {
 
 func TestClientRetriesThroughTransientRefusals(t *testing.T) {
 	reg := startRegistry(t, time.Minute)
-	inj := New(1)
+	inj := newProbe(1)
 	// The first two dials are refused; the retry budget (3 attempts)
 	// must absorb them.
 	inj.Add(Fault{Name: "flaky", Addr: reg.Addr(), Refuse: true, Times: 2})
@@ -113,7 +176,7 @@ func TestClientRetriesThroughTransientRefusals(t *testing.T) {
 
 func TestCorruptedResponseIsRejectedThenRetried(t *testing.T) {
 	reg := startRegistry(t, time.Minute)
-	inj := New(1)
+	inj := newProbe(1)
 	inj.Add(Fault{Name: "corrupt", Addr: reg.Addr(), CorruptProb: 1, Times: 1})
 	c := fastClient(reg.Addr(), inj)
 	if _, err := c.List(ctx); err != nil {
@@ -126,7 +189,7 @@ func TestCorruptedResponseIsRejectedThenRetried(t *testing.T) {
 
 func TestDialLatencyInjection(t *testing.T) {
 	reg := startRegistry(t, time.Minute)
-	inj := New(1)
+	inj := newProbe(1)
 	inj.Add(Fault{Name: "slow", Addr: reg.Addr(), DialLatency: 30 * time.Millisecond, Times: 1})
 	c := fastClient(reg.Addr(), inj)
 	start := time.Now()
@@ -143,7 +206,7 @@ func TestDialLatencyInjection(t *testing.T) {
 
 func TestDialLatencyBeyondTimeoutFails(t *testing.T) {
 	reg := startRegistry(t, time.Minute)
-	inj := New(1)
+	inj := newProbe(1)
 	inj.Add(Fault{Name: "stuck", Addr: reg.Addr(), DialLatency: 200 * time.Millisecond})
 	c := fastClient(reg.Addr(), inj)
 	c.Timeout = 50 * time.Millisecond
@@ -160,7 +223,7 @@ func TestMidStreamDropTriggersDedupSafeRetry(t *testing.T) {
 	reg := startRegistry(t, time.Minute)
 	node := startNode(t, ishare.NodeConfig{Name: "n1", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.05})
 
-	inj := New(1)
+	inj := newProbe(1)
 	// Drop the response to the first connection to the node — the
 	// submission itself: discovery never dials the node.
 	inj.Add(Fault{Name: "drop-submit", Addr: node.Addr(), DropAfterBytes: 8, Times: 1})
@@ -192,7 +255,7 @@ func TestMidStreamDropTriggersDedupSafeRetry(t *testing.T) {
 
 func TestFaultToggleByName(t *testing.T) {
 	reg := startRegistry(t, time.Minute)
-	inj := New(1)
+	inj := newProbe(1)
 	inj.Add(Fault{Name: "gate", Addr: reg.Addr(), Refuse: true})
 	inj.SetEnabled("gate", false)
 	c := fastClient(reg.Addr(), inj)
@@ -207,7 +270,7 @@ func TestFaultToggleByName(t *testing.T) {
 
 func TestSeededRefusalSequenceIsReproducible(t *testing.T) {
 	run := func(seed int64) []bool {
-		inj := New(seed)
+		inj := newProbe(seed)
 		inj.Add(Fault{Name: "p", RefuseProb: 0.5})
 		out := make([]bool, 32)
 		for i := range out {
@@ -240,7 +303,7 @@ func TestSeededRefusalSequenceIsReproducible(t *testing.T) {
 
 func TestPartitionRefusesPooledConn(t *testing.T) {
 	reg := startRegistry(t, time.Minute)
-	inj := New(1)
+	inj := newProbe(1)
 	c := fastClient(reg.Addr(), inj)
 	c.Retry.MaxAttempts = 1
 	if _, err := c.List(ctx); err != nil {
@@ -259,7 +322,7 @@ func TestPartitionRefusesPooledConn(t *testing.T) {
 
 func TestRefusalOnPooledConnIsOneRetry(t *testing.T) {
 	reg := startRegistry(t, time.Minute)
-	inj := New(1)
+	inj := newProbe(1)
 	c := fastClient(reg.Addr(), inj)
 	c.Obs = obs.NewRegistry()
 	if _, err := c.List(ctx); err != nil {
@@ -277,7 +340,7 @@ func TestRefusalOnPooledConnIsOneRetry(t *testing.T) {
 
 func TestSkipCountsExchangesOverOneConn(t *testing.T) {
 	reg := startRegistry(t, time.Minute)
-	inj := New(1)
+	inj := newProbe(1)
 	inj.Add(Fault{Name: "lag", Addr: reg.Addr(), ReadLatency: 30 * time.Millisecond, Skip: 1, Times: 1})
 	c := fastClient(reg.Addr(), inj)
 	for i, wantDelayed := range []int64{0, 1, 1} {
@@ -296,7 +359,7 @@ func TestSkipCountsExchangesOverOneConn(t *testing.T) {
 
 func TestDropAfterBytesDropsPlannedExchange(t *testing.T) {
 	reg := startRegistry(t, time.Minute)
-	inj := New(1)
+	inj := newProbe(1)
 	inj.Add(Fault{Name: "drop", Addr: reg.Addr(), DropAfterBytes: 8, Skip: 1, Times: 1})
 	c := fastClient(reg.Addr(), inj)
 	c.Retry.MaxAttempts = 1

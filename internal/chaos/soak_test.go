@@ -31,7 +31,7 @@ func TestChaosSoak(t *testing.T) {
 
 	// Nodes heartbeat through their own injector so flaky heartbeats
 	// cannot perturb the client-side fault sequence.
-	nodeInj := New(1002)
+	nodeInj := newProbe(1002)
 	nodeInj.Add(Fault{Name: "hb-flake", Addr: reg.Addr(), RefuseProb: 0.15})
 
 	nodeCfg := func(name string, load float64) ishare.NodeConfig {
@@ -60,7 +60,7 @@ func TestChaosSoak(t *testing.T) {
 	dIdle := startNode(t, nodeCfg("d-idle", 0.25))
 	nodes := map[string]*ishare.Node{"a-crash": aCrash, "b-slow": bSlow, "c-idle": cIdle, "d-idle": dIdle}
 
-	clientInj := New(42)
+	clientInj := newProbe(42)
 	// Deterministic low-grade noise on the discovery path: the first
 	// registry exchange is corrupted, the next two are delayed. The
 	// client's retry budget must absorb all of it.

@@ -23,8 +23,10 @@ const forecastTolerance = 1e-9
 // checkOnlineForecastSeed is the forecasting leg of the testbed
 // differential. The estimator maths exists once, so what it compares is
 // the two stores that feed it and an independent reference: the seed's raw
-// observation streams replayed through forecast.Online's detectors into
-// its rings, predictors batch-trained on the recorded trace of the same
+// observation streams replayed through a detector and trace.Builder per
+// machine, as the testbed recorder runs them, into forecast.Online's event
+// ingest (the host runs the detector; the forecaster learns only what it
+// found), predictors batch-trained on the recorded trace of the same
 // streams (index + memos), and the naive oracle (linear scans, its own day
 // walk). All three must agree — plain and trimmed history windows plus the
 // EWMA daily model, over aligned and misaligned windows, for every machine
@@ -33,7 +35,6 @@ func checkOnlineForecastSeed(cfg testbed.Config, tr *trace.Trace, res *Result) e
 	on, err := forecast.New(forecast.Config{
 		Calendar: tr.Calendar,
 		Machines: cfg.Machines,
-		Detector: cfg.Detector,
 		Start:    tr.Span.Start,
 	})
 	if err != nil {
@@ -42,7 +43,6 @@ func checkOnlineForecastSeed(cfg testbed.Config, tr *trace.Trace, res *Result) e
 	onTrim, err := forecast.New(forecast.Config{
 		Calendar: tr.Calendar,
 		Machines: cfg.Machines,
-		Detector: cfg.Detector,
 		Trim:     0.1,
 		Start:    tr.Span.Start,
 	})
@@ -51,11 +51,25 @@ func checkOnlineForecastSeed(cfg testbed.Config, tr *trace.Trace, res *Result) e
 	}
 	for id := 0; id < cfg.Machines; id++ {
 		m := trace.MachineID(id)
-		err := testbed.ObservationStream(cfg, m, func(obs availability.Observation) error {
-			if err := on.Observe(m, obs); err != nil {
-				return err
+		det, err := availability.NewDetector(cfg.Detector)
+		if err != nil {
+			return err
+		}
+		b := trace.NewBuilder(m)
+		err = testbed.ObservationStream(cfg, m, func(obs availability.Observation) error {
+			if _, tr := det.Observe(obs); tr != nil {
+				if e := b.OnTransition(*tr); e != nil {
+					on.ObserveEnd(m, e.End)
+					onTrim.ObserveEnd(m, e.End)
+				}
+				if tr.To.Unavailable() {
+					on.ObserveStart(m, tr.At)
+					onTrim.ObserveStart(m, tr.At)
+				}
 			}
-			return onTrim.Observe(m, obs)
+			on.AdvanceTo(obs.At)
+			onTrim.AdvanceTo(obs.At)
+			return nil
 		})
 		if err != nil {
 			return fmt.Errorf("forecast observation stream machine %d: %w", id, err)
@@ -71,6 +85,9 @@ func checkOnlineForecastSeed(cfg testbed.Config, tr *trace.Trace, res *Result) e
 	hwTrim.Train(trained)
 	ewma := &predict.EWMADaily{}
 	ewma.Train(trained)
+	// The forecasters' count estimates: the history-window maths over each
+	// ring, untrained, with the forecaster's own trim.
+	ringHW, ringHWTrim := &predict.HistoryWindow{}, &predict.HistoryWindow{Trim: 0.1}
 
 	// Aligned, misaligned and tail windows on every day of the span and the
 	// seven after it: past the span the trained predictors answer a window
@@ -97,13 +114,15 @@ func checkOnlineForecastSeed(cfg testbed.Config, tr *trace.Trace, res *Result) e
 			refTrimCount, refTrimSurv := NaiveHistoryWindow(tr, m, w, 0.1, 0)
 			refEWMACount, refEWMASurv := NaiveEWMADaily(tr, m, w, 0)
 			onEWMACount, onEWMASurv := (&predict.EWMADaily{}).Estimate(on, m, w)
+			onCount, _, _ := ringHW.Estimate(on, m, w)
+			onTrimCount, _, _ := ringHWTrim.Estimate(onTrim, m, w)
 			for _, c := range []struct {
 				what                  string
 				online, offline, want float64
 			}{
-				{"PredictCount", on.PredictCount(m, w), hw.PredictCount(m, w), refCount},
+				{"PredictCount", onCount, hw.PredictCount(m, w), refCount},
 				{"PredictSurvival", on.PredictSurvival(m, w), hw.PredictSurvival(m, w), refSurv},
-				{"trimmed PredictCount", onTrim.PredictCount(m, w), hwTrim.PredictCount(m, w), refTrimCount},
+				{"trimmed PredictCount", onTrimCount, hwTrim.PredictCount(m, w), refTrimCount},
 				{"trimmed PredictSurvival", onTrim.PredictSurvival(m, w), hwTrim.PredictSurvival(m, w), refTrimSurv},
 				{"EWMACount", onEWMACount, ewma.PredictCount(m, w), refEWMACount},
 				{"EWMASurvival", onEWMASurv, ewma.PredictSurvival(m, w), refEWMASurv},

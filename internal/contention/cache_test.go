@@ -10,25 +10,27 @@ import (
 	"repro/internal/workload"
 )
 
-// AloneCacheStats returns how many alone-run calibrations were served from
-// the cache versus simulated.
-func AloneCacheStats() (hits, misses uint64) {
-	return aloneCacheHits.Load(), aloneCacheMisses.Load()
-}
-
-// ResetAloneCache empties the calibration cache and its counters.
+// ResetAloneCache empties the calibration cache.
 func ResetAloneCache() {
 	aloneCache.Range(func(k, _ any) bool {
 		aloneCache.Delete(k)
 		return true
 	})
-	aloneCacheHits.Store(0)
-	aloneCacheMisses.Store(0)
+}
+
+// aloneCacheLen counts the calibration cache's entries.
+func aloneCacheLen() (n int) {
+	aloneCache.Range(func(_, _ any) bool {
+		n++
+		return true
+	})
+	return n
 }
 
 // TestAloneCacheHitsAndParity verifies the calibration cache serves repeat
 // alone runs without resimulating and that a cached result is identical to
-// a direct measurement.
+// a direct measurement. A hit is told from a resimulation by planting a
+// doctored entry: only a run served from the cache can return it.
 func TestAloneCacheHitsAndParity(t *testing.T) {
 	ResetAloneCache()
 	defer ResetAloneCache()
@@ -48,8 +50,8 @@ func TestAloneCacheHitsAndParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := AloneCacheStats(); hits != 0 || misses != 1 {
-		t.Fatalf("after first run: hits=%d misses=%d, want 0/1", hits, misses)
+	if n := aloneCacheLen(); n != 1 {
+		t.Fatalf("after first run: %d cache entries, want 1", n)
 	}
 	if lh1 != direct.HostUsage {
 		t.Fatalf("cached-path LH %v != direct measurement %v", lh1, direct.HostUsage)
@@ -59,11 +61,19 @@ func TestAloneCacheHitsAndParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := AloneCacheStats(); hits != 1 || misses != 1 {
-		t.Fatalf("after second run: hits=%d misses=%d, want 1/1", hits, misses)
+	if n := aloneCacheLen(); n != 1 {
+		t.Fatalf("after second run: %d cache entries, want 1", n)
 	}
 	if lh1 != lh2 || red1 != red2 {
 		t.Fatalf("cached run differs: (%v,%v) vs (%v,%v)", lh1, red1, lh2, red2)
+	}
+
+	key := o.aloneKeyFor(seed, group)
+	planted := direct
+	planted.HostUsage /= 2
+	aloneCache.Store(key, planted)
+	if lh3, _, err := o.MeasureGroupReduction(seed, group, 0); err != nil || lh3 != planted.HostUsage {
+		t.Fatalf("third run: LH %v (err %v), want the planted entry's %v: the calibration was resimulated", lh3, err, planted.HostUsage)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"math"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/sim"
@@ -184,11 +183,7 @@ type aloneKey struct {
 // so serving a cached result never perturbs any other random stream. The
 // experiment grids keep the key space small (hundreds of entries), so the
 // cache is unbounded.
-var (
-	aloneCache       sync.Map // aloneKey -> runResult
-	aloneCacheHits   atomic.Uint64
-	aloneCacheMisses atomic.Uint64
-)
+var aloneCache sync.Map // aloneKey -> runResult
 
 func (o Options) aloneKeyFor(seed int64, group workload.HostGroup) aloneKey {
 	k := aloneKey{
@@ -217,14 +212,12 @@ func encodeUsages(us []float64) string {
 func (o Options) measureAlone(seed int64, group workload.HostGroup, spawn spawner) (runResult, error) {
 	key := o.aloneKeyFor(seed, group)
 	if v, ok := aloneCache.Load(key); ok {
-		aloneCacheHits.Add(1)
 		return v.(runResult), nil
 	}
 	res, err := o.measure(seed, spawn, nil)
 	if err != nil {
 		return runResult{}, err
 	}
-	aloneCacheMisses.Add(1)
 	aloneCache.Store(key, res)
 	return res, nil
 }

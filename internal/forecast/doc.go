@@ -1,23 +1,24 @@
 // Package forecast is the online availability predictor: the streaming
 // counterpart of internal/predict that closes the loop the paper leaves as
 // future work. Instead of batch-training on a recorded trace, an Online
-// forecaster ingests per-machine observation (or event) streams as they
-// happen — each update is O(1) into a bounded per-machine ring of event
-// starts, the only per-machine table kept — and serves the same forecasts
+// forecaster ingests per-machine event streams as they happen (the host
+// runs the detector; the forecaster learns only what it found) — each
+// update is O(1) into a bounded per-machine ring of event starts, the only
+// per-machine table kept — and serves the same forecasts
 // the offline predictors would produce had they been retrained on the full
 // prefix at that instant.
 //
 // Equality with the offline predictors is not approximate: the estimator
 // maths exists once, in internal/predict, written against predict.History,
 // and Online is one of the two stores that implement it (the trained
-// trace is the other) — PredictCount and PredictSurvival are
+// trace is the other) — PredictSurvival and ForecastWindow are
 // predict.HistoryWindow.Estimate over the ring, and any other estimator
 // written against predict.History (predict.EWMADaily) runs on it the same
 // way. What can still differ is the
 // store, so the differential harness (internal/check) replays every
-// testbed seed's observation stream through an Online forecaster and
-// compares it with predictors batch-trained on the recorded trace and with
-// an independent naive reference.
+// testbed seed's observation stream through a detector into an Online
+// forecaster's event ingest and compares it with predictors batch-trained
+// on the recorded trace and with an independent naive reference.
 //
 // Service wraps an Online forecaster for the control plane: it keys
 // machines by the dense ID its caller assigns (a registry shard's node ID;
@@ -30,9 +31,10 @@
 // prior. Unregistering a node forgets its history: the ID's next holder
 // starts cold.
 //
-// Memory per node, held by test (history is built on the first event): by
-// name ≤ 76 heap bytes before it, ≤ 176 after one (61, 141 measured over
-// 50 000 names — TestServiceBytesPerNode); a forecasting shard, whose
-// forecaster holds no names, ≤ 225 and ≤ 317 in all (180, 254 over 20 000
-// digests — ishare.TestRegistryBytesPerNode). A start adds 8 B, to 32 KiB a ring.
+// Memory per node, held by test (history, 48 B, is built on the first
+// event): by name ≤ 76 heap bytes before it, ≤ 156 after one (61, 125
+// measured over 50 000 names — TestServiceBytesPerNode); a forecasting
+// shard, whose forecaster holds no names, ≤ 225 and ≤ 299 in all (182, 239
+// over 20 000 digests — ishare.TestRegistryBytesPerNode). A start adds 8 B,
+// to 32 KiB a ring.
 package forecast

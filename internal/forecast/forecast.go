@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/availability"
 	"repro/internal/predict"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -32,10 +31,6 @@ type Config struct {
 	// MinHistoryDays guards the history-window forecast against
 	// predicting from almost no data (predict.HistoryWindow.MinHistoryDays).
 	MinHistoryDays int
-	// Detector configures the per-machine availability detector used by
-	// the observation-ingest path (Observe). Event ingest (ObserveEvent /
-	// ObserveStart) does not use it.
-	Detector availability.Config
 	// Start is the virtual instant observation began (the span start of
 	// the equivalent offline training trace). Default 0.
 	Start sim.Time
@@ -67,14 +62,6 @@ func (c Config) Validate() error {
 
 // machineState is one machine's incrementally maintained history.
 type machineState struct {
-	// det and down implement the observation-ingest path: det classifies
-	// observations and down mirrors trace.Builder's open-event flag, so
-	// the derived event starts are exactly the ones a recorded trace of
-	// the same stream would contain. det is built on the machine's first
-	// Observe: machines fed by event ingest never pay for one.
-	det  *availability.Detector
-	down bool
-
 	// starts is a bounded chronological ring of event start times; head
 	// indexes the oldest retained entry, n is the live count. The backing
 	// array grows on demand up to Config.EventCapacity.
@@ -82,7 +69,9 @@ type machineState struct {
 	head   int
 	n      int
 	// dropped counts starts evicted by the capacity bound; the retention
-	// horizon is the oldest retained start when dropped > 0.
+	// horizon is the oldest retained start when dropped > 0. Only tests read
+	// it today; it stays for the forecast-history retention horizon a
+	// served forecast is to report (ROADMAP).
 	dropped int64
 }
 
@@ -128,18 +117,17 @@ func (ms *machineState) push(at sim.Time, capacity int) {
 	}
 }
 
-// Online is the incremental forecaster. Ingest is O(1) per event (and per
-// observation); forecasts are computed on demand from the retained history
+// Online is the incremental forecaster. Ingest is O(1) per event;
+// forecasts are computed on demand from the retained history
 // and are bit-equal to offline predictors batch-trained on the same
 // prefix. Not safe for concurrent use — Service adds the locking the
 // control plane needs.
 type Online struct {
 	cfg Config
-	ms  []*machineState // nil until the first event or observation, and once forgotten
+	ms  []*machineState // nil until the first event, and once forgotten
 	end sim.Time        // observation high-water: the span end at query time
 
 	events int64 // total ingested event starts
-	oor    int64 // events dropped for out-of-range machine ids
 
 	// The forecast maths lives in internal/predict; this runs it over the
 	// ring (Online is its predict.History).
@@ -149,9 +137,6 @@ type Online struct {
 // New creates an Online forecaster.
 func New(cfg Config) (*Online, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if _, err := availability.NewDetector(cfg.Detector); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
@@ -218,7 +203,6 @@ func (o *Online) build(m trace.MachineID) *machineState {
 func (o *Online) ObserveStart(m trace.MachineID, at sim.Time) {
 	ms := o.build(m)
 	if ms == nil {
-		o.oor++
 		return
 	}
 	ms.push(at, o.cfg.EventCapacity)
@@ -242,42 +226,6 @@ func (o *Online) ObserveEvent(e trace.Event) {
 	o.ObserveEnd(e.Machine, e.End)
 }
 
-// Observe ingests one raw monitor observation for machine m, running the
-// same detector pipeline the testbed trace recorder runs: transitions into
-// an unavailable state open an event (counting its — possibly backdated —
-// start), transitions back close it. Feeding a machine's full observation
-// stream therefore yields exactly the event starts of the recorded trace
-// of that stream, which is what the online-offline differential pins.
-func (o *Online) Observe(m trace.MachineID, obs availability.Observation) error {
-	ms := o.build(m)
-	if ms == nil {
-		return fmt.Errorf("forecast: machine %d outside fleet of %d", m, len(o.ms))
-	}
-	if ms.det == nil {
-		det, err := availability.NewDetector(o.cfg.Detector)
-		if err != nil {
-			return err
-		}
-		ms.det = det
-	}
-	_, tr := ms.det.Observe(obs)
-	if tr != nil {
-		// Mirror trace.Builder: a transition out of an unavailable state
-		// (to available or directly to another failure state) closes the
-		// open event; a transition into an unavailable state opens one.
-		if ms.down && tr.From.Unavailable() && (tr.To.Available() || tr.To.Unavailable()) {
-			ms.down = false
-		}
-		if tr.To.Unavailable() {
-			ms.down = true
-			ms.push(tr.At, o.cfg.EventCapacity)
-			o.events++
-		}
-	}
-	o.AdvanceTo(obs.At)
-	return nil
-}
-
 // Calendar implements predict.History.
 func (o *Online) Calendar() sim.Calendar { return o.cfg.Calendar }
 
@@ -289,15 +237,6 @@ func (o *Online) CountInWindow(m trace.MachineID, w sim.Window) int {
 		return 0
 	}
 	return o.ms[m].countStarts(w)
-}
-
-// PredictCount forecasts the expected number of unavailability events in w
-// on machine m: predict.HistoryWindow{Trim: cfg.Trim, MinHistoryDays:
-// cfg.MinHistoryDays} over the observed prefix. Machines outside the fleet
-// forecast 0 (no history).
-func (o *Online) PredictCount(m trace.MachineID, w sim.Window) float64 {
-	count, _, _ := o.hw.Estimate(o, m, w)
-	return count
 }
 
 // PredictSurvival forecasts P(no event starts in w's clock window) as the

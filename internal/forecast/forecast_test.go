@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/availability"
 	"repro/internal/predict"
@@ -23,12 +24,45 @@ func (o *Online) Dropped() int64 {
 			n += ms.dropped
 		}
 	}
-	return n + o.oor
+	return n
+}
+
+// PredictCount is the history-window count forecast over the ring, with the
+// forecaster's own Trim and MinHistoryDays: what the offline
+// predict.HistoryWindow trained on the same prefix predicts.
+func (o *Online) PredictCount(m trace.MachineID, w sim.Window) float64 {
+	count, _, _ := o.hw.Estimate(o, m, w)
+	return count
+}
+
+// observeStream feeds machine m's raw observation stream through the
+// pipeline the testbed recorder runs, a detector and a trace.Builder, into
+// on's event ingest: a transition into an unavailable state is an event
+// start (possibly backdated), a closed event an end, and every observation
+// moves the clock.
+func observeStream(cfg testbed.Config, on *Online, m trace.MachineID) error {
+	det, err := availability.NewDetector(cfg.Detector)
+	if err != nil {
+		return err
+	}
+	b := trace.NewBuilder(m)
+	return testbed.ObservationStream(cfg, m, func(obs availability.Observation) error {
+		if _, tr := det.Observe(obs); tr != nil {
+			if e := b.OnTransition(*tr); e != nil {
+				on.ObserveEnd(m, e.End)
+			}
+			if tr.To.Unavailable() {
+				on.ObserveStart(m, tr.At)
+			}
+		}
+		on.AdvanceTo(obs.At)
+		return nil
+	})
 }
 
 // replayTestbed runs a small testbed, returning both the recorded trace
-// and an Online forecaster fed the same machines' raw observation
-// streams.
+// and an Online forecaster fed the same machines' raw observation streams
+// through observeStream.
 func replayTestbed(t *testing.T, cfg testbed.Config) (*trace.Trace, *Online) {
 	t.Helper()
 	tr, err := testbed.Run(cfg)
@@ -38,18 +72,13 @@ func replayTestbed(t *testing.T, cfg testbed.Config) (*trace.Trace, *Online) {
 	on, err := New(Config{
 		Calendar: tr.Calendar,
 		Machines: cfg.Machines,
-		Detector: cfg.Detector,
 		Start:    tr.Span.Start,
 	})
 	if err != nil {
 		t.Fatalf("new online: %v", err)
 	}
 	for id := 0; id < cfg.Machines; id++ {
-		m := trace.MachineID(id)
-		err := testbed.ObservationStream(cfg, m, func(obs availability.Observation) error {
-			return on.Observe(m, obs)
-		})
-		if err != nil {
+		if err := observeStream(cfg, on, trace.MachineID(id)); err != nil {
 			t.Fatalf("observation stream machine %d: %v", id, err)
 		}
 	}
@@ -355,11 +384,15 @@ func TestOnlineAdvanceAdmitsHistory(t *testing.T) {
 
 // TestServiceBytesPerNode holds the bounds doc.go states for the name-keyed
 // path: a node that has had no event costs its name, a name-map slot, a
-// view byte and a nil history slot — no history, no detector, no per-node
+// view byte and a nil history slot — no history, no per-node
 // table (61 heap bytes measured); one event adds the history and its
-// one-start ring (141 measured). Each bound is a quarter over.
+// one-start ring (125 measured: a 48-byte history). Each bound is a
+// quarter over.
 func TestServiceBytesPerNode(t *testing.T) {
 	const nodes = 50_000
+	if size := unsafe.Sizeof(machineState{}); size != 48 {
+		t.Errorf("a machine's history is %d bytes, want 48", size)
+	}
 	heap := func() int64 {
 		runtime.GC()
 		var m runtime.MemStats
@@ -371,7 +404,7 @@ func TestServiceBytesPerNode(t *testing.T) {
 		bound int64
 	}{
 		{"S1(full)", 76},         // no event: the forecaster's slot is nil
-		{"S3(cpu-unavail)", 176}, // one event each
+		{"S3(cpu-unavail)", 156}, // one event each
 	} {
 		before := heap()
 		svc, err := NewService(ServiceConfig{})

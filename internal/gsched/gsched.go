@@ -468,30 +468,3 @@ func FormatResults(rs []Result) string {
 	}
 	return b.String()
 }
-
-// MinResponse places each job on the machine with the lowest expected
-// response time, using predict.ResponseEstimator. For jobs long enough
-// that failure is near-certain everywhere, survival probabilities all
-// collapse toward zero and stop ranking machines; expected response still
-// does, which is why the paper calls response time the primary metric.
-type MinResponse struct {
-	E *predict.ResponseEstimator
-}
-
-// Name implements Policy.
-func (p *MinResponse) Name() string { return "min-expected-response" }
-
-// Pick implements Policy.
-func (p *MinResponse) Pick(now sim.Time, work time.Duration, n int) trace.MachineID {
-	best := trace.MachineID(0)
-	bestT := time.Duration(1<<62 - 1)
-	for m := 0; m < n; m++ {
-		if t := p.E.Expected(trace.MachineID(m), now, work); t < bestT {
-			best, bestT = trace.MachineID(m), t
-		}
-	}
-	return best
-}
-
-// ObserveFailure implements Policy.
-func (p *MinResponse) ObserveFailure(trace.MachineID, sim.Time) {}

@@ -204,26 +204,3 @@ func TestProactiveBeatsOblivious(t *testing.T) {
 		t.Error("FormatResults missing policies")
 	}
 }
-
-func TestMinResponsePolicyAvoidsHostileMachine(t *testing.T) {
-	tr := hostileTrace()
-	cfg := Config{Jobs: 40, JobWork: [2]time.Duration{3 * time.Hour, 4 * time.Hour}, TrainDays: 14, Seed: 6}
-	hw := &predict.HistoryWindow{}
-	hw.Train(predict.NewTraceHistory(tr.Before(tr.Span.Start + 14*sim.Day)))
-	pol := &MinResponse{E: &predict.ResponseEstimator{P: hw, Seed: 5, Samples: 60}}
-	truth := predict.NewTraceHistory(tr)
-	res, err := Simulate(truth, pol, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalFailures > 0 {
-		t.Errorf("min-expected-response failed %d times; machine 1 is always clean", res.TotalFailures)
-	}
-	rr, err := Simulate(truth, &RoundRobin{}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(res.MeanResponse < rr.MeanResponse) {
-		t.Errorf("min-response %v should beat round-robin %v", res.MeanResponse, rr.MeanResponse)
-	}
-}

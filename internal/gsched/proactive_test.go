@@ -206,7 +206,7 @@ func TestProactiveMetricsNeutral(t *testing.T) {
 	if got := reg.Counter("gsched_proactive_checkpoints_total", "").Value(); got != uint64(metered.Checkpoints) {
 		t.Errorf("checkpoint counter %d, result %d", got, metered.Checkpoints)
 	}
-	if got := reg.Histogram("gsched_forecast_latency_seconds", "", obs.ExpBuckets(1e-7, 4, 12)).Count(); got == 0 {
+	if got := reg.Histogram("gsched_forecast_latency_seconds", "", obs.ExpBuckets(1e-7, 4, 12)).Snapshot().Count; got == 0 {
 		t.Error("forecast latency histogram saw no reviews")
 	}
 }

@@ -81,10 +81,3 @@ func (b *breaker) result(ok bool) (opened bool) {
 	}
 	return false
 }
-
-// open reports whether the breaker is currently denying calls.
-func (b *breaker) open() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return !b.openUntil.IsZero() && b.now().Before(b.openUntil)
-}

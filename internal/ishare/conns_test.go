@@ -107,6 +107,7 @@ func TestAdmissionIsPerRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	sheds := shedCounter(r)
 	d := &countingDialer{}
 	clients := []*Client{{Dialer: d}, {Dialer: d}, {Dialer: d}}
 	for round := 0; round < 3; round++ {
@@ -116,7 +117,7 @@ func TestAdmissionIsPerRequest(t *testing.T) {
 			}
 		}
 	}
-	if n := r.sheds.Load(); n != 0 {
+	if n := sheds.Value(); n != 0 {
 		t.Errorf("%d requests shed", n)
 	}
 	if n := d.n.Load(); n != 3 {

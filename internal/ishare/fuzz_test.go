@@ -2,9 +2,19 @@ package ishare
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"testing"
 )
+
+// appendWALFrame appends one framed, checksummed payload to dst.
+func appendWALFrame(dst, payload []byte) []byte {
+	var hdr [walFrameHeader]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
+	return append(append(dst, hdr[:]...), payload...)
+}
 
 // FuzzProtocolDecode drives arbitrary bytes through the wire decoders for
 // both directions of the protocol — every message (register_batch,

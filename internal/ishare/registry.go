@@ -81,7 +81,6 @@ type Registry struct {
 
 	inflight chan struct{} // nil = unbounded admission
 	queue    chan struct{}
-	sheds    atomic.Uint64
 
 	srv     *server
 	crashed atomic.Bool
@@ -467,7 +466,6 @@ func (r *Registry) admit(conn net.Conn, req io.Reader) bool {
 // message is still read off the socket, up to its newline, so the close
 // that follows is not a reset that could cost the peer the response.
 func (r *Registry) shed(conn net.Conn, req io.Reader) {
-	r.sheds.Add(1)
 	r.mu.RLock()
 	met := r.met
 	r.mu.RUnlock()

@@ -225,6 +225,7 @@ func TestRegistryShedsWhenSaturated(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	sheds := shedCounter(r)
 	// Occupy the inflight slot and the queue slot directly: deterministic
 	// saturation without racing real handlers.
 	r.inflight <- struct{}{}
@@ -236,7 +237,7 @@ func TestRegistryShedsWhenSaturated(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "overloaded") {
 		t.Fatalf("saturated registry did not shed: err=%v", err)
 	}
-	if r.sheds.Load() == 0 {
+	if sheds.Value() == 0 {
 		t.Fatal("shed counter not incremented")
 	}
 

@@ -87,13 +87,6 @@ func (s *ShardedRegistry) Addrs() []string {
 	return append([]string(nil), s.addrs...)
 }
 
-// N returns the shard count.
-func (s *ShardedRegistry) N() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.shards)
-}
-
 // Shard returns the i-th shard (the current incarnation, after restarts).
 func (s *ShardedRegistry) Shard(i int) *Registry {
 	s.mu.Lock()

@@ -72,12 +72,6 @@ func NewShardRing(shards []string, vnodes int) (*ShardRing, error) {
 	return r, nil
 }
 
-// N returns the number of shards on the ring.
-func (r *ShardRing) N() int { return len(r.shards) }
-
-// Shards returns the shard addresses in construction order.
-func (r *ShardRing) Shards() []string { return append([]string(nil), r.shards...) }
-
 // Owner returns the index of the shard owning the given node ID.
 func (r *ShardRing) Owner(nodeID string) int {
 	h := ringHash(nodeID)

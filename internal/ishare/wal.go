@@ -236,14 +236,6 @@ func replayWALBytes(data []byte, apply func(walRecord)) (int, int64, error) {
 	return n, off, nil
 }
 
-// appendWALFrame appends one framed, checksummed payload to dst.
-func appendWALFrame(dst, payload []byte) []byte {
-	var hdr [walFrameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	return append(append(dst, hdr[:]...), payload...)
-}
-
 // append frames, checksums and writes one record. It returns true when a
 // compaction is due; the caller (who holds the registry state lock and
 // can therefore snapshot consistently) then calls compact.

@@ -19,6 +19,8 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"repro/internal/obs"
 )
 
 // decodeMessage is the fuzz targets' entry to the decode of either message
@@ -1119,6 +1121,13 @@ func TestListLimitIsTheCallersNumber(t *testing.T) {
 	}
 }
 
+// shedCounter instruments r and returns its fgcs_registry_sheds_total.
+func shedCounter(r *Registry) *obs.Counter {
+	reg := obs.NewRegistry()
+	r.Instrument(reg, nil)
+	return reg.Counter("fgcs_registry_sheds_total", "")
+}
+
 // TestShedDoesNotDecode: an overloaded shard answers a 1000-digest batch
 // with the structured retry-after response having neither run nor decoded
 // it — bytes that are not a request at all get the same answer.
@@ -1131,6 +1140,7 @@ func TestShedDoesNotDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	sheds := shedCounter(r)
 	r.inflight <- struct{}{}
 	r.queue <- struct{}{}
 	batch := jsonEncode(t, Request{Op: "register_batch", Digests: benchDigests(1000)})
@@ -1141,7 +1151,7 @@ func TestShedDoesNotDecode(t *testing.T) {
 			t.Fatalf("shed response: %+v", resp)
 		}
 	}
-	if got := r.sheds.Load(); got != 2 {
+	if got := sheds.Value(); got != 2 {
 		t.Errorf("sheds = %d, want 2", got)
 	}
 	<-r.inflight

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -110,8 +111,11 @@ func TestFitGenerateRefitRoundTrip(t *testing.T) {
 
 		// Figure 6 surface: the generated fleet's availability-interval
 		// distribution matches the source fleet's.
+		var srcECDF, genECDF [2]*stats.ECDF
+		srcECDF[sim.Weekday], srcECDF[sim.Weekend] = src.IntervalECDFs()
+		genECDF[sim.Weekday], genECDF[sim.Weekend] = gen.IntervalECDFs()
 		for _, dt := range []sim.DayType{sim.Weekday, sim.Weekend} {
-			e1, e2 := src.IntervalECDF(dt), gen.IntervalECDF(dt)
+			e1, e2 := srcECDF[dt], genECDF[dt]
 			if e1.N() == 0 || e2.N() == 0 {
 				continue
 			}

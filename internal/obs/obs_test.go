@@ -6,6 +6,17 @@ import (
 	"testing"
 )
 
+// Add shifts the gauge by delta.
+func (g *Gauge) Add(delta float64) {
+	for {
+		old := g.bits.Load()
+		next := math.Float64bits(math.Float64frombits(old) + delta)
+		if g.bits.CompareAndSwap(old, next) {
+			return
+		}
+	}
+}
+
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("fgcs_test_total", "a counter")
@@ -72,8 +83,8 @@ func TestLocalHistogramFlush(t *testing.T) {
 	for _, v := range []float64{0.05, 0.1, 0.5, 2, 100} {
 		l.Observe(v)
 	}
-	if h.Count() != 0 {
-		t.Fatalf("parent saw %d observations before Flush", h.Count())
+	if h.Snapshot().Count != 0 {
+		t.Fatalf("parent saw %d observations before Flush", h.Snapshot().Count)
 	}
 	l.Flush()
 	l.Flush() // empty flush must be a no-op
@@ -94,7 +105,7 @@ func TestLocalHistogramFlush(t *testing.T) {
 	// A second batch through the same accumulator lands on top.
 	l.Observe(0.5)
 	l.Flush()
-	if got := h.Count(); got != 6 {
+	if got := h.Snapshot().Count; got != 6 {
 		t.Errorf("count after second batch = %d, want 6", got)
 	}
 }

@@ -118,9 +118,11 @@ func TestCalibrationValidation(t *testing.T) {
 }
 
 // nanPredictor answers every survival with NaN, the undefined prediction.
-type nanPredictor struct{ flatRatePredictor }
+type nanPredictor struct{}
 
 func (*nanPredictor) Name() string                                        { return "nan" }
+func (*nanPredictor) Train(*TraceHistory)                                 {}
+func (*nanPredictor) PredictCount(trace.MachineID, sim.Window) float64    { return 0 }
 func (*nanPredictor) PredictSurvival(trace.MachineID, sim.Window) float64 { return math.NaN() }
 
 func TestCalibrationErrorEmpty(t *testing.T) {

@@ -224,7 +224,7 @@ func TestSemiMarkovSurvivalSingleEvaluation(t *testing.T) {
 	s := &SemiMarkov{}
 	s.Train(NewTraceHistory(tr))
 
-	ecdf := tr.IntervalECDF(sim.Weekday)
+	ecdf, _ := tr.IntervalECDFs()
 	if ecdf.N() == 0 {
 		t.Fatal("fixture produced no weekday intervals")
 	}

@@ -17,9 +17,6 @@ type Source struct {
 // NewSource returns a stream factory rooted at the given experiment seed.
 func NewSource(seed int64) *Source { return &Source{seed: seed} }
 
-// Seed returns the root seed.
-func (s *Source) Seed() int64 { return s.seed }
-
 // Stream returns a dedicated generator for the named purpose. The same
 // (seed, name) pair always yields the same stream. The returned *rand.Rand
 // is not safe for concurrent use; derive one stream per goroutine.

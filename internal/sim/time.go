@@ -118,9 +118,6 @@ type Window struct {
 // Duration returns End - Start (possibly negative for malformed windows).
 func (w Window) Duration() time.Duration { return w.End - w.Start }
 
-// Contains reports whether t lies in [Start, End).
-func (w Window) Contains(t Time) bool { return t >= w.Start && t < w.End }
-
 // String renders the window using hours for readability.
 func (w Window) String() string {
 	return fmt.Sprintf("[%s, %s)", w.Start, w.End)

@@ -1,5 +1,7 @@
 package simos
 
+import "time"
+
 // DisableFastPath forces per-tick stepping, turning the machine into the
 // naive oracle the equivalence tests compare against.
 func (m *Machine) DisableFastPath() { m.noFastPath = true }
@@ -23,3 +25,12 @@ func (m *Machine) CheckAggregates() string {
 	}
 	return ""
 }
+
+// CPUTime returns the accumulated CPU time accounted to the class.
+func (m *Machine) CPUTime(class Class) time.Duration { return m.cpuByClass[class] }
+
+// Name returns the process name.
+func (p *Process) Name() string { return p.name }
+
+// State returns the lifecycle state.
+func (p *Process) State() ProcState { return p.state }

@@ -151,11 +151,6 @@ func (m *Machine) Thrashing() bool {
 	return m.resident[Host]+m.resident[Guest]+m.cfg.KernelMem > m.cfg.RAM
 }
 
-// CPUTime returns the accumulated CPU time accounted to the class.
-func (m *Machine) CPUTime(class Class) time.Duration {
-	return m.cpuByClass[class]
-}
-
 // IdleTime returns the accumulated idle CPU time.
 func (m *Machine) IdleTime() time.Duration { return m.idleTime }
 

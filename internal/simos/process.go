@@ -121,20 +121,8 @@ func (p *Process) setState(next ProcState) {
 	p.state = next
 }
 
-// Name returns the process name.
-func (p *Process) Name() string { return p.name }
-
-// Class returns Host or Guest.
-func (p *Process) Class() Class { return p.class }
-
 // Nice returns the current nice level.
 func (p *Process) Nice() int { return p.nice }
-
-// RSS returns the resident set size in bytes.
-func (p *Process) RSS() int64 { return p.rss }
-
-// State returns the lifecycle state.
-func (p *Process) State() ProcState { return p.state }
 
 // CPUTime returns the total accounted CPU time.
 func (p *Process) CPUTime() time.Duration { return p.cpuTime }

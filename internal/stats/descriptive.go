@@ -17,15 +17,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum
-}
-
 // Min returns the smallest element of xs, or +Inf for an empty slice.
 func Min(xs []float64) float64 {
 	min := math.Inf(1)

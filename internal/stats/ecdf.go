@@ -43,26 +43,6 @@ func (e *ECDF) At(x float64) float64 {
 // Survival returns P(X > x) == 1 - At(x).
 func (e *ECDF) Survival(x float64) float64 { return 1 - e.At(x) }
 
-// Quantile returns the smallest sample value v with At(v) >= q.
-// q is clamped to [0,1]; an empty ECDF yields 0.
-func (e *ECDF) Quantile(q float64) float64 {
-	n := len(e.sorted)
-	if n == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return e.sorted[0]
-	}
-	if q >= 1 {
-		return e.sorted[n-1]
-	}
-	i := int(q * float64(n))
-	if i >= n {
-		i = n - 1
-	}
-	return e.sorted[i]
-}
-
 // Mean returns the sample mean (0 for an empty sample), in O(1).
 func (e *ECDF) Mean() float64 { return e.mean }
 

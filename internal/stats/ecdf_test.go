@@ -6,6 +6,26 @@ import (
 	"testing/quick"
 )
 
+// Quantile returns the smallest sample value v with At(v) >= q.
+// q is clamped to [0,1]; an empty ECDF yields 0.
+func (e *ECDF) Quantile(q float64) float64 {
+	n := len(e.sorted)
+	if n == 0 {
+		return 0
+	}
+	if q <= 0 {
+		return e.sorted[0]
+	}
+	if q >= 1 {
+		return e.sorted[n-1]
+	}
+	i := int(q * float64(n))
+	if i >= n {
+		i = n - 1
+	}
+	return e.sorted[i]
+}
+
 func TestECDFBasics(t *testing.T) {
 	e := NewECDF([]float64{1, 2, 2, 3})
 	tests := []struct {

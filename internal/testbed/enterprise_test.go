@@ -50,8 +50,7 @@ func TestEnterpriseProfile(t *testing.T) {
 	}
 
 	// Weekend availability intervals are much longer than weekday ones.
-	wdI := tr.IntervalECDF(sim.Weekday)
-	weI := tr.IntervalECDF(sim.Weekend)
+	wdI, weI := tr.IntervalECDFs()
 	if !(weI.Mean() > wdI.Mean()*1.3) {
 		t.Errorf("weekend intervals (%vh) should be much longer than weekday (%vh)",
 			weI.Mean(), wdI.Mean())

@@ -7,8 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // TestMetricsDoNotPerturbOutputs is the determinism gate for the simulator
@@ -107,47 +105,5 @@ func TestSimMetricsAccounting(t *testing.T) {
 		if !strings.Contains(text, wantLine) {
 			t.Errorf("scrape missing %q", wantLine)
 		}
-	}
-}
-
-// TestStreamAnalyzerInstrument checks the analyzer-side metrics agree with
-// the analyzer's own results when fed a simulated fleet.
-func TestStreamAnalyzerInstrument(t *testing.T) {
-	cfg := Config{Machines: 3, Days: 5, Seed: 11}.withDefaults()
-	tr, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	reg := obs.NewRegistry()
-	a := trace.NewStreamAnalyzer(spanOf(cfg), calendarOf(cfg), cfg.Machines)
-	a.Instrument(reg)
-	for _, e := range tr.Events {
-		if err := a.Observe(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a.Finish()
-
-	var eventTotal uint64
-	var intervalCount uint64
-	for _, fam := range reg.Snapshot() {
-		switch fam.Name {
-		case "fgcs_trace_events_total":
-			for _, s := range fam.Series {
-				eventTotal += uint64(s.Value)
-			}
-		case "fgcs_trace_avail_interval_hours":
-			for _, s := range fam.Series {
-				intervalCount += s.Hist.Count
-			}
-		}
-	}
-	if got := uint64(a.Events()); eventTotal != got {
-		t.Errorf("metric events = %d, analyzer saw %d", eventTotal, got)
-	}
-	wantIntervals := uint64(len(a.IntervalLengths(sim.Weekday)) + len(a.IntervalLengths(sim.Weekend)))
-	if intervalCount != wantIntervals {
-		t.Errorf("metric intervals = %d, analyzer recorded %d", intervalCount, wantIntervals)
 	}
 }

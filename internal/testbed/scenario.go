@@ -22,12 +22,6 @@ const (
 	pilotDays     = 28
 )
 
-// ScenarioNames lists every fleet ScenarioTrace can generate: the markov
-// scenario library plus the lab-fitted bridge.
-func ScenarioNames() []string {
-	return append(markov.ScenarioNames(), LabFittedScenario)
-}
-
 // ScenarioTrace generates a fleet trace for the named scenario with the
 // config's fleet shape (machines, days, start weekday, seed). Markov
 // scenario names delegate to the generative library; LabFittedScenario

@@ -15,7 +15,7 @@ func TestScenarioTraceGeneratesLegalFleets(t *testing.T) {
 	cfg.Machines = 4
 	cfg.Days = 7
 	cfg.Seed = 6
-	for _, name := range ScenarioNames() {
+	for _, name := range append(markov.ScenarioNames(), LabFittedScenario) {
 		tr, err := ScenarioTrace(cfg, name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -182,8 +183,10 @@ func TestEncoderSinkV2RoundTrip(t *testing.T) {
 	if gotT, wantT := a.Table2(), want.MakeTable2(); !reflect.DeepEqual(gotT, wantT) {
 		t.Errorf("Table2 mismatch:\n got %+v\nwant %+v", gotT, wantT)
 	}
+	var wantECDF [2]*stats.ECDF
+	wantECDF[sim.Weekday], wantECDF[sim.Weekend] = want.IntervalECDFs()
 	for _, dt := range []sim.DayType{sim.Weekday, sim.Weekend} {
-		if !reflect.DeepEqual(a.IntervalECDF(dt), want.IntervalECDF(dt)) {
+		if !reflect.DeepEqual(a.IntervalECDF(dt), wantECDF[dt]) {
 			t.Errorf("IntervalECDF(%v) mismatch", dt)
 		}
 		if g, w := a.HourlyOccurrences(dt), want.HourlyOccurrences(dt); !reflect.DeepEqual(g, w) {

@@ -152,10 +152,13 @@ func TestRunSmall(t *testing.T) {
 		t.Fatal("no events generated")
 	}
 	// Every machine should see events (updatedb alone guarantees some).
-	counts := tr.CountByCause()
-	for m := 0; m < 3; m++ {
-		if counts[trace.MachineID(m)].Total < 7 {
-			t.Errorf("machine %d has only %d events over a week", m, counts[trace.MachineID(m)].Total)
+	var counts [3]int
+	for _, e := range tr.Events {
+		counts[e.Machine]++
+	}
+	for m, n := range counts {
+		if n < 7 {
+			t.Errorf("machine %d has only %d events over a week", m, n)
 		}
 	}
 }
@@ -251,8 +254,7 @@ func TestFigure6Calibration(t *testing.T) {
 		t.Skip("full simulation")
 	}
 	tr := fullTestbedTrace(t)
-	wd := tr.IntervalECDF(sim.Weekday)
-	we := tr.IntervalECDF(sim.Weekend)
+	wd, we := tr.IntervalECDFs()
 	if wd.N() < 1000 || we.N() < 200 {
 		t.Fatalf("too few intervals: weekday %d weekend %d", wd.N(), we.N())
 	}

@@ -69,9 +69,6 @@ func (t *Trace) analyze() *StreamAnalyzer {
 	return a
 }
 
-// CountByCause tallies events per machine and cause.
-func (t *Trace) CountByCause() map[MachineID]CauseCounts { return t.analyze().CountByCause() }
-
 // MakeTable2 computes Table 2 over all machines in the trace.
 func (t *Trace) MakeTable2() Table2 { return t.analyze().Table2() }
 
@@ -104,21 +101,13 @@ func widenPct(r [2]float64, v float64) [2]float64 {
 	return r
 }
 
-// IntervalECDF builds the Figure 6 curve: the empirical CDF of
-// availability-interval lengths (in hours) for intervals that begin on a
-// day of the given type.
-func (t *Trace) IntervalECDF(dt sim.DayType) *stats.ECDF { return t.analyze().IntervalECDF(dt) }
-
-// IntervalECDFs is IntervalECDF for both day types from one pass over the
-// trace, for callers that want the pair (Figure 6 plots both curves).
+// IntervalECDFs builds the Figure 6 curves, weekday and weekend, from one
+// pass over the trace: the empirical CDF of availability-interval lengths
+// (in hours) for intervals that begin on a day of each type.
 func (t *Trace) IntervalECDFs() (weekday, weekend *stats.ECDF) {
 	a := t.analyze()
 	return a.IntervalECDF(sim.Weekday), a.IntervalECDF(sim.Weekend)
 }
-
-// IntervalLengths returns the interval durations (hours) for a day type,
-// for callers that want raw samples rather than the ECDF.
-func (t *Trace) IntervalLengths(dt sim.DayType) []float64 { return t.analyze().IntervalLengths(dt) }
 
 // HourlyOccurrences reproduces Figure 7 for one day type: for each hour of
 // day, the mean and min..max range (across the days of that type in the

@@ -152,15 +152,6 @@ func (bf *BlockFile) NumBlocks() int { return len(bf.blocks) }
 // Block returns the i'th block's summary.
 func (bf *BlockFile) Block(i int) BlockMeta { return bf.blocks[i] }
 
-// Events returns the total event count across all blocks.
-func (bf *BlockFile) Events() int {
-	n := 0
-	for _, m := range bf.blocks {
-		n += m.Count
-	}
-	return n
-}
-
 // slice returns n bytes at off — a subslice when the file is in memory,
 // a fresh read otherwise.
 func (bf *BlockFile) slice(off, n int64, scratch *[]byte) ([]byte, error) {

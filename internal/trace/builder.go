@@ -19,9 +19,6 @@ type Builder struct {
 // NewBuilder creates a builder for one machine's event stream.
 func NewBuilder(m MachineID) *Builder { return &Builder{machine: m} }
 
-// Open reports whether an unavailability event is currently open.
-func (b *Builder) Open() bool { return b.open != nil }
-
 // OnTransition consumes one detector transition. It returns a completed
 // event when the transition closes one (the machine became available again,
 // or switched directly between failure states), and nil otherwise.

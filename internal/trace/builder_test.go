@@ -13,13 +13,13 @@ func tr(at time.Duration, from, to availability.State, lh float64) availability.
 
 func TestBuilderOpenClose(t *testing.T) {
 	b := NewBuilder(3)
-	if b.Open() {
+	if b.open != nil {
 		t.Error("fresh builder should have nothing open")
 	}
 	if ev := b.OnTransition(tr(time.Hour, availability.S1, availability.S3, 0.8)); ev != nil {
 		t.Errorf("opening should not return an event, got %+v", ev)
 	}
-	if !b.Open() {
+	if b.open == nil {
 		t.Error("event should be open")
 	}
 	ev := b.OnTransition(tr(2*time.Hour, availability.S3, availability.S1, 0.1))
@@ -35,7 +35,7 @@ func TestBuilderOpenClose(t *testing.T) {
 	if err := ev.Validate(); err != nil {
 		t.Errorf("built event invalid: %v", err)
 	}
-	if b.Open() {
+	if b.open != nil {
 		t.Error("nothing should remain open")
 	}
 }
@@ -45,7 +45,7 @@ func TestBuilderAvailableTransitionsIgnored(t *testing.T) {
 	if ev := b.OnTransition(tr(time.Hour, availability.S1, availability.S2, 0.4)); ev != nil {
 		t.Errorf("S1->S2 produced event %+v", ev)
 	}
-	if b.Open() {
+	if b.open != nil {
 		t.Error("S1->S2 should not open an event")
 	}
 }
@@ -61,7 +61,7 @@ func TestBuilderFailureToFailureSwitch(t *testing.T) {
 	if ev.State != availability.S3 || ev.End != 90*time.Minute {
 		t.Errorf("closed event = %+v", ev)
 	}
-	if !b.Open() {
+	if b.open == nil {
 		t.Fatal("an S5 event should now be open")
 	}
 	ev = b.OnTransition(tr(91*time.Minute, availability.S5, availability.S1, 0))

@@ -25,9 +25,9 @@ func ExampleTrace() {
 	for _, iv := range tr.Intervals(0) {
 		fmt.Printf("available %v for %v\n", iv.Start, iv.Duration())
 	}
-	counts := tr.CountByCause()[0]
+	tb := tr.MakeTable2() // one machine: each range is that machine's count
 	fmt.Printf("events: %d total, %d cpu, %d memory\n",
-		counts.Total, counts.CPU, counts.Memory)
+		tb.Total.Max, tb.CPU.Max, tb.Memory.Max)
 
 	// Output:
 	// available 0s for 2h0m0s

@@ -52,10 +52,6 @@ type StreamAnalyzer struct {
 	lastStart  sim.Time
 	finished   bool
 	rebootsCut time.Duration
-
-	// met, when non-nil (see Instrument), mirrors the accumulation into a
-	// scrapable obs registry without affecting any computed result.
-	met *streamMetrics
 }
 
 // NewStreamAnalyzer creates an analyzer for a stream covering span with the
@@ -136,8 +132,6 @@ func (a *StreamAnalyzer) observe(e *Event) error {
 		a.cursor = a.span.Start
 	}
 	a.lastStart = e.Start
-
-	a.noteEvent(e)
 
 	// Table 2 accumulation. A header with an unknown fleet size (machines
 	// 0) grows the counts on demand.
@@ -225,9 +219,7 @@ func (a *StreamAnalyzer) closeMachine() {
 // addInterval records one availability interval for Figure 6.
 func (a *StreamAnalyzer) addInterval(start, end sim.Time) {
 	dt := a.cal.DayType(start)
-	h := (end - start).Hours()
-	a.ivLens[dt] = append(a.ivLens[dt], h)
-	a.noteInterval(dt, h)
+	a.ivLens[dt] = append(a.ivLens[dt], (end - start).Hours())
 }
 
 // creditIdle records one full-span availability interval for each machine
@@ -261,12 +253,6 @@ func (a *StreamAnalyzer) Finish() {
 
 // Events returns how many events were observed.
 func (a *StreamAnalyzer) Events() int { return a.events }
-
-// Machines returns the analyzed machine count.
-func (a *StreamAnalyzer) Machines() int { return a.machines }
-
-// Span returns the analyzed observation window.
-func (a *StreamAnalyzer) Span() sim.Window { return a.span }
 
 // MachineDays returns the machine-days covered by the analyzed span.
 func (a *StreamAnalyzer) MachineDays() float64 {
@@ -321,16 +307,12 @@ func (a *StreamAnalyzer) CountByCause() map[MachineID]CauseCounts {
 	return out
 }
 
-// Range returns the machine range [lo, hi) the analyzer covers.
-func (a *StreamAnalyzer) Range() (lo, hi MachineID) { return a.lo, a.hi }
-
 // MergeFrom folds the finished partial analyzer b, covering the machine
 // range immediately after a's, into a — afterwards a covers [a.lo, b.hi)
 // and every query answers exactly as a single serial pass over the combined
 // range would have. Merging is associative: any grouping of adjacent
 // partials yields the identical result, which is what lets the parallel
 // scanner combine partials as workers finish. b must not be used again.
-// Instrumentation (Instrument) is per-partial and is not merged.
 func (a *StreamAnalyzer) MergeFrom(b *StreamAnalyzer) error {
 	if !a.finished || !b.finished {
 		return fmt.Errorf("trace: MergeFrom needs both analyzers finished")

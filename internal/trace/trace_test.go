@@ -157,7 +157,7 @@ func TestCountByCauseAndTable2(t *testing.T) {
 	// Machine 1: 1 CPU.
 	tr.Add(mkEvent(1, 1*time.Hour, 2*time.Hour, availability.S3))
 
-	counts := tr.CountByCause()
+	counts := tr.analyze().CountByCause()
 	if c := counts[0]; c.Total != 6 || c.CPU != 3 || c.Memory != 1 || c.URR != 2 {
 		t.Errorf("machine 0 counts = %+v", c)
 	}
@@ -243,8 +243,7 @@ func TestIntervalECDFByDayType(t *testing.T) {
 	tr := New(span(7*sim.Day), sim.Calendar{}, 1)
 	sat := 5 * sim.Day
 	tr.Add(mkEvent(0, sat+2*time.Hour, sat+3*time.Hour, availability.S3))
-	wd := tr.IntervalECDF(sim.Weekday)
-	we := tr.IntervalECDF(sim.Weekend)
+	wd, we := tr.IntervalECDFs()
 	// Weekday: the single long interval [0, Sat+2h) starts Monday.
 	if wd.N() != 1 {
 		t.Errorf("weekday intervals = %d, want 1", wd.N())
