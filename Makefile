@@ -114,16 +114,17 @@ bench-smoke:
 # merge associativity, whole-file decode (every cut of a salvaged file, two
 # broken blocks), one point index shared by 1, 4 and 8 readers over a trace
 # and over block files, and the evaluation whose truth pass shares one, the
-# testbed at 1 and 4 workers and the sharded v2 encoder round-trip, the
-# model fit and generate, and contention Figures 1(a) and 4 at GOMAXPROCS 1
-# and 4 — all on small fixed-seed inputs, each equal to its serial run; then
-# the paper's artefact goldens at one and four workers (no -race: the legs
-# above race-check the same stages).
+# testbed at 1 and 4 workers, the sharded v2 encoder round-trip and the
+# streaming runner's sink contract, waiting-machine bound and stop on a
+# sink error, the model fit and generate, and contention Figures 1(a) and
+# 4 at GOMAXPROCS 1 and 4 — all on small fixed-seed inputs, each equal to
+# its serial run; then the paper's artefact goldens at one and four workers
+# (no -race: the legs above race-check the same stages).
 bench-parallel:
 	$(GO) test -race -count 1 ./internal/par/
 	$(GO) test -race -count 1 -run 'TestAnalyzeBlock|TestMergeFrom|TestBlockIndexMatchesIndex|TestBlockFileSalvagesTruncation' ./internal/trace/
 	$(GO) test -race -count 1 -run 'TestEvaluateBlocksMatchesEvaluate' ./internal/predict/
-	$(GO) test -race -count 1 -run 'TestRunDeterminism|TestEncoderSinkV2RoundTrip' ./internal/testbed/
+	$(GO) test -race -count 1 -run 'TestRunDeterminism|TestEncoderSinkV2RoundTrip|TestRunShardedSinkIsSerialAndOrdered|TestRunShardedBoundsWaitingMachines|TestRunShardedPropagatesSinkError' ./internal/testbed/
 	$(GO) test -race -count 1 -run 'TestGenerateDeterministic|TestFitMatchesPerMachineScans' ./internal/markov/
 	$(GO) test -race -count 1 -run 'TestFiguresSerialEqualsParallel' ./internal/contention/
 	GOMAXPROCS=1 $(GO) test -count 1 -run TestArtefacts .

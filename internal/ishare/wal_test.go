@@ -2,6 +2,7 @@ package ishare
 
 import (
 	"bytes"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -268,4 +269,110 @@ func TestWALRejectsOversizedAndCorruptFrames(t *testing.T) {
 	if n, _, err := replayWALBytes(bad, nil); n != 0 || err == nil {
 		t.Fatalf("corrupt payload accepted: n=%d err=%v", n, err)
 	}
+}
+
+// oldSnapshotBytes frames records the way compaction did before it built
+// frames in the log's reused buffer: each payload encoded from nil, then
+// header and payload written one after the other.
+func oldSnapshotBytes(state []walRecord) []byte {
+	var b []byte
+	for _, rec := range state {
+		b = appendWALFrame(b, encodeWALRecord(rec))
+	}
+	return b
+}
+
+// TestCompactionBytesMatchFramedRecords compacts a churned shard —
+// registrations across several 512-entry records, heartbeats that change
+// state, removals that free IDs, re-registrations that reuse them — and
+// expects the snapshot file to hold exactly each record's payload framed
+// with its length and CRC, in order.
+func TestCompactionBytesMatchFramedRecords(t *testing.T) {
+	dir := t.TempDir()
+	r, err := NewRegistryWithOptions("127.0.0.1:0", RegistryOptions{
+		TTL: time.Minute, WAL: &WALOptions{Dir: dir, SyncInterval: -1, CompactEvery: 1 << 30}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ds := testFleetDigests(1300, 4000)
+	for lo := 0; lo < len(ds); lo += 100 {
+		if resp := r.handle(Request{Op: "register_batch", Digests: ds[lo:min(lo+100, len(ds))]}); !resp.OK {
+			t.Fatalf("register_batch: %s", resp.Error)
+		}
+	}
+	for i := 0; i < len(ds); i += 7 {
+		ds[i].State, ds[i].Load, ds[i].Gen, ds[i].UnixMS = "S3(cpu-unavail)", 0.97, ds[i].Gen+1, 5000
+	}
+	if resp := r.handle(Request{Op: "heartbeat_batch", Digests: ds}); !resp.OK {
+		t.Fatalf("heartbeat_batch: %s", resp.Error)
+	}
+	var gone []string
+	for i := 3; i < len(ds); i += 11 {
+		gone = append(gone, ds[i].Name)
+	}
+	if resp := r.handle(Request{Op: "unregister", Names: gone}); !resp.OK {
+		t.Fatalf("unregister: %s", resp.Error)
+	}
+	back := testFleetDigests(1400, 6000)[1300:]
+	if resp := r.handle(Request{Op: "register_batch", Digests: back}); !resp.OK {
+		t.Fatalf("register_batch: %s", resp.Error)
+	}
+
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	state := r.snapshotRecordsLocked()
+	if len(state) < 3 {
+		t.Fatalf("%d snapshot records, want several 512-entry ones", len(state))
+	}
+	if err := r.wal.compact(state); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, snapFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := oldSnapshotBytes(state); !bytes.Equal(got, want) {
+		t.Fatalf("snapshot is %d bytes, want the %d bytes of the framed records", len(got), len(want))
+	}
+}
+
+// TestCompactAllocsConstant holds compaction's allocations to a constant
+// — the snapshot's path, file and rename — whatever the number of records:
+// every frame is built in the log's reused buffer. The bound is on 49
+// records, a 25 000-node shard's snapshot, where framing each record from
+// a fresh payload cost at least one allocation a record (548 in all).
+func TestCompactAllocsConstant(t *testing.T) {
+	w, _, err := openWAL(WALOptions{Dir: t.TempDir(), SyncInterval: -1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close(false)
+	state := make([]walRecord, 49)
+	for i := range state {
+		entries := make([]walEntry, 64)
+		for j := range entries {
+			entries[j] = walEntry{d: NodeDigest{Name: fmt.Sprintf("m%05d", i*64+j), Addr: "10.0.0.1:70",
+				State: "S1(full)", Load: 0.25, Gen: 3, UnixMS: 4000}, lastSeenMS: 4001}
+		}
+		state[i] = walRecord{kind: walKindUpsert, entries: entries}
+	}
+	if err := w.compact(state); err != nil { // sizes the frame buffer
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := w.compact(state); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations to compact %d records", allocs, len(state))
+	const most = 12 // 9 on linux/amd64, go1.24
+	if allocs > most {
+		t.Fatalf("compaction of %d records allocated %.0f times, want at most %d", len(state), allocs, most)
+	}
+}
+
+// encodeWALRecord encodes one record's payload into a fresh slice.
+func encodeWALRecord(rec walRecord) []byte {
+	return encodeWALRecordTo(nil, rec)
 }

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/markov"
-	"repro/internal/obs"
 )
 
 // Config parameterizes one load run. The zero value is not runnable; see
@@ -76,9 +75,6 @@ type Config struct {
 	// SLO holds the latency objectives checked after the run; zero fields
 	// are ungated.
 	SLO SLO
-	// Obs, when set, receives the run's latency histograms
-	// (fgcs_loadgen_*_seconds) and fleet gauges. Nil keeps them private.
-	Obs *obs.Registry
 }
 
 // SLO are the latency objectives of a run. Register and heartbeat

@@ -12,7 +12,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/ishare"
 	"repro/internal/markov"
-	"repro/internal/obs"
 	"repro/internal/par"
 )
 
@@ -156,26 +155,6 @@ type Result struct {
 	Violations []string `json:"violations,omitempty"`
 }
 
-// runMetrics are the obs-exported histograms of a run.
-type runMetrics struct {
-	register  *obs.Histogram
-	heartbeat *obs.Histogram
-	discover  *obs.Histogram
-	forecast  *obs.Histogram
-	fleet     *obs.Gauge
-}
-
-func newRunMetrics(r *obs.Registry) *runMetrics {
-	buckets := obs.ExpBuckets(0.0005, 2, 14) // 0.5 ms .. ~4 s
-	return &runMetrics{
-		register:  r.Histogram("fgcs_loadgen_register_seconds", "latency of one register_batch request", buckets),
-		heartbeat: r.Histogram("fgcs_loadgen_heartbeat_seconds", "latency of one heartbeat_batch request", buckets),
-		discover:  r.Histogram("fgcs_loadgen_discover_seconds", "latency of one fan-out discovery", buckets),
-		forecast:  r.Histogram("fgcs_loadgen_forecast_seconds", "latency of one batched forecast query", buckets),
-		fleet:     r.Gauge("fgcs_loadgen_fleet_nodes", "simulated nodes registered by the driver"),
-	}
-}
-
 // simNode is one simulated fleet member: protocol-level only, no listener.
 type simNode struct {
 	name  string
@@ -190,8 +169,6 @@ type simNode struct {
 type run struct {
 	ctx      context.Context
 	cfg      Config
-	obs      *obs.Registry
-	met      *runMetrics
 	sharded  *ishare.ShardedRegistry
 	addrs    []string
 	inj      *chaos.Injector
@@ -239,13 +216,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	defer sharded.Close()
-	r := &run{ctx: ctx, cfg: cfg, obs: cfg.Obs, sharded: sharded, addrs: sharded.Addrs(),
+	r := &run{ctx: ctx, cfg: cfg, sharded: sharded, addrs: sharded.Addrs(),
 		inj: chaos.New(cfg.Seed), rng: rand.New(rand.NewSource(cfg.Seed)), dist: dist,
 		fleet: make([]*simNode, cfg.Nodes), perShard: make([][]*simNode, cfg.Shards)}
-	if r.obs == nil {
-		r.obs = obs.NewRegistry()
-	}
-	r.met = newRunMetrics(r.obs)
 	r.client = &ishare.Client{Shards: r.addrs, Dialer: r.inj, Timeout: 10 * time.Second}
 
 	// Build the fleet: names, fake addresses (these nodes are never
@@ -290,9 +263,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 }
 
 // timed runs len(samples) ops on the run's workers, times each into its
-// slot and h, and summarizes the samples over the call's wall time. The
-// first op error stops the phase.
-func (r *run) timed(samples []time.Duration, h *obs.Histogram, op func(i int) error) (LatencyStats, error) {
+// slot, and summarizes the samples over the call's wall time. The first op
+// error stops the phase.
+func (r *run) timed(samples []time.Duration, op func(i int) error) (LatencyStats, error) {
 	start := time.Now()
 	err := par.For(len(samples), r.cfg.Concurrency, func(_ *struct{}, i int) error {
 		t0 := time.Now()
@@ -300,7 +273,6 @@ func (r *run) timed(samples []time.Duration, h *obs.Histogram, op func(i int) er
 			return err
 		}
 		samples[i] = time.Since(t0)
-		h.Observe(samples[i].Seconds())
 		return nil
 	})
 	return summarize(samples, time.Since(start)), err
@@ -310,11 +282,7 @@ func (r *run) timed(samples []time.Duration, h *obs.Histogram, op func(i int) er
 // registrations, addresses included, when register is set, else as
 // heartbeats, which must find every node known to its shard.
 func (r *run) sweep(samples []time.Duration, register bool) (LatencyStats, error) {
-	h := r.met.heartbeat
-	if register {
-		h = r.met.register
-	}
-	return r.timed(samples, h, func(i int) error {
+	return r.timed(samples, func(i int) error {
 		batch := r.batches[i]
 		ds := make([]ishare.NodeDigest, len(batch))
 		now := time.Now().UnixMilli()
@@ -342,7 +310,6 @@ func (r *run) sweep(samples []time.Duration, register bool) (LatencyStats, error
 // register registers the whole fleet.
 func (r *run) register(res *Result) (err error) {
 	res.Register, err = r.sweep(make([]time.Duration, len(r.batches)), true)
-	r.met.fleet.Set(float64(r.cfg.Nodes))
 	return err
 }
 
@@ -373,7 +340,7 @@ func (r *run) heartbeat(res *Result) error {
 // returns the fewest candidates any of them saw, failing if that is none.
 func (r *run) measureDiscovery(what string, b *ishare.Broker) (LatencyStats, int, error) {
 	cands := make([]int, r.cfg.DiscoverOps)
-	stats, err := r.timed(make([]time.Duration, r.cfg.DiscoverOps), r.met.discover, func(i int) error {
+	stats, err := r.timed(make([]time.Duration, r.cfg.DiscoverOps), func(i int) error {
 		cs, err := b.Candidates(r.ctx)
 		if err != nil {
 			return fmt.Errorf("loadgen: %s %d: %w", what, i, err)
@@ -391,7 +358,7 @@ func (r *run) measureDiscovery(what string, b *ishare.Broker) (LatencyStats, int
 // discover measures ranked fan-out discovery, the latency that bounds
 // every placement decision.
 func (r *run) discover(res *Result) (err error) {
-	b := &ishare.Broker{Client: r.client, CacheTTL: time.Minute, Obs: r.obs}
+	b := &ishare.Broker{Client: r.client, CacheTTL: time.Minute}
 	res.Discover, res.Candidates, err = r.measureDiscovery("discovery", b)
 	return err
 }
@@ -402,7 +369,7 @@ func (r *run) discover(res *Result) (err error) {
 // forecasts of forecastNames of its own nodes, walking round the shard.
 func (r *run) forecast(res *Result) error {
 	known := make([]int, r.cfg.ForecastOps)
-	stats, err := r.timed(make([]time.Duration, r.cfg.ForecastOps), r.met.forecast, func(i int) error {
+	stats, err := r.timed(make([]time.Duration, r.cfg.ForecastOps), func(i int) error {
 		nodes := r.perShard[r.batches[i%len(r.batches)][0].shard] // a batch's shard owns nodes
 		names := make([]string, min(forecastNames, len(nodes)))
 		for k := range names {
@@ -442,7 +409,6 @@ func (r *run) degraded(what string, breaker int, cut func() error) (*ishare.Brok
 		CacheTTL:         time.Minute,
 		BreakerThreshold: breaker,
 		BreakerCooldown:  30 * time.Second,
-		Obs:              r.obs,
 	}
 	if _, err := b.Candidates(r.ctx); err != nil {
 		return nil, nil, 0, fmt.Errorf("loadgen: warming %s broker: %w", what, err)
@@ -573,7 +539,6 @@ func RunScaling(ctx context.Context, cfg Config, shardCounts []int) ([]ScalingRe
 		c.Shards = n
 		c.Partition = false
 		c.CrashRestart = false
-		c.Obs = nil // fresh private registry per row: histograms must not mix
 		res, err := Run(ctx, c)
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: scaling row %d shards: %w", n, err)

@@ -25,9 +25,11 @@
 // recomputed from the detected events, not from the generator's bookkeeping,
 // so the whole detection pipeline is exercised end to end.
 //
-// There is one runner: RunSharded simulates the fleet a shard of machines
-// at a time on Config.Parallelism workers (par.For) and streams each shard
-// to an EventSink; Run is that runner with the whole fleet as one shard,
-// collected in memory. The per-period reference runner it is compared
-// against lives in internal/check, built on ObservationStream.
+// There is one runner: RunSharded simulates the fleet on
+// Config.Parallelism workers (par.For) and streams each machine's events to
+// an EventSink once every lower machine's have gone, so the sink works
+// while the simulation goes on and at most a shard of machines waits; Run
+// is that runner with the whole fleet as one shard, collected in memory.
+// The per-period reference runner it is compared against lives in
+// internal/check, built on ObservationStream.
 package testbed

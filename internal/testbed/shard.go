@@ -3,6 +3,7 @@ package testbed
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/par"
 	"repro/internal/trace"
@@ -22,14 +23,18 @@ type EventSink interface {
 	ShardDone(first trace.MachineID, n int) error
 }
 
-// RunSharded simulates the testbed in machine chunks of shardSize,
-// streaming each shard's events to sink as the shard completes. Within a
-// shard, machines are simulated on cfg.Parallelism workers (par.For),
-// but only one shard is resident at a time, so peak memory is O(shard),
-// not O(fleet) — the property that turns "1,000 machines x 1 year" from an
-// OOM into a routine run. Per-machine simulations depend only on (cfg, id),
-// and the sink sees machines in id order, so a fixed seed produces exactly
-// the event stream of the in-memory Run path regardless of shard size or
+// RunSharded simulates the testbed in machine chunks of shardSize and
+// streams the events to sink machine by machine: a machine's events go to
+// the sink as soon as every lower-numbered machine's have, so the sink's
+// work (encoding, writing) overlaps the simulation and no shard waits for
+// its slowest machine. Machines are simulated on cfg.Parallelism workers
+// (par.For), and a worker starts machine i only once i is within shardSize
+// of the lowest machine not yet sunk, so at most a shard's worth of
+// machines' events is ever held and peak memory is O(shard), not O(fleet)
+// — the property that turns "1,000 machines x 1 year" from an OOM into a
+// routine run. Per-machine simulations depend only on (cfg, id), and the
+// sink sees machines in id order, so a fixed seed produces exactly the
+// event stream of the in-memory Run path regardless of shard size or
 // parallelism; the shard equivalence tests pin this byte for byte.
 func RunSharded(cfg Config, shardSize int, sink EventSink) error {
 	cfg = cfg.withDefaults()
@@ -42,42 +47,79 @@ func RunSharded(cfg Config, shardSize int, sink EventSink) error {
 // runShards is the one runner behind Run, RunWithOccupancy and RunSharded.
 // cfg must be defaulted and valid. occ, when non-nil, has one slot per
 // machine and receives that machine's state-occupancy fractions.
+//
+// Finished machines wait in a ring of shardSize slots, machine i in slot
+// i % shardSize, until the worker that finishes machine next (the lowest
+// not yet sunk) drains every consecutive finished machine to the sink,
+// closing each shard with ShardDone; any other worker only fills its slot.
+// A drainer empties next's slot before it calls the sink, so while it is
+// in the sink no other worker finds next ready: there is one drainer at a
+// time, and sink calls are never concurrent. The sink runs outside the
+// lock, so the other workers keep simulating meanwhile.
+//
+// The first error stops the run: no machine starts and the sink gets no
+// call after it. A machine's error is returned from its own index and a
+// sink error from the drainer's, which is at or below the machine being
+// sunk, so of the errors met par.For returns the one a serial
+// simulate-then-sink loop would meet first.
 func runShards(cfg Config, shardSize int, sink EventSink, occ []Occupancy) error {
 	// A shard never holds more than the fleet, so an oversized (or unset)
-	// shard size means one shard — and sizes the buffers by the fleet, not
-	// by whatever the caller asked for.
+	// shard size means one shard — and sizes the ring by the fleet, not by
+	// whatever the caller asked for.
 	if shardSize <= 0 || shardSize > cfg.Machines {
 		shardSize = cfg.Machines
 	}
-	events := make([][]trace.Event, shardSize)
-	for first := 0; first < cfg.Machines; first += shardSize {
-		n := min(shardSize, cfg.Machines-first)
-		err := par.For(n, cfg.Parallelism, func(_ *struct{}, i int) error {
-			id := trace.MachineID(first + i)
-			evs, timing, err := runMachine(cfg, id)
-			if err != nil {
-				return fmt.Errorf("testbed: machine %d: %w", first+i, err)
-			}
-			events[i] = evs
-			if occ != nil {
-				occ[id] = machineOccupancy(id, timing)
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			if err := sink.Machine(trace.MachineID(first+i), events[i]); err != nil {
-				return err
-			}
-			events[i] = nil
-		}
-		if err := sink.ShardDone(trace.MachineID(first), n); err != nil {
-			return err
-		}
+	var (
+		mu     sync.Mutex
+		moved  = sync.NewCond(&mu) // next advanced or the run failed
+		events = make([][]trace.Event, shardSize)
+		ready  = make([]bool, shardSize) // the slot holds a finished machine
+		next   int                       // lowest machine not yet sunk
+		failed bool                      // start and sink nothing more
+	)
+	fail := func(err error) error { // mu held
+		failed = true
+		moved.Broadcast()
+		return err
 	}
-	return nil
+	return par.For(cfg.Machines, cfg.Parallelism, func(_ *struct{}, i int) error {
+		mu.Lock()
+		defer mu.Unlock()
+		for !failed && i >= next+shardSize {
+			moved.Wait()
+		}
+		if failed {
+			return nil
+		}
+		mu.Unlock()
+		id := trace.MachineID(i)
+		evs, timing, err := runMachine(cfg, id)
+		if err == nil && occ != nil {
+			occ[id] = machineOccupancy(id, timing)
+		}
+		mu.Lock()
+		if err != nil {
+			return fail(fmt.Errorf("testbed: machine %d: %w", i, err))
+		}
+		events[i%shardSize], ready[i%shardSize] = evs, true
+		for !failed && ready[next%shardSize] {
+			j, slot := next, next%shardSize
+			evs := events[slot]
+			events[slot], ready[slot] = nil, false
+			mu.Unlock()
+			err := sink.Machine(trace.MachineID(j), evs)
+			if first := j - j%shardSize; err == nil && (j+1-first == shardSize || j+1 == cfg.Machines) {
+				err = sink.ShardDone(trace.MachineID(first), j+1-first)
+			}
+			mu.Lock()
+			if err != nil {
+				return fail(err)
+			}
+			next++
+			moved.Broadcast()
+		}
+		return nil
+	})
 }
 
 // SinkHeader returns the trace metadata a sink needs to frame the streamed

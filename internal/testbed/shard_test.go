@@ -7,8 +7,13 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -86,8 +91,9 @@ func (m *memShard) Close() error {
 	return nil
 }
 
-// errSink fails on a chosen call, checking error propagation out of
-// RunSharded.
+// errSink fails on a chosen Machine call, after a pause in which workers
+// unbounded by the runner's window would simulate the rest of the fleet,
+// checking error propagation out of RunSharded.
 type errSink struct {
 	failOn   int
 	calls    int
@@ -97,6 +103,7 @@ type errSink struct {
 func (s *errSink) Machine(trace.MachineID, []trace.Event) error {
 	s.calls++
 	if s.calls == s.failOn {
+		time.Sleep(50 * time.Millisecond)
 		return s.sentinel
 	}
 	return nil
@@ -104,12 +111,151 @@ func (s *errSink) Machine(trace.MachineID, []trace.Event) error {
 
 func (s *errSink) ShardDone(trace.MachineID, int) error { return nil }
 
+// machinesDone reads the run-wide count of finished machine simulations.
+func machinesDone(r *obs.Registry) uint64 {
+	return r.Counter("fgcs_sim_machines_done_total", "machines whose simulation completed").Value()
+}
+
+// TestRunShardedPropagatesSinkError checks that a failed sink call ends
+// the run with the sink's error, that the sink hears nothing after it,
+// and that at most a shard's worth of machines beyond the failing one was
+// simulated.
 func TestRunShardedPropagatesSinkError(t *testing.T) {
+	const shardSize = 3
 	cfg := smallConfig()
+	cfg.Parallelism = 4
+	cfg.Metrics = obs.NewRegistry()
 	sentinel := fmt.Errorf("sink full")
-	err := RunSharded(cfg, 3, &errSink{failOn: 2, sentinel: sentinel})
+	sink := &errSink{failOn: 2, sentinel: sentinel}
+	err := RunSharded(cfg, shardSize, sink)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("RunSharded returned %v, want the sink's error", err)
+	}
+	if sink.calls != sink.failOn {
+		t.Errorf("sink got %d Machine calls, want none after the failing call %d", sink.calls, sink.failOn)
+	}
+	if done, most := machinesDone(cfg.Metrics), uint64(sink.failOn+shardSize); done > most {
+		t.Errorf("%d machines simulated, want at most %d: the failing one's and a shard beyond", done, most)
+	}
+}
+
+// orderSink records every call, failing the test if one enters while
+// another is still inside the sink.
+type orderSink struct {
+	t      *testing.T
+	inside atomic.Bool
+	ids    []trace.MachineID
+	shards [][2]int
+	events []trace.Event
+}
+
+func (s *orderSink) enter() {
+	if !s.inside.CompareAndSwap(false, true) {
+		s.t.Error("sink called while another call was in progress")
+	}
+	runtime.Gosched() // widen the window in which a second call would overlap
+}
+
+func (s *orderSink) Machine(id trace.MachineID, events []trace.Event) error {
+	s.enter()
+	defer s.inside.Store(false)
+	s.ids = append(s.ids, id)
+	s.events = append(s.events, events...)
+	return nil
+}
+
+func (s *orderSink) ShardDone(first trace.MachineID, n int) error {
+	s.enter()
+	defer s.inside.Store(false)
+	s.shards = append(s.shards, [2]int{int(first), n})
+	return nil
+}
+
+// TestRunShardedSinkIsSerialAndOrdered holds the EventSink contract at
+// every shard size and worker count: calls never overlap, Machine sees
+// every id once in increasing order, ShardDone follows each shard's last
+// machine with that shard's range, and the stream is Run's.
+func TestRunShardedSinkIsSerialAndOrdered(t *testing.T) {
+	cfg := smallConfig()
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shardSize := range []int{1, 2, 3, 7, cfg.Machines, cfg.Machines + 5} {
+		for _, workers := range []int{1, 2, 4, 8} {
+			t.Run(fmt.Sprintf("shard=%d/workers=%d", shardSize, workers), func(t *testing.T) {
+				c := cfg
+				c.Parallelism = workers
+				sink := &orderSink{t: t}
+				if err := RunSharded(c, shardSize, sink); err != nil {
+					t.Fatal(err)
+				}
+				var wantIDs []trace.MachineID
+				var wantShards [][2]int
+				size := min(shardSize, cfg.Machines)
+				for first := 0; first < cfg.Machines; first += size {
+					wantShards = append(wantShards, [2]int{first, min(size, cfg.Machines-first)})
+					for id := first; id < min(first+size, cfg.Machines); id++ {
+						wantIDs = append(wantIDs, trace.MachineID(id))
+					}
+				}
+				if !slices.Equal(sink.ids, wantIDs) {
+					t.Errorf("Machine ids %v, want %v", sink.ids, wantIDs)
+				}
+				if !slices.Equal(sink.shards, wantShards) {
+					t.Errorf("ShardDone calls %v, want %v", sink.shards, wantShards)
+				}
+				if !slices.Equal(sink.events, want.Events) {
+					t.Error("event stream differs from Run's")
+				}
+			})
+		}
+	}
+}
+
+// blockingSink holds the first Machine call until the runner has had time
+// to run ahead, then collects the run.
+type blockingSink struct {
+	*CollectSink
+	t       *testing.T
+	metrics *obs.Registry
+	bound   uint64
+}
+
+func (s *blockingSink) Machine(id trace.MachineID, events []trace.Event) error {
+	if id == 0 {
+		deadline := time.Now().Add(30 * time.Second)
+		for machinesDone(s.metrics) < s.bound && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(50 * time.Millisecond)
+		if done := machinesDone(s.metrics); done != s.bound {
+			s.t.Errorf("%d machines simulated while machine 0 sat in the sink, want %d (one shard)", done, s.bound)
+		}
+	}
+	return s.CollectSink.Machine(id, events)
+}
+
+// TestRunShardedBoundsWaitingMachines stalls the sink in machine 0 and
+// checks that the four workers simulate only the first shard meanwhile:
+// a machine waits to start until it is within a shard of the lowest
+// machine not yet sunk, which is what keeps memory O(shard).
+func TestRunShardedBoundsWaitingMachines(t *testing.T) {
+	const shardSize = 3
+	cfg := smallConfig()
+	cfg.Machines = 12
+	cfg.Parallelism = 4
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Metrics = obs.NewRegistry()
+	sink := &blockingSink{CollectSink: NewCollectSink(cfg), t: t, metrics: cfg.Metrics, bound: shardSize}
+	if err := RunSharded(cfg, shardSize, sink); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(sink.Trace.Events, want.Events) {
+		t.Error("event stream differs from Run's")
 	}
 }
 
