@@ -24,16 +24,17 @@ bench-build:
 test:
 	$(GO) test ./...
 
-# Race-check the packages with concurrent hot paths: the iShare network
-# layer and its servers, the chaos fault injector, and par, the one worker
-# pool, with every package that runs a stage on it — the block scan
-# (trace), the testbed runner, the contention sweeps (whose calibration
-# cache is shared across workers), fit and generate (markov), predictor
-# scoring (reading stats.ECDF concurrently), the load driver, the
+# Race-check every internal package. The ones with concurrent hot paths are
+# the iShare network layer and its servers, the chaos fault injector, and
+# par, the one worker pool, with every package that runs a stage on it —
+# the block scan (trace), the testbed runner, the contention sweeps (whose
+# calibration cache is shared across workers), fit and generate (markov),
+# predictor scoring (reading stats.ECDF concurrently), the load driver, the
 # detector and differential harness that drive the runner in parallel, and
-# the monitor's detection engine, which a node's handler goroutines drive.
+# the monitor's detection engine, which a node's handler goroutines drive;
+# the rest are covered so a goroutine added to one is checked from the start.
 race:
-	$(GO) test -race ./internal/par/ ./internal/ishare/ ./internal/monitor/ ./internal/testbed/ ./internal/contention/ ./internal/trace/ ./internal/chaos/ ./internal/availability/ ./internal/check/ ./internal/forecast/ ./internal/loadgen/ ./internal/markov/ ./internal/predict/ ./internal/stats/
+	$(GO) test -race ./internal/...
 
 # Differential correctness gate, a test: TestDifferential replays 200
 # randomized seeds through the naive reference model and the optimized
@@ -106,7 +107,7 @@ markov-smoke:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunMachineWeek|BenchmarkTickSixProcesses|BenchmarkDetectorObserve' -benchtime 10x ./internal/testbed/ ./internal/simos/ ./internal/availability/
 	$(GO) test -run '^$$' -bench 'BenchmarkRunFullTestbed|BenchmarkRunShardedFleet|BenchmarkWriteBinary|BenchmarkStreamAnalyzer|BenchmarkEvaluateHistoryWindow|BenchmarkScore' -benchtime 1x ./internal/testbed/ ./internal/trace/ ./internal/predict/
-	$(GO) test -run '^$$' -bench 'BenchmarkWireHeartbeatBatch|BenchmarkWireReply|BenchmarkWireFormatLoad|BenchmarkRegistryHeartbeatBatch|BenchmarkListRanked|BenchmarkCandidates' -benchtime 10x -benchmem ./internal/ishare/
+	$(GO) test -run '^$$' -bench 'BenchmarkWireHeartbeatBatch|BenchmarkWireReply|BenchmarkWireFormatLoad|BenchmarkRegistryHeartbeatBatch|BenchmarkHandleRegisterBatch|BenchmarkListRanked|BenchmarkCandidates' -benchtime 10x -benchmem ./internal/ishare/
 	$(GO) test -run '^$$' -bench 'BenchmarkWriteBlocks|BenchmarkDecodeBlock|BenchmarkCollectEvents|BenchmarkAnalyzeBlockFiles|BenchmarkBlockIndexFirstTouch|BenchmarkBlockIndexQueryMix|BenchmarkFit|BenchmarkGenerate' -benchtime 10x -benchmem ./internal/trace/ ./internal/markov/
 
 # Serial == parallel under the race detector: par.For's contract, then each

@@ -34,7 +34,7 @@
 // Memory per node, held by test (history, 48 B, is built on the first
 // event): by name ≤ 76 heap bytes before it, ≤ 156 after one (61, 125
 // measured over 50 000 names — TestServiceBytesPerNode); a forecasting
-// shard, whose forecaster holds no names, ≤ 225 and ≤ 299 in all (182, 239
+// shard, whose forecaster holds no names, ≤ 125 and ≤ 194 in all (120, 177
 // over 20 000 digests — ishare.TestRegistryBytesPerNode). A start adds 8 B,
 // to 32 KiB a ring.
 package forecast

@@ -123,14 +123,14 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("truncation to good offset not clean: n=%d->%d off=%d->%d err=%v", n, n2, off, off2, err2)
 		}
 
-		r := &Registry{ids: map[string]uint32{}}
+		r := &Registry{}
 		replayWALBytes(data[:off], func(rec walRecord) {
-			before := make(map[string]int64, len(r.ids))
-			for name, id := range r.ids {
+			before := make(map[string]int64, r.ids.live)
+			for name, id := range nameIDs(r) {
 				before[name] = r.entries[id].seen
 			}
 			r.applyWALRecord(rec)
-			for name, id := range r.ids {
+			for name, id := range nameIDs(r) {
 				if was, ok := before[name]; ok && r.entries[id].seen < was {
 					t.Fatalf("record kind %d moved %q's stamp back from %d to %d", rec.kind, name, was, r.entries[id].seen)
 				}
@@ -144,7 +144,7 @@ func FuzzWALReplay(f *testing.F) {
 			return b
 		}
 		first := snapshot(r)
-		again := &Registry{ids: map[string]uint32{}}
+		again := &Registry{}
 		if _, _, err := replayWALBytes(first, again.applyWALRecord); err != nil {
 			t.Fatalf("snapshot does not replay: %v", err)
 		}

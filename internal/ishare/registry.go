@@ -42,17 +42,23 @@ type Registry struct {
 	opt RegistryOptions
 
 	mu sync.RWMutex
-	// ids is the shard's one string-keyed table: a name is resolved once
-	// per digest to a dense ID, and entries, buckets and the forecaster are
-	// indexed by it. An unregistered node's ID goes to free and is reused
-	// before entries grows, so all three stay bounded by the live nodes.
-	ids     map[string]uint32
+	// ids resolves a name once per digest to a dense ID, and entries,
+	// states, buckets and the forecaster are indexed by it. An unregistered
+	// node's ID goes to free and is reused before entries grows, so all of
+	// them stay bounded by the live nodes.
+	ids     nameIndex
 	entries []registryEntry
 	free    []uint32
-	// buckets index alive-or-not entries by digest score (see digestScore):
-	// 0 = S1, 1 = S2, 2 = no digest, 3 = unavailable (S3–S5). Ranked
-	// discovery walks buckets 0 and 1 and stops at Limit, starting where
-	// cursor points so successive walks spread over a bucket.
+	// states is each entry's state by ID, coded (stateCode); otherStates
+	// holds, by ID, each state coded stateOther, kept verbatim for list to
+	// echo.
+	states      []uint8
+	otherStates map[uint32]string
+	// buckets index alive-or-not entries by digest score (see digestScore),
+	// the score of the entry's state: 0 = S1, 1 = S2, 2 = no digest, 3 =
+	// unavailable (S3–S5). Ranked discovery walks buckets 0 and 1 and stops
+	// at Limit, starting where cursor points so successive walks spread
+	// over a bucket.
 	buckets [4][]uint32
 	cursor  atomic.Uint32
 	met     *registryMetrics // nil until Instrument
@@ -86,16 +92,98 @@ type Registry struct {
 	crashed atomic.Bool
 }
 
-// registryEntry is one node's record, 80 B: its last digest as list echoes
-// it, and seen, the last-seen stamp in Unix nanoseconds (math.MinInt64 until
-// the first): a wall reading without the monotonic one a replayed stamp never had.
+// registryEntry is one node's record, 48 B with one pointer: its last
+// digest as list echoes it, less the state, which Registry.states holds,
+// and seen, the last-seen stamp in Unix nanoseconds (math.MinInt64 until
+// the first): a wall reading without the monotonic one a replayed stamp
+// never had. The name and the address are one string, the name its first
+// nameLen bytes.
 type registryEntry struct {
-	name, addr, state string
-	load              float64
-	gen               int64
-	seen              int64
-	bucket            uint8
-	pos               uint32 // buckets[bucket][pos] is this entry's ID
+	key     string
+	load    float64
+	gen     int64
+	seen    int64
+	nameLen uint32
+	pos     uint32 // buckets[Registry.bucket(id)][pos] is this entry's ID
+}
+
+// name and addr are the two parts of the entry's key.
+func (e *registryEntry) name() string { return e.key[:e.nameLen] }
+func (e *registryEntry) addr() string { return e.key[e.nameLen:] }
+
+// setKey stores name and addr as one new string: a decoded name or address
+// shares its message's allocation, which the entry must not pin.
+func (e *registryEntry) setKey(name, addr string) {
+	if addr == "" {
+		e.key = strings.Clone(name)
+	} else {
+		e.key = name + addr
+	}
+	e.nameLen = uint32(len(name))
+}
+
+// stateOther codes a state that is none of the five state names.
+const stateOther = math.MaxUint8
+
+// stateCode is s as Registry.states holds it: its index in codeStates,
+// stateOther if it has none.
+func stateCode(s string) uint8 {
+	if c := slices.Index(codeStates[:], s); c >= 0 {
+		return uint8(c)
+	}
+	return stateOther
+}
+
+// codeStates is the state each code but stateOther stands for — none, then
+// the five state names, short form and long — and codeBuckets its score
+// bucket.
+var codeStates, codeBuckets = func() (states [2*len(wireStates) + 1]string, buckets [2*len(wireStates) + 1]uint8) {
+	for d, forms := range wireStates {
+		states[1+2*d], states[2+2*d] = forms[0], forms[1]
+	}
+	for c, s := range states {
+		buckets[c] = uint8(digestScore(s))
+	}
+	return states, buckets
+}()
+
+// state is the state of the entry with the given ID.
+func (r *Registry) state(id uint32) string {
+	if c := r.states[id]; c != stateOther {
+		return codeStates[c]
+	}
+	return r.otherStates[id]
+}
+
+// bucket is the score bucket of the entry with the given ID.
+func (r *Registry) bucket(id uint32) uint8 {
+	if c := r.states[id]; c != stateOther {
+		return codeBuckets[c]
+	}
+	return uint8(digestScore(r.otherStates[id]))
+}
+
+// setStateLocked stores s as the state of the entry with the given ID.
+func (r *Registry) setStateLocked(id uint32, s string) {
+	if r.states[id] == stateOther {
+		delete(r.otherStates, id)
+	}
+	if r.states[id] = stateCode(s); r.states[id] == stateOther {
+		if r.otherStates == nil {
+			r.otherStates = make(map[uint32]string)
+		}
+		r.otherStates[id] = strings.Clone(s)
+	}
+}
+
+// idLocked is name's ID, math.MaxUint32 when the shard does not know it.
+func (r *Registry) idLocked(name string) uint32 { return r.ids.find(name, r.entries) }
+
+// liveLocked reports whether id is a registered node's, not a free slot:
+// every live ID is where its entry says in its bucket.
+func (r *Registry) liveLocked(id int) bool {
+	pos, b := r.entries[id].pos, r.buckets[r.bucket(uint32(id))]
+	return int(pos) < len(b) && b[pos] == uint32(id)
 }
 
 // stampMS is a logged Unix-millisecond stamp as an entry's stamp, held to
@@ -107,10 +195,11 @@ const maxStampMS = math.MaxInt64 / 1_000_000
 // unixMS is a stamp in Unix milliseconds, as time.Time.UnixMilli rounds it.
 func unixMS(seen int64) int64 { return time.Unix(0, seen).UnixMilli() }
 
-// info is the entry as list answers it at now.
-func (r *Registry) info(e *registryEntry, now int64) NodeInfo {
-	return NodeInfo{Name: e.name, Addr: e.addr, Alive: r.alive(e, now),
-		LastSeenMS: unixMS(e.seen), State: e.state, Load: e.load, Gen: e.gen}
+// info is the entry with the given ID as list answers it at now.
+func (r *Registry) info(id uint32, now int64) NodeInfo {
+	e := &r.entries[id]
+	return NodeInfo{Name: e.name(), Addr: e.addr(), Alive: r.alive(e, now),
+		LastSeenMS: unixMS(e.seen), State: r.state(id), Load: e.load, Gen: e.gen}
 }
 
 // alive reports whether e was seen at most the TTL before now: now - seen
@@ -213,11 +302,7 @@ func NewRegistryWithOptions(addr string, opt RegistryOptions) (*Registry, error)
 		return nil, fmt.Errorf("ishare: registry TTL must be positive, got %v", opt.TTL)
 	}
 	opt = opt.withDefaults()
-	r := &Registry{
-		ttl: opt.TTL,
-		opt: opt,
-		ids: make(map[string]uint32),
-	}
+	r := &Registry{ttl: opt.TTL, opt: opt}
 	if opt.Forecast != nil {
 		// Created before WAL recovery so replayed digests feed it too.
 		svc, err := forecast.NewService(forecast.ServiceConfig{Scale: opt.Forecast.Scale, EpochMS: opt.Forecast.EpochMS})
@@ -282,20 +367,17 @@ func (r *Registry) applyWALRecord(rec walRecord) {
 // A sweep heartbeats the batches it registered, in their order, so a batch
 // walks IDs upward: the name after ID p is guessed to be p+1's, and the
 // guess is taken when that entry holds the name. A freed entry holds "",
-// which is never taken from a guess. Any other name reads the map, and
-// guessing resumes only when the map answers p+1, so an unordered batch
+// which is never taken from a guess. Any other name reads the index, and
+// guessing resumes only when the index answers p+1, so an unordered batch
 // pays one integer compare a name over the lookups it made before.
 func (r *Registry) resolveLocked(n int, name func(int) string) []uint32 {
 	ids := r.batchIDs[:0]
 	prev, guessing := uint32(math.MaxUint32), false
 	for i := range n {
 		s, id := name(i), prev+1
-		if !guessing || s == "" || int(id) >= len(r.entries) || r.entries[id].name != s {
-			var ok bool
-			if id, ok = r.ids[s]; !ok {
-				id = math.MaxUint32
-			}
-			guessing = ok && id == prev+1
+		if !guessing || s == "" || int(id) >= len(r.entries) || r.entries[id].name() != s {
+			id = r.idLocked(s)
+			guessing = id != math.MaxUint32 && id == prev+1
 		}
 		if id != math.MaxUint32 {
 			prev = id
@@ -336,14 +418,14 @@ func (r *Registry) walLocked(due bool, err error) error {
 // ID order: one state, one byte string, and IDs kept if none was freed. Holds r.mu.
 func (r *Registry) snapshotRecordsLocked() []walRecord {
 	var recs []walRecord
-	entries := make([]walEntry, 0, len(r.ids))
+	entries := make([]walEntry, 0, r.ids.live)
 	for id := range r.entries {
-		e := &r.entries[id]
-		if b := r.buckets[e.bucket]; int(e.pos) >= len(b) || b[e.pos] != uint32(id) {
-			continue // a free slot: every live ID is where its entry says in its bucket
+		if !r.liveLocked(id) {
+			continue
 		}
+		e := &r.entries[id]
 		ms := unixMS(e.seen)
-		d := NodeDigest{Name: e.name, Addr: e.addr, State: e.state, Load: e.load, Gen: e.gen, UnixMS: ms}
+		d := NodeDigest{Name: e.name(), Addr: e.addr(), State: r.state(uint32(id)), Load: e.load, Gen: e.gen, UnixMS: ms}
 		entries = append(entries, walEntry{d: d, lastSeenMS: ms})
 	}
 	for len(entries) > 0 { // records of at most 512 entries
@@ -486,19 +568,21 @@ func (r *Registry) shed(conn net.Conn, req io.Reader) {
 // registerLocked resolves d's name to its ID — assigning one, a freed ID
 // before a new one, when the shard does not know the name — and applies d.
 func (r *Registry) registerLocked(d NodeDigest, now int64) {
-	id, ok := r.ids[d.Name]
-	if !ok {
+	id := r.idLocked(d.Name)
+	if id == math.MaxUint32 {
 		if n := len(r.free); n > 0 {
 			id, r.free = r.free[n-1], r.free[:n-1]
 		} else {
 			id = uint32(len(r.entries))
 			r.entries = append(r.entries, registryEntry{})
+			r.states = append(r.states, 0)
 		}
-		name := strings.Clone(d.Name) // a decoded name shares its message's allocation
-		r.ids[name] = id
 		// Until upsert says otherwise it is a node with no digest: bucket 2.
-		r.entries[id] = registryEntry{name: name, seen: math.MinInt64, bucket: 2, pos: uint32(len(r.buckets[2]))}
+		e := &r.entries[id]
+		*e = registryEntry{seen: math.MinInt64, pos: uint32(len(r.buckets[2]))}
+		e.setKey(d.Name, d.Addr)
 		r.buckets[2] = append(r.buckets[2], id)
+		r.ids.insert(id, r.entries)
 	}
 	r.upsertLocked(id, d, now)
 }
@@ -515,9 +599,10 @@ func (r *Registry) registerLocked(d NodeDigest, now int64) {
 // WAL logs in compact form.
 func (r *Registry) upsertLocked(id uint32, d NodeDigest, now int64) bool {
 	e := &r.entries[id]
-	addr, state, load, gen := e.addr, e.state, e.load, e.gen
-	if d.Addr != "" && d.Addr != e.addr {
-		e.addr = strings.Clone(d.Addr)
+	load, gen, bucket := e.load, e.gen, r.bucket(id)
+	advanced := d.Addr != "" && d.Addr != e.addr()
+	if advanced {
+		e.setKey(e.name(), d.Addr)
 	}
 	if d.State != "" {
 		stamped := d
@@ -525,41 +610,33 @@ func (r *Registry) upsertLocked(id uint32, d NodeDigest, now int64) bool {
 			stamped.UnixMS = unixMS(now)
 		}
 		stored := NodeDigest{Gen: e.gen, UnixMS: unixMS(e.seen)}
-		if e.state == "" || stamped.Newer(stored) {
-			changed := d.State != e.state
+		if r.states[id] == 0 || stamped.Newer(stored) {
+			changed := d.State != r.state(id)
 			if changed {
-				e.state = keptState(d.State)
+				r.setStateLocked(id, d.State)
+				advanced = true
 			}
 			e.load, e.gen = d.Load, d.Gen
 			if r.fc != nil {
 				// An unchanged state name is one the forecaster reads; any
 				// other value is its to judge.
-				if _, named := wireState(e.state); named && !changed {
+				if r.states[id] != stateOther && !changed {
 					if !r.fcClocked || stamped.UnixMS > r.fcClockMS {
 						r.fcClockMS, r.fcClocked = stamped.UnixMS, true
 					}
 				} else {
-					r.fcReports = append(r.fcReports, forecast.StateReport{ID: id, State: e.state, UnixMS: stamped.UnixMS})
+					r.fcReports = append(r.fcReports, forecast.StateReport{ID: id, State: r.state(id), UnixMS: stamped.UnixMS})
 				}
 			}
 		}
 	}
 	e.seen = max(e.seen, now)
-	if want := uint8(digestScore(e.state)); want != e.bucket {
-		r.unbucketLocked(e)
-		e.bucket, e.pos = want, uint32(len(r.buckets[want]))
+	if want := r.bucket(id); want != bucket {
+		r.unbucketLocked(bucket, e.pos)
+		e.pos = uint32(len(r.buckets[want]))
 		r.buckets[want] = append(r.buckets[want], id)
 	}
-	return e.addr != addr || e.state != state || e.load != load || e.gen != gen
-}
-
-// keptState is a state as an entry keeps it: a state name's interned form,
-// any other value a copy of its own.
-func keptState(s string) string {
-	if form, ok := wireState(s); ok {
-		return form
-	}
-	return strings.Clone(s)
+	return advanced || e.load != load || e.gen != gen
 }
 
 // reportLocked hands the forecaster the states upsertLocked queued, in
@@ -578,22 +655,25 @@ func (r *Registry) reportLocked() {
 	}
 }
 
-// unbucketLocked takes e out of its bucket by moving the bucket's last ID
-// into its place.
-func (r *Registry) unbucketLocked(e *registryEntry) {
-	b := r.buckets[e.bucket]
+// unbucketLocked takes the ID at pos out of the given bucket by moving the
+// bucket's last ID into its place.
+func (r *Registry) unbucketLocked(bucket uint8, pos uint32) {
+	b := r.buckets[bucket]
 	last := b[len(b)-1]
-	b[e.pos], r.entries[last].pos = last, e.pos
-	r.buckets[e.bucket] = b[:len(b)-1]
+	b[pos], r.entries[last].pos = last, pos
+	r.buckets[bucket] = b[:len(b)-1]
 }
 
 // removeLocked forgets a node everywhere — name, entry, bucket and its
 // history in the forecaster — and frees its ID for the next registration.
 func (r *Registry) removeLocked(name string) {
-	if id, ok := r.ids[name]; ok {
-		r.unbucketLocked(&r.entries[id])
-		r.entries[id] = registryEntry{}
-		delete(r.ids, name)
+	if id := r.idLocked(name); id != math.MaxUint32 {
+		r.unbucketLocked(r.bucket(id), r.entries[id].pos)
+		r.ids.remove(id, r.entries)
+		if r.states[id] == stateOther {
+			delete(r.otherStates, id)
+		}
+		r.entries[id], r.states[id] = registryEntry{}, 0
 		r.free = append(r.free, id)
 		if r.fc != nil {
 			r.fc.Forget(id)
@@ -663,7 +743,7 @@ func (r *Registry) handle(req Request) *Response {
 		}
 		r.reportLocked()
 		err := r.walLocked(r.wal.appendUpsert(req.Digests, unixMS(now)))
-		n := len(r.ids)
+		n := r.ids.live
 		r.mu.Unlock()
 		if err != nil {
 			return errWALAppend
@@ -682,7 +762,7 @@ func (r *Registry) handle(req Request) *Response {
 				break
 			}
 		}
-		n := len(r.ids)
+		n := r.ids.live
 		r.mu.Unlock()
 		if err != nil {
 			return errWALAppend
@@ -715,10 +795,13 @@ func (r *Registry) handle(req Request) *Response {
 		}
 		now := r.now().UnixNano()
 		r.mu.RLock()
-		nodes := make([]NodeInfo, 0, len(r.ids))
+		nodes := make([]NodeInfo, 0, r.ids.live)
 		alive := 0
-		for _, id := range r.ids {
-			info := r.info(&r.entries[id], now)
+		for id := range r.entries { // in ID order, so an unchanged shard answers the same
+			if !r.liveLocked(id) {
+				continue
+			}
+			info := r.info(uint32(id), now)
 			if info.Alive {
 				alive++
 			}
@@ -745,15 +828,12 @@ func (r *Registry) handle(req Request) *Response {
 		out := make([]ForecastInfo, 0, len(req.Names))
 		r.mu.RLock()
 		for _, name := range req.Names {
-			id, ok := r.ids[name]
-			if !ok {
-				id = math.MaxUint32 // no such machine: the forecaster's cold prior
-			}
+			id := r.idLocked(name) // math.MaxUint32, no such machine: the forecaster's cold prior
 			f, known := r.fc.ForecastID(id, horizon, nowMS)
 			fi := ForecastInfo{Name: name, Known: known, Survival: f.Survival, Samples: f.Samples}
-			if ok {
+			if id != math.MaxUint32 {
 				e := &r.entries[id]
-				fi.State, fi.Gen, fi.UnixMS = e.state, e.gen, unixMS(e.seen)
+				fi.State, fi.Gen, fi.UnixMS = r.state(id), e.gen, unixMS(e.seen)
 			}
 			out = append(out, fi)
 		}
@@ -787,11 +867,11 @@ func (r *Registry) listRanked(limit int) *Response {
 	now := r.now().UnixNano()
 	r.mu.RLock()
 	// The limit is the caller's number: what it sizes is bounded by the shard.
-	limit = min(limit, len(r.ids))
+	limit = min(limit, r.ids.live)
 	ids := make([]uint32, 0, limit)
 	byLoadName := func(a, b uint32) int {
 		ea, eb := &r.entries[a], &r.entries[b]
-		return loadNameCmp(ea.load, eb.load, ea.name, eb.name)
+		return loadNameCmp(ea.load, eb.load, ea.name(), eb.name())
 	}
 	start := int(r.cursor.Add(uint32(limit)))
 	for score := 0; score <= 1; score++ {
@@ -806,7 +886,7 @@ func (r *Registry) listRanked(limit int) *Response {
 	}
 	nodes := make([]NodeInfo, len(ids))
 	for i, id := range ids {
-		nodes[i] = r.info(&r.entries[id], now)
+		nodes[i] = r.info(id, now)
 	}
 	r.mu.RUnlock()
 	return &Response{OK: true, Nodes: nodes}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -45,15 +46,15 @@ func (f *forecastFixture) do(t *testing.T, atMS int64, req Request) *Response {
 	return resp
 }
 
-// checkIDInvariants asserts the dense-ID bookkeeping: the name map, the
+// checkIDInvariants asserts the dense-ID bookkeeping: the name index, the
 // entries slice, the four buckets and the free list describe one set of
 // nodes, each ID in exactly one place.
 func checkIDInvariants(t *testing.T, r *Registry, step string) {
 	t.Helper()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if got, want := len(r.ids)+len(r.free), len(r.entries); got != want {
-		t.Fatalf("%s: %d names + %d free IDs != %d entries", step, len(r.ids), len(r.free), want)
+	if got, want := r.ids.live+len(r.free), len(r.entries); got != want {
+		t.Fatalf("%s: %d names + %d free IDs != %d entries", step, r.ids.live, len(r.free), want)
 	}
 	where := make([]string, len(r.entries)) // where each ID was found
 	place := func(id uint32, at string) {
@@ -67,22 +68,22 @@ func checkIDInvariants(t *testing.T, r *Registry, step string) {
 	}
 	for _, id := range r.free {
 		place(id, "the free list")
-		if !reflect.DeepEqual(r.entries[id], registryEntry{}) {
-			t.Fatalf("%s: freed ID %d still holds %+v", step, id, r.entries[id])
+		if !reflect.DeepEqual(r.entries[id], registryEntry{}) || r.states[id] != 0 {
+			t.Fatalf("%s: freed ID %d still holds %+v in state %d", step, id, r.entries[id], r.states[id])
 		}
 	}
 	for score, b := range r.buckets {
 		for pos, id := range b {
 			place(id, fmt.Sprintf("bucket %d", score))
 			e := r.entries[id]
-			if int(e.bucket) != score || int(e.pos) != pos {
-				t.Fatalf("%s: ID %d sits at bucket %d pos %d, its entry says (%d, %d)", step, id, score, pos, e.bucket, e.pos)
+			if int(r.bucket(id)) != score || int(e.pos) != pos {
+				t.Fatalf("%s: ID %d sits at bucket %d pos %d, its entry says (%d, %d)", step, id, score, pos, r.bucket(id), e.pos)
 			}
-			if want := digestScore(e.state); want != score {
-				t.Fatalf("%s: %s in state %q is in bucket %d, want %d", step, e.name, e.state, score, want)
+			if want := digestScore(r.state(id)); want != score {
+				t.Fatalf("%s: %s in state %q is in bucket %d, want %d", step, e.name(), r.state(id), score, want)
 			}
-			if got, ok := r.ids[e.name]; !ok || got != id {
-				t.Fatalf("%s: bucket %d holds ID %d (%s), the name map says %d, %v", step, score, id, e.name, got, ok)
+			if got := r.idLocked(e.name()); got != id {
+				t.Fatalf("%s: bucket %d holds ID %d (%s), the name index says %d", step, score, id, e.name(), got)
 			}
 		}
 	}
@@ -90,6 +91,17 @@ func checkIDInvariants(t *testing.T, r *Registry, step string) {
 		if at == "" {
 			t.Fatalf("%s: ID %d is in no bucket and not free", step, id)
 		}
+	}
+	indexed := 0
+	for _, s := range r.ids.slots {
+		if s != 0 {
+			if indexed++; int(s-1) >= len(where) || !strings.HasPrefix(where[s-1], "bucket") {
+				t.Fatalf("%s: the name index holds ID %d, which is not live", step, s-1)
+			}
+		}
+	}
+	if indexed != r.ids.live {
+		t.Fatalf("%s: the name index holds %d IDs and counts %d", step, indexed, r.ids.live)
 	}
 	if _, names := r.fc.Nodes(); names != 0 {
 		t.Fatalf("%s: the registry's forecaster holds %d names", step, names)
@@ -137,13 +149,133 @@ func TestIDInvariantsAcrossLifecycle(t *testing.T) {
 	for _, s := range steps {
 		s.do()
 		checkIDInvariants(t, f.r, s.name)
-		if got := len(f.r.ids); got != s.live {
+		if got := f.r.ids.live; got != s.live {
 			t.Fatalf("%s: %d live nodes, want %d", s.name, got, s.live)
 		}
 		most = max(most, s.live)
 		if got := len(f.r.entries); got > most {
 			t.Fatalf("%s: %d entries for at most %d live nodes: an ID was not reused", s.name, got, most)
 		}
+	}
+}
+
+// TestNameIndexMatchesMap drives a durable shard from empty, where the name
+// index has its smallest table and names collide, through register,
+// unregister and re-register churn to a few hundred nodes, and after every
+// request holds each name's ID to a map kept beside it. The map's IDs are
+// assigned as the shard assigns them: a freed ID, the last freed first,
+// before a new one. The table must double at least three times and
+// unregistrations must hit the middle of probe runs, where the entries
+// behind the hole shift back; a replay of the log, midway and at the end,
+// must reach the same IDs.
+func TestNameIndexMatchesMap(t *testing.T) {
+	dir := t.TempDir()
+	f := newDurableFixture(t, dir)
+	rng := rand.New(rand.NewSource(54))
+	pool := make([]string, 260)
+	for i := range pool {
+		pool[i] = fmt.Sprintf("host-%d.pool", i)
+	}
+	oracle := map[string]uint32{}
+	var free []uint32
+	next := uint32(0)
+	var sizes []int // the table's sizes, in the order it took them
+	midRun := 0     // unregistrations of a slot the probe run goes on past
+	check := func(step string) {
+		t.Helper()
+		f.r.mu.RLock()
+		defer f.r.mu.RUnlock()
+		for _, name := range append(pool, "ghost", "") {
+			want, ok := oracle[name]
+			if !ok {
+				want = math.MaxUint32
+			}
+			if got := f.r.idLocked(name); got != want {
+				t.Fatalf("%s: %q resolves to %d, the map says %d", step, name, got, want)
+			}
+		}
+		if got := f.r.ids.live; got != len(oracle) {
+			t.Fatalf("%s: the index counts %d names, the map holds %d", step, got, len(oracle))
+		}
+		if n := len(f.r.ids.slots); len(sizes) == 0 || sizes[len(sizes)-1] != n {
+			sizes = append(sizes, n)
+		}
+	}
+	ms := int64(1000)
+	for round := range 900 {
+		ms++
+		grow := round < 450
+		if rng.Intn(10) < 4 || grow && rng.Intn(10) < 6 {
+			var ds []NodeDigest
+			for n := 1 + rng.Intn(8); n > 0; n-- {
+				name := pool[rng.Intn(len(pool))]
+				ds = append(ds, NodeDigest{Name: name, Addr: fmt.Sprintf("10.0.0.%d:70", rng.Intn(256)), State: "S1(full)", Gen: int64(round)})
+				if _, ok := oracle[name]; !ok {
+					if k := len(free); k > 0 {
+						oracle[name], free = free[k-1], free[:k-1]
+					} else {
+						oracle[name], next = next, next+1
+					}
+				}
+			}
+			f.do(t, ms, Request{Op: "register_batch", Digests: ds})
+		} else {
+			for n := 1 + rng.Intn(6); n > 0 && len(oracle) > 0; n-- {
+				name := pool[rng.Intn(len(pool))]
+				id, ok := oracle[name]
+				if !ok {
+					continue
+				}
+				f.r.mu.RLock()
+				slots := f.r.ids.slots
+				at := slices.Index(slots, id+1)
+				if slots[(at+1)%len(slots)] != 0 {
+					midRun++
+				}
+				f.r.mu.RUnlock()
+				delete(oracle, name)
+				free = append(free, id)
+				f.do(t, ms, Request{Op: "unregister", Names: []string{name}})
+				check(fmt.Sprintf("round %d, unregister %s", round, name))
+			}
+			f.do(t, ms, Request{Op: "unregister", Names: []string{"ghost"}})
+		}
+		check(fmt.Sprintf("round %d", round))
+		if round == 450 || round == 899 {
+			f.crashAndReplay(t, dir)
+			check(fmt.Sprintf("replay at round %d", round))
+		}
+	}
+	checkIDInvariants(t, f.r, "after the churn")
+	if len(sizes) < 4 {
+		t.Errorf("the table took sizes %v: fewer than three doublings", sizes)
+	}
+	if midRun < 20 {
+		t.Errorf("%d unregistrations in the middle of a probe run, want at least 20", midRun)
+	}
+	t.Logf("table sizes %v, %d live, %d unregistrations mid-run", sizes, len(oracle), midRun)
+}
+
+// TestUnrankedListInIDOrder: a list without a limit answers every
+// registered node in ID order, so two calls on an unchanged shard answer
+// the same, freed and reused IDs included.
+func TestUnrankedListInIDOrder(t *testing.T) {
+	f := newForecastFixture(t, RegistryOptions{})
+	f.do(t, 1000, Request{Op: "register_batch", Digests: testFleetDigests(50, 1000)})
+	f.do(t, 1010, Request{Op: "unregister", Names: []string{"m003", "m017", "m040"}})
+	f.do(t, 1020, Request{Op: "register_batch", Digests: []NodeDigest{{Name: "late", Addr: "10.9.9.9:70"}}})
+	first, second := f.do(t, 1030, Request{Op: "list"}), f.do(t, 1030, Request{Op: "list"})
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("two lists of an unchanged shard differ:\n%+v\n%+v", first.Nodes, second.Nodes)
+	}
+	byName := nameIDs(f.r)
+	if len(first.Nodes) != len(byName) || !slices.IsSortedFunc(first.Nodes, func(a, b NodeInfo) int {
+		return int(byName[a.Name]) - int(byName[b.Name])
+	}) {
+		t.Errorf("list is not the %d live nodes in ID order: %+v", len(byName), first.Nodes)
+	}
+	if got := byName["late"]; got != 40 {
+		t.Errorf("late took ID %d, want the last freed one, m040's", got)
 	}
 }
 
@@ -302,7 +434,7 @@ func TestRecycledIDStartsCold(t *testing.T) {
 	if !old.Known || old.Samples == 0 || old.Survival >= 0.5 {
 		t.Fatalf("n1 before unregister: %+v, want an informed forecast below 0.5", old)
 	}
-	id := f.r.ids["n1"]
+	id := f.r.idLocked("n1")
 	if resp := f.r.handle(Request{Op: "unregister", Names: []string{"n1"}}); !resp.OK {
 		t.Fatal(resp.Error)
 	}
@@ -313,7 +445,7 @@ func TestRecycledIDStartsCold(t *testing.T) {
 	if resp := f.r.handle(Request{Op: "register_batch", Digests: []NodeDigest{{Name: "n2", Addr: "10.0.0.2:70"}}}); !resp.OK {
 		t.Fatal(resp.Error)
 	}
-	if got := f.r.ids["n2"]; got != id {
+	if got := f.r.idLocked("n2"); got != id {
 		t.Fatalf("n2 got ID %d, want the recycled %d", got, id)
 	}
 	if cold := ask("n2"); cold.Known || cold.Samples != 0 || cold.Survival != 0.5 {
@@ -486,7 +618,7 @@ func TestConcurrentIngestListForecastChurn(t *testing.T) {
 	})
 	wg.Wait()
 	checkIDInvariants(t, r, "after the concurrent run")
-	if got := len(r.ids); got != len(ds) {
+	if got := r.ids.live; got != len(ds) {
 		t.Errorf("%d nodes registered at the end, want %d", got, len(ds))
 	}
 }

@@ -12,12 +12,13 @@ import (
 	"testing"
 )
 
-// mapIDs resolves names the way a shard did before resolveLocked: one map
-// lookup each. r.mu is held.
+// mapIDs resolves names with one lookup each in a map of the shard's live
+// entries by name (nameIDs), not through its index. r.mu is held.
 func mapIDs(r *Registry, names []string) []uint32 {
+	byName := nameIDs(r)
 	ids := make([]uint32, len(names))
 	for i, name := range names {
-		id, ok := r.ids[name]
+		id, ok := byName[name]
 		if !ok {
 			id = math.MaxUint32
 		}
@@ -70,7 +71,7 @@ func TestResolverMatchesMapLookup(t *testing.T) {
 		defer a.r.mu.Unlock()
 		names := make([]string, len(a.r.entries))
 		for id, e := range a.r.entries {
-			names[id] = e.name
+			names[id] = e.name()
 		}
 		return names
 	}

@@ -33,18 +33,40 @@ func benchRegistry(b *testing.B, wal, forecast bool) *Registry {
 	return r
 }
 
+// BenchmarkHandleRegisterBatch is a 1000-digest register_batch. With
+// names=same every op registers the same 1000 nodes again, each an upsert;
+// with names=fresh every op registers 1000 the shard has not seen, each an
+// insert into the name index and one new name-and-address string, into a
+// shard that grows to 25 000 nodes and then, off the clock, starts over.
 func BenchmarkHandleRegisterBatch(b *testing.B) {
+	const batch, fleet = 1000, 25_000
 	for _, wal := range []bool{false, true} {
-		b.Run(fmt.Sprintf("wal=%v", wal), func(b *testing.B) {
-			r := benchRegistry(b, wal, false)
-			req := Request{Op: "register_batch", Digests: benchDigests(1000)}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if resp := r.handle(req); !resp.OK {
-					b.Fatal(resp.Error)
+		for _, names := range []string{"same", "fresh"} {
+			fresh := names == "fresh"
+			b.Run(fmt.Sprintf("wal=%v/names=%s", wal, names), func(b *testing.B) {
+				r := benchRegistry(b, wal, false)
+				ds := benchDigests(fleet)
+				lo := 0
+				if !fresh {
+					r.handle(Request{Op: "register_batch", Digests: ds[:batch]})
 				}
-			}
-		})
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if fresh && lo == fleet {
+						b.StopTimer()
+						r.Close()
+						r, lo = benchRegistry(b, wal, false), 0
+						b.StartTimer()
+					}
+					if resp := r.handle(Request{Op: "register_batch", Digests: ds[lo : lo+batch]}); !resp.OK {
+						b.Fatal(resp.Error)
+					}
+					if fresh {
+						lo += batch
+					}
+				}
+			})
+		}
 	}
 }
 
