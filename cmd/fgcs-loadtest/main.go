@@ -72,7 +72,7 @@ func main() {
 	var err error
 	switch {
 	case *smoke:
-		refuseIgnored()
+		cli.RefuseIgnored("-smoke is a preset and", "smoke", "out")
 		err = runLoad(ctx, smokeConfig(), *out)
 	case *scaling != "":
 		err = runScaling(ctx, cfg, *scaling, *out)
@@ -82,21 +82,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fgcs-loadtest:", err)
 		os.Exit(1)
-	}
-}
-
-// refuseIgnored exits 2 naming the first flag set on the command line
-// that the -smoke preset does not read, rather than silently dropping it.
-func refuseIgnored() {
-	var ignored string
-	flag.Visit(func(f *flag.Flag) {
-		if ignored == "" && f.Name != "smoke" && f.Name != "out" {
-			ignored = f.Name
-		}
-	})
-	if ignored != "" {
-		fmt.Fprintf(os.Stderr, "fgcs-loadtest: -smoke is a preset and ignores -%s\n", ignored)
-		os.Exit(2)
 	}
 }
 

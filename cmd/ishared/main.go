@@ -91,6 +91,19 @@ func main() {
 		maxInflight = flag.Int("max-inflight", 0, "registry mode: admission bound on concurrently served exchanges; excess connections queue briefly, then are shed with a retry-after hint (0 = unbounded)")
 	)
 	cli.Parse()
+	// The flags each mode reads besides -mode, -metrics-addr and -v; a mode
+	// refuses any other.
+	reads, ok := map[string][]string{
+		"registry": {"addr", "ttl", "io-deadline", "max-message-bytes", "wal-dir", "drain", "max-inflight"},
+		"node":     {"addr", "registry", "name", "load", "io-deadline", "max-message-bytes"},
+		"demo":     {"ttl"},
+	}[*mode]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
+		flag.Usage()
+		os.Exit(2)
+	}
+	cli.RefuseIgnored("-mode "+*mode, append(reads, "mode", "metrics-addr", "v")...)
 	lim := ishare.Limits{MaxMessageBytes: *maxMsg, IODeadline: *deadline}
 	o := startObs(*metricsAddr, *mode, *verbose)
 	defer o.close()
@@ -102,10 +115,6 @@ func main() {
 		runNode(*addr, *registry, *name, *load, lim, o)
 	case "demo":
 		runDemo(*ttl, o)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
-		flag.Usage()
-		os.Exit(2)
 	}
 }
 

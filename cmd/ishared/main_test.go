@@ -80,6 +80,35 @@ func (p *registryProc) terminate(t *testing.T) string {
 	return p.out.String()
 }
 
+// TestModeRefusesUnreadFlags: a flag the chosen mode does not read exits 2
+// naming it before anything listens, rather than being dropped.
+func TestModeRefusesUnreadFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the ishared binary")
+	}
+	bin := filepath.Join(t.TempDir(), "ishared")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building ishared: %v\n%s", err, out)
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-mode", "demo", "-wal-dir", t.TempDir()}, "-mode demo ignores -wal-dir"},
+		{[]string{"-mode", "node", "-max-inflight", "4"}, "-mode node ignores -max-inflight"},
+		{[]string{"-mode", "registry", "-name", "lab-1"}, "-mode registry ignores -name"},
+	} {
+		// A mode that took the flag would serve until killed.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		cmd := exec.CommandContext(ctx, bin, c.args...)
+		out, _ := cmd.CombinedOutput()
+		cancel()
+		if code := cmd.ProcessState.ExitCode(); code != 2 || !strings.Contains(string(out), c.want) {
+			t.Errorf("%v: exit %d, output %q; want exit 2 and %q", c.args, code, out, c.want)
+		}
+	}
+}
+
 // TestRegistrySIGTERMDrainRestart is the end-to-end graceful-shutdown
 // contract of the daemon: a SIGTERM'd durable registry exits cleanly
 // after draining, and a fresh process over the same -wal-dir serves an

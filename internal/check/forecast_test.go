@@ -110,9 +110,9 @@ func checkOnlineForecastSeed(cfg testbed.Config, tr *trace.Trace, res *Result) e
 
 	for _, m := range machines {
 		for _, w := range windows {
-			refCount, refSurv := NaiveHistoryWindow(tr, m, w, 0, 0)
-			refTrimCount, refTrimSurv := NaiveHistoryWindow(tr, m, w, 0.1, 0)
-			refEWMACount, refEWMASurv := NaiveEWMADaily(tr, m, w, 0)
+			refCount, refSurv := NaiveHistoryWindow(tr, m, w, 0)
+			refTrimCount, refTrimSurv := NaiveHistoryWindow(tr, m, w, 0.1)
+			refEWMACount, refEWMASurv := NaiveEWMADaily(tr, m, w)
 			onEWMACount, onEWMASurv := (&predict.EWMADaily{}).Estimate(on, m, w)
 			onCount, _, _ := ringHW.Estimate(on, m, w)
 			onTrimCount, _, _ := ringHWTrim.Estimate(onTrim, m, w)

@@ -256,14 +256,14 @@ func naiveSameWindowHistory(t *trace.Trace, m trace.MachineID, w sim.Window, sam
 // oracle for predict.HistoryWindow and forecast.Online.PredictCount /
 // PredictSurvival: the (trimmed) mean of the same-day-type history counts
 // and the Laplace-smoothed share of failure-free history windows, or the
-// no-information answers (0, 0.5) for a machine outside the fleet or fewer
-// than max(1, minDays) history windows.
-func NaiveHistoryWindow(t *trace.Trace, m trace.MachineID, w sim.Window, trim float64, minDays int) (count, survival float64) {
+// no-information answers (0, 0.5) for a machine outside the fleet or no
+// history window.
+func NaiveHistoryWindow(t *trace.Trace, m trace.MachineID, w sim.Window, trim float64) (count, survival float64) {
 	if m < 0 || int(m) >= t.Machines {
 		return 0, 0.5
 	}
 	counts := naiveSameWindowHistory(t, m, w, true)
-	if len(counts) == 0 || len(counts) < minDays {
+	if len(counts) == 0 {
 		return 0, 0.5
 	}
 	free := 0
@@ -282,9 +282,9 @@ func NaiveHistoryWindow(t *trace.Trace, m trace.MachineID, w sim.Window, trim fl
 // NaiveEWMADaily is the reference form of the exponentially weighted daily
 // model — the oracle for predict.EWMADaily, trained or run over a
 // forecast.Online ring: every fully observed prior day's same-window count smoothed
-// oldest to newest (alpha outside (0, 1] means 0.3) and exp(-count) as the
+// oldest to newest with weight 0.3 on the newer and exp(-count) as the
 // survival, or (0, 0.5) when no prior day contributed.
-func NaiveEWMADaily(t *trace.Trace, m trace.MachineID, w sim.Window, alpha float64) (count, survival float64) {
+func NaiveEWMADaily(t *trace.Trace, m trace.MachineID, w sim.Window) (count, survival float64) {
 	if m < 0 || int(m) >= t.Machines {
 		return 0, 0.5
 	}
@@ -292,9 +292,7 @@ func NaiveEWMADaily(t *trace.Trace, m trace.MachineID, w sim.Window, alpha float
 	if len(counts) == 0 {
 		return 0, 0.5
 	}
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.3
-	}
+	const alpha = 0.3
 	count = counts[0]
 	for _, c := range counts[1:] {
 		count = alpha*c + (1-alpha)*count

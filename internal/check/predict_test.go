@@ -33,13 +33,13 @@ func (n *naivePredictor) PredictSurvival(m trace.MachineID, w sim.Window) float6
 func naivePredictors() []predict.Predictor {
 	return []predict.Predictor{
 		&naivePredictor{name: "history-window", predict: func(tr *trace.Trace, m trace.MachineID, w sim.Window) (float64, float64) {
-			return NaiveHistoryWindow(tr, m, w, 0, 0)
+			return NaiveHistoryWindow(tr, m, w, 0)
 		}},
 		&naivePredictor{name: "history-window(trimmed)", predict: func(tr *trace.Trace, m trace.MachineID, w sim.Window) (float64, float64) {
-			return NaiveHistoryWindow(tr, m, w, 0.1, 0)
+			return NaiveHistoryWindow(tr, m, w, 0.1)
 		}},
 		&naivePredictor{name: "ewma-daily", predict: func(tr *trace.Trace, m trace.MachineID, w sim.Window) (float64, float64) {
-			return NaiveEWMADaily(tr, m, w, 0)
+			return NaiveEWMADaily(tr, m, w)
 		}},
 	}
 }
@@ -126,9 +126,8 @@ func TestIndexHistoryPredictionsIdentical(t *testing.T) {
 // reference wherever a window falls: inside the trained span, straddling
 // its end, after a mid-day cut on the cut's own day, on the first day after
 // and weeks after (where a shape answered once is answered from the memo),
-// misaligned or across midnight, for absent machines, and with the fields
-// the answer reads changed from day to day — EWMADaily's Alpha also between
-// a count and a survival. Each predictor is retrained on a longer prefix and
+// misaligned or across midnight, for absent machines, and with the field
+// the answer reads, HistoryWindow's Trim, changed from day to day. Each predictor is retrained on a longer prefix and
 // must then serve nothing it memoized from the shorter one. What the memo
 // holds — emptied by Train, filled by these windows, kept to its caps — is
 // pinned inside internal/predict by TestPastWindowMemoBookkeeping.
@@ -141,13 +140,9 @@ func TestPastWindowMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hws := []*predict.HistoryWindow{{}, {Trim: 0.1}, {MinHistoryDays: 10}, {}}
-	params := []struct {
-		trim    float64
-		minDays int
-	}{{0, 0}, {0, 10}, {0.25, 3}}
+	hws := []*predict.HistoryWindow{{}, {Trim: 0.1}, {}}
+	trims := []float64{0, 0.1, 0.25}
 	ewma := &predict.EWMADaily{}
-	alphas := []float64{0, 0.5, 0.9}
 	machines := []trace.MachineID{0, 1, 2, 3, -1}
 	shapes := []sim.Window{
 		{Start: 9 * time.Hour, End: 12 * time.Hour},
@@ -173,26 +168,19 @@ func TestPastWindowMemo(t *testing.T) {
 		}
 		windows = append(windows, sim.Window{Start: cut - time.Hour, End: cut + 2*time.Hour}) // straddling
 		for i, w := range windows {
-			phase := i / len(shapes)
-			p := params[phase%len(params)]
-			hws[3].Trim, hws[3].MinHistoryDays = p.trim, p.minDays
+			hws[2].Trim = trims[i/len(shapes)%len(trims)]
 			for _, m := range machines {
 				for _, h := range hws {
-					wantCount, wantSurv := NaiveHistoryWindow(hist, m, w, h.Trim, h.MinHistoryDays)
+					wantCount, wantSurv := NaiveHistoryWindow(hist, m, w, h.Trim)
 					if c, s := h.PredictCount(m, w), h.PredictSurvival(m, w); c != wantCount || s != wantSurv {
-						t.Fatalf("cut %v %s(min %d) machine %d window %v: (%v, %v), reference (%v, %v)",
-							cut, h.Name(), h.MinHistoryDays, m, w, c, s, wantCount, wantSurv)
+						t.Fatalf("cut %v %s(trim %v) machine %d window %v: (%v, %v), reference (%v, %v)",
+							cut, h.Name(), h.Trim, m, w, c, s, wantCount, wantSurv)
 					}
 				}
-				countAlpha, survAlpha := alphas[phase%len(alphas)], alphas[(phase+1)%len(alphas)]
-				wantCount, _ := NaiveEWMADaily(hist, m, w, countAlpha)
-				_, wantSurv := NaiveEWMADaily(hist, m, w, survAlpha)
-				ewma.Alpha = countAlpha
-				c := ewma.PredictCount(m, w)
-				ewma.Alpha = survAlpha
-				if s := ewma.PredictSurvival(m, w); c != wantCount || s != wantSurv {
-					t.Fatalf("cut %v ewma machine %d window %v: count %v (alpha %v: %v), survival %v (alpha %v: %v)",
-						cut, m, w, c, countAlpha, wantCount, s, survAlpha, wantSurv)
+				wantCount, wantSurv := NaiveEWMADaily(hist, m, w)
+				if c, s := ewma.PredictCount(m, w), ewma.PredictSurvival(m, w); c != wantCount || s != wantSurv {
+					t.Fatalf("cut %v ewma machine %d window %v: (%v, %v), reference (%v, %v)",
+						cut, m, w, c, s, wantCount, wantSurv)
 				}
 			}
 		}

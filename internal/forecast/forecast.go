@@ -11,7 +11,7 @@ import (
 
 // Config parameterizes an Online forecaster. The zero value (plus a
 // machine count) mirrors the offline predictor defaults: untrimmed
-// history-window means, no minimum history.
+// history-window means.
 type Config struct {
 	// Calendar anchors virtual time to weekdays/weekends, exactly as the
 	// trace the offline predictors train on would.
@@ -28,9 +28,6 @@ type Config struct {
 	// Trim is the trimmed-mean fraction of the history-window forecast
 	// (predict.HistoryWindow.Trim).
 	Trim float64
-	// MinHistoryDays guards the history-window forecast against
-	// predicting from almost no data (predict.HistoryWindow.MinHistoryDays).
-	MinHistoryDays int
 	// Start is the virtual instant observation began (the span start of
 	// the equivalent offline training trace). Default 0.
 	Start sim.Time
@@ -53,9 +50,6 @@ func (c Config) Validate() error {
 	}
 	if c.Trim < 0 || c.Trim >= 0.5 {
 		return fmt.Errorf("forecast: trim fraction %v outside [0, 0.5)", c.Trim)
-	}
-	if c.MinHistoryDays < 0 {
-		return fmt.Errorf("forecast: negative min history days %d", c.MinHistoryDays)
 	}
 	return nil
 }
@@ -143,7 +137,7 @@ func New(cfg Config) (*Online, error) {
 	o := &Online{
 		cfg: cfg,
 		end: cfg.Start,
-		hw:  predict.HistoryWindow{Trim: cfg.Trim, MinHistoryDays: cfg.MinHistoryDays},
+		hw:  predict.HistoryWindow{Trim: cfg.Trim},
 	}
 	for i := 0; i < cfg.Machines; i++ {
 		o.AddMachine()

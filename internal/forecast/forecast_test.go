@@ -28,7 +28,7 @@ func (o *Online) Dropped() int64 {
 }
 
 // PredictCount is the history-window count forecast over the ring, with the
-// forecaster's own Trim and MinHistoryDays: what the offline
+// forecaster's own Trim: what the offline
 // predict.HistoryWindow trained on the same prefix predicts.
 func (o *Online) PredictCount(m trace.MachineID, w sim.Window) float64 {
 	count, _, _ := o.hw.Estimate(o, m, w)

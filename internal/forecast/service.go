@@ -10,14 +10,10 @@ import (
 	"repro/internal/trace"
 )
 
-// ServiceConfig parameterizes the control-plane wrapper around Online.
+// ServiceConfig parameterizes the control-plane wrapper around Online. The
+// wrapped forecaster has Online's defaults and starts with no machine: the
+// service grows the fleet as nodes appear.
 type ServiceConfig struct {
-	// Online configures the wrapped forecaster. Machines is ignored: the
-	// service grows the fleet as node names appear.
-	Online Config
-	// EpochMS is the wall-clock unix-milliseconds instant mapped to the
-	// virtual span start. Zero means "the first observation's stamp".
-	EpochMS int64
 	// Scale is virtual seconds per wall second (default 1). Loadtests
 	// replay days of virtual fleet time in wall seconds, so their
 	// registries run with a large Scale.
@@ -40,35 +36,26 @@ type Service struct {
 	on    *Online
 	ids   map[string]uint32 // name-keyed callers only: IDs in order of first sight
 	view  []uint8           // per machine: unseen until its first parseable state (and once forgotten), then up or down
-	epoch int64             // resolved EpochMS (0 until the first observation)
-	fixed bool              // epoch came from config, not from the first stamp
+	epoch int64             // the first nonzero stamp, mapped to virtual 0; 0 until then
 }
 
 const unseen, up, down uint8 = 0, 1, 2
 
 // NewService creates a Service.
 func NewService(cfg ServiceConfig) (*Service, error) {
-	c := cfg.Online
-	c.Machines = 0
-	on, err := New(c)
+	on, err := New(Config{})
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Scale <= 0 {
 		cfg.Scale = 1
 	}
-	return &Service{
-		cfg:   cfg,
-		on:    on,
-		ids:   make(map[string]uint32),
-		epoch: cfg.EpochMS,
-		fixed: cfg.EpochMS != 0,
-	}, nil
+	return &Service{cfg: cfg, on: on, ids: make(map[string]uint32)}, nil
 }
 
 // virtual maps a wall-clock unix-ms stamp onto virtual time.
 func (s *Service) virtual(unixMS int64) sim.Time {
-	return s.cfg.Online.Start + sim.Time(float64(unixMS-s.epoch)*s.cfg.Scale*float64(time.Millisecond))
+	return sim.Time(float64(unixMS-s.epoch) * s.cfg.Scale * float64(time.Millisecond))
 }
 
 // stateView classifies a digest availability state string: down for the
@@ -134,11 +121,10 @@ func (s *Service) AdvanceTo(unixMS int64) {
 }
 
 // stampLocked is the virtual time of an observation's stamp; the first
-// fixes the epoch unless the config did.
+// fixes the epoch.
 func (s *Service) stampLocked(unixMS int64) sim.Time {
-	if s.epoch == 0 && !s.fixed {
+	if s.epoch == 0 {
 		s.epoch = unixMS
-		s.fixed = true
 	}
 	return s.virtual(unixMS)
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/predict"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -37,11 +36,6 @@ type ProactiveConfig struct {
 	// MigrateMargin is how much better the best alternative's forecast
 	// must be before migrating beats checkpointing in place.
 	MigrateMargin float64
-	// Metrics, when set, receives the run's totals (checkpoints, migrations,
-	// saved/wasted CPU seconds) and a per-review forecast latency
-	// histogram. Instrumentation never touches the simulation's random
-	// streams, so results are identical with or without it.
-	Metrics *obs.Registry
 }
 
 // DefaultProactiveConfig reviews every 30 minutes with a 2-hour horizon,
@@ -96,34 +90,6 @@ func (e ForecastEstimator) Survival(now sim.Time, work time.Duration, m trace.Ma
 	return e.F.PredictSurvival(m, sim.Window{Start: now, End: now + work})
 }
 
-// proactiveMetrics is the resolved instrument set, nil-safe when unused.
-type proactiveMetrics struct {
-	checkpoints *obs.Counter
-	migrations  *obs.Counter
-	saved       *obs.Gauge
-	wasted      *obs.Gauge
-	latency     *obs.Histogram
-}
-
-func newProactiveMetrics(r *obs.Registry) *proactiveMetrics {
-	if r == nil {
-		return nil
-	}
-	return &proactiveMetrics{
-		checkpoints: r.Counter("gsched_proactive_checkpoints_total",
-			"Forecast-triggered checkpoints written before predicted unavailability."),
-		migrations: r.Counter("gsched_proactive_migrations_total",
-			"Forecast-triggered mid-job migrations."),
-		saved: r.Gauge("gsched_proactive_saved_cpu_seconds",
-			"Guest CPU seconds preserved by proactive checkpoints beyond the periodic cadence."),
-		wasted: r.Gauge("gsched_wasted_cpu_seconds",
-			"Guest CPU seconds lost to failures (work redone)."),
-		latency: r.Histogram("gsched_forecast_latency_seconds",
-			"Wall-clock latency of one placement review's survival forecasts.",
-			obs.ExpBuckets(1e-7, 4, 12)),
-	}
-}
-
 // SimulateProactive replays the job stream with forecast-driven
 // checkpoint/migrate reviews on top of the given policy: after every
 // CheckEvery of progress the job forecasts its machine's survival over the
@@ -138,7 +104,6 @@ func SimulateProactive(truth *predict.TraceHistory, policy Policy, est SurvivalE
 	if err := pro.Validate(); err != nil {
 		return Result{}, err
 	}
-	met := newProactiveMetrics(pro.Metrics)
 	rv := &review{
 		suffix:         "+proactive",
 		every:          pro.CheckEvery,
@@ -146,10 +111,6 @@ func SimulateProactive(truth *predict.TraceHistory, policy Policy, est SurvivalE
 		migrateDelay:   pro.MigrateDelay,
 		decide: func(now sim.Time, remaining time.Duration, m trace.MachineID) (bool, trace.MachineID) {
 			horizon := min(pro.Horizon, remaining)
-			var t0 time.Time
-			if met != nil {
-				t0 = time.Now()
-			}
 			cur := est.Survival(now, horizon, m)
 			// An undefined (NaN) forecast also triggers: no forecast is no
 			// reassurance.
@@ -160,21 +121,11 @@ func SimulateProactive(truth *predict.TraceHistory, policy Policy, est SurvivalE
 					return est.Survival(now, horizon, id)
 				})
 			}
-			if met != nil {
-				met.latency.Observe(time.Since(t0).Seconds())
-			}
 			if !math.IsNaN(bestS) && (math.IsNaN(cur) || bestS-cur >= pro.MigrateMargin) {
 				return true, best
 			}
 			return danger, m
 		},
 	}
-	res, err := simulate(truth, policy, cfg, rv)
-	if err == nil && met != nil {
-		met.checkpoints.Add(uint64(res.Checkpoints))
-		met.migrations.Add(uint64(res.Migrations))
-		met.saved.Set(res.SavedWork.Seconds())
-		met.wasted.Set(res.WastedWork.Seconds())
-	}
-	return res, err
+	return simulate(truth, policy, cfg, rv)
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/availability"
-	"repro/internal/obs"
 	"repro/internal/predict"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -179,35 +178,6 @@ func TestProactiveBeatsReactive(t *testing.T) {
 	}
 	if proactive.SavedWork == 0 {
 		t.Error("SavedWork not accounted despite checkpoints")
-	}
-}
-
-// TestProactiveMetricsNeutral pins that instrumentation changes nothing:
-// the same run with and without a metrics registry yields identical
-// results, and the registry sees the activity.
-func TestProactiveMetricsNeutral(t *testing.T) {
-	tr, cfg, pol := proactiveSetup(t)
-
-	truth := predict.NewTraceHistory(tr)
-	plain, err := SimulateProactive(truth, pol, pol, cfg, DefaultProactiveConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	pro := DefaultProactiveConfig()
-	pro.Metrics = reg
-	metered, err := SimulateProactive(truth, pol, pol, cfg, pro)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain != metered {
-		t.Errorf("metrics changed the result:\nplain   %+v\nmetered %+v", plain, metered)
-	}
-	if got := reg.Counter("gsched_proactive_checkpoints_total", "").Value(); got != uint64(metered.Checkpoints) {
-		t.Errorf("checkpoint counter %d, result %d", got, metered.Checkpoints)
-	}
-	if got := reg.Histogram("gsched_forecast_latency_seconds", "", obs.ExpBuckets(1e-7, 4, 12)).Snapshot().Count; got == 0 {
-		t.Error("forecast latency histogram saw no reviews")
 	}
 }
 

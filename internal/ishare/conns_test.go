@@ -98,11 +98,14 @@ func TestPlaceLoopReusesConnections(t *testing.T) {
 	}
 }
 
-// TestAdmissionIsPerRequest: with one inflight slot and one queue place,
-// three clients each holding an idle pooled connection are all served, one
-// request after another, with no shed: an idle connection holds no slot.
+// TestAdmissionIsPerRequest: with one inflight slot, three clients each
+// holding an idle pooled connection are all served, one request after
+// another, with no shed: an idle connection holds no slot. The queue holds
+// four requests: with one in flight and three queued a request waits the
+// 100 ms queue wait before it is shed, and with four queued it is shed at
+// once, asked to retry after 200 ms.
 func TestAdmissionIsPerRequest(t *testing.T) {
-	r, err := NewRegistryWithOptions("127.0.0.1:0", RegistryOptions{TTL: time.Minute, MaxInflight: 1, MaxQueue: 1})
+	r, err := NewRegistryWithOptions("127.0.0.1:0", RegistryOptions{TTL: time.Minute, MaxInflight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,6 +125,25 @@ func TestAdmissionIsPerRequest(t *testing.T) {
 	}
 	if n := d.n.Load(); n != 3 {
 		t.Errorf("three clients dialed %d times over three rounds, want 3", n)
+	}
+
+	r.inflight <- struct{}{}
+	for range 3 {
+		r.queue <- struct{}{}
+	}
+	start := time.Now()
+	resp, _ := wireExchange(t, r.Addr(), `{"op":"list"}`+"\n")
+	if took := time.Since(start); resp.OK || took < 100*time.Millisecond {
+		t.Errorf("one in flight, three queued: %+v after %v, want a shed after the 100 ms queue wait", resp, took)
+	}
+	r.queue <- struct{}{}
+	start = time.Now()
+	resp, _ = wireExchange(t, r.Addr(), `{"op":"list"}`+"\n")
+	if took := time.Since(start); resp.OK || resp.RetryAfterMS != 200 || took >= 100*time.Millisecond {
+		t.Errorf("one in flight, four queued: %+v after %v, want a shed at once with retry_after_ms 200", resp, took)
+	}
+	if n := sheds.Value(); n != 2 {
+		t.Errorf("%d requests shed, want 2", n)
 	}
 }
 

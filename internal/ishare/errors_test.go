@@ -102,11 +102,6 @@ func TestNodeConfigErrors(t *testing.T) {
 	if _, err := NewNode("127.0.0.1:0", bad); err == nil {
 		t.Error("bad machine config accepted")
 	}
-	bad2 := NodeConfig{Name: "bad2"}
-	bad2.Detector.TransientWindow = -time.Second
-	if _, err := NewNode("127.0.0.1:0", bad2); err == nil {
-		t.Error("bad detector config accepted")
-	}
 }
 
 // TestNodeRejectsOutOfRangeSizes: sizes in MiB from the wire are checked

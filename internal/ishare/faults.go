@@ -83,7 +83,8 @@ func (l Limits) withDefaults() Limits {
 }
 
 // RetryPolicy paces retries of idempotent operations (list, info,
-// heartbeat): jittered exponential backoff under a bounded attempt budget.
+// heartbeat): exponential backoff, each delay jittered by ±retryJitter,
+// under a bounded attempt budget.
 // Submissions are never retried blindly at this level — the broker owns
 // failover and checkpointed resubmission.
 type RetryPolicy struct {
@@ -93,8 +94,6 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the exponential growth (default 500 ms).
 	MaxDelay time.Duration
-	// Jitter is the ± fraction applied to each delay (default 0.2).
-	Jitter float64
 	// Seed makes the jitter sequence reproducible; 0 uses a fixed seed so
 	// two clients with zero-value policies behave identically.
 	Seed int64
@@ -110,11 +109,11 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 500 * time.Millisecond
 	}
-	if p.Jitter <= 0 {
-		p.Jitter = 0.2
-	}
 	return p
 }
+
+// retryJitter is the ± fraction applied to each retry delay.
+const retryJitter = 0.2
 
 // jitterRand is a lock-guarded rand shared by concurrent retriers.
 type jitterRand struct {
@@ -150,8 +149,8 @@ func backoffDelay(p RetryPolicy, attempt int, jr *jitterRand) time.Duration {
 	if d > p.MaxDelay {
 		d = p.MaxDelay
 	}
-	if jr != nil && p.Jitter > 0 {
-		d += time.Duration(float64(d) * p.Jitter * jr.frac())
+	if jr != nil {
+		d += time.Duration(float64(d) * retryJitter * jr.frac())
 	}
 	if d < 0 {
 		d = 0

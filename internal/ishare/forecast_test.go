@@ -25,6 +25,8 @@ type forecastFixture struct {
 }
 
 const (
+	// forecastEpochMS is the fixture clock's start, where each test sends
+	// its first digest: that stamp anchors the forecaster's epoch.
 	forecastEpochMS = int64(1_000)
 	msPerDay        = int64(1440) // at Scale 60000: 1 ms = 1 virtual minute
 )
@@ -36,7 +38,7 @@ func newForecastFixture(t *testing.T, opt RegistryOptions) *forecastFixture {
 	opt.TTL = time.Hour
 	opt.Now = func() time.Time { return time.UnixMilli(clock.Load()) }
 	if opt.Forecast == nil {
-		opt.Forecast = &ForecastOptions{Scale: 60_000, EpochMS: forecastEpochMS}
+		opt.Forecast = &ForecastOptions{Scale: 60_000}
 	}
 	r, err := NewRegistryWithOptions("127.0.0.1:0", opt)
 	if err != nil {
@@ -321,7 +323,7 @@ func TestRegisterFreshAllocs(t *testing.T) {
 // the end.
 func TestForecastsExactUnderBatchedIngest(t *testing.T) {
 	f := newForecastFixture(t, RegistryOptions{})
-	oracle, err := forecast.NewService(forecast.ServiceConfig{Scale: 60_000, EpochMS: forecastEpochMS})
+	oracle, err := forecast.NewService(forecast.ServiceConfig{Scale: 60_000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -216,20 +216,3 @@ func TestRegistryTTLValidation(t *testing.T) {
 		t.Error("zero TTL accepted")
 	}
 }
-
-func TestInteractiveHostNode(t *testing.T) {
-	node := startNode(t, NodeConfig{Name: "interactive", InteractiveHost: true})
-	c := &Client{}
-	res, err := c.Submit(ctx, node.Addr(), JobSpec{Name: "job", CPUSeconds: 120, RSSMB: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed {
-		t.Fatalf("guest should complete alongside an interactive user: %+v", res)
-	}
-	// The interactive user costs the guest a little wall time but the
-	// credit mechanism keeps the machine in S1/S2.
-	if res.WallSeconds > 300 {
-		t.Errorf("wall %v s for 120 s of work under an interactive host", res.WallSeconds)
-	}
-}

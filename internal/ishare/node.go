@@ -22,14 +22,8 @@ type NodeConfig struct {
 	Name string
 	// Machine is the simulated machine the node publishes.
 	Machine simos.MachineConfig
-	// Detector configures the availability detector.
-	Detector availability.Config
 	// HostLoad is the initial synthetic host load.
 	HostLoad float64
-	// InteractiveHost, when set, runs a Musbus-style interactive session
-	// as the host workload instead of a flat duty cycle; HostLoad is then
-	// ignored.
-	InteractiveHost bool
 	// RegistryAddrs, when set, makes the node register and heartbeat: it
 	// lists the registry's shards, one entry for a single registry, and the
 	// node's traffic goes to the shard owning its name on the
@@ -37,12 +31,6 @@ type NodeConfig struct {
 	RegistryAddrs []string
 	// HeartbeatEvery is the wall-clock heartbeat interval.
 	HeartbeatEvery time.Duration
-	// HeartbeatJitter spreads each heartbeat interval (and each backoff
-	// step) by ±this fraction, deseeding the synchronized heartbeat bursts
-	// a fleet restarted together would otherwise aim at one shard. The
-	// node's own name seeds the jitter, so a given node's schedule is
-	// reproducible. Default 0.1; negative disables.
-	HeartbeatJitter float64
 	// HeartbeatMaxBackoff caps the backoff between heartbeat attempts
 	// while the registry is unreachable (default 16× HeartbeatEvery).
 	// Local jobs keep running throughout; the node re-registers with
@@ -73,6 +61,12 @@ type NodeConfig struct {
 // monitorPeriod is the virtual sampling period while jobs run.
 const monitorPeriod = 5 * time.Second
 
+// heartbeatJitter spreads each heartbeat interval (and each backoff step)
+// by ±this fraction, deseeding the synchronized heartbeat bursts a fleet
+// restarted together would otherwise aim at one shard. The node's own name
+// seeds the jitter, so a given node's schedule is reproducible.
+const heartbeatJitter = 0.1
+
 func (c NodeConfig) withDefaults() NodeConfig {
 	if c.Name == "" {
 		c.Name = "node"
@@ -85,12 +79,6 @@ func (c NodeConfig) withDefaults() NodeConfig {
 	}
 	if c.HeartbeatMaxBackoff == 0 {
 		c.HeartbeatMaxBackoff = 16 * c.HeartbeatEvery
-	}
-	if c.HeartbeatJitter == 0 {
-		c.HeartbeatJitter = 0.1
-	}
-	if c.HeartbeatJitter < 0 {
-		c.HeartbeatJitter = 0
 	}
 	if c.MaxJobVirtual == 0 {
 		c.MaxJobVirtual = 24 * time.Hour
@@ -128,9 +116,8 @@ type Node struct {
 func NewNode(addr string, cfg NodeConfig) (*Node, error) {
 	cfg = cfg.withDefaults()
 	eng, err := monitor.NewEngine(monitor.EngineConfig{
-		Machine:  cfg.Machine,
-		Monitor:  monitor.Config{Period: monitorPeriod, SmoothWindow: 1},
-		Detector: cfg.Detector,
+		Machine: cfg.Machine,
+		Monitor: monitor.Config{Period: monitorPeriod, SmoothWindow: 1},
 	})
 	if err != nil {
 		return nil, err
@@ -248,16 +235,15 @@ func (n *Node) register() error {
 	return nil
 }
 
-// jitterHB spreads one heartbeat delay by ±HeartbeatJitter.
+// jitterHB spreads one heartbeat delay by ±heartbeatJitter.
 func (n *Node) jitterHB(d time.Duration) time.Duration {
-	f := n.cfg.HeartbeatJitter
-	if f <= 0 || d <= 0 {
+	if d <= 0 {
 		return d
 	}
 	// u in [-1, 1): the node-name-seeded source makes the schedule
 	// reproducible per node while decorrelating nodes from each other.
 	u := 2*n.hbRand.Float64() - 1
-	j := time.Duration(float64(d) * (1 + f*u))
+	j := time.Duration(float64(d) * (1 + heartbeatJitter*u))
 	if j <= 0 {
 		j = time.Millisecond
 	}
@@ -336,13 +322,8 @@ func (n *Node) setHostLocked(load float64, mem int64) {
 	if mem <= 0 {
 		mem = 300 * simos.MB
 	}
-	var b simos.Behavior
-	if n.cfg.InteractiveHost {
-		b = workload.DefaultInteractiveSession()
-	} else {
-		b = &workload.DutyCycle{Usage: load, Period: workload.DefaultPeriod, Jitter: 0.1}
-	}
-	n.host = n.machine.Spawn("host-load", simos.Host, 0, mem, b)
+	n.host = n.machine.Spawn("host-load", simos.Host, 0, mem,
+		&workload.DutyCycle{Usage: load, Period: workload.DefaultPeriod, Jitter: 0.1})
 }
 
 // crashNowLocked implements the CrashAtVirtual fault: once the virtual

@@ -224,16 +224,9 @@ type RegistryOptions struct {
 	WAL *WALOptions
 	// MaxInflight bounds requests served at once; zero is unbounded (no
 	// admission control). A connection idle between requests holds no slot.
+	// Up to four times as many wait for a slot, each at most 100 ms; past
+	// either bound a request is shed with a 200 ms retry-after hint.
 	MaxInflight int
-	// MaxQueue bounds requests waiting for an inflight slot (default 4x
-	// MaxInflight). Beyond it, requests are shed immediately.
-	MaxQueue int
-	// QueueWait bounds how long a queued request waits for a slot before
-	// being shed (default 100 ms).
-	QueueWait time.Duration
-	// RetryAfter is the backoff hint stamped on shed responses
-	// (default 200 ms).
-	RetryAfter time.Duration
 	// Now overrides the clock (chaos injects skew here); nil = time.Now.
 	Now func() time.Time
 	// Forecast, when set, embeds an online availability forecaster: the
@@ -251,25 +244,16 @@ type ForecastOptions struct {
 	// run their registries with a large Scale so the forecaster's
 	// calendar arithmetic sees the fleet's clock, not the wall's.
 	Scale float64
-	// EpochMS anchors wall unix-milliseconds to the virtual span start;
-	// zero anchors at the first observed digest stamp.
-	EpochMS int64
 }
 
-func (o RegistryOptions) withDefaults() RegistryOptions {
-	if o.MaxInflight > 0 {
-		if o.MaxQueue <= 0 {
-			o.MaxQueue = 4 * o.MaxInflight
-		}
-		if o.QueueWait <= 0 {
-			o.QueueWait = 100 * time.Millisecond
-		}
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = 200 * time.Millisecond
-	}
-	return o
-}
+// Admission control past MaxInflight: the queue is queueFactor times
+// MaxInflight, a queued request waits at most queueWait, and a shed reply
+// asks the client to wait retryAfter.
+const (
+	queueFactor = 4
+	queueWait   = 100 * time.Millisecond
+	retryAfter  = 200 * time.Millisecond
+)
 
 // digestScore buckets a reported state for ranked discovery: S1 hosts
 // guests at full speed, S2 at lowest priority, an empty state means the
@@ -301,11 +285,10 @@ func NewRegistryWithOptions(addr string, opt RegistryOptions) (*Registry, error)
 	if opt.TTL <= 0 {
 		return nil, fmt.Errorf("ishare: registry TTL must be positive, got %v", opt.TTL)
 	}
-	opt = opt.withDefaults()
 	r := &Registry{ttl: opt.TTL, opt: opt}
 	if opt.Forecast != nil {
 		// Created before WAL recovery so replayed digests feed it too.
-		svc, err := forecast.NewService(forecast.ServiceConfig{Scale: opt.Forecast.Scale, EpochMS: opt.Forecast.EpochMS})
+		svc, err := forecast.NewService(forecast.ServiceConfig{Scale: opt.Forecast.Scale})
 		if err != nil {
 			return nil, fmt.Errorf("ishare: forecast service: %w", err)
 		}
@@ -327,7 +310,7 @@ func NewRegistryWithOptions(addr string, opt RegistryOptions) (*Registry, error)
 	r.srv = srv
 	if opt.MaxInflight > 0 {
 		r.inflight = make(chan struct{}, opt.MaxInflight)
-		r.queue = make(chan struct{}, opt.MaxQueue)
+		r.queue = make(chan struct{}, queueFactor*opt.MaxInflight)
 		srv.admit, srv.release = r.admit, func() { <-r.inflight }
 	}
 	srv.start(r.handle)
@@ -514,7 +497,7 @@ func (r *Registry) Shutdown(ctx context.Context) error {
 
 // admit applies admission control to one request, whose first bytes req
 // holds: take an inflight slot immediately, or wait for one in the bounded
-// queue up to QueueWait, or shed with a retry-after hint. Returns true when
+// queue up to queueWait, or shed with a retry-after hint. Returns true when
 // the caller holds an inflight slot; otherwise the connection ends.
 func (r *Registry) admit(conn net.Conn, req io.Reader) bool {
 	select {
@@ -529,7 +512,7 @@ func (r *Registry) admit(conn net.Conn, req io.Reader) bool {
 		return false
 	}
 	defer func() { <-r.queue }()
-	t := time.NewTimer(r.opt.QueueWait)
+	t := time.NewTimer(queueWait)
 	defer t.Stop()
 	select {
 	case r.inflight <- struct{}{}:
@@ -562,7 +545,7 @@ func (r *Registry) shed(conn net.Conn, req io.Reader) {
 	// Its own deadline: a peer that sent no newline is answered all the same.
 	_ = conn.SetWriteDeadline(time.Now().Add(lim.IODeadline))
 	_ = writeMessage(conn, &Response{OK: false, Error: "registry overloaded, retry later",
-		RetryAfterMS: r.opt.RetryAfter.Milliseconds()}, lim.MaxMessageBytes)
+		RetryAfterMS: retryAfter.Milliseconds()}, lim.MaxMessageBytes)
 }
 
 // registerLocked resolves d's name to its ID — assigning one, a freed ID

@@ -226,25 +226,44 @@ func TestRegistryCompactionSurvivesRestart(t *testing.T) {
 	}
 }
 
+// fillAdmission occupies every inflight slot and queue place of an idle r
+// directly: deterministic saturation without racing real handlers.
+func fillAdmission(r *Registry) {
+	for range cap(r.inflight) {
+		r.inflight <- struct{}{}
+	}
+	for range cap(r.queue) {
+		r.queue <- struct{}{}
+	}
+}
+
+// drainAdmission frees what fillAdmission occupied.
+func drainAdmission(r *Registry) {
+	for range cap(r.inflight) {
+		<-r.inflight
+	}
+	for range cap(r.queue) {
+		<-r.queue
+	}
+}
+
 // TestRegistryShedsWhenSaturated pins the admission path: with the single
 // inflight slot occupied and no queue headroom, a new connection receives
-// a structured overload response carrying the retry-after hint.
+// a structured overload response carrying the 200 ms retry-after hint.
 func TestRegistryShedsWhenSaturated(t *testing.T) {
-	r, err := NewRegistryWithOptions("127.0.0.1:0", RegistryOptions{
-		TTL: time.Minute, MaxInflight: 1, MaxQueue: 1,
-		QueueWait: 5 * time.Millisecond, RetryAfter: 123 * time.Millisecond,
-	})
+	r, err := NewRegistryWithOptions("127.0.0.1:0", RegistryOptions{TTL: time.Minute, MaxInflight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
 	sheds := shedCounter(r)
-	// Occupy the inflight slot and the queue slot directly: deterministic
-	// saturation without racing real handlers.
-	r.inflight <- struct{}{}
-	r.queue <- struct{}{}
-	defer func() { <-r.inflight; <-r.queue }()
+	fillAdmission(r)
+	defer drainAdmission(r)
 
+	resp, _ := wireExchange(t, r.Addr(), `{"op":"list"}`+"\n")
+	if resp.OK || resp.RetryAfterMS != 200 {
+		t.Fatalf("saturated registry answered %+v, want a shed with retry_after_ms 200", resp)
+	}
 	c := &Client{Shards: []string{r.Addr()}, Timeout: 2 * time.Second, Retry: RetryPolicy{MaxAttempts: 1}}
 	_, err = c.ListShard(context.Background(), r.Addr(), 4)
 	if err == nil || !strings.Contains(err.Error(), "overloaded") {
@@ -264,19 +283,15 @@ func TestRegistryShedsWhenSaturated(t *testing.T) {
 
 // TestClientHonorsRetryAfter: an idempotent request shed on the first
 // attempt succeeds on a retry after the registry frees capacity, and the
-// retry waits at least the hinted backoff.
+// retry waits at least the hinted 200 ms backoff.
 func TestClientHonorsRetryAfter(t *testing.T) {
-	r, err := NewRegistryWithOptions("127.0.0.1:0", RegistryOptions{
-		TTL: time.Minute, MaxInflight: 1, MaxQueue: 1,
-		QueueWait: time.Millisecond, RetryAfter: 40 * time.Millisecond,
-	})
+	r, err := NewRegistryWithOptions("127.0.0.1:0", RegistryOptions{TTL: time.Minute, MaxInflight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	r.inflight <- struct{}{}
-	r.queue <- struct{}{}
-	release := time.AfterFunc(15*time.Millisecond, func() { <-r.inflight; <-r.queue })
+	fillAdmission(r)
+	release := time.AfterFunc(15*time.Millisecond, func() { drainAdmission(r) })
 	defer release.Stop()
 
 	c := &Client{Shards: []string{r.Addr()}, Timeout: 2 * time.Second,
@@ -285,8 +300,8 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	if _, err := c.ListShard(context.Background(), r.Addr(), 4); err != nil {
 		t.Fatalf("list did not recover after shed: %v", err)
 	}
-	if d := time.Since(start); d < 40*time.Millisecond {
-		t.Fatalf("retry ignored the 40ms retry-after hint: total %v", d)
+	if d := time.Since(start); d < 200*time.Millisecond {
+		t.Fatalf("retry ignored the 200ms retry-after hint: total %v", d)
 	}
 }
 

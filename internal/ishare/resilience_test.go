@@ -427,7 +427,7 @@ func TestClientBoundsResponseSize(t *testing.T) {
 }
 
 func TestBackoffDelayGrowsAndCaps(t *testing.T) {
-	p := RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 60 * time.Millisecond, Jitter: 0.001, MaxAttempts: 10}.withDefaults()
+	p := RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 60 * time.Millisecond, MaxAttempts: 10}.withDefaults()
 	prev := time.Duration(0)
 	for attempt := 1; attempt <= 6; attempt++ {
 		d := backoffDelay(p, attempt, nil)
@@ -439,10 +439,15 @@ func TestBackoffDelayGrowsAndCaps(t *testing.T) {
 		}
 		prev = d
 	}
+	// The default policy's second retry waits 60 ms, jittered by ±20 %.
 	jr := newJitterRand(7)
 	seen := map[time.Duration]bool{}
-	for i := 0; i < 8; i++ {
-		seen[backoffDelay(RetryPolicy{}.withDefaults(), 2, jr)] = true
+	for i := 0; i < 100; i++ {
+		d := backoffDelay(RetryPolicy{}.withDefaults(), 2, jr)
+		if d < 48*time.Millisecond || d > 72*time.Millisecond {
+			t.Errorf("jittered delay %v outside ±20%% of 60ms", d)
+		}
+		seen[d] = true
 	}
 	if len(seen) < 2 {
 		t.Error("jitter produced identical delays")

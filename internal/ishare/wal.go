@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -66,15 +67,9 @@ type WALOptions struct {
 	// Dir is the shard's durability directory (required). The log lives in
 	// Dir/registry.wal, snapshots in Dir/registry.snap.
 	Dir string
-	// SyncEveryBytes triggers an fsync once this many unsynced bytes are
-	// in the log (default 1 MiB). With the background loop running the
-	// threshold kicks the loop rather than syncing inline, so acks never
-	// wait for fsync — a write() into the page cache survives process
-	// death. The loss window on host death is bounded in time by
-	// SyncInterval and in bytes, under burst, by this threshold.
-	SyncEveryBytes int64
 	// SyncInterval paces the background fsync of a lazily-written log
-	// (default 100 ms). Zero disables the background loop (tests).
+	// (default 100 ms); a negative interval disables the background loop
+	// (tests), and every syncEveryBytes of log is then synced inline.
 	SyncInterval time.Duration
 	// CompactEvery snapshots the full state and truncates the log after
 	// this many appended records (default 8192).
@@ -84,10 +79,14 @@ type WALOptions struct {
 	FsyncDelay time.Duration
 }
 
+// syncEveryBytes of unsynced log trigger an fsync. With the background loop
+// running the threshold kicks the loop rather than syncing inline, so acks
+// never wait for fsync — a write() into the page cache survives process
+// death. The loss window on host death is bounded in time by SyncInterval
+// and in bytes, under burst, by this threshold.
+const syncEveryBytes = 1 << 20
+
 func (o WALOptions) withDefaults() WALOptions {
-	if o.SyncEveryBytes <= 0 {
-		o.SyncEveryBytes = 1 << 20
-	}
 	if o.SyncInterval < 0 {
 		o.SyncInterval = 0
 	} else if o.SyncInterval == 0 {
@@ -295,7 +294,7 @@ func (w *wal) appendPayload(enc func([]byte) []byte) (compactDue bool, err error
 	}
 	w.appends++
 	w.dirty += int64(len(frame))
-	if w.dirty >= w.opt.SyncEveryBytes {
+	if w.dirty >= syncEveryBytes {
 		if w.kick != nil {
 			select {
 			case w.kick <- struct{}{}:
@@ -484,33 +483,23 @@ func appendFixed64(b []byte, v int64) []byte {
 	return append(b, tmp[:]...)
 }
 
-// walStateByCode interns the paper's five canonical availability strings
-// (and the empty no-digest state) so an entry's state costs one byte
-// instead of up to 20. Code 0 escapes to a length-prefixed string for
-// anything else; encode and decode share this table.
-var walStateByCode = [...]string{
-	1: "",
-	2: "S1(full)",
-	3: "S2(lowest-priority)",
-	4: "S3(cpu-unavail)",
-	5: "S4(mem-thrash)",
-	6: "S5(machine-unavail)",
-}
+// walStates is the state each log code but 0 stands for, taken from the
+// registry's codeStates so an entry's state costs one byte instead of up to
+// 20: 1 is the empty no-digest state and 2–6 the five state names' long
+// forms. Code 0 escapes to a length-prefixed string for anything else,
+// short forms included; encode and decode share this table.
+var walStates = func() (t [2 + len(wireStates)]string) {
+	t[1] = codeStates[0]
+	for d := range wireStates {
+		t[2+d] = codeStates[2+2*d]
+	}
+	return t
+}()
 
+// walStateCode is s's code in the log.
 func walStateCode(s string) byte {
-	switch s {
-	case walStateByCode[1]:
-		return 1
-	case walStateByCode[2]:
-		return 2
-	case walStateByCode[3]:
-		return 3
-	case walStateByCode[4]:
-		return 4
-	case walStateByCode[5]:
-		return 5
-	case walStateByCode[6]:
-		return 6
+	if c := slices.Index(walStates[1:], s); c >= 0 {
+		return byte(1 + c)
 	}
 	return 0
 }
@@ -622,11 +611,11 @@ func (r *walReader) state() string {
 	if c == 0 {
 		return r.string_()
 	}
-	if int(c) >= len(walStateByCode) {
+	if int(c) >= len(walStates) {
 		r.err = fmt.Errorf("unknown state code %d", c)
 		return ""
 	}
-	return walStateByCode[c]
+	return walStates[c]
 }
 
 func (r *walReader) fixed64() int64 {

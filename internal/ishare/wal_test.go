@@ -37,6 +37,32 @@ func TestWALRecordCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWALStateCodes round-trips every state the registry codes and a few it
+// does not through the log's state field: the empty state and the five long
+// forms take one byte, codes 1–6 as older logs wrote them, and anything
+// else, short forms included, is code 0 and the string.
+func TestWALStateCodes(t *testing.T) {
+	want := map[string]byte{"": 1, "S1(full)": 2, "S2(lowest-priority)": 3,
+		"S3(cpu-unavail)": 4, "S4(mem-thrash)": 5, "S5(machine-unavail)": 6}
+	states := append(codeStates[:], "S6", "S1(ful", "s1(full)", "S2(reduced)", "S3 (a note)", "lost", "S1(full) ")
+	for _, s := range states {
+		b := appendWALState(nil, s)
+		if code, ok := want[s]; ok && !bytes.Equal(b, []byte{code}) {
+			t.Errorf("%q logs as %v, want the one code %d", s, b, code)
+		} else if !ok && (b[0] != 0 || len(b) == 1) {
+			t.Errorf("%q logs as %v, want code 0 and the string", s, b)
+		}
+		r := &walReader{b: b}
+		if got := r.state(); got != s || r.err != nil || len(r.b) != 0 {
+			t.Errorf("%q reads back as %q (err %v, %d bytes left)", s, got, r.err, len(r.b))
+		}
+	}
+	r := &walReader{b: []byte{7}}
+	if r.state(); r.err == nil {
+		t.Error("code 7 read without an error")
+	}
+}
+
 func TestWALAppendRecoverRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	opt := WALOptions{Dir: dir, SyncInterval: -1}

@@ -1132,30 +1132,25 @@ func shedCounter(r *Registry) *obs.Counter {
 // with the structured retry-after response having neither run nor decoded
 // it — bytes that are not a request at all get the same answer.
 func TestShedDoesNotDecode(t *testing.T) {
-	r, err := NewRegistryWithOptions("127.0.0.1:0", RegistryOptions{
-		TTL: time.Minute, MaxInflight: 1, MaxQueue: 1,
-		QueueWait: time.Millisecond, RetryAfter: 77 * time.Millisecond,
-	})
+	r, err := NewRegistryWithOptions("127.0.0.1:0", RegistryOptions{TTL: time.Minute, MaxInflight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
 	sheds := shedCounter(r)
-	r.inflight <- struct{}{}
-	r.queue <- struct{}{}
+	fillAdmission(r)
 	batch := jsonEncode(t, Request{Op: "register_batch", Digests: benchDigests(1000)})
 	garbage := bytes.Repeat([]byte("x"), len(batch)-1)
 	for _, in := range [][]byte{batch, append(garbage, '\n')} {
 		resp, _ := wireExchange(t, r.Addr(), string(in))
-		if resp.OK || resp.RetryAfterMS != 77 || !strings.Contains(resp.Error, "overloaded") {
+		if resp.OK || resp.RetryAfterMS != 200 || !strings.Contains(resp.Error, "overloaded") {
 			t.Fatalf("shed response: %+v", resp)
 		}
 	}
 	if got := sheds.Value(); got != 2 {
 		t.Errorf("sheds = %d, want 2", got)
 	}
-	<-r.inflight
-	<-r.queue
+	drainAdmission(r)
 	if resp := r.handle(Request{Op: "list"}); len(resp.Nodes) != 0 {
 		t.Errorf("a shed batch was executed: %d nodes registered", len(resp.Nodes))
 	}

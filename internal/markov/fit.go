@@ -12,13 +12,9 @@ import (
 	"repro/internal/trace"
 )
 
-// FitOptions tune Fit. The zero value fits the pooled fleet model only.
-type FitOptions struct {
-	// PerMachine additionally fits one model per machine. Per-machine
-	// hazards are noisy on short traces; the pooled fleet estimate is
-	// usually what Generate should run on.
-	PerMachine bool
-}
+// FitOptions tune Fit. It has no field: Fit fits the pooled fleet model,
+// and callers pass FitOptions{}.
+type FitOptions struct{}
 
 // fitAccum accumulates sufficient statistics for one MachineModel:
 // event-start counts and availability exposure per hour-of-week slot,
@@ -98,7 +94,7 @@ func (a *fitAccum) merge(b *fitAccum) {
 // exposure computed from the machine's availability intervals (so time
 // spent down never dilutes a slot's rate); durations are the raw event
 // lengths split by cause and by the day type of the event's start.
-func Fit(tr *trace.Trace, opts FitOptions) (*Model, error) {
+func Fit(tr *trace.Trace, _ FitOptions) (*Model, error) {
 	if tr == nil || tr.Machines <= 0 {
 		return nil, fmt.Errorf("markov: cannot fit an empty trace")
 	}
@@ -117,10 +113,6 @@ func Fit(tr *trace.Trace, opts FitOptions) (*Model, error) {
 
 	// Built on workers, folded in machine order: every sum adds as serially.
 	accs := make([]*fitAccum, tr.Machines)
-	var per []*MachineModel
-	if opts.PerMachine {
-		per = make([]*MachineModel, tr.Machines)
-	}
 	par.For(tr.Machines, 0, func(_ *struct{}, id int) error {
 		lo, _ := slices.BinarySearchFunc(grouped, trace.MachineID(id), byMachine)
 		hi, _ := slices.BinarySearchFunc(grouped, trace.MachineID(id+1), byMachine)
@@ -131,9 +123,6 @@ func Fit(tr *trace.Trace, opts FitOptions) (*Model, error) {
 			acc.addExposure(tr.Calendar, iv)
 		}
 		acc.addEvents(tr.Calendar, one.Events)
-		if opts.PerMachine {
-			per[id] = acc.model()
-		}
 		accs[id] = acc
 		return nil
 	})
@@ -141,11 +130,6 @@ func Fit(tr *trace.Trace, opts FitOptions) (*Model, error) {
 	for _, acc := range accs {
 		fleet.merge(acc)
 	}
-	m := &Model{
-		Calendar:   tr.Calendar,
-		Machines:   tr.Machines,
-		Fleet:      fleet.model(),
-		PerMachine: per,
-	}
+	m := &Model{Calendar: tr.Calendar, Machines: tr.Machines, Fleet: fleet.model()}
 	return m, m.Validate()
 }

@@ -14,29 +14,21 @@ import (
 
 // naiveFit is Fit as it was before it grouped the events: for every machine,
 // one whole-trace scan for its intervals and another for its events.
-func naiveFit(tr *trace.Trace, opts FitOptions) *Model {
+func naiveFit(tr *trace.Trace) *Model {
 	fleet := &fitAccum{}
-	var per []*MachineModel
-	if opts.PerMachine {
-		per = make([]*MachineModel, tr.Machines)
-	}
 	for id := 0; id < tr.Machines; id++ {
 		acc := &fitAccum{}
 		for _, iv := range tr.Intervals(trace.MachineID(id)) {
 			acc.addExposure(tr.Calendar, iv)
 		}
 		acc.addEvents(tr.Calendar, tr.MachineEvents(trace.MachineID(id)))
-		if opts.PerMachine {
-			per[id] = acc.model()
-		}
 		fleet.merge(acc)
 	}
-	return &Model{Calendar: tr.Calendar, Machines: tr.Machines, Fleet: fleet.model(), PerMachine: per}
+	return &Model{Calendar: tr.Calendar, Machines: tr.Machines, Fleet: fleet.model()}
 }
 
 // TestFitMatchesPerMachineScans holds the grouped Fit to the per-machine
-// scans it replaced, exactly (DeepEqual on the whole Model, per-machine
-// models included), serially and with the machines split across four
+// scans it replaced, exactly (DeepEqual on the whole Model), serially and with the machines split across four
 // workers: on the round-trip seeds as generated and shuffled, and
 // on a hand-made trace where events of one machine start together, overlap,
 // sit outside the span, and belong to machines outside the fleet.
@@ -73,19 +65,17 @@ func TestFitMatchesPerMachineScans(t *testing.T) {
 	traces = append(traces, ties)
 
 	for i, tr := range traces {
-		for _, opts := range []FitOptions{{}, {PerMachine: true}} {
-			want := naiveFit(tr, opts)
-			for _, procs := range []int{1, 4} {
-				atProcs(procs, func() {
-					got, err := Fit(tr, opts)
-					if err != nil {
-						t.Fatalf("trace %d: %v", i, err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("trace %d, %+v, GOMAXPROCS %d: grouped fit differs from the per-machine scans", i, opts, procs)
-					}
-				})
-			}
+		want := naiveFit(tr)
+		for _, procs := range []int{1, 4} {
+			atProcs(procs, func() {
+				got, err := Fit(tr, FitOptions{})
+				if err != nil {
+					t.Fatalf("trace %d: %v", i, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("trace %d, GOMAXPROCS %d: grouped fit differs from the per-machine scans", i, procs)
+				}
+			})
 		}
 	}
 }

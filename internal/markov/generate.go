@@ -58,8 +58,8 @@ func Generate(m *Model, cfg GenConfig) (*trace.Trace, error) {
 	src := sim.NewSource(cfg.Seed)
 	parts := make([][]trace.Event, cfg.Machines)
 	par.For(cfg.Machines, 0, func(_ *struct{}, id int) error {
-		part := &trace.Trace{Events: make([]trace.Event, 0, expectedEvents(m.machineModel(id), cfg.Days))}
-		generateMachine(part, trace.MachineID(id), m.machineModel(id), cal, span, src.Stream("markov/"+strconv.Itoa(id)+"/events"))
+		part := &trace.Trace{Events: make([]trace.Event, 0, expectedEvents(m.Fleet, cfg.Days))}
+		generateMachine(part, trace.MachineID(id), m.Fleet, cal, span, src.Stream("markov/"+strconv.Itoa(id)+"/events"))
 		parts[id] = part.Events
 		return nil
 	})

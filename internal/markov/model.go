@@ -118,19 +118,16 @@ func (m *MachineModel) duration(c int, dt sim.DayType) *stats.ECDF {
 	return nil
 }
 
-// Model is a fitted fleet: the pooled model plus optional per-machine
-// refinements.
+// Model is a fitted fleet: one model pooling every machine.
 type Model struct {
 	// Calendar is the weekly anchoring the model was fitted under.
 	Calendar sim.Calendar
 	// Machines is the fleet size of the fitted trace.
 	Machines int
 	// Fleet pools every machine's events and exposure into one model —
-	// the statistically strong estimate, and what Generate uses unless
-	// PerMachine is populated.
+	// the statistically strong estimate, and what Generate runs every
+	// machine on.
 	Fleet *MachineModel
-	// PerMachine, when non-nil, holds one model per fitted machine.
-	PerMachine []*MachineModel
 }
 
 // Validate reports structural problems with the model.
@@ -146,15 +143,6 @@ func (m *Model) Validate() error {
 		}
 	}
 	return nil
-}
-
-// machineModel picks the generator model for machine id: its own fit when
-// per-machine models exist, the pooled fleet otherwise.
-func (m *Model) machineModel(id int) *MachineModel {
-	if len(m.PerMachine) > 0 {
-		return m.PerMachine[id%len(m.PerMachine)]
-	}
-	return m.Fleet
 }
 
 // StateDistribution returns the stationary occupancy the model implies

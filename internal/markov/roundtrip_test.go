@@ -195,29 +195,6 @@ func TestFitRejectsDegenerateInput(t *testing.T) {
 	}
 }
 
-// TestPerMachineFit checks that per-machine models exist and generation
-// uses them.
-func TestPerMachineFit(t *testing.T) {
-	src, err := GenerateScenario("enterprise", GenConfig{Machines: 4, Days: 21, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Fit(src, FitOptions{PerMachine: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.PerMachine) != 4 {
-		t.Fatalf("per-machine models = %d, want 4", len(m.PerMachine))
-	}
-	tr, err := Generate(m, GenConfig{Machines: 4, Days: 7, Seed: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Events) == 0 {
-		t.Fatal("per-machine generation produced no events")
-	}
-}
-
 // TestStateDistribution checks the stationary occupancy is a proper
 // distribution dominated by availability.
 func TestStateDistribution(t *testing.T) {

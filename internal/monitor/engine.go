@@ -19,14 +19,13 @@ type Engine struct {
 }
 
 // EngineConfig bundles the engine's pieces (zero fields take the usual
-// defaults).
+// defaults). The detector runs the paper's defaults (availability.Config's
+// zero value).
 type EngineConfig struct {
 	// Machine configures the simulated machine.
 	Machine simos.MachineConfig
 	// Monitor configures sampling (period, smoothing).
 	Monitor Config
-	// Detector configures the availability model.
-	Detector availability.Config
 }
 
 // NewEngine builds an engine on a fresh machine.
@@ -39,7 +38,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	det, err := availability.NewDetector(cfg.Detector)
+	det, err := availability.NewDetector(availability.Config{})
 	if err != nil {
 		return nil, err
 	}

@@ -174,7 +174,4 @@ func TestEngineConfigErrors(t *testing.T) {
 	if _, err := NewEngine(EngineConfig{Monitor: Config{Period: -time.Second}}); err == nil {
 		t.Error("bad monitor config accepted")
 	}
-	if _, err := NewEngine(EngineConfig{Detector: availability.Config{TransientWindow: -1}}); err == nil {
-		t.Error("bad detector config accepted")
-	}
 }

@@ -70,13 +70,6 @@ func TestPredictorColdStartEdges(t *testing.T) {
 			wantCount: 0, wantSurvival: 0.5,
 		},
 		{
-			name:      "history-window min-history-days unmet",
-			p:         newTrained(&HistoryWindow{MinHistoryDays: 1000}),
-			m:         0,
-			w:         sim.Window{Start: 14*sim.Day + 9*time.Hour, End: 14*sim.Day + 10*time.Hour},
-			wantCount: 0, wantSurvival: 0.5,
-		},
-		{
 			name:      "ewma-daily untrained",
 			p:         &EWMADaily{},
 			m:         0,

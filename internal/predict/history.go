@@ -62,12 +62,11 @@ const (
 )
 
 // memoKey names one same-window estimate: machine, window, and the exported
-// fields the answer reads (Trim and MinHistoryDays, or Alpha), as bits.
+// field the answer reads (HistoryWindow's Trim; EWMADaily has none), as bits.
 type memoKey struct {
-	m       trace.MachineID
-	w       sim.Window
-	param   uint64
-	minDays int
+	m     trace.MachineID
+	w     sim.Window
+	param uint64
 }
 
 // pastAnswer is a past window's answer, filed under the window's shape: the
@@ -106,16 +105,15 @@ func pastShape(src History, m trace.MachineID, w sim.Window) (shape sim.Window, 
 // the store Train fixed; Train resets it. The last answer is kept whatever
 // the window — evaluation asks PredictCount and PredictSurvival of one
 // (machine, window) back to back — and past windows' answers in a short
-// list per machine of src's fleet, for the fields the answer reads as of
+// list per machine of src's fleet, for the field the answer reads as of
 // the last lookup. Not goroutine-safe.
 type windowMemo struct {
-	last    memoKey
-	value   [2]float64
-	valid   bool
-	param   uint64
-	minDays int
-	past    [][]pastAnswer // by machine; emptied, never dropped
-	n       int            // answers in past
+	last  memoKey
+	value [2]float64
+	valid bool
+	param uint64
+	past  [][]pastAnswer // by machine; emptied, never dropped
+	n     int            // answers in past
 }
 
 func (mm *windowMemo) reset() {
@@ -134,9 +132,9 @@ func (mm *windowMemo) get(src History, k memoKey, compute func() (count, surviva
 	var list []pastAnswer
 	shape, dayType, past := pastShape(src, k.m, k.w)
 	if past {
-		if k.param != mm.param || k.minDays != mm.minDays || mm.n >= maxPastMemo {
+		if k.param != mm.param || mm.n >= maxPastMemo {
 			mm.reset()
-			mm.param, mm.minDays = k.param, k.minDays
+			mm.param = k.param
 		}
 		if int(k.m) >= len(mm.past) {
 			mm.past = append(mm.past, make([][]pastAnswer, int(k.m)+1-len(mm.past))...)

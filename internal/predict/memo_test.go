@@ -74,38 +74,30 @@ func TestPastWindowMemoBookkeeping(t *testing.T) {
 		t.Fatalf("the no-length fixture answers %v on both days; it no longer tells them apart", answers[0])
 	}
 
-	// The fields the answer reads, changed between predictions of one shape
+	// The field the answer reads, changed between predictions of one shape
 	// without a Train: every answer is a fresh instance's, never one the
-	// memo kept under the fields before.
+	// memo kept under the field before.
 	hist := tr.Before(17 * sim.Day)
 	trained := NewTraceHistory(hist)
 	h = &HistoryWindow{}
 	h.Train(trained)
-	ewma = &EWMADaily{}
-	ewma.Train(trained)
-	seen := map[[4]float64]bool{}
-	for _, p := range []struct {
-		trim    float64
-		minDays int
-		alpha   float64
-	}{{0, 0, 0}, {0.25, 0, 0.9}, {0.25, 1000, 0.5}, {0, 0, 0}} {
-		h.Trim, h.MinHistoryDays, ewma.Alpha = p.trim, p.minDays, p.alpha
-		freshH := &HistoryWindow{Trim: p.trim, MinHistoryDays: p.minDays}
-		freshH.Train(trained)
-		freshE := &EWMADaily{Alpha: p.alpha}
-		freshE.Train(trained)
+	seen := map[[2]float64]bool{}
+	for _, trim := range []float64{0, 0.25, 0} {
+		h.Trim = trim
+		fresh := &HistoryWindow{Trim: trim}
+		fresh.Train(trained)
 		for _, day := range []sim.Time{20, 27} {
-			w := sim.Window{Start: day*sim.Day + 9*time.Hour, End: day*sim.Day + 15*time.Hour}
-			got := [4]float64{h.PredictCount(0, w), h.PredictSurvival(0, w), ewma.PredictCount(0, w), ewma.PredictSurvival(0, w)}
-			want := [4]float64{freshH.PredictCount(0, w), freshH.PredictSurvival(0, w), freshE.PredictCount(0, w), freshE.PredictSurvival(0, w)}
+			w := sim.Window{Start: day*sim.Day + 9*time.Hour, End: day*sim.Day + 12*time.Hour}
+			got := [2]float64{h.PredictCount(0, w), h.PredictSurvival(0, w)}
+			want := [2]float64{fresh.PredictCount(0, w), fresh.PredictSurvival(0, w)}
 			if got != want {
-				t.Fatalf("trim %v, min days %d, alpha %v, window %v: answers %v, a fresh instance's %v", p.trim, p.minDays, p.alpha, w, got, want)
+				t.Fatalf("trim %v, window %v: answers %v, a fresh instance's %v", trim, w, got, want)
 			}
 			seen[want] = true
 		}
 	}
-	if len(seen) < 3 {
-		t.Fatalf("the fields' three settings answer %d ways; the fixture no longer tells them apart", len(seen))
+	if len(seen) < 2 {
+		t.Fatalf("the field's two settings answer %d ways; the fixture no longer tells them apart", len(seen))
 	}
 
 	// One machine asked more shapes than its list holds, each on every day

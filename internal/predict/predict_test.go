@@ -149,7 +149,7 @@ func TestLastDay(t *testing.T) {
 
 func TestEWMADaily(t *testing.T) {
 	tr := periodicTrace(21, 1)
-	e := &EWMADaily{Alpha: 0.5}
+	e := &EWMADaily{}
 	e.Train(NewTraceHistory(tr))
 	day := sim.Time(21) * sim.Day // Monday after 3 weeks
 	w := sim.Window{Start: day + 10*time.Hour, End: day + 11*time.Hour}

@@ -40,8 +40,6 @@ type HistoryWindow struct {
 	// Trim is the trimmed-mean fraction (0 = plain mean). The paper
 	// suggests robust statistics to absorb irregular days.
 	Trim float64
-	// MinHistoryDays guards against predicting from almost no data.
-	MinHistoryDays int
 
 	src    History   // the trained trace; nil until Train
 	counts []float64 // the reused history buffer
@@ -78,23 +76,18 @@ func (h *HistoryWindow) history(src History, m trace.MachineID, w sim.Window) []
 
 // trained is Estimate over the trained trace, memoized.
 func (h *HistoryWindow) trained(m trace.MachineID, w sim.Window) (count, survival float64) {
-	k := memoKey{m: m, w: w, param: math.Float64bits(h.Trim), minDays: h.MinHistoryDays}
+	k := memoKey{m: m, w: w, param: math.Float64bits(h.Trim)}
 	return h.memo.get(h.src, k, func() (float64, float64) {
 		count, survival, _ := h.Estimate(h.src, m, w)
 		return count, survival
 	})
 }
 
-// informed reports whether counts is enough history to predict from.
-func (h *HistoryWindow) informed(counts []float64) bool {
-	return len(counts) > 0 && len(counts) >= h.MinHistoryDays
-}
-
 // count is the expected event count: the (trimmed) mean of the history,
-// 0 when there is too little of it.
+// 0 when there is none.
 func (h *HistoryWindow) count(counts []float64) float64 {
 	switch {
-	case !h.informed(counts):
+	case len(counts) == 0:
 		return 0
 	case h.Trim > 0:
 		return stats.TrimmedMean(counts, h.Trim)
@@ -103,10 +96,10 @@ func (h *HistoryWindow) count(counts []float64) float64 {
 }
 
 // survival is the Laplace-smoothed fraction of failure-free history
-// windows, and the 0.5 no-information prior — never NaN — when there is too
-// little history.
+// windows, and the 0.5 no-information prior — never NaN — when there is no
+// history.
 func (h *HistoryWindow) survival(counts []float64) float64 {
-	if !h.informed(counts) {
+	if len(counts) == 0 {
 		return 0.5
 	}
 	free := 0
@@ -135,9 +128,8 @@ func (h *HistoryWindow) PredictCount(m trace.MachineID, w sim.Window) float64 {
 	return count
 }
 
-// PredictSurvival implements Predictor. An untrained predictor, a machine
-// outside the trained fleet, or a history shorter than MinHistoryDays all
-// answer 0.5.
+// PredictSurvival implements Predictor. An untrained predictor, or a machine
+// outside the trained fleet or with no prior same-type day, answers 0.5.
 func (h *HistoryWindow) PredictSurvival(m trace.MachineID, w sim.Window) float64 {
 	_, survival := h.trained(m, w)
 	return survival
@@ -208,12 +200,12 @@ func (l *LastDay) PredictSurvival(m trace.MachineID, w sim.Window) float64 {
 	return 0.75
 }
 
+// ewmaAlpha is EWMADaily's smoothing factor.
+const ewmaAlpha = 0.3
+
 // EWMADaily exponentially weights the same-window counts of previous days
 // (most recent day heaviest), without separating weekdays from weekends.
 type EWMADaily struct {
-	// Alpha is the smoothing factor (default 0.3).
-	Alpha float64
-
 	src  History
 	memo windowMemo
 }
@@ -237,11 +229,7 @@ func (e *EWMADaily) Estimate(src History, m trace.MachineID, w sim.Window) (coun
 	if !known(src, m) {
 		return 0, 0.5
 	}
-	alpha := e.Alpha
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.3
-	}
-	acc := stats.NewEWMA(alpha)
+	acc := stats.NewEWMA(ewmaAlpha)
 	ForEachHistoryWindow(src.Calendar(), src.Span(), w, false, func(hw sim.Window) {
 		acc.Add(float64(src.CountInWindow(m, hw)))
 	})
@@ -253,7 +241,7 @@ func (e *EWMADaily) Estimate(src History, m trace.MachineID, w sim.Window) (coun
 
 // trained is Estimate over the trained trace, memoized.
 func (e *EWMADaily) trained(m trace.MachineID, w sim.Window) (count, survival float64) {
-	k := memoKey{m: m, w: w, param: math.Float64bits(e.Alpha)}
+	k := memoKey{m: m, w: w}
 	return e.memo.get(e.src, k, func() (float64, float64) { return e.Estimate(e.src, m, w) })
 }
 

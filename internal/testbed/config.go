@@ -141,8 +141,6 @@ type Config struct {
 	Machines int
 	// Days is the traced duration (the paper traced ~92 days).
 	Days int
-	// StartWeekday anchors the calendar (0 = Monday).
-	StartWeekday int
 	// Seed roots all randomness.
 	Seed int64
 	// RAM and KernelMem describe the machines (paper: > 1 GB physical).

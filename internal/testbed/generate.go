@@ -117,7 +117,7 @@ func lowVarCount(r *rand.Rand, m float64) int {
 // over the whole traced span.
 func planMachine(cfg Config, r *rand.Rand) (contribs []contribution, outages []outage) {
 	w := cfg.Workload
-	cal := sim.Calendar{StartWeekday: cfg.StartWeekday}
+	cal := sim.Calendar{}
 
 	// Per-machine heterogeneity factor (1.0 when spread is 0).
 	mult := 1 + w.MachineRateSpread*(r.Float64()-0.5)
@@ -238,7 +238,7 @@ type ambient struct {
 func newAmbient(cfg Config, r *rand.Rand) *ambient {
 	return &ambient{
 		cfg:        cfg,
-		cal:        sim.Calendar{StartWeekday: cfg.StartWeekday},
+		cal:        sim.Calendar{},
 		r:          r,
 		baseMem:    250*mb + r.Int63n(150*mb),
 		maxWeekday: maxWeight(cfg.Workload.DiurnalWeekday),

@@ -30,11 +30,6 @@ func spanOf(cfg Config) sim.Window {
 	return sim.Window{Start: 0, End: sim.Time(cfg.Days) * sim.Day}
 }
 
-// calendarOf anchors the run's virtual time to weekdays.
-func calendarOf(cfg Config) sim.Calendar {
-	return sim.Calendar{StartWeekday: cfg.StartWeekday}
-}
-
 // RunWithOccupancy is Run, additionally returning each machine's
 // state-occupancy fractions. It is the sharded runner with the whole fleet
 // as one shard, collected in memory — so the trace is, by construction, the

@@ -23,7 +23,8 @@ const (
 )
 
 // ScenarioTrace generates a fleet trace for the named scenario with the
-// config's fleet shape (machines, days, start weekday, seed). Markov
+// config's fleet shape (machines, days, seed), its calendar starting on a
+// Monday. Markov
 // scenario names delegate to the generative library; LabFittedScenario
 // first runs a small pilot testbed with the config's workload, fits a
 // semi-Markov model from it, and generates the fleet from that model — so
@@ -34,10 +35,9 @@ func ScenarioTrace(cfg Config, name string) (*trace.Trace, error) {
 		return nil, err
 	}
 	gcfg := markov.GenConfig{
-		Machines:     cfg.Machines,
-		Days:         cfg.Days,
-		StartWeekday: cfg.StartWeekday,
-		Seed:         cfg.Seed,
+		Machines: cfg.Machines,
+		Days:     cfg.Days,
+		Seed:     cfg.Seed,
 	}
 	if name != LabFittedScenario {
 		return markov.GenerateScenario(name, gcfg)

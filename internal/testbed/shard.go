@@ -124,13 +124,10 @@ func runShards(cfg Config, shardSize int, sink EventSink, occ []Occupancy) error
 
 // SinkHeader returns the trace metadata a sink needs to frame the streamed
 // events (codec headers, analyzer construction) for a sharded run of cfg.
+// Its zero Calendar starts the run on a Monday.
 func SinkHeader(cfg Config) trace.Header {
 	cfg = cfg.withDefaults()
-	return trace.Header{
-		Span:     spanOf(cfg),
-		Calendar: calendarOf(cfg),
-		Machines: cfg.Machines,
-	}
+	return trace.Header{Span: spanOf(cfg), Machines: cfg.Machines}
 }
 
 // CollectSink gathers a sharded run back into one in-memory Trace: it is

@@ -382,9 +382,6 @@ type ScanFilter struct {
 	Window    sim.Window
 	HasWindow bool
 	Overlap   bool
-	// States, when nonzero, restricts to events whose state bit is set
-	// (bit 1 << state, as in BlockMeta.StateMask).
-	States byte
 }
 
 // AdmitBlock reports whether a block could contain matching events — the
@@ -406,9 +403,6 @@ func (f ScanFilter) AdmitBlock(m BlockMeta) bool {
 			return false
 		}
 	}
-	if f.States != 0 && f.States&m.StateMask == 0 {
-		return false
-	}
 	return true
 }
 
@@ -425,9 +419,6 @@ func (f ScanFilter) AdmitEvent(e Event) bool {
 		} else if e.Start < f.Window.Start || e.Start >= f.Window.End {
 			return false
 		}
-	}
-	if f.States != 0 && f.States&stateBit(e.State) == 0 {
-		return false
 	}
 	return true
 }

@@ -230,7 +230,6 @@ func TestBlockFileScanPrunes(t *testing.T) {
 		{HasMachine: true, Machine: 7},
 		{HasWindow: true, Window: sim.Window{Start: 10 * sim.Day, End: 11 * sim.Day}},
 		{HasWindow: true, Overlap: true, Window: sim.Window{Start: 40 * sim.Day, End: 41 * sim.Day}},
-		{States: stateBit(availability.S5)},
 		{HasMachine: true, Machine: 3, HasWindow: true, Window: sim.Window{Start: 0, End: 30 * sim.Day}},
 	}
 	for i, f := range filters {

@@ -66,16 +66,14 @@ func (d *DutyCycle) NextPhase(r *rand.Rand) (compute, sleep time.Duration, ok bo
 	return compute, sleep, true
 }
 
-// FiniteWork runs a fixed amount of CPU work in duty cycles and then
-// terminates — the shape of a compute-bound batch guest job with a known
+// FiniteWork runs a fixed amount of CPU work in DefaultPeriod duty cycles
+// and then terminates — the shape of a compute-bound batch guest job with a known
 // length, used by the proactive-scheduling experiments.
 type FiniteWork struct {
 	// Total is the CPU time the job needs.
 	Total time.Duration
 	// Usage is the job's duty cycle while it runs (1 = fully CPU-bound).
 	Usage float64
-	// Period as in DutyCycle.
-	Period time.Duration
 
 	consumed time.Duration
 }
@@ -85,15 +83,11 @@ func (f *FiniteWork) NextPhase(r *rand.Rand) (compute, sleep time.Duration, ok b
 	if f.consumed >= f.Total {
 		return 0, 0, false
 	}
-	period := f.Period
-	if period == 0 {
-		period = DefaultPeriod
-	}
 	u := f.Usage
 	if u <= 0 || u > 1 {
 		u = 1
 	}
-	compute = time.Duration(float64(period) * u)
+	compute = time.Duration(float64(DefaultPeriod) * u)
 	if remaining := f.Total - f.consumed; compute > remaining {
 		compute = remaining
 	}
